@@ -16,7 +16,7 @@ use kemf_fl::local::LocalCfg;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
 use kemf_fl::trace::{Phase, RoundScope};
-use kemf_fl::weight_common::{fan_out_clients, mean_loss, train_cohort_states, GlobalModel};
+use kemf_fl::weight_common::{train_cohort_states, GlobalModel};
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
@@ -50,64 +50,6 @@ impl FedAlgorithm for FedDf {
             ModelView::Full,
             WirePayload::symmetric(self.global.payload_bytes()),
         )
-    }
-
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        // Single fan-out, no cohort streaming: FedDF's fusion distills the
-        // *full-model* ensemble, so every teacher state must be resident
-        // anyway — chunking the local update would not bound memory.
-        let results = scope.phase(Phase::LocalUpdate, |c| {
-            let results = fan_out_clients(
-                &self.global.state,
-                self.global.spec,
-                round,
-                sampled,
-                ctx,
-                &local,
-                &|_k| None,
-            );
-            c.clients = results.len();
-            c.steps = results.iter().map(|r| r.outcome.steps as u64).sum();
-            c.batches = c.steps;
-            results
-        });
-        // Student initialized at the weighted average (FedDF's recipe for
-        // homogeneous clients), then refined by ensemble distillation.
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = results.len();
-            let states: Vec<ModelState> = results.iter().map(|r| r.state.clone()).collect();
-            let coeffs: Vec<f32> = results.iter().map(|r| r.n_samples as f32).collect();
-            let mut student = Model::new(self.global.spec);
-            student.set_state(&ModelState::weighted_average(&states, &coeffs));
-            let mut teachers: Vec<Model> = states
-                .iter()
-                .map(|s| {
-                    let mut t = Model::new(self.global.spec);
-                    t.set_state(s);
-                    t
-                })
-                .collect();
-            let seed = child_seed(ctx.cfg.seed, 0xDF ^ round as u64);
-            let out = distill_ensemble(&mut student, &mut teachers, &self.pool, &self.distill, seed);
-            c.steps = out.steps as u64;
-            c.batches = out.batches as u64;
-            self.global.state = student.state();
-        });
-        Ok(RoundOutcome { train_loss: mean_loss(&results) })
     }
 
     fn train_cohort(
@@ -154,8 +96,11 @@ impl FedAlgorithm for FedDf {
         let reported = states.len();
         scope.phase(Phase::Fusion, |c| {
             c.clients = reported;
-            // Staleness discounting shapes the warm-start average; the
-            // distillation pass treats every teacher alike (see DESIGN.md).
+            // Student initialized at the weighted average (FedDF's recipe
+            // for homogeneous clients), then refined by ensemble
+            // distillation. Staleness discounting shapes the warm-start
+            // average; the distillation pass treats every teacher alike
+            // (see DESIGN.md).
             let mut student = Model::new(self.global.spec);
             student.set_state(&weight_average_fusion_weighted(
                 &states,

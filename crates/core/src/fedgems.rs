@@ -327,20 +327,6 @@ impl FedAlgorithm for FedGems {
         ClientPlan::uniform(sampled, ModelView::Logits, WirePayload::symmetric(self.payload_bytes()))
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        let updates = self.train_cohort(round, sampled, ctx, scope)?;
-        if updates.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        self.fuse(round, updates.into_iter().map(|u| (u, 1.0)).collect(), ctx, scope)
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,

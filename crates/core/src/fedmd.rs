@@ -33,7 +33,6 @@ use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::optim::{clip_grad_norm, Sgd};
 use kemf_nn::loss::soften;
-use kemf_tensor::ops::elementwise_mean;
 use kemf_tensor::rng::{child_seed, seeded_rng};
 use kemf_tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -197,85 +196,6 @@ impl FedAlgorithm for FedMd {
         ClientPlan::uniform(sampled, ModelView::Logits, WirePayload::symmetric(self.payload_bytes()))
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        let consensus_targets = self
-            .consensus
-            .as_ref()
-            .map(|c| soften(c, self.cfg.temperature));
-        // Stream the cohort in bounded batches; only the per-client logit
-        // matrices stay resident for the consensus average, so memory is
-        // O(batch · model + cohort · logits).
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut member_logits: Vec<Tensor> = Vec::with_capacity(sampled.len());
-        let mut loss_sum = 0.0f32;
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                // Sequential fetch (the store is `&mut self`): rebuild each
-                // sampled client's local model.
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let cfg = self.cfg;
-                let public = &self.public;
-                let results: Vec<(usize, Model, Tensor, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut model)| {
-                        let seed =
-                            child_seed(ctx.cfg.seed, 0x3D ^ ((round as u64) << 16 | k as u64));
-                        // Digest the consensus, when one exists.
-                        let digest_steps = if let Some(targets) = &consensus_targets {
-                            digest(&mut model, public, targets, &cfg, local.sgd, seed)
-                        } else {
-                            0
-                        };
-                        // Revisit private data.
-                        let shard = ctx.client_shard(k);
-                        let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
-                        // Publish logits on the public set (batch statistics:
-                        // local models take few steps per round, same rationale
-                        // as FedKEMF's distillation targets).
-                        let logits = model.predict_batch_stats(public);
-                        (k, model, logits, out.mean_loss, digest_steps + out.steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
-                // Commit updated models back; collect logits in sampled order.
-                for (k, model, logits, loss, _steps) in results {
-                    self.store.commit(k, ClientBlob::new().with_model("model", model.state()))?;
-                    member_logits.push(logits);
-                    loss_sum += loss;
-                }
-            }
-            Ok(())
-        })?;
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = member_logits.len();
-            let refs: Vec<&Tensor> = member_logits.iter().collect();
-            self.consensus = Some(elementwise_mean(&refs));
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / member_logits.len().max(1) as f32 })
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -321,6 +241,10 @@ impl FedAlgorithm for FedMd {
                         } else {
                             0
                         };
+                        // Revisit private data, then publish logits on the
+                        // public set (batch statistics: local models take few
+                        // steps per round, same rationale as FedKEMF's
+                        // distillation targets).
                         let shard = ctx.client_shard(k);
                         let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
                         let logits = model.predict_batch_stats(public);

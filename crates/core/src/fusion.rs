@@ -19,17 +19,11 @@ pub enum FusionMode {
     WeightAverage,
 }
 
-/// Weight-average fusion of knowledge-network states.
-pub fn weight_average_fusion(states: &[ModelState], sample_counts: &[usize]) -> ModelState {
-    assert_eq!(states.len(), sample_counts.len(), "state/count length mismatch");
-    let coeffs: Vec<f32> = sample_counts.iter().map(|&n| n as f32).collect();
-    ModelState::weighted_average(states, &coeffs)
-}
-
-/// Weight-average fusion with an extra per-state multiplier (buffered-
-/// asynchronous staleness discounting): coefficient `weights[i] ×
-/// sample_counts[i]`. With every multiplier at exactly `1.0` this is
-/// bit-identical to [`weight_average_fusion`] — `1.0 × n` is `n` in f32.
+/// Weight-average fusion of knowledge-network states at coefficient
+/// `weights[i] × sample_counts[i]`, where `weights` carries the
+/// buffered-asynchronous staleness discount. A fresh update's multiplier
+/// is exactly `1.0`, and `1.0 × n` is `n` in f32: the plain
+/// sample-count-weighted average.
 pub fn weight_average_fusion_weighted(
     states: &[ModelState],
     sample_counts: &[usize],
@@ -55,7 +49,7 @@ mod tests {
     fn average_of_identical_states_is_identity() {
         let m = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 0));
         let s = m.state();
-        let fused = weight_average_fusion(&[s.clone(), s.clone()], &[10, 30]);
+        let fused = weight_average_fusion_weighted(&[s.clone(), s.clone()], &[10, 30], &[1.0, 1.0]);
         kemf_tensor::assert_close(&fused.params.values, &s.params.values, 1e-6);
         kemf_tensor::assert_close(&fused.buffers.values, &s.buffers.values, 1e-6);
     }
@@ -64,7 +58,7 @@ mod tests {
     fn weighting_respects_sample_counts() {
         let a = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 1)).state();
         let b = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 2)).state();
-        let fused = weight_average_fusion(&[a.clone(), b.clone()], &[30, 10]);
+        let fused = weight_average_fusion_weighted(&[a.clone(), b.clone()], &[30, 10], &[1.0, 1.0]);
         let expect: Vec<f32> = a
             .params
             .values

@@ -59,6 +59,6 @@ pub mod prelude {
     pub use crate::fedgems::{FedGems, FedGemsConfig};
     pub use crate::fedkemf::{FedKemf, FedKemfConfig};
     pub use crate::fedmd::{FedMd, FedMdConfig};
-    pub use crate::fusion::{weight_average_fusion, FusionMode};
+    pub use crate::fusion::{weight_average_fusion_weighted, FusionMode};
     pub use crate::resource::{assign_tiers, heterogeneous_specs, uniform_specs, ResourceTier};
 }

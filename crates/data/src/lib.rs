@@ -20,7 +20,6 @@
 //! assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 200);
 //! ```
 
-pub mod augment;
 pub mod dataset;
 pub mod dirichlet;
 pub mod partition;
@@ -29,7 +28,6 @@ pub mod synth;
 
 pub mod prelude {
     //! Common imports for downstream crates.
-    pub use crate::augment::{AugmentConfig, Augmenter};
     pub use crate::dataset::Dataset;
     pub use crate::dirichlet::dirichlet_partition;
     pub use crate::partition::{quantity_skew_partition, shard_partition};

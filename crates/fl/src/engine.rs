@@ -69,12 +69,12 @@ pub trait FedAlgorithm: Send {
     /// pre-redesign `payload × n` accounting bit for bit.
     fn client_plans(&self, round: usize, sampled: &[usize]) -> Vec<ClientPlan>;
 
-    /// Execute one communication round over the client indices whose
-    /// full lifecycle (download → train → upload) succeeded. `scope` is
-    /// the round's observability handle: implementations wrap their
-    /// client fan-out in [`Phase::LocalUpdate`] and their server-side
-    /// aggregation/distillation in [`Phase::Fusion`] via
-    /// [`RoundScope::phase`] (a no-op branch when tracing is off).
+    /// One synchronous communication round over the client indices whose
+    /// full lifecycle (download → train → upload) succeeded: the paper's
+    /// Algorithm 1 ([`train_cohort`](Self::train_cohort)) followed by
+    /// Algorithm 2 ([`fuse`](Self::fuse)) over every update at weight
+    /// `1.0`. Algorithms implement that pair and inherit this
+    /// composition; only free-standing probes override `round` itself.
     ///
     /// A round that cannot complete — a corrupt client-state slot, a
     /// failed spill read — returns a typed [`EngineError`] (usually
@@ -86,19 +86,29 @@ pub trait FedAlgorithm: Send {
         sampled: &[usize],
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError>;
+    ) -> Result<RoundOutcome, EngineError> {
+        if sampled.is_empty() {
+            // Nothing reported: no loss exists and no state may move.
+            return Ok(RoundOutcome { train_loss: f32::NAN });
+        }
+        let updates = self.train_cohort(round, sampled, ctx, scope)?;
+        check_update_alignment(&self.name(), &updates, sampled)?;
+        self.fuse(round, updates.into_iter().map(|u| (u, 1.0)).collect(), ctx, scope)
+    }
 
-    /// Train the sampled cohort against the *current* global model
-    /// without fusing: one [`PreparedUpdate`] per entry of `sampled`,
-    /// in order. The buffered-asynchronous scheduler banks these and
-    /// fuses them — possibly cycles later, staleness-weighted — via
-    /// [`fuse`](Self::fuse). Every side effect the synchronous
-    /// [`round`](Self::round) applies at aggregation time must be
-    /// deferred: per-client store commits ride in
-    /// [`PreparedUpdate::commit`] and are applied by `fuse` only for
-    /// updates that actually fold in. The default rejects asynchronous
-    /// rounds with a typed error, so synchronous-only algorithms fail
-    /// fast instead of silently diverging.
+    /// Algorithm 1: train the sampled cohort against the *current*
+    /// global model without fusing — one [`PreparedUpdate`] per entry of
+    /// `sampled`, in order. `scope` is the round's observability handle:
+    /// implementations wrap the client fan-out in [`Phase::LocalUpdate`]
+    /// via [`RoundScope::phase`] (a no-op branch when tracing is off).
+    /// A synchronous round fuses the updates at once; the buffered-
+    /// asynchronous scheduler banks them and fuses them — possibly
+    /// cycles later, staleness-weighted. Either way no model or stored
+    /// client state may change here: per-client store commits ride in
+    /// [`PreparedUpdate::commit`] and are applied by [`fuse`](Self::fuse)
+    /// only for updates that actually fold in. The default rejects the
+    /// call with a typed error, for probes that override
+    /// [`round`](Self::round) alone.
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -109,16 +119,18 @@ pub trait FedAlgorithm: Send {
         let _ = (wave, sampled, ctx, scope);
         Err(EngineError::Config(ConfigError::AlgorithmSetup {
             algorithm: self.name(),
-            reason: "buffered-asynchronous rounds are not supported by this algorithm".into(),
+            reason: "train_cohort/fuse are not implemented: this algorithm overrides `round` \
+                     only, so buffered-asynchronous rounds are not supported"
+                .into(),
         }))
     }
 
-    /// Fuse a buffer of prepared updates into the global model, each at
-    /// its staleness weight (`1.0` means fresh; the fold must be
-    /// bit-identical to the synchronous fold when every weight is
-    /// `1.0`). Consumes the buffer — deferred store commits of folded
-    /// updates are applied here, and an empty buffer reports NaN loss
-    /// without touching state (mirroring a synchronous empty round).
+    /// Algorithm 2: fuse a set of prepared updates into the global
+    /// model, each at its staleness weight (`1.0` means fresh), with the
+    /// server-side aggregation/distillation wrapped in [`Phase::Fusion`].
+    /// Consumes the updates — deferred store commits of folded updates
+    /// are applied here, and an empty set reports NaN loss without
+    /// touching state.
     fn fuse(
         &mut self,
         round: usize,
@@ -129,7 +141,9 @@ pub trait FedAlgorithm: Send {
         let _ = (round, updates, ctx, scope);
         Err(EngineError::Config(ConfigError::AlgorithmSetup {
             algorithm: self.name(),
-            reason: "buffered-asynchronous rounds are not supported by this algorithm".into(),
+            reason: "train_cohort/fuse are not implemented: this algorithm overrides `round` \
+                     only, so buffered-asynchronous rounds are not supported"
+                .into(),
         }))
     }
 
@@ -497,24 +511,6 @@ pub fn sample_clients(n_clients: usize, count: usize, rng: &mut StdRng) -> Vec<u
     out
 }
 
-/// Legacy single-knob failure injection: drop each sampled client with
-/// probability `dropout_prob`, keeping at least one survivor. Superseded
-/// by the lifecycle executor ([`FaultConfig`] models *where* in the round
-/// a client fails); kept for callers that only need a thinned set.
-pub fn apply_dropout(sampled: &[usize], dropout_prob: f32, rng: &mut StdRng) -> Vec<usize> {
-    if dropout_prob <= 0.0 {
-        return sampled.to_vec();
-    }
-    use rand::Rng;
-    let mut survivors: Vec<usize> =
-        sampled.iter().copied().filter(|_| rng.gen::<f32>() >= dropout_prob).collect();
-    if survivors.is_empty() {
-        let keep = sampled[rng.gen_range(0..sampled.len())];
-        survivors.push(keep);
-    }
-    survivors
-}
-
 /// Install the process-wide compute thread pool exactly once, sized by the
 /// `KEMF_THREADS` environment variable (unset or `0` = one worker per
 /// available core). Every parallel region in the workspace — the packed
@@ -560,8 +556,8 @@ fn probe(rng: &StdRng) -> u64 {
 pub struct Engine;
 
 impl Engine {
-    /// Run a federated training session under `opts`. This is the single
-    /// canonical entry point; every legacy free function forwards here.
+    /// Run a federated training session under `opts` — the single entry
+    /// point.
     pub fn run(
         algo: &mut dyn FedAlgorithm,
         ctx: &FlContext,
@@ -877,6 +873,30 @@ fn run_core(
     Ok(RunReport { history, plans, resumed_from, checkpoints, sim_time_s, transport })
 }
 
+/// `train_cohort` must return one update per reporter, in order: the
+/// scheduler bills each update's uplink bytes to the reporter at the
+/// same position, so a reordered or short list would mis-bill clients.
+fn check_update_alignment(
+    algorithm: &str,
+    updates: &[PreparedUpdate],
+    reporters: &[usize],
+) -> Result<(), EngineError> {
+    if updates.len() == reporters.len()
+        && updates.iter().zip(reporters).all(|(u, &k)| u.client == k)
+    {
+        return Ok(());
+    }
+    Err(EngineError::Config(ConfigError::AlgorithmSetup {
+        algorithm: algorithm.into(),
+        reason: format!(
+            "train_cohort returned {} update(s) for {} reporter(s), or the updates' client \
+             indices do not match the reporters",
+            updates.len(),
+            reporters.len()
+        ),
+    }))
+}
+
 /// One buffered-asynchronous aggregation cycle: train the wave's
 /// reporters against the current global model, dispatch their
 /// completions at simulated arrival times, drain the buffer, and fuse
@@ -909,16 +929,7 @@ fn run_async_cycle(
     } else {
         algo.train_cohort(cycle, &reporters, ctx, scope)?
     };
-    if updates.len() != reporters.len() {
-        return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-            algorithm: algo.name(),
-            reason: format!(
-                "train_cohort returned {} update(s) for {} reporter(s)",
-                updates.len(),
-                reporters.len()
-            ),
-        }));
-    }
+    check_update_alignment(&algo.name(), &updates, &reporters)?;
     sched.dispatch(cycle, plan, client_plans, updates);
     let drained = scope.phase(Phase::Buffer, |c| {
         let d = sched.drain(cycle);
@@ -988,6 +999,21 @@ mod tests {
     use crate::scheduler::{AsyncConfig, UpdatePayload};
     use kemf_data::synth::{SynthConfig, SynthTask};
 
+    /// One training-free update per sampled client, in order.
+    fn free_updates(sampled: &[usize]) -> Vec<PreparedUpdate> {
+        sampled
+            .iter()
+            .map(|&client| PreparedUpdate {
+                client,
+                n_samples: 10,
+                steps: 5,
+                loss: 1.0,
+                payload: UpdatePayload::Empty,
+                commit: None,
+            })
+            .collect()
+    }
+
     struct Dummy {
         evals: usize,
         rounds_seen: Vec<Vec<usize>>,
@@ -1028,17 +1054,7 @@ mod tests {
             _scope: &mut RoundScope<'_>,
         ) -> Result<Vec<PreparedUpdate>, EngineError> {
             self.rounds_seen.push(sampled.to_vec());
-            Ok(sampled
-                .iter()
-                .map(|&client| PreparedUpdate {
-                    client,
-                    n_samples: 10,
-                    steps: 5,
-                    loss: 1.0,
-                    payload: UpdatePayload::Empty,
-                    commit: None,
-                })
-                .collect())
+            Ok(free_updates(sampled))
         }
         fn fuse(
             &mut self,
@@ -1144,23 +1160,6 @@ mod tests {
         // Rough uniformity: the sample's mean index sits near the middle.
         let mean = s.iter().sum::<usize>() as f64 / s.len() as f64;
         assert!((mean - 500_000.0).abs() < 25_000.0, "mean index {mean}");
-    }
-
-    #[test]
-    fn dropout_thins_rounds_but_never_empties_them() {
-        let mut rng = seeded_rng(9);
-        let sampled: Vec<usize> = (0..10).collect();
-        let mut total = 0usize;
-        for _ in 0..200 {
-            let s = apply_dropout(&sampled, 0.5, &mut rng);
-            assert!(!s.is_empty());
-            assert!(s.iter().all(|k| sampled.contains(k)));
-            total += s.len();
-        }
-        let mean = total as f64 / 200.0;
-        assert!((mean - 5.0).abs() < 0.5, "mean survivors {mean}");
-        // Zero probability is the identity.
-        assert_eq!(apply_dropout(&sampled, 0.0, &mut rng), sampled);
     }
 
     #[test]
@@ -1303,6 +1302,59 @@ mod tests {
                 assert!(reason.contains("client_plans"), "unhelpful rejection: {reason}");
             }
             other => panic!("expected a plan-alignment rejection, got {:?}", other.err()),
+        }
+    }
+
+    /// A probe whose `train_cohort` returns the right updates in the
+    /// wrong order; it inherits the provided `round`.
+    struct Reordered;
+
+    impl FedAlgorithm for Reordered {
+        fn name(&self) -> String {
+            "reordered".into()
+        }
+        fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
+            ClientPlan::uniform(sampled, ModelView::Full, WirePayload::symmetric(1))
+        }
+        fn train_cohort(
+            &mut self,
+            _wave: usize,
+            sampled: &[usize],
+            _ctx: &FlContext,
+            _scope: &mut RoundScope<'_>,
+        ) -> Result<Vec<PreparedUpdate>, EngineError> {
+            let mut updates = free_updates(sampled);
+            updates.swap(0, 1);
+            Ok(updates)
+        }
+        fn fuse(
+            &mut self,
+            _round: usize,
+            _updates: Vec<(PreparedUpdate, f32)>,
+            _ctx: &FlContext,
+            _scope: &mut RoundScope<'_>,
+        ) -> Result<RoundOutcome, EngineError> {
+            panic!("misaligned updates must never reach fuse");
+        }
+        fn evaluate(&mut self, _ctx: &FlContext) -> f32 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn engine_rejects_reordered_updates_in_both_modes() {
+        // Uplink bytes are billed by position, so two swapped updates
+        // would charge each client the other's payload: a typed error in
+        // release builds too, from the provided `round` and from the
+        // async cycle alike.
+        let ctx = tiny_ctx();
+        for opts in [RunOptions::new(), RunOptions::new().async_rounds(AsyncConfig::new(3))] {
+            match Engine::run(&mut Reordered, &ctx, opts) {
+                Err(EngineError::Config(ConfigError::AlgorithmSetup { reason, .. })) => {
+                    assert!(reason.contains("train_cohort"), "unhelpful rejection: {reason}");
+                }
+                other => panic!("expected an update-alignment rejection, got {:?}", other.err()),
+            }
         }
     }
 

@@ -8,10 +8,8 @@ use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
 use crate::local::LocalCfg;
 use crate::scheduler::PreparedUpdate;
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
-use crate::trace::{Phase, RoundScope};
-use crate::weight_common::{
-    fan_out_clients, fuse_state_average, train_cohort_states, GlobalModel, StateAverage,
-};
+use crate::trace::RoundScope;
+use crate::weight_common::{fuse_state_average, train_cohort_states, GlobalModel};
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
 
@@ -43,61 +41,6 @@ impl FedAlgorithm for FedAvg {
             ModelView::Full,
             WirePayload::symmetric(self.global.payload_bytes()),
         )
-    }
-
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            // Nothing reported: no loss exists and the global state must
-            // not move (an average over zero clients has no value).
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        // Coefficient total over the whole cohort, computed before
-        // streaming: the running average divides by it up front, so any
-        // cohort_batch size folds results identically.
-        let total: f32 = sampled.iter().map(|&k| ctx.client_shard_len(k) as f32).sum();
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut avg = StateAverage::new(&self.global.state, total);
-        let mut loss_sum = 0.0f32;
-        let mut reported = 0usize;
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    round,
-                    batch,
-                    ctx,
-                    &local,
-                    &|_k| None,
-                );
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                // Sequential in sampled order, so f32 accumulation is
-                // bit-identical no matter how the cohort was batched.
-                for r in &results {
-                    avg.add(&r.state, r.n_samples as f32);
-                    loss_sum += r.outcome.mean_loss;
-                    reported += 1;
-                }
-            }
-        });
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
-            self.global.state = avg.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
     }
 
     fn train_cohort(

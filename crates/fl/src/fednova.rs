@@ -48,68 +48,6 @@ impl FedAlgorithm for FedNova {
         )
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        // Σ n over the whole cohort, before streaming (identical f32 sum
-        // order to the per-result fold it replaces: sampled order).
-        let total_n: f32 = sampled.iter().map(|&k| ctx.client_shard_len(k) as f32).sum();
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        // Normalized directions d_k = (w_global − w_k) / τ_k, folded in
-        // as each client reports; the global stays fixed until fusion.
-        let mut combined = self.global.state.params.zeros_like();
-        let mut tau_eff = 0.0f32;
-        let mut buffers = WeightsAverage::new(&self.global.state.buffers, total_n);
-        let mut loss_sum = 0.0f32;
-        let mut reported = 0usize;
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    round,
-                    batch,
-                    ctx,
-                    &local,
-                    &|_k| None,
-                );
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                for r in &results {
-                    let tau = r.outcome.steps.max(1) as f32;
-                    let p = r.n_samples as f32 / total_n;
-                    tau_eff += p * tau;
-                    let d = self.global.state.params.delta(&r.state.params);
-                    combined.scale_add(1.0, &d, p / tau);
-                    // Buffers: weighted average, as for FedAvg.
-                    buffers.add(&r.state.buffers, r.n_samples as f32);
-                    loss_sum += r.outcome.mean_loss;
-                    reported += 1;
-                }
-            }
-        });
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
-            // w ← w − τ_eff · Σ p_k d_k  (note d already points from w to w_k).
-            self.global.state.params.scale_add(1.0, &combined, -tau_eff);
-            self.global.state.buffers = buffers.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -171,31 +109,33 @@ impl FedAlgorithm for FedNova {
             return Ok(RoundOutcome { train_loss: f32::NAN });
         }
         let total_n: f32 = updates.iter().map(|(u, w)| w * u.n_samples as f32).sum();
-        let mut combined = self.global.state.params.zeros_like();
-        let mut tau_eff = 0.0f32;
-        let mut buffers = WeightsAverage::new(&self.global.state.buffers, total_n);
-        let mut loss_sum = 0.0f32;
         let reported = updates.len();
-        for (u, w) in &updates {
-            let UpdatePayload::State(delta) = &u.payload else {
-                return Err(EngineError::Config(crate::config::ConfigError::AlgorithmSetup {
-                    algorithm: "FedNova".into(),
-                    reason: format!("client {}: expected a direction-state payload", u.client),
-                }));
-            };
-            let tau = u.steps.max(1) as f32;
-            let p = w * u.n_samples as f32 / total_n;
-            tau_eff += p * tau;
-            combined.scale_add(1.0, &delta.params, p / tau);
-            buffers.add(&delta.buffers, w * u.n_samples as f32);
-            loss_sum += u.loss;
-        }
         scope.phase(Phase::Fusion, |c| {
             c.clients = reported;
+            let mut combined = self.global.state.params.zeros_like();
+            let mut tau_eff = 0.0f32;
+            let mut buffers = WeightsAverage::new(&self.global.state.buffers, total_n);
+            let mut loss_sum = 0.0f32;
+            for (u, w) in &updates {
+                let UpdatePayload::State(delta) = &u.payload else {
+                    return Err(EngineError::Config(crate::config::ConfigError::AlgorithmSetup {
+                        algorithm: "FedNova".into(),
+                        reason: format!("client {}: expected a direction-state payload", u.client),
+                    }));
+                };
+                let tau = u.steps.max(1) as f32;
+                let p = w * u.n_samples as f32 / total_n;
+                tau_eff += p * tau;
+                combined.scale_add(1.0, &delta.params, p / tau);
+                // Buffers: weighted average, as for FedAvg.
+                buffers.add(&delta.buffers, w * u.n_samples as f32);
+                loss_sum += u.loss;
+            }
+            // w ← w − τ_eff · Σ p_k d_k  (note d already points from w to w_k).
             self.global.state.params.scale_add(1.0, &combined, -tau_eff);
             self.global.state.buffers = buffers.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+            Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        })
     }
 
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {

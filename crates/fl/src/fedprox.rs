@@ -8,11 +8,8 @@ use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
 use crate::local::{add_prox_to_grads, LocalCfg};
 use crate::scheduler::PreparedUpdate;
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
-use crate::trace::{Phase, RoundScope};
-use crate::weight_common::{
-    fan_out_clients, fuse_state_average, train_cohort_states, BoxedGradHook, GlobalModel,
-    StateAverage,
-};
+use crate::trace::RoundScope;
+use crate::weight_common::{fuse_state_average, train_cohort_states, BoxedGradHook, GlobalModel};
 use kemf_nn::layer::Layer;
 use kemf_nn::models::ModelSpec;
 use std::sync::Arc;
@@ -45,63 +42,6 @@ impl FedAlgorithm for FedProx {
         )
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        // Every client's hook pulls toward this round's global weights.
-        let anchor = Arc::new(self.global.state.params.values.clone());
-        let mu = self.mu;
-        let total: f32 = sampled.iter().map(|&k| ctx.client_shard_len(k) as f32).sum();
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut avg = StateAverage::new(&self.global.state, total);
-        let mut loss_sum = 0.0f32;
-        let mut reported = 0usize;
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let anchor = Arc::clone(&anchor);
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    round,
-                    batch,
-                    ctx,
-                    &local,
-                    &move |_k| {
-                        let anchor = Arc::clone(&anchor);
-                        Some(Box::new(move |net: &mut dyn Layer| {
-                            add_prox_to_grads(net, &anchor, mu);
-                        }) as Box<dyn Fn(&mut dyn Layer) + Send + Sync>)
-                    },
-                );
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                for r in &results {
-                    avg.add(&r.state, r.n_samples as f32);
-                    loss_sum += r.outcome.mean_loss;
-                    reported += 1;
-                }
-            }
-        });
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
-            self.global.state = avg.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -115,7 +55,7 @@ impl FedAlgorithm for FedProx {
             sgd: ctx.cfg.sgd_at(wave),
         };
         // Clients dispatched in wave `wave` anchor to the global weights
-        // they were handed at dispatch time, exactly as in a sync round.
+        // they were handed at dispatch time, however late they fold in.
         let anchor = Arc::new(self.global.state.params.values.clone());
         let mu = self.mu;
         let hook_for = move |_k: usize| {

@@ -228,22 +228,6 @@ impl FedAlgorithm for FedRolex {
             .collect()
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        // The synchronous round is exactly the asynchronous pair at
-        // staleness weight 1.0, so both modes share one code path.
-        let updates = self.train_cohort(round, sampled, ctx, scope)?;
-        self.fuse(round, updates.into_iter().map(|u| (u, 1.0)).collect(), ctx, scope)
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,

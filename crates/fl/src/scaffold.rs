@@ -105,117 +105,6 @@ impl FedAlgorithm for Scaffold {
         ClientPlan::uniform(sampled, ModelView::Full, payload)
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        // SCAFFOLD's control-variate refresh divides by K·η assuming plain
-        // local SGD; momentum would inflate the effective step by
-        // 1/(1−ρ) and blow the variates up, so it is disabled locally
-        // (standard practice for SCAFFOLD implementations).
-        let mut sgd = ctx.cfg.sgd_at(round);
-        sgd.momentum = 0.0;
-        sgd.nesterov = false;
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd,
-        };
-        let eta = local.sgd.lr;
-        let dim = self.c.len();
-        let n_sampled = sampled.len();
-        let chunk = ctx.cfg.cohort_chunk(n_sampled);
-        let mut avg = StateAverage::new(&self.global.state, n_sampled as f32);
-        let mut delta_c_mean = vec![0.0f32; dim];
-        let mut loss_sum = 0.0f32;
-        scope.phase(Phase::LocalUpdate, |ctr| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                // Sequential fetch: the store is `&mut self` and cannot
-                // cross the parallel fan-out.
-                let mut variates = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let blob = self.store.fetch(k, |_| zero_variate(dim))?;
-                    variates.push(variate_from_blob(&blob, k, dim)?);
-                }
-                // Per-client corrections (c − c_k), shared with the
-                // parallel fan-out.
-                let corrections: Vec<Arc<Vec<f32>>> = variates
-                    .iter()
-                    .map(|ck| {
-                        Arc::new(
-                            self.c
-                                .iter()
-                                .zip(ck.iter())
-                                .map(|(&c, &ck)| c - ck)
-                                .collect::<Vec<f32>>(),
-                        )
-                    })
-                    .collect();
-                let index_of: HashMap<usize, usize> =
-                    batch.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-                let corrections_ref = &corrections;
-                let index_ref = &index_of;
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    round,
-                    batch,
-                    ctx,
-                    &local,
-                    &move |k| {
-                        let corr = Arc::clone(&corrections_ref[index_ref[&k]]);
-                        Some(Box::new(move |net: &mut dyn Layer| {
-                            add_flat_to_grads(net, &corr, 1.0);
-                        }) as Box<dyn Fn(&mut dyn Layer) + Send + Sync>)
-                    },
-                );
-                ctr.clients += results.len();
-                ctr.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                ctr.batches = ctr.steps;
-                // Control-variate refresh (option II), committed back to
-                // the store; sequential in sampled order so the f32 folds
-                // are bit-identical across batch sizes.
-                for (i, r) in results.iter().enumerate() {
-                    let steps = r.outcome.steps.max(1) as f32;
-                    let inv = 1.0 / (steps * eta);
-                    let g = &self.global.state.params.values;
-                    let w = &r.state.params.values;
-                    let ck = &variates[i];
-                    let mut ck_new = vec![0.0f32; dim];
-                    for j in 0..dim {
-                        ck_new[j] = ck[j] - self.c[j] + (g[j] - w[j]) * inv;
-                        delta_c_mean[j] += (ck_new[j] - ck[j]) / n_sampled as f32;
-                    }
-                    self.store.commit(
-                        r.client,
-                        ClientBlob::new().with_tensor("c", vec![dim], ck_new),
-                    )?;
-                    // Uniform mean of client states (SCAFFOLD aggregates
-                    // with global learning rate 1).
-                    avg.add(&r.state, 1.0);
-                    loss_sum += r.outcome.mean_loss;
-                }
-            }
-            Ok(())
-        })?;
-        scope.phase(Phase::Fusion, |ctr| {
-            ctr.clients = n_sampled;
-            let frac = n_sampled as f32 / ctx.cfg.n_clients as f32;
-            for (c, &d) in self.c.iter_mut().zip(delta_c_mean.iter()) {
-                *c += frac * d;
-            }
-            self.global.state = avg.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / n_sampled as f32 })
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -227,6 +116,10 @@ impl FedAlgorithm for Scaffold {
         if sampled.is_empty() {
             return Ok(Vec::new());
         }
+        // SCAFFOLD's control-variate refresh divides by K·η assuming plain
+        // local SGD; momentum would inflate the effective step by
+        // 1/(1−ρ) and blow the variates up, so it is disabled locally
+        // (standard practice for SCAFFOLD implementations).
         let mut sgd = ctx.cfg.sgd_at(wave);
         sgd.momentum = 0.0;
         sgd.nesterov = false;
@@ -237,11 +130,15 @@ impl FedAlgorithm for Scaffold {
         let mut out = Vec::with_capacity(sampled.len());
         scope.phase(Phase::LocalUpdate, |ctr| -> Result<(), EngineError> {
             for batch in sampled.chunks(chunk) {
+                // Sequential fetch: the store is `&mut self` and cannot
+                // cross the parallel fan-out.
                 let mut variates = Vec::with_capacity(batch.len());
                 for &k in batch {
                     let blob = self.store.fetch(k, |_| zero_variate(dim))?;
                     variates.push(variate_from_blob(&blob, k, dim)?);
                 }
+                // Per-client corrections (c − c_k), shared with the
+                // parallel fan-out.
                 let corrections: Vec<Arc<Vec<f32>>> = variates
                     .iter()
                     .map(|ck| {
@@ -323,44 +220,46 @@ impl FedAlgorithm for Scaffold {
         let dim = self.c.len();
         let reported = updates.len();
         let total: f32 = updates.iter().map(|(_, w)| *w).sum();
-        let mut avg = StateAverage::new(&self.global.state, total);
-        let mut delta_c_mean = vec![0.0f32; dim];
-        let mut loss_sum = 0.0f32;
-        for (u, w) in updates {
-            let UpdatePayload::StateAux { state, aux } = &u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("client {}: expected a state+variate payload", u.client),
-                }));
-            };
-            if aux.len() != dim {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!(
-                        "client {}: variate delta has {} values, model has {dim}",
-                        u.client,
-                        aux.len()
-                    ),
-                }));
-            }
-            for (d, &a) in delta_c_mean.iter_mut().zip(aux.iter()) {
-                *d += (w * a) / total;
-            }
-            avg.add(state, w);
-            loss_sum += u.loss;
-            if let Some(blob) = u.commit {
-                self.store.commit(u.client, blob)?;
-            }
-        }
         scope.phase(Phase::Fusion, |ctr| {
             ctr.clients = reported;
+            // Uniform mean of client states (SCAFFOLD aggregates with
+            // global learning rate 1), discounted by staleness only.
+            let mut avg = StateAverage::new(&self.global.state, total);
+            let mut delta_c_mean = vec![0.0f32; dim];
+            let mut loss_sum = 0.0f32;
+            for (u, w) in updates {
+                let UpdatePayload::StateAux { state, aux } = &u.payload else {
+                    return Err(EngineError::Config(ConfigError::AlgorithmSetup {
+                        algorithm: self.name(),
+                        reason: format!("client {}: expected a state+variate payload", u.client),
+                    }));
+                };
+                if aux.len() != dim {
+                    return Err(EngineError::Config(ConfigError::AlgorithmSetup {
+                        algorithm: self.name(),
+                        reason: format!(
+                            "client {}: variate delta has {} values, model has {dim}",
+                            u.client,
+                            aux.len()
+                        ),
+                    }));
+                }
+                for (d, &a) in delta_c_mean.iter_mut().zip(aux.iter()) {
+                    *d += (w * a) / total;
+                }
+                avg.add(state, w);
+                loss_sum += u.loss;
+                if let Some(blob) = u.commit {
+                    self.store.commit(u.client, blob)?;
+                }
+            }
             let frac = reported as f32 / ctx.cfg.n_clients as f32;
             for (c, &d) in self.c.iter_mut().zip(delta_c_mean.iter()) {
                 *c += frac * d;
             }
             self.global.state = avg.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+            Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        })
     }
 
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {

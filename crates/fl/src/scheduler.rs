@@ -32,11 +32,11 @@
 //! The scheduler owns no model state. Algorithms hand it opaque
 //! [`PreparedUpdate`]s (built by `FedAlgorithm::train_cohort`) and get
 //! them back, weighted, from the engine's drain for
-//! `FedAlgorithm::fuse`. Deferred side effects — client-store commits
-//! that the synchronous path applies at aggregation time — ride along
-//! in [`PreparedUpdate::commit`] so that an update evicted for
-//! staleness (or discarded by a quorum abort) leaves no trace, exactly
-//! like a synchronous round that never aggregated.
+//! `FedAlgorithm::fuse` — the same pair a synchronous round composes
+//! back to back at weight `1.0`. Client-store commits ride along in
+//! [`PreparedUpdate::commit`] and are applied by `fuse`, so an update
+//! evicted for staleness (or discarded by a quorum abort) leaves no
+//! trace, exactly like a synchronous round that never aggregated.
 
 use crate::client_store::ClientBlob;
 use crate::config::ConfigError;

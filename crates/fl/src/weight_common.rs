@@ -1,8 +1,8 @@
 //! Shared plumbing for the weight-sharing baselines (FedAvg, FedProx,
 //! FedNova, SCAFFOLD): a global model holder with evaluation, the
-//! parallel client-update fan-out, and streaming weighted averages that
-//! let a round fold results in as they arrive instead of holding every
-//! client state until aggregation.
+//! client-update fan-out that streams models through training in
+//! `cohort_batch`-sized chunks, and the weighted averages `fuse` folds
+//! the cohort's transmitted states with.
 
 use crate::config::ConfigError;
 use crate::context::FlContext;
@@ -97,9 +97,9 @@ pub fn fan_out_clients(
 
 /// Shared `FedAlgorithm::train_cohort` body for algorithms whose update
 /// payload is the plain post-training model state (FedAvg, FedProx,
-/// FedDF): fan the cohort out exactly like the synchronous round's
-/// local-update phase — same chunking, same seeds, same counters — but
-/// return the results as [`PreparedUpdate`]s instead of folding them.
+/// FedDF): fan the cohort out in `cohort_batch`-sized chunks — only a
+/// chunk's models and workspaces are live at once — and return each
+/// client's transmitted state as a [`PreparedUpdate`].
 pub fn train_cohort_states(
     global: &GlobalModel,
     wave: usize,
@@ -137,10 +137,9 @@ pub fn train_cohort_states(
 }
 
 /// Shared `FedAlgorithm::fuse` body for the sample-count-weighted state
-/// average (FedAvg, FedProx): fold the buffered updates at coefficient
-/// `weight × n_samples`. With every staleness weight at `1.0` the
-/// coefficients, their total, and the fold order all equal the
-/// synchronous round's — the fused state is bit-identical.
+/// average (FedAvg, FedProx): fold the updates, in order, at coefficient
+/// `weight × n_samples` (`1.0 × n` is exactly `n` in f32, so a fresh
+/// update weighs its plain sample count).
 pub fn fuse_state_average(
     algorithm: &str,
     global: &mut GlobalModel,
@@ -151,32 +150,24 @@ pub fn fuse_state_average(
         return Ok(RoundOutcome { train_loss: f32::NAN });
     }
     let total: f32 = updates.iter().map(|(u, w)| w * u.n_samples as f32).sum();
-    let mut avg = StateAverage::new(&global.state, total);
-    let mut loss_sum = 0.0f32;
     let reported = updates.len();
-    for (u, w) in &updates {
-        let UpdatePayload::State(state) = &u.payload else {
-            return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                algorithm: algorithm.into(),
-                reason: format!("client {}: expected a model-state update payload", u.client),
-            }));
-        };
-        avg.add(state, w * u.n_samples as f32);
-        loss_sum += u.loss;
-    }
     scope.phase(Phase::Fusion, |c| {
         c.clients = reported;
+        let mut avg = StateAverage::new(&global.state, total);
+        let mut loss_sum = 0.0f32;
+        for (u, w) in &updates {
+            let UpdatePayload::State(state) = &u.payload else {
+                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
+                    algorithm: algorithm.into(),
+                    reason: format!("client {}: expected a model-state update payload", u.client),
+                }));
+            };
+            avg.add(state, w * u.n_samples as f32);
+            loss_sum += u.loss;
+        }
         global.state = avg.finish();
-    });
-    Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
-}
-
-/// Mean local loss across client results.
-pub fn mean_loss(results: &[ClientResult]) -> f32 {
-    if results.is_empty() {
-        return 0.0;
-    }
-    results.iter().map(|r| r.outcome.mean_loss).sum::<f32>() / results.len() as f32
+        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+    })
 }
 
 /// Streaming weighted average over [`Weights`] snapshots.
@@ -184,9 +175,7 @@ pub fn mean_loss(results: &[ClientResult]) -> f32 {
 /// Bit-identical to [`Weights::weighted_average`] when fed the same
 /// snapshots in the same order with the same coefficient total: the
 /// accumulation is the identical `acc += (coeff / total) * value` inner
-/// loop, just spread over `add` calls instead of one pass. This is what
-/// lets the cohort stream through local update in bounded batches
-/// without perturbing a single bit of the aggregate.
+/// loop, just spread over `add` calls instead of one pass.
 pub struct WeightsAverage {
     total: f32,
     acc: Weights,

@@ -4,8 +4,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
+
+# One round path: `FedAlgorithm::round` is the engine's provided
+# train_cohort → fuse composition, and no algorithm may grow its own
+# synchronous body again (test modules, after `#[cfg(test)]`, may).
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /^ *fn round\(/{print FILENAME":"FNR": round override"; bad=1} END{exit bad}' \
+    $(ls crates/fl/src/*.rs crates/core/src/*.rs | grep -v '/engine\.rs$')
 
 # Kernel smoke: run every GEMM/int8 bench code path with a tiny time
 # budget (no JSON write). Catches dispatch-tier crashes — e.g. an AVX-512

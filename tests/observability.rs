@@ -173,6 +173,50 @@ fn canonical_jsonl_is_deterministic_and_round_trips() {
     assert_eq!(parsed.canonical_jsonl(), tb.canonical_jsonl());
 }
 
+/// The weighted fold is Algorithm 2's arithmetic, so it must be billed
+/// to the Fusion span whichever engine arm drives the round — and with
+/// it inside a span, the phases account for the Round span between them.
+#[test]
+fn fedavg_fusion_span_is_populated_and_phases_tile_the_round_in_both_modes() {
+    for mode in [RoundMode::Sync, RoundMode::Async(AsyncConfig::new(2))] {
+        let (ctx, mut algo) = fedavg_world(75);
+        let is_async = matches!(mode, RoundMode::Async(_));
+        let history = Engine::run(&mut algo, &ctx, RunOptions::new().round_mode(mode).record_trace())
+            .unwrap()
+            .history;
+        let trace = history.trace.as_ref().unwrap();
+        for round in 0..ctx.cfg.rounds {
+            let spans = trace.round_spans(round);
+            let phases: Vec<Phase> = spans.iter().map(|s| s.phase).collect();
+            let mut expected = FULL_ROUND.to_vec();
+            if is_async {
+                expected.insert(3, Phase::Buffer);
+            }
+            assert_eq!(phases, expected, "round {round}, async={is_async}");
+
+            let by = |p: Phase| *spans.iter().find(|s| s.phase == p).unwrap();
+            let fusion = by(Phase::Fusion);
+            assert_eq!(fusion.counters.clients, 2, "both reporters folded");
+            assert!(fusion.wall_s > 0.0, "the fold burned wall clock inside the span");
+
+            let round_span = by(Phase::Round);
+            let interior: f64 =
+                spans.iter().filter(|s| s.phase != Phase::Round).map(|s| s.wall_s).sum();
+            assert!(
+                interior <= round_span.wall_s + 1e-9,
+                "round {round}: phases sum to {interior}s > round span {}s",
+                round_span.wall_s
+            );
+            assert!(
+                round_span.wall_s - interior <= 0.5 * round_span.wall_s,
+                "round {round}: {}s of a {}s round sits in no phase span",
+                round_span.wall_s - interior,
+                round_span.wall_s
+            );
+        }
+    }
+}
+
 /// A free algorithm so the fault sweep doesn't pay for training.
 struct Probe;
 
