@@ -6,18 +6,16 @@
 //! their ensemble on public data. Unlike FedKEMF there is no knowledge
 //! network: the full model crosses the wire every round.
 
-use crate::distill::{distill_ensemble, DistillConfig};
-use crate::fusion::weight_average_fusion_weighted;
-use kemf_fl::config::ConfigError;
+use crate::distill::DistillConfig;
+use crate::fusion::ensemble_distill_fusion;
+use kemf_fl::cohort;
 use kemf_fl::context::FlContext;
 use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
-use kemf_fl::local::LocalCfg;
-use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
+use kemf_fl::scheduler::PreparedUpdate;
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
 use kemf_fl::trace::{Phase, RoundScope};
-use kemf_fl::weight_common::{train_cohort_states, GlobalModel};
-use kemf_nn::model::Model;
+use kemf_fl::weight_common::{train_state_update, GlobalModel};
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
 use kemf_tensor::rng::child_seed;
@@ -59,12 +57,14 @@ impl FedAlgorithm for FedDf {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
-        Ok(train_cohort_states(&self.global, wave, sampled, ctx, &local, &|_k| None, scope))
+        let (global, spec) = (&self.global.state, self.global.spec);
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            |_| Ok(()),
+            |k, ()| train_state_update(global, spec, wave, k, ctx, None),
+        )
     }
 
     fn fuse(
@@ -82,12 +82,7 @@ impl FedAlgorithm for FedDf {
         let mut weights: Vec<f32> = Vec::with_capacity(updates.len());
         let mut loss_sum = 0.0f32;
         for (u, w) in updates {
-            let UpdatePayload::State(state) = u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("client {}: expected a model-state payload", u.client),
-                }));
-            };
+            let state = u.payload.into_state(&self.name(), u.client)?;
             states.push(state);
             sample_counts.push(u.n_samples);
             weights.push(w);
@@ -96,30 +91,18 @@ impl FedAlgorithm for FedDf {
         let reported = states.len();
         scope.phase(Phase::Fusion, |c| {
             c.clients = reported;
-            // Student initialized at the weighted average (FedDF's recipe
-            // for homogeneous clients), then refined by ensemble
-            // distillation. Staleness discounting shapes the warm-start
-            // average; the distillation pass treats every teacher alike
-            // (see DESIGN.md).
-            let mut student = Model::new(self.global.spec);
-            student.set_state(&weight_average_fusion_weighted(
+            let (fused, out) = ensemble_distill_fusion(
+                self.global.spec,
                 &states,
                 &sample_counts,
                 &weights,
-            ));
-            let mut teachers: Vec<Model> = states
-                .iter()
-                .map(|s| {
-                    let mut t = Model::new(self.global.spec);
-                    t.set_state(s);
-                    t
-                })
-                .collect();
-            let seed = child_seed(ctx.cfg.seed, 0xDF ^ round as u64);
-            let out = distill_ensemble(&mut student, &mut teachers, &self.pool, &self.distill, seed);
+                &self.pool,
+                &self.distill,
+                child_seed(ctx.cfg.seed, 0xDF ^ round as u64),
+            );
             c.steps = out.steps as u64;
             c.batches = out.batches as u64;
-            self.global.state = student.state();
+            self.global.state = fused;
         });
         Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
     }
@@ -152,6 +135,7 @@ mod tests {
     use kemf_fl::config::FlConfig;
     use kemf_fl::engine::{Engine, RunOptions};
     use kemf_fl::metrics::History;
+    use kemf_nn::model::Model;
     use kemf_nn::models::Arch;
 
     fn run(algo: &mut dyn FedAlgorithm, ctx: &FlContext) -> History {

@@ -22,24 +22,24 @@
 //! engine bill that honestly while `evaluate()` reports the big server
 //! model's accuracy.
 
-use crate::fedkemf::{fresh_local_blob, model_from_blob};
-use kemf_fl::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
+use crate::client_models::ClientModels;
+use crate::fedmd::digest;
+use kemf_fl::client_store::SpillConfig;
+use kemf_fl::cohort;
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
 use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
-use kemf_fl::local::{local_train, LocalCfg};
+use kemf_fl::local::local_train;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError, TensorBlob};
 use kemf_fl::trace::{Phase, RoundScope};
-use kemf_nn::loss::{kl_to_target, soften};
+use kemf_nn::loss::soften;
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
-use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
-use kemf_tensor::rng::{child_seed, seeded_rng};
+use kemf_nn::optim::SgdConfig;
+use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
-use rand::seq::SliceRandom;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// FedGEMS hyper-parameters.
@@ -74,9 +74,6 @@ impl Default for FedGemsConfig {
 /// The FedGEMS algorithm: a large server model fed by selective
 /// client-logit fusion.
 pub struct FedGems {
-    /// Per-client model specs (may differ per client; all smaller than
-    /// the server).
-    client_specs: Vec<ModelSpec>,
     cfg: FedGemsConfig,
     /// The big server model's architecture.
     server_spec: ModelSpec,
@@ -88,8 +85,9 @@ pub struct FedGems {
     /// Has the server fused at least one cohort? Clients skip digestion
     /// of an untrained (freshly initialized) server.
     server_trained: bool,
-    store: ClientStateStore,
-    spill: Option<SpillConfig>,
+    /// Per-client local models (architectures may differ per client;
+    /// all smaller than the server).
+    clients: ClientModels,
     classes: usize,
 }
 
@@ -108,41 +106,6 @@ fn row_confidence(row: &[f32]) -> (usize, f32) {
     (arg, 1.0 / denom)
 }
 
-/// Distill `model` toward softened `targets` on `images` for `epochs`,
-/// mirroring FedMD's digestion loop (seeded shuffle, 32-sample chunks,
-/// gradient clipping at 5.0). `sgd.lr` is the distillation rate, not
-/// the supervised one — callers override it.
-fn distill_toward(
-    model: &mut Model,
-    images: &Tensor,
-    targets: &Tensor,
-    epochs: usize,
-    temperature: f32,
-    sgd: SgdConfig,
-    seed: u64,
-) -> usize {
-    let n = images.dims()[0];
-    let mut opt = Sgd::new(sgd);
-    let mut rng = seeded_rng(seed);
-    let mut steps = 0;
-    for _ in 0..epochs {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        for chunk in order.chunks(32) {
-            let x = images.gather_rows(chunk);
-            let t = targets.gather_rows(chunk);
-            model.zero_grad();
-            let logits = model.forward(&x, true);
-            let (_, grad) = kl_to_target(&logits, &t, temperature);
-            let _ = model.backward(&grad);
-            let _ = clip_grad_norm(model.net_mut(), 5.0);
-            opt.step(model.net_mut());
-            steps += 1;
-        }
-    }
-    steps
-}
-
 impl FedGems {
     /// New FedGEMS population: per-client specs, the (larger) server
     /// spec, and the public pool whose logits cross the wire.
@@ -157,15 +120,13 @@ impl FedGems {
         let eval_model = Model::new(server_spec);
         let server = eval_model.state();
         FedGems {
-            client_specs,
             cfg,
             server_spec,
             server,
             eval_model,
             public,
             server_trained: false,
-            store: ClientStateStore::in_memory(0),
-            spill: None,
+            clients: ClientModels::new(client_specs, None),
             classes,
         }
     }
@@ -173,7 +134,7 @@ impl FedGems {
     /// Spill per-client local models to `spill.dir` instead of holding
     /// `n_clients` of them resident.
     pub fn with_spill(mut self, spill: SpillConfig) -> Self {
-        self.spill = Some(spill);
+        self.clients.set_spill(spill);
         self
     }
 
@@ -189,7 +150,8 @@ impl FedGems {
 
     /// Largest client parameter count.
     pub fn largest_client_params(&self) -> usize {
-        self.client_specs
+        self.clients
+            .specs()
             .iter()
             .map(|s| Model::new(*s).state().params.numel())
             .max()
@@ -267,7 +229,7 @@ impl FedGems {
         let mut server = Model::new(self.server_spec);
         server.set_state(&self.server);
         let seed = child_seed(ctx.cfg.seed, 0x4745_4D53 ^ (((round as u64) << 1) | 1));
-        distill_toward(
+        digest(
             &mut server,
             &self.public,
             &targets,
@@ -287,16 +249,6 @@ impl FedAlgorithm for FedGems {
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
-        if self.client_specs.len() != ctx.cfg.n_clients {
-            return Err(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "need one client spec per client: {} specs for {} clients",
-                    self.client_specs.len(),
-                    ctx.cfg.n_clients
-                ),
-            });
-        }
         if !(0.0..=1.0).contains(&self.cfg.confidence_threshold) {
             return Err(ConfigError::AlgorithmSetup {
                 algorithm: self.name(),
@@ -306,20 +258,7 @@ impl FedAlgorithm for FedGems {
                 ),
             });
         }
-        self.store = match &self.spill {
-            Some(spill) => ClientStateStore::sharded(ctx.cfg.n_clients, spill.clone())
-                .map_err(|e| ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("opening spill store: {e}"),
-                })?,
-            None => {
-                let mut store = ClientStateStore::in_memory(ctx.cfg.n_clients);
-                let specs = &self.client_specs;
-                store.seed_all(|k| fresh_local_blob(specs[k]));
-                store
-            }
-        };
-        Ok(())
+        self.clients.init(&self.name(), ctx)
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
@@ -334,80 +273,37 @@ impl FedAlgorithm for FedGems {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        self.store.begin_round(wave);
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
+        self.clients.begin_round(wave);
+        let local = ctx.cfg.local_cfg(wave);
         // Broadcast: the server's current logits, softened for digestion.
         // A never-fused server is noise — clients skip digesting it.
-        let broadcast = if self.server_trained {
-            Some(soften(&self.server_logits(), self.cfg.temperature))
-        } else {
-            None
-        };
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let cfg = self.cfg;
-                let public = &self.public;
-                let results: Vec<(usize, Model, Tensor, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut model)| {
-                        let seed = child_seed(
-                            ctx.cfg.seed,
-                            0x4745_4D53 ^ ((wave as u64) << 16 | k as u64),
-                        );
-                        let digest_steps = if let Some(targets) = &broadcast {
-                            distill_toward(
-                                &mut model,
-                                public,
-                                targets,
-                                cfg.digest_epochs,
-                                cfg.temperature,
-                                SgdConfig { lr: cfg.distill_lr, ..local.sgd },
-                                seed,
-                            )
-                        } else {
-                            0
-                        };
-                        let shard = ctx.client_shard(k);
-                        let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
-                        let logits = model.predict_batch_stats(public);
-                        (k, model, logits, out.mean_loss, digest_steps + out.steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
-                for (k, model, logits, loss, steps) in results {
-                    out.push(PreparedUpdate {
-                        client: k,
-                        n_samples: ctx.client_shard_len(k),
-                        steps,
-                        loss,
-                        payload: UpdatePayload::Logits(TensorBlob {
-                            dims: logits.dims().to_vec(),
-                            values: logits.data().to_vec(),
-                        }),
-                        commit: Some(ClientBlob::new().with_model("model", model.state())),
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        Ok(out)
+        let broadcast = self
+            .server_trained
+            .then(|| soften(&self.server_logits(), self.cfg.temperature));
+        let (cfg, public) = (self.cfg, &self.public);
+        let clients = &mut self.clients;
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            |k| clients.fetch(k),
+            |k, mut model: Model| {
+                let seed =
+                    child_seed(ctx.cfg.seed, 0x4745_4D53 ^ ((wave as u64) << 16 | k as u64));
+                let digest_steps = broadcast.as_ref().map_or(0, |targets| {
+                    let sgd = SgdConfig { lr: cfg.distill_lr, ..local.sgd };
+                    digest(&mut model, public, targets, cfg.digest_epochs, cfg.temperature, sgd, seed)
+                });
+                let out = local_train(&mut model, &ctx.client_shard(k), &local, seed ^ 7, None);
+                let logits = model.predict_batch_stats(public);
+                let payload = UpdatePayload::Logits(TensorBlob {
+                    dims: logits.dims().to_vec(),
+                    values: logits.data().to_vec(),
+                });
+                PreparedUpdate::new(k, ctx, digest_steps + out.steps, out.mean_loss, payload)
+                    .with_commit(ClientModels::blob(&model))
+            },
+        )
     }
 
     fn fuse(
@@ -417,41 +313,18 @@ impl FedAlgorithm for FedGems {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
+        self.clients.begin_round(round);
         if updates.is_empty() {
             return Ok(RoundOutcome { train_loss: f32::NAN });
         }
         let dims = [self.public.dims()[0], self.classes];
-        let mut members: Vec<(Tensor, f32)> = Vec::with_capacity(updates.len());
-        let mut loss_sum = 0.0f32;
-        for (u, w) in updates {
-            let UpdatePayload::Logits(blob) = u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("client {}: expected a logit payload", u.client),
-                }));
-            };
-            if blob.dims != dims {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!(
-                        "client {}: logit payload is {:?}, public set needs {dims:?}",
-                        u.client, blob.dims
-                    ),
-                }));
-            }
-            if let Some(commit) = u.commit {
-                self.store.commit(u.client, commit)?;
-            }
-            members.push((Tensor::from_vec(blob.values, &dims), w * u.n_samples as f32));
-            loss_sum += u.loss;
-        }
-        let reported = members.len();
+        let (members, train_loss) =
+            self.clients.unpack_logits(&self.name(), dims, updates, |w, n| w * n as f32)?;
         scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
+            c.clients = members.len();
             self.fuse_into_server(round, ctx, &members);
         });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        Ok(RoundOutcome { train_loss })
     }
 
     /// The headline metric: the *large server model's* accuracy on the
@@ -466,18 +339,7 @@ impl FedAlgorithm for FedGems {
         let mut s = AlgorithmState::new(self.name(), 1)
             .with_model("server", self.server.clone())
             .with_scalar("server_trained", self.server_trained as u64 as f64);
-        if self.store.is_sharded() {
-            s = s.with_scalar("sharded_clients", self.store.n_clients() as f64);
-        } else {
-            for k in 0..self.store.n_clients() {
-                let blob = self.store.read(k, |_| ClientBlob::new())?;
-                let m = blob.model("model").ok_or(StoreError::Corrupt {
-                    client: k,
-                    detail: "missing local-model entry `model`".into(),
-                })?;
-                s.push_model(format!("local.{k}"), m.clone());
-            }
-        }
+        self.clients.push_state(&mut s)?;
         Ok(s)
     }
 
@@ -486,30 +348,7 @@ impl FedAlgorithm for FedGems {
         let server = state.model("server")?;
         check_model_layout("server", server, &self.server)?;
         let server_trained = state.scalar("server_trained")? != 0.0;
-        if self.store.is_sharded() {
-            let n = self.store.n_clients();
-            let recorded = state.scalar("sharded_clients")?;
-            if recorded != n as f64 {
-                return Err(RestoreError::ShapeMismatch {
-                    name: "sharded_clients".into(),
-                    detail: format!("checkpoint covers {recorded} clients, store has {n}"),
-                });
-            }
-        } else {
-            let n = self.store.n_clients();
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let layout = Model::new(self.client_specs[k]).state();
-                check_model_layout(&name, state.model(&name)?, &layout)?;
-            }
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let incoming = state.model(&name)?.clone();
-                self.store
-                    .commit(k, ClientBlob::new().with_model("model", incoming))
-                    .map_err(|e| RestoreError::Store { detail: e.to_string() })?;
-            }
-        }
+        self.clients.restore_state(state)?;
         self.server = server.clone();
         self.server_trained = server_trained;
         Ok(())

@@ -10,25 +10,26 @@
 //! 4. the local models never leave their devices, so clients may run
 //!    heterogeneous architectures sized to their resources.
 
-use crate::distill::{distill_ensemble, DistillConfig};
+use crate::client_models::{mean_accuracy, ClientModels};
+use crate::distill::DistillConfig;
 use crate::dml::{dml_local_update, DmlConfig};
-use crate::fusion::{weight_average_fusion_weighted, FusionMode};
-use kemf_fl::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
+use crate::fusion::{ensemble_distill_fusion, weight_average_fusion_weighted, FusionMode};
+use kemf_data::dataset::Dataset;
+use kemf_fl::client_store::SpillConfig;
+use kemf_fl::cohort;
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
 use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
-use kemf_fl::local::{local_train, LocalCfg};
+use kemf_fl::local::local_train;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
 use kemf_fl::trace::{Phase, RoundScope};
-use kemf_data::dataset::Dataset;
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
 use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
-use rayon::prelude::*;
 
 /// FedKEMF configuration beyond the generic `FlConfig`.
 #[derive(Clone)]
@@ -105,41 +106,8 @@ pub struct FedKemf {
     global_knowledge: ModelState,
     eval_model: Model,
     /// Persistent per-client local models (deployed on-device; never
-    /// communicated), fetched and committed through the client-state
-    /// store: resident for the classic in-memory mode, spilled to disk
-    /// for population-scale cohorts.
-    store: ClientStateStore,
-}
-
-/// A fresh (never-sampled) client's deployed model: built from its spec,
-/// whose seed makes it deterministic. Memory mode seeds every slot with
-/// this at init; sharded mode materializes it lazily on first fetch.
-pub(crate) fn fresh_local_blob(spec: ModelSpec) -> ClientBlob {
-    ClientBlob::new().with_model("model", Model::new(spec).state())
-}
-
-/// Rebuild client `k`'s deployed model from its stored blob, with the
-/// layout validated against the client's spec as a typed error — a blob
-/// from the wrong population must not panic the training process.
-pub(crate) fn model_from_blob(blob: &ClientBlob, k: usize, spec: ModelSpec) -> Result<Model, StoreError> {
-    let st = blob.model("model").ok_or_else(|| StoreError::Corrupt {
-        client: k,
-        detail: "missing deployed-model entry `model`".into(),
-    })?;
-    let mut model = Model::new(spec);
-    let layout = model.state();
-    if st.params.lens != layout.params.lens || st.buffers.lens != layout.buffers.lens {
-        return Err(StoreError::Corrupt {
-            client: k,
-            detail: format!(
-                "stored model layout ({} params) does not match the client spec ({} params)",
-                st.params.numel(),
-                layout.params.numel()
-            ),
-        });
-    }
-    model.set_state(st);
-    Ok(model)
+    /// communicated).
+    clients: ClientModels,
 }
 
 impl FedKemf {
@@ -147,7 +115,8 @@ impl FedKemf {
     pub fn new(cfg: FedKemfConfig) -> Self {
         let eval_model = Model::new(cfg.knowledge_spec);
         let global_knowledge = eval_model.state();
-        FedKemf { cfg, global_knowledge, eval_model, store: ClientStateStore::in_memory(0) }
+        let clients = ClientModels::new(cfg.client_specs.clone(), cfg.spill.clone());
+        FedKemf { cfg, global_knowledge, eval_model, clients }
     }
 
     /// Current global knowledge-network state.
@@ -171,24 +140,7 @@ impl FedKemf {
         client_tests: &[Dataset],
         eval_batch: usize,
     ) -> Result<Vec<f32>, EngineError> {
-        if client_tests.len() != self.store.n_clients() {
-            return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "need one test set per client: {} sets for {} clients",
-                    client_tests.len(),
-                    self.store.n_clients()
-                ),
-            }));
-        }
-        let mut out = Vec::with_capacity(client_tests.len());
-        for (k, t) in client_tests.iter().enumerate() {
-            let spec = self.cfg.client_specs[k];
-            let blob = self.store.read(k, |_| fresh_local_blob(spec))?;
-            let mut model = model_from_blob(&blob, k, spec)?;
-            out.push(model.evaluate(&t.images, &t.labels, eval_batch));
-        }
-        Ok(out)
+        self.clients.evaluate_per_client(&self.name(), client_tests.iter(), eval_batch)
     }
 
     /// Average accuracy of the deployed local models on per-client test
@@ -198,8 +150,7 @@ impl FedKemf {
         client_tests: &[Dataset],
         eval_batch: usize,
     ) -> Result<f32, EngineError> {
-        let per_client = self.evaluate_local_models_per_client(client_tests, eval_batch)?;
-        Ok(per_client.iter().sum::<f32>() / per_client.len().max(1) as f32)
+        Ok(mean_accuracy(&self.evaluate_local_models_per_client(client_tests, eval_batch)?))
     }
 }
 
@@ -212,30 +163,7 @@ impl FedAlgorithm for FedKemf {
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
-        if self.cfg.client_specs.len() != ctx.cfg.n_clients {
-            return Err(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "need one client spec per client: {} specs for {} clients",
-                    self.cfg.client_specs.len(),
-                    ctx.cfg.n_clients
-                ),
-            });
-        }
-        self.store = match &self.cfg.spill {
-            Some(spill) => ClientStateStore::sharded(ctx.cfg.n_clients, spill.clone())
-                .map_err(|e| ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("opening spill store: {e}"),
-                })?,
-            None => {
-                let mut store = ClientStateStore::in_memory(ctx.cfg.n_clients);
-                let specs = &self.cfg.client_specs;
-                store.seed_all(|k| fresh_local_blob(specs[k]));
-                store
-            }
-        };
-        Ok(())
+        self.clients.init(&self.name(), ctx)
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
@@ -250,10 +178,7 @@ impl FedAlgorithm for FedKemf {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        self.store.begin_round(wave);
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
+        self.clients.begin_round(wave);
         let ramp = if self.cfg.kl_warmup_rounds == 0 {
             1.0
         } else {
@@ -267,69 +192,36 @@ impl FedAlgorithm for FedKemf {
             temperature: self.cfg.dml_temperature,
             clip_norm: 5.0,
         };
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                // Sequential fetch (the store is `&mut self`): rebuild
-                // each sampled client's deployed model.
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.cfg.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let global = &self.global_knowledge;
-                let knowledge_spec = self.cfg.knowledge_spec;
-                let mutual = self.cfg.mutual;
-                let results: Vec<(usize, Model, Model, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut local)| {
-                        let mut knowledge = Model::new(knowledge_spec);
-                        knowledge.set_state(global);
-                        let seed =
-                            child_seed(ctx.cfg.seed, 0xD31 ^ ((wave as u64) << 20 | k as u64));
-                        let shard = ctx.client_shard(k);
-                        let (loss, steps) = if mutual {
-                            let out =
-                                dml_local_update(&mut local, &mut knowledge, &shard, &dml_cfg, seed);
-                            (out.mean_knowledge_loss, out.steps)
-                        } else {
-                            // Ablation: decoupled training (no knowledge extraction).
-                            let plain = LocalCfg {
-                                epochs: dml_cfg.epochs,
-                                batch: dml_cfg.batch,
-                                sgd: dml_cfg.sgd,
-                            };
-                            let a = local_train(&mut local, &shard, &plain, seed, None);
-                            let out = local_train(&mut knowledge, &shard, &plain, seed ^ 1, None);
-                            (out.mean_loss, a.steps + out.steps)
-                        };
-                        (k, local, knowledge, loss, steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
+        let (global, knowledge_spec, mutual) =
+            (&self.global_knowledge, self.cfg.knowledge_spec, self.cfg.mutual);
+        let clients = &mut self.clients;
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            |k| clients.fetch(k),
+            |k, mut local: Model| {
+                let mut knowledge = Model::new(knowledge_spec);
+                knowledge.set_state(global);
+                let seed = child_seed(ctx.cfg.seed, 0xD31 ^ ((wave as u64) << 20 | k as u64));
+                let shard = ctx.client_shard(k);
+                let (loss, steps) = if mutual {
+                    let out = dml_local_update(&mut local, &mut knowledge, &shard, &dml_cfg, seed);
+                    (out.mean_knowledge_loss, out.steps)
+                } else {
+                    // Ablation: decoupled training (no knowledge extraction).
+                    let plain = ctx.cfg.local_cfg(wave);
+                    let a = local_train(&mut local, &shard, &plain, seed, None);
+                    let out = local_train(&mut knowledge, &shard, &plain, seed ^ 1, None);
+                    (out.mean_loss, a.steps + out.steps)
+                };
                 // The refreshed deployed model rides along as a deferred
                 // commit: an evicted or quorum-aborted update must not
                 // have touched the device.
-                for (k, local, knowledge, loss, steps) in results {
-                    out.push(PreparedUpdate {
-                        client: k,
-                        n_samples: ctx.client_shard_len(k),
-                        steps,
-                        loss,
-                        payload: UpdatePayload::State(knowledge.state()),
-                        commit: Some(
-                            ClientBlob::new().with_model("model", local.state()),
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        Ok(out)
+                PreparedUpdate::new(k, ctx, steps, loss, UpdatePayload::State(knowledge.state()))
+                    .with_commit(ClientModels::blob(&local))
+            },
+        )
     }
 
     fn fuse(
@@ -339,7 +231,7 @@ impl FedAlgorithm for FedKemf {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
+        self.clients.begin_round(round);
         if updates.is_empty() {
             return Ok(RoundOutcome { train_loss: f32::NAN });
         }
@@ -348,18 +240,8 @@ impl FedAlgorithm for FedKemf {
         let mut weights: Vec<f32> = Vec::with_capacity(updates.len());
         let mut loss_sum = 0.0f32;
         for (u, w) in updates {
-            let UpdatePayload::State(state) = u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!(
-                        "client {}: expected a knowledge-network state payload",
-                        u.client
-                    ),
-                }));
-            };
-            if let Some(blob) = u.commit {
-                self.store.commit(u.client, blob)?;
-            }
+            let state = u.payload.into_state(&self.name(), u.client)?;
+            self.clients.commit(u.client, u.commit)?;
             states.push(state);
             sample_counts.push(u.n_samples);
             weights.push(w);
@@ -370,41 +252,18 @@ impl FedAlgorithm for FedKemf {
             c.clients = states.len();
             match self.cfg.fusion {
                 FusionMode::EnsembleDistill => {
-                    // FedDF-style warm start (Lin et al. 2020, the fusion the
-                    // paper builds on): since every knowledge network shares
-                    // one architecture, initialize the student at their
-                    // sample-weighted average, then refine it by distilling
-                    // the ensemble. Distillation alone transfers too little
-                    // per round to accumulate progress across rounds.
-                    // Staleness discounting applies to the warm-start
-                    // average; the distillation pass itself treats every
-                    // teacher alike (MaxLogits has no weighted analogue —
-                    // see DESIGN.md).
-                    let mut student = Model::new(self.cfg.knowledge_spec);
-                    student.set_state(&weight_average_fusion_weighted(
+                    let (fused, out) = ensemble_distill_fusion(
+                        self.cfg.knowledge_spec,
                         &states,
                         &sample_counts,
                         &weights,
-                    ));
-                    let mut teachers: Vec<Model> = states
-                        .iter()
-                        .map(|s| {
-                            let mut t = Model::new(self.cfg.knowledge_spec);
-                            t.set_state(s);
-                            t
-                        })
-                        .collect();
-                    let seed = child_seed(ctx.cfg.seed, 0xD157 ^ round as u64);
-                    let out = distill_ensemble(
-                        &mut student,
-                        &mut teachers,
                         &self.cfg.public_pool,
                         &self.cfg.distill,
-                        seed,
+                        child_seed(ctx.cfg.seed, 0xD157 ^ round as u64),
                     );
                     c.steps = out.steps as u64;
                     c.batches = out.batches as u64;
-                    self.global_knowledge = student.state();
+                    self.global_knowledge = fused;
                 }
                 FusionMode::WeightAverage => {
                     self.global_knowledge =
@@ -422,25 +281,9 @@ impl FedAlgorithm for FedKemf {
     }
 
     fn state(&self) -> Result<AlgorithmState, EngineError> {
-        // The local models never leave their devices in the protocol, but
-        // a checkpoint is the device: dropping them would silently reset
-        // every client's deployed model on resume. In sharded mode they
-        // already live in the spill directory (write-through commits), so
-        // the checkpoint carries only the population size for validation.
         let mut s = AlgorithmState::new(self.name(), 1)
             .with_model("knowledge", self.global_knowledge.clone());
-        if self.store.is_sharded() {
-            s = s.with_scalar("sharded_clients", self.store.n_clients() as f64);
-        } else {
-            for k in 0..self.store.n_clients() {
-                let blob = self.store.read(k, |_| ClientBlob::new())?;
-                let m = blob.model("model").ok_or(StoreError::Corrupt {
-                    client: k,
-                    detail: "missing deployed-model entry `model`".into(),
-                })?;
-                s.push_model(format!("local.{k}"), m.clone());
-            }
-        }
+        self.clients.push_state(&mut s)?;
         Ok(s)
     }
 
@@ -448,32 +291,7 @@ impl FedAlgorithm for FedKemf {
         state.expect_header(&self.name(), 1)?;
         let knowledge = state.model("knowledge")?;
         check_model_layout("knowledge", knowledge, &self.global_knowledge)?;
-        if self.store.is_sharded() {
-            let n = self.store.n_clients();
-            let recorded = state.scalar("sharded_clients")?;
-            if recorded != n as f64 {
-                return Err(RestoreError::ShapeMismatch {
-                    name: "sharded_clients".into(),
-                    detail: format!("checkpoint covers {recorded} clients, store has {n}"),
-                });
-            }
-        } else {
-            // Pre-check every local model before mutating anything, so a
-            // failed restore leaves the instance untouched.
-            let n = self.store.n_clients();
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let layout = Model::new(self.cfg.client_specs[k]).state();
-                check_model_layout(&name, state.model(&name)?, &layout)?;
-            }
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let incoming = state.model(&name)?.clone();
-                self.store
-                    .commit(k, ClientBlob::new().with_model("model", incoming))
-                    .map_err(|e| RestoreError::Store { detail: e.to_string() })?;
-            }
-        }
+        self.clients.restore_state(state)?;
         self.global_knowledge = knowledge.clone();
         Ok(())
     }
@@ -556,8 +374,7 @@ mod tests {
         // Stored local models kept their per-client architectures: each
         // blob's parameter layout matches the client's own spec.
         for (k, spec) in specs.iter().enumerate() {
-            let blob = algo.store.read(k, |_| ClientBlob::new()).unwrap();
-            let stored = blob.model("model").unwrap();
+            let stored = algo.clients.read(k).unwrap().state();
             assert_eq!(stored.params.lens, Model::new(*spec).state().params.lens);
         }
         // Per-client local evaluation works and all models learned

@@ -15,28 +15,25 @@
 //! logits, so `global_model()` is `None` and evaluation reports the mean
 //! client-model accuracy.
 
-use crate::fedkemf::{fresh_local_blob, model_from_blob};
+use crate::client_models::{mean_accuracy, ClientModels};
 use kemf_data::dataset::Dataset;
-use kemf_fl::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
+use kemf_fl::client_store::SpillConfig;
+use kemf_fl::cohort;
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
 use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
-use kemf_fl::local::{local_train, LocalCfg};
+use kemf_fl::local::local_train;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
-use kemf_fl::state::{
-    check_model_layout, check_tensor_dims, AlgorithmState, RestoreError, TensorBlob,
-};
+use kemf_fl::state::{check_tensor_dims, AlgorithmState, RestoreError, TensorBlob};
 use kemf_fl::trace::{Phase, RoundScope};
-use kemf_nn::loss::kl_to_target;
+use kemf_nn::loss::{kl_to_target, soften};
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
-use kemf_nn::optim::{clip_grad_norm, Sgd};
-use kemf_nn::loss::soften;
+use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
 use kemf_tensor::rng::{child_seed, seeded_rng};
 use kemf_tensor::Tensor;
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// FedMD hyper-parameters.
@@ -58,17 +55,13 @@ impl Default for FedMdConfig {
 
 /// The FedMD baseline (heterogeneous-capable).
 pub struct FedMd {
-    /// Per-client model specs (may differ per client).
-    client_specs: Vec<ModelSpec>,
     cfg: FedMdConfig,
     /// Public reference set whose logits are communicated.
     public: Tensor,
     /// Current consensus logits `[pool, classes]` (None before round 0).
     consensus: Option<Tensor>,
-    /// Per-client local models, held in the client-state store (resident
-    /// for memory mode, spilled to disk for population-scale cohorts).
-    store: ClientStateStore,
-    spill: Option<SpillConfig>,
+    /// Per-client local models (architectures may differ per client).
+    clients: ClientModels,
     classes: usize,
 }
 
@@ -77,12 +70,10 @@ impl FedMd {
     pub fn new(client_specs: Vec<ModelSpec>, public: Tensor, classes: usize, cfg: FedMdConfig) -> Self {
         assert!(!client_specs.is_empty(), "need at least one client spec");
         FedMd {
-            client_specs,
             cfg,
             public,
             consensus: None,
-            store: ClientStateStore::in_memory(0),
-            spill: None,
+            clients: ClientModels::new(client_specs, None),
             classes,
         }
     }
@@ -90,7 +81,7 @@ impl FedMd {
     /// Spill per-client local models to `spill.dir` instead of holding
     /// `n_clients` of them resident.
     pub fn with_spill(mut self, spill: SpillConfig) -> Self {
-        self.spill = Some(spill);
+        self.clients.set_spill(spill);
         self
     }
 
@@ -106,50 +97,41 @@ impl FedMd {
         tests: &[Dataset],
         eval_batch: usize,
     ) -> Result<f32, EngineError> {
-        if tests.len() != self.store.n_clients() {
-            return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "need one test set per client: {} sets for {} clients",
-                    tests.len(),
-                    self.store.n_clients()
-                ),
-            }));
-        }
-        let mut total = 0.0;
-        for (k, t) in tests.iter().enumerate() {
-            let spec = self.client_specs[k];
-            let blob = self.store.read(k, |_| fresh_local_blob(spec))?;
-            let mut model = model_from_blob(&blob, k, spec)?;
-            total += model.evaluate(&t.images, &t.labels, eval_batch);
-        }
-        Ok(total / tests.len() as f32)
+        Ok(mean_accuracy(&self.clients.evaluate_per_client(
+            &self.name(),
+            tests.iter(),
+            eval_batch,
+        )?))
     }
 }
 
-/// Distill `targets` (softened consensus probabilities) into `model` on
-/// the public images. Returns the number of digestion steps taken.
-fn digest(
+/// Distill `model` toward softened `targets` on `images` for `epochs`
+/// (seeded shuffle, 32-sample chunks, gradient clipping at 5.0) — the
+/// digestion loop of FedMD, which FedGEMS runs in both directions.
+/// `sgd.lr` is the distillation rate, not the supervised one. Returns
+/// the number of steps taken.
+pub(crate) fn digest(
     model: &mut Model,
-    public: &Tensor,
+    images: &Tensor,
     targets: &Tensor,
-    cfg: &FedMdConfig,
-    sgd: kemf_nn::optim::SgdConfig,
+    epochs: usize,
+    temperature: f32,
+    sgd: SgdConfig,
     seed: u64,
 ) -> usize {
-    let n = public.dims()[0];
-    let mut opt = Sgd::new(kemf_nn::optim::SgdConfig { lr: cfg.digest_lr, ..sgd });
+    let n = images.dims()[0];
+    let mut opt = Sgd::new(sgd);
     let mut rng = seeded_rng(seed);
     let mut steps = 0;
-    for _ in 0..cfg.digest_epochs {
+    for _ in 0..epochs {
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut rng);
         for chunk in order.chunks(32) {
-            let images = public.gather_rows(chunk);
-            let target = targets.gather_rows(chunk);
+            let x = images.gather_rows(chunk);
+            let t = targets.gather_rows(chunk);
             model.zero_grad();
-            let logits = model.forward(&images, true);
-            let (_, grad) = kl_to_target(&logits, &target, cfg.temperature);
+            let logits = model.forward(&x, true);
+            let (_, grad) = kl_to_target(&logits, &t, temperature);
             let _ = model.backward(&grad);
             let _ = clip_grad_norm(model.net_mut(), 5.0);
             opt.step(model.net_mut());
@@ -165,30 +147,7 @@ impl FedAlgorithm for FedMd {
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
-        if self.client_specs.len() != ctx.cfg.n_clients {
-            return Err(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "need one client spec per client: {} specs for {} clients",
-                    self.client_specs.len(),
-                    ctx.cfg.n_clients
-                ),
-            });
-        }
-        self.store = match &self.spill {
-            Some(spill) => ClientStateStore::sharded(ctx.cfg.n_clients, spill.clone())
-                .map_err(|e| ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("opening spill store: {e}"),
-                })?,
-            None => {
-                let mut store = ClientStateStore::in_memory(ctx.cfg.n_clients);
-                let specs = &self.client_specs;
-                store.seed_all(|k| fresh_local_blob(specs[k]));
-                store
-            }
-        };
-        Ok(())
+        self.clients.init(&self.name(), ctx)
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
@@ -203,76 +162,38 @@ impl FedAlgorithm for FedMd {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        self.store.begin_round(wave);
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
+        self.clients.begin_round(wave);
+        let local = ctx.cfg.local_cfg(wave);
         // Clients digest the consensus that was current when they were
         // dispatched — a stale worker keeps learning from the snapshot it
         // downloaded, exactly as a real device would.
-        let consensus_targets = self
-            .consensus
-            .as_ref()
-            .map(|c| soften(c, self.cfg.temperature));
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let cfg = self.cfg;
-                let public = &self.public;
-                let results: Vec<(usize, Model, Tensor, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut model)| {
-                        let seed =
-                            child_seed(ctx.cfg.seed, 0x3D ^ ((wave as u64) << 16 | k as u64));
-                        let digest_steps = if let Some(targets) = &consensus_targets {
-                            digest(&mut model, public, targets, &cfg, local.sgd, seed)
-                        } else {
-                            0
-                        };
-                        // Revisit private data, then publish logits on the
-                        // public set (batch statistics: local models take few
-                        // steps per round, same rationale as FedKEMF's
-                        // distillation targets).
-                        let shard = ctx.client_shard(k);
-                        let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
-                        let logits = model.predict_batch_stats(public);
-                        (k, model, logits, out.mean_loss, digest_steps + out.steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
-                for (k, model, logits, loss, steps) in results {
-                    out.push(PreparedUpdate {
-                        client: k,
-                        n_samples: ctx.client_shard_len(k),
-                        steps,
-                        loss,
-                        payload: UpdatePayload::Logits(TensorBlob {
-                            dims: logits.dims().to_vec(),
-                            values: logits.data().to_vec(),
-                        }),
-                        commit: Some(
-                            ClientBlob::new().with_model("model", model.state()),
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        Ok(out)
+        let consensus_targets = self.consensus.as_ref().map(|c| soften(c, self.cfg.temperature));
+        let (cfg, public) = (self.cfg, &self.public);
+        let clients = &mut self.clients;
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            |k| clients.fetch(k),
+            |k, mut model: Model| {
+                let seed = child_seed(ctx.cfg.seed, 0x3D ^ ((wave as u64) << 16 | k as u64));
+                let digest_steps = consensus_targets.as_ref().map_or(0, |targets| {
+                    let sgd = SgdConfig { lr: cfg.digest_lr, ..local.sgd };
+                    digest(&mut model, public, targets, cfg.digest_epochs, cfg.temperature, sgd, seed)
+                });
+                // Revisit private data, then publish logits on the public
+                // set (batch statistics: local models take few steps per
+                // round, same rationale as FedKEMF's distillation targets).
+                let out = local_train(&mut model, &ctx.client_shard(k), &local, seed ^ 7, None);
+                let logits = model.predict_batch_stats(public);
+                let payload = UpdatePayload::Logits(TensorBlob {
+                    dims: logits.dims().to_vec(),
+                    values: logits.data().to_vec(),
+                });
+                PreparedUpdate::new(k, ctx, digest_steps + out.steps, out.mean_loss, payload)
+                    .with_commit(ClientModels::blob(&model))
+            },
+        )
     }
 
     fn fuse(
@@ -282,94 +203,45 @@ impl FedAlgorithm for FedMd {
         _ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
+        self.clients.begin_round(round);
         if updates.is_empty() {
             return Ok(RoundOutcome { train_loss: f32::NAN });
         }
         let dims = [self.public.dims()[0], self.classes];
-        let mut logits: Vec<Tensor> = Vec::with_capacity(updates.len());
-        let mut weights: Vec<f32> = Vec::with_capacity(updates.len());
-        let mut loss_sum = 0.0f32;
-        for (u, w) in updates {
-            let UpdatePayload::Logits(blob) = u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("client {}: expected a logit payload", u.client),
-                }));
-            };
-            if blob.dims != dims {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!(
-                        "client {}: logit payload is {:?}, public set needs {dims:?}",
-                        u.client, blob.dims
-                    ),
-                }));
-            }
-            if let Some(commit) = u.commit {
-                self.store.commit(u.client, commit)?;
-            }
-            logits.push(Tensor::from_vec(blob.values, &dims));
-            weights.push(w);
-            loss_sum += u.loss;
-        }
-        let reported = logits.len();
+        let (members, train_loss) =
+            self.clients.unpack_logits(&self.name(), dims, updates, |w, _| w)?;
         scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
+            c.clients = members.len();
             // Weighted elementwise mean with the same clone/axpy/scale
             // structure as `elementwise_mean`: with every weight at 1.0
             // the first scale is ×1.0 (a bitwise no-op), each axpy adds
             // 1.0·t, and Σw is the exact count — bit-identical.
-            let mut acc = logits[0].clone();
-            acc.scale_inplace(weights[0]);
-            for (t, &w) in logits[1..].iter().zip(weights[1..].iter()) {
-                acc.axpy(w, t);
+            let mut acc = members[0].0.clone();
+            acc.scale_inplace(members[0].1);
+            for (t, w) in &members[1..] {
+                acc.axpy(*w, t);
             }
-            let total: f32 = weights.iter().sum();
+            let total: f32 = members.iter().map(|(_, w)| w).sum();
             acc.scale_inplace(1.0 / total);
             self.consensus = Some(acc);
         });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        Ok(RoundOutcome { train_loss })
     }
 
     /// FedMD has no global model; report the mean client accuracy on the
-    /// shared test set (the metric its paper uses).
+    /// shared test set (the metric its paper uses). A stored model that
+    /// cannot be read makes the metric undefined: NaN, like the loss of
+    /// a quorum-aborted round — never a plausible lower number.
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {
-        let n = self.store.n_clients();
-        if n == 0 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for k in 0..n {
-            let spec = self.client_specs[k];
-            let blob = match self.store.read(k, |_| fresh_local_blob(spec)) {
-                Ok(b) => b,
-                Err(_) => continue,
-            };
-            let Ok(mut model) = model_from_blob(&blob, k, spec) else { continue };
-            total += model.evaluate(&ctx.test.images, &ctx.test.labels, ctx.cfg.eval_batch);
-        }
-        total / n as f32
+        let shared = (0..self.clients.n_clients()).map(|_| &ctx.test);
+        self.clients
+            .evaluate_per_client(&self.name(), shared, ctx.cfg.eval_batch)
+            .map_or(f32::NAN, |per_client| mean_accuracy(&per_client))
     }
 
     fn state(&self) -> Result<AlgorithmState, EngineError> {
-        // In sharded mode the local models already live in the spill
-        // directory (write-through commits), so the checkpoint carries only
-        // the population size for validation; memory mode embeds them all,
-        // keeping the v1 checkpoint format unchanged.
         let mut s = AlgorithmState::new(self.name(), 1);
-        if self.store.is_sharded() {
-            s = s.with_scalar("sharded_clients", self.store.n_clients() as f64);
-        } else {
-            for k in 0..self.store.n_clients() {
-                let blob = self.store.read(k, |_| ClientBlob::new())?;
-                let m = blob.model("model").ok_or(StoreError::Corrupt {
-                    client: k,
-                    detail: "missing local-model entry `model`".into(),
-                })?;
-                s.push_model(format!("local.{k}"), m.clone());
-            }
-        }
+        self.clients.push_state(&mut s)?;
         // Presence of the entry encodes the Option: no consensus exists
         // before the first completed round.
         if let Some(c) = &self.consensus {
@@ -388,32 +260,7 @@ impl FedAlgorithm for FedMd {
             }
             None => None,
         };
-        if self.store.is_sharded() {
-            let n = self.store.n_clients();
-            let recorded = state.scalar("sharded_clients")?;
-            if recorded != n as f64 {
-                return Err(RestoreError::ShapeMismatch {
-                    name: "sharded_clients".into(),
-                    detail: format!("checkpoint covers {recorded} clients, store has {n}"),
-                });
-            }
-        } else {
-            // Pre-check every local model before mutating anything, so a
-            // failed restore leaves the instance untouched.
-            let n = self.store.n_clients();
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let layout = Model::new(self.client_specs[k]).state();
-                check_model_layout(&name, state.model(&name)?, &layout)?;
-            }
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let incoming = state.model(&name)?.clone();
-                self.store
-                    .commit(k, ClientBlob::new().with_model("model", incoming))
-                    .map_err(|e| RestoreError::Store { detail: e.to_string() })?;
-            }
-        }
+        self.clients.restore_state(state)?;
         self.consensus = consensus;
         Ok(())
     }

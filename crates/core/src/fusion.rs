@@ -5,7 +5,11 @@
 //! because every knowledge network shares one architecture) and ensemble
 //! distillation (the paper's focus). The ablation harness compares them.
 
+use crate::distill::{distill_ensemble, DistillConfig, DistillOutcome};
+use kemf_nn::model::Model;
+use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
+use kemf_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Server fusion method for the uploaded knowledge networks.
@@ -37,6 +41,34 @@ pub fn weight_average_fusion_weighted(
         .map(|(&n, &w)| w * n as f32)
         .collect();
     ModelState::weighted_average(states, &coeffs)
+}
+
+/// Ensemble-distillation fusion with FedDF's warm start (Lin et al.
+/// 2020, the fusion the paper builds on): since every state shares one
+/// architecture, initialize the student at their weighted average
+/// ([`weight_average_fusion_weighted`]), then refine it by distilling the
+/// ensemble on `pool`. Distillation alone transfers too little per round
+/// to accumulate progress across rounds. Staleness discounting applies
+/// to the warm-start average; the distillation pass itself treats every
+/// teacher alike (MaxLogits has no weighted analogue — see DESIGN.md).
+pub fn ensemble_distill_fusion(
+    spec: ModelSpec,
+    states: &[ModelState],
+    sample_counts: &[usize],
+    weights: &[f32],
+    pool: &Tensor,
+    cfg: &DistillConfig,
+    seed: u64,
+) -> (ModelState, DistillOutcome) {
+    let at = |state: &ModelState| {
+        let mut model = Model::new(spec);
+        model.set_state(state);
+        model
+    };
+    let mut student = at(&weight_average_fusion_weighted(states, sample_counts, weights));
+    let mut teachers: Vec<Model> = states.iter().map(at).collect();
+    let out = distill_ensemble(&mut student, &mut teachers, pool, cfg, seed);
+    (student.state(), out)
 }
 
 #[cfg(test)]

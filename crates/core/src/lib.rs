@@ -15,6 +15,9 @@
 //! * [`resource`] — device tiers and heterogeneous model assignment
 //!   (ResNet-20/32/44 side by side, Table 3).
 //! * [`fedkemf`] — the full algorithm, pluggable into `kemf-fl::engine`.
+//! * [`client_models`] — the persistent per-client local-model
+//!   population (store, checkpoint sections, evaluation) that FedKEMF,
+//!   FedMD and FedGEMS share.
 //! * [`fedgems`] — the server-larger-than-client baseline: a big server
 //!   model fed by selective per-sample fusion of client logits
 //!   (communication stays logit-sized either way).
@@ -38,6 +41,7 @@
 //! println!("{}", report.history.to_csv());
 //! ```
 
+pub mod client_models;
 pub mod distill;
 pub mod dml;
 pub mod ensemble;

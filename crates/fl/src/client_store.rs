@@ -41,7 +41,7 @@
 //! exactly like a checkpoint directory; point different runs at
 //! different directories.
 
-use crate::state::TensorBlob;
+use crate::state::{AlgorithmState, RestoreError, TensorBlob};
 use kemf_nn::checkpoint::{load_bundle, save_bundle, CheckpointBundle};
 use kemf_nn::serialize::ModelState;
 use std::collections::HashMap;
@@ -99,11 +99,6 @@ impl ClientBlob {
     pub fn with_tensor(mut self, name: impl Into<String>, dims: Vec<usize>, values: Vec<f32>) -> Self {
         self.tensors.push((name.into(), TensorBlob { dims, values }));
         self
-    }
-
-    /// Model entry by name.
-    pub fn model(&self, name: &str) -> Option<&ModelState> {
-        self.models.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
     /// Tensor entry by name.
@@ -186,6 +181,9 @@ impl SpillConfig {
 /// tree never puts more than a few thousand files per directory entry
 /// scan.
 const CLIENTS_PER_SHARD_DIR: usize = 4096;
+
+/// `AlgorithmState` scalar naming a sharded store's population size.
+const POPULATION_MARKER: &str = "sharded_clients";
 
 /// Format version tag inside a spill bundle's meta section.
 const BLOB_META_VERSION: u32 = 1;
@@ -323,6 +321,38 @@ impl ClientStateStore {
                 Ok(())
             }
         }
+    }
+
+    /// What a checkpoint carries for a sharded store: per-client state
+    /// already lives in the spill directory (write-through commits), so
+    /// only the population size rides along, for
+    /// [`check_population_marker`](Self::check_population_marker) to
+    /// validate on resume. A memory store writes nothing here — its owner
+    /// embeds the per-client state itself.
+    pub fn push_population_marker(&self, state: &mut AlgorithmState) {
+        if self.is_sharded() {
+            state.scalars.push((POPULATION_MARKER.into(), self.n_clients as f64));
+        }
+    }
+
+    /// Refuse a checkpoint whose sharded population differs from this
+    /// store's (a spill directory from another world). No-op for a
+    /// memory store.
+    pub fn check_population_marker(&self, state: &AlgorithmState) -> Result<(), RestoreError> {
+        if !self.is_sharded() {
+            return Ok(());
+        }
+        let recorded = state.scalar(POPULATION_MARKER)?;
+        if recorded != self.n_clients as f64 {
+            return Err(RestoreError::ShapeMismatch {
+                name: POPULATION_MARKER.into(),
+                detail: format!(
+                    "checkpoint covers {recorded} clients, store has {}",
+                    self.n_clients
+                ),
+            });
+        }
+        Ok(())
     }
 
     fn check_client(&self, k: usize) -> Result<(), StoreError> {

@@ -1,6 +1,7 @@
 //! Federated-learning run configuration.
 
 use crate::lifecycle::FaultConfig;
+use crate::local::LocalCfg;
 use kemf_nn::optim::{LrSchedule, SgdConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -143,6 +144,12 @@ impl FlConfig {
     /// during local update: `cohort_batch` clamped to the cohort.
     pub fn cohort_chunk(&self, cohort: usize) -> usize {
         self.cohort_batch.unwrap_or(cohort).clamp(1, cohort.max(1))
+    }
+
+    /// Local-training parameters of a client dispatched in `round`: the
+    /// configured epochs and batch size with that round's scheduled SGD.
+    pub fn local_cfg(&self, round: usize) -> LocalCfg {
+        LocalCfg { epochs: self.local_epochs, batch: self.batch_size, sgd: self.sgd_at(round) }
     }
 
     /// SGD config at a given round (learning rate follows the schedule).

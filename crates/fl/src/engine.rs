@@ -98,9 +98,9 @@ pub trait FedAlgorithm: Send {
 
     /// Algorithm 1: train the sampled cohort against the *current*
     /// global model without fusing — one [`PreparedUpdate`] per entry of
-    /// `sampled`, in order. `scope` is the round's observability handle:
-    /// implementations wrap the client fan-out in [`Phase::LocalUpdate`]
-    /// via [`RoundScope::phase`] (a no-op branch when tracing is off).
+    /// `sampled`, in order. Implementations hand their per-client body
+    /// to [`crate::cohort::train_cohort`], which owns the chunking, the
+    /// fan-out and the [`Phase::LocalUpdate`] span recorded on `scope`.
     /// A synchronous round fuses the updates at once; the buffered-
     /// asynchronous scheduler banks them and fuses them — possibly
     /// cycles later, staleness-weighted. Either way no model or stored
@@ -511,12 +511,14 @@ pub fn sample_clients(n_clients: usize, count: usize, rng: &mut StdRng) -> Vec<u
     out
 }
 
-/// Install the process-wide compute thread pool exactly once, sized by the
-/// `KEMF_THREADS` environment variable (unset or `0` = one worker per
-/// available core). Every parallel region in the workspace — the packed
-/// GEMM's row blocks, per-client round execution — draws from this single
-/// pool, so oversubscription can't happen no matter how the layers nest.
-/// Safe to call from multiple entry points; only the first call configures.
+/// Record the requested compute width exactly once: `KEMF_THREADS`, or
+/// one per available core when unset or `0`. With the vendored
+/// sequential `rayon` stand-in this only records the number — every
+/// `par_*` region (the GEMM row blocks, the cohort driver's client
+/// fan-out) runs on the calling thread, so the effective width is 1
+/// whatever is returned here. With the real crate the same call sizes
+/// the one global pool all regions share. Safe to call from multiple
+/// entry points; only the first call configures.
 pub fn init_thread_pool() -> usize {
     use std::sync::OnceLock;
     static WIDTH: OnceLock<usize> = OnceLock::new();

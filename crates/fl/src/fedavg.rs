@@ -2,14 +2,14 @@
 //! weights; the server replaces the global model with the sample-count-
 //! weighted average of the returned weights.
 
+use crate::cohort;
 use crate::context::FlContext;
 use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
-use crate::local::LocalCfg;
 use crate::scheduler::PreparedUpdate;
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::RoundScope;
-use crate::weight_common::{fuse_state_average, train_cohort_states, GlobalModel};
+use crate::weight_common::{fuse_state_average, train_state_update, GlobalModel};
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
 
@@ -50,12 +50,14 @@ impl FedAlgorithm for FedAvg {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
-        Ok(train_cohort_states(&self.global, wave, sampled, ctx, &local, &|_k| None, scope))
+        let (global, spec) = (&self.global.state, self.global.spec);
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            |_| Ok(()),
+            |k, ()| train_state_update(global, spec, wave, k, ctx, None),
+        )
     }
 
     fn fuse(

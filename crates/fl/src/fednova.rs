@@ -11,16 +11,16 @@
 //! ships normalization metadata alongside the weights, which the paper
 //! accounts as a 2× per-round payload vs FedAvg.
 
+use crate::cohort;
 use crate::context::FlContext;
 use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
-use crate::local::LocalCfg;
 use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::{Phase, RoundScope};
-use crate::weight_common::{fan_out_clients, GlobalModel, WeightsAverage};
+use crate::weight_common::{train_from_global, GlobalModel};
 use kemf_nn::models::ModelSpec;
-use kemf_nn::serialize::ModelState;
+use kemf_nn::serialize::{ModelState, WeightsAverage};
 
 /// The FedNova baseline.
 pub struct FedNova {
@@ -55,47 +55,26 @@ impl FedAlgorithm for FedNova {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
-        let chunk = ctx.cfg.cohort_chunk(sampled.len().max(1));
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    wave,
-                    batch,
-                    ctx,
-                    &local,
-                    &|_k| None,
-                );
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                for r in results {
-                    // The normalized direction is anchored to the global
-                    // weights the client actually started from, so it is
-                    // computed here at dispatch time, not at fusion.
-                    let d = self.global.state.params.delta(&r.state.params);
-                    out.push(PreparedUpdate {
-                        client: r.client,
-                        n_samples: r.n_samples,
-                        steps: r.outcome.steps,
-                        loss: r.outcome.mean_loss,
-                        payload: UpdatePayload::State(ModelState {
-                            params: d,
-                            buffers: r.state.buffers,
-                        }),
-                        commit: None,
-                    });
-                }
-            }
-        });
-        Ok(out)
+        let local = ctx.cfg.local_cfg(wave);
+        let (global, spec) = (&self.global.state, self.global.spec);
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            |_| Ok(()),
+            |k, ()| {
+                let (state, outcome) = train_from_global(global, spec, wave, k, ctx, &local, None);
+                // The normalized direction is anchored to the global
+                // weights the client actually started from, so it is
+                // computed here at dispatch time, not at fusion.
+                let direction = ModelState {
+                    params: global.params.delta(&state.params),
+                    buffers: state.buffers,
+                };
+                let payload = UpdatePayload::State(direction);
+                PreparedUpdate::new(k, ctx, outcome.steps, outcome.mean_loss, payload)
+            },
+        )
     }
 
     fn fuse(
@@ -116,13 +95,8 @@ impl FedAlgorithm for FedNova {
             let mut tau_eff = 0.0f32;
             let mut buffers = WeightsAverage::new(&self.global.state.buffers, total_n);
             let mut loss_sum = 0.0f32;
-            for (u, w) in &updates {
-                let UpdatePayload::State(delta) = &u.payload else {
-                    return Err(EngineError::Config(crate::config::ConfigError::AlgorithmSetup {
-                        algorithm: "FedNova".into(),
-                        reason: format!("client {}: expected a direction-state payload", u.client),
-                    }));
-                };
+            for (u, w) in updates {
+                let delta = u.payload.into_state("FedNova", u.client)?;
                 let tau = u.steps.max(1) as f32;
                 let p = w * u.n_samples as f32 / total_n;
                 tau_eff += p * tau;

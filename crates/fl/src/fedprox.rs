@@ -2,17 +2,17 @@
 //! `μ/2 · ‖w − w_global‖²` in every client's local objective, which damps
 //! client drift under heterogeneous data.
 
+use crate::cohort;
 use crate::context::FlContext;
 use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
-use crate::local::{add_prox_to_grads, LocalCfg};
+use crate::local::add_prox_to_grads;
 use crate::scheduler::PreparedUpdate;
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::RoundScope;
-use crate::weight_common::{fuse_state_average, train_cohort_states, BoxedGradHook, GlobalModel};
+use crate::weight_common::{fuse_state_average, train_state_update, GlobalModel};
 use kemf_nn::layer::Layer;
 use kemf_nn::models::ModelSpec;
-use std::sync::Arc;
 
 /// The FedProx baseline.
 pub struct FedProx {
@@ -49,22 +49,17 @@ impl FedAlgorithm for FedProx {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
         // Clients dispatched in wave `wave` anchor to the global weights
         // they were handed at dispatch time, however late they fold in.
-        let anchor = Arc::new(self.global.state.params.values.clone());
-        let mu = self.mu;
-        let hook_for = move |_k: usize| {
-            let anchor = Arc::clone(&anchor);
-            Some(Box::new(move |net: &mut dyn Layer| {
-                add_prox_to_grads(net, &anchor, mu);
-            }) as BoxedGradHook)
-        };
-        Ok(train_cohort_states(&self.global, wave, sampled, ctx, &local, &hook_for, scope))
+        let (global, spec, mu) = (&self.global.state, self.global.spec, self.mu);
+        let prox = |net: &mut dyn Layer| add_prox_to_grads(net, &global.params.values, mu);
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            |_| Ok(()),
+            |k, ()| train_state_update(global, spec, wave, k, ctx, Some(&prox)),
+        )
     }
 
     fn fuse(

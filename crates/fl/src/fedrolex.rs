@@ -23,11 +23,12 @@
 //! [`crate::engine::FedAlgorithm::client_plans`] now bills truthfully
 //! per (client, round) instead of fleet-wide.
 
+use crate::cohort;
 use crate::config::ConfigError;
 use crate::context::FlContext;
 use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
-use crate::local::{local_train, LocalCfg};
+use crate::local::local_train;
 use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::{Phase, RoundScope};
@@ -36,7 +37,6 @@ use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_nn::serialize::{ModelState, Weights};
 use kemf_tensor::rng::child_seed;
-use rayon::prelude::*;
 
 /// Configuration of a FedRolex server.
 #[derive(Clone, Copy, Debug)]
@@ -235,48 +235,27 @@ impl FedAlgorithm for FedRolex {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
+        let local = ctx.cfg.local_cfg(wave);
         let spec = self.global.spec;
-        let cycle = self.cycle;
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let results: Vec<PreparedUpdate> = batch
-                    .par_iter()
-                    .map(|&k| {
-                        let t = (wave + k) % cycle;
-                        let sub = self.extract(t);
-                        let mut model =
-                            Model::new(ModelSpec { width: sub.params.lens[1], ..spec });
-                        model.set_state(&sub);
-                        let seed = child_seed(ctx.cfg.seed, (wave as u64) << 20 | k as u64);
-                        let shard = ctx.client_shard(k);
-                        let outcome = local_train(&mut model, &shard, &local, seed, None);
-                        PreparedUpdate {
-                            client: k,
-                            n_samples: shard.len(),
-                            steps: outcome.steps,
-                            loss: outcome.mean_loss,
-                            payload: UpdatePayload::Window { offset: t, state: model.state() },
-                            commit: None,
-                        }
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                out.extend(results);
-            }
-        });
-        Ok(out)
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            // The window a client downloads is cut from the server model
+            // here, so only a chunk's sub-models are ever resident.
+            |k| {
+                let t = self.offset_for(wave, k);
+                Ok((t, self.extract(t)))
+            },
+            |k, (t, sub): (usize, ModelState)| {
+                let mut model = Model::new(ModelSpec { width: sub.params.lens[1], ..spec });
+                model.set_state(&sub);
+                let seed = child_seed(ctx.cfg.seed, (wave as u64) << 20 | k as u64);
+                let outcome = local_train(&mut model, &ctx.client_shard(k), &local, seed, None);
+                let payload = UpdatePayload::Window { offset: t, state: model.state() };
+                PreparedUpdate::new(k, ctx, outcome.steps, outcome.mean_loss, payload)
+            },
+        )
     }
 
     fn fuse(
@@ -295,15 +274,10 @@ impl FedAlgorithm for FedRolex {
         // Group by window offset in arrival order; each group averages
         // at coefficient staleness_weight × n_samples, then scatters
         // into its disjoint server slice.
-        let mut groups: Vec<Vec<(&Weights, f32)>> = vec![Vec::new(); self.cycle];
-        for (u, w) in &updates {
-            let UpdatePayload::Window { offset, state } = &u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("client {}: expected a window update payload", u.client),
-                }));
-            };
-            if *offset >= self.cycle {
+        let mut groups: Vec<Vec<(Weights, f32)>> = vec![Vec::new(); self.cycle];
+        for (u, w) in updates {
+            let (offset, state) = u.payload.into_window("FedRolex", u.client)?;
+            if offset >= self.cycle {
                 return Err(EngineError::Config(ConfigError::AlgorithmSetup {
                     algorithm: self.name(),
                     reason: format!(
@@ -312,7 +286,7 @@ impl FedAlgorithm for FedRolex {
                     ),
                 }));
             }
-            let want = MlpLayout { w: window_width(sl.w, self.cycle, *offset), ..sl }.numel();
+            let want = MlpLayout { w: window_width(sl.w, self.cycle, offset), ..sl }.numel();
             if state.params.values.len() != want {
                 return Err(EngineError::Config(ConfigError::AlgorithmSetup {
                     algorithm: self.name(),
@@ -323,7 +297,7 @@ impl FedAlgorithm for FedRolex {
                     ),
                 }));
             }
-            groups[*offset].push((&state.params, w * u.n_samples as f32));
+            groups[offset].push((state.params, w * u.n_samples as f32));
             loss_sum += u.loss;
         }
         let mut fused: Vec<(usize, Weights)> = Vec::new();

@@ -11,6 +11,10 @@
 //! * [`client_store`] — per-client state at population scale: memory
 //!   slots for small worlds, atomic disk spill (O(cohort) resident) for
 //!   million-client ones;
+//! * [`cohort`] — the cohort driver: the one function that streams a
+//!   sampled cohort through local training (`cohort_batch` chunking,
+//!   the `LocalUpdate` span, the per-client fan-out) for all nine
+//!   algorithms;
 //! * [`context`] — immutable experiment state: Dirichlet-partitioned
 //!   client shards and the test set;
 //! * [`local`] — the shared local-SGD loop with gradient hooks (proximal
@@ -50,6 +54,7 @@
 
 pub mod checkpoint;
 pub mod client_store;
+pub mod cohort;
 pub mod comm;
 pub mod compress;
 pub mod config;

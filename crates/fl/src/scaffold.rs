@@ -13,19 +13,19 @@
 //! the paper's cost tables account as 2× FedAvg.
 
 use crate::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
+use crate::cohort;
 use crate::config::ConfigError;
 use crate::context::FlContext;
 use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
-use crate::local::{add_flat_to_grads, LocalCfg};
+use crate::local::add_flat_to_grads;
 use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::state::{check_model_layout, check_tensor_dims, AlgorithmState, RestoreError};
 use crate::trace::{Phase, RoundScope};
-use crate::weight_common::{fan_out_clients, GlobalModel, StateAverage};
+use crate::weight_common::{train_from_global, GlobalModel};
 use kemf_nn::layer::Layer;
 use kemf_nn::models::ModelSpec;
-use std::collections::HashMap;
-use std::sync::Arc;
+use kemf_nn::serialize::StateAverage;
 
 /// The SCAFFOLD baseline.
 pub struct Scaffold {
@@ -52,12 +52,8 @@ fn variate_from_blob(blob: &ClientBlob, k: usize, dim: usize) -> Result<Vec<f32>
             client: k,
             detail: "missing control-variate tensor `c`".into(),
         })?;
-    if t.values.len() != dim {
-        return Err(StoreError::Corrupt {
-            client: k,
-            detail: format!("control variate has {} values, model has {dim}", t.values.len()),
-        });
-    }
+    check_tensor_dims("c", t, &[dim])
+        .map_err(|e| StoreError::Corrupt { client: k, detail: e.to_string() })?;
     Ok(t.values.clone())
 }
 
@@ -113,97 +109,49 @@ impl FedAlgorithm for Scaffold {
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
         self.store.begin_round(wave);
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
         // SCAFFOLD's control-variate refresh divides by K·η assuming plain
         // local SGD; momentum would inflate the effective step by
         // 1/(1−ρ) and blow the variates up, so it is disabled locally
         // (standard practice for SCAFFOLD implementations).
-        let mut sgd = ctx.cfg.sgd_at(wave);
-        sgd.momentum = 0.0;
-        sgd.nesterov = false;
-        let local = LocalCfg { epochs: ctx.cfg.local_epochs, batch: ctx.cfg.batch_size, sgd };
+        let mut local = ctx.cfg.local_cfg(wave);
+        local.sgd.momentum = 0.0;
+        local.sgd.nesterov = false;
         let eta = local.sgd.lr;
         let dim = self.c.len();
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |ctr| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                // Sequential fetch: the store is `&mut self` and cannot
-                // cross the parallel fan-out.
-                let mut variates = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let blob = self.store.fetch(k, |_| zero_variate(dim))?;
-                    variates.push(variate_from_blob(&blob, k, dim)?);
-                }
-                // Per-client corrections (c − c_k), shared with the
-                // parallel fan-out.
-                let corrections: Vec<Arc<Vec<f32>>> = variates
-                    .iter()
-                    .map(|ck| {
-                        Arc::new(
-                            self.c
-                                .iter()
-                                .zip(ck.iter())
-                                .map(|(&c, &ck)| c - ck)
-                                .collect::<Vec<f32>>(),
-                        )
-                    })
-                    .collect();
-                let index_of: HashMap<usize, usize> =
-                    batch.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-                let corrections_ref = &corrections;
-                let index_ref = &index_of;
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    wave,
-                    batch,
-                    ctx,
-                    &local,
-                    &move |k| {
-                        let corr = Arc::clone(&corrections_ref[index_ref[&k]]);
-                        Some(Box::new(move |net: &mut dyn Layer| {
-                            add_flat_to_grads(net, &corr, 1.0);
-                        }) as Box<dyn Fn(&mut dyn Layer) + Send + Sync>)
-                    },
-                );
-                ctr.clients += results.len();
-                ctr.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                ctr.batches = ctr.steps;
+        let (global, spec, c) = (&self.global.state, self.global.spec, &self.c);
+        let store = &mut self.store;
+        cohort::train_cohort(
+            sampled,
+            ctx,
+            scope,
+            |k| {
+                let blob = store.fetch(k, |_| zero_variate(dim))?;
+                Ok(variate_from_blob(&blob, k, dim)?)
+            },
+            |k, ck: Vec<f32>| {
+                // Drift correction (c − c_k) on every local step.
+                let correction: Vec<f32> = c.iter().zip(&ck).map(|(&c, &ck)| c - ck).collect();
+                let hook = |net: &mut dyn Layer| add_flat_to_grads(net, &correction, 1.0);
+                let (state, outcome) =
+                    train_from_global(global, spec, wave, k, ctx, &local, Some(&hook));
                 // The variate refresh is client-side work: it happens at
                 // dispatch time against the global weights and server
                 // variate the client was handed, but the store commit is
                 // deferred into the update so an evicted (or quorum-
                 // aborted) client keeps its previous variate.
-                for (i, r) in results.into_iter().enumerate() {
-                    let steps = r.outcome.steps.max(1) as f32;
-                    let inv = 1.0 / (steps * eta);
-                    let g = &self.global.state.params.values;
-                    let w = &r.state.params.values;
-                    let ck = &variates[i];
-                    let mut ck_new = vec![0.0f32; dim];
-                    let mut aux = vec![0.0f32; dim];
-                    for j in 0..dim {
-                        ck_new[j] = ck[j] - self.c[j] + (g[j] - w[j]) * inv;
-                        aux[j] = ck_new[j] - ck[j];
-                    }
-                    out.push(PreparedUpdate {
-                        client: r.client,
-                        n_samples: r.n_samples,
-                        steps: r.outcome.steps,
-                        loss: r.outcome.mean_loss,
-                        payload: UpdatePayload::StateAux { state: r.state, aux },
-                        commit: Some(
-                            ClientBlob::new().with_tensor("c", vec![dim], ck_new),
-                        ),
-                    });
+                let inv = 1.0 / (outcome.steps.max(1) as f32 * eta);
+                let (g, w) = (&global.params.values, &state.params.values);
+                let mut ck_new = vec![0.0f32; dim];
+                let mut aux = vec![0.0f32; dim];
+                for j in 0..dim {
+                    ck_new[j] = ck[j] - c[j] + (g[j] - w[j]) * inv;
+                    aux[j] = ck_new[j] - ck[j];
                 }
-            }
-            Ok(())
-        })?;
-        Ok(out)
+                let payload = UpdatePayload::StateAux { state, aux };
+                PreparedUpdate::new(k, ctx, outcome.steps, outcome.mean_loss, payload)
+                    .with_commit(ClientBlob::new().with_tensor("c", vec![dim], ck_new))
+            },
+        )
     }
 
     fn fuse(
@@ -228,12 +176,7 @@ impl FedAlgorithm for Scaffold {
             let mut delta_c_mean = vec![0.0f32; dim];
             let mut loss_sum = 0.0f32;
             for (u, w) in updates {
-                let UpdatePayload::StateAux { state, aux } = &u.payload else {
-                    return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                        algorithm: self.name(),
-                        reason: format!("client {}: expected a state+variate payload", u.client),
-                    }));
-                };
+                let (state, aux) = u.payload.into_state_aux("SCAFFOLD", u.client)?;
                 if aux.len() != dim {
                     return Err(EngineError::Config(ConfigError::AlgorithmSetup {
                         algorithm: self.name(),
@@ -247,7 +190,7 @@ impl FedAlgorithm for Scaffold {
                 for (d, &a) in delta_c_mean.iter_mut().zip(aux.iter()) {
                     *d += (w * a) / total;
                 }
-                avg.add(state, w);
+                avg.add(&state, w);
                 loss_sum += u.loss;
                 if let Some(blob) = u.commit {
                     self.store.commit(u.client, blob)?;
@@ -269,26 +212,19 @@ impl FedAlgorithm for Scaffold {
     fn state(&self) -> Result<AlgorithmState, EngineError> {
         let n = self.store.n_clients();
         let dim = self.c.len();
-        let base = AlgorithmState::new(self.name(), 1)
+        let mut s = AlgorithmState::new(self.name(), 1)
             .with_model("global", self.global.state.clone())
             .with_tensor("c", vec![dim], self.c.clone());
-        if self.store.is_sharded() {
-            // Per-client variates already live in the spill directory
-            // (write-through commits); the checkpoint carries only the
-            // population size so restore can refuse a mismatched spill.
-            Ok(base.with_scalar("sharded_clients", n as f64))
-        } else {
+        self.store.push_population_marker(&mut s);
+        if !self.store.is_sharded() {
             let mut flat = Vec::with_capacity(n * dim);
             for k in 0..n {
                 let blob = self.store.read(k, |_| zero_variate(dim))?;
-                let t = blob.tensor("c").ok_or(StoreError::Corrupt {
-                    client: k,
-                    detail: "missing control-variate tensor `c`".into(),
-                })?;
-                flat.extend_from_slice(&t.values);
+                flat.extend_from_slice(&variate_from_blob(&blob, k, dim)?);
             }
-            Ok(base.with_tensor("c_clients", vec![n, dim], flat))
+            s.push_tensor("c_clients", vec![n, dim], flat);
         }
+        Ok(s)
     }
 
     fn restore(&mut self, state: &AlgorithmState) -> Result<(), RestoreError> {
@@ -301,15 +237,8 @@ impl FedAlgorithm for Scaffold {
         // init() has already built the store for this context, so the
         // client count is known and enforceable here.
         let n = self.store.n_clients();
-        if self.store.is_sharded() {
-            let recorded = state.scalar("sharded_clients")?;
-            if recorded != n as f64 {
-                return Err(RestoreError::ShapeMismatch {
-                    name: "sharded_clients".into(),
-                    detail: format!("checkpoint covers {recorded} clients, store has {n}"),
-                });
-            }
-        } else {
+        self.store.check_population_marker(state)?;
+        if !self.store.is_sharded() {
             let cc = state.tensor("c_clients")?;
             check_tensor_dims("c_clients", cc, &[n, dim])?;
             for k in 0..n {

@@ -40,6 +40,8 @@
 
 use crate::client_store::ClientBlob;
 use crate::config::ConfigError;
+use crate::context::FlContext;
+use crate::engine::EngineError;
 use crate::lifecycle::{ClientOutcome, ClientPlan, RoundPlan};
 use crate::network::{NetworkModel, NetworkProfiles};
 use crate::state::TensorBlob;
@@ -272,6 +274,58 @@ pub enum UpdatePayload {
     },
 }
 
+impl UpdatePayload {
+    /// The typed setup error `fuse` reports for an update of the wrong
+    /// kind (a probe's payload, a checkpoint resumed under another
+    /// algorithm) instead of panicking.
+    fn foreign(algorithm: &str, client: usize, want: &str) -> EngineError {
+        EngineError::Config(ConfigError::AlgorithmSetup {
+            algorithm: algorithm.into(),
+            reason: format!("client {client}: expected a {want} update payload"),
+        })
+    }
+
+    /// Unwrap a [`State`](Self::State) payload.
+    pub fn into_state(self, algorithm: &str, client: usize) -> Result<ModelState, EngineError> {
+        match self {
+            UpdatePayload::State(state) => Ok(state),
+            _ => Err(Self::foreign(algorithm, client, "model-state")),
+        }
+    }
+
+    /// Unwrap a [`StateAux`](Self::StateAux) payload.
+    pub fn into_state_aux(
+        self,
+        algorithm: &str,
+        client: usize,
+    ) -> Result<(ModelState, Vec<f32>), EngineError> {
+        match self {
+            UpdatePayload::StateAux { state, aux } => Ok((state, aux)),
+            _ => Err(Self::foreign(algorithm, client, "state+aux")),
+        }
+    }
+
+    /// Unwrap a [`Logits`](Self::Logits) payload.
+    pub fn into_logits(self, algorithm: &str, client: usize) -> Result<TensorBlob, EngineError> {
+        match self {
+            UpdatePayload::Logits(blob) => Ok(blob),
+            _ => Err(Self::foreign(algorithm, client, "logit")),
+        }
+    }
+
+    /// Unwrap a [`Window`](Self::Window) payload into `(offset, state)`.
+    pub fn into_window(
+        self,
+        algorithm: &str,
+        client: usize,
+    ) -> Result<(usize, ModelState), EngineError> {
+        match self {
+            UpdatePayload::Window { offset, state } => Ok((offset, state)),
+            _ => Err(Self::foreign(algorithm, client, "window")),
+        }
+    }
+}
+
 /// One client's finished local work, frozen at dispatch time and fused
 /// later — possibly cycles later — at a staleness-dependent weight.
 #[derive(Clone, Debug, PartialEq)]
@@ -291,6 +345,21 @@ pub struct PreparedUpdate {
     /// must leave no store trace, exactly like a synchronous round that
     /// never aggregated.
     pub commit: Option<ClientBlob>,
+}
+
+impl PreparedUpdate {
+    /// Client `k`'s update after `steps` local steps at mean `loss`:
+    /// weighted by its shard size, nothing to commit.
+    pub fn new(k: usize, ctx: &FlContext, steps: usize, loss: f32, payload: UpdatePayload) -> Self {
+        let n_samples = ctx.client_shard_len(k);
+        PreparedUpdate { client: k, n_samples, steps, loss, payload, commit: None }
+    }
+
+    /// Attach the deferred client-store commit.
+    pub fn with_commit(mut self, blob: ClientBlob) -> Self {
+        self.commit = Some(blob);
+        self
+    }
 }
 
 /// A dispatched update waiting in the arrival queue.

@@ -56,10 +56,6 @@ fn with_path(path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("checkpoint {}: {e}", path.display()))
 }
 
-fn bad_data(path: &Path, msg: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint {}: {msg}", path.display()))
-}
-
 /// The path a partially-written checkpoint occupies until the atomic
 /// rename: the destination file name with `.tmp` appended. Loaders that
 /// scan directories must skip these.
@@ -113,76 +109,120 @@ fn put_weights(out: &mut Vec<u8>, w: &Weights) {
     }
 }
 
-fn read_u64(inp: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    inp.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+/// A checkpoint file being decoded, together with the bytes not yet
+/// consumed (file size from its metadata). Every length and count the
+/// file declares is checked against that remainder *before* anything is
+/// allocated for it, so a corrupt header fails as `InvalidData` — and the
+/// caller can fall back to an older checkpoint — instead of aborting the
+/// process inside the allocator.
+struct Source {
+    inp: io::BufReader<File>,
+    left: u64,
 }
 
-fn read_f32(inp: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    inp.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Bounded length guard: a corrupt header must fail cleanly instead of
-/// asking the allocator for exabytes.
-fn checked_len(n: u64, what: &str) -> io::Result<usize> {
-    const MAX: u64 = 1 << 33; // 8 GiB of elements: far beyond any real run
-    if n > MAX {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible {what} length {n}"),
-        ));
+impl Source {
+    fn open(path: &Path) -> io::Result<Self> {
+        let file = File::open(path)?;
+        let left = file.metadata()?.len();
+        Ok(Source { inp: io::BufReader::new(file), left })
     }
-    Ok(n as usize)
-}
 
-fn read_str(inp: &mut impl Read) -> io::Result<String> {
-    let n = checked_len(read_u64(inp)?, "string")?;
-    let mut buf = vec![0u8; n];
-    inp.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 section name"))
-}
+    /// Account for `n` bytes about to be read.
+    fn consume(&mut self, n: u64) -> io::Result<()> {
+        self.left = self.left.checked_sub(n).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "section runs past the end of the file")
+        })?;
+        Ok(())
+    }
 
-fn read_weights(inp: &mut impl Read) -> io::Result<Weights> {
-    let n_lens = checked_len(read_u64(inp)?, "lens")?;
-    let mut lens = Vec::with_capacity(n_lens);
-    for _ in 0..n_lens {
-        lens.push(read_u64(inp)? as usize);
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        self.consume(N as u64)?;
+        let mut b = [0u8; N];
+        self.inp.read_exact(&mut b)?;
+        Ok(b)
     }
-    let n_vals = checked_len(read_u64(inp)?, "values")?;
-    let expected: usize = lens.iter().sum();
-    if n_vals != expected {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("value count {n_vals} does not match lens sum {expected}"),
-        ));
-    }
-    let mut values = Vec::with_capacity(n_vals);
-    for _ in 0..n_vals {
-        values.push(read_f32(inp)?);
-    }
-    Ok(Weights { values, lens })
-}
 
-fn read_header(inp: &mut impl Read, path: &Path, expected_version: u32) -> io::Result<()> {
-    let mut magic = [0u8; 8];
-    inp.read_exact(&mut magic).map_err(|e| with_path(path, e))?;
-    if &magic != MAGIC {
-        return Err(bad_data(path, "not a kemf checkpoint (bad magic)"));
+    fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
     }
-    let mut ver = [0u8; 4];
-    inp.read_exact(&mut ver).map_err(|e| with_path(path, e))?;
-    let version = u32::from_le_bytes(ver);
-    if version != expected_version {
-        return Err(bad_data(
-            path,
-            format!("version mismatch: expected {expected_version}, found {version}"),
-        ));
+
+    /// A declared count of items that each occupy at least `min_bytes`
+    /// of the file: refused unless that many can still follow.
+    fn count(&mut self, min_bytes: u64, what: &str) -> io::Result<usize> {
+        let n = self.u64()?;
+        match n.checked_mul(min_bytes) {
+            Some(need) if need <= self.left => Ok(n as usize),
+            _ => Err(invalid(format!(
+                "implausible {what} count {n}: only {} bytes remain",
+                self.left
+            ))),
+        }
     }
-    Ok(())
+
+    fn bytes(&mut self, what: &str) -> io::Result<Vec<u8>> {
+        let n = self.count(1, what)?;
+        self.consume(n as u64)?;
+        let mut buf = vec![0u8; n];
+        self.inp.read_exact(&mut buf)?;
+        Ok(buf)
+    }
+
+    fn string(&mut self) -> io::Result<String> {
+        String::from_utf8(self.bytes("string")?)
+            .map_err(|_| invalid("non-UTF-8 section name".into()))
+    }
+
+    fn u64s(&mut self, what: &str) -> io::Result<Vec<usize>> {
+        let n = self.count(8, what)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.u64()? as usize);
+        }
+        Ok(out)
+    }
+
+    /// A value section whose declared count must equal `expected` (the
+    /// checked sum or product of the preceding lens/dims; `None` if that
+    /// overflowed).
+    fn f32s(&mut self, what: &str, expected: Option<usize>) -> io::Result<Vec<f32>> {
+        let n = self.count(4, what)?;
+        if expected != Some(n) {
+            return Err(invalid(format!("{what}: {n} values do not match the declared shape")));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(f32::from_le_bytes(self.array()?));
+        }
+        Ok(out)
+    }
+
+    fn weights(&mut self) -> io::Result<Weights> {
+        let lens = self.u64s("lens")?;
+        let expected = lens.iter().try_fold(0usize, |acc, &l| acc.checked_add(l));
+        let values = self.f32s("values", expected)?;
+        Ok(Weights { values, lens })
+    }
+
+    fn model(&mut self) -> io::Result<ModelState> {
+        Ok(ModelState { params: self.weights()?, buffers: self.weights()? })
+    }
+
+    fn header(&mut self, expected_version: u32) -> io::Result<()> {
+        if &self.array::<8>()? != MAGIC {
+            return Err(invalid("not a kemf checkpoint (bad magic)".into()));
+        }
+        let version = u32::from_le_bytes(self.array()?);
+        if version != expected_version {
+            return Err(invalid(format!(
+                "version mismatch: expected {expected_version}, found {version}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 // ---- v1: single model state -------------------------------------------
@@ -203,11 +243,12 @@ pub fn save_state(state: &ModelState, path: impl AsRef<Path>) -> io::Result<()> 
 /// on a version mismatch, the expected and found versions.
 pub fn load_state(path: impl AsRef<Path>) -> io::Result<ModelState> {
     let path = path.as_ref();
-    let mut inp = io::BufReader::new(File::open(path).map_err(|e| with_path(path, e))?);
-    read_header(&mut inp, path, STATE_VERSION)?;
-    let params = read_weights(&mut inp).map_err(|e| with_path(path, e))?;
-    let buffers = read_weights(&mut inp).map_err(|e| with_path(path, e))?;
-    Ok(ModelState { params, buffers })
+    let decode = || {
+        let mut src = Source::open(path)?;
+        src.header(STATE_VERSION)?;
+        src.model()
+    };
+    decode().map_err(|e| with_path(path, e))
 }
 
 // ---- v2: multi-model bundle -------------------------------------------
@@ -255,61 +296,42 @@ pub fn save_bundle(bundle: &CheckpointBundle, path: impl AsRef<Path>) -> io::Res
 /// after the last section is rejected.
 pub fn load_bundle(path: impl AsRef<Path>) -> io::Result<CheckpointBundle> {
     let path = path.as_ref();
-    let mut inp = io::BufReader::new(File::open(path).map_err(|e| with_path(path, e))?);
-    read_header(&mut inp, path, BUNDLE_VERSION)?;
-    let wrap = |e: io::Error| with_path(path, e);
+    // Minimum encoded sizes: a model is a name length plus two weights
+    // (lens count + values count each), an array a name length plus dims
+    // and values counts, a scalar a name length plus its f64.
+    let decode = || {
+        let mut src = Source::open(path)?;
+        src.header(BUNDLE_VERSION)?;
+        let meta = src.bytes("meta")?;
 
-    let meta_len = checked_len(read_u64(&mut inp).map_err(wrap)?, "meta").map_err(wrap)?;
-    let mut meta = vec![0u8; meta_len];
-    inp.read_exact(&mut meta).map_err(wrap)?;
-
-    let n_models = checked_len(read_u64(&mut inp).map_err(wrap)?, "models").map_err(wrap)?;
-    let mut models = Vec::with_capacity(n_models);
-    for _ in 0..n_models {
-        let name = read_str(&mut inp).map_err(wrap)?;
-        let params = read_weights(&mut inp).map_err(wrap)?;
-        let buffers = read_weights(&mut inp).map_err(wrap)?;
-        models.push((name, ModelState { params, buffers }));
-    }
-
-    let n_arrays = checked_len(read_u64(&mut inp).map_err(wrap)?, "arrays").map_err(wrap)?;
-    let mut arrays = Vec::with_capacity(n_arrays);
-    for _ in 0..n_arrays {
-        let name = read_str(&mut inp).map_err(wrap)?;
-        let n_dims = checked_len(read_u64(&mut inp).map_err(wrap)?, "dims").map_err(wrap)?;
-        let mut dims = Vec::with_capacity(n_dims);
-        for _ in 0..n_dims {
-            dims.push(read_u64(&mut inp).map_err(wrap)? as usize);
+        let n_models = src.count(40, "models")?;
+        let mut models = Vec::with_capacity(n_models);
+        for _ in 0..n_models {
+            models.push((src.string()?, src.model()?));
         }
-        let n_vals = checked_len(read_u64(&mut inp).map_err(wrap)?, "array values").map_err(wrap)?;
-        let expected: usize = dims.iter().product();
-        if n_vals != expected {
-            return Err(bad_data(
-                path,
-                format!("array `{name}`: {n_vals} values do not fill dims {dims:?}"),
-            ));
-        }
-        let mut values = Vec::with_capacity(n_vals);
-        for _ in 0..n_vals {
-            values.push(read_f32(&mut inp).map_err(wrap)?);
-        }
-        arrays.push((name, dims, values));
-    }
 
-    let n_scalars = checked_len(read_u64(&mut inp).map_err(wrap)?, "scalars").map_err(wrap)?;
-    let mut scalars = Vec::with_capacity(n_scalars);
-    for _ in 0..n_scalars {
-        let name = read_str(&mut inp).map_err(wrap)?;
-        let mut b = [0u8; 8];
-        inp.read_exact(&mut b).map_err(wrap)?;
-        scalars.push((name, f64::from_le_bytes(b)));
-    }
+        let n_arrays = src.count(24, "arrays")?;
+        let mut arrays = Vec::with_capacity(n_arrays);
+        for _ in 0..n_arrays {
+            let name = src.string()?;
+            let dims = src.u64s("dims")?;
+            let expected = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+            let values = src.f32s(&format!("array `{name}`"), expected)?;
+            arrays.push((name, dims, values));
+        }
 
-    let mut trailing = [0u8; 1];
-    if inp.read(&mut trailing).map_err(wrap)? != 0 {
-        return Err(bad_data(path, "trailing bytes after last section"));
-    }
-    Ok(CheckpointBundle { meta, models, arrays, scalars })
+        let n_scalars = src.count(16, "scalars")?;
+        let mut scalars = Vec::with_capacity(n_scalars);
+        for _ in 0..n_scalars {
+            scalars.push((src.string()?, f64::from_le_bytes(src.array()?)));
+        }
+
+        if src.left != 0 {
+            return Err(invalid("trailing bytes after last section".into()));
+        }
+        Ok(CheckpointBundle { meta, models, arrays, scalars })
+    };
+    decode().map_err(|e| with_path(path, e))
 }
 
 #[cfg(test)]

@@ -103,17 +103,47 @@ impl Weights {
     pub fn weighted_average(snapshots: &[Weights], coeffs: &[f32]) -> Weights {
         assert!(!snapshots.is_empty(), "average of zero snapshots");
         assert_eq!(snapshots.len(), coeffs.len(), "snapshot/coefficient count mismatch");
-        let total: f32 = coeffs.iter().sum();
-        assert!(total > 0.0, "coefficients must sum to a positive value");
-        let mut out = snapshots[0].zeros_like();
+        let mut avg = WeightsAverage::new(&snapshots[0], coeffs.iter().sum());
         for (snap, &c) in snapshots.iter().zip(coeffs.iter()) {
-            assert_eq!(snap.values.len(), out.values.len(), "layout mismatch");
-            let w = c / total;
-            for (o, &v) in out.values.iter_mut().zip(snap.values.iter()) {
-                *o += w * v;
-            }
+            avg.add(snap, c);
         }
-        out
+        avg.finish()
+    }
+}
+
+/// Streaming weighted average over [`Weights`] snapshots — the one
+/// averaging loop every fusion path folds through (the batch
+/// [`Weights::weighted_average`] / [`ModelState::weighted_average`] and
+/// the federated `fuse` bodies alike). Each [`add`](Self::add) performs
+/// `acc += (coeff / total) * value`, so the result depends only on the
+/// feeding order and the coefficient total, not on how the snapshots
+/// were batched.
+pub struct WeightsAverage {
+    total: f32,
+    acc: Weights,
+}
+
+impl WeightsAverage {
+    /// Start an average with the layout of `layout` and a precomputed
+    /// coefficient total (must be positive; callers compute it over the
+    /// full cohort before streaming).
+    pub fn new(layout: &Weights, total: f32) -> Self {
+        assert!(total > 0.0, "coefficients must sum to a positive value");
+        WeightsAverage { total, acc: layout.zeros_like() }
+    }
+
+    /// Fold one snapshot in with coefficient `coeff`.
+    pub fn add(&mut self, snap: &Weights, coeff: f32) {
+        assert_eq!(snap.values.len(), self.acc.values.len(), "layout mismatch");
+        let w = coeff / self.total;
+        for (o, &v) in self.acc.values.iter_mut().zip(snap.values.iter()) {
+            *o += w * v;
+        }
+    }
+
+    /// The accumulated average.
+    pub fn finish(self) -> Weights {
+        self.acc
     }
 }
 
@@ -180,12 +210,41 @@ impl ModelState {
     /// Weighted average of parameter *and* buffer snapshots.
     pub fn weighted_average(states: &[ModelState], coeffs: &[f32]) -> ModelState {
         assert!(!states.is_empty(), "average of zero states");
-        let params: Vec<Weights> = states.iter().map(|s| s.params.clone()).collect();
-        let buffers: Vec<Weights> = states.iter().map(|s| s.buffers.clone()).collect();
-        ModelState {
-            params: Weights::weighted_average(&params, coeffs),
-            buffers: Weights::weighted_average(&buffers, coeffs),
+        assert_eq!(states.len(), coeffs.len(), "state/coefficient count mismatch");
+        let mut avg = StateAverage::new(&states[0], coeffs.iter().sum());
+        for (state, &c) in states.iter().zip(coeffs.iter()) {
+            avg.add(state, c);
         }
+        avg.finish()
+    }
+}
+
+/// Streaming weighted average over full [`ModelState`]s: one
+/// [`WeightsAverage`] each for parameters and buffers.
+pub struct StateAverage {
+    params: WeightsAverage,
+    buffers: WeightsAverage,
+}
+
+impl StateAverage {
+    /// Start an average with the layout of `layout` and a precomputed
+    /// positive coefficient total.
+    pub fn new(layout: &ModelState, total: f32) -> Self {
+        StateAverage {
+            params: WeightsAverage::new(&layout.params, total),
+            buffers: WeightsAverage::new(&layout.buffers, total),
+        }
+    }
+
+    /// Fold one client state in with coefficient `coeff`.
+    pub fn add(&mut self, state: &ModelState, coeff: f32) {
+        self.params.add(&state.params, coeff);
+        self.buffers.add(&state.buffers, coeff);
+    }
+
+    /// The accumulated average.
+    pub fn finish(self) -> ModelState {
+        ModelState { params: self.params.finish(), buffers: self.buffers.finish() }
     }
 }
 

@@ -13,6 +13,26 @@ cargo clippy --workspace -- -D warnings
 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /^ *fn round\(/{print FILENAME":"FNR": round override"; bad=1} END{exit bad}' \
     $(ls crates/fl/src/*.rs crates/core/src/*.rs | grep -v '/engine\.rs$')
 
+# One cohort driver, one client-model population: outside test modules,
+# cohort chunking and the client fan-out live in cohort.rs (config.rs
+# defines `cohort_chunk`), the sharded-population checkpoint marker in
+# client_store.rs, and the per-client checkpoint section name in
+# client_models.rs. A new hand-rolled copy of any of them fails here.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    function only(pat, what, allowed) {
+        if (index($0, pat) && FILENAME !~ allowed) { print FILENAME":"FNR": "what; bad=1 }
+    }
+    { only("cohort_chunk(", "cohort chunking outside the cohort driver", "/(cohort|config)\\.rs$")
+      only("rayon::prelude", "client fan-out outside the cohort driver", "/cohort\\.rs$")
+      only("\"sharded_clients\"", "population marker outside the client store", "/client_store\\.rs$")
+      only("\"local.{k}\"", "client checkpoint section outside ClientModels", "/client_models\\.rs$") }
+    END{exit bad}' crates/fl/src/*.rs crates/core/src/*.rs
+
+# The frozen benchmark package links the library's public API; build it
+# here so a broken signature fails in CI, not in the bench pipeline.
+CARGO_TARGET_DIR=target/bench_e2e \
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 # Kernel smoke: run every GEMM/int8 bench code path with a tiny time
 # budget (no JSON write). Catches dispatch-tier crashes — e.g. an AVX-512
 # path that faults on the CI host — that unit tests under a forced tier

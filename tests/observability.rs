@@ -217,6 +217,119 @@ fn fedavg_fusion_span_is_populated_and_phases_tile_the_round_in_both_modes() {
     }
 }
 
+/// Delegates every trait method and notes, per `train_cohort` call, how
+/// many reporters went in and how many local steps the returned updates
+/// carry — the ground truth the `LocalUpdate` span must agree with.
+struct Tap {
+    inner: Box<dyn FedAlgorithm>,
+    /// `(wave, reporters, Σ PreparedUpdate.steps)` per call.
+    cohorts: Vec<(usize, usize, u64)>,
+}
+
+impl FedAlgorithm for Tap {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
+        self.inner.init(ctx)
+    }
+    fn client_plans(&self, round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
+        self.inner.client_plans(round, sampled)
+    }
+    fn train_cohort(
+        &mut self,
+        wave: usize,
+        sampled: &[usize],
+        ctx: &FlContext,
+        scope: &mut RoundScope<'_>,
+    ) -> Result<Vec<PreparedUpdate>, EngineError> {
+        let updates = self.inner.train_cohort(wave, sampled, ctx, scope)?;
+        let steps = updates.iter().map(|u| u.steps as u64).sum();
+        self.cohorts.push((wave, sampled.len(), steps));
+        Ok(updates)
+    }
+    fn fuse(
+        &mut self,
+        round: usize,
+        updates: Vec<(PreparedUpdate, f32)>,
+        ctx: &FlContext,
+        scope: &mut RoundScope<'_>,
+    ) -> Result<RoundOutcome, EngineError> {
+        self.inner.fuse(round, updates, ctx, scope)
+    }
+    fn evaluate(&mut self, ctx: &FlContext) -> f32 {
+        self.inner.evaluate(ctx)
+    }
+}
+
+/// All nine algorithms over a 4-client world.
+fn nine_algorithms(task: &SynthTask) -> Vec<Box<dyn FedAlgorithm>> {
+    let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3);
+    let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
+    let clients = uniform_specs(Arch::Cnn2, 4, 1, 12, 10, 5);
+    let pool = task.generate_unlabeled(32, 2);
+    let wide_mlp = ModelSpec { width: 32, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 7) };
+    let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
+    vec![
+        Box::new(FedAvg::new(spec)),
+        Box::new(FedProx::new(spec, 0.01)),
+        Box::new(FedNova::new(spec)),
+        Box::new(Scaffold::new(spec)),
+        Box::new(FedDf::new(spec, pool.clone())),
+        Box::new(FedMd::new(clients.clone(), pool.clone(), 10, FedMdConfig::default())),
+        Box::new(FedKemf::new(FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone()))),
+        Box::new(FedRolex::new(FedRolexConfig { server_spec: wide_mlp, client_width: 8 })),
+        Box::new(FedGems::new(clients, big_server, pool, 10, FedGemsConfig::default())),
+    ]
+}
+
+/// One cohort driver means one way of counting: whatever the algorithm,
+/// the engine arm, or the `cohort_batch`, the `LocalUpdate` span reports
+/// exactly the reporters it was handed and the steps its updates carry.
+#[test]
+fn local_update_counters_agree_with_the_updates_for_every_algorithm() {
+    let task = SynthTask::new(SynthConfig::mnist_like(76));
+    let train = task.generate(160, 0);
+    let test = task.generate(40, 1);
+    for cohort_batch in [None, Some(2)] {
+        for mode in [RoundMode::Sync, RoundMode::Async(AsyncConfig::new(3))] {
+            let cfg = FlConfig {
+                n_clients: 4,
+                sample_ratio: 1.0,
+                rounds: 2,
+                local_epochs: 1,
+                batch_size: 16,
+                alpha: 1.0,
+                min_per_client: 10,
+                seed: 76,
+                cohort_batch,
+                ..Default::default()
+            };
+            let ctx = FlContext::new(cfg, &train, test.clone());
+            for inner in nine_algorithms(&task) {
+                let mut algo = Tap { inner, cohorts: Vec::new() };
+                let label = format!("{} {mode:?} cohort_batch={cohort_batch:?}", algo.name());
+                let opts = RunOptions::new().round_mode(mode.clone()).record_trace();
+                let history = Engine::run(&mut algo, &ctx, opts).unwrap().history;
+                let trace = history.trace.as_ref().unwrap();
+                assert_eq!(algo.cohorts.len(), ctx.cfg.rounds, "{label}: one cohort per round");
+                for &(wave, reporters, steps) in &algo.cohorts {
+                    let spans = trace.round_spans(wave);
+                    let local: Vec<_> =
+                        spans.iter().filter(|s| s.phase == Phase::LocalUpdate).collect();
+                    assert_eq!(local.len(), 1, "{label}: one LocalUpdate span in round {wave}");
+                    let c = &local[0].counters;
+                    assert_eq!(reporters, 4, "{label}: a reliable fleet reports in full");
+                    assert_eq!(c.clients, reporters, "{label}: round {wave} clients");
+                    assert!(steps > 0, "{label}: round {wave} trained");
+                    assert_eq!(c.steps, steps, "{label}: round {wave} steps");
+                    assert_eq!(c.batches, steps, "{label}: round {wave} batches");
+                }
+            }
+        }
+    }
+}
+
 /// A free algorithm so the fault sweep doesn't pay for training.
 struct Probe;
 

@@ -129,6 +129,17 @@ fn crash_debris_never_corrupts_the_good_checkpoint() {
     // newest *loadable* checkpoint.
     std::fs::write(dir.join("round_00006.ckpt.tmp"), b"truncated mid-write").unwrap();
     std::fs::write(dir.join("round_00099.ckpt"), b"not a checkpoint at all").unwrap();
+    // Newest of all: a 40-byte file with a valid header whose model count
+    // reads 2^32. A count the file cannot hold must be refused before
+    // anything is allocated for it — otherwise the process aborts inside
+    // the allocator here and the fallback below never runs.
+    let mut hostile = b"KEMFCKPT".to_vec();
+    hostile.extend_from_slice(&2u32.to_le_bytes());
+    hostile.extend_from_slice(&0u64.to_le_bytes()); // empty meta
+    hostile.extend_from_slice(&(1u64 << 32).to_le_bytes()); // model count
+    hostile.extend_from_slice(&[0u8; 12]);
+    assert_eq!(hostile.len(), 40);
+    std::fs::write(dir.join("round_00100.ckpt"), &hostile).unwrap();
 
     let mut resumed = matrix(&ctx8, &task);
     let report = Engine::run(resumed[0].as_mut(), &ctx8, RunOptions::new().resume_from(&dir))
