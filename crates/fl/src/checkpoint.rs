@@ -7,9 +7,9 @@
 //! [`AlgorithmState`] maps onto the bundle's model/array/scalar
 //! sections, and the engine's own metadata — config fingerprint, next
 //! round index, RNG verification probes, and the history so far — is
-//! binary-encoded into the bundle's opaque `meta` section (binary, not
-//! JSON, so every `f32` bit pattern survives and the resumed history
-//! re-serializes byte-for-byte).
+//! encoded with [`kemf_nn::codec`] into the bundle's opaque `meta`
+//! section (binary, not JSON, so every `f32` bit pattern survives and
+//! the resumed history re-serializes byte-for-byte).
 //!
 //! **Resume semantics.** The engine does not serialize raw RNG
 //! internals (the vendored `StdRng` keeps its state private, matching
@@ -33,12 +33,12 @@ use crate::config::FlConfig;
 use crate::lifecycle::FaultConfig;
 use crate::metrics::RoundRecord;
 use crate::scheduler::{PendingEvent, PreparedUpdate, SchedulerState, UpdatePayload};
-use crate::state::{AlgorithmState, TensorBlob};
-use kemf_nn::checkpoint::{load_bundle, save_bundle, CheckpointBundle};
+use crate::state::AlgorithmState;
+use kemf_nn::checkpoint::{atomic_write, encode_bundle, load_bundle, CheckpointBundle};
+use kemf_nn::codec::{self, fnv1a64, CodecError, Reader, Writer, FNV_OFFSET};
 use kemf_nn::optim::LrSchedule;
-use kemf_nn::serialize::{ModelState, Weights};
 use std::fmt;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Format version of the engine metadata inside the bundle's `meta`
@@ -201,170 +201,28 @@ pub fn run_fingerprint(
         finite("faults", "round_deadline_s", d)?;
     }
 
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
     let cfg_id = FlConfig { rounds: 0, ..*cfg };
     let cfg_json = serde_json::to_string(&cfg_id)
         .map_err(|e| CheckpointError::Serialize { what: "config", detail: e.to_string() })?;
     let faults_json = serde_json::to_string(faults)
         .map_err(|e| CheckpointError::Serialize { what: "faults", detail: e.to_string() })?;
-    eat(cfg_json.as_bytes());
-    eat(faults_json.as_bytes());
-    eat(algorithm.as_bytes());
-    eat(&seed.to_le_bytes());
-    Ok(h)
+    let seed = seed.to_le_bytes();
+    let identity = [cfg_json.as_bytes(), faults_json.as_bytes(), algorithm.as_bytes(), &seed];
+    Ok(identity.iter().fold(FNV_OFFSET, |h, part| fnv1a64(h, part)))
 }
 
 // ---- meta encoding -----------------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_u64(inp: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    inp.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn get_u32(inp: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    inp.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn get_f32(inp: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    inp.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-fn get_str(inp: &mut impl Read) -> io::Result<String> {
-    let n = get_u64(inp)? as usize;
-    if n > (1 << 20) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible string length"));
-    }
-    let mut buf = vec![0u8; n];
-    inp.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 string"))
-}
-
-// ---- scheduler-state encoding (meta v3) --------------------------------
 //
-// In-flight updates carry raw f32 values in the opaque meta section:
-// little-endian bit patterns, so NaNs, -0.0, and every rounding artifact
-// survive the round trip — the async kill-and-resume test compares the
-// finished histories byte-for-byte.
-
-fn put_f32_vec(out: &mut Vec<u8>, v: &[f32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn get_f32_vec(inp: &mut impl Read) -> io::Result<Vec<f32>> {
-    let n = get_u64(inp)? as usize;
-    if n > (1 << 28) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible f32 vector length"));
-    }
-    let mut buf = vec![0u8; n * 4];
-    inp.read_exact(&mut buf)?;
-    Ok(buf.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-}
-
-fn put_usize_vec(out: &mut Vec<u8>, v: &[usize]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_u64(out, x as u64);
-    }
-}
-
-fn get_usize_vec(inp: &mut impl Read) -> io::Result<Vec<usize>> {
-    let n = get_u64(inp)? as usize;
-    if n > (1 << 24) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible usize vector length"));
-    }
-    (0..n).map(|_| get_u64(inp).map(|x| x as usize)).collect()
-}
-
-fn put_weights(out: &mut Vec<u8>, w: &Weights) {
-    put_usize_vec(out, &w.lens);
-    put_f32_vec(out, &w.values);
-}
-
-fn get_weights(inp: &mut impl Read) -> io::Result<Weights> {
-    let lens = get_usize_vec(inp)?;
-    let values = get_f32_vec(inp)?;
-    Ok(Weights { lens, values })
-}
-
-fn put_model_state(out: &mut Vec<u8>, s: &ModelState) {
-    put_weights(out, &s.params);
-    put_weights(out, &s.buffers);
-}
-
-fn get_model_state(inp: &mut impl Read) -> io::Result<ModelState> {
-    let params = get_weights(inp)?;
-    let buffers = get_weights(inp)?;
-    Ok(ModelState { params, buffers })
-}
-
-fn put_tensor_blob(out: &mut Vec<u8>, t: &TensorBlob) {
-    put_usize_vec(out, &t.dims);
-    put_f32_vec(out, &t.values);
-}
-
-fn get_tensor_blob(inp: &mut impl Read) -> io::Result<TensorBlob> {
-    let dims = get_usize_vec(inp)?;
-    let values = get_f32_vec(inp)?;
-    Ok(TensorBlob { dims, values })
-}
-
-fn put_client_blob(out: &mut Vec<u8>, blob: &ClientBlob) {
-    put_u64(out, blob.models.len() as u64);
-    for (name, state) in &blob.models {
-        put_str(out, name);
-        put_model_state(out, state);
-    }
-    put_u64(out, blob.tensors.len() as u64);
-    for (name, tensor) in &blob.tensors {
-        put_str(out, name);
-        put_tensor_blob(out, tensor);
-    }
-}
-
-fn get_client_blob(inp: &mut impl Read) -> io::Result<ClientBlob> {
-    let n_models = get_u64(inp)? as usize;
-    if n_models > (1 << 16) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible blob model count"));
-    }
-    let mut blob = ClientBlob::new();
-    for _ in 0..n_models {
-        let name = get_str(inp)?;
-        blob.models.push((name, get_model_state(inp)?));
-    }
-    let n_tensors = get_u64(inp)? as usize;
-    if n_tensors > (1 << 16) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible blob tensor count"));
-    }
-    for _ in 0..n_tensors {
-        let name = get_str(inp)?;
-        blob.tensors.push((name, get_tensor_blob(inp)?));
-    }
-    Ok(blob)
-}
+// Written and read with `kemf_nn::codec`, whose `Reader` bounds every
+// declared length by the bytes that follow it and checks every
+// lens/dims against its value count: a bit-flipped `meta` fails
+// `load_run` (which then falls back to the previous checkpoint) instead
+// of over-allocating here or panicking later in `set_state`.
+//
+// In-flight updates carry raw f32 values: little-endian bit patterns, so
+// NaNs, -0.0, and every rounding artifact survive the round trip — the
+// async kill-and-resume test compares the finished histories
+// byte-for-byte.
 
 const PAYLOAD_EMPTY: u8 = 0;
 const PAYLOAD_STATE: u8 = 1;
@@ -372,88 +230,76 @@ const PAYLOAD_STATE_AUX: u8 = 2;
 const PAYLOAD_LOGITS: u8 = 3;
 const PAYLOAD_WINDOW: u8 = 4;
 
-fn put_event(out: &mut Vec<u8>, ev: &PendingEvent) {
-    put_u64(out, ev.time_bits);
-    put_u64(out, ev.wave as u64);
-    put_u64(out, ev.idx as u64);
-    put_u64(out, ev.up_bytes);
-    put_u64(out, ev.update.client as u64);
-    put_u64(out, ev.update.n_samples as u64);
-    put_u64(out, ev.update.steps as u64);
-    out.extend_from_slice(&ev.update.loss.to_le_bytes());
+/// Smallest encodings, bounding the two `meta` lists: a record is seven
+/// u64s, two f32s and the quorum byte; an event seven u64s, the loss,
+/// the payload tag and the commit flag.
+const MIN_RECORD_BYTES: usize = 7 * 8 + 2 * 4 + 1;
+const MIN_EVENT_BYTES: usize = 7 * 8 + 4 + 1 + 1;
+
+fn encode_event(w: &mut Writer, ev: &PendingEvent) {
+    w.u64(ev.time_bits);
+    w.usize(ev.wave);
+    w.usize(ev.idx);
+    w.u64(ev.up_bytes);
+    w.usize(ev.update.client);
+    w.usize(ev.update.n_samples);
+    w.usize(ev.update.steps);
+    w.f32(ev.update.loss);
     match &ev.update.payload {
-        UpdatePayload::Empty => out.push(PAYLOAD_EMPTY),
+        UpdatePayload::Empty => w.u8(PAYLOAD_EMPTY),
         UpdatePayload::State(state) => {
-            out.push(PAYLOAD_STATE);
-            put_model_state(out, state);
+            w.u8(PAYLOAD_STATE);
+            w.model(state);
         }
         UpdatePayload::StateAux { state, aux } => {
-            out.push(PAYLOAD_STATE_AUX);
-            put_model_state(out, state);
-            put_f32_vec(out, aux);
+            w.u8(PAYLOAD_STATE_AUX);
+            w.model(state);
+            w.f32s(aux);
         }
         UpdatePayload::Logits(t) => {
-            out.push(PAYLOAD_LOGITS);
-            put_tensor_blob(out, t);
+            w.u8(PAYLOAD_LOGITS);
+            w.tensor(t);
         }
         UpdatePayload::Window { offset, state } => {
-            out.push(PAYLOAD_WINDOW);
-            put_u64(out, *offset as u64);
-            put_model_state(out, state);
+            w.u8(PAYLOAD_WINDOW);
+            w.usize(*offset);
+            w.model(state);
         }
     }
     match &ev.update.commit {
-        None => out.push(0),
+        None => w.u8(0),
         Some(blob) => {
-            out.push(1);
-            put_client_blob(out, blob);
+            w.u8(1);
+            w.named(&blob.models, Writer::model);
+            w.named(&blob.tensors, Writer::tensor);
         }
     }
 }
 
-fn get_event(inp: &mut impl Read) -> io::Result<PendingEvent> {
-    let time_bits = get_u64(inp)?;
-    let wave = get_u64(inp)? as usize;
-    let idx = get_u64(inp)? as usize;
-    let up_bytes = get_u64(inp)?;
-    let client = get_u64(inp)? as usize;
-    let n_samples = get_u64(inp)? as usize;
-    let steps = get_u64(inp)? as usize;
-    let loss = get_f32(inp)?;
-    let mut tag = [0u8; 1];
-    inp.read_exact(&mut tag)?;
-    let payload = match tag[0] {
+fn decode_event(r: &mut Reader) -> Result<PendingEvent, CodecError> {
+    let (time_bits, wave, idx, up_bytes) = (r.u64()?, r.usize()?, r.usize()?, r.u64()?);
+    let (client, n_samples, steps, loss) = (r.usize()?, r.usize()?, r.usize()?, r.f32()?);
+    let payload = match r.u8()? {
         PAYLOAD_EMPTY => UpdatePayload::Empty,
-        PAYLOAD_STATE => UpdatePayload::State(get_model_state(inp)?),
+        PAYLOAD_STATE => UpdatePayload::State(r.model()?),
         PAYLOAD_STATE_AUX => {
-            let state = get_model_state(inp)?;
-            let aux = get_f32_vec(inp)?;
-            UpdatePayload::StateAux { state, aux }
+            let state = r.model()?;
+            UpdatePayload::StateAux { state, aux: r.f32s("aux values")? }
         }
-        PAYLOAD_LOGITS => UpdatePayload::Logits(get_tensor_blob(inp)?),
+        PAYLOAD_LOGITS => UpdatePayload::Logits(r.tensor()?),
         PAYLOAD_WINDOW => {
-            let offset = get_u64(inp)? as usize;
-            let state = get_model_state(inp)?;
-            UpdatePayload::Window { offset, state }
+            let offset = r.usize()?;
+            UpdatePayload::Window { offset, state: r.model()? }
         }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown update payload tag {other}"),
-            ));
-        }
+        other => return Err(CodecError::Malformed(format!("unknown update payload tag {other}"))),
     };
-    let mut flag = [0u8; 1];
-    inp.read_exact(&mut flag)?;
-    let commit = match flag[0] {
+    let commit = match r.u8()? {
         0 => None,
-        1 => Some(get_client_blob(inp)?),
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown commit flag {other}"),
-            ));
+        1 => {
+            let models = r.models("blob models")?;
+            Some(ClientBlob { models, tensors: r.tensors("blob tensors")? })
         }
+        other => return Err(CodecError::Malformed(format!("unknown commit flag {other}"))),
     };
     Ok(PendingEvent {
         time_bits,
@@ -464,181 +310,120 @@ fn get_event(inp: &mut impl Read) -> io::Result<PendingEvent> {
     })
 }
 
+fn decode_record(r: &mut Reader) -> Result<RoundRecord, CodecError> {
+    let (round, test_acc, train_loss) = (r.usize()?, r.f32()?, r.f32()?);
+    let (cum_bytes, down_bytes, up_bytes) = (r.u64()?, r.u64()?, r.u64()?);
+    let (wasted_up_bytes, down_clients, up_clients) = (r.u64()?, r.usize()?, r.usize()?);
+    let quorum_met = r.u8()? != 0;
+    Ok(RoundRecord {
+        round,
+        test_acc,
+        train_loss,
+        cum_bytes,
+        down_bytes,
+        up_bytes,
+        wasted_up_bytes,
+        down_clients,
+        up_clients,
+        quorum_met,
+    })
+}
+
 fn encode_meta(ckpt: &RunCheckpoint) -> Vec<u8> {
     let version = if ckpt.scheduler.is_some() {
         ASYNC_CHECKPOINT_VERSION
     } else {
         RUN_CHECKPOINT_VERSION
     };
-    let mut out = Vec::new();
-    out.extend_from_slice(&version.to_le_bytes());
-    put_u64(&mut out, ckpt.fingerprint);
-    put_u64(&mut out, ckpt.next_round as u64);
-    put_str(&mut out, &ckpt.algorithm);
-    put_u64(&mut out, ckpt.sampler_check);
-    put_u64(&mut out, ckpt.fault_check);
-    put_str(&mut out, &ckpt.state.algorithm);
-    out.extend_from_slice(&ckpt.state.version.to_le_bytes());
-    put_u64(&mut out, ckpt.records.len() as u64);
+    let mut w = Writer::new();
+    w.u32(version);
+    w.u64(ckpt.fingerprint);
+    w.usize(ckpt.next_round);
+    w.string(&ckpt.algorithm);
+    w.u64(ckpt.sampler_check);
+    w.u64(ckpt.fault_check);
+    w.string(&ckpt.state.algorithm);
+    w.u32(ckpt.state.version);
+    w.usize(ckpt.records.len());
     for r in &ckpt.records {
-        put_u64(&mut out, r.round as u64);
-        out.extend_from_slice(&r.test_acc.to_le_bytes());
-        out.extend_from_slice(&r.train_loss.to_le_bytes());
-        put_u64(&mut out, r.cum_bytes);
-        put_u64(&mut out, r.down_bytes);
-        put_u64(&mut out, r.up_bytes);
-        put_u64(&mut out, r.wasted_up_bytes);
-        put_u64(&mut out, r.down_clients as u64);
-        put_u64(&mut out, r.up_clients as u64);
-        out.push(r.quorum_met as u8);
+        w.usize(r.round);
+        w.f32(r.test_acc);
+        w.f32(r.train_loss);
+        w.u64(r.cum_bytes);
+        w.u64(r.down_bytes);
+        w.u64(r.up_bytes);
+        w.u64(r.wasted_up_bytes);
+        w.usize(r.down_clients);
+        w.usize(r.up_clients);
+        w.u8(r.quorum_met as u8);
     }
     if let Some(sched) = &ckpt.scheduler {
-        put_u64(&mut out, sched.now_bits);
-        put_u64(&mut out, sched.events.len() as u64);
+        w.u64(sched.now_bits);
+        w.usize(sched.events.len());
         for ev in &sched.events {
-            put_event(&mut out, ev);
+            encode_event(&mut w, ev);
         }
     }
-    out
+    w.into_bytes()
 }
 
-struct DecodedMeta {
-    fingerprint: u64,
-    next_round: usize,
-    algorithm: String,
-    sampler_check: u64,
-    fault_check: u64,
-    state_algorithm: String,
-    state_version: u32,
-    records: Vec<RoundRecord>,
-    scheduler: Option<SchedulerState>,
-}
-
-fn decode_meta(meta: &[u8]) -> io::Result<DecodedMeta> {
-    let mut inp = meta;
-    let version = get_u32(&mut inp)?;
-    if version == 2 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "run-checkpoint version 2 predates per-event uplink accounting; \
-             re-run from scratch (or from a synchronous v1 checkpoint)",
-        ));
-    }
-    if version != RUN_CHECKPOINT_VERSION && version != ASYNC_CHECKPOINT_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
+/// Decode a `meta` section into a checkpoint whose state carries only
+/// its header; [`from_bundle`] moves the bundle's sections in.
+fn decode_meta(meta: &[u8]) -> Result<RunCheckpoint, CodecError> {
+    codec::decode(meta, |r| {
+        let version = r.u32()?;
+        if version == 2 {
+            return Err(CodecError::Malformed(
+                "run-checkpoint version 2 predates per-event uplink accounting; \
+                 re-run from scratch (or from a synchronous v1 checkpoint)"
+                    .into(),
+            ));
+        }
+        if version != RUN_CHECKPOINT_VERSION && version != ASYNC_CHECKPOINT_VERSION {
+            return Err(CodecError::Malformed(format!(
                 "run-checkpoint version mismatch: expected {RUN_CHECKPOINT_VERSION} or \
                  {ASYNC_CHECKPOINT_VERSION}, found {version}"
-            ),
-        ));
-    }
-    let fingerprint = get_u64(&mut inp)?;
-    let next_round = get_u64(&mut inp)? as usize;
-    let algorithm = get_str(&mut inp)?;
-    let sampler_check = get_u64(&mut inp)?;
-    let fault_check = get_u64(&mut inp)?;
-    let state_algorithm = get_str(&mut inp)?;
-    let state_version = get_u32(&mut inp)?;
-    let n_records = get_u64(&mut inp)? as usize;
-    if n_records > (1 << 24) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible record count"));
-    }
-    let mut records = Vec::with_capacity(n_records);
-    for _ in 0..n_records {
-        let round = get_u64(&mut inp)? as usize;
-        let test_acc = get_f32(&mut inp)?;
-        let train_loss = get_f32(&mut inp)?;
-        let cum_bytes = get_u64(&mut inp)?;
-        let down_bytes = get_u64(&mut inp)?;
-        let up_bytes = get_u64(&mut inp)?;
-        let wasted_up_bytes = get_u64(&mut inp)?;
-        let down_clients = get_u64(&mut inp)? as usize;
-        let up_clients = get_u64(&mut inp)? as usize;
-        let mut q = [0u8; 1];
-        inp.read_exact(&mut q)?;
-        records.push(RoundRecord {
-            round,
-            test_acc,
-            train_loss,
-            cum_bytes,
-            down_bytes,
-            up_bytes,
-            wasted_up_bytes,
-            down_clients,
-            up_clients,
-            quorum_met: q[0] != 0,
-        });
-    }
-    let scheduler = if version >= ASYNC_CHECKPOINT_VERSION {
-        let now_bits = get_u64(&mut inp)?;
-        let n_events = get_u64(&mut inp)? as usize;
-        if n_events > (1 << 24) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible event count"));
+            )));
         }
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            events.push(get_event(&mut inp)?);
-        }
-        Some(SchedulerState { now_bits, events })
-    } else {
-        None
-    };
-    if !inp.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "trailing metadata bytes"));
-    }
-    Ok(DecodedMeta {
-        fingerprint,
-        next_round,
-        algorithm,
-        sampler_check,
-        fault_check,
-        state_algorithm,
-        state_version,
-        records,
-        scheduler,
+        // One `let` per field, in file order: the wire layout is this
+        // sequence of reads, not the order of any struct literal below.
+        let fingerprint = r.u64()?;
+        let next_round = r.usize()?;
+        let algorithm = r.string("algorithm name")?;
+        let sampler_check = r.u64()?;
+        let fault_check = r.u64()?;
+        let state_algorithm = r.string("state algorithm name")?;
+        let state_version = r.u32()?;
+        let records = r.list(MIN_RECORD_BYTES, "records", decode_record)?;
+        let scheduler = if version >= ASYNC_CHECKPOINT_VERSION {
+            let now_bits = r.u64()?;
+            let events = r.list(MIN_EVENT_BYTES, "events", decode_event)?;
+            Some(SchedulerState { now_bits, events })
+        } else {
+            None
+        };
+        let state = AlgorithmState::new(state_algorithm, state_version);
+        Ok(RunCheckpoint {
+            fingerprint,
+            next_round,
+            algorithm,
+            sampler_check,
+            fault_check,
+            records,
+            state,
+            scheduler,
+        })
     })
 }
 
 // ---- save / load -------------------------------------------------------
 
-fn to_bundle(ckpt: &RunCheckpoint) -> CheckpointBundle {
-    CheckpointBundle {
-        meta: encode_meta(ckpt),
-        models: ckpt.state.models.clone(),
-        arrays: ckpt
-            .state
-            .tensors
-            .iter()
-            .map(|(n, t)| (n.clone(), t.dims.clone(), t.values.clone()))
-            .collect(),
-        scalars: ckpt.state.scalars.clone(),
-    }
-}
-
 fn from_bundle(bundle: CheckpointBundle) -> io::Result<RunCheckpoint> {
-    let meta = decode_meta(&bundle.meta)?;
-    let state = AlgorithmState {
-        algorithm: meta.state_algorithm,
-        version: meta.state_version,
-        models: bundle.models,
-        tensors: bundle
-            .arrays
-            .into_iter()
-            .map(|(n, dims, values)| (n, TensorBlob { dims, values }))
-            .collect(),
-        scalars: bundle.scalars,
-    };
-    Ok(RunCheckpoint {
-        fingerprint: meta.fingerprint,
-        next_round: meta.next_round,
-        algorithm: meta.algorithm,
-        sampler_check: meta.sampler_check,
-        fault_check: meta.fault_check,
-        records: meta.records,
-        state,
-        scheduler: meta.scheduler,
-    })
+    let mut ckpt = decode_meta(&bundle.meta)?;
+    ckpt.state.models = bundle.models;
+    ckpt.state.tensors = bundle.arrays;
+    ckpt.state.scalars = bundle.scalars;
+    Ok(ckpt)
 }
 
 /// File name of the checkpoint taken after `next_round` completed
@@ -652,7 +437,9 @@ pub fn checkpoint_file(dir: &Path, next_round: usize) -> PathBuf {
 pub fn save_run(ckpt: &RunCheckpoint, dir: &Path) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = checkpoint_file(dir, ckpt.next_round);
-    save_bundle(&to_bundle(ckpt), &path)?;
+    let state = &ckpt.state;
+    let bytes = encode_bundle(&encode_meta(ckpt), &state.models, &state.tensors, &state.scalars);
+    atomic_write(&path, &bytes)?;
     Ok(path)
 }
 
@@ -833,6 +620,7 @@ mod tests {
     fn async_checkpoint_with_in_flight_events_roundtrips_bit_exactly() {
         use crate::client_store::ClientBlob;
         use crate::scheduler::{PendingEvent, PreparedUpdate, SchedulerState, UpdatePayload};
+        use crate::state::TensorBlob;
         let dir = tmpdir("async_rt");
         let model = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 8, 10, 3)).state();
         // One event per payload variant, with awkward bit patterns.

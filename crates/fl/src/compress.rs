@@ -5,9 +5,11 @@
 //! can stack the two and measure combined savings.
 //!
 //! A [`QuantizedWeights`] is wire data: it may arrive truncated or
-//! corrupted from an unreliable client, so decoding validates the
-//! structure and returns a [`CompressError`] instead of indexing out of
-//! bounds.
+//! corrupted from an unreliable client. Its wire form is read with
+//! [`kemf_nn::codec::Reader`] (declared lengths held against the bytes
+//! present), and [`QuantizedWeights::validate`] then checks the decoded
+//! structure, so damage is a [`CompressError`], never an out-of-bounds
+//! index.
 //!
 //! Int8 is also a *compute* format here, not just a wire format: the
 //! serializable [`ComputePrecision`] switch maps onto
@@ -17,6 +19,7 @@
 //! bottom pin the quantize → int8-forward round trip to its analytic
 //! error bound.
 
+use kemf_nn::codec::{CodecError, Reader, Writer};
 use kemf_nn::layer::Precision;
 use kemf_nn::serialize::Weights;
 use serde::{Deserialize, Serialize};
@@ -83,11 +86,11 @@ pub enum CompressError {
     },
     /// A scale or offset is NaN/infinite, or input weights were.
     NonFinite,
-    /// A wire-encoded payload ended before its declared contents.
+    /// A wire-encoded payload does not hold its declared contents.
     Truncated {
-        /// Bytes the declared structure needs.
+        /// Bytes the section being decoded needs.
         needed: usize,
-        /// Bytes actually present.
+        /// Bytes present for it.
         got: usize,
     },
 }
@@ -112,6 +115,19 @@ impl std::fmt::Display for CompressError {
 }
 
 impl std::error::Error for CompressError {}
+
+impl From<CodecError> for CompressError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Short { needed, left, .. } => CompressError::Truncated {
+                needed: usize::try_from(needed).unwrap_or(usize::MAX),
+                got: left,
+            },
+            // Only a size beyond this host's `usize`: no buffer holds it.
+            CodecError::Malformed(_) => CompressError::Truncated { needed: usize::MAX, got: 0 },
+        }
+    }
+}
 
 /// Quantization chunk size: per-chunk ranges adapt to local weight
 /// magnitudes (layers differ by orders of magnitude).
@@ -201,80 +217,38 @@ impl QuantizedWeights {
     /// a fixed order, little-endian throughout. The inverse of
     /// [`QuantizedWeights::from_wire`].
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            8 * 4 + self.codes.len() + 4 * (self.scales.len() + self.offsets.len())
+        let mut w = Writer::with_capacity(
+            8 * 5 + self.codes.len() + 4 * (self.scales.len() + self.offsets.len())
                 + 8 * self.lens.len(),
         );
-        out.extend_from_slice(&(self.codes.len() as u64).to_le_bytes());
-        out.extend(self.codes.iter().map(|&c| c as u8));
-        out.extend_from_slice(&(self.scales.len() as u64).to_le_bytes());
-        for s in &self.scales {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.offsets.len() as u64).to_le_bytes());
-        for o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.chunk as u64).to_le_bytes());
-        out.extend_from_slice(&(self.lens.len() as u64).to_le_bytes());
-        for l in &self.lens {
-            out.extend_from_slice(&(*l as u64).to_le_bytes());
-        }
-        out
+        w.i8s(&self.codes);
+        w.f32s(&self.scales);
+        w.f32s(&self.offsets);
+        w.usize(self.chunk);
+        w.u64s(&self.lens);
+        w.into_bytes()
     }
 
     /// Decode the transport wire format written by
-    /// [`QuantizedWeights::to_wire`]. Every section length is checked
-    /// against the remaining bytes before allocation, so truncated or
-    /// corrupted inputs surface as [`CompressError::Truncated`] — never
-    /// a panic or an unbounded allocation.
+    /// [`QuantizedWeights::to_wire`]. The length guarding is
+    /// [`kemf_nn::codec::Reader`]'s, so truncated or corrupted inputs
+    /// surface as [`CompressError::Truncated`] — never a panic or an
+    /// unbounded allocation.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, CompressError> {
-        fn take<'a>(
-            bytes: &'a [u8],
-            at: &mut usize,
-            n: usize,
-        ) -> Result<&'a [u8], CompressError> {
-            let end = at
-                .checked_add(n)
-                .ok_or(CompressError::Truncated { needed: usize::MAX, got: bytes.len() })?;
-            let s = bytes
-                .get(*at..end)
-                .ok_or(CompressError::Truncated { needed: end, got: bytes.len() })?;
-            *at = end;
-            Ok(s)
+        let mut r = Reader::new(bytes);
+        let q = QuantizedWeights {
+            codes: r.i8s("codes")?,
+            scales: r.f32s("scales")?,
+            offsets: r.f32s("offsets")?,
+            chunk: r.usize()?,
+            lens: r.u64s("lens")?,
+        };
+        // Trailing garbage is corruption too: the payload needed fewer
+        // bytes than it was given.
+        match r.rest().len() {
+            0 => Ok(q),
+            extra => Err(CompressError::Truncated { needed: bytes.len() - extra, got: bytes.len() }),
         }
-        // A section length no input of this size could hold is
-        // corruption, not a request to allocate petabytes.
-        fn read_len(bytes: &[u8], at: &mut usize, cap: usize) -> Result<usize, CompressError> {
-            let raw = u64::from_le_bytes(take(bytes, at, 8)?.try_into().expect("8-byte slice"));
-            if raw > cap as u64 {
-                return Err(CompressError::Truncated { needed: raw as usize, got: cap });
-            }
-            Ok(raw as usize)
-        }
-        let mut at = 0usize;
-        let n_codes = read_len(bytes, &mut at, bytes.len())?;
-        let codes: Vec<i8> = take(bytes, &mut at, n_codes)?.iter().map(|&b| b as i8).collect();
-        let n_scales = read_len(bytes, &mut at, bytes.len() / 4 + 1)?;
-        let mut scales = Vec::with_capacity(n_scales);
-        for c in take(bytes, &mut at, n_scales * 4)?.chunks_exact(4) {
-            scales.push(f32::from_le_bytes(c.try_into().expect("4-byte slice")));
-        }
-        let n_offsets = read_len(bytes, &mut at, bytes.len() / 4 + 1)?;
-        let mut offsets = Vec::with_capacity(n_offsets);
-        for c in take(bytes, &mut at, n_offsets * 4)?.chunks_exact(4) {
-            offsets.push(f32::from_le_bytes(c.try_into().expect("4-byte slice")));
-        }
-        let chunk = read_len(bytes, &mut at, usize::MAX - 1)?;
-        let n_lens = read_len(bytes, &mut at, bytes.len() / 8 + 1)?;
-        let mut lens = Vec::with_capacity(n_lens);
-        for l in take(bytes, &mut at, n_lens * 8)?.chunks_exact(8) {
-            lens.push(u64::from_le_bytes(l.try_into().expect("8-byte slice")) as usize);
-        }
-        if at != bytes.len() {
-            return Err(CompressError::Truncated { needed: at, got: bytes.len() });
-        }
-        Ok(QuantizedWeights { codes, scales, offsets, chunk, lens })
     }
 }
 

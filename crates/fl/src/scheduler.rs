@@ -45,6 +45,7 @@ use crate::engine::EngineError;
 use crate::lifecycle::{ClientOutcome, ClientPlan, RoundPlan};
 use crate::network::{NetworkModel, NetworkProfiles};
 use crate::state::TensorBlob;
+use kemf_nn::codec::{fnv1a64, Writer};
 use kemf_nn::serialize::ModelState;
 
 /// How [`crate::engine::Engine::run`] advances rounds.
@@ -200,41 +201,35 @@ impl AsyncConfig {
     /// resume in another. Synchronous fingerprints are untouched — the
     /// tag below guarantees async never collides with sync.
     pub(crate) fn mix_fingerprint(&self, base: u64) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = base ^ 0x4153_594e_4321_7575; // "ASYN C!uu" domain tag
-        let eat = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(&mut h, &(self.buffer_size as u64).to_le_bytes());
-        eat(&mut h, &(self.max_staleness as u64).to_le_bytes());
-        eat(&mut h, &self.staleness_decay.to_bits().to_le_bytes());
+        let mut knobs = Writer::new();
+        knobs.usize(self.buffer_size);
+        knobs.usize(self.max_staleness);
+        knobs.f32(self.staleness_decay);
         match &self.network {
-            None => eat(&mut h, &[0]),
+            None => knobs.u8(0),
             Some(net) => {
-                eat(&mut h, &[1]);
-                eat(&mut h, &net.bandwidth_bps.to_bits().to_le_bytes());
-                eat(&mut h, &net.latency_s.to_bits().to_le_bytes());
+                knobs.u8(1);
+                knobs.f64(net.bandwidth_bps);
+                knobs.f64(net.latency_s);
             }
         }
         // Later knobs append tagged bytes only when set, so fingerprints
         // of runs that never use them are unchanged from earlier builds
         // (their checkpoints stay resumable).
         if let Some(p) = &self.profiles {
-            eat(&mut h, &[2]);
-            eat(&mut h, &(p.models.len() as u64).to_le_bytes());
+            knobs.u8(2);
+            knobs.usize(p.models.len());
             for m in &p.models {
-                eat(&mut h, &m.bandwidth_bps.to_bits().to_le_bytes());
-                eat(&mut h, &m.latency_s.to_bits().to_le_bytes());
+                knobs.f64(m.bandwidth_bps);
+                knobs.f64(m.latency_s);
             }
         }
         if let Some(t) = self.aggregate_after_s {
-            eat(&mut h, &[3]);
-            eat(&mut h, &t.to_bits().to_le_bytes());
+            knobs.u8(3);
+            knobs.f64(t);
         }
-        h
+        // "ASYN C!uu" domain tag
+        fnv1a64(base ^ 0x4153_594e_4321_7575, knobs.as_bytes())
     }
 }
 

@@ -16,17 +16,8 @@
 //!   [`RestoreError`] instead of panicking deep inside `apply_to`.
 
 use kemf_nn::serialize::ModelState;
+pub use kemf_nn::serialize::TensorBlob;
 use std::fmt;
-
-/// A named, dimension-tagged flat f32 array (control variates, consensus
-/// logits, ...).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TensorBlob {
-    /// Logical dimensions; `values.len()` equals their product.
-    pub dims: Vec<usize>,
-    /// Row-major values.
-    pub values: Vec<f32>,
-}
 
 /// Everything one algorithm owns, as data. Entry order is preserved, so
 /// serialization is deterministic.

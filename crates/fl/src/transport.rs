@@ -28,6 +28,15 @@
 //!   simulated accounting stays comparable. With faults off, measured
 //!   bytes equal `plan.comm(payload)` exactly.
 //!
+//! * **Frames and their bodies are laid out by `kemf_nn::codec`.** A
+//!   body is parsed through its bounds-checked `Reader`, so a peer's
+//!   short, over-long or length-lying frame is a typed
+//!   [`TransportError::Protocol`]; the one stream-side rule of its own is
+//!   that [`read_frame`] buffers a body only as its bytes arrive. The
+//!   frame and payload functions are `pub` but `#[doc(hidden)]`: outside
+//!   this module only the byte-format tests at the workspace root
+//!   (`tests/golden_bytes.rs`, `tests/decoders.rs`) call them.
+//!
 //! Worker processes are spawned from any binary that calls
 //! [`worker_entry_if_requested`] early in `main` (or the dedicated
 //! `kemf_worker` binary, which is just [`worker_main_from_env`]); the
@@ -36,6 +45,7 @@
 
 use crate::compress::{self, CompressError, QuantizedWeights};
 use crate::lifecycle::{ClientOutcome, ClientPlan, ModelView, RoundComm, RoundPlan, WirePayload};
+use kemf_nn::codec::{self, fnv1a64, CodecError, Reader, Writer, FNV_OFFSET};
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
 use std::fmt;
@@ -46,7 +56,8 @@ use std::time::{Duration, Instant};
 
 /// Frame magic: `KMFT` in big-endian byte order on the wire.
 const MAGIC: [u8; 4] = *b"KMFT";
-/// Largest frame body the reader will allocate for (sanity cap, 256 MiB).
+/// Largest frame body the protocol allows (256 MiB): anything longer is
+/// refused from the header alone.
 const MAX_FRAME_BODY: u32 = 1 << 28;
 /// Fixed framing overhead per frame: magic + kind + body_len + trailing CRC.
 const FRAME_OVERHEAD: u64 = 4 + 1 + 4 + 4;
@@ -303,35 +314,6 @@ impl TransportStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-free: plenty for test-scale payloads.
-// ---------------------------------------------------------------------------
-
-/// IEEE CRC-32 over `bytes` (reflected, poly 0xEDB88320).
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// FNV-1a over a few integers, for deterministic filler seeds.
-fn fnv64(parts: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for p in parts {
-        for b in p.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Fill `buf` with a deterministic xorshift64* stream.
 fn fill_deterministic(buf: &mut [u8], seed: u64) {
     let mut s = seed | 1; // xorshift state must be non-zero
@@ -352,8 +334,14 @@ fn fill_deterministic(buf: &mut [u8], seed: u64) {
     }
 }
 
+/// Deterministic filler seed of one payload stream: FNV-1a over a domain
+/// tag, the round, the client and the direction.
 fn filler_seed(round: u64, client: u64, dir: u8) -> u64 {
-    fnv64(&[0x4b4d_4654_5041_594c, round, client, dir as u64])
+    let mut w = Writer::with_capacity(32);
+    for word in [0x4b4d_4654_5041_594c, round, client, dir as u64] {
+        w.u64(word);
+    }
+    fnv1a64(FNV_OFFSET, &w.into_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -368,34 +356,32 @@ const TAG_MODEL: u8 = 1;
 /// Build a payload of exactly `len` bytes: tag + content + trailing CRC.
 /// `model` is embedded when it fits; otherwise the content is filler
 /// seeded deterministically from (round, client, direction).
-pub(crate) fn build_payload(len: u64, seed: u64, model: Option<&[u8]>) -> Vec<u8> {
+#[doc(hidden)]
+pub fn build_payload(len: u64, seed: u64, model: Option<&[u8]>) -> Vec<u8> {
     let len = len as usize;
-    let mut buf = vec![0u8; len];
+    let mut w = Writer::with_capacity(len);
     if len < MIN_WIRE_PAYLOAD as usize {
-        fill_deterministic(&mut buf, seed);
-        return buf;
+        fill_deterministic(w.zeros(len), seed);
+        return w.into_bytes();
     }
     let body_end = len - 4;
     match model {
         Some(enc) if 1 + 8 + enc.len() <= body_end => {
-            buf[0] = TAG_MODEL;
-            buf[1..9].copy_from_slice(&(enc.len() as u64).to_le_bytes());
-            buf[9..9 + enc.len()].copy_from_slice(enc);
-            fill_deterministic(&mut buf[9 + enc.len()..body_end], seed);
+            w.u8(TAG_MODEL);
+            w.bytes(enc);
         }
-        _ => {
-            buf[0] = TAG_FILLER;
-            fill_deterministic(&mut buf[1..body_end], seed);
-        }
+        _ => w.u8(TAG_FILLER),
     }
-    let crc = crc32(&buf[..body_end]);
-    buf[body_end..].copy_from_slice(&crc.to_le_bytes());
-    buf
+    let pad = body_end - w.as_bytes().len();
+    fill_deterministic(w.zeros(pad), seed);
+    w.u32(codec::crc32(0, w.as_bytes()));
+    w.into_bytes()
 }
 
 /// Why a received payload failed validation.
+#[doc(hidden)]
 #[derive(Debug)]
-pub(crate) enum PayloadFault {
+pub enum PayloadFault {
     /// Fewer bytes arrived than the sender declared.
     Truncated { expected: u64, got: u64 },
     /// The integrity checksum does not match the content.
@@ -418,31 +404,22 @@ impl fmt::Display for PayloadFault {
 
 /// Validate a received payload against its declared length: size, CRC,
 /// and — when a model is embedded — the full [`crate::compress`] decode.
-pub(crate) fn validate_payload(bytes: &[u8], declared: u64) -> Result<(), PayloadFault> {
+#[doc(hidden)]
+pub fn validate_payload(bytes: &[u8], declared: u64) -> Result<(), PayloadFault> {
     if bytes.len() as u64 != declared {
         return Err(PayloadFault::Truncated { expected: declared, got: bytes.len() as u64 });
     }
     if bytes.len() < MIN_WIRE_PAYLOAD as usize {
         return Ok(()); // unstructured payload, nothing to check
     }
-    let body_end = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4-byte slice"));
-    if crc32(&bytes[..body_end]) != stored {
+    let (body, stored) = bytes.split_at(bytes.len() - 4);
+    if Reader::new(stored).u32() != Ok(codec::crc32(0, body)) {
         return Err(PayloadFault::BadChecksum);
     }
-    if bytes[0] == TAG_MODEL {
-        if body_end < 9 {
-            return Err(PayloadFault::Model(CompressError::Truncated { needed: 9, got: body_end }));
-        }
-        let enc_len =
-            u64::from_le_bytes(bytes[1..9].try_into().expect("8-byte slice")) as usize;
-        if 9 + enc_len > body_end {
-            return Err(PayloadFault::Model(CompressError::Truncated {
-                needed: 9 + enc_len,
-                got: body_end,
-            }));
-        }
-        let q = QuantizedWeights::from_wire(&bytes[9..9 + enc_len]).map_err(PayloadFault::Model)?;
+    let mut r = Reader::new(body);
+    if r.u8() == Ok(TAG_MODEL) {
+        let enc = r.bytes("embedded model").map_err(|e| PayloadFault::Model(e.into()))?;
+        let q = QuantizedWeights::from_wire(enc).map_err(PayloadFault::Model)?;
         q.validate().map_err(PayloadFault::Model)?;
     }
     Ok(())
@@ -452,60 +429,111 @@ pub(crate) fn validate_payload(bytes: &[u8], declared: u64) -> Result<(), Payloa
 // Framing: [MAGIC][kind u8][body_len u32][body][crc32 over kind+body]
 // ---------------------------------------------------------------------------
 
+/// The frame checksum: CRC-32 over the kind byte, then the body.
+fn frame_crc(kind: u8, body: &[u8]) -> u32 {
+    codec::crc32(codec::crc32(0, &[kind]), body)
+}
+
 /// Write one frame; returns the wire bytes written.
-fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> io::Result<u64> {
+#[doc(hidden)]
+pub fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> io::Result<u64> {
     debug_assert!(body.len() as u64 <= MAX_FRAME_BODY as u64);
-    let mut header = [0u8; 9];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = kind;
-    header[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    let mut crc = !0u32;
-    for &b in std::iter::once(&kind).chain(body.iter()) {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    w.write_all(&header)?;
+    let mut header = Writer::with_capacity(9);
+    header.raw(&MAGIC);
+    header.u8(kind);
+    header.u32(body.len() as u32);
+    w.write_all(header.as_bytes())?;
     w.write_all(body)?;
-    w.write_all(&(!crc).to_le_bytes())?;
+    w.write_all(&frame_crc(kind, body).to_le_bytes())?;
     w.flush()?;
     Ok(FRAME_OVERHEAD + body.len() as u64)
 }
 
 /// Read one frame; returns (kind, body, wire bytes read).
-fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
+#[doc(hidden)]
+pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut header = [0u8; 9];
     r.read_exact(&mut header)?;
-    if header[..4] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame magic"));
+    let mut h = Reader::new(&header);
+    if h.take(MAGIC.len(), "frame magic")? != MAGIC {
+        return Err(invalid("bad frame magic".into()));
     }
-    let kind = header[4];
-    let body_len = u32::from_le_bytes(header[5..9].try_into().expect("4-byte slice"));
+    let (kind, body_len) = (h.u8()?, h.u32()?);
     if body_len > MAX_FRAME_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame body of {body_len} bytes exceeds the {MAX_FRAME_BODY}-byte cap"),
-        ));
+        return Err(invalid(format!(
+            "frame body of {body_len} bytes exceeds the {MAX_FRAME_BODY}-byte cap"
+        )));
     }
-    let mut body = vec![0u8; body_len as usize];
-    r.read_exact(&mut body)?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let mut expect = vec![kind];
-    expect.extend_from_slice(&body);
-    if crc32(&expect) != u32::from_le_bytes(crc_bytes) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame checksum mismatch"));
+    // A stream has no "bytes still unread" to hold the declared length
+    // against, so the body buffer grows with the bytes that actually
+    // arrive: a header announcing 256 MiB ahead of nothing allocates
+    // nothing.
+    let mut body = Vec::new();
+    r.by_ref().take(body_len as u64).read_to_end(&mut body)?;
+    if body.len() != body_len as usize {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame body cut short"));
+    }
+    let mut stored = [0u8; 4];
+    r.read_exact(&mut stored)?;
+    if Reader::new(&stored).u32()? != frame_crc(kind, &body) {
+        return Err(invalid("frame checksum mismatch".into()));
     }
     Ok((kind, body, FRAME_OVERHEAD + body_len as u64))
 }
 
-// Little-endian body readers (the bodies are fixed layouts, not serde).
-fn get_u64(body: &[u8], at: usize) -> io::Result<u64> {
-    body.get(at..at + 8)
-        .map(|s| u64::from_le_bytes(s.try_into().expect("8-byte slice")))
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame body too short"))
+// Frame bodies are fixed layouts on the codec: every body but `K_HELLO`
+// and `K_SHUTDOWN` opens with the round and client it belongs to.
+
+/// A body writer holding the `(round, client)` tags, with room for
+/// `extra` more bytes.
+fn tagged(round: u64, client: u64, extra: usize) -> Writer {
+    let mut w = Writer::with_capacity(16 + extra);
+    w.u64(round);
+    w.u64(client);
+    w
+}
+
+/// Decode a frame body with `parse`, which must consume all of it: a
+/// short or over-long body is a protocol violation, not a panic.
+fn parse_body<'a, T>(
+    what: &str,
+    body: &'a [u8],
+    parse: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<T, TransportError> {
+    codec::decode(body, parse)
+        .map_err(|e| TransportError::Protocol { detail: format!("malformed {what}: {e}") })
+}
+
+/// What a worker answers a broadcast or an ack with.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    /// `K_UP`: the attempt number and the report payload.
+    Upload(u64, Vec<u8>),
+    /// `K_UP_ERR`: the failure code and the worker's message.
+    Failed(u8, String),
+}
+
+/// Decode a `K_UP` / `K_UP_ERR` frame into the `(round, client)` it is
+/// tagged with and the reply. Every length in it is the worker's claim;
+/// the codec holds it against the body.
+fn parse_reply(kind: u8, body: &[u8]) -> Result<(usize, usize, Reply), TransportError> {
+    match kind {
+        // The declared report length is not read back: the report is
+        // whatever follows, and `validate_payload` holds it to the plan.
+        K_UP => parse_body("upload frame", body, |r| {
+            let (round, client, attempt, _declared) = (r.usize()?, r.usize()?, r.u64()?, r.u64()?);
+            Ok((round, client, Reply::Upload(attempt, r.rest().to_vec())))
+        }),
+        K_UP_ERR => parse_body("failure report", body, |r| {
+            let (round, client, code) = (r.usize()?, r.usize()?, r.u8()?);
+            let msg = String::from_utf8_lossy(r.bytes("message")?).into_owned();
+            Ok((round, client, Reply::Failed(code, msg)))
+        }),
+        other => Err(TransportError::Protocol {
+            detail: format!("expected an upload or a failure report, got frame kind {other}"),
+        }),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -527,7 +555,9 @@ pub fn worker_loop(
         .and_then(|_| stream.set_read_timeout(Some(io_timeout)))
         .and_then(|_| stream.set_write_timeout(Some(io_timeout)))
         .map_err(|e| TransportError::Io { context: "configuring the worker socket", source: e })?;
-    write_frame(&mut stream, K_HELLO, &worker_id.to_le_bytes())
+    let mut hello = Writer::with_capacity(8);
+    hello.u64(worker_id);
+    write_frame(&mut stream, K_HELLO, hello.as_bytes())
         .map_err(|e| TransportError::Io { context: "sending hello", source: e })?;
     loop {
         let (kind, body, _) = read_frame(&mut stream)
@@ -552,27 +582,16 @@ fn serve_download(
     body: &[u8],
     time_scale: f64,
 ) -> Result<(), TransportError> {
-    let parse = |e: io::Error| TransportError::Protocol {
-        detail: format!("malformed broadcast frame: {e}"),
-    };
-    let round = get_u64(body, 0).map_err(parse)?;
-    let client = get_u64(body, 8).map_err(parse)?;
-    let delay_s = f64::from_bits(get_u64(body, 16).map_err(parse)?);
-    let deadline_s = f64::from_bits(get_u64(body, 24).map_err(parse)?);
-    let up_len = get_u64(body, 32).map_err(parse)?;
-    let declared_len = get_u64(body, 40).map_err(parse)?;
-    let payload = body.get(48..).ok_or_else(|| TransportError::Protocol {
-        detail: "broadcast frame shorter than its fixed header".into(),
-    })?;
+    let (round, client, delay_s, deadline_s, up_len, declared_len, payload) =
+        parse_body("broadcast frame", body, |r| {
+            Ok((r.u64()?, r.u64()?, r.f64()?, r.f64()?, r.u64()?, r.u64()?, r.rest()))
+        })?;
 
     let send_err = |stream: &mut TcpStream, code: u8, msg: &str| {
-        let mut err_body = Vec::with_capacity(16 + 9 + msg.len());
-        err_body.extend_from_slice(&round.to_le_bytes());
-        err_body.extend_from_slice(&client.to_le_bytes());
-        err_body.push(code);
-        err_body.extend_from_slice(&(msg.len() as u64).to_le_bytes());
-        err_body.extend_from_slice(msg.as_bytes());
-        write_frame(stream, K_UP_ERR, &err_body)
+        let mut report = tagged(round, client, 9 + msg.len());
+        report.u8(code);
+        report.string(msg);
+        write_frame(stream, K_UP_ERR, report.as_bytes())
             .map(|_| ())
             .map_err(|e| TransportError::Io { context: "reporting a client failure", source: e })
     };
@@ -600,13 +619,11 @@ fn serve_download(
     let report = build_payload(up_len, filler_seed(round, client, DIR_UP), None);
     let mut attempt = 1u64;
     loop {
-        let mut up_body = Vec::with_capacity(32 + report.len());
-        up_body.extend_from_slice(&round.to_le_bytes());
-        up_body.extend_from_slice(&client.to_le_bytes());
-        up_body.extend_from_slice(&attempt.to_le_bytes());
-        up_body.extend_from_slice(&up_len.to_le_bytes());
-        up_body.extend_from_slice(&report);
-        write_frame(stream, K_UP, &up_body)
+        let mut up = tagged(round, client, 16 + report.len());
+        up.u64(attempt);
+        up.u64(up_len);
+        up.raw(&report);
+        write_frame(stream, K_UP, up.as_bytes())
             .map_err(|e| TransportError::Io { context: "uploading a report", source: e })?;
         let (kind, ack, _) = read_frame(stream)
             .map_err(|e| TransportError::Io { context: "awaiting an ack", source: e })?;
@@ -615,8 +632,8 @@ fn serve_download(
                 detail: format!("expected ack, got frame kind {kind}"),
             });
         }
-        let ack_round = get_u64(&ack, 0).map_err(parse)?;
-        let ack_client = get_u64(&ack, 8).map_err(parse)?;
+        let (ack_round, ack_client, status) =
+            parse_body("ack", &ack, |r| Ok((r.u64()?, r.u64()?, r.u8()?)))?;
         if ack_round != round || ack_client != client {
             return Err(TransportError::Protocol {
                 detail: format!(
@@ -624,12 +641,12 @@ fn serve_download(
                 ),
             });
         }
-        match ack.get(16).copied() {
-            Some(ACK_ACCEPTED) | Some(ACK_GIVE_UP) => return Ok(()),
-            Some(ACK_RETRY) => attempt += 1,
+        match status {
+            ACK_ACCEPTED | ACK_GIVE_UP => return Ok(()),
+            ACK_RETRY => attempt += 1,
             other => {
                 return Err(TransportError::Protocol {
-                    detail: format!("unknown ack status {other:?}"),
+                    detail: format!("unknown ack status {other}"),
                 })
             }
         }
@@ -827,9 +844,7 @@ impl SocketTransport {
                             detail: format!("expected hello, got frame kind {kind}"),
                         });
                     }
-                    let id = get_u64(&body, 0).map_err(|e| TransportError::Protocol {
-                        detail: format!("malformed hello: {e}"),
-                    })? as usize;
+                    let id = parse_body("hello", &body, |r| r.usize())?;
                     if id >= n || slots[id].is_some() {
                         return Err(TransportError::Protocol {
                             detail: format!("worker greeted with invalid or duplicate id {id}"),
@@ -977,16 +992,14 @@ impl SocketTransport {
         };
         let deadline_s = self.deadline_s.unwrap_or(f64::INFINITY);
 
-        let mut body = Vec::with_capacity(48 + down.len());
-        body.extend_from_slice(&(round as u64).to_le_bytes());
-        body.extend_from_slice(&(client as u64).to_le_bytes());
-        body.extend_from_slice(&delay_s.to_bits().to_le_bytes());
-        body.extend_from_slice(&deadline_s.to_bits().to_le_bytes());
-        body.extend_from_slice(&payload.up_bytes.to_le_bytes());
-        body.extend_from_slice(&payload.down_bytes.to_le_bytes());
-        body.extend_from_slice(&down);
+        let mut body = tagged(round as u64, client as u64, 32 + down.len());
+        body.f64(delay_s);
+        body.f64(deadline_s);
+        body.u64(payload.up_bytes);
+        body.u64(payload.down_bytes);
+        body.raw(&down);
         let down_sent = down.len() as u64;
-        self.send(worker, K_DOWN, &body)?;
+        self.send(worker, K_DOWN, body.as_bytes())?;
         measured.down_bytes += down_sent;
         measured.down_clients += 1;
 
@@ -995,20 +1008,10 @@ impl SocketTransport {
         match outcome {
             ClientOutcome::DroppedBeforeDownload => unreachable!("handled above"),
             ClientOutcome::DroppedAfterDownload => {
-                let (code, _, msg) = self.expect_up_err(worker, round, client)?;
-                if code != ERR_DECODE {
-                    return Err(desync(format!(
-                        "planned a corrupted broadcast, worker reported code {code} ({msg})"
-                    )));
-                }
+                self.expect_failure(worker, round, client, ERR_DECODE, "a corrupted broadcast")?
             }
             ClientOutcome::StragglerTimedOut { .. } => {
-                let (code, _, msg) = self.expect_up_err(worker, round, client)?;
-                if code != ERR_TIMED_OUT {
-                    return Err(desync(format!(
-                        "planned a timed-out straggler, worker reported code {code} ({msg})"
-                    )));
-                }
+                self.expect_failure(worker, round, client, ERR_TIMED_OUT, "a timed-out straggler")?
             }
             ClientOutcome::UploadFailed { attempts } => {
                 // Every attempt's bytes really crossed the wire — that is
@@ -1042,8 +1045,24 @@ impl SocketTransport {
         Ok(())
     }
 
-    /// Receive an upload attempt, verifying round/client/attempt tags.
-    /// Returns the report payload bytes.
+    /// Receive `client`'s next reply of `round`; one tagged for anyone
+    /// else is a desync.
+    fn recv_reply(
+        &mut self,
+        worker: usize,
+        round: usize,
+        client: usize,
+    ) -> Result<Reply, TransportError> {
+        let (kind, body) = self.recv(worker)?;
+        let (got_round, got_client, reply) = parse_reply(kind, &body)?;
+        if (got_round, got_client) != (round, client) {
+            let detail = format!("reply tagged round {got_round} client {got_client}");
+            return Err(TransportError::Desync { round, client, detail });
+        }
+        Ok(reply)
+    }
+
+    /// Receive upload attempt `attempt`; returns the report payload bytes.
     fn expect_upload(
         &mut self,
         worker: usize,
@@ -1051,76 +1070,30 @@ impl SocketTransport {
         client: usize,
         attempt: u64,
     ) -> Result<Vec<u8>, TransportError> {
-        let (kind, body) = self.recv(worker)?;
-        let desync = |detail: String| TransportError::Desync { round, client, detail };
-        let parse = |e: io::Error| TransportError::Protocol {
-            detail: format!("malformed upload frame: {e}"),
+        let detail = match self.recv_reply(worker, round, client)? {
+            Reply::Upload(got, report) if got == attempt => return Ok(report),
+            Reply::Upload(got, _) => format!("upload tagged attempt {got}, expected attempt {attempt}"),
+            Reply::Failed(_, msg) => format!("expected upload attempt {attempt}, worker failed: {msg}"),
         };
-        if kind == K_UP_ERR {
-            let msg = Self::up_err_message(&body);
-            return Err(desync(format!("expected upload attempt {attempt}, worker failed: {msg}")));
-        }
-        if kind != K_UP {
-            return Err(TransportError::Protocol {
-                detail: format!("expected upload, got frame kind {kind}"),
-            });
-        }
-        let got_round = get_u64(&body, 0).map_err(parse)? as usize;
-        let got_client = get_u64(&body, 8).map_err(parse)? as usize;
-        let got_attempt = get_u64(&body, 16).map_err(parse)?;
-        if got_round != round || got_client != client || got_attempt != attempt {
-            return Err(desync(format!(
-                "upload tagged round {got_round} client {got_client} attempt {got_attempt}, \
-                 expected round {round} client {client} attempt {attempt}"
-            )));
-        }
-        if body.len() < 32 {
-            return Err(parse(io::Error::new(io::ErrorKind::InvalidData, "missing payload")));
-        }
-        Ok(body[32..].to_vec())
+        Err(TransportError::Desync { round, client, detail })
     }
 
-    /// Receive a terminal failure report, verifying round/client.
-    fn expect_up_err(
+    /// Receive the terminal failure report, with code `want`, that a
+    /// client planned as `planned` must send.
+    fn expect_failure(
         &mut self,
         worker: usize,
         round: usize,
         client: usize,
-    ) -> Result<(u8, u64, String), TransportError> {
-        let (kind, body) = self.recv(worker)?;
-        if kind == K_UP {
-            return Err(TransportError::Desync {
-                round,
-                client,
-                detail: "planned a failed client, but a clean upload arrived".into(),
-            });
-        }
-        if kind != K_UP_ERR {
-            return Err(TransportError::Protocol {
-                detail: format!("expected failure report, got frame kind {kind}"),
-            });
-        }
-        let parse = |e: io::Error| TransportError::Protocol {
-            detail: format!("malformed failure report: {e}"),
+        want: u8,
+        planned: &str,
+    ) -> Result<(), TransportError> {
+        let detail = match self.recv_reply(worker, round, client)? {
+            Reply::Failed(code, _) if code == want => return Ok(()),
+            Reply::Failed(code, msg) => format!("planned {planned}, worker reported code {code} ({msg})"),
+            Reply::Upload(..) => "planned a failed client, but a clean upload arrived".into(),
         };
-        let got_round = get_u64(&body, 0).map_err(parse)? as usize;
-        let got_client = get_u64(&body, 8).map_err(parse)? as usize;
-        if got_round != round || got_client != client {
-            return Err(TransportError::Desync {
-                round,
-                client,
-                detail: format!("failure report tagged round {got_round} client {got_client}"),
-            });
-        }
-        let code = body.get(16).copied().unwrap_or(0);
-        Ok((code, 0, Self::up_err_message(&body)))
-    }
-
-    fn up_err_message(body: &[u8]) -> String {
-        let len = get_u64(body, 17).unwrap_or(0) as usize;
-        body.get(25..25 + len)
-            .map(|b| String::from_utf8_lossy(b).into_owned())
-            .unwrap_or_else(|| "<unreadable>".into())
+        Err(TransportError::Desync { round, client, detail })
     }
 
     fn send_ack(
@@ -1130,11 +1103,9 @@ impl SocketTransport {
         client: usize,
         status: u8,
     ) -> Result<(), TransportError> {
-        let mut body = Vec::with_capacity(17);
-        body.extend_from_slice(&(round as u64).to_le_bytes());
-        body.extend_from_slice(&(client as u64).to_le_bytes());
-        body.push(status);
-        self.send(worker, K_ACK, &body).map(|_| ())
+        let mut body = tagged(round as u64, client as u64, 1);
+        body.u8(status);
+        self.send(worker, K_ACK, body.as_bytes()).map(|_| ())
     }
 
     /// Shut the worker pool down cleanly and return the final wire
@@ -1208,8 +1179,8 @@ mod tests {
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        assert_eq!(codec::crc32(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(codec::crc32(0, b""), 0);
     }
 
     #[test]
@@ -1416,5 +1387,32 @@ mod tests {
         assert_eq!(measured.up_bytes, 24 + 32);
         assert_eq!(measured, plan.comm(&plans).unwrap());
         t.finish().unwrap();
+    }
+
+    /// The server trusts nothing a worker's failure report declares: a
+    /// message length of `u64::MAX` (once `25 + len`, overflowing), any
+    /// truncation and any over-long body are typed protocol errors.
+    #[test]
+    fn hostile_failure_reports_are_protocol_errors_not_overflows() {
+        let report = |msg_len: u64, msg: &[u8]| {
+            let mut body = tagged(3, 7, 9 + msg.len());
+            body.u8(ERR_DECODE);
+            body.u64(msg_len);
+            body.raw(msg);
+            body.into_bytes()
+        };
+        let good = report(5, b"oops!");
+        let reply = (3, 7, Reply::Failed(ERR_DECODE, "oops!".into()));
+        assert_eq!(parse_reply(K_UP_ERR, &good).unwrap(), reply);
+        let mut bad = vec![report(u64::MAX, b"oops!"), report(1 << 32, b"oops!"), report(4, b"oops!")];
+        bad.extend((0..good.len()).map(|cut| good[..cut].to_vec()));
+        for body in bad {
+            let err = parse_reply(K_UP_ERR, &body).unwrap_err();
+            assert!(matches!(err, TransportError::Protocol { .. }), "got: {err}");
+        }
+        // Acks and hellos are held to their exact length the same way.
+        let ack = |body: &[u8]| parse_body("ack", body, |r| Ok((r.u64()?, r.u64()?, r.u8()?)));
+        assert!(ack(&[0; 17]).is_ok());
+        assert!(ack(&[0; 16]).is_err() && ack(&[0; 18]).is_err());
     }
 }

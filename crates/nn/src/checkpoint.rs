@@ -1,12 +1,14 @@
 //! Binary checkpointing: a tiny self-describing format (magic, version,
-//! section lengths, little-endian payload) so long federated runs can
-//! persist and resume without a serialization framework.
+//! length-prefixed little-endian sections) so long federated runs can
+//! persist and resume without a serialization framework. The bytes are
+//! laid out and read back by [`crate::codec`]; the guard against corrupt
+//! section lengths is that module's one policy, not a local one.
 //!
 //! Two formats share the `KEMFCKPT` magic:
 //!
 //! * **v1** ([`save_state`]/[`load_state`]) — a single [`ModelState`],
 //!   the original global-model checkpoint;
-//! * **v2** ([`save_bundle`]/[`load_bundle`]) — a [`CheckpointBundle`]:
+//! * **v2** ([`encode_bundle`]/[`load_bundle`]) — a [`CheckpointBundle`]:
 //!   opaque metadata bytes plus named models, named dimension-tagged f32
 //!   arrays, and named f64 scalars. This is the container the federated
 //!   engine's resumable-run checkpoints are built on: one file holds a
@@ -23,15 +25,16 @@
 //! Load errors always name the offending file and, for version
 //! mismatches, the expected-vs-found version.
 
-use crate::serialize::{ModelState, Weights};
+use crate::codec::{self, CodecError, Reader, Writer};
+use crate::serialize::{ModelState, TensorBlob};
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"KEMFCKPT";
 /// Format version of a single-model checkpoint ([`save_state`]).
 pub const STATE_VERSION: u32 = 1;
-/// Format version of a multi-model bundle ([`save_bundle`]).
+/// Format version of a multi-model bundle ([`encode_bundle`]).
 pub const BUNDLE_VERSION: u32 = 2;
 
 /// A multi-model checkpoint: opaque caller metadata plus named sections.
@@ -45,7 +48,7 @@ pub struct CheckpointBundle {
     /// Named model states, e.g. `"global"`, `"local.3"`.
     pub models: Vec<(String, ModelState)>,
     /// Named dimension-tagged f32 arrays, e.g. control variates.
-    pub arrays: Vec<(String, Vec<usize>, Vec<f32>)>,
+    pub arrays: Vec<(String, TensorBlob)>,
     /// Named f64 scalars.
     pub scalars: Vec<(String, f64)>,
 }
@@ -87,142 +90,47 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-// ---- primitive encode/decode ------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A writer holding the magic and `version`, ready for the sections.
+fn header(version: u32) -> Writer {
+    let mut w = Writer::new();
+    w.raw(MAGIC);
+    w.u32(version);
+    w
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_weights(out: &mut Vec<u8>, w: &Weights) {
-    put_u64(out, w.lens.len() as u64);
-    for &l in &w.lens {
-        put_u64(out, l as u64);
-    }
-    put_u64(out, w.values.len() as u64);
-    for &v in &w.values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// A checkpoint file being decoded, together with the bytes not yet
-/// consumed (file size from its metadata). Every length and count the
-/// file declares is checked against that remainder *before* anything is
-/// allocated for it, so a corrupt header fails as `InvalidData` — and the
-/// caller can fall back to an older checkpoint — instead of aborting the
-/// process inside the allocator.
-struct Source {
-    inp: io::BufReader<File>,
-    left: u64,
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-impl Source {
-    fn open(path: &Path) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let left = file.metadata()?.len();
-        Ok(Source { inp: io::BufReader::new(file), left })
-    }
-
-    /// Account for `n` bytes about to be read.
-    fn consume(&mut self, n: u64) -> io::Result<()> {
-        self.left = self.left.checked_sub(n).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "section runs past the end of the file")
-        })?;
-        Ok(())
-    }
-
-    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
-        self.consume(N as u64)?;
-        let mut b = [0u8; N];
-        self.inp.read_exact(&mut b)?;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// A declared count of items that each occupy at least `min_bytes`
-    /// of the file: refused unless that many can still follow.
-    fn count(&mut self, min_bytes: u64, what: &str) -> io::Result<usize> {
-        let n = self.u64()?;
-        match n.checked_mul(min_bytes) {
-            Some(need) if need <= self.left => Ok(n as usize),
-            _ => Err(invalid(format!(
-                "implausible {what} count {n}: only {} bytes remain",
-                self.left
-            ))),
+/// Read `path` whole, check magic and `version`, run `sections` over the
+/// rest and require it to consume every byte (so [`load_state`], like
+/// [`load_bundle`], refuses trailing bytes). All length guarding is
+/// [`Reader`]'s: a corrupt count fails as `InvalidData` — and the caller
+/// can fall back to an older checkpoint — instead of aborting the
+/// process inside the allocator. Errors name the file.
+///
+/// Memory: the file's bytes stay resident until the decoded sections are
+/// built, so the transient peak is about twice the file size (bytes plus
+/// decoded `f32`s), where a streaming reader would hold it once. That is
+/// what lets every declared length be held against the bytes actually
+/// present. bench_e2e's checkpoints are too small to show it in peak
+/// RSS; a run checkpoint embedding a large in-memory client population
+/// pays it in full.
+fn load<T>(
+    path: &Path,
+    version: u32,
+    sections: impl FnOnce(&mut Reader) -> Result<T, CodecError>,
+) -> io::Result<T> {
+    let sections = |r: &mut Reader| {
+        if r.take(MAGIC.len(), "magic")? != MAGIC {
+            return Err(CodecError::Malformed("not a kemf checkpoint (bad magic)".into()));
         }
-    }
-
-    fn bytes(&mut self, what: &str) -> io::Result<Vec<u8>> {
-        let n = self.count(1, what)?;
-        self.consume(n as u64)?;
-        let mut buf = vec![0u8; n];
-        self.inp.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes("string")?)
-            .map_err(|_| invalid("non-UTF-8 section name".into()))
-    }
-
-    fn u64s(&mut self, what: &str) -> io::Result<Vec<usize>> {
-        let n = self.count(8, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()? as usize);
+        let found = r.u32()?;
+        if found != version {
+            let detail = format!("version mismatch: expected {version}, found {found}");
+            return Err(CodecError::Malformed(detail));
         }
-        Ok(out)
-    }
-
-    /// A value section whose declared count must equal `expected` (the
-    /// checked sum or product of the preceding lens/dims; `None` if that
-    /// overflowed).
-    fn f32s(&mut self, what: &str, expected: Option<usize>) -> io::Result<Vec<f32>> {
-        let n = self.count(4, what)?;
-        if expected != Some(n) {
-            return Err(invalid(format!("{what}: {n} values do not match the declared shape")));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(f32::from_le_bytes(self.array()?));
-        }
-        Ok(out)
-    }
-
-    fn weights(&mut self) -> io::Result<Weights> {
-        let lens = self.u64s("lens")?;
-        let expected = lens.iter().try_fold(0usize, |acc, &l| acc.checked_add(l));
-        let values = self.f32s("values", expected)?;
-        Ok(Weights { values, lens })
-    }
-
-    fn model(&mut self) -> io::Result<ModelState> {
-        Ok(ModelState { params: self.weights()?, buffers: self.weights()? })
-    }
-
-    fn header(&mut self, expected_version: u32) -> io::Result<()> {
-        if &self.array::<8>()? != MAGIC {
-            return Err(invalid("not a kemf checkpoint (bad magic)".into()));
-        }
-        let version = u32::from_le_bytes(self.array()?);
-        if version != expected_version {
-            return Err(invalid(format!(
-                "version mismatch: expected {expected_version}, found {version}"
-            )));
-        }
-        Ok(())
-    }
+        sections(r)
+    };
+    std::fs::read(path)
+        .and_then(|bytes| Ok(codec::decode(&bytes, sections)?))
+        .map_err(|e| with_path(path, e))
 }
 
 // ---- v1: single model state -------------------------------------------
@@ -230,108 +138,50 @@ impl Source {
 /// Write a model state to `path` crash-consistently (tmp + fsync +
 /// rename).
 pub fn save_state(state: &ModelState, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&STATE_VERSION.to_le_bytes());
-    put_weights(&mut out, &state.params);
-    put_weights(&mut out, &state.buffers);
-    atomic_write(path, &out)
+    let mut w = header(STATE_VERSION);
+    w.model(state);
+    atomic_write(path, &w.into_bytes())
 }
 
 /// Read a model state from `path`; validates magic, version, and
 /// self-consistency of the section lengths. Errors name the file and,
 /// on a version mismatch, the expected and found versions.
 pub fn load_state(path: impl AsRef<Path>) -> io::Result<ModelState> {
-    let path = path.as_ref();
-    let decode = || {
-        let mut src = Source::open(path)?;
-        src.header(STATE_VERSION)?;
-        src.model()
-    };
-    decode().map_err(|e| with_path(path, e))
+    load(path.as_ref(), STATE_VERSION, |r| r.model())
 }
 
 // ---- v2: multi-model bundle -------------------------------------------
 
-/// Serialize a bundle to its on-disk byte layout (without writing).
-pub fn encode_bundle(bundle: &CheckpointBundle) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&BUNDLE_VERSION.to_le_bytes());
-    put_u64(&mut out, bundle.meta.len() as u64);
-    out.extend_from_slice(&bundle.meta);
-    put_u64(&mut out, bundle.models.len() as u64);
-    for (name, state) in &bundle.models {
-        put_str(&mut out, name);
-        put_weights(&mut out, &state.params);
-        put_weights(&mut out, &state.buffers);
-    }
-    put_u64(&mut out, bundle.arrays.len() as u64);
-    for (name, dims, values) in &bundle.arrays {
-        put_str(&mut out, name);
-        put_u64(&mut out, dims.len() as u64);
-        for &d in dims {
-            put_u64(&mut out, d as u64);
-        }
-        put_u64(&mut out, values.len() as u64);
-        for &v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    put_u64(&mut out, bundle.scalars.len() as u64);
-    for (name, v) in &bundle.scalars {
-        put_str(&mut out, name);
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Write a multi-model bundle to `path` crash-consistently.
-pub fn save_bundle(bundle: &CheckpointBundle, path: impl AsRef<Path>) -> io::Result<()> {
-    atomic_write(path, &encode_bundle(bundle))
+/// Serialize a bundle's sections to their on-disk byte layout; callers
+/// hand the bytes to [`atomic_write`]. Borrowed, so a caller that owns
+/// the sections in another shape (an algorithm state, a client blob)
+/// encodes them in place.
+pub fn encode_bundle(
+    meta: &[u8],
+    models: &[(String, ModelState)],
+    arrays: &[(String, TensorBlob)],
+    scalars: &[(String, f64)],
+) -> Vec<u8> {
+    let mut w = header(BUNDLE_VERSION);
+    w.bytes(meta);
+    w.named(models, Writer::model);
+    w.named(arrays, Writer::tensor);
+    w.named(scalars, |w, v| w.f64(*v));
+    w.into_bytes()
 }
 
 /// Read a multi-model bundle from `path`. Errors name the file and, on a
 /// version mismatch, the expected and found versions; trailing garbage
 /// after the last section is rejected.
 pub fn load_bundle(path: impl AsRef<Path>) -> io::Result<CheckpointBundle> {
-    let path = path.as_ref();
-    // Minimum encoded sizes: a model is a name length plus two weights
-    // (lens count + values count each), an array a name length plus dims
-    // and values counts, a scalar a name length plus its f64.
-    let decode = || {
-        let mut src = Source::open(path)?;
-        src.header(BUNDLE_VERSION)?;
-        let meta = src.bytes("meta")?;
-
-        let n_models = src.count(40, "models")?;
-        let mut models = Vec::with_capacity(n_models);
-        for _ in 0..n_models {
-            models.push((src.string()?, src.model()?));
-        }
-
-        let n_arrays = src.count(24, "arrays")?;
-        let mut arrays = Vec::with_capacity(n_arrays);
-        for _ in 0..n_arrays {
-            let name = src.string()?;
-            let dims = src.u64s("dims")?;
-            let expected = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
-            let values = src.f32s(&format!("array `{name}`"), expected)?;
-            arrays.push((name, dims, values));
-        }
-
-        let n_scalars = src.count(16, "scalars")?;
-        let mut scalars = Vec::with_capacity(n_scalars);
-        for _ in 0..n_scalars {
-            scalars.push((src.string()?, f64::from_le_bytes(src.array()?)));
-        }
-
-        if src.left != 0 {
-            return Err(invalid("trailing bytes after last section".into()));
-        }
-        Ok(CheckpointBundle { meta, models, arrays, scalars })
-    };
-    decode().map_err(|e| with_path(path, e))
+    load(path.as_ref(), BUNDLE_VERSION, |r| {
+        Ok(CheckpointBundle {
+            meta: r.bytes("meta")?.to_vec(),
+            models: r.models("models")?,
+            arrays: r.tensors("arrays")?,
+            scalars: r.named(8, "scalars", Reader::f64)?,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -344,6 +194,10 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("kemf_ckpt_test_{name}_{}", std::process::id()));
         p
+    }
+
+    fn save_bundle(b: &CheckpointBundle, path: &Path) -> io::Result<()> {
+        atomic_write(path, &encode_bundle(&b.meta, &b.models, &b.arrays, &b.scalars))
     }
 
     #[test]
@@ -424,8 +278,8 @@ mod tests {
                 ("local.0".into(), Model::new(spec_b).state()),
             ],
             arrays: vec![
-                ("c".into(), vec![4], vec![0.5, -0.25, f32::MIN_POSITIVE, 3.0]),
-                ("empty".into(), vec![0, 7], vec![]),
+                ("c".into(), TensorBlob { dims: vec![4], values: vec![0.5, -0.25, f32::MIN_POSITIVE, 3.0] }),
+                ("empty".into(), TensorBlob { dims: vec![0, 7], values: vec![] }),
             ],
             scalars: vec![("round".into(), 17.0), ("nan".into(), f64::NAN)],
         };
@@ -447,7 +301,7 @@ mod tests {
         let bundle = CheckpointBundle {
             meta: b"meta".to_vec(),
             models: vec![("m".into(), Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 8, 10, 3)).state())],
-            arrays: vec![("a".into(), vec![2, 2], vec![1.0, 2.0, 3.0, 4.0])],
+            arrays: vec![("a".into(), TensorBlob { dims: vec![2, 2], values: vec![1.0, 2.0, 3.0, 4.0] })],
             scalars: vec![("s".into(), 1.5)],
         };
         let path = tmp("bundle_bad");

@@ -22,6 +22,7 @@
 pub mod activation;
 pub mod checkpoint;
 pub mod cnn_util;
+pub mod codec;
 pub mod groupnorm;
 pub mod conv2d;
 pub mod layer;

@@ -176,6 +176,16 @@ impl Weights {
     }
 }
 
+/// A dimension-tagged flat f32 array (control variates, consensus
+/// logits, ...): the non-model payload of checkpoints and client state.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TensorBlob {
+    /// Logical dimensions; `values.len()` equals their product.
+    pub dims: Vec<usize>,
+    /// Row-major values.
+    pub values: Vec<f32>,
+}
+
 /// Everything a federated algorithm transmits for one model: trainable
 /// parameters plus the batch-norm running statistics that must accompany
 /// them for the receiver to run inference.

@@ -28,6 +28,19 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
       only("\"local.{k}\"", "client checkpoint section outside ClientModels", "/client_models\\.rs$") }
     END{exit bad}' crates/fl/src/*.rs crates/core/src/*.rs
 
+# One byte codec: outside test modules, little-endian decoding lives in
+# kemf_nn::codec (the Reader every format is read with), and the CRC-32
+# polynomial and FNV-1a offset basis are each written down once. A
+# seventh hand-rolled decoder, or a second checksum loop, fails here.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    index($0, "from_le_bytes(") && FILENAME !~ /\/nn\/src\/codec\.rs$/ {
+        print FILENAME":"FNR": little-endian decode outside kemf_nn::codec"; bad=1 }
+    index($0, "0xEDB8_8320") { crc++ }
+    index($0, "0xcbf2_9ce4_8422_2325") { fnv++ }
+    END{ if (crc != 1) { print "CRC-32 polynomial written " crc+0 " times, want 1"; bad=1 }
+         if (fnv != 1) { print "FNV-1a offset basis written " fnv+0 " times, want 1"; bad=1 }
+         exit bad }' crates/nn/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
+
 # The frozen benchmark package links the library's public API; build it
 # here so a broken signature fails in CI, not in the bench pipeline.
 CARGO_TARGET_DIR=target/bench_e2e \

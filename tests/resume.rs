@@ -149,6 +149,50 @@ fn crash_debris_never_corrupts_the_good_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A bit-flipped in-flight event in the newest *async* checkpoint: a
+/// model whose `lens` no longer add up to its values. The decoder must
+/// refuse the file so resume falls back to the previous checkpoint —
+/// accepting it would restore the lie and panic later, mid-fusion.
+#[test]
+fn corrupt_in_flight_event_falls_back_to_the_previous_async_checkpoint() {
+    use fedkemf::fl::checkpoint::{load_run, save_run};
+    let net = NetworkModel { bandwidth_bps: 5e5, latency_s: 0.1 };
+    let mode = || AsyncConfig::new(2).max_staleness(3).staleness_decay(0.7).network(net);
+    let (ctx8, task) = world(46, 8);
+    let reference =
+        Engine::run(matrix(&ctx8, &task)[2].as_mut(), &ctx8, RunOptions::new().async_rounds(mode()))
+            .unwrap()
+            .history;
+
+    let dir = temp_dir("async_event");
+    let (ctx4, task4) = world(46, 4);
+    Engine::run(
+        matrix(&ctx4, &task4)[2].as_mut(),
+        &ctx4,
+        RunOptions::new().async_rounds(mode()).checkpoint(CheckpointPolicy::new(&dir, 2)),
+    )
+    .unwrap();
+
+    let mut newest = load_run(&dir).unwrap();
+    assert_eq!(newest.next_round, 4);
+    let events = &mut newest.scheduler.as_mut().expect("async checkpoint").events;
+    match &mut events.first_mut().expect("an update is in flight at the cut").update.payload {
+        UpdatePayload::State(state) => state.params.lens[0] += 1,
+        other => panic!("FedNova ships model states, got {other:?}"),
+    }
+    save_run(&newest, &dir).unwrap();
+
+    let report = Engine::run(
+        matrix(&ctx8, &task)[2].as_mut(),
+        &ctx8,
+        RunOptions::new().async_rounds(mode()).resume_from(&dir),
+    )
+    .unwrap();
+    assert_eq!(report.resumed_from, Some(2), "the corrupt round-4 file must be skipped");
+    assert_eq!(report.history.to_json(), reference.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_refuses_a_mismatched_config_fingerprint() {
     let dir = temp_dir("fingerprint");
