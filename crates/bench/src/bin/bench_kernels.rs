@@ -1,11 +1,14 @@
 //! Kernel throughput summary: packed cache-blocked GEMM vs the previous
 //! axpy-style kernel, over a square stress shape and the im2col GEMM
 //! shapes of the paper's model zoo (ResNet-20 / VGG-11, batch 8,
-//! CIFAR-sized inputs), plus a multi-thread grid-split entry and an int8
-//! ensemble-inference comparison. Prints a table and writes
+//! CIFAR-sized inputs), plus a multi-thread grid-split entry, the
+//! convolution lowering (`im2col`/`col2im` GB/s at the geometries the
+//! end-to-end benchmark trains, beside a plain copy of the same bytes)
+//! and an int8 ensemble-inference comparison. Prints tables and writes
 //! `bench_results/BENCH_kernels.json` with before/after GFLOP/s, the
-//! detected `cpu_features`, the compute-pool `threads`, and the measured
-//! `int8_speedup` of the quantized server ensemble pass.
+//! detected `cpu_features`, the compute-pool `threads`, the lowering
+//! bandwidths, and the measured `int8_speedup` of the quantized server
+//! ensemble pass.
 //!
 //! `--smoke` runs every code path with a tiny time budget and skips the
 //! JSON write — a CI liveness check, not a measurement.
@@ -15,9 +18,11 @@ use kemf_core::prelude::{ensemble_forward, ensemble_forward_with_precision, Ense
 use kemf_fl::compress::ComputePrecision;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
+use kemf_tensor::conv::{col2im, im2col, ConvGeom};
 use kemf_tensor::matmul::matmul_into;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::{simd, Tensor};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// The kernel this PR replaced: per-row axpy accumulation over B rows,
@@ -157,6 +162,61 @@ fn main() {
         table.emit("BENCH_kernels");
     }
 
+    // Convolution lowering at the geometries `bench_e2e` trains
+    // (`ModelSpec::scaled` on 3×16×16 inputs, batch 16): GB/s of patch
+    // matrix written (`im2col`) or read (`col2im`), against a plain copy
+    // of the same bytes as the ceiling.
+    let conv3 = |c: usize, hw: usize| ConvGeom {
+        n: 16,
+        c,
+        h: hw,
+        w: hw,
+        kh: 3,
+        kw: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let geoms = [
+        ("resnet20_stage1", conv3(4, 16)),
+        ("resnet20_stage2", conv3(8, 8)),
+        ("resnet20_stage3", conv3(16, 4)),
+        ("vgg11_first", conv3(3, 16)),
+        ("vgg11_last", conv3(64, 1)),
+    ];
+    let mut lowering = Table::new(
+        "Convolution lowering (GB/s of patch matrix)",
+        &["geometry", "c,hw", "im2col", "col2im", "copy"],
+    );
+    let mut lowering_rows = Vec::new();
+    for (name, g) in geoms {
+        let x = Tensor::randn(&[g.n, g.c, g.h, g.w], 1.0, &mut rng);
+        let mut cols = vec![0.0f32; g.patch_len() * g.cols()];
+        let mut copy = cols.clone();
+        let mut grad = vec![0.0f32; x.numel()];
+        let gb = (cols.len() * 4) as f64 / 1e9;
+        let iters = if smoke { 2 } else { 200 };
+        let im2col_gbps =
+            gb / time_per_call(|| im2col(black_box(x.data()), &g, black_box(&mut cols)), iters);
+        let col2im_gbps =
+            gb / time_per_call(|| col2im(black_box(&cols), &g, black_box(&mut grad)), iters);
+        let copy_gbps =
+            gb / time_per_call(|| black_box(&mut copy).copy_from_slice(black_box(&cols)), iters);
+        lowering.row(&[
+            name.into(),
+            format!("{},{}", g.c, g.h),
+            format!("{im2col_gbps:.2}"),
+            format!("{col2im_gbps:.2}"),
+            format!("{copy_gbps:.2}"),
+        ]);
+        lowering_rows.push(format!(
+            "    {{\"geometry\": \"{name}\", \"batch\": {}, \"channels\": {}, \"hw\": {}, \
+             \"im2col_gbps\": {im2col_gbps:.3}, \"col2im_gbps\": {col2im_gbps:.3}, \
+             \"copy_gbps\": {copy_gbps:.3}}}",
+            g.n, g.c, g.h
+        ));
+    }
+    println!("{}", lowering.render());
+
     // Int8 ensemble inference: the server's ensemble-logit pass (two
     // knowledge-network teachers over a public batch) in exact f32 vs the
     // int8 quantized forward, plus the worst logit drift it introduces.
@@ -214,11 +274,13 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
          \"cpu_features\": [{}],\n  \"threads\": {threads},\n  \"shapes\": [\n{}\n  ],\n  \
+         \"conv_lowering\": [\n{}\n  ],\n  \
          \"int8_ensemble\": {{\"pool_images\": {pool_n}, \"members\": 2, \
          \"f32_ms\": {:.3}, \"int8_ms\": {:.3}, \"max_logit_diff\": {max_logit_diff:.5}}},\n  \
          \"int8_speedup\": {int8_speedup:.3}\n}}\n",
         cpu_features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         json_rows.join(",\n"),
+        lowering_rows.join(",\n"),
         f32_s * 1e3,
         int8_s * 1e3,
     );

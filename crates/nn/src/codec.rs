@@ -347,17 +347,60 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// IEEE CRC-32 (reflected, table-free — plenty for test-scale payloads)
-/// of `bytes`, continuing from `crc`; `0` starts a checksum, so
-/// `crc32(crc32(0, a), b)` is the CRC of `a` then `b` without joining them.
-pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
-    let mut crc = !crc;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The IEEE CRC-32 polynomial, reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `[0][b]` is the CRC state after byte `b` alone,
+/// `[k][b]` after `b` and `k` zero bytes — what lets eight input bytes
+/// fold into the state with eight independent lookups.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// IEEE CRC-32 (reflected) of `bytes`, continuing from `crc`; `0` starts
+/// a checksum, so `crc32(crc32(0, a), b)` is the CRC of `a` then `b`
+/// without joining them. Eight bytes a step (slice-by-8): a socket round
+/// checksums every payload byte four times.
+pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = !crc;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = (u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc) as usize;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]) as usize;
+        crc = t[7][lo & 0xFF]
+            ^ t[6][(lo >> 8) & 0xFF]
+            ^ t[5][(lo >> 16) & 0xFF]
+            ^ t[4][lo >> 24]
+            ^ t[3][hi & 0xFF]
+            ^ t[2][(hi >> 8) & 0xFF]
+            ^ t[1][(hi >> 16) & 0xFF]
+            ^ t[0][hi >> 24];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -369,4 +412,39 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a-64 of `bytes`, continuing from `seed`.
 pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(seed, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The table-free definition [`crc32`] is checked against: one
+    /// conditional polynomial subtraction per input bit.
+    fn crc32_bitwise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut crc = !crc;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #[test]
+        fn table_crc_equals_bitwise_crc_at_any_split(
+            bytes in prop::collection::vec(0u8..=255, 200),
+            len in 0usize..=200,
+            split in 0usize..=200,
+            seed in 0u32..=u32::MAX,
+        ) {
+            let bytes = &bytes[..len];
+            let split = split.min(len);
+            let want = crc32_bitwise(seed, bytes);
+            prop_assert_eq!(crc32(seed, bytes), want);
+            prop_assert_eq!(crc32(crc32(seed, &bytes[..split]), &bytes[split..]), want);
+        }
+    }
 }

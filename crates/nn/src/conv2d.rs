@@ -3,16 +3,18 @@
 //! The filter bank is stored as a `[O, C·KH·KW]` matrix so the forward pass
 //! is one GEMM, the weight gradient a second, and the input gradient a
 //! third followed by a `col2im` scatter. All three products run on the
-//! packed engine in `kemf_tensor::gemm` with layout expressed as accessor
-//! closures, which buys two structural wins over materialized operands:
+//! packed engine in `kemf_tensor::gemm`, every operand a typed view of the
+//! storage it already lives in — nothing is reordered or staged:
 //!
-//! * the forward bias-add and the `[O, N·OH·OW] → [N, O, OH, OW]` reorder
-//!   fuse into the GEMM epilogue (`NchwScatterBias`) — the `out_mat`
-//!   intermediate and a full-tensor copy disappear;
-//! * both backward products read the incoming `[N, O, OH, OW]` gradient
-//!   *in place* through an index closure — the former `nchw_to_ocols`
-//!   reorder copy disappears, and the weight gradient accumulates directly
-//!   into `weight.grad` with no `dw` staging buffer.
+//! * forward `W · cols`: both row-major as stored; the bias-add and the
+//!   `[O, N·OH·OW] → [N, O, OH, OW]` reorder are the GEMM epilogue
+//!   (`NchwScatterBias`), and with `O ≤ 16` the engine's widest kernel
+//!   reads `cols` in place instead of packing it;
+//! * weight gradient `g · colsᵀ`: the incoming `[N, O, OH, OW]` gradient
+//!   through `NchwGather`, `cols` as a column-major view, accumulated
+//!   straight into `weight.grad`;
+//! * input gradient `Wᵀ · g`: the filters as a column-major view, the
+//!   gradient through `NchwGather` again.
 //!
 //! Every remaining temporary (`cols`, `dcols`, outputs) lives in the
 //! caller's [`Workspace`], so a steady-state training step allocates
@@ -21,7 +23,9 @@
 use crate::layer::{Layer, Precision};
 use crate::param::Param;
 use kemf_tensor::conv::{col2im, im2col, ConvGeom};
-use kemf_tensor::gemm::{gemm, Accumulate, NchwScatterBias, Store};
+use kemf_tensor::gemm::{
+    gemm_ops, Accumulate, ColMajor, NchwGather, NchwScatterBias, RowMajor, Store,
+};
 use kemf_tensor::quant;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
@@ -89,19 +93,21 @@ impl Layer for Conv2d {
         let plane = oh * ow;
         let ncols = geom.cols();
         let patch = geom.patch_len();
-        let mut cols = ws.take(patch * ncols);
+        // `im2col` writes every element, as the plain-store GEMM does
+        // `dcols` in backward: neither needs the pool to clear it first.
+        let mut cols = ws.take_unzeroed(patch * ncols);
         im2col(x.data(), &geom, &mut cols);
         // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o]:
         // one GEMM whose epilogue scatters straight into NCHW with the
         // bias added, replacing a staging matrix + reorder copy.
         let mut y = ws.take_tensor(&[geom.n, self.out_channels, oh, ow]);
         match self.precision {
-            Precision::F32 => gemm(
+            Precision::F32 => gemm_ops(
                 self.out_channels,
                 patch,
                 ncols,
-                |oi, p| self.weight.value.data()[oi * patch + p],
-                |p, col| cols[p * ncols + col],
+                &RowMajor { data: self.weight.value.data(), ld: patch },
+                &RowMajor { data: &cols, ld: ncols },
                 &mut NchwScatterBias {
                     out: y.data_mut(),
                     o: self.out_channels,
@@ -158,20 +164,16 @@ impl Layer for Conv2d {
         assert_eq!(g.len(), geom.n * o * plane, "Conv2d grad_out size mismatch");
         // The incoming gradient, read as a `[O, N·OH·OW]` matrix without
         // materializing the reorder.
-        let g_at = move |oi: usize, col: usize| {
-            let ni = col / plane;
-            let p = col - ni * plane;
-            g[(ni * o + oi) * plane + p]
-        };
+        let g_mat = NchwGather { data: g, o, plane };
 
         // dW[o, p] += Σ_col g[o, col] cols[p, col] — accumulated directly
         // into the parameter gradient.
-        gemm(
+        gemm_ops(
             o,
             ncols,
             patch,
-            g_at,
-            |col, p| cols[p * ncols + col],
+            &g_mat,
+            &ColMajor { data: &cols, ld: ncols },
             &mut Accumulate { c: self.weight.grad.data_mut(), ldc: patch },
         );
         // db[o] += Σ_col g[o, col]
@@ -185,13 +187,13 @@ impl Layer for Conv2d {
             }
         }
         // dcols[p, col] = Σ_o W[o, p] g[o, col]
-        let mut dcols = ws.take(patch * ncols);
-        gemm(
+        let mut dcols = ws.take_unzeroed(patch * ncols);
+        gemm_ops(
             patch,
             o,
             ncols,
-            |p, oi| self.weight.value.data()[oi * patch + p],
-            g_at,
+            &ColMajor { data: self.weight.value.data(), ld: patch },
+            &g_mat,
             &mut Store { c: &mut dcols, ldc: ncols },
         );
         let mut gx = ws.take_tensor(&[geom.n, geom.c, geom.h, geom.w]);
@@ -354,7 +356,7 @@ mod tests {
         // With zero bias, convolution is linear in x and in W, so its
         // backward pass must satisfy the adjoint identities exactly:
         //   ⟨conv(x; W), g⟩ = ⟨x, ∂x⟩ = ⟨W, ∂W⟩.
-        // This pins the fused epilogue/closure index math (NCHW scatter in
+        // This pins the fused epilogue/operand index math (NCHW scatter in
         // the forward, in-place NCHW gather in the backward) to the
         // forward semantics without a reference implementation.
         for &(cin, cout, k, stride, pad, hw) in

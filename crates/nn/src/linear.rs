@@ -1,15 +1,17 @@
 //! Fully-connected layer: `y = x · Wᵀ + b`.
 //!
 //! Weights are stored `[out, in]`; the forward product runs on the packed
-//! GEMM with the transpose expressed as an accessor closure and the bias
-//! add fused into the epilogue (`BiasCol`). The weight gradient
+//! GEMM with the transpose expressed as a column-major view of the same
+//! storage and the bias add fused into the epilogue (`BiasCol`); the
+//! backward products read the gradient and the cached input the same way,
+//! so packing is slice copies throughout. The weight gradient
 //! accumulates directly into `weight.grad`, and all temporaries (the
 //! cached input copy, the returned tensors) live in the caller's
 //! [`Workspace`], so a steady-state step allocates nothing.
 
 use crate::layer::{Layer, Precision};
 use crate::param::Param;
-use kemf_tensor::gemm::{gemm, Accumulate, BiasCol, Store};
+use kemf_tensor::gemm::{gemm_ops, Accumulate, BiasCol, ColMajor, RowMajor, Store};
 use kemf_tensor::quant;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
@@ -63,16 +65,16 @@ impl Layer for Linear {
         let (batch, feat) = x.shape().as_matrix();
         assert_eq!(feat, self.in_features, "Linear expected {} features, got {feat}", self.in_features);
         let xd = x.data();
-        // y[b, o] = Σ_i x[b, i] W[o, i] + b[o]; the Wᵀ read is an accessor,
-        // the bias add is the epilogue.
+        // y[b, o] = Σ_i x[b, i] W[o, i] + b[o]; the Wᵀ read is a
+        // column-major view, the bias add is the epilogue.
         let mut y = ws.take_tensor(&[batch, self.out_features]);
         match self.precision {
-            Precision::F32 => gemm(
+            Precision::F32 => gemm_ops(
                 batch,
                 feat,
                 self.out_features,
-                |bi, i| xd[bi * feat + i],
-                |i, o| self.weight.value.data()[o * feat + i],
+                &RowMajor { data: xd, ld: feat },
+                &ColMajor { data: self.weight.value.data(), ld: feat },
                 &mut BiasCol {
                     c: y.data_mut(),
                     ldc: self.out_features,
@@ -122,12 +124,12 @@ impl Layer for Linear {
         assert_eq!(g.len(), batch * out, "Linear grad_out size mismatch");
         // dW[o, i] += Σ_b g[b, o] x[b, i] — straight into the parameter
         // gradient, no staging matrix.
-        gemm(
+        gemm_ops(
             out,
             batch,
             feat,
-            |o, bi| g[bi * out + o],
-            |bi, i| x.data()[bi * feat + i],
+            &ColMajor { data: g, ld: out },
+            &RowMajor { data: x.data(), ld: feat },
             &mut Accumulate { c: self.weight.grad.data_mut(), ldc: feat },
         );
         // db[o] += Σ_b g[b, o]
@@ -141,12 +143,12 @@ impl Layer for Linear {
         }
         // dx[b, i] = Σ_o g[b, o] W[o, i]
         let mut dx = ws.take_tensor(&[batch, feat]);
-        gemm(
+        gemm_ops(
             batch,
             out,
             feat,
-            |bi, o| g[bi * out + o],
-            |o, i| self.weight.value.data()[o * feat + i],
+            &RowMajor { data: g, ld: out },
+            &RowMajor { data: self.weight.value.data(), ld: feat },
             &mut Store { c: dx.data_mut(), ldc: feat },
         );
         ws.recycle_tensor(x);

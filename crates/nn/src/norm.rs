@@ -2,10 +2,12 @@
 //!
 //! Training mode normalizes with batch statistics, keeps exponential
 //! running statistics for inference, and caches the normalized activations
-//! for the exact batch-norm backward pass.
+//! for the exact batch-norm backward pass. Outputs and the cache live in
+//! the caller's [`Workspace`], so a steady-state step allocates nothing.
 
 use crate::layer::Layer;
 use crate::param::Param;
+use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
 /// Per-channel batch normalization.
@@ -17,8 +19,8 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
     channels: usize,
-    /// (x_hat, inv_std, input dims) cached during training forward.
-    cache: Option<(Tensor, Vec<f32>, Vec<usize>)>,
+    /// (x_hat, inv_std) cached during training forward.
+    cache: Option<(Tensor, Vec<f32>)>,
 }
 
 impl BatchNorm2d {
@@ -49,18 +51,26 @@ impl BatchNorm2d {
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_ws(x, train, &mut Workspace::new())
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_ws(grad_out, &mut Workspace::new())
+    }
+
+    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         assert_eq!(c, self.channels, "BatchNorm2d expected {} channels, got {c}", self.channels);
         let plane = h * w;
         let count = (n * plane) as f32;
-        let mut y = Tensor::zeros(x.dims());
+        let mut y = ws.take_tensor(x.dims());
         let src = x.data();
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
 
         if train {
-            let mut x_hat = Tensor::zeros(x.dims());
-            let mut inv_stds = vec![0.0f32; c];
+            let mut x_hat = ws.take_tensor(x.dims());
+            let mut inv_stds = ws.take(c);
             for ch in 0..c {
                 // Batch statistics for this channel.
                 let mut sum = 0.0f64;
@@ -94,7 +104,7 @@ impl Layer for BatchNorm2d {
                     }
                 }
             }
-            self.cache = Some((x_hat, inv_stds, x.dims().to_vec()));
+            self.cache = Some((x_hat, inv_stds));
         } else {
             for ch in 0..c {
                 let mean = self.running_mean.data()[ch];
@@ -113,13 +123,13 @@ impl Layer for BatchNorm2d {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (x_hat, inv_stds, dims) =
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (x_hat, inv_stds) =
             self.cache.take().expect("BatchNorm2d::backward without forward(train)");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let (n, c, h, w) = x_hat.shape().as_nchw();
         let plane = h * w;
         let count = (n * plane) as f32;
-        let mut gx = Tensor::zeros(&dims);
+        let mut gx = ws.take_tensor(x_hat.dims());
         let go = grad_out.data();
         let xh = x_hat.data();
         for (ch, &inv_std) in inv_stds.iter().enumerate() {
@@ -146,6 +156,8 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
+        ws.recycle_tensor(x_hat);
+        ws.recycle(inv_stds);
         gx
     }
 

@@ -4,10 +4,12 @@
 //! after one warm-up step populates every pool (im2col buffers, layer
 //! outputs, loss gradients, optimizer velocity), a second full training
 //! step — forward, loss, backward, SGD — performs **zero** heap
-//! allocations. The same audit then covers the int8 quantized forward
-//! (per-layer code/scale buffers from the i8 pool) and a GEMM large
-//! enough to take the parallel-packing grid split (per-thread pack
-//! pools).
+//! allocations. The same audit then covers the benchmark's models
+//! (`ModelSpec::scaled` ResNet-20 and VGG-11 at batch 16, batch norm and
+//! residual blocks included, through `Model::train_batch`), the int8
+//! quantized forward (per-layer code/scale buffers from the i8 pool) and
+//! a GEMM large enough to take the parallel-packing grid split
+//! (per-thread pack pools).
 //!
 //! This file holds exactly one test: the counter is process-global, and a
 //! concurrent test in the same binary would pollute it.
@@ -66,6 +68,8 @@ fn second_training_step_allocates_nothing() {
     use kemf_nn::layer::Layer;
     use kemf_nn::linear::Linear;
     use kemf_nn::loss::cross_entropy_ws;
+    use kemf_nn::model::Model;
+    use kemf_nn::models::{Arch, ModelSpec};
     use kemf_nn::optim::{Sgd, SgdConfig};
     use kemf_nn::pool::MaxPool2;
     use kemf_nn::sequential::Sequential;
@@ -73,9 +77,9 @@ fn second_training_step_allocates_nothing() {
     use kemf_tensor::workspace::Workspace;
     use kemf_tensor::Tensor;
 
-    // Conv → ReLU → MaxPool → Conv → ReLU → Flatten → Linear: every layer
-    // class on the DML hot path (norm layers keep per-batch statistics and
-    // are audited by their own pool tests).
+    // Conv → ReLU → MaxPool → Conv → ReLU → Flatten → Linear: the layer
+    // classes of the DML hot path, one by one (batch norm, residual blocks
+    // and global pooling come with the whole models below).
     let mut net = Sequential::new()
         .push(Conv2d::new(1, 8, 3, 1, 1, 1))
         .push(ReLU::new())
@@ -120,6 +124,31 @@ fn second_training_step_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "later steps allocated {allocs} times");
+
+    // The benchmark's models. A ResNet-20 step keeps over a hundred
+    // buffers alive between forward and backward (a pool capped at 64
+    // dropped the rest and missed on every later step), and every
+    // batch-norm layer must draw its output and cache from the pool too.
+    for arch in [Arch::ResNet20, Arch::Vgg11] {
+        let mut model = Model::new(ModelSpec::scaled(arch, 3, 16, 10, 11));
+        let mut opt =
+            Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4, nesterov: false });
+        let x = Tensor::randn(&[16, 3, 16, 16], 1.0, &mut rng);
+        let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
+        assert!(model.train_batch(&x, &labels, &mut opt).is_finite());
+        let fresh = |m: &mut Model| {
+            let ws = m.ws_mut();
+            ws.fresh_allocations() + ws.fresh_usize_allocations() + ws.fresh_i8_allocations()
+        };
+        let warm = fresh(&mut model);
+        let allocs = count_allocs(|| {
+            for _ in 0..3 {
+                assert!(model.train_batch(&x, &labels, &mut opt).is_finite());
+            }
+        });
+        assert_eq!(allocs, 0, "{arch:?}: steady-state training steps allocated {allocs} times");
+        assert_eq!(fresh(&mut model), warm, "{arch:?}: pool misses after warm-up");
+    }
 
     // Int8 quantized inference: the first forward populates the i8
     // code/scale pools; the second must be allocation-free too.

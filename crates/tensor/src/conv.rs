@@ -6,9 +6,21 @@
 //! the filter matrix `[O, C·KH·KW]`. The transposed scatter (`col2im`)
 //! implements the gradient with respect to the input.
 //!
-//! The layout keeps each output position's patch contiguous per channel so
-//! the copy loops stay branch-light; padding is handled by clamping the
-//! valid kernel range instead of testing every element.
+//! Both kernels walk the patch matrix the way it is stored. One patch row
+//! is one kernel tap `(c, ky, kx)` seen from every output position, and
+//! within an output row `(n, oy)` consecutive `ox` read consecutive (or
+//! `s`-strided) input pixels — so a tap's row is a sequence of *runs*: a
+//! zero prefix where the tap hangs over the left edge, a straight copy of
+//! an input-row segment, a zero suffix. The edges depend only on `kx`
+//! (and whole zero output rows only on `ky`), so they are computed once
+//! per tap, and every load and store inside a run is at stride 1. Where
+//! output rows are as long as input rows (every stride-1 "same"
+//! convolution), the runs of one image join into a single copy. Planes
+//! too small for runs to pay (`OH·OW ≤ 16`: the 4×4, 2×2 and 1×1 maps of
+//! VGG-11's deep layers and ResNet stage 3) instead resolve a tap into
+//! one offset per output position of the plane, once, and gather through
+//! that table a few images at a time. Which of the two it is follows
+//! from the geometry alone.
 
 use crate::tensor::Tensor;
 
@@ -61,39 +73,156 @@ impl ConvGeom {
             self.w + 2 * self.pad
         );
     }
+
+    /// The output positions `lo..hi` (of `out` along one axis) whose tap
+    /// `k` lands inside an input axis of length `len`, and the input
+    /// coordinate the first of them reads: `o·stride + k − pad ∈ [0, len)`.
+    fn tap_span(&self, k: usize, len: usize, out: usize) -> Span {
+        let lo = self.pad.saturating_sub(k).div_ceil(self.stride);
+        let hi = (len + self.pad).saturating_sub(k).div_ceil(self.stride).min(out);
+        Span { lo: lo.min(hi), hi, first: (lo * self.stride + k).saturating_sub(self.pad) }
+    }
+
+    /// How tap `(ky, kx)` reads one image plane. Depends on nothing but
+    /// the tap, so it is worked out once and reused for every channel and
+    /// image.
+    fn tap(&self, ky: usize, kx: usize) -> Tap {
+        let (oh, ow) = (self.oh(), self.ow());
+        let (y, x) = (self.tap_span(ky, self.h, oh), self.tap_span(kx, self.w, ow));
+        if y.lo == y.hi || x.lo == x.hi {
+            return Tap::Padding;
+        }
+        if oh * ow > SMALL_PLANE {
+            return Tap::Runs { y, x };
+        }
+        // As many whole images as fit the table share one pass over it,
+        // so the inner loop stays long on 2×2 and 1×1 planes.
+        let (plane, images) = (oh * ow, SMALL_PLANE / (oh * ow));
+        let mut offsets = [OUTSIDE; SMALL_PLANE];
+        let mut hits = [(0, 0); SMALL_PLANE];
+        let mut count = 0;
+        for i in 0..images {
+            for oy in y.lo..y.hi {
+                let iy = y.first + (oy - y.lo) * self.stride;
+                for ox in x.lo..x.hi {
+                    let ix = x.first + (ox - x.lo) * self.stride;
+                    let (p, offset) = (i * plane + oy * ow + ox, (i * self.c * self.h + iy) * self.w + ix);
+                    offsets[p] = offset;
+                    hits[count] = (p, offset);
+                    count += 1;
+                }
+            }
+        }
+        Tap::Gather { offsets, hits, count, images }
+    }
+
+    /// The patch-matrix row of tap `(c, ky, kx)`.
+    #[inline]
+    fn patch_row(&self, c: usize, ky: usize, kx: usize) -> usize {
+        (c * self.kh + ky) * self.kw + kx
+    }
 }
 
+/// Output positions `lo..hi` of one axis that a tap maps inside the
+/// input, the first of them reading input coordinate `first`.
+struct Span {
+    lo: usize,
+    hi: usize,
+    first: usize,
+}
+
+/// The loop shape of one tap, chosen from the geometry alone (see the
+/// module docs).
+// One value on the stack per tap; a boxed table would put a heap
+// allocation in every training step.
+#[allow(clippy::large_enum_variant)]
+enum Tap {
+    /// The tap lands in the padding from every output position (a 3×3
+    /// kernel's outer ring on a 1×1 plane): its row is all zeros.
+    Padding,
+    /// Row runs: per output row in `y`, output columns `x` copy an input
+    /// row segment and the rest of the row is padding.
+    Runs { y: Span, x: Span },
+    /// Small plane: for the output positions of `images` consecutive
+    /// images (their stretch of the patch row), the offset each reads from
+    /// the first image's channel plane. `offsets` is indexed by position,
+    /// [`OUTSIDE`] where the tap lands in the padding — every position is
+    /// written on the way out; `hits[..count]` lists only the `(position,
+    /// offset)` pairs inside the input — only those contribute on the way
+    /// back.
+    Gather {
+        offsets: [usize; SMALL_PLANE],
+        hits: [(usize, usize); SMALL_PLANE],
+        count: usize,
+        images: usize,
+    },
+}
+
+/// Largest output plane (`OH·OW`) that gathers through an offset table.
+const SMALL_PLANE: usize = 16;
+
+/// Offset-table entry of a tap that lands in the padding: past the end
+/// of any slice, so `get` answers `None` for it.
+const OUTSIDE: usize = usize::MAX;
+
 /// Unroll `input` (`[N, C, H, W]` flattened) into `cols`
-/// (`[patch_len, cols]` flattened, column index = `(n, oy, ox)`).
+/// (`[patch_len, cols]` flattened, column index = `(n, oy, ox)`). Every
+/// element of `cols` is written.
 pub fn im2col(input: &[f32], geom: &ConvGeom, cols: &mut [f32]) {
     geom.check();
-    let (oh, ow) = (geom.oh(), geom.ow());
-    let ncols = geom.cols();
-    assert_eq!(input.len(), geom.n * geom.c * geom.h * geom.w, "input size mismatch");
+    let (ow, plane, ncols) = (geom.ow(), geom.oh() * geom.ow(), geom.cols());
+    let (w, hw, s) = (geom.w, geom.h * geom.w, geom.stride);
+    assert_eq!(input.len(), geom.n * geom.c * hw, "input size mismatch");
     assert_eq!(cols.len(), geom.patch_len() * ncols, "cols size mismatch");
-    cols.fill(0.0);
-    let (h, w) = (geom.h, geom.w);
-    for n in 0..geom.n {
-        for oy in 0..oh {
-            let iy0 = (oy * geom.stride) as isize - geom.pad as isize;
-            for ox in 0..ow {
-                let ix0 = (ox * geom.stride) as isize - geom.pad as isize;
-                let col = (n * oh + oy) * ow + ox;
-                // Clamp kernel window to the valid input region once.
-                let ky_lo = (-iy0).max(0) as usize;
-                let ky_hi = geom.kh.min((h as isize - iy0).max(0) as usize);
-                let kx_lo = (-ix0).max(0) as usize;
-                let kx_hi = geom.kw.min((w as isize - ix0).max(0) as usize);
-                for c in 0..geom.c {
-                    let in_base = (n * geom.c + c) * h * w;
-                    let row_base = c * geom.kh * geom.kw;
-                    for ky in ky_lo..ky_hi {
-                        let iy = (iy0 + ky as isize) as usize;
-                        let in_row = in_base + iy * w;
-                        let out_row = row_base + ky * geom.kw;
-                        for kx in kx_lo..kx_hi {
-                            let ix = (ix0 + kx as isize) as usize;
-                            cols[(out_row + kx) * ncols + col] = input[in_row + ix];
+    for ky in 0..geom.kh {
+        for kx in 0..geom.kw {
+            let tap = geom.tap(ky, kx);
+            for c in 0..geom.c {
+                let row = &mut cols[geom.patch_row(c, ky, kx) * ncols..][..ncols];
+                match &tap {
+                    Tap::Padding => row.fill(0.0),
+                    Tap::Gather { offsets, images, .. } => {
+                        let groups = row.chunks_mut(images * plane);
+                        for (dst, src) in groups.zip(input[c * hw..].chunks(images * geom.c * hw)) {
+                            for (d, &off) in dst.iter_mut().zip(offsets) {
+                                *d = src.get(off).copied().unwrap_or(0.0);
+                            }
+                        }
+                    }
+                    Tap::Runs { y, x } => {
+                        for (n, dst) in row.chunks_exact_mut(plane).enumerate() {
+                            let src = &input[(n * geom.c + c) * hw..][..hw];
+                            dst[..y.lo * ow].fill(0.0);
+                            dst[y.hi * ow..].fill(0.0);
+                            let rows = &mut dst[y.lo * ow..y.hi * ow];
+                            if s == 1 && ow == w {
+                                // Output rows are as long as input rows, so
+                                // the runs of consecutive rows join up into
+                                // one copy; the edge columns it fills with
+                                // the neighbouring row's pixels are zeroed
+                                // below.
+                                let len = rows.len() - x.lo - (ow - x.hi);
+                                rows[x.lo..][..len]
+                                    .copy_from_slice(&src[y.first * w + x.first..][..len]);
+                            } else {
+                                let src_rows = src[y.first * w..].chunks(w).step_by(s);
+                                for (run, src_row) in rows.chunks_exact_mut(ow).zip(src_rows) {
+                                    let taps = &src_row[x.first..];
+                                    for (t, d) in run[x.lo..x.hi].iter_mut().enumerate() {
+                                        *d = taps[t * s];
+                                    }
+                                }
+                            }
+                            // Element loops: these are a pixel or two per
+                            // row, less than a `fill` call costs.
+                            for run in rows.chunks_exact_mut(ow) {
+                                for d in &mut run[..x.lo] {
+                                    *d = 0.0;
+                                }
+                                for d in &mut run[x.hi..] {
+                                    *d = 0.0;
+                                }
+                            }
                         }
                     }
                 }
@@ -104,34 +233,54 @@ pub fn im2col(input: &[f32], geom: &ConvGeom, cols: &mut [f32]) {
 
 /// Scatter-add `cols` (`[patch_len, cols]`) back into `input_grad`
 /// (`[N, C, H, W]`): the adjoint of [`im2col`].
+///
+/// Taps are visited with `ky` and `kx` *descending*. An input pixel's
+/// addends are then met in ascending `(oy, ox)` of the output position
+/// that contributed them, the summation order of a scatter that walks
+/// output positions outermost — results are bit-identical to that loop.
 pub fn col2im(cols: &[f32], geom: &ConvGeom, input_grad: &mut [f32]) {
     geom.check();
-    let (oh, ow) = (geom.oh(), geom.ow());
-    let ncols = geom.cols();
-    assert_eq!(input_grad.len(), geom.n * geom.c * geom.h * geom.w, "grad size mismatch");
+    let (ow, plane, ncols) = (geom.ow(), geom.oh() * geom.ow(), geom.cols());
+    let (w, hw, s) = (geom.w, geom.h * geom.w, geom.stride);
+    assert_eq!(input_grad.len(), geom.n * geom.c * hw, "grad size mismatch");
     assert_eq!(cols.len(), geom.patch_len() * ncols, "cols size mismatch");
     input_grad.fill(0.0);
-    let (h, w) = (geom.h, geom.w);
-    for n in 0..geom.n {
-        for oy in 0..oh {
-            let iy0 = (oy * geom.stride) as isize - geom.pad as isize;
-            for ox in 0..ow {
-                let ix0 = (ox * geom.stride) as isize - geom.pad as isize;
-                let col = (n * oh + oy) * ow + ox;
-                let ky_lo = (-iy0).max(0) as usize;
-                let ky_hi = geom.kh.min((h as isize - iy0).max(0) as usize);
-                let kx_lo = (-ix0).max(0) as usize;
-                let kx_hi = geom.kw.min((w as isize - ix0).max(0) as usize);
-                for c in 0..geom.c {
-                    let in_base = (n * geom.c + c) * h * w;
-                    let row_base = c * geom.kh * geom.kw;
-                    for ky in ky_lo..ky_hi {
-                        let iy = (iy0 + ky as isize) as usize;
-                        let in_row = in_base + iy * w;
-                        let out_row = row_base + ky * geom.kw;
-                        for kx in kx_lo..kx_hi {
-                            let ix = (ix0 + kx as isize) as usize;
-                            input_grad[in_row + ix] += cols[(out_row + kx) * ncols + col];
+    for ky in (0..geom.kh).rev() {
+        for kx in (0..geom.kw).rev() {
+            let tap = geom.tap(ky, kx);
+            for c in 0..geom.c {
+                let row = &cols[geom.patch_row(c, ky, kx) * ncols..][..ncols];
+                match &tap {
+                    Tap::Padding => {}
+                    Tap::Gather { hits, count, images, .. } => {
+                        let groups = row.chunks(images * plane);
+                        for (src, dst) in groups.zip(input_grad[c * hw..].chunks_mut(images * geom.c * hw)) {
+                            // The last group may hold fewer images than
+                            // the table lists: `get` drops their entries.
+                            for &(p, off) in &hits[..*count] {
+                                if let (Some(&v), Some(d)) = (src.get(p), dst.get_mut(off)) {
+                                    *d += v;
+                                }
+                            }
+                        }
+                    }
+                    Tap::Runs { y, x } => {
+                        for (n, src) in row.chunks_exact(plane).enumerate() {
+                            let dst = &mut input_grad[(n * geom.c + c) * hw..][..hw];
+                            let rows = src[y.lo * ow..y.hi * ow].chunks_exact(ow);
+                            for (run, dst_row) in rows.zip(dst[y.first * w..].chunks_mut(w).step_by(s)) {
+                                let run = &run[x.lo..x.hi];
+                                if s == 1 {
+                                    for (d, &v) in dst_row[x.first..][..run.len()].iter_mut().zip(run) {
+                                        *d += v;
+                                    }
+                                } else {
+                                    let taps = &mut dst_row[x.first..];
+                                    for (t, &v) in run.iter().enumerate() {
+                                        taps[t * s] += v;
+                                    }
+                                }
+                            }
                         }
                     }
                 }

@@ -1,6 +1,6 @@
 //! Process-wide GEMM FLOP accounting.
 //!
-//! Every call into [`crate::gemm::gemm`] — which is the single engine
+//! Every call into [`crate::gemm::gemm_ops`] — which is the single engine
 //! behind all matmul layouts and the im2col-lowered convolutions — adds
 //! its `2·m·n·k` multiply-add count to one global counter. The counter is
 //! monotonic; consumers (the federated engine's observability layer)
@@ -44,7 +44,7 @@ pub fn add(n: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm, Store};
+    use crate::gemm::{gemm_ops, RowMajor, Store};
 
     #[test]
     fn gemm_credits_two_mnk_flops() {
@@ -53,10 +53,8 @@ mod tests {
         let b = vec![1.0f32; k * n];
         let mut c = vec![0.0f32; m * n];
         let before = total();
-        gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut Store {
-            c: &mut c,
-            ldc: n,
-        });
+        let (a, b) = (RowMajor { data: &a, ld: k }, RowMajor { data: &b, ld: n });
+        gemm_ops(m, k, n, &a, &b, &mut Store { c: &mut c, ldc: n });
         let spent = total() - before;
         // Other tests may run concurrently and add their own FLOPs, so
         // assert a lower bound only.
@@ -67,8 +65,10 @@ mod tests {
     fn degenerate_products_cost_nothing() {
         let before = total();
         let mut c = vec![0.0f32; 4];
-        gemm(2, 0, 2, |_, _| 1.0, |_, _| 1.0, &mut Store { c: &mut c, ldc: 2 });
-        gemm(0, 3, 2, |_, _| 1.0, |_, _| 1.0, &mut Store { c: &mut c, ldc: 2 });
+        let ones = [1.0f32; 6];
+        let (a, b) = (RowMajor { data: &ones, ld: 3 }, RowMajor { data: &ones, ld: 2 });
+        gemm_ops(2, 0, 2, &a, &b, &mut Store { c: &mut c, ldc: 2 });
+        gemm_ops(0, 3, 2, &a, &b, &mut Store { c: &mut c, ldc: 2 });
         // Monotonicity is all we can assert under parallel tests.
         assert!(total() >= before);
     }

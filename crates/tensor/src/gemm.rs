@@ -9,11 +9,17 @@
 //! * **Panel packing** — operand tiles are copied into contiguous,
 //!   register-block-ordered panels once per macro-tile, so the inner loop
 //!   reads both operands sequentially regardless of the logical layout.
-//!   Packing is driven by the [`Operand`] trait: [`RowMajor`] and
-//!   [`ColMajor`] sources pack via contiguous slice copies, and arbitrary
-//!   views (strided NCHW gradients) fall back to the element-accessor
-//!   [`FnOp`] — which is what lets the convolution backward pass consume
-//!   `[N, O, OH, OW]` gradients directly.
+//!   Packing is driven by the [`Operand`] trait, and every operand is a
+//!   typed view of storage that packs by slice copies: [`RowMajor`] and
+//!   [`ColMajor`] for plain and transposed matrices, [`NchwGather`] for
+//!   an `[N, O, OH, OW]` gradient read as `[O, N·OH·OW]` — which is what
+//!   lets the convolution backward pass consume it without a reorder
+//!   copy. An operand is always read along its storage: where the panel
+//!   wants the other direction, contiguous strips are transposed into it
+//!   (one routine, `pack`, serves both A and B). A row-major B with at
+//!   most two row panels of A is not packed at all: the widest kernel
+//!   reads it in place (`as_row_major`), the route every `O ≤ 16`
+//!   convolution's forward product takes.
 //! * **Register micro-tiling with runtime dispatch** — on x86-64 hosts
 //!   with AVX-512F the explicit 8×32 microkernel in [`crate::simd`] keeps
 //!   sixteen 16-lane accumulators in ZMM registers across the whole k
@@ -82,8 +88,14 @@ thread_local! {
 ///
 /// `at` is the universal accessor; `fill_row`/`fill_col` are the bulk
 /// entry points packing actually calls, with contiguous-copy overrides on
-/// the concrete layouts. Implementors only need `at`.
+/// the concrete layouts. Implementors only need `at` and the direction
+/// their storage runs in.
 pub trait Operand {
+    /// Whether storage runs along logical rows (`fill_row` is slice
+    /// copies, `fill_col` strided) rather than down columns. Packing reads
+    /// an operand along its storage whichever way the panel is laid out.
+    const ROWS_CONTIGUOUS: bool;
+
     /// Element at logical position `(i, j)`.
     fn at(&self, i: usize, j: usize) -> f32;
 
@@ -139,6 +151,8 @@ pub struct RowMajor<'a> {
 }
 
 impl Operand for RowMajor<'_> {
+    const ROWS_CONTIGUOUS: bool = true;
+
     #[inline(always)]
     fn at(&self, i: usize, j: usize) -> f32 {
         self.data[i * self.ld + j]
@@ -182,6 +196,8 @@ pub struct ColMajor<'a> {
 }
 
 impl Operand for ColMajor<'_> {
+    const ROWS_CONTIGUOUS: bool = false;
+
     #[inline(always)]
     fn at(&self, i: usize, j: usize) -> f32 {
         self.data[j * self.ld + i]
@@ -209,14 +225,93 @@ impl Operand for ColMajor<'_> {
     }
 }
 
-/// Closure-backed operand for layouts no contiguous copy can express
-/// (e.g. the conv backward's virtual `[O, N·OH·OW]` gradient view).
-pub struct FnOp<F>(pub F);
+/// An `[N, O, plane]` tensor read as the `[O, N·plane]` matrix
+/// `at(i, j) = data[(j / plane · O + i) · plane + j % plane]`: the
+/// operand-side mirror of [`NchwScatterBias`]. Row segments pack as one
+/// slice copy per image they cross, column segments at stride `plane`.
+pub struct NchwGather<'a> {
+    /// `[N, O, plane]` storage.
+    pub data: &'a [f32],
+    /// Channels `O` (logical rows).
+    pub o: usize,
+    /// `OH·OW`.
+    pub plane: usize,
+}
 
-impl<F: Fn(usize, usize) -> f32> Operand for FnOp<F> {
+impl Operand for NchwGather<'_> {
+    const ROWS_CONTIGUOUS: bool = true;
+
     #[inline(always)]
     fn at(&self, i: usize, j: usize) -> f32 {
-        (self.0)(i, j)
+        let ni = j / self.plane;
+        self.data[(ni * self.o + i) * self.plane + (j - ni * self.plane)]
+    }
+
+    #[inline]
+    fn fill_row(&self, i: usize, j0: usize, dst: &mut [f32]) {
+        let mut ni = j0 / self.plane;
+        let mut p = j0 - ni * self.plane;
+        let mut dst = dst;
+        while !dst.is_empty() {
+            let (run, rest) = dst.split_at_mut((self.plane - p).min(dst.len()));
+            run.copy_from_slice(&self.data[(ni * self.o + i) * self.plane + p..][..run.len()]);
+            (dst, ni, p) = (rest, ni + 1, 0);
+        }
+    }
+
+    #[inline]
+    fn fill_col(&self, j: usize, i0: usize, dst: &mut [f32]) {
+        let ni = j / self.plane;
+        let mut idx = (ni * self.o + i0) * self.plane + (j - ni * self.plane);
+        for d in dst.iter_mut() {
+            *d = self.data[idx];
+            idx += self.plane;
+        }
+    }
+
+    #[inline]
+    fn fill_row_arr<const L: usize>(&self, i: usize, j0: usize, dst: &mut [f32; L]) {
+        let ni = j0 / self.plane;
+        let p = j0 - ni * self.plane;
+        if p + L <= self.plane {
+            let src = &self.data[(ni * self.o + i) * self.plane + p..];
+            *dst = *src.first_chunk::<L>().expect("run in bounds");
+        } else {
+            self.fill_row(i, j0, dst);
+        }
+    }
+}
+
+/// An operand with rows and columns exchanged, so A panels (`[kk][i]`)
+/// pack through the routine written for B panels (`[kk][j]`).
+struct Transposed<'a, T>(&'a T);
+
+impl<T: Operand> Operand for Transposed<'_, T> {
+    const ROWS_CONTIGUOUS: bool = !T::ROWS_CONTIGUOUS;
+
+    #[inline(always)]
+    fn at(&self, i: usize, j: usize) -> f32 {
+        self.0.at(j, i)
+    }
+
+    #[inline]
+    fn fill_row(&self, i: usize, j0: usize, dst: &mut [f32]) {
+        self.0.fill_col(i, j0, dst);
+    }
+
+    #[inline]
+    fn fill_col(&self, j: usize, i0: usize, dst: &mut [f32]) {
+        self.0.fill_row(j, i0, dst);
+    }
+
+    #[inline]
+    fn fill_row_arr<const L: usize>(&self, i: usize, j0: usize, dst: &mut [f32; L]) {
+        self.0.fill_col_arr(i, j0, dst);
+    }
+
+    #[inline]
+    fn fill_col_arr<const L: usize>(&self, j: usize, i0: usize, dst: &mut [f32; L]) {
+        self.0.fill_row_arr(j, i0, dst);
     }
 }
 
@@ -419,22 +514,9 @@ fn select_kernel() -> Kernel {
 /// `epilogue(i, j, Σ_kk a(i, kk) · b(kk, j))` for all `(i, j)` in
 /// `[0, m) × [0, n)`.
 ///
-/// The accessors index the *logical* `[m, k]` and `[k, n]` operands;
-/// layout (transposition, strides, NCHW views) lives entirely in the
-/// closures and is paid once during packing, not in the O(m·n·k) loop.
-/// Call sites whose operands are contiguous should prefer [`gemm_ops`]
-/// with [`RowMajor`]/[`ColMajor`], which packs via slice copies.
-pub fn gemm<A, B, W>(m: usize, k: usize, n: usize, a: A, b: B, writer: &mut W)
-where
-    A: Fn(usize, usize) -> f32,
-    B: Fn(usize, usize) -> f32,
-    W: TileWriter,
-{
-    gemm_ops(m, k, n, &FnOp(a), &FnOp(b), writer);
-}
-
-/// [`gemm`] over [`Operand`] sources: the layout-aware entry point every
-/// other form lowers to.
+/// `a` and `b` are the *logical* `[m, k]` and `[k, n]` operands; layout
+/// (transposition, strides, NCHW views) lives entirely in the [`Operand`]
+/// and is paid once during packing, not in the O(m·n·k) loop.
 pub fn gemm_ops<A, B, W>(m: usize, k: usize, n: usize, a: &A, b: &B, writer: &mut W)
 where
     A: Operand,
@@ -561,8 +643,6 @@ fn run_macro<A, B, W>(
     B: Operand,
     W: TileWriter,
 {
-    let a_cap = MC.div_ceil(kern.mr) * kern.mr * k;
-    let b_cap = NC.div_ceil(kern.nr) * kern.nr * k;
     // Direct-B fast path: with at most two A row panels a packed B panel
     // is read back at most twice, so the pack's extra write+read pass
     // over B costs more than it saves. The widest kernel reads row-major
@@ -573,15 +653,33 @@ fn run_macro<A, B, W>(
     } else {
         None
     };
+    if let Some((bd, ldb)) = direct_b {
+        // The kernel reads `bd` through a raw pointer: rows `0..k`,
+        // columns up to `j_end`.
+        assert!(
+            j_end <= ldb && (k - 1) * ldb + j_end <= bd.len(),
+            "row-major B too short: {} elements for k {k}, ld {ldb}, n {j_end}",
+            bd.len()
+        );
+    }
     PACK_POOL.with(|pool| {
         let mut ws = pool.borrow_mut();
         // Panel buffers, padded to full micro-tiles so the kernel never
         // branches on edges (the padding lanes multiply against zeros),
         // over-allocated by 16 floats so the panel start can be rounded
         // up to a 64-byte boundary — 512-bit loads that straddle cache
-        // lines halve effective load bandwidth.
-        let mut a_buf = ws.take(a_cap + 16);
-        let mut b_buf = ws.take(b_cap + 16);
+        // lines halve effective load bandwidth. They are sized to the
+        // region, not the macro-tile (a four-channel weight gradient over
+        // k = 4096 columns would otherwise ask for 5 MB it never
+        // touches; direct-B packs one edge panel at most), and not
+        // cleared: packing writes every element the kernel reads.
+        let a_rows = MC.min(i_end - i_begin).next_multiple_of(kern.mr);
+        let b_cols = match direct_b {
+            Some(_) => kern.nr,
+            None => NC.min(j_end - j_begin).next_multiple_of(kern.nr),
+        };
+        let mut a_buf = ws.take_unzeroed(a_rows * k + 16);
+        let mut b_buf = ws.take_unzeroed(b_cols * k + 16);
         drop(ws);
         let a_skip = align64_offset(a_buf.as_ptr());
         let b_skip = align64_offset(b_buf.as_ptr());
@@ -598,14 +696,14 @@ fn run_macro<A, B, W>(
             let nc = NC.min(j_end - j0);
             let nc_panels = nc.div_ceil(kern.nr);
             if direct_b.is_none() {
-                pack_b(b, k, j0, nc, kern.nr, b_pack);
+                pack(b, k, j0, nc, kern.nr, b_pack);
             }
 
             let mut i0 = i_begin;
             while i0 < i_end {
                 let mc = MC.min(i_end - i0);
                 let mc_panels = mc.div_ceil(kern.mr);
-                pack_a(a, k, i0, mc, kern.mr, a_pack);
+                pack(&Transposed(a), k, i0, mc, kern.mr, a_pack);
 
                 for jp in 0..nc_panels {
                     let jbase = j0 + jp * kern.nr;
@@ -615,7 +713,7 @@ fn run_macro<A, B, W>(
                     let direct_panel = match direct_b {
                         Some(src) if nr_eff == kern.nr => Some(src),
                         Some(_) => {
-                            pack_b(b, k, jbase, nr_eff, kern.nr, &mut b_pack[..k * kern.nr]);
+                            pack(b, k, jbase, nr_eff, kern.nr, &mut b_pack[..k * kern.nr]);
                             None
                         }
                         None => None,
@@ -742,42 +840,37 @@ fn microkernel_scalar(k: usize, a_panel: &[f32], b_panel: &[f32], tile: &mut [f3
     }
 }
 
-/// Pack `mc` rows of A starting at `i0` into `mr`-row panels:
-/// `a_pack[panel][kk][i]`. Rows beyond the block pad with zeros.
-fn pack_a<A: Operand>(a: &A, k: usize, i0: usize, mc: usize, mr: usize, a_pack: &mut [f32]) {
-    for ip in 0..mc.div_ceil(mr) {
-        let panel = &mut a_pack[ip * k * mr..(ip + 1) * k * mr];
-        let rows = mr.min(mc - ip * mr);
-        let base = i0 + ip * mr;
-        if rows == mr {
-            // Full panels go through the compile-time-length fills so
-            // contiguous layouts copy without a runtime memcpy call.
-            for kk in 0..k {
-                let slot = &mut panel[kk * mr..kk * mr + mr];
-                match mr {
-                    8 => a.fill_col_arr::<8>(kk, base, slot.first_chunk_mut().unwrap()),
-                    6 => a.fill_col_arr::<6>(kk, base, slot.first_chunk_mut().unwrap()),
-                    _ => a.fill_col(kk, base, slot),
-                }
-            }
-        } else {
-            for kk in 0..k {
-                let slot = &mut panel[kk * mr..kk * mr + mr];
-                a.fill_col(kk, base, &mut slot[..rows]);
-                slot[rows..].fill(0.0);
-            }
-        }
-    }
-}
+/// Elements of one operand column read at a time when packing transposes
+/// it (256 bytes: four cache lines of a contiguous stream).
+const STRIP: usize = 64;
 
-/// Pack `nc` columns of B starting at `j0` into `nr`-column panels:
-/// `b_pack[panel][kk][j]`. Columns beyond the block pad with zeros.
-fn pack_b<B: Operand>(b: &B, k: usize, j0: usize, nc: usize, nr: usize, b_pack: &mut [f32]) {
+/// Pack `nc` columns of `b` starting at `j0` into `nr`-column panels:
+/// `b_pack[panel][kk][j]`. Columns beyond the block pad with zeros. A
+/// panels are packed by the same routine through [`Transposed`].
+fn pack<B: Operand>(b: &B, k: usize, j0: usize, nc: usize, nr: usize, b_pack: &mut [f32]) {
     for jp in 0..nc.div_ceil(nr) {
         let panel = &mut b_pack[jp * k * nr..(jp + 1) * k * nr];
         let cols = nr.min(nc - jp * nr);
         let base = j0 + jp * nr;
-        if cols == nr {
+        if !B::ROWS_CONTIGUOUS {
+            // Storage runs down the columns: read each in contiguous
+            // strips and transpose those into the panel, instead of
+            // gathering every panel row at the column stride (which, at a
+            // power-of-two stride, lands a whole row in one cache set).
+            if cols < nr {
+                panel.fill(0.0);
+            }
+            let mut strip = [0.0f32; STRIP];
+            for (block, kk0) in panel.chunks_mut(STRIP * nr).zip((0..k).step_by(STRIP)) {
+                let strip = &mut strip[..STRIP.min(k - kk0)];
+                for j in 0..cols {
+                    b.fill_col(base + j, kk0, strip);
+                    for (slot, &v) in block.chunks_exact_mut(nr).zip(strip.iter()) {
+                        slot[j] = v;
+                    }
+                }
+            }
+        } else if cols == nr {
             // Full panels go through the compile-time-length fills so
             // contiguous layouts copy without a runtime memcpy call.
             for kk in 0..k {
@@ -786,6 +879,7 @@ fn pack_b<B: Operand>(b: &B, k: usize, j0: usize, nc: usize, nr: usize, b_pack: 
                     32 => b.fill_row_arr::<32>(kk, base, slot.first_chunk_mut().unwrap()),
                     16 => b.fill_row_arr::<16>(kk, base, slot.first_chunk_mut().unwrap()),
                     8 => b.fill_row_arr::<8>(kk, base, slot.first_chunk_mut().unwrap()),
+                    6 => b.fill_row_arr::<6>(kk, base, slot.first_chunk_mut().unwrap()),
                     _ => b.fill_row(kk, base, slot),
                 }
             }
@@ -845,6 +939,10 @@ mod tests {
     use crate::rng::seeded_rng;
     use rand::Rng;
 
+    fn rows(data: &[f32], ld: usize) -> RowMajor<'_> {
+        RowMajor { data, ld }
+    }
+
     fn random(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = seeded_rng(seed);
         (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
@@ -867,7 +965,7 @@ mod tests {
             let a = random(m * k, 1000 + m as u64);
             let b = random(k * n, 2000 + n as u64);
             let mut c = vec![0.0f32; m * n];
-            gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut Store {
+            gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut Store {
                 c: &mut c,
                 ldc: n,
             });
@@ -940,7 +1038,7 @@ mod tests {
         let a = random(m * k, 3);
         let b = random(k * n, 4);
         let mut c = vec![0.0f32; m * n];
-        gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut Store {
+        gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut Store {
             c: &mut c,
             ldc: n,
         });
@@ -954,7 +1052,7 @@ mod tests {
         let a = random(m * k, 5);
         let b = random(k * n, 6);
         let mut c = vec![1.0f32; m * n];
-        gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut Accumulate {
+        gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut Accumulate {
             c: &mut c,
             ldc: n,
         });
@@ -974,7 +1072,7 @@ mod tests {
         let plain = gemm_naive(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j]);
 
         let mut c = vec![0.0f32; m * n];
-        gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut BiasCol {
+        gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut BiasCol {
             c: &mut c,
             ldc: n,
             bias: &bias,
@@ -986,7 +1084,7 @@ mod tests {
         }
 
         let mut r = vec![0.0f32; m * n];
-        gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut BiasColRelu {
+        gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut BiasColRelu {
             c: &mut r,
             ldc: n,
             bias: &bias,
@@ -1005,7 +1103,7 @@ mod tests {
         let b = random(k * n, 11);
         let bias = random(o, 12);
         let mut out = vec![0.0f32; batch * o * plane];
-        gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut NchwScatterBias {
+        gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut NchwScatterBias {
             out: &mut out,
             o,
             plane,
@@ -1033,7 +1131,7 @@ mod tests {
         let b = random(k * n, 51);
         let bias = random(o, 52);
         let mut out = vec![0.0f32; batch * o * plane];
-        gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut NchwScatterBias {
+        gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut NchwScatterBias {
             out: &mut out,
             o,
             plane,
@@ -1052,14 +1150,14 @@ mod tests {
     }
 
     #[test]
-    fn transposed_accessors_work() {
+    fn transposed_operands_work() {
         // A stored [k, m] (TN), B stored [n, k] (NT) — both through
-        // accessors, one packed engine.
+        // column-major views, one packed engine.
         let (m, k, n) = (6, 7, 5);
         let a_t = random(k * m, 13); // [k, m]
         let b_t = random(n * k, 14); // [n, k]
         let mut c = vec![0.0f32; m * n];
-        gemm(m, k, n, |i, kk| a_t[kk * m + i], |kk, j| b_t[j * k + kk], &mut Store {
+        gemm_ops(m, k, n, &ColMajor { data: &a_t, ld: m }, &ColMajor { data: &b_t, ld: k }, &mut Store {
             c: &mut c,
             ldc: n,
         });
@@ -1077,7 +1175,7 @@ mod tests {
         b[0] = f32::INFINITY;
         b[3] = f32::NAN; // kk=1, j=1
         let mut c = vec![0.0f32; m * n];
-        gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut Store {
+        gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut Store {
             c: &mut c,
             ldc: n,
         });
@@ -1092,7 +1190,7 @@ mod tests {
         let b = random(k * n, 16);
         let mut c = vec![0.0f32; m * n];
         for _ in 0..3 {
-            gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], &mut Store {
+            gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut Store {
                 c: &mut c,
                 ldc: n,
             });
@@ -1104,7 +1202,8 @@ mod tests {
     #[test]
     fn k_zero_writes_zeros() {
         let mut c = vec![7.0f32; 4];
-        gemm(2, 0, 2, |_, _| 1.0, |_, _| 1.0, &mut Store { c: &mut c, ldc: 2 });
+        let empty = RowMajor { data: &[], ld: 0 };
+        gemm_ops(2, 0, 2, &empty, &empty, &mut Store { c: &mut c, ldc: 2 });
         assert_eq!(c, vec![0.0; 4]);
     }
 }

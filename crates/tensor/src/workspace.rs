@@ -69,6 +69,12 @@ impl std::ops::DerefMut for I8Buf {
 
 /// Size-keyed pool of scratch buffers. Not thread-safe by design — each
 /// worker (client task, model) owns its own workspace.
+///
+/// The pool keeps every buffer handed back to it: it grows to the largest
+/// set its owner has had in flight at once (a ResNet-20 training step
+/// holds well over a hundred — each layer's cached activations until its
+/// backward pass) and then stops, which is what makes the steady state
+/// allocation-free. [`Workspace::clear`] releases the storage.
 #[derive(Debug, Default)]
 pub struct Workspace {
     f32_pool: Vec<Vec<f32>>,
@@ -79,32 +85,28 @@ pub struct Workspace {
     fresh_i8: usize,
 }
 
-/// Pools are bounded so a one-off huge temporary (e.g. an eval-time batch)
-/// cannot pin memory forever: buffers above this many elements are dropped
-/// on recycle once the pool holds [`MAX_POOLED_BUFFERS`] entries.
-const MAX_POOLED_BUFFERS: usize = 64;
-
 impl Workspace {
-    /// Empty workspace. Pool vectors get a small fixed capacity up front
-    /// so steady-state `recycle` never grows them.
+    /// Empty workspace.
     pub fn new() -> Self {
-        Workspace {
-            f32_pool: Vec::with_capacity(MAX_POOLED_BUFFERS),
-            usize_pool: Vec::with_capacity(MAX_POOLED_BUFFERS),
-            i8_pool: Vec::with_capacity(MAX_POOLED_BUFFERS),
-            fresh_f32: 0,
-            fresh_usize: 0,
-            fresh_i8: 0,
-        }
+        Workspace::default()
     }
 
     /// A zeroed `f32` buffer of exactly `len` elements, reusing pooled
     /// storage when a buffer of sufficient capacity exists (best fit).
     pub fn take(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take_unzeroed(len);
+        buf.fill(0.0);
+        buf
+    }
+
+    /// [`Workspace::take`] without the clearing pass, for callers that
+    /// overwrite every element (pack panels, `im2col` output, plain-store
+    /// GEMM results): the contents are whatever the buffer's last user
+    /// left, zeros where it had to grow.
+    pub fn take_unzeroed(&mut self, len: usize) -> Vec<f32> {
         match best_fit(&self.f32_pool, len) {
             Some(idx) => {
                 let mut buf = self.f32_pool.swap_remove(idx);
-                buf.clear();
                 buf.resize(len, 0.0);
                 buf
             }
@@ -117,7 +119,7 @@ impl Workspace {
 
     /// Return a buffer to the pool for later reuse.
     pub fn recycle(&mut self, buf: Vec<f32>) {
-        if buf.capacity() > 0 && self.f32_pool.len() < MAX_POOLED_BUFFERS {
+        if buf.capacity() > 0 {
             self.f32_pool.push(buf);
         }
     }
@@ -140,7 +142,7 @@ impl Workspace {
 
     /// Return an index buffer to the pool.
     pub fn recycle_usize(&mut self, buf: Vec<usize>) {
-        if buf.capacity() > 0 && self.usize_pool.len() < MAX_POOLED_BUFFERS {
+        if buf.capacity() > 0 {
             self.usize_pool.push(buf);
         }
     }
@@ -166,7 +168,7 @@ impl Workspace {
 
     /// Return a code buffer to the pool.
     pub fn recycle_i8(&mut self, buf: I8Buf) {
-        if buf.raw.capacity() > 0 && self.i8_pool.len() < MAX_POOLED_BUFFERS {
+        if buf.raw.capacity() > 0 {
             self.i8_pool.push(buf.raw);
         }
     }
@@ -305,12 +307,29 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_bounded() {
+    fn a_working_set_larger_than_any_fixed_cap_still_recycles() {
+        // ResNet-20 holds more than a hundred buffers between forward and
+        // backward; a pool that dropped buffers past a fixed count missed
+        // on every later step.
         let mut ws = Workspace::new();
-        for _ in 0..(MAX_POOLED_BUFFERS + 10) {
-            ws.recycle(vec![0.0; 4]);
+        for _ in 0..3 {
+            let live: Vec<_> = (0..200).map(|i| ws.take(8 + i)).collect();
+            live.into_iter().for_each(|buf| ws.recycle(buf));
         }
-        assert!(ws.pooled() <= MAX_POOLED_BUFFERS);
+        assert_eq!(ws.fresh_allocations(), 200, "only the first pass may allocate");
+    }
+
+    #[test]
+    fn take_unzeroed_keeps_the_length_contract() {
+        let mut ws = Workspace::new();
+        let mut buf = ws.take(8);
+        buf.fill(3.0);
+        ws.recycle(buf);
+        assert_eq!(ws.take_unzeroed(6), [3.0; 6], "stale contents are allowed, the length is not");
+        let mut ws = Workspace::new();
+        ws.recycle(Vec::with_capacity(16));
+        assert_eq!(ws.take_unzeroed(10), [0.0; 10], "growth is zero-filled");
+        assert_eq!(ws.fresh_allocations(), 0);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! numeric substrate must satisfy for any input.
 
 use kemf_tensor::conv::{col2im, im2col, ConvGeom};
-use kemf_tensor::gemm::gemm_naive;
+use kemf_tensor::gemm::{
+    gemm_naive, gemm_ops, NchwGather, NchwScatterBias, Operand, RowMajor,
+};
 use kemf_tensor::matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 use kemf_tensor::ops::{softmax, sum_rows, transpose2d};
 use kemf_tensor::rng::seeded_rng;
@@ -206,5 +208,204 @@ proptest! {
         orig.sort_by(f32::total_cmp);
         gath.sort_by(f32::total_cmp);
         prop_assert_eq!(orig, gath);
+    }
+}
+
+/// The scatter loop `col2im` replaced, kept as the reference for its
+/// summation order: output positions outermost, so an input pixel meets
+/// its addends in ascending `(oy, ox)`.
+fn col2im_scatter(cols: &[f32], geom: &ConvGeom, input_grad: &mut [f32]) {
+    let (oh, ow) = (geom.oh(), geom.ow());
+    let ncols = geom.cols();
+    input_grad.fill(0.0);
+    let (h, w) = (geom.h, geom.w);
+    for n in 0..geom.n {
+        for oy in 0..oh {
+            let iy0 = (oy * geom.stride) as isize - geom.pad as isize;
+            for ox in 0..ow {
+                let ix0 = (ox * geom.stride) as isize - geom.pad as isize;
+                let col = (n * oh + oy) * ow + ox;
+                let ky_lo = (-iy0).max(0) as usize;
+                let ky_hi = geom.kh.min((h as isize - iy0).max(0) as usize);
+                let kx_lo = (-ix0).max(0) as usize;
+                let kx_hi = geom.kw.min((w as isize - ix0).max(0) as usize);
+                for c in 0..geom.c {
+                    let in_base = (n * geom.c + c) * h * w;
+                    let row_base = c * geom.kh * geom.kw;
+                    for ky in ky_lo..ky_hi {
+                        let iy = (iy0 + ky as isize) as usize;
+                        for kx in kx_lo..kx_hi {
+                            let ix = (ix0 + kx as isize) as usize;
+                            input_grad[in_base + iy * w + ix] +=
+                                cols[(row_base + ky * geom.kw + kx) * ncols + col];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every geometry of the sweep: k ∈ {1,3,5} (square and not), stride ∈
+/// {1,2}, pad ∈ {0,1,2}, output planes from 1×1 up with OW ∈ {1,2,4,16}
+/// and OH ≠ OW, so both loop shapes of the kernels and their switch-over
+/// are covered.
+fn conv_sweep() -> Vec<ConvGeom> {
+    let mut out = Vec::new();
+    for (kh, kw) in [(1, 1), (3, 3), (5, 5), (3, 5)] {
+        for stride in [1, 2] {
+            for pad in [0, 1, 2] {
+                for (oh, ow) in [(1, 1), (2, 2), (3, 1), (4, 4), (5, 4), (3, 16), (9, 2)] {
+                    // Smallest input with that output size, plus one row and
+                    // column the last window does not reach when strided.
+                    let extent = |o: usize, k: usize| ((o - 1) * stride + k + stride - 1).checked_sub(2 * pad);
+                    let (Some(h), Some(w)) = (extent(oh, kh), extent(ow, kw)) else { continue };
+                    if h == 0 || w == 0 {
+                        continue;
+                    }
+                    let geom = ConvGeom { n: 3, c: 2, h, w, kh, kw, stride, pad };
+                    assert_eq!((geom.oh(), geom.ow()), (oh, ow));
+                    out.push(geom);
+                }
+            }
+        }
+    }
+    assert!(out.len() > 100, "sweep shrank to {}", out.len());
+    out
+}
+
+#[test]
+fn im2col_matches_its_definition_on_every_geometry() {
+    let mut rng = seeded_rng(77);
+    for g in conv_sweep() {
+        let x: Vec<f32> = (0..g.n * g.c * g.h * g.w).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        // Stale contents: the kernel must write every element itself.
+        let mut cols = vec![f32::NAN; g.patch_len() * g.cols()];
+        im2col(&x, &g, &mut cols);
+        let (oh, ow) = (g.oh(), g.ow());
+        for (idx, &got) in cols.iter().enumerate() {
+            let (row, col) = (idx / g.cols(), idx % g.cols());
+            let (c, ky, kx) = (row / (g.kh * g.kw), row / g.kw % g.kh, row % g.kw);
+            let (n, oy, ox) = (col / (oh * ow), col / ow % oh, col % ow);
+            let iy = (oy * g.stride + ky).checked_sub(g.pad).filter(|&iy| iy < g.h);
+            let ix = (ox * g.stride + kx).checked_sub(g.pad).filter(|&ix| ix < g.w);
+            let want = match (iy, ix) {
+                (Some(iy), Some(ix)) => x[((n * g.c + c) * g.h + iy) * g.w + ix],
+                _ => 0.0,
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "{g:?} row {row} col {col}");
+        }
+    }
+}
+
+#[test]
+fn col2im_matches_the_scatter_loop_bit_for_bit() {
+    let mut rng = seeded_rng(78);
+    for g in conv_sweep() {
+        let cols: Vec<f32> =
+            (0..g.patch_len() * g.cols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut want = vec![f32::NAN; g.n * g.c * g.h * g.w];
+        col2im_scatter(&cols, &g, &mut want);
+        let mut got = vec![f32::NAN; want.len()];
+        col2im(&cols, &g, &mut got);
+        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{g:?} pixel {i}: {a} vs {b}");
+        }
+    }
+}
+
+#[test]
+fn nchw_gather_bulk_fills_equal_at_across_image_boundaries() {
+    fn check<const L: usize>(op: &NchwGather<'_>, rows: usize, cols: usize) {
+        for i in 0..rows {
+            for j0 in 0..=cols.saturating_sub(L) {
+                let want: Vec<f32> = (0..L.min(cols)).map(|t| op.at(i, j0 + t)).collect();
+                let mut got = vec![f32::NAN; want.len()];
+                op.fill_row(i, j0, &mut got);
+                assert_eq!(got, want, "fill_row({i}, {j0}), plane {}", op.plane);
+                if L <= cols {
+                    let mut arr = [f32::NAN; L];
+                    op.fill_row_arr(i, j0, &mut arr);
+                    assert_eq!(arr[..], want[..], "fill_row_arr({i}, {j0}), plane {}", op.plane);
+                }
+            }
+        }
+        for j in 0..cols {
+            for i0 in 0..=rows.saturating_sub(L) {
+                let want: Vec<f32> = (0..L.min(rows)).map(|t| op.at(i0 + t, j)).collect();
+                let mut got = vec![f32::NAN; want.len()];
+                op.fill_col(j, i0, &mut got);
+                assert_eq!(got, want, "fill_col({j}, {i0}), plane {}", op.plane);
+                if L <= rows {
+                    let mut arr = [f32::NAN; L];
+                    op.fill_col_arr(j, i0, &mut arr);
+                    assert_eq!(arr[..], want[..], "fill_col_arr({j}, {i0}), plane {}", op.plane);
+                }
+            }
+        }
+    }
+    // Planes shorter than, equal to and longer than the segment, so one
+    // segment crosses several images, exactly one boundary, or none.
+    for (n, o, plane) in [(40, 9, 1), (12, 8, 3), (7, 6, 8), (4, 9, 16), (3, 8, 40)] {
+        let data: Vec<f32> = (0..n * o * plane).map(|v| v as f32).collect();
+        let op = NchwGather { data: &data, o, plane };
+        assert_eq!(op.at(o - 1, n * plane - 1), *data.last().unwrap());
+        check::<6>(&op, o, n * plane);
+        check::<8>(&op, o, n * plane);
+        check::<32>(&op, o, n * plane);
+    }
+}
+
+/// A row-major matrix the engine may not read in place: every method but
+/// `as_row_major` forwards, so the product takes the packed-B route.
+struct Packed<'a>(RowMajor<'a>);
+
+impl Operand for Packed<'_> {
+    const ROWS_CONTIGUOUS: bool = true;
+
+    fn at(&self, i: usize, j: usize) -> f32 {
+        self.0.at(i, j)
+    }
+
+    fn fill_row(&self, i: usize, j0: usize, dst: &mut [f32]) {
+        self.0.fill_row(i, j0, dst);
+    }
+
+    fn fill_row_arr<const L: usize>(&self, i: usize, j0: usize, dst: &mut [f32; L]) {
+        self.0.fill_row_arr(i, j0, dst);
+    }
+}
+
+#[test]
+fn conv_forward_is_bit_identical_reading_cols_in_place_or_packed() {
+    // The forward product of a convolution, `W · cols` scattered to NCHW:
+    // with O ≤ 16 the widest tier reads `cols` in place, otherwise (and on
+    // every other tier) it packs it. Same bits either way, on every tier
+    // this host has.
+    let mut rng = seeded_rng(79);
+    let g = ConvGeom { n: 5, c: 6, h: 9, w: 7, kh: 3, kw: 3, stride: 1, pad: 1 };
+    let x: Vec<f32> = (0..g.n * g.c * g.h * g.w).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let (patch, ncols, plane) = (g.patch_len(), g.cols(), g.oh() * g.ow());
+    let mut cols = vec![0.0; patch * ncols];
+    im2col(&x, &g, &mut cols);
+    for o in [4, 8, 16, 24] {
+        let w: Vec<f32> = (0..o * patch).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let bias: Vec<f32> = (0..o).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let forward = |packed: bool| {
+            let mut y = vec![f32::NAN; g.n * o * plane];
+            let a = RowMajor { data: &w, ld: patch };
+            let b = RowMajor { data: &cols, ld: ncols };
+            let mut out = NchwScatterBias { out: &mut y, o, plane, bias: &bias };
+            if packed {
+                gemm_ops(o, patch, ncols, &a, &Packed(b), &mut out);
+            } else {
+                gemm_ops(o, patch, ncols, &a, &b, &mut out);
+            }
+            y
+        };
+        let bits = |y: Vec<f32>| y.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(forward(false)), bits(forward(true)), "O = {o}, native tier");
+        let _scalar = kemf_tensor::simd::ScalarGuard::new();
+        assert_eq!(bits(forward(false)), bits(forward(true)), "O = {o}, scalar tier");
     }
 }

@@ -41,10 +41,24 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
          if (fnv != 1) { print "FNV-1a offset basis written " fnv+0 " times, want 1"; bad=1 }
          exit bad }' crates/nn/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
 
+# Typed GEMM operands: outside test modules, layers hand the engine
+# `RowMajor`/`ColMajor`/`NchwGather` views (`gemm_ops`), which pack by
+# slice copies and let it read a row-major B in place. An element-accessor
+# operand (`FnOp`) or the closure entry point (`gemm(`) coming back would
+# put an indirect call and an index division on every packed element.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    /(^|[^_A-Za-z0-9])(FnOp|gemm)\(/ {
+        print FILENAME":"FNR": closure GEMM operand outside kemf_tensor tests"; bad=1 }
+    END{exit bad}' crates/nn/src/*.rs crates/core/src/*.rs crates/fl/src/*.rs
+
 # The frozen benchmark package links the library's public API; build it
-# here so a broken signature fails in CI, not in the bench pipeline.
+# here so a broken signature fails in CI, not in the bench pipeline, and
+# run its smoke pass (2+2 rounds per workload, writes no files) so its own
+# correctness checks — traced == untraced history, socket == in-process
+# records, GEMM-table FLOPs == the library counter — fail here too.
 CARGO_TARGET_DIR=target/bench_e2e \
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR=target/bench_e2e benchmark/run.sh --smoke
 
 # Kernel smoke: run every GEMM/int8 bench code path with a tiny time
 # budget (no JSON write). Catches dispatch-tier crashes — e.g. an AVX-512

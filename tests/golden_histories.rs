@@ -9,6 +9,13 @@
 //! host's SIMD tier. To regenerate after an *intended* numeric change,
 //! run `cargo test --test golden_histories`: the failure message prints
 //! the full table in source form.
+//!
+//! A second leg runs the default configuration with the guard off, so
+//! the widest kernels and the GEMM's read-B-in-place route are pinned as
+//! well. Generated the same way at commit 645b07a (closure operands,
+//! scatter-loop im2col) on an AVX-512 host, its table came out equal to
+//! the scalar one — every output element of every kernel tier is one
+//! FMA chain over k in ascending order — so the leg shares the constants.
 
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::engine::{Engine, FedAlgorithm};
@@ -152,4 +159,14 @@ fn sync_histories_match_the_hand_written_round_bodies() {
     let expected: Vec<(String, u64, u64)> =
         GOLDEN.iter().map(|&(n, d, s)| (n.to_string(), d, s)).collect();
     assert_eq!(actual, expected, "sync histories moved; computed table:\n{table}");
+}
+
+#[test]
+fn native_tier_histories_match_the_scalar_ones() {
+    let actual = fingerprints(false);
+    let table: String =
+        actual.iter().map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n")).collect();
+    let expected: Vec<(String, u64)> =
+        GOLDEN.iter().map(|&(n, d, _)| (n.to_string(), d)).collect();
+    assert_eq!(actual, expected, "native-tier histories moved; computed table:\n{table}");
 }
