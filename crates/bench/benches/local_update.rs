@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kemf_core::dml::{dml_local_update, DmlConfig};
 use kemf_data::synth::{SynthConfig, SynthTask};
 use kemf_fl::local::{local_train, LocalCfg};
-use kemf_nn::loss::cross_entropy;
+use kemf_nn::loss::cross_entropy_ws;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_nn::optim::SgdConfig;
@@ -54,8 +54,11 @@ fn bench_forward_backward(c: &mut Criterion) {
             bch.iter(|| {
                 model.zero_grad();
                 let logits = model.forward(&x, true);
-                let (_, grad) = cross_entropy(&logits, &labels);
-                model.backward(&grad)
+                let (_, grad) = cross_entropy_ws(&logits, &labels, model.ws_mut());
+                model.recycle(logits);
+                let gx = model.backward(&grad);
+                model.recycle(grad);
+                model.recycle(gx);
             })
         });
     }

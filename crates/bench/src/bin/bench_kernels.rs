@@ -1,14 +1,13 @@
 //! Kernel throughput summary: packed cache-blocked GEMM vs the previous
 //! axpy-style kernel, over a square stress shape and the im2col GEMM
 //! shapes of the paper's model zoo (ResNet-20 / VGG-11, batch 8,
-//! CIFAR-sized inputs), plus a multi-thread grid-split entry, the
-//! convolution lowering (`im2col`/`col2im` GB/s at the geometries the
-//! end-to-end benchmark trains, beside a plain copy of the same bytes)
-//! and an int8 ensemble-inference comparison. Prints tables and writes
+//! CIFAR-sized inputs), plus the convolution lowering (`im2col`/`col2im`
+//! GB/s at the geometries the end-to-end benchmark trains, beside a plain
+//! copy of the same bytes) and an int8 ensemble-inference comparison. Prints tables and writes
 //! `bench_results/BENCH_kernels.json` with before/after GFLOP/s, the
-//! detected `cpu_features`, the compute-pool `threads`, the lowering
-//! bandwidths, and the measured `int8_speedup` of the quantized server
-//! ensemble pass.
+//! detected `cpu_features`, `threads` (1: every kernel here runs on the
+//! calling thread), the lowering bandwidths, and the measured
+//! `int8_speedup` of the quantized server ensemble pass.
 //!
 //! `--smoke` runs every code path with a tiny time budget and skips the
 //! JSON write — a CI liveness check, not a measurement.
@@ -84,7 +83,6 @@ fn time_per_call(mut f: impl FnMut(), iters: usize) -> f64 {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let budget = if smoke { 0.02 } else { 0.3 };
-    let threads = kemf_fl::engine::init_thread_pool();
     let cpu_features = simd::cpu_features();
 
     // im2col GEMM: m = out channels, k = in_ch·kh·kw, n = batch·oh·ow.
@@ -126,34 +124,6 @@ fn main() {
         ));
     }
 
-    // Multi-thread entry: a product past `PAR_FLOPS`, so the M/N macro
-    // grid splits across the compute pool. With the vendored sequential
-    // rayon the split still runs inline, which keeps the entry honest
-    // about what this build can show: the grid decomposition overhead, not
-    // real parallel scaling.
-    {
-        let (name, m, k, n) = ("square_512_grid", 512usize, 512usize, 512usize);
-        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let mut c = vec![0.0f32; m * n];
-        let before =
-            throughput(|| matmul_before(a.data(), b.data(), &mut c, m, k, n), m, k, n, budget);
-        let after =
-            throughput(|| matmul_into(a.data(), b.data(), &mut c, m, k, n), m, k, n, budget);
-        let speedup = after / before;
-        table.row(&[
-            format!("{name} (t={threads})"),
-            format!("{m}x{k}x{n}"),
-            format!("{before:.2}"),
-            format!("{after:.2}"),
-            format!("{speedup:.2}x"),
-        ]);
-        json_rows.push(format!(
-            "    {{\"shape\": \"{name}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
-             \"before_gflops\": {before:.3}, \"after_gflops\": {after:.3}, \
-             \"speedup\": {speedup:.3}, \"threads\": {threads}}}"
-        ));
-    }
     if smoke {
         // Print the table but keep the committed CSV/JSON artifacts: smoke
         // numbers are liveness data, not measurements.
@@ -273,7 +243,7 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
-         \"cpu_features\": [{}],\n  \"threads\": {threads},\n  \"shapes\": [\n{}\n  ],\n  \
+         \"cpu_features\": [{}],\n  \"threads\": 1,\n  \"shapes\": [\n{}\n  ],\n  \
          \"conv_lowering\": [\n{}\n  ],\n  \
          \"int8_ensemble\": {{\"pool_images\": {pool_n}, \"members\": 2, \
          \"f32_ms\": {:.3}, \"int8_ms\": {:.3}, \"max_logit_diff\": {max_logit_diff:.5}}},\n  \

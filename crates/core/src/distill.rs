@@ -7,7 +7,7 @@ use kemf_fl::compress::ComputePrecision;
 use kemf_nn::layer::Precision;
 use kemf_nn::loss::{kl_to_target_ws, soften};
 use kemf_nn::model::Model;
-use kemf_nn::optim::{Sgd, SgdConfig};
+use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -105,17 +105,16 @@ pub fn distill_ensemble(
         for chunk in order.chunks(cfg.batch) {
             let images = pool.gather_rows(chunk);
             let target = targets.gather_rows(chunk);
-            student.zero_grad();
-            let logits = student.forward(&images, true);
-            let (loss, grad) = kl_to_target_ws(&logits, &target, cfg.temperature, student.ws_mut());
-            student.recycle(logits);
-            let gx = student.backward(&grad);
-            student.recycle(grad);
-            student.recycle(gx);
-            if cfg.clip_norm > 0.0 {
-                let _ = kemf_nn::optim::clip_grad_norm(student.net_mut(), cfg.clip_norm);
-            }
-            opt.step(student.net_mut());
+            let loss = student.train_step(
+                &images,
+                &mut opt,
+                |logits, ws| kl_to_target_ws(logits, &target, cfg.temperature, ws),
+                |net| {
+                    if cfg.clip_norm > 0.0 {
+                        clip_grad_norm(net, cfg.clip_norm);
+                    }
+                },
+            );
             loss_sum += loss as f64;
             batches += 1;
         }

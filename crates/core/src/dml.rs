@@ -165,7 +165,8 @@ pub fn dml_local_update(
 mod tests {
     use super::*;
     use kemf_data::synth::{SynthConfig, SynthTask};
-    use kemf_nn::loss::{kl_to_target, soften};
+    use kemf_nn::loss::soften;
+    use kemf_tensor::workspace::Workspace;
     use kemf_nn::models::{Arch, ModelSpec};
 
     fn data() -> Dataset {
@@ -210,7 +211,7 @@ mod tests {
             let _ = dml_local_update(&mut local, &mut know, &d, &c, 7);
             let zl = local.predict(&d.images);
             let zk = know.predict(&d.images);
-            kl_to_target(&zk, &soften(&zl, 1.0), 1.0).0
+            kl_to_target_ws(&zk, &soften(&zl, 1.0), 1.0, &mut Workspace::new()).0
         };
         let with_kl = cross_kl(true);
         let without_kl = cross_kl(false);

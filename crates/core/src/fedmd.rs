@@ -27,7 +27,7 @@ use kemf_fl::local::local_train;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_tensor_dims, AlgorithmState, RestoreError, TensorBlob};
 use kemf_fl::trace::{Phase, RoundScope};
-use kemf_nn::loss::{kl_to_target, soften};
+use kemf_nn::loss::{kl_to_target_ws, soften};
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
@@ -129,12 +129,14 @@ pub(crate) fn digest(
         for chunk in order.chunks(32) {
             let x = images.gather_rows(chunk);
             let t = targets.gather_rows(chunk);
-            model.zero_grad();
-            let logits = model.forward(&x, true);
-            let (_, grad) = kl_to_target(&logits, &t, temperature);
-            let _ = model.backward(&grad);
-            let _ = clip_grad_norm(model.net_mut(), 5.0);
-            opt.step(model.net_mut());
+            model.train_step(
+                &x,
+                &mut opt,
+                |logits, ws| kl_to_target_ws(logits, &t, temperature, ws),
+                |net| {
+                    clip_grad_norm(net, 5.0);
+                },
+            );
             steps += 1;
         }
     }
@@ -296,6 +298,25 @@ mod tests {
             ..Default::default()
         };
         (FlContext::new(cfg, &train, test), task)
+    }
+
+    #[test]
+    fn digest_stops_missing_the_pool_after_the_first_step() {
+        // 32 public samples are one chunk, so every step sees the same
+        // shapes; after the first, logits, loss gradient and input
+        // gradient must all come back out of the model's pool.
+        let public = SynthTask::new(SynthConfig::mnist_like(85)).generate_unlabeled(32, 3);
+        let mut model = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 1));
+        let targets = soften(&model.predict(&public), 2.0);
+        let sgd = SgdConfig { lr: 0.02, momentum: 0.9, weight_decay: 0.0, nesterov: false };
+        let misses = |m: &mut Model| {
+            let ws = m.ws_mut();
+            ws.fresh_allocations() + ws.fresh_usize_allocations() + ws.fresh_i8_allocations()
+        };
+        assert_eq!(digest(&mut model, &public, &targets, 1, 2.0, sgd, 4), 1);
+        let warm = misses(&mut model);
+        assert_eq!(digest(&mut model, &public, &targets, 4, 2.0, sgd, 5), 4);
+        assert_eq!(misses(&mut model), warm, "pool misses after the first step");
     }
 
     #[test]

@@ -513,12 +513,12 @@ pub fn sample_clients(n_clients: usize, count: usize, rng: &mut StdRng) -> Vec<u
 
 /// Record the requested compute width exactly once: `KEMF_THREADS`, or
 /// one per available core when unset or `0`. With the vendored
-/// sequential `rayon` stand-in this only records the number — every
-/// `par_*` region (the GEMM row blocks, the cohort driver's client
-/// fan-out) runs on the calling thread, so the effective width is 1
-/// whatever is returned here. With the real crate the same call sizes
-/// the one global pool all regions share. Safe to call from multiple
-/// entry points; only the first call configures.
+/// sequential `rayon` stand-in this only records the number — the one
+/// `par_*` region left (the cohort driver's client fan-out) runs on the
+/// calling thread, so the effective width is 1 whatever is returned
+/// here. With the real crate the same call sizes the global pool that
+/// region runs on. Safe to call from multiple entry points; only the
+/// first call configures.
 pub fn init_thread_pool() -> usize {
     use std::sync::OnceLock;
     static WIDTH: OnceLock<usize> = OnceLock::new();

@@ -2,11 +2,12 @@
 //!
 //! The baselines differ only in (a) an optional per-batch gradient hook
 //! (FedProx's proximal term, SCAFFOLD's control-variate correction) and
-//! (b) how the server aggregates; the SGD loop itself is common.
+//! (b) how the server aggregates; the SGD loop itself is common, and each
+//! of its steps is `Model::train_step` with the cross-entropy loss.
 
 use kemf_data::dataset::Dataset;
 use kemf_nn::layer::Layer;
-use kemf_nn::loss::cross_entropy;
+use kemf_nn::loss::cross_entropy_ws;
 use kemf_nn::model::Model;
 use kemf_nn::optim::{Sgd, SgdConfig};
 use kemf_tensor::rng::seeded_rng;
@@ -51,14 +52,16 @@ pub fn local_train(
     let mut loss_sum = 0.0f64;
     for _epoch in 0..cfg.epochs {
         for (images, labels) in data.shuffled_batches(cfg.batch, &mut rng) {
-            model.zero_grad();
-            let logits = model.forward(&images, true);
-            let (loss, grad) = cross_entropy(&logits, &labels);
-            let _ = model.backward(&grad);
-            if let Some(hook) = grad_hook {
-                hook(model.net_mut());
-            }
-            opt.step(model.net_mut());
+            let loss = model.train_step(
+                &images,
+                &mut opt,
+                |logits, ws| cross_entropy_ws(logits, &labels, ws),
+                |net| {
+                    if let Some(hook) = grad_hook {
+                        hook(net);
+                    }
+                },
+            );
             steps += 1;
             loss_sum += loss as f64;
         }

@@ -1,7 +1,6 @@
 //! Activation layers. ReLU is the only nonlinearity the FedKEMF model zoo
 //! needs; it caches a 0/1 mask during training for the backward pass. The
-//! mask and all outputs are pooled through the caller's [`Workspace`] on
-//! the `_ws` path.
+//! mask and all outputs are pooled through the caller's [`Workspace`].
 
 use crate::layer::Layer;
 use kemf_tensor::workspace::Workspace;
@@ -22,15 +21,7 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let mut y = ws.take_tensor(x.dims());
         for (yv, &xv) in y.data_mut().iter_mut().zip(x.data().iter()) {
             *yv = xv.max(0.0);
@@ -45,7 +36,7 @@ impl Layer for ReLU {
         y
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mask = self.mask.take().expect("ReLU::backward without forward(train)");
         assert_eq!(mask.len(), grad_out.numel(), "ReLU mask/grad size mismatch");
         let mut g = ws.take_tensor(grad_out.dims());
@@ -82,15 +73,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert!(!dims.is_empty(), "Flatten needs at least one dimension");
         let batch = dims[0];
@@ -105,7 +88,7 @@ impl Layer for Flatten {
         y
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let dims = self.input_dims.take().expect("Flatten::backward without forward(train)");
         let mut g = ws.take_tensor(&dims);
         g.data_mut().copy_from_slice(grad_out.data());
@@ -131,17 +114,19 @@ mod tests {
 
     #[test]
     fn relu_clamps_negatives() {
+        let ws = &mut Workspace::new();
         let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(r.forward(&x, false).data(), &[0.0, 0.0, 2.0]);
+        assert_eq!(r.forward(&x, false, ws).data(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn relu_backward_masks() {
+        let ws = &mut Workspace::new();
         let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[3]);
-        let _ = r.forward(&x, true);
-        let g = r.backward(&Tensor::ones(&[3]));
+        let _ = r.forward(&x, true, ws);
+        let g = r.backward(&Tensor::ones(&[3]), ws);
         assert_eq!(g.data(), &[0.0, 1.0, 1.0]);
     }
 
@@ -159,8 +144,8 @@ mod tests {
         let mut ws = Workspace::new();
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0, -0.2], &[4]);
         for _ in 0..3 {
-            let y = r.forward_ws(&x, true, &mut ws);
-            let g = r.backward_ws(&y, &mut ws);
+            let y = r.forward(&x, true, &mut ws);
+            let g = r.backward(&y, &mut ws);
             ws.recycle_tensor(y);
             ws.recycle_tensor(g);
         }
@@ -170,11 +155,12 @@ mod tests {
 
     #[test]
     fn flatten_roundtrip() {
+        let ws = &mut Workspace::new();
         let mut f = Flatten::new();
         let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]);
-        let y = f.forward(&x, true);
+        let y = f.forward(&x, true, ws);
         assert_eq!(y.dims(), &[2, 12]);
-        let g = f.backward(&y);
+        let g = f.backward(&y, ws);
         assert_eq!(g.dims(), &[2, 3, 2, 2]);
         assert_eq!(g.data(), x.data());
     }

@@ -79,15 +79,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let geom = self.geom(x);
         let (oh, ow) = (geom.oh(), geom.ow());
         let plane = oh * ow;
@@ -154,7 +146,7 @@ impl Layer for Conv2d {
         y
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let (cols, geom) = self.cache.take().expect("Conv2d::backward without forward(train)");
         let plane = geom.oh() * geom.ow();
         let ncols = geom.cols();
@@ -252,10 +244,11 @@ mod tests {
 
     #[test]
     fn forward_matches_reference() {
+        let ws = &mut Workspace::new();
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, 42);
         let mut rng = seeded_rng(13);
         let x = Tensor::randn(&[2, 3, 6, 6], 1.0, &mut rng);
-        let fast = conv.forward(&x, false);
+        let fast = conv.forward(&x, false, ws);
         let w4 = conv.weight.value.clone().reshape(&[4, 3, 3, 3]);
         let slow = conv2d_reference(&x, &w4, Some(conv.bias.value.data()), 1, 1);
         assert_eq!(fast.dims(), slow.dims());
@@ -264,10 +257,11 @@ mod tests {
 
     #[test]
     fn strided_forward_matches_reference() {
+        let ws = &mut Workspace::new();
         let mut conv = Conv2d::new(2, 3, 3, 2, 1, 7);
         let mut rng = seeded_rng(14);
         let x = Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng);
-        let fast = conv.forward(&x, false);
+        let fast = conv.forward(&x, false, ws);
         let w4 = conv.weight.value.clone().reshape(&[3, 2, 3, 3]);
         let slow = conv2d_reference(&x, &w4, Some(conv.bias.value.data()), 2, 1);
         assert_eq!(fast.dims(), &[1, 3, 4, 4]);
@@ -287,31 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_path_matches_plain_path() {
-        let mut a = Conv2d::new(3, 5, 3, 2, 1, 21);
-        let mut b = a.clone();
-        let mut ws = Workspace::new();
-        let mut rng = seeded_rng(22);
-        let x = Tensor::randn(&[2, 3, 7, 7], 1.0, &mut rng);
-        let g = Tensor::randn(&[2, 5, 4, 4], 1.0, &mut rng);
-
-        let ya = a.forward(&x, true);
-        let yb = b.forward_ws(&x, true, &mut ws);
-        assert_close(ya.data(), yb.data(), 1e-5);
-        let gxa = a.backward(&g);
-        let gxb = b.backward_ws(&g, &mut ws);
-        assert_close(gxa.data(), gxb.data(), 1e-5);
-        // Compare parameter gradients pairwise in visit order.
-        let mut grads_a = Vec::new();
-        a.visit_params(&mut |p| grads_a.push(p.grad.clone()));
-        let mut grads_b = Vec::new();
-        b.visit_params(&mut |p| grads_b.push(p.grad.clone()));
-        for (ga, gb) in grads_a.iter().zip(grads_b.iter()) {
-            assert_close(ga.data(), gb.data(), 1e-5);
-        }
-    }
-
-    #[test]
     fn steady_state_training_step_hits_the_pool() {
         let mut conv = Conv2d::new(2, 4, 3, 1, 1, 30);
         let mut ws = Workspace::new();
@@ -319,9 +288,9 @@ mod tests {
         let x = Tensor::randn(&[2, 2, 6, 6], 1.0, &mut rng);
         let g = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
         for _ in 0..3 {
-            let y = conv.forward_ws(&x, true, &mut ws);
+            let y = conv.forward(&x, true, &mut ws);
             ws.recycle_tensor(y);
-            let gx = conv.backward_ws(&g, &mut ws);
+            let gx = conv.backward(&g, &mut ws);
             ws.recycle_tensor(gx);
         }
         // Warm-up takes: cols, y, dcols (gx best-fits into y's recycled
@@ -332,12 +301,13 @@ mod tests {
 
     #[test]
     fn int8_forward_stays_close_to_f32() {
+        let ws = &mut Workspace::new();
         let mut conv = Conv2d::new(3, 8, 3, 1, 1, 55);
         let mut rng = seeded_rng(56);
         let x = Tensor::randn(&[2, 3, 8, 8], 1.0, &mut rng);
-        let exact = conv.forward(&x, false);
+        let exact = conv.forward(&x, false, ws);
         conv.set_precision(crate::layer::Precision::Int8);
-        let quantized = conv.forward(&x, false);
+        let quantized = conv.forward(&x, false, ws);
         assert_eq!(exact.dims(), quantized.dims());
         // Quantization error scales with output magnitude; 2·127 levels
         // over a 27-element patch keeps relative error small.
@@ -347,7 +317,7 @@ mod tests {
         }
         // Switching back restores the exact path.
         conv.set_precision(crate::layer::Precision::F32);
-        let again = conv.forward(&x, false);
+        let again = conv.forward(&x, false, ws);
         assert_eq!(exact.data(), again.data());
     }
 
@@ -359,6 +329,7 @@ mod tests {
         // This pins the fused epilogue/operand index math (NCHW scatter in
         // the forward, in-place NCHW gather in the backward) to the
         // forward semantics without a reference implementation.
+        let ws = &mut Workspace::new();
         for &(cin, cout, k, stride, pad, hw) in
             &[(3usize, 5usize, 3usize, 1usize, 1usize, 7usize), (2, 4, 3, 2, 1, 8), (4, 6, 1, 1, 0, 5)]
         {
@@ -366,10 +337,10 @@ mod tests {
             conv.bias.value.fill(0.0);
             let mut rng = seeded_rng(78);
             let x = Tensor::randn(&[2, cin, hw, hw], 1.0, &mut rng);
-            let y = conv.forward(&x, true);
+            let y = conv.forward(&x, true, ws);
             let g = Tensor::randn(y.dims(), 1.0, &mut rng);
             conv.zero_grad();
-            let gx = conv.backward(&g);
+            let gx = conv.backward(&g, ws);
             let ygdot = y.dot(&g);
             let xdot = x.dot(&gx);
             let wdot = conv.weight.value.dot(&conv.weight.grad);

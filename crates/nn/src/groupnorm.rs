@@ -6,9 +6,12 @@
 //! under non-IID data and stale running stats poison early-round
 //! inference (both failure modes are documented in DESIGN.md). The model
 //! zoo can be built with either norm via [`crate::models::NormKind`].
+//! Outputs and the backward cache live in the caller's [`Workspace`], as
+//! in [`crate::norm::BatchNorm2d`].
 
 use crate::layer::Layer;
 use crate::param::Param;
+use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
 /// Per-group, per-sample normalization with learned affine parameters.
@@ -18,8 +21,8 @@ pub struct GroupNorm {
     groups: usize,
     channels: usize,
     eps: f32,
-    /// (x_hat, inv_std per (n, group), dims) cached for backward.
-    cache: Option<(Tensor, Vec<f32>, Vec<usize>)>,
+    /// (x_hat, inv_std per (n, group)) cached for backward.
+    cache: Option<(Tensor, Vec<f32>)>,
 }
 
 impl GroupNorm {
@@ -48,14 +51,14 @@ impl GroupNorm {
 }
 
 impl Layer for GroupNorm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         assert_eq!(c, self.channels, "GroupNorm expected {} channels, got {c}", self.channels);
         let cpg = c / self.groups; // channels per group
         let group_len = cpg * h * w;
-        let mut y = Tensor::zeros(x.dims());
-        let mut x_hat = Tensor::zeros(x.dims());
-        let mut inv_stds = vec![0.0f32; n * self.groups];
+        let mut y = ws.take_tensor(x.dims());
+        let mut x_hat = ws.take_tensor(x.dims());
+        let mut inv_stds = ws.take(n * self.groups);
         let src = x.data();
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
@@ -86,15 +89,18 @@ impl Layer for GroupNorm {
             }
         }
         if train {
-            self.cache = Some((x_hat, inv_stds, x.dims().to_vec()));
+            self.cache = Some((x_hat, inv_stds));
+        } else {
+            ws.recycle_tensor(x_hat);
+            ws.recycle(inv_stds);
         }
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (x_hat, inv_stds, dims) =
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (x_hat, inv_stds) =
             self.cache.take().expect("GroupNorm::backward without forward(train)");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let (n, c, h, w) = x_hat.shape().as_nchw();
         let cpg = c / self.groups;
         let group_len = (cpg * h * w) as f32;
         let plane = h * w;
@@ -117,7 +123,7 @@ impl Layer for GroupNorm {
         // Input gradient, group by group (same algebra as batch norm but
         // statistics are per (sample, group)).
         let gamma = self.gamma.value.data();
-        let mut gx = Tensor::zeros(&dims);
+        let mut gx = ws.take_tensor(x_hat.dims());
         for ni in 0..n {
             for g in 0..self.groups {
                 let inv_std = inv_stds[ni * self.groups + g];
@@ -145,6 +151,8 @@ impl Layer for GroupNorm {
                 }
             }
         }
+        ws.recycle_tensor(x_hat);
+        ws.recycle(inv_stds);
         gx
     }
 
@@ -188,10 +196,11 @@ mod tests {
 
     #[test]
     fn output_is_normalized_per_sample_group() {
+        let ws = &mut Workspace::new();
         let mut gn = GroupNorm::new(2, 4);
         let mut rng = seeded_rng(3);
         let x = Tensor::randn(&[2, 4, 3, 3], 2.5, &mut rng).map(|v| v + 1.0);
-        let y = gn.forward(&x, true);
+        let y = gn.forward(&x, true, ws);
         for ni in 0..2 {
             for g in 0..2 {
                 let mut vals = Vec::new();
@@ -212,11 +221,12 @@ mod tests {
     #[test]
     fn eval_equals_train_no_running_stats() {
         // GroupNorm's whole point in FL: inference needs no statistics.
+        let ws = &mut Workspace::new();
         let mut gn = GroupNorm::new(2, 4);
         let mut rng = seeded_rng(4);
         let x = Tensor::randn(&[1, 4, 3, 3], 1.0, &mut rng);
-        let a = gn.forward(&x, true);
-        let b = gn.forward(&x, false);
+        let a = gn.forward(&x, true, ws);
+        let b = gn.forward(&x, false, ws);
         kemf_tensor::assert_close(a.data(), b.data(), 1e-6);
     }
 
@@ -224,6 +234,7 @@ mod tests {
     fn independent_of_other_samples_in_batch() {
         // Per-sample normalization: sample 0's output must not change when
         // sample 1 changes (unlike batch norm).
+        let ws = &mut Workspace::new();
         let mut gn = GroupNorm::new(1, 2);
         let mut rng = seeded_rng(5);
         let a = Tensor::randn(&[2, 2, 2, 2], 1.0, &mut rng);
@@ -231,8 +242,8 @@ mod tests {
         for v in &mut b.data_mut()[8..] {
             *v += 100.0;
         }
-        let ya = gn.forward(&a, false);
-        let yb = gn.forward(&b, false);
+        let ya = gn.forward(&a, false, ws);
+        let yb = gn.forward(&b, false, ws);
         kemf_tensor::assert_close(&ya.data()[..8], &yb.data()[..8], 1e-5);
     }
 

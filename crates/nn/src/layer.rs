@@ -1,9 +1,17 @@
 //! The [`Layer`] trait: explicit forward/backward with cached activations.
 //!
 //! There is no tape or autograd graph; each layer caches whatever its
-//! backward pass needs during `forward(.., train=true)` and consumes it in
-//! `backward`. This keeps the substrate small, fully testable with finite
+//! backward pass needs during `forward(.., train=true, ..)` and consumes it
+//! in `backward`. This keeps the substrate small, fully testable with finite
 //! differences, and free of interior mutability.
+//!
+//! There is one forward and one backward per layer, and both take the
+//! caller's [`Workspace`]: the returned tensor, every scratch buffer and
+//! everything cached for backward come from it and go back to it, so a
+//! steady-state training step allocates nothing. Buffers taken with
+//! `take_unzeroed` hold a previous call's data, so a layer must write every
+//! element it later reads (`crates/nn/tests/alloc.rs` runs each layer on a
+//! fresh and on a warm workspace and demands identical bits).
 //!
 //! Contract:
 //! * `backward` must be called at most once per `forward(train=true)`, with
@@ -11,8 +19,10 @@
 //!   the gradient w.r.t. the input and **accumulates** into parameter
 //!   gradients (so multi-head losses like deep mutual learning just call
 //!   backward once with the combined output gradient).
-//! * `forward(.., train=false)` is a pure inference path (e.g. batch norm
-//!   uses running statistics) and need not cache anything.
+//! * `forward(.., train=false, ..)` is a pure inference path (e.g. batch
+//!   norm uses running statistics) and need not cache anything.
+//! * The caller owns a returned tensor and hands it back with
+//!   `ws.recycle_tensor` once consumed.
 
 use crate::param::Param;
 use kemf_tensor::workspace::Workspace;
@@ -39,28 +49,11 @@ pub enum Precision {
 pub trait Layer: Send {
     /// Compute the layer output. `train` selects training-mode behaviour
     /// (caching for backward, batch statistics, ...).
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor;
 
     /// Backpropagate: given ∂L/∂output, accumulate parameter gradients and
     /// return ∂L/∂input.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// Workspace-aware forward: scratch buffers and the returned tensor's
-    /// storage come from `ws`, so a steady-state training step allocates
-    /// nothing. The caller owns the result and should hand it back via
-    /// `ws.recycle_tensor` once consumed. Layers that have no scratch
-    /// needs fall back to the plain [`Layer::forward`].
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let _ = ws;
-        self.forward(x, train)
-    }
-
-    /// Workspace-aware counterpart of [`Layer::backward`]; same pooling
-    /// contract as [`Layer::forward_ws`].
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let _ = ws;
-        self.backward(grad_out)
-    }
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
 
     /// Visit parameters immutably, in a deterministic order.
     fn visit_params(&self, f: &mut dyn FnMut(&Param));

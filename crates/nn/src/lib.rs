@@ -41,7 +41,7 @@ pub mod testutil;
 pub mod prelude {
     //! Common imports for downstream crates.
     pub use crate::layer::Layer;
-    pub use crate::loss::{accuracy, cross_entropy, kl_to_target, soften};
+    pub use crate::loss::{accuracy, cross_entropy_ws, kl_to_target_ws, soften};
     pub use crate::model::Model;
     pub use crate::models::{Arch, ModelSpec};
     pub use crate::sequential::NormKind;

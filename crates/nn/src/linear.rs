@@ -53,15 +53,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (batch, feat) = x.shape().as_matrix();
         assert_eq!(feat, self.in_features, "Linear expected {} features, got {feat}", self.in_features);
         let xd = x.data();
@@ -116,7 +108,7 @@ impl Layer for Linear {
         y
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let x = self.cached_input.take().expect("Linear::backward without forward(train)");
         let (batch, feat) = x.shape().as_matrix();
         let out = self.out_features;
@@ -198,13 +190,14 @@ mod tests {
 
     #[test]
     fn forward_matches_manual() {
+        let ws = &mut Workspace::new();
         let mut l = Linear::new(2, 2, 0);
         l.visit_params_mut(&mut |p| p.value.fill(0.0));
         // W = [[1, 2], [3, 4]], b = [0.5, -0.5]
         l.weight.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         l.bias.value = Tensor::from_vec(vec![0.5, -0.5], &[2]);
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let y = l.forward(&x, false);
+        let y = l.forward(&x, false, ws);
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
 
@@ -221,38 +214,15 @@ mod tests {
     }
 
     #[test]
-    fn workspace_path_matches_plain_path() {
-        use kemf_tensor::rng::seeded_rng;
-        let mut a = Linear::new(6, 4, 9);
-        let mut b = a.clone();
-        let mut ws = Workspace::new();
-        let mut rng = seeded_rng(10);
-        let x = Tensor::randn(&[3, 6], 1.0, &mut rng);
-        let g = Tensor::randn(&[3, 4], 1.0, &mut rng);
-        let ya = a.forward(&x, true);
-        let yb = b.forward_ws(&x, true, &mut ws);
-        kemf_tensor::assert_close(ya.data(), yb.data(), 1e-5);
-        let gxa = a.backward(&g);
-        let gxb = b.backward_ws(&g, &mut ws);
-        kemf_tensor::assert_close(gxa.data(), gxb.data(), 1e-5);
-        let mut grads_a = Vec::new();
-        a.visit_params(&mut |p| grads_a.push(p.grad.clone()));
-        let mut grads_b = Vec::new();
-        b.visit_params(&mut |p| grads_b.push(p.grad.clone()));
-        for (ga, gb) in grads_a.iter().zip(grads_b.iter()) {
-            kemf_tensor::assert_close(ga.data(), gb.data(), 1e-5);
-        }
-    }
-
-    #[test]
     fn int8_forward_tracks_f32_forward() {
+        let ws = &mut Workspace::new();
         use kemf_tensor::rng::seeded_rng;
         let mut l = Linear::new(48, 10, 3);
         let mut rng = seeded_rng(4);
         let x = Tensor::randn(&[8, 48], 1.0, &mut rng);
-        let exact = l.forward(&x, false);
+        let exact = l.forward(&x, false, ws);
         l.set_precision(crate::layer::Precision::Int8);
-        let quantized = l.forward(&x, false);
+        let quantized = l.forward(&x, false, ws);
         // Per-element error must stay within the analytic quantization
         // bound (with slack for f32 accumulation order).
         let xd = x.data();
@@ -272,7 +242,7 @@ mod tests {
         }
         // Flipping back restores the exact path bit-for-bit.
         l.set_precision(crate::layer::Precision::F32);
-        let again = l.forward(&x, false);
+        let again = l.forward(&x, false, ws);
         assert_eq!(exact.data(), again.data());
     }
 

@@ -1,13 +1,14 @@
 //! Loss functions and their gradients with respect to logits.
 //!
 //! Everything FedKEMF needs:
-//! * [`cross_entropy`] — Eq. 1 of the paper (supervised term `L_c`).
-//! * [`kl_to_target`] — Eq. 2/4: `D_KL(target ‖ softmax(logits))`, the
+//! * [`cross_entropy_ws`] — Eq. 1 of the paper (supervised term `L_c`).
+//! * [`kl_to_target_ws`] — Eq. 2/4: `D_KL(target ‖ softmax(logits))`, the
 //!   deep-mutual-learning and ensemble-distillation term, with optional
 //!   distillation temperature τ (gradients scaled by τ² per Hinton et al.).
 //!
 //! All losses are means over the batch; gradients are w.r.t. the raw
-//! logits so callers feed them straight into `Layer::backward`.
+//! logits, drawn from the caller's [`Workspace`] (the caller recycles them
+//! after backward), so they plug straight into `Model::train_step`.
 
 use kemf_tensor::ops::{argmax_rows, softmax_inplace_rows};
 use kemf_tensor::workspace::Workspace;
@@ -17,13 +18,6 @@ use kemf_tensor::Tensor;
 ///
 /// Returns `(mean loss, ∂L/∂logits)` with the classic `softmax − onehot`
 /// gradient (divided by batch size).
-pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-    cross_entropy_ws(logits, labels, &mut Workspace::new())
-}
-
-/// [`cross_entropy`] with the gradient tensor drawn from `ws` — the
-/// training hot path's variant (caller recycles the gradient after
-/// backward).
 pub fn cross_entropy_ws(logits: &Tensor, labels: &[usize], ws: &mut Workspace) -> (f32, Tensor) {
     let (n, c) = logits.shape().as_matrix();
     assert_eq!(n, labels.len(), "batch/label count mismatch");
@@ -70,11 +64,6 @@ pub fn soften_ws(logits: &Tensor, temperature: f32, ws: &mut Workspace) -> Tenso
 /// gradient is `τ · (softmax(logits/τ) − target) / N`, the standard
 /// distillation gradient (the τ² loss scale keeps gradient magnitudes
 /// comparable across temperatures).
-pub fn kl_to_target(logits: &Tensor, target: &Tensor, temperature: f32) -> (f32, Tensor) {
-    kl_to_target_ws(logits, target, temperature, &mut Workspace::new())
-}
-
-/// [`kl_to_target`] with the gradient tensor drawn from `ws`.
 pub fn kl_to_target_ws(
     logits: &Tensor,
     target: &Tensor,
@@ -120,6 +109,14 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
 mod tests {
     use super::*;
     use kemf_tensor::rng::seeded_rng;
+
+    fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+        cross_entropy_ws(logits, labels, &mut Workspace::new())
+    }
+
+    fn kl_to_target(logits: &Tensor, target: &Tensor, temperature: f32) -> (f32, Tensor) {
+        kl_to_target_ws(logits, target, temperature, &mut Workspace::new())
+    }
 
     /// Central finite differences on a loss over logits.
     fn fd_grad(loss_fn: impl Fn(&Tensor) -> f32, logits: &Tensor, step: f32) -> Vec<f32> {

@@ -1,5 +1,10 @@
 //! [`Model`]: a network paired with its [`ModelSpec`], plus the training
 //! and evaluation entry points the federated layer drives.
+//!
+//! [`Model::train_step`] is the training step of the whole stack: local
+//! SGD, FedMD digestion and server-side ensemble distillation all call it
+//! with their own loss; only deep mutual learning (`kemf_core::dml`), which
+//! crosses two networks' logits inside one step, writes the sequence out.
 
 use crate::layer::Layer;
 use crate::loss::{accuracy, cross_entropy_ws};
@@ -71,12 +76,12 @@ impl Model {
 
     /// Forward pass (scratch and output storage from the model's pool).
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.net.forward_ws(x, train, &mut self.ws)
+        self.net.forward(x, train, &mut self.ws)
     }
 
     /// Backward pass (after a `forward(.., true)`).
     pub fn backward(&mut self, grad: &Tensor) -> Tensor {
-        self.net.backward_ws(grad, &mut self.ws)
+        self.net.backward(grad, &mut self.ws)
     }
 
     /// Zero parameter gradients.
@@ -118,24 +123,44 @@ impl Model {
         self.state().bytes()
     }
 
-    /// One supervised SGD step on a batch; returns the batch loss. Every
-    /// temporary (logits, loss gradient, input gradient) returns to the
-    /// model's pool, so a steady-state step performs no heap allocation.
-    pub fn train_batch(&mut self, x: &Tensor, labels: &[usize], opt: &mut Sgd) -> f32 {
+    /// One optimizer step on a batch: `zero_grad → forward → loss →
+    /// backward → before_update → opt.step`; returns the loss value.
+    ///
+    /// `loss` maps the logits to `(value, ∂value/∂logits)` with the gradient
+    /// drawn from the workspace it is handed (`cross_entropy_ws`,
+    /// `kl_to_target_ws`); `before_update` sees the accumulated parameter
+    /// gradients before the optimizer does (proximal terms, control
+    /// variates, `clip_grad_norm`). Every temporary — logits, loss
+    /// gradient, input gradient — returns to the model's pool, so a
+    /// steady-state step performs no heap allocation.
+    pub fn train_step(
+        &mut self,
+        x: &Tensor,
+        opt: &mut Sgd,
+        loss: impl FnOnce(&Tensor, &mut Workspace) -> (f32, Tensor),
+        before_update: impl FnOnce(&mut Sequential),
+    ) -> f32 {
         self.zero_grad();
-        let logits = self.net.forward_ws(x, true, &mut self.ws);
-        let (loss, grad) = cross_entropy_ws(&logits, labels, &mut self.ws);
+        let logits = self.net.forward(x, true, &mut self.ws);
+        let (loss, grad) = loss(&logits, &mut self.ws);
         self.ws.recycle_tensor(logits);
-        let gx = self.net.backward_ws(&grad, &mut self.ws);
+        let gx = self.net.backward(&grad, &mut self.ws);
         self.ws.recycle_tensor(grad);
         self.ws.recycle_tensor(gx);
+        before_update(&mut self.net);
         opt.step(&mut self.net);
         loss
     }
 
+    /// [`Model::train_step`] with softmax cross-entropy against `labels`:
+    /// one supervised SGD step.
+    pub fn train_batch(&mut self, x: &Tensor, labels: &[usize], opt: &mut Sgd) -> f32 {
+        self.train_step(x, opt, |logits, ws| cross_entropy_ws(logits, labels, ws), |_| {})
+    }
+
     /// Inference logits for a batch (eval mode).
     pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        self.net.forward_ws(x, false, &mut self.ws)
+        self.net.forward(x, false, &mut self.ws)
     }
 
     /// Inference logits using **batch statistics** (train-mode forward).
@@ -145,7 +170,7 @@ impl Model {
     /// update. Side effects: updates running statistics and leaves
     /// backward caches populated (harmless for throwaway teachers).
     pub fn predict_batch_stats(&mut self, x: &Tensor) -> Tensor {
-        self.net.forward_ws(x, true, &mut self.ws)
+        self.net.forward(x, true, &mut self.ws)
     }
 
     /// Top-1 accuracy over a dataset, evaluated in mini-batches to bound

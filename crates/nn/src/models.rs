@@ -236,15 +236,17 @@ fn build_mlp1(spec: &ModelSpec) -> Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kemf_tensor::workspace::Workspace;
     use crate::layer::Layer;
     use kemf_tensor::rng::seeded_rng;
     use kemf_tensor::Tensor;
 
     fn forward_shape(spec: &ModelSpec, batch: usize) -> Vec<usize> {
+        let ws = &mut Workspace::new();
         let mut net = spec.build();
         let mut rng = seeded_rng(0);
         let x = Tensor::randn(&[batch, spec.in_channels, spec.input_hw, spec.input_hw], 1.0, &mut rng);
-        net.forward(&x, false).dims().to_vec()
+        net.forward(&x, false, ws).dims().to_vec()
     }
 
     #[test]

@@ -50,15 +50,7 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         assert_eq!(c, self.channels, "BatchNorm2d expected {} channels, got {c}", self.channels);
         let plane = h * w;
@@ -123,7 +115,7 @@ impl Layer for BatchNorm2d {
         y
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let (x_hat, inv_stds) =
             self.cache.take().expect("BatchNorm2d::backward without forward(train)");
         let (n, c, h, w) = x_hat.shape().as_nchw();
@@ -213,10 +205,11 @@ mod tests {
 
     #[test]
     fn train_output_is_normalized() {
+        let ws = &mut Workspace::new();
         let mut bn = BatchNorm2d::new(2);
         let mut rng = seeded_rng(5);
         let x = Tensor::randn(&[4, 2, 3, 3], 3.0, &mut rng).map(|v| v + 2.0);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x, true, ws);
         // Per-channel mean ≈ 0, var ≈ 1 after normalization with γ=1, β=0.
         let (n, c, h, w) = y.shape().as_nchw();
         for ch in 0..c {
@@ -237,13 +230,14 @@ mod tests {
     fn running_stats_track_batch_stats() {
         // After many passes over the same batch, the exponential running
         // statistics converge to the *realized* batch statistics.
+        let ws = &mut Workspace::new();
         let mut bn = BatchNorm2d::new(1);
         let mut rng = seeded_rng(6);
         let x = Tensor::randn(&[8, 1, 4, 4], 2.0, &mut rng).map(|v| v + 5.0);
         let mean = x.mean();
         let var = x.data().iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / x.numel() as f32;
         for _ in 0..80 {
-            let _ = bn.forward(&x, true);
+            let _ = bn.forward(&x, true, ws);
         }
         assert!((bn.running_mean().data()[0] - mean).abs() < 0.05, "{} vs {mean}", bn.running_mean().data()[0]);
         assert!((bn.running_var().data()[0] - var).abs() < 0.1, "{} vs {var}", bn.running_var().data()[0]);
@@ -251,11 +245,12 @@ mod tests {
 
     #[test]
     fn eval_uses_running_stats() {
+        let ws = &mut Workspace::new();
         let mut bn = BatchNorm2d::new(1);
         bn.running_mean = Tensor::from_vec(vec![1.0], &[1]);
         bn.running_var = Tensor::from_vec(vec![4.0], &[1]);
         let x = Tensor::from_vec(vec![3.0], &[1, 1, 1, 1]);
-        let y = bn.forward(&x, false);
+        let y = bn.forward(&x, false, ws);
         // (3 - 1) / 2 = 1
         assert!((y.data()[0] - 1.0).abs() < 1e-3);
     }

@@ -158,12 +158,14 @@ impl LrSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kemf_tensor::workspace::Workspace;
     use crate::linear::Linear;
-    use crate::loss::cross_entropy;
+    use crate::loss::cross_entropy_ws;
     use kemf_tensor::rng::seeded_rng;
 
     #[test]
     fn sgd_reduces_loss_on_toy_problem() {
+        let ws = &mut Workspace::new();
         let mut net = Linear::new(2, 2, 3);
         let mut opt = Sgd::new(SgdConfig { lr: 0.5, momentum: 0.0, weight_decay: 0.0, nesterov: false });
         let mut rng = seeded_rng(30);
@@ -174,13 +176,13 @@ mod tests {
         let mut last = 0.0;
         for it in 0..50 {
             net.zero_grad();
-            let logits = net.forward(&x, true);
-            let (loss, grad) = cross_entropy(&logits, &labels);
+            let logits = net.forward(&x, true, ws);
+            let (loss, grad) = cross_entropy_ws(&logits, &labels, ws);
             if it == 0 {
                 first = loss;
             }
             last = loss;
-            let _ = net.backward(&grad);
+            let _ = net.backward(&grad, ws);
             opt.step(&mut net);
         }
         assert!(last < first * 0.5, "loss {first} → {last}");
@@ -191,6 +193,7 @@ mod tests {
         // On an ill-conditioned quadratic, momentum reaches a lower loss in
         // the same number of steps.
         let run = |momentum: f32| {
+            let ws = &mut Workspace::new();
             let mut net = Linear::new(2, 1, 4);
             let mut opt =
                 Sgd::new(SgdConfig { lr: 0.02, momentum, weight_decay: 0.0, nesterov: false });
@@ -199,10 +202,10 @@ mod tests {
             let mut loss = 0.0;
             for _ in 0..120 {
                 net.zero_grad();
-                let y = net.forward(&x, true);
+                let y = net.forward(&x, true, ws);
                 let diff = y.sub(&target);
                 loss = diff.sq_norm();
-                let _ = net.backward(&diff.scale(2.0));
+                let _ = net.backward(&diff.scale(2.0), ws);
                 opt.step(&mut net);
             }
             loss

@@ -20,15 +20,7 @@ impl MaxPool2 {
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         let (oh, ow) = (h / 2, w / 2);
         assert!(oh > 0 && ow > 0, "MaxPool2 input {h}x{w} too small");
@@ -64,7 +56,7 @@ impl Layer for MaxPool2 {
         out
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let (arg, dims) = self.cache.take().expect("MaxPool2::backward without forward(train)");
         let mut gx = ws.take_tensor(&dims);
         let g = gx.data_mut();
@@ -101,15 +93,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         let area = (h * w) as f32;
         let mut out = ws.take_tensor(&[n, c]);
@@ -127,7 +111,7 @@ impl Layer for GlobalAvgPool {
         out
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let dims = self.input_dims.take().expect("GlobalAvgPool::backward without forward(train)");
         let (h, w) = (dims[2], dims[3]);
         let inv_area = 1.0 / (h * w) as f32;
@@ -161,27 +145,30 @@ mod tests {
 
     #[test]
     fn maxpool_picks_maxima() {
+        let ws = &mut Workspace::new();
         let mut p = MaxPool2::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = p.forward(&x, false);
+        let y = p.forward(&x, false, ws);
         assert_eq!(y.dims(), &[1, 1, 1, 1]);
         assert_eq!(y.data(), &[4.0]);
     }
 
     #[test]
     fn maxpool_backward_routes_to_argmax() {
+        let ws = &mut Workspace::new();
         let mut p = MaxPool2::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let _ = p.forward(&x, true);
-        let g = p.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
+        let _ = p.forward(&x, true, ws);
+        let g = p.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]), ws);
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 5.0]);
     }
 
     #[test]
     fn maxpool_drops_odd_edges() {
+        let ws = &mut Workspace::new();
         let mut p = MaxPool2::new();
         let x = Tensor::from_vec((0..15).map(|v| v as f32).collect(), &[1, 1, 3, 5]);
-        let y = p.forward(&x, false);
+        let y = p.forward(&x, false, ws);
         assert_eq!(y.dims(), &[1, 1, 1, 2]);
     }
 
@@ -193,9 +180,10 @@ mod tests {
 
     #[test]
     fn gap_averages() {
+        let ws = &mut Workspace::new();
         let mut p = GlobalAvgPool::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0], &[1, 2, 2, 2]);
-        let y = p.forward(&x, false);
+        let y = p.forward(&x, false, ws);
         assert_eq!(y.dims(), &[1, 2]);
         assert_eq!(y.data(), &[2.5, 10.0]);
     }

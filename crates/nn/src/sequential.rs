@@ -76,46 +76,30 @@ impl Clone for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = x.clone();
-        for l in &mut self.layers {
-            h = l.forward(&h, train);
-        }
-        h
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
-        }
-        g
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         // Each intermediate returns to the pool the moment the next layer
         // has consumed it (layers copy whatever they cache for backward).
         let mut iter = self.layers.iter_mut();
         let mut h = match iter.next() {
-            Some(l) => l.forward_ws(x, train, ws),
+            Some(l) => l.forward(x, train, ws),
             None => return x.clone(),
         };
         for l in iter {
-            let next = l.forward_ws(&h, train, ws);
+            let next = l.forward(&h, train, ws);
             ws.recycle_tensor(h);
             h = next;
         }
         h
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut iter = self.layers.iter_mut().rev();
         let mut g = match iter.next() {
-            Some(l) => l.backward_ws(grad_out, ws),
+            Some(l) => l.backward(grad_out, ws),
             None => return grad_out.clone(),
         };
         for l in iter {
-            let next = l.backward_ws(&g, ws);
+            let next = l.backward(&g, ws);
             ws.recycle_tensor(g);
             g = next;
         }
@@ -206,84 +190,48 @@ impl BasicBlock {
 }
 
 impl Layer for BasicBlock {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let h = self.conv1.forward(x, train);
-        let h = self.bn1.forward(&h, train);
-        let h = self.relu1.forward(&h, train);
-        let h = self.conv2.forward(&h, train);
-        let h = self.bn2.forward(&h, train);
-        let s = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let s = conv.forward(x, train);
-                bn.forward(&s, train)
-            }
-            None => x.clone(),
-        };
-        let sum = h.add(&s);
-        self.relu_out.forward(&sum, train)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g_sum = self.relu_out.backward(grad_out);
-        // Residual branch.
-        let g = self.bn2.backward(&g_sum);
-        let g = self.conv2.backward(&g);
-        let g = self.relu1.backward(&g);
-        let g = self.bn1.backward(&g);
-        let g_main = self.conv1.backward(&g);
-        // Shortcut branch.
-        let g_short = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let g = bn.backward(&g_sum);
-                conv.backward(&g)
-            }
-            None => g_sum,
-        };
-        g_main.add(&g_short)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let h = self.conv1.forward_ws(x, train, ws);
-        let h2 = self.bn1.forward_ws(&h, train, ws);
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        let h = self.conv1.forward(x, train, ws);
+        let h2 = self.bn1.forward(&h, train, ws);
         ws.recycle_tensor(h);
-        let h3 = self.relu1.forward_ws(&h2, train, ws);
+        let h3 = self.relu1.forward(&h2, train, ws);
         ws.recycle_tensor(h2);
-        let h4 = self.conv2.forward_ws(&h3, train, ws);
+        let h4 = self.conv2.forward(&h3, train, ws);
         ws.recycle_tensor(h3);
-        let mut sum = self.bn2.forward_ws(&h4, train, ws);
+        let mut sum = self.bn2.forward(&h4, train, ws);
         ws.recycle_tensor(h4);
         match &mut self.shortcut {
             Some((conv, bn)) => {
-                let s = conv.forward_ws(x, train, ws);
-                let s2 = bn.forward_ws(&s, train, ws);
+                let s = conv.forward(x, train, ws);
+                let s2 = bn.forward(&s, train, ws);
                 ws.recycle_tensor(s);
                 sum.axpy(1.0, &s2);
                 ws.recycle_tensor(s2);
             }
             None => sum.axpy(1.0, x),
         }
-        let y = self.relu_out.forward_ws(&sum, train, ws);
+        let y = self.relu_out.forward(&sum, train, ws);
         ws.recycle_tensor(sum);
         y
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let g_sum = self.relu_out.backward_ws(grad_out, ws);
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        let g_sum = self.relu_out.backward(grad_out, ws);
         // Residual branch.
-        let g = self.bn2.backward_ws(&g_sum, ws);
-        let g2 = self.conv2.backward_ws(&g, ws);
+        let g = self.bn2.backward(&g_sum, ws);
+        let g2 = self.conv2.backward(&g, ws);
         ws.recycle_tensor(g);
-        let g3 = self.relu1.backward_ws(&g2, ws);
+        let g3 = self.relu1.backward(&g2, ws);
         ws.recycle_tensor(g2);
-        let g4 = self.bn1.backward_ws(&g3, ws);
+        let g4 = self.bn1.backward(&g3, ws);
         ws.recycle_tensor(g3);
-        let mut g_main = self.conv1.backward_ws(&g4, ws);
+        let mut g_main = self.conv1.backward(&g4, ws);
         ws.recycle_tensor(g4);
         // Shortcut branch.
         match &mut self.shortcut {
             Some((conv, bn)) => {
-                let gb = bn.backward_ws(&g_sum, ws);
-                let gs = conv.backward_ws(&gb, ws);
+                let gb = bn.backward(&g_sum, ws);
+                let gs = conv.backward(&gb, ws);
                 ws.recycle_tensor(gb);
                 g_main.axpy(1.0, &gs);
                 ws.recycle_tensor(gs);
@@ -365,12 +313,13 @@ mod tests {
 
     #[test]
     fn sequential_chains_layers() {
+        let ws = &mut Workspace::new();
         let mut net = Sequential::new()
             .push(Linear::new(4, 8, 0))
             .push(ReLU::new())
             .push(Linear::new(8, 3, 1));
         let x = Tensor::ones(&[2, 4]);
-        let y = net.forward(&x, false);
+        let y = net.forward(&x, false, ws);
         assert_eq!(y.dims(), &[2, 3]);
         assert_eq!(net.len(), 3);
     }
@@ -386,17 +335,19 @@ mod tests {
 
     #[test]
     fn basic_block_preserves_shape_with_identity_shortcut() {
+        let ws = &mut Workspace::new();
         let mut b = BasicBlock::new(4, 4, 1, 0);
         let x = Tensor::ones(&[1, 4, 6, 6]);
-        let y = b.forward(&x, false);
+        let y = b.forward(&x, false, ws);
         assert_eq!(y.dims(), &[1, 4, 6, 6]);
     }
 
     #[test]
     fn basic_block_downsamples_with_projection() {
+        let ws = &mut Workspace::new();
         let mut b = BasicBlock::new(4, 8, 2, 0);
         let x = Tensor::ones(&[2, 4, 8, 8]);
-        let y = b.forward(&x, false);
+        let y = b.forward(&x, false, ws);
         assert_eq!(y.dims(), &[2, 8, 4, 4]);
     }
 

@@ -8,6 +8,7 @@
 
 use crate::layer::Layer;
 use kemf_tensor::rng::seeded_rng;
+use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
 /// Scalar projection loss and its output-gradient (the projection itself).
@@ -20,16 +21,17 @@ fn proj_loss(y: &Tensor, r: &Tensor) -> f32 {
 pub fn grad_check(layer: &mut dyn Layer, input_dims: &[usize], step: f32, tol: f32) {
     let mut rng = seeded_rng(0xfeed);
     let x = Tensor::randn(input_dims, 1.0, &mut rng);
+    let ws = &mut Workspace::new();
 
     // Fixed projection of the output.
     layer.zero_grad();
-    let y0 = layer.forward(&x, true);
+    let y0 = layer.forward(&x, true, ws);
     let r = Tensor::randn(y0.dims(), 1.0, &mut rng);
 
     // Analytic pass.
     layer.zero_grad();
-    let y = layer.forward(&x, true);
-    let analytic_input_grad = layer.backward(&r);
+    let y = layer.forward(&x, true, ws);
+    let analytic_input_grad = layer.backward(&r, ws);
     let _ = y;
 
     // Snapshot analytic parameter gradients.
@@ -39,7 +41,7 @@ pub fn grad_check(layer: &mut dyn Layer, input_dims: &[usize], step: f32, tol: f
     // Finite differences on every parameter scalar.
     for (pi, param_grads) in analytic_param_grads.iter().enumerate() {
         for (e, &an) in param_grads.iter().enumerate() {
-            let f = |delta: f32, layer: &mut dyn Layer| -> f32 {
+            let mut f = |delta: f32, layer: &mut dyn Layer| -> f32 {
                 let mut i = 0;
                 layer.visit_params_mut(&mut |p| {
                     if i == pi {
@@ -47,7 +49,7 @@ pub fn grad_check(layer: &mut dyn Layer, input_dims: &[usize], step: f32, tol: f
                     }
                     i += 1;
                 });
-                let y = layer.forward(&x, true);
+                let y = layer.forward(&x, true, ws);
                 let mut i = 0;
                 layer.visit_params_mut(&mut |p| {
                     if i == pi {
@@ -73,10 +75,10 @@ pub fn grad_check(layer: &mut dyn Layer, input_dims: &[usize], step: f32, tol: f
     for e in 0..x.numel() {
         let mut xp = x.clone();
         xp.data_mut()[e] += step;
-        let lp = proj_loss(&layer.forward(&xp, true), &r);
+        let lp = proj_loss(&layer.forward(&xp, true, ws), &r);
         let mut xm = x.clone();
         xm.data_mut()[e] -= step;
-        let lm = proj_loss(&layer.forward(&xm, true), &r);
+        let lm = proj_loss(&layer.forward(&xm, true, ws), &r);
         let fd = (lp - lm) / (2.0 * step);
         let an = analytic_input_grad.data()[e];
         let denom = 1.0f32.max(fd.abs()).max(an.abs());

@@ -6,10 +6,17 @@
 //! step — forward, loss, backward, SGD — performs **zero** heap
 //! allocations. The same audit then covers the benchmark's models
 //! (`ModelSpec::scaled` ResNet-20 and VGG-11 at batch 16, batch norm and
-//! residual blocks included, through `Model::train_batch`), the int8
+//! residual blocks included, and a group-norm ResNet-20, through
+//! `Model::train_batch` — the step every algorithm runs), the int8
 //! quantized forward (per-layer code/scale buffers from the i8 pool) and
-//! a GEMM large enough to take the parallel-packing grid split
-//! (per-thread pack pools).
+//! a plain `matmul_into` past one macro tile (thread-local pack pool).
+//!
+//! There is one forward and one backward per layer and they reuse
+//! whatever the pool hands them, some of it unzeroed; nothing else
+//! computes the same pass to compare against. So the audit starts with a
+//! sweep over all ten `Layer` impls: forward + backward on a fresh
+//! workspace and on one still holding another call's data must agree to
+//! the bit.
 //!
 //! This file holds exactly one test: the counter is process-global, and a
 //! concurrent test in the same binary would pollute it.
@@ -61,21 +68,90 @@ fn count_allocs(f: impl FnOnce()) -> usize {
     ALLOCS.load(Ordering::SeqCst)
 }
 
+use kemf_nn::activation::{Flatten, ReLU};
+use kemf_nn::conv2d::Conv2d;
+use kemf_nn::groupnorm::GroupNorm;
+use kemf_nn::layer::{Layer, Precision};
+use kemf_nn::linear::Linear;
+use kemf_nn::loss::cross_entropy_ws;
+use kemf_nn::model::Model;
+use kemf_nn::models::{Arch, ModelSpec};
+use kemf_nn::norm::BatchNorm2d;
+use kemf_nn::optim::{Sgd, SgdConfig};
+use kemf_nn::pool::{GlobalAvgPool, MaxPool2};
+use kemf_nn::sequential::{BasicBlock, NormKind, Sequential};
+use kemf_tensor::rng::seeded_rng;
+use kemf_tensor::workspace::Workspace;
+use kemf_tensor::Tensor;
+
+/// Everything one training-mode forward + backward and one inference
+/// forward of `layer` produce, as bit patterns: output, input gradient,
+/// parameter gradients, inference output (`Int8` where the layer has it).
+fn pass_bits(layer: &mut dyn Layer, x: &Tensor, ws: &mut Workspace) -> Vec<u32> {
+    layer.zero_grad();
+    let y = layer.forward(x, true, ws);
+    let g = y.map(|v| 0.5 - v);
+    let gx = layer.backward(&g, ws);
+    layer.set_precision(Precision::Int8);
+    let y_eval = layer.forward(x, false, ws);
+    layer.set_precision(Precision::F32);
+    let mut bits: Vec<u32> = Vec::new();
+    let mut push = |t: &Tensor| bits.extend(t.data().iter().map(|v| v.to_bits()));
+    push(&y);
+    push(&gx);
+    push(&y_eval);
+    layer.visit_params(&mut |p| push(&p.grad));
+    for t in [y, gx, y_eval] {
+        ws.recycle_tensor(t);
+    }
+    bits
+}
+
+/// Each of the ten `Layer` impls on a fresh workspace and on a warm one:
+/// a clone of the layer first runs other data through the workspace and
+/// hands every buffer back dirty, then the layer itself runs on it.
+fn fresh_and_warm_workspaces_agree() {
+    let image = [4, 3, 8, 8];
+    let layers: Vec<(Box<dyn Layer>, &[usize])> = vec![
+        (Box::new(ReLU::new()), &image),
+        (Box::new(Flatten::new()), &image),
+        (Box::new(Conv2d::new(3, 8, 3, 1, 1, 1)), &image),
+        (Box::new(Conv2d::new(3, 20, 3, 2, 1, 2)), &image),
+        (Box::new(GroupNorm::new(1, 3)), &image),
+        (Box::new(BatchNorm2d::new(3)), &image),
+        (Box::new(MaxPool2::new()), &image),
+        (Box::new(GlobalAvgPool::new()), &image),
+        (Box::new(Linear::new(64, 40, 3)), &[16, 64]),
+        (
+            Box::new(
+                Sequential::new()
+                    .push(Conv2d::new(3, 8, 3, 1, 1, 4))
+                    .push(ReLU::new())
+                    .push(MaxPool2::new())
+                    .push(Flatten::new())
+                    .push(Linear::new(8 * 4 * 4, 10, 5)),
+            ),
+            &image,
+        ),
+        (Box::new(BasicBlock::with_norm(3, 3, 1, 6, NormKind::Batch)), &image),
+        (Box::new(BasicBlock::with_norm(3, 8, 2, 7, NormKind::Group)), &image),
+    ];
+    let mut rng = seeded_rng(19);
+    for (layer, dims) in layers {
+        let x = Tensor::randn(dims, 1.0, &mut rng);
+        let other = Tensor::randn(dims, 3.0, &mut rng);
+        let fresh = pass_bits(&mut *layer.clone(), &x, &mut Workspace::new());
+        let mut ws = Workspace::new();
+        let _ = pass_bits(&mut *layer.clone(), &other, &mut ws);
+        assert!(ws.pooled() > 0, "{}: nothing came back to the pool", layer.name());
+        let warm = pass_bits(&mut *layer.clone(), &x, &mut ws);
+        assert!(fresh == warm, "{}: a warm workspace changed the result", layer.name());
+    }
+}
+
 #[test]
 fn second_training_step_allocates_nothing() {
-    use kemf_nn::activation::{Flatten, ReLU};
-    use kemf_nn::conv2d::Conv2d;
-    use kemf_nn::layer::Layer;
-    use kemf_nn::linear::Linear;
-    use kemf_nn::loss::cross_entropy_ws;
-    use kemf_nn::model::Model;
-    use kemf_nn::models::{Arch, ModelSpec};
-    use kemf_nn::optim::{Sgd, SgdConfig};
-    use kemf_nn::pool::MaxPool2;
-    use kemf_nn::sequential::Sequential;
-    use kemf_tensor::rng::seeded_rng;
-    use kemf_tensor::workspace::Workspace;
-    use kemf_tensor::Tensor;
+    fresh_and_warm_workspaces_agree();
 
     // Conv → ReLU → MaxPool → Conv → ReLU → Flatten → Linear: the layer
     // classes of the DML hot path, one by one (batch norm, residual blocks
@@ -96,10 +172,10 @@ fn second_training_step_allocates_nothing() {
 
     let step = |net: &mut Sequential, ws: &mut Workspace, opt: &mut Sgd| {
         net.zero_grad();
-        let logits = net.forward_ws(&x, true, ws);
+        let logits = net.forward(&x, true, ws);
         let (loss, grad) = cross_entropy_ws(&logits, &labels, ws);
         ws.recycle_tensor(logits);
-        let gx = net.backward_ws(&grad, ws);
+        let gx = net.backward(&grad, ws);
         ws.recycle_tensor(grad);
         ws.recycle_tensor(gx);
         opt.step(net);
@@ -129,8 +205,14 @@ fn second_training_step_allocates_nothing() {
     // buffers alive between forward and backward (a pool capped at 64
     // dropped the rest and missed on every later step), and every
     // batch-norm layer must draw its output and cache from the pool too.
-    for arch in [Arch::ResNet20, Arch::Vgg11] {
-        let mut model = Model::new(ModelSpec::scaled(arch, 3, 16, 10, 11));
+    // Group norm has no running statistics but the same cache as batch
+    // norm (x̂ and 1/σ per sample and group), and must pool it the same way.
+    for (arch, norm) in [
+        (Arch::ResNet20, NormKind::Batch),
+        (Arch::Vgg11, NormKind::Batch),
+        (Arch::ResNet20, NormKind::Group),
+    ] {
+        let mut model = Model::new(ModelSpec::scaled(arch, 3, 16, 10, 11).with_norm(norm));
         let mut opt =
             Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4, nesterov: false });
         let x = Tensor::randn(&[16, 3, 16, 16], 1.0, &mut rng);
@@ -146,29 +228,26 @@ fn second_training_step_allocates_nothing() {
                 assert!(model.train_batch(&x, &labels, &mut opt).is_finite());
             }
         });
-        assert_eq!(allocs, 0, "{arch:?}: steady-state training steps allocated {allocs} times");
-        assert_eq!(fresh(&mut model), warm, "{arch:?}: pool misses after warm-up");
+        assert_eq!(allocs, 0, "{arch:?}/{norm:?}: steady-state training steps allocated {allocs} times");
+        assert_eq!(fresh(&mut model), warm, "{arch:?}/{norm:?}: pool misses after warm-up");
     }
 
     // Int8 quantized inference: the first forward populates the i8
     // code/scale pools; the second must be allocation-free too.
-    net.set_precision(kemf_nn::layer::Precision::Int8);
-    let warm = net.forward_ws(&x, false, &mut ws);
+    net.set_precision(Precision::Int8);
+    let warm = net.forward(&x, false, &mut ws);
     ws.recycle_tensor(warm);
     let allocs = count_allocs(|| {
-        let y = net.forward_ws(&x, false, &mut ws);
+        let y = net.forward(&x, false, &mut ws);
         assert!(y.data().iter().all(|v| v.is_finite()));
         ws.recycle_tensor(y);
     });
     assert_eq!(allocs, 0, "steady-state int8 forward allocated {allocs} times");
-    net.set_precision(kemf_nn::layer::Precision::F32);
+    net.set_precision(Precision::F32);
 
-    // Parallel-packing path: 160³ multiply-adds is past
-    // `kemf_tensor::gemm::PAR_FLOPS`, so with a multi-thread pool
-    // configured the M/N grid split engages (the vendored rayon runs it
-    // inline on this thread, which keeps the audit deterministic). The
-    // per-thread pack pools must absorb the second call entirely.
-    rayon::ThreadPoolBuilder::new().num_threads(2).build_global().ok();
+    // The slice entry points the kernel benchmarks time: 160³ is past one
+    // macro tile in both M and N, so both operands pack, out of the
+    // calling thread's pack pool — which must absorb the second call.
     let dim = 160;
     let a = vec![0.5f32; dim * dim];
     let b = vec![0.25f32; dim * dim];
@@ -177,6 +256,6 @@ fn second_training_step_allocates_nothing() {
     let allocs = count_allocs(|| {
         kemf_tensor::matmul::matmul_into(&a, &b, &mut c, dim, dim, dim);
     });
-    assert_eq!(allocs, 0, "steady-state parallel-packed GEMM allocated {allocs} times");
+    assert_eq!(allocs, 0, "steady-state matmul_into allocated {allocs} times");
     assert!((c[0] - 0.5 * 0.25 * dim as f32).abs() < 1e-3);
 }

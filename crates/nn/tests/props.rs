@@ -4,12 +4,13 @@
 
 use kemf_nn::layer::Layer;
 use kemf_nn::linear::Linear;
-use kemf_nn::loss::{accuracy, cross_entropy};
+use kemf_nn::loss::{accuracy, cross_entropy_ws};
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_nn::model::Model;
 use kemf_nn::norm::BatchNorm2d;
 use kemf_nn::optim::{clip_grad_norm, LrSchedule, Sgd, SgdConfig};
 use kemf_nn::serialize::Weights;
+use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -27,7 +28,7 @@ proptest! {
         let x = Tensor::from_vec(a, &[2, 3]);
         let y = Tensor::from_vec(b, &[2, 3]);
         let zero = Tensor::zeros(&[2, 3]);
-        let f = |l: &mut Linear, t: &Tensor| l.forward(t, false);
+        let f = |l: &mut Linear, t: &Tensor| l.forward(t, false, &mut Workspace::new());
         let lhs = f(&mut l, &x.scale(s).add(&y)).sub(&f(&mut l, &y));
         let rhs = f(&mut l, &x).sub(&f(&mut l, &zero)).scale(s);
         kemf_tensor::assert_close(lhs.data(), rhs.data(), 1e-3);
@@ -39,8 +40,9 @@ proptest! {
         let x = Tensor::from_vec(v, &[2, 2, 3, 3]);
         let mut bn1 = BatchNorm2d::new(2);
         let mut bn2 = BatchNorm2d::new(2);
-        let a = bn1.forward(&x, true);
-        let b = bn2.forward(&x.scale(gain), true);
+        let ws = &mut Workspace::new();
+        let a = bn1.forward(&x, true, ws);
+        let b = bn2.forward(&x.scale(gain), true, ws);
         kemf_tensor::assert_close(a.data(), b.data(), 2e-2);
     }
 
@@ -133,9 +135,10 @@ proptest! {
     fn cross_entropy_decreases_along_negative_gradient(v in vecf(8), step in 0.01f32..0.3) {
         let logits = Tensor::from_vec(v, &[2, 4]);
         let labels = vec![1usize, 3];
-        let (l0, grad) = cross_entropy(&logits, &labels);
+        let ws = &mut Workspace::new();
+        let (l0, grad) = cross_entropy_ws(&logits, &labels, ws);
         let moved = logits.add(&grad.scale(-step));
-        let (l1, _) = cross_entropy(&moved, &labels);
+        let (l1, _) = cross_entropy_ws(&moved, &labels, ws);
         prop_assert!(l1 <= l0 + 1e-5, "loss should not increase along −∇: {l0} → {l1}");
     }
 }

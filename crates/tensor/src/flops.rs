@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Deltas are exact for a single engine because its phases run
-//! sequentially and every rayon worker it fans out to adds into the same
+//! sequentially and every client task it fans out to adds into the same
 //! counter before the phase joins. They are *not* isolated across
 //! concurrently running engines in one process (e.g. parallel tests):
 //! treat cross-engine deltas as upper bounds, and never assert equality

@@ -26,17 +26,10 @@
 //!   loop; AVX2+FMA hosts get the 6×16 YMM variant; every other host (or
 //!   a thread under [`crate::simd::force_scalar`]) uses the portable
 //!   [`MR`]×[`NR`] (8×8) scalar kernel, which the compiler autovectorizes
-//!   under `-C target-cpu=native`. The tier is chosen once per GEMM call
-//!   and propagates into parallel sub-tasks.
+//!   under `-C target-cpu=native`. The tier is chosen once per GEMM call.
 //! * **Cache macro-blocking** — B is packed once per [`NC`]-wide column
 //!   block, A once per [`MC`]-row block, sized so the panels live in L1/L2
 //!   while streaming.
-//! * **Intra-GEMM threading** — [`gemm_blocked_store`] splits the M/N
-//!   macro-loops into an `MC`×`NC` block grid across the rayon pool
-//!   (`KEMF_THREADS`) when the product is large, not nested inside
-//!   client-level parallelism, and has more than one block to hand out.
-//!   Each worker packs into its own thread-local pool, so threads never
-//!   contend on pack buffers.
 //! * **Fused epilogues** — the micro-tile result is handed to a
 //!   [`TileWriter`] row-by-row, so bias-add, bias+ReLU, gradient
 //!   accumulation (`+=`) and the `[O, N·OH·OW] → [N, O, OH, OW]`
@@ -48,8 +41,9 @@
 //! (`0 × ∞ = NaN`), which the old `if av == 0.0 { continue }` silently
 //! violated.
 //!
-//! Packing buffers come from a thread-local [`Workspace`], so steady-state
-//! calls allocate nothing.
+//! A product runs on the thread that calls it — there is no parallel
+//! region in this crate. Packing buffers come from a thread-local
+//! [`Workspace`], so steady-state calls allocate nothing.
 
 use crate::simd::{self, Isa};
 use crate::workspace::Workspace;
@@ -68,10 +62,6 @@ pub const NC: usize = 256;
 /// it saves; a plain unpacked loop runs instead.
 const SMALL_FLOPS: usize = 16 * 1024;
 
-/// Minimum multiply-add count before a single GEMM is split across the
-/// rayon pool; below this the spawn overhead outweighs the work.
-pub const PAR_FLOPS: usize = 1 << 20;
-
 /// Scratch tile large enough for any kernel tier's micro-tile.
 const TILE_ELEMS: usize = simd::SIMD_MR512 * simd::SIMD_NR512;
 const _: () = assert!(TILE_ELEMS >= MR * NR);
@@ -79,8 +69,8 @@ const _: () = assert!(TILE_ELEMS >= simd::SIMD_MR * simd::SIMD_NR);
 
 thread_local! {
     /// Per-thread pack-buffer pool. Thread-local (rather than per-call
-    /// allocation) so concurrent client tasks and intra-GEMM workers never
-    /// contend and repeated calls reuse warm buffers.
+    /// allocation) so concurrent client tasks never contend and repeated
+    /// calls reuse warm buffers.
     static PACK_POOL: RefCell<Workspace> = RefCell::new(Workspace::new());
 }
 
@@ -539,106 +529,14 @@ where
         gemm_small(m, k, n, a, b, writer);
         return;
     }
-    run_macro(select_kernel(), k, a, b, writer, 0, m, 0, n);
+    run_macro(select_kernel(), m, k, n, a, b, writer);
 }
 
-/// `C[m,n] = A·B` into a plain row-major slice, splitting the M/N
-/// macro-loops across the rayon pool when the product is large enough.
-///
-/// This is the entry the `matmul_*` family uses. Parallelism is only a
-/// property of the *plain-store* output shape: each worker owns a
-/// disjoint `MC`×`NC` block grid cell of `c` and packs operand panels
-/// into its own thread-local pool. Inside an already-parallel region
-/// (federated client tasks) or below [`PAR_FLOPS`] the call stays
-/// sequential, so client-level parallelism is never oversubscribed by
-/// kernel-level parallelism.
-pub fn gemm_blocked_store<A, B>(m: usize, k: usize, n: usize, a: &A, b: &B, c: &mut [f32])
+/// The macro-loop engine: pack B per `NC` column block, A per `MC` row
+/// block, run the selected microkernel over every micro-tile, hand rows to
+/// the writer. Pack buffers come from the calling thread's pool.
+fn run_macro<A, B, W>(kern: Kernel, m: usize, k: usize, n: usize, a: &A, b: &B, writer: &mut W)
 where
-    A: Operand + Sync,
-    B: Operand + Sync,
-{
-    assert!(c.len() >= m * n, "C size mismatch: {} < {}", c.len(), m * n);
-    let row_blocks = m.div_ceil(MC.max(1)).max(1);
-    let col_blocks = n.div_ceil(NC.max(1)).max(1);
-    let parallel = rayon::current_num_threads() > 1
-        && rayon::current_thread_index().is_none()
-        && m * n * k >= PAR_FLOPS
-        && row_blocks * col_blocks > 1;
-    if !parallel {
-        gemm_ops(m, k, n, a, b, &mut Store { c, ldc: n });
-        return;
-    }
-
-    crate::flops::add(2 * m as u64 * n as u64 * k as u64);
-    let kern = select_kernel();
-
-    /// Raw output pointer that may cross thread boundaries. Soundness rests
-    /// on the grid partition below: every task writes a disjoint
-    /// `[i0..i0+mc) × [j0..j0+nc)` block of C, so no two tasks ever touch
-    /// the same element.
-    struct GridStore {
-        ptr: *mut f32,
-        ldc: usize,
-    }
-    // SAFETY: tasks write disjoint C blocks (see struct docs); the pointer
-    // outlives the parallel region because `c` is borrowed for its whole
-    // duration.
-    unsafe impl Send for GridStore {}
-    // SAFETY: shared across tasks only to be copied into per-task writers;
-    // disjointness of the written blocks is guaranteed by the grid split.
-    unsafe impl Sync for GridStore {}
-    impl TileWriter for GridStore {
-        #[inline(always)]
-        fn write(&mut self, i: usize, j: usize, v: f32) {
-            // SAFETY: (i, j) lies inside this task's disjoint block and
-            // within the `m × n` extent of `c`.
-            unsafe { *self.ptr.add(i * self.ldc + j) = v }
-        }
-
-        #[inline]
-        fn write_row(&mut self, i: usize, j0: usize, vals: &[f32]) {
-            // SAFETY: the row segment lies inside this task's disjoint
-            // block; source and destination never overlap (`vals` is a
-            // stack tile).
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    vals.as_ptr(),
-                    self.ptr.add(i * self.ldc + j0),
-                    vals.len(),
-                );
-            }
-        }
-    }
-
-    let grid = GridStore { ptr: c.as_mut_ptr(), ldc: n };
-    let grid_ref = &grid;
-    use rayon::prelude::*;
-    (0..row_blocks * col_blocks).into_par_iter().for_each(move |cell| {
-        let i0 = (cell / col_blocks) * MC;
-        let j0 = (cell % col_blocks) * NC;
-        let mc = MC.min(m - i0);
-        let nc = NC.min(n - j0);
-        let mut w = GridStore { ptr: grid_ref.ptr, ldc: grid_ref.ldc };
-        run_macro(kern, k, a, b, &mut w, i0, i0 + mc, j0, j0 + nc);
-    });
-}
-
-/// The macro-loop engine over one `[i_begin, i_end) × [j_begin, j_end)`
-/// region: pack B per `NC` column block, A per `MC` row block, run the
-/// selected microkernel over every micro-tile, hand rows to the writer.
-/// Pack buffers come from the calling thread's pool.
-#[allow(clippy::too_many_arguments)] // internal engine: region bounds beat a one-use struct
-fn run_macro<A, B, W>(
-    kern: Kernel,
-    k: usize,
-    a: &A,
-    b: &B,
-    writer: &mut W,
-    i_begin: usize,
-    i_end: usize,
-    j_begin: usize,
-    j_end: usize,
-) where
     A: Operand,
     B: Operand,
     W: TileWriter,
@@ -648,17 +546,17 @@ fn run_macro<A, B, W>(
     // over B costs more than it saves. The widest kernel reads row-major
     // B in place instead (and the ≤ 2·mr row bound keeps the i loop to a
     // single iteration, so edge panels pack at most once per column).
-    let direct_b = if kern.kind == KernelKind::Avx8x32 && i_end - i_begin <= 2 * kern.mr {
+    let direct_b = if kern.kind == KernelKind::Avx8x32 && m <= 2 * kern.mr {
         b.as_row_major()
     } else {
         None
     };
     if let Some((bd, ldb)) = direct_b {
         // The kernel reads `bd` through a raw pointer: rows `0..k`,
-        // columns up to `j_end`.
+        // columns up to `n`.
         assert!(
-            j_end <= ldb && (k - 1) * ldb + j_end <= bd.len(),
-            "row-major B too short: {} elements for k {k}, ld {ldb}, n {j_end}",
+            n <= ldb && (k - 1) * ldb + n <= bd.len(),
+            "row-major B too short: {} elements for k {k}, ld {ldb}, n {n}",
             bd.len()
         );
     }
@@ -669,14 +567,14 @@ fn run_macro<A, B, W>(
         // over-allocated by 16 floats so the panel start can be rounded
         // up to a 64-byte boundary — 512-bit loads that straddle cache
         // lines halve effective load bandwidth. They are sized to the
-        // region, not the macro-tile (a four-channel weight gradient over
+        // product, not the macro-tile (a four-channel weight gradient over
         // k = 4096 columns would otherwise ask for 5 MB it never
         // touches; direct-B packs one edge panel at most), and not
         // cleared: packing writes every element the kernel reads.
-        let a_rows = MC.min(i_end - i_begin).next_multiple_of(kern.mr);
+        let a_rows = MC.min(m).next_multiple_of(kern.mr);
         let b_cols = match direct_b {
             Some(_) => kern.nr,
-            None => NC.min(j_end - j_begin).next_multiple_of(kern.nr),
+            None => NC.min(n).next_multiple_of(kern.nr),
         };
         let mut a_buf = ws.take_unzeroed(a_rows * k + 16);
         let mut b_buf = ws.take_unzeroed(b_cols * k + 16);
@@ -691,23 +589,23 @@ fn run_macro<A, B, W>(
         struct Tile([f32; TILE_ELEMS]);
         let mut tile = Tile([0.0f32; TILE_ELEMS]);
         let tile = &mut tile.0;
-        let mut j0 = j_begin;
-        while j0 < j_end {
-            let nc = NC.min(j_end - j0);
+        let mut j0 = 0;
+        while j0 < n {
+            let nc = NC.min(n - j0);
             let nc_panels = nc.div_ceil(kern.nr);
             if direct_b.is_none() {
                 pack(b, k, j0, nc, kern.nr, b_pack);
             }
 
-            let mut i0 = i_begin;
-            while i0 < i_end {
-                let mc = MC.min(i_end - i0);
+            let mut i0 = 0;
+            while i0 < m {
+                let mc = MC.min(m - i0);
                 let mc_panels = mc.div_ceil(kern.mr);
                 pack(&Transposed(a), k, i0, mc, kern.mr, a_pack);
 
                 for jp in 0..nc_panels {
                     let jbase = j0 + jp * kern.nr;
-                    let nr_eff = kern.nr.min(j_end - jbase);
+                    let nr_eff = kern.nr.min(n - jbase);
                     // Direct-B only serves full-width tiles (the kernel
                     // has no column masking); an edge panel still packs.
                     let direct_panel = match direct_b {
@@ -726,14 +624,14 @@ fn run_macro<A, B, W>(
                     for ip in 0..mc_panels {
                         let a_panel = &a_pack[ip * k * kern.mr..(ip + 1) * k * kern.mr];
                         let ibase = i0 + ip * kern.mr;
-                        let mr_eff = kern.mr.min(i_end - ibase);
+                        let mr_eff = kern.mr.min(m - ibase);
                         match kern.kind {
                             #[cfg(target_arch = "x86_64")]
                             // SAFETY: this tier is only selected when
                             // runtime detection confirmed AVX-512F; the A
                             // panel is padded to k·8, the tile holds 256
                             // floats, and on the direct path
-                            // `jbase + 32 <= j_end <= ldb`, so every row
+                            // `jbase + 32 <= n <= ldb`, so every row
                             // load stays inside B's `[k, ldb]` storage.
                             KernelKind::Avx8x32 => unsafe {
                                 if let Some((bd, ldb)) = direct_panel {
@@ -1008,27 +906,6 @@ mod tests {
             &ColMajor { data: &b_t, ld: k },
             &mut Store { c: &mut c, ldc: n },
         );
-        assert_close(&c, &want, 1e-4);
-    }
-
-    #[test]
-    fn blocked_store_matches_sequential() {
-        // Exercise the grid-parallel entry (sequential on the vendored
-        // rayon; block decomposition must still be exact).
-        rayon::ThreadPoolBuilder::new().num_threads(2).build_global().ok();
-        let (m, k, n) = (130, 70, 300); // > PAR_FLOPS? 130*70*300 = 2.73M ✓
-        let a = random(m * k, 41);
-        let b = random(k * n, 42);
-        let mut c = vec![0.0f32; m * n];
-        gemm_blocked_store(
-            m,
-            k,
-            n,
-            &RowMajor { data: &a, ld: k },
-            &RowMajor { data: &b, ld: n },
-            &mut c,
-        );
-        let want = gemm_naive(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j]);
         assert_close(&c, &want, 1e-4);
     }
 

@@ -11,8 +11,8 @@
 //!    differences (in `kemf-nn`).
 //! 2. **Predictable performance on CPU** — row-major contiguous storage, a
 //!    packed cache-blocked GEMM ([`gemm`]) with runtime-dispatched
-//!    microkernels and fused epilogues, intra-GEMM macro-loop threading
-//!    for large products, an int8 symmetric quantized inference path
+//!    microkernels and fused epilogues, an int8 symmetric quantized
+//!    inference path
 //!    ([`quant`]), convolution lowered to matmul through `im2col`, and a
 //!    [`workspace::Workspace`] scratch arena so steady-state training
 //!    steps perform no heap allocation.
@@ -33,11 +33,14 @@
 //! ## Quick example
 //!
 //! ```
+//! use kemf_tensor::gemm::{gemm_ops, RowMajor, Store};
 //! use kemf_tensor::Tensor;
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 //! let b = Tensor::eye(2);
-//! let c = a.matmul(&b);
+//! let mut c = Tensor::zeros(&[2, 2]);
+//! let (ra, rb) = (RowMajor { data: a.data(), ld: 2 }, RowMajor { data: b.data(), ld: 2 });
+//! gemm_ops(2, 2, 2, &ra, &rb, &mut Store { c: c.data_mut(), ldc: 2 });
 //! assert_eq!(c.data(), a.data());
 //! ```
 

@@ -9,31 +9,24 @@
 //!
 //! All three are thin layout adapters over the packed, cache-blocked
 //! engine in [`crate::gemm`]: the stored layout is expressed as a
-//! [`RowMajor`]/[`ColMajor`] operand (so packing is contiguous slice
-//! copies, not per-element accessor calls), packing normalizes it into
-//! register-ordered panels, and one runtime-dispatched microkernel
-//! (AVX2+FMA 6×16 or the portable scalar 8×8) serves every variant.
-//! Large top-level products additionally split their M/N macro-loops
-//! across rayon inside [`crate::gemm::gemm_blocked_store`]; inside an
-//! already-parallel region (federated client tasks) or below a size
-//! threshold they stay sequential, so client-level parallelism is never
-//! oversubscribed by kernel-level parallelism.
+//! [`RowMajor`]/[`ColMajor`] operand and the result goes through the plain
+//! [`Store`] writer. The layers call [`gemm_ops`] themselves with fused
+//! epilogues; these entry points remain as the kernel benchmarks' baseline
+//! (plain slices in, plain slice out, on the calling thread).
 //!
 //! There is deliberately no zero-skip fast path: `0 × ∞` and `0 × NaN`
 //! must produce `NaN` in the output, matching IEEE-754 and the naive
 //! reference (see `zero_times_nonfinite_propagates`).
 
-use crate::gemm::{gemm_blocked_store, ColMajor, RowMajor};
-use crate::tensor::Tensor;
+use crate::gemm::{gemm_ops, ColMajor, RowMajor, Store};
 
 /// `C[m,n] = A[m,k] · B[k,n]`, writing into `c`.
-///
-/// Plain slices so callers can stage buffers; `Tensor` wrappers below.
 pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A size mismatch");
     assert_eq!(b.len(), k * n, "B size mismatch");
     assert_eq!(c.len(), m * n, "C size mismatch");
-    gemm_blocked_store(m, k, n, &RowMajor { data: a, ld: k }, &RowMajor { data: b, ld: n }, c);
+    let (a, b) = (RowMajor { data: a, ld: k }, RowMajor { data: b, ld: n });
+    gemm_ops(m, k, n, &a, &b, &mut Store { c, ldc: n });
 }
 
 /// `C[m,n] = Aᵀ[m,k] · B[k,n]` where `A` is stored as `[k, m]`.
@@ -42,7 +35,8 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     assert_eq!(b.len(), k * n, "B size mismatch");
     assert_eq!(c.len(), m * n, "C size mismatch");
     // Logical A(i, kk) = a[kk·m + i]: a column-major view with ld = m.
-    gemm_blocked_store(m, k, n, &ColMajor { data: a, ld: m }, &RowMajor { data: b, ld: n }, c);
+    let (a, b) = (ColMajor { data: a, ld: m }, RowMajor { data: b, ld: n });
+    gemm_ops(m, k, n, &a, &b, &mut Store { c, ldc: n });
 }
 
 /// `C[m,n] = A[m,k] · Bᵀ[k,n]` where `B` is stored as `[n, k]`.
@@ -51,40 +45,8 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     assert_eq!(b.len(), n * k, "B size mismatch");
     assert_eq!(c.len(), m * n, "C size mismatch");
     // Logical B(kk, j) = b[j·k + kk]: a column-major view with ld = k.
-    gemm_blocked_store(m, k, n, &RowMajor { data: a, ld: k }, &ColMajor { data: b, ld: k }, c);
-}
-
-impl Tensor {
-    /// Matrix product treating `self` as `[m, k]` (leading dims flattened)
-    /// and `rhs` as `[k, n]`.
-    pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        let (m, k) = self.shape().as_matrix();
-        let (k2, n) = rhs.shape().as_matrix();
-        assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let mut out = Tensor::zeros(&[m, n]);
-        matmul_into(self.data(), rhs.data(), out.data_mut(), m, k, n);
-        out
-    }
-
-    /// `selfᵀ · rhs` with `self: [k, m]`, `rhs: [k, n]` → `[m, n]`.
-    pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
-        let (k, m) = self.shape().as_matrix();
-        let (k2, n) = rhs.shape().as_matrix();
-        assert_eq!(k, k2, "matmul_tn inner dimension mismatch: {k} vs {k2}");
-        let mut out = Tensor::zeros(&[m, n]);
-        matmul_tn_into(self.data(), rhs.data(), out.data_mut(), m, k, n);
-        out
-    }
-
-    /// `self · rhsᵀ` with `self: [m, k]`, `rhs: [n, k]` → `[m, n]`.
-    pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
-        let (m, k) = self.shape().as_matrix();
-        let (n, k2) = rhs.shape().as_matrix();
-        assert_eq!(k, k2, "matmul_nt inner dimension mismatch: {k} vs {k2}");
-        let mut out = Tensor::zeros(&[m, n]);
-        matmul_nt_into(self.data(), rhs.data(), out.data_mut(), m, k, n);
-        out
-    }
+    let (a, b) = (RowMajor { data: a, ld: k }, ColMajor { data: b, ld: k });
+    gemm_ops(m, k, n, &a, &b, &mut Store { c, ldc: n });
 }
 
 #[cfg(test)]
@@ -110,25 +72,26 @@ mod tests {
 
     #[test]
     fn identity() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let c = a.matmul(&Tensor::eye(2));
-        assert_eq!(c.data(), a.data());
+        let a = [1.0, 2.0, 3.0, 4.0];
+        let mut c = [0.0; 4];
+        matmul_into(&a, &[1.0, 0.0, 0.0, 1.0], &mut c, 2, 2, 2);
+        assert_eq!(c, a);
     }
 
     #[test]
     fn known_product() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]);
-        let c = a.matmul(&b);
-        assert_eq!(c.dims(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
+        let mut c = [0.0; 4];
+        matmul_into(&a, &b, &mut c, 2, 3, 2);
+        assert_eq!(c, [58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn random_sizes_match_naive() {
         let mut rng = seeded_rng(7);
-        // Includes shapes above the packed-path and parallel-split
-        // thresholds, not just tiny ones.
+        // Includes shapes above the packed-path threshold and past one
+        // macro tile, not just tiny ones.
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 5, 2),
@@ -216,9 +179,8 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn inner_dim_mismatch_panics() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[4, 2]);
-        let _ = a.matmul(&b);
+    fn size_mismatch_panics() {
+        // A is [2, 3]; a [4, 2] B does not have k·n = 6 elements.
+        matmul_into(&[0.0; 6], &[0.0; 8], &mut [0.0; 4], 2, 3, 2);
     }
 }

@@ -16,6 +16,22 @@ fn tensor_strategy(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-4.0f32..4.0, n)
 }
 
+/// A slice entry point of `kemf_tensor::matmul`.
+type MatmulInto = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// `A·B` of two matrices through the slice entry point `f`
+/// (`matmul_into`, or a transposed variant with `a`/`b` stored that way).
+fn product(
+    f: MatmulInto,
+    a: &Tensor,
+    b: &Tensor,
+    (m, k, n): (usize, usize, usize),
+) -> Tensor {
+    let mut c = Tensor::zeros(&[m, n]);
+    f(a.data(), b.data(), c.data_mut(), m, k, n);
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -23,8 +39,8 @@ proptest! {
     fn matmul_identity(v in tensor_strategy(25)) {
         let a = Tensor::from_vec(v, &[5, 5]);
         let i = Tensor::eye(5);
-        kemf_tensor::assert_close(a.matmul(&i).data(), a.data(), 1e-5);
-        kemf_tensor::assert_close(i.matmul(&a).data(), a.data(), 1e-5);
+        kemf_tensor::assert_close(product(matmul_into, &a, &i, (5, 5, 5)).data(), a.data(), 1e-5);
+        kemf_tensor::assert_close(product(matmul_into, &i, &a, (5, 5, 5)).data(), a.data(), 1e-5);
     }
 
     #[test]
@@ -36,8 +52,9 @@ proptest! {
         let a = Tensor::from_vec(a, &[3, 4]);
         let b = Tensor::from_vec(b, &[4, 5]);
         let c = Tensor::from_vec(c, &[4, 5]);
-        let lhs = a.matmul(&b.add(&c));
-        let rhs = a.matmul(&b).add(&a.matmul(&c));
+        let mm = |x: &Tensor, y: &Tensor| product(matmul_into, x, y, (3, 4, 5));
+        let lhs = mm(&a, &b.add(&c));
+        let rhs = mm(&a, &b).add(&mm(&a, &c));
         kemf_tensor::assert_close(lhs.data(), rhs.data(), 1e-3);
     }
 
@@ -45,8 +62,8 @@ proptest! {
     fn matmul_scalar_commutes(a in tensor_strategy(12), b in tensor_strategy(8), s in -3.0f32..3.0) {
         let a = Tensor::from_vec(a, &[3, 4]);
         let b = Tensor::from_vec(b, &[4, 2]);
-        let lhs = a.scale(s).matmul(&b);
-        let rhs = a.matmul(&b).scale(s);
+        let lhs = product(matmul_into, &a.scale(s), &b, (3, 4, 2));
+        let rhs = product(matmul_into, &a, &b, (3, 4, 2)).scale(s);
         kemf_tensor::assert_close(lhs.data(), rhs.data(), 1e-3);
     }
 
@@ -59,11 +76,11 @@ proptest! {
 
     #[test]
     fn tn_variant_equals_pretransposed(a in tensor_strategy(12), b in tensor_strategy(8)) {
-        // (Aᵀ)·B via matmul_tn == transpose(A)·B via plain matmul.
+        // (Aᵀ)·B via matmul_tn_into == transpose(A)·B via matmul_into.
         let a_km = Tensor::from_vec(a, &[4, 3]); // stored [k=4, m=3]
         let b_kn = Tensor::from_vec(b, &[4, 2]);
-        let fast = a_km.matmul_tn(&b_kn);
-        let slow = transpose2d(&a_km).matmul(&b_kn);
+        let fast = product(matmul_tn_into, &a_km, &b_kn, (3, 4, 2));
+        let slow = product(matmul_into, &transpose2d(&a_km), &b_kn, (3, 4, 2));
         kemf_tensor::assert_close(fast.data(), slow.data(), 1e-4);
     }
 
@@ -71,8 +88,8 @@ proptest! {
     fn nt_variant_equals_pretransposed(a in tensor_strategy(12), b in tensor_strategy(8)) {
         let a_mk = Tensor::from_vec(a, &[3, 4]);
         let b_nk = Tensor::from_vec(b, &[2, 4]); // stored [n=2, k=4]
-        let fast = a_mk.matmul_nt(&b_nk);
-        let slow = a_mk.matmul(&transpose2d(&b_nk));
+        let fast = product(matmul_nt_into, &a_mk, &b_nk, (3, 4, 2));
+        let slow = product(matmul_into, &a_mk, &transpose2d(&b_nk), (3, 4, 2));
         kemf_tensor::assert_close(fast.data(), slow.data(), 1e-4);
     }
 

@@ -51,6 +51,22 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
         print FILENAME":"FNR": closure GEMM operand outside kemf_tensor tests"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/core/src/*.rs crates/fl/src/*.rs
 
+# One training step, one forward path: outside test modules, no layer
+# grows a second (`_ws`) spelling of its passes, kemf-tensor names no
+# thread pool (nothing in it runs in parallel), and optimizers are
+# stepped by `Model::train_step` — under kemf-fl/kemf-core only deep mutual
+# learning, which crosses two networks' logits inside one step, steps
+# them itself. A hand-copied step loop, or the allocating twin of a
+# pass coming back, fails here.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    FILENAME ~ /\/nn\/src\// && /fn (forward|backward)_ws/ {
+        print FILENAME":"FNR": second spelling of a layer pass"; bad=1 }
+    FILENAME ~ /\/tensor\/src\// && /rayon/ {
+        print FILENAME":"FNR": thread pool in kemf-tensor"; bad=1 }
+    FILENAME ~ /\/(fl|core)\/src\// && FILENAME !~ /\/core\/src\/dml\.rs$/ && index($0, ".step(") {
+        print FILENAME":"FNR": optimizer step outside Model::train_step"; bad=1 }
+    END{exit bad}' crates/nn/src/*.rs crates/tensor/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
+
 # The frozen benchmark package links the library's public API; build it
 # here so a broken signature fails in CI, not in the bench pipeline, and
 # run its smoke pass (2+2 rounds per workload, writes no files) so its own

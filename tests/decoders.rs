@@ -9,11 +9,17 @@
 //! declared length is held against the bytes still unread before
 //! anything is allocated for it.
 //!
+//! `RunTrace::from_jsonl`, the one text decoder, gets the same three
+//! attacks under its own contract (a prefix cut at a line end *is* a
+//! shorter trace): a typed error or a trace that re-encodes stably, never
+//! a panic, under the same allocation bound.
+//!
 //! Allocation sizes are tracked per thread, so the tests in this file
 //! may run in parallel.
 
 use fedkemf::fl::checkpoint::{load_run, save_run, RunCheckpoint};
 use fedkemf::fl::scheduler::{PendingEvent, SchedulerState};
+use fedkemf::fl::trace::{Counters, Phase, RunTrace, Span};
 use fedkemf::fl::transport::{build_payload, read_frame, validate_payload, write_frame};
 use fedkemf::nn::checkpoint::{load_bundle, load_state, save_state};
 use fedkemf::prelude::*;
@@ -237,6 +243,81 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+// ---- the text decoder -------------------------------------------------------
+
+/// Two rounds with every phase and every optional field: a labelled
+/// payload, the async staleness counters, a failed quorum.
+fn trace() -> RunTrace {
+    let spans = (0..2)
+        .flat_map(|round| {
+            Phase::ALL.into_iter().enumerate().map(move |(i, phase)| Span {
+                round,
+                phase,
+                wall_s: 0.125 * (i + 1) as f64,
+                counters: Counters {
+                    clients: 4,
+                    steps: 12 * i as u64,
+                    batches: 12 * i as u64,
+                    flops: 1 << (20 + i),
+                    down_bytes: 4096,
+                    up_bytes: 2048,
+                    wasted_up_bytes: 17,
+                    stale_updates: round as u64,
+                    evicted_updates: i as u64 % 2,
+                    quorum_met: round == 0,
+                    payload_label: [None, Some("weights"), Some("logits")][i % 3],
+                },
+            })
+        })
+        .collect();
+    RunTrace { spans }
+}
+
+/// Parse `bytes` (lossily as UTF-8: the reader takes `&str`) under the
+/// allocation watch. A trace that parses must survive its own re-encoding
+/// unchanged — compared as text, since a `null` duration reads as NaN.
+fn check_trace(bytes: &[u8], case: &str) -> Option<RunTrace> {
+    let text = String::from_utf8_lossy(bytes);
+    let (parsed, peak) = peak_alloc(|| RunTrace::from_jsonl(&text));
+    assert!(
+        peak <= alloc_bound(bytes.len()),
+        "from_jsonl: {case}: one allocation of {peak} bytes for a {}-byte input",
+        bytes.len()
+    );
+    let trace = parsed.ok()?;
+    let again = trace.to_jsonl();
+    let reread = RunTrace::from_jsonl(&again).map(|t| t.to_jsonl());
+    assert_eq!(reread.ok().as_ref(), Some(&again), "from_jsonl: {case}: re-encoding is not stable");
+    Some(trace)
+}
+
+#[test]
+fn trace_reader_survives_prefixes_and_bit_flips() {
+    let want = trace();
+    let valid = want.to_jsonl().into_bytes();
+    assert_eq!(check_trace(&valid, "valid"), Some(want.clone()));
+    // A prefix either fails or is the spans of the lines it still holds
+    // whole; only the cuts at (or one short of) a line end can succeed.
+    let mut decoded = 0;
+    for cut in 0..valid.len() {
+        if let Some(t) = check_trace(&valid[..cut], &format!("prefix {cut}")) {
+            assert!(want.spans.starts_with(&t.spans), "prefix {cut} decoded spans never written");
+            decoded += 1;
+        }
+    }
+    assert!(decoded <= 2 * want.spans.len(), "{decoded} prefixes decoded");
+    let mut bytes = valid.clone();
+    let mut accepted = 0usize;
+    for bit in 0..bytes.len() * 8 {
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        accepted += check_trace(&bytes, &format!("bit {bit}")).is_some() as usize;
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+    // Flips inside digits still parse; flips inside keys, phase names,
+    // punctuation or the payload label must not.
+    assert!(accepted < bytes.len() * 8, "every flip decoded");
+}
+
 #[test]
 fn valid_encodings_decode_and_every_truncation_or_extension_is_refused() {
     let dir = scratch("trunc");
@@ -298,6 +379,17 @@ proptest! {
             let keep = keep % d.valid.len();
             let spliced = [&d.valid[..keep], &noise[..len]].concat();
             check(d, &spliced, dir, &format!("noise after {keep} valid bytes"));
+        }
+        // The text decoder: the same noise, and the noise folded onto
+        // JSON's own alphabet so it nests, quotes and escapes.
+        static TRACE: OnceLock<Vec<u8>> = OnceLock::new();
+        let valid = TRACE.get_or_init(|| trace().to_jsonl().into_bytes());
+        const JSON: &[u8] = b"{}[]\":,-+.eE0123456789 \n\\utrfalsn";
+        let jsonish: Vec<u8> = noise[..len].iter().map(|&b| JSON[b as usize % JSON.len()]).collect();
+        let keep = keep % valid.len();
+        for tail in [&noise[..len], &jsonish[..]] {
+            check_trace(tail, "noise");
+            check_trace(&[&valid[..keep], tail].concat(), &format!("noise after {keep} valid bytes"));
         }
     }
 }

@@ -4,11 +4,12 @@
 use fedkemf::core::ensemble::{ensemble_logits, standardize_rows, EnsembleStrategy};
 use fedkemf::data::dirichlet::{dirichlet_partition, sample_dirichlet};
 use fedkemf::fl::compress::{dequantize, quantize, QuantizedWeights};
-use fedkemf::nn::loss::{cross_entropy, kl_to_target, soften};
+use fedkemf::nn::loss::{cross_entropy_ws, kl_to_target_ws, soften};
 use fedkemf::nn::serialize::Weights;
 use fedkemf::prelude::*;
 use fedkemf::tensor::ops::{argmax_rows, log_softmax, softmax};
 use fedkemf::tensor::rng::seeded_rng;
+use fedkemf::tensor::workspace::Workspace;
 use fedkemf::tensor::Tensor;
 use proptest::prelude::*;
 
@@ -51,17 +52,18 @@ proptest! {
 
     #[test]
     fn kl_is_nonnegative_and_zero_on_self(t in logits_strategy(3, 6), u in logits_strategy(3, 6)) {
+        let ws = &mut Workspace::new();
         let target = soften(&u, 1.0);
-        let (loss, _) = kl_to_target(&t, &target, 1.0);
+        let (loss, _) = kl_to_target_ws(&t, &target, 1.0, ws);
         prop_assert!(loss >= -1e-5, "KL must be non-negative, got {loss}");
-        let (self_loss, grad) = kl_to_target(&t, &soften(&t, 1.0), 1.0);
+        let (self_loss, grad) = kl_to_target_ws(&t, &soften(&t, 1.0), 1.0, ws);
         prop_assert!(self_loss.abs() < 1e-4);
         prop_assert!(grad.norm() < 1e-4);
     }
 
     #[test]
     fn cross_entropy_bounded_below_by_zero(t in logits_strategy(4, 5), labels in prop::collection::vec(0usize..5, 4)) {
-        let (loss, grad) = cross_entropy(&t, &labels);
+        let (loss, grad) = cross_entropy_ws(&t, &labels, &mut Workspace::new());
         prop_assert!(loss >= 0.0);
         // Gradient rows sum to ~0 (softmax minus one-hot property).
         for r in 0..4 {
