@@ -3,6 +3,7 @@
 //! by minimizing `D_KL(Θ ‖ θ_g)` on unlabeled/public data.
 
 use crate::ensemble::{ensemble_logits, EnsembleStrategy};
+use kemf_fl::cohort::fork_join;
 use kemf_fl::compress::ComputePrecision;
 use kemf_nn::layer::Precision;
 use kemf_nn::loss::{kl_to_target_ws, soften};
@@ -81,16 +82,21 @@ pub fn distill_ensemble(
     // poison the distilled student.
     // The teacher pass — the bulk of server-side inference FLOPs — honours
     // `cfg.precision`; each teacher is restored to exact f32 afterwards so
-    // the precision choice never leaks into later rounds.
-    let member_logits: Vec<Tensor> = teachers
-        .iter_mut()
-        .map(|t| {
+    // the precision choice never leaks into later rounds. Members are
+    // independent, so they run through the cohort driver's fork-join and
+    // their logits come back in member order (the same bits at any
+    // width). A teacher never sees a backward, so what its pool-sized
+    // training forward cached goes the moment its logits exist: one
+    // member's activations per thread are live at a time, not the
+    // ensemble's for the whole of fusion.
+    let member_logits: Vec<Tensor> =
+        fork_join(teachers.iter_mut().collect(), |t: &mut Model| {
             t.set_precision(cfg.precision.to_layer());
             let z = t.predict_batch_stats(pool);
             t.set_precision(Precision::F32);
+            t.release_scratch();
             z
-        })
-        .collect();
+        });
     let ensembled = ensemble_logits(&member_logits, cfg.strategy);
     let targets = soften(&ensembled, cfg.temperature);
 

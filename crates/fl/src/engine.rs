@@ -511,14 +511,14 @@ pub fn sample_clients(n_clients: usize, count: usize, rng: &mut StdRng) -> Vec<u
     out
 }
 
-/// Record the requested compute width exactly once: `KEMF_THREADS`, or
-/// one per available core when unset or `0`. With the vendored
-/// sequential `rayon` stand-in this only records the number — the one
-/// `par_*` region left (the cohort driver's client fan-out) runs on the
-/// calling thread, so the effective width is 1 whatever is returned
-/// here. With the real crate the same call sizes the global pool that
-/// region runs on. Safe to call from multiple entry points; only the
-/// first call configures.
+/// Settle the process's compute width exactly once and return it:
+/// `KEMF_THREADS`, or one per available core when unset or `0`. This is
+/// the number of threads [`crate::cohort::train_cohort`] trains a chunk's
+/// clients on (the caller's plus `width − 1` scoped ones, alive for that
+/// chunk only); at 1 every client trains on the calling thread. Kernels
+/// are single-threaded at any width, and histories do not depend on it.
+/// Nothing is spawned or allocated here. Safe to call from multiple entry
+/// points; only the first call configures.
 pub fn init_thread_pool() -> usize {
     use std::sync::OnceLock;
     static WIDTH: OnceLock<usize> = OnceLock::new();
@@ -530,17 +530,17 @@ pub fn init_thread_pool() -> usize {
         let requested = env_threads.unwrap_or_else(|| {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         });
-        // A build failure means a pool already exists (e.g. a test harness
-        // built one); inherit it rather than abort — but if the user asked
-        // for a specific width via KEMF_THREADS and lost, say so once
+        // A build failure means the width was fixed before us (e.g. by a
+        // test harness); inherit it rather than abort — but if the user
+        // asked for a specific width via KEMF_THREADS and lost, say so once
         // instead of silently running at the wrong parallelism.
         let already_built =
             rayon::ThreadPoolBuilder::new().num_threads(requested).build_global().is_err();
         let actual = rayon::current_num_threads();
         if already_built && env_threads.is_some() && actual != requested {
             eprintln!(
-                "warning: KEMF_THREADS={requested} requested, but the global compute pool \
-                 was already built with {actual} thread(s); inheriting the existing pool"
+                "warning: KEMF_THREADS={requested} requested, but the compute width was \
+                 already fixed at {actual} thread(s); clients train on {actual}"
             );
         }
         actual

@@ -564,7 +564,7 @@ pub fn worker_loop(
             .map_err(|e| TransportError::Io { context: "reading a server frame", source: e })?;
         match kind {
             K_SHUTDOWN => return Ok(()),
-            K_DOWN => serve_download(&mut stream, &body, time_scale)?,
+            K_DOWN => serve_download(&mut stream, body, time_scale)?,
             other => {
                 return Err(TransportError::Protocol {
                     detail: format!("worker received unexpected frame kind {other}"),
@@ -579,11 +579,11 @@ pub fn worker_loop(
 /// gives up.
 fn serve_download(
     stream: &mut TcpStream,
-    body: &[u8],
+    body: Vec<u8>,
     time_scale: f64,
 ) -> Result<(), TransportError> {
     let (round, client, delay_s, deadline_s, up_len, declared_len, payload) =
-        parse_body("broadcast frame", body, |r| {
+        parse_body("broadcast frame", &body, |r| {
             Ok((r.u64()?, r.u64()?, r.f64()?, r.f64()?, r.u64()?, r.u64()?, r.rest()))
         })?;
 
@@ -602,6 +602,9 @@ fn serve_download(
     if let Err(fault) = validate_payload(payload, declared_len) {
         return send_err(stream, ERR_DECODE, &fault.to_string());
     }
+    // The broadcast has been acted on: do not hold a model-sized frame
+    // while building a model-sized upload.
+    drop(body);
 
     // The deadline comparison is the same f64 comparison the plan made —
     // bits travel unmodified, so the wire can never re-classify a

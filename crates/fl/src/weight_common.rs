@@ -3,6 +3,12 @@
 //! evaluation, the per-client "train a fresh copy of the global model"
 //! body they hand to the cohort driver, and the sample-count-weighted
 //! state average FedAvg and FedProx fuse with.
+//!
+//! Nothing here keeps a `Model` between calls. The server holds the
+//! global *state*; a client's model lives for its `train` closure on
+//! whichever thread the cohort driver runs it, and the evaluation model
+//! for one `evaluate` — so what is resident during a round's local
+//! updates is the state plus one training client per thread.
 
 use crate::context::FlContext;
 use crate::engine::{EngineError, RoundOutcome};
@@ -20,15 +26,12 @@ pub struct GlobalModel {
     pub spec: ModelSpec,
     /// Current global transmitted state.
     pub state: ModelState,
-    eval_model: Model,
 }
 
 impl GlobalModel {
     /// Initialize from a spec (the server's round-0 model).
     pub fn new(spec: ModelSpec) -> Self {
-        let eval_model = Model::new(spec);
-        let state = eval_model.state();
-        GlobalModel { spec, state, eval_model }
+        GlobalModel { spec, state: Model::new(spec).state() }
     }
 
     /// Transmitted payload size per direction, in bytes.
@@ -36,11 +39,16 @@ impl GlobalModel {
         self.state.bytes() as u64
     }
 
-    /// Test accuracy of the current global state.
+    /// Test accuracy of the current global state, on a model that lives
+    /// for this call only: a resident evaluation model pins its parameters
+    /// and the workspace of one `eval_batch`-sized pass — more than a
+    /// training client holds — through every round's local updates.
     pub fn evaluate(&mut self, ctx: &FlContext) -> f32 {
-        self.eval_model.set_state(&self.state);
-        self.eval_model
-            .evaluate(&ctx.test.images, &ctx.test.labels, ctx.cfg.eval_batch)
+        let mut model = Model::new(self.spec);
+        model.set_state(&self.state);
+        let acc = model.evaluate(&ctx.test.images, &ctx.test.labels, ctx.cfg.eval_batch);
+        kemf_tensor::conv::release_lowering();
+        acc
     }
 }
 
@@ -48,8 +56,8 @@ impl GlobalModel {
 /// inside [`crate::cohort::train_cohort`]: a fresh model at the `global`
 /// state the client was dispatched with, trained on client `k`'s shard
 /// under `hook` (FedProx's proximal term, SCAFFOLD's correction). Takes
-/// the state and spec rather than a [`GlobalModel`] so the call can
-/// cross a parallel fan-out (a `Model` is `Send`, not `Sync`).
+/// the state and spec rather than a [`GlobalModel`] so the call can run
+/// on the cohort driver's worker threads (shared state must be `Sync`).
 pub fn train_from_global(
     global: &ModelState,
     spec: ModelSpec,

@@ -16,13 +16,22 @@
 //! * input gradient `Wᵀ · g`: the filters as a column-major view, the
 //!   gradient through `NchwGather` again.
 //!
-//! Every remaining temporary (`cols`, `dcols`, outputs) lives in the
+//! The patch matrix is never kept. A training forward caches a copy of
+//! its *input* (`KH·KW` times smaller) and backward lowers it again —
+//! `im2col` runs at memory speed and is deterministic, so the weight
+//! gradient reads the bits forward multiplied by. Both passes lower into
+//! the thread's one buffer ([`kemf_tensor::conv::with_lowering`]), and
+//! `dcols` overwrites `cols` there once the weight gradient has been
+//! accumulated. What a model holds between forward and backward is
+//! therefore its activations, not nine times them; that is what lets two
+//! clients train side by side in the memory one used to take. The
+//! remaining temporaries (input copy, outputs, input gradient) live in the
 //! caller's [`Workspace`], so a steady-state training step allocates
 //! nothing.
 
 use crate::layer::{Layer, Precision};
 use crate::param::Param;
-use kemf_tensor::conv::{col2im, im2col, ConvGeom};
+use kemf_tensor::conv::{col2im, im2col, with_lowering, ConvGeom};
 use kemf_tensor::gemm::{
     gemm_ops, Accumulate, ColMajor, NchwGather, NchwScatterBias, RowMajor, Store,
 };
@@ -41,7 +50,7 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     precision: Precision,
-    /// (im2col matrix, geometry) cached during training forward.
+    /// (copy of the input, geometry) kept by a training forward.
     cache: Option<(Vec<f32>, ConvGeom)>,
 }
 
@@ -85,69 +94,51 @@ impl Layer for Conv2d {
         let plane = oh * ow;
         let ncols = geom.cols();
         let patch = geom.patch_len();
-        // `im2col` writes every element, as the plain-store GEMM does
-        // `dcols` in backward: neither needs the pool to clear it first.
-        let mut cols = ws.take_unzeroed(patch * ncols);
-        im2col(x.data(), &geom, &mut cols);
-        // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o]:
-        // one GEMM whose epilogue scatters straight into NCHW with the
-        // bias added, replacing a staging matrix + reorder copy.
-        let mut y = ws.take_tensor(&[geom.n, self.out_channels, oh, ow]);
-        match self.precision {
-            Precision::F32 => gemm_ops(
-                self.out_channels,
-                patch,
-                ncols,
-                &RowMajor { data: self.weight.value.data(), ld: patch },
-                &RowMajor { data: &cols, ld: ncols },
-                &mut NchwScatterBias {
-                    out: y.data_mut(),
-                    o: self.out_channels,
-                    plane,
-                    bias: self.bias.value.data(),
-                },
-            ),
-            Precision::Int8 => {
-                // A = filter bank per-row, B = im2col matrix per-column;
-                // the dequantizing epilogue reuses the fused NCHW scatter.
-                let o = self.out_channels;
-                let mut qa = ws.take_i8(quant::a_codes_len(o, patch));
-                let mut sa = ws.take(o);
-                quant::quantize_a_rows(self.weight.value.data(), o, patch, &mut qa, &mut sa);
-                let mut bp = ws.take_i8(quant::b_pack_len(patch, ncols));
-                let mut sb = ws.take(ncols);
-                quant::pack_b_rowmajor(&cols, patch, ncols, &mut bp, &mut sb);
-                quant::gemm_i8(
+        let o = self.out_channels;
+        let mut y = ws.take_tensor(&[geom.n, o, oh, ow]);
+        with_lowering(patch * ncols, |cols| {
+            im2col(x.data(), &geom, cols);
+            // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o]:
+            // one GEMM whose epilogue scatters straight into NCHW with the
+            // bias added, replacing a staging matrix + reorder copy.
+            let mut out =
+                NchwScatterBias { out: y.data_mut(), o, plane, bias: self.bias.value.data() };
+            match self.precision {
+                Precision::F32 => gemm_ops(
                     o,
                     patch,
                     ncols,
-                    &qa,
-                    &sa,
-                    &bp,
-                    &sb,
-                    &mut NchwScatterBias {
-                        out: y.data_mut(),
-                        o,
-                        plane,
-                        bias: self.bias.value.data(),
-                    },
-                );
-                ws.recycle_i8(qa);
-                ws.recycle_i8(bp);
-                ws.recycle(sa);
-                ws.recycle(sb);
+                    &RowMajor { data: self.weight.value.data(), ld: patch },
+                    &RowMajor { data: cols, ld: ncols },
+                    &mut out,
+                ),
+                Precision::Int8 => {
+                    // A = filter bank per-row, B = im2col matrix per-column;
+                    // the dequantizing epilogue reuses the fused NCHW scatter.
+                    let mut qa = ws.take_i8(quant::a_codes_len(o, patch));
+                    let mut sa = ws.take(o);
+                    quant::quantize_a_rows(self.weight.value.data(), o, patch, &mut qa, &mut sa);
+                    let mut bp = ws.take_i8(quant::b_pack_len(patch, ncols));
+                    let mut sb = ws.take(ncols);
+                    quant::pack_b_rowmajor(cols, patch, ncols, &mut bp, &mut sb);
+                    quant::gemm_i8(o, patch, ncols, &qa, &sa, &bp, &sb, &mut out);
+                    ws.recycle_i8(qa);
+                    ws.recycle_i8(bp);
+                    ws.recycle(sa);
+                    ws.recycle(sb);
+                }
             }
-        }
+        });
         if train {
-            self.cache = Some((cols, geom));
-        } else {
-            ws.recycle(cols);
+            let mut input = ws.take_unzeroed(x.numel());
+            input.copy_from_slice(x.data());
+            self.cache = Some((input, geom));
         }
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (cols, geom) = self.cache.take().expect("Conv2d::backward without forward(train)");
+        let (input, geom) = self.cache.take().expect("Conv2d::backward without forward(train)");
         let plane = geom.oh() * geom.ow();
         let ncols = geom.cols();
         let patch = geom.patch_len();
@@ -158,16 +149,6 @@ impl Layer for Conv2d {
         // materializing the reorder.
         let g_mat = NchwGather { data: g, o, plane };
 
-        // dW[o, p] += Σ_col g[o, col] cols[p, col] — accumulated directly
-        // into the parameter gradient.
-        gemm_ops(
-            o,
-            ncols,
-            patch,
-            &g_mat,
-            &ColMajor { data: &cols, ld: ncols },
-            &mut Accumulate { c: self.weight.grad.data_mut(), ldc: patch },
-        );
         // db[o] += Σ_col g[o, col]
         {
             let db = self.bias.grad.data_mut();
@@ -178,21 +159,36 @@ impl Layer for Conv2d {
                 }
             }
         }
-        // dcols[p, col] = Σ_o W[o, p] g[o, col]
-        let mut dcols = ws.take_unzeroed(patch * ncols);
-        gemm_ops(
-            patch,
-            o,
-            ncols,
-            &ColMajor { data: self.weight.value.data(), ld: patch },
-            &g_mat,
-            &mut Store { c: &mut dcols, ldc: ncols },
-        );
-        let mut gx = ws.take_tensor(&[geom.n, geom.c, geom.h, geom.w]);
-        col2im(&dcols, &geom, gx.data_mut());
-        ws.recycle(dcols);
-        ws.recycle(cols);
-        gx
+        with_lowering(patch * ncols, |buf| {
+            // Lower the input again rather than having kept the patch
+            // matrix since forward: the same bits, `KH·KW` times less held.
+            im2col(&input, &geom, buf);
+            // The input gradient has the input's size: it takes this buffer.
+            ws.recycle(input);
+            // dW[o, p] += Σ_col g[o, col] cols[p, col] — accumulated directly
+            // into the parameter gradient.
+            gemm_ops(
+                o,
+                ncols,
+                patch,
+                &g_mat,
+                &ColMajor { data: buf, ld: ncols },
+                &mut Accumulate { c: self.weight.grad.data_mut(), ldc: patch },
+            );
+            // dcols[p, col] = Σ_o W[o, p] g[o, col], over the patch matrix
+            // the weight gradient is done with.
+            gemm_ops(
+                patch,
+                o,
+                ncols,
+                &ColMajor { data: self.weight.value.data(), ld: patch },
+                &g_mat,
+                &mut Store { c: buf, ldc: ncols },
+            );
+            let mut gx = ws.take_tensor(&[geom.n, geom.c, geom.h, geom.w]);
+            col2im(buf, &geom, gx.data_mut());
+            gx
+        })
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
@@ -293,9 +289,10 @@ mod tests {
             let gx = conv.backward(&g, &mut ws);
             ws.recycle_tensor(gx);
         }
-        // Warm-up takes: cols, y, dcols (gx best-fits into y's recycled
-        // buffer, and its dims reuse y's recycled dims).
-        assert_eq!(ws.fresh_allocations(), 3, "f32 pool misses after warm-up");
+        // Warm-up takes: y and the input copy (gx takes the input copy's
+        // buffer back, and its dims reuse y's recycled dims); the patch
+        // matrix is the thread's, not the pool's.
+        assert_eq!(ws.fresh_allocations(), 2, "f32 pool misses after warm-up");
         assert_eq!(ws.fresh_usize_allocations(), 1, "dims pool misses after warm-up");
     }
 

@@ -167,10 +167,26 @@ impl Model {
     /// Needed when a model has taken too few optimizer steps for its
     /// batch-norm running statistics to be trustworthy — e.g. knowledge
     /// networks acting as distillation teachers right after a short local
-    /// update. Side effects: updates running statistics and leaves
-    /// backward caches populated (harmless for throwaway teachers).
+    /// update. Side effects: updates running statistics, and — being a
+    /// training forward no backward follows — leaves every layer holding
+    /// what its backward would have read (one activation-sized buffer per
+    /// layer, at `x`'s batch size) until the next forward replaces it. A
+    /// caller that keeps the model but is done with the pass hands that
+    /// back with [`Model::release_scratch`].
     pub fn predict_batch_stats(&mut self, x: &Tensor) -> Tensor {
         self.net.forward(x, true, &mut self.ws)
+    }
+
+    /// Free everything this model holds besides its parameters and
+    /// buffers: each layer's backward cache, the workspace pool and the
+    /// calling thread's convolution lowering buffer. Tensors the model has
+    /// handed out stay valid. The next pass warms the pools again, so
+    /// this belongs after the last pass of a kind (a teacher's logits, a
+    /// server-side evaluation), not between training steps.
+    pub fn release_scratch(&mut self) {
+        // A clone is exactly that: same parameters, empty caches and pool.
+        *self = self.clone();
+        kemf_tensor::conv::release_lowering();
     }
 
     /// Top-1 accuracy over a dataset, evaluated in mini-batches to bound

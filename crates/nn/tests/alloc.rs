@@ -10,6 +10,11 @@
 //! `Model::train_batch` — the step every algorithm runs), the int8
 //! quantized forward (per-layer code/scale buffers from the i8 pool) and
 //! a plain `matmul_into` past one macro tile (thread-local pack pool).
+//! A last leg trains two ResNet-20s on two threads at once, the way the
+//! cohort driver's fork-join does: everything a step draws on is the
+//! model's (workspace) or the thread's (pack pool, convolution lowering
+//! buffer), so once each thread has taken its first step neither may
+//! allocate again.
 //!
 //! There is one forward and one backward per layer and they reuse
 //! whatever the pool hands them, some of it unzeroed; nothing else
@@ -258,4 +263,45 @@ fn second_training_step_allocates_nothing() {
     });
     assert_eq!(allocs, 0, "steady-state matmul_into allocated {allocs} times");
     assert!((c[0] - 0.5 * 0.25 * dim as f32).abs() < 1e-3);
+
+    two_threads_train_side_by_side_without_allocating();
+}
+
+/// Two clients in flight: each thread builds its model and takes one
+/// warm-up step, then — counting on, between two barriers — three more.
+fn two_threads_train_side_by_side_without_allocating() {
+    let gate = std::sync::Barrier::new(3);
+    let allocs = std::thread::scope(|s| {
+        for seed in [21u64, 22] {
+            let gate = &gate;
+            s.spawn(move || {
+                let mut rng = seeded_rng(seed);
+                let mut model = Model::new(ModelSpec::scaled(Arch::ResNet20, 3, 16, 10, seed));
+                let mut opt = Sgd::new(SgdConfig {
+                    lr: 0.05,
+                    momentum: 0.9,
+                    weight_decay: 5e-4,
+                    nesterov: false,
+                });
+                let x = Tensor::randn(&[16, 3, 16, 16], 1.0, &mut rng);
+                let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
+                assert!(model.train_batch(&x, &labels, &mut opt).is_finite());
+                gate.wait(); // both warm
+                gate.wait(); // counting is on
+                for _ in 0..3 {
+                    assert!(model.train_batch(&x, &labels, &mut opt).is_finite());
+                }
+                gate.wait(); // both done: counting goes off before anything drops
+                gate.wait();
+            });
+        }
+        gate.wait();
+        let allocs = count_allocs(|| {
+            gate.wait();
+            gate.wait();
+        });
+        gate.wait();
+        allocs
+    });
+    assert_eq!(allocs, 0, "two concurrent ResNet-20 clients allocated {allocs} times after warm-up");
 }

@@ -21,8 +21,50 @@
 //! one offset per output position of the plane, once, and gather through
 //! that table a few images at a time. Which of the two it is follows
 //! from the geometry alone.
+//!
+//! The patch matrix itself is the largest temporary of a convolutional
+//! step — `KH·KW` times the layer's input — and it is needed only while
+//! one layer's products run. [`with_lowering`] therefore lends each
+//! thread a single buffer for it, apart from any model's
+//! [`crate::workspace::Workspace`]: a best-fit pool that was handed a
+//! freed patch matrix would give it to the next activation request and
+//! keep one per layer alive after all.
 
 use crate::tensor::Tensor;
+use std::cell::RefCell;
+
+thread_local! {
+    /// This thread's patch-matrix buffer; see [`with_lowering`].
+    static LOWERING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the first `len` elements of this thread's lowering buffer.
+///
+/// The buffer grows to the largest patch matrix the thread has lowered
+/// and is then reused by every convolution the thread runs, forward and
+/// backward, so a steady-state step allocates nothing for it. Contents
+/// are whatever the last user left: `f` must write before it reads
+/// (`im2col` and a plain-store GEMM both write every element). It dies
+/// with the thread, or on [`release_lowering`].
+pub fn with_lowering<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    LOWERING.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            // Not `resize`: the old contents are dead, so neither copy
+            // them nor hold them while the larger buffer is mapped.
+            *buf = Vec::new();
+            *buf = vec![0.0; len];
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// Free this thread's lowering buffer. For a long-lived thread that has
+/// just finished a pass at an unusually large batch (server-side
+/// evaluation, a teacher's logit pass) and goes back to smaller ones.
+pub fn release_lowering() {
+    LOWERING.with(|cell| *cell.borrow_mut() = Vec::new());
+}
 
 /// Geometry of one convolution, shared by forward and backward passes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -44,8 +44,10 @@ pub enum Isa {
 thread_local! {
     /// Per-thread scalar override. Thread-local rather than global so a
     /// test forcing the fallback cannot race concurrently running tests;
-    /// the dispatcher reads it once per GEMM call on the calling thread
-    /// and the decision propagates into any parallel sub-tasks.
+    /// the dispatcher reads it once per GEMM call on the calling thread.
+    /// It does not cross a spawn by itself: code that starts threads on
+    /// behalf of a caller (`kemf_fl::cohort::fork_join`) reads
+    /// [`scalar_forced`] before spawning and applies it in each worker.
     static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
 }
 

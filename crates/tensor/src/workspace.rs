@@ -100,9 +100,9 @@ impl Workspace {
     }
 
     /// [`Workspace::take`] without the clearing pass, for callers that
-    /// overwrite every element (pack panels, `im2col` output, plain-store
-    /// GEMM results): the contents are whatever the buffer's last user
-    /// left, zeros where it had to grow.
+    /// overwrite every element (pack panels, a layer's copy of its input,
+    /// plain-store GEMM results): the contents are whatever the buffer's
+    /// last user left, zeros where it had to grow.
     pub fn take_unzeroed(&mut self, len: usize) -> Vec<f32> {
         match best_fit(&self.f32_pool, len) {
             Some(idx) => {

@@ -5,6 +5,18 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
+
+# Threads do not change histories: the suites whose expected values are
+# pinned constants (history hashes, golden bytes of checkpoints, socket ==
+# in-process, resumed == straight) must match the same tables with every
+# client trained on the calling thread and with two clients in flight.
+# The compute width is settled once per process, so it takes two runs.
+for width in 1 2; do
+    KEMF_THREADS=$width cargo test -q --test golden_histories --test golden_bytes \
+        --test async_rounds --test resume --test fault_matrix --test transport \
+        --test population
+done
+
 cargo clippy --workspace -- -D warnings
 
 # One round path: `FedAlgorithm::round` is the engine's provided
@@ -14,16 +26,16 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /^ *fn round\(/{print FILENAME":"
     $(ls crates/fl/src/*.rs crates/core/src/*.rs | grep -v '/engine\.rs$')
 
 # One cohort driver, one client-model population: outside test modules,
-# cohort chunking and the client fan-out live in cohort.rs (config.rs
-# defines `cohort_chunk`), the sharded-population checkpoint marker in
-# client_store.rs, and the per-client checkpoint section name in
-# client_models.rs. A new hand-rolled copy of any of them fails here.
+# cohort chunking lives in cohort.rs (config.rs defines `cohort_chunk`;
+# the client fan-out has its own guard below), the sharded-population
+# checkpoint marker in client_store.rs, and the per-client checkpoint
+# section name in client_models.rs. A new hand-rolled copy of any of them
+# fails here.
 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     function only(pat, what, allowed) {
         if (index($0, pat) && FILENAME !~ allowed) { print FILENAME":"FNR": "what; bad=1 }
     }
     { only("cohort_chunk(", "cohort chunking outside the cohort driver", "/(cohort|config)\\.rs$")
-      only("rayon::prelude", "client fan-out outside the cohort driver", "/cohort\\.rs$")
       only("\"sharded_clients\"", "population marker outside the client store", "/client_store\\.rs$")
       only("\"local.{k}\"", "client checkpoint section outside ClientModels", "/client_models\\.rs$") }
     END{exit bad}' crates/fl/src/*.rs crates/core/src/*.rs
@@ -51,18 +63,23 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
         print FILENAME":"FNR": closure GEMM operand outside kemf_tensor tests"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/core/src/*.rs crates/fl/src/*.rs
 
-# One training step, one forward path: outside test modules, no layer
-# grows a second (`_ws`) spelling of its passes, kemf-tensor names no
-# thread pool (nothing in it runs in parallel), and optimizers are
-# stepped by `Model::train_step` — under kemf-fl/kemf-core only deep mutual
-# learning, which crosses two networks' logits inside one step, steps
-# them itself. A hand-copied step loop, or the allocating twin of a
-# pass coming back, fails here.
+# One training step, one forward path, one fork-join: outside test
+# modules, no layer grows a second (`_ws`) spelling of its passes, and
+# optimizers are stepped by `Model::train_step` — under kemf-fl/kemf-core
+# only deep mutual learning, which crosses two networks' logits inside
+# one step, steps them itself. Threads are started in two places: the
+# cohort driver (clients in flight; kernels, layers and algorithms stay
+# single-threaded) and the socket transport's worker pool; and the
+# vendored `rayon` is a width registry only `init_thread_pool` consults.
+# A hand-copied step loop, the allocating twin of a pass, or a second
+# parallel region coming back fails here.
 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     FILENAME ~ /\/nn\/src\// && /fn (forward|backward)_ws/ {
         print FILENAME":"FNR": second spelling of a layer pass"; bad=1 }
-    FILENAME ~ /\/tensor\/src\// && /rayon/ {
-        print FILENAME":"FNR": thread pool in kemf-tensor"; bad=1 }
+    /thread::(scope|spawn|Builder)/ && FILENAME !~ /\/fl\/src\/(cohort|transport)\.rs$/ {
+        print FILENAME":"FNR": thread started outside the cohort driver and the socket transport"; bad=1 }
+    /rayon::/ && FILENAME !~ /\/fl\/src\/engine\.rs$/ {
+        print FILENAME":"FNR": rayon outside init_thread_pool"; bad=1 }
     FILENAME ~ /\/(fl|core)\/src\// && FILENAME !~ /\/core\/src\/dml\.rs$/ && index($0, ".step(") {
         print FILENAME":"FNR": optimizer step outside Model::train_step"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/tensor/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
