@@ -1,10 +1,11 @@
 //! Miniature end-to-end versions of every paper experiment, one criterion
 //! group per table/figure id, so `cargo bench` exercises the exact code
-//! paths the full harness binaries drive (the binaries in
-//! `src/bin/` produce the actual rows; these bound their per-round cost).
+//! paths the `experiments` driver takes (the driver produces the actual
+//! rows; these bound their per-round cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kemf_bench::{run_experiment, AlgoKind, ExperimentSpec, Workload};
+use kemf_bench::{fedkemf_config, train, AlgoKind, Args, ExperimentSpec, Workload};
+use kemf_fl::prelude::*;
 use kemf_nn::models::Arch;
 
 fn mini(workload: Workload, arch: Arch) -> ExperimentSpec {
@@ -14,6 +15,12 @@ fn mini(workload: Workload, arch: Arch) -> ExperimentSpec {
     s.rounds = 2;
     s.samples_per_client = 24;
     s
+}
+
+/// One (algorithm, experiment) pair end to end.
+fn run_experiment(kind: AlgoKind, spec: &ExperimentSpec) -> History {
+    let (ctx, task) = spec.build_ctx();
+    train(kind.build(spec, &task).as_mut(), &ctx, &Args::default(), "bench")
 }
 
 /// Fig 4/5/6 path: one learning-curve run per algorithm (ResNet-20/CIFAR).
@@ -39,19 +46,15 @@ fn bench_table12(c: &mut Criterion) {
 /// Table 3 path: a heterogeneous multi-model round.
 fn bench_table3(c: &mut Criterion) {
     use kemf_core::prelude::*;
-    use kemf_nn::prelude::*;
     let spec = mini(Workload::CifarLike, Arch::ResNet20);
     let (ctx, task) = spec.build_ctx();
     c.bench_function("table3_multimodel_run", |bch| {
         bch.iter(|| {
-            let tiers = assign_tiers(ctx.cfg.n_clients, 7);
-            let specs = heterogeneous_specs(&tiers, 3, 16, 10, 8);
-            let knowledge = ModelSpec::scaled(Arch::ResNet20, 3, 16, 10, 1000);
-            let pool = task.generate_unlabeled(48, 5);
-            let mut algo = FedKemf::new(FedKemfConfig::uniform(knowledge, specs, pool));
-            kemf_fl::engine::Engine::run(&mut algo, &ctx, kemf_fl::engine::RunOptions::new())
-                    .expect("run failed")
-                    .history
+            let tiers = assign_tiers(spec.clients, 7);
+            let cfg = fedkemf_config(&spec, &task, |c| {
+                c.client_specs = heterogeneous_specs(&tiers, 3, 16, 10, 8);
+            });
+            train(&mut FedKemf::new(cfg), &ctx, &Args::default(), "bench")
         })
     });
 }
@@ -68,7 +71,6 @@ fn bench_fig7(c: &mut Criterion) {
 /// Ablation path: the three ensemble strategies through distillation.
 fn bench_ablation(c: &mut Criterion) {
     use kemf_core::prelude::*;
-    use kemf_nn::prelude::*;
     let spec = mini(Workload::MnistLike, Arch::Cnn2);
     let (ctx, task) = spec.build_ctx();
     let mut g = c.benchmark_group("ablation_ensemble");
@@ -79,15 +81,8 @@ fn bench_ablation(c: &mut Criterion) {
     ] {
         g.bench_function(name, |bch| {
             bch.iter(|| {
-                let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 1000);
-                let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 1);
-                let pool = task.generate_unlabeled(48, 5);
-                let mut cfg = FedKemfConfig::uniform(knowledge, clients, pool);
-                cfg.distill.strategy = strategy;
-                let mut algo = FedKemf::new(cfg);
-                kemf_fl::engine::Engine::run(&mut algo, &ctx, kemf_fl::engine::RunOptions::new())
-                    .expect("run failed")
-                    .history
+                let cfg = fedkemf_config(&spec, &task, |c| c.distill.strategy = strategy);
+                train(&mut FedKemf::new(cfg), &ctx, &Args::default(), "bench")
             })
         });
     }

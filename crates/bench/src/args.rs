@@ -10,8 +10,9 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from `std::env::args`. Unknown keys are kept (callers decide
-    /// what they use); a trailing key without a value is an error.
+    /// Parse from `std::env::args`. Unknown keys are kept (a caller that
+    /// knows its whole flag set calls [`Args::reject_unknown`]); a
+    /// trailing key without a value is an error.
     pub fn parse() -> Args {
         Self::from_iter(std::env::args().skip(1))
     }
@@ -48,6 +49,17 @@ impl Args {
         self.map.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
 
+    /// Panic, listing the valid flags, if a key outside `known` was given:
+    /// a mistyped `--round 3` must not silently run at the default scale.
+    pub fn reject_unknown(&self, known: &[&str]) {
+        let mut unknown: Vec<&str> =
+            self.map.keys().map(String::as_str).filter(|k| !known.contains(k)).collect();
+        unknown.sort_unstable();
+        if let Some(key) = unknown.first() {
+            panic!("unknown flag --{key}; valid flags: --{}", known.join(" --"));
+        }
+    }
+
     /// Whether a key was provided.
     pub fn has(&self, key: &str) -> bool {
         self.map.contains_key(key)
@@ -68,6 +80,18 @@ mod tests {
         assert_eq!(a.get_str("name", "y"), "x");
         assert_eq!(a.get::<usize>("missing", 7), 7);
         assert!(a.has("rounds") && !a.has("missing"));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --round; valid flags: --rounds --seed")]
+    fn rejects_unknown_flag() {
+        let a = Args::from_iter(["--rounds", "3", "--round", "3"].map(String::from));
+        a.reject_unknown(&["rounds", "seed"]);
+    }
+
+    #[test]
+    fn accepts_known_flags() {
+        Args::from_iter(["--seed", "3"].map(String::from)).reject_unknown(&["rounds", "seed"]);
     }
 
     #[test]

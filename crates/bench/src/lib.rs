@@ -1,25 +1,32 @@
 //! # kemf-bench
 //!
-//! Experiment harnesses reproducing every table and figure of the
-//! FedKEMF paper. Each binary prints the same rows/series the paper
-//! reports and writes CSV into `bench_results/`:
+//! Experiment harness reproducing every table and figure of the FedKEMF
+//! paper. One binary, `experiments`, trains each distinct
+//! (spec, algorithm) run once and builds every artefact from the shared
+//! histories; `--only <names>` selects artefacts (default: all, in paper
+//! order). Each prints the rows/series the paper reports and writes CSV
+//! into `bench_results/`:
 //!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `fig4_learning_curves` | Fig. 4 — accuracy vs rounds, 5 algorithms × 4 models |
-//! | `fig5_convergence_acc` | Fig. 5 — convergence accuracy bars |
-//! | `fig6_rounds_to_target` | Fig. 6 — rounds to reach target accuracy |
-//! | `table1_comm_cost_target` | Table 1 — communication cost to target accuracy |
-//! | `table2_comm_cost_converge` | Table 2 — cost & accuracy at convergence |
-//! | `table3_multimodel` | Table 3 — multi-model FL average local accuracy |
-//! | `fig7_stability` | Fig. 7 — stability across FL settings |
-//! | `ablation_ensemble` | Ensemble-strategy & fusion ablations |
+//! | `--only` | Reproduces | CSV |
+//! |---|---|---|
+//! | `fig4` | Fig. 4 — accuracy vs rounds, 5 algorithms × 4 models | `fig4_<model>.csv` |
+//! | `fig5` | Fig. 5 — convergence accuracy bars (Fig. 4's runs) | `fig5_convergence_acc.csv` |
+//! | `fig6` | Fig. 6 — rounds to reach target accuracy (Fig. 4's runs) | `fig6_rounds_to_target.csv` |
+//! | `table1` | Table 1 — communication cost to target accuracy (Table 2's runs) | `table1_comm_cost_target.csv` |
+//! | `table2` | Table 2 — cost & accuracy at convergence | `table2_comm_cost_converge.csv` |
+//! | `table3` | Table 3 — multi-model FL average local accuracy | `table3_multimodel.csv` |
+//! | `fig7` | Fig. 7 — stability across FL settings | `fig7_stability.csv` |
+//! | `ablation_ensemble` | Ensemble-strategy, fusion, DML and temperature ablations | `ablation_ensemble.csv` |
+//! | `ablation_knet_size` | Knowledge-network width vs accuracy vs payload | `ablation_knet_size.csv` |
+//! | `hetero_baselines` | FedKEMF vs FedDF / FedMD / FedGEMS | `hetero_baselines.csv` |
 //!
-//! All binaries accept `--clients N --rounds R --ratio F --spc S
-//! --alpha A --seed X` overrides; defaults are sized for one CPU core.
-//! Criterion benches (`cargo bench -p kemf-bench`) exercise the kernels,
-//! one local update, one aggregation round, and miniature versions of
-//! each experiment.
+//! `--clients N --rounds R --ratio F --spc S --alpha A --seed X` override
+//! the scale (defaults finish in minutes on two cores); `--trace <dir>` or
+//! `--checkpoint-dir <dir>` observe every run of the invocation (see
+//! [`train`]); an unknown flag is an error. The `bench_*` binaries measure
+//! the system itself. Criterion benches (`cargo bench -p kemf-bench`)
+//! exercise the kernels, one local update, one aggregation round, and
+//! miniature versions of each experiment.
 
 pub mod args;
 pub mod report;
@@ -28,8 +35,7 @@ pub mod runner;
 pub use args::Args;
 pub use report::{fmt_bytes, fmt_pct, fmt_speedup, Table};
 pub use runner::{
-    full_scale_bytes, run_experiment, run_experiment_recorded, run_experiment_resumable,
-    AlgoKind, ExperimentSpec, Workload, ALL_ALGOS,
+    fedkemf_config, full_scale_bytes, train, AlgoKind, ExperimentSpec, Workload, ALL_ALGOS,
 };
 
 /// Apply the common CLI overrides to an experiment spec.

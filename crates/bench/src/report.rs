@@ -1,5 +1,6 @@
 //! Table/figure output helpers: aligned console tables mirroring the
-//! paper's rows, plus CSV files under `bench_results/` for plotting.
+//! paper's rows, CSV files under `bench_results/` for plotting, and the
+//! markdown rendering EXPERIMENTS.md's measured blocks are generated from.
 
 use std::fs;
 use std::path::PathBuf;
@@ -51,6 +52,18 @@ impl Table {
         for row in &self.rows {
             out.push_str(&fmt_row(row));
             out.push('\n');
+        }
+        out
+    }
+
+    /// Render as a GitHub-flavoured markdown table (what `experiments
+    /// --write-docs true` pastes into EXPERIMENTS.md).
+    pub fn markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = line(&self.columns);
+        out.push_str(&line(&vec!["---".to_string(); self.columns.len()]));
+        for row in &self.rows {
+            out.push_str(&line(row));
         }
         out
     }
@@ -108,6 +121,13 @@ mod tests {
         let s = t.render();
         assert!(s.contains("demo"));
         assert!(s.contains("a     bbbb") || s.contains("a    bbbb"), "{s}");
+    }
+
+    #[test]
+    fn table_renders_markdown() {
+        let mut t = Table::new("demo", &["a", "b"]);
+        t.row(&["x".into(), "1".into()]);
+        assert_eq!(t.markdown(), "| a | b |\n| --- | --- |\n| x | 1 |\n");
     }
 
     #[test]

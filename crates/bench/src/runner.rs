@@ -2,13 +2,15 @@
 //! construction, algorithm instantiation, and the paper-scale
 //! communication cost model.
 
+use crate::Args;
 use kemf_core::prelude::*;
 use kemf_data::prelude::*;
 use kemf_fl::prelude::*;
 use kemf_nn::prelude::*;
 use kemf_tensor::rng::child_seed;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::path::Path;
+use std::sync::Mutex;
 
 /// Which synthetic task an experiment runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,14 +46,6 @@ impl Workload {
             Workload::MnistLike => Arch::Cnn2,
         }
     }
-
-    /// Display name.
-    pub fn display(self) -> &'static str {
-        match self {
-            Workload::CifarLike => "CIFAR-10 (synthetic)",
-            Workload::MnistLike => "MNIST (synthetic)",
-        }
-    }
 }
 
 /// One experiment's shape: everything a harness varies.
@@ -76,8 +70,8 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Quick defaults sized for a single CPU core; every harness lets the
-    /// CLI override each field.
+    /// Quick defaults (the whole evaluation finishes in minutes on two
+    /// cores); the CLI overrides each field.
     pub fn quick(workload: Workload, arch: Arch) -> Self {
         ExperimentSpec {
             workload,
@@ -170,12 +164,7 @@ impl AlgoKind {
     /// Instantiate the algorithm for an experiment. For FedKEMF the
     /// transmitted model is the knowledge network; for baselines it is
     /// `spec.arch` itself.
-    pub fn build(
-        self,
-        spec: &ExperimentSpec,
-        ctx: &FlContext,
-        task: &SynthTask,
-    ) -> Box<dyn FedAlgorithm> {
+    pub fn build(self, spec: &ExperimentSpec, task: &SynthTask) -> Box<dyn FedAlgorithm> {
         let (ch, hw) = spec.workload.shape();
         let model = ModelSpec::scaled(spec.arch, ch, hw, 10, child_seed(spec.seed, 0x90D));
         match self {
@@ -183,27 +172,7 @@ impl AlgoKind {
             AlgoKind::FedProx => Box::new(FedProx::new(model, 0.01)),
             AlgoKind::FedNova => Box::new(FedNova::new(model)),
             AlgoKind::Scaffold => Box::new(Scaffold::new(model)),
-            AlgoKind::FedKemf => {
-                let knowledge = ModelSpec::scaled(
-                    spec.workload.knowledge_arch(),
-                    ch,
-                    hw,
-                    10,
-                    child_seed(spec.seed, 0x6B0),
-                );
-                let clients =
-                    uniform_specs(spec.arch, ctx.cfg.n_clients, ch, hw, 10, child_seed(spec.seed, 0xC7));
-                let pool = task.generate_unlabeled(spec.pool_samples(), 2);
-                Box::new(FedKemf::new(FedKemfConfig::uniform(knowledge, clients, pool)))
-            }
-        }
-    }
-
-    /// The architecture whose bytes this algorithm actually transmits.
-    pub fn wire_arch(self, spec: &ExperimentSpec) -> Arch {
-        match self {
-            AlgoKind::FedKemf => spec.workload.knowledge_arch(),
-            _ => spec.arch,
+            AlgoKind::FedKemf => Box::new(FedKemf::new(fedkemf_config(spec, task, |_| {}))),
         }
     }
 
@@ -212,91 +181,89 @@ impl AlgoKind {
     /// ratios match the paper's tables even though training runs scaled
     /// models (see DESIGN.md "Substitutions").
     pub fn cost_model(self, spec: &ExperimentSpec) -> CostModel {
-        CostModel::symmetric(full_scale_bytes(self.wire_arch(spec)), self.aux_multiplier())
+        // FedKEMF ships the knowledge network whatever the clients train.
+        let wire_arch = match self {
+            AlgoKind::FedKemf => spec.workload.knowledge_arch(),
+            _ => spec.arch,
+        };
+        CostModel::symmetric(full_scale_bytes(wire_arch), self.aux_multiplier())
     }
 }
 
 /// Bytes of the paper-scale (full-width) variant of an architecture,
-/// cached per architecture.
+/// computed at most once each (construction costs ~100 ms for VGG-11).
 pub fn full_scale_bytes(arch: Arch) -> u64 {
-    static CACHE: OnceLock<parking_lot_free::Cache> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    cache.get(arch)
+    static CACHE: Mutex<Vec<(Arch, u64)>> = Mutex::new(Vec::new());
+    let mut cache = CACHE.lock().expect("cache poisoned");
+    if let Some(&(_, bytes)) = cache.iter().find(|(a, _)| *a == arch) {
+        return bytes;
+    }
+    let bytes = Model::new(ModelSpec::paper_scale(arch)).state_bytes() as u64;
+    cache.push((arch, bytes));
+    bytes
 }
 
-/// Tiny lock-free-ish cache: five architectures, computed at most once
-/// each behind a mutex (construction costs ~100 ms for VGG-11).
-mod parking_lot_free {
-    use super::*;
-    use std::collections::HashMap;
-    use std::sync::Mutex;
+/// FedKEMF for `spec`: the workload's knowledge network, one `spec.arch`
+/// local model per client and a server pool drawn from `task`, at the
+/// paper-faithful defaults. `turn` then turns whichever knobs an ablation
+/// or the multi-model fleet changes.
+pub fn fedkemf_config(
+    spec: &ExperimentSpec,
+    task: &SynthTask,
+    turn: impl FnOnce(&mut FedKemfConfig),
+) -> FedKemfConfig {
+    let (ch, hw) = spec.workload.shape();
+    let knowledge =
+        ModelSpec::scaled(spec.workload.knowledge_arch(), ch, hw, 10, child_seed(spec.seed, 0x6B0));
+    let clients = uniform_specs(spec.arch, spec.clients, ch, hw, 10, child_seed(spec.seed, 0xC7));
+    let pool = task.generate_unlabeled(spec.pool_samples(), 2);
+    let mut cfg = FedKemfConfig::uniform(knowledge, clients, pool);
+    turn(&mut cfg);
+    cfg
+}
 
-    #[derive(Default)]
-    pub struct Cache {
-        map: Mutex<HashMap<Arch, u64>>,
+/// Train `algo` on `ctx` to its round budget: the one `Engine::run` every
+/// table and figure goes through. The flags choose how the run is
+/// observed, never what it computes:
+///
+/// * `--trace <dir>` records the run through a
+///   [`kemf_fl::trace::TraceSink`] and writes its round-lifecycle JSONL to
+///   `<dir>/<run>.jsonl`. Tracing draws no randomness, so the history
+///   matches an untraced run bit for bit.
+/// * `--checkpoint-dir <dir>` checkpoints into `<dir>/<run>/` every
+///   `--checkpoint-every` rounds (default 5) and, with `--resume 1`,
+///   continues from the newest checkpoint there (a fresh run when there is
+///   none). A resumed history is bit-identical to an uninterrupted one.
+///
+/// The two are mutually exclusive. `run` names this run's files, so it
+/// must differ between any two runs of one invocation.
+pub fn train(algo: &mut dyn FedAlgorithm, ctx: &FlContext, args: &Args, run: &str) -> History {
+    assert!(
+        !(args.has("trace") && args.has("checkpoint-dir")),
+        "--trace and --checkpoint-dir are mutually exclusive"
+    );
+    let mut opts = RunOptions::new();
+    if args.has("trace") {
+        opts = opts.record_trace();
     }
-
-    impl Cache {
-        pub fn get(&self, arch: Arch) -> u64 {
-            let mut map = self.map.lock().expect("cache poisoned");
-            *map.entry(arch).or_insert_with(|| {
-                let m = Model::new(ModelSpec::paper_scale(arch));
-                m.state_bytes() as u64
-            })
+    if args.has("checkpoint-dir") {
+        let dir = Path::new(&args.get_str("checkpoint-dir", "")).join(run);
+        let every = args.get::<usize>("checkpoint-every", 5).max(1);
+        opts = opts.checkpoint(CheckpointPolicy::new(&dir, every));
+        let resume = args.get::<usize>("resume", 0) != 0;
+        if resume && matches!(kemf_fl::checkpoint::latest_checkpoint(&dir), Ok(Some(_))) {
+            opts = opts.resume_from(&dir);
         }
     }
-}
-
-/// Run one (algorithm, experiment) pair end to end.
-pub fn run_experiment(kind: AlgoKind, spec: &ExperimentSpec) -> History {
-    let (ctx, task) = spec.build_ctx();
-    let mut algo = kind.build(spec, &ctx, &task);
-    Engine::run(algo.as_mut(), &ctx, RunOptions::new())
-        .expect("experiment run failed")
-        .history
-}
-
-/// Like [`run_experiment`], but record the run through a
-/// [`kemf_fl::trace::TraceSink`]: the returned history carries the full
-/// round-lifecycle trace ([`History::trace`]). Tracing draws no
-/// randomness, so the per-round records match [`run_experiment`] bit for
-/// bit at the same spec.
-pub fn run_experiment_recorded(kind: AlgoKind, spec: &ExperimentSpec) -> History {
-    let (ctx, task) = spec.build_ctx();
-    let mut algo = kind.build(spec, &ctx, &task);
-    let faults = ctx.cfg.fault_plan();
-    Engine::run(
-        algo.as_mut(),
-        &ctx,
-        RunOptions::new().faults(faults).record_trace(),
-    )
-    .expect("experiment run failed")
-    .history
-}
-
-/// Like [`run_experiment`], but resumable: checkpoint into
-/// `<checkpoint_dir>/<algorithm>/` every `every` rounds and, when
-/// `resume` is set, continue from the newest checkpoint there (a fresh
-/// run when the directory is still empty). A resumed experiment's
-/// history is bit-identical to an uninterrupted one.
-pub fn run_experiment_resumable(
-    kind: AlgoKind,
-    spec: &ExperimentSpec,
-    checkpoint_dir: &std::path::Path,
-    every: usize,
-    resume: bool,
-) -> History {
-    let (ctx, task) = spec.build_ctx();
-    let mut algo = kind.build(spec, &ctx, &task);
-    // Per-algorithm subdirectory so one sweep can share a checkpoint root.
-    let dir = checkpoint_dir.join(algo.name());
-    let mut opts = RunOptions::new().checkpoint(CheckpointPolicy::new(&dir, every.max(1)));
-    if resume && matches!(kemf_fl::checkpoint::latest_checkpoint(&dir), Ok(Some(_))) {
-        opts = opts.resume_from(&dir);
+    let mut history = Engine::run(algo, ctx, opts).expect("experiment run failed").history;
+    if let Some(trace) = history.trace.take() {
+        let dir = args.get_str("trace", "");
+        std::fs::create_dir_all(&dir).expect("trace dir");
+        let path = format!("{dir}/{run}.jsonl");
+        std::fs::write(&path, trace.to_jsonl()).expect("trace written");
+        println!("[trace] {} spans -> {path}", trace.spans.len());
     }
-    Engine::run(algo.as_mut(), &ctx, opts)
-        .expect("experiment run failed")
-        .history
+    history
 }
 
 #[cfg(test)]
@@ -334,27 +301,48 @@ mod tests {
         assert!(ratio > 8.0, "VGG/knowledge-net payload ratio {ratio}");
     }
 
-    #[test]
-    fn recorded_experiment_matches_untraced_records() {
+    fn tiny() -> ExperimentSpec {
         let mut spec = ExperimentSpec::quick(Workload::MnistLike, Arch::Cnn2);
         spec.rounds = 2;
         spec.clients = 4;
         spec.samples_per_client = 30;
-        let plain = run_experiment(AlgoKind::FedAvg, &spec);
-        let mut traced = run_experiment_recorded(AlgoKind::FedAvg, &spec);
-        let trace = traced.trace.take().expect("trace attached");
-        assert_eq!(trace.rounds(), 2);
+        spec
+    }
+
+    fn run(kind: AlgoKind, spec: &ExperimentSpec, flags: &[&str]) -> History {
+        let (ctx, task) = spec.build_ctx();
+        let args = Args::from_iter(flags.iter().map(|f| f.to_string()));
+        train(kind.build(spec, &task).as_mut(), &ctx, &args, "run")
+    }
+
+    #[test]
+    fn traced_run_matches_untraced_records() {
+        let dir = std::env::temp_dir().join(format!("kemf_bench_trace_{}", std::process::id()));
+        let plain = run(AlgoKind::FedAvg, &tiny(), &[]);
+        let traced = run(AlgoKind::FedAvg, &tiny(), &["--trace", dir.to_str().unwrap()]);
+        let jsonl = std::fs::read_to_string(dir.join("run.jsonl")).expect("trace written");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(RunTrace::from_jsonl(&jsonl).expect("trace parses").rounds(), 2);
         assert_eq!(plain.to_json(), traced.to_json(), "tracing perturbed the records");
     }
 
     #[test]
+    fn resumed_run_matches_a_straight_one() {
+        let dir = std::env::temp_dir().join(format!("kemf_bench_ckpt_{}", std::process::id()));
+        let dir_flag = dir.to_str().unwrap();
+        let flags = ["--checkpoint-dir", dir_flag, "--checkpoint-every", "1", "--resume", "1"];
+        let mut half = tiny();
+        half.rounds = 1;
+        run(AlgoKind::FedKemf, &half, &flags);
+        let resumed = run(AlgoKind::FedKemf, &tiny(), &flags);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(run(AlgoKind::FedKemf, &tiny(), &[]).to_json(), resumed.to_json());
+    }
+
+    #[test]
     fn quick_experiment_runs_end_to_end() {
-        let mut spec = ExperimentSpec::quick(Workload::MnistLike, Arch::Cnn2);
-        spec.rounds = 2;
-        spec.clients = 4;
-        spec.samples_per_client = 30;
         for kind in [AlgoKind::FedAvg, AlgoKind::FedKemf] {
-            let h = run_experiment(kind, &spec);
+            let h = run(kind, &tiny(), &[]);
             assert_eq!(h.rounds(), 2);
             assert!(h.accuracies().iter().all(|a| a.is_finite()));
         }

@@ -1,11 +1,5 @@
 #!/bin/bash
-# Regenerate every table and figure of the paper (quick scale).
-set -u
+# Regenerate every table and figure of the paper (quick scale); flags go
+# to the driver (`--only fig4,table1`, `--rounds 100`, `--write-docs true`).
 cd "$(dirname "$0")"
-mkdir -p bench_results
-for bin in fig4_learning_curves fig5_convergence_acc fig6_rounds_to_target \
-           table1_comm_cost_target table2_comm_cost_converge table3_multimodel \
-           fig7_stability ablation_ensemble ablation_knet_size hetero_baselines; do
-  echo "=== $bin ==="
-  cargo run --release -p kemf-bench --bin "$bin" -- "$@" || echo "FAILED: $bin"
-done
+exec cargo run --release -p kemf-bench --bin experiments -- "$@"

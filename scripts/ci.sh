@@ -17,7 +17,7 @@ for width in 1 2; do
         --test population
 done
 
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # One round path: `FedAlgorithm::round` is the engine's provided
 # train_cohort → fuse composition, and no algorithm may grow its own
@@ -110,6 +110,18 @@ cargo run --release -p kemf-bench --bin bench_population -- --smoke
 # genuinely buffered straggler run that must advance the virtual clock.
 # Asserts internally.
 cargo run --release -p kemf-bench --bin bench_async -- --smoke
+
+# Experiments smoke: the one driver must write, byte for byte, the CSVs
+# the ten per-artefact binaries it replaced wrote at the same flags
+# (crates/bench/golden holds their output at the last commit that had
+# them), and must train each distinct run once: of the 156 histories the
+# artefacts ask for at the default grid, 87 are distinct.
+rm -rf target/exp_smoke
+KEMF_RESULTS_DIR=target/exp_smoke cargo run --release -p kemf-bench --bin experiments -- \
+    --rounds 2 --spc 24 --seed 7
+diff -r -x experiments_manifest.json crates/bench/golden target/exp_smoke
+grep -q '"histories_requested": 156' target/exp_smoke/experiments_manifest.json
+grep -q '"histories_trained": 87' target/exp_smoke/experiments_manifest.json
 
 # Native-tuned build: the runtime SIMD dispatch must not conflict with
 # target-cpu=native codegen (the autovectorizer emitting wider ops around
