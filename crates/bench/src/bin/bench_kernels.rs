@@ -3,21 +3,31 @@
 //! shapes of the paper's model zoo (ResNet-20 / VGG-11, batch 8,
 //! CIFAR-sized inputs), plus the convolution lowering (`im2col`/`col2im`
 //! GB/s at the geometries the end-to-end benchmark trains, beside a plain
-//! copy of the same bytes) and an int8 ensemble-inference comparison. Prints tables and writes
-//! `bench_results/BENCH_kernels.json` with before/after GFLOP/s, the
-//! detected `cpu_features`, `threads` (1: every kernel here runs on the
-//! calling thread), the lowering bandwidths, and the measured
-//! `int8_speedup` of the quantized server ensemble pass.
+//! copy of the same bytes), the three products of a convolution layer at
+//! those geometries side by side (`conv_backward`: forward, weight
+//! gradient, input gradient with its `col2im`, all in GFLOP/s of the same
+//! `2·O·patch·N·OH·OW`), what building a model at a transmitted state
+//! costs with and without the discarded initialization (`model_build`),
+//! and an int8 ensemble-inference comparison. Prints tables and writes
+//! `bench_results/BENCH_kernels.json` with all of it, the detected
+//! `cpu_features` and `threads` — the cohort width `init_thread_pool`
+//! settles on; every kernel here runs on the calling thread whatever it
+//! is.
 //!
 //! `--smoke` runs every code path with a tiny time budget and skips the
-//! JSON write — a CI liveness check, not a measurement.
+//! JSON write — a CI liveness check, not a measurement. It also demands
+//! that both gradients of every `conv_backward` geometry come out
+//! bit-identical on the native kernel tier and the forced scalar one: a
+//! transposing kernel that faults or runs its chains out of order fails
+//! here, on the host that has it, not in a history hash three layers up.
 
 use kemf_bench::report::{results_dir, Table};
 use kemf_core::prelude::{ensemble_forward, ensemble_forward_with_precision, EnsembleStrategy};
 use kemf_fl::compress::ComputePrecision;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
-use kemf_tensor::conv::{col2im, im2col, ConvGeom};
+use kemf_tensor::conv::{col2im, im2col, input_grad, weight_grad, ConvGeom};
+use kemf_tensor::gemm::{gemm_ops, NchwScatterBias, RowMajor};
 use kemf_tensor::matmul::matmul_into;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::{simd, Tensor};
@@ -136,22 +146,22 @@ fn main() {
     // (`ModelSpec::scaled` on 3×16×16 inputs, batch 16): GB/s of patch
     // matrix written (`im2col`) or read (`col2im`), against a plain copy
     // of the same bytes as the ceiling.
-    let conv3 = |c: usize, hw: usize| ConvGeom {
+    let conv = |c: usize, hw: usize, stride: usize| ConvGeom {
         n: 16,
         c,
         h: hw,
         w: hw,
         kh: 3,
         kw: 3,
-        stride: 1,
+        stride,
         pad: 1,
     };
     let geoms = [
-        ("resnet20_stage1", conv3(4, 16)),
-        ("resnet20_stage2", conv3(8, 8)),
-        ("resnet20_stage3", conv3(16, 4)),
-        ("vgg11_first", conv3(3, 16)),
-        ("vgg11_last", conv3(64, 1)),
+        ("resnet20_stage1", conv(4, 16, 1)),
+        ("resnet20_stage2", conv(8, 8, 1)),
+        ("resnet20_stage3", conv(16, 4, 1)),
+        ("vgg11_first", conv(3, 16, 1)),
+        ("vgg11_last", conv(64, 1, 1)),
     ];
     let mut lowering = Table::new(
         "Convolution lowering (GB/s of patch matrix)",
@@ -186,6 +196,140 @@ fn main() {
         ));
     }
     println!("{}", lowering.render());
+
+    // The three products of one convolution layer, at the layers the
+    // end-to-end benchmark's ResNet-20 (width 4) and VGG-11 (width 8)
+    // train on 3×16×16 inputs at batch 16: forward as `Conv2d` runs it
+    // (bias + NCHW scatter epilogue), weight gradient accumulated into
+    // `dw`, input gradient with its `col2im`. Same FLOPs in each column.
+    let layers = [
+        ("resnet20_stem", conv(3, 16, 1), 4),
+        ("resnet20_stage1", conv(4, 16, 1), 4),
+        ("resnet20_stage2_in", conv(4, 16, 2), 8),
+        ("resnet20_stage2", conv(8, 8, 1), 8),
+        ("resnet20_stage3_in", conv(8, 8, 2), 16),
+        ("resnet20_stage3", conv(16, 4, 1), 16),
+        ("vgg11_conv1", conv(3, 16, 1), 8),
+        ("vgg11_conv2", conv(8, 8, 1), 16),
+        ("vgg11_conv4", conv(32, 4, 1), 32),
+        ("vgg11_conv6", conv(64, 2, 1), 64),
+        ("vgg11_conv8", conv(64, 1, 1), 64),
+    ];
+    let mut backward = Table::new(
+        "Convolution layer products (GFLOP/s)",
+        &["layer", "o,patch,cols", "forward", "weight grad", "input grad"],
+    );
+    let mut backward_rows = Vec::new();
+    for (name, g, o) in layers {
+        let (patch, ncols, plane) = (g.patch_len(), g.cols(), g.oh() * g.ow());
+        let x = Tensor::randn(&[g.n, g.c, g.h, g.w], 1.0, &mut rng);
+        let w = Tensor::randn(&[o, patch], 1.0, &mut rng);
+        let bias = Tensor::randn(&[o], 1.0, &mut rng);
+        let grad = Tensor::randn(&[g.n, o, g.oh(), g.ow()], 1.0, &mut rng);
+        let mut cols = vec![0.0f32; patch * ncols];
+        im2col(x.data(), &g, &mut cols);
+        let mut scratch = cols.clone();
+        let mut y = vec![0.0f32; grad.numel()];
+        let mut dw = vec![0.0f32; o * patch];
+        let mut gx = vec![0.0f32; x.numel()];
+
+        // Both gradients once per kernel tier: the same bits.
+        let mut gradients = || {
+            dw.fill(0.0);
+            weight_grad(grad.data(), o, &cols, &g, &mut dw);
+            input_grad(w.data(), grad.data(), o, &g, &mut scratch, &mut gx);
+            dw.iter().chain(&gx).map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let native = gradients();
+        let scalar = {
+            let _guard = simd::ScalarGuard::new();
+            gradients()
+        };
+        assert!(native == scalar, "{name}: native and scalar kernel tiers disagree on the gradients");
+
+        let flops = 2.0 * (o * patch * ncols) as f64;
+        let iters = if smoke { 2 } else { 20usize.max((2e8 / flops) as usize) };
+        let gflops = |secs: f64| flops / secs / 1e9;
+        let forward_gflops = gflops(time_per_call(
+            || {
+                gemm_ops(
+                    o,
+                    patch,
+                    ncols,
+                    &RowMajor { data: w.data(), ld: patch },
+                    &RowMajor { data: black_box(&cols), ld: ncols },
+                    &mut NchwScatterBias { out: &mut y, o, plane, bias: bias.data() },
+                )
+            },
+            iters,
+        ));
+        let weight_grad_gflops = gflops(time_per_call(
+            || weight_grad(grad.data(), o, black_box(&cols), &g, &mut dw),
+            iters,
+        ));
+        let input_grad_gflops = gflops(time_per_call(
+            || input_grad(w.data(), grad.data(), o, &g, black_box(&mut scratch), &mut gx),
+            iters,
+        ));
+        backward.row(&[
+            name.into(),
+            format!("{o},{patch},{ncols}"),
+            format!("{forward_gflops:.1}"),
+            format!("{weight_grad_gflops:.1}"),
+            format!("{input_grad_gflops:.1}"),
+        ]);
+        backward_rows.push(format!(
+            "    {{\"layer\": \"{name}\", \"batch\": {}, \"in_channels\": {}, \"hw\": {}, \
+             \"stride\": {}, \"out_channels\": {o}, \"patch\": {patch}, \"cols\": {ncols}, \
+             \"forward_gflops\": {forward_gflops:.3}, \
+             \"weight_grad_gflops\": {weight_grad_gflops:.3}, \
+             \"input_grad_gflops\": {input_grad_gflops:.3}}}",
+            g.n, g.c, g.h, g.stride
+        ));
+    }
+    println!("{}", backward.render());
+
+    // A model at a transmitted state — what every client, teacher,
+    // student and evaluation is built as: `Model::new` + `set_state`
+    // draws a Kaiming initialization and overwrites it, `from_state`
+    // allocates and copies.
+    let builds = [
+        ("resnet20", ModelSpec::scaled(Arch::ResNet20, 3, 16, 10, 1)),
+        ("vgg11", ModelSpec::scaled(Arch::Vgg11, 3, 16, 10, 1)),
+        ("mlp2048", ModelSpec { width: 2048, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 1) }),
+    ];
+    let mut build_rows = Vec::new();
+    for (name, spec) in builds {
+        let state = Model::new(spec).state();
+        let iters = if smoke { 2 } else { 50 };
+        let model_new_ms = 1e3
+            * time_per_call(
+                || {
+                    let mut model = Model::new(spec);
+                    model.set_state(black_box(&state));
+                    black_box(&model);
+                },
+                iters,
+            );
+        let from_state_ms = 1e3
+            * time_per_call(
+                || {
+                    black_box(Model::from_state(spec, black_box(&state)).expect("own state"));
+                },
+                iters,
+            );
+        println!(
+            "[build] {name} ({} params): new + set_state {model_new_ms:.3} ms, from_state \
+             {from_state_ms:.3} ms ({:.2}x)",
+            state.params.values.len(),
+            from_state_ms / model_new_ms
+        );
+        build_rows.push(format!(
+            "    {{\"model\": \"{name}\", \"params\": {}, \"model_new_ms\": {model_new_ms:.4}, \
+             \"from_state_ms\": {from_state_ms:.4}}}",
+            state.params.values.len()
+        ));
+    }
 
     // Int8 ensemble inference: the server's ensemble-logit pass (two
     // knowledge-network teachers over a public batch) in exact f32 vs the
@@ -243,14 +387,18 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
-         \"cpu_features\": [{}],\n  \"threads\": 1,\n  \"shapes\": [\n{}\n  ],\n  \
-         \"conv_lowering\": [\n{}\n  ],\n  \
+         \"cpu_features\": [{}],\n  \"threads\": {},\n  \"shapes\": [\n{}\n  ],\n  \
+         \"conv_lowering\": [\n{}\n  ],\n  \"conv_backward\": [\n{}\n  ],\n  \
+         \"model_build\": [\n{}\n  ],\n  \
          \"int8_ensemble\": {{\"pool_images\": {pool_n}, \"members\": 2, \
          \"f32_ms\": {:.3}, \"int8_ms\": {:.3}, \"max_logit_diff\": {max_logit_diff:.5}}},\n  \
          \"int8_speedup\": {int8_speedup:.3}\n}}\n",
         cpu_features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
+        kemf_fl::engine::init_thread_pool(),
         json_rows.join(",\n"),
         lowering_rows.join(",\n"),
+        backward_rows.join(",\n"),
+        build_rows.join(",\n"),
         f32_s * 1e3,
         int8_s * 1e3,
     );

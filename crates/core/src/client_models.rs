@@ -113,11 +113,10 @@ impl ClientModels {
     /// from the wrong population must not panic the training process.
     fn model_of(&self, k: usize, blob: ClientBlob) -> Result<Model, StoreError> {
         let stored = Self::state_of(k, blob)?;
-        let mut model = Model::new(self.specs[k]);
-        check_model_layout(MODEL_ENTRY, &stored, &model.state())
-            .map_err(|e| StoreError::Corrupt { client: k, detail: e.to_string() })?;
-        model.set_state(&stored);
-        Ok(model)
+        Model::from_state(self.specs[k], &stored).map_err(|e| {
+            let e = RestoreError::ShapeMismatch { name: MODEL_ENTRY.to_string(), detail: e.to_string() };
+            StoreError::Corrupt { client: k, detail: e.to_string() }
+        })
     }
 
     fn state_of(k: usize, blob: ClientBlob) -> Result<ModelState, StoreError> {

@@ -101,12 +101,10 @@ pub fn dml_step(
     local.recycle(z_local);
     knowledge.recycle(z_know);
     // Backward + step, both networks.
-    let gx_l = local.backward(&g_local);
+    local.backward_params(&g_local);
     local.recycle(g_local);
-    local.recycle(gx_l);
-    let gx_k = knowledge.backward(&g_know);
+    knowledge.backward_params(&g_know);
     knowledge.recycle(g_know);
-    knowledge.recycle(gx_k);
     if cfg.clip_norm > 0.0 {
         let _ = kemf_nn::optim::clip_grad_norm(local.net_mut(), cfg.clip_norm);
         let _ = kemf_nn::optim::clip_grad_norm(knowledge.net_mut(), cfg.clip_norm);

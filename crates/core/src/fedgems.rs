@@ -226,8 +226,8 @@ impl FedGems {
         let server_logits = self.server_logits();
         let (fused, _fallbacks) = self.selective_fuse(&server_logits, members);
         let targets = soften(&fused, self.cfg.temperature);
-        let mut server = Model::new(self.server_spec);
-        server.set_state(&self.server);
+        let mut server = Model::from_state(self.server_spec, &self.server)
+            .expect("the server state has the server spec's layout");
         let seed = child_seed(ctx.cfg.seed, 0x4745_4D53 ^ (((round as u64) << 1) | 1));
         digest(
             &mut server,

@@ -201,8 +201,8 @@ impl FedAlgorithm for FedKemf {
             scope,
             |k| clients.fetch(k),
             |k, mut local: Model| {
-                let mut knowledge = Model::new(knowledge_spec);
-                knowledge.set_state(global);
+                let mut knowledge = Model::from_state(knowledge_spec, global)
+                    .expect("the global knowledge state has the knowledge spec's layout");
                 let seed = child_seed(ctx.cfg.seed, 0xD31 ^ ((wave as u64) << 20 | k as u64));
                 let shard = ctx.client_shard(k);
                 let (loss, steps) = if mutual {

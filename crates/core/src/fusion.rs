@@ -61,9 +61,7 @@ pub fn ensemble_distill_fusion(
     seed: u64,
 ) -> (ModelState, DistillOutcome) {
     let at = |state: &ModelState| {
-        let mut model = Model::new(spec);
-        model.set_state(state);
-        model
+        Model::from_state(spec, state).expect("every fused state has the fusion spec's layout")
     };
     let mut student = at(&weight_average_fusion_weighted(states, sample_counts, weights));
     let mut teachers: Vec<Model> = states.iter().map(at).collect();

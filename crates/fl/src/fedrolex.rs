@@ -248,8 +248,8 @@ impl FedAlgorithm for FedRolex {
                 Ok((t, self.extract(t)))
             },
             |k, (t, sub): (usize, ModelState)| {
-                let mut model = Model::new(ModelSpec { width: sub.params.lens[1], ..spec });
-                model.set_state(&sub);
+                let mut model = Model::from_state(ModelSpec { width: sub.params.lens[1], ..spec }, &sub)
+                    .expect("an extracted window has the layout of its width");
                 let seed = child_seed(ctx.cfg.seed, (wave as u64) << 20 | k as u64);
                 let outcome = local_train(&mut model, &ctx.client_shard(k), &local, seed, None);
                 let payload = UpdatePayload::Window { offset: t, state: model.state() };

@@ -44,8 +44,8 @@ impl GlobalModel {
     /// and the workspace of one `eval_batch`-sized pass — more than a
     /// training client holds — through every round's local updates.
     pub fn evaluate(&mut self, ctx: &FlContext) -> f32 {
-        let mut model = Model::new(self.spec);
-        model.set_state(&self.state);
+        let mut model = Model::from_state(self.spec, &self.state)
+            .expect("the global state has its own spec's layout");
         let acc = model.evaluate(&ctx.test.images, &ctx.test.labels, ctx.cfg.eval_batch);
         kemf_tensor::conv::release_lowering();
         acc
@@ -67,8 +67,8 @@ pub fn train_from_global(
     local: &LocalCfg,
     hook: Option<GradHook<'_>>,
 ) -> (ModelState, LocalOutcome) {
-    let mut model = Model::new(spec);
-    model.set_state(global);
+    let mut model =
+        Model::from_state(spec, global).expect("the dispatched state has the global spec's layout");
     let seed = child_seed(ctx.cfg.seed, (wave as u64) << 20 | k as u64);
     let outcome = local_train(&mut model, &ctx.client_shard(k), local, seed, hook);
     (model.state(), outcome)

@@ -2,6 +2,7 @@
 
 use crate::activation::ReLU;
 use crate::conv2d::Conv2d;
+use crate::param::Init;
 use crate::sequential::{NormKind, Sequential};
 
 /// Append `Conv → Norm → ReLU` to a sequential network.
@@ -13,10 +14,10 @@ pub fn conv_norm_relu(
     kernel: usize,
     stride: usize,
     pad: usize,
-    seed: u64,
+    init: Init,
     norm: NormKind,
 ) -> Sequential {
-    net.push(Conv2d::new(in_ch, out_ch, kernel, stride, pad, seed))
+    net.push(Conv2d::with_init(in_ch, out_ch, kernel, stride, pad, init))
         .push_boxed(norm.build(out_ch))
         .push(ReLU::new())
 }
@@ -31,5 +32,5 @@ pub fn conv_bn_relu(
     pad: usize,
     seed: u64,
 ) -> Sequential {
-    conv_norm_relu(net, in_ch, out_ch, kernel, stride, pad, seed, NormKind::Batch)
+    conv_norm_relu(net, in_ch, out_ch, kernel, stride, pad, Init::Seeded(seed), NormKind::Batch)
 }

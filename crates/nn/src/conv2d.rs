@@ -1,42 +1,56 @@
 //! 2-D convolution, lowered to matrix multiplication through `im2col`.
 //!
-//! The filter bank is stored as a `[O, C·KH·KW]` matrix so the forward pass
-//! is one GEMM, the weight gradient a second, and the input gradient a
-//! third followed by a `col2im` scatter. All three products run on the
-//! packed engine in `kemf_tensor::gemm`, every operand a typed view of the
-//! storage it already lives in — nothing is reordered or staged:
+//! The filter bank is stored as a `[O, C·KH·KW]` matrix, so the layer is
+//! three products over the patch matrix `cols` (`[C·KH·KW, N·OH·OW]`,
+//! row-major) and the `[N, O, OH, OW]` output gradient `g`. Each runs on
+//! the engine in `kemf_tensor::gemm` along the route its shape wants;
+//! every operand is a typed view of the storage it already lives in, and
+//! in all three every output element is one FMA chain over the inner
+//! index, ascending from zero — on every kernel tier and every route,
+//! which is what lets `tests/golden_histories.rs` pin one table of
+//! hashes.
 //!
-//! * forward `W · cols`: both row-major as stored; the bias-add and the
-//!   `[O, N·OH·OW] → [N, O, OH, OW]` reorder are the GEMM epilogue
-//!   (`NchwScatterBias`), and with `O ≤ 16` the engine's widest kernel
-//!   reads `cols` in place instead of packing it;
-//! * weight gradient `g · colsᵀ`: the incoming `[N, O, OH, OW]` gradient
-//!   through `NchwGather`, `cols` as a column-major view, accumulated
-//!   straight into `weight.grad`;
-//! * input gradient `Wᵀ · g`: the filters as a column-major view, the
-//!   gradient through `NchwGather` again.
+//! * **Forward** `y = W · cols + b` (inner index: the patch). `W` is
+//!   packed; `cols` is read in place by the widest kernel when `O ≤ 16`
+//!   and packed by row copies otherwise; the bias add and the
+//!   `[O, N·OH·OW] → [N, O, OH, OW]` reorder are the epilogue
+//!   (`NchwScatterBias`).
+//! * **Weight gradient** `dW += g · colsᵀ` (inner index: the `N·OH·OW`
+//!   columns — thousands, under a handful of rows). `g`, the small
+//!   operand, is packed, through `NchwGather` without a reorder copy.
+//!   `cols` is the column-major B and, for `O ≤ 16`, is not packed: the
+//!   transposing kernel loads 16×16 blocks along its rows, turns them in
+//!   registers and runs the chains from there. Wider banks pack it
+//!   through an 8×8 block transpose. The finished chains are added to
+//!   `weight.grad` once ([`kemf_tensor::conv::weight_grad`]).
+//! * **Input gradient** `gx = col2im(Wᵀ · g)` (inner index: `O`). `Wᵀ`
+//!   and `g` pack by row copies. The patch gradient — as large as `cols`
+//!   — is never whole: it is produced a panel of whole images at a time
+//!   (one 16×16 image of ResNet-20's first stage is 36 KB) and scattered
+//!   into those images' pixels while the panel is in the inner caches;
+//!   a pixel meets its addends in the order of the whole-matrix scatter
+//!   ([`kemf_tensor::conv::input_grad`]). The first layer of a network
+//!   inside a training step skips this product altogether
+//!   ([`Layer::backward_first`]): nothing reads the gradient of the batch.
 //!
 //! The patch matrix is never kept. A training forward caches a copy of
 //! its *input* (`KH·KW` times smaller) and backward lowers it again —
 //! `im2col` runs at memory speed and is deterministic, so the weight
 //! gradient reads the bits forward multiplied by. Both passes lower into
 //! the thread's one buffer ([`kemf_tensor::conv::with_lowering`]), and
-//! `dcols` overwrites `cols` there once the weight gradient has been
-//! accumulated. What a model holds between forward and backward is
-//! therefore its activations, not nine times them; that is what lets two
-//! clients train side by side in the memory one used to take. The
-//! remaining temporaries (input copy, outputs, input gradient) live in the
-//! caller's [`Workspace`], so a steady-state training step allocates
-//! nothing.
+//! the input gradient's panels overwrite `cols` there once the weight
+//! gradient has been accumulated. What a model holds between forward and
+//! backward is therefore its activations, not nine times them; that is
+//! what lets two clients train side by side in the memory one used to
+//! take. The remaining temporaries (input copy, outputs, input gradient)
+//! live in the caller's [`Workspace`], so a steady-state training step
+//! allocates nothing.
 
 use crate::layer::{Layer, Precision};
-use crate::param::Param;
-use kemf_tensor::conv::{col2im, im2col, with_lowering, ConvGeom};
-use kemf_tensor::gemm::{
-    gemm_ops, Accumulate, ColMajor, NchwGather, NchwScatterBias, RowMajor, Store,
-};
+use crate::param::{Init, Param};
+use kemf_tensor::conv::{im2col, input_grad, weight_grad, with_lowering, ConvGeom};
+use kemf_tensor::gemm::{gemm_ops, NchwScatterBias, RowMajor};
 use kemf_tensor::quant;
-use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -64,10 +78,21 @@ impl Conv2d {
         pad: usize,
         seed: u64,
     ) -> Self {
-        let mut rng = seeded_rng(seed);
+        Self::with_init(in_channels, out_channels, kernel, stride, pad, Init::Seeded(seed))
+    }
+
+    /// Square convolution with its filters from `init`.
+    pub fn with_init(
+        in_channels: usize,
+        out_channels: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        init: Init,
+    ) -> Self {
         let patch = in_channels * kernel * kernel;
         Conv2d {
-            weight: Param::new(Tensor::kaiming(&[out_channels, patch], patch, &mut rng)),
+            weight: init.weight(&[out_channels, patch], patch),
             bias: Param::new(Tensor::zeros(&[out_channels])),
             in_channels,
             out_channels,
@@ -77,6 +102,44 @@ impl Conv2d {
             precision: Precision::F32,
             cache: None,
         }
+    }
+
+    /// The one backward pass: parameter gradients always, the input
+    /// gradient when `want_input`.
+    fn backward_pass(&mut self, grad_out: &Tensor, ws: &mut Workspace, want_input: bool) -> Option<Tensor> {
+        let (input, geom) = self.cache.take().expect("Conv2d::backward without forward(train)");
+        let plane = geom.oh() * geom.ow();
+        let o = self.out_channels;
+        let g = grad_out.data();
+        assert_eq!(g.len(), geom.n * o * plane, "Conv2d grad_out size mismatch");
+
+        // db[o] += Σ_col g[o, col]
+        {
+            let db = self.bias.grad.data_mut();
+            for ni in 0..geom.n {
+                for (oi, dbo) in db.iter_mut().enumerate() {
+                    let row = &g[(ni * o + oi) * plane..(ni * o + oi + 1) * plane];
+                    *dbo += row.iter().sum::<f32>();
+                }
+            }
+        }
+        with_lowering(geom.patch_len() * geom.cols(), |buf| {
+            // Lower the input again rather than having kept the patch
+            // matrix since forward: the same bits, `KH·KW` times less held.
+            im2col(&input, &geom, buf);
+            // The input gradient has the input's size: it takes this buffer.
+            ws.recycle(input);
+            // dW[o, p] += Σ_col g[o, col] cols[p, col], straight into the
+            // parameter gradient.
+            weight_grad(g, o, buf, &geom, self.weight.grad.data_mut());
+            want_input.then(|| {
+                // gx = col2im(Wᵀ · g), panel by panel over the patch matrix
+                // the weight gradient is done with.
+                let mut gx = ws.take_tensor(&[geom.n, geom.c, geom.h, geom.w]);
+                input_grad(self.weight.value.data(), g, o, &geom, buf, gx.data_mut());
+                gx
+            })
+        })
     }
 
     /// Layer geometry for a given input.
@@ -138,57 +201,11 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (input, geom) = self.cache.take().expect("Conv2d::backward without forward(train)");
-        let plane = geom.oh() * geom.ow();
-        let ncols = geom.cols();
-        let patch = geom.patch_len();
-        let o = self.out_channels;
-        let g = grad_out.data();
-        assert_eq!(g.len(), geom.n * o * plane, "Conv2d grad_out size mismatch");
-        // The incoming gradient, read as a `[O, N·OH·OW]` matrix without
-        // materializing the reorder.
-        let g_mat = NchwGather { data: g, o, plane };
+        self.backward_pass(grad_out, ws, true).expect("input gradient was asked for")
+    }
 
-        // db[o] += Σ_col g[o, col]
-        {
-            let db = self.bias.grad.data_mut();
-            for ni in 0..geom.n {
-                for (oi, dbo) in db.iter_mut().enumerate() {
-                    let row = &g[(ni * o + oi) * plane..(ni * o + oi + 1) * plane];
-                    *dbo += row.iter().sum::<f32>();
-                }
-            }
-        }
-        with_lowering(patch * ncols, |buf| {
-            // Lower the input again rather than having kept the patch
-            // matrix since forward: the same bits, `KH·KW` times less held.
-            im2col(&input, &geom, buf);
-            // The input gradient has the input's size: it takes this buffer.
-            ws.recycle(input);
-            // dW[o, p] += Σ_col g[o, col] cols[p, col] — accumulated directly
-            // into the parameter gradient.
-            gemm_ops(
-                o,
-                ncols,
-                patch,
-                &g_mat,
-                &ColMajor { data: buf, ld: ncols },
-                &mut Accumulate { c: self.weight.grad.data_mut(), ldc: patch },
-            );
-            // dcols[p, col] = Σ_o W[o, p] g[o, col], over the patch matrix
-            // the weight gradient is done with.
-            gemm_ops(
-                patch,
-                o,
-                ncols,
-                &ColMajor { data: self.weight.value.data(), ld: patch },
-                &g_mat,
-                &mut Store { c: buf, ldc: ncols },
-            );
-            let mut gx = ws.take_tensor(&[geom.n, geom.c, geom.h, geom.w]);
-            col2im(buf, &geom, gx.data_mut());
-            gx
-        })
+    fn backward_first(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let _ = self.backward_pass(grad_out, ws, false);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
@@ -294,6 +311,36 @@ mod tests {
         // matrix is the thread's, not the pool's.
         assert_eq!(ws.fresh_allocations(), 2, "f32 pool misses after warm-up");
         assert_eq!(ws.fresh_usize_allocations(), 1, "dims pool misses after warm-up");
+    }
+
+    #[test]
+    fn backward_first_leaves_out_only_the_input_gradient() {
+        let mut rng = seeded_rng(32);
+        for &(cin, cout, k, stride, hw) in &[(3usize, 4usize, 3usize, 1usize, 8usize), (2, 20, 3, 2, 7), (4, 8, 1, 1, 5)] {
+            let x = Tensor::randn(&[3, cin, hw, hw], 1.0, &mut rng);
+            let mut full = Conv2d::new(cin, cout, k, stride, k / 2, 33);
+            let mut first = full.clone();
+            let mut ws = Workspace::new();
+            let y = full.forward(&x, true, &mut ws);
+            let g = Tensor::randn(y.dims(), 1.0, &mut rng);
+            let _gx = full.backward(&g, &mut ws);
+            let _ = first.forward(&x, true, &mut ws);
+            first.backward_first(&g, &mut ws);
+            assert_eq!(first.weight.grad.data(), full.weight.grad.data());
+            assert_eq!(first.bias.grad.data(), full.bias.grad.data());
+        }
+        // And its steady state takes one buffer fewer: no input gradient.
+        let mut conv = Conv2d::new(2, 4, 3, 1, 1, 30);
+        let mut ws = Workspace::new();
+        let x = Tensor::randn(&[2, 2, 6, 6], 1.0, &mut rng);
+        let g = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
+        for _ in 0..3 {
+            let y = conv.forward(&x, true, &mut ws);
+            ws.recycle_tensor(y);
+            conv.backward_first(&g, &mut ws);
+        }
+        assert_eq!(ws.fresh_allocations(), 2, "y and the input copy");
+        assert_eq!(ws.fresh_usize_allocations(), 1, "y's dims");
     }
 
     #[test]

@@ -55,6 +55,18 @@ pub trait Layer: Send {
     /// return ∂L/∂input.
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
+    /// the first layer of a network inside a training step: accumulate
+    /// parameter gradients and skip whatever only produces ∂L/∂input
+    /// (`Conv2d`'s patch-gradient product and `col2im`, `Linear`'s
+    /// `g · W`). A container hands this to its first layer only and runs
+    /// the rest as usual. The default runs `backward` and returns the
+    /// gradient to the pool.
+    fn backward_first(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let gx = self.backward(grad_out, ws);
+        ws.recycle_tensor(gx);
+    }
+
     /// Visit parameters immutably, in a deterministic order.
     fn visit_params(&self, f: &mut dyn FnMut(&Param));
 

@@ -2,18 +2,21 @@
 //!
 //! Weights are stored `[out, in]`; the forward product runs on the packed
 //! GEMM with the transpose expressed as a column-major view of the same
-//! storage and the bias add fused into the epilogue (`BiasCol`); the
-//! backward products read the gradient and the cached input the same way,
-//! so packing is slice copies throughout. The weight gradient
-//! accumulates directly into `weight.grad`, and all temporaries (the
-//! cached input copy, the returned tensors) live in the caller's
-//! [`Workspace`], so a steady-state step allocates nothing.
+//! storage — read in place by the transposing kernel under a batch of at
+//! most 16 rows, packed through the block transpose under a wider one —
+//! and the bias add fused into the epilogue (`BiasCol`); the backward
+//! products read the gradient and the cached input as views too, packed
+//! by slice copies. The weight gradient accumulates directly into
+//! `weight.grad`, and all temporaries (the cached input copy, the
+//! returned tensors) live in the caller's [`Workspace`], so a
+//! steady-state step allocates nothing. As a network's first layer
+//! inside a training step it leaves `g · W` out
+//! ([`Layer::backward_first`]).
 
 use crate::layer::{Layer, Precision};
-use crate::param::Param;
+use crate::param::{Init, Param};
 use kemf_tensor::gemm::{gemm_ops, Accumulate, BiasCol, ColMajor, RowMajor, Store};
 use kemf_tensor::quant;
-use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -30,9 +33,13 @@ pub struct Linear {
 impl Linear {
     /// Kaiming-initialized dense layer.
     pub fn new(in_features: usize, out_features: usize, seed: u64) -> Self {
-        let mut rng = seeded_rng(seed);
+        Self::with_init(in_features, out_features, Init::Seeded(seed))
+    }
+
+    /// Dense layer with its weights from `init`.
+    pub fn with_init(in_features: usize, out_features: usize, init: Init) -> Self {
         Linear {
-            weight: Param::new(Tensor::kaiming(&[out_features, in_features], in_features, &mut rng)),
+            weight: init.weight(&[out_features, in_features], in_features),
             bias: Param::new(Tensor::zeros(&[out_features])),
             in_features,
             out_features,
@@ -49,6 +56,37 @@ impl Linear {
     /// Output feature count.
     pub fn out_features(&self) -> usize {
         self.out_features
+    }
+}
+
+impl Linear {
+    /// The parameter half of backward: `dW += gᵀ · x`, `db += Σ_b g`.
+    /// Hands back the cached input, which the input gradient has no use
+    /// for but whose buffer the caller returns to the pool.
+    fn backward_params(&mut self, grad_out: &Tensor) -> Tensor {
+        let x = self.cached_input.take().expect("Linear::backward without forward(train)");
+        let (batch, feat) = x.shape().as_matrix();
+        let out = self.out_features;
+        let g = grad_out.data();
+        assert_eq!(g.len(), batch * out, "Linear grad_out size mismatch");
+        // dW[o, i] += Σ_b g[b, o] x[b, i] — straight into the parameter
+        // gradient, no staging matrix.
+        gemm_ops(
+            out,
+            batch,
+            feat,
+            &ColMajor { data: g, ld: out },
+            &RowMajor { data: x.data(), ld: feat },
+            &mut Accumulate { c: self.weight.grad.data_mut(), ldc: feat },
+        );
+        // db[o] += Σ_b g[b, o]
+        let db = self.bias.grad.data_mut();
+        for row in g.chunks_exact(out) {
+            for (dbo, &gv) in db.iter_mut().zip(row.iter()) {
+                *dbo += gv;
+            }
+        }
+        x
     }
 }
 
@@ -109,42 +147,26 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let x = self.cached_input.take().expect("Linear::backward without forward(train)");
+        let x = self.backward_params(grad_out);
         let (batch, feat) = x.shape().as_matrix();
         let out = self.out_features;
-        let g = grad_out.data();
-        assert_eq!(g.len(), batch * out, "Linear grad_out size mismatch");
-        // dW[o, i] += Σ_b g[b, o] x[b, i] — straight into the parameter
-        // gradient, no staging matrix.
-        gemm_ops(
-            out,
-            batch,
-            feat,
-            &ColMajor { data: g, ld: out },
-            &RowMajor { data: x.data(), ld: feat },
-            &mut Accumulate { c: self.weight.grad.data_mut(), ldc: feat },
-        );
-        // db[o] += Σ_b g[b, o]
-        {
-            let db = self.bias.grad.data_mut();
-            for row in g.chunks_exact(out) {
-                for (dbo, &gv) in db.iter_mut().zip(row.iter()) {
-                    *dbo += gv;
-                }
-            }
-        }
         // dx[b, i] = Σ_o g[b, o] W[o, i]
         let mut dx = ws.take_tensor(&[batch, feat]);
         gemm_ops(
             batch,
             out,
             feat,
-            &RowMajor { data: g, ld: out },
+            &RowMajor { data: grad_out.data(), ld: out },
             &RowMajor { data: self.weight.value.data(), ld: feat },
             &mut Store { c: dx.data_mut(), ldc: feat },
         );
         ws.recycle_tensor(x);
         dx
+    }
+
+    fn backward_first(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let x = self.backward_params(grad_out);
+        ws.recycle_tensor(x);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {

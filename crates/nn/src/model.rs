@@ -11,7 +11,7 @@ use crate::loss::{accuracy, cross_entropy_ws};
 use crate::models::ModelSpec;
 use crate::optim::Sgd;
 use crate::sequential::Sequential;
-use crate::serialize::{ModelState, Weights};
+use crate::serialize::{LayoutError, ModelState, Weights};
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -35,6 +35,20 @@ impl Model {
     /// Build a fresh model from a spec.
     pub fn new(spec: ModelSpec) -> Self {
         Model { net: spec.build(), spec, ws: Workspace::new() }
+    }
+
+    /// Build the model of `spec` holding `state`: what
+    /// `Model::new(spec)` followed by `set_state(state)` arrives at,
+    /// without drawing the initialization that `set_state` would
+    /// overwrite (a normal deviate per weight — milliseconds on the wider
+    /// specs, paid per client per round). The state's layout is held
+    /// against the spec's first; a state from another architecture or
+    /// width is an error here rather than a panic inside `set_state`.
+    pub fn from_state(spec: ModelSpec, state: &ModelState) -> Result<Self, LayoutError> {
+        let mut net = spec.build_zeroed();
+        state.check_layout(&net)?;
+        state.apply_to(&mut net);
+        Ok(Model { net, spec, ws: Workspace::new() })
     }
 
     /// The model's scratch-buffer pool (for callers that want to recycle
@@ -84,6 +98,14 @@ impl Model {
         self.net.backward(grad, &mut self.ws)
     }
 
+    /// Backward pass of a training step: parameter gradients only. The
+    /// gradient with respect to the batch is not computed — the first
+    /// layer skips the products that only feed it
+    /// ([`Layer::backward_first`]).
+    pub fn backward_params(&mut self, grad: &Tensor) {
+        self.net.backward_first(grad, &mut self.ws);
+    }
+
     /// Zero parameter gradients.
     pub fn zero_grad(&mut self) {
         self.net.zero_grad();
@@ -130,9 +152,10 @@ impl Model {
     /// drawn from the workspace it is handed (`cross_entropy_ws`,
     /// `kl_to_target_ws`); `before_update` sees the accumulated parameter
     /// gradients before the optimizer does (proximal terms, control
-    /// variates, `clip_grad_norm`). Every temporary — logits, loss
-    /// gradient, input gradient — returns to the model's pool, so a
-    /// steady-state step performs no heap allocation.
+    /// variates, `clip_grad_norm`). The gradient with respect to `x` is
+    /// not computed ([`Model::backward_params`]); every temporary — logits,
+    /// loss gradient — returns to the model's pool, so a steady-state
+    /// step performs no heap allocation.
     pub fn train_step(
         &mut self,
         x: &Tensor,
@@ -144,9 +167,8 @@ impl Model {
         let logits = self.net.forward(x, true, &mut self.ws);
         let (loss, grad) = loss(&logits, &mut self.ws);
         self.ws.recycle_tensor(logits);
-        let gx = self.net.backward(&grad, &mut self.ws);
+        self.backward_params(&grad);
         self.ws.recycle_tensor(grad);
-        self.ws.recycle_tensor(gx);
         before_update(&mut self.net);
         opt.step(&mut self.net);
         loss
@@ -266,6 +288,70 @@ mod tests {
         }
         let acc = m.evaluate(&imgs, &labels, 16);
         assert!(acc > 0.9, "accuracy {acc}");
+    }
+
+    #[test]
+    fn from_state_is_new_then_set_state_without_the_draw() {
+        for arch in [Arch::Cnn2, Arch::ResNet20, Arch::Vgg11, Arch::Mlp1] {
+            let spec = ModelSpec::scaled(arch, 3, 16, 10, 5);
+            let state = Model::new(ModelSpec { seed: 99, ..spec }).state();
+            let mut two_step = Model::new(spec);
+            two_step.set_state(&state);
+            let mut direct = Model::from_state(spec, &state).expect("same spec, same layout");
+            assert_eq!(direct.state(), state, "{arch:?}");
+            assert_eq!(direct.spec(), &spec);
+            let x = Tensor::randn(&[2, 3, 16, 16], 1.0, &mut seeded_rng(43));
+            assert_eq!(direct.predict(&x).data(), two_step.predict(&x).data(), "{arch:?}");
+        }
+    }
+
+    #[test]
+    fn from_state_refuses_a_state_of_another_layout() {
+        let spec = toy_spec();
+        let state = Model::new(spec).state();
+        // Another width: same tensor count, other sizes.
+        let wide = Model::new(ModelSpec { width: 8, ..spec }).state();
+        let err = Model::from_state(spec, &wide).err().expect("layout differs");
+        assert_eq!(err.section, "param");
+        assert_eq!(err.found, wide.params.lens);
+        assert_eq!(err.expected, state.params.lens);
+        assert!(err.to_string().contains("param layout"), "{err}");
+        // Buffers of a batch-norm model offered to a model without any.
+        let normed = Model::new(ModelSpec::scaled(Arch::ResNet20, 1, 8, 3, 2)).state();
+        let mut mixed = state.clone();
+        mixed.buffers = normed.buffers;
+        assert_eq!(Model::from_state(spec, &mixed).err().expect("buffers differ").section, "buffer");
+        // Lens that are right over values that are short: an error here,
+        // not a slice panic inside `apply_to`.
+        let mut short = state.clone();
+        short.params.values.pop();
+        let err = Model::from_state(spec, &short).err().expect("values short");
+        assert_eq!((err.section, err.values), ("param", state.params.values.len() - 1));
+    }
+
+    #[test]
+    fn train_step_skips_only_the_input_gradient() {
+        // The step's backward leaves the batch gradient out; parameters
+        // must move exactly as with the full backward written out.
+        for arch in [Arch::Cnn2, Arch::Mlp1] {
+            let spec = ModelSpec::scaled(arch, 1, 8, 3, 9);
+            let cfg = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4, nesterov: false };
+            let x = Tensor::randn(&[4, 1, 8, 8], 1.0, &mut seeded_rng(44));
+            let labels = [0usize, 2, 1, 2];
+            let (mut stepped, mut manual) = (Model::new(spec), Model::new(spec));
+            let (mut opt_s, mut opt_m) = (Sgd::new(cfg), Sgd::new(cfg));
+            for _ in 0..3 {
+                let loss = stepped.train_batch(&x, &labels, &mut opt_s);
+                manual.zero_grad();
+                let logits = manual.forward(&x, true);
+                let (want, grad) = cross_entropy_ws(&logits, &labels, manual.ws_mut());
+                let gx = manual.backward(&grad);
+                assert_eq!(gx.dims(), x.dims());
+                opt_m.step(manual.net_mut());
+                assert_eq!(loss.to_bits(), want.to_bits(), "{arch:?}");
+            }
+            assert_eq!(stepped.state(), manual.state(), "{arch:?}");
+        }
     }
 
     #[test]

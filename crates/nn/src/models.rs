@@ -11,6 +11,7 @@ use crate::activation::{Flatten, ReLU};
 use crate::cnn_util::conv_norm_relu;
 use crate::conv2d::Conv2d;
 use crate::linear::Linear;
+use crate::param::Init;
 use crate::pool::{GlobalAvgPool, MaxPool2};
 use crate::sequential::{BasicBlock, NormKind, Sequential};
 use serde::{Deserialize, Serialize};
@@ -125,59 +126,72 @@ impl ModelSpec {
         }
     }
 
-    /// Construct the network for this spec.
+    /// Construct the network for this spec, its weights drawn from the
+    /// spec's seed.
     pub fn build(&self) -> Sequential {
-        match self.arch {
-            Arch::ResNet20 | Arch::ResNet32 | Arch::ResNet44 => build_resnet(self),
-            Arch::Vgg11 => build_vgg11(self),
-            Arch::Cnn2 => build_cnn2(self),
-            Arch::Mlp1 => build_mlp1(self),
-        }
+        self.build_with(true)
+    }
+
+    /// Construct the network with all-zero weights and no draws: the
+    /// skeleton [`crate::model::Model::from_state`] writes a state into.
+    pub(crate) fn build_zeroed(&self) -> Sequential {
+        self.build_with(false)
+    }
+
+    fn build_with(&self, draw: bool) -> Sequential {
+        type Builder = fn(&ModelSpec, &mut dyn FnMut() -> Init) -> Sequential;
+        let (mul, add, build): (u64, u64, Builder) = match self.arch {
+            Arch::ResNet20 | Arch::ResNet32 | Arch::ResNet44 => (7919, 1, build_resnet),
+            Arch::Vgg11 => (104729, 11, build_vgg11),
+            Arch::Cnn2 => (31337, 3, build_cnn2),
+            Arch::Mlp1 => (48611, 5, build_mlp1),
+        };
+        // Every parameterized layer takes the next seed of the spec's
+        // sequence — or, for a skeleton, no seed at all.
+        let mut seed = self.seed.wrapping_mul(mul).wrapping_add(add);
+        build(self, &mut || {
+            seed = seed.wrapping_add(1);
+            if draw {
+                Init::Seeded(seed)
+            } else {
+                Init::Zeros
+            }
+        })
     }
 }
 
 /// CIFAR ResNet: 3×3 conv stem, three stages of basic blocks with widths
 /// `w, 2w, 4w` and strides `1, 2, 2`, global average pool, linear head.
-fn build_resnet(spec: &ModelSpec) -> Sequential {
+fn build_resnet(spec: &ModelSpec, next: &mut dyn FnMut() -> Init) -> Sequential {
     let n = spec.arch.resnet_blocks().expect("resnet arch");
     let w = spec.width;
-    let mut seed = spec.seed.wrapping_mul(7919).wrapping_add(1);
-    let mut next_seed = || {
-        seed = seed.wrapping_add(1);
-        seed
-    };
     let mut net = Sequential::new();
-    net = conv_norm_relu(net, spec.in_channels, w, 3, 1, 1, next_seed(), spec.norm);
+    net = conv_norm_relu(net, spec.in_channels, w, 3, 1, 1, next(), spec.norm);
     let stages = [(w, 1usize), (2 * w, 2), (4 * w, 2)];
     let mut in_ch = w;
     for &(out_ch, first_stride) in &stages {
         for b in 0..n {
             let stride = if b == 0 { first_stride } else { 1 };
-            net = net.push(BasicBlock::with_norm(in_ch, out_ch, stride, next_seed(), spec.norm));
+            net = net.push(BasicBlock::with_init(in_ch, out_ch, stride, next(), spec.norm));
             in_ch = out_ch;
         }
     }
-    net.push(GlobalAvgPool::new()).push(Linear::new(4 * w, spec.classes, next_seed()))
+    net.push(GlobalAvgPool::new()).push(Linear::with_init(4 * w, spec.classes, next()))
 }
 
 /// VGG-11 (configuration A): widths `[1,2,4,4,8,8,8,8] × width`, max-pool
 /// after convs 1, 2, 4, 6, 8 while spatial size permits, global average
 /// pool fallback, then a `8w → 8w → classes` classifier.
-fn build_vgg11(spec: &ModelSpec) -> Sequential {
+fn build_vgg11(spec: &ModelSpec, next: &mut dyn FnMut() -> Init) -> Sequential {
     let w = spec.width;
     let widths = [w, 2 * w, 4 * w, 4 * w, 8 * w, 8 * w, 8 * w, 8 * w];
     // Max-pool after these conv indices (0-based), the VGG-A schedule.
     let pool_after = [0usize, 1, 3, 5, 7];
-    let mut seed = spec.seed.wrapping_mul(104729).wrapping_add(11);
-    let mut next_seed = || {
-        seed = seed.wrapping_add(1);
-        seed
-    };
     let mut net = Sequential::new();
     let mut in_ch = spec.in_channels;
     let mut hw = spec.input_hw;
     for (i, &out_ch) in widths.iter().enumerate() {
-        net = conv_norm_relu(net, in_ch, out_ch, 3, 1, 1, next_seed(), spec.norm);
+        net = conv_norm_relu(net, in_ch, out_ch, 3, 1, 1, next(), spec.norm);
         in_ch = out_ch;
         if pool_after.contains(&i) && hw >= 2 {
             net = net.push(MaxPool2::new());
@@ -186,31 +200,26 @@ fn build_vgg11(spec: &ModelSpec) -> Sequential {
     }
     // Collapse whatever spatial extent remains, then classify.
     net = net.push(GlobalAvgPool::new());
-    net.push(Linear::new(8 * w, 8 * w, next_seed()))
+    net.push(Linear::with_init(8 * w, 8 * w, next()))
         .push(ReLU::new())
-        .push(Linear::new(8 * w, spec.classes, next_seed()))
+        .push(Linear::with_init(8 * w, spec.classes, next()))
 }
 
 /// LEAF-style 2-layer CNN: two 5×5 conv (+ReLU +2×2 max-pool) stages with
 /// widths `2w, 4w`, then a linear classifier on the flattened maps.
-fn build_cnn2(spec: &ModelSpec) -> Sequential {
+fn build_cnn2(spec: &ModelSpec, next: &mut dyn FnMut() -> Init) -> Sequential {
     let w = spec.width;
-    let mut seed = spec.seed.wrapping_mul(31337).wrapping_add(3);
-    let mut next_seed = || {
-        seed = seed.wrapping_add(1);
-        seed
-    };
     let hw_after = spec.input_hw / 2 / 2;
     assert!(hw_after >= 1, "input {} too small for 2-layer CNN", spec.input_hw);
     Sequential::new()
-        .push(Conv2d::new(spec.in_channels, 2 * w, 5, 1, 2, next_seed()))
+        .push(Conv2d::with_init(spec.in_channels, 2 * w, 5, 1, 2, next()))
         .push(ReLU::new())
         .push(MaxPool2::new())
-        .push(Conv2d::new(2 * w, 4 * w, 5, 1, 2, next_seed()))
+        .push(Conv2d::with_init(2 * w, 4 * w, 5, 1, 2, next()))
         .push(ReLU::new())
         .push(MaxPool2::new())
         .push(Flatten::new())
-        .push(Linear::new(4 * w * hw_after * hw_after, spec.classes, next_seed()))
+        .push(Linear::with_init(4 * w * hw_after * hw_after, spec.classes, next()))
 }
 
 /// One-hidden-layer MLP: flatten, `in → width` linear, ReLU, `width →
@@ -218,19 +227,14 @@ fn build_cnn2(spec: &ModelSpec) -> Sequential {
 /// parameters (no buffers) and each hidden unit `j` owns exactly one
 /// input-weight row, one hidden bias, and one classifier column —
 /// disjoint slices a rolling window can extract and scatter back.
-fn build_mlp1(spec: &ModelSpec) -> Sequential {
+fn build_mlp1(spec: &ModelSpec, next: &mut dyn FnMut() -> Init) -> Sequential {
     let w = spec.width;
-    let mut seed = spec.seed.wrapping_mul(48611).wrapping_add(5);
-    let mut next_seed = || {
-        seed = seed.wrapping_add(1);
-        seed
-    };
     let in_dim = spec.in_channels * spec.input_hw * spec.input_hw;
     Sequential::new()
         .push(Flatten::new())
-        .push(Linear::new(in_dim, w, next_seed()))
+        .push(Linear::with_init(in_dim, w, next()))
         .push(ReLU::new())
-        .push(Linear::new(w, spec.classes, next_seed()))
+        .push(Linear::with_init(w, spec.classes, next()))
 }
 
 #[cfg(test)]

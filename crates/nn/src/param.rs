@@ -3,6 +3,7 @@
 //! on [`crate::layer::Layer`], in a deterministic order that the optimizer
 //! and the federated aggregation code both rely on.
 
+use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -14,6 +15,37 @@ pub struct Param {
     /// Gradient of the last backward pass (accumulated until
     /// [`Param::zero_grad`]).
     pub grad: Tensor,
+}
+
+/// Where a new layer's weight matrix comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Init {
+    /// Kaiming-normal draws from a generator seeded with this: a model
+    /// nobody has trained yet.
+    Seeded(u64),
+    /// Zeros, with no generator set up and nothing drawn: a model whose
+    /// every parameter is about to be overwritten
+    /// ([`crate::model::Model::from_state`]).
+    Zeros,
+}
+
+impl Init {
+    /// A `dims`-shaped weight parameter with `fan_in` inputs per unit.
+    pub fn weight(self, dims: &[usize], fan_in: usize) -> Param {
+        Param::new(match self {
+            Init::Seeded(seed) => Tensor::kaiming(dims, fan_in, &mut seeded_rng(seed)),
+            Init::Zeros => Tensor::zeros(dims),
+        })
+    }
+
+    /// The initializer of a sub-layer whose seed is this one's plus
+    /// `delta`.
+    pub fn offset(self, delta: u64) -> Init {
+        match self {
+            Init::Seeded(seed) => Init::Seeded(seed.wrapping_add(delta)),
+            Init::Zeros => Init::Zeros,
+        }
+    }
 }
 
 impl Param {

@@ -6,7 +6,7 @@ use crate::conv2d::Conv2d;
 use crate::groupnorm::GroupNorm;
 use crate::layer::Layer;
 use crate::norm::BatchNorm2d;
-use crate::param::Param;
+use crate::param::{Init, Param};
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -106,6 +106,21 @@ impl Layer for Sequential {
         g
     }
 
+    fn backward_first(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        let mut g: Option<Tensor> = None;
+        for l in rest.iter_mut().rev() {
+            let next = l.backward(g.as_ref().unwrap_or(grad_out), ws);
+            if let Some(done) = g.replace(next) {
+                ws.recycle_tensor(done);
+            }
+        }
+        first.backward_first(g.as_ref().unwrap_or(grad_out), ws);
+        if let Some(done) = g {
+            ws.recycle_tensor(done);
+        }
+    }
+
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
         for l in &self.layers {
             l.visit_params(f);
@@ -169,19 +184,25 @@ impl BasicBlock {
 
     /// Build with an explicit normalization kind.
     pub fn with_norm(in_ch: usize, out_ch: usize, stride: usize, seed: u64, norm: NormKind) -> Self {
+        Self::with_init(in_ch, out_ch, stride, Init::Seeded(seed), norm)
+    }
+
+    /// Build with an explicit normalization kind and the filters of its
+    /// convolutions from `init` (offsets 0, 1 and, for the shortcut, 101).
+    pub fn with_init(in_ch: usize, out_ch: usize, stride: usize, init: Init, norm: NormKind) -> Self {
         let shortcut = if stride != 1 || in_ch != out_ch {
             Some((
-                Conv2d::new(in_ch, out_ch, 1, stride, 0, seed.wrapping_add(101)),
+                Conv2d::with_init(in_ch, out_ch, 1, stride, 0, init.offset(101)),
                 norm.build(out_ch),
             ))
         } else {
             None
         };
         BasicBlock {
-            conv1: Conv2d::new(in_ch, out_ch, 3, stride, 1, seed),
+            conv1: Conv2d::with_init(in_ch, out_ch, 3, stride, 1, init),
             bn1: norm.build(out_ch),
             relu1: ReLU::new(),
-            conv2: Conv2d::new(out_ch, out_ch, 3, 1, 1, seed.wrapping_add(1)),
+            conv2: Conv2d::with_init(out_ch, out_ch, 3, 1, 1, init.offset(1)),
             bn2: norm.build(out_ch),
             shortcut,
             relu_out: ReLU::new(),

@@ -197,7 +197,58 @@ pub struct ModelState {
     pub buffers: Weights,
 }
 
+/// A [`ModelState`] that does not have the layout of the network it was
+/// meant for: what [`ModelState::apply_to`] would panic on, as a value.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LayoutError {
+    /// Which half of the state disagrees: `"param"` or `"buffer"`.
+    pub section: &'static str,
+    /// Per-tensor element counts the state declares.
+    pub found: Vec<usize>,
+    /// Per-tensor element counts of the network.
+    pub expected: Vec<usize>,
+    /// Values the state actually carries for that half.
+    pub values: usize,
+}
+
+impl std::fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let LayoutError { section, found, expected, values } = self;
+        if found != expected {
+            write!(f, "{section} layout {found:?} != live {expected:?}")
+        } else {
+            write!(f, "{section} layout {found:?} declared over {values} values")
+        }
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
 impl ModelState {
+    /// Whether this state can be applied to `net`: the same element count
+    /// tensor by tensor, parameters and buffers, and as many values as
+    /// those counts add up to. Reads the layout only — no copy of either
+    /// side's values is made.
+    pub fn check_layout(&self, net: &dyn Layer) -> Result<(), LayoutError> {
+        let mut params = Vec::new();
+        net.visit_params(&mut |p| params.push(p.numel()));
+        let mut buffers = Vec::new();
+        net.visit_buffers(&mut |t| buffers.push(t.numel()));
+        for (section, have, expected) in
+            [("param", &self.params, params), ("buffer", &self.buffers, buffers)]
+        {
+            if have.lens != expected || have.values.len() != expected.iter().sum::<usize>() {
+                return Err(LayoutError {
+                    section,
+                    found: have.lens.clone(),
+                    expected,
+                    values: have.values.len(),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Capture from a network.
     pub fn from_layer(net: &dyn Layer) -> Self {
         ModelState {

@@ -7,7 +7,8 @@
 //! allocations. The same audit then covers the benchmark's models
 //! (`ModelSpec::scaled` ResNet-20 and VGG-11 at batch 16, batch norm and
 //! residual blocks included, and a group-norm ResNet-20, through
-//! `Model::train_batch` — the step every algorithm runs), the int8
+//! `Model::train_batch` — the step every algorithm runs — each both as
+//! `Model::new` draws it and as `Model::from_state` rebuilds it), the int8
 //! quantized forward (per-layer code/scale buffers from the i8 pool) and
 //! a plain `matmul_into` past one macro tile (thread-local pack pool).
 //! A last leg trains two ResNet-20s on two threads at once, the way the
@@ -217,24 +218,36 @@ fn second_training_step_allocates_nothing() {
         (Arch::Vgg11, NormKind::Batch),
         (Arch::ResNet20, NormKind::Group),
     ] {
-        let mut model = Model::new(ModelSpec::scaled(arch, 3, 16, 10, 11).with_norm(norm));
-        let mut opt =
-            Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4, nesterov: false });
+        // The model as the server draws it, and the same model as a
+        // client rebuilds it from the transmitted state (no draws): the
+        // same steps, the same losses, neither allocating.
+        let spec = ModelSpec::scaled(arch, 3, 16, 10, 11).with_norm(norm);
+        let drawn = Model::new(spec);
+        let rebuilt = Model::from_state(spec, &drawn.state()).expect("own state, own spec");
         let x = Tensor::randn(&[16, 3, 16, 16], 1.0, &mut rng);
         let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
-        assert!(model.train_batch(&x, &labels, &mut opt).is_finite());
-        let fresh = |m: &mut Model| {
-            let ws = m.ws_mut();
-            ws.fresh_allocations() + ws.fresh_usize_allocations() + ws.fresh_i8_allocations()
-        };
-        let warm = fresh(&mut model);
-        let allocs = count_allocs(|| {
-            for _ in 0..3 {
-                assert!(model.train_batch(&x, &labels, &mut opt).is_finite());
-            }
-        });
-        assert_eq!(allocs, 0, "{arch:?}/{norm:?}: steady-state training steps allocated {allocs} times");
-        assert_eq!(fresh(&mut model), warm, "{arch:?}/{norm:?}: pool misses after warm-up");
+        let mut losses = Vec::new();
+        for mut model in [drawn, rebuilt] {
+            let mut opt =
+                Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4, nesterov: false });
+            let mut trace = vec![model.train_batch(&x, &labels, &mut opt)];
+            assert!(trace[0].is_finite());
+            let fresh = |m: &mut Model| {
+                let ws = m.ws_mut();
+                ws.fresh_allocations() + ws.fresh_usize_allocations() + ws.fresh_i8_allocations()
+            };
+            let warm = fresh(&mut model);
+            trace.reserve(3);
+            let allocs = count_allocs(|| {
+                for _ in 0..3 {
+                    trace.push(model.train_batch(&x, &labels, &mut opt));
+                }
+            });
+            assert_eq!(allocs, 0, "{arch:?}/{norm:?}: steady-state training steps allocated {allocs} times");
+            assert_eq!(fresh(&mut model), warm, "{arch:?}/{norm:?}: pool misses after warm-up");
+            losses.push(trace.iter().map(|l| l.to_bits()).collect::<Vec<_>>());
+        }
+        assert_eq!(losses[0], losses[1], "{arch:?}/{norm:?}: from_state trains differently");
     }
 
     // Int8 quantized inference: the first forward populates the i8

@@ -22,6 +22,12 @@
 //! that table a few images at a time. Which of the two it is follows
 //! from the geometry alone.
 //!
+//! The two gradients of a lowered convolution live here as well, each on
+//! the route its shape wants: [`weight_grad`] (`g · colsᵀ`, the patch
+//! matrix read in place along its columns for narrow filter banks) and
+//! [`input_grad`] (`col2im(Wᵀ · g)`, the patch gradient produced and
+//! scattered a panel of whole images at a time).
+//!
 //! The patch matrix itself is the largest temporary of a convolutional
 //! step — `KH·KW` times the layer's input — and it is needed only while
 //! one layer's products run. [`with_lowering`] therefore lends each
@@ -30,6 +36,7 @@
 //! freed patch matrix would give it to the next activation request and
 //! keep one per layer alive after all.
 
+use crate::gemm::{gemm_ops, Accumulate, ColMajor, NchwGather, Store};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
@@ -203,6 +210,11 @@ enum Tap {
 /// Largest output plane (`OH·OW`) that gathers through an offset table.
 const SMALL_PLANE: usize = 16;
 
+/// Largest output plane whose row runs `col2im` joins into one pass (a
+/// 32×32 map; the column mask of a tap lives on the stack). Longer rows
+/// amortize a loop per row by themselves.
+const JOINED_PLANE: usize = 1024;
+
 /// Offset-table entry of a tap that lands in the padding: past the end
 /// of any slice, so `get` answers `None` for it.
 const OUTSIDE: usize = usize::MAX;
@@ -290,6 +302,7 @@ pub fn col2im(cols: &[f32], geom: &ConvGeom, input_grad: &mut [f32]) {
     for ky in (0..geom.kh).rev() {
         for kx in (0..geom.kw).rev() {
             let tap = geom.tap(ky, kx);
+            let mut mask = None;
             for c in 0..geom.c {
                 let row = &cols[geom.patch_row(c, ky, kx) * ncols..][..ncols];
                 match &tap {
@@ -305,6 +318,11 @@ pub fn col2im(cols: &[f32], geom: &ConvGeom, input_grad: &mut [f32]) {
                                 }
                             }
                         }
+                    }
+                    Tap::Runs { y, x } if s == 1 && ow == w && plane <= JOINED_PLANE => {
+                        let mask = mask.get_or_insert_with(|| JoinMask::new(y, x, ow));
+                        let planes = input_grad[c * hw..].chunks_mut(geom.c * hw);
+                        mask.add_runs(y, x, ow, row.chunks_exact(plane), planes);
                     }
                     Tap::Runs { y, x } => {
                         for (n, src) in row.chunks_exact(plane).enumerate() {
@@ -328,6 +346,131 @@ pub fn col2im(cols: &[f32], geom: &ConvGeom, input_grad: &mut [f32]) {
                 }
             }
         }
+    }
+}
+
+/// Which elements of a tap's joined run are real: where output rows are
+/// as long as input rows (`ow`) and read at stride 1, the runs of a
+/// plane's consecutive rows join up into one — a single pass over the
+/// plane instead of a short loop per row — with a pixel or two between
+/// two rows' runs that belong to neither. Those add `0.0`: no change to a
+/// sum that started from `+0.0`, which can never have become `-0.0`.
+struct JoinMask {
+    keep: [bool; JOINED_PLANE],
+    len: usize,
+}
+
+impl JoinMask {
+    /// The mask of the tap that reads output rows `y`, columns `x`.
+    #[inline(never)]
+    fn new(y: &Span, x: &Span, ow: usize) -> Self {
+        let run = x.hi - x.lo;
+        let mut mask = JoinMask { keep: [true; JOINED_PLANE], len: (y.hi - y.lo) * ow - (ow - run) };
+        // (Element loop: a pixel or two per row, less than a `fill` call costs.)
+        for gap in mask.keep[..mask.len].chunks_exact_mut(ow) {
+            for k in &mut gap[run..] {
+                *k = false;
+            }
+        }
+        mask
+    }
+
+    /// Add the tap's output planes `src` into the input planes `dst` they
+    /// came from.
+    #[inline(never)]
+    fn add_runs<'a>(
+        &self,
+        y: &Span,
+        x: &Span,
+        ow: usize,
+        src: impl Iterator<Item = &'a [f32]>,
+        dst: impl Iterator<Item = &'a mut [f32]>,
+    ) {
+        let keep = &self.keep[..self.len];
+        for (src, dst) in src.zip(dst) {
+            let dst = &mut dst[y.first * ow + x.first..][..keep.len()];
+            let src = &src[y.lo * ow + x.lo..][..keep.len()];
+            for ((d, &v), &k) in dst.iter_mut().zip(src).zip(keep) {
+                *d += if k { v } else { 0.0 };
+            }
+        }
+    }
+}
+
+/// Weight gradient of a lowered convolution, accumulated in place:
+/// `dw[o, p] += Σ_col g[o, col] · cols[p, col]` with `g` the `[N, O, OH,
+/// OW]` output gradient and `cols` the patch matrix of the input.
+///
+/// Neither operand is reordered. `g` is read through [`NchwGather`] and
+/// is the one that is packed (it is `patch` times the smaller); `cols` is
+/// the column-major B of the product and, for `O ≤ 16` on the widest
+/// tier, is read where it lies by the transposing kernel
+/// ([`crate::simd::microkernel_f32_bt`]) — wider filter banks pack it
+/// through the block transpose. Each `dw` element receives one finished
+/// FMA chain over `col` ascending, whatever the route.
+// (Inlined so that the engine is instantiated for these operands in the
+// calling crate, next to the layer's forward product.)
+#[inline]
+pub fn weight_grad(g: &[f32], o: usize, cols: &[f32], geom: &ConvGeom, dw: &mut [f32]) {
+    let (patch, ncols, plane) = (geom.patch_len(), geom.cols(), geom.oh() * geom.ow());
+    assert_eq!(g.len(), o * ncols, "output gradient size mismatch");
+    assert_eq!(cols.len(), patch * ncols, "cols size mismatch");
+    assert_eq!(dw.len(), o * patch, "weight gradient size mismatch");
+    gemm_ops(
+        o,
+        ncols,
+        patch,
+        &NchwGather { data: g, o, plane },
+        &ColMajor { data: cols, ld: ncols },
+        &mut Accumulate { c: dw, ldc: patch },
+    );
+}
+
+/// Most elements of the patch-gradient panel [`input_grad`] works in
+/// (64 KB): a panel is written by the product and read straight back by
+/// `col2im`, so it should stay in the inner caches rather than make the
+/// round trip the whole `[patch, N·OH·OW]` matrix makes.
+const PANEL_ELEMS: usize = 16 * 1024;
+
+/// Input gradient of a lowered convolution: `gx = col2im(Wᵀ · g)` with
+/// `w` the `[O, patch]` filter matrix and `g` the `[N, O, OH, OW]` output
+/// gradient. Every element of `gx` is written.
+///
+/// The patch gradient `Wᵀ · g` is produced a panel of whole images at a
+/// time — the columns of as many consecutive images as `PANEL_ELEMS`
+/// holds, one at least — into the head of `scratch`, and scattered into
+/// those images' pixels before the next panel overwrites it. An input
+/// pixel only ever receives addends from its own image, tap by tap, so
+/// the sums are those of one whole-matrix [`col2im`], bit for bit. The
+/// deep layers' small planes (the offset-table regime of `col2im`, where
+/// the whole matrix is a few panels' worth anyway) go in one piece.
+/// `scratch` must hold one panel — `patch · N·OH·OW` elements always do;
+/// [`with_lowering`]'s buffer, done with `cols`, is what a layer passes.
+#[inline]
+pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, scratch: &mut [f32], gx: &mut [f32]) {
+    let (patch, plane, pixels) = (geom.patch_len(), geom.oh() * geom.ow(), geom.c * geom.h * geom.w);
+    assert_eq!(w.len(), o * patch, "filter size mismatch");
+    assert_eq!(g.len(), geom.n * o * plane, "output gradient size mismatch");
+    assert_eq!(gx.len(), geom.n * pixels, "input gradient size mismatch");
+    let images = match plane {
+        0..=SMALL_PLANE => geom.n,
+        _ => PANEL_ELEMS / (patch * plane).max(1),
+    }
+    .max(1);
+    for first in (0..geom.n).step_by(images) {
+        let part = ConvGeom { n: images.min(geom.n - first), ..*geom };
+        let ncols = part.cols();
+        let dcols = &mut scratch[..patch * ncols];
+        // dcols[p, col] = Σ_o W[o, p] g[o, col] over these images' columns.
+        gemm_ops(
+            patch,
+            o,
+            ncols,
+            &ColMajor { data: w, ld: patch },
+            &NchwGather { data: &g[first * o * plane..][..o * ncols], o, plane },
+            &mut Store { c: dcols, ldc: ncols },
+        );
+        col2im(dcols, &part, &mut gx[first * pixels..][..part.n * pixels]);
     }
 }
 

@@ -13,8 +13,13 @@
 //!   (16 ZMM accumulators, one broadcast + two FMAs per A element) for
 //!   AVX-512F hosts; two 512-bit FMA ports make this tier's roofline
 //!   twice the AVX2 one.
+//! * [`microkernel_f32_bt`] — the 4- or 8-row by 16 tile over a B stored
+//!   transposed and read in place, 16×16 blocks of it turned in registers:
+//!   the weight gradient of a narrow convolution, a dense layer's forward.
 //! * [`microkernel_f32_6x16`] — the AVX2+FMA 6×16 tile (12 YMM
 //!   accumulators) used when 512-bit vectors are unavailable.
+//! * [`transpose_8x8_avx2`] — the block step of the transposing pack on
+//!   both SIMD tiers.
 //! * [`gemm_i8_block_avx2`] — the int8 compute kernel behind the
 //!   quantized ensemble-inference path: `_mm256_madd_epi16` over
 //!   pair-interleaved int8 panels with i32 accumulation.
@@ -96,12 +101,15 @@ fn detected() -> Isa {
         }
         #[cfg(target_arch = "x86_64")]
         {
+            // Both SIMD tiers use the AVX2 helpers (the packing transpose),
+            // so the 512-bit tier is the 256-bit one plus AVX-512F.
+            let avx2 = std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma");
             let allow_512 = !matches!(cap.as_deref(), Some("avx2"));
-            if allow_512 && std::arch::is_x86_feature_detected!("avx512f") {
+            if avx2 && allow_512 && std::arch::is_x86_feature_detected!("avx512f") {
                 return Isa::Avx512;
             }
-            if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-            {
+            if avx2 {
                 return Isa::Avx2Fma;
             }
         }
@@ -359,6 +367,164 @@ pub unsafe fn microkernel_f32_8x32_ldb(
     _mm512_storeu_ps(out.add(208), c61);
     _mm512_storeu_ps(out.add(224), c70);
     _mm512_storeu_ps(out.add(240), c71);
+}
+
+/// Transpose sixteen 16-lane rows in registers: lane `r` of `out[c]` is
+/// lane `c` of `rows[r]`. Four rounds of sixteen shuffles (32-bit and
+/// 64-bit interleaves inside each 128-bit lane, then two rounds of lane
+/// exchanges).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_16x16(
+    r: [core::arch::x86_64::__m512; 16],
+) -> [core::arch::x86_64::__m512; 16] {
+    use core::arch::x86_64::*;
+    let mut t = r;
+    for i in 0..8 {
+        t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // u[4g + c], 128-bit lane L: rows 4g..4g+4 at column 4L + c.
+    let mut u = t;
+    for g in 0..4 {
+        u[4 * g] = _mm512_shuffle_ps::<0x44>(t[4 * g], t[4 * g + 2]);
+        u[4 * g + 1] = _mm512_shuffle_ps::<0xEE>(t[4 * g], t[4 * g + 2]);
+        u[4 * g + 2] = _mm512_shuffle_ps::<0x44>(t[4 * g + 1], t[4 * g + 3]);
+        u[4 * g + 3] = _mm512_shuffle_ps::<0xEE>(t[4 * g + 1], t[4 * g + 3]);
+    }
+    let mut out = u;
+    for c in 0..4 {
+        // Lanes [rows 0..4 | rows 0..4 | rows 4..8 | rows 4..8] (and the
+        // same for rows 8..16) at columns c, 8+c (even) or 4+c, 12+c (odd).
+        let lo_even = _mm512_shuffle_f32x4::<0x88>(u[c], u[4 + c]);
+        let lo_odd = _mm512_shuffle_f32x4::<0xDD>(u[c], u[4 + c]);
+        let hi_even = _mm512_shuffle_f32x4::<0x88>(u[8 + c], u[12 + c]);
+        let hi_odd = _mm512_shuffle_f32x4::<0xDD>(u[8 + c], u[12 + c]);
+        out[c] = _mm512_shuffle_f32x4::<0x88>(lo_even, hi_even);
+        out[8 + c] = _mm512_shuffle_f32x4::<0xDD>(lo_even, hi_even);
+        out[4 + c] = _mm512_shuffle_f32x4::<0x88>(lo_odd, hi_odd);
+        out[12 + c] = _mm512_shuffle_f32x4::<0xDD>(lo_odd, hi_odd);
+    }
+    out
+}
+
+/// `out[i*16 + j] = Σ_kk a_panel[kk*8 + i] · bt[j*ldb + kk]` for `i < R`:
+/// an `R`×16 tile over a B operand stored *transposed* — sixteen rows of
+/// length `k`, one per output column — and read in place.
+///
+/// This is the weight gradient of a convolution, `g · colsᵀ`: B is the
+/// row-major patch matrix, `k = N·OH·OW` is long and there are only a
+/// handful of A rows, so packing B (a transposing copy of the largest
+/// matrix of the step) would cost more than the product. Instead each
+/// 16×16 block of B is loaded along its storage, transposed in registers
+/// (`transpose_16x16`) and consumed column by column: every output
+/// element is still one FMA chain over `kk` ascending, bit-identical to
+/// the packed kernels. `R` is 4 or 8: four accumulators for `O ≤ 4`
+/// filter banks, where the transpose and not the FMAs sets the pace.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available, `R <= 8`, `a_panel`
+/// holds at least `k * 8` floats, `bt` points at `rows` (1 to 16) rows of
+/// at least `k` floats each, `ldb` apart, and `out` holds `R * 16`
+/// floats. Output columns `rows..16` are written with unspecified finite
+/// or non-finite values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn microkernel_f32_bt<const R: usize>(
+    k: usize,
+    a_panel: *const f32,
+    bt: *const f32,
+    ldb: usize,
+    rows: usize,
+    out: *mut f32,
+) {
+    use core::arch::x86_64::*;
+    // Rows past `rows` alias row 0: their lanes are computed and ignored,
+    // so the block loop has no edge case.
+    let mut row = [bt; 16];
+    for (j, p) in row.iter_mut().enumerate().take(rows) {
+        // SAFETY: j < rows, so the row is inside the caller's matrix.
+        *p = bt.add(j * ldb);
+    }
+    let mut acc = [_mm512_setzero_ps(); R];
+    // One k step: column `kk` of the block against the A panel's row `kk`.
+    // SAFETY (applies to each expansion): `kk < k` bounds the panel reads.
+    macro_rules! step {
+        ($kk:expr, $b:expr) => {{
+            let a = a_panel.add($kk * SIMD_MR512);
+            for (i, c) in acc.iter_mut().enumerate() {
+                *c = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(i)), $b, *c);
+            }
+        }};
+    }
+    let mut kk = 0;
+    while kk + 16 <= k {
+        let mut r = [_mm512_setzero_ps(); 16];
+        for (v, p) in r.iter_mut().zip(row) {
+            // SAFETY: kk + 16 <= k keeps the load inside the row.
+            *v = _mm512_loadu_ps(p.add(kk));
+        }
+        for (t, b) in transpose_16x16(r).into_iter().enumerate() {
+            step!(kk + t, b);
+        }
+        kk += 16;
+    }
+    if kk < k {
+        let mask = ((1u32 << (k - kk)) - 1) as __mmask16;
+        let mut r = [_mm512_setzero_ps(); 16];
+        for (v, p) in r.iter_mut().zip(row) {
+            // SAFETY: masked-off lanes are not accessed; the others are
+            // elements kk..k of the row.
+            *v = _mm512_maskz_loadu_ps(mask, p.add(kk));
+        }
+        for (t, b) in transpose_16x16(r).into_iter().enumerate().take(k - kk) {
+            step!(kk + t, b);
+        }
+    }
+    for (i, &c) in acc.iter().enumerate() {
+        // SAFETY: out holds R·16 floats per the caller contract.
+        _mm512_storeu_ps(out.add(i * 16), c);
+    }
+}
+
+/// Transpose an 8×8 block given by its rows into rows `stride` apart:
+/// `dst[c·stride + r] = src[r][c]`, as three rounds of eight shuffles.
+///
+/// # Safety
+///
+/// The caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub unsafe fn transpose_8x8_avx2(src: [&[f32; 8]; 8], dst: &mut [f32], stride: usize) {
+    use core::arch::x86_64::*;
+    assert!(dst.len() >= 7 * stride + 8, "eight rows of eight inside dst");
+    let mut r = [_mm256_setzero_ps(); 8];
+    for (v, s) in r.iter_mut().zip(src) {
+        // SAFETY: `s` is eight readable floats.
+        *v = _mm256_loadu_ps(s.as_ptr());
+    }
+    let mut t = r;
+    for i in 0..4 {
+        t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // u[4g + c], 128-bit lane L: rows 4g..4g+4 at column 4L + c.
+    let mut u = t;
+    for g in 0..2 {
+        u[4 * g] = _mm256_shuffle_ps::<0x44>(t[4 * g], t[4 * g + 2]);
+        u[4 * g + 1] = _mm256_shuffle_ps::<0xEE>(t[4 * g], t[4 * g + 2]);
+        u[4 * g + 2] = _mm256_shuffle_ps::<0x44>(t[4 * g + 1], t[4 * g + 3]);
+        u[4 * g + 3] = _mm256_shuffle_ps::<0xEE>(t[4 * g + 1], t[4 * g + 3]);
+    }
+    let dst = dst.as_mut_ptr();
+    for c in 0..4 {
+        // SAFETY: rows c and 4 + c start at most 7·stride into `dst`, which
+        // the assertion above showed to hold eight more floats from there.
+        _mm256_storeu_ps(dst.add(c * stride), _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c]));
+        _mm256_storeu_ps(dst.add((4 + c) * stride), _mm256_permute2f128_ps::<0x31>(u[c], u[4 + c]));
+    }
 }
 
 /// `out[i*16 + j] = Σ_kk a_panel[kk*6 + i] · b_panel[kk*16 + j]` for the
@@ -958,6 +1124,63 @@ mod tests {
             microkernel_f32_8x32_ldb(k, a.as_ptr(), b.as_ptr().add(col0), ldb, got.as_mut_ptr());
         }
         assert_eq!(want, got, "direct-B kernel must match the packed kernel bit-for-bit");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_transposing_kernel_matches_packed_kernel() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            return;
+        }
+        // B stored transposed, rows longer than k (ldb ≠ k); k = 37 leaves
+        // a 5-deep masked block after two full ones, and 11 rows leave
+        // five tile columns aliased to row 0.
+        let (k, ldb, rows) = (37, 41, 11);
+        let a: Vec<f32> = (0..k * SIMD_MR512).map(|i| ((i * 29) % 13) as f32 * 0.37 - 2.0).collect();
+        let bt: Vec<f32> = (0..rows * ldb).map(|i| ((i * 11) % 21) as f32 * 0.19 - 1.9).collect();
+        let mut packed = vec![0.0f32; k * SIMD_NR512];
+        for kk in 0..k {
+            for j in 0..rows {
+                packed[kk * SIMD_NR512 + j] = bt[j * ldb + kk];
+            }
+        }
+        let mut want = [0.0f32; SIMD_MR512 * SIMD_NR512];
+        let mut got8 = [f32::NAN; 8 * 16];
+        let mut got4 = [f32::NAN; 4 * 16];
+        // SAFETY: AVX-512F checked above; sizes match each contract.
+        unsafe {
+            microkernel_f32_8x32(k, a.as_ptr(), packed.as_ptr(), want.as_mut_ptr());
+            microkernel_f32_bt::<8>(k, a.as_ptr(), bt.as_ptr(), ldb, rows, got8.as_mut_ptr());
+            microkernel_f32_bt::<4>(k, a.as_ptr(), bt.as_ptr(), ldb, rows, got4.as_mut_ptr());
+        }
+        for i in 0..8 {
+            for j in 0..rows {
+                let w = want[i * SIMD_NR512 + j].to_bits();
+                assert_eq!(got8[i * 16 + j].to_bits(), w, "8-row tile ({i},{j})");
+                if i < 4 {
+                    assert_eq!(got4[i * 16 + j].to_bits(), w, "4-row tile ({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_block_transpose_is_a_transpose() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let src: [[f32; 8]; 8] = std::array::from_fn(|r| std::array::from_fn(|c| (r * 8 + c) as f32));
+        // Rows 11 apart: the three floats between two rows stay untouched.
+        let mut dst = [f32::NAN; 7 * 11 + 8];
+        // SAFETY: AVX2 checked above.
+        unsafe { transpose_8x8_avx2(std::array::from_fn(|r| &src[r]), &mut dst, 11) };
+        for (i, v) in dst.iter().enumerate() {
+            match (i / 11, i % 11) {
+                (c, r) if r < 8 => assert_eq!(*v, src[r][c], "({r},{c})"),
+                _ => assert!(v.is_nan(), "gap element {i} written"),
+            }
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

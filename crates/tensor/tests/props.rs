@@ -1,9 +1,10 @@
 //! Property-based tests of the tensor kernels: algebraic identities the
 //! numeric substrate must satisfy for any input.
 
-use kemf_tensor::conv::{col2im, im2col, ConvGeom};
+use kemf_tensor::conv::{col2im, im2col, input_grad, weight_grad, ConvGeom};
 use kemf_tensor::gemm::{
-    gemm_naive, gemm_ops, NchwGather, NchwScatterBias, Operand, RowMajor,
+    gemm_naive, gemm_ops, Accumulate, ColMajor, NchwGather, NchwScatterBias, Operand, RowMajor,
+    Store,
 };
 use kemf_tensor::matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 use kemf_tensor::ops::{softmax, sum_rows, transpose2d};
@@ -11,6 +12,12 @@ use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::Tensor;
 use proptest::prelude::*;
 use rand::Rng;
+
+/// Bit patterns, for equality that tells `0.0` from `-0.0` and compares
+/// NaNs.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 fn tensor_strategy(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-4.0f32..4.0, n)
@@ -194,9 +201,9 @@ proptest! {
         // The same product through every dispatch tier available on this
         // host: whatever `simd::isa()` auto-selects (AVX-512 8×32 or
         // AVX2 6×16 where present) and the forced portable scalar 8×8
-        // path must both agree with the triple-loop reference. Tier
-        // results differ only by accumulation order, so each is checked
-        // against naive rather than bitwise against the other.
+        // path must both agree with the triple-loop reference (which adds
+        // unfused, hence the tolerance) — and, running the same FMA chain
+        // per element, with each other bit for bit.
         const DIMS: [usize; 5] = [1, 5, 8, 33, 70];
         let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
         let mut rng = seeded_rng(seed);
@@ -214,6 +221,7 @@ proptest! {
             matmul_into(&a, &b, &mut c_scalar, m, k, n);
         }
         kemf_tensor::assert_close(&c_scalar, &expect, 1e-4);
+        prop_assert_eq!(bits(&c_auto), bits(&c_scalar));
     }
 
     #[test]
@@ -373,12 +381,13 @@ fn nchw_gather_bulk_fills_equal_at_across_image_boundaries() {
     }
 }
 
-/// A row-major matrix the engine may not read in place: every method but
-/// `as_row_major` forwards, so the product takes the packed-B route.
-struct Packed<'a>(RowMajor<'a>);
+/// An operand the engine may not read in place: every method but
+/// `in_place` forwards, so the product takes the
+/// packed-B route — the only route there was before the in-place kernels.
+struct Packed<T>(T);
 
-impl Operand for Packed<'_> {
-    const ROWS_CONTIGUOUS: bool = true;
+impl<T: Operand> Operand for Packed<T> {
+    const ROWS_CONTIGUOUS: bool = T::ROWS_CONTIGUOUS;
 
     fn at(&self, i: usize, j: usize) -> f32 {
         self.0.at(i, j)
@@ -388,8 +397,16 @@ impl Operand for Packed<'_> {
         self.0.fill_row(i, j0, dst);
     }
 
+    fn fill_col(&self, j: usize, i0: usize, dst: &mut [f32]) {
+        self.0.fill_col(j, i0, dst);
+    }
+
     fn fill_row_arr<const L: usize>(&self, i: usize, j0: usize, dst: &mut [f32; L]) {
         self.0.fill_row_arr(i, j0, dst);
+    }
+
+    fn fill_col_arr<const L: usize>(&self, j: usize, i0: usize, dst: &mut [f32; L]) {
+        self.0.fill_col_arr(j, i0, dst);
     }
 }
 
@@ -420,9 +437,104 @@ fn conv_forward_is_bit_identical_reading_cols_in_place_or_packed() {
             }
             y
         };
-        let bits = |y: Vec<f32>| y.into_iter().map(f32::to_bits).collect::<Vec<_>>();
-        assert_eq!(bits(forward(false)), bits(forward(true)), "O = {o}, native tier");
+        assert_eq!(bits(&forward(false)), bits(&forward(true)), "O = {o}, native tier");
         let _scalar = kemf_tensor::simd::ScalarGuard::new();
-        assert_eq!(bits(forward(false)), bits(forward(true)), "O = {o}, scalar tier");
+        assert_eq!(bits(&forward(false)), bits(&forward(true)), "O = {o}, scalar tier");
+    }
+}
+
+/// Both gradients of one lowered convolution as `Conv2d::backward` asks
+/// for them: `dw0 + g · colsᵀ` and `col2im(Wᵀ · g)`.
+fn conv_backward(
+    geom: &ConvGeom,
+    o: usize,
+    (x, w, g, dw0): (&[f32], &[f32], &[f32], &[f32]),
+) -> (Vec<f32>, Vec<f32>) {
+    let mut cols = vec![f32::NAN; geom.patch_len() * geom.cols()];
+    im2col(x, geom, &mut cols);
+    let mut dw = dw0.to_vec();
+    weight_grad(g, o, &cols, geom, &mut dw);
+    // As in the layer: the patch matrix is the input gradient's scratch.
+    let mut gx = vec![f32::NAN; x.len()];
+    input_grad(w, g, o, geom, &mut cols, &mut gx);
+    (dw, gx)
+}
+
+/// The same two gradients by the route the in-place kernels replaced:
+/// `cols` packed as a column-major B, the whole patch gradient stored and
+/// scattered by the output-position-outermost loop.
+fn conv_backward_packed(
+    geom: &ConvGeom,
+    o: usize,
+    (x, w, g, dw0): (&[f32], &[f32], &[f32], &[f32]),
+) -> (Vec<f32>, Vec<f32>) {
+    let (patch, ncols, plane) = (geom.patch_len(), geom.cols(), geom.oh() * geom.ow());
+    let mut cols = vec![f32::NAN; patch * ncols];
+    im2col(x, geom, &mut cols);
+    let g_mat = NchwGather { data: g, o, plane };
+    let mut dw = dw0.to_vec();
+    gemm_ops(
+        o,
+        ncols,
+        patch,
+        &g_mat,
+        &Packed(ColMajor { data: &cols, ld: ncols }),
+        &mut Accumulate { c: &mut dw, ldc: patch },
+    );
+    let mut dcols = vec![f32::NAN; patch * ncols];
+    gemm_ops(patch, o, ncols, &ColMajor { data: w, ld: patch }, &g_mat, &mut Store {
+        c: &mut dcols,
+        ldc: ncols,
+    });
+    let mut gx = vec![f32::NAN; x.len()];
+    col2im_scatter(&dcols, geom, &mut gx);
+    (dw, gx)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn conv_backward_routes_agree_bit_for_bit(
+        oi in 0usize..7,
+        ci in 0usize..6,
+        pi in 0usize..7,
+        stride in 1usize..3,
+        seed in 0u64..(1 << 32),
+    ) {
+        // Filter banks on both sides of the in-place kernel's 16-row
+        // bound and of its 4- and 8-row tiles; patch lengths off the
+        // vector width (27, 36, 72, 576; 4 and 8 for 1×1); column counts
+        // 16 to 4096 with planes from 1×1 (offset-table `col2im`, whole
+        // patch gradient) to 16×16 (row runs, one image per panel) and a
+        // 10×10 that leaves every 16-block a tail.
+        const O: [usize; 7] = [1, 3, 4, 8, 16, 17, 64];
+        const FILTERS: [(usize, usize); 6] = [(3, 3), (4, 3), (8, 3), (64, 3), (4, 1), (8, 1)];
+        const OUTPUTS: [(usize, usize); 7] =
+            [(16, 1), (1, 4), (4, 4), (16, 4), (1, 16), (10, 10), (16, 16)];
+        let (o, (c, k), (mut n, out)) = (O[oi], FILTERS[ci], OUTPUTS[pi]);
+        // Keep the scalar-tier leg short: the widest banks see fewer images.
+        while n > 1 && o * c * k * k * n * out * out > (1 << 23) {
+            n /= 2;
+        }
+        let pad = k / 2;
+        let hw = (out - 1) * stride + k - 2 * pad;
+        let geom = ConvGeom { n, c, h: hw, w: hw, kh: k, kw: k, stride, pad };
+        prop_assert_eq!((geom.oh(), geom.ow()), (out, out));
+        let mut rng = seeded_rng(seed);
+        let mut draw = |len: usize| (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect::<Vec<_>>();
+        let (x, w) = (draw(n * c * hw * hw), draw(o * geom.patch_len()));
+        // A gradient already in `weight.grad`: the product accumulates.
+        let (g, dw0) = (draw(n * o * out * out), draw(o * geom.patch_len()));
+        let operands = (&x[..], &w[..], &g[..], &dw0[..]);
+
+        let (dw, gx) = conv_backward(&geom, o, operands);
+        let (dw_packed, gx_packed) = conv_backward_packed(&geom, o, operands);
+        prop_assert!(bits(&dw) == bits(&dw_packed), "weight gradient vs packed route, {:?} O {}", geom, o);
+        prop_assert!(bits(&gx) == bits(&gx_packed), "input gradient vs whole-matrix route, {:?} O {}", geom, o);
+        let _scalar = kemf_tensor::simd::ScalarGuard::new();
+        let (dw_scalar, gx_scalar) = conv_backward(&geom, o, operands);
+        prop_assert!(bits(&dw) == bits(&dw_scalar), "weight gradient vs scalar tier, {:?} O {}", geom, o);
+        prop_assert!(bits(&gx) == bits(&gx_scalar), "input gradient vs scalar tier, {:?} O {}", geom, o);
     }
 }

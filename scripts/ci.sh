@@ -96,7 +96,12 @@ CARGO_TARGET_DIR=target/bench_e2e benchmark/run.sh --smoke
 # Kernel smoke: run every GEMM/int8 bench code path with a tiny time
 # budget (no JSON write). Catches dispatch-tier crashes — e.g. an AVX-512
 # path that faults on the CI host — that unit tests under a forced tier
-# would miss.
+# would miss, and asserts that both gradients of a convolution come out
+# bit-identical on the native and the scalar tier at every ResNet-20 /
+# VGG-11 geometry: a transposing kernel that runs its FMA chains out of
+# order fails here, not in a golden hash three layers up. (The property
+# suite behind it, crates/tensor/tests/props.rs, runs with the workspace
+# tests above; it starts no cohort, so it is not in the width loop.)
 cargo run --release -p kemf-bench --bin bench_kernels -- --smoke
 
 # Population smoke: equal 1000-client cohorts sampled from 100k- and
