@@ -6,9 +6,9 @@
 //! copy of the same bytes), the three products of a convolution layer at
 //! those geometries side by side (`conv_backward`: forward, weight
 //! gradient, input gradient with its `col2im`, all in GFLOP/s of the same
-//! `2·O·patch·N·OH·OW`), what building a model at a transmitted state
-//! costs with and without the discarded initialization (`model_build`),
-//! and an int8 ensemble-inference comparison. Prints tables and writes
+//! `2·O·patch·N·OH·OW`), and what building a model at a transmitted
+//! state costs with and without the discarded initialization
+//! (`model_build`). Prints tables and writes
 //! `bench_results/BENCH_kernels.json` with all of it, the detected
 //! `cpu_features` and `threads` — the cohort width `init_thread_pool`
 //! settles on; every kernel here runs on the calling thread whatever it
@@ -22,8 +22,6 @@
 //! here, on the host that has it, not in a history hash three layers up.
 
 use kemf_bench::report::{results_dir, Table};
-use kemf_core::prelude::{ensemble_forward, ensemble_forward_with_precision, EnsembleStrategy};
-use kemf_fl::compress::ComputePrecision;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_tensor::conv::{col2im, im2col, input_grad, weight_grad, ConvGeom};
@@ -331,56 +329,6 @@ fn main() {
         ));
     }
 
-    // Int8 ensemble inference: the server's ensemble-logit pass (two
-    // knowledge-network teachers over a public batch) in exact f32 vs the
-    // int8 quantized forward, plus the worst logit drift it introduces.
-    let mut members = vec![
-        Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3001)),
-        Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3002)),
-    ];
-    let pool_n = if smoke { 16 } else { 128 };
-    let iters = if smoke { 2 } else { 20 };
-    let pool = {
-        let task = kemf_data::synth::SynthTask::new(kemf_data::synth::SynthConfig::mnist_like(7));
-        task.generate_unlabeled(pool_n, 8)
-    };
-    let f32_s = time_per_call(
-        || {
-            let _ = ensemble_forward(&mut members, &pool, EnsembleStrategy::MaxLogits);
-        },
-        iters,
-    );
-    let int8_s = time_per_call(
-        || {
-            let _ = ensemble_forward_with_precision(
-                &mut members,
-                &pool,
-                EnsembleStrategy::MaxLogits,
-                ComputePrecision::Int8,
-            );
-        },
-        iters,
-    );
-    let exact = ensemble_forward(&mut members, &pool, EnsembleStrategy::MaxLogits);
-    let quant = ensemble_forward_with_precision(
-        &mut members,
-        &pool,
-        EnsembleStrategy::MaxLogits,
-        ComputePrecision::Int8,
-    );
-    let max_logit_diff = exact
-        .data()
-        .iter()
-        .zip(quant.data())
-        .fold(0f32, |acc, (e, q)| acc.max((e - q).abs()));
-    let int8_speedup = f32_s / int8_s;
-    println!(
-        "[int8] ensemble pass ({pool_n} images, 2 members): f32 {:.3} ms, int8 {:.3} ms \
-         ({int8_speedup:.2}x), max logit diff {max_logit_diff:.4}",
-        f32_s * 1e3,
-        int8_s * 1e3
-    );
-
     if smoke {
         println!("[smoke] skipping JSON write");
         return;
@@ -389,18 +337,13 @@ fn main() {
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
          \"cpu_features\": [{}],\n  \"threads\": {},\n  \"shapes\": [\n{}\n  ],\n  \
          \"conv_lowering\": [\n{}\n  ],\n  \"conv_backward\": [\n{}\n  ],\n  \
-         \"model_build\": [\n{}\n  ],\n  \
-         \"int8_ensemble\": {{\"pool_images\": {pool_n}, \"members\": 2, \
-         \"f32_ms\": {:.3}, \"int8_ms\": {:.3}, \"max_logit_diff\": {max_logit_diff:.5}}},\n  \
-         \"int8_speedup\": {int8_speedup:.3}\n}}\n",
+         \"model_build\": [\n{}\n  ]\n}}\n",
         cpu_features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         kemf_fl::engine::init_thread_pool(),
         json_rows.join(",\n"),
         lowering_rows.join(",\n"),
         backward_rows.join(",\n"),
         build_rows.join(",\n"),
-        f32_s * 1e3,
-        int8_s * 1e3,
     );
     let path = results_dir().join("BENCH_kernels.json");
     match std::fs::write(&path, json) {

@@ -4,8 +4,6 @@
 
 use crate::ensemble::{ensemble_logits, EnsembleStrategy};
 use kemf_fl::cohort::fork_join;
-use kemf_fl::compress::ComputePrecision;
-use kemf_nn::layer::Precision;
 use kemf_nn::loss::{kl_to_target_ws, soften};
 use kemf_nn::model::Model;
 use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
@@ -29,12 +27,6 @@ pub struct DistillConfig {
     pub strategy: EnsembleStrategy,
     /// Gradient-norm clip for the student (0 disables).
     pub clip_norm: f32,
-    /// Compute format for the *teacher* logit pass. `Int8` quantizes the
-    /// frozen teachers' forward (weights and activations) for roughly
-    /// half the memory traffic; the student's training forward/backward
-    /// stays exact f32 either way. Defaults to `F32`, so configs that
-    /// never mention it are bit-identical to the pre-quantization path.
-    pub precision: ComputePrecision,
 }
 
 impl Default for DistillConfig {
@@ -46,7 +38,6 @@ impl Default for DistillConfig {
             temperature: 2.0,
             strategy: EnsembleStrategy::MaxLogits,
             clip_norm: 5.0,
-            precision: ComputePrecision::F32,
         }
     }
 }
@@ -80,20 +71,16 @@ pub fn distill_ensemble(
     // batch-norm running statistics lag their weights badly, and
     // eval-mode logits can explode into confidently-wrong targets that
     // poison the distilled student.
-    // The teacher pass — the bulk of server-side inference FLOPs — honours
-    // `cfg.precision`; each teacher is restored to exact f32 afterwards so
-    // the precision choice never leaks into later rounds. Members are
-    // independent, so they run through the cohort driver's fork-join and
-    // their logits come back in member order (the same bits at any
-    // width). A teacher never sees a backward, so what its pool-sized
-    // training forward cached goes the moment its logits exist: one
-    // member's activations per thread are live at a time, not the
-    // ensemble's for the whole of fusion.
+    // The teacher pass — the bulk of server-side inference FLOPs — runs in
+    // exact f32, like the student. Members are independent, so they run
+    // through the cohort driver's fork-join and their logits come back in
+    // member order (the same bits at any width). A teacher never sees a
+    // backward, so what its pool-sized training forward cached goes the
+    // moment its logits exist: one member's activations per thread are
+    // live at a time, not the ensemble's for the whole of fusion.
     let member_logits: Vec<Tensor> =
         fork_join(teachers.iter_mut().collect(), |t: &mut Model| {
-            t.set_precision(cfg.precision.to_layer());
             let z = t.predict_batch_stats(pool);
-            t.set_precision(Precision::F32);
             t.release_scratch();
             z
         });
@@ -200,33 +187,6 @@ mod tests {
         )
         .last_epoch_loss;
         assert!(more < one, "KL should shrink with more distillation: {one} → {more}");
-    }
-
-    #[test]
-    fn int8_teacher_pass_distills_like_f32() {
-        let task = SynthTask::new(SynthConfig::mnist_like(2));
-        let (t1, _) = trained_teacher(7);
-        let (t2, _) = trained_teacher(8);
-        let pool = task.generate_unlabeled(160, 12);
-        let test = task.generate(200, 78);
-        let distill_with = |precision| {
-            let mut teachers = vec![t1.clone(), t2.clone()];
-            let mut student = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 96));
-            let cfg = DistillConfig { epochs: 4, precision, ..Default::default() };
-            let out = distill_ensemble(&mut student, &mut teachers, &pool, &cfg, 13);
-            assert!(out.last_epoch_loss.is_finite());
-            // The precision switch must not leak into the returned teachers.
-            for t in &mut teachers {
-                assert!(t.predict(&test.images.slice_rows(0, 4)).data().iter().all(|v| v.is_finite()));
-            }
-            student.evaluate(&test.images, &test.labels, 32)
-        };
-        let exact = distill_with(ComputePrecision::F32);
-        let quant = distill_with(ComputePrecision::Int8);
-        assert!(
-            (exact - quant).abs() < 0.05,
-            "int8 teacher logits should distill a near-identical student: {exact} vs {quant}"
-        );
     }
 
     #[test]

@@ -11,13 +11,11 @@
 //! target for the batch (the standard DML formulation), so the two KL
 //! gradients are the distillation gradients `σ(z) − target`.
 //!
-//! DML is deliberately outside the int8 compute-format switch
-//! ([`kemf_fl::compress::ComputePrecision`]): here each forward's logits
-//! serve both as the *other* network's mutual target **and** as the same
-//! network's own cross-entropy/backward input, so a quantized forward
-//! would either corrupt the gradient path or force a second exact pass.
-//! Quantized inference is a server-side concern — see
-//! [`crate::distill::DistillConfig::precision`] and
+//! DML always runs in exact f32: each forward's logits serve both as the
+//! *other* network's mutual target **and** as the same network's own
+//! cross-entropy/backward input, so a quantized forward would either
+//! corrupt the gradient path or force a second exact pass. The one int8
+//! route is an inference pass,
 //! [`crate::ensemble::ensemble_forward_with_precision`].
 
 use kemf_data::dataset::Dataset;

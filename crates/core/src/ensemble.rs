@@ -3,7 +3,6 @@
 //! majority vote.
 
 use kemf_fl::compress::ComputePrecision;
-use kemf_nn::layer::Precision;
 use kemf_nn::model::Model;
 use kemf_tensor::ops::{argmax_rows, elementwise_max, elementwise_mean};
 use kemf_tensor::Tensor;
@@ -100,9 +99,9 @@ pub fn ensemble_forward_with_precision(
     let logits: Vec<Tensor> = members
         .iter_mut()
         .map(|m| {
-            m.set_precision(precision.to_layer());
+            m.set_precision(precision);
             let z = m.predict(images);
-            m.set_precision(Precision::F32);
+            m.set_precision(ComputePrecision::F32);
             z
         })
         .collect();

@@ -11,41 +11,19 @@
 //! structure, so damage is a [`CompressError`], never an out-of-bounds
 //! index.
 //!
-//! Int8 is also a *compute* format here, not just a wire format: the
-//! serializable [`ComputePrecision`] switch maps onto
-//! [`kemf_nn::layer::Precision`] and routes a model's GEMM-backed layers
-//! through the symmetric int8 engine (`kemf_tensor::quant`) — the
-//! server's quantized ensemble-logit pass. The property tests at the
-//! bottom pin the quantize → int8-forward round trip to its analytic
-//! error bound.
+//! The int8 *compute* format is a different thing: [`ComputePrecision`]
+//! (the layers' [`kemf_nn::layer::Precision`] under the name ensemble
+//! callers use) routes a model's GEMM-backed layers through the symmetric
+//! int8 engine (`kemf_tensor::quant`) for one
+//! `kemf_core::ensemble::ensemble_forward_with_precision` pass. The
+//! property tests at the bottom pin the wire → int8-forward round trip to
+//! its analytic error bound.
 
 use kemf_nn::codec::{CodecError, Reader, Writer};
-use kemf_nn::layer::Precision;
 use kemf_nn::serialize::Weights;
 use serde::{Deserialize, Serialize};
 
-/// Serializable compute-format switch for inference passes (the config
-/// counterpart of [`kemf_nn::layer::Precision`], which stays
-/// serde-free). Default is exact f32; `Int8` is an inference-only
-/// approximation for ensemble-logit computation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ComputePrecision {
-    /// Exact f32 forward (default; required for training).
-    #[default]
-    F32,
-    /// Symmetric per-row/per-column int8 quantized forward.
-    Int8,
-}
-
-impl ComputePrecision {
-    /// The layer-level precision this switch selects.
-    pub fn to_layer(self) -> Precision {
-        match self {
-            ComputePrecision::F32 => Precision::F32,
-            ComputePrecision::Int8 => Precision::Int8,
-        }
-    }
-}
+pub use kemf_nn::layer::Precision as ComputePrecision;
 
 /// A uniformly-quantized weight snapshot: int8 codes plus a per-chunk
 /// affine dequantization `(scale, zero_point)`.
@@ -405,17 +383,6 @@ mod tests {
 
         // The untouched payload still decodes.
         assert!(dequantize(&good).is_ok());
-    }
-
-    #[test]
-    fn compute_precision_maps_to_layer_precision() {
-        use kemf_nn::layer::Precision;
-        assert_eq!(ComputePrecision::default(), ComputePrecision::F32);
-        assert_eq!(ComputePrecision::F32.to_layer(), Precision::F32);
-        assert_eq!(ComputePrecision::Int8.to_layer(), Precision::Int8);
-        // Round-trips through serde for config files.
-        let json = serde_json::to_string(&ComputePrecision::Int8).unwrap();
-        assert_eq!(serde_json::from_str::<ComputePrecision>(&json).unwrap(), ComputePrecision::Int8);
     }
 }
 

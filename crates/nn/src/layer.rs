@@ -32,10 +32,11 @@ use kemf_tensor::Tensor;
 ///
 /// `F32` is exact and required for training; `Int8` routes the GEMM-backed
 /// layers (`Linear`, `Conv2d`) through the symmetric int8 engine in
-/// [`kemf_tensor::quant`] — an inference-only approximation used by the
-/// server's quantized ensemble-logit pass. Backward always runs in f32
-/// from the cached f32 activations, so a layer left in `Int8` by mistake
-/// still trains on exact gradients of an approximate forward.
+/// [`kemf_tensor::quant`] — an inference-only approximation, selected only
+/// by `kemf_core::ensemble::ensemble_forward_with_precision` for one
+/// ensemble pass (the server itself distils in f32). Backward always runs
+/// in f32 from the cached f32 activations, so a layer left in `Int8` by
+/// mistake still trains on exact gradients of an approximate forward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Exact f32 compute (default).

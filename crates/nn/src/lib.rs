@@ -23,7 +23,6 @@ pub mod activation;
 pub mod checkpoint;
 pub mod cnn_util;
 pub mod codec;
-pub mod groupnorm;
 pub mod conv2d;
 pub mod layer;
 pub mod linear;
@@ -44,7 +43,6 @@ pub mod prelude {
     pub use crate::loss::{accuracy, cross_entropy_ws, kl_to_target_ws, soften};
     pub use crate::model::Model;
     pub use crate::models::{Arch, ModelSpec};
-    pub use crate::sequential::NormKind;
     pub use crate::optim::{LrSchedule, Sgd, SgdConfig};
     pub use crate::serialize::{ModelState, Weights};
 }

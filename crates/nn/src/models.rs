@@ -8,12 +8,12 @@
 //! accounting, so the paper's communication-cost ratios are preserved.
 
 use crate::activation::{Flatten, ReLU};
-use crate::cnn_util::conv_norm_relu;
+use crate::cnn_util::conv_bn_relu;
 use crate::conv2d::Conv2d;
 use crate::linear::Linear;
 use crate::param::Init;
 use crate::pool::{GlobalAvgPool, MaxPool2};
-use crate::sequential::{BasicBlock, NormKind, Sequential};
+use crate::sequential::{BasicBlock, Sequential};
 use serde::{Deserialize, Serialize};
 
 /// Architectures used in the paper's evaluation.
@@ -83,9 +83,6 @@ pub struct ModelSpec {
     pub classes: usize,
     /// Base width; stage widths are fixed multiples of this.
     pub width: usize,
-    /// Normalization used throughout (batch norm = paper default; group
-    /// norm = the federated-friendly alternative, see `NormKind`).
-    pub norm: NormKind,
     /// Weight-initialization seed.
     pub seed: u64,
 }
@@ -99,13 +96,7 @@ impl ModelSpec {
             Arch::Cnn2 => 4,
             Arch::Mlp1 => 32,
         };
-        ModelSpec { arch, in_channels, input_hw, classes, width, norm: NormKind::Batch, seed }
-    }
-
-    /// Same spec with a different normalization kind.
-    pub fn with_norm(mut self, norm: NormKind) -> Self {
-        self.norm = norm;
-        self
+        ModelSpec { arch, in_channels, input_hw, classes, width, seed }
     }
 
     /// Paper-scale spec (full width, 32×32 or 28×28 inputs) used for
@@ -121,7 +112,6 @@ impl ModelSpec {
             input_hw,
             classes: 10,
             width: arch.paper_width(),
-            norm: NormKind::Batch,
             seed: 0,
         }
     }
@@ -166,13 +156,13 @@ fn build_resnet(spec: &ModelSpec, next: &mut dyn FnMut() -> Init) -> Sequential 
     let n = spec.arch.resnet_blocks().expect("resnet arch");
     let w = spec.width;
     let mut net = Sequential::new();
-    net = conv_norm_relu(net, spec.in_channels, w, 3, 1, 1, next(), spec.norm);
+    net = conv_bn_relu(net, spec.in_channels, w, 3, 1, 1, next());
     let stages = [(w, 1usize), (2 * w, 2), (4 * w, 2)];
     let mut in_ch = w;
     for &(out_ch, first_stride) in &stages {
         for b in 0..n {
             let stride = if b == 0 { first_stride } else { 1 };
-            net = net.push(BasicBlock::with_init(in_ch, out_ch, stride, next(), spec.norm));
+            net = net.push(BasicBlock::with_init(in_ch, out_ch, stride, next()));
             in_ch = out_ch;
         }
     }
@@ -191,7 +181,7 @@ fn build_vgg11(spec: &ModelSpec, next: &mut dyn FnMut() -> Init) -> Sequential {
     let mut in_ch = spec.in_channels;
     let mut hw = spec.input_hw;
     for (i, &out_ch) in widths.iter().enumerate() {
-        net = conv_norm_relu(net, in_ch, out_ch, 3, 1, 1, next(), spec.norm);
+        net = conv_bn_relu(net, in_ch, out_ch, 3, 1, 1, next());
         in_ch = out_ch;
         if pool_after.contains(&i) && hw >= 2 {
             net = net.push(MaxPool2::new());
@@ -323,28 +313,6 @@ mod tests {
         let mut wb = Vec::new();
         b.visit_params(&mut |p| wb.extend_from_slice(p.value.data()));
         assert_eq!(wa, wb);
-    }
-
-    #[test]
-    fn groupnorm_variants_build_and_run() {
-        for arch in [Arch::ResNet20, Arch::Vgg11] {
-            let spec = ModelSpec::scaled(arch, 3, 16, 10, 0).with_norm(NormKind::Group);
-            assert_eq!(forward_shape(&spec, 2), vec![2, 10], "{}", arch.display());
-        }
-    }
-
-    #[test]
-    fn groupnorm_model_has_no_buffers() {
-        use crate::layer::Layer;
-        let bn = ModelSpec::scaled(Arch::ResNet20, 3, 16, 10, 0).build();
-        let gn = ModelSpec::scaled(Arch::ResNet20, 3, 16, 10, 0).with_norm(NormKind::Group).build();
-        let count = |net: &Sequential| {
-            let mut n = 0;
-            net.visit_buffers(&mut |_| n += 1);
-            n
-        };
-        assert!(count(&bn) > 0, "batch-norm model carries running stats");
-        assert_eq!(count(&gn), 0, "group-norm model is stateless at inference");
     }
 
     #[test]

@@ -3,36 +3,11 @@
 
 use crate::activation::ReLU;
 use crate::conv2d::Conv2d;
-use crate::groupnorm::GroupNorm;
 use crate::layer::Layer;
 use crate::norm::BatchNorm2d;
 use crate::param::{Init, Param};
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
-use serde::{Deserialize, Serialize};
-
-/// Which normalization the model zoo builds with.
-///
-/// Batch norm matches the paper's architectures; group norm is the
-/// federated-learning-friendly alternative (per-sample statistics, no
-/// running state to go stale or clash across non-IID clients).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NormKind {
-    /// `BatchNorm2d` (paper default).
-    Batch,
-    /// `GroupNorm` with ≤4 channels per group.
-    Group,
-}
-
-impl NormKind {
-    /// Build the norm layer for `channels` feature maps.
-    pub fn build(self, channels: usize) -> Box<dyn Layer> {
-        match self {
-            NormKind::Batch => Box::new(BatchNorm2d::new(channels)),
-            NormKind::Group => Box::new(GroupNorm::with_default_groups(channels)),
-        }
-    }
-}
 
 /// A chain of layers applied in order.
 #[derive(Default)]
@@ -49,12 +24,6 @@ impl Sequential {
     /// Append a layer (builder style).
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Append a boxed layer.
-    pub fn push_boxed(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
         self
     }
 
@@ -167,43 +136,38 @@ impl Layer for Sequential {
 /// 1×1 convolution + batch norm; otherwise it is the identity.
 pub struct BasicBlock {
     conv1: Conv2d,
-    bn1: Box<dyn Layer>,
+    bn1: BatchNorm2d,
     relu1: ReLU,
     conv2: Conv2d,
-    bn2: Box<dyn Layer>,
-    shortcut: Option<(Conv2d, Box<dyn Layer>)>,
+    bn2: BatchNorm2d,
+    shortcut: Option<(Conv2d, BatchNorm2d)>,
     relu_out: ReLU,
 }
 
 impl BasicBlock {
     /// Build a block mapping `in_ch → out_ch` with the given stride on the
-    /// first convolution, normalized with batch norm (paper default).
+    /// first convolution.
     pub fn new(in_ch: usize, out_ch: usize, stride: usize, seed: u64) -> Self {
-        Self::with_norm(in_ch, out_ch, stride, seed, NormKind::Batch)
+        Self::with_init(in_ch, out_ch, stride, Init::Seeded(seed))
     }
 
-    /// Build with an explicit normalization kind.
-    pub fn with_norm(in_ch: usize, out_ch: usize, stride: usize, seed: u64, norm: NormKind) -> Self {
-        Self::with_init(in_ch, out_ch, stride, Init::Seeded(seed), norm)
-    }
-
-    /// Build with an explicit normalization kind and the filters of its
-    /// convolutions from `init` (offsets 0, 1 and, for the shortcut, 101).
-    pub fn with_init(in_ch: usize, out_ch: usize, stride: usize, init: Init, norm: NormKind) -> Self {
+    /// Build with the filters of its convolutions from `init` (offsets 0,
+    /// 1 and, for the shortcut, 101).
+    pub fn with_init(in_ch: usize, out_ch: usize, stride: usize, init: Init) -> Self {
         let shortcut = if stride != 1 || in_ch != out_ch {
             Some((
                 Conv2d::with_init(in_ch, out_ch, 1, stride, 0, init.offset(101)),
-                norm.build(out_ch),
+                BatchNorm2d::new(out_ch),
             ))
         } else {
             None
         };
         BasicBlock {
             conv1: Conv2d::with_init(in_ch, out_ch, 3, stride, 1, init),
-            bn1: norm.build(out_ch),
+            bn1: BatchNorm2d::new(out_ch),
             relu1: ReLU::new(),
             conv2: Conv2d::with_init(out_ch, out_ch, 3, 1, 1, init.offset(1)),
-            bn2: norm.build(out_ch),
+            bn2: BatchNorm2d::new(out_ch),
             shortcut,
             relu_out: ReLU::new(),
         }

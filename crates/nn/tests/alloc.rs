@@ -6,9 +6,9 @@
 //! step — forward, loss, backward, SGD — performs **zero** heap
 //! allocations. The same audit then covers the benchmark's models
 //! (`ModelSpec::scaled` ResNet-20 and VGG-11 at batch 16, batch norm and
-//! residual blocks included, and a group-norm ResNet-20, through
-//! `Model::train_batch` — the step every algorithm runs — each both as
-//! `Model::new` draws it and as `Model::from_state` rebuilds it), the int8
+//! residual blocks included, through `Model::train_batch` — the step
+//! every algorithm runs — each both as `Model::new` draws it and as
+//! `Model::from_state` rebuilds it), the int8
 //! quantized forward (per-layer code/scale buffers from the i8 pool) and
 //! a plain `matmul_into` past one macro tile (thread-local pack pool).
 //! A last leg trains two ResNet-20s on two threads at once, the way the
@@ -20,7 +20,7 @@
 //! There is one forward and one backward per layer and they reuse
 //! whatever the pool hands them, some of it unzeroed; nothing else
 //! computes the same pass to compare against. So the audit starts with a
-//! sweep over all ten `Layer` impls: forward + backward on a fresh
+//! sweep over all nine `Layer` impls: forward + backward on a fresh
 //! workspace and on one still holding another call's data must agree to
 //! the bit.
 //!
@@ -76,7 +76,6 @@ fn count_allocs(f: impl FnOnce()) -> usize {
 
 use kemf_nn::activation::{Flatten, ReLU};
 use kemf_nn::conv2d::Conv2d;
-use kemf_nn::groupnorm::GroupNorm;
 use kemf_nn::layer::{Layer, Precision};
 use kemf_nn::linear::Linear;
 use kemf_nn::loss::cross_entropy_ws;
@@ -85,7 +84,7 @@ use kemf_nn::models::{Arch, ModelSpec};
 use kemf_nn::norm::BatchNorm2d;
 use kemf_nn::optim::{Sgd, SgdConfig};
 use kemf_nn::pool::{GlobalAvgPool, MaxPool2};
-use kemf_nn::sequential::{BasicBlock, NormKind, Sequential};
+use kemf_nn::sequential::{BasicBlock, Sequential};
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -113,7 +112,7 @@ fn pass_bits(layer: &mut dyn Layer, x: &Tensor, ws: &mut Workspace) -> Vec<u32> 
     bits
 }
 
-/// Each of the ten `Layer` impls on a fresh workspace and on a warm one:
+/// Each of the nine `Layer` impls on a fresh workspace and on a warm one:
 /// a clone of the layer first runs other data through the workspace and
 /// hands every buffer back dirty, then the layer itself runs on it.
 fn fresh_and_warm_workspaces_agree() {
@@ -123,7 +122,6 @@ fn fresh_and_warm_workspaces_agree() {
         (Box::new(Flatten::new()), &image),
         (Box::new(Conv2d::new(3, 8, 3, 1, 1, 1)), &image),
         (Box::new(Conv2d::new(3, 20, 3, 2, 1, 2)), &image),
-        (Box::new(GroupNorm::new(1, 3)), &image),
         (Box::new(BatchNorm2d::new(3)), &image),
         (Box::new(MaxPool2::new()), &image),
         (Box::new(GlobalAvgPool::new()), &image),
@@ -139,8 +137,8 @@ fn fresh_and_warm_workspaces_agree() {
             ),
             &image,
         ),
-        (Box::new(BasicBlock::with_norm(3, 3, 1, 6, NormKind::Batch)), &image),
-        (Box::new(BasicBlock::with_norm(3, 8, 2, 7, NormKind::Group)), &image),
+        (Box::new(BasicBlock::new(3, 3, 1, 6)), &image),
+        (Box::new(BasicBlock::new(3, 8, 2, 7)), &image),
     ];
     let mut rng = seeded_rng(19);
     for (layer, dims) in layers {
@@ -211,17 +209,11 @@ fn second_training_step_allocates_nothing() {
     // buffers alive between forward and backward (a pool capped at 64
     // dropped the rest and missed on every later step), and every
     // batch-norm layer must draw its output and cache from the pool too.
-    // Group norm has no running statistics but the same cache as batch
-    // norm (x̂ and 1/σ per sample and group), and must pool it the same way.
-    for (arch, norm) in [
-        (Arch::ResNet20, NormKind::Batch),
-        (Arch::Vgg11, NormKind::Batch),
-        (Arch::ResNet20, NormKind::Group),
-    ] {
+    for arch in [Arch::ResNet20, Arch::Vgg11] {
         // The model as the server draws it, and the same model as a
         // client rebuilds it from the transmitted state (no draws): the
         // same steps, the same losses, neither allocating.
-        let spec = ModelSpec::scaled(arch, 3, 16, 10, 11).with_norm(norm);
+        let spec = ModelSpec::scaled(arch, 3, 16, 10, 11);
         let drawn = Model::new(spec);
         let rebuilt = Model::from_state(spec, &drawn.state()).expect("own state, own spec");
         let x = Tensor::randn(&[16, 3, 16, 16], 1.0, &mut rng);
@@ -243,11 +235,11 @@ fn second_training_step_allocates_nothing() {
                     trace.push(model.train_batch(&x, &labels, &mut opt));
                 }
             });
-            assert_eq!(allocs, 0, "{arch:?}/{norm:?}: steady-state training steps allocated {allocs} times");
-            assert_eq!(fresh(&mut model), warm, "{arch:?}/{norm:?}: pool misses after warm-up");
+            assert_eq!(allocs, 0, "{arch:?}: steady-state training steps allocated {allocs} times");
+            assert_eq!(fresh(&mut model), warm, "{arch:?}: pool misses after warm-up");
             losses.push(trace.iter().map(|l| l.to_bits()).collect::<Vec<_>>());
         }
-        assert_eq!(losses[0], losses[1], "{arch:?}/{norm:?}: from_state trains differently");
+        assert_eq!(losses[0], losses[1], "{arch:?}: from_state trains differently");
     }
 
     // Int8 quantized inference: the first forward populates the i8

@@ -22,9 +22,9 @@
 //!
 //!    * f32: AVX-512F 8×32 tile → AVX2+FMA 6×16 tile → portable scalar
 //!      8×8 tile.
-//!    * int8: AVX-512 VNNI `vpdpbusd` kernel → AVX2 widen-and-`madd`
-//!      kernel → portable scalar loop, all over the same k-quad
-//!      interleaved panel and all bit-identical (exact i32 accumulation).
+//!    * int8: AVX-512 VNNI `vpdpbusd` kernel → portable scalar loop, both
+//!      over the same k-quad interleaved panel and bit-identical (exact
+//!      i32 accumulation).
 //! 3. **Small, explicit API** — tensors are plain `Vec<f32>` + shape; there
 //!    is no autograd graph here. Backpropagation lives in `kemf-nn` as
 //!    explicit `backward` methods, which keeps the numeric core simple and

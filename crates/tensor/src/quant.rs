@@ -11,9 +11,7 @@
 //!   same rule and packed into a *k-quad interleaved* panel:
 //!   `bp[q·4n + 4j + t] = qb(4q + t, j)` (zero slots pad `k % 4`), which
 //!   is exactly the layout `vpdpbusd` wants — one register load per
-//!   k-quad covers 16 output columns with a fused 4-deep dot product —
-//!   and the 256-bit `madd` tier consumes the same panel after sign
-//!   extension.
+//!   k-quad covers 16 output columns with a fused 4-deep dot product.
 //! * The i32 accumulator dequantizes in the epilogue:
 //!   `C[i,j] = acc[i,j] · scale_a[i] · scale_b[j]` — handed to the same
 //!   [`TileWriter`]s the f32 engine uses, so bias/ReLU/NCHW-scatter fusions
@@ -26,14 +24,15 @@
 //! of that bound. Accumulation is exact (i32 never overflows: both codes
 //! are in `[-127, 127]`, so `k` can reach 2³¹/127² ≈ 133k).
 //!
-//! Like the f32 engine, dispatch is runtime, in three tiers: AVX-512
-//! VNNI hosts run the `vpdpbusd` kernel in [`crate::simd`] (the biased
+//! Like the f32 engine, dispatch is runtime, in two tiers: AVX-512 VNNI
+//! hosts run the `vpdpbusd` kernel in [`crate::simd`] (the biased
 //! unsigned×signed form with an exact column-sum correction, see
-//! [`crate::simd::gemm_i8_block_vnni`]), other AVX2/AVX-512 hosts the
-//! widen-and-`madd` kernel, and everything else (including threads under
-//! [`crate::simd::force_scalar`]) a portable scalar loop over the same
-//! packed layout. All tiers accumulate in exact i32 over identical
-//! codes, so their outputs are bit-identical. Non-finite inputs saturate
+//! [`crate::simd::gemm_i8_block_vnni`]), and everything else (AVX2-only
+//! hosts, and threads under [`crate::simd::force_scalar`]) a portable
+//! scalar loop over the same packed layout. Both accumulate in exact i32
+//! over identical codes, so their outputs are bit-identical. The B pack
+//! interleaves in AVX-512 registers where the host has AVX-512F and in
+//! portable code elsewhere, to the same bytes. Non-finite inputs saturate
 //! (`NaN → 0`, `±∞ → ±127`); the int8 path is an inference-only
 //! approximation, never training.
 
@@ -141,7 +140,7 @@ pub fn pack_b_rowmajor(src: &[f32], k: usize, n: usize, b_pack: &mut [i8], scale
     // Code in column blocks so each column's reciprocal is computed once
     // per block (a per-element divide would dominate the whole pass) while
     // row reads stay contiguous. Full quads of source rows interleave in
-    // registers through the SIMD helper where the host has one — the
+    // registers through the AVX-512 helper where the host has it — the
     // stride-4 byte stores of the quad layout defeat the auto-vectorizer,
     // and this pass, not the integer GEMM, is where the int8 path's time
     // goes (it touches every B element once per forward).
@@ -154,7 +153,7 @@ pub fn pack_b_rowmajor(src: &[f32], k: usize, n: usize, b_pack: &mut [i8], scale
     #[cfg(target_arch = "x86_64")]
     let zero_row = [0.0f32; BLK];
     #[cfg(target_arch = "x86_64")]
-    let tier = simd::isa();
+    let fast512 = simd::isa() == Isa::Avx512;
     let mut j0 = 0;
     while j0 < n {
         let cols = BLK.min(n - j0);
@@ -165,7 +164,7 @@ pub fn pack_b_rowmajor(src: &[f32], k: usize, n: usize, b_pack: &mut [i8], scale
             let k0 = 4 * q;
             let dst = &mut b_pack[q * 4 * n + 4 * j0..][..4 * cols];
             #[cfg(target_arch = "x86_64")]
-            if tier != Isa::Scalar {
+            if fast512 {
                 let row_ptr = |t: usize| -> *const f32 {
                     if k0 + t < k {
                         src[(k0 + t) * n + j0..].as_ptr()
@@ -173,32 +172,19 @@ pub fn pack_b_rowmajor(src: &[f32], k: usize, n: usize, b_pack: &mut [i8], scale
                         zero_row.as_ptr()
                     }
                 };
-                // SAFETY: the tier's ISA is confirmed by runtime
-                // detection; each row pointer (real row from column j0,
-                // or the zero pad row) holds ≥ cols floats, inv holds
-                // ≥ cols, dst holds 4·cols.
+                // SAFETY: the Avx512 tier implies AVX-512F; each row
+                // pointer (real row from column j0, or the zero pad row)
+                // holds ≥ cols floats, inv holds ≥ cols, dst holds 4·cols.
                 unsafe {
-                    if tier == Isa::Avx512 {
-                        simd::quant_interleave4_avx512(
-                            cols,
-                            row_ptr(0),
-                            row_ptr(1),
-                            row_ptr(2),
-                            row_ptr(3),
-                            inv.as_ptr(),
-                            dst.as_mut_ptr(),
-                        );
-                    } else {
-                        simd::quant_interleave4_avx2(
-                            cols,
-                            row_ptr(0),
-                            row_ptr(1),
-                            row_ptr(2),
-                            row_ptr(3),
-                            inv.as_ptr(),
-                            dst.as_mut_ptr(),
-                        );
-                    }
+                    simd::quant_interleave4_avx512(
+                        cols,
+                        row_ptr(0),
+                        row_ptr(1),
+                        row_ptr(2),
+                        row_ptr(3),
+                        inv.as_ptr(),
+                        dst.as_mut_ptr(),
+                    );
                 }
                 continue;
             }
@@ -286,20 +272,9 @@ pub fn gemm_i8<W: TileWriter>(
     }
     let quads = k_quads(k);
     let stride = 4 * quads;
-    // Tier choice mirrors the f32 dispatcher: the VNNI `vpdpbusd` kernel
-    // where the host has it, else the 256-bit widen-and-madd kernel
-    // (AVX-512F implies AVX2), else portable scalar.
-    #[derive(Clone, Copy, PartialEq)]
-    enum I8Tier {
-        Vnni,
-        Avx2,
-        Scalar,
-    }
-    let tier = match simd::isa() {
-        Isa::Avx512 if simd::avx512vnni() => I8Tier::Vnni,
-        Isa::Avx512 | Isa::Avx2Fma => I8Tier::Avx2,
-        Isa::Scalar => I8Tier::Scalar,
-    };
+    // The VNNI `vpdpbusd` kernel where the host has it (and no scalar
+    // override is in force), else the portable loop.
+    let vnni = simd::isa() == Isa::Avx512 && simd::avx512vnni();
     // Cache-line-aligned stack scratch: the kernels store/load these in
     // 64-byte vectors, and a split-line access on every store costs real
     // time at this loop's intensity.
@@ -315,7 +290,7 @@ pub fn gemm_i8<W: TileWriter>(
     let mut j0 = 0;
     while j0 < n {
         let cols = I8_BLOCK.min(n - j0);
-        if tier == I8Tier::Vnni {
+        if vnni {
             // bsum[t] = Σ_kk qb(kk, j0 + t); pad slots are zero so the
             // sweep can stay a straight sum over the packed quads.
             bsum[..cols].fill(0);
@@ -329,37 +304,26 @@ pub fn gemm_i8<W: TileWriter>(
         for i in 0..m {
             let a_row = &a_codes[i * stride..(i + 1) * stride];
             let sa = a_scales[i];
-            if tier != I8Tier::Scalar {
+            if vnni {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: the tier's ISA is confirmed by runtime detection;
-                // a_row holds 4·quads codes, b_pack holds quads·4·n,
-                // j0 + cols <= n, and bsum/acc hold I8_BLOCK >= cols slots.
+                // SAFETY: AVX-512F and VNNI are confirmed by runtime
+                // detection; a_row holds 4·quads codes, b_pack holds
+                // quads·4·n, j0 + cols <= n, and bsum/acc hold
+                // I8_BLOCK >= cols slots.
                 unsafe {
-                    if tier == I8Tier::Vnni {
-                        simd::gemm_i8_block_vnni(
-                            quads,
-                            n,
-                            j0,
-                            cols,
-                            a_row.as_ptr(),
-                            b_pack.as_ptr(),
-                            bsum.as_ptr(),
-                            acc.as_mut_ptr(),
-                        );
-                    } else {
-                        simd::gemm_i8_block_avx2(
-                            quads,
-                            n,
-                            j0,
-                            cols,
-                            a_row.as_ptr(),
-                            b_pack.as_ptr(),
-                            acc.as_mut_ptr(),
-                        );
-                    }
+                    simd::gemm_i8_block_vnni(
+                        quads,
+                        n,
+                        j0,
+                        cols,
+                        a_row.as_ptr(),
+                        b_pack.as_ptr(),
+                        bsum.as_ptr(),
+                        acc.as_mut_ptr(),
+                    );
                 }
                 #[cfg(not(target_arch = "x86_64"))]
-                unreachable!("SIMD tier selected on non-x86-64 host");
+                unreachable!("VNNI tier selected on non-x86-64 host");
             } else {
                 gemm_i8_block_scalar(quads, n, j0, cols, a_row, b_pack, acc);
             }
@@ -477,16 +441,20 @@ mod tests {
     #[test]
     fn scalar_and_simd_tiers_agree_exactly() {
         // Integer arithmetic: both tiers must produce bit-identical
-        // accumulators, hence identical dequantized outputs.
-        let (m, k, n) = (5, 31, 77);
-        let a = random(m * k, 11);
-        let b = random(k * n, 12);
-        let auto = run_i8_rowmajor(m, k, n, &a, &b);
-        let scalar = {
-            let _g = simd::ScalarGuard::new();
-            run_i8_rowmajor(m, k, n, &a, &b)
-        };
-        assert_eq!(auto, scalar);
+        // accumulators, hence identical dequantized outputs. n = 600 spans
+        // five `I8_BLOCK` column blocks (the VNNI `bsum` correction is
+        // recomputed per block) and two 512-column pack blocks, the second
+        // ending in the interleave's sub-16 tail.
+        for &(m, k, n) in &[(5, 31, 77), (3, 37, 600)] {
+            let a = random(m * k, 11);
+            let b = random(k * n, 12);
+            let auto = run_i8_rowmajor(m, k, n, &a, &b);
+            let scalar = {
+                let _g = simd::ScalarGuard::new();
+                run_i8_rowmajor(m, k, n, &a, &b)
+            };
+            assert_eq!(auto, scalar, "({m}, {k}, {n})");
+        }
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   accumulators) used when 512-bit vectors are unavailable.
 //! * [`transpose_8x8_avx2`] — the block step of the transposing pack on
 //!   both SIMD tiers.
-//! * [`gemm_i8_block_avx2`] — the int8 compute kernel behind the
-//!   quantized ensemble-inference path: `_mm256_madd_epi16` over
-//!   pair-interleaved int8 panels with i32 accumulation.
+//! * [`gemm_i8_block_vnni`] — the int8 compute kernel behind the
+//!   quantized ensemble-inference path: `vpdpbusd` over quad-interleaved
+//!   int8 panels with i32 accumulation (AVX-512 VNNI hosts only; every
+//!   other host runs the portable loop in [`crate::quant`]).
 //! * [`cpu_features`] — the detected feature set, recorded by
 //!   `bench_kernels` so benchmark trajectories name the hardware tier
 //!   they were measured on.
@@ -613,9 +614,8 @@ pub unsafe fn microkernel_f32_6x16(k: usize, a_panel: *const f32, b_panel: *cons
 }
 
 /// Whether the AVX-512 VNNI int8 tier is available: `vpdpbusd` fuses a
-/// 4-deep u8×i8 dot product with i32 accumulation into one instruction —
-/// four times the MAC width of the 256-bit widen-and-`madd` tier, with no
-/// widening step at all.
+/// 4-deep u8×i8 dot product with i32 accumulation into one instruction,
+/// with no widening step at all.
 pub fn avx512vnni() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -729,210 +729,17 @@ pub unsafe fn gemm_i8_block_vnni(
     }
 }
 
-/// Int8 inner kernel: accumulate one A row against a quad-interleaved B
-/// panel into i32 partial sums for `cols` output columns.
-///
-/// Layout contract (produced by [`crate::quant`]): `b_pack` stores k in
-/// quads — `b_pack[q * 4 * n + 4 * j + t] = B(4q + t, j)` with zero pad
-/// slots when `k % 4 != 0` — and `a_quad` holds the matching A row padded
-/// to `4 * k_quads` codes. The A quad is broadcast per 64-bit lane as
-/// four i16 words; each 32-byte B load covers eight output columns whose
-/// bytes sign-extend to two `madd` operands, so every column's dot
-/// product accumulates split across two adjacent i32 lanes. One
-/// `hadd`/`permute4x64` fold per 8 columns after the k loop restores
-/// column order — the shuffle cost is O(cols), not O(cols·k).
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available, `a_quad` holds `4 * k_quads`
-/// codes, `b_pack` holds `k_quads * 4 * n` codes, `col0 + cols <= n`, and
-/// `acc` holds `cols` i32 slots.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemm_i8_block_avx2(
-    k_quads: usize,
-    n: usize,
-    col0: usize,
-    cols: usize,
-    a_quad: *const i8,
-    b_pack: *const i8,
-    acc: *mut i32,
-) {
-    use core::arch::x86_64::*;
-    // Broadcast quad q's four codes as i16 words [a0 a1 a2 a3] per lane.
-    macro_rules! aquad {
-        ($q:expr) => {{
-            let w = (*a_quad.add(4 * $q) as i16 as u16 as u64)
-                | ((*a_quad.add(4 * $q + 1) as i16 as u16 as u64) << 16)
-                | ((*a_quad.add(4 * $q + 2) as i16 as u16 as u64) << 32)
-                | ((*a_quad.add(4 * $q + 3) as i16 as u16 as u64) << 48);
-            _mm256_set1_epi64x(w as i64)
-        }};
-    }
-    // madd over [lo, hi] leaves column c's sum in lanes 2c/2c+1 of the
-    // half covering it; hadd merges the lane pairs within 128-bit halves
-    // and permute4x64(0xD8) reorders the four 64-bit groups back to
-    // ascending columns.
-    macro_rules! fold {
-        ($lo:expr, $hi:expr) => {
-            _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32($lo, $hi))
-        };
-    }
-    // One 32-byte B load = 8 columns; sign-extend each half and madd.
-    macro_rules! step {
-        ($slo:ident, $shi:ident, $va:expr, $row:expr) => {{
-            let vb = _mm256_loadu_si256($row as *const __m256i);
-            let lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-            let hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(vb));
-            $slo = _mm256_add_epi32($slo, _mm256_madd_epi16($va, lo));
-            $shi = _mm256_add_epi32($shi, _mm256_madd_epi16($va, hi));
-        }};
-    }
-    let mut j = 0;
-    // 8 columns per accumulator pair; 4 groups share one broadcast quad.
-    while j + 32 <= cols {
-        let mut s0l = _mm256_setzero_si256();
-        let mut s0h = _mm256_setzero_si256();
-        let mut s1l = _mm256_setzero_si256();
-        let mut s1h = _mm256_setzero_si256();
-        let mut s2l = _mm256_setzero_si256();
-        let mut s2h = _mm256_setzero_si256();
-        let mut s3l = _mm256_setzero_si256();
-        let mut s3h = _mm256_setzero_si256();
-        for q in 0..k_quads {
-            // SAFETY: q < k_quads and col0 + j + 31 < col0 + cols <= n keep
-            // every 32-byte load inside the b_pack allocation; the A-quad
-            // reads stay inside the 4·k_quads code row.
-            let row = b_pack.add(q * 4 * n + 4 * (col0 + j));
-            let va = aquad!(q);
-            step!(s0l, s0h, va, row);
-            step!(s1l, s1h, va, row.add(32));
-            step!(s2l, s2h, va, row.add(64));
-            step!(s3l, s3h, va, row.add(96));
-        }
-        // SAFETY: acc holds `cols` i32 and j + 31 < cols.
-        _mm256_storeu_si256(acc.add(j) as *mut __m256i, fold!(s0l, s0h));
-        _mm256_storeu_si256(acc.add(j + 8) as *mut __m256i, fold!(s1l, s1h));
-        _mm256_storeu_si256(acc.add(j + 16) as *mut __m256i, fold!(s2l, s2h));
-        _mm256_storeu_si256(acc.add(j + 24) as *mut __m256i, fold!(s3l, s3h));
-        j += 32;
-    }
-    while j + 8 <= cols {
-        let mut sl = _mm256_setzero_si256();
-        let mut sh = _mm256_setzero_si256();
-        for q in 0..k_quads {
-            // SAFETY: as above, j + 7 < cols keeps the load in bounds.
-            let row = b_pack.add(q * 4 * n + 4 * (col0 + j));
-            let va = aquad!(q);
-            step!(sl, sh, va, row);
-        }
-        // SAFETY: acc holds `cols` i32 and j + 7 < cols.
-        _mm256_storeu_si256(acc.add(j) as *mut __m256i, fold!(sl, sh));
-        j += 8;
-    }
-    // Scalar tail (< 8 columns).
-    while j < cols {
-        let mut s = 0i32;
-        for q in 0..k_quads {
-            // SAFETY: scalar reads within the same bounds as above.
-            let row = b_pack.add(q * 4 * n + 4 * (col0 + j));
-            let aq = a_quad.add(4 * q);
-            s += (*aq) as i32 * (*row) as i32
-                + (*aq.add(1)) as i32 * (*row.add(1)) as i32
-                + (*aq.add(2)) as i32 * (*row.add(2)) as i32
-                + (*aq.add(3)) as i32 * (*row.add(3)) as i32;
-        }
-        // SAFETY: j < cols.
-        *acc.add(j) = s;
-        j += 1;
-    }
-}
-
 /// Quantize four consecutive B rows into one quad-interleaved pack row:
 /// `dst[4j + t] = code(r_t[j] · inv[j])` for `j < n_cols`, where `code`
 /// matches [`crate::quant`]'s scalar quantizer bit for bit — clamp to
 /// `[-127, 127]`, round half away from zero, NaN → 0. Interleaving in
 /// registers is what makes the pack pass vectorizable at all: the
 /// stride-4 byte stores the layout needs defeat the auto-vectorizer, so
-/// this assembles each 4-byte column group in an i32 lane and stores 32
-/// contiguous bytes per 8 columns.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available, `r0..r3` and `inv` each hold
-/// `n_cols` floats, and `dst` holds `4 * n_cols` bytes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // raw kernel entry point: pointers, not a config struct
-pub unsafe fn quant_interleave4_avx2(
-    n_cols: usize,
-    r0: *const f32,
-    r1: *const f32,
-    r2: *const f32,
-    r3: *const f32,
-    inv: *const f32,
-    dst: *mut i8,
-) {
-    use core::arch::x86_64::*;
-    let lo = _mm256_set1_ps(-127.0);
-    let hi = _mm256_set1_ps(127.0);
-    let half = _mm256_set1_ps(0.5);
-    let sign = _mm256_set1_ps(-0.0);
-    let byte = _mm256_set1_epi32(0xFF);
-    let mut j = 0;
-    while j + 8 <= n_cols {
-        // SAFETY: j + 7 < n_cols keeps every row/inv load in bounds.
-        let vinv = _mm256_loadu_ps(inv.add(j));
-        macro_rules! quant {
-            ($src:expr) => {{
-                let x = _mm256_mul_ps(_mm256_loadu_ps($src.add(j)), vinv);
-                // NaN → 0 via the ordered-compare mask, then clamp. The
-                // scalar path clamps first and lets the NaN fall out of the
-                // final cast; both orders yield code 0.
-                let x = _mm256_and_ps(x, _mm256_cmp_ps::<_CMP_ORD_Q>(x, x));
-                let x = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
-                // Round half away from zero: add copysign(0.5, x), truncate.
-                let h = _mm256_or_ps(half, _mm256_and_ps(x, sign));
-                _mm256_cvttps_epi32(_mm256_add_ps(x, h))
-            }};
-        }
-        let c0 = quant!(r0);
-        let c1 = quant!(r1);
-        let c2 = quant!(r2);
-        let c3 = quant!(r3);
-        // Each i32 lane becomes the 4-byte group of one column:
-        // [r0 r1 r2 r3] little-endian.
-        let w = _mm256_or_si256(
-            _mm256_or_si256(
-                _mm256_and_si256(c0, byte),
-                _mm256_slli_epi32::<8>(_mm256_and_si256(c1, byte)),
-            ),
-            _mm256_or_si256(
-                _mm256_slli_epi32::<16>(_mm256_and_si256(c2, byte)),
-                _mm256_slli_epi32::<24>(c3),
-            ),
-        );
-        // SAFETY: dst holds 4·n_cols bytes and j + 7 < n_cols.
-        _mm256_storeu_si256(dst.add(4 * j) as *mut __m256i, w);
-        j += 8;
-    }
-    // Scalar tail: the exact `code` formula from `crate::quant`.
-    while j < n_cols {
-        // SAFETY: j < n_cols bounds every read; dst holds 4·n_cols bytes.
-        let iv = *inv.add(j);
-        for (t, r) in [r0, r1, r2, r3].into_iter().enumerate() {
-            let x = (*r.add(j) * iv).clamp(-127.0, 127.0);
-            *dst.add(4 * j + t) = (x + f32::copysign(0.5, x)) as i8;
-        }
-        j += 1;
-    }
-}
-
-/// 512-bit variant of [`quant_interleave4_avx2`]: 16 columns per
-/// iteration, same bit-exact `code` semantics. Sign manipulation uses
-/// integer and/or on the float bit patterns (plain AVX-512F — the `ps`
-/// logical forms need AVX-512DQ, which isn't assumed) and NaN zeroing
-/// uses a mask register from the ordered self-compare.
+/// this assembles each 4-byte column group in an i32 lane and stores 64
+/// contiguous bytes per 16 columns. Sign manipulation uses integer and/or
+/// on the float bit patterns (plain AVX-512F — the `ps` logical forms need
+/// AVX-512DQ, which isn't assumed) and NaN zeroing uses a mask register
+/// from the ordered self-compare.
 ///
 /// # Safety
 ///
@@ -991,21 +798,15 @@ pub unsafe fn quant_interleave4_avx512(
         _mm512_storeu_si512(dst.add(4 * j) as *mut _, w);
         j += 16;
     }
-    if j < n_cols {
-        // SAFETY: the remaining columns satisfy the AVX2 helper's
-        // contract with every pointer advanced by j (AVX-512F implies
-        // AVX2).
-        unsafe {
-            quant_interleave4_avx2(
-                n_cols - j,
-                r0.add(j),
-                r1.add(j),
-                r2.add(j),
-                r3.add(j),
-                inv.add(j),
-                dst.add(4 * j),
-            );
+    // Scalar tail: the exact `code` formula from `crate::quant`.
+    while j < n_cols {
+        // SAFETY: j < n_cols bounds every read; dst holds 4·n_cols bytes.
+        let iv = *inv.add(j);
+        for (t, r) in [r0, r1, r2, r3].into_iter().enumerate() {
+            let x = (*r.add(j) * iv).clamp(-127.0, 127.0);
+            *dst.add(4 * j + t) = (x + f32::copysign(0.5, x)) as i8;
         }
+        j += 1;
     }
 }
 
@@ -1230,26 +1031,6 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_i8_kernel_matches_scalar_reference() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        // 45 columns exercise the 32-wide block, the 8-wide loop, and the
-        // scalar tail; k = 13 exercises the partial-quad zero pad.
-        let (k, n) = (13usize, 45usize);
-        let k_quads = k.div_ceil(4);
-        let (a, b, bp) = i8_fixture(k, n);
-        let mut acc = vec![0i32; n];
-        // SAFETY: AVX2 checked above; layouts match the documented contract.
-        unsafe { gemm_i8_block_avx2(k_quads, n, 0, n, a.as_ptr(), bp.as_ptr(), acc.as_mut_ptr()) };
-        for j in 0..n {
-            let want: i32 = (0..k).map(|kk| a[kk] as i32 * b[kk * n + j] as i32).sum();
-            assert_eq!(acc[j], want, "column {j}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
     fn vnni_i8_kernel_matches_scalar_reference() {
         if !std::arch::is_x86_feature_detected!("avx512f") || !avx512vnni() {
             return;
@@ -1287,14 +1068,14 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn quant_interleave_matches_scalar_code() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
             return;
         }
-        // 21 columns: two full 8-wide iterations plus a 5-column scalar
+        // 37 columns: two full 16-wide iterations plus a 5-column scalar
         // tail. Inputs include NaN, ±∞, exact .5 boundaries, and ±0.0 —
         // every case where a sloppy vector quantizer could diverge from
         // the scalar `code` formula.
-        let n = 21usize;
+        let n = 37usize;
         let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 63.5, -63.5, 0.0, -0.0];
         let rows: Vec<Vec<f32>> = (0..4)
             .map(|t| {
@@ -1311,9 +1092,9 @@ mod tests {
             .collect();
         let inv: Vec<f32> = (0..n).map(|j| 1.0 / (0.05 + j as f32 * 0.13)).collect();
         let mut dst = vec![0i8; 4 * n];
-        // SAFETY: AVX2 checked above; every buffer holds n (or 4n) slots.
+        // SAFETY: AVX-512F checked above; every buffer holds n (or 4n) slots.
         unsafe {
-            quant_interleave4_avx2(
+            quant_interleave4_avx512(
                 n,
                 rows[0].as_ptr(),
                 rows[1].as_ptr(),

@@ -84,6 +84,17 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
         print FILENAME":"FNR": optimizer step outside Model::train_step"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/tensor/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
 
+# One int8 route: outside test modules, kemf-fl/kemf-core switch a model's
+# compute format only inside `ensemble_forward_with_precision` (the server
+# distils in f32; the frozen benchmark's int8 probes call that function),
+# and the AVX2 int8 tier and group norm, which no artefact ran, stay gone.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    FILENAME ~ /\/(fl|core)\/src\// && FILENAME !~ /\/core\/src\/ensemble\.rs$/ && index($0, "set_precision(") {
+        print FILENAME":"FNR": compute format switched outside ensemble_forward_with_precision"; bad=1 }
+    /GroupNorm|NormKind|gemm_i8_block_avx2|quant_interleave4_avx2/ {
+        print FILENAME":"FNR": deleted int8 tier or group norm"; bad=1 }
+    END{exit bad}' crates/*/src/*.rs crates/*/src/bin/*.rs
+
 # The frozen benchmark package links the library's public API; build it
 # here so a broken signature fails in CI, not in the bench pipeline, and
 # run its smoke pass (2+2 rounds per workload, writes no files) so its own
@@ -93,8 +104,9 @@ CARGO_TARGET_DIR=target/bench_e2e \
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
 CARGO_TARGET_DIR=target/bench_e2e benchmark/run.sh --smoke
 
-# Kernel smoke: run every GEMM/int8 bench code path with a tiny time
-# budget (no JSON write). Catches dispatch-tier crashes — e.g. an AVX-512
+# Kernel smoke: run every bench_kernels code path (GEMM shapes, lowering,
+# convolution products, model builds) with a tiny time budget (no JSON
+# write). Catches dispatch-tier crashes — e.g. an AVX-512
 # path that faults on the CI host — that unit tests under a forced tier
 # would miss, and asserts that both gradients of a convolution come out
 # bit-identical on the native and the scalar tier at every ResNet-20 /
