@@ -98,7 +98,7 @@ fn run_point(transport: &str, payload: WirePayload, rounds: usize, seed: u64) ->
     let opts = RunOptions::new().faults(faults());
     let opts = match transport {
         "inproc" => opts,
-        "socket" => opts.socket_transport(SocketConfig::threads(2).filler_only()),
+        "socket" => opts.socket_transport(SocketConfig::threads(2)),
         other => panic!("unknown transport {other}"),
     };
     let t0 = Instant::now();

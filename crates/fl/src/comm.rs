@@ -4,94 +4,14 @@
 //! sampled clients`, where round cost per client covers the downlink
 //! (server → client) plus the uplink (client → server), and algorithms
 //! that ship auxiliary state (FedNova's normalization info, SCAFFOLD's
-//! control variates) pay a 2× multiplier. [`CommTracker`] accumulates the
-//! measured bytes of a live run; [`CostModel`] reproduces the paper's
-//! closed-form arithmetic for the tables.
+//! control variates) pay a 2× multiplier. A live run's measured bytes
+//! are recorded in its [`crate::metrics::History`] (the per-round byte
+//! columns and their checked running sum, `cum_bytes`); [`CostModel`]
+//! reproduces the paper's closed-form arithmetic for the tables.
 
 use crate::lifecycle::RoundComm;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Running per-phase byte counters of a federated training run. Each
-/// round records the honest lifecycle split: downlink over the full
-/// broadcast set, uplink over accepted reports, and wasted uplink from
-/// failed upload attempts.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct CommTracker {
-    /// Per-round lifecycle byte accounting.
-    pub per_round: Vec<RoundComm>,
-}
-
-impl CommTracker {
-    /// Empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one round's traffic when only direction totals are known
-    /// (no lifecycle detail — client counts are left zero).
-    pub fn record(&mut self, down: u64, up: u64) {
-        self.record_round(RoundComm { down_bytes: down, up_bytes: up, ..Default::default() });
-    }
-
-    /// Record one round's full lifecycle accounting.
-    pub fn record_round(&mut self, comm: RoundComm) {
-        self.per_round.push(comm);
-    }
-
-    /// Rounds recorded.
-    pub fn rounds(&self) -> usize {
-        self.per_round.len()
-    }
-
-    /// Total downlink bytes (server → broadcast sets).
-    pub fn down_total(&self) -> Result<u64, CostError> {
-        checked_byte_sum(self.per_round.iter().map(|r| r.down_bytes))
-    }
-
-    /// Total accepted uplink bytes (completed uploads only).
-    pub fn up_total(&self) -> Result<u64, CostError> {
-        checked_byte_sum(self.per_round.iter().map(|r| r.up_bytes))
-    }
-
-    /// Total wasted uplink bytes (failed upload attempts).
-    pub fn wasted_total(&self) -> Result<u64, CostError> {
-        checked_byte_sum(self.per_round.iter().map(|r| r.wasted_up_bytes))
-    }
-
-    /// Total bytes that crossed the network in either direction,
-    /// including wasted upload attempts — the honest traffic bill.
-    /// Checked: the old unchecked `sum()` silently wrapped `u64` on
-    /// long runs at foundation-model payloads (debug builds panicked).
-    pub fn total(&self) -> Result<u64, CostError> {
-        checked_byte_sum(
-            self.per_round
-                .iter()
-                .flat_map(|r| [r.down_bytes, r.up_bytes, r.wasted_up_bytes]),
-        )
-    }
-
-    /// Cumulative bytes after each round, rejecting overflow with a
-    /// typed error instead of wrapping.
-    pub fn cumulative(&self) -> Result<Vec<u64>, CostError> {
-        let mut out = Vec::with_capacity(self.rounds());
-        let mut acc = 0u64;
-        for r in &self.per_round {
-            acc = checked_round_add(acc, r)?;
-            out.push(acc);
-        }
-        Ok(out)
-    }
-}
-
-/// Fold a byte iterator with overflow detection.
-fn checked_byte_sum(bytes: impl Iterator<Item = u64>) -> Result<u64, CostError> {
-    let mut acc = 0u64;
-    for b in bytes {
-        acc = acc.checked_add(b).ok_or(CostError::ByteTotalOverflow { acc, add: b })?;
-    }
-    Ok(acc)
-}
 
 /// `acc + down + up + wasted`, checked at every step.
 pub(crate) fn checked_round_add(acc: u64, r: &RoundComm) -> Result<u64, CostError> {
@@ -232,47 +152,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tracker_accumulates() {
-        let mut t = CommTracker::new();
-        t.record(100, 50);
-        t.record(200, 70);
-        assert_eq!(t.rounds(), 2);
-        assert_eq!(t.total().unwrap(), 420);
-        assert_eq!(t.cumulative().unwrap(), vec![150, 420]);
-        assert_eq!(t.down_total().unwrap(), 300);
-        assert_eq!(t.up_total().unwrap(), 120);
-    }
-
-    #[test]
-    fn tracker_counts_wasted_uplink() {
-        let mut t = CommTracker::new();
-        t.record_round(RoundComm {
-            down_bytes: 100,
-            up_bytes: 60,
-            wasted_up_bytes: 20,
-            down_clients: 5,
-            up_clients: 3,
-        });
-        assert_eq!(t.total().unwrap(), 180, "wasted attempts are real traffic");
-        assert_eq!(t.wasted_total().unwrap(), 20);
-        assert_eq!(t.cumulative().unwrap(), vec![180]);
-    }
-
-    #[test]
-    fn tracker_totals_refuse_overflow_instead_of_wrapping() {
-        // Two half-max rounds fit exactly; a third byte overflows. The
-        // old unchecked `sum()` wrapped silently in release builds.
-        let mut t = CommTracker::new();
-        t.record(u64::MAX / 2, 0);
-        t.record(u64::MAX / 2 + 1, 0);
-        assert_eq!(t.down_total().unwrap(), u64::MAX);
-        assert_eq!(t.total().unwrap(), u64::MAX);
-        assert_eq!(t.cumulative().unwrap(), vec![u64::MAX / 2, u64::MAX]);
-        t.record(0, 1);
-        assert!(matches!(t.total(), Err(CostError::ByteTotalOverflow { .. })));
-        assert!(matches!(t.cumulative(), Err(CostError::ByteTotalOverflow { .. })));
-        let msg = t.total().unwrap_err().to_string();
-        assert!(msg.contains("overflows u64"), "bad message: {msg}");
+    fn round_add_counts_wasted_uplink_and_refuses_overflow() {
+        let round = RoundComm { down_bytes: 100, up_bytes: 60, wasted_up_bytes: 20, ..Default::default() };
+        assert_eq!(checked_round_add(0, &round).unwrap(), 180, "wasted attempts are real traffic");
+        // Exactly u64::MAX fits; one more byte is a typed error, not a wrap.
+        let half = RoundComm { down_bytes: u64::MAX / 2, ..Default::default() };
+        let acc = checked_round_add(u64::MAX / 2 + 1, &half).unwrap();
+        assert_eq!(acc, u64::MAX);
+        let one = RoundComm { up_bytes: 1, ..Default::default() };
+        let err = checked_round_add(acc, &one).unwrap_err();
+        assert_eq!(err, CostError::ByteTotalOverflow { acc: u64::MAX, add: 1 });
+        assert!(err.to_string().contains("overflows u64"), "bad message: {err}");
     }
 
     #[test]

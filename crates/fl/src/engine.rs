@@ -18,7 +18,7 @@
 
 use crate::checkpoint::{self, CheckpointError, CheckpointPolicy, LoadError, RunCheckpoint};
 use crate::client_store::StoreError;
-use crate::comm::{CommTracker, CostError};
+use crate::comm::{checked_round_add, CostError};
 use crate::config::ConfigError;
 use crate::context::FlContext;
 use crate::lifecycle::{plan_round, ClientPlan, FaultConfig, RoundComm, RoundPlan};
@@ -386,23 +386,9 @@ impl From<TransportError> for EngineError {
 /// Why a checkpoint refused to resume the current run.
 #[derive(Debug)]
 pub enum ResumeError {
-    /// Reading the checkpoint failed (missing, truncated, wrong format —
-    /// the message names the file).
-    Io(std::io::Error),
-    /// The checkpoint directory exists but was never checkpointed into.
-    NoCheckpoints {
-        /// The directory scanned.
-        dir: PathBuf,
-    },
-    /// Checkpoints exist but every candidate failed to load.
-    AllCorrupt {
-        /// The directory scanned.
-        dir: PathBuf,
-        /// Candidates tried, newest first.
-        tried: usize,
-        /// The last candidate's load error.
-        last: std::io::Error,
-    },
+    /// No checkpoint could be loaded (missing, truncated, wrong format,
+    /// an empty directory, or every candidate corrupt).
+    Load(LoadError),
     /// The checkpoint was written by a run with a different identity
     /// (config, fault model, algorithm, or seed).
     FingerprintMismatch {
@@ -428,7 +414,8 @@ pub enum ResumeError {
         stream: &'static str,
     },
     /// The checkpoint claims more completed rounds than it has records
-    /// for (corruption the format checks cannot see).
+    /// for, or a record's `cum_bytes` is not the running sum of the byte
+    /// columns (corruption the format checks cannot see).
     Inconsistent {
         /// What was inconsistent.
         detail: String,
@@ -438,15 +425,7 @@ pub enum ResumeError {
 impl fmt::Display for ResumeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ResumeError::Io(e) => write!(f, "{e}"),
-            ResumeError::NoCheckpoints { dir } => {
-                write!(f, "no round_*.ckpt checkpoints in {}", dir.display())
-            }
-            ResumeError::AllCorrupt { dir, tried, last } => write!(
-                f,
-                "all {tried} checkpoint(s) in {} failed to load; last error: {last}",
-                dir.display()
-            ),
+            ResumeError::Load(e) => write!(f, "{e}"),
             ResumeError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "config fingerprint mismatch: run is {expected:#018x}, checkpoint is {found:#018x} \
@@ -466,18 +445,6 @@ impl fmt::Display for ResumeError {
 }
 
 impl std::error::Error for ResumeError {}
-
-impl From<LoadError> for ResumeError {
-    fn from(e: LoadError) -> Self {
-        match e {
-            LoadError::Io(e) => ResumeError::Io(e),
-            LoadError::NoCheckpoints { dir } => ResumeError::NoCheckpoints { dir },
-            LoadError::AllCorrupt { dir, tried, last } => {
-                ResumeError::AllCorrupt { dir, tried, last }
-            }
-        }
-    }
-}
 
 /// Draw the round's client subset: a uniform `count`-element sample of
 /// `0..n_clients` without replacement, sorted (for determinism of any
@@ -653,7 +620,6 @@ fn run_core(
     };
     let mut scheduler = async_cfg.map(AsyncScheduler::new);
     let mut history = History::new(algo_name.clone());
-    let mut comm = CommTracker::new();
     let mut plans = Vec::with_capacity(ctx.cfg.rounds);
     let mut rng = seeded_rng(child_seed(engine_seed, 0x5A4D_504C)); // "SMPL"
     let mut fault_rng = seeded_rng(child_seed(engine_seed, 0xD209));
@@ -665,7 +631,7 @@ fn run_core(
     let mut resumed_from = None;
     if let Some(path) = &opts.resume_from {
         let ckpt = checkpoint::load_run(path)
-            .map_err(|e| EngineError::Resume(ResumeError::from(e)))?;
+            .map_err(|e| EngineError::Resume(ResumeError::Load(e)))?;
         if ckpt.algorithm != algo_name {
             return Err(EngineError::Resume(ResumeError::AlgorithmMismatch {
                 expected: algo_name,
@@ -699,14 +665,28 @@ fn run_core(
         if probe(&fault_rng) != ckpt.fault_check {
             return Err(EngineError::Resume(ResumeError::StreamDiverged { stream: "fault" }));
         }
+        // The history is the byte ledger the next round's `cum_bytes`
+        // continues from, so every stored total must be the checked
+        // running sum of the byte columns before it.
+        let mut cum = 0u64;
         for r in &ckpt.records {
-            comm.record_round(RoundComm {
+            let comm = RoundComm {
                 down_bytes: r.down_bytes,
                 up_bytes: r.up_bytes,
                 wasted_up_bytes: r.wasted_up_bytes,
-                down_clients: r.down_clients,
-                up_clients: r.up_clients,
-            });
+                ..Default::default()
+            };
+            match checked_round_add(cum, &comm) {
+                Ok(sum) if sum == r.cum_bytes => cum = sum,
+                _ => {
+                    return Err(EngineError::Resume(ResumeError::Inconsistent {
+                        detail: format!(
+                            "round {} records cum_bytes {}, not the running sum of its byte columns",
+                            r.round, r.cum_bytes
+                        ),
+                    }));
+                }
+            }
         }
         // The virtual clock and in-flight event queue are part of an
         // async run's trajectory; a checkpoint without them (or with
@@ -812,7 +792,6 @@ fn run_core(
             });
             (wave_comm, quorum_met, train_loss)
         };
-        comm.record_round(round_comm);
         if let Some(label) = payload_label {
             history.payload_kind = label.to_string();
         }
@@ -821,7 +800,7 @@ fn run_core(
             round,
             test_acc: acc,
             train_loss,
-            cum_bytes: comm.total()?,
+            cum_bytes: checked_round_add(history.total_bytes(), &round_comm)?,
             down_bytes: round_comm.down_bytes,
             up_bytes: round_comm.up_bytes,
             wasted_up_bytes: round_comm.wasted_up_bytes,

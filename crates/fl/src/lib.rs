@@ -79,7 +79,7 @@ pub mod prelude {
     //! Common imports for downstream crates.
     pub use crate::checkpoint::CheckpointPolicy;
     pub use crate::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
-    pub use crate::comm::{CommTracker, CostError, CostModel};
+    pub use crate::comm::{CostError, CostModel};
     pub use crate::compress::{dequantize, quantize, CompressError, QuantizedWeights};
     pub use crate::config::{ConfigError, FlConfig};
     pub use crate::context::FlContext;

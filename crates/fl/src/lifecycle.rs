@@ -83,14 +83,6 @@ impl FaultConfig {
         Self::default()
     }
 
-    /// True when at least one fault mode can fire.
-    pub fn any_faults(&self) -> bool {
-        self.drop_before_download > 0.0
-            || self.drop_after_download > 0.0
-            || self.straggler_prob > 0.0
-            || self.upload_failure_prob > 0.0
-    }
-
     /// Check the fault model for inconsistencies (typed error, no panic).
     pub fn validate(&self) -> Result<(), crate::config::ConfigError> {
         use crate::config::ConfigError;

@@ -9,7 +9,7 @@
 //! time is the *sum* of the two phase times — each gated by a single
 //! per-client payload since clients within a phase transfer in parallel.
 
-use crate::lifecycle::{ClientOutcome, ClientPlan, RoundPlan, WirePayload};
+use crate::lifecycle::{ClientOutcome, RoundPlan, WirePayload};
 use crate::metrics::{History, RoundRecord};
 use serde::{Deserialize, Serialize};
 
@@ -110,61 +110,46 @@ impl NetworkModel {
         let t_up = self.transfer_time(payload.up_bytes);
         let mut round = 0.0f64;
         for c in &plan.clients {
-            round = round.max(client_finish_time(c.outcome, t_down, t_up, deadline_s));
-        }
-        round
-    }
-
-    /// [`NetworkModel::lifecycle_round_time`] with each client's
-    /// transfers sized by its *own* [`ClientPlan`] — a FedRolex window
-    /// client finishes its download sooner than a full-model one.
-    /// `plans` must align index-for-index with `plan.clients`. For
-    /// uniform plans this runs the same f64 ops in the same order as
-    /// the fleet-wide variant, so the two are bit-identical.
-    pub fn lifecycle_round_time_planned(
-        &self,
-        plan: &RoundPlan,
-        plans: &[ClientPlan],
-        deadline_s: Option<f64>,
-    ) -> f64 {
-        debug_assert_eq!(plans.len(), plan.clients.len(), "plans must align with sampled clients");
-        let mut round = 0.0f64;
-        for (c, p) in plan.clients.iter().zip(plans) {
-            let t_down = self.transfer_time(p.payload.down_bytes);
-            let t_up = self.transfer_time(p.payload.up_bytes);
-            round = round.max(client_finish_time(c.outcome, t_down, t_up, deadline_s));
+            round = round.max(client_finish_time(0.0, c.outcome, t_down, t_up, deadline_s));
         }
         round
     }
 }
 
-/// Finish time of one client under its drawn outcome, given that
-/// client's per-direction transfer times.
+/// Finish time of one client that starts at `start` seconds, under its
+/// drawn outcome and that client's per-direction transfer times: download
+/// → (injected straggler delay) → upload attempts, summed left to right
+/// from `start`. The one rule behind both round pricing (`start = 0.0`,
+/// where `0.0 + t_down` is exactly `t_down`) and the async scheduler's
+/// arrival times (`start` = the virtual clock).
 ///
 /// A cut straggler holds the round open to the deadline. A plan can only
 /// contain that outcome if a deadline was configured when it was drawn;
 /// if the caller passes `None` anyway, fall back to the drawn delay
 /// (≥ the deadline by construction) instead of panicking.
-fn client_finish_time(
+pub(crate) fn client_finish_time(
+    start: f64,
     outcome: ClientOutcome,
     t_down: f64,
     t_up: f64,
     deadline_s: Option<f64>,
 ) -> f64 {
-    match outcome {
-        ClientOutcome::DroppedBeforeDownload => 0.0,
-        ClientOutcome::DroppedAfterDownload => t_down,
-        ClientOutcome::StragglerTimedOut { delay_s } => deadline_s.unwrap_or(delay_s),
-        ClientOutcome::UploadFailed { attempts } => t_down + attempts as f64 * t_up,
-        ClientOutcome::Completed { attempts, delay_s } => t_down + delay_s + attempts as f64 * t_up,
-    }
+    let (attempts, delay_s) = match outcome {
+        ClientOutcome::DroppedBeforeDownload => return start,
+        ClientOutcome::DroppedAfterDownload => return start + t_down,
+        ClientOutcome::StragglerTimedOut { delay_s } => {
+            return start + deadline_s.unwrap_or(delay_s)
+        }
+        ClientOutcome::UploadFailed { attempts } => (attempts, 0.0),
+        ClientOutcome::Completed { attempts, delay_s } => (attempts, delay_s),
+    };
+    start + t_down + delay_s + attempts as f64 * t_up
 }
 
 /// Per-client heterogeneous link assignment: client `i` uses
 /// `models[i % models.len()]`, so a fleet can mix broadband, 4G, and 3G
-/// devices the way real federations do. A single-entry profile is
-/// exactly the old fleet-wide [`NetworkModel`] — same computation, same
-/// f64s, bit-identical results.
+/// devices the way real federations do. A single-entry profile (what
+/// `From<NetworkModel>` builds) gives every client that one link.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NetworkProfiles {
     /// Link models, assigned round-robin by client index. Must be
@@ -174,7 +159,7 @@ pub struct NetworkProfiles {
 }
 
 impl NetworkProfiles {
-    /// One model for the whole fleet (the old behavior).
+    /// One model for the whole fleet.
     pub fn uniform(model: NetworkModel) -> Self {
         NetworkProfiles { models: vec![model] }
     }
@@ -197,12 +182,6 @@ impl NetworkProfiles {
     /// The link model serving `client`.
     pub fn model_for(&self, client: usize) -> &NetworkModel {
         &self.models[client % self.models.len()]
-    }
-
-    /// True when every client sees the same link (equivalent to a
-    /// fleet-wide [`NetworkModel`]).
-    pub fn is_uniform(&self) -> bool {
-        self.models.windows(2).all(|w| w[0] == w[1])
     }
 
     /// Reject profiles the time model cannot price: empty fleets,
@@ -231,44 +210,12 @@ impl NetworkProfiles {
         }
         Ok(())
     }
+}
 
-    /// Wall-clock of one round under its drawn lifecycle, with each
-    /// client's transfers priced by *its own* link — the heterogeneous
-    /// generalization of [`NetworkModel::lifecycle_round_time`].
-    pub fn lifecycle_round_time(
-        &self,
-        plan: &RoundPlan,
-        payload: WirePayload,
-        deadline_s: Option<f64>,
-    ) -> f64 {
-        let mut round = 0.0f64;
-        for c in &plan.clients {
-            let m = self.model_for(c.client);
-            let t_down = m.transfer_time(payload.down_bytes);
-            let t_up = m.transfer_time(payload.up_bytes);
-            round = round.max(client_finish_time(c.outcome, t_down, t_up, deadline_s));
-        }
-        round
-    }
-
-    /// Per-client-plan pricing over heterogeneous links: each client's
-    /// own payload over its own link. `plans` must align
-    /// index-for-index with `plan.clients`.
-    pub fn lifecycle_round_time_planned(
-        &self,
-        plan: &RoundPlan,
-        plans: &[ClientPlan],
-        deadline_s: Option<f64>,
-    ) -> f64 {
-        debug_assert_eq!(plans.len(), plan.clients.len(), "plans must align with sampled clients");
-        let mut round = 0.0f64;
-        for (c, p) in plan.clients.iter().zip(plans) {
-            let m = self.model_for(c.client);
-            let t_down = m.transfer_time(p.payload.down_bytes);
-            let t_up = m.transfer_time(p.payload.up_bytes);
-            round = round.max(client_finish_time(c.outcome, t_down, t_up, deadline_s));
-        }
-        round
+impl From<NetworkModel> for NetworkProfiles {
+    /// One link for the whole fleet: [`NetworkProfiles::uniform`].
+    fn from(model: NetworkModel) -> Self {
+        NetworkProfiles::uniform(model)
     }
 }
 
@@ -424,85 +371,6 @@ mod tests {
         let t = net.lifecycle_round_time(&cut, payload, Some(10.0));
         assert!((t - 10.0).abs() < 1e-9, "deadline bounds the round, got {t}");
         let _ = FaultConfig::default(); // keep the import honest
-    }
-
-    #[test]
-    fn uniform_profiles_price_exactly_like_the_fleet_wide_model() {
-        let net = NetworkModel::cellular_4g();
-        let profiles = NetworkProfiles::uniform(net);
-        assert!(profiles.is_uniform());
-        let payload = WirePayload { down_bytes: 123_457, up_bytes: 7_919 };
-        let plan = RoundPlan {
-            clients: vec![
-                ClientRound { client: 0, outcome: ClientOutcome::Completed { attempts: 2, delay_s: 1.25 } },
-                ClientRound { client: 5, outcome: ClientOutcome::UploadFailed { attempts: 3 } },
-                ClientRound { client: 9, outcome: ClientOutcome::DroppedAfterDownload },
-            ],
-            min_quorum: 1,
-        };
-        // Bit-identical, not approximately equal: the same f64 ops run
-        // in the same order.
-        assert_eq!(
-            profiles.lifecycle_round_time(&plan, payload, Some(30.0)).to_bits(),
-            net.lifecycle_round_time(&plan, payload, Some(30.0)).to_bits(),
-        );
-    }
-
-    #[test]
-    fn heterogeneous_profiles_assign_by_client_index_and_gate_on_slowest() {
-        let profiles = NetworkProfiles::wifi_4g_3g();
-        assert!(!profiles.is_uniform());
-        assert_eq!(profiles.model_for(0), &NetworkModel::broadband());
-        assert_eq!(profiles.model_for(4), &NetworkModel::cellular_4g());
-        assert_eq!(profiles.model_for(5), &NetworkModel::cellular_3g());
-        let payload = WirePayload::symmetric(1024 * 1024);
-        let completed = |client| ClientRound {
-            client,
-            outcome: ClientOutcome::Completed { attempts: 1, delay_s: 0.0 },
-        };
-        // Same outcome everywhere: the 3G client dominates the round.
-        let plan = RoundPlan { clients: vec![completed(0), completed(1), completed(2)], min_quorum: 1 };
-        let t_mixed = profiles.lifecycle_round_time(&plan, payload, None);
-        let t_3g = NetworkModel::cellular_3g().lifecycle_round_time(&plan, payload, None);
-        assert_eq!(t_mixed.to_bits(), t_3g.to_bits(), "slowest link gates the round");
-        // Drop the 3G client from the sample: the 4G one gates instead.
-        let fast = RoundPlan { clients: vec![completed(0), completed(1)], min_quorum: 1 };
-        assert!(profiles.lifecycle_round_time(&fast, payload, None) < t_mixed);
-    }
-
-    #[test]
-    fn per_client_plans_price_each_client_at_its_own_payload() {
-        use crate::lifecycle::ModelView;
-        let net = NetworkModel { bandwidth_bps: 100.0, latency_s: 0.0 };
-        let completed = |client| ClientRound {
-            client,
-            outcome: ClientOutcome::Completed { attempts: 1, delay_s: 0.0 },
-        };
-        let plan = RoundPlan { clients: vec![completed(0), completed(1)], min_quorum: 1 };
-        // Uniform plans are bit-identical to the fleet-wide pricing.
-        let payload = WirePayload { down_bytes: 123, up_bytes: 45 };
-        let uniform = ClientPlan::uniform(&[0, 1], ModelView::Full, payload);
-        assert_eq!(
-            net.lifecycle_round_time_planned(&plan, &uniform, None).to_bits(),
-            net.lifecycle_round_time(&plan, payload, None).to_bits(),
-        );
-        let profiles = NetworkProfiles::wifi_4g_3g();
-        assert_eq!(
-            profiles.lifecycle_round_time_planned(&plan, &uniform, None).to_bits(),
-            profiles.lifecycle_round_time(&plan, payload, None).to_bits(),
-        );
-        // A window client (quarter-size download) finishes first; the
-        // full-model client gates the round.
-        let mixed = vec![
-            ClientPlan {
-                client: 0,
-                view: ModelView::Window { offset: 0, cycle: 4 },
-                payload: WirePayload::symmetric(100),
-            },
-            ClientPlan { client: 1, view: ModelView::Full, payload: WirePayload::symmetric(400) },
-        ];
-        let t = net.lifecycle_round_time_planned(&plan, &mixed, None);
-        assert!((t - 8.0).abs() < 1e-9, "full-model client gates: 4 s down + 4 s up, got {t}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **Events, not threads.** Each client completion becomes a
 //!   [`PendingEvent`] stamped with a simulated arrival time, reusing
 //!   the lifecycle draws ([`ClientOutcome::Completed`]'s straggler
-//!   delay and upload attempts) and an optional [`NetworkModel`] for
+//!   delay and upload attempts) and optional [`NetworkProfiles`] for
 //!   transfer times. A binary-exact virtual clock (`f64` bits) orders
 //!   the queue deterministically.
 //! * **Buffered aggregation.** [`AsyncScheduler::drain`] pops events in
@@ -43,7 +43,7 @@ use crate::config::ConfigError;
 use crate::context::FlContext;
 use crate::engine::EngineError;
 use crate::lifecycle::{ClientOutcome, ClientPlan, RoundPlan};
-use crate::network::{NetworkModel, NetworkProfiles};
+use crate::network::{client_finish_time, NetworkProfiles};
 use crate::state::TensorBlob;
 use kemf_nn::codec::{fnv1a64, Writer};
 use kemf_nn::serialize::ModelState;
@@ -77,15 +77,11 @@ pub struct AsyncConfig {
     /// `weight = staleness_decay^staleness`. Must be in `(0, 1]`;
     /// `1.0` disables down-weighting.
     pub staleness_decay: f32,
-    /// Optional link model for transfer times. `None` prices transfers
-    /// at zero seconds — arrival order is then driven purely by the
-    /// lifecycle's injected straggler delays.
-    pub network: Option<NetworkModel>,
-    /// Optional per-client heterogeneous links, assigned round-robin by
-    /// client index. Takes precedence over [`AsyncConfig::network`] when
-    /// set; a uniform single-entry profile reproduces the fleet-wide
-    /// model bit-for-bit.
-    pub profiles: Option<NetworkProfiles>,
+    /// Optional links for transfer times, assigned round-robin by client
+    /// index: one link for the whole fleet, or a heterogeneous mix.
+    /// `None` prices transfers at zero seconds — arrival order is then
+    /// driven purely by the lifecycle's injected straggler delays.
+    pub network: Option<NetworkProfiles>,
     /// Arrival-rate trigger: fuse after this many simulated seconds
     /// have passed since the drain began, even if fewer than
     /// [`AsyncConfig::buffer_size`] updates arrived by then. At least
@@ -105,7 +101,6 @@ impl AsyncConfig {
             max_staleness: 4,
             staleness_decay: 0.6,
             network: None,
-            profiles: None,
             aggregate_after_s: None,
         }
     }
@@ -122,15 +117,10 @@ impl AsyncConfig {
         self
     }
 
-    /// Fluent setter for [`AsyncConfig::network`].
-    pub fn network(mut self, net: NetworkModel) -> Self {
-        self.network = Some(net);
-        self
-    }
-
-    /// Fluent setter for [`AsyncConfig::profiles`].
-    pub fn profiles(mut self, profiles: NetworkProfiles) -> Self {
-        self.profiles = Some(profiles);
+    /// Fluent setter for [`AsyncConfig::network`]: a fleet-wide
+    /// [`crate::network::NetworkModel`] or per-client [`NetworkProfiles`].
+    pub fn network(mut self, links: impl Into<NetworkProfiles>) -> Self {
+        self.network = Some(links.into());
         self
     }
 
@@ -159,24 +149,8 @@ impl AsyncConfig {
                 bounds: "(0, 1]",
             });
         }
-        if let Some(net) = &self.network {
-            if !(net.bandwidth_bps.is_finite() && net.bandwidth_bps > 0.0) {
-                return Err(ConfigError::OutOfRange {
-                    field: "async.network.bandwidth_bps",
-                    value: net.bandwidth_bps,
-                    bounds: "(0, inf)",
-                });
-            }
-            if !(net.latency_s.is_finite() && net.latency_s >= 0.0) {
-                return Err(ConfigError::OutOfRange {
-                    field: "async.network.latency_s",
-                    value: net.latency_s,
-                    bounds: "[0, inf)",
-                });
-            }
-        }
-        if let Some(p) = &self.profiles {
-            p.validate()?;
+        if let Some(links) = &self.network {
+            links.validate()?;
         }
         if let Some(t) = self.aggregate_after_s {
             if !(t.is_finite() && t > 0.0) {
@@ -205,23 +179,26 @@ impl AsyncConfig {
         knobs.usize(self.buffer_size);
         knobs.usize(self.max_staleness);
         knobs.f32(self.staleness_decay);
-        match &self.network {
+        // A single link keeps the original fleet-wide encoding (tag 1);
+        // a mix writes "no fleet-wide link" and appends its list under
+        // tag 2, the bytes the two-field config wrote — so checkpoints of
+        // either kind stay resumable. Later knobs likewise append tagged
+        // bytes only when set.
+        match self.network.as_ref().map(|links| links.models.as_slice()) {
             None => knobs.u8(0),
-            Some(net) => {
+            Some([net]) => {
                 knobs.u8(1);
                 knobs.f64(net.bandwidth_bps);
                 knobs.f64(net.latency_s);
             }
-        }
-        // Later knobs append tagged bytes only when set, so fingerprints
-        // of runs that never use them are unchanged from earlier builds
-        // (their checkpoints stay resumable).
-        if let Some(p) = &self.profiles {
-            knobs.u8(2);
-            knobs.usize(p.models.len());
-            for m in &p.models {
-                knobs.f64(m.bandwidth_bps);
-                knobs.f64(m.latency_s);
+            Some(models) => {
+                knobs.u8(0);
+                knobs.u8(2);
+                knobs.usize(models.len());
+                for m in models {
+                    knobs.f64(m.bandwidth_bps);
+                    knobs.f64(m.latency_s);
+                }
             }
         }
         if let Some(t) = self.aggregate_after_s {
@@ -455,9 +432,10 @@ impl AsyncScheduler {
     /// now + t_down + delay_s + attempts * t_up
     /// ```
     ///
-    /// with transfer times priced at that client's own payload,
-    /// mirroring [`NetworkModel::lifecycle_round_time`]'s `Completed`
-    /// arm; with no network model both transfer times are zero and
+    /// with transfer times priced at that client's own payload over its
+    /// own link — the finish-time rule
+    /// [`crate::network::NetworkModel::lifecycle_round_time`] prices
+    /// rounds with; with no network both transfer times are zero and
     /// arrival order is driven by the injected straggler delays alone.
     pub fn dispatch(
         &mut self,
@@ -470,28 +448,18 @@ impl AsyncScheduler {
         let mut it = updates.into_iter();
         let mut idx = 0usize;
         for (c, cp) in plan.clients.iter().zip(plans) {
-            if let ClientOutcome::Completed { attempts, delay_s } = c.outcome {
+            if matches!(c.outcome, ClientOutcome::Completed { .. }) {
                 let Some(update) = it.next() else { break };
                 debug_assert_eq!(update.client, c.client, "updates must follow sampled order");
                 let payload = cp.payload;
-                // Per-client links take precedence; a uniform profile
-                // runs the identical computation on the identical model,
-                // so its arrival times are bit-equal to the fleet-wide
-                // path.
-                let (t_down, t_up) = match &self.cfg.profiles {
-                    Some(p) => {
-                        let m = p.model_for(c.client);
+                let (t_down, t_up) = match &self.cfg.network {
+                    Some(links) => {
+                        let m = links.model_for(c.client);
                         (m.transfer_time(payload.down_bytes), m.transfer_time(payload.up_bytes))
                     }
-                    None => match &self.cfg.network {
-                        Some(net) => (
-                            net.transfer_time(payload.down_bytes),
-                            net.transfer_time(payload.up_bytes),
-                        ),
-                        None => (0.0, 0.0),
-                    },
+                    None => (0.0, 0.0),
                 };
-                let arrive = self.now + t_down + delay_s + attempts as f64 * t_up;
+                let arrive = client_finish_time(self.now, c.outcome, t_down, t_up, None);
                 self.queue.push(PendingEvent {
                     time_bits: arrive.to_bits(),
                     wave,
@@ -579,6 +547,7 @@ impl AsyncScheduler {
 mod tests {
     use super::*;
     use crate::lifecycle::{ClientRound, ModelView, WirePayload};
+    use crate::network::NetworkModel;
 
     fn uniform(plan: &RoundPlan, payload: WirePayload) -> Vec<ClientPlan> {
         let ids: Vec<usize> = plan.clients.iter().map(|c| c.client).collect();
@@ -761,6 +730,18 @@ mod tests {
     fn fingerprint_mixing_separates_modes_and_knobs() {
         let base = 0x1234_5678_9abc_def0u64;
         let a = AsyncConfig::new(2);
+        // Pinned to the values the two-field config (separate fleet-wide
+        // `network` and per-client `profiles`) wrote, so checkpoints from
+        // before the merge still resume.
+        assert_eq!(a.mix_fingerprint(base), 0xf9af_4a66_9a0a_6822);
+        assert_eq!(
+            AsyncConfig::new(2).network(NetworkModel::iot()).mix_fingerprint(base),
+            0xf8dd_7cd2_d7fb_fc2f
+        );
+        assert_eq!(
+            AsyncConfig::new(2).network(NetworkProfiles::wifi_4g_3g()).mix_fingerprint(base),
+            0xc680_fa02_9a2e_d972
+        );
         assert_ne!(a.mix_fingerprint(base), base, "async must not collide with sync");
         assert_ne!(a.mix_fingerprint(base), AsyncConfig::new(3).mix_fingerprint(base));
         assert_ne!(
@@ -773,7 +754,7 @@ mod tests {
         );
         assert_ne!(
             a.mix_fingerprint(base),
-            AsyncConfig::new(2).profiles(NetworkProfiles::wifi_4g_3g()).mix_fingerprint(base),
+            AsyncConfig::new(2).network(NetworkProfiles::wifi_4g_3g()).mix_fingerprint(base),
             "per-client profiles are resume identity"
         );
         assert_ne!(
@@ -797,24 +778,10 @@ mod tests {
         assert!(AsyncConfig::new(2).aggregate_after(-1.0).validate(4).is_err());
         assert!(AsyncConfig::new(2).aggregate_after(3.5).validate(4).is_ok());
         assert!(AsyncConfig::new(2)
-            .profiles(NetworkProfiles::cycle(vec![]))
+            .network(NetworkProfiles::cycle(vec![]))
             .validate(4)
             .is_err());
-        assert!(AsyncConfig::new(2).profiles(NetworkProfiles::wifi_4g_3g()).validate(4).is_ok());
-    }
-
-    #[test]
-    fn uniform_profiles_dispatch_bit_identically_to_the_fleet_model() {
-        let net = NetworkModel { bandwidth_bps: 100.0, latency_s: 0.03 };
-        let plan = plan_of(vec![completed(0, 0.5), completed(3, 1.5), completed(7, 0.0)]);
-        let updates = || vec![probe_update(0), probe_update(3), probe_update(7)];
-        let mut fleet = AsyncScheduler::new(AsyncConfig::new(3).max_staleness(8).network(net));
-        fleet.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(100)),updates());
-        let mut prof = AsyncScheduler::new(
-            AsyncConfig::new(3).max_staleness(8).profiles(NetworkProfiles::uniform(net)),
-        );
-        prof.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(100)),updates());
-        assert_eq!(fleet.state(), prof.state(), "uniform profiles must be bit-identical");
+        assert!(AsyncConfig::new(2).network(NetworkProfiles::wifi_4g_3g()).validate(4).is_ok());
     }
 
     #[test]
@@ -822,7 +789,10 @@ mod tests {
         // Client 2 lands on the 3G link of the wifi/4g/3g cycle: despite
         // equal injected delays it arrives last.
         let profiles = NetworkProfiles::wifi_4g_3g();
-        let mut s = AsyncScheduler::new(AsyncConfig::new(3).max_staleness(8).profiles(profiles));
+        assert_eq!(profiles.model_for(0), &NetworkModel::broadband());
+        assert_eq!(profiles.model_for(4), &NetworkModel::cellular_4g());
+        assert_eq!(profiles.model_for(5), &NetworkModel::cellular_3g());
+        let mut s = AsyncScheduler::new(AsyncConfig::new(3).max_staleness(8).network(profiles));
         let plan = plan_of(vec![completed(2, 0.0), completed(0, 0.0), completed(1, 0.0)]);
         s.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(512 * 1024)),vec![
             probe_update(2),

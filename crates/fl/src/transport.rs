@@ -133,10 +133,6 @@ pub struct SocketConfig {
     /// Socket read/write timeout; a worker silent for this long is a
     /// transport error, not a hang.
     pub io_timeout: Duration,
-    /// Embed the quantized global model in broadcast payloads when it
-    /// fits (exercising the [`crate::compress`] wire codec end to end).
-    /// When false, broadcasts carry deterministic filler only.
-    pub carry_model: bool,
 }
 
 impl Default for SocketConfig {
@@ -146,7 +142,6 @@ impl Default for SocketConfig {
             mode: WorkerMode::Threads,
             time_scale: 1e-6,
             io_timeout: Duration::from_secs(30),
-            carry_model: true,
         }
     }
 }
@@ -175,12 +170,6 @@ impl SocketConfig {
     /// Set the per-operation socket timeout.
     pub fn io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = timeout;
-        self
-    }
-
-    /// Broadcast deterministic filler instead of the quantized model.
-    pub fn filler_only(mut self) -> Self {
-        self.carry_model = false;
         self
     }
 
@@ -932,14 +921,10 @@ impl SocketTransport {
         // embed it when it fits. Models the codec rejects (e.g. NaN
         // weights after divergence) fall back to filler — payload size is
         // identical either way, so accounting is unaffected.
-        let encoded = if self.cfg.carry_model {
-            global
-                .as_ref()
-                .and_then(|(_, state)| compress::quantize(&state.params, compress::DEFAULT_CHUNK).ok())
-                .map(|q| q.to_wire())
-        } else {
-            None
-        };
+        let encoded = global
+            .as_ref()
+            .and_then(|(_, state)| compress::quantize(&state.params, compress::DEFAULT_CHUNK).ok())
+            .map(|q| q.to_wire());
         let mut measured = RoundComm::default();
         for (slot, (c, p)) in plan.clients.iter().zip(plans).enumerate() {
             let model = match p.view {

@@ -49,12 +49,6 @@ impl Sgd {
         self.cfg.lr
     }
 
-    /// Override the learning rate (used by schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.cfg.lr = lr;
-    }
-
     /// Apply one update to every parameter of `net` using its accumulated
     /// gradients, then leave the gradients untouched (callers typically
     /// `zero_grad` before the next batch).

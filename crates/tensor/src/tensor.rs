@@ -167,13 +167,6 @@ impl Tensor {
         }
     }
 
-    /// In-place element-wise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise binary zip; shapes must match exactly.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape, other.shape, "zip shape mismatch");

@@ -95,6 +95,19 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
         print FILENAME":"FNR": deleted int8 tier or group norm"; bad=1 }
     END{exit bad}' crates/*/src/*.rs crates/*/src/bin/*.rs
 
+# One byte ledger, one link field, one finish-time rule: outside test
+# modules, a run's bytes live in its History (no tracker re-summing them),
+# async links are one `AsyncConfig.network` field with no uniform-profile
+# or per-plan pricing twin beside it, the socket transport keeps no knob
+# that changes nothing, and a client's download → delay → upload sum is
+# written once, in network.rs's `client_finish_time`.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    /(^|[^_A-Za-z0-9])(CommTracker|lifecycle_round_time_planned|is_uniform|carry_model|filler_only)([^_A-Za-z0-9]|$)/ {
+        print FILENAME":"FNR": deleted byte ledger, pricing twin or transport knob"; bad=1 }
+    FILENAME ~ /\/fl\/src\// && index($0, "attempts as f64 *") { fin++ }
+    END{ if (fin != 1) { print "client finish time written " fin+0 " times under crates/fl/src, want 1"; bad=1 }
+         exit bad }' crates/*/src/*.rs crates/*/src/bin/*.rs
+
 # The frozen benchmark package links the library's public API; build it
 # here so a broken signature fails in CI, not in the bench pipeline, and
 # run its smoke pass (2+2 rounds per workload, writes no files) so its own

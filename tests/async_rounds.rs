@@ -324,7 +324,7 @@ fn arrival_rate_trigger_and_profiles_are_part_of_the_run_identity() {
             mixed[0].as_mut(),
             &ctx,
             RunOptions::new()
-                .async_rounds(mode().profiles(NetworkProfiles::wifi_4g_3g()))
+                .async_rounds(mode().network(NetworkProfiles::wifi_4g_3g()))
                 .resume_from(&dir)
         )
         .is_err(),
@@ -343,48 +343,34 @@ fn arrival_rate_trigger_and_profiles_are_part_of_the_run_identity() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 /// Heterogeneous per-client links reorder arrivals, so the same seed
-/// under a wifi/4G/3G mix walks a different virtual clock than the
-/// fleet-wide model — while a uniform profile list stays bit-identical.
+/// under a wifi/4G/3G mix walks a different virtual clock than one
+/// fleet-wide link. Both runs are pinned to the clocks and histories the
+/// two-field config (separate `network` and `profiles`) produced, so
+/// folding the fields into one changed no arrival time.
 #[test]
 fn heterogeneous_profiles_change_the_clock_but_uniform_profiles_do_not() {
     let net = NetworkModel { bandwidth_bps: 1_000_000.0, latency_s: 0.05 };
     let (ctx, task) = world(107, 4);
-
-    let mut fleet = all_algorithms(&ctx, &task);
-    let fleet_report = Engine::run(
-        fleet[0].as_mut(),
-        &ctx,
-        RunOptions::new().async_rounds(AsyncConfig::new(2).network(net)),
-    )
-    .unwrap();
-
-    let uniform = NetworkProfiles::uniform(net);
-    let mut unif = all_algorithms(&ctx, &task);
-    let unif_report = Engine::run(
-        unif[0].as_mut(),
-        &ctx,
-        RunOptions::new().async_rounds(AsyncConfig::new(2).network(net).profiles(uniform)),
-    )
-    .unwrap();
-    assert_eq!(
-        fleet_report.history.to_json(),
-        unif_report.history.to_json(),
-        "a uniform profile list must price exactly like the fleet-wide model"
-    );
-    assert_eq!(fleet_report.sim_time_s, unif_report.sim_time_s);
-
-    let mut mixed = all_algorithms(&ctx, &task);
-    let mixed_report = Engine::run(
-        mixed[0].as_mut(),
-        &ctx,
-        RunOptions::new()
-            .async_rounds(AsyncConfig::new(2).network(net).profiles(NetworkProfiles::wifi_4g_3g())),
-    )
-    .unwrap();
-    assert_ne!(
-        fleet_report.sim_time_s,
-        mixed_report.sim_time_s,
-        "a wifi/4G/3G mix must walk a different virtual clock"
-    );
+    let run = |links: NetworkProfiles| {
+        let mut algos = all_algorithms(&ctx, &task);
+        let report = Engine::run(
+            algos[0].as_mut(),
+            &ctx,
+            RunOptions::new().async_rounds(AsyncConfig::new(2).network(links)),
+        )
+        .unwrap();
+        (report.sim_time_s.unwrap().to_bits(), fnv1a64(report.history.to_json().as_bytes()))
+    };
+    let fleet = run(net.into());
+    let mixed = run(NetworkProfiles::wifi_4g_3g());
+    assert_eq!(fleet, (0x3fd1_ca7d_6733_ebc0, 0xbe53_c83c_9bc0_d7e7), "one fleet-wide link");
+    assert_eq!(mixed, (0x3fc5_3dd7_0a3d_70a4, 0xd686_63cc_42e3_d649), "wifi/4G/3G mix");
+    assert_ne!(fleet.0, mixed.0, "a wifi/4G/3G mix must walk a different virtual clock");
 }

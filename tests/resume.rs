@@ -193,6 +193,38 @@ fn corrupt_in_flight_event_falls_back_to_the_previous_async_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The history is the byte ledger a resumed run continues from: a
+/// checkpoint whose stored `cum_bytes` disagrees with its own byte
+/// columns is refused, not silently carried into every later total.
+#[test]
+fn resume_refuses_a_tampered_cumulative_byte_count() {
+    use fedkemf::fl::checkpoint::{load_run, save_run};
+    let dir = temp_dir("cum_bytes");
+    let (ctx, task) = world(47, 4);
+    Engine::run(
+        matrix(&ctx, &task)[2].as_mut(),
+        &ctx,
+        RunOptions::new().checkpoint(CheckpointPolicy::new(&dir, 2)),
+    )
+    .unwrap();
+    let mut newest = load_run(&dir).unwrap();
+    newest.records[1].cum_bytes += 1;
+    save_run(&newest, &dir).unwrap();
+
+    let (ctx8, task8) = world(47, 8);
+    let err = Engine::run(
+        matrix(&ctx8, &task8)[2].as_mut(),
+        &ctx8,
+        RunOptions::new().resume_from(&dir),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, EngineError::Resume(ResumeError::Inconsistent { .. })),
+        "expected an inconsistent-checkpoint refusal, got: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_refuses_a_mismatched_config_fingerprint() {
     let dir = temp_dir("fingerprint");

@@ -1,8 +1,8 @@
 //! Integration: the real-socket federation transport. The engine's
 //! byte accounting is no longer hypothetical — in `TransportMode::Socket`
 //! every round's plan is enacted as framed bytes over localhost TCP to a
-//! worker pool, and `CommTracker` is fed from what actually crossed the
-//! wire. Covers: faults-off byte-identity with the in-process simulator,
+//! worker pool, and the history's byte columns are what actually crossed
+//! the wire. Covers: faults-off byte-identity with the in-process simulator,
 //! the fault matrix over real frames (drop, straggler delay, corruption,
 //! truncation, upload retries), server kill-and-resume over sockets,
 //! quorum fallback, and the spawned-worker-process mode speaking the
@@ -114,8 +114,8 @@ fn faults_off_socket_run_is_byte_identical_to_in_process() {
     let inproc = Engine::run(&mut a, &ctx, RunOptions::new()).unwrap();
     assert!(inproc.transport.is_none(), "in-process runs report no wire stats");
 
-    // carry_model stays on: every broadcast embeds the actual quantized
-    // global model, so the compress wire codec runs end to end.
+    // FedAvg has a global model, so every full-view broadcast embeds it
+    // quantized and the compress wire codec runs end to end.
     let mut b = fedavg();
     let socket = Engine::run(
         &mut b,
