@@ -3,7 +3,9 @@
 //! shapes of the paper's model zoo (ResNet-20 / VGG-11, batch 8,
 //! CIFAR-sized inputs), plus the convolution lowering (`im2col`/`col2im`
 //! GB/s at the geometries the end-to-end benchmark trains, beside a plain
-//! copy of the same bytes), the three products of a convolution layer at
+//! copy of the same bytes), the socket path's CRC-32 over one
+//! `avg_mlp_socket` payload on the native and the scalar tier (`crc32`,
+//! GB/s beside a plain copy), the three products of a convolution layer at
 //! those geometries side by side (`conv_backward`: forward, weight
 //! gradient, input gradient with its `col2im`, all in GFLOP/s of the same
 //! `2·O·patch·N·OH·OW`), and what building a model at a transmitted
@@ -16,12 +18,13 @@
 //!
 //! `--smoke` runs every code path with a tiny time budget and skips the
 //! JSON write — a CI liveness check, not a measurement. It also demands
-//! that both gradients of every `conv_backward` geometry come out
-//! bit-identical on the native kernel tier and the forced scalar one: a
-//! transposing kernel that faults or runs its chains out of order fails
-//! here, on the host that has it, not in a history hash three layers up.
+//! that the CRC-32 and both gradients of every `conv_backward` geometry
+//! come out bit-identical on the native kernel tier and the forced scalar
+//! one: a kernel that faults or runs its chains out of order fails here,
+//! on the host that has it, not in a history hash three layers up.
 
 use kemf_bench::report::{results_dir, Table};
+use kemf_nn::codec;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_tensor::conv::{col2im, im2col, input_grad, weight_grad, ConvGeom};
@@ -195,6 +198,50 @@ fn main() {
     }
     println!("{}", lowering.render());
 
+    // The frame and payload checksum over one `avg_mlp_socket` payload
+    // (1,269,800 bytes), on the native tier (the carry-less fold where the
+    // host has it) and the forced scalar one (the slice-by-8 table),
+    // beside a plain copy of the same bytes. Both tiers must agree.
+    let payload: Vec<u8> =
+        (0..1_269_800u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    let gb = payload.len() as f64 / 1e9;
+    let iters = if smoke { 2 } else { 200 };
+    let crc_gbps = || {
+        let per_call = time_per_call(
+            || {
+                black_box(codec::crc32(0, black_box(&payload)));
+            },
+            iters,
+        );
+        (codec::crc32(0, &payload), gb / per_call)
+    };
+    let (native_crc, native_gbps) = crc_gbps();
+    let (scalar_crc, scalar_gbps) = {
+        let _guard = simd::ScalarGuard::new();
+        crc_gbps()
+    };
+    assert!(native_crc == scalar_crc, "native and scalar kernel tiers disagree on the CRC-32");
+    let mut copy = vec![0u8; payload.len()];
+    let copy_gbps =
+        gb / time_per_call(|| black_box(&mut copy).copy_from_slice(black_box(&payload)), iters);
+    let mut crc_table = Table::new(
+        "CRC-32 over a 1,269,800-byte payload (GB/s)",
+        &["bytes", "native", "scalar", "copy", "speedup"],
+    );
+    crc_table.row(&[
+        payload.len().to_string(),
+        format!("{native_gbps:.2}"),
+        format!("{scalar_gbps:.2}"),
+        format!("{copy_gbps:.2}"),
+        format!("{:.1}x", native_gbps / scalar_gbps),
+    ]);
+    println!("{}", crc_table.render());
+    let crc_row = format!(
+        "    {{\"bytes\": {}, \"native_gbps\": {native_gbps:.3}, \"scalar_gbps\": {scalar_gbps:.3}, \
+         \"copy_gbps\": {copy_gbps:.3}, \"crc\": \"{native_crc:#010x}\"}}",
+        payload.len()
+    );
+
     // The three products of one convolution layer, at the layers the
     // end-to-end benchmark's ResNet-20 (width 4) and VGG-11 (width 8)
     // train on 3×16×16 inputs at batch 16: forward as `Conv2d` runs it
@@ -336,12 +383,13 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
          \"cpu_features\": [{}],\n  \"threads\": {},\n  \"shapes\": [\n{}\n  ],\n  \
-         \"conv_lowering\": [\n{}\n  ],\n  \"conv_backward\": [\n{}\n  ],\n  \
+         \"conv_lowering\": [\n{}\n  ],\n  \"crc32\": [\n{}\n  ],\n  \"conv_backward\": [\n{}\n  ],\n  \
          \"model_build\": [\n{}\n  ]\n}}\n",
         cpu_features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         kemf_fl::engine::init_thread_pool(),
         json_rows.join(",\n"),
         lowering_rows.join(",\n"),
+        crc_row,
         backward_rows.join(",\n"),
         build_rows.join(",\n"),
     );

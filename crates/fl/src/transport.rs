@@ -36,6 +36,19 @@
 //!   frame and payload functions are `pub` but `#[doc(hidden)]`: outside
 //!   this module only the byte-format tests at the workspace root
 //!   (`tests/golden_bytes.rs`, `tests/decoders.rs`) call them.
+//! * **Payload bytes are checksummed, not copied.** The pinned format
+//!   puts every payload byte through CRC-32 four times per direction
+//!   (envelope build, frame write, frame read, envelope verify);
+//!   `codec::crc32` runs those passes at memory speed where the host has
+//!   carry-less multiply. A body's fixed fields and its payload go out as
+//!   two parts of one [`write_frame`], the frame CRC chained over both,
+//!   and an upload's report is verified where it landed in its frame
+//!   body: no payload-sized buffer is copied between codec and socket.
+//!   A body over the 256 MiB cap is refused before a byte is sent —
+//!   `write_frame` returns `InvalidInput`, and `run_round` turns such a
+//!   plan away as [`TransportError::Config`] before building anything.
+//!   Worker threads run on the caller's kernel tier, so a forced-scalar
+//!   run checksums through the table on both ends.
 //!
 //! Worker processes are spawned from any binary that calls
 //! [`worker_entry_if_requested`] early in `main` (or the dedicated
@@ -48,6 +61,7 @@ use crate::lifecycle::{ClientOutcome, ClientPlan, ModelView, RoundComm, RoundPla
 use kemf_nn::codec::{self, fnv1a64, CodecError, Reader, Writer, FNV_OFFSET};
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
+use kemf_tensor::simd::{force_scalar, scalar_forced};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -418,24 +432,35 @@ pub fn validate_payload(bytes: &[u8], declared: u64) -> Result<(), PayloadFault>
 // Framing: [MAGIC][kind u8][body_len u32][body][crc32 over kind+body]
 // ---------------------------------------------------------------------------
 
-/// The frame checksum: CRC-32 over the kind byte, then the body.
-fn frame_crc(kind: u8, body: &[u8]) -> u32 {
-    codec::crc32(codec::crc32(0, &[kind]), body)
+/// The frame checksum: CRC-32 over the kind byte, then the body's parts.
+fn frame_crc(kind: u8, parts: &[&[u8]]) -> u32 {
+    parts.iter().fold(codec::crc32(0, &[kind]), |crc, part| codec::crc32(crc, part))
 }
 
-/// Write one frame; returns the wire bytes written.
+/// Write one frame whose body is `parts` back to back, so a body's fixed
+/// fields and the payload they describe go out without being joined into
+/// one buffer first; returns the wire bytes written. A body over the
+/// 256 MiB cap is refused with `InvalidInput` before any byte is written.
 #[doc(hidden)]
-pub fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> io::Result<u64> {
-    debug_assert!(body.len() as u64 <= MAX_FRAME_BODY as u64);
+pub fn write_frame(w: &mut impl Write, kind: u8, parts: &[&[u8]]) -> io::Result<u64> {
+    let len: u64 = parts.iter().map(|p| p.len() as u64).sum();
+    if len > MAX_FRAME_BODY as u64 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame body of {len} bytes exceeds the {MAX_FRAME_BODY}-byte cap"),
+        ));
+    }
     let mut header = Writer::with_capacity(9);
     header.raw(&MAGIC);
     header.u8(kind);
-    header.u32(body.len() as u32);
+    header.u32(len as u32);
     w.write_all(header.as_bytes())?;
-    w.write_all(body)?;
-    w.write_all(&frame_crc(kind, body).to_le_bytes())?;
+    for part in parts {
+        w.write_all(part)?;
+    }
+    w.write_all(&frame_crc(kind, parts).to_le_bytes())?;
     w.flush()?;
-    Ok(FRAME_OVERHEAD + body.len() as u64)
+    Ok(FRAME_OVERHEAD + len)
 }
 
 /// Read one frame; returns (kind, body, wire bytes read).
@@ -465,7 +490,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
     }
     let mut stored = [0u8; 4];
     r.read_exact(&mut stored)?;
-    if Reader::new(&stored).u32()? != frame_crc(kind, &body) {
+    if Reader::new(&stored).u32()? != frame_crc(kind, &[&body]) {
         return Err(invalid("frame checksum mismatch".into()));
     }
     Ok((kind, body, FRAME_OVERHEAD + body_len as u64))
@@ -473,6 +498,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
 
 // Frame bodies are fixed layouts on the codec: every body but `K_HELLO`
 // and `K_SHUTDOWN` opens with the round and client it belongs to.
+
+/// Bytes of a `K_DOWN` body before its payload: round, client, delay,
+/// deadline, upload length, declared broadcast length.
+const DOWN_HEAD: u64 = 48;
+/// Bytes of a `K_UP` body before its report: round, client, attempt,
+/// report length.
+const UP_HEAD: u64 = 32;
 
 /// A body writer holding the `(round, client)` tags, with room for
 /// `extra` more bytes.
@@ -497,8 +529,10 @@ fn parse_body<'a, T>(
 /// What a worker answers a broadcast or an ack with.
 #[derive(Debug, PartialEq)]
 enum Reply {
-    /// `K_UP`: the attempt number and the report payload.
-    Upload(u64, Vec<u8>),
+    /// `K_UP`: the attempt number, and the frame body with the offset its
+    /// report payload starts at — the report is read where it arrived,
+    /// not copied out.
+    Upload(u64, Vec<u8>, usize),
     /// `K_UP_ERR`: the failure code and the worker's message.
     Failed(u8, String),
 }
@@ -506,15 +540,18 @@ enum Reply {
 /// Decode a `K_UP` / `K_UP_ERR` frame into the `(round, client)` it is
 /// tagged with and the reply. Every length in it is the worker's claim;
 /// the codec holds it against the body.
-fn parse_reply(kind: u8, body: &[u8]) -> Result<(usize, usize, Reply), TransportError> {
+fn parse_reply(kind: u8, body: Vec<u8>) -> Result<(usize, usize, Reply), TransportError> {
     match kind {
         // The declared report length is not read back: the report is
         // whatever follows, and `validate_payload` holds it to the plan.
-        K_UP => parse_body("upload frame", body, |r| {
-            let (round, client, attempt, _declared) = (r.usize()?, r.usize()?, r.u64()?, r.u64()?);
-            Ok((round, client, Reply::Upload(attempt, r.rest().to_vec())))
-        }),
-        K_UP_ERR => parse_body("failure report", body, |r| {
+        K_UP => {
+            let (round, client, attempt, at) = parse_body("upload frame", &body, |r| {
+                let (round, client, attempt, _declared) = (r.usize()?, r.usize()?, r.u64()?, r.u64()?);
+                Ok((round, client, attempt, body.len() - r.rest().len()))
+            })?;
+            Ok((round, client, Reply::Upload(attempt, body, at)))
+        }
+        K_UP_ERR => parse_body("failure report", &body, |r| {
             let (round, client, code) = (r.usize()?, r.usize()?, r.u8()?);
             let msg = String::from_utf8_lossy(r.bytes("message")?).into_owned();
             Ok((round, client, Reply::Failed(code, msg)))
@@ -546,7 +583,7 @@ pub fn worker_loop(
         .map_err(|e| TransportError::Io { context: "configuring the worker socket", source: e })?;
     let mut hello = Writer::with_capacity(8);
     hello.u64(worker_id);
-    write_frame(&mut stream, K_HELLO, hello.as_bytes())
+    write_frame(&mut stream, K_HELLO, &[hello.as_bytes()])
         .map_err(|e| TransportError::Io { context: "sending hello", source: e })?;
     loop {
         let (kind, body, _) = read_frame(&mut stream)
@@ -580,7 +617,7 @@ fn serve_download(
         let mut report = tagged(round, client, 9 + msg.len());
         report.u8(code);
         report.string(msg);
-        write_frame(stream, K_UP_ERR, report.as_bytes())
+        write_frame(stream, K_UP_ERR, &[report.as_bytes()])
             .map(|_| ())
             .map_err(|e| TransportError::Io { context: "reporting a client failure", source: e })
     };
@@ -611,11 +648,10 @@ fn serve_download(
     let report = build_payload(up_len, filler_seed(round, client, DIR_UP), None);
     let mut attempt = 1u64;
     loop {
-        let mut up = tagged(round, client, 16 + report.len());
+        let mut up = tagged(round, client, 16);
         up.u64(attempt);
         up.u64(up_len);
-        up.raw(&report);
-        write_frame(stream, K_UP, up.as_bytes())
+        write_frame(stream, K_UP, &[up.as_bytes(), &report])
             .map_err(|e| TransportError::Io { context: "uploading a report", source: e })?;
         let (kind, ack, _) = read_frame(stream)
             .map_err(|e| TransportError::Io { context: "awaiting an ack", source: e })?;
@@ -739,6 +775,9 @@ impl SocketTransport {
         let mut workers = Vec::with_capacity(cfg.workers);
         match &cfg.mode {
             WorkerMode::Threads => {
+                // Worker threads checksum on the caller's kernel tier, as
+                // the cohort's training threads compute on it.
+                let scalar = scalar_forced();
                 for id in 0..cfg.workers as u64 {
                     let scale = cfg.time_scale;
                     let timeout = cfg.io_timeout;
@@ -746,6 +785,7 @@ impl SocketTransport {
                         .name(format!("kemf-worker-{id}"))
                         .spawn(move || match TcpStream::connect(addr) {
                             Ok(stream) => {
+                                force_scalar(scalar);
                                 if let Err(e) = worker_loop(stream, id, scale, timeout) {
                                     eprintln!("kemf worker {id}: {e}");
                                 }
@@ -862,8 +902,8 @@ impl SocketTransport {
         &self.stats
     }
 
-    fn send(&mut self, worker: usize, kind: u8, body: &[u8]) -> Result<u64, TransportError> {
-        let wire = write_frame(&mut self.conns[worker], kind, body).map_err(|e| {
+    fn send(&mut self, worker: usize, kind: u8, parts: &[&[u8]]) -> Result<u64, TransportError> {
+        let wire = write_frame(&mut self.conns[worker], kind, parts).map_err(|e| {
             TransportError::Io { context: "writing a frame to a worker", source: e }
         })?;
         self.stats.frames_sent += 1;
@@ -907,12 +947,23 @@ impl SocketTransport {
             });
         }
         for p in plans {
-            if p.payload.down_bytes < MIN_WIRE_PAYLOAD || p.payload.up_bytes < MIN_WIRE_PAYLOAD {
+            let WirePayload { down_bytes, up_bytes } = p.payload;
+            if down_bytes < MIN_WIRE_PAYLOAD || up_bytes < MIN_WIRE_PAYLOAD {
                 return Err(TransportError::Config {
                     reason: format!(
-                        "client {} payload ({} down / {} up) is below the {MIN_WIRE_PAYLOAD}-byte \
-                         integrity envelope the fault model needs",
-                        p.client, p.payload.down_bytes, p.payload.up_bytes
+                        "client {} payload ({down_bytes} down / {up_bytes} up) is below the \
+                         {MIN_WIRE_PAYLOAD}-byte integrity envelope the fault model needs",
+                        p.client
+                    ),
+                });
+            }
+            let cap = MAX_FRAME_BODY as u64;
+            if down_bytes.saturating_add(DOWN_HEAD) > cap || up_bytes.saturating_add(UP_HEAD) > cap {
+                return Err(TransportError::Config {
+                    reason: format!(
+                        "client {} payload ({down_bytes} down / {up_bytes} up) does not fit the \
+                         {cap}-byte frame body cap",
+                        p.client
                     ),
                 });
             }
@@ -980,15 +1031,14 @@ impl SocketTransport {
         };
         let deadline_s = self.deadline_s.unwrap_or(f64::INFINITY);
 
-        let mut body = tagged(round as u64, client as u64, 32 + down.len());
-        body.f64(delay_s);
-        body.f64(deadline_s);
-        body.u64(payload.up_bytes);
-        body.u64(payload.down_bytes);
-        body.raw(&down);
-        let down_sent = down.len() as u64;
-        self.send(worker, K_DOWN, body.as_bytes())?;
-        measured.down_bytes += down_sent;
+        let mut head = tagged(round as u64, client as u64, 32);
+        head.f64(delay_s);
+        head.f64(deadline_s);
+        head.u64(payload.up_bytes);
+        head.u64(payload.down_bytes);
+        debug_assert_eq!(head.as_bytes().len() as u64, DOWN_HEAD);
+        self.send(worker, K_DOWN, &[head.as_bytes(), &down])?;
+        measured.down_bytes += down.len() as u64;
         measured.down_clients += 1;
 
         let desync = |detail: String| TransportError::Desync { round, client, detail };
@@ -1005,22 +1055,23 @@ impl SocketTransport {
                 // Every attempt's bytes really crossed the wire — that is
                 // exactly why the simulator charges them as wasted.
                 for k in 1..=attempts as u64 {
-                    let report = self.expect_upload(worker, round, client, k)?;
-                    measured.wasted_up_bytes += report.len() as u64;
+                    let (body, at) = self.expect_upload(worker, round, client, k)?;
+                    measured.wasted_up_bytes += body[at..].len() as u64;
                     let status = if k < attempts as u64 { ACK_RETRY } else { ACK_GIVE_UP };
                     self.send_ack(worker, round, client, status)?;
                 }
             }
             ClientOutcome::Completed { attempts, .. } => {
                 for k in 1..=attempts as u64 {
-                    let report = self.expect_upload(worker, round, client, k)?;
+                    let (body, at) = self.expect_upload(worker, round, client, k)?;
+                    let report = &body[at..];
                     if k < attempts as u64 {
                         measured.wasted_up_bytes += report.len() as u64;
                         self.send_ack(worker, round, client, ACK_RETRY)?;
                     } else {
                         // The accepted report must arrive intact: length
                         // per the payload contract, checksum clean.
-                        validate_payload(&report, payload.up_bytes).map_err(|fault| {
+                        validate_payload(report, payload.up_bytes).map_err(|fault| {
                             desync(format!("accepted upload failed validation: {fault}"))
                         })?;
                         measured.up_bytes += report.len() as u64;
@@ -1042,7 +1093,7 @@ impl SocketTransport {
         client: usize,
     ) -> Result<Reply, TransportError> {
         let (kind, body) = self.recv(worker)?;
-        let (got_round, got_client, reply) = parse_reply(kind, &body)?;
+        let (got_round, got_client, reply) = parse_reply(kind, body)?;
         if (got_round, got_client) != (round, client) {
             let detail = format!("reply tagged round {got_round} client {got_client}");
             return Err(TransportError::Desync { round, client, detail });
@@ -1050,17 +1101,18 @@ impl SocketTransport {
         Ok(reply)
     }
 
-    /// Receive upload attempt `attempt`; returns the report payload bytes.
+    /// Receive upload attempt `attempt`; returns the frame body and the
+    /// offset of the report payload in it.
     fn expect_upload(
         &mut self,
         worker: usize,
         round: usize,
         client: usize,
         attempt: u64,
-    ) -> Result<Vec<u8>, TransportError> {
+    ) -> Result<(Vec<u8>, usize), TransportError> {
         let detail = match self.recv_reply(worker, round, client)? {
-            Reply::Upload(got, report) if got == attempt => return Ok(report),
-            Reply::Upload(got, _) => format!("upload tagged attempt {got}, expected attempt {attempt}"),
+            Reply::Upload(got, body, at) if got == attempt => return Ok((body, at)),
+            Reply::Upload(got, ..) => format!("upload tagged attempt {got}, expected attempt {attempt}"),
             Reply::Failed(_, msg) => format!("expected upload attempt {attempt}, worker failed: {msg}"),
         };
         Err(TransportError::Desync { round, client, detail })
@@ -1093,7 +1145,7 @@ impl SocketTransport {
     ) -> Result<(), TransportError> {
         let mut body = tagged(round as u64, client as u64, 1);
         body.u8(status);
-        self.send(worker, K_ACK, body.as_bytes()).map(|_| ())
+        self.send(worker, K_ACK, &[body.as_bytes()]).map(|_| ())
     }
 
     /// Shut the worker pool down cleanly and return the final wire
@@ -1222,17 +1274,38 @@ mod tests {
     fn frames_round_trip_over_a_buffer() {
         let mut wire = Vec::new();
         let body = b"hello frame".to_vec();
-        let sent = write_frame(&mut wire, K_DOWN, &body).unwrap();
+        let sent = write_frame(&mut wire, K_DOWN, &[&body]).unwrap();
         assert_eq!(sent, wire.len() as u64);
         let (kind, got, read) = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!((kind, got, read), (K_DOWN, body, sent));
+        assert_eq!((kind, got, read), (K_DOWN, body.clone(), sent));
+        // A body sent in parts is the same frame as the parts joined.
+        let mut parted = Vec::new();
+        write_frame(&mut parted, K_DOWN, &[&body[..3], &[], &body[3..]]).unwrap();
+        assert_eq!(parted, wire);
+    }
+
+    /// A body over the cap is refused before the header goes out: the
+    /// peer would refuse it (256 MiB) or, past 4 GiB, read a truncated
+    /// length and lose the stream.
+    #[test]
+    fn oversized_frames_are_refused_before_any_byte_is_written() {
+        let mib = vec![0u8; 1 << 20];
+        for parts in [257, 4097] {
+            let mut wire = Vec::new();
+            let err = write_frame(&mut wire, K_DOWN, &vec![&mib[..]; parts]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{parts} MiB");
+            assert!(wire.is_empty(), "{parts} MiB: {} bytes written", wire.len());
+        }
+        let at_cap = vec![&mib[..]; 256];
+        let sent = write_frame(&mut io::sink(), K_DOWN, &at_cap).unwrap();
+        assert_eq!(sent, FRAME_OVERHEAD + (1 << 28));
     }
 
     #[test]
     fn frame_reader_rejects_garbage_and_bad_checksums() {
         assert!(read_frame(&mut &b"XXXXYYYYZZZZZ"[..]).is_err());
         let mut wire = Vec::new();
-        write_frame(&mut wire, K_UP, b"payload").unwrap();
+        write_frame(&mut wire, K_UP, &[b"payload"]).unwrap();
         let end = wire.len() - 1;
         wire[end] ^= 0xFF; // damage the CRC
         assert!(read_frame(&mut wire.as_slice()).is_err());
@@ -1317,6 +1390,32 @@ mod tests {
         t.finish().unwrap();
     }
 
+    /// A payload whose frame would pass the 256 MiB body cap is refused
+    /// from the plan, before anything is built or sent.
+    #[test]
+    fn oversized_payloads_are_refused_before_anything_is_sent() {
+        let plan = RoundPlan {
+            clients: vec![ClientRound {
+                client: 0,
+                outcome: ClientOutcome::Completed { attempts: 1, delay_s: 0.0 },
+            }],
+            min_quorum: 1,
+        };
+        let mut t = SocketTransport::start(&SocketConfig::threads(1), None).unwrap();
+        let sent = t.stats().frames_sent;
+        let cap = MAX_FRAME_BODY as u64;
+        for payload in [
+            WirePayload { down_bytes: 1 << 28, up_bytes: 40 },
+            WirePayload { down_bytes: 96, up_bytes: cap - UP_HEAD + 1 },
+            WirePayload { down_bytes: u64::MAX, up_bytes: u64::MAX },
+        ] {
+            let err = t.run_round(0, &plan, &uniform(&plan, payload), None).unwrap_err();
+            assert!(matches!(err, TransportError::Config { .. }), "got: {err}");
+            assert_eq!(t.stats().frames_sent, sent, "{payload:?}: a frame went out");
+        }
+        t.finish().unwrap();
+    }
+
     /// The fault RNG and sampler are never touched by the transport: the
     /// same drawn plan enacted twice measures identical bytes.
     #[test]
@@ -1391,11 +1490,19 @@ mod tests {
         };
         let good = report(5, b"oops!");
         let reply = (3, 7, Reply::Failed(ERR_DECODE, "oops!".into()));
-        assert_eq!(parse_reply(K_UP_ERR, &good).unwrap(), reply);
+        assert_eq!(parse_reply(K_UP_ERR, good.clone()).unwrap(), reply);
+        // An upload's report stays in its frame body, found by offset.
+        let mut up = tagged(3, 7, 21);
+        up.u64(2);
+        up.u64(5);
+        up.raw(b"hello");
+        let up = up.into_bytes();
+        let reply = (3, 7, Reply::Upload(2, up.clone(), UP_HEAD as usize));
+        assert_eq!(parse_reply(K_UP, up).unwrap(), reply);
         let mut bad = vec![report(u64::MAX, b"oops!"), report(1 << 32, b"oops!"), report(4, b"oops!")];
         bad.extend((0..good.len()).map(|cut| good[..cut].to_vec()));
         for body in bad {
-            let err = parse_reply(K_UP_ERR, &body).unwrap_err();
+            let err = parse_reply(K_UP_ERR, body).unwrap_err();
             assert!(matches!(err, TransportError::Protocol { .. }), "got: {err}");
         }
         // Acks and hellos are held to their exact length the same way.

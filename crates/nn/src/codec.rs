@@ -17,9 +17,12 @@
 //! of them to that.
 //!
 //! The stack's two byte hashes live here too: [`crc32`] (frame and
-//! payload integrity) and [`fnv1a64`] (run fingerprints, filler seeds).
+//! payload integrity; the one place that chooses between the carry-less
+//! multiply kernel in `kemf_tensor::simd` and the slice-by-8 table) and
+//! [`fnv1a64`] (run fingerprints, filler seeds).
 
 use crate::serialize::{ModelState, TensorBlob, Weights};
+use kemf_tensor::simd::{self, Isa};
 use std::fmt;
 
 /// Why a byte sequence could not be decoded.
@@ -381,11 +384,28 @@ static CRC32_TABLES: [[u32; 256]; 8] = {
 
 /// IEEE CRC-32 (reflected) of `bytes`, continuing from `crc`; `0` starts
 /// a checksum, so `crc32(crc32(0, a), b)` is the CRC of `a` then `b`
-/// without joining them. Eight bytes a step (slice-by-8): a socket round
-/// checksums every payload byte four times.
+/// without joining them. A socket round checksums every payload byte four
+/// times in each direction, so this runs at memory speed where it can: on
+/// the SIMD tiers of a host with carry-less multiply, an input of 64 bytes
+/// or more has its whole 16-byte blocks folded by
+/// [`simd::crc32_pclmul`] (~24 GB/s), and only the tail goes through
+/// the slice-by-8 table (~1.5 GB/s). Short inputs, the scalar tier
+/// (`KEMF_SIMD=scalar`, `simd::force_scalar`) and other hosts run the table
+/// alone. Both routes give the same bits; the table is the reference.
 pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
+    let (mut state, mut tail) = (!crc, bytes);
+    if bytes.len() >= 64 && simd::isa() != Isa::Scalar && simd::pclmulqdq() {
+        let (blocks, rest) = bytes.split_at(bytes.len() & !15);
+        state = simd::crc32_pclmul(state, blocks);
+        tail = rest;
+    }
+    !crc32_table(state, tail)
+}
+
+/// The slice-by-8 step: the CRC register (a checksum's complement) after
+/// `bytes`, eight bytes a step.
+fn crc32_table(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc = !crc;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = (u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc) as usize;
@@ -402,7 +422,7 @@ pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 /// The FNV-1a-64 offset basis: the `seed` of a hash that continues no
@@ -417,6 +437,7 @@ pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kemf_tensor::simd::ScalarGuard;
     use proptest::prelude::*;
 
     /// The table-free definition [`crc32`] is checked against: one
@@ -432,19 +453,61 @@ mod tests {
         !crc
     }
 
+    /// [`crc32`] of `bytes`, whole and split at `split`, on the native
+    /// tier (the carry-less fold where the host has it) and the forced
+    /// scalar one (the table alone).
+    fn both_tiers(seed: u32, bytes: &[u8], split: usize) -> [u32; 4] {
+        let run = || [crc32(seed, bytes), crc32(crc32(seed, &bytes[..split]), &bytes[split..])];
+        let [whole, chained] = run();
+        let _scalar = ScalarGuard::new();
+        let [scalar_whole, scalar_chained] = run();
+        [whole, chained, scalar_whole, scalar_chained]
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Lengths cross the 64-byte floor of the fold and its 16-, 64- and
+        // 128-byte block edges; offsets move every load off alignment.
         #[test]
         fn table_crc_equals_bitwise_crc_at_any_split(
-            bytes in prop::collection::vec(0u8..=255, 200),
-            len in 0usize..=200,
-            split in 0usize..=200,
+            bytes in prop::collection::vec(0u8..=255, 1116),
+            at in 0usize..16,
+            len in 0usize..=1100,
+            split in 0usize..=1100,
             seed in 0u32..=u32::MAX,
         ) {
-            let bytes = &bytes[..len];
-            let split = split.min(len);
+            let bytes = &bytes[at..at + len];
             let want = crc32_bitwise(seed, bytes);
-            prop_assert_eq!(crc32(seed, bytes), want);
-            prop_assert_eq!(crc32(crc32(seed, &bytes[..split]), &bytes[split..]), want);
+            prop_assert_eq!(both_tiers(seed, bytes, split.min(len)), [want; 4]);
         }
+    }
+
+    /// Every length up to 1100 once, so each block edge and the 64-byte
+    /// floor is crossed on purpose and not by the draw.
+    #[test]
+    fn every_length_and_offset_matches_the_bitwise_crc() {
+        let buf: Vec<u8> = (0..1116u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 21) as u8).collect();
+        for len in 0..=1100 {
+            let (at, seed) = (len % 16, (len as u32).wrapping_mul(0x0101_0101));
+            let bytes = &buf[at..at + len];
+            assert_eq!(both_tiers(seed, bytes, len / 3), [crc32_bitwise(seed, bytes); 4], "len {len}");
+        }
+    }
+
+    /// An `avg_mlp_socket` payload's worth of bytes has one checksum,
+    /// whichever tier computes it.
+    #[test]
+    fn payload_sized_crc_is_pinned_on_both_tiers() {
+        let mut s = 0x243F_6A88_85A3_08D3u64;
+        let bytes: Vec<u8> = (0..1_269_800)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 56) as u8
+            })
+            .collect();
+        assert_eq!(both_tiers(0, &bytes, 640_001), [0xfe15_a396; 4]);
     }
 }

@@ -24,13 +24,20 @@
 //!   quantized ensemble-inference path: `vpdpbusd` over quad-interleaved
 //!   int8 panels with i32 accumulation (AVX-512 VNNI hosts only; every
 //!   other host runs the portable loop in [`crate::quant`]).
+//! * [`crc32_pclmul`] — the IEEE CRC-32 by carry-less multiplication
+//!   (Gopal et al., Intel 2009: fold 4×128 bits, then 128, then a Barrett
+//!   reduction), ~15× the slice-by-8 table. Its one caller is
+//!   `kemf_nn::codec::crc32`, which also runs the table — on short inputs,
+//!   the tail, the scalar tier and hosts without [`pclmulqdq`] — and whose
+//!   tests hold the two to the same bits.
 //! * [`cpu_features`] — the detected feature set, recorded by
 //!   `bench_kernels` so benchmark trajectories name the hardware tier
 //!   they were measured on.
 //!
 //! All `unsafe` here is confined to `#[target_feature]` kernels whose
-//! callers must check [`isa`] first; the scalar fallbacks live in safe
-//! code next to their call sites.
+//! callers must check [`isa`] first (the CRC kernel checks for itself
+//! behind a safe entry point); the scalar fallbacks live in safe code next
+//! to their call sites.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -137,6 +144,7 @@ pub fn cpu_features() -> Vec<&'static str> {
     {
         for (name, present) in [
             ("sse4.2", std::arch::is_x86_feature_detected!("sse4.2")),
+            ("pclmulqdq", std::arch::is_x86_feature_detected!("pclmulqdq")),
             ("avx", std::arch::is_x86_feature_detected!("avx")),
             ("avx2", std::arch::is_x86_feature_detected!("avx2")),
             ("fma", std::arch::is_x86_feature_detected!("fma")),
@@ -852,6 +860,135 @@ pub unsafe fn quant_row_avx512(n: usize, src: *const f32, inv: f32, dst: *mut i8
     }
 }
 
+/// Whether [`crc32_pclmul`] can run on this host: PCLMULQDQ for the folds
+/// and SSE4.1 for the final lane extract.
+pub fn pclmulqdq() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static CLMUL: OnceLock<bool> = OnceLock::new();
+        *CLMUL.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+// Fold constants of the reflected IEEE CRC-32: `x^e mod P(x)` for the
+// stated `e`, bit-reflected and shifted left by one (the extra factor of
+// `x` a reflected carry-less product owes), so a 64-bit lane multiplied by
+// one lands where the data `e` bits further on would. `P` is the
+// polynomial itself and `MU` is `⌊x^64 / P(x)⌋`, both reflected over 33
+// bits, for the Barrett step. The tests derive every one of them from the
+// polynomial.
+/// `e = 4·128 + 32`: the low lane of a 128-bit block, 512 bits ahead.
+const CRC32_K1: i64 = 0x1_5444_2bd4;
+/// `e = 4·128 − 32`: its high lane.
+const CRC32_K2: i64 = 0x1_c6e4_1596;
+/// `e = 128 + 32`: the low lane, one block ahead.
+const CRC32_K3: i64 = 0x1_7519_97d0;
+/// `e = 128 − 32`: the high lane, one block ahead.
+const CRC32_K4: i64 = 0x0_ccaa_009e;
+/// `e = 64`: 96 bits down to 64.
+const CRC32_K5: i64 = 0x1_63cd_6124;
+/// `P(x)`, reflected.
+const CRC32_P: i64 = 0x1_db71_0641;
+/// `⌊x^64 / P(x)⌋`, reflected.
+const CRC32_MU: i64 = 0x1_f701_1641;
+
+/// The reflected IEEE CRC-32 register after `blocks`, starting from
+/// register `state` — the complement of a finished checksum, so a checksum
+/// of `blocks` alone starts from `!0` and finishes as `!result`.
+///
+/// Four 128-bit lanes run the first 64 bytes; each further 64 bytes folds
+/// every lane 512 bits ahead (two carry-less products and an XOR per lane,
+/// four independent chains), then the lanes fold into one, the remaining
+/// blocks fold in one at a time, and a Barrett reduction takes the 128-bit
+/// remainder to the 32-bit register. About 8 bytes per cycle where the
+/// slice-by-8 table does half a byte; the same bits, which
+/// `kemf_nn::codec`'s tests hold it to against a bit-at-a-time reference.
+///
+/// # Panics
+///
+/// Unless [`pclmulqdq`] holds and `blocks` is whole 16-byte blocks, at
+/// least four of them. The caller runs the sub-block tail and short inputs
+/// through its table.
+pub fn crc32_pclmul(state: u32, blocks: &[u8]) -> u32 {
+    assert!(
+        blocks.len() >= 64 && blocks.len().is_multiple_of(16),
+        "the CRC fold takes whole 16-byte blocks, at least four, not {} bytes",
+        blocks.len()
+    );
+    assert!(pclmulqdq(), "the CRC fold needs PCLMULQDQ and SSE4.1");
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: both features were checked just above; the length
+        // contract is the kernel's loop bound.
+        unsafe { crc32_fold_pclmul(state, blocks) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("pclmulqdq() is false off x86-64")
+}
+
+/// [`crc32_pclmul`]'s kernel.
+///
+/// # Safety
+///
+/// The caller must ensure PCLMULQDQ and SSE4.1 are available and that
+/// `blocks.len()` is a multiple of 16 and at least 64.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+unsafe fn crc32_fold_pclmul(state: u32, blocks: &[u8]) -> u32 {
+    use core::arch::x86_64::*;
+    let n = blocks.len() / 16;
+    let p = blocks.as_ptr() as *const __m128i;
+    // `x` carried ahead by the distance `k` encodes, folded into `next`:
+    // x.lo ⊗ k.lo ⊕ x.hi ⊗ k.hi ⊕ next.
+    macro_rules! fold {
+        ($x:expr, $next:expr, $k:expr) => {
+            _mm_xor_si128(
+                _mm_xor_si128(_mm_clmulepi64_si128::<0x00>($x, $k), _mm_clmulepi64_si128::<0x11>($x, $k)),
+                $next,
+            )
+        };
+    }
+    // SAFETY (every load below): block `i` is read only for `i < n`, and
+    // `n ≥ 4` per the caller contract; `loadu` takes any alignment.
+    let mut x0 = _mm_xor_si128(_mm_loadu_si128(p), _mm_cvtsi32_si128(state as i32));
+    let mut x1 = _mm_loadu_si128(p.add(1));
+    let mut x2 = _mm_loadu_si128(p.add(2));
+    let mut x3 = _mm_loadu_si128(p.add(3));
+    let k1k2 = _mm_set_epi64x(CRC32_K2, CRC32_K1);
+    let mut i = 4;
+    while i + 4 <= n {
+        x0 = fold!(x0, _mm_loadu_si128(p.add(i)), k1k2);
+        x1 = fold!(x1, _mm_loadu_si128(p.add(i + 1)), k1k2);
+        x2 = fold!(x2, _mm_loadu_si128(p.add(i + 2)), k1k2);
+        x3 = fold!(x3, _mm_loadu_si128(p.add(i + 3)), k1k2);
+        i += 4;
+    }
+    let k3k4 = _mm_set_epi64x(CRC32_K4, CRC32_K3);
+    let mut x = fold!(fold!(fold!(x0, x1, k3k4), x2, k3k4), x3, k3k4);
+    while i < n {
+        x = fold!(x, _mm_loadu_si128(p.add(i)), k3k4);
+        i += 1;
+    }
+    // 128 → 96 bits (the low lane one lane ahead), then 96 → 64.
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k3k4), _mm_srli_si128::<8>(x));
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, CRC32_K5)),
+        _mm_srli_si128::<4>(x),
+    );
+    // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P, and the register
+    // is the upper half of R ⊕ T2 (the reflected variant's "divide by x^32").
+    let pmu = _mm_set_epi64x(CRC32_MU, CRC32_P);
+    let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
+    let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+    _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,6 +1012,35 @@ mod tests {
     #[test]
     fn cpu_features_nonempty() {
         assert!(!cpu_features().is_empty());
+    }
+
+    /// The IEEE polynomial without its `x^32` term, in normal bit order.
+    const IEEE: u32 = 0x04C1_1DB7;
+
+    /// `x^e mod P(x)`, in normal bit order.
+    fn x_pow_mod_p(e: u32) -> u32 {
+        (0..e).fold(1u32, |r, _| (r << 1) ^ (IEEE & (r >> 31).wrapping_neg()))
+    }
+
+    #[test]
+    fn crc32_fold_constants_derive_from_the_polynomial() {
+        let k = |e: u32| (x_pow_mod_p(e).reverse_bits() as i64) << 1;
+        assert_eq!(k(4 * 128 + 32), CRC32_K1);
+        assert_eq!(k(4 * 128 - 32), CRC32_K2);
+        assert_eq!(k(128 + 32), CRC32_K3);
+        assert_eq!(k(128 - 32), CRC32_K4);
+        assert_eq!(k(64), CRC32_K5);
+        assert_eq!(((IEEE.reverse_bits() as i64) << 1) | 1, CRC32_P);
+        // μ = ⌊x^64 / P(x)⌋ by long division, then reflected over 33 bits.
+        let p = (1u128 << 32) | IEEE as u128;
+        let (mut rem, mut mu) = (1u128 << 64, 0u64);
+        for bit in (32..=64).rev() {
+            if (rem >> bit) & 1 == 1 {
+                rem ^= p << (bit - 32);
+                mu |= 1 << (bit - 32);
+            }
+        }
+        assert_eq!((mu.reverse_bits() >> 31) as i64, CRC32_MU);
     }
 
     #[cfg(target_arch = "x86_64")]

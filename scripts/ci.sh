@@ -52,6 +52,14 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     END{ if (crc != 1) { print "CRC-32 polynomial written " crc+0 " times, want 1"; bad=1 }
          if (fnv != 1) { print "FNV-1a offset basis written " fnv+0 " times, want 1"; bad=1 }
          exit bad }' crates/nn/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
+# ... and one CRC dispatch: outside test modules, the carry-less-multiply
+# kernel is called only by `codec::crc32`, which decides between it and
+# the table (tier, host, length) — a second caller would checksum without
+# the scalar tier's override or the table's tail.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    index($0, "crc32_pclmul(") && !index($0, "fn crc32_pclmul(") && FILENAME !~ /\/nn\/src\/codec\.rs$/ {
+        print FILENAME":"FNR": CRC kernel called outside codec::crc32"; bad=1 }
+    END{exit bad}' crates/*/src/*.rs crates/*/src/bin/*.rs
 
 # Typed GEMM operands: outside test modules, layers hand the engine
 # `RowMajor`/`ColMajor`/`NchwGather` views (`gemm_ops`), which pack by

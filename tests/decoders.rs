@@ -173,7 +173,7 @@ fn decoders(dir: &Path) -> Vec<Decoder> {
     let wire = quantized_wire();
     let payload = build_payload((wire.len() + 32) as u64, 9, Some(&wire));
     let mut frame = Vec::new();
-    write_frame(&mut frame, 2, &payload).unwrap();
+    write_frame(&mut frame, 2, &[&payload]).unwrap();
     vec![
         Decoder {
             name: "load_state",

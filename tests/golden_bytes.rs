@@ -227,7 +227,7 @@ fn frames_and_payload_envelopes_are_byte_stable() {
     ];
     let mut wire = Vec::new();
     for (kind, body) in &bodies {
-        write_frame(&mut wire, *kind, body).unwrap();
+        write_frame(&mut wire, *kind, &[body]).unwrap();
     }
     let mut rest = wire.as_slice();
     for (kind, body) in &bodies {
@@ -285,16 +285,16 @@ fn worker_conversation_is_byte_stable() {
 
     assert_eq!(hear(&mut server), K_HELLO);
     // Clean broadcast; first upload bounced, second accepted.
-    write_frame(&mut server, K_DOWN, &down_body(3, 7, 0.0, 40, 96, &good)).unwrap();
+    write_frame(&mut server, K_DOWN, &[&down_body(3, 7, 0.0, 40, 96, &good)]).unwrap();
     assert_eq!(hear(&mut server), K_UP);
-    write_frame(&mut server, K_ACK, &ack(ACK_RETRY)).unwrap();
+    write_frame(&mut server, K_ACK, &[&ack(ACK_RETRY)]).unwrap();
     assert_eq!(hear(&mut server), K_UP);
-    write_frame(&mut server, K_ACK, &ack(ACK_ACCEPTED)).unwrap();
+    write_frame(&mut server, K_ACK, &[&ack(ACK_ACCEPTED)]).unwrap();
     // Broadcast cut in transit: decode failure report.
-    write_frame(&mut server, K_DOWN, &down_body(4, 2, 0.0, 40, 96, &good[..48])).unwrap();
+    write_frame(&mut server, K_DOWN, &[&down_body(4, 2, 0.0, 40, 96, &good[..48])]).unwrap();
     assert_eq!(hear(&mut server), K_UP_ERR);
     // Straggler past the 30 s deadline: timeout report.
-    write_frame(&mut server, K_DOWN, &down_body(5, 1, 99.0, 40, 96, &good)).unwrap();
+    write_frame(&mut server, K_DOWN, &[&down_body(5, 1, 99.0, 40, 96, &good)]).unwrap();
     assert_eq!(hear(&mut server), K_UP_ERR);
     write_frame(&mut server, K_SHUTDOWN, &[]).unwrap();
     worker.join().unwrap().unwrap();

@@ -14,6 +14,7 @@ use fedkemf::fl::metrics::History;
 use fedkemf::fl::trace::RoundScope;
 use fedkemf::fl::transport::TransportStats;
 use fedkemf::prelude::*;
+use fedkemf::tensor::simd::ScalarGuard;
 use std::path::PathBuf;
 
 fn world(seed: u64, rounds: usize) -> (FlContext, SynthTask) {
@@ -132,6 +133,17 @@ fn faults_off_socket_run_is_byte_identical_to_in_process() {
     let stats = socket.transport.expect("socket run must report wire stats");
     assert_stats_match_history(&stats, &socket.history);
     assert!(stats.framing_overhead_bytes() > 0);
+
+    // The forced scalar tier reaches the socket workers too, where every
+    // checksum then runs through the table instead of the carry-less
+    // fold: the same run, the same bytes.
+    let mut c = fedavg();
+    let scalar = {
+        let _scalar = ScalarGuard::new();
+        Engine::run(&mut c, &ctx, RunOptions::new().socket_transport(SocketConfig::threads(2))).unwrap()
+    };
+    assert_eq!(scalar.history.to_json(), socket.history.to_json(), "scalar tier changed the run");
+    assert_eq!(scalar.transport, Some(stats), "scalar tier changed the wire");
 }
 
 #[test]
