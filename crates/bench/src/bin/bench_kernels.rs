@@ -5,34 +5,39 @@
 //! GB/s at the geometries the end-to-end benchmark trains, beside a plain
 //! copy of the same bytes), the socket path's CRC-32 over one
 //! `avg_mlp_socket` payload on the native and the scalar tier (`crc32`,
-//! GB/s beside a plain copy), the three products of a convolution layer at
-//! those geometries side by side (`conv_backward`: forward, weight
-//! gradient, input gradient with its `col2im`, all in GFLOP/s of the same
-//! `2·O·patch·N·OH·OW`), and what building a model at a transmitted
-//! state costs with and without the discarded initialization
-//! (`model_build`). Prints tables and writes
-//! `bench_results/BENCH_kernels.json` with all of it, the detected
-//! `cpu_features` and `threads` — the cohort width `init_thread_pool`
-//! settles on; every kernel here runs on the calling thread whatever it
-//! is.
+//! GB/s beside a plain copy), what handing a share to a `par` helper
+//! costs (`par_handoff`: µs per empty split round trip, spinning and
+//! parked helper, beside a `thread::scope` spawn + join — the row
+//! `par::SPLIT_FLOOR` is derived from), the three products of a
+//! convolution layer at those geometries side by side (`conv_backward`:
+//! forward, weight gradient, input gradient with its `col2im`, all in
+//! GFLOP/s of the same `2·O·patch·N·OH·OW`, each split over the width as
+//! `Conv2d` runs it outside a share, and the layer split against inline),
+//! and what building a model at a transmitted state costs with and
+//! without the discarded initialization (`model_build`). Prints tables
+//! and writes `bench_results/BENCH_kernels.json` with all of it, the
+//! detected `cpu_features` and `threads` — the compute width
+//! `init_thread_pool` settles on. The GEMM, lowering and CRC rows run on
+//! the calling thread whatever it is.
 //!
 //! `--smoke` runs every code path with a tiny time budget and skips the
 //! JSON write — a CI liveness check, not a measurement. It also demands
 //! that the CRC-32 and both gradients of every `conv_backward` geometry
 //! come out bit-identical on the native kernel tier and the forced scalar
-//! one: a kernel that faults or runs its chains out of order fails here,
-//! on the host that has it, not in a history hash three layers up.
+//! one, and split over the width and inline: a kernel that faults or runs
+//! its chains out of order, or a split that cuts one, fails here, on the
+//! host that has it, not in a history hash three layers up.
 
 use kemf_bench::report::{results_dir, Table};
 use kemf_nn::codec;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
-use kemf_tensor::conv::{col2im, im2col, input_grad, weight_grad, ConvGeom};
-use kemf_tensor::gemm::{gemm_ops, NchwScatterBias, RowMajor};
+use kemf_tensor::conv::{col2im, forward, im2col, input_grad, weight_grad, ConvGeom};
 use kemf_tensor::matmul::matmul_into;
 use kemf_tensor::rng::seeded_rng;
-use kemf_tensor::{simd, Tensor};
+use kemf_tensor::{par, simd, Tensor};
 use std::hint::black_box;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The kernel this PR replaced: per-row axpy accumulation over B rows,
@@ -89,6 +94,32 @@ fn time_per_call(mut f: impl FnMut(), iters: usize) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
     }
     best
+}
+
+/// Seconds per call of `a` and of `b` over `iters` calls, timed in
+/// alternating batches — ten each, the order flipping every round — and
+/// the minimum of each side kept: the two sides meet the same host state.
+fn time_interleaved(mut a: impl FnMut(), mut b: impl FnMut(), iters: usize) -> (f64, f64) {
+    a();
+    b();
+    let batch = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        t0.elapsed().as_secs_f64() / iters as f64
+    };
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..10 {
+        if round % 2 == 0 {
+            best_a = best_a.min(batch(&mut a));
+            best_b = best_b.min(batch(&mut b));
+        } else {
+            best_b = best_b.min(batch(&mut b));
+            best_a = best_a.min(batch(&mut a));
+        }
+    }
+    (best_a, best_b)
 }
 
 fn main() {
@@ -242,11 +273,63 @@ fn main() {
         payload.len()
     );
 
+    // What a split pays to hand a share to a helper and take it back: µs
+    // per empty two-way `par::split` round trip, with the helper spinning
+    // (the next product of a training step) and parked (after a pause
+    // longer than `par::SPIN`), beside a `thread::scope` spawn + join of
+    // one thread — what a per-call fork-join would pay. `par::SPLIT_FLOOR`
+    // is derived from the spinning column. At width 1 a split runs inline.
+    let empty_split = || {
+        black_box(par::split(2, u64::MAX, (), |_, ()| {}));
+    };
+    let handoffs = if smoke { 100 } else { 100_000 };
+    let spinning_us = 1e6 * time_per_call(empty_split, handoffs);
+    let parks = if smoke { 3 } else { 200 };
+    let parked_us = 1e6
+        * (0..parks)
+            .map(|_| {
+                std::thread::sleep(par::SPIN * 4);
+                let t0 = Instant::now();
+                empty_split();
+                t0.elapsed().as_secs_f64()
+            })
+            .sum::<f64>()
+        / parks as f64;
+    let scope_us = 1e6
+        * time_per_call(
+            || {
+                std::thread::scope(|s| {
+                    s.spawn(|| {});
+                })
+            },
+            handoffs / 100,
+        );
+    let mut handoff = Table::new(
+        "Split handoff (µs per round trip)",
+        &["width", "split, spinning", "split, parked", "scope spawn+join"],
+    );
+    handoff.row(&[
+        par::width().to_string(),
+        format!("{spinning_us:.2}"),
+        format!("{parked_us:.2}"),
+        format!("{scope_us:.2}"),
+    ]);
+    println!("{}", handoff.render());
+    let handoff_row = format!(
+        "    {{\"width\": {}, \"split_spinning_us\": {spinning_us:.3}, \"split_parked_us\": {parked_us:.3}, \
+         \"scope_spawn_join_us\": {scope_us:.3}}}",
+        par::width()
+    );
+
     // The three products of one convolution layer, at the layers the
     // end-to-end benchmark's ResNet-20 (width 4) and VGG-11 (width 8)
-    // train on 3×16×16 inputs at batch 16: forward as `Conv2d` runs it
-    // (bias + NCHW scatter epilogue), weight gradient accumulated into
-    // `dw`, input gradient with its `col2im`. Same FLOPs in each column.
+    // train on 3×16×16 inputs at batch 16, through the entry points
+    // `Conv2d` calls: forward (lowering, bias + NCHW scatter epilogue),
+    // weight gradient with its lowering, accumulated into `dw`, input
+    // gradient with its `col2im` — each split over the process's width,
+    // all in GFLOP/s of the same `2·O·patch·N·OH·OW`. The last column is
+    // the layer's three products split against the same calls inline (in
+    // a one-item `par::fork_join`), timed interleaved.
     let layers = [
         ("resnet20_stem", conv(3, 16, 1), 4),
         ("resnet20_stage1", conv(4, 16, 1), 4),
@@ -262,73 +345,76 @@ fn main() {
     ];
     let mut backward = Table::new(
         "Convolution layer products (GFLOP/s)",
-        &["layer", "o,patch,cols", "forward", "weight grad", "input grad"],
+        &["layer", "o,patch,cols", "forward", "weight grad", "input grad", "split/inline"],
     );
     let mut backward_rows = Vec::new();
     for (name, g, o) in layers {
-        let (patch, ncols, plane) = (g.patch_len(), g.cols(), g.oh() * g.ow());
+        let (patch, ncols) = (g.patch_len(), g.cols());
         let x = Tensor::randn(&[g.n, g.c, g.h, g.w], 1.0, &mut rng);
         let w = Tensor::randn(&[o, patch], 1.0, &mut rng);
         let bias = Tensor::randn(&[o], 1.0, &mut rng);
         let grad = Tensor::randn(&[g.n, o, g.oh(), g.ow()], 1.0, &mut rng);
-        let mut cols = vec![0.0f32; patch * ncols];
-        im2col(x.data(), &g, &mut cols);
-        let mut scratch = cols.clone();
-        let mut y = vec![0.0f32; grad.numel()];
-        let mut dw = vec![0.0f32; o * patch];
-        let mut gx = vec![0.0f32; x.numel()];
 
-        // Both gradients once per kernel tier: the same bits.
-        let mut gradients = || {
-            dw.fill(0.0);
-            weight_grad(grad.data(), o, &cols, &g, &mut dw);
-            input_grad(w.data(), grad.data(), o, &g, &mut scratch, &mut gx);
+        // Both gradients split, split on the scalar tier, and inline (one
+        // share): the same bits.
+        let gradients = || {
+            let (mut dw, mut gx) = (vec![0.0f32; o * patch], vec![0.0f32; x.numel()]);
+            weight_grad(grad.data(), o, x.data(), &g, &mut dw);
+            input_grad(w.data(), grad.data(), o, &g, &mut gx);
             dw.iter().chain(&gx).map(|v| v.to_bits()).collect::<Vec<_>>()
         };
-        let native = gradients();
+        let split = gradients();
         let scalar = {
             let _guard = simd::ScalarGuard::new();
             gradients()
         };
-        assert!(native == scalar, "{name}: native and scalar kernel tiers disagree on the gradients");
+        let inline = par::fork_join(vec![()], |()| gradients()).remove(0);
+        assert!(split == scalar, "{name}: native and scalar kernel tiers disagree on the gradients");
+        assert!(split == inline, "{name}: split and inline gradients disagree");
 
+        let buffers = Mutex::new((vec![0.0f32; grad.numel()], vec![0.0f32; o * patch], vec![0.0f32; x.numel()]));
+        let products = |which: [bool; 3]| {
+            let mut guard = buffers.lock().expect("no product panics");
+            let (y, dw, gx) = &mut *guard;
+            if which[0] {
+                forward(x.data(), w.data(), bias.data(), o, &g, y, None);
+            }
+            if which[1] {
+                weight_grad(grad.data(), o, black_box(x.data()), &g, dw);
+            }
+            if which[2] {
+                input_grad(w.data(), grad.data(), o, &g, gx);
+            }
+        };
         let flops = 2.0 * (o * patch * ncols) as f64;
         let iters = if smoke { 2 } else { 20usize.max((2e8 / flops) as usize) };
         let gflops = |secs: f64| flops / secs / 1e9;
-        let forward_gflops = gflops(time_per_call(
+        let forward_gflops = gflops(time_per_call(|| products([true, false, false]), iters));
+        let weight_grad_gflops = gflops(time_per_call(|| products([false, true, false]), iters));
+        let input_grad_gflops = gflops(time_per_call(|| products([false, false, true]), iters));
+        let (split_s, inline_s) = time_interleaved(
+            || products([true; 3]),
             || {
-                gemm_ops(
-                    o,
-                    patch,
-                    ncols,
-                    &RowMajor { data: w.data(), ld: patch },
-                    &RowMajor { data: black_box(&cols), ld: ncols },
-                    &mut NchwScatterBias { out: &mut y, o, plane, bias: bias.data() },
-                )
+                par::fork_join(vec![()], |()| products([true; 3]));
             },
             iters,
-        ));
-        let weight_grad_gflops = gflops(time_per_call(
-            || weight_grad(grad.data(), o, black_box(&cols), &g, &mut dw),
-            iters,
-        ));
-        let input_grad_gflops = gflops(time_per_call(
-            || input_grad(w.data(), grad.data(), o, &g, black_box(&mut scratch), &mut gx),
-            iters,
-        ));
+        );
+        let split_speedup = inline_s / split_s;
         backward.row(&[
             name.into(),
             format!("{o},{patch},{ncols}"),
             format!("{forward_gflops:.1}"),
             format!("{weight_grad_gflops:.1}"),
             format!("{input_grad_gflops:.1}"),
+            format!("{split_speedup:.2}x"),
         ]);
         backward_rows.push(format!(
             "    {{\"layer\": \"{name}\", \"batch\": {}, \"in_channels\": {}, \"hw\": {}, \
              \"stride\": {}, \"out_channels\": {o}, \"patch\": {patch}, \"cols\": {ncols}, \
              \"forward_gflops\": {forward_gflops:.3}, \
              \"weight_grad_gflops\": {weight_grad_gflops:.3}, \
-             \"input_grad_gflops\": {input_grad_gflops:.3}}}",
+             \"input_grad_gflops\": {input_grad_gflops:.3}, \
+             \"layer_split_speedup\": {split_speedup:.3}}}",
             g.n, g.c, g.h, g.stride
         ));
     }
@@ -383,13 +469,14 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
          \"cpu_features\": [{}],\n  \"threads\": {},\n  \"shapes\": [\n{}\n  ],\n  \
-         \"conv_lowering\": [\n{}\n  ],\n  \"crc32\": [\n{}\n  ],\n  \"conv_backward\": [\n{}\n  ],\n  \
-         \"model_build\": [\n{}\n  ]\n}}\n",
+         \"conv_lowering\": [\n{}\n  ],\n  \"crc32\": [\n{}\n  ],\n  \"par_handoff\": [\n{}\n  ],\n  \
+         \"conv_backward\": [\n{}\n  ],\n  \"model_build\": [\n{}\n  ]\n}}\n",
         cpu_features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         kemf_fl::engine::init_thread_pool(),
         json_rows.join(",\n"),
         lowering_rows.join(",\n"),
         crc_row,
+        handoff_row,
         backward_rows.join(",\n"),
         build_rows.join(",\n"),
     );

@@ -3,10 +3,10 @@
 //! by minimizing `D_KL(Θ ‖ θ_g)` on unlabeled/public data.
 
 use crate::ensemble::{ensemble_logits, EnsembleStrategy};
-use kemf_fl::cohort::fork_join;
 use kemf_nn::loss::{kl_to_target_ws, soften};
 use kemf_nn::model::Model;
 use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
+use kemf_tensor::par::fork_join;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -73,11 +73,13 @@ pub fn distill_ensemble(
     // poison the distilled student.
     // The teacher pass — the bulk of server-side inference FLOPs — runs in
     // exact f32, like the student. Members are independent, so they run
-    // through the cohort driver's fork-join and their logits come back in
-    // member order (the same bits at any width). A teacher never sees a
-    // backward, so what its pool-sized training forward cached goes the
-    // moment its logits exist: one member's activations per thread are
-    // live at a time, not the ensemble's for the whole of fusion.
+    // one per share of `par::fork_join` (each member's layers on its own
+    // thread) and their logits come back in member order (the same bits
+    // at any width). A teacher never sees a backward, so what its
+    // pool-sized training forward cached goes the moment its logits
+    // exist: one member's activations per thread are live at a time, not
+    // the ensemble's for the whole of fusion. The student's steps below
+    // run outside any share, so their products split over the width.
     let member_logits: Vec<Tensor> =
         fork_join(teachers.iter_mut().collect(), |t: &mut Model| {
             let z = t.predict_batch_stats(pool);

@@ -8,6 +8,10 @@
 //! member's pass per thread of the compute width on top of that (members
 //! run through the cohort driver's fork-join).
 //!
+//! A last leg evaluates a model on 64 images outside any share — the
+//! server's evaluation, whose products split over the compute width — and
+//! releases its scratch: the `par` helpers' lowering buffers must go too.
+//!
 //! This file holds exactly one test: the counters are process-global.
 
 use kemf_core::distill::{distill_ensemble, DistillConfig};
@@ -90,5 +94,21 @@ fn the_teacher_pass_leaves_nothing_behind_and_holds_one_member_per_thread() {
         "the teacher pass peaked {} KB above its start; one member's pass is {} KB, {width} run at once",
         (peak - before) >> 10,
         one_member >> 10
+    );
+
+    // A server-side evaluation runs outside any share, so its products
+    // split over the width and every helper lowers a share of the batch
+    // into a buffer of its own. `release_scratch` must reach those too.
+    let test = SynthTask::new(SynthConfig::cifar_like(1)).generate(64, 4);
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut server = Model::new(spec(6));
+    server.evaluate(&test.images, &test.labels, 64);
+    server.release_scratch();
+    drop(server);
+    let after = LIVE.load(Ordering::Relaxed);
+    assert!(
+        after <= before + slack,
+        "a 64-image evaluation left {} KB behind after release_scratch",
+        (after - before) >> 10
     );
 }

@@ -479,39 +479,16 @@ pub fn sample_clients(n_clients: usize, count: usize, rng: &mut StdRng) -> Vec<u
 }
 
 /// Settle the process's compute width exactly once and return it:
-/// `KEMF_THREADS`, or one per available core when unset or `0`. This is
-/// the number of threads [`crate::cohort::train_cohort`] trains a chunk's
-/// clients on (the caller's plus `width − 1` scoped ones, alive for that
-/// chunk only); at 1 every client trains on the calling thread. Kernels
-/// are single-threaded at any width, and histories do not depend on it.
-/// Nothing is spawned or allocated here. Safe to call from multiple entry
-/// points; only the first call configures.
+/// `KEMF_THREADS`, or one per available core when unset or `0` — the
+/// registry is [`kemf_tensor::par::width`]. It is the number of threads
+/// [`crate::cohort::train_cohort`] trains a chunk's clients on, and that
+/// the server-side products (the student's distillation steps,
+/// evaluation) split over; at 1 everything runs on the calling thread.
+/// Histories do not depend on it. Nothing is spawned or allocated here.
+/// Safe to call from multiple entry points; only the first call
+/// configures.
 pub fn init_thread_pool() -> usize {
-    use std::sync::OnceLock;
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        let env_threads = std::env::var("KEMF_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        let requested = env_threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        });
-        // A build failure means the width was fixed before us (e.g. by a
-        // test harness); inherit it rather than abort — but if the user
-        // asked for a specific width via KEMF_THREADS and lost, say so once
-        // instead of silently running at the wrong parallelism.
-        let already_built =
-            rayon::ThreadPoolBuilder::new().num_threads(requested).build_global().is_err();
-        let actual = rayon::current_num_threads();
-        if already_built && env_threads.is_some() && actual != requested {
-            eprintln!(
-                "warning: KEMF_THREADS={requested} requested, but the compute width was \
-                 already fixed at {actual} thread(s); clients train on {actual}"
-            );
-        }
-        actual
-    })
+    kemf_tensor::par::width()
 }
 
 /// One probe draw from a clone of the stream — reads the stream's
@@ -1522,7 +1499,7 @@ mod tests {
         let b = init_thread_pool();
         assert_eq!(a, b);
         assert!(a >= 1);
-        assert_eq!(a, rayon::current_num_threads());
+        assert_eq!(a, kemf_tensor::par::width());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Activation layers. ReLU is the only nonlinearity the FedKEMF model zoo
 //! needs; it caches a 0/1 mask during training for the backward pass. The
 //! mask and all outputs are pooled through the caller's [`Workspace`].
+//! Both passes split by element ranges over the compute width
+//! ([`par::split`]) where they clear its floor.
 
 use crate::layer::Layer;
+use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -22,27 +25,38 @@ impl ReLU {
 
 impl Layer for ReLU {
     fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let mut y = ws.take_tensor(x.dims());
-        for (yv, &xv) in y.data_mut().iter_mut().zip(x.data().iter()) {
-            *yv = xv.max(0.0);
-        }
+        let (len, xd) = (x.numel(), x.data());
+        let work = len as u64 * par::ELEMENT_FLOPS;
+        let mut y = ws.take_tensor_unzeroed(x.dims());
         if train {
-            let mut mask = ws.take(x.numel());
-            for (mv, &xv) in mask.iter_mut().zip(x.data().iter()) {
-                *mv = if xv > 0.0 { 1.0 } else { 0.0 };
-            }
+            let mut mask = ws.take_unzeroed(len);
+            par::split(len, work, (y.data_mut(), &mut mask[..]), |r, (y, mask)| {
+                for ((yv, mv), &xv) in y.iter_mut().zip(mask).zip(&xd[r]) {
+                    *yv = xv.max(0.0);
+                    *mv = if xv > 0.0 { 1.0 } else { 0.0 };
+                }
+            });
             self.mask = Some(mask);
+        } else {
+            par::split(len, work, y.data_mut(), |r, y| {
+                for (yv, &xv) in y.iter_mut().zip(&xd[r]) {
+                    *yv = xv.max(0.0);
+                }
+            });
         }
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mask = self.mask.take().expect("ReLU::backward without forward(train)");
-        assert_eq!(mask.len(), grad_out.numel(), "ReLU mask/grad size mismatch");
-        let mut g = ws.take_tensor(grad_out.dims());
-        for ((gv, &go), &m) in g.data_mut().iter_mut().zip(grad_out.data().iter()).zip(mask.iter()) {
-            *gv = go * m;
-        }
+        let (len, go) = (grad_out.numel(), grad_out.data());
+        assert_eq!(mask.len(), len, "ReLU mask/grad size mismatch");
+        let mut g = ws.take_tensor_unzeroed(grad_out.dims());
+        par::split(len, len as u64 * par::ELEMENT_FLOPS, g.data_mut(), |r, g| {
+            for ((gv, &go), &m) in g.iter_mut().zip(&go[r.clone()]).zip(&mask[r]) {
+                *gv = go * m;
+            }
+        });
         ws.recycle(mask);
         g
     }
@@ -79,6 +93,12 @@ impl Layer for Flatten {
         let batch = dims[0];
         let feat: usize = dims[1..].iter().product();
         if train {
+            // Set still when this layer leads a network whose training
+            // step skipped it (`Sequential::backward_first`): back to the
+            // pool rather than dropped.
+            if let Some(stale) = self.input_dims.take() {
+                ws.recycle_usize(stale);
+            }
             let mut cached = ws.take_usize(dims.len());
             cached.copy_from_slice(dims);
             self.input_dims = Some(cached);

@@ -33,12 +33,22 @@
 //!   inside a training step skips this product altogether
 //!   ([`Layer::backward_first`]): nothing reads the gradient of the batch.
 //!
+//! Called outside a share — the server's student steps, evaluation —
+//! each product splits over the compute width by what it writes
+//! (`kemf_tensor::par`): the forward and the input gradient by *images*
+//! (a range of images is the convolution of that sub-batch), the weight
+//! gradient by *input channels* (a thread lowers and reduces only its
+//! channels' patch rows, its finished chains added to `weight.grad` as
+//! the inline epilogue adds them), the bias gradient by *output
+//! channels*. Inside a share (a client of a cohort) they run inline on
+//! the calling thread.
+//!
 //! The patch matrix is never kept. A training forward caches a copy of
 //! its *input* (`KH·KW` times smaller) and backward lowers it again —
 //! `im2col` runs at memory speed and is deterministic, so the weight
-//! gradient reads the bits forward multiplied by. Both passes lower into
-//! the thread's one buffer ([`kemf_tensor::conv::with_lowering`]), and
-//! the input gradient's panels overwrite `cols` there once the weight
+//! gradient reads the bits forward multiplied by. Every product lowers
+//! into its thread's one buffer ([`kemf_tensor::conv::with_lowering`]),
+//! and the input gradient's panels overwrite `cols` there once the weight
 //! gradient has been accumulated. What a model holds between forward and
 //! backward is therefore its activations, not nine times them; that is
 //! what lets two clients train side by side in the memory one used to
@@ -48,8 +58,9 @@
 
 use crate::layer::{Layer, Precision};
 use crate::param::{Init, Param};
-use kemf_tensor::conv::{im2col, input_grad, weight_grad, with_lowering, ConvGeom};
-use kemf_tensor::gemm::{gemm_ops, NchwScatterBias, RowMajor};
+use kemf_tensor::conv::{self, im2col, input_grad, weight_grad, with_lowering, ConvGeom};
+use kemf_tensor::gemm::NchwScatterBias;
+use kemf_tensor::par;
 use kemf_tensor::quant;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -113,32 +124,25 @@ impl Conv2d {
         let g = grad_out.data();
         assert_eq!(g.len(), geom.n * o * plane, "Conv2d grad_out size mismatch");
 
-        // db[o] += Σ_col g[o, col]
-        {
-            let db = self.bias.grad.data_mut();
+        // db[o] += Σ_col g[o, col], image by image, split by channels.
+        par::split(o, g.len() as u64 * par::ELEMENT_FLOPS, self.bias.grad.data_mut(), |chans, db| {
             for ni in 0..geom.n {
-                for (oi, dbo) in db.iter_mut().enumerate() {
+                for (oi, dbo) in chans.clone().zip(db.iter_mut()) {
                     let row = &g[(ni * o + oi) * plane..(ni * o + oi + 1) * plane];
                     *dbo += row.iter().sum::<f32>();
                 }
             }
-        }
-        with_lowering(geom.patch_len() * geom.cols(), |buf| {
-            // Lower the input again rather than having kept the patch
-            // matrix since forward: the same bits, `KH·KW` times less held.
-            im2col(&input, &geom, buf);
-            // The input gradient has the input's size: it takes this buffer.
-            ws.recycle(input);
-            // dW[o, p] += Σ_col g[o, col] cols[p, col], straight into the
-            // parameter gradient.
-            weight_grad(g, o, buf, &geom, self.weight.grad.data_mut());
-            want_input.then(|| {
-                // gx = col2im(Wᵀ · g), panel by panel over the patch matrix
-                // the weight gradient is done with.
-                let mut gx = ws.take_tensor(&[geom.n, geom.c, geom.h, geom.w]);
-                input_grad(self.weight.value.data(), g, o, &geom, buf, gx.data_mut());
-                gx
-            })
+        });
+        // dW[o, p] += Σ_col g[o, col] cols[p, col], the input lowered
+        // again rather than its patch matrix kept since forward: the same
+        // bits, `KH·KW` times less held.
+        weight_grad(g, o, &input, &geom, self.weight.grad.data_mut());
+        // The input gradient has the input's size: it takes this buffer.
+        ws.recycle(input);
+        want_input.then(|| {
+            let mut gx = ws.take_tensor_unzeroed(&[geom.n, geom.c, geom.h, geom.w]);
+            input_grad(self.weight.value.data(), g, o, &geom, gx.data_mut());
+            gx
         })
     }
 
@@ -158,43 +162,37 @@ impl Layer for Conv2d {
         let ncols = geom.cols();
         let patch = geom.patch_len();
         let o = self.out_channels;
-        let mut y = ws.take_tensor(&[geom.n, o, oh, ow]);
-        with_lowering(patch * ncols, |cols| {
-            im2col(x.data(), &geom, cols);
+        let mut y = ws.take_tensor_unzeroed(&[geom.n, o, oh, ow]);
+        let (w, bias) = (self.weight.value.data(), self.bias.value.data());
+        // A training forward keeps a copy of its input for backward.
+        let mut input = train.then(|| ws.take_unzeroed(x.numel()));
+        match self.precision {
             // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o]:
-            // one GEMM whose epilogue scatters straight into NCHW with the
-            // bias added, replacing a staging matrix + reorder copy.
-            let mut out =
-                NchwScatterBias { out: y.data_mut(), o, plane, bias: self.bias.value.data() };
-            match self.precision {
-                Precision::F32 => gemm_ops(
-                    o,
-                    patch,
-                    ncols,
-                    &RowMajor { data: self.weight.value.data(), ld: patch },
-                    &RowMajor { data: cols, ld: ncols },
-                    &mut out,
-                ),
-                Precision::Int8 => {
-                    // A = filter bank per-row, B = im2col matrix per-column;
-                    // the dequantizing epilogue reuses the fused NCHW scatter.
-                    let mut qa = ws.take_i8(quant::a_codes_len(o, patch));
-                    let mut sa = ws.take(o);
-                    quant::quantize_a_rows(self.weight.value.data(), o, patch, &mut qa, &mut sa);
-                    let mut bp = ws.take_i8(quant::b_pack_len(patch, ncols));
-                    let mut sb = ws.take(ncols);
-                    quant::pack_b_rowmajor(cols, patch, ncols, &mut bp, &mut sb);
-                    quant::gemm_i8(o, patch, ncols, &qa, &sa, &bp, &sb, &mut out);
-                    ws.recycle_i8(qa);
-                    ws.recycle_i8(bp);
-                    ws.recycle(sa);
-                    ws.recycle(sb);
+            // one GEMM per share of images whose epilogue scatters straight
+            // into NCHW with the bias added.
+            Precision::F32 => conv::forward(x.data(), w, bias, o, &geom, y.data_mut(), input.as_deref_mut()),
+            // A = filter bank per-row, B = im2col matrix per-column; the
+            // dequantizing epilogue reuses the fused NCHW scatter.
+            Precision::Int8 => with_lowering(patch * ncols, |cols| {
+                im2col(x.data(), &geom, cols);
+                let mut out = NchwScatterBias { out: y.data_mut(), o, plane, bias };
+                let mut qa = ws.take_i8(quant::a_codes_len(o, patch));
+                let mut sa = ws.take(o);
+                quant::quantize_a_rows(w, o, patch, &mut qa, &mut sa);
+                let mut bp = ws.take_i8(quant::b_pack_len(patch, ncols));
+                let mut sb = ws.take(ncols);
+                quant::pack_b_rowmajor(cols, patch, ncols, &mut bp, &mut sb);
+                quant::gemm_i8(o, patch, ncols, &qa, &sa, &bp, &sb, &mut out);
+                ws.recycle_i8(qa);
+                ws.recycle_i8(bp);
+                ws.recycle(sa);
+                ws.recycle(sb);
+                if let Some(input) = &mut input {
+                    input.copy_from_slice(x.data());
                 }
-            }
-        });
-        if train {
-            let mut input = ws.take_unzeroed(x.numel());
-            input.copy_from_slice(x.data());
+            }),
+        }
+        if let Some(input) = input {
             self.cache = Some((input, geom));
         }
         y

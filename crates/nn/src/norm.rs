@@ -4,11 +4,23 @@
 //! running statistics for inference, and caches the normalized activations
 //! for the exact batch-norm backward pass. Outputs and the cache live in
 //! the caller's [`Workspace`], so a steady-state step allocates nothing.
+//!
+//! Each pass is split over the compute width ([`par::split`]) in two
+//! steps, each partitioning what it writes. The per-channel reductions —
+//! batch mean and variance with the running-statistics update forward,
+//! `Σ g` and `Σ g·x̂` with the `γ`/`β` gradients backward — split by
+//! *channels*: a channel's f64 sums run over its images and pixels in
+//! the one order they always had, on one thread. The element-wise
+//! normalization (`x̂`, `y`; the input gradient) then splits by *images*,
+//! each element the expression it always was. Inference is the second
+//! step alone.
 
 use crate::layer::Layer;
 use crate::param::Param;
+use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
+use std::ops::Range;
 
 /// Per-channel batch normalization.
 pub struct BatchNorm2d {
@@ -55,62 +67,65 @@ impl Layer for BatchNorm2d {
         assert_eq!(c, self.channels, "BatchNorm2d expected {} channels, got {c}", self.channels);
         let plane = h * w;
         let count = (n * plane) as f32;
-        let mut y = ws.take_tensor(x.dims());
+        let work = x.numel() as u64 * par::ELEMENT_FLOPS;
+        let mut y = ws.take_tensor_unzeroed(x.dims());
         let src = x.data();
-        let gamma = self.gamma.value.data();
-        let beta = self.beta.value.data();
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let (momentum, eps) = (self.momentum, self.eps);
 
         if train {
-            let mut x_hat = ws.take_tensor(x.dims());
-            let mut inv_stds = ws.take(c);
-            for ch in 0..c {
-                // Batch statistics for this channel.
-                let mut sum = 0.0f64;
-                let mut sq = 0.0f64;
-                for ni in 0..n {
-                    let base = (ni * c + ch) * plane;
-                    for &v in &src[base..base + plane] {
-                        sum += v as f64;
-                        sq += (v as f64) * (v as f64);
+            let mut x_hat = ws.take_tensor_unzeroed(x.dims());
+            let mut inv_stds = ws.take_unzeroed(c);
+            let mut means = ws.take_unzeroed(c);
+            // Batch statistics, split by channels: a channel's f64 sums run
+            // over its images and pixels in order, on one thread.
+            let running = (self.running_mean.data_mut(), self.running_var.data_mut());
+            let stats = (&mut means[..], &mut inv_stds[..], running);
+            par::split(c, work, stats, |chans, (means, inv_stds, (running_mean, running_var))| {
+                for (k, ch) in chans.enumerate() {
+                    let mut sum = 0.0f64;
+                    let mut sq = 0.0f64;
+                    for ni in 0..n {
+                        let base = (ni * c + ch) * plane;
+                        for &v in &src[base..base + plane] {
+                            sum += v as f64;
+                            sq += (v as f64) * (v as f64);
+                        }
                     }
+                    let mean = (sum / count as f64) as f32;
+                    let var = ((sq / count as f64) - (sum / count as f64).powi(2)).max(0.0) as f32;
+                    means[k] = mean;
+                    inv_stds[k] = 1.0 / (var + eps).sqrt();
+                    running_mean[k] = (1.0 - momentum) * running_mean[k] + momentum * mean;
+                    running_var[k] = (1.0 - momentum) * running_var[k] + momentum * var;
                 }
-                let mean = (sum / count as f64) as f32;
-                let var = ((sq / count as f64) - (sum / count as f64).powi(2)).max(0.0) as f32;
-                let inv_std = 1.0 / (var + self.eps).sqrt();
-                inv_stds[ch] = inv_std;
-                self.running_mean.data_mut()[ch] =
-                    (1.0 - self.momentum) * self.running_mean.data()[ch] + self.momentum * mean;
-                self.running_var.data_mut()[ch] =
-                    (1.0 - self.momentum) * self.running_var.data()[ch] + self.momentum * var;
-                let (g, b) = (gamma[ch], beta[ch]);
-                for ni in 0..n {
-                    let base = (ni * c + ch) * plane;
-                    for ((&sv, xv), yv) in src[base..base + plane]
-                        .iter()
-                        .zip(x_hat.data_mut()[base..base + plane].iter_mut())
-                        .zip(y.data_mut()[base..base + plane].iter_mut())
-                    {
+            });
+            // Normalize, split by images.
+            par::split(n, work, (x_hat.data_mut(), y.data_mut()), |images, (x_hat, y)| {
+                let rows = x_hat.chunks_exact_mut(plane).zip(y.chunks_exact_mut(plane));
+                for ((xh, yv), (src, ch)) in rows.zip(planes(src, images, c, plane)) {
+                    let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
+                    for ((&sv, xv), yv) in src.iter().zip(xh).zip(yv) {
                         let xh = (sv - mean) * inv_std;
                         *xv = xh;
                         *yv = g * xh + b;
                     }
                 }
-            }
+            });
+            ws.recycle(means);
             self.cache = Some((x_hat, inv_stds));
         } else {
-            for ch in 0..c {
-                let mean = self.running_mean.data()[ch];
-                let inv_std = 1.0 / (self.running_var.data()[ch] + self.eps).sqrt();
-                let (g, b) = (gamma[ch], beta[ch]);
-                for ni in 0..n {
-                    let base = (ni * c + ch) * plane;
-                    for (&sv, yv) in
-                        src[base..base + plane].iter().zip(y.data_mut()[base..base + plane].iter_mut())
-                    {
+            let (running_mean, running_var) = (self.running_mean.data(), self.running_var.data());
+            par::split(n, work, y.data_mut(), |images, y| {
+                for (yv, (src, ch)) in y.chunks_exact_mut(plane).zip(planes(src, images, c, plane)) {
+                    let mean = running_mean[ch];
+                    let inv_std = 1.0 / (running_var[ch] + eps).sqrt();
+                    let (g, b) = (gamma[ch], beta[ch]);
+                    for (&sv, yv) in src.iter().zip(yv) {
                         *yv = g * (sv - mean) * inv_std + b;
                     }
                 }
-            }
+            });
         }
         y
     }
@@ -121,33 +136,43 @@ impl Layer for BatchNorm2d {
         let (n, c, h, w) = x_hat.shape().as_nchw();
         let plane = h * w;
         let count = (n * plane) as f32;
-        let mut gx = ws.take_tensor(x_hat.dims());
+        let work = x_hat.numel() as u64 * par::ELEMENT_FLOPS;
+        let mut gx = ws.take_tensor_unzeroed(x_hat.dims());
         let go = grad_out.data();
         let xh = x_hat.data();
-        for (ch, &inv_std) in inv_stds.iter().enumerate() {
-            // Channel-wise sums needed by the batch-norm gradient.
-            let mut sum_g = 0.0f64;
-            let mut sum_gxh = 0.0f64;
-            for ni in 0..n {
-                let base = (ni * c + ch) * plane;
-                for i in base..base + plane {
-                    sum_g += go[i] as f64;
-                    sum_gxh += (go[i] as f64) * (xh[i] as f64);
+        // Channel-wise sums and the coefficients they give, split by
+        // channels: per channel `[γ·inv_std, mean(g), mean(g·x̂)]`.
+        let mut coefs = ws.take_unzeroed(3 * c);
+        let gamma = self.gamma.value.data();
+        let sums = (self.gamma.grad.data_mut(), self.beta.grad.data_mut(), &mut coefs[..]);
+        par::split(c, work, sums, |chans, (gamma_grad, beta_grad, coefs)| {
+            for ((k, ch), coef) in chans.enumerate().zip(coefs.chunks_exact_mut(3)) {
+                let mut sum_g = 0.0f64;
+                let mut sum_gxh = 0.0f64;
+                for ni in 0..n {
+                    let base = (ni * c + ch) * plane;
+                    for i in base..base + plane {
+                        sum_g += go[i] as f64;
+                        sum_gxh += (go[i] as f64) * (xh[i] as f64);
+                    }
+                }
+                gamma_grad[k] += sum_gxh as f32;
+                beta_grad[k] += sum_g as f32;
+                coef.copy_from_slice(&[gamma[ch] * inv_stds[ch], sum_g as f32 / count, sum_gxh as f32 / count]);
+            }
+        });
+        // The input gradient, split by images.
+        par::split(n, work, gx.data_mut(), |images, gx| {
+            let first = images.start * c * plane;
+            for (ch_plane, gx) in gx.chunks_exact_mut(plane).enumerate() {
+                let (base, ch) = (first + ch_plane * plane, ch_plane % c);
+                let [scale, mean_g, mean_gxh] = [coefs[3 * ch], coefs[3 * ch + 1], coefs[3 * ch + 2]];
+                for ((g, &go), &xh) in gx.iter_mut().zip(&go[base..base + plane]).zip(&xh[base..base + plane]) {
+                    *g = scale * (go - mean_g - xh * mean_gxh);
                 }
             }
-            self.gamma.grad.data_mut()[ch] += sum_gxh as f32;
-            self.beta.grad.data_mut()[ch] += sum_g as f32;
-            let gamma = self.gamma.value.data()[ch];
-            let mean_g = sum_g as f32 / count;
-            let mean_gxh = sum_gxh as f32 / count;
-            let scale = gamma * inv_std;
-            for ni in 0..n {
-                let base = (ni * c + ch) * plane;
-                for i in base..base + plane {
-                    gx.data_mut()[i] = scale * (go[i] - mean_g - xh[i] * mean_gxh);
-                }
-            }
-        }
+        });
+        ws.recycle(coefs);
         ws.recycle_tensor(x_hat);
         ws.recycle(inv_stds);
         gx
@@ -180,6 +205,12 @@ impl Layer for BatchNorm2d {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
+}
+
+/// The `(plane, channel)` pairs of `images`, in storage order: image by
+/// image, channel by channel.
+fn planes(src: &[f32], images: Range<usize>, c: usize, plane: usize) -> impl Iterator<Item = (&[f32], usize)> {
+    src[images.start * c * plane..images.end * c * plane].chunks_exact(plane).zip((0..c).cycle())
 }
 
 impl Clone for BatchNorm2d {

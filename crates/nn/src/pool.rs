@@ -1,6 +1,9 @@
 //! Pooling layers: 2×2 max pooling (stride 2) and global average pooling.
+//! Both passes of both split by `(image, channel)` planes over the
+//! compute width ([`par::split`]) where they clear its floor.
 
 use crate::layer::Layer;
+use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -24,28 +27,30 @@ impl Layer for MaxPool2 {
         let (n, c, h, w) = x.shape().as_nchw();
         let (oh, ow) = (h / 2, w / 2);
         assert!(oh > 0 && ow > 0, "MaxPool2 input {h}x{w} too small");
-        let mut out = ws.take_tensor(&[n, c, oh, ow]);
+        let mut out = ws.take_tensor_unzeroed(&[n, c, oh, ow]);
         let mut arg = ws.take_usize(n * c * oh * ow);
         let src = x.data();
-        let dst = out.data_mut();
-        for nc in 0..n * c {
-            let in_base = nc * h * w;
-            let out_base = nc * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let i00 = in_base + (2 * oy) * w + 2 * ox;
-                    let candidates = [i00, i00 + 1, i00 + w, i00 + w + 1];
-                    let mut best = candidates[0];
-                    for &i in &candidates[1..] {
-                        if src[i] > src[best] {
-                            best = i;
+        let work = x.numel() as u64 * par::ELEMENT_FLOPS;
+        par::split(n * c, work, (out.data_mut(), &mut arg[..]), |planes, (dst, arg)| {
+            let (dst, arg) = (dst.chunks_exact_mut(oh * ow), arg.chunks_exact_mut(oh * ow));
+            for ((dst, arg), nc) in dst.zip(arg).zip(planes) {
+                let in_base = nc * h * w;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let i00 = in_base + (2 * oy) * w + 2 * ox;
+                        let candidates = [i00, i00 + 1, i00 + w, i00 + w + 1];
+                        let mut best = candidates[0];
+                        for &i in &candidates[1..] {
+                            if src[i] > src[best] {
+                                best = i;
+                            }
                         }
+                        dst[oy * ow + ox] = src[best];
+                        arg[oy * ow + ox] = best;
                     }
-                    dst[out_base + oy * ow + ox] = src[best];
-                    arg[out_base + oy * ow + ox] = best;
                 }
             }
-        }
+        });
         if train {
             let mut dims = ws.take_usize(4);
             dims.copy_from_slice(x.dims());
@@ -58,11 +63,19 @@ impl Layer for MaxPool2 {
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let (arg, dims) = self.cache.take().expect("MaxPool2::backward without forward(train)");
-        let mut gx = ws.take_tensor(&dims);
-        let g = gx.data_mut();
-        for (&idx, &go) in arg.iter().zip(grad_out.data().iter()) {
-            g[idx] += go;
-        }
+        let mut gx = ws.take_tensor_unzeroed(&dims);
+        // Each input pixel is in one 2×2 window: a plane's gradient comes
+        // from that plane's outputs alone.
+        let (planes, area, out_area) = (dims[0] * dims[1], dims[2] * dims[3], arg.len() / (dims[0] * dims[1]));
+        let go = grad_out.data();
+        par::split(planes, gx.numel() as u64 * par::ELEMENT_FLOPS, gx.data_mut(), |r, g| {
+            let base = r.start * area;
+            let outs = r.start * out_area..r.end * out_area;
+            g.fill(0.0);
+            for (&idx, &go) in arg[outs.clone()].iter().zip(&go[outs]) {
+                g[idx - base] += go;
+            }
+        });
         ws.recycle_usize(arg);
         ws.recycle_usize(dims);
         gx
@@ -96,13 +109,15 @@ impl Layer for GlobalAvgPool {
     fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         let area = (h * w) as f32;
-        let mut out = ws.take_tensor(&[n, c]);
+        let mut out = ws.take_tensor_unzeroed(&[n, c]);
         let src = x.data();
-        let dst = out.data_mut();
-        for nc in 0..n * c {
-            let s: f32 = src[nc * h * w..(nc + 1) * h * w].iter().sum();
-            dst[nc] = s / area;
-        }
+        par::split(n * c, x.numel() as u64 * par::ELEMENT_FLOPS, out.data_mut(), |planes, dst| {
+            let src = &src[planes.start * h * w..planes.end * h * w];
+            for (d, plane) in dst.iter_mut().zip(src.chunks_exact(h * w)) {
+                let s: f32 = plane.iter().sum();
+                *d = s / area;
+            }
+        });
         if train {
             let mut dims = ws.take_usize(4);
             dims.copy_from_slice(x.dims());
@@ -115,14 +130,13 @@ impl Layer for GlobalAvgPool {
         let dims = self.input_dims.take().expect("GlobalAvgPool::backward without forward(train)");
         let (h, w) = (dims[2], dims[3]);
         let inv_area = 1.0 / (h * w) as f32;
-        let mut gx = ws.take_tensor(&dims);
-        let g = gx.data_mut();
-        for (nc, &go) in grad_out.data().iter().enumerate() {
-            let v = go * inv_area;
-            for e in &mut g[nc * h * w..(nc + 1) * h * w] {
-                *e = v;
+        let mut gx = ws.take_tensor_unzeroed(&dims);
+        let go = grad_out.data();
+        par::split(go.len(), gx.numel() as u64 * par::ELEMENT_FLOPS, gx.data_mut(), |planes, g| {
+            for (plane, &go) in g.chunks_exact_mut(h * w).zip(&go[planes]) {
+                plane.fill(go * inv_area);
             }
-        }
+        });
         ws.recycle_usize(dims);
         gx
     }

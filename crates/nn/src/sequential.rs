@@ -6,6 +6,7 @@ use crate::conv2d::Conv2d;
 use crate::layer::Layer;
 use crate::norm::BatchNorm2d;
 use crate::param::{Init, Param};
+use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -76,7 +77,12 @@ impl Layer for Sequential {
     }
 
     fn backward_first(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
-        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        // Layers in front of the first one with parameters (an MLP's
+        // `Flatten`) would only carry the gradient on to the batch, which
+        // nobody reads: the first-layer role — and its skipped input
+        // gradient — passes to that layer, and they are not run.
+        let Some(start) = self.layers.iter().position(|l| l.param_count() > 0) else { return };
+        let Some((first, rest)) = self.layers[start..].split_first_mut() else { return };
         let mut g: Option<Tensor> = None;
         for l in rest.iter_mut().rev() {
             let next = l.backward(g.as_ref().unwrap_or(grad_out), ws);
@@ -190,10 +196,10 @@ impl Layer for BasicBlock {
                 let s = conv.forward(x, train, ws);
                 let s2 = bn.forward(&s, train, ws);
                 ws.recycle_tensor(s);
-                sum.axpy(1.0, &s2);
+                add_residual(&mut sum, &s2);
                 ws.recycle_tensor(s2);
             }
-            None => sum.axpy(1.0, x),
+            None => add_residual(&mut sum, x),
         }
         let y = self.relu_out.forward(&sum, train, ws);
         ws.recycle_tensor(sum);
@@ -218,10 +224,10 @@ impl Layer for BasicBlock {
                 let gb = bn.backward(&g_sum, ws);
                 let gs = conv.backward(&gb, ws);
                 ws.recycle_tensor(gb);
-                g_main.axpy(1.0, &gs);
+                add_residual(&mut g_main, &gs);
                 ws.recycle_tensor(gs);
             }
-            None => g_main.axpy(1.0, &g_sum),
+            None => add_residual(&mut g_main, &g_sum),
         }
         ws.recycle_tensor(g_sum);
         g_main
@@ -288,6 +294,18 @@ impl Layer for BasicBlock {
             relu_out: ReLU::new(),
         })
     }
+}
+
+/// `sum += x`, the residual join (and its gradient's), split by element
+/// ranges over the compute width where it clears the floor.
+fn add_residual(sum: &mut Tensor, x: &Tensor) {
+    assert_eq!(sum.dims(), x.dims(), "residual shape mismatch");
+    let x = x.data();
+    par::split(x.len(), x.len() as u64 * par::ELEMENT_FLOPS, sum.data_mut(), |r, sum| {
+        for (a, &b) in sum.iter_mut().zip(&x[r]) {
+            *a += b;
+        }
+    });
 }
 
 #[cfg(test)]

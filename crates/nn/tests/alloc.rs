@@ -11,11 +11,15 @@
 //! `Model::from_state` rebuilds it), the int8
 //! quantized forward (per-layer code/scale buffers from the i8 pool) and
 //! a plain `matmul_into` past one macro tile (thread-local pack pool).
-//! A last leg trains two ResNet-20s on two threads at once, the way the
-//! cohort driver's fork-join does: everything a step draws on is the
-//! model's (workspace) or the thread's (pack pool, convolution lowering
-//! buffer), so once each thread has taken its first step neither may
-//! allocate again.
+//! Every leg but the last runs on the test's thread outside any share, so
+//! at a compute width above one its layers split their products with the
+//! `par` helpers — whose pack pools and lowering buffers are warmed by the
+//! first step like the caller's, and whose allocations the global counter
+//! sees too. A last leg trains two ResNet-20s on two threads at once,
+//! each inside a share of its own, the way the cohort driver's clients
+//! run: everything a step draws on is the model's (workspace) or the
+//! thread's (pack pool, convolution lowering buffer), so once each thread
+//! has taken its first step neither may allocate again.
 //!
 //! There is one forward and one backward per layer and they reuse
 //! whatever the pool hands them, some of it unzeroed; nothing else
@@ -85,6 +89,7 @@ use kemf_nn::norm::BatchNorm2d;
 use kemf_nn::optim::{Sgd, SgdConfig};
 use kemf_nn::pool::{GlobalAvgPool, MaxPool2};
 use kemf_nn::sequential::{BasicBlock, Sequential};
+use kemf_tensor::par;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -274,12 +279,14 @@ fn second_training_step_allocates_nothing() {
 
 /// Two clients in flight: each thread builds its model and takes one
 /// warm-up step, then — counting on, between two barriers — three more.
+/// Each trains inside a share of its own, as a cohort's clients do, so
+/// its layers stay on its thread.
 fn two_threads_train_side_by_side_without_allocating() {
     let gate = std::sync::Barrier::new(3);
     let allocs = std::thread::scope(|s| {
         for seed in [21u64, 22] {
             let gate = &gate;
-            s.spawn(move || {
+            s.spawn(move || par::fork_join(vec![seed], |seed| {
                 let mut rng = seeded_rng(seed);
                 let mut model = Model::new(ModelSpec::scaled(Arch::ResNet20, 3, 16, 10, seed));
                 let mut opt = Sgd::new(SgdConfig {
@@ -298,7 +305,7 @@ fn two_threads_train_side_by_side_without_allocating() {
                 }
                 gate.wait(); // both done: counting goes off before anything drops
                 gate.wait();
-            });
+            }));
         }
         gate.wait();
         let allocs = count_allocs(|| {

@@ -22,27 +22,36 @@
 //! that table a few images at a time. Which of the two it is follows
 //! from the geometry alone.
 //!
-//! The two gradients of a lowered convolution live here as well, each on
-//! the route its shape wants: [`weight_grad`] (`g · colsᵀ`, the patch
+//! The three products of a lowered convolution live here as well, each on
+//! the route its shape wants and each split over the compute width
+//! ([`crate::par::split`]) by what it writes: [`forward`] (`W · cols`, by
+//! images), [`weight_grad`] (`g · colsᵀ`, by input channels, the patch
 //! matrix read in place along its columns for narrow filter banks) and
-//! [`input_grad`] (`col2im(Wᵀ · g)`, the patch gradient produced and
-//! scattered a panel of whole images at a time).
+//! [`input_grad`] (`col2im(Wᵀ · g)`, by images, the patch gradient
+//! produced and scattered a panel of whole images at a time). Each
+//! thread lowers what it needs itself.
 //!
 //! The patch matrix itself is the largest temporary of a convolutional
 //! step — `KH·KW` times the layer's input — and it is needed only while
 //! one layer's products run. [`with_lowering`] therefore lends each
-//! thread a single buffer for it, apart from any model's
+//! thread (the caller's and every helper a split runs on) a single buffer
+//! for it, apart from any model's
 //! [`crate::workspace::Workspace`]: a best-fit pool that was handed a
 //! freed patch matrix would give it to the next activation request and
 //! keep one per layer alive after all.
 
-use crate::gemm::{gemm_ops, Accumulate, ColMajor, NchwGather, Store};
+use crate::gemm::{gemm_ops, Accumulate, ColMajor, NchwGather, NchwScatter, NchwScatterBias, RowMajor, Store};
+use crate::par;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
+use std::ops::Range;
+use std::thread::LocalKey;
 
 thread_local! {
     /// This thread's patch-matrix buffer; see [`with_lowering`].
     static LOWERING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's weight-gradient chains; see [`weight_grad`].
+    static CHAINS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` on the first `len` elements of this thread's lowering buffer.
@@ -54,7 +63,13 @@ thread_local! {
 /// (`im2col` and a plain-store GEMM both write every element). It dies
 /// with the thread, or on [`release_lowering`].
 pub fn with_lowering<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    LOWERING.with(|cell| {
+    with_grown(&LOWERING, len, f)
+}
+
+/// `f` on the first `len` elements of the thread-local `buffer`, grown to
+/// at least that and kept.
+fn with_grown<R>(buffer: &'static LocalKey<RefCell<Vec<f32>>>, len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    buffer.with(|cell| {
         let mut buf = cell.borrow_mut();
         if buf.len() < len {
             // Not `resize`: the old contents are dead, so neither copy
@@ -66,11 +81,19 @@ pub fn with_lowering<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     })
 }
 
-/// Free this thread's lowering buffer. For a long-lived thread that has
-/// just finished a pass at an unusually large batch (server-side
-/// evaluation, a teacher's logit pass) and goes back to smaller ones.
+/// Free the lowering buffer (and weight-gradient chains) of this thread
+/// and, called outside a share, of every [`par`] helper — the threads a
+/// split pass lowered on. For a long-lived thread that has just finished
+/// a pass at an unusually large batch (server-side evaluation, a
+/// teacher's logit pass) and goes back to smaller ones. Inside a share (a
+/// client of a cohort, a teacher of the teacher pass) it frees the
+/// calling thread's buffers only.
 pub fn release_lowering() {
-    LOWERING.with(|cell| *cell.borrow_mut() = Vec::new());
+    par::each_thread(|| {
+        for buffer in [&LOWERING, &CHAINS] {
+            buffer.with(|cell| *cell.borrow_mut() = Vec::new());
+        }
+    });
 }
 
 /// Geometry of one convolution, shared by forward and backward passes.
@@ -223,16 +246,24 @@ const OUTSIDE: usize = usize::MAX;
 /// (`[patch_len, cols]` flattened, column index = `(n, oy, ox)`). Every
 /// element of `cols` is written.
 pub fn im2col(input: &[f32], geom: &ConvGeom, cols: &mut [f32]) {
+    im2col_channels(input, geom, 0..geom.c, cols);
+}
+
+/// The rows of the patch matrix that channels `chans` own — rows
+/// `chans.start·KH·KW .. chans.end·KH·KW` of [`im2col`]'s, the same bits —
+/// into `cols` (`[chans.len()·KH·KW, cols]`).
+fn im2col_channels(input: &[f32], geom: &ConvGeom, chans: Range<usize>, cols: &mut [f32]) {
     geom.check();
     let (ow, plane, ncols) = (geom.ow(), geom.oh() * geom.ow(), geom.cols());
     let (w, hw, s) = (geom.w, geom.h * geom.w, geom.stride);
     assert_eq!(input.len(), geom.n * geom.c * hw, "input size mismatch");
-    assert_eq!(cols.len(), geom.patch_len() * ncols, "cols size mismatch");
+    assert!(chans.end <= geom.c, "channels {chans:?} of {}", geom.c);
+    assert_eq!(cols.len(), chans.len() * geom.kh * geom.kw * ncols, "cols size mismatch");
     for ky in 0..geom.kh {
         for kx in 0..geom.kw {
             let tap = geom.tap(ky, kx);
-            for c in 0..geom.c {
-                let row = &mut cols[geom.patch_row(c, ky, kx) * ncols..][..ncols];
+            for c in chans.clone() {
+                let row = &mut cols[geom.patch_row(c - chans.start, ky, kx) * ncols..][..ncols];
                 match &tap {
                     Tap::Padding => row.fill(0.0),
                     Tap::Gather { offsets, images, .. } => {
@@ -397,33 +428,114 @@ impl JoinMask {
     }
 }
 
-/// Weight gradient of a lowered convolution, accumulated in place:
-/// `dw[o, p] += Σ_col g[o, col] · cols[p, col]` with `g` the `[N, O, OH,
-/// OW]` output gradient and `cols` the patch matrix of the input.
+/// Forward product of a convolution: `y = W · cols + b`, scattered into
+/// `y` (`[N, O, OH, OW]`) with the bias added, `w` the `[O, patch]`
+/// filter matrix and `x` the `[N, C, H, W]` input. Every element of `y`
+/// is written, and of `keep` (a copy of `x`, for a training forward's
+/// backward) when given.
+///
+/// Split by images ([`par::split`]): a range of images is exactly the
+/// convolution of that sub-batch, so each thread lowers its images into
+/// its own [`with_lowering`] buffer, writes its contiguous slice of `y` —
+/// every element the same FMA chain over the patch as inline — and
+/// copies its images into `keep`, where they are already in its cache.
+#[inline]
+pub fn forward(
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    o: usize,
+    geom: &ConvGeom,
+    y: &mut [f32],
+    keep: Option<&mut [f32]>,
+) {
+    let (patch, plane, pixels) = (geom.patch_len(), geom.oh() * geom.ow(), geom.c * geom.h * geom.w);
+    assert_eq!(w.len(), o * patch, "filter size mismatch");
+    assert_eq!(y.len(), geom.n * o * plane, "output size mismatch");
+    assert!(keep.as_ref().is_none_or(|k| k.len() == x.len()), "input copy size mismatch");
+    let flops = 2 * (o * patch * geom.cols()) as u64;
+    par::split(geom.n, flops, (y, keep), |images, (y, keep)| {
+        let part = ConvGeom { n: images.len(), ..*geom };
+        let x = &x[images.start * pixels..images.end * pixels];
+        if let Some(keep) = keep {
+            keep.copy_from_slice(x);
+        }
+        with_lowering(patch * part.cols(), |cols| {
+            im2col(x, &part, cols);
+            gemm_ops(
+                o,
+                patch,
+                part.cols(),
+                &RowMajor { data: w, ld: patch },
+                &RowMajor { data: cols, ld: part.cols() },
+                &mut NchwScatterBias { out: y, o, plane, bias },
+            );
+        });
+    });
+}
+
+/// Weight gradient of a convolution, accumulated in place: `dw[o, p] +=
+/// Σ_col g[o, col] · cols[p, col]` with `g` the `[N, O, OH, OW]` output
+/// gradient and `cols` the patch matrix of `x`, which is lowered here.
+///
+/// Split by input channels ([`par::split`]): a thread lowers only its
+/// channels' rows of the patch matrix (`im2col_channels`) and reduces
+/// only those, storing each finished chain into its channels' `[O,
+/// KH·KW]` blocks of the calling thread's chain buffer (channel-major, so
+/// the layout does not depend on where the cuts fell); the chains are
+/// then added to `dw` once, as the accumulating epilogue of the inline
+/// product — which runs when the split does not cut — adds them. The
+/// `N·OH·OW` chain of an element is never cut.
 ///
 /// Neither operand is reordered. `g` is read through [`NchwGather`] and
-/// is the one that is packed (it is `patch` times the smaller); `cols` is
-/// the column-major B of the product and, for `O ≤ 16` on the widest
-/// tier, is read where it lies by the transposing kernel
-/// ([`crate::simd::microkernel_f32_bt`]) — wider filter banks pack it
+/// is the one that is packed (it is `patch` times the smaller); the patch
+/// rows are the column-major B of the product and, for `O ≤ 16` on the
+/// widest tier, are read where they lie by the transposing kernel
+/// ([`crate::simd::microkernel_f32_bt`]) — wider filter banks pack them
 /// through the block transpose. Each `dw` element receives one finished
 /// FMA chain over `col` ascending, whatever the route.
 // (Inlined so that the engine is instantiated for these operands in the
 // calling crate, next to the layer's forward product.)
 #[inline]
-pub fn weight_grad(g: &[f32], o: usize, cols: &[f32], geom: &ConvGeom, dw: &mut [f32]) {
-    let (patch, ncols, plane) = (geom.patch_len(), geom.cols(), geom.oh() * geom.ow());
+pub fn weight_grad(g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: &mut [f32]) {
+    let (patch, ncols, plane, taps) = (geom.patch_len(), geom.cols(), geom.oh() * geom.ow(), geom.kh * geom.kw);
     assert_eq!(g.len(), o * ncols, "output gradient size mismatch");
-    assert_eq!(cols.len(), patch * ncols, "cols size mismatch");
     assert_eq!(dw.len(), o * patch, "weight gradient size mismatch");
-    gemm_ops(
-        o,
-        ncols,
-        patch,
-        &NchwGather { data: g, o, plane },
-        &ColMajor { data: cols, ld: ncols },
-        &mut Accumulate { c: dw, ldc: patch },
-    );
+    let flops = 2 * (o * patch * ncols) as u64;
+    with_grown(&CHAINS, o * patch, |chains| {
+        let outs = (Whole(Some(&mut *dw)), &mut chains[..]);
+        let shares = par::split(geom.c, flops, outs, |chans, (whole, blocks)| {
+            let rows = chans.len() * taps;
+            with_lowering(rows * ncols, |cols| {
+                im2col_channels(x, geom, chans, cols);
+                let (a, b) = (NchwGather { data: g, o, plane }, ColMajor { data: cols, ld: ncols });
+                match whole.0 {
+                    Some(dw) => gemm_ops(o, ncols, rows, &a, &b, &mut Accumulate { c: dw, ldc: patch }),
+                    None => gemm_ops(o, ncols, rows, &a, &b, &mut NchwScatter { out: blocks, o, plane: taps }),
+                }
+            });
+        });
+        if shares > 1 {
+            for (c, block) in chains.chunks_exact(o * taps).enumerate() {
+                for (dw_row, chain) in dw.chunks_exact_mut(patch).zip(block.chunks_exact(taps)) {
+                    for (d, &v) in dw_row[c * taps..][..taps].iter_mut().zip(chain) {
+                        *d += v;
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// An output only a split that runs in one share may write: the share
+/// gets it whole, the parts of a cut one get nothing. The weight gradient
+/// accumulates straight into `dw` when it runs inline.
+struct Whole<'a>(Option<&'a mut [f32]>);
+
+impl par::Share for Whole<'_> {
+    fn cut(self, _head: usize, _len: usize) -> (Self, Self) {
+        (Whole(None), Whole(None))
+    }
 }
 
 /// Most elements of the patch-gradient panel [`input_grad`] works in
@@ -432,46 +544,53 @@ pub fn weight_grad(g: &[f32], o: usize, cols: &[f32], geom: &ConvGeom, dw: &mut 
 /// round trip the whole `[patch, N·OH·OW]` matrix makes.
 const PANEL_ELEMS: usize = 16 * 1024;
 
-/// Input gradient of a lowered convolution: `gx = col2im(Wᵀ · g)` with
-/// `w` the `[O, patch]` filter matrix and `g` the `[N, O, OH, OW]` output
+/// Input gradient of a convolution: `gx = col2im(Wᵀ · g)` with `w` the
+/// `[O, patch]` filter matrix and `g` the `[N, O, OH, OW]` output
 /// gradient. Every element of `gx` is written.
 ///
-/// The patch gradient `Wᵀ · g` is produced a panel of whole images at a
-/// time — the columns of as many consecutive images as `PANEL_ELEMS`
-/// holds, one at least — into the head of `scratch`, and scattered into
-/// those images' pixels before the next panel overwrites it. An input
-/// pixel only ever receives addends from its own image, tap by tap, so
-/// the sums are those of one whole-matrix [`col2im`], bit for bit. The
-/// deep layers' small planes (the offset-table regime of `col2im`, where
-/// the whole matrix is a few panels' worth anyway) go in one piece.
-/// `scratch` must hold one panel — `patch · N·OH·OW` elements always do;
-/// [`with_lowering`]'s buffer, done with `cols`, is what a layer passes.
+/// Split by images ([`par::split`]), like the forward product. Within a
+/// thread's images the patch gradient `Wᵀ · g` is produced a panel of
+/// whole images at a time — the columns of as many consecutive images as
+/// `PANEL_ELEMS` holds, one at least — into the thread's
+/// [`with_lowering`] buffer, and scattered into those images' pixels
+/// before the next panel overwrites it. An input pixel only ever receives
+/// addends from its own image, tap by tap, so the sums are those of one
+/// whole-matrix [`col2im`], bit for bit. The deep layers' small planes
+/// (the offset-table regime of `col2im`, where the whole matrix is a few
+/// panels' worth anyway) go in one piece.
 #[inline]
-pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, scratch: &mut [f32], gx: &mut [f32]) {
+pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32]) {
     let (patch, plane, pixels) = (geom.patch_len(), geom.oh() * geom.ow(), geom.c * geom.h * geom.w);
     assert_eq!(w.len(), o * patch, "filter size mismatch");
     assert_eq!(g.len(), geom.n * o * plane, "output gradient size mismatch");
     assert_eq!(gx.len(), geom.n * pixels, "input gradient size mismatch");
-    let images = match plane {
-        0..=SMALL_PLANE => geom.n,
-        _ => PANEL_ELEMS / (patch * plane).max(1),
-    }
-    .max(1);
-    for first in (0..geom.n).step_by(images) {
-        let part = ConvGeom { n: images.min(geom.n - first), ..*geom };
-        let ncols = part.cols();
-        let dcols = &mut scratch[..patch * ncols];
-        // dcols[p, col] = Σ_o W[o, p] g[o, col] over these images' columns.
-        gemm_ops(
-            patch,
-            o,
-            ncols,
-            &ColMajor { data: w, ld: patch },
-            &NchwGather { data: &g[first * o * plane..][..o * ncols], o, plane },
-            &mut Store { c: dcols, ldc: ncols },
-        );
-        col2im(dcols, &part, &mut gx[first * pixels..][..part.n * pixels]);
-    }
+    let flops = 2 * (o * patch * geom.cols()) as u64;
+    par::split(geom.n, flops, gx, |images, gx| {
+        let n = images.len();
+        let panel = match plane {
+            0..=SMALL_PLANE => n,
+            _ => PANEL_ELEMS / (patch * plane).max(1),
+        }
+        .clamp(1, n);
+        let g = &g[images.start * o * plane..images.end * o * plane];
+        with_lowering(patch * panel * plane, |dcols| {
+            for first in (0..n).step_by(panel) {
+                let part = ConvGeom { n: panel.min(n - first), ..*geom };
+                let ncols = part.cols();
+                let dcols = &mut dcols[..patch * ncols];
+                // dcols[p, col] = Σ_o W[o, p] g[o, col] over these images' columns.
+                gemm_ops(
+                    patch,
+                    o,
+                    ncols,
+                    &ColMajor { data: w, ld: patch },
+                    &NchwGather { data: &g[first * o * plane..][..o * ncols], o, plane },
+                    &mut Store { c: dcols, ldc: ncols },
+                );
+                col2im(dcols, &part, &mut gx[first * pixels..][..part.n * pixels]);
+            }
+        });
+    });
 }
 
 /// Reference direct convolution, used only in tests to validate the
@@ -599,6 +718,25 @@ mod tests {
         col2im(&y, &geom, &mut xg);
         let rhs: f64 = x.iter().zip(xg.iter()).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
         assert!((lhs - rhs).abs() < 1e-3, "adjoint mismatch: {lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn a_channel_range_lowers_its_rows_of_the_patch_matrix() {
+        let mut rng = seeded_rng(13);
+        for geom in [
+            ConvGeom { n: 3, c: 5, h: 6, w: 6, kh: 3, kw: 3, stride: 1, pad: 1 },
+            ConvGeom { n: 2, c: 4, h: 2, w: 2, kh: 3, kw: 3, stride: 2, pad: 1 },
+        ] {
+            let x: Vec<f32> = (0..geom.n * geom.c * geom.h * geom.w).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut whole = vec![0.0; geom.patch_len() * geom.cols()];
+            im2col(&x, &geom, &mut whole);
+            let rows = geom.kh * geom.kw * geom.cols();
+            for chans in [0..1, 1..3, 2..geom.c, 0..geom.c] {
+                let mut part = vec![f32::NAN; chans.len() * rows];
+                im2col_channels(&x, &geom, chans.clone(), &mut part);
+                assert_eq!(part, whole[chans.start * rows..chans.end * rows], "{chans:?}");
+            }
+        }
     }
 
     #[test]

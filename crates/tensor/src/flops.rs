@@ -14,8 +14,12 @@
 //! ```
 //!
 //! Deltas are exact for a single engine because its phases run
-//! sequentially and every client task it fans out to adds into the same
-//! counter before the phase joins. They are *not* isolated across
+//! sequentially and every share it fans out to — a client of a cohort, a
+//! part of a split product ([`crate::par`]) — adds into the same counter
+//! before the call that started it returns. A split product credits its
+//! `2·m·n·k` in parts, one `gemm_ops` call per share, that sum to the
+//! whole (`crates/nn/tests/split.rs` holds split passes to the inline
+//! ones' FLOPs exactly). They are *not* isolated across
 //! concurrently running engines in one process (e.g. parallel tests):
 //! treat cross-engine deltas as upper bounds, and never assert equality
 //! on FLOP counts in tests that may share the process.

@@ -55,9 +55,13 @@
 //! (`0 × ∞ = NaN`), which the old `if av == 0.0 { continue }` silently
 //! violated.
 //!
-//! A product runs on the thread that calls it — there is no parallel
-//! region in this crate. Packing buffers come from a thread-local
-//! [`Workspace`], so steady-state calls allocate nothing.
+//! A product runs on the thread that calls it: the engine has no
+//! intra-GEMM threading. The stack's parallel region sits one level up, in
+//! [`crate::par`]: a layer called outside a share splits its product by
+//! *output* — images, channels — and each thread runs its own
+//! `gemm_ops` over its part, so every chain stays whole. Packing buffers
+//! come from a thread-local [`Workspace`], so steady-state calls allocate
+//! nothing.
 
 use crate::simd::{self, Isa};
 use crate::workspace::Workspace;
@@ -501,6 +505,46 @@ impl TileWriter for NchwScatterBias<'_> {
             let dst = &mut self.out[(ni * self.o + i) * self.plane + p..][..run];
             for (d, &v) in dst.iter_mut().zip(&vals[t..t + run]) {
                 *d = v + b;
+            }
+            t += run;
+        }
+    }
+}
+
+/// `C[i, j]` into the `[N, O, plane]` tensor the logical `[O, N·plane]`
+/// matrix `C` is stored as: [`NchwScatterBias`] without the bias. Also
+/// what a convolution's split weight gradient stores its `[O, C·KH·KW]`
+/// chains through — channel-major, a block `[O, KH·KW]` per input
+/// channel (`plane = KH·KW`).
+pub struct NchwScatter<'a> {
+    /// `[N, O, plane]` output storage.
+    pub out: &'a mut [f32],
+    /// Rows `O`.
+    pub o: usize,
+    /// Columns per block.
+    pub plane: usize,
+}
+
+impl TileWriter for NchwScatter<'_> {
+    #[inline(always)]
+    fn write(&mut self, i: usize, j: usize, v: f32) {
+        let ni = j / self.plane;
+        self.out[(ni * self.o + i) * self.plane + (j - ni * self.plane)] = v;
+    }
+
+    #[inline]
+    fn write_row(&mut self, i: usize, j0: usize, vals: &[f32]) {
+        let mut t = 0;
+        while t < vals.len() {
+            let j = j0 + t;
+            let ni = j / self.plane;
+            let p = j - ni * self.plane;
+            let run = (self.plane - p).min(vals.len() - t);
+            // An element loop: runs are a few elements (a 3×3 kernel's
+            // nine), less than a `copy_from_slice` call costs.
+            let dst = &mut self.out[(ni * self.o + i) * self.plane + p..][..run];
+            for (d, &v) in dst.iter_mut().zip(&vals[t..t + run]) {
+                *d = v;
             }
             t += run;
         }

@@ -17,6 +17,12 @@
 //!    [`workspace::Workspace`] scratch arena so steady-state training
 //!    steps perform no heap allocation.
 //!
+//!    Products and layer passes called outside a share of [`par`] split
+//!    their *outputs* (images, channels, element ranges) over the
+//!    process's compute width — the calling thread and parked helpers —
+//!    so each output element keeps its one FMA chain and every width
+//!    returns the same bits.
+//!
 //!    Dispatch ([`simd`]) picks the widest tier the host supports at the
 //!    first GEMM call and can be capped with `KEMF_SIMD=avx2|scalar`:
 //!
@@ -49,6 +55,7 @@ pub mod flops;
 pub mod gemm;
 pub mod matmul;
 pub mod ops;
+pub mod par;
 pub mod quant;
 pub mod rng;
 pub mod shape;

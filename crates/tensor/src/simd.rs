@@ -58,9 +58,10 @@ thread_local! {
     /// Per-thread scalar override. Thread-local rather than global so a
     /// test forcing the fallback cannot race concurrently running tests;
     /// the dispatcher reads it once per GEMM call on the calling thread.
-    /// It does not cross a spawn by itself: code that starts threads on
-    /// behalf of a caller (`kemf_fl::cohort::fork_join`) reads
-    /// [`scalar_forced`] before spawning and applies it in each worker.
+    /// It does not cross to another thread by itself: the one place that
+    /// runs work on behalf of a caller ([`crate::par`]) reads
+    /// [`scalar_forced`] when it posts a share and applies it on the
+    /// helper.
     static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
 }
 

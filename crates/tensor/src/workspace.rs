@@ -178,8 +178,19 @@ impl Workspace {
     /// steady-state `take_tensor`/[`Workspace::recycle_tensor`] cycle
     /// performs no heap allocation at all.
     pub fn take_tensor(&mut self, dims: &[usize]) -> crate::Tensor {
+        let mut t = self.take_tensor_unzeroed(dims);
+        t.data_mut().fill(0.0);
+        t
+    }
+
+    /// [`Workspace::take_tensor`] without the clearing pass, for a layer
+    /// that writes every element. A pass split over threads
+    /// ([`crate::par::split`]) wants this for its outputs: each thread
+    /// writes its own part, and a clearing pass on the calling thread
+    /// would first pull every part's cache lines over to it.
+    pub fn take_tensor_unzeroed(&mut self, dims: &[usize]) -> crate::Tensor {
         let numel: usize = dims.iter().product();
-        let data = self.take(numel);
+        let data = self.take_unzeroed(numel);
         let mut d = self.take_usize(dims.len());
         d.copy_from_slice(dims);
         crate::Tensor::from_parts(data, crate::Shape::from_vec(d))

@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor kernels: algebraic identities the
 //! numeric substrate must satisfy for any input.
 
-use kemf_tensor::conv::{col2im, im2col, input_grad, weight_grad, ConvGeom};
+use kemf_tensor::conv::{self, col2im, im2col, input_grad, weight_grad, ConvGeom};
 use kemf_tensor::gemm::{
     gemm_naive, gemm_ops, Accumulate, ColMajor, NchwGather, NchwScatterBias, Operand, RowMajor,
     Store,
@@ -437,26 +437,33 @@ fn conv_forward_is_bit_identical_reading_cols_in_place_or_packed() {
             }
             y
         };
+        // And the layer's entry point, which lowers and multiplies a share
+        // of the images per thread.
+        let split = || {
+            let mut y = vec![f32::NAN; g.n * o * plane];
+            conv::forward(&x, &w, &bias, o, &g, &mut y, None);
+            y
+        };
         assert_eq!(bits(&forward(false)), bits(&forward(true)), "O = {o}, native tier");
+        assert_eq!(bits(&forward(false)), bits(&split()), "O = {o}, split, native tier");
         let _scalar = kemf_tensor::simd::ScalarGuard::new();
         assert_eq!(bits(&forward(false)), bits(&forward(true)), "O = {o}, scalar tier");
+        assert_eq!(bits(&forward(false)), bits(&split()), "O = {o}, split, scalar tier");
     }
 }
 
-/// Both gradients of one lowered convolution as `Conv2d::backward` asks
-/// for them: `dw0 + g · colsᵀ` and `col2im(Wᵀ · g)`.
+/// Both gradients of one convolution as `Conv2d::backward` asks for them:
+/// `dw0 + g · colsᵀ` and `col2im(Wᵀ · g)`, each split over the process's
+/// compute width (the test threads are outside any share).
 fn conv_backward(
     geom: &ConvGeom,
     o: usize,
     (x, w, g, dw0): (&[f32], &[f32], &[f32], &[f32]),
 ) -> (Vec<f32>, Vec<f32>) {
-    let mut cols = vec![f32::NAN; geom.patch_len() * geom.cols()];
-    im2col(x, geom, &mut cols);
     let mut dw = dw0.to_vec();
-    weight_grad(g, o, &cols, geom, &mut dw);
-    // As in the layer: the patch matrix is the input gradient's scratch.
+    weight_grad(g, o, x, geom, &mut dw);
     let mut gx = vec![f32::NAN; x.len()];
-    input_grad(w, g, o, geom, &mut cols, &mut gx);
+    input_grad(w, g, o, geom, &mut gx);
     (dw, gx)
 }
 

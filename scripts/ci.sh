@@ -9,12 +9,15 @@ cargo test -q --workspace
 # Threads do not change histories: the suites whose expected values are
 # pinned constants (history hashes, golden bytes of checkpoints, socket ==
 # in-process, resumed == straight) must match the same tables with every
-# client trained on the calling thread and with two clients in flight.
-# The compute width is settled once per process, so it takes two runs.
+# client trained and every server-side product run on the calling thread,
+# and with two clients in flight and the server's products split in two;
+# and a split layer pass must be its inline pass bit for bit. The compute
+# width is settled once per process, so it takes two runs.
 for width in 1 2; do
     KEMF_THREADS=$width cargo test -q --test golden_histories --test golden_bytes \
         --test async_rounds --test resume --test fault_matrix --test transport \
         --test population
+    KEMF_THREADS=$width cargo test -q -p kemf-nn --test split
 done
 
 cargo clippy --workspace --all-targets -- -D warnings
@@ -71,23 +74,24 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
         print FILENAME":"FNR": closure GEMM operand outside kemf_tensor tests"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/core/src/*.rs crates/fl/src/*.rs
 
-# One training step, one forward path, one fork-join: outside test
+# One training step, one forward path, one parallel region: outside test
 # modules, no layer grows a second (`_ws`) spelling of its passes, and
 # optimizers are stepped by `Model::train_step` — under kemf-fl/kemf-core
 # only deep mutual learning, which crosses two networks' logits inside
-# one step, steps them itself. Threads are started in two places: the
-# cohort driver (clients in flight; kernels, layers and algorithms stay
-# single-threaded) and the socket transport's worker pool; and the
-# vendored `rayon` is a width registry only `init_thread_pool` consults.
-# A hand-copied step loop, the allocating twin of a pass, or a second
-# parallel region coming back fails here.
+# one step, steps them itself. Threads are started in two places:
+# `kemf_tensor::par`, whose parked helpers run every fork-join (a
+# cohort's clients, the teacher pass) and every split product (layers
+# called outside a share), nested calls inline; and the socket
+# transport's worker pool. The vendored `rayon` is the width registry
+# only `par::width` consults. A hand-copied step loop, the allocating
+# twin of a pass, or a second parallel region coming back fails here.
 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     FILENAME ~ /\/nn\/src\// && /fn (forward|backward)_ws/ {
         print FILENAME":"FNR": second spelling of a layer pass"; bad=1 }
-    /thread::(scope|spawn|Builder)/ && FILENAME !~ /\/fl\/src\/(cohort|transport)\.rs$/ {
-        print FILENAME":"FNR": thread started outside the cohort driver and the socket transport"; bad=1 }
-    /rayon::/ && FILENAME !~ /\/fl\/src\/engine\.rs$/ {
-        print FILENAME":"FNR": rayon outside init_thread_pool"; bad=1 }
+    /thread::(scope|spawn|Builder)/ && FILENAME !~ /\/(tensor\/src\/par|fl\/src\/transport)\.rs$/ {
+        print FILENAME":"FNR": thread started outside kemf_tensor::par and the socket transport"; bad=1 }
+    /rayon::/ && FILENAME !~ /\/tensor\/src\/par\.rs$/ {
+        print FILENAME":"FNR": rayon outside the width registry"; bad=1 }
     FILENAME ~ /\/(fl|core)\/src\// && FILENAME !~ /\/core\/src\/dml\.rs$/ && index($0, ".step(") {
         print FILENAME":"FNR": optimizer step outside Model::train_step"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/tensor/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
