@@ -14,7 +14,7 @@ use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::Tensor;
 
 fn sgd() -> SgdConfig {
-    SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4, nesterov: false }
+    SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4 }
 }
 
 fn bench_local_epoch(c: &mut Criterion) {

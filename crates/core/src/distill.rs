@@ -34,7 +34,7 @@ impl Default for DistillConfig {
         DistillConfig {
             epochs: 2,
             batch: 32,
-            sgd: SgdConfig { lr: 0.02, momentum: 0.9, weight_decay: 0.0, nesterov: false },
+            sgd: SgdConfig { lr: 0.02, momentum: 0.9, weight_decay: 0.0 },
             temperature: 2.0,
             strategy: EnsembleStrategy::MaxLogits,
             clip_norm: 5.0,
@@ -131,7 +131,7 @@ mod tests {
         let task = SynthTask::new(SynthConfig::mnist_like(2));
         let data = task.generate(120, seed);
         let mut m = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, seed));
-        let mut opt = Sgd::new(SgdConfig { lr: 0.08, momentum: 0.9, weight_decay: 0.0, nesterov: false });
+        let mut opt = Sgd::new(SgdConfig { lr: 0.08, momentum: 0.9, weight_decay: 0.0 });
         let mut rng = seeded_rng(seed);
         for _ in 0..4 {
             for (x, y) in data.shuffled_batches(16, &mut rng) {

@@ -170,11 +170,7 @@ mod tests {
     }
 
     fn cfg() -> DmlConfig {
-        DmlConfig::new(
-            2,
-            16,
-            SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0, nesterov: false },
-        )
+        DmlConfig::new(2, 16, SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0 })
     }
 
     #[test]

@@ -308,7 +308,7 @@ mod tests {
         let public = SynthTask::new(SynthConfig::mnist_like(85)).generate_unlabeled(32, 3);
         let mut model = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 1));
         let targets = soften(&model.predict(&public), 2.0);
-        let sgd = SgdConfig { lr: 0.02, momentum: 0.9, weight_decay: 0.0, nesterov: false };
+        let sgd = SgdConfig { lr: 0.02, momentum: 0.9, weight_decay: 0.0 };
         let misses = |m: &mut Model| {
             let ws = m.ws_mut();
             ws.fresh_allocations() + ws.fresh_usize_allocations() + ws.fresh_i8_allocations()

@@ -158,7 +158,6 @@ impl FlConfig {
             lr: self.lr_schedule.lr_at(self.lr, round),
             momentum: self.momentum,
             weight_decay: self.weight_decay,
-            nesterov: false,
         }
     }
 

@@ -139,14 +139,6 @@ impl FlContext {
         }
     }
 
-    /// Number of clients with a shard (always `cfg.n_clients`).
-    pub fn n_shards(&self) -> usize {
-        match &self.shards {
-            ShardSource::Materialized(data) => data.len(),
-            ShardSource::Synthetic { .. } => self.cfg.n_clients,
-        }
-    }
-
     /// Total training samples across clients.
     pub fn total_train_samples(&self) -> usize {
         match &self.shards {
@@ -172,7 +164,6 @@ mod tests {
         let test = task.generate(20, 1);
         let cfg = FlConfig { n_clients: 1_000_000, sample_ratio: 0.01, ..Default::default() };
         let ctx = FlContext::synthetic(cfg, SynthTask::new(SynthConfig::mnist_like(7)), 16, test);
-        assert_eq!(ctx.n_shards(), 1_000_000);
         assert_eq!(ctx.client_shard_len(999_999), 16);
         assert_eq!(ctx.total_train_samples(), 16_000_000);
         let a = ctx.client_shard(3);

@@ -4,7 +4,8 @@
 //!
 //! The single entry point is [`Engine::run`] with a [`RunOptions`]
 //! bundle (faults, observability sink, checkpoint policy, resume
-//! source, seed override).
+//! source, round mode, transport). Every engine stream derives from
+//! the context's `cfg.seed`.
 //!
 //! **Resume is bit-exact.** All engine randomness flows through two
 //! seeded streams (client sampling and fault injection). A checkpoint
@@ -209,10 +210,6 @@ pub struct RunOptions<'a> {
     /// Resume from this checkpoint file — or checkpoint *directory*, in
     /// which case the newest loadable checkpoint wins.
     pub resume_from: Option<PathBuf>,
-    /// Override the engine seed (sampler and fault streams, checkpoint
-    /// fingerprint). `None` uses `cfg.seed`. Algorithm-internal
-    /// randomness still derives from `cfg.seed`.
-    pub seed: Option<u64>,
     /// How rounds advance: classic synchronous rounds (the default) or
     /// buffered-asynchronous cycles with staleness-weighted fusion.
     pub round_mode: RoundMode,
@@ -257,12 +254,6 @@ impl<'a> RunOptions<'a> {
     /// Resume from a checkpoint file or directory.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
-        self
-    }
-
-    /// Override the engine seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
         self
     }
 
@@ -585,8 +576,8 @@ fn run_core(
     };
 
     let algo_name = algo.name();
-    let engine_seed = opts.seed.unwrap_or(ctx.cfg.seed);
-    let fingerprint = checkpoint::run_fingerprint(&ctx.cfg, &faults, &algo_name, engine_seed)
+    let seed = ctx.cfg.seed;
+    let fingerprint = checkpoint::run_fingerprint(&ctx.cfg, &faults, &algo_name, seed)
         .map_err(EngineError::Fingerprint)?;
     // Async knobs change the trajectory, so they join the run identity;
     // synchronous fingerprints are exactly what they always were, and a
@@ -598,8 +589,8 @@ fn run_core(
     let mut scheduler = async_cfg.map(AsyncScheduler::new);
     let mut history = History::new(algo_name.clone());
     let mut plans = Vec::with_capacity(ctx.cfg.rounds);
-    let mut rng = seeded_rng(child_seed(engine_seed, 0x5A4D_504C)); // "SMPL"
-    let mut fault_rng = seeded_rng(child_seed(engine_seed, 0xD209));
+    let mut rng = seeded_rng(child_seed(seed, 0x5A4D_504C)); // "SMPL"
+    let mut fault_rng = seeded_rng(child_seed(seed, 0xD209));
 
     // Resume: restore algorithm state, then replay the engine's two RNG
     // streams over the completed rounds (cheap — draws only, no
@@ -1383,9 +1374,11 @@ mod tests {
         let mut algo = Dummy::new();
         Engine::run(&mut algo, &ctx, RunOptions::new().checkpoint(CheckpointPolicy::new(&dir, 2)))
             .unwrap();
-        // Same context, different engine seed → different fingerprint.
+        // Same data, different seed → different fingerprint.
+        let mut reseeded = tiny_ctx();
+        reseeded.cfg.seed = 999;
         let mut other = Dummy::new();
-        match Engine::run(&mut other, &ctx, RunOptions::new().seed(999).resume_from(&dir)) {
+        match Engine::run(&mut other, &reseeded, RunOptions::new().resume_from(&dir)) {
             Err(EngineError::Resume(ResumeError::FingerprintMismatch { .. })) => {}
             other => panic!("expected fingerprint mismatch, got {:?}", other.err()),
         }
@@ -1505,7 +1498,6 @@ mod tests {
     #[test]
     fn context_exposes_partition_stats() {
         let ctx = tiny_ctx();
-        assert_eq!(ctx.n_shards(), 6);
         assert_eq!(ctx.total_train_samples(), 120);
         assert!(ctx.heterogeneity > 0.0);
         assert_eq!(ctx.classes(), 10);
@@ -1515,14 +1507,11 @@ mod tests {
     fn socket_transport_matches_in_process_bit_for_bit() {
         let ctx = tiny_ctx();
         let mut a = Dummy::new();
-        let inproc = Engine::run(&mut a, &ctx, RunOptions::new().seed(11)).unwrap();
+        let inproc = Engine::run(&mut a, &ctx, RunOptions::new()).unwrap();
         let mut b = Dummy::new();
-        let socket = Engine::run(
-            &mut b,
-            &ctx,
-            RunOptions::new().seed(11).socket_transport(SocketConfig::threads(2)),
-        )
-        .unwrap();
+        let socket =
+            Engine::run(&mut b, &ctx, RunOptions::new().socket_transport(SocketConfig::threads(2)))
+                .unwrap();
         // Same seed, faults off: enacting the plan over real sockets
         // must not perturb a single recorded byte or sampled client.
         assert_eq!(inproc.history.to_json(), socket.history.to_json());

@@ -11,7 +11,6 @@ use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::RoundScope;
 use crate::weight_common::{fuse_state_average, train_state_update, GlobalModel};
 use kemf_nn::models::ModelSpec;
-use kemf_nn::serialize::ModelState;
 
 /// The FedAvg baseline.
 pub struct FedAvg {
@@ -22,11 +21,6 @@ impl FedAvg {
     /// New FedAvg server for the given client architecture.
     pub fn new(spec: ModelSpec) -> Self {
         FedAvg { global: GlobalModel::new(spec) }
-    }
-
-    /// Current global state (for tests and checkpointing).
-    pub fn global_state(&self) -> &ModelState {
-        &self.global.state
     }
 }
 
@@ -175,8 +169,9 @@ mod tests {
     fn aggregation_moves_global_weights() {
         let ctx = tiny_ctx(14);
         let mut algo = FedAvg::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 0));
-        let before = algo.global_state().params.clone();
+        let params = |algo: &FedAvg| algo.global_model().unwrap().1.params;
+        let before = params(&algo);
         let _ = run(&mut algo, &ctx);
-        assert_ne!(before.values, algo.global_state().params.values);
+        assert_ne!(before.values, params(&algo).values);
     }
 }

@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::fedrolex::{FedRolex, FedRolexConfig};
     pub use crate::local::{local_train, LocalCfg};
     pub use crate::metrics::{fairness_summary, FairnessSummary, History, RoundRecord};
-    pub use crate::network::{NetworkModel, NetworkProfiles};
+    pub use crate::network::NetworkModel;
     pub use crate::scaffold::Scaffold;
     pub use crate::scheduler::{AsyncConfig, PreparedUpdate, RoundMode, UpdatePayload};
     pub use crate::state::{AlgorithmState, RestoreError, TensorBlob};

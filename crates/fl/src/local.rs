@@ -123,7 +123,7 @@ mod tests {
         LocalCfg {
             epochs: 2,
             batch: 16,
-            sgd: SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0, nesterov: false },
+            sgd: SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0 },
         }
     }
 
@@ -159,7 +159,7 @@ mod tests {
         let before = model.weights().norm();
         add_prox_to_grads(model.net_mut(), &reference.values, 1.0);
         // Manual SGD step of lr 0.1 on the prox gradient alone.
-        let mut opt = Sgd::new(SgdConfig { lr: 0.1, momentum: 0.0, weight_decay: 0.0, nesterov: false });
+        let mut opt = Sgd::new(SgdConfig { lr: 0.1, momentum: 0.0, weight_decay: 0.0 });
         opt.step(model.net_mut());
         let after = model.weights().norm();
         assert!(after < before, "{before} -> {after}");

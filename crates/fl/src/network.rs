@@ -8,7 +8,10 @@
 //! training, and the upload phase follows it, so a round's communication
 //! time is the *sum* of the two phase times — each gated by a single
 //! per-client payload since clients within a phase transfer in parallel.
+//! One [`NetworkModel`] serves the whole fleet, here and in the
+//! asynchronous scheduler's arrival times.
 
+use crate::config::ConfigError;
 use crate::lifecycle::{ClientOutcome, RoundPlan, WirePayload};
 use crate::metrics::{History, RoundRecord};
 use serde::{Deserialize, Serialize};
@@ -28,19 +31,25 @@ impl NetworkModel {
         NetworkModel { bandwidth_bps: 5.0 * 1024.0 * 1024.0, latency_s: 0.08 }
     }
 
-    /// Home broadband: ~25 MB/s, 20 ms.
-    pub fn broadband() -> Self {
-        NetworkModel { bandwidth_bps: 25.0 * 1024.0 * 1024.0, latency_s: 0.02 }
-    }
-
-    /// Constrained IoT uplink: ~128 KB/s, 200 ms.
-    pub fn iot() -> Self {
-        NetworkModel { bandwidth_bps: 128.0 * 1024.0, latency_s: 0.2 }
-    }
-
-    /// A 3G-class link: ~48 KB/s sustained, 300 ms round latency.
-    pub fn cellular_3g() -> Self {
-        NetworkModel { bandwidth_bps: 48.0 * 1024.0, latency_s: 0.3 }
+    /// Reject a link the time model cannot price: non-positive or
+    /// non-finite bandwidth, negative or non-finite latency. The error
+    /// names the field as `AsyncConfig::validate` reports it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.bandwidth_bps.is_finite() && self.bandwidth_bps > 0.0) {
+            return Err(ConfigError::OutOfRange {
+                field: "async.network.bandwidth_bps",
+                value: self.bandwidth_bps,
+                bounds: "(0, inf)",
+            });
+        }
+        if !(self.latency_s.is_finite() && self.latency_s >= 0.0) {
+            return Err(ConfigError::OutOfRange {
+                field: "async.network.latency_s",
+                value: self.latency_s,
+                bounds: "[0, inf)",
+            });
+        }
+        Ok(())
     }
 
     /// Transfer time for one payload (seconds). Clients within a phase
@@ -83,13 +92,6 @@ impl NetworkModel {
     /// per-round lifecycle records.
     pub fn history_comm_time(&self, history: &History) -> f64 {
         history.records.iter().map(|r| self.round_comm_time(r)).sum()
-    }
-
-    /// Simulated seconds of communication to reach `target` accuracy, or
-    /// `None` if the run never reaches it.
-    pub fn time_to_accuracy(&self, history: &History, target: f32) -> Option<f64> {
-        let reach = history.rounds_to_target(target)?;
-        Some(history.records.iter().take(reach).map(|r| self.round_comm_time(r)).sum())
     }
 
     /// Wall-clock of one round under its drawn lifecycle: every client
@@ -144,79 +146,6 @@ pub(crate) fn client_finish_time(
         ClientOutcome::Completed { attempts, delay_s } => (attempts, delay_s),
     };
     start + t_down + delay_s + attempts as f64 * t_up
-}
-
-/// Per-client heterogeneous link assignment: client `i` uses
-/// `models[i % models.len()]`, so a fleet can mix broadband, 4G, and 3G
-/// devices the way real federations do. A single-entry profile (what
-/// `From<NetworkModel>` builds) gives every client that one link.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct NetworkProfiles {
-    /// Link models, assigned round-robin by client index. Must be
-    /// non-empty (enforced by [`NetworkProfiles::validate`], which every
-    /// consuming configuration calls before use).
-    pub models: Vec<NetworkModel>,
-}
-
-impl NetworkProfiles {
-    /// One model for the whole fleet.
-    pub fn uniform(model: NetworkModel) -> Self {
-        NetworkProfiles { models: vec![model] }
-    }
-
-    /// Assign `models` round-robin by client index.
-    pub fn cycle(models: Vec<NetworkModel>) -> Self {
-        NetworkProfiles { models }
-    }
-
-    /// The canonical heterogeneous mix: a third of the fleet each on
-    /// home broadband ("wifi"), 4G, and 3G.
-    pub fn wifi_4g_3g() -> Self {
-        NetworkProfiles::cycle(vec![
-            NetworkModel::broadband(),
-            NetworkModel::cellular_4g(),
-            NetworkModel::cellular_3g(),
-        ])
-    }
-
-    /// The link model serving `client`.
-    pub fn model_for(&self, client: usize) -> &NetworkModel {
-        &self.models[client % self.models.len()]
-    }
-
-    /// Reject profiles the time model cannot price: empty fleets,
-    /// non-positive or non-finite bandwidth, negative or non-finite
-    /// latency.
-    pub fn validate(&self) -> Result<(), crate::config::ConfigError> {
-        use crate::config::ConfigError;
-        if self.models.is_empty() {
-            return Err(ConfigError::ZeroCount { field: "network_profiles.models" });
-        }
-        for m in &self.models {
-            if !(m.bandwidth_bps.is_finite() && m.bandwidth_bps > 0.0) {
-                return Err(ConfigError::OutOfRange {
-                    field: "network_profiles.bandwidth_bps",
-                    value: m.bandwidth_bps,
-                    bounds: "(0, inf)",
-                });
-            }
-            if !(m.latency_s.is_finite() && m.latency_s >= 0.0) {
-                return Err(ConfigError::OutOfRange {
-                    field: "network_profiles.latency_s",
-                    value: m.latency_s,
-                    bounds: "[0, inf)",
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-impl From<NetworkModel> for NetworkProfiles {
-    /// One link for the whole fleet: [`NetworkProfiles::uniform`].
-    fn from(model: NetworkModel) -> Self {
-        NetworkProfiles::uniform(model)
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +237,7 @@ mod tests {
 
     #[test]
     fn comm_time_scales_with_payload() {
-        let net = NetworkModel::broadband();
+        let net = NetworkModel::cellular_4g();
         let small = hist(&[0.1, 0.2, 0.3], 1024);
         let large = hist(&[0.1, 0.2, 0.3], 100 * 1024 * 1024);
         let ts = net.history_comm_time(&small);
@@ -317,31 +246,13 @@ mod tests {
     }
 
     #[test]
-    fn time_to_accuracy_stops_at_target_round() {
-        let net = NetworkModel { bandwidth_bps: 1.0e6, latency_s: 0.0 };
-        let mut h = History::new("t");
-        for (i, &a) in [0.1f32, 0.5, 0.9].iter().enumerate() {
-            h.push(RoundRecord {
-                round: i,
-                test_acc: a,
-                down_bytes: 500_000,
-                up_bytes: 500_000,
-                down_clients: 1,
-                up_clients: 1,
-                ..Default::default()
-            });
-        }
-        let t = net.time_to_accuracy(&h, 0.5).unwrap();
-        assert!((t - 2.0).abs() < 1e-9, "two rounds of 1s each, got {t}");
-        assert!(net.time_to_accuracy(&h, 0.95).is_none());
-    }
-
-    #[test]
-    fn presets_are_ordered_by_speed() {
+    fn slower_links_take_longer() {
         let h = hist(&[0.5], 10 * 1024 * 1024);
-        let t_iot = NetworkModel::iot().history_comm_time(&h);
+        let iot = NetworkModel { bandwidth_bps: 128.0 * 1024.0, latency_s: 0.2 };
+        let broadband = NetworkModel { bandwidth_bps: 25.0 * 1024.0 * 1024.0, latency_s: 0.02 };
+        let t_iot = iot.history_comm_time(&h);
         let t_4g = NetworkModel::cellular_4g().history_comm_time(&h);
-        let t_bb = NetworkModel::broadband().history_comm_time(&h);
+        let t_bb = broadband.history_comm_time(&h);
         assert!(t_iot > t_4g && t_4g > t_bb);
     }
 
@@ -374,13 +285,17 @@ mod tests {
     }
 
     #[test]
-    fn profiles_validation_rejects_broken_links() {
-        assert!(NetworkProfiles::cycle(vec![]).validate().is_err());
-        let bad_bw = NetworkProfiles::uniform(NetworkModel { bandwidth_bps: 0.0, latency_s: 0.1 });
-        assert!(bad_bw.validate().is_err());
-        let bad_lat =
-            NetworkProfiles::uniform(NetworkModel { bandwidth_bps: 1e6, latency_s: f64::NAN });
-        assert!(bad_lat.validate().is_err());
-        assert!(NetworkProfiles::wifi_4g_3g().validate().is_ok());
+    fn validation_rejects_broken_links() {
+        let bad_bw = NetworkModel { bandwidth_bps: 0.0, latency_s: 0.1 };
+        assert!(matches!(
+            bad_bw.validate(),
+            Err(ConfigError::OutOfRange { field: "async.network.bandwidth_bps", .. })
+        ));
+        let bad_lat = NetworkModel { bandwidth_bps: 1e6, latency_s: f64::NAN };
+        assert!(matches!(
+            bad_lat.validate(),
+            Err(ConfigError::OutOfRange { field: "async.network.latency_s", .. })
+        ));
+        assert!(NetworkModel::cellular_4g().validate().is_ok());
     }
 }

@@ -115,7 +115,6 @@ impl FedAlgorithm for Scaffold {
         // (standard practice for SCAFFOLD implementations).
         let mut local = ctx.cfg.local_cfg(wave);
         local.sgd.momentum = 0.0;
-        local.sgd.nesterov = false;
         let eta = local.sgd.lr;
         let dim = self.c.len();
         let (global, spec, c) = (&self.global.state, self.global.spec, &self.c);

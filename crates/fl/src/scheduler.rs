@@ -14,9 +14,9 @@
 //! * **Events, not threads.** Each client completion becomes a
 //!   [`PendingEvent`] stamped with a simulated arrival time, reusing
 //!   the lifecycle draws ([`ClientOutcome::Completed`]'s straggler
-//!   delay and upload attempts) and optional [`NetworkProfiles`] for
-//!   transfer times. A binary-exact virtual clock (`f64` bits) orders
-//!   the queue deterministically.
+//!   delay and upload attempts) and an optional fleet-wide
+//!   [`NetworkModel`] for transfer times. A binary-exact virtual clock
+//!   (`f64` bits) orders the queue deterministically.
 //! * **Buffered aggregation.** [`AsyncScheduler::drain`] pops events in
 //!   arrival order until [`AsyncConfig::buffer_size`] updates have been
 //!   *accepted*; events whose staleness exceeds
@@ -43,7 +43,7 @@ use crate::config::ConfigError;
 use crate::context::FlContext;
 use crate::engine::EngineError;
 use crate::lifecycle::{ClientOutcome, ClientPlan, RoundPlan};
-use crate::network::{client_finish_time, NetworkProfiles};
+use crate::network::{client_finish_time, NetworkModel};
 use crate::state::TensorBlob;
 use kemf_nn::codec::{fnv1a64, Writer};
 use kemf_nn::serialize::ModelState;
@@ -77,32 +77,17 @@ pub struct AsyncConfig {
     /// `weight = staleness_decay^staleness`. Must be in `(0, 1]`;
     /// `1.0` disables down-weighting.
     pub staleness_decay: f32,
-    /// Optional links for transfer times, assigned round-robin by client
-    /// index: one link for the whole fleet, or a heterogeneous mix.
-    /// `None` prices transfers at zero seconds — arrival order is then
-    /// driven purely by the lifecycle's injected straggler delays.
-    pub network: Option<NetworkProfiles>,
-    /// Arrival-rate trigger: fuse after this many simulated seconds
-    /// have passed since the drain began, even if fewer than
-    /// [`AsyncConfig::buffer_size`] updates arrived by then. At least
-    /// one update always folds (the server never fuses nothing), and
-    /// zero-delay arrivals land inside any positive window — so the
-    /// synchronous-equivalence anchor is untouched. `None` (the
-    /// default) waits for a full buffer, exactly as before.
-    pub aggregate_after_s: Option<f64>,
+    /// Optional link for transfer times, one for the whole fleet. `None`
+    /// prices transfers at zero seconds — arrival order is then driven
+    /// purely by the lifecycle's injected straggler delays.
+    pub network: Option<NetworkModel>,
 }
 
 impl AsyncConfig {
     /// A conservative default: half-cohort buffer, staleness capped at
     /// 4 cycles with a gentle 0.6 decay, no network model.
     pub fn new(buffer_size: usize) -> Self {
-        AsyncConfig {
-            buffer_size,
-            max_staleness: 4,
-            staleness_decay: 0.6,
-            network: None,
-            aggregate_after_s: None,
-        }
+        AsyncConfig { buffer_size, max_staleness: 4, staleness_decay: 0.6, network: None }
     }
 
     /// Fluent setter for [`AsyncConfig::max_staleness`].
@@ -117,16 +102,9 @@ impl AsyncConfig {
         self
     }
 
-    /// Fluent setter for [`AsyncConfig::network`]: a fleet-wide
-    /// [`crate::network::NetworkModel`] or per-client [`NetworkProfiles`].
-    pub fn network(mut self, links: impl Into<NetworkProfiles>) -> Self {
-        self.network = Some(links.into());
-        self
-    }
-
-    /// Fluent setter for [`AsyncConfig::aggregate_after_s`].
-    pub fn aggregate_after(mut self, secs: f64) -> Self {
-        self.aggregate_after_s = Some(secs);
+    /// Fluent setter for [`AsyncConfig::network`].
+    pub fn network(mut self, net: NetworkModel) -> Self {
+        self.network = Some(net);
         self
     }
 
@@ -149,17 +127,8 @@ impl AsyncConfig {
                 bounds: "(0, 1]",
             });
         }
-        if let Some(links) = &self.network {
-            links.validate()?;
-        }
-        if let Some(t) = self.aggregate_after_s {
-            if !(t.is_finite() && t > 0.0) {
-                return Err(ConfigError::OutOfRange {
-                    field: "async.aggregate_after_s",
-                    value: t,
-                    bounds: "(0, inf)",
-                });
-            }
+        if let Some(net) = &self.network {
+            net.validate()?;
         }
         Ok(())
     }
@@ -179,31 +148,15 @@ impl AsyncConfig {
         knobs.usize(self.buffer_size);
         knobs.usize(self.max_staleness);
         knobs.f32(self.staleness_decay);
-        // A single link keeps the original fleet-wide encoding (tag 1);
-        // a mix writes "no fleet-wide link" and appends its list under
-        // tag 2, the bytes the two-field config wrote — so checkpoints of
-        // either kind stay resumable. Later knobs likewise append tagged
-        // bytes only when set.
-        match self.network.as_ref().map(|links| links.models.as_slice()) {
+        // Tag 0: no link; tag 1: the link. Checkpoints already on disk
+        // carry this encoding, so it must not change.
+        match &self.network {
             None => knobs.u8(0),
-            Some([net]) => {
+            Some(net) => {
                 knobs.u8(1);
                 knobs.f64(net.bandwidth_bps);
                 knobs.f64(net.latency_s);
             }
-            Some(models) => {
-                knobs.u8(0);
-                knobs.u8(2);
-                knobs.usize(models.len());
-                for m in models {
-                    knobs.f64(m.bandwidth_bps);
-                    knobs.f64(m.latency_s);
-                }
-            }
-        }
-        if let Some(t) = self.aggregate_after_s {
-            knobs.u8(3);
-            knobs.f64(t);
         }
         // "ASYN C!uu" domain tag
         fnv1a64(base ^ 0x4153_594e_4321_7575, knobs.as_bytes())
@@ -432,8 +385,8 @@ impl AsyncScheduler {
     /// now + t_down + delay_s + attempts * t_up
     /// ```
     ///
-    /// with transfer times priced at that client's own payload over its
-    /// own link — the finish-time rule
+    /// with transfer times priced at that client's own payload over the
+    /// fleet's link — the finish-time rule
     /// [`crate::network::NetworkModel::lifecycle_round_time`] prices
     /// rounds with; with no network both transfer times are zero and
     /// arrival order is driven by the injected straggler delays alone.
@@ -453,9 +406,8 @@ impl AsyncScheduler {
                 debug_assert_eq!(update.client, c.client, "updates must follow sampled order");
                 let payload = cp.payload;
                 let (t_down, t_up) = match &self.cfg.network {
-                    Some(links) => {
-                        let m = links.model_for(c.client);
-                        (m.transfer_time(payload.down_bytes), m.transfer_time(payload.up_bytes))
+                    Some(net) => {
+                        (net.transfer_time(payload.down_bytes), net.transfer_time(payload.up_bytes))
                     }
                     None => (0.0, 0.0),
                 };
@@ -483,13 +435,6 @@ impl AsyncScheduler {
     /// cycle exceeds `max_staleness` are evicted and do *not* count
     /// toward the buffer; accepted updates carry
     /// `staleness_decay^staleness` as their fusion weight.
-    /// The arrival-rate trigger ([`AsyncConfig::aggregate_after_s`])
-    /// additionally closes the buffer early: once at least one update
-    /// has been accepted, the drain stops when the next arrival lands
-    /// past `drain start + aggregate_after_s`. Eviction-only pops keep
-    /// the buffer empty and never trip the trigger (the server never
-    /// fuses nothing), and zero-delay arrivals never exceed a positive
-    /// window — the synchronous-equivalence anchor is preserved.
     pub fn drain(&mut self, cycle: usize) -> DrainOutcome {
         let mut out = DrainOutcome {
             folded: Vec::new(),
@@ -498,13 +443,7 @@ impl AsyncScheduler {
             folded_up_bytes: 0,
             evicted_up_bytes: 0,
         };
-        let deadline = self.cfg.aggregate_after_s.map(|t| self.now + t);
         while out.folded.len() < self.cfg.buffer_size && !self.queue.is_empty() {
-            if let Some(dl) = deadline {
-                if !out.folded.is_empty() && self.queue[0].arrival_s() > dl {
-                    break;
-                }
-            }
             let ev = self.queue.remove(0);
             let t = ev.arrival_s();
             if t > self.now {
@@ -592,8 +531,11 @@ mod tests {
             Err(ConfigError::OutOfRange { field: "async.staleness_decay", .. })
         ));
         let bad_net = NetworkModel { bandwidth_bps: 0.0, latency_s: 0.0 };
-        assert!(AsyncConfig::new(2).network(bad_net).validate(4).is_err());
-        assert!(AsyncConfig::new(4).network(NetworkModel::broadband()).validate(4).is_ok());
+        assert!(matches!(
+            AsyncConfig::new(2).network(bad_net).validate(4),
+            Err(ConfigError::OutOfRange { field: "async.network.bandwidth_bps", .. })
+        ));
+        assert!(AsyncConfig::new(4).network(NetworkModel::cellular_4g()).validate(4).is_ok());
     }
 
     #[test]
@@ -730,18 +672,12 @@ mod tests {
     fn fingerprint_mixing_separates_modes_and_knobs() {
         let base = 0x1234_5678_9abc_def0u64;
         let a = AsyncConfig::new(2);
-        // Pinned to the values the two-field config (separate fleet-wide
-        // `network` and per-client `profiles`) wrote, so checkpoints from
-        // before the merge still resume.
+        // A constrained 128 KiB/s, 200 ms link.
+        let slow = NetworkModel { bandwidth_bps: 128.0 * 1024.0, latency_s: 0.2 };
+        // Pinned to the values every earlier config wrote for these runs,
+        // so their checkpoints still resume.
         assert_eq!(a.mix_fingerprint(base), 0xf9af_4a66_9a0a_6822);
-        assert_eq!(
-            AsyncConfig::new(2).network(NetworkModel::iot()).mix_fingerprint(base),
-            0xf8dd_7cd2_d7fb_fc2f
-        );
-        assert_eq!(
-            AsyncConfig::new(2).network(NetworkProfiles::wifi_4g_3g()).mix_fingerprint(base),
-            0xc680_fa02_9a2e_d972
-        );
+        assert_eq!(AsyncConfig::new(2).network(slow).mix_fingerprint(base), 0xf8dd_7cd2_d7fb_fc2f);
         assert_ne!(a.mix_fingerprint(base), base, "async must not collide with sync");
         assert_ne!(a.mix_fingerprint(base), AsyncConfig::new(3).mix_fingerprint(base));
         assert_ne!(
@@ -749,112 +685,9 @@ mod tests {
             AsyncConfig::new(2).max_staleness(9).mix_fingerprint(base)
         );
         assert_ne!(
-            a.mix_fingerprint(base),
-            AsyncConfig::new(2).network(NetworkModel::iot()).mix_fingerprint(base)
+            AsyncConfig::new(2).network(slow).mix_fingerprint(base),
+            AsyncConfig::new(2).network(NetworkModel::cellular_4g()).mix_fingerprint(base),
+            "the link is resume identity"
         );
-        assert_ne!(
-            a.mix_fingerprint(base),
-            AsyncConfig::new(2).network(NetworkProfiles::wifi_4g_3g()).mix_fingerprint(base),
-            "per-client profiles are resume identity"
-        );
-        assert_ne!(
-            a.mix_fingerprint(base),
-            AsyncConfig::new(2).aggregate_after(5.0).mix_fingerprint(base),
-            "the arrival-rate trigger is resume identity"
-        );
-        assert_ne!(
-            AsyncConfig::new(2).aggregate_after(5.0).mix_fingerprint(base),
-            AsyncConfig::new(2).aggregate_after(6.0).mix_fingerprint(base),
-        );
-    }
-
-    #[test]
-    fn validate_rejects_bad_trigger_and_profiles() {
-        assert!(matches!(
-            AsyncConfig::new(2).aggregate_after(0.0).validate(4),
-            Err(ConfigError::OutOfRange { field: "async.aggregate_after_s", .. })
-        ));
-        assert!(AsyncConfig::new(2).aggregate_after(f64::NAN).validate(4).is_err());
-        assert!(AsyncConfig::new(2).aggregate_after(-1.0).validate(4).is_err());
-        assert!(AsyncConfig::new(2).aggregate_after(3.5).validate(4).is_ok());
-        assert!(AsyncConfig::new(2)
-            .network(NetworkProfiles::cycle(vec![]))
-            .validate(4)
-            .is_err());
-        assert!(AsyncConfig::new(2).network(NetworkProfiles::wifi_4g_3g()).validate(4).is_ok());
-    }
-
-    #[test]
-    fn heterogeneous_profiles_reorder_arrivals_by_link_speed() {
-        // Client 2 lands on the 3G link of the wifi/4g/3g cycle: despite
-        // equal injected delays it arrives last.
-        let profiles = NetworkProfiles::wifi_4g_3g();
-        assert_eq!(profiles.model_for(0), &NetworkModel::broadband());
-        assert_eq!(profiles.model_for(4), &NetworkModel::cellular_4g());
-        assert_eq!(profiles.model_for(5), &NetworkModel::cellular_3g());
-        let mut s = AsyncScheduler::new(AsyncConfig::new(3).max_staleness(8).network(profiles));
-        let plan = plan_of(vec![completed(2, 0.0), completed(0, 0.0), completed(1, 0.0)]);
-        s.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(512 * 1024)),vec![
-            probe_update(2),
-            probe_update(0),
-            probe_update(1),
-        ]);
-        let d = s.drain(0);
-        let order: Vec<usize> = d.folded.iter().map(|(u, _)| u.client).collect();
-        assert_eq!(order, vec![0, 1, 2], "broadband < 4g < 3g arrival order");
-    }
-
-    #[test]
-    fn arrival_rate_trigger_closes_a_short_buffer() {
-        // Buffer wants 3, but the second arrival is 10 s out and the
-        // window is 2 s: the drain folds the first update alone.
-        let mut s = AsyncScheduler::new(AsyncConfig::new(3).max_staleness(8).aggregate_after(2.0));
-        let plan = plan_of(vec![completed(0, 0.5), completed(1, 10.0), completed(2, 11.0)]);
-        s.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(10)),vec![
-            probe_update(0),
-            probe_update(1),
-            probe_update(2),
-        ]);
-        let d = s.drain(0);
-        assert_eq!(d.folded.len(), 1, "the window closed after the first arrival");
-        assert_eq!(s.pending(), 2);
-        // Next cycle: the window re-anchors at the advanced clock
-        // (0.5 s → deadline 2.5 s). The 10 s arrival folds because at
-        // least one update always does; the 11 s one is past the window.
-        let d2 = s.drain(1);
-        assert_eq!(d2.folded.len(), 1);
-        assert_eq!(d2.stale, 1);
-        // Third cycle: clock at 10 s, window to 12 s covers the 11 s
-        // arrival.
-        let d3 = s.drain(2);
-        assert_eq!(d3.folded.len(), 1);
-        assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
-    fn arrival_rate_trigger_never_fuses_an_empty_buffer() {
-        // The first arrival is far beyond the window; the trigger must
-        // not close the buffer before at least one update folds.
-        let mut s = AsyncScheduler::new(AsyncConfig::new(2).max_staleness(8).aggregate_after(1.0));
-        let plan = plan_of(vec![completed(0, 50.0), completed(1, 60.0)]);
-        s.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(10)),vec![probe_update(0), probe_update(1)]);
-        let d = s.drain(0);
-        assert_eq!(d.folded.len(), 1, "the first update always folds");
-        assert_eq!(d.folded[0].0.client, 0);
-    }
-
-    #[test]
-    fn zero_delay_arrivals_fill_the_buffer_despite_a_tiny_window() {
-        // The sync-equivalence anchor: everything arrives at t=0, inside
-        // any positive window, so the trigger never fires and the drain
-        // is identical to the un-triggered one.
-        let plan = plan_of(vec![completed(0, 0.0), completed(1, 0.0), completed(2, 0.0)]);
-        let updates = || vec![probe_update(0), probe_update(1), probe_update(2)];
-        let mut plain = AsyncScheduler::new(AsyncConfig::new(3).max_staleness(8));
-        plain.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(10)),updates());
-        let mut trig =
-            AsyncScheduler::new(AsyncConfig::new(3).max_staleness(8).aggregate_after(1e-9));
-        trig.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(10)),updates());
-        assert_eq!(plain.drain(0), trig.drain(0));
     }
 }

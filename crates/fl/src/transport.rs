@@ -53,8 +53,11 @@
 //! Worker processes are spawned from any binary that calls
 //! [`worker_entry_if_requested`] early in `main` (or the dedicated
 //! `kemf_worker` binary, which is just [`worker_main_from_env`]); the
-//! server passes the rendezvous address through `KEMF_WORKER_*`
-//! environment variables.
+//! server passes `KEMF_SOCKET_WORKER=1`, the rendezvous address
+//! (`KEMF_WORKER_ADDR`), the worker id (`KEMF_WORKER_ID`) and the socket
+//! timeout (`KEMF_WORKER_IO_TIMEOUT_S`) through the environment. A worker
+//! sleeps an enacted delay at a fixed 1 µs per simulated second, capped
+//! at 100 ms.
 
 use crate::compress::{self, CompressError, QuantizedWeights};
 use crate::lifecycle::{ClientOutcome, ClientPlan, ModelView, RoundComm, RoundPlan, WirePayload};
@@ -75,6 +78,14 @@ const MAGIC: [u8; 4] = *b"KMFT";
 const MAX_FRAME_BODY: u32 = 1 << 28;
 /// Fixed framing overhead per frame: magic + kind + body_len + trailing CRC.
 const FRAME_OVERHEAD: u64 = 4 + 1 + 4 + 4;
+
+/// Real seconds a worker sleeps per simulated second of an enacted delay,
+/// so straggler injection is a real sleep without a run taking simulated
+/// hours; every sleep is further capped at [`MAX_SLEEP_S`].
+const SLEEP_PER_SIM_S: f64 = 1e-6;
+/// Longest real sleep a worker enacts, so fault-heavy runs stay fast
+/// whatever delays were drawn.
+const MAX_SLEEP_S: f64 = 0.1;
 
 /// Worker → server greeting carrying the worker id.
 const K_HELLO: u8 = 1;
@@ -140,10 +151,6 @@ pub struct SocketConfig {
     pub workers: usize,
     /// Threads in-process or spawned worker processes.
     pub mode: WorkerMode,
-    /// Simulated-seconds → real-seconds factor for enacted delays, so
-    /// straggler injection is a real sleep without test runs taking
-    /// simulated hours. Worker sleeps are additionally capped at 100 ms.
-    pub time_scale: f64,
     /// Socket read/write timeout; a worker silent for this long is a
     /// transport error, not a hang.
     pub io_timeout: Duration,
@@ -151,12 +158,7 @@ pub struct SocketConfig {
 
 impl Default for SocketConfig {
     fn default() -> Self {
-        SocketConfig {
-            workers: 2,
-            mode: WorkerMode::Threads,
-            time_scale: 1e-6,
-            io_timeout: Duration::from_secs(30),
-        }
+        SocketConfig { workers: 2, mode: WorkerMode::Threads, io_timeout: Duration::from_secs(30) }
     }
 }
 
@@ -175,12 +177,6 @@ impl SocketConfig {
         }
     }
 
-    /// Set the simulated-to-real time factor for enacted delays.
-    pub fn time_scale(mut self, scale: f64) -> Self {
-        self.time_scale = scale;
-        self
-    }
-
     /// Set the per-operation socket timeout.
     pub fn io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = timeout;
@@ -192,14 +188,6 @@ impl SocketConfig {
         if self.workers == 0 {
             return Err(TransportError::Config {
                 reason: "socket transport needs at least one worker".into(),
-            });
-        }
-        if !(self.time_scale.is_finite() && self.time_scale >= 0.0) {
-            return Err(TransportError::Config {
-                reason: format!(
-                    "time_scale must be finite and non-negative, got {}",
-                    self.time_scale
-                ),
             });
         }
         if self.io_timeout.is_zero() {
@@ -573,7 +561,6 @@ fn parse_reply(kind: u8, body: Vec<u8>) -> Result<(usize, usize, Reply), Transpo
 pub fn worker_loop(
     mut stream: TcpStream,
     worker_id: u64,
-    time_scale: f64,
     io_timeout: Duration,
 ) -> Result<(), TransportError> {
     stream
@@ -590,7 +577,7 @@ pub fn worker_loop(
             .map_err(|e| TransportError::Io { context: "reading a server frame", source: e })?;
         match kind {
             K_SHUTDOWN => return Ok(()),
-            K_DOWN => serve_download(&mut stream, body, time_scale)?,
+            K_DOWN => serve_download(&mut stream, body)?,
             other => {
                 return Err(TransportError::Protocol {
                     detail: format!("worker received unexpected frame kind {other}"),
@@ -603,11 +590,7 @@ pub fn worker_loop(
 /// Handle one client transaction: validate the broadcast, enact the
 /// delay, honor the deadline, and upload until the server accepts or
 /// gives up.
-fn serve_download(
-    stream: &mut TcpStream,
-    body: Vec<u8>,
-    time_scale: f64,
-) -> Result<(), TransportError> {
+fn serve_download(stream: &mut TcpStream, body: Vec<u8>) -> Result<(), TransportError> {
     let (round, client, delay_s, deadline_s, up_len, declared_len, payload) =
         parse_body("broadcast frame", &body, |r| {
             Ok((r.u64()?, r.u64()?, r.f64()?, r.f64()?, r.u64()?, r.u64()?, r.rest()))
@@ -636,14 +619,14 @@ fn serve_download(
     // bits travel unmodified, so the wire can never re-classify a
     // straggler.
     if delay_s > deadline_s {
-        sleep_scaled(deadline_s, time_scale);
+        sleep_scaled(deadline_s);
         return send_err(
             stream,
             ERR_TIMED_OUT,
             &format!("local work needed {delay_s:.3}s, deadline was {deadline_s:.3}s"),
         );
     }
-    sleep_scaled(delay_s, time_scale);
+    sleep_scaled(delay_s);
 
     let report = build_payload(up_len, filler_seed(round, client, DIR_UP), None);
     let mut attempt = 1u64;
@@ -681,10 +664,10 @@ fn serve_download(
     }
 }
 
-/// Sleep `sim_s * scale` real seconds, capped at 100 ms so fault-heavy
-/// tests stay fast regardless of the drawn delays.
-fn sleep_scaled(sim_s: f64, scale: f64) {
-    let real = (sim_s * scale).clamp(0.0, 0.1);
+/// Sleep the real time [`SLEEP_PER_SIM_S`] maps `sim_s` simulated
+/// seconds to, at most [`MAX_SLEEP_S`].
+fn sleep_scaled(sim_s: f64) {
+    let real = (sim_s * SLEEP_PER_SIM_S).clamp(0.0, MAX_SLEEP_S);
     if real > 0.0 && real.is_finite() {
         std::thread::sleep(Duration::from_secs_f64(real));
     }
@@ -703,10 +686,6 @@ pub fn worker_main_from_env() -> Result<(), TransportError> {
         .ok_or_else(|| TransportError::Config {
             reason: "KEMF_WORKER_ID is missing or not an integer".into(),
         })?;
-    let time_scale: f64 = std::env::var("KEMF_WORKER_TIME_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1e-6);
     let io_timeout = std::env::var("KEMF_WORKER_IO_TIMEOUT_S")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -716,7 +695,7 @@ pub fn worker_main_from_env() -> Result<(), TransportError> {
         context: "connecting to the federation server",
         source: e,
     })?;
-    worker_loop(stream, id, time_scale, io_timeout)
+    worker_loop(stream, id, io_timeout)
 }
 
 /// If this process was spawned as a socket-transport worker
@@ -779,14 +758,13 @@ impl SocketTransport {
                 // the cohort's training threads compute on it.
                 let scalar = scalar_forced();
                 for id in 0..cfg.workers as u64 {
-                    let scale = cfg.time_scale;
                     let timeout = cfg.io_timeout;
                     let handle = std::thread::Builder::new()
                         .name(format!("kemf-worker-{id}"))
                         .spawn(move || match TcpStream::connect(addr) {
                             Ok(stream) => {
                                 force_scalar(scalar);
-                                if let Err(e) = worker_loop(stream, id, scale, timeout) {
+                                if let Err(e) = worker_loop(stream, id, timeout) {
                                     eprintln!("kemf worker {id}: {e}");
                                 }
                             }
@@ -804,7 +782,6 @@ impl SocketTransport {
                         .env("KEMF_SOCKET_WORKER", "1")
                         .env("KEMF_WORKER_ADDR", addr.to_string())
                         .env("KEMF_WORKER_ID", id.to_string())
-                        .env("KEMF_WORKER_TIME_SCALE", cfg.time_scale.to_string())
                         .env(
                             "KEMF_WORKER_IO_TIMEOUT_S",
                             cfg.io_timeout.as_secs().max(1).to_string(),
@@ -1314,7 +1291,6 @@ mod tests {
     #[test]
     fn config_validation_rejects_broken_setups() {
         assert!(SocketConfig::threads(0).validate().is_err());
-        assert!(SocketConfig::threads(2).time_scale(f64::NAN).validate().is_err());
         assert!(SocketConfig::threads(2).io_timeout(Duration::ZERO).validate().is_err());
         assert!(SocketConfig::threads(2).validate().is_ok());
     }

@@ -18,7 +18,7 @@ fn pool_misses(m: &mut Model) -> usize {
 fn local_train_stops_missing_the_pool_after_the_first_step() {
     // One batch per epoch, so every step sees the same shapes.
     let data = SynthTask::new(SynthConfig::mnist_like(3)).generate(16, 0);
-    let sgd = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0, nesterov: false };
+    let sgd = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0 };
     for arch in [Arch::Cnn2, Arch::ResNet20] {
         let mut model = Model::new(ModelSpec::scaled(arch, 1, 12, 10, 1));
         let one = local_train(&mut model, &data, &LocalCfg { epochs: 1, batch: 16, sgd }, 7, None);

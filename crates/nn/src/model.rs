@@ -272,7 +272,7 @@ mod tests {
         // Two classes distinguished by overall brightness — a task a tiny
         // CNN must learn quickly if forward/backward/optimizer cohere.
         let mut m = Model::new(toy_spec());
-        let mut opt = Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0, nesterov: false });
+        let mut opt = Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0 });
         let mut rng = seeded_rng(41);
         let n = 32;
         let mut imgs = Tensor::randn(&[n, 1, 8, 8], 0.3, &mut rng);
@@ -335,7 +335,7 @@ mod tests {
         // must move exactly as with the full backward written out.
         for arch in [Arch::Cnn2, Arch::Mlp1] {
             let spec = ModelSpec::scaled(arch, 1, 8, 3, 9);
-            let cfg = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4, nesterov: false };
+            let cfg = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4 };
             let x = Tensor::randn(&[4, 1, 8, 8], 1.0, &mut seeded_rng(44));
             let labels = [0usize, 2, 1, 2];
             let (mut stepped, mut manual) = (Model::new(spec), Model::new(spec));

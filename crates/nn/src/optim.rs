@@ -1,9 +1,9 @@
 //! Optimizers and learning-rate schedules.
 //!
-//! [`Sgd`] implements SGD with momentum, optional Nesterov lookahead, and
-//! decoupled weight decay. Velocity buffers are keyed by the deterministic
-//! parameter visit order of the network, so one optimizer instance must
-//! stay paired with one network (asserted by size).
+//! [`Sgd`] implements SGD with momentum and decoupled weight decay.
+//! Velocity buffers are keyed by the deterministic parameter visit order
+//! of the network, so one optimizer instance must stay paired with one
+//! network (asserted by size).
 
 use crate::layer::Layer;
 use kemf_tensor::Tensor;
@@ -18,13 +18,11 @@ pub struct SgdConfig {
     pub momentum: f32,
     /// L2 weight decay added to the gradient.
     pub weight_decay: f32,
-    /// Nesterov lookahead (requires momentum > 0).
-    pub nesterov: bool,
 }
 
 impl Default for SgdConfig {
     fn default() -> Self {
-        SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4, nesterov: false }
+        SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4 }
     }
 }
 
@@ -40,7 +38,6 @@ impl Sgd {
         assert!(cfg.lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&cfg.momentum), "momentum must be in [0, 1)");
         assert!(cfg.weight_decay >= 0.0, "weight decay must be non-negative");
-        assert!(!cfg.nesterov || cfg.momentum > 0.0, "nesterov requires momentum");
         Sgd { cfg, velocity: Vec::new() }
     }
 
@@ -62,7 +59,7 @@ impl Sgd {
         let mut idx = 0usize;
         // Fully in-place update (no per-step gradient staging buffers):
         // with g' = grad + wd·value and v ← μ·v + g', the weight update is
-        // value ← value − lr·(g' + μ·v) (Nesterov) or value ← value − lr·v.
+        // value ← value − lr·v.
         net.visit_params_mut(&mut |p| {
             if cfg.momentum > 0.0 {
                 let v = &mut velocity[idx];
@@ -76,15 +73,7 @@ impl Sgd {
                 if cfg.weight_decay > 0.0 {
                     v.axpy(cfg.weight_decay, &p.value);
                 }
-                if cfg.nesterov {
-                    if cfg.weight_decay > 0.0 {
-                        p.value.scale_inplace(1.0 - cfg.lr * cfg.weight_decay);
-                    }
-                    p.value.axpy(-cfg.lr, &p.grad);
-                    p.value.axpy(-cfg.lr * cfg.momentum, v);
-                } else {
-                    p.value.axpy(-cfg.lr, v);
-                }
+                p.value.axpy(-cfg.lr, v);
             } else {
                 if cfg.weight_decay > 0.0 {
                     p.value.scale_inplace(1.0 - cfg.lr * cfg.weight_decay);
@@ -161,7 +150,7 @@ mod tests {
     fn sgd_reduces_loss_on_toy_problem() {
         let ws = &mut Workspace::new();
         let mut net = Linear::new(2, 2, 3);
-        let mut opt = Sgd::new(SgdConfig { lr: 0.5, momentum: 0.0, weight_decay: 0.0, nesterov: false });
+        let mut opt = Sgd::new(SgdConfig { lr: 0.5, momentum: 0.0, weight_decay: 0.0 });
         let mut rng = seeded_rng(30);
         let x = Tensor::randn(&[16, 2], 1.0, &mut rng);
         // Labels: sign of first feature.
@@ -189,8 +178,7 @@ mod tests {
         let run = |momentum: f32| {
             let ws = &mut Workspace::new();
             let mut net = Linear::new(2, 1, 4);
-            let mut opt =
-                Sgd::new(SgdConfig { lr: 0.02, momentum, weight_decay: 0.0, nesterov: false });
+            let mut opt = Sgd::new(SgdConfig { lr: 0.02, momentum, weight_decay: 0.0 });
             let x = Tensor::from_vec(vec![3.0, 0.0, 0.0, 0.3], &[2, 2]);
             let target = Tensor::from_vec(vec![1.0, -1.0], &[2, 1]);
             let mut loss = 0.0;
@@ -210,7 +198,7 @@ mod tests {
     #[test]
     fn weight_decay_shrinks_weights() {
         let mut net = Linear::new(4, 4, 5);
-        let mut opt = Sgd::new(SgdConfig { lr: 0.1, momentum: 0.0, weight_decay: 0.5, nesterov: false });
+        let mut opt = Sgd::new(SgdConfig { lr: 0.1, momentum: 0.0, weight_decay: 0.5 });
         let mut before = 0.0;
         net.visit_params(&mut |p| before += p.value.sq_norm());
         // Zero gradients: only decay acts.
@@ -237,6 +225,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_bad_lr() {
-        let _ = Sgd::new(SgdConfig { lr: 0.0, momentum: 0.0, weight_decay: 0.0, nesterov: false });
+        let _ = Sgd::new(SgdConfig { lr: 0.0, momentum: 0.0, weight_decay: 0.0 });
     }
 }

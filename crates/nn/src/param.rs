@@ -64,12 +64,6 @@ impl Param {
     pub fn zero_grad(&mut self) {
         self.grad.fill(0.0);
     }
-
-    /// SGD step: `value -= lr * grad` (plain, no momentum — the optimizer
-    /// in [`crate::optim`] implements the full update rule).
-    pub fn sgd_step(&mut self, lr: f32) {
-        self.value.axpy(-lr, &self.grad);
-    }
 }
 
 #[cfg(test)]
@@ -81,14 +75,6 @@ mod tests {
         let p = Param::new(Tensor::ones(&[2, 3]));
         assert_eq!(p.grad.sum(), 0.0);
         assert_eq!(p.numel(), 6);
-    }
-
-    #[test]
-    fn sgd_step_moves_against_gradient() {
-        let mut p = Param::new(Tensor::ones(&[2]));
-        p.grad = Tensor::from_vec(vec![1.0, -2.0], &[2]);
-        p.sgd_step(0.5);
-        assert_eq!(p.value.data(), &[0.5, 2.0]);
     }
 
     #[test]

@@ -309,11 +309,6 @@ impl StateAverage {
     }
 }
 
-/// Bytes for one fp32 model of `params` scalars.
-pub fn params_to_bytes(params: usize) -> usize {
-    params * 4
-}
-
 /// Human-readable byte count (MB with two decimals, GB above 1 GiB),
 /// matching the units in the paper's tables.
 pub fn format_bytes(bytes: f64) -> String {
@@ -380,7 +375,6 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        assert_eq!(params_to_bytes(1000), 4000);
         assert_eq!(format_bytes(2.1 * 1024.0 * 1024.0), "2.1MB");
         assert_eq!(format_bytes(4.01 * 1024.0 * 1024.0 * 1024.0), "4.01GB");
     }

@@ -173,7 +173,7 @@ fn second_training_step_allocates_nothing() {
         .push(ReLU::new())
         .push(Flatten::new())
         .push(Linear::new(8 * 4 * 4, 10, 3));
-    let mut opt = Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4, nesterov: false });
+    let mut opt = Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4 });
     let mut ws = Workspace::new();
     let mut rng = seeded_rng(7);
     let x = Tensor::randn(&[4, 1, 8, 8], 1.0, &mut rng);
@@ -225,8 +225,7 @@ fn second_training_step_allocates_nothing() {
         let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
         let mut losses = Vec::new();
         for mut model in [drawn, rebuilt] {
-            let mut opt =
-                Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4, nesterov: false });
+            let mut opt = Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4 });
             let mut trace = vec![model.train_batch(&x, &labels, &mut opt)];
             assert!(trace[0].is_finite());
             let fresh = |m: &mut Model| {
@@ -289,12 +288,7 @@ fn two_threads_train_side_by_side_without_allocating() {
             s.spawn(move || par::fork_join(vec![seed], |seed| {
                 let mut rng = seeded_rng(seed);
                 let mut model = Model::new(ModelSpec::scaled(Arch::ResNet20, 3, 16, 10, seed));
-                let mut opt = Sgd::new(SgdConfig {
-                    lr: 0.05,
-                    momentum: 0.9,
-                    weight_decay: 5e-4,
-                    nesterov: false,
-                });
+                let mut opt = Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4 });
                 let x = Tensor::randn(&[16, 3, 16, 16], 1.0, &mut rng);
                 let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
                 assert!(model.train_batch(&x, &labels, &mut opt).is_finite());

@@ -94,7 +94,7 @@ proptest! {
             }
             i += 1;
         });
-        let mut opt = Sgd::new(SgdConfig { lr, momentum: 0.0, weight_decay: 0.0, nesterov: false });
+        let mut opt = Sgd::new(SgdConfig { lr, momentum: 0.0, weight_decay: 0.0 });
         opt.step(&mut l);
         let after = Weights::from_layer(&l);
         for (i, &gi) in g.iter().enumerate().take(12) {

@@ -45,7 +45,7 @@ fn passes(mut model: Model, x: &Tensor, labels: &[usize]) -> (Vec<u32>, u64) {
     push(logits.data());
     push(gx.data());
     push(&Weights::grads_from_layer(model.net()).values);
-    let mut opt = Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4, nesterov: false });
+    let mut opt = Sgd::new(SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4 });
     for _ in 0..2 {
         push(&[model.train_batch(x, labels, &mut opt)]);
     }

@@ -441,32 +441,6 @@ impl TileWriter for BiasCol<'_> {
     }
 }
 
-/// `C[i, j] = max(0, v + bias[j])` — fused Linear + ReLU.
-pub struct BiasColRelu<'a> {
-    /// Output storage.
-    pub c: &'a mut [f32],
-    /// Leading dimension of `c`.
-    pub ldc: usize,
-    /// Per-column bias (`len == n`).
-    pub bias: &'a [f32],
-}
-
-impl TileWriter for BiasColRelu<'_> {
-    #[inline(always)]
-    fn write(&mut self, i: usize, j: usize, v: f32) {
-        self.c[i * self.ldc + j] = (v + self.bias[j]).max(0.0);
-    }
-
-    #[inline]
-    fn write_row(&mut self, i: usize, j0: usize, vals: &[f32]) {
-        let dst = &mut self.c[i * self.ldc + j0..][..vals.len()];
-        let bias = &self.bias[j0..][..vals.len()];
-        for ((d, &v), &b) in dst.iter_mut().zip(vals).zip(bias) {
-            *d = (v + b).max(0.0);
-        }
-    }
-}
-
 /// Convolution-forward epilogue: the GEMM result is logically
 /// `[O, N·OH·OW]` (row `i` = output channel, column `j = ni·plane + p`),
 /// scattered straight into an `[N, O, OH, OW]` tensor with the channel
@@ -1078,7 +1052,7 @@ mod tests {
     }
 
     #[test]
-    fn bias_col_and_relu_epilogues() {
+    fn bias_col_epilogue() {
         let (m, k, n) = (4, 3, 5);
         let a = random(m * k, 7);
         let b = random(k * n, 8);
@@ -1095,16 +1069,6 @@ mod tests {
             for j in 0..n {
                 assert!((c[i * n + j] - (plain[i * n + j] + bias[j])).abs() < 1e-5);
             }
-        }
-
-        let mut r = vec![0.0f32; m * n];
-        gemm_ops(m, k, n, &rows(&a, k), &rows(&b, n), &mut BiasColRelu {
-            c: &mut r,
-            ldc: n,
-            bias: &bias,
-        });
-        for (rv, cv) in r.iter().zip(c.iter()) {
-            assert_eq!(*rv, cv.max(0.0));
         }
     }
 

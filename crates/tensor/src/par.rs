@@ -52,25 +52,11 @@ use std::time::{Duration, Instant};
 pub fn width() -> usize {
     static WIDTH: OnceLock<usize> = OnceLock::new();
     *WIDTH.get_or_init(|| {
-        let env_threads = std::env::var("KEMF_THREADS")
+        std::env::var("KEMF_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        let requested =
-            env_threads.unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        // A build failure means the width was fixed before us (e.g. by a
-        // test harness); inherit it rather than abort — but if the user
-        // asked for a specific width via KEMF_THREADS and lost, say so once
-        // instead of silently running at the wrong parallelism.
-        let already_built = rayon::ThreadPoolBuilder::new().num_threads(requested).build_global().is_err();
-        let actual = rayon::current_num_threads();
-        if already_built && env_threads.is_some() && actual != requested {
-            eprintln!(
-                "warning: KEMF_THREADS={requested} requested, but the compute width was \
-                 already fixed at {actual} thread(s); running on {actual}"
-            );
-        }
-        actual
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     })
 }
 
@@ -471,11 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn width_is_settled_once_and_recorded_in_the_registry() {
+    fn width_is_settled_once() {
         let (a, b) = (width(), width());
         assert_eq!(a, b);
         assert!(a >= 1);
-        assert_eq!(a, rayon::current_num_threads());
     }
 
     #[test]

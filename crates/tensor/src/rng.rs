@@ -40,15 +40,6 @@ impl Tensor {
         t
     }
 
-    /// Tensor of i.i.d. `U(lo, hi)` samples.
-    pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut StdRng) -> Tensor {
-        let mut t = Tensor::zeros(dims);
-        for v in t.data_mut() {
-            *v = rng.gen_range(lo..hi);
-        }
-        t
-    }
-
     /// Kaiming/He normal initialization for a weight tensor whose fan-in is
     /// `fan_in` (gain √2, the ReLU convention).
     pub fn kaiming(dims: &[usize], fan_in: usize, rng: &mut StdRng) -> Tensor {
@@ -99,12 +90,5 @@ mod tests {
         let std = (t.sq_norm() / t.numel() as f32).sqrt();
         let expect = (2.0f32 / 64.0).sqrt();
         assert!((std - expect).abs() < 0.02, "std {std} vs {expect}");
-    }
-
-    #[test]
-    fn uniform_bounds_respected() {
-        let mut rng = seeded_rng(3);
-        let t = Tensor::rand_uniform(&[1000], -0.5, 0.5, &mut rng);
-        assert!(t.data().iter().all(|&x| (-0.5..0.5).contains(&x)));
     }
 }

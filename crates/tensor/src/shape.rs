@@ -33,12 +33,6 @@ impl Shape {
         self.dims
     }
 
-    /// Number of dimensions.
-    #[inline]
-    pub fn ndim(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Dimension list.
     #[inline]
     pub fn dims(&self) -> &[usize] {
@@ -124,10 +118,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn numel_and_ndim() {
+    fn numel_and_dim() {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.numel(), 24);
-        assert_eq!(s.ndim(), 3);
         assert_eq!(s.dim(1), 3);
     }
 

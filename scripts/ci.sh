@@ -82,16 +82,13 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
 # `kemf_tensor::par`, whose parked helpers run every fork-join (a
 # cohort's clients, the teacher pass) and every split product (layers
 # called outside a share), nested calls inline; and the socket
-# transport's worker pool. The vendored `rayon` is the width registry
-# only `par::width` consults. A hand-copied step loop, the allocating
-# twin of a pass, or a second parallel region coming back fails here.
+# transport's worker pool. A hand-copied step loop, the allocating twin
+# of a pass, or a second parallel region coming back fails here.
 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     FILENAME ~ /\/nn\/src\// && /fn (forward|backward)_ws/ {
         print FILENAME":"FNR": second spelling of a layer pass"; bad=1 }
     /thread::(scope|spawn|Builder)/ && FILENAME !~ /\/(tensor\/src\/par|fl\/src\/transport)\.rs$/ {
         print FILENAME":"FNR": thread started outside kemf_tensor::par and the socket transport"; bad=1 }
-    /rayon::/ && FILENAME !~ /\/tensor\/src\/par\.rs$/ {
-        print FILENAME":"FNR": rayon outside the width registry"; bad=1 }
     FILENAME ~ /\/(fl|core)\/src\// && FILENAME !~ /\/core\/src\/dml\.rs$/ && index($0, ".step(") {
         print FILENAME":"FNR": optimizer step outside Model::train_step"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/tensor/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
@@ -119,6 +116,17 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     FILENAME ~ /\/fl\/src\// && index($0, "attempts as f64 *") { fin++ }
     END{ if (fin != 1) { print "client finish time written " fin+0 " times under crates/fl/src, want 1"; bad=1 }
          exit bad }' crates/*/src/*.rs crates/*/src/bin/*.rs
+
+# Knobs only tests set stay gone: outside test modules, no crate source
+# names the async arrival window, per-client link mixes, Nesterov
+# momentum, the socket time scale (a constant beside the sleep cap) or the
+# fused bias + ReLU epilogue. And no Rust file calls into the vendored
+# `rayon`: `kemf_tensor::par::width` settles the width on its own.
+awk 'FNR==1{t=0} /rayon::/ { print FILENAME":"FNR": call into the vendored rayon"; bad=1 }
+    /#\[cfg\(test\)\]/{t=1} t || FILENAME !~ /^crates\/[^\/]+\/src\//{next}
+    /aggregate_after|NetworkProfiles|nesterov|time_scale|TIME_SCALE|BiasColRelu/ {
+        print FILENAME":"FNR": deleted async window, link mix, Nesterov, time scale or epilogue"; bad=1 }
+    END{exit bad}' $(find crates src tests examples benchmark/src -name '*.rs')
 
 # The frozen benchmark package links the library's public API; build it
 # here so a broken signature fails in CI, not in the bench pipeline, and

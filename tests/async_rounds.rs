@@ -12,6 +12,7 @@ use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::checkpoint::CheckpointPolicy;
 use fedkemf::fl::engine::{Engine, FedAlgorithm, RunOptions};
 use fedkemf::fl::trace::TraceSink;
+use fedkemf::nn::codec::{fnv1a64, FNV_OFFSET};
 use fedkemf::prelude::*;
 use std::path::PathBuf;
 
@@ -274,14 +275,14 @@ fn async_resume_refuses_other_modes_and_other_knobs() {
     }
 }
 
-/// The arrival-rate trigger and per-client network profiles are part of
-/// the run identity: a checkpoint taken under one trajectory must refuse
-/// to seed another, and must resume cleanly under its own knobs.
+/// The link and the staleness cap are part of the run identity: a
+/// checkpoint taken under one trajectory must refuse to seed another, and
+/// must resume cleanly under its own knobs.
 #[test]
-fn arrival_rate_trigger_and_profiles_are_part_of_the_run_identity() {
-    let dir = temp_dir("trigger");
+fn async_link_and_staleness_cap_are_part_of_the_run_identity() {
+    let dir = temp_dir("identity");
     let net = NetworkModel { bandwidth_bps: 1_000_000.0, latency_s: 0.05 };
-    let mode = || AsyncConfig::new(2).network(net).aggregate_after(3.0);
+    let mode = || AsyncConfig::new(2).network(net);
     let (ctx, task) = world(106, 4);
     let mut algos = all_algorithms(&ctx, &task);
     Engine::run(
@@ -291,45 +292,13 @@ fn arrival_rate_trigger_and_profiles_are_part_of_the_run_identity() {
     )
     .unwrap();
 
-    // A different aggregation window is a different trajectory.
-    let mut other = all_algorithms(&ctx, &task);
-    assert!(
-        Engine::run(
-            other[0].as_mut(),
-            &ctx,
-            RunOptions::new()
-                .async_rounds(AsyncConfig::new(2).network(net).aggregate_after(4.0))
-                .resume_from(&dir)
-        )
-        .is_err(),
-        "a different aggregation window must be refused"
-    );
-    // So is dropping the trigger entirely.
-    let mut bare = all_algorithms(&ctx, &task);
-    assert!(
-        Engine::run(
-            bare[0].as_mut(),
-            &ctx,
-            RunOptions::new()
-                .async_rounds(AsyncConfig::new(2).network(net))
-                .resume_from(&dir)
-        )
-        .is_err(),
-        "resuming without the trigger must be refused"
-    );
-    // And so is swapping the fleet-wide link for a heterogeneous mix.
-    let mut mixed = all_algorithms(&ctx, &task);
-    assert!(
-        Engine::run(
-            mixed[0].as_mut(),
-            &ctx,
-            RunOptions::new()
-                .async_rounds(mode().network(NetworkProfiles::wifi_4g_3g()))
-                .resume_from(&dir)
-        )
-        .is_err(),
-        "per-client profiles change the trajectory and must be refused"
-    );
+    // Another link, or another staleness cap, is another trajectory.
+    let slower = NetworkModel { bandwidth_bps: 500_000.0, latency_s: 0.05 };
+    for changed in [mode().network(slower), mode().max_staleness(1)] {
+        let mut other = all_algorithms(&ctx, &task);
+        let opts = RunOptions::new().async_rounds(changed.clone()).resume_from(&dir);
+        assert!(Engine::run(other[0].as_mut(), &ctx, opts).is_err(), "{changed:?} resumed");
+    }
     // The original knobs resume to the full horizon.
     let (ctx8, task8) = world(106, 8);
     let mut same = all_algorithms(&ctx8, &task8);
@@ -343,34 +312,20 @@ fn arrival_rate_trigger_and_profiles_are_part_of_the_run_identity() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
-/// Heterogeneous per-client links reorder arrivals, so the same seed
-/// under a wifi/4G/3G mix walks a different virtual clock than one
-/// fleet-wide link. Both runs are pinned to the clocks and histories the
-/// two-field config (separate `network` and `profiles`) produced, so
-/// folding the fields into one changed no arrival time.
+/// A run over one fleet-wide link is pinned to its virtual clock and
+/// history: a change to arrival times or transfer pricing fails here.
 #[test]
-fn heterogeneous_profiles_change_the_clock_but_uniform_profiles_do_not() {
+fn one_link_run_keeps_its_pinned_clock_and_history() {
     let net = NetworkModel { bandwidth_bps: 1_000_000.0, latency_s: 0.05 };
     let (ctx, task) = world(107, 4);
-    let run = |links: NetworkProfiles| {
-        let mut algos = all_algorithms(&ctx, &task);
-        let report = Engine::run(
-            algos[0].as_mut(),
-            &ctx,
-            RunOptions::new().async_rounds(AsyncConfig::new(2).network(links)),
-        )
-        .unwrap();
-        (report.sim_time_s.unwrap().to_bits(), fnv1a64(report.history.to_json().as_bytes()))
-    };
-    let fleet = run(net.into());
-    let mixed = run(NetworkProfiles::wifi_4g_3g());
-    assert_eq!(fleet, (0x3fd1_ca7d_6733_ebc0, 0xbe53_c83c_9bc0_d7e7), "one fleet-wide link");
-    assert_eq!(mixed, (0x3fc5_3dd7_0a3d_70a4, 0xd686_63cc_42e3_d649), "wifi/4G/3G mix");
-    assert_ne!(fleet.0, mixed.0, "a wifi/4G/3G mix must walk a different virtual clock");
+    let mut algos = all_algorithms(&ctx, &task);
+    let report = Engine::run(
+        algos[0].as_mut(),
+        &ctx,
+        RunOptions::new().async_rounds(AsyncConfig::new(2).network(net)),
+    )
+    .unwrap();
+    let history = fnv1a64(FNV_OFFSET, report.history.to_json().as_bytes());
+    let got = (report.sim_time_s.unwrap().to_bits(), history);
+    assert_eq!(got, (0x3fd1_ca7d_6733_ebc0, 0xbe53_c83c_9bc0_d7e7));
 }

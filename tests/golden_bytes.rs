@@ -265,7 +265,7 @@ fn worker_conversation_is_byte_stable() {
     let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
     let worker = std::thread::spawn(move || {
-        worker_loop(TcpStream::connect(addr).unwrap(), 5, 0.0, Duration::from_secs(10))
+        worker_loop(TcpStream::connect(addr).unwrap(), 5, Duration::from_secs(10))
     });
     let (mut server, _) = listener.accept().unwrap();
     server.set_read_timeout(Some(Duration::from_secs(10))).unwrap();

@@ -102,7 +102,9 @@ fn network_model_orders_algorithms_by_payload() {
     );
     let hk = run(&mut kemf, &ctx);
 
-    for net in [NetworkModel::iot(), NetworkModel::cellular_4g(), NetworkModel::broadband()] {
+    let iot = NetworkModel { bandwidth_bps: 128.0 * 1024.0, latency_s: 0.2 };
+    let broadband = NetworkModel { bandwidth_bps: 25.0 * 1024.0 * 1024.0, latency_s: 0.02 };
+    for net in [iot, NetworkModel::cellular_4g(), broadband] {
         let ta = net.history_comm_time(&ha);
         let tk = net.history_comm_time(&hk);
         assert!(tk < ta, "FedKEMF should be faster on the wire: {tk} vs {ta}");

@@ -237,15 +237,14 @@ fn resume_refuses_a_mismatched_config_fingerprint() {
     )
     .unwrap();
 
-    // Same algorithm, different seed: the stored fingerprint no longer
-    // matches, so the engine must refuse rather than resume divergently.
-    let mut fresh = matrix(&ctx, &task);
-    let err = Engine::run(
-        fresh[2].as_mut(),
-        &ctx,
-        RunOptions::new().seed(999).resume_from(&dir),
-    )
-    .unwrap_err();
+    // Same algorithm and data, different seed: the stored fingerprint no
+    // longer matches, so the engine must refuse rather than resume
+    // divergently.
+    let (mut reseeded, _) = world(44, 4);
+    reseeded.cfg.seed = 999;
+    let mut fresh = matrix(&reseeded, &task);
+    let err =
+        Engine::run(fresh[2].as_mut(), &reseeded, RunOptions::new().resume_from(&dir)).unwrap_err();
     assert!(
         matches!(err, EngineError::Resume(ResumeError::FingerprintMismatch { .. })),
         "expected fingerprint mismatch, got: {err}"

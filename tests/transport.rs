@@ -4,10 +4,12 @@
 //! worker pool, and the history's byte columns are what actually crossed
 //! the wire. Covers: faults-off byte-identity with the in-process simulator,
 //! the fault matrix over real frames (drop, straggler delay, corruption,
-//! truncation, upload retries), server kill-and-resume over sockets,
-//! quorum fallback, and the spawned-worker-process mode speaking the
-//! same protocol as in-process threads.
+//! truncation, upload retries), server kill-and-resume over sockets
+//! (FedAvg, and FedKEMF with its client models spilled to disk), quorum
+//! fallback, and the spawned-worker-process mode speaking the same
+//! protocol as in-process threads.
 
+use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::checkpoint::CheckpointPolicy;
 use fedkemf::fl::engine::{Engine, FedAlgorithm, RoundOutcome, RunOptions};
 use fedkemf::fl::metrics::History;
@@ -37,6 +39,17 @@ fn world(seed: u64, rounds: usize) -> (FlContext, SynthTask) {
 
 fn fedavg() -> FedAvg {
     FedAvg::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3))
+}
+
+/// FedKEMF on `ctx`, its client models kept in memory or spilled to disk.
+fn fedkemf(ctx: &FlContext, task: &SynthTask, spill: Option<SpillConfig>) -> FedKemf {
+    let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
+    let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 5);
+    let cfg = FedKemfConfig::uniform(knowledge, clients, task.generate_unlabeled(40, 2));
+    FedKemf::new(match spill {
+        Some(spill) => cfg.with_spill(spill),
+        None => cfg,
+    })
 }
 
 /// A fresh per-test checkpoint directory under the system temp dir.
@@ -236,6 +249,39 @@ fn server_killed_mid_federation_resumes_byte_identically_over_sockets() {
     let report = Engine::run(&mut inproc, &ctx8, RunOptions::new().resume_from(&dir)).unwrap();
     assert_eq!(report.history.to_json(), reference.to_json());
     let _ = std::fs::remove_dir_all(&dir);
+
+    // Socket × spilled store × kill-and-resume in one run: FedKEMF with its
+    // client models on disk, served by two worker threads, killed after
+    // round 2 and resumed over sockets over the same spill directory, must
+    // replay a straight in-process run on the in-memory store.
+    let (ctx4, task) = world(26, 4);
+    let reference =
+        Engine::run(&mut fedkemf(&ctx4, &task, None), &ctx4, RunOptions::new()).unwrap().history;
+    let spill = temp_dir("kemf_spill");
+    let ckpt = temp_dir("kemf_ckpt");
+    let (ctx2, task2) = world(26, 2);
+    let report = Engine::run(
+        &mut fedkemf(&ctx2, &task2, Some(SpillConfig::new(&spill))),
+        &ctx2,
+        RunOptions::new().socket_transport(scfg()).checkpoint(CheckpointPolicy::new(&ckpt, 2)),
+    )
+    .unwrap();
+    assert!(!report.checkpoints.is_empty(), "no FedKEMF checkpoint written before the kill");
+    let report = Engine::run(
+        &mut fedkemf(&ctx4, &task, Some(SpillConfig::new(&spill))),
+        &ctx4,
+        RunOptions::new().socket_transport(scfg()).resume_from(&ckpt),
+    )
+    .unwrap();
+    assert_eq!(report.resumed_from, Some(2));
+    assert_eq!(
+        report.history.to_json(),
+        reference.to_json(),
+        "a spilled FedKEMF resumed over sockets must replay the eager in-process run"
+    );
+    for d in [&spill, &ckpt] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 #[test]
