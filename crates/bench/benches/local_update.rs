@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kemf_core::dml::{dml_local_update, DmlConfig};
 use kemf_data::synth::{SynthConfig, SynthTask};
 use kemf_fl::local::{local_train, LocalCfg};
+use kemf_nn::layer::Mode;
 use kemf_nn::loss::cross_entropy_ws;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
@@ -53,7 +54,7 @@ fn bench_forward_backward(c: &mut Criterion) {
         g.bench_function(arch.display(), |bch| {
             bch.iter(|| {
                 model.zero_grad();
-                let logits = model.forward(&x, true);
+                let logits = model.forward(&x, Mode::Train);
                 let (_, grad) = cross_entropy_ws(&logits, &labels, model.ws_mut());
                 model.recycle(logits);
                 let gx = model.backward(&grad);

@@ -67,19 +67,20 @@ pub fn distill_ensemble(
     assert!(n > 0, "empty distillation pool");
     // Pre-compute ensemble targets once: teachers are frozen during
     // server distillation. Teacher logits use batch statistics
-    // (train-mode forward): after a short local update the teachers'
-    // batch-norm running statistics lag their weights badly, and
-    // eval-mode logits can explode into confidently-wrong targets that
-    // poison the distilled student.
+    // (`Mode::BatchStats`: a training forward's logits and running-stat
+    // update, nothing cached for the backward that never comes): after a
+    // short local update the teachers' batch-norm running statistics lag
+    // their weights badly, and eval-mode logits can explode into
+    // confidently-wrong targets that poison the distilled student.
     // The teacher pass — the bulk of server-side inference FLOPs — runs in
     // exact f32, like the student. Members are independent, so they run
     // one per share of `par::fork_join` (each member's layers on its own
     // thread) and their logits come back in member order (the same bits
-    // at any width). A teacher never sees a backward, so what its
-    // pool-sized training forward cached goes the moment its logits
-    // exist: one member's activations per thread are live at a time, not
-    // the ensemble's for the whole of fusion. The student's steps below
-    // run outside any share, so their products split over the width.
+    // at any width). Each member's workspace pool and its thread's
+    // lowering buffer go the moment its logits exist, so they do not
+    // stay resident into the next cohort's local updates. The student's
+    // steps below run outside any share, so their products split over
+    // the width.
     let member_logits: Vec<Tensor> =
         fork_join(teachers.iter_mut().collect(), |t: &mut Model| {
             let z = t.predict_batch_stats(pool);

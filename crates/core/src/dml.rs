@@ -19,6 +19,7 @@
 //! [`crate::ensemble::ensemble_forward_with_precision`].
 
 use kemf_data::dataset::Dataset;
+use kemf_nn::layer::Mode;
 use kemf_nn::loss::{cross_entropy_ws, kl_to_target_ws, soften_ws};
 use kemf_nn::model::Model;
 use kemf_nn::optim::{Sgd, SgdConfig};
@@ -79,8 +80,8 @@ pub fn dml_step(
     // steps perform no heap allocation.
     local.zero_grad();
     knowledge.zero_grad();
-    let z_local = local.forward(images, true);
-    let z_know = knowledge.forward(images, true);
+    let z_local = local.forward(images, Mode::Train);
+    let z_know = knowledge.forward(images, Mode::Train);
     // Mutual targets are the peer's softened predictions, detached.
     let t_from_know = soften_ws(&z_know, cfg.temperature, local.ws_mut());
     let t_from_local = soften_ws(&z_local, cfg.temperature, knowledge.ws_mut());

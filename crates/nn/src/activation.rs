@@ -1,10 +1,10 @@
 //! Activation layers. ReLU is the only nonlinearity the FedKEMF model zoo
-//! needs; it caches a 0/1 mask during training for the backward pass. The
+//! needs; it caches a 0/1 mask in a `Mode::Train` forward for backward. The
 //! mask and all outputs are pooled through the caller's [`Workspace`].
 //! Both passes split by element ranges over the compute width
 //! ([`par::split`]) where they clear its floor.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Mode};
 use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -24,11 +24,11 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let (len, xd) = (x.numel(), x.data());
         let work = len as u64 * par::ELEMENT_FLOPS;
         let mut y = ws.take_tensor_unzeroed(x.dims());
-        if train {
+        if mode.caches() {
             let mut mask = ws.take_unzeroed(len);
             par::split(len, work, (y.data_mut(), &mut mask[..]), |r, (y, mask)| {
                 for ((yv, mv), &xv) in y.iter_mut().zip(mask).zip(&xd[r]) {
@@ -87,12 +87,12 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert!(!dims.is_empty(), "Flatten needs at least one dimension");
         let batch = dims[0];
         let feat: usize = dims[1..].iter().product();
-        if train {
+        if mode.caches() {
             // Set still when this layer leads a network whose training
             // step skipped it (`Sequential::backward_first`): back to the
             // pool rather than dropped.
@@ -137,7 +137,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(r.forward(&x, false, ws).data(), &[0.0, 0.0, 2.0]);
+        assert_eq!(r.forward(&x, Mode::Eval, ws).data(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -145,7 +145,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[3]);
-        let _ = r.forward(&x, true, ws);
+        let _ = r.forward(&x, Mode::Train, ws);
         let g = r.backward(&Tensor::ones(&[3]), ws);
         assert_eq!(g.data(), &[0.0, 1.0, 1.0]);
     }
@@ -164,7 +164,7 @@ mod tests {
         let mut ws = Workspace::new();
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0, -0.2], &[4]);
         for _ in 0..3 {
-            let y = r.forward(&x, true, &mut ws);
+            let y = r.forward(&x, Mode::Train, &mut ws);
             let g = r.backward(&y, &mut ws);
             ws.recycle_tensor(y);
             ws.recycle_tensor(g);
@@ -178,7 +178,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut f = Flatten::new();
         let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]);
-        let y = f.forward(&x, true, ws);
+        let y = f.forward(&x, Mode::Train, ws);
         assert_eq!(y.dims(), &[2, 12]);
         let g = f.backward(&y, ws);
         assert_eq!(g.dims(), &[2, 3, 2, 2]);

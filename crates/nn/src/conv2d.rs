@@ -56,7 +56,7 @@
 //! live in the caller's [`Workspace`], so a steady-state training step
 //! allocates nothing.
 
-use crate::layer::{Layer, Precision};
+use crate::layer::{Layer, Mode, Precision};
 use crate::param::{Init, Param};
 use kemf_tensor::conv::{self, im2col, input_grad, weight_grad, with_lowering, ConvGeom};
 use kemf_tensor::gemm::NchwScatterBias;
@@ -75,7 +75,7 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     precision: Precision,
-    /// (copy of the input, geometry) kept by a training forward.
+    /// (copy of the input, geometry) kept by a `Mode::Train` forward.
     cache: Option<(Vec<f32>, ConvGeom)>,
 }
 
@@ -155,7 +155,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let geom = self.geom(x);
         let (oh, ow) = (geom.oh(), geom.ow());
         let plane = oh * ow;
@@ -165,7 +165,7 @@ impl Layer for Conv2d {
         let mut y = ws.take_tensor_unzeroed(&[geom.n, o, oh, ow]);
         let (w, bias) = (self.weight.value.data(), self.bias.value.data());
         // A training forward keeps a copy of its input for backward.
-        let mut input = train.then(|| ws.take_unzeroed(x.numel()));
+        let mut input = mode.caches().then(|| ws.take_unzeroed(x.numel()));
         match self.precision {
             // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o]:
             // one GEMM per share of images whose epilogue scatters straight
@@ -259,7 +259,7 @@ mod tests {
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, 42);
         let mut rng = seeded_rng(13);
         let x = Tensor::randn(&[2, 3, 6, 6], 1.0, &mut rng);
-        let fast = conv.forward(&x, false, ws);
+        let fast = conv.forward(&x, Mode::Eval, ws);
         let w4 = conv.weight.value.clone().reshape(&[4, 3, 3, 3]);
         let slow = conv2d_reference(&x, &w4, Some(conv.bias.value.data()), 1, 1);
         assert_eq!(fast.dims(), slow.dims());
@@ -272,7 +272,7 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 2, 1, 7);
         let mut rng = seeded_rng(14);
         let x = Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng);
-        let fast = conv.forward(&x, false, ws);
+        let fast = conv.forward(&x, Mode::Eval, ws);
         let w4 = conv.weight.value.clone().reshape(&[3, 2, 3, 3]);
         let slow = conv2d_reference(&x, &w4, Some(conv.bias.value.data()), 2, 1);
         assert_eq!(fast.dims(), &[1, 3, 4, 4]);
@@ -299,7 +299,7 @@ mod tests {
         let x = Tensor::randn(&[2, 2, 6, 6], 1.0, &mut rng);
         let g = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
         for _ in 0..3 {
-            let y = conv.forward(&x, true, &mut ws);
+            let y = conv.forward(&x, Mode::Train, &mut ws);
             ws.recycle_tensor(y);
             let gx = conv.backward(&g, &mut ws);
             ws.recycle_tensor(gx);
@@ -319,10 +319,10 @@ mod tests {
             let mut full = Conv2d::new(cin, cout, k, stride, k / 2, 33);
             let mut first = full.clone();
             let mut ws = Workspace::new();
-            let y = full.forward(&x, true, &mut ws);
+            let y = full.forward(&x, Mode::Train, &mut ws);
             let g = Tensor::randn(y.dims(), 1.0, &mut rng);
             let _gx = full.backward(&g, &mut ws);
-            let _ = first.forward(&x, true, &mut ws);
+            let _ = first.forward(&x, Mode::Train, &mut ws);
             first.backward_first(&g, &mut ws);
             assert_eq!(first.weight.grad.data(), full.weight.grad.data());
             assert_eq!(first.bias.grad.data(), full.bias.grad.data());
@@ -333,7 +333,7 @@ mod tests {
         let x = Tensor::randn(&[2, 2, 6, 6], 1.0, &mut rng);
         let g = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
         for _ in 0..3 {
-            let y = conv.forward(&x, true, &mut ws);
+            let y = conv.forward(&x, Mode::Train, &mut ws);
             ws.recycle_tensor(y);
             conv.backward_first(&g, &mut ws);
         }
@@ -347,9 +347,9 @@ mod tests {
         let mut conv = Conv2d::new(3, 8, 3, 1, 1, 55);
         let mut rng = seeded_rng(56);
         let x = Tensor::randn(&[2, 3, 8, 8], 1.0, &mut rng);
-        let exact = conv.forward(&x, false, ws);
+        let exact = conv.forward(&x, Mode::Eval, ws);
         conv.set_precision(crate::layer::Precision::Int8);
-        let quantized = conv.forward(&x, false, ws);
+        let quantized = conv.forward(&x, Mode::Eval, ws);
         assert_eq!(exact.dims(), quantized.dims());
         // Quantization error scales with output magnitude; 2·127 levels
         // over a 27-element patch keeps relative error small.
@@ -359,7 +359,7 @@ mod tests {
         }
         // Switching back restores the exact path.
         conv.set_precision(crate::layer::Precision::F32);
-        let again = conv.forward(&x, false, ws);
+        let again = conv.forward(&x, Mode::Eval, ws);
         assert_eq!(exact.data(), again.data());
     }
 
@@ -379,7 +379,7 @@ mod tests {
             conv.bias.value.fill(0.0);
             let mut rng = seeded_rng(78);
             let x = Tensor::randn(&[2, cin, hw, hw], 1.0, &mut rng);
-            let y = conv.forward(&x, true, ws);
+            let y = conv.forward(&x, Mode::Train, ws);
             let g = Tensor::randn(y.dims(), 1.0, &mut rng);
             conv.zero_grad();
             let gx = conv.backward(&g, ws);

@@ -1,8 +1,8 @@
 //! The [`Layer`] trait: explicit forward/backward with cached activations.
 //!
 //! There is no tape or autograd graph; each layer caches whatever its
-//! backward pass needs during `forward(.., train=true, ..)` and consumes it
-//! in `backward`. This keeps the substrate small, fully testable with finite
+//! backward pass needs during a [`Mode::Train`] forward and consumes it in
+//! `backward`. This keeps the substrate small, fully testable with finite
 //! differences, and free of interior mutability.
 //!
 //! There is one forward and one backward per layer, and both take the
@@ -14,13 +14,22 @@
 //! fresh and on a warm workspace and demands identical bits).
 //!
 //! Contract:
-//! * `backward` must be called at most once per `forward(train=true)`, with
-//!   the gradient of the scalar loss w.r.t. the layer's output; it returns
-//!   the gradient w.r.t. the input and **accumulates** into parameter
-//!   gradients (so multi-head losses like deep mutual learning just call
-//!   backward once with the combined output gradient).
-//! * `forward(.., train=false, ..)` is a pure inference path (e.g. batch
-//!   norm uses running statistics) and need not cache anything.
+//! * A forward's [`Mode`] says what batch norm normalizes with and what
+//!   the layers keep:
+//!   - `Eval` normalizes with the running statistics and caches nothing;
+//!   - `BatchStats` normalizes with the batch's statistics and moves the
+//!     running statistics exactly as `Train` does — the output is
+//!     `Train`'s, bit for bit — and caches nothing;
+//!   - `Train` does what `BatchStats` does and caches what `backward`
+//!     reads (a convolution's input copy, batch norm's `x̂` and
+//!     `1/σ`, ReLU masks, pooling indices and dims, `Linear`'s input).
+//! * `backward` must be called at most once per `Mode::Train` forward,
+//!   and only after one, with the gradient of the scalar loss w.r.t. the
+//!   layer's output; it returns the gradient w.r.t. the input and
+//!   **accumulates** into parameter gradients (so multi-head losses like
+//!   deep mutual learning just call backward once with the combined
+//!   output gradient). After a forward that cached nothing it panics
+//!   ("… without forward(train)").
 //! * The caller owns a returned tensor and hands it back with
 //!   `ws.recycle_tensor` once consumed.
 
@@ -46,11 +55,47 @@ pub enum Precision {
     Int8,
 }
 
+/// What a forward pass is for (see the module contract).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// Inference with the running statistics; nothing cached.
+    Eval,
+    /// Inference with batch statistics (running statistics updated);
+    /// nothing cached, so no backward may follow.
+    BatchStats,
+    /// Training: batch statistics, and every layer caches for backward.
+    Train,
+}
+
+impl Mode {
+    /// Whether batch norm normalizes with the batch's own statistics (and
+    /// moves its running statistics).
+    pub fn batch_stats(self) -> bool {
+        self != Mode::Eval
+    }
+
+    /// Whether the layers keep what `backward` reads.
+    pub fn caches(self) -> bool {
+        self == Mode::Train
+    }
+}
+
+/// `true` is a training forward, `false` an inference one — the meaning
+/// of `Model::forward`'s flag.
+impl From<bool> for Mode {
+    fn from(training: bool) -> Self {
+        if training {
+            Mode::Train
+        } else {
+            Mode::Eval
+        }
+    }
+}
+
 /// A differentiable network module.
 pub trait Layer: Send {
-    /// Compute the layer output. `train` selects training-mode behaviour
-    /// (caching for backward, batch statistics, ...).
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor;
+    /// Compute the layer output in `mode`.
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor;
 
     /// Backpropagate: given ∂L/∂output, accumulate parameter gradients and
     /// return ∂L/∂input.

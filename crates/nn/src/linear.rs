@@ -13,7 +13,7 @@
 //! inside a training step it leaves `g · W` out
 //! ([`Layer::backward_first`]).
 
-use crate::layer::{Layer, Precision};
+use crate::layer::{Layer, Mode, Precision};
 use crate::param::{Init, Param};
 use kemf_tensor::gemm::{gemm_ops, Accumulate, BiasCol, ColMajor, RowMajor, Store};
 use kemf_tensor::quant;
@@ -91,7 +91,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let (batch, feat) = x.shape().as_matrix();
         assert_eq!(feat, self.in_features, "Linear expected {} features, got {feat}", self.in_features);
         let xd = x.data();
@@ -138,7 +138,7 @@ impl Layer for Linear {
                 ws.recycle(sb);
             }
         }
-        if train {
+        if mode.caches() {
             let mut cached = ws.take_tensor(&[batch, feat]);
             cached.data_mut().copy_from_slice(xd);
             self.cached_input = Some(cached);
@@ -219,7 +219,7 @@ mod tests {
         l.weight.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         l.bias.value = Tensor::from_vec(vec![0.5, -0.5], &[2]);
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let y = l.forward(&x, false, ws);
+        let y = l.forward(&x, Mode::Eval, ws);
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
 
@@ -242,9 +242,9 @@ mod tests {
         let mut l = Linear::new(48, 10, 3);
         let mut rng = seeded_rng(4);
         let x = Tensor::randn(&[8, 48], 1.0, &mut rng);
-        let exact = l.forward(&x, false, ws);
+        let exact = l.forward(&x, Mode::Eval, ws);
         l.set_precision(crate::layer::Precision::Int8);
-        let quantized = l.forward(&x, false, ws);
+        let quantized = l.forward(&x, Mode::Eval, ws);
         // Per-element error must stay within the analytic quantization
         // bound (with slack for f32 accumulation order).
         let xd = x.data();
@@ -264,7 +264,7 @@ mod tests {
         }
         // Flipping back restores the exact path bit-for-bit.
         l.set_precision(crate::layer::Precision::F32);
-        let again = l.forward(&x, false, ws);
+        let again = l.forward(&x, Mode::Eval, ws);
         assert_eq!(exact.data(), again.data());
     }
 

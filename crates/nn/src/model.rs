@@ -6,7 +6,7 @@
 //! with their own loss; only deep mutual learning (`kemf_core::dml`), which
 //! crosses two networks' logits inside one step, writes the sequence out.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Mode};
 use crate::loss::{accuracy, cross_entropy_ws};
 use crate::models::ModelSpec;
 use crate::optim::Sgd;
@@ -88,12 +88,14 @@ impl Model {
         self.param_count() * 4
     }
 
-    /// Forward pass (scratch and output storage from the model's pool).
-    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.net.forward(x, train, &mut self.ws)
+    /// Forward pass in `mode` (scratch and output storage from the
+    /// model's pool). A `bool` is accepted for `mode`: `true` is
+    /// [`Mode::Train`], `false` [`Mode::Eval`].
+    pub fn forward(&mut self, x: &Tensor, mode: impl Into<Mode>) -> Tensor {
+        self.net.forward(x, mode.into(), &mut self.ws)
     }
 
-    /// Backward pass (after a `forward(.., true)`).
+    /// Backward pass (after a [`Mode::Train`] forward).
     pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         self.net.backward(grad, &mut self.ws)
     }
@@ -164,7 +166,7 @@ impl Model {
         before_update: impl FnOnce(&mut Sequential),
     ) -> f32 {
         self.zero_grad();
-        let logits = self.net.forward(x, true, &mut self.ws);
+        let logits = self.net.forward(x, Mode::Train, &mut self.ws);
         let (loss, grad) = loss(&logits, &mut self.ws);
         self.ws.recycle_tensor(logits);
         self.backward_params(&grad);
@@ -180,30 +182,30 @@ impl Model {
         self.train_step(x, opt, |logits, ws| cross_entropy_ws(logits, labels, ws), |_| {})
     }
 
-    /// Inference logits for a batch (eval mode).
+    /// Inference logits for a batch ([`Mode::Eval`]).
     pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        self.net.forward(x, false, &mut self.ws)
+        self.net.forward(x, Mode::Eval, &mut self.ws)
     }
 
-    /// Inference logits using **batch statistics** (train-mode forward).
+    /// Inference logits using **batch statistics** ([`Mode::BatchStats`]).
     /// Needed when a model has taken too few optimizer steps for its
     /// batch-norm running statistics to be trustworthy — e.g. knowledge
     /// networks acting as distillation teachers right after a short local
-    /// update. Side effects: updates running statistics, and — being a
-    /// training forward no backward follows — leaves every layer holding
-    /// what its backward would have read (one activation-sized buffer per
-    /// layer, at `x`'s batch size) until the next forward replaces it. A
-    /// caller that keeps the model but is done with the pass hands that
-    /// back with [`Model::release_scratch`].
+    /// update. The logits are a training forward's, bit for bit, and the
+    /// running statistics move as a training forward moves them; no layer
+    /// caches anything for a backward, so what the model holds afterwards
+    /// above its parameters is its workspace pool — a few activations at
+    /// `x`'s batch size.
     pub fn predict_batch_stats(&mut self, x: &Tensor) -> Tensor {
-        self.net.forward(x, true, &mut self.ws)
+        self.net.forward(x, Mode::BatchStats, &mut self.ws)
     }
 
     /// Free everything this model holds besides its parameters and
-    /// buffers: each layer's backward cache, the workspace pool and the
-    /// calling thread's convolution lowering buffer. Tensors the model has
-    /// handed out stay valid. The next pass warms the pools again, so
-    /// this belongs after the last pass of a kind (a teacher's logits, a
+    /// buffers: its workspace pool, any backward cache a training forward
+    /// left, and the calling thread's convolution lowering buffer (every
+    /// helper's, called outside a share). Tensors the model has handed
+    /// out stay valid. The next pass warms the pools again, so this
+    /// belongs after the last pass of a kind (a teacher's logits, a
     /// server-side evaluation), not between training steps.
     pub fn release_scratch(&mut self) {
         // A clone is exactly that: same parameters, empty caches and pool.
@@ -343,7 +345,7 @@ mod tests {
             for _ in 0..3 {
                 let loss = stepped.train_batch(&x, &labels, &mut opt_s);
                 manual.zero_grad();
-                let logits = manual.forward(&x, true);
+                let logits = manual.forward(&x, Mode::Train);
                 let (want, grad) = cross_entropy_ws(&logits, &labels, manual.ws_mut());
                 let gx = manual.backward(&grad);
                 assert_eq!(gx.dims(), x.dims());

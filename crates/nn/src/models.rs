@@ -231,7 +231,7 @@ fn build_mlp1(spec: &ModelSpec, next: &mut dyn FnMut() -> Init) -> Sequential {
 mod tests {
     use super::*;
     use kemf_tensor::workspace::Workspace;
-    use crate::layer::Layer;
+    use crate::layer::{Layer, Mode};
     use kemf_tensor::rng::seeded_rng;
     use kemf_tensor::Tensor;
 
@@ -240,7 +240,7 @@ mod tests {
         let mut net = spec.build();
         let mut rng = seeded_rng(0);
         let x = Tensor::randn(&[batch, spec.in_channels, spec.input_hw, spec.input_hw], 1.0, &mut rng);
-        net.forward(&x, false, ws).dims().to_vec()
+        net.forward(&x, Mode::Eval, ws).dims().to_vec()
     }
 
     #[test]

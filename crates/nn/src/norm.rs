@@ -2,8 +2,9 @@
 //!
 //! Training mode normalizes with batch statistics, keeps exponential
 //! running statistics for inference, and caches the normalized activations
-//! for the exact batch-norm backward pass. Outputs and the cache live in
-//! the caller's [`Workspace`], so a steady-state step allocates nothing.
+//! for the exact batch-norm backward pass; [`Mode::BatchStats`] does the
+//! same without the cache. Outputs and the cache live in the caller's
+//! [`Workspace`], so a steady-state step allocates nothing.
 //!
 //! Each pass is split over the compute width ([`par::split`]) in two
 //! steps, each partitioning what it writes. The per-channel reductions —
@@ -15,7 +16,7 @@
 //! each element the expression it always was. Inference is the second
 //! step alone.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
@@ -31,7 +32,7 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
     channels: usize,
-    /// (x_hat, inv_std) cached during training forward.
+    /// (x_hat, inv_std) cached by a `Mode::Train` forward.
     cache: Option<(Tensor, Vec<f32>)>,
 }
 
@@ -62,7 +63,7 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         assert_eq!(c, self.channels, "BatchNorm2d expected {} channels, got {c}", self.channels);
         let plane = h * w;
@@ -73,8 +74,8 @@ impl Layer for BatchNorm2d {
         let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         let (momentum, eps) = (self.momentum, self.eps);
 
-        if train {
-            let mut x_hat = ws.take_tensor_unzeroed(x.dims());
+        if mode.batch_stats() {
+            let mut x_hat = mode.caches().then(|| ws.take_tensor_unzeroed(x.dims()));
             let mut inv_stds = ws.take_unzeroed(c);
             let mut means = ws.take_unzeroed(c);
             // Batch statistics, split by channels: a channel's f64 sums run
@@ -100,20 +101,35 @@ impl Layer for BatchNorm2d {
                     running_var[k] = (1.0 - momentum) * running_var[k] + momentum * var;
                 }
             });
-            // Normalize, split by images.
-            par::split(n, work, (x_hat.data_mut(), y.data_mut()), |images, (x_hat, y)| {
-                let rows = x_hat.chunks_exact_mut(plane).zip(y.chunks_exact_mut(plane));
-                for ((xh, yv), (src, ch)) in rows.zip(planes(src, images, c, plane)) {
-                    let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
-                    for ((&sv, xv), yv) in src.iter().zip(xh).zip(yv) {
-                        let xh = (sv - mean) * inv_std;
-                        *xv = xh;
-                        *yv = g * xh + b;
+            // Normalize, split by images; `x̂` is kept only for backward.
+            // Both arms write `y` as `γ·x̂ + β` from the same `x̂`.
+            match &mut x_hat {
+                Some(x_hat) => par::split(n, work, (x_hat.data_mut(), y.data_mut()), |images, (x_hat, y)| {
+                    let rows = x_hat.chunks_exact_mut(plane).zip(y.chunks_exact_mut(plane));
+                    for ((xh, yv), (src, ch)) in rows.zip(planes(src, images, c, plane)) {
+                        let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
+                        for ((&sv, xv), yv) in src.iter().zip(xh).zip(yv) {
+                            let xh = (sv - mean) * inv_std;
+                            *xv = xh;
+                            *yv = g * xh + b;
+                        }
                     }
-                }
-            });
+                }),
+                None => par::split(n, work, y.data_mut(), |images, y| {
+                    for (yv, (src, ch)) in y.chunks_exact_mut(plane).zip(planes(src, images, c, plane)) {
+                        let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
+                        for (&sv, yv) in src.iter().zip(yv) {
+                            let xh = (sv - mean) * inv_std;
+                            *yv = g * xh + b;
+                        }
+                    }
+                }),
+            };
             ws.recycle(means);
-            self.cache = Some((x_hat, inv_stds));
+            match x_hat {
+                Some(x_hat) => self.cache = Some((x_hat, inv_stds)),
+                None => ws.recycle(inv_stds),
+            }
         } else {
             let (running_mean, running_var) = (self.running_mean.data(), self.running_var.data());
             par::split(n, work, y.data_mut(), |images, y| {
@@ -240,7 +256,7 @@ mod tests {
         let mut bn = BatchNorm2d::new(2);
         let mut rng = seeded_rng(5);
         let x = Tensor::randn(&[4, 2, 3, 3], 3.0, &mut rng).map(|v| v + 2.0);
-        let y = bn.forward(&x, true, ws);
+        let y = bn.forward(&x, Mode::Train, ws);
         // Per-channel mean ≈ 0, var ≈ 1 after normalization with γ=1, β=0.
         let (n, c, h, w) = y.shape().as_nchw();
         for ch in 0..c {
@@ -268,7 +284,7 @@ mod tests {
         let mean = x.mean();
         let var = x.data().iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / x.numel() as f32;
         for _ in 0..80 {
-            let _ = bn.forward(&x, true, ws);
+            let _ = bn.forward(&x, Mode::Train, ws);
         }
         assert!((bn.running_mean().data()[0] - mean).abs() < 0.05, "{} vs {mean}", bn.running_mean().data()[0]);
         assert!((bn.running_var().data()[0] - var).abs() < 0.1, "{} vs {var}", bn.running_var().data()[0]);
@@ -281,7 +297,7 @@ mod tests {
         bn.running_mean = Tensor::from_vec(vec![1.0], &[1]);
         bn.running_var = Tensor::from_vec(vec![4.0], &[1]);
         let x = Tensor::from_vec(vec![3.0], &[1, 1, 1, 1]);
-        let y = bn.forward(&x, false, ws);
+        let y = bn.forward(&x, Mode::Eval, ws);
         // (3 - 1) / 2 = 1
         assert!((y.data()[0] - 1.0).abs() < 1e-3);
     }

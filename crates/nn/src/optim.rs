@@ -142,6 +142,7 @@ impl LrSchedule {
 mod tests {
     use super::*;
     use kemf_tensor::workspace::Workspace;
+    use crate::layer::Mode;
     use crate::linear::Linear;
     use crate::loss::cross_entropy_ws;
     use kemf_tensor::rng::seeded_rng;
@@ -159,7 +160,7 @@ mod tests {
         let mut last = 0.0;
         for it in 0..50 {
             net.zero_grad();
-            let logits = net.forward(&x, true, ws);
+            let logits = net.forward(&x, Mode::Train, ws);
             let (loss, grad) = cross_entropy_ws(&logits, &labels, ws);
             if it == 0 {
                 first = loss;
@@ -184,7 +185,7 @@ mod tests {
             let mut loss = 0.0;
             for _ in 0..120 {
                 net.zero_grad();
-                let y = net.forward(&x, true, ws);
+                let y = net.forward(&x, Mode::Train, ws);
                 let diff = y.sub(&target);
                 loss = diff.sq_norm();
                 let _ = net.backward(&diff.scale(2.0), ws);

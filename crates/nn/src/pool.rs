@@ -2,7 +2,7 @@
 //! Both passes of both split by `(image, channel)` planes over the
 //! compute width ([`par::split`]) where they clear its floor.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Mode};
 use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -23,7 +23,7 @@ impl MaxPool2 {
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         let (oh, ow) = (h / 2, w / 2);
         assert!(oh > 0 && ow > 0, "MaxPool2 input {h}x{w} too small");
@@ -51,7 +51,7 @@ impl Layer for MaxPool2 {
                 }
             }
         });
-        if train {
+        if mode.caches() {
             let mut dims = ws.take_usize(4);
             dims.copy_from_slice(x.dims());
             self.cache = Some((arg, dims));
@@ -106,7 +106,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = x.shape().as_nchw();
         let area = (h * w) as f32;
         let mut out = ws.take_tensor_unzeroed(&[n, c]);
@@ -118,7 +118,7 @@ impl Layer for GlobalAvgPool {
                 *d = s / area;
             }
         });
-        if train {
+        if mode.caches() {
             let mut dims = ws.take_usize(4);
             dims.copy_from_slice(x.dims());
             self.input_dims = Some(dims);
@@ -162,7 +162,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut p = MaxPool2::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = p.forward(&x, false, ws);
+        let y = p.forward(&x, Mode::Eval, ws);
         assert_eq!(y.dims(), &[1, 1, 1, 1]);
         assert_eq!(y.data(), &[4.0]);
     }
@@ -172,7 +172,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut p = MaxPool2::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let _ = p.forward(&x, true, ws);
+        let _ = p.forward(&x, Mode::Train, ws);
         let g = p.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]), ws);
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 5.0]);
     }
@@ -182,7 +182,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut p = MaxPool2::new();
         let x = Tensor::from_vec((0..15).map(|v| v as f32).collect(), &[1, 1, 3, 5]);
-        let y = p.forward(&x, false, ws);
+        let y = p.forward(&x, Mode::Eval, ws);
         assert_eq!(y.dims(), &[1, 1, 1, 2]);
     }
 
@@ -197,7 +197,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut p = GlobalAvgPool::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0], &[1, 2, 2, 2]);
-        let y = p.forward(&x, false, ws);
+        let y = p.forward(&x, Mode::Eval, ws);
         assert_eq!(y.dims(), &[1, 2]);
         assert_eq!(y.data(), &[2.5, 10.0]);
     }

@@ -3,7 +3,7 @@
 
 use crate::activation::ReLU;
 use crate::conv2d::Conv2d;
-use crate::layer::Layer;
+use crate::layer::{Layer, Mode};
 use crate::norm::BatchNorm2d;
 use crate::param::{Init, Param};
 use kemf_tensor::par;
@@ -46,16 +46,17 @@ impl Clone for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         // Each intermediate returns to the pool the moment the next layer
-        // has consumed it (layers copy whatever they cache for backward).
+        // has consumed it (layers copy whatever they cache for backward),
+        // so a pass that caches nothing holds a few activations at a time.
         let mut iter = self.layers.iter_mut();
         let mut h = match iter.next() {
-            Some(l) => l.forward(x, train, ws),
+            Some(l) => l.forward(x, mode, ws),
             None => return x.clone(),
         };
         for l in iter {
-            let next = l.forward(&h, train, ws);
+            let next = l.forward(&h, mode, ws);
             ws.recycle_tensor(h);
             h = next;
         }
@@ -181,27 +182,27 @@ impl BasicBlock {
 }
 
 impl Layer for BasicBlock {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let h = self.conv1.forward(x, train, ws);
-        let h2 = self.bn1.forward(&h, train, ws);
+    fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
+        let h = self.conv1.forward(x, mode, ws);
+        let h2 = self.bn1.forward(&h, mode, ws);
         ws.recycle_tensor(h);
-        let h3 = self.relu1.forward(&h2, train, ws);
+        let h3 = self.relu1.forward(&h2, mode, ws);
         ws.recycle_tensor(h2);
-        let h4 = self.conv2.forward(&h3, train, ws);
+        let h4 = self.conv2.forward(&h3, mode, ws);
         ws.recycle_tensor(h3);
-        let mut sum = self.bn2.forward(&h4, train, ws);
+        let mut sum = self.bn2.forward(&h4, mode, ws);
         ws.recycle_tensor(h4);
         match &mut self.shortcut {
             Some((conv, bn)) => {
-                let s = conv.forward(x, train, ws);
-                let s2 = bn.forward(&s, train, ws);
+                let s = conv.forward(x, mode, ws);
+                let s2 = bn.forward(&s, mode, ws);
                 ws.recycle_tensor(s);
                 add_residual(&mut sum, &s2);
                 ws.recycle_tensor(s2);
             }
             None => add_residual(&mut sum, x),
         }
-        let y = self.relu_out.forward(&sum, train, ws);
+        let y = self.relu_out.forward(&sum, mode, ws);
         ws.recycle_tensor(sum);
         y
     }
@@ -322,7 +323,7 @@ mod tests {
             .push(ReLU::new())
             .push(Linear::new(8, 3, 1));
         let x = Tensor::ones(&[2, 4]);
-        let y = net.forward(&x, false, ws);
+        let y = net.forward(&x, Mode::Eval, ws);
         assert_eq!(y.dims(), &[2, 3]);
         assert_eq!(net.len(), 3);
     }
@@ -341,7 +342,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut b = BasicBlock::new(4, 4, 1, 0);
         let x = Tensor::ones(&[1, 4, 6, 6]);
-        let y = b.forward(&x, false, ws);
+        let y = b.forward(&x, Mode::Eval, ws);
         assert_eq!(y.dims(), &[1, 4, 6, 6]);
     }
 
@@ -350,7 +351,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut b = BasicBlock::new(4, 8, 2, 0);
         let x = Tensor::ones(&[2, 4, 8, 8]);
-        let y = b.forward(&x, false, ws);
+        let y = b.forward(&x, Mode::Eval, ws);
         assert_eq!(y.dims(), &[2, 8, 4, 4]);
     }
 

@@ -6,7 +6,7 @@
 //! forward/backward pass, and compares every parameter gradient and the
 //! input gradient against central finite differences.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Mode};
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -25,12 +25,12 @@ pub fn grad_check(layer: &mut dyn Layer, input_dims: &[usize], step: f32, tol: f
 
     // Fixed projection of the output.
     layer.zero_grad();
-    let y0 = layer.forward(&x, true, ws);
+    let y0 = layer.forward(&x, Mode::Train, ws);
     let r = Tensor::randn(y0.dims(), 1.0, &mut rng);
 
     // Analytic pass.
     layer.zero_grad();
-    let y = layer.forward(&x, true, ws);
+    let y = layer.forward(&x, Mode::Train, ws);
     let analytic_input_grad = layer.backward(&r, ws);
     let _ = y;
 
@@ -49,7 +49,7 @@ pub fn grad_check(layer: &mut dyn Layer, input_dims: &[usize], step: f32, tol: f
                     }
                     i += 1;
                 });
-                let y = layer.forward(&x, true, ws);
+                let y = layer.forward(&x, Mode::Train, ws);
                 let mut i = 0;
                 layer.visit_params_mut(&mut |p| {
                     if i == pi {
@@ -75,10 +75,10 @@ pub fn grad_check(layer: &mut dyn Layer, input_dims: &[usize], step: f32, tol: f
     for e in 0..x.numel() {
         let mut xp = x.clone();
         xp.data_mut()[e] += step;
-        let lp = proj_loss(&layer.forward(&xp, true, ws), &r);
+        let lp = proj_loss(&layer.forward(&xp, Mode::Train, ws), &r);
         let mut xm = x.clone();
         xm.data_mut()[e] -= step;
-        let lm = proj_loss(&layer.forward(&xm, true, ws), &r);
+        let lm = proj_loss(&layer.forward(&xm, Mode::Train, ws), &r);
         let fd = (lp - lm) / (2.0 * step);
         let an = analytic_input_grad.data()[e];
         let denom = 1.0f32.max(fd.abs()).max(an.abs());

@@ -9,8 +9,10 @@
 //! residual blocks included, through `Model::train_batch` — the step
 //! every algorithm runs — each both as `Model::new` draws it and as
 //! `Model::from_state` rebuilds it), the int8
-//! quantized forward (per-layer code/scale buffers from the i8 pool) and
-//! a plain `matmul_into` past one macro tile (thread-local pack pool).
+//! quantized forward (per-layer code/scale buffers from the i8 pool), the
+//! batch-statistics pass of distillation teachers (`predict_batch_stats`,
+//! which caches nothing) and a plain `matmul_into` past one macro tile
+//! (thread-local pack pool).
 //! Every leg but the last runs on the test's thread outside any share, so
 //! at a compute width above one its layers split their products with the
 //! `par` helpers — whose pack pools and lowering buffers are warmed by the
@@ -24,7 +26,8 @@
 //! There is one forward and one backward per layer and they reuse
 //! whatever the pool hands them, some of it unzeroed; nothing else
 //! computes the same pass to compare against. So the audit starts with a
-//! sweep over all nine `Layer` impls: forward + backward on a fresh
+//! sweep over all nine `Layer` impls: forward + backward, a
+//! `Mode::BatchStats` forward and an int8 inference forward on a fresh
 //! workspace and on one still holding another call's data must agree to
 //! the bit.
 //!
@@ -80,7 +83,7 @@ fn count_allocs(f: impl FnOnce()) -> usize {
 
 use kemf_nn::activation::{Flatten, ReLU};
 use kemf_nn::conv2d::Conv2d;
-use kemf_nn::layer::{Layer, Precision};
+use kemf_nn::layer::{Layer, Mode, Precision};
 use kemf_nn::linear::Linear;
 use kemf_nn::loss::cross_entropy_ws;
 use kemf_nn::model::Model;
@@ -94,24 +97,27 @@ use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
-/// Everything one training-mode forward + backward and one inference
-/// forward of `layer` produce, as bit patterns: output, input gradient,
-/// parameter gradients, inference output (`Int8` where the layer has it).
+/// Everything one training-mode forward + backward, one batch-statistics
+/// forward and one inference forward of `layer` produce, as bit patterns:
+/// output, input gradient, parameter gradients, batch-statistics output,
+/// inference output (`Int8` where the layer has it).
 fn pass_bits(layer: &mut dyn Layer, x: &Tensor, ws: &mut Workspace) -> Vec<u32> {
     layer.zero_grad();
-    let y = layer.forward(x, true, ws);
+    let y = layer.forward(x, Mode::Train, ws);
     let g = y.map(|v| 0.5 - v);
     let gx = layer.backward(&g, ws);
+    let y_stats = layer.forward(x, Mode::BatchStats, ws);
     layer.set_precision(Precision::Int8);
-    let y_eval = layer.forward(x, false, ws);
+    let y_eval = layer.forward(x, Mode::Eval, ws);
     layer.set_precision(Precision::F32);
     let mut bits: Vec<u32> = Vec::new();
     let mut push = |t: &Tensor| bits.extend(t.data().iter().map(|v| v.to_bits()));
     push(&y);
     push(&gx);
+    push(&y_stats);
     push(&y_eval);
     layer.visit_params(&mut |p| push(&p.grad));
-    for t in [y, gx, y_eval] {
+    for t in [y, gx, y_stats, y_eval] {
         ws.recycle_tensor(t);
     }
     bits
@@ -181,7 +187,7 @@ fn second_training_step_allocates_nothing() {
 
     let step = |net: &mut Sequential, ws: &mut Workspace, opt: &mut Sgd| {
         net.zero_grad();
-        let logits = net.forward(&x, true, ws);
+        let logits = net.forward(&x, Mode::Train, ws);
         let (loss, grad) = cross_entropy_ws(&logits, &labels, ws);
         ws.recycle_tensor(logits);
         let gx = net.backward(&grad, ws);
@@ -242,6 +248,19 @@ fn second_training_step_allocates_nothing() {
             assert_eq!(allocs, 0, "{arch:?}: steady-state training steps allocated {allocs} times");
             assert_eq!(fresh(&mut model), warm, "{arch:?}: pool misses after warm-up");
             losses.push(trace.iter().map(|l| l.to_bits()).collect::<Vec<_>>());
+
+            // The teacher pass: the same bits from a fresh workspace (a
+            // clone's) as from this warm one, and a second pass draws
+            // everything from the pool.
+            let want = model.clone().predict_batch_stats(&x);
+            let z = model.predict_batch_stats(&x);
+            assert!(z.data() == want.data(), "{arch:?}: a warm workspace changed predict_batch_stats");
+            model.recycle(z);
+            let allocs = count_allocs(|| {
+                let z = model.predict_batch_stats(&x);
+                model.recycle(z);
+            });
+            assert_eq!(allocs, 0, "{arch:?}: a warm predict_batch_stats allocated {allocs} times");
         }
         assert_eq!(losses[0], losses[1], "{arch:?}: from_state trains differently");
     }
@@ -249,10 +268,10 @@ fn second_training_step_allocates_nothing() {
     // Int8 quantized inference: the first forward populates the i8
     // code/scale pools; the second must be allocation-free too.
     net.set_precision(Precision::Int8);
-    let warm = net.forward(&x, false, &mut ws);
+    let warm = net.forward(&x, Mode::Eval, &mut ws);
     ws.recycle_tensor(warm);
     let allocs = count_allocs(|| {
-        let y = net.forward(&x, false, &mut ws);
+        let y = net.forward(&x, Mode::Eval, &mut ws);
         assert!(y.data().iter().all(|v| v.is_finite()));
         ws.recycle_tensor(y);
     });

@@ -9,7 +9,7 @@
 //! 1×1 output planes included — on the native and on the scalar tier.
 
 use kemf_nn::conv2d::Conv2d;
-use kemf_nn::layer::Layer;
+use kemf_nn::layer::{Layer, Mode};
 use kemf_tensor::conv::{col2im, im2col, ConvGeom};
 use kemf_tensor::gemm::{gemm_ops, Accumulate, ColMajor, NchwGather, RowMajor, Store};
 use kemf_tensor::rng::seeded_rng;
@@ -44,7 +44,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 /// (y, gx, dW, db) of the layer itself.
 fn layer_pass(conv: &mut Conv2d, x: &Tensor, g: &Tensor, ws: &mut Workspace) -> [Vec<u32>; 4] {
     conv.zero_grad();
-    let y = conv.forward(x, true, ws);
+    let y = conv.forward(x, Mode::Train, ws);
     let gx = conv.backward(g, ws);
     let mut grads = Vec::new();
     conv.visit_params(&mut |p| grads.push(bits(p.grad.data())));

@@ -2,7 +2,7 @@
 //! layers that must be linear, invariances of normalization, and
 //! optimizer/serialization invariants.
 
-use kemf_nn::layer::Layer;
+use kemf_nn::layer::{Layer, Mode};
 use kemf_nn::linear::Linear;
 use kemf_nn::loss::{accuracy, cross_entropy_ws};
 use kemf_nn::models::{Arch, ModelSpec};
@@ -28,7 +28,7 @@ proptest! {
         let x = Tensor::from_vec(a, &[2, 3]);
         let y = Tensor::from_vec(b, &[2, 3]);
         let zero = Tensor::zeros(&[2, 3]);
-        let f = |l: &mut Linear, t: &Tensor| l.forward(t, false, &mut Workspace::new());
+        let f = |l: &mut Linear, t: &Tensor| l.forward(t, Mode::Eval, &mut Workspace::new());
         let lhs = f(&mut l, &x.scale(s).add(&y)).sub(&f(&mut l, &y));
         let rhs = f(&mut l, &x).sub(&f(&mut l, &zero)).scale(s);
         kemf_tensor::assert_close(lhs.data(), rhs.data(), 1e-3);
@@ -41,8 +41,8 @@ proptest! {
         let mut bn1 = BatchNorm2d::new(2);
         let mut bn2 = BatchNorm2d::new(2);
         let ws = &mut Workspace::new();
-        let a = bn1.forward(&x, true, ws);
-        let b = bn2.forward(&x.scale(gain), true, ws);
+        let a = bn1.forward(&x, Mode::Train, ws);
+        let b = bn2.forward(&x.scale(gain), Mode::Train, ws);
         kemf_tensor::assert_close(a.data(), b.data(), 2e-2);
     }
 

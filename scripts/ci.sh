@@ -93,6 +93,16 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
         print FILENAME":"FNR": optimizer step outside Model::train_step"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/tensor/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
 
+# Forward modes say what they keep: outside test modules, no crate source
+# takes a `train: bool`. A pass is `kemf_nn::layer::Mode::{Eval,
+# BatchStats, Train}`, so a pass no backward follows (the distillation
+# teachers, FedMD/FedGEMS client logits) cannot ask for the backward
+# cache by asking for batch statistics. `Model::forward` still accepts
+# the benchmark's `bool` through `From<bool> for Mode`.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    /train: bool/ { print FILENAME":"FNR": train: bool parameter, want a kemf_nn::layer::Mode"; bad=1 }
+    END{exit bad}' crates/*/src/*.rs crates/*/src/bin/*.rs
+
 # One int8 route: outside test modules, kemf-fl/kemf-core switch a model's
 # compute format only inside `ensemble_forward_with_precision` (the server
 # distils in f32; the frozen benchmark's int8 probes call that function),
