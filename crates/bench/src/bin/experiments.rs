@@ -21,7 +21,8 @@ use kemf_bench::*;
 use kemf_core::prelude::*;
 use kemf_data::prelude::*;
 use kemf_fl::prelude::*;
-use kemf_nn::codec::{fnv1a64, FNV_OFFSET};
+use kemf_fl::checkpoint::run_identity;
+use kemf_nn::codec::{fnv1a64, Writer, FNV_OFFSET};
 use kemf_nn::prelude::*;
 use kemf_tensor::rng::child_seed;
 use serde::Serialize;
@@ -78,10 +79,10 @@ enum Algo<'a> {
     FedGems,
 }
 
-/// The in-process memo `(spec, algorithm) → History`.
+/// The in-process memo `(run key, rounds) → History`.
 struct Memo<'a> {
     args: &'a Args,
-    runs: HashMap<(String, usize), Rc<History>>,
+    runs: HashMap<(Vec<u8>, usize), Rc<History>>,
     requested: usize,
     trained: usize,
 }
@@ -110,37 +111,22 @@ impl<'a> Memo<'a> {
         let clients =
             || uniform_specs(spec.arch, spec.clients, ch, hw, 10, child_seed(spec.seed, 0xC7));
         let pool = || task.generate_unlabeled(spec.pool_samples(), 2);
-        // What is trained, knobs included: two requests that configure the
-        // same FedKEMF (an ablation's "paper" row and Fig. 4's) share a run.
-        let kemf = |turn: &dyn Fn(&mut FedKemfConfig)| -> (Box<dyn FedAlgorithm>, String) {
-            let c = fedkemf_config(spec, &task, turn);
-            let knobs = format!(
-                "FedKEMF {:?} {:?} {:?} kl={} T={} mutual={} warmup={}",
-                c.knowledge_spec, c.distill, c.fusion, c.kl_weight, c.dml_temperature, c.mutual,
-                c.kl_warmup_rounds
-            );
-            (Box::new(FedKemf::new(c)), knobs)
-        };
-        let (mut algo, what): (Box<dyn FedAlgorithm>, String) = match algo {
-            Algo::Paper(AlgoKind::FedKemf) => kemf(&|_| {}),
-            Algo::Kemf(turn) => kemf(turn),
-            Algo::Paper(kind) => (kind.build(spec, &task), kind.display().into()),
-            Algo::FedDf => (Box::new(FedDf::new(model, pool())), "FedDF".into()),
-            Algo::FedMd => {
-                let md = FedMd::new(clients(), pool(), 10, FedMdConfig::default());
-                (Box::new(md), "FedMD".into())
-            }
+        let mut algo: Box<dyn FedAlgorithm> = match algo {
+            Algo::Paper(kind) => kind.build(spec, &task),
+            Algo::Kemf(turn) => Box::new(FedKemf::new(fedkemf_config(spec, &task, turn))),
+            Algo::FedDf => Box::new(FedDf::new(model, pool())),
+            Algo::FedMd => Box::new(FedMd::new(clients(), pool(), 10, FedMdConfig::default())),
             Algo::FedGems => {
                 let server = ModelSpec { width: model.width * 4, ..model };
-                let gems = FedGems::new(clients(), server, pool(), 10, FedGemsConfig::default());
-                (Box::new(gems), "FedGEMS".into())
+                Box::new(FedGems::new(clients(), server, pool(), 10, FedGemsConfig::default()))
             }
         };
-        // The round budget stays out of the lineage so that a resumed run
-        // may extend it (checkpoints do not fingerprint it either).
-        let lineage = format!("{:?} {what}", ExperimentSpec { rounds: 0, ..*spec });
-        let run = run_id(spec, &algo.name(), &lineage);
-        let key = (lineage, spec.rounds);
+        // Two requests that configure the same run (an ablation's "paper"
+        // row and Fig. 4's FedKEMF) share it. The round budget stays out of
+        // the file name so that a resumed run may extend it.
+        let key = run_key(spec, &ctx, algo.as_ref());
+        let run = run_id(spec, algo.as_ref(), &key);
+        let key = (key, spec.rounds);
         if let Some(h) = self.runs.get(&key) {
             self.requested += 1;
             return h.clone();
@@ -151,11 +137,23 @@ impl<'a> Memo<'a> {
     }
 }
 
+/// What a run is, knobs included: the spec fields `FlConfig` lacks (the
+/// task, the samples per client), then the run identity a checkpoint
+/// fingerprints ([`run_identity`]) — config without rounds, the reliable
+/// fault model every run here uses, the algorithm's encoded knobs.
+fn run_key(spec: &ExperimentSpec, ctx: &FlContext, algo: &dyn FedAlgorithm) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(spec.workload as u8);
+    w.usize(spec.samples_per_client);
+    run_identity(&mut w, &ctx.cfg, &FaultConfig::default(), algo);
+    w.into_bytes()
+}
+
 /// File stem for a run's trace / checkpoint directory: architecture,
-/// scale and algorithm to read, a hash of the whole lineage to be unique.
-fn run_id(spec: &ExperimentSpec, algo: &str, lineage: &str) -> String {
-    let hash = fnv1a64(FNV_OFFSET, lineage.as_bytes()) as u32;
-    format!("{:?}_c{}_{algo}_{hash:08x}", spec.arch, spec.clients).to_lowercase()
+/// scale and algorithm to read, a hash of the run key to be unique.
+fn run_id(spec: &ExperimentSpec, algo: &dyn FedAlgorithm, key: &[u8]) -> String {
+    let hash = fnv1a64(FNV_OFFSET, key) as u32;
+    format!("{:?}_c{}_{}_{hash:08x}", spec.arch, spec.clients, algo.name()).to_lowercase()
 }
 
 fn spec_for(workload: Workload, arch: Arch, args: &Args) -> ExperimentSpec {
@@ -433,7 +431,7 @@ fn table3(memo: &mut Memo) -> Vec<(String, Table)> {
     let global_test = task.generate(spec.test_samples(), 1);
     let ctx = FlContext::with_shards(cfg, &full, &train_shards, global_test);
     let mut run = |algo: &mut dyn FedAlgorithm| {
-        let id = run_id(&spec, &algo.name(), "table3");
+        let id = run_id(&spec, algo, &run_key(&spec, &ctx, algo));
         memo.train(algo, &ctx, &id);
     };
     let mut table = Table::new(
@@ -675,7 +673,7 @@ fn main() {
         git_rev: git
             .filter(|o| o.status.success())
             .map_or("unknown".into(), |o| String::from_utf8_lossy(&o.stdout).trim().into()),
-        threads: kemf_fl::engine::init_thread_pool(),
+        threads: kemf_tensor::par::width(),
         isa: format!("{:?}", kemf_tensor::simd::isa()),
         cpu_features: kemf_tensor::simd::cpu_features(),
         artefacts,

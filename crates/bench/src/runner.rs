@@ -109,12 +109,9 @@ impl ExperimentSpec {
             lr: 0.08,
             momentum: 0.9,
             weight_decay: 1e-4,
-            lr_schedule: LrSchedule::Constant,
             alpha: self.alpha,
             min_per_client: (self.samples_per_client / 5).max(4),
             eval_batch: 64,
-            dropout_prob: 0.0,
-            faults: FaultConfig::default(),
             cohort_batch: None,
             seed: self.seed,
         };

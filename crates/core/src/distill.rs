@@ -3,6 +3,7 @@
 //! by minimizing `D_KL(Θ ‖ θ_g)` on unlabeled/public data.
 
 use crate::ensemble::{ensemble_logits, EnsembleStrategy};
+use kemf_nn::codec::Writer;
 use kemf_nn::loss::{kl_to_target_ws, soften};
 use kemf_nn::model::Model;
 use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
@@ -39,6 +40,18 @@ impl Default for DistillConfig {
             strategy: EnsembleStrategy::MaxLogits,
             clip_norm: 5.0,
         }
+    }
+}
+
+impl DistillConfig {
+    /// Append every knob to a run identity
+    /// ([`kemf_fl::engine::FedAlgorithm::identity`]).
+    pub(crate) fn identity(&self, w: &mut Writer) {
+        let DistillConfig { epochs, batch, sgd, temperature, strategy, clip_norm } = *self;
+        let SgdConfig { lr, momentum, weight_decay } = sgd;
+        [epochs, batch].into_iter().for_each(|v| w.usize(v));
+        [lr, momentum, weight_decay, temperature, clip_norm].into_iter().for_each(|v| w.f32(v));
+        w.u8(strategy as u8);
     }
 }
 

@@ -16,6 +16,7 @@ use kemf_fl::scheduler::PreparedUpdate;
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
 use kemf_fl::trace::{Phase, RoundScope};
 use kemf_fl::weight_common::{train_state_update, GlobalModel};
+use kemf_nn::codec::Writer;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
 use kemf_tensor::rng::child_seed;
@@ -40,6 +41,12 @@ impl FedDf {
 impl FedAlgorithm for FedDf {
     fn name(&self) -> String {
         "FedDF".into()
+    }
+
+    fn identity(&self, w: &mut Writer) {
+        w.string(&self.name());
+        w.spec(&self.global.spec);
+        self.distill.identity(w);
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {

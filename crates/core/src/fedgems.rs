@@ -34,6 +34,7 @@ use kemf_fl::local::local_train;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError, TensorBlob};
 use kemf_fl::trace::{Phase, RoundScope};
+use kemf_nn::codec::Writer;
 use kemf_nn::loss::soften;
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
@@ -235,7 +236,7 @@ impl FedGems {
             &targets,
             self.cfg.server_epochs,
             self.cfg.temperature,
-            SgdConfig { lr: self.cfg.distill_lr, ..ctx.cfg.sgd_at(round) },
+            SgdConfig { lr: self.cfg.distill_lr, ..ctx.cfg.local_cfg().sgd },
             seed,
         );
         self.server = server.state();
@@ -246,6 +247,17 @@ impl FedGems {
 impl FedAlgorithm for FedGems {
     fn name(&self) -> String {
         "FedGEMS".into()
+    }
+
+    fn identity(&self, w: &mut Writer) {
+        let FedGemsConfig { digest_epochs, server_epochs, temperature, distill_lr,
+            confidence_threshold } = self.cfg;
+        w.string(&self.name());
+        w.spec(&self.server_spec);
+        w.usize(self.clients.specs().len());
+        self.clients.specs().iter().for_each(|s| w.spec(s));
+        [self.classes, digest_epochs, server_epochs].into_iter().for_each(|v| w.usize(v));
+        [temperature, distill_lr, confidence_threshold].into_iter().for_each(|v| w.f32(v));
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
@@ -274,7 +286,7 @@ impl FedAlgorithm for FedGems {
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
         self.clients.begin_round(wave);
-        let local = ctx.cfg.local_cfg(wave);
+        let local = ctx.cfg.local_cfg();
         // Broadcast: the server's current logits, softened for digestion.
         // A never-fused server is noise — clients skip digesting it.
         let broadcast = self

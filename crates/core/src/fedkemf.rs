@@ -25,6 +25,7 @@ use kemf_fl::local::local_train;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
 use kemf_fl::trace::{Phase, RoundScope};
+use kemf_nn::codec::Writer;
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
@@ -162,6 +163,22 @@ impl FedAlgorithm for FedKemf {
         }
     }
 
+    fn identity(&self, w: &mut Writer) {
+        // Data and the spill directory stay out of the identity.
+        let FedKemfConfig { knowledge_spec, client_specs, public_pool: _, distill, fusion,
+            kl_weight, dml_temperature, mutual, kl_warmup_rounds, spill: _ } = &self.cfg;
+        w.string(&self.name());
+        w.spec(knowledge_spec);
+        w.usize(client_specs.len());
+        client_specs.iter().for_each(|s| w.spec(s));
+        distill.identity(w);
+        w.u8(*fusion as u8);
+        w.f32(*kl_weight);
+        w.f32(*dml_temperature);
+        w.u8(*mutual as u8);
+        w.usize(*kl_warmup_rounds);
+    }
+
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
         self.clients.init(&self.name(), ctx)
     }
@@ -184,10 +201,11 @@ impl FedAlgorithm for FedKemf {
         } else {
             ((wave + 1) as f32 / self.cfg.kl_warmup_rounds as f32).min(1.0)
         };
+        let plain = ctx.cfg.local_cfg();
         let dml_cfg = DmlConfig {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
+            epochs: plain.epochs,
+            batch: plain.batch,
+            sgd: plain.sgd,
             kl_weight: self.cfg.kl_weight * ramp,
             temperature: self.cfg.dml_temperature,
             clip_norm: 5.0,
@@ -210,7 +228,6 @@ impl FedAlgorithm for FedKemf {
                     (out.mean_knowledge_loss, out.steps)
                 } else {
                     // Ablation: decoupled training (no knowledge extraction).
-                    let plain = ctx.cfg.local_cfg(wave);
                     let a = local_train(&mut local, &shard, &plain, seed, None);
                     let out = local_train(&mut knowledge, &shard, &plain, seed ^ 1, None);
                     (out.mean_loss, a.steps + out.steps)

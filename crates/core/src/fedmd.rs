@@ -27,6 +27,7 @@ use kemf_fl::local::local_train;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_tensor_dims, AlgorithmState, RestoreError, TensorBlob};
 use kemf_fl::trace::{Phase, RoundScope};
+use kemf_nn::codec::Writer;
 use kemf_nn::loss::{kl_to_target_ws, soften};
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
@@ -148,6 +149,15 @@ impl FedAlgorithm for FedMd {
         "FedMD".into()
     }
 
+    fn identity(&self, w: &mut Writer) {
+        let FedMdConfig { digest_epochs, temperature, digest_lr } = self.cfg;
+        w.string(&self.name());
+        w.usize(self.clients.specs().len());
+        self.clients.specs().iter().for_each(|s| w.spec(s));
+        [self.classes, digest_epochs].into_iter().for_each(|v| w.usize(v));
+        [temperature, digest_lr].into_iter().for_each(|v| w.f32(v));
+    }
+
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
         self.clients.init(&self.name(), ctx)
     }
@@ -165,7 +175,7 @@ impl FedAlgorithm for FedMd {
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
         self.clients.begin_round(wave);
-        let local = ctx.cfg.local_cfg(wave);
+        let local = ctx.cfg.local_cfg();
         // Clients digest the consensus that was current when they were
         // dispatched — a stale worker keeps learning from the snapshot it
         // downloaded, exactly as a real device would.

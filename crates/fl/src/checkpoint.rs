@@ -20,23 +20,31 @@
 //! values stored at save time. Any divergence (code drift, a foreign
 //! checkpoint) refuses to resume rather than silently forking the run.
 //!
-//! **Fingerprint.** [`run_fingerprint`] hashes the run config (minus
-//! `rounds`), the effective fault model, the algorithm name, and the
-//! engine seed. `rounds` is deliberately excluded: the training horizon
-//! is not part of a run's identity, so a checkpointed 5-round run may
-//! be resumed with `rounds = 10` to extend it — the basis of both the
-//! kill-and-resume tests and the CI smoke. Everything else mismatching
-//! refuses resume with [`ResumeError::FingerprintMismatch`].
+//! **Identity.** [`run_fingerprint`] is FNV-1a over [`run_identity`],
+//! one codec encoding of what decides a run's trajectory: the
+//! [`FlConfig`] without `rounds` (the seed included), the effective
+//! [`FaultConfig`], and the algorithm's [`FedAlgorithm::identity`] — its
+//! name and every knob it holds (FedKEMF's distillation temperature,
+//! ensemble rule, DML weight and warm-up; FedProx's μ; each model spec).
+//! Floats go in as raw bits, so distinct values never share a
+//! fingerprint. Another identity refuses to resume with
+//! [`crate::engine::ResumeError::FingerprintMismatch`]. Left out on
+//! purpose: `rounds`, so a checkpointed 5-round run may be extended to 10
+//! (the kill-and-resume tests and the CI smoke do); the transport and the
+//! spill directory, which never change a history; and data (shards, test
+//! set, public pools), a seeded function of the task the engine never
+//! sees. Async runs mix their knobs in afterwards
+//! ([`crate::scheduler::AsyncConfig`]).
 
 use crate::client_store::ClientBlob;
 use crate::config::FlConfig;
+use crate::engine::FedAlgorithm;
 use crate::lifecycle::FaultConfig;
 use crate::metrics::RoundRecord;
 use crate::scheduler::{PendingEvent, PreparedUpdate, SchedulerState, UpdatePayload};
 use crate::state::AlgorithmState;
 use kemf_nn::checkpoint::{atomic_write, encode_bundle, load_bundle, CheckpointBundle};
 use kemf_nn::codec::{self, fnv1a64, CodecError, Reader, Writer, FNV_OFFSET};
-use kemf_nn::optim::LrSchedule;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -115,100 +123,36 @@ impl CheckpointPolicy {
     }
 }
 
-/// Why a run identity could not be fingerprinted.
-///
-/// The old code path `expect`ed JSON serialization to succeed — but the
-/// real hazard was never a serializer panic: the vendored `serde_json`
-/// renders non-finite floats as `null`, so a config holding a NaN
-/// (e.g. a corrupted learning rate) would silently fingerprint
-/// *identically* to a different broken config and resume across them.
-/// Non-finite identity fields are now refused up front with a typed
-/// error.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CheckpointError {
-    /// An identity-defining float is NaN or infinite.
-    NonFinite {
-        /// Which structure held it (`"config"` / `"faults"`).
-        what: &'static str,
-        /// The offending field.
-        field: &'static str,
-        /// Its value.
-        value: f64,
-    },
-    /// The identity structures failed to serialize.
-    Serialize {
-        /// Which structure failed.
-        what: &'static str,
-        /// The serializer's message.
-        detail: String,
-    },
+/// Append the run's identity to `w` (see the module docs). Both configs
+/// are destructured whole, so a new field fails to compile here until it
+/// is placed in or out.
+pub fn run_identity(w: &mut Writer, cfg: &FlConfig, faults: &FaultConfig, algo: &dyn FedAlgorithm) {
+    let FlConfig { n_clients, sample_ratio, rounds: _, local_epochs, batch_size, lr, momentum,
+        weight_decay, alpha, min_per_client, eval_batch, cohort_batch, seed } = *cfg;
+    // `Some(0)` is refused by validation, so 0 stands for `None`.
+    let counts = [n_clients, local_epochs, batch_size, min_per_client, eval_batch];
+    counts.into_iter().chain([cohort_batch.unwrap_or(0)]).for_each(|v| w.usize(v));
+    [sample_ratio, lr, momentum, weight_decay].into_iter().for_each(|v| w.f32(v));
+    w.f64(alpha);
+    w.u64(seed);
+    let FaultConfig { drop_before_download, drop_after_download, straggler_prob, straggler_delay_s,
+        round_deadline_s, upload_failure_prob, upload_retries, min_quorum } = *faults;
+    let drops = [drop_before_download, drop_after_download, straggler_prob, upload_failure_prob];
+    drops.into_iter().for_each(|p| w.f32(p));
+    w.f64(straggler_delay_s);
+    w.u8(round_deadline_s.is_some() as u8);
+    w.f64(round_deadline_s.unwrap_or(0.0));
+    w.u32(upload_retries);
+    w.usize(min_quorum);
+    algo.identity(w);
 }
 
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::NonFinite { what, field, value } => {
-                write!(f, "cannot fingerprint the run: {what}.{field} is non-finite ({value})")
-            }
-            CheckpointError::Serialize { what, detail } => {
-                write!(f, "cannot fingerprint the run: {what} failed to serialize: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-/// 64-bit FNV-1a over the run's identity: config JSON with `rounds`
-/// zeroed (the horizon may change between checkpoint and resume), the
-/// effective fault model, the algorithm name, and the engine seed.
-///
-/// Refuses configs whose identity-defining floats are non-finite — the
-/// JSON rendering would collapse them all to `null`, making distinct
-/// broken runs resume-compatible with each other.
-pub fn run_fingerprint(
-    cfg: &FlConfig,
-    faults: &FaultConfig,
-    algorithm: &str,
-    seed: u64,
-) -> Result<u64, CheckpointError> {
-    let finite = |what: &'static str, field: &'static str, value: f64| {
-        if value.is_finite() {
-            Ok(())
-        } else {
-            Err(CheckpointError::NonFinite { what, field, value })
-        }
-    };
-    finite("config", "sample_ratio", cfg.sample_ratio as f64)?;
-    finite("config", "lr", cfg.lr as f64)?;
-    finite("config", "momentum", cfg.momentum as f64)?;
-    finite("config", "weight_decay", cfg.weight_decay as f64)?;
-    finite("config", "alpha", cfg.alpha)?;
-    finite("config", "dropout_prob", cfg.dropout_prob as f64)?;
-    match cfg.lr_schedule {
-        LrSchedule::Constant => {}
-        LrSchedule::Step { gamma, .. } => finite("config", "lr_schedule.gamma", gamma as f64)?,
-        LrSchedule::Cosine { min_lr, .. } => {
-            finite("config", "lr_schedule.min_lr", min_lr as f64)?
-        }
-    }
-    finite("faults", "drop_before_download", faults.drop_before_download as f64)?;
-    finite("faults", "drop_after_download", faults.drop_after_download as f64)?;
-    finite("faults", "straggler_prob", faults.straggler_prob as f64)?;
-    finite("faults", "straggler_delay_s", faults.straggler_delay_s)?;
-    finite("faults", "upload_failure_prob", faults.upload_failure_prob as f64)?;
-    if let Some(d) = faults.round_deadline_s {
-        finite("faults", "round_deadline_s", d)?;
-    }
-
-    let cfg_id = FlConfig { rounds: 0, ..*cfg };
-    let cfg_json = serde_json::to_string(&cfg_id)
-        .map_err(|e| CheckpointError::Serialize { what: "config", detail: e.to_string() })?;
-    let faults_json = serde_json::to_string(faults)
-        .map_err(|e| CheckpointError::Serialize { what: "faults", detail: e.to_string() })?;
-    let seed = seed.to_le_bytes();
-    let identity = [cfg_json.as_bytes(), faults_json.as_bytes(), algorithm.as_bytes(), &seed];
-    Ok(identity.iter().fold(FNV_OFFSET, |h, part| fnv1a64(h, part)))
+/// 64-bit FNV-1a over [`run_identity`]: what a checkpoint stores and a
+/// resume compares.
+pub fn run_fingerprint(cfg: &FlConfig, faults: &FaultConfig, algo: &dyn FedAlgorithm) -> u64 {
+    let mut w = Writer::new();
+    run_identity(&mut w, cfg, faults, algo);
+    fnv1a64(FNV_OFFSET, w.as_bytes())
 }
 
 // ---- meta encoding -----------------------------------------------------
@@ -802,52 +746,61 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_rounds_but_sees_everything_else() {
+        use crate::fedavg::FedAvg;
+        use crate::fedprox::FedProx;
+        let spec = ModelSpec::scaled(Arch::Cnn2, 1, 8, 10, 3);
+        let (avg, prox) = (FedAvg::new(spec), FedProx::new(spec, 0.01));
         let cfg = FlConfig::default();
         let faults = FaultConfig::reliable();
-        let base = run_fingerprint(&cfg, &faults, "FedAvg", 7).unwrap();
+        let base = run_fingerprint(&cfg, &faults, &avg);
         let longer = FlConfig { rounds: 100, ..cfg };
-        assert_eq!(
-            run_fingerprint(&longer, &faults, "FedAvg", 7).unwrap(),
-            base,
-            "horizon is not identity"
-        );
-        let other_seed = run_fingerprint(&cfg, &faults, "FedAvg", 8).unwrap();
-        assert_ne!(other_seed, base);
-        let other_algo = run_fingerprint(&cfg, &faults, "FedProx", 7).unwrap();
-        assert_ne!(other_algo, base);
+        assert_eq!(run_fingerprint(&longer, &faults, &avg), base, "horizon is not identity");
+        let other_seed = FlConfig { seed: 8, ..cfg };
+        assert_ne!(run_fingerprint(&other_seed, &faults, &avg), base);
+        assert_ne!(run_fingerprint(&cfg, &faults, &prox), base);
         let other_cfg = FlConfig { n_clients: 11, ..cfg };
-        assert_ne!(run_fingerprint(&other_cfg, &faults, "FedAvg", 7).unwrap(), base);
+        assert_ne!(run_fingerprint(&other_cfg, &faults, &avg), base);
         let other_faults = FaultConfig { drop_after_download: 0.1, ..faults };
-        assert_ne!(run_fingerprint(&cfg, &other_faults, "FedAvg", 7).unwrap(), base);
+        assert_ne!(run_fingerprint(&cfg, &other_faults, &avg), base);
+        let deadline = FaultConfig { round_deadline_s: Some(0.0), ..faults };
+        assert_ne!(run_fingerprint(&cfg, &deadline, &avg), base, "a zero deadline is not `None`");
+        // Raw bits: two NaNs with different payloads are two identities.
+        let nan = |bits| FlConfig { lr: f32::from_bits(bits), ..cfg };
+        assert_ne!(
+            run_fingerprint(&nan(0x7FC0_0000), &faults, &avg),
+            run_fingerprint(&nan(0x7FC0_0001), &faults, &avg)
+        );
     }
 
     #[test]
-    fn fingerprint_refuses_non_finite_identity_fields() {
-        // The vendored serde_json writes NaN as `null`, so without the
-        // explicit guard two *different* broken configs would share one
-        // fingerprint. The guard must catch every float that defines
-        // run identity, in both the config and the fault model.
-        let faults = FaultConfig::reliable();
-        let bad_cfg = FlConfig { momentum: f32::NAN, ..FlConfig::default() };
-        let err = run_fingerprint(&bad_cfg, &faults, "FedAvg", 7).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::NonFinite { what: "config", field: "momentum", .. }),
-            "got: {err}"
-        );
-        let bad_lr = FlConfig { lr: f32::INFINITY, ..FlConfig::default() };
-        assert!(run_fingerprint(&bad_lr, &faults, "FedAvg", 7).is_err());
-        let bad_faults =
-            FaultConfig { straggler_delay_s: f64::NAN, ..FaultConfig::reliable() };
-        let err = run_fingerprint(&FlConfig::default(), &bad_faults, "FedAvg", 7).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::NonFinite { what: "faults", .. }),
-            "got: {err}"
-        );
-        let bad_deadline = FaultConfig {
-            round_deadline_s: Some(f64::INFINITY),
-            ..FaultConfig::reliable()
-        };
-        assert!(run_fingerprint(&FlConfig::default(), &bad_deadline, "FedAvg", 7).is_err());
+    fn non_finite_identity_fields_are_refused_by_validation() {
+        // Every float of the identity must be finite before round 0; the
+        // engine runs both checks and surfaces them as a config error.
+        let cfgs = [
+            FlConfig { momentum: f32::NAN, ..FlConfig::default() },
+            FlConfig { lr: f32::INFINITY, ..FlConfig::default() },
+            FlConfig { alpha: f64::INFINITY, ..FlConfig::default() },
+        ];
+        for (cfg, field) in cfgs.iter().zip(["momentum", "lr", "alpha"]) {
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(err, crate::config::ConfigError::OutOfRange { field: f, .. } if f == field),
+                "got: {err}"
+            );
+        }
+        let faults = [
+            FaultConfig { straggler_delay_s: f64::NAN, ..FaultConfig::reliable() },
+            FaultConfig { straggler_delay_s: f64::INFINITY, ..FaultConfig::reliable() },
+            FaultConfig { round_deadline_s: Some(f64::INFINITY), ..FaultConfig::reliable() },
+        ];
+        let fields = ["straggler_delay_s", "straggler_delay_s", "round_deadline_s"];
+        for (faults, field) in faults.iter().zip(fields) {
+            let err = faults.validate().unwrap_err();
+            assert!(
+                matches!(err, crate::config::ConfigError::OutOfRange { field: f, .. } if f == field),
+                "got: {err}"
+            );
+        }
     }
 
     #[test]

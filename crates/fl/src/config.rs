@@ -1,9 +1,7 @@
 //! Federated-learning run configuration.
 
-use crate::lifecycle::FaultConfig;
 use crate::local::LocalCfg;
-use kemf_nn::optim::{LrSchedule, SgdConfig};
-use serde::{Deserialize, Serialize};
+use kemf_nn::optim::SgdConfig;
 use std::fmt;
 
 /// Why a run configuration (or an algorithm's setup against it) is
@@ -66,7 +64,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Configuration of one federated training run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlConfig {
     /// Total number of clients `N`.
     pub n_clients: usize,
@@ -84,22 +82,12 @@ pub struct FlConfig {
     pub momentum: f32,
     /// Local weight decay.
     pub weight_decay: f32,
-    /// Learning-rate schedule over rounds.
-    pub lr_schedule: LrSchedule,
     /// Dirichlet concentration α of the non-IID split.
     pub alpha: f64,
     /// Minimum samples per client the partitioner must guarantee.
     pub min_per_client: usize,
     /// Evaluation batch size.
     pub eval_batch: usize,
-    /// Legacy single-knob failure injection: probability that a sampled
-    /// client crashes after downloading the global state but before
-    /// reporting. Folded into [`FaultConfig::drop_after_download`] by
-    /// [`FlConfig::fault_plan`]; prefer setting `faults` directly.
-    pub dropout_prob: f32,
-    /// Lifecycle fault model (per-phase drops, stragglers, upload
-    /// retries, quorum). Defaults to a fully reliable fleet.
-    pub faults: FaultConfig,
     /// Stream each round's cohort through local update in batches of at
     /// most this many clients, bounding resident models by the batch
     /// instead of the cohort. `None` runs the whole cohort at once.
@@ -121,12 +109,9 @@ impl Default for FlConfig {
             lr: 0.08,
             momentum: 0.9,
             weight_decay: 1e-4,
-            lr_schedule: LrSchedule::Constant,
             alpha: 0.1,
             min_per_client: 8,
             eval_batch: 64,
-            dropout_prob: 0.0,
-            faults: FaultConfig::default(),
             cohort_batch: None,
             seed: 0,
         }
@@ -146,37 +131,24 @@ impl FlConfig {
         self.cohort_batch.unwrap_or(cohort).clamp(1, cohort.max(1))
     }
 
-    /// Local-training parameters of a client dispatched in `round`: the
-    /// configured epochs and batch size with that round's scheduled SGD.
-    pub fn local_cfg(&self, round: usize) -> LocalCfg {
-        LocalCfg { epochs: self.local_epochs, batch: self.batch_size, sgd: self.sgd_at(round) }
+    /// Local-training parameters of every client: the configured epochs,
+    /// batch size and SGD.
+    pub fn local_cfg(&self) -> LocalCfg {
+        let sgd = SgdConfig { lr: self.lr, momentum: self.momentum, weight_decay: self.weight_decay };
+        LocalCfg { epochs: self.local_epochs, batch: self.batch_size, sgd }
     }
 
-    /// SGD config at a given round (learning rate follows the schedule).
-    pub fn sgd_at(&self, round: usize) -> SgdConfig {
-        SgdConfig {
-            lr: self.lr_schedule.lr_at(self.lr, round),
-            momentum: self.momentum,
-            weight_decay: self.weight_decay,
-        }
-    }
-
-    /// The effective lifecycle fault model: `faults`, with the legacy
-    /// `dropout_prob` knob folded into the after-download crash
-    /// probability (independent events, so probabilities combine as
-    /// `1 − (1−a)(1−b)`).
-    pub fn fault_plan(&self) -> FaultConfig {
-        let mut faults = self.faults;
-        if self.dropout_prob > 0.0 {
-            faults.drop_after_download =
-                1.0 - (1.0 - faults.drop_after_download) * (1.0 - self.dropout_prob);
-        }
-        faults
+    /// The local SGD config, [`local_cfg`](Self::local_cfg)'s. The
+    /// learning rate is constant over rounds, so the round changes
+    /// nothing; the parameter keeps existing callers compiling.
+    pub fn sgd_at(&self, _round: usize) -> SgdConfig {
+        self.local_cfg().sgd
     }
 
     /// Check the configuration for inconsistencies. Construction sites
     /// that cannot recover ([`crate::context::FlContext::new`]) `expect`
-    /// the result; the engine propagates it as a typed error.
+    /// the result; the engine propagates it as a typed error, and checks
+    /// the fault model and its quorum itself. Every float must be finite.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_clients == 0 {
             return Err(ConfigError::ZeroCount { field: "n_clients" });
@@ -197,16 +169,15 @@ impl FlConfig {
         if self.batch_size == 0 {
             return Err(ConfigError::ZeroCount { field: "batch_size" });
         }
-        if self.lr.is_nan() || self.lr <= 0.0 {
+        if !self.lr.is_finite() || self.lr <= 0.0 {
             return Err(ConfigError::OutOfRange {
                 field: "lr",
                 value: self.lr as f64,
                 bounds: "(0, inf)",
             });
         }
-        // Optimizer hyperparameters feed the resume fingerprint and
-        // every local step: non-finite or negative values would train
-        // garbage and collide checkpoint identities.
+        // Optimizer hyperparameters feed every local step: non-finite or
+        // negative values would train garbage.
         if !self.momentum.is_finite() || self.momentum < 0.0 || self.momentum >= 1.0 {
             return Err(ConfigError::OutOfRange {
                 field: "momentum",
@@ -221,29 +192,15 @@ impl FlConfig {
                 bounds: "[0, inf)",
             });
         }
-        if self.alpha.is_nan() || self.alpha <= 0.0 {
+        if !self.alpha.is_finite() || self.alpha <= 0.0 {
             return Err(ConfigError::OutOfRange {
                 field: "alpha",
                 value: self.alpha,
                 bounds: "(0, inf)",
             });
         }
-        if !(0.0..1.0).contains(&self.dropout_prob) {
-            return Err(ConfigError::OutOfRange {
-                field: "dropout_prob",
-                value: self.dropout_prob as f64,
-                bounds: "[0, 1)",
-            });
-        }
         if self.cohort_batch == Some(0) {
             return Err(ConfigError::ZeroCount { field: "cohort_batch" });
-        }
-        self.faults.validate()?;
-        if self.faults.min_quorum > self.sampled_per_round() {
-            return Err(ConfigError::UnreachableQuorum {
-                min_quorum: self.faults.min_quorum,
-                sampled_per_round: self.sampled_per_round(),
-            });
         }
         Ok(())
     }
@@ -261,17 +218,6 @@ mod tests {
         assert_eq!(cfg.sampled_per_round(), 1);
         cfg.sample_ratio = 1.0;
         assert_eq!(cfg.sampled_per_round(), 30);
-    }
-
-    #[test]
-    fn sgd_follows_schedule() {
-        let cfg = FlConfig {
-            lr: 1.0,
-            lr_schedule: LrSchedule::Step { every: 5, gamma: 0.1 },
-            ..Default::default()
-        };
-        assert!((cfg.sgd_at(0).lr - 1.0).abs() < 1e-6);
-        assert!((cfg.sgd_at(5).lr - 0.1).abs() < 1e-6);
     }
 
     #[test]
@@ -311,35 +257,5 @@ mod tests {
         assert_eq!(cfg.cohort_chunk(10), 10);
         assert_eq!(cfg.cohort_chunk(1000), 64);
         assert_eq!(FlConfig::default().cohort_chunk(1000), 1000);
-    }
-
-    #[test]
-    fn legacy_dropout_folds_into_fault_plan() {
-        let cfg = FlConfig { dropout_prob: 0.5, ..Default::default() };
-        assert!((cfg.fault_plan().drop_after_download - 0.5).abs() < 1e-6);
-        // Combined with an explicit after-download probability the two
-        // crash sources compose as independent events.
-        let cfg = FlConfig {
-            dropout_prob: 0.5,
-            faults: FaultConfig { drop_after_download: 0.5, ..Default::default() },
-            ..Default::default()
-        };
-        assert!((cfg.fault_plan().drop_after_download - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn validate_rejects_unreachable_quorum() {
-        let err = FlConfig {
-            n_clients: 10,
-            sample_ratio: 0.4,
-            faults: FaultConfig { min_quorum: 5, ..Default::default() },
-            ..Default::default()
-        }
-        .validate()
-        .unwrap_err();
-        assert_eq!(err, ConfigError::UnreachableQuorum { min_quorum: 5, sampled_per_round: 4 });
-        // The error renders both numbers, so a log line alone explains it.
-        let msg = err.to_string();
-        assert!(msg.contains('5') && msg.contains('4'), "bad message: {msg}");
     }
 }

@@ -17,7 +17,7 @@
 //! therefore serializes byte-identically to an uninterrupted run at the
 //! same seed (enforced by `tests/resume.rs` and the CI smoke).
 
-use crate::checkpoint::{self, CheckpointError, CheckpointPolicy, LoadError, RunCheckpoint};
+use crate::checkpoint::{self, CheckpointPolicy, LoadError, RunCheckpoint};
 use crate::client_store::StoreError;
 use crate::comm::{checked_round_add, CostError};
 use crate::config::ConfigError;
@@ -49,6 +49,14 @@ pub struct RoundOutcome {
 pub trait FedAlgorithm: Send {
     /// Display name used in histories and tables.
     fn name(&self) -> String;
+
+    /// Append this algorithm to the run identity
+    /// ([`crate::checkpoint::run_identity`]): its name, then every number,
+    /// enum and model spec its configuration holds — no data, no spill
+    /// directory. The default writes the name, for probes without knobs.
+    fn identity(&self, w: &mut kemf_nn::codec::Writer) {
+        w.string(&self.name());
+    }
 
     /// One-time setup before round 0 (allocate per-client state, ...).
     /// Inconsistent setup (e.g. a per-client spec list whose length is
@@ -195,8 +203,8 @@ pub trait FedAlgorithm: Send {
 /// ```
 #[derive(Default)]
 pub struct RunOptions<'a> {
-    /// Explicit fault model; `None` uses the context's
-    /// [`crate::config::FlConfig::fault_plan`].
+    /// Explicit fault model; `None` is a reliable fleet
+    /// ([`FaultConfig::default`]).
     pub faults: Option<FaultConfig>,
     /// External observability sink; `None` with `record_trace` unset
     /// means no tracing at all.
@@ -220,8 +228,7 @@ pub struct RunOptions<'a> {
 }
 
 impl<'a> RunOptions<'a> {
-    /// Default options: the context's fault plan, no tracing, no
-    /// checkpoints.
+    /// Default options: a reliable fleet, no tracing, no checkpoints.
     pub fn new() -> Self {
         Self::default()
     }
@@ -328,9 +335,6 @@ pub enum EngineError {
     /// The socket transport failed (worker spawn, socket i/o, protocol
     /// violation, or plan/wire desync).
     Transport(TransportError),
-    /// The run's identity could not be fingerprinted (non-finite config
-    /// floats would collide checkpoint identities).
-    Fingerprint(CheckpointError),
 }
 
 impl fmt::Display for EngineError {
@@ -343,7 +347,6 @@ impl fmt::Display for EngineError {
             EngineError::State(e) => write!(f, "client state store: {e}"),
             EngineError::Cost(e) => write!(f, "byte accounting: {e}"),
             EngineError::Transport(e) => write!(f, "socket transport: {e}"),
-            EngineError::Fingerprint(e) => write!(f, "run identity: {e}"),
         }
     }
 }
@@ -381,7 +384,7 @@ pub enum ResumeError {
     /// an empty directory, or every candidate corrupt).
     Load(LoadError),
     /// The checkpoint was written by a run with a different identity
-    /// (config, fault model, algorithm, or seed).
+    /// (config, fault model, seed, or the algorithm's knobs).
     FingerprintMismatch {
         /// Fingerprint of the current run.
         expected: u64,
@@ -420,7 +423,7 @@ impl fmt::Display for ResumeError {
             ResumeError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "config fingerprint mismatch: run is {expected:#018x}, checkpoint is {found:#018x} \
-                 (different config, fault model, algorithm, or seed)"
+                 (different config, fault model, seed, or algorithm knobs)"
             ),
             ResumeError::AlgorithmMismatch { expected, found } => {
                 write!(f, "checkpoint belongs to {found}, not {expected}")
@@ -537,7 +540,7 @@ fn run_core(
     sink: &mut dyn EventSink,
 ) -> Result<RunReport, EngineError> {
     ctx.cfg.validate().map_err(EngineError::Config)?;
-    let faults = opts.faults.unwrap_or_else(|| ctx.cfg.fault_plan());
+    let faults = opts.faults.unwrap_or_default();
     faults.validate().map_err(EngineError::Config)?;
     let per_round = ctx.cfg.sampled_per_round();
     if faults.min_quorum > per_round {
@@ -577,11 +580,10 @@ fn run_core(
 
     let algo_name = algo.name();
     let seed = ctx.cfg.seed;
-    let fingerprint = checkpoint::run_fingerprint(&ctx.cfg, &faults, &algo_name, seed)
-        .map_err(EngineError::Fingerprint)?;
+    let fingerprint = checkpoint::run_fingerprint(&ctx.cfg, &faults, &*algo);
     // Async knobs change the trajectory, so they join the run identity;
-    // synchronous fingerprints are exactly what they always were, and a
-    // checkpoint can never resume across modes.
+    // synchronous runs keep `run_fingerprint` as it is, and a checkpoint
+    // can never resume across modes.
     let fingerprint = match &async_cfg {
         Some(a) => a.mix_fingerprint(fingerprint),
         None => fingerprint,
@@ -1042,6 +1044,12 @@ mod tests {
         Engine::run(algo, ctx, RunOptions::new()).unwrap().history
     }
 
+    /// A run whose clients crash after download with probability `p`.
+    fn run_dropout(algo: &mut dyn FedAlgorithm, ctx: &FlContext, p: f32) -> History {
+        let faults = FaultConfig { drop_after_download: p, ..Default::default() };
+        Engine::run(algo, ctx, RunOptions::new().faults(faults)).unwrap().history
+    }
+
     #[test]
     fn engine_runs_all_rounds_and_tracks_bytes() {
         let ctx = tiny_ctx();
@@ -1113,10 +1121,9 @@ mod tests {
 
     #[test]
     fn dropout_charges_full_broadcast_but_thinned_uplink() {
-        let mut ctx = tiny_ctx();
-        ctx.cfg.dropout_prob = 0.5;
+        let ctx = tiny_ctx();
         let mut algo = Dummy::new();
-        let h = run_default(&mut algo, &ctx);
+        let h = run_dropout(&mut algo, &ctx, 0.5);
         assert_eq!(h.rounds(), 4);
         let mut dropped_any = false;
         for (r, s) in h.records.iter().zip(&algo.rounds_seen) {
@@ -1134,10 +1141,9 @@ mod tests {
 
     #[test]
     fn engine_runs_with_heavy_dropout() {
-        let mut ctx = tiny_ctx();
-        ctx.cfg.dropout_prob = 0.8;
+        let ctx = tiny_ctx();
         let mut algo = Dummy::new();
-        let h = run_default(&mut algo, &ctx);
+        let h = run_dropout(&mut algo, &ctx, 0.8);
         assert_eq!(h.rounds(), 4);
         // Rounds where everyone crashed abort on quorum and never reach
         // the algorithm; the rest see only survivors.
@@ -1320,7 +1326,16 @@ mod tests {
         let ctx = tiny_ctx();
         let faults = FaultConfig { min_quorum: 100, ..Default::default() };
         match Engine::run(&mut algo, &ctx, RunOptions::new().faults(faults)) {
-            Err(EngineError::Config(ConfigError::UnreachableQuorum { .. })) => {}
+            Err(EngineError::Config(err @ ConfigError::UnreachableQuorum { .. })) => {
+                assert_eq!(
+                    err,
+                    ConfigError::UnreachableQuorum { min_quorum: 100, sampled_per_round: 3 }
+                );
+                // The error renders both numbers, so a log line alone
+                // explains it.
+                let msg = err.to_string();
+                assert!(msg.contains("100") && msg.contains('3'), "bad message: {msg}");
+            }
             other => panic!("expected quorum error, got {other:?}"),
         }
     }
@@ -1550,29 +1565,15 @@ mod tests {
 
     #[test]
     fn non_finite_config_floats_are_refused_before_any_round_runs() {
-        let task = SynthTask::new(SynthConfig::mnist_like(0));
-        let train = task.generate(120, 0);
-        let test = task.generate(40, 1);
-        // An infinite lr sails past the NaN/positivity checks in
-        // FlConfig::validate, but the vendored JSON writer would
-        // serialize it as null — colliding run fingerprints — so the
-        // engine must refuse it before any round runs.
-        let cfg = FlConfig {
-            n_clients: 6,
-            sample_ratio: 0.5,
-            rounds: 4,
-            min_per_client: 2,
-            lr: f32::INFINITY,
-            ..Default::default()
-        };
-        let ctx = FlContext::new(cfg, &train, test);
+        // An infinite lr is refused by validation, so `FlContext::new`
+        // would panic on it: set it after construction, where only the
+        // engine can catch it, and before any round runs.
+        let mut ctx = tiny_ctx();
+        ctx.cfg.lr = f32::INFINITY;
         let mut algo = Dummy::new();
-        let err = Engine::run(&mut algo, &ctx, RunOptions::new()).unwrap_err();
-        match err {
-            EngineError::Fingerprint(CheckpointError::NonFinite { field, .. }) => {
-                assert_eq!(field, "lr");
-            }
-            other => panic!("expected a fingerprint refusal, got {other:?}"),
+        match Engine::run(&mut algo, &ctx, RunOptions::new()).unwrap_err() {
+            EngineError::Config(ConfigError::OutOfRange { field: "lr", .. }) => {}
+            other => panic!("expected a config refusal, got {other:?}"),
         }
         assert_eq!(algo.evals, 0, "no round may run under an unidentifiable config");
     }

@@ -10,6 +10,7 @@ use crate::scheduler::PreparedUpdate;
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::RoundScope;
 use crate::weight_common::{fuse_state_average, train_state_update, GlobalModel};
+use kemf_nn::codec::Writer;
 use kemf_nn::models::ModelSpec;
 
 /// The FedAvg baseline.
@@ -27,6 +28,11 @@ impl FedAvg {
 impl FedAlgorithm for FedAvg {
     fn name(&self) -> String {
         "FedAvg".into()
+    }
+
+    fn identity(&self, w: &mut Writer) {
+        w.string(&self.name());
+        w.spec(&self.global.spec);
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {

@@ -19,6 +19,7 @@ use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::{Phase, RoundScope};
 use crate::weight_common::{train_from_global, GlobalModel};
+use kemf_nn::codec::Writer;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::{ModelState, WeightsAverage};
 
@@ -39,6 +40,11 @@ impl FedAlgorithm for FedNova {
         "FedNova".into()
     }
 
+    fn identity(&self, w: &mut Writer) {
+        w.string(&self.name());
+        w.spec(&self.global.spec);
+    }
+
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
         // 2× payload: weights plus normalization metadata each way.
         ClientPlan::uniform(
@@ -55,7 +61,7 @@ impl FedAlgorithm for FedNova {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = ctx.cfg.local_cfg(wave);
+        let local = ctx.cfg.local_cfg();
         let (global, spec) = (&self.global.state, self.global.spec);
         cohort::train_cohort(
             sampled,

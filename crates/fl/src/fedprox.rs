@@ -11,6 +11,7 @@ use crate::scheduler::PreparedUpdate;
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::RoundScope;
 use crate::weight_common::{fuse_state_average, train_state_update, GlobalModel};
+use kemf_nn::codec::Writer;
 use kemf_nn::layer::Layer;
 use kemf_nn::models::ModelSpec;
 
@@ -32,6 +33,12 @@ impl FedProx {
 impl FedAlgorithm for FedProx {
     fn name(&self) -> String {
         "FedProx".into()
+    }
+
+    fn identity(&self, w: &mut Writer) {
+        w.string(&self.name());
+        w.spec(&self.global.spec);
+        w.f32(self.mu);
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {

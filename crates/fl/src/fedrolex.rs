@@ -33,6 +33,7 @@ use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
 use crate::trace::{Phase, RoundScope};
 use crate::weight_common::GlobalModel;
+use kemf_nn::codec::Writer;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_nn::serialize::{ModelState, Weights};
@@ -200,6 +201,14 @@ impl FedAlgorithm for FedRolex {
         "FedRolex".into()
     }
 
+    /// The client width enters as the cycle `ceil(H / L)` it sets: two
+    /// widths with one cycle cut the same windows and train the same run.
+    fn identity(&self, w: &mut Writer) {
+        w.string(&self.name());
+        w.spec(&self.global.spec);
+        w.usize(self.cycle);
+    }
+
     fn init(&mut self, _ctx: &FlContext) -> Result<(), ConfigError> {
         if self.global.spec.classes == 0 {
             return Err(ConfigError::AlgorithmSetup {
@@ -235,7 +244,7 @@ impl FedAlgorithm for FedRolex {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = ctx.cfg.local_cfg(wave);
+        let local = ctx.cfg.local_cfg();
         let spec = self.global.spec;
         cohort::train_cohort(
             sampled,

@@ -31,15 +31,14 @@ use rand::Rng;
 ///
 /// All probabilities are per-client per-round and independent. The
 /// default is a fully reliable fleet (every probability zero).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Probability a sampled client is unreachable before the broadcast
     /// (dead battery, lost connectivity). Costs no bytes in either
     /// direction.
     pub drop_before_download: f32,
     /// Probability a client crashes after downloading the global state
-    /// but before reporting. Costs full downlink, zero uplink — the
-    /// failure mode the legacy `dropout_prob` knob maps onto.
+    /// but before reporting. Costs full downlink, zero uplink.
     pub drop_after_download: f32,
     /// Probability a client is a straggler this round.
     pub straggler_prob: f32,
@@ -96,7 +95,7 @@ impl FaultConfig {
                 return Err(ConfigError::OutOfRange { field, value: p as f64, bounds: "[0, 1)" });
             }
         }
-        if self.straggler_delay_s.is_nan() || self.straggler_delay_s < 0.0 {
+        if !self.straggler_delay_s.is_finite() || self.straggler_delay_s < 0.0 {
             return Err(ConfigError::OutOfRange {
                 field: "straggler_delay_s",
                 value: self.straggler_delay_s,
@@ -104,7 +103,7 @@ impl FaultConfig {
             });
         }
         if let Some(d) = self.round_deadline_s {
-            if d.is_nan() || d < 0.0 {
+            if !d.is_finite() || d < 0.0 {
                 return Err(ConfigError::OutOfRange {
                     field: "round_deadline_s",
                     value: d,

@@ -23,6 +23,7 @@ use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::state::{check_model_layout, check_tensor_dims, AlgorithmState, RestoreError};
 use crate::trace::{Phase, RoundScope};
 use crate::weight_common::{train_from_global, GlobalModel};
+use kemf_nn::codec::Writer;
 use kemf_nn::layer::Layer;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::StateAverage;
@@ -78,6 +79,11 @@ impl FedAlgorithm for Scaffold {
         "SCAFFOLD".into()
     }
 
+    fn identity(&self, w: &mut Writer) {
+        w.string(&self.name());
+        w.spec(&self.global.spec);
+    }
+
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
         let dim = self.global.state.params.numel();
         self.store = match &self.spill {
@@ -113,7 +119,7 @@ impl FedAlgorithm for Scaffold {
         // local SGD; momentum would inflate the effective step by
         // 1/(1−ρ) and blow the variates up, so it is disabled locally
         // (standard practice for SCAFFOLD implementations).
-        let mut local = ctx.cfg.local_cfg(wave);
+        let mut local = ctx.cfg.local_cfg();
         local.sgd.momentum = 0.0;
         let eta = local.sgd.lr;
         let dim = self.c.len();

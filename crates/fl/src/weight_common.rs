@@ -86,7 +86,7 @@ pub fn train_state_update(
     hook: Option<GradHook<'_>>,
 ) -> PreparedUpdate {
     let (state, outcome) =
-        train_from_global(global, spec, wave, k, ctx, &ctx.cfg.local_cfg(wave), hook);
+        train_from_global(global, spec, wave, k, ctx, &ctx.cfg.local_cfg(), hook);
     PreparedUpdate::new(k, ctx, outcome.steps, outcome.mean_loss, UpdatePayload::State(state))
 }
 

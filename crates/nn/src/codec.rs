@@ -1,8 +1,9 @@
 //! The one byte codec: every on-disk and on-wire format in the stack —
 //! checkpoint bundles, the run-checkpoint `meta` and its in-flight
 //! events, `QuantizedWeights` wire payloads, KMFT frames and their
-//! bodies, client-store spill blobs — is written with [`Writer`] and read
-//! with [`Reader`]. Everything is little-endian; a variable-length
+//! bodies, client-store spill blobs, and the run identity a checkpoint's
+//! fingerprint hashes — is written with [`Writer`] and read with
+//! [`Reader`]. Everything is little-endian; a variable-length
 //! section is a `u64` length or count followed by its contents.
 //!
 //! **The one length policy.** Input is untrusted (a file may be truncated
@@ -21,6 +22,7 @@
 //! multiply kernel in `kemf_tensor::simd` and the slice-by-8 table) and
 //! [`fnv1a64`] (run fingerprints, filler seeds).
 
+use crate::models::ModelSpec;
 use crate::serialize::{ModelState, TensorBlob, Weights};
 use kemf_tensor::simd::{self, Isa};
 use std::fmt;
@@ -173,6 +175,14 @@ impl Writer {
     pub fn tensor(&mut self, t: &TensorBlob) {
         self.u64s(&t.dims);
         self.f32s(&t.values);
+    }
+
+    /// A model spec: the architecture's tag, every size, and the
+    /// weight-initialization seed.
+    pub fn spec(&mut self, s: &ModelSpec) {
+        self.u8(s.arch as u8);
+        [s.in_channels, s.input_hw, s.classes, s.width].into_iter().for_each(|v| self.usize(v));
+        self.u64(s.seed);
     }
 
     /// A count-prefixed list of named items, each written by `item`.

@@ -2,9 +2,8 @@
 //!
 //! Neural-network substrate for the FedKEMF stack: layers with explicit
 //! forward/backward passes, losses (cross-entropy and KL-distillation),
-//! SGD with momentum, learning-rate schedules, weight snapshots for
-//! federated aggregation, and the paper's model zoo (ResNet-20/32/44,
-//! VGG-11, LEAF-style 2-layer CNN).
+//! SGD with momentum, weight snapshots for federated aggregation, and the
+//! paper's model zoo (ResNet-20/32/44, VGG-11, LEAF-style 2-layer CNN).
 //!
 //! There is intentionally no autograd tape: each layer caches what its own
 //! backward needs, which keeps the substrate auditable and lets every
@@ -43,6 +42,6 @@ pub mod prelude {
     pub use crate::loss::{accuracy, cross_entropy_ws, kl_to_target_ws, soften};
     pub use crate::model::Model;
     pub use crate::models::{Arch, ModelSpec};
-    pub use crate::optim::{LrSchedule, Sgd, SgdConfig};
+    pub use crate::optim::{Sgd, SgdConfig};
     pub use crate::serialize::{ModelState, Weights};
 }

@@ -1,4 +1,4 @@
-//! Optimizers and learning-rate schedules.
+//! Optimizers: SGD and gradient-norm clipping.
 //!
 //! [`Sgd`] implements SGD with momentum and decoupled weight decay.
 //! Velocity buffers are keyed by the deterministic parameter visit order
@@ -100,44 +100,6 @@ pub fn clip_grad_norm(net: &mut dyn Layer, max_norm: f32) -> f32 {
     norm
 }
 
-/// Learning-rate schedules over communication rounds.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub enum LrSchedule {
-    /// Constant learning rate.
-    Constant,
-    /// Multiply by `gamma` every `every` rounds.
-    Step {
-        /// Rounds between decays.
-        every: usize,
-        /// Decay factor.
-        gamma: f32,
-    },
-    /// Cosine decay from the base LR to `min_lr` over `total` rounds.
-    Cosine {
-        /// Total rounds of the schedule.
-        total: usize,
-        /// Floor learning rate.
-        min_lr: f32,
-    },
-}
-
-impl LrSchedule {
-    /// Learning rate at `round` given the base rate.
-    pub fn lr_at(&self, base: f32, round: usize) -> f32 {
-        match *self {
-            LrSchedule::Constant => base,
-            LrSchedule::Step { every, gamma } => {
-                assert!(every > 0, "step schedule period must be positive");
-                base * gamma.powi((round / every) as i32)
-            }
-            LrSchedule::Cosine { total, min_lr } => {
-                let t = (round.min(total)) as f32 / total.max(1) as f32;
-                min_lr + 0.5 * (base - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,19 +170,6 @@ mod tests {
         let mut after = 0.0;
         net.visit_params(&mut |p| after += p.value.sq_norm());
         assert!(after < before, "decay should shrink weights: {before} → {after}");
-    }
-
-    #[test]
-    fn schedules() {
-        let s = LrSchedule::Step { every: 10, gamma: 0.1 };
-        assert!((s.lr_at(1.0, 0) - 1.0).abs() < 1e-6);
-        assert!((s.lr_at(1.0, 10) - 0.1).abs() < 1e-6);
-        assert!((s.lr_at(1.0, 25) - 0.01).abs() < 1e-6);
-        let c = LrSchedule::Cosine { total: 100, min_lr: 0.0 };
-        assert!((c.lr_at(1.0, 0) - 1.0).abs() < 1e-6);
-        assert!((c.lr_at(1.0, 100)).abs() < 1e-6);
-        assert!(c.lr_at(1.0, 50) < 1.0 && c.lr_at(1.0, 50) > 0.0);
-        assert!((LrSchedule::Constant.lr_at(0.3, 77) - 0.3).abs() < 1e-7);
     }
 
     #[test]

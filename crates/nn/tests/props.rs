@@ -8,7 +8,7 @@ use kemf_nn::loss::{accuracy, cross_entropy_ws};
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_nn::model::Model;
 use kemf_nn::norm::BatchNorm2d;
-use kemf_nn::optim::{clip_grad_norm, LrSchedule, Sgd, SgdConfig};
+use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
 use kemf_nn::serialize::Weights;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -103,18 +103,6 @@ proptest! {
         // Bias untouched (zero grad).
         for i in 12..16 {
             prop_assert!((after.values[i] - before.values[i]).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn cosine_schedule_is_monotone_decreasing(base in 0.01f32..1.0, total in 4usize..50) {
-        let s = LrSchedule::Cosine { total, min_lr: 0.0 };
-        let mut last = f32::INFINITY;
-        for r in 0..=total {
-            let lr = s.lr_at(base, r);
-            prop_assert!(lr <= last + 1e-6);
-            prop_assert!(lr >= -1e-6);
-            last = lr;
         }
     }
 

@@ -73,7 +73,7 @@ fn main() {
     //    deliberately ignores the round horizon, so a checkpoint written
     //    at KEMF_ROUNDS=3 resumes cleanly toward KEMF_ROUNDS=10.
     let trace_path = std::env::var("KEMF_TRACE").ok();
-    let mut opts = RunOptions::new().faults(ctx.cfg.fault_plan());
+    let mut opts = RunOptions::new();
     if trace_path.is_some() {
         opts = opts.record_trace();
     }

@@ -4,7 +4,7 @@
 //! broadcast, crash after downloading, straggle past the server's
 //! deadline, or lose upload after upload to a flaky link. This example
 //! drives FedAvg and FedKEMF through three reliability regimes —
-//! reliable, legacy 40% post-download dropout, and a combined fault
+//! reliable, 40% post-download dropout, and a combined fault
 //! storm with a round deadline and a reporting quorum — and reports what
 //! the fault-aware executor records: the honest per-phase byte split
 //! (downlink over the full broadcast set, accepted vs wasted uplink),
@@ -49,9 +49,9 @@ fn main() {
     let n_clients = 8;
     let net = NetworkModel::cellular_4g();
 
-    // The three reliability regimes. The legacy single-knob dropout is
-    // expressed through the fault plan too (drop-after-download), so the
-    // executor charges its downlink honestly.
+    // The three reliability regimes, each a fault model handed to the
+    // engine through `RunOptions::faults`. Post-download dropout is
+    // drop-after-download, so the executor charges its downlink honestly.
     let scenarios: [(&str, FaultConfig); 3] = [
         ("reliable fleet", FaultConfig::reliable()),
         (
@@ -82,19 +82,17 @@ fn main() {
             local_epochs: 2,
             alpha: 0.3,
             min_per_client: 10,
-            faults,
             seed: 17,
             ..Default::default()
         };
         let ctx = FlContext::new(cfg, &train, test.clone());
-        let plan = ctx.cfg.fault_plan();
 
         // FedAvg under this regime.
         let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 5);
         let mut fedavg = FedAvg::new(spec);
-        let ra = Engine::run(&mut fedavg, &ctx, RunOptions::new().faults(plan))
+        let ra = Engine::run(&mut fedavg, &ctx, RunOptions::new().faults(faults))
             .expect("fedavg run failed");
-        report(&ra.history, &ra.plans, fedavg.client_plans(0, &[0])[0].payload, &net, plan.round_deadline_s);
+        report(&ra.history, &ra.plans, fedavg.client_plans(0, &[0])[0].payload, &net, faults.round_deadline_s);
 
         // FedKEMF under the same regime: only the knowledge network
         // crosses the (unreliable) wire.
@@ -102,9 +100,9 @@ fn main() {
         let clients = uniform_specs(Arch::Cnn2, n_clients, 1, 12, 10, 5);
         let pool = task.generate_unlabeled(120, 2);
         let mut kemf = FedKemf::new(FedKemfConfig::uniform(knowledge, clients, pool));
-        let rk = Engine::run(&mut kemf, &ctx, RunOptions::new().faults(plan))
+        let rk = Engine::run(&mut kemf, &ctx, RunOptions::new().faults(faults))
             .expect("fedkemf run failed");
-        report(&rk.history, &rk.plans, kemf.client_plans(0, &[0])[0].payload, &net, plan.round_deadline_s);
+        report(&rk.history, &rk.plans, kemf.client_plans(0, &[0])[0].payload, &net, faults.round_deadline_s);
 
         // Fairness: per-client accuracy of each method's deployed model on
         // every client's own data distribution (a fresh sample per client).

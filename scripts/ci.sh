@@ -138,6 +138,18 @@ awk 'FNR==1{t=0} /rayon::/ { print FILENAME":"FNR": call into the vendored rayon
         print FILENAME":"FNR": deleted async window, link mix, Nesterov, time scale or epilogue"; bad=1 }
     END{exit bad}' $(find crates src tests examples benchmark/src -name '*.rs')
 
+# One run identity: outside test modules, no crate source or example
+# names the config fields no workload set (the single-knob dropout, the
+# learning-rate schedule, the config-held fault model and its fold) or
+# the JSON fingerprint's error type, and the checkpoint module hashes the
+# codec encoding of a run (`run_identity`), never serde_json text.
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
+    /dropout_prob|lr_schedule|LrSchedule|fault_plan|CheckpointError/ {
+        print FILENAME":"FNR": deleted config knob or JSON fingerprint error"; bad=1 }
+    FILENAME ~ /\/fl\/src\/checkpoint\.rs$/ && /serde_json/ {
+        print FILENAME":"FNR": serde_json in the run fingerprint"; bad=1 }
+    END{exit bad}' crates/*/src/*.rs crates/*/src/bin/*.rs examples/*.rs
+
 # The frozen benchmark package links the library's public API; build it
 # here so a broken signature fails in CI, not in the bench pipeline, and
 # run its smoke pass (2+2 rounds per workload, writes no files) so its own

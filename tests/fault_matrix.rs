@@ -203,20 +203,20 @@ fn fault_injection_is_deterministic_per_seed() {
     assert_ne!(a.to_json(), b.to_json());
 }
 
-/// The acceptance criterion for the legacy dropout bug: with
-/// `dropout_prob > 0`, recorded downlink covers the *full broadcast set*
-/// (sampled × payload) and strictly exceeds the thinned uplink.
+/// The acceptance criterion for the post-download dropout bug: with
+/// `drop_after_download > 0`, recorded downlink covers the *full
+/// broadcast set* (sampled × payload) and strictly exceeds the thinned
+/// uplink.
 #[test]
 fn dropout_downlink_covers_full_broadcast_set() {
-    let mut ctx = probe_ctx(93);
-    ctx.cfg.dropout_prob = 0.5;
+    let ctx = probe_ctx(93);
     let sampled = ctx.cfg.sampled_per_round() as u64;
-    let mut probe = Probe;
     let payload = PROBE_PAYLOAD;
-    let h = run(&mut probe, &ctx);
+    let dropout = FaultConfig { drop_after_download: 0.5, ..FaultConfig::default() };
+    let h = run_with_faults(&mut Probe, &ctx, &dropout);
     let down: u64 = h.records.iter().map(|r| r.down_bytes).sum();
     let up: u64 = h.records.iter().map(|r| r.up_bytes).sum();
-    // Legacy dropout fires after download: every sampled client is
+    // The dropout fires after download: every sampled client is
     // charged the broadcast, every round.
     assert_eq!(down, 6 * sampled * payload.down_bytes);
     // Uplink is thinned by the dropped clients. With a symmetric payload

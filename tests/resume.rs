@@ -3,16 +3,19 @@
 //! that is byte-for-byte identical to an uninterrupted run — for the
 //! paper's own algorithm (FedKEMF) and for the stateful baselines
 //! (SCAFFOLD's control variates, FedNova's global model). Also covers
-//! the refusal paths (mismatched seed, mismatched algorithm), crash
-//! debris in the checkpoint directory, and a property test that
-//! `restore(state())` round-trips for every algorithm in the stack.
+//! the refusal paths (mismatched seed, mismatched algorithm, a FedKEMF
+//! checkpoint under another distillation temperature), what the run
+//! identity covers for each of the nine algorithms and what it leaves
+//! out, crash debris in the checkpoint directory, and a property test
+//! that `restore(state())` round-trips for every algorithm in the stack.
 
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
-use fedkemf::fl::checkpoint::CheckpointPolicy;
+use fedkemf::fl::checkpoint::{load_run, run_fingerprint, CheckpointPolicy};
 use fedkemf::fl::engine::{Engine, EngineError, FedAlgorithm, ResumeError, RunOptions};
 use fedkemf::prelude::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 fn world(seed: u64, rounds: usize) -> (FlContext, SynthTask) {
     let task = SynthTask::new(SynthConfig::mnist_like(seed));
@@ -252,6 +255,34 @@ fn resume_refuses_a_mismatched_config_fingerprint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A FedKEMF checkpoint written at distillation temperature 2 belongs to
+/// another run than one at 4: the state fits either (the architecture is
+/// the same), so only the identity can keep the two histories apart.
+#[test]
+fn resume_refuses_a_fedkemf_checkpoint_under_another_temperature() {
+    let dir = temp_dir("temperature");
+    let kemf = |ctx: &FlContext, task: &SynthTask, temperature: f32| {
+        let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
+        let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 5);
+        let mut cfg = FedKemfConfig::uniform(knowledge, clients, task.generate_unlabeled(60, 2));
+        cfg.distill.temperature = temperature;
+        FedKemf::new(cfg)
+    };
+    let (ctx4, task4) = world(48, 4);
+    let policy = CheckpointPolicy::new(&dir, 2);
+    Engine::run(&mut kemf(&ctx4, &task4, 2.0), &ctx4, RunOptions::new().checkpoint(policy))
+        .unwrap();
+
+    let (ctx8, task8) = world(48, 8);
+    let err = Engine::run(&mut kemf(&ctx8, &task8, 4.0), &ctx8, RunOptions::new().resume_from(&dir))
+        .unwrap_err();
+    assert!(
+        matches!(err, EngineError::Resume(ResumeError::FingerprintMismatch { .. })),
+        "expected fingerprint mismatch, got: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_refuses_a_different_algorithm() {
     let dir = temp_dir("algorithm");
@@ -273,25 +304,196 @@ fn resume_refuses_a_different_algorithm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every algorithm in the comparison, built fresh on a tiny world.
-fn all_algorithms(ctx: &FlContext, task: &SynthTask) -> Vec<Box<dyn FedAlgorithm>> {
+/// Every algorithm in the comparison, built fresh on a tiny world; with
+/// `spill`, the four that keep per-client state spill it under there.
+fn all_algorithms(ctx: &FlContext, task: &SynthTask, spill: Option<&Path>) -> Vec<Box<dyn FedAlgorithm>> {
     let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3);
     let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
     let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 5);
     let pool = task.generate_unlabeled(40, 2);
     let wide_mlp = ModelSpec { width: 32, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 7) };
     let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
+    let mut scaffold = Scaffold::new(spec);
+    let mut md = FedMd::new(clients.clone(), pool.clone(), 10, FedMdConfig::default());
+    let mut kemf = FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone());
+    let mut gems = FedGems::new(clients, big_server, pool.clone(), 10, FedGemsConfig::default());
+    if let Some(dir) = spill {
+        scaffold = scaffold.with_spill(SpillConfig::new(dir.join("scaffold")));
+        md = md.with_spill(SpillConfig::new(dir.join("md")));
+        kemf = kemf.with_spill(SpillConfig::new(dir.join("kemf")));
+        gems = gems.with_spill(SpillConfig::new(dir.join("gems")));
+    }
     vec![
         Box::new(FedAvg::new(spec)),
         Box::new(FedProx::new(spec, 0.01)),
         Box::new(FedNova::new(spec)),
-        Box::new(Scaffold::new(spec)),
-        Box::new(FedDf::new(spec, pool.clone())),
-        Box::new(FedMd::new(clients.clone(), pool.clone(), 10, FedMdConfig::default())),
-        Box::new(FedKemf::new(FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone()))),
+        Box::new(scaffold),
+        Box::new(FedDf::new(spec, pool)),
+        Box::new(md),
+        Box::new(FedKemf::new(kemf)),
         Box::new(FedRolex::new(FedRolexConfig { server_spec: wide_mlp, client_width: 8 })),
-        Box::new(FedGems::new(clients, big_server, pool, 10, FedGemsConfig::default())),
+        Box::new(gems),
     ]
+}
+
+/// `base`, then one model spec per knob `Writer::spec` encodes, each
+/// differing from `base` in that knob alone.
+fn spec_knobs(base: ModelSpec) -> Vec<ModelSpec> {
+    let arch = if base.arch == Arch::Mlp1 { Arch::Cnn2 } else { Arch::Mlp1 };
+    vec![
+        base,
+        ModelSpec { arch, ..base },
+        ModelSpec { in_channels: base.in_channels + 1, ..base },
+        ModelSpec { input_hw: base.input_hw + 4, ..base },
+        ModelSpec { classes: base.classes + 1, ..base },
+        ModelSpec { width: base.width + 1, ..base },
+        ModelSpec { seed: base.seed + 1, ..base },
+    ]
+}
+
+/// The default distillation, then one config per knob it encodes.
+fn distill_knobs() -> Vec<DistillConfig> {
+    let d = DistillConfig::default();
+    vec![
+        d,
+        DistillConfig { epochs: d.epochs + 1, ..d },
+        DistillConfig { batch: d.batch + 1, ..d },
+        DistillConfig { sgd: SgdConfig { lr: 0.03, ..d.sgd }, ..d },
+        DistillConfig { sgd: SgdConfig { momentum: 0.5, ..d.sgd }, ..d },
+        DistillConfig { sgd: SgdConfig { weight_decay: 1e-3, ..d.sgd }, ..d },
+        DistillConfig { temperature: 4.0, ..d },
+        DistillConfig { strategy: EnsembleStrategy::AvgLogits, ..d },
+        DistillConfig { clip_norm: 1.0, ..d },
+    ]
+}
+
+/// The client specs `all_algorithms` hands out, then one list per knob
+/// of the first client's spec, and one with a client more.
+fn client_knobs(ctx: &FlContext) -> Vec<Vec<ModelSpec>> {
+    let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 5);
+    let mut out: Vec<_> = spec_knobs(clients[0])
+        .into_iter()
+        .map(|first| [vec![first], clients[1..].to_vec()].concat())
+        .collect();
+    out.push([clients.clone(), vec![clients[0]]].concat());
+    out
+}
+
+/// Each of the nine algorithms as `all_algorithms` builds it, followed by
+/// one instance per knob its `identity` writes, that knob alone turned.
+fn knob_variants(ctx: &FlContext, task: &SynthTask) -> Vec<Vec<Box<dyn FedAlgorithm>>> {
+    type Algo = Box<dyn FedAlgorithm>;
+    let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3);
+    let clients = client_knobs(ctx).swap_remove(0);
+    let pool = task.generate_unlabeled(40, 2);
+    let weights = |build: fn(ModelSpec) -> Algo| spec_knobs(spec).into_iter().map(build).collect();
+    let prox = spec_knobs(spec).into_iter().map(|s| (s, 0.01)).chain([(spec, 0.1)]);
+    let df = spec_knobs(spec).into_iter().map(|s| (s, DistillConfig::default()));
+    let df = df.chain(distill_knobs().into_iter().skip(1).map(|d| (spec, d)));
+    let md = FedMdConfig::default();
+    let md_knobs = client_knobs(ctx).into_iter().map(|c| (c, 10, md)).chain([
+        (clients.clone(), 11, md),
+        (clients.clone(), 10, FedMdConfig { digest_epochs: 2, ..md }),
+        (clients.clone(), 10, FedMdConfig { temperature: 3.0, ..md }),
+        (clients.clone(), 10, FedMdConfig { digest_lr: 0.05, ..md }),
+    ]);
+    let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
+    let kemf = FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone());
+    let mut kemf_knobs = vec![kemf.clone()];
+    for knowledge_spec in spec_knobs(kemf.knowledge_spec).into_iter().skip(1) {
+        kemf_knobs.push(FedKemfConfig { knowledge_spec, ..kemf.clone() });
+    }
+    for client_specs in client_knobs(ctx).into_iter().skip(1) {
+        kemf_knobs.push(FedKemfConfig { client_specs, ..kemf.clone() });
+    }
+    for distill in distill_knobs().into_iter().skip(1) {
+        kemf_knobs.push(FedKemfConfig { distill, ..kemf.clone() });
+    }
+    kemf_knobs.extend([
+        FedKemfConfig { fusion: FusionMode::WeightAverage, ..kemf.clone() },
+        FedKemfConfig { kl_weight: 0.5, ..kemf.clone() },
+        FedKemfConfig { dml_temperature: 2.0, ..kemf.clone() },
+        FedKemfConfig { mutual: false, ..kemf.clone() },
+        FedKemfConfig { kl_warmup_rounds: 3, ..kemf.clone() },
+    ]);
+    let wide_mlp = ModelSpec { width: 32, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 7) };
+    let rolex = spec_knobs(wide_mlp).into_iter().filter(|s| s.arch == Arch::Mlp1);
+    let rolex = rolex.map(|server_spec| FedRolexConfig { server_spec, client_width: 8 });
+    let rolex = rolex.chain([FedRolexConfig { server_spec: wide_mlp, client_width: 5 }]);
+    let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
+    let gems = FedGemsConfig::default();
+    let gems_knobs = spec_knobs(big_server).into_iter().map(|s| (clients.clone(), s, 10, gems));
+    let gems_knobs = gems_knobs
+        .chain(client_knobs(ctx).into_iter().skip(1).map(|c| (c, big_server, 10, gems)))
+        .chain([
+            (clients.clone(), big_server, 11, gems),
+            (clients.clone(), big_server, 10, FedGemsConfig { digest_epochs: 2, ..gems }),
+            (clients.clone(), big_server, 10, FedGemsConfig { server_epochs: 2, ..gems }),
+            (clients.clone(), big_server, 10, FedGemsConfig { temperature: 3.0, ..gems }),
+            (clients.clone(), big_server, 10, FedGemsConfig { distill_lr: 0.05, ..gems }),
+            (clients.clone(), big_server, 10, FedGemsConfig { confidence_threshold: 0.6, ..gems }),
+        ]);
+    vec![
+        weights(|s| Box::new(FedAvg::new(s))),
+        prox.map(|(s, mu)| Box::new(FedProx::new(s, mu)) as Algo).collect(),
+        weights(|s| Box::new(FedNova::new(s))),
+        weights(|s| Box::new(Scaffold::new(s))),
+        df.map(|(s, distill)| {
+            let mut algo = FedDf::new(s, pool.clone());
+            algo.distill = distill;
+            Box::new(algo) as Algo
+        })
+        .collect(),
+        md_knobs.map(|(c, k, cfg)| Box::new(FedMd::new(c, pool.clone(), k, cfg)) as Algo).collect(),
+        kemf_knobs.into_iter().map(|c| Box::new(FedKemf::new(c)) as Algo).collect(),
+        rolex.map(|c| Box::new(FedRolex::new(c)) as Algo).collect(),
+        gems_knobs
+            .map(|(c, s, k, cfg)| Box::new(FedGems::new(c, s, pool.clone(), k, cfg)) as Algo)
+            .collect(),
+    ]
+}
+
+/// Every knob an algorithm's `identity` writes is part of the run: turning
+/// any one of them alone gives another fingerprint, for all nine.
+#[test]
+fn every_identity_knob_moves_the_fingerprint() {
+    let (ctx, task) = world(49, 2);
+    let faults = FaultConfig::default();
+    let groups = knob_variants(&ctx, &task);
+    let names: Vec<_> = all_algorithms(&ctx, &task, None).iter().map(|a| a.name()).collect();
+    assert_eq!(groups.iter().map(|g| g[0].name()).collect::<Vec<_>>(), names);
+    for group in &groups {
+        let prints: HashSet<u64> =
+            group.iter().map(|a| run_fingerprint(&ctx.cfg, &faults, a.as_ref())).collect();
+        assert_eq!(prints.len(), group.len(), "{}: a knob left the fingerprint alone", group[0].name());
+    }
+}
+
+/// The horizon, the transport and the spill directory are presentation:
+/// a run checkpointed over sockets with its client state spilled stores
+/// the fingerprint of the same run in-process, resident, at another
+/// horizon.
+#[test]
+fn rounds_transport_and_spill_stay_out_of_the_fingerprint() {
+    let dir = temp_dir("presentation");
+    let (ctx1, task) = world(50, 1);
+    let (ctx9, task9) = world(50, 9);
+    let resident = all_algorithms(&ctx9, &task9, None);
+    let presented = all_algorithms(&ctx1, &task, Some(&dir.join("spill")));
+    for (idx, (plain, mut algo)) in resident.iter().zip(presented).enumerate() {
+        let ckpt = dir.join(format!("ckpt_{idx}"));
+        let opts = RunOptions::new()
+            .socket_transport(SocketConfig::threads(1))
+            .checkpoint(CheckpointPolicy::new(&ckpt, 1));
+        Engine::run(algo.as_mut(), &ctx1, opts).unwrap();
+        assert_eq!(
+            load_run(&ckpt).unwrap().fingerprint,
+            run_fingerprint(&ctx9.cfg, &FaultConfig::default(), plain.as_ref()),
+            "{}",
+            plain.name()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -304,13 +506,13 @@ proptest! {
     fn restore_state_round_trips_for_every_algorithm(seed in 0u64..500) {
         let (ctx, task) = world(seed, 2);
         let trained = {
-            let mut algos = all_algorithms(&ctx, &task);
+            let mut algos = all_algorithms(&ctx, &task, None);
             for algo in &mut algos {
                 Engine::run(algo.as_mut(), &ctx, RunOptions::new()).unwrap();
             }
             algos
         };
-        let mut fresh = all_algorithms(&ctx, &task);
+        let mut fresh = all_algorithms(&ctx, &task, None);
         for (t, f) in trained.iter().zip(fresh.iter_mut()) {
             let snapshot = t.state().unwrap();
             f.init(&ctx).unwrap();
