@@ -10,9 +10,12 @@
 //! parked helper, beside a `thread::scope` spawn + join — the row
 //! `par::SPLIT_FLOOR` is derived from), the three products of a
 //! convolution layer at those geometries side by side (`conv_backward`:
-//! forward, weight gradient, input gradient with its `col2im`, all in
-//! GFLOP/s of the same `2·O·patch·N·OH·OW`, each split over the width as
-//! `Conv2d` runs it outside a share, and the layer split against inline),
+//! forward, weight gradient, input gradient, all in GFLOP/s of the same
+//! `2·O·patch·N·OH·OW`, each split over the width as `Conv2d` runs it
+//! outside a share, the `route` the forward and input gradient take, and
+//! both of them again on the lowered route — `im2col`, `gemm_ops`,
+//! `col2im` — timed interleaved with the library's; and the layer split
+//! against inline),
 //! and what building a model at a transmitted state costs with and
 //! without the discarded initialization (`model_build`). Prints tables
 //! and writes `bench_results/BENCH_kernels.json` with all of it, the
@@ -22,17 +25,20 @@
 //!
 //! `--smoke` runs every code path with a tiny time budget and skips the
 //! JSON write — a CI liveness check, not a measurement. It also demands
-//! that the CRC-32 and both gradients of every `conv_backward` geometry
-//! come out bit-identical on the native kernel tier and the forced scalar
-//! one, and split over the width and inline: a kernel that faults or runs
-//! its chains out of order, or a split that cuts one, fails here, on the
-//! host that has it, not in a history hash three layers up.
+//! that the CRC-32, and the forward output and both gradients of every
+//! `conv_backward` geometry, come out bit-identical on the native kernel
+//! tier and the forced scalar one, split over the width and inline, and
+//! (forward and input gradient) on the lowered route: a kernel that
+//! faults or runs its chains out of order, or a split that cuts one,
+//! fails here, on the host that has it, not in a history hash three
+//! layers up.
 
 use kemf_bench::report::{results_dir, Table};
 use kemf_nn::codec;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
-use kemf_tensor::conv::{col2im, forward, im2col, input_grad, weight_grad, ConvGeom};
+use kemf_tensor::conv::{col2im, forward, im2col, input_grad, is_direct, weight_grad, with_lowering, ConvGeom};
+use kemf_tensor::gemm::{gemm_ops, ColMajor, NchwGather, NchwScatterBias, RowMajor, Store};
 use kemf_tensor::matmul::matmul_into;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::{par, simd, Tensor};
@@ -120,6 +126,47 @@ fn time_interleaved(mut a: impl FnMut(), mut b: impl FnMut(), iters: usize) -> (
         }
     }
     (best_a, best_b)
+}
+
+/// The forward product on the lowered route, as the library runs a bank
+/// too wide to go direct: each share of images lowers them into its
+/// thread's buffer (`im2col`) and multiplies, the bias added and NCHW
+/// restored in the epilogue.
+fn lowered_forward(x: &[f32], w: &[f32], bias: &[f32], o: usize, g: &ConvGeom, y: &mut [f32]) {
+    let (patch, plane, pixels) = (g.patch_len(), g.oh() * g.ow(), g.c * g.h * g.w);
+    par::split(g.n, 2 * (o * patch * g.cols()) as u64, y, |images, y| {
+        let part = ConvGeom { n: images.len(), ..*g };
+        with_lowering(patch * part.cols(), |cols| {
+            im2col(&x[images.start * pixels..images.end * pixels], &part, cols);
+            let (a, b) = (RowMajor { data: w, ld: patch }, RowMajor { data: cols, ld: part.cols() });
+            gemm_ops(o, patch, part.cols(), &a, &b, &mut NchwScatterBias { out: y, o, plane, bias });
+        });
+    });
+}
+
+/// Most elements of a patch-gradient panel on the lowered route (64 KB).
+const PANEL_ELEMS: usize = 16 * 1024;
+
+/// The input gradient on the lowered route: each share of images makes
+/// the patch gradient `Wᵀ · g` a panel of whole images at a time and
+/// scatters it (`col2im`) while it is in the inner caches.
+fn lowered_input_grad(w: &[f32], grad: &[f32], o: usize, g: &ConvGeom, gx: &mut [f32]) {
+    let (patch, plane, pixels) = (g.patch_len(), g.oh() * g.ow(), g.c * g.h * g.w);
+    par::split(g.n, 2 * (o * patch * g.cols()) as u64, gx, |images, gx| {
+        let n = images.len();
+        let panel = if plane <= 16 { n } else { (PANEL_ELEMS / (patch * plane).max(1)).clamp(1, n) };
+        let grad = &grad[images.start * o * plane..images.end * o * plane];
+        with_lowering(patch * panel * plane, |dcols| {
+            for first in (0..n).step_by(panel) {
+                let part = ConvGeom { n: panel.min(n - first), ..*g };
+                let dcols = &mut dcols[..patch * part.cols()];
+                let b = NchwGather { data: &grad[first * o * plane..][..o * part.cols()], o, plane };
+                let mut store = Store { c: dcols, ldc: part.cols() };
+                gemm_ops(patch, o, part.cols(), &ColMajor { data: w, ld: patch }, &b, &mut store);
+                col2im(dcols, &part, &mut gx[first * pixels..][..part.n * pixels]);
+            }
+        });
+    });
 }
 
 fn main() {
@@ -324,12 +371,14 @@ fn main() {
     // The three products of one convolution layer, at the layers the
     // end-to-end benchmark's ResNet-20 (width 4) and VGG-11 (width 8)
     // train on 3×16×16 inputs at batch 16, through the entry points
-    // `Conv2d` calls: forward (lowering, bias + NCHW scatter epilogue),
-    // weight gradient with its lowering, accumulated into `dw`, input
-    // gradient with its `col2im` — each split over the process's width,
-    // all in GFLOP/s of the same `2·O·patch·N·OH·OW`. The last column is
-    // the layer's three products split against the same calls inline (in
-    // a one-item `par::fork_join`), timed interleaved.
+    // `Conv2d` calls: forward, weight gradient with its lowering,
+    // accumulated into `dw`, input gradient — each split over the
+    // process's width, all in GFLOP/s of the same `2·O·patch·N·OH·OW`.
+    // The forward and the input gradient take the `route` the geometry
+    // picks, and are timed interleaved with the same products on the
+    // lowered route (`lowered_forward`, `lowered_input_grad`). The last
+    // column is the layer's three products split against the same calls
+    // inline (in a one-item `par::fork_join`), timed interleaved.
     let layers = [
         ("resnet20_stem", conv(3, 16, 1), 4),
         ("resnet20_stage1", conv(4, 16, 1), 4),
@@ -345,7 +394,7 @@ fn main() {
     ];
     let mut backward = Table::new(
         "Convolution layer products (GFLOP/s)",
-        &["layer", "o,patch,cols", "forward", "weight grad", "input grad", "split/inline"],
+        &["layer", "o,patch,cols", "route", "forward", "lowered", "weight grad", "input grad", "lowered", "split/inline"],
     );
     let mut backward_rows = Vec::new();
     for (name, g, o) in layers {
@@ -355,22 +404,35 @@ fn main() {
         let bias = Tensor::randn(&[o], 1.0, &mut rng);
         let grad = Tensor::randn(&[g.n, o, g.oh(), g.ow()], 1.0, &mut rng);
 
-        // Both gradients split, split on the scalar tier, and inline (one
-        // share): the same bits.
-        let gradients = || {
+        // The forward output and both gradients split, split on the scalar
+        // tier, and inline (one share), and the forward output and input
+        // gradient on the lowered route: the same bits.
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let results = || {
+            let mut y = vec![0.0f32; grad.numel()];
             let (mut dw, mut gx) = (vec![0.0f32; o * patch], vec![0.0f32; x.numel()]);
+            forward(x.data(), w.data(), bias.data(), o, &g, &mut y, None);
             weight_grad(grad.data(), o, x.data(), &g, &mut dw);
             input_grad(w.data(), grad.data(), o, &g, &mut gx);
-            dw.iter().chain(&gx).map(|v| v.to_bits()).collect::<Vec<_>>()
+            [bits(&y), bits(&dw), bits(&gx)]
         };
-        let split = gradients();
+        let split = results();
         let scalar = {
             let _guard = simd::ScalarGuard::new();
-            gradients()
+            results()
         };
-        let inline = par::fork_join(vec![()], |()| gradients()).remove(0);
-        assert!(split == scalar, "{name}: native and scalar kernel tiers disagree on the gradients");
-        assert!(split == inline, "{name}: split and inline gradients disagree");
+        let inline = par::fork_join(vec![()], |()| results()).remove(0);
+        let lowered = {
+            let (mut y, mut gx) = (vec![0.0f32; grad.numel()], vec![0.0f32; x.numel()]);
+            lowered_forward(x.data(), w.data(), bias.data(), o, &g, &mut y);
+            lowered_input_grad(w.data(), grad.data(), o, &g, &mut gx);
+            [bits(&y), split[1].clone(), bits(&gx)]
+        };
+        for (product, i) in [("forward output", 0), ("weight gradient", 1), ("input gradient", 2)] {
+            assert!(split[i] == scalar[i], "{name}: native and scalar kernel tiers disagree on the {product}");
+            assert!(split[i] == inline[i], "{name}: split and inline {product} disagree");
+            assert!(split[i] == lowered[i], "{name}: the {product} differs from the lowered route's");
+        }
 
         let buffers = Mutex::new((vec![0.0f32; grad.numel()], vec![0.0f32; o * patch], vec![0.0f32; x.numel()]));
         let products = |which: [bool; 3]| {
@@ -389,9 +451,23 @@ fn main() {
         let flops = 2.0 * (o * patch * ncols) as f64;
         let iters = if smoke { 2 } else { 20usize.max((2e8 / flops) as usize) };
         let gflops = |secs: f64| flops / secs / 1e9;
-        let forward_gflops = gflops(time_per_call(|| products([true, false, false]), iters));
+        let lowered = |forward: bool| {
+            let mut guard = buffers.lock().expect("no product panics");
+            let (y, _, gx) = &mut *guard;
+            if forward {
+                lowered_forward(x.data(), w.data(), bias.data(), o, &g, y);
+            } else {
+                lowered_input_grad(w.data(), grad.data(), o, &g, gx);
+            }
+        };
+        let (forward_s, lowered_forward_s) =
+            time_interleaved(|| products([true, false, false]), || lowered(true), iters);
         let weight_grad_gflops = gflops(time_per_call(|| products([false, true, false]), iters));
-        let input_grad_gflops = gflops(time_per_call(|| products([false, false, true]), iters));
+        let (input_grad_s, lowered_input_grad_s) =
+            time_interleaved(|| products([false, false, true]), || lowered(false), iters);
+        let (forward_gflops, lowered_forward_gflops) = (gflops(forward_s), gflops(lowered_forward_s));
+        let (input_grad_gflops, lowered_input_grad_gflops) = (gflops(input_grad_s), gflops(lowered_input_grad_s));
+        let route = if is_direct(o, &g) { "direct" } else { "lowered" };
         let (split_s, inline_s) = time_interleaved(
             || products([true; 3]),
             || {
@@ -403,17 +479,22 @@ fn main() {
         backward.row(&[
             name.into(),
             format!("{o},{patch},{ncols}"),
+            route.into(),
             format!("{forward_gflops:.1}"),
+            format!("{lowered_forward_gflops:.1}"),
             format!("{weight_grad_gflops:.1}"),
             format!("{input_grad_gflops:.1}"),
+            format!("{lowered_input_grad_gflops:.1}"),
             format!("{split_speedup:.2}x"),
         ]);
         backward_rows.push(format!(
             "    {{\"layer\": \"{name}\", \"batch\": {}, \"in_channels\": {}, \"hw\": {}, \
              \"stride\": {}, \"out_channels\": {o}, \"patch\": {patch}, \"cols\": {ncols}, \
-             \"forward_gflops\": {forward_gflops:.3}, \
+             \"route\": \"{route}\", \"forward_gflops\": {forward_gflops:.3}, \
+             \"lowered_forward_gflops\": {lowered_forward_gflops:.3}, \
              \"weight_grad_gflops\": {weight_grad_gflops:.3}, \
              \"input_grad_gflops\": {input_grad_gflops:.3}, \
+             \"lowered_input_grad_gflops\": {lowered_input_grad_gflops:.3}, \
              \"layer_split_speedup\": {split_speedup:.3}}}",
             g.n, g.c, g.h, g.stride
         ));

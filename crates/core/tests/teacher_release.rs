@@ -7,7 +7,8 @@
 //! under 3 MB (a training forward's caches made it 9.5 MB); afterwards the
 //! process may hold no more than it did before, and at no moment more
 //! than one member's pass per thread of the compute width on top of that
-//! (members run one per share of `par::fork_join`).
+//! (members run one per share of `par::fork_join`), and the logits the
+//! members done so far handed back.
 //!
 //! A model that survives its pass — FedGEMS's `eval_model` — keeps its
 //! workspace pool and the logits it handed out, and nothing else.
@@ -71,12 +72,20 @@ fn the_teacher_pass_leaves_nothing_behind_and_holds_one_member_per_thread() {
     // the softening, whose tensors all die with it.
     let cfg = DistillConfig { epochs: 0, ..Default::default() };
 
-    // What one member's pass holds at its fullest, measured on a fifth.
+    // What one member's pass holds at its fullest, measured on a fifth,
+    // and what it hands back: its logits, whose storage is a pooled buffer
+    // as large as the activation it last held.
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    drop(Model::new(spec(5)).predict_batch_stats(&pool));
+    let logits = Model::new(spec(5)).predict_batch_stats(&pool);
     let one_member = PEAK.load(Ordering::Relaxed) - before;
-    assert!(one_member > 1 << 20, "a 48-image ResNet-20 pass is megabytes, got {one_member} B");
+    let with_logits = LIVE.load(Ordering::Relaxed);
+    drop(logits);
+    let returned = with_logits - LIVE.load(Ordering::Relaxed);
+    // At least the batch and one stage-1 activation (4 channels, 16×16):
+    // the counter sees the pass.
+    let activations = 48 * (3 + 4) * 16 * 16 * std::mem::size_of::<f32>();
+    assert!(one_member > activations, "a 48-image ResNet-20 pass holds its activations, got {one_member} B");
     assert!(one_member <= 3 << 20, "one member's pass peaked at {} KB: something cached for a backward", one_member >> 10);
 
     // A surviving model, warm lowering buffers (the pass above ran at this
@@ -113,12 +122,16 @@ fn the_teacher_pass_leaves_nothing_behind_and_holds_one_member_per_thread() {
         (after - before) >> 10,
         one_member >> 10
     );
+    // The members done so far hold their logits until the ensemble is
+    // formed.
     let width = kemf_fl::engine::init_thread_pool();
     assert!(
-        peak <= before + width * one_member + slack,
-        "the teacher pass peaked {} KB above its start; one member's pass is {} KB, {width} run at once",
+        peak <= before + width * one_member + teachers.len() * returned + slack,
+        "the teacher pass peaked {} KB above its start; one member's pass is {} KB, {width} run at once, \
+         each leaving {} KB of logits",
         (peak - before) >> 10,
-        one_member >> 10
+        one_member >> 10,
+        returned >> 10
     );
 
     // A server-side evaluation runs outside any share, so its products

@@ -1,34 +1,39 @@
-//! 2-D convolution, lowered to matrix multiplication through `im2col`.
+//! 2-D convolution: three products over the input `x`, the filter bank
+//! and the output gradient `g`.
 //!
-//! The filter bank is stored as a `[O, C·KH·KW]` matrix, so the layer is
-//! three products over the patch matrix `cols` (`[C·KH·KW, N·OH·OW]`,
-//! row-major) and the `[N, O, OH, OW]` output gradient `g`. Each runs on
-//! the engine in `kemf_tensor::gemm` along the route its shape wants;
-//! every operand is a typed view of the storage it already lives in, and
-//! in all three every output element is one FMA chain over the inner
-//! index, ascending from zero — on every kernel tier and every route,
-//! which is what lets `tests/golden_histories.rs` pin one table of
-//! hashes.
+//! The filter bank is stored as a `[O, C·KH·KW]` matrix, so each product
+//! can be read as a GEMM over the patch matrix `cols` (`[C·KH·KW,
+//! N·OH·OW]`, row-major) and the `[N, O, OH, OW]` output gradient `g`. A
+//! product runs either on the engine in `kemf_tensor::gemm` over the
+//! lowered operands, or — for the forward product and the input gradient
+//! of a bank of at most 16 filters — on the direct route, straight from
+//! the NCHW tensors (`kemf_tensor::conv::is_direct`, decided by the
+//! geometry alone). In every case every output element is one FMA chain
+//! over the inner index, ascending from zero — on every kernel tier and
+//! every route, which is what lets `tests/golden_histories.rs` pin one
+//! table of hashes.
 //!
-//! * **Forward** `y = W · cols + b` (inner index: the patch). `W` is
-//!   packed; `cols` is read in place by the widest kernel when `O ≤ 16`
-//!   and packed by row copies otherwise; the bias add and the
-//!   `[O, N·OH·OW] → [N, O, OH, OW]` reorder are the epilogue
+//! * **Forward** `y = W · cols + b` (inner index: the patch). Narrow
+//!   banks run each chain over the input where it lies, a padding tap
+//!   multiplied by `0.0` as the patch matrix's zero would be. Wider ones
+//!   pack `W` and `cols` by row copies; the bias add and the `[O,
+//!   N·OH·OW] → [N, O, OH, OW]` reorder are the epilogue
 //!   (`NchwScatterBias`).
 //! * **Weight gradient** `dW += g · colsᵀ` (inner index: the `N·OH·OW`
-//!   columns — thousands, under a handful of rows). `g`, the small
-//!   operand, is packed, through `NchwGather` without a reorder copy.
-//!   `cols` is the column-major B and, for `O ≤ 16`, is not packed: the
-//!   transposing kernel loads 16×16 blocks along its rows, turns them in
-//!   registers and runs the chains from there. Wider banks pack it
+//!   columns — thousands, under a handful of rows). Always lowered. `g`,
+//!   the small operand, is packed, through `NchwGather` without a reorder
+//!   copy. `cols` is the column-major B and, for `O ≤ 16`, is not packed:
+//!   the transposing kernel loads 16×16 blocks along its rows, turns them
+//!   in registers and runs the chains from there. Wider banks pack it
 //!   through an 8×8 block transpose. The finished chains are added to
 //!   `weight.grad` once ([`kemf_tensor::conv::weight_grad`]).
-//! * **Input gradient** `gx = col2im(Wᵀ · g)` (inner index: `O`). `Wᵀ`
-//!   and `g` pack by row copies. The patch gradient — as large as `cols`
-//!   — is never whole: it is produced a panel of whole images at a time
-//!   (one 16×16 image of ResNet-20's first stage is 36 KB) and scattered
-//!   into those images' pixels while the panel is in the inner caches;
-//!   a pixel meets its addends in the order of the whole-matrix scatter
+//! * **Input gradient** `gx = col2im(Wᵀ · g)` (inner index: `O`). Narrow
+//!   banks run each patch-gradient value's chain from `g` where it lies
+//!   and add it straight into its pixel, in the order `col2im` would;
+//!   no patch gradient is stored. For wider ones `Wᵀ` and `g` pack by row
+//!   copies and the patch gradient — as large as `cols` — is produced a
+//!   panel of whole images at a time and scattered into those images'
+//!   pixels while the panel is in the inner caches
 //!   ([`kemf_tensor::conv::input_grad`]). The first layer of a network
 //!   inside a training step skips this product altogether
 //!   ([`Layer::backward_first`]): nothing reads the gradient of the batch.
@@ -44,12 +49,13 @@
 //! the calling thread.
 //!
 //! The patch matrix is never kept. A training forward caches a copy of
-//! its *input* (`KH·KW` times smaller) and backward lowers it again —
-//! `im2col` runs at memory speed and is deterministic, so the weight
-//! gradient reads the bits forward multiplied by. Every product lowers
-//! into its thread's one buffer ([`kemf_tensor::conv::with_lowering`]),
-//! and the input gradient's panels overwrite `cols` there once the weight
-//! gradient has been accumulated. What a model holds between forward and
+//! its *input* (`KH·KW` times smaller) and backward lowers it again for
+//! the weight gradient — `im2col` runs at memory speed and is
+//! deterministic, so the weight gradient reads the bits forward
+//! multiplied by. Every lowered product lowers into its thread's one
+//! buffer ([`kemf_tensor::conv::with_lowering`]), and a wide input
+//! gradient's panels overwrite `cols` there once the weight gradient has
+//! been accumulated. What a model holds between forward and
 //! backward is therefore its activations, not nine times them; that is
 //! what lets two clients train side by side in the memory one used to
 //! take. The remaining temporaries (input copy, outputs, input gradient)
@@ -167,9 +173,9 @@ impl Layer for Conv2d {
         // A training forward keeps a copy of its input for backward.
         let mut input = mode.caches().then(|| ws.take_unzeroed(x.numel()));
         match self.precision {
-            // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o]:
-            // one GEMM per share of images whose epilogue scatters straight
-            // into NCHW with the bias added.
+            // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o],
+            // by share of images: direct for a narrow bank, else one GEMM
+            // whose epilogue scatters straight into NCHW with the bias.
             Precision::F32 => conv::forward(x.data(), w, bias, o, &geom, y.data_mut(), input.as_deref_mut()),
             // A = filter bank per-row, B = im2col matrix per-column; the
             // dequantizing epilogue reuses the fused NCHW scatter.

@@ -104,7 +104,7 @@ pub trait Layer: Send {
     /// [`Layer::backward`] for a layer whose input gradient nobody reads —
     /// the first layer of a network inside a training step: accumulate
     /// parameter gradients and skip whatever only produces ∂L/∂input
-    /// (`Conv2d`'s patch-gradient product and `col2im`, `Linear`'s
+    /// (`Conv2d`'s input-gradient product, `Linear`'s
     /// `g · W`). A container hands this to its first layer only and runs
     /// the rest as usual. The default runs `backward` and returns the
     /// gradient to the pool.

@@ -1,54 +1,102 @@
-//! `Conv2d` keeps its input, not the patch matrix: backward lowers the
-//! input a second time into the thread's lowering buffer, and the
-//! input-gradient product then overwrites that buffer. Neither step may
-//! change a bit. The reference below is the layer as it was written
-//! while it cached `cols` from forward and gave `dcols` storage of its
-//! own, spelled out over the same public kernels; the layer must match it
-//! exactly on every convolution geometry of the benchmark's ResNet-20 and
-//! VGG-11 (3×16×16 inputs, batch 16) — stride 2, 1×1 shortcut kernels and
-//! 1×1 output planes included — on the native and on the scalar tier.
+//! `Conv2d` runs its forward product and input gradient on the direct
+//! route for banks of at most 16 filters — straight from the NCHW tensors,
+//! no patch matrix — and keeps its input, not the patch matrix, for a
+//! weight gradient that lowers it again. None of it may change a bit. The
+//! reference below is the layer as it was written while every product
+//! was lowered, it cached `cols` from forward and gave `dcols` storage of
+//! its own, spelled out over the same public kernels (`im2col`,
+//! `gemm_ops`, `col2im`). The layer must match it exactly — its output in
+//! every `Mode`, both gradients and the bias gradient — on the native and
+//! on the scalar tier:
+//!
+//! * on every convolution geometry of the benchmark's ResNet-20 and
+//!   VGG-11 (3×16×16 inputs, batch 16) — stride 2, 1×1 shortcut kernels
+//!   and 1×1 output planes included — and the 2-layer CNN's 5×5 layers;
+//! * on planes no multiple of 16 or 8 lanes, with one and three images and
+//!   filter banks and inputs of 1 to 16 channels;
+//! * with a `+∞` weight, a `NaN` weight or a `NaN` output gradient, where
+//!   `0·∞` in a padding tap and the order of the adds decide the bits.
+//!
+//! A last test holds the FLOP counter to the products a pass replaces.
+//! The counter is process-wide, so the tests of this file take turns.
 
 use kemf_nn::conv2d::Conv2d;
 use kemf_nn::layer::{Layer, Mode};
 use kemf_tensor::conv::{col2im, im2col, ConvGeom};
+use kemf_tensor::flops;
 use kemf_tensor::gemm::{gemm_ops, Accumulate, ColMajor, NchwGather, RowMajor, Store};
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::simd::ScalarGuard;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// (in, out, kernel, stride, pad, input hw)
-const GEOMETRIES: [(usize, usize, usize, usize, usize, usize); 13] = [
+/// (in, out, kernel, stride, pad, input height, input width)
+type Layout = (usize, usize, usize, usize, usize, usize, usize);
+
+const GEOMETRIES: [Layout; 15] = [
     // ResNet-20, width 4: stem, stage 1, both down-sampling blocks with
     // their 1×1 stride-2 shortcuts, stages 2 and 3.
-    (3, 4, 3, 1, 1, 16),
-    (4, 4, 3, 1, 1, 16),
-    (4, 8, 3, 2, 1, 16),
-    (4, 8, 1, 2, 0, 16),
-    (8, 8, 3, 1, 1, 8),
-    (8, 16, 3, 2, 1, 8),
-    (8, 16, 1, 2, 0, 8),
-    (16, 16, 3, 1, 1, 4),
+    (3, 4, 3, 1, 1, 16, 16),
+    (4, 4, 3, 1, 1, 16, 16),
+    (4, 8, 3, 2, 1, 16, 16),
+    (4, 8, 1, 2, 0, 16, 16),
+    (8, 8, 3, 1, 1, 8, 8),
+    (8, 16, 3, 2, 1, 8, 8),
+    (8, 16, 1, 2, 0, 8, 8),
+    (16, 16, 3, 1, 1, 4, 4),
     // VGG-11, width 8: what the pooling schedule leaves, down to 1×1 planes.
-    (3, 8, 3, 1, 1, 16),
-    (8, 16, 3, 1, 1, 8),
-    (32, 32, 3, 1, 1, 4),
-    (64, 64, 3, 1, 1, 2),
-    (64, 64, 3, 1, 1, 1),
+    (3, 8, 3, 1, 1, 16, 16),
+    (8, 16, 3, 1, 1, 8, 8),
+    (32, 32, 3, 1, 1, 4, 4),
+    (64, 64, 3, 1, 1, 2, 2),
+    (64, 64, 3, 1, 1, 1, 1),
+    // The 2-layer CNN, width 4, on 1×12×12 inputs: 5×5 kernels, padding 2.
+    (1, 8, 5, 1, 2, 12, 12),
+    (8, 16, 5, 1, 2, 6, 6),
 ];
+
+/// Planes that fill no whole vector of 16 or 8 lanes.
+const ODD_PLANES: [(usize, usize); 4] = [(6, 6), (5, 7), (3, 3), (1, 1)];
+/// (kernel, stride, pad) over them.
+const ODD_KERNELS: [(usize, usize, usize); 4] = [(3, 1, 1), (3, 2, 1), (1, 2, 0), (5, 1, 2)];
+/// Filter banks and input channels.
+const CHANNELS: [usize; 6] = [1, 2, 3, 5, 12, 16];
+
+/// One test at a time: the FLOP counter is process-wide.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// (y, gx, dW, db) of the layer itself.
+/// The layer and its geometry over `n` images.
+fn layer(&(c, o, k, stride, pad, h, w): &Layout, n: usize, seed: u64) -> (Conv2d, ConvGeom) {
+    (Conv2d::new(c, o, k, stride, pad, seed), ConvGeom { n, c, h, w, kh: k, kw: k, stride, pad })
+}
+
+/// (y, gx, dW, db) of the layer itself, after checking that an `Eval` and
+/// a `BatchStats` forward give the `Train` forward's `y`.
 fn layer_pass(conv: &mut Conv2d, x: &Tensor, g: &Tensor, ws: &mut Workspace) -> [Vec<u32>; 4] {
+    let mut ys = Vec::new();
+    for mode in [Mode::Eval, Mode::BatchStats] {
+        let y = conv.forward(x, mode, ws);
+        ys.push(bits(y.data()));
+        ws.recycle_tensor(y);
+    }
     conv.zero_grad();
     let y = conv.forward(x, Mode::Train, ws);
     let gx = conv.backward(g, ws);
     let mut grads = Vec::new();
     conv.visit_params(&mut |p| grads.push(bits(p.grad.data())));
     let out = [bits(y.data()), bits(gx.data()), grads[0].clone(), grads[1].clone()];
+    assert!(
+        ys.iter().all(|y| *y == out[0]),
+        "an Eval or BatchStats forward differs from the Train one"
+    );
     ws.recycle_tensor(y);
     ws.recycle_tensor(gx);
     out
@@ -56,7 +104,13 @@ fn layer_pass(conv: &mut Conv2d, x: &Tensor, g: &Tensor, ws: &mut Workspace) -> 
 
 /// The same four results from a patch matrix lowered once and kept, with
 /// `dcols` in a buffer of its own.
-fn cached_cols_pass(conv: &Conv2d, geom: &ConvGeom, o: usize, x: &Tensor, g: &Tensor) -> [Vec<u32>; 4] {
+fn cached_cols_pass(
+    conv: &Conv2d,
+    geom: &ConvGeom,
+    o: usize,
+    x: &Tensor,
+    g: &Tensor,
+) -> [Vec<u32>; 4] {
     let mut params = Vec::new();
     conv.visit_params(&mut |p| params.push(p.value.data().to_vec()));
     let (weight, bias) = (&params[0], &params[1]);
@@ -112,29 +166,152 @@ fn cached_cols_pass(conv: &Conv2d, geom: &ConvGeom, o: usize, x: &Tensor, g: &Te
     [bits(&y), bits(&gx), bits(&dw), bits(&db)]
 }
 
+/// Run the layer twice on `ws` (the second time on buffers another pass
+/// left behind) against the reference; `what` names the case.
+fn matches_reference(
+    conv: &mut Conv2d,
+    geom: &ConvGeom,
+    x: &Tensor,
+    g: &Tensor,
+    ws: &mut Workspace,
+    what: &str,
+) {
+    let o = g.dims()[1];
+    let want = cached_cols_pass(conv, geom, o, x, g);
+    for step in 0..2 {
+        let got = layer_pass(conv, x, g, ws);
+        for (name, (a, b)) in ["y", "gx", "dW", "db"].iter().zip(got.iter().zip(&want)) {
+            assert!(a == b, "{what}, step {step}: {name} differs");
+        }
+    }
+}
+
 fn every_geometry_matches_the_cached_reference(tier: &str) {
     let mut rng = seeded_rng(23);
     // One workspace and one thread for the whole sweep, so every layer
     // after the first lowers into a buffer holding another layer's data.
     let mut ws = Workspace::new();
-    for (c, o, k, stride, pad, hw) in GEOMETRIES {
-        let mut conv = Conv2d::new(c, o, k, stride, pad, 5);
-        let geom = ConvGeom { n: 16, c, h: hw, w: hw, kh: k, kw: k, stride, pad };
-        let x = Tensor::randn(&[16, c, hw, hw], 1.0, &mut rng);
-        let g = Tensor::randn(&[16, o, geom.oh(), geom.ow()], 1.0, &mut rng);
-        let want = cached_cols_pass(&conv, &geom, o, &x, &g);
-        for step in 0..2 {
-            let got = layer_pass(&mut conv, &x, &g, &mut ws);
-            for (name, (a, b)) in ["y", "gx", "dW", "db"].iter().zip(got.iter().zip(&want)) {
-                assert!(a == b, "{tier} {c}→{o} k{k} s{stride} @{hw}, step {step}: {name} differs");
+    for layout in GEOMETRIES {
+        let (mut conv, geom) = layer(&layout, 16, 5);
+        let x = Tensor::randn(&[16, geom.c, geom.h, geom.w], 1.0, &mut rng);
+        let g = Tensor::randn(&[16, layout.1, geom.oh(), geom.ow()], 1.0, &mut rng);
+        matches_reference(&mut conv, &geom, &x, &g, &mut ws, &format!("{tier} {layout:?}"));
+    }
+}
+
+#[test]
+fn backward_from_the_recomputed_and_overwritten_buffer_is_bit_identical_to_cached_cols() {
+    let _serial = serial();
+    every_geometry_matches_the_cached_reference("native");
+    let _scalar = ScalarGuard::new();
+    every_geometry_matches_the_cached_reference("scalar");
+}
+
+fn odd_shapes_match_the_cached_reference(tier: &str) {
+    let mut rng = seeded_rng(29);
+    let mut ws = Workspace::new();
+    for (h, w) in ODD_PLANES {
+        for (k, stride, pad) in ODD_KERNELS {
+            for c in CHANNELS {
+                for o in CHANNELS {
+                    for n in [1, 3] {
+                        let layout = (c, o, k, stride, pad, h, w);
+                        let (mut conv, geom) = layer(&layout, n, 7);
+                        let x = Tensor::randn(&[n, c, h, w], 1.0, &mut rng);
+                        let g = Tensor::randn(&[n, o, geom.oh(), geom.ow()], 1.0, &mut rng);
+                        let what = format!("{tier} {layout:?} n{n}");
+                        matches_reference(&mut conv, &geom, &x, &g, &mut ws, &what);
+                    }
+                }
             }
         }
     }
 }
 
 #[test]
-fn backward_from_the_recomputed_and_overwritten_buffer_is_bit_identical_to_cached_cols() {
-    every_geometry_matches_the_cached_reference("native");
+fn odd_planes_batches_and_channel_counts_are_bit_identical_to_cached_cols() {
+    let _serial = serial();
+    odd_shapes_match_the_cached_reference("native");
     let _scalar = ScalarGuard::new();
-    every_geometry_matches_the_cached_reference("scalar");
+    odd_shapes_match_the_cached_reference("scalar");
+}
+
+fn special_values_match_the_cached_reference(tier: &str) {
+    let mut rng = seeded_rng(31);
+    let mut ws = Workspace::new();
+    let layouts = [
+        (3, 4, 3, 1, 1, 5, 7),
+        (4, 8, 3, 2, 1, 6, 6),
+        (8, 16, 1, 2, 0, 8, 8),
+        (5, 12, 5, 1, 2, 3, 3),
+        (16, 16, 3, 1, 1, 1, 1),
+    ];
+    for layout in layouts {
+        for (value, in_weight) in [(f32::INFINITY, true), (f32::NAN, true), (f32::NAN, false)] {
+            let (mut conv, geom) = layer(&layout, 3, 11);
+            let x = Tensor::randn(&[3, geom.c, geom.h, geom.w], 1.0, &mut rng);
+            let mut g = Tensor::randn(&[3, layout.1, geom.oh(), geom.ow()], 1.0, &mut rng);
+            if in_weight {
+                // The top-left tap of a middle channel of the second
+                // filter: it lands in the padding from the top and left
+                // edges, where the lowered product multiplies it by 0.
+                let tap = geom.c / 2 * geom.kh * geom.kw;
+                conv.visit_params_mut(&mut |p| {
+                    if p.value.dims().len() == 2 {
+                        let at = (layout.1 > 1) as usize * geom.patch_len() + tap;
+                        p.value.data_mut()[at] = value;
+                    }
+                });
+            } else {
+                let at = g.numel() / 2;
+                g.data_mut()[at] = value;
+            }
+            let what = format!(
+                "{tier} {layout:?} {value} in the {}",
+                if in_weight { "weights" } else { "gradient" }
+            );
+            matches_reference(&mut conv, &geom, &x, &g, &mut ws, &what);
+        }
+    }
+}
+
+#[test]
+fn infinite_and_nan_weights_and_gradients_are_bit_identical_to_cached_cols() {
+    let _serial = serial();
+    special_values_match_the_cached_reference("native");
+    let _scalar = ScalarGuard::new();
+    special_values_match_the_cached_reference("scalar");
+}
+
+#[test]
+fn a_training_pass_credits_the_products_it_replaces() {
+    let _serial = serial();
+    let mut rng = seeded_rng(37);
+    let mut ws = Workspace::new();
+    let odd = ODD_PLANES.iter().zip(ODD_KERNELS).map(|(&(h, w), (k, s, p))| (5, 12, k, s, p, h, w));
+    for layout in GEOMETRIES.into_iter().chain(odd) {
+        for n in [1, 16] {
+            let (mut conv, geom) = layer(&layout, n, 13);
+            let product = 2 * (layout.1 * geom.patch_len() * geom.cols()) as u64;
+            let x = Tensor::randn(&[n, geom.c, geom.h, geom.w], 1.0, &mut rng);
+            let g = Tensor::randn(&[n, layout.1, geom.oh(), geom.ow()], 1.0, &mut rng);
+
+            let before = flops::total();
+            let y = conv.forward(&x, Mode::Train, &mut ws);
+            let gx = conv.backward(&g, &mut ws);
+            assert_eq!(flops::total() - before, 3 * product, "{layout:?} n{n}: forward + backward");
+            ws.recycle_tensor(y);
+            ws.recycle_tensor(gx);
+
+            let before = flops::total();
+            let y = conv.forward(&x, Mode::Train, &mut ws);
+            conv.backward_first(&g, &mut ws);
+            assert_eq!(
+                flops::total() - before,
+                2 * product,
+                "{layout:?} n{n}: forward + backward_first"
+            );
+            ws.recycle_tensor(y);
+        }
+    }
 }

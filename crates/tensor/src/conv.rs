@@ -1,7 +1,8 @@
-//! Convolution lowering: `im2col` / `col2im`.
+//! Convolution: lowering (`im2col` / `col2im`), the direct route of
+//! narrow filter banks, and the three products of a layer.
 //!
 //! A convolution of an `[N, C, H, W]` input with `[O, C, KH, KW]` filters
-//! (stride `s`, zero padding `p`) is computed by unrolling every input
+//! (stride `s`, zero padding `p`) can be computed by unrolling every input
 //! patch into a column of a `[C·KH·KW, N·OH·OW]` matrix and multiplying by
 //! the filter matrix `[O, C·KH·KW]`. The transposed scatter (`col2im`)
 //! implements the gradient with respect to the input.
@@ -22,14 +23,24 @@
 //! that table a few images at a time. Which of the two it is follows
 //! from the geometry alone.
 //!
-//! The three products of a lowered convolution live here as well, each on
-//! the route its shape wants and each split over the compute width
-//! ([`crate::par::split`]) by what it writes: [`forward`] (`W · cols`, by
-//! images), [`weight_grad`] (`g · colsᵀ`, by input channels, the patch
-//! matrix read in place along its columns for narrow filter banks) and
-//! [`input_grad`] (`col2im(Wᵀ · g)`, by images, the patch gradient
-//! produced and scattered a panel of whole images at a time). Each
-//! thread lowers what it needs itself.
+//! The three products of a convolution live here as well, each on the
+//! route its shape wants and each split over the compute width
+//! ([`crate::par::split`]) by what it writes:
+//!
+//! | product | filter bank | route |
+//! |---|---|---|
+//! | [`forward`] (by images) | `O ≤ 16` | direct: an FMA chain per output over the input where it lies |
+//! | | `O > 16` | lowered: `W · cols`, the patch matrix packed by row copies |
+//! | [`input_grad`] (by images) | `O ≤ 16` | direct: a chain per patch-gradient value, added into its pixel |
+//! | | `O > 16` | lowered: `col2im(Wᵀ · g)`, a panel of whole images at a time |
+//! | [`weight_grad`] (by input channels) | any | lowered: `g · colsᵀ`, the patch matrix read in place along its columns for `O ≤ 16` |
+//!
+//! [`is_direct`] says which (the direct route also wants at most 7×7
+//! taps). The direct route (the `direct` submodule) runs the lowered
+//! route's chains element for element: the bits depend on neither the
+//! route nor the tier nor the width. Each thread lowers what a lowered
+//! product needs itself; the int8 forward (`kemf_nn`'s
+//! `Precision::Int8`) lowers too.
 //!
 //! The patch matrix itself is the largest temporary of a convolutional
 //! step — `KH·KW` times the layer's input — and it is needed only while
@@ -46,6 +57,8 @@ use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::thread::LocalKey;
+
+mod direct;
 
 thread_local! {
     /// This thread's patch-matrix buffer; see [`with_lowering`].
@@ -94,6 +107,14 @@ pub fn release_lowering() {
             buffer.with(|cell| *cell.borrow_mut() = Vec::new());
         }
     });
+}
+
+/// Whether [`forward`] and [`input_grad`] run `o` filters over `geom`
+/// directly from the NCHW tensors rather than through the patch matrix:
+/// banks of at most 16 filters (of at most 7×7 taps). Decided by the
+/// geometry alone; [`weight_grad`] always lowers.
+pub fn is_direct(o: usize, geom: &ConvGeom) -> bool {
+    direct::takes(o, geom)
 }
 
 /// Geometry of one convolution, shared by forward and backward passes.
@@ -428,17 +449,24 @@ impl JoinMask {
     }
 }
 
-/// Forward product of a convolution: `y = W · cols + b`, scattered into
-/// `y` (`[N, O, OH, OW]`) with the bias added, `w` the `[O, patch]`
-/// filter matrix and `x` the `[N, C, H, W]` input. Every element of `y`
-/// is written, and of `keep` (a copy of `x`, for a training forward's
-/// backward) when given.
+/// Forward product of a convolution: `y = W · cols + b` into `y` (`[N,
+/// O, OH, OW]`) with the bias added, `w` the `[O, patch]` filter matrix
+/// and `x` the `[N, C, H, W]` input. Every element of `y` is written, and
+/// of `keep` (a copy of `x`, for a training forward's backward) when
+/// given.
+///
+/// A bank of at most 16 filters runs direct ([`is_direct`]): each output
+/// is the FMA chain over the patch the product would run, read from `x`
+/// where it lies. A wider one lowers its images into the thread's
+/// [`with_lowering`] buffer and multiplies, the bias add and the NCHW
+/// scatter in the epilogue. Either way the FLOP counter is credited the
+/// `2·O·patch·N·OH·OW` of the product.
 ///
 /// Split by images ([`par::split`]): a range of images is exactly the
-/// convolution of that sub-batch, so each thread lowers its images into
-/// its own [`with_lowering`] buffer, writes its contiguous slice of `y` —
-/// every element the same FMA chain over the patch as inline — and
-/// copies its images into `keep`, where they are already in its cache.
+/// convolution of that sub-batch, so each thread writes its contiguous
+/// slice of `y` — every element the same FMA chain over the patch as
+/// inline — and copies its images into `keep`, where they are already in
+/// its cache.
 #[inline]
 pub fn forward(
     x: &[f32],
@@ -454,11 +482,16 @@ pub fn forward(
     assert_eq!(y.len(), geom.n * o * plane, "output size mismatch");
     assert!(keep.as_ref().is_none_or(|k| k.len() == x.len()), "input copy size mismatch");
     let flops = 2 * (o * patch * geom.cols()) as u64;
+    let direct = is_direct(o, geom);
     par::split(geom.n, flops, (y, keep), |images, (y, keep)| {
         let part = ConvGeom { n: images.len(), ..*geom };
         let x = &x[images.start * pixels..images.end * pixels];
         if let Some(keep) = keep {
             keep.copy_from_slice(x);
+        }
+        if direct {
+            crate::flops::add(2 * (o * patch * part.cols()) as u64);
+            return direct::forward(x, w, bias, o, &part, y);
         }
         with_lowering(patch * part.cols(), |cols| {
             im2col(x, &part, cols);
@@ -548,7 +581,11 @@ const PANEL_ELEMS: usize = 16 * 1024;
 /// `[O, patch]` filter matrix and `g` the `[N, O, OH, OW]` output
 /// gradient. Every element of `gx` is written.
 ///
-/// Split by images ([`par::split`]), like the forward product. Within a
+/// Split by images ([`par::split`]), like the forward product. A bank of
+/// at most 16 filters runs direct ([`is_direct`]): each patch-gradient
+/// value is its FMA chain over `o`, added straight into its pixel in
+/// `col2im`'s order, with no patch gradient stored; the FLOP counter is
+/// credited the product's `2·O·patch·N·OH·OW`. For a wider bank, within a
 /// thread's images the patch gradient `Wᵀ · g` is produced a panel of
 /// whole images at a time — the columns of as many consecutive images as
 /// `PANEL_ELEMS` holds, one at least — into the thread's
@@ -565,14 +602,20 @@ pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32
     assert_eq!(g.len(), geom.n * o * plane, "output gradient size mismatch");
     assert_eq!(gx.len(), geom.n * pixels, "input gradient size mismatch");
     let flops = 2 * (o * patch * geom.cols()) as u64;
+    let direct = is_direct(o, geom);
     par::split(geom.n, flops, gx, |images, gx| {
         let n = images.len();
+        let g = &g[images.start * o * plane..images.end * o * plane];
+        if direct {
+            let part = ConvGeom { n, ..*geom };
+            crate::flops::add(2 * (o * patch * part.cols()) as u64);
+            return direct::input_grad(w, g, o, &part, gx);
+        }
         let panel = match plane {
             0..=SMALL_PLANE => n,
             _ => PANEL_ELEMS / (patch * plane).max(1),
         }
         .clamp(1, n);
-        let g = &g[images.start * o * plane..images.end * o * plane];
         with_lowering(patch * panel * plane, |dcols| {
             for first in (0..n).step_by(panel) {
                 let part = ConvGeom { n: panel.min(n - first), ..*geom };
@@ -593,8 +636,8 @@ pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32
     });
 }
 
-/// Reference direct convolution, used only in tests to validate the
-/// im2col-lowered path end to end.
+/// Reference direct convolution (a plain sum, no FMA chain), used only in
+/// tests to validate the products end to end within a tolerance.
 pub fn conv2d_reference(
     input: &Tensor,
     weight: &Tensor,

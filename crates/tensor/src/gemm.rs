@@ -3,8 +3,9 @@
 //!
 //! The training loop of every model in this workspace reduces to a handful
 //! of matrix products (forward activations, weight gradients, input
-//! gradients, im2col-lowered convolutions). This module implements them
-//! with one engine:
+//! gradients, im2col-lowered convolutions — all but a narrow one's
+//! forward and input gradient, which run direct). This module implements
+//! them with one engine:
 //!
 //! * **Panel packing** — operand tiles are copied into contiguous,
 //!   register-block-ordered panels once per macro-tile, so the inner loop
@@ -20,12 +21,14 @@
 //!   routine, `pack`, serves both A and B). With at most two row panels
 //!   of A, B is not packed at all — the pack's write and read-back of
 //!   the large operand would cost more than the product — and the widest
-//!   tier reads it in place ([`Operand::in_place`]): a row-major B by rows (the
-//!   forward product of every `O ≤ 16` convolution), a column-major B
-//!   along its columns (the patch matrix under those
-//!   convolutions' weight gradients, a dense layer's `[out, in]` weights
-//!   under a training batch), 16×16 blocks transposed in registers on
-//!   their way into the FMAs.
+//!   tier reads it in place ([`Operand::in_place`]): a row-major B by rows
+//!   (a dense layer's `[out, in]` weights under the input gradient of a
+//!   batch of at most 16), a column-major B along its columns (the patch
+//!   matrix under an `O ≤ 16` convolution's weight gradient, a dense
+//!   layer's weights under a training batch's forward), 16×16 blocks
+//!   transposed in registers on their way into the FMAs. The forward
+//!   product and input gradient of an `O ≤ 16` convolution do not come
+//!   here at all: they run direct ([`crate::conv::forward`]).
 //! * **One chain per element** — whatever the tier and the route, an
 //!   output element is `Σ_kk a(i, kk) · b(kk, j)` accumulated by fused
 //!   multiply-adds over `kk` ascending from zero, with the whole of `k`
@@ -612,7 +615,8 @@ where
     // In-place B fast paths: with at most two A row panels a packed B
     // panel is read back at most twice, so the pack's extra write+read
     // pass over B costs more than it saves. The widest tier reads B where
-    // it lies instead: a row-major B by rows, a column-major B — the
+    // it lies instead: a row-major B — a dense layer's weights under a
+    // small batch's input gradient — by rows, a column-major B — the
     // patch matrix under a weight gradient, a dense layer's `[out, in]`
     // weights — along its columns, transposing blocks in registers. (The
     // ≤ 2·mr row bound keeps the i loop to a single iteration, so edge
@@ -772,7 +776,7 @@ fn align64_offset(p: *const f32) -> usize {
 /// one. Without the gate, `mul_add` on non-FMA targets becomes a libm
 /// call — orders of magnitude slower than mul+add.
 #[inline(always)]
-fn fma(a: f32, b: f32, c: f32) -> f32 {
+pub(crate) fn fma(a: f32, b: f32, c: f32) -> f32 {
     #[cfg(target_feature = "fma")]
     {
         a.mul_add(b, c)

@@ -13,7 +13,8 @@
 //!    packed cache-blocked GEMM ([`gemm`]) with runtime-dispatched
 //!    microkernels and fused epilogues, an int8 symmetric quantized
 //!    inference path
-//!    ([`quant`]), convolution lowered to matmul through `im2col`, and a
+//!    ([`quant`]), convolution run direct for filter banks of at most 16
+//!    and lowered to matmul through `im2col` otherwise ([`conv`]), and a
 //!    [`workspace::Workspace`] scratch arena so steady-state training
 //!    steps perform no heap allocation.
 //!
@@ -27,7 +28,8 @@
 //!    first GEMM call and can be capped with `KEMF_SIMD=avx2|scalar`:
 //!
 //!    * f32: AVX-512F 8×32 tile → AVX2+FMA 6×16 tile → portable scalar
-//!      8×8 tile.
+//!      8×8 tile; a narrow convolution's direct route: AVX-512F kernels →
+//!      one portable loop nest — every tier the same bits.
 //!    * int8: AVX-512 VNNI `vpdpbusd` kernel → portable scalar loop, both
 //!      over the same k-quad interleaved panel and bit-identical (exact
 //!      i32 accumulation).

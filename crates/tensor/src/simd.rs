@@ -18,6 +18,11 @@
 //!   the weight gradient of a narrow convolution, a dense layer's forward.
 //! * [`microkernel_f32_6x16`] — the AVX2+FMA 6×16 tile (12 YMM
 //!   accumulators) used when 512-bit vectors are unavailable.
+//! * [`conv_direct_forward`] and [`conv_direct_input_grad`] — the direct
+//!   route of a convolution of at most 16 filters (`crate::conv`): 16
+//!   lanes of positions a vector, every tap read by a masked load (or a
+//!   gather) where it lies, the chains of several filters or input
+//!   channels in registers.
 //! * [`transpose_8x8_avx2`] — the block step of the transposing pack on
 //!   both SIMD tiers.
 //! * [`gemm_i8_block_vnni`] — the int8 compute kernel behind the
@@ -282,8 +287,8 @@ pub unsafe fn microkernel_f32_8x32(k: usize, a_panel: *const f32, b_panel: *cons
 /// When A has only one or two row panels, a packed B panel is read back
 /// at most twice — the pack's extra write+read pass over B costs more
 /// than it saves. This variant reads B in place with a runtime row
-/// stride instead, halving B memory traffic on the skinny products
-/// (`m ≤ 16` im2col matrices) that dominate small-CNN inference.
+/// stride instead, halving B memory traffic on the skinny products (`m ≤
+/// 16` rows: a dense layer's input gradient at a batch of at most 16).
 ///
 /// # Safety
 ///
@@ -496,6 +501,173 @@ pub unsafe fn microkernel_f32_bt<const R: usize>(
     for (i, &c) in acc.iter().enumerate() {
         // SAFETY: out holds R·16 floats per the caller contract.
         _mm512_storeu_ps(out.add(i * 16), c);
+    }
+}
+
+/// One tap of a direct convolution as a vector of 16 lanes reads it: lane
+/// `l` reads `offset + l` past its source base — or, through a gather,
+/// its own entry of an index vector — if bit `l` of `mask` is set, and
+/// `0.0` otherwise (see `crate::conv`'s direct route).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LaneTap {
+    /// Offset of lane 0 from the source base (negative where lane 0 is
+    /// masked off); unused by a gather.
+    pub offset: isize,
+    /// The lanes that land inside the source plane.
+    pub mask: u16,
+}
+
+/// The forward product of a direct convolution for `OB` filters over `V`
+/// vectors of 16 output positions: `out[v] + o·out_stride + l` receives
+/// `Σ_{c, t} w[o][c·T + t] · src(v, c, t, l) + bias[o]` for `o < rows`,
+/// `v < vecs` and the lanes of `store`, where `T = taps.len()` and
+/// `src(v, c, t, l)` is `src[v][c·chan_stride + i]` with `i =
+/// taps[t].offset + l` — or, when `GATHER`, `i = index[t][l]` — and `0.0`
+/// off `taps[t].mask`.
+///
+/// Each output is one FMA chain over `p = c·T + t` ascending from `+0.0`
+/// with the bias added after — the lowered product's chain, padding taps
+/// multiplied by `0.0` like the zeros of the patch matrix (so `0·∞` is
+/// still `NaN`). The `OB·V` chains (`OB·V ≥ 8`: two FMA ports, four
+/// cycles of latency) stay in registers across the whole patch; each tap
+/// is `V` masked loads (or gathers) and `OB` weight broadcasts.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available, every `w[o]` holds
+/// `channels·T` floats, `index` holds `T` vectors when `GATHER`, and
+/// every set lane of every tap, at every channel, lies inside the
+/// allocation `src[v]` points into. Rows `rows..OB` and vectors `vecs..V`
+/// may alias real ones: they are computed, not stored. `out[v] +
+/// o·out_stride` must hold the lanes of `store` for `o < rows`, `v <
+/// vecs`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)] // raw kernel entry point: pointers, not a config struct
+pub unsafe fn conv_direct_forward<const OB: usize, const V: usize, const GATHER: bool>(
+    taps: &[LaneTap],
+    index: &[[i32; 16]],
+    channels: usize,
+    chan_stride: usize,
+    src: [*const f32; V],
+    w: [*const f32; OB],
+    bias: [f32; OB],
+    rows: usize,
+    out: [*mut f32; V],
+    out_stride: usize,
+    vecs: usize,
+    store: u16,
+) {
+    use core::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); V]; OB];
+    let t_len = taps.len();
+    for c in 0..channels {
+        let base = (c * chan_stride) as isize;
+        for (t, tap) in taps.iter().enumerate() {
+            // SAFETY: masked-off lanes are not accessed; the set ones are
+            // inside `src[v]`'s allocation by the caller contract.
+            let x: [__m512; V] = if GATHER {
+                let at = _mm512_loadu_si512(index[t].as_ptr().cast());
+                std::array::from_fn(|v| {
+                    _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), tap.mask, at, src[v].wrapping_offset(base))
+                })
+            } else {
+                std::array::from_fn(|v| _mm512_maskz_loadu_ps(tap.mask, src[v].wrapping_offset(base + tap.offset)))
+            };
+            let p = c * t_len + t;
+            for (row, &wo) in acc.iter_mut().zip(&w) {
+                // SAFETY: p < channels·T, which `w[o]` holds.
+                let wb = _mm512_set1_ps(*wo.add(p));
+                for (a, &xv) in row.iter_mut().zip(&x) {
+                    *a = _mm512_fmadd_ps(wb, xv, *a);
+                }
+            }
+        }
+    }
+    for (o, row) in acc.iter().enumerate().take(rows) {
+        let b = _mm512_set1_ps(bias[o]);
+        for (v, &a) in row.iter().enumerate().take(vecs) {
+            // SAFETY: the caller guarantees the stored lanes of row o.
+            _mm512_mask_storeu_ps(out[v].add(o * out_stride), store, _mm512_add_ps(a, b));
+        }
+    }
+}
+
+/// The input gradient of a direct convolution for `CB` input channels over
+/// `V` vectors of 16 input pixels, for the taps of `taps` in the order
+/// given: pixel `l` of channel `c` of vector `v` — `out[v] +
+/// c·chan_stride + l`, or `+ index[l]` when `SCATTER` — receives, from
+/// `+0.0`, one addend per tap whose lane `l` is in its mask: the
+/// patch-gradient value `Σ_o w[c][o·patch + cols[t]] · g(v, o, t, l)`,
+/// where `g(v, o, t, l)` is `src[v][o·o_stride + taps[t].offset + l]`.
+///
+/// Each patch-gradient value is one FMA chain over `o` ascending from
+/// `+0.0`, added into its pixel in `taps` order, the add masked off where
+/// the tap lands outside the input: the sum `col2im` makes of the lowered
+/// product's patch gradient, with the `CB·V` pixel sums and chains in
+/// registers and each `g` vector loaded once for all `CB` channels.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available, `cols.len() ==
+/// taps.len()`, every `w[c]` holds `outs·patch` floats from there, and
+/// every set lane of every tap, for every `o < outs`, lies inside the
+/// allocation `src[v]` points into. Channels `chans..CB` and vectors
+/// `vecs..V` may alias real ones: they are computed, not stored. `out[v]
+/// + c·chan_stride` must hold the lanes of `store` (or, when `SCATTER`,
+/// their entries of `index`, all distinct) for `c < chans`, `v < vecs`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)] // raw kernel entry point: pointers, not a config struct
+pub unsafe fn conv_direct_input_grad<const CB: usize, const V: usize, const SCATTER: bool>(
+    taps: &[LaneTap],
+    cols: &[usize],
+    outs: usize,
+    o_stride: usize,
+    src: [*const f32; V],
+    w: [*const f32; CB],
+    patch: usize,
+    chans: usize,
+    out: [*mut f32; V],
+    chan_stride: usize,
+    vecs: usize,
+    store: u16,
+    index: &[i32; 16],
+) {
+    use core::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); V]; CB];
+    for (tap, &col) in taps.iter().zip(cols) {
+        let mut d = [[_mm512_setzero_ps(); V]; CB];
+        for o in 0..outs {
+            let at = (o * o_stride) as isize + tap.offset;
+            // SAFETY: masked-off lanes are not accessed; the set ones are
+            // inside `src[v]`'s allocation by the caller contract.
+            let g: [__m512; V] = std::array::from_fn(|v| _mm512_maskz_loadu_ps(tap.mask, src[v].wrapping_offset(at)));
+            for (chain, &wc) in d.iter_mut().zip(&w) {
+                // SAFETY: o·patch + col < outs·patch, which `w[c]` holds.
+                let wb = _mm512_set1_ps(*wc.add(o * patch + col));
+                for (dv, &gv) in chain.iter_mut().zip(&g) {
+                    *dv = _mm512_fmadd_ps(wb, gv, *dv);
+                }
+            }
+        }
+        for (sums, chain) in acc.iter_mut().zip(&d) {
+            for (s, &dv) in sums.iter_mut().zip(chain) {
+                *s = _mm512_mask_add_ps(*s, tap.mask, *s, dv);
+            }
+        }
+    }
+    let at = _mm512_loadu_si512(index.as_ptr().cast());
+    for (c, sums) in acc.iter().enumerate().take(chans) {
+        for (v, &s) in sums.iter().enumerate().take(vecs) {
+            // SAFETY: the caller guarantees the stored lanes of channel c.
+            let dst = out[v].add(c * chan_stride);
+            if SCATTER {
+                _mm512_mask_i32scatter_ps::<4>(dst, store, at, s);
+            } else {
+                _mm512_mask_storeu_ps(dst, store, s);
+            }
+        }
     }
 }
 

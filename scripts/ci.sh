@@ -11,13 +11,15 @@ cargo test -q --workspace
 # in-process, resumed == straight) must match the same tables with every
 # client trained and every server-side product run on the calling thread,
 # and with two clients in flight and the server's products split in two;
-# and a split layer pass must be its inline pass bit for bit. The compute
-# width is settled once per process, so it takes two runs.
+# a split layer pass must be its inline pass bit for bit; and the direct
+# route of a convolution, which splits by images, must give the lowered
+# route's bits and FLOP credit at either width. The compute width is
+# settled once per process, so it takes two runs.
 for width in 1 2; do
     KEMF_THREADS=$width cargo test -q --test golden_histories --test golden_bytes \
         --test async_rounds --test resume --test fault_matrix --test transport \
         --test population
-    KEMF_THREADS=$width cargo test -q -p kemf-nn --test split
+    KEMF_THREADS=$width cargo test -q -p kemf-nn --test split --test conv_recompute
 done
 
 cargo clippy --workspace --all-targets -- -D warnings
@@ -163,10 +165,12 @@ CARGO_TARGET_DIR=target/bench_e2e benchmark/run.sh --smoke
 # convolution products, model builds) with a tiny time budget (no JSON
 # write). Catches dispatch-tier crashes — e.g. an AVX-512
 # path that faults on the CI host — that unit tests under a forced tier
-# would miss, and asserts that both gradients of a convolution come out
-# bit-identical on the native and the scalar tier at every ResNet-20 /
-# VGG-11 geometry: a transposing kernel that runs its FMA chains out of
-# order fails here, not in a golden hash three layers up. (The property
+# would miss, and asserts that the forward output and both gradients of a
+# convolution come out bit-identical on the native and the scalar tier,
+# split and inline, and (forward, input gradient) on the direct and the
+# lowered route at every ResNet-20 / VGG-11 geometry: a kernel that runs
+# its FMA chains out of order fails here, not in a golden hash three
+# layers up. (The property
 # suite behind it, crates/tensor/tests/props.rs, runs with the workspace
 # tests above; it starts no cohort, so it is not in the width loop.)
 cargo run --release -p kemf-bench --bin bench_kernels -- --smoke

@@ -3,7 +3,7 @@
 //! Re-exports the whole FedKEMF stack behind one dependency, so examples,
 //! integration tests, and downstream users can write `use fedkemf::...`.
 //!
-//! * [`tensor`] — dense f32 kernels (matmul, im2col conv, softmax).
+//! * [`tensor`] — dense f32 kernels (matmul, direct and im2col conv, softmax).
 //! * [`nn`] — layers with explicit backprop, losses, SGD, the model zoo.
 //! * [`data`] — synthetic vision datasets + Dirichlet non-IID partitioner.
 //! * [`fl`] — federated engine, communication accounting, baselines
