@@ -13,9 +13,9 @@
 //! forward, weight gradient, input gradient, all in GFLOP/s of the same
 //! `2·O·patch·N·OH·OW`, each split over the width as `Conv2d` runs it
 //! outside a share, the `route` the forward and input gradient take, and
-//! both of them again on the lowered route — `im2col`, `gemm_ops`,
-//! `col2im` — timed interleaved with the library's; and the layer split
-//! against inline),
+//! both of them again on the lowered route — the library's
+//! `conv::{forward_lowered, input_grad_lowered}` — timed interleaved with
+//! the routed calls; and the layer split against inline),
 //! and what building a model at a transmitted state costs with and
 //! without the discarded initialization (`model_build`). Prints tables
 //! and writes `bench_results/BENCH_kernels.json` with all of it, the
@@ -37,8 +37,9 @@ use kemf_bench::report::{results_dir, Table};
 use kemf_nn::codec;
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
-use kemf_tensor::conv::{col2im, forward, im2col, input_grad, is_direct, weight_grad, with_lowering, ConvGeom};
-use kemf_tensor::gemm::{gemm_ops, ColMajor, NchwGather, NchwScatterBias, RowMajor, Store};
+use kemf_tensor::conv::{
+    col2im, forward, forward_lowered, im2col, input_grad, input_grad_lowered, is_direct, weight_grad, ConvGeom,
+};
 use kemf_tensor::matmul::matmul_into;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::{par, simd, Tensor};
@@ -128,44 +129,24 @@ fn time_interleaved(mut a: impl FnMut(), mut b: impl FnMut(), iters: usize) -> (
     (best_a, best_b)
 }
 
-/// The forward product on the lowered route, as the library runs a bank
-/// too wide to go direct: each share of images lowers them into its
-/// thread's buffer (`im2col`) and multiplies, the bias added and NCHW
-/// restored in the epilogue.
+/// The forward product on the lowered route, split by images over the
+/// width as [`forward`] splits it: each share runs
+/// [`forward_lowered`], the route of a bank too wide to go direct.
 fn lowered_forward(x: &[f32], w: &[f32], bias: &[f32], o: usize, g: &ConvGeom, y: &mut [f32]) {
-    let (patch, plane, pixels) = (g.patch_len(), g.oh() * g.ow(), g.c * g.h * g.w);
-    par::split(g.n, 2 * (o * patch * g.cols()) as u64, y, |images, y| {
+    let pixels = g.c * g.h * g.w;
+    par::split(g.n, 2 * (o * g.patch_len() * g.cols()) as u64, y, |images, y| {
         let part = ConvGeom { n: images.len(), ..*g };
-        with_lowering(patch * part.cols(), |cols| {
-            im2col(&x[images.start * pixels..images.end * pixels], &part, cols);
-            let (a, b) = (RowMajor { data: w, ld: patch }, RowMajor { data: cols, ld: part.cols() });
-            gemm_ops(o, patch, part.cols(), &a, &b, &mut NchwScatterBias { out: y, o, plane, bias });
-        });
+        forward_lowered(&x[images.start * pixels..images.end * pixels], w, bias, o, &part, y);
     });
 }
 
-/// Most elements of a patch-gradient panel on the lowered route (64 KB).
-const PANEL_ELEMS: usize = 16 * 1024;
-
-/// The input gradient on the lowered route: each share of images makes
-/// the patch gradient `Wᵀ · g` a panel of whole images at a time and
-/// scatters it (`col2im`) while it is in the inner caches.
+/// The input gradient on the lowered route, split by images as
+/// [`input_grad`] splits it: each share runs [`input_grad_lowered`].
 fn lowered_input_grad(w: &[f32], grad: &[f32], o: usize, g: &ConvGeom, gx: &mut [f32]) {
-    let (patch, plane, pixels) = (g.patch_len(), g.oh() * g.ow(), g.c * g.h * g.w);
-    par::split(g.n, 2 * (o * patch * g.cols()) as u64, gx, |images, gx| {
-        let n = images.len();
-        let panel = if plane <= 16 { n } else { (PANEL_ELEMS / (patch * plane).max(1)).clamp(1, n) };
-        let grad = &grad[images.start * o * plane..images.end * o * plane];
-        with_lowering(patch * panel * plane, |dcols| {
-            for first in (0..n).step_by(panel) {
-                let part = ConvGeom { n: panel.min(n - first), ..*g };
-                let dcols = &mut dcols[..patch * part.cols()];
-                let b = NchwGather { data: &grad[first * o * plane..][..o * part.cols()], o, plane };
-                let mut store = Store { c: dcols, ldc: part.cols() };
-                gemm_ops(patch, o, part.cols(), &ColMajor { data: w, ld: patch }, &b, &mut store);
-                col2im(dcols, &part, &mut gx[first * pixels..][..part.n * pixels]);
-            }
-        });
+    let len = o * g.oh() * g.ow();
+    par::split(g.n, 2 * (o * g.patch_len() * g.cols()) as u64, gx, |images, gx| {
+        let part = ConvGeom { n: images.len(), ..*g };
+        input_grad_lowered(w, &grad[images.start * len..images.end * len], o, &part, gx);
     });
 }
 

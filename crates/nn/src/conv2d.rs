@@ -6,12 +6,12 @@
 //! N·OH·OW]`, row-major) and the `[N, O, OH, OW]` output gradient `g`. A
 //! product runs either on the engine in `kemf_tensor::gemm` over the
 //! lowered operands, or — for the forward product and the input gradient
-//! of a bank of at most 16 filters — on the direct route, straight from
-//! the NCHW tensors (`kemf_tensor::conv::is_direct`, decided by the
-//! geometry alone). In every case every output element is one FMA chain
-//! over the inner index, ascending from zero — on every kernel tier and
-//! every route, which is what lets `tests/golden_histories.rs` pin one
-//! table of hashes.
+//! of a bank of at most 16 filters on AVX-512 — on the direct route,
+//! straight from the NCHW tensors (`kemf_tensor::conv::is_direct`). In
+//! every case every output element is one FMA chain over the inner
+//! index, ascending from zero — on every kernel tier and every route,
+//! which is what lets `tests/golden_histories.rs` pin one table of
+//! hashes.
 //!
 //! * **Forward** `y = W · cols + b` (inner index: the patch). Narrow
 //!   banks run each chain over the input where it lies, a padding tap

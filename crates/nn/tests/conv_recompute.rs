@@ -6,8 +6,8 @@
 //! was lowered, it cached `cols` from forward and gave `dcols` storage of
 //! its own, spelled out over the same public kernels (`im2col`,
 //! `gemm_ops`, `col2im`). The layer must match it exactly — its output in
-//! every `Mode`, both gradients and the bias gradient — on the native and
-//! on the scalar tier:
+//! every `Mode`, both gradients and the bias gradient — on the native tier
+//! (direct where it is AVX-512) and on the scalar tier (lowered):
 //!
 //! * on every convolution geometry of the benchmark's ResNet-20 and
 //!   VGG-11 (3×16×16 inputs, batch 16) — stride 2, 1×1 shortcut kernels

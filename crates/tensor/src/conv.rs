@@ -29,18 +29,18 @@
 //!
 //! | product | filter bank | route |
 //! |---|---|---|
-//! | [`forward`] (by images) | `O ≤ 16` | direct: an FMA chain per output over the input where it lies |
-//! | | `O > 16` | lowered: `W · cols`, the patch matrix packed by row copies |
-//! | [`input_grad`] (by images) | `O ≤ 16` | direct: a chain per patch-gradient value, added into its pixel |
-//! | | `O > 16` | lowered: `col2im(Wᵀ · g)`, a panel of whole images at a time |
-//! | [`weight_grad`] (by input channels) | any | lowered: `g · colsᵀ`, the patch matrix read in place along its columns for `O ≤ 16` |
+//! | [`forward`] (by images) | `O ≤ 16`, AVX-512 | direct: an FMA chain per output over the input where it lies |
+//! | | otherwise | lowered ([`forward_lowered`]): `W · cols`, the patch matrix packed by row copies |
+//! | [`input_grad`] (by images) | `O ≤ 16`, AVX-512 | direct: a chain per patch-gradient value, added into its pixel |
+//! | | otherwise | lowered ([`input_grad_lowered`]): `col2im(Wᵀ · g)`, a panel of whole images at a time |
+//! | [`weight_grad`] (by input channels) | any | lowered: `g · colsᵀ`, the patch matrix read in place along its columns for `O ≤ 16` on AVX-512 |
 //!
 //! [`is_direct`] says which (the direct route also wants at most 7×7
-//! taps). The direct route (the `direct` submodule) runs the lowered
-//! route's chains element for element: the bits depend on neither the
-//! route nor the tier nor the width. Each thread lowers what a lowered
-//! product needs itself; the int8 forward (`kemf_nn`'s
-//! `Precision::Int8`) lowers too.
+//! taps; AVX2 and scalar hosts always lower). The direct route (the
+//! `direct` submodule) runs the lowered route's chains element for
+//! element: the bits depend on neither the route nor the tier nor the
+//! width. Each thread lowers what a lowered product needs itself; the
+//! int8 forward (`kemf_nn`'s `Precision::Int8`) lowers too.
 //!
 //! The patch matrix itself is the largest temporary of a convolutional
 //! step — `KH·KW` times the layer's input — and it is needed only while
@@ -111,8 +111,9 @@ pub fn release_lowering() {
 
 /// Whether [`forward`] and [`input_grad`] run `o` filters over `geom`
 /// directly from the NCHW tensors rather than through the patch matrix:
-/// banks of at most 16 filters (of at most 7×7 taps). Decided by the
-/// geometry alone; [`weight_grad`] always lowers.
+/// banks of at most 16 filters (of at most 7×7 taps), on the AVX-512
+/// tier. Decided by the geometry and the calling thread's tier (which
+/// [`par`] hands to its helpers); [`weight_grad`] always lowers.
 pub fn is_direct(o: usize, geom: &ConvGeom) -> bool {
     direct::takes(o, geom)
 }
@@ -455,11 +456,10 @@ impl JoinMask {
 /// of `keep` (a copy of `x`, for a training forward's backward) when
 /// given.
 ///
-/// A bank of at most 16 filters runs direct ([`is_direct`]): each output
-/// is the FMA chain over the patch the product would run, read from `x`
-/// where it lies. A wider one lowers its images into the thread's
-/// [`with_lowering`] buffer and multiplies, the bias add and the NCHW
-/// scatter in the epilogue. Either way the FLOP counter is credited the
+/// A bank of at most 16 filters on the AVX-512 tier runs direct
+/// ([`is_direct`]): each output is the FMA chain over the patch the
+/// product would run, read from `x` where it lies. Any other lowers
+/// ([`forward_lowered`]). Either way the FLOP counter is credited the
 /// `2·O·patch·N·OH·OW` of the product.
 ///
 /// Split by images ([`par::split`]): a range of images is exactly the
@@ -491,19 +491,31 @@ pub fn forward(
         }
         if direct {
             crate::flops::add(2 * (o * patch * part.cols()) as u64);
-            return direct::forward(x, w, bias, o, &part, y);
+            direct::forward(x, w, bias, o, &part, y);
+        } else {
+            forward_lowered(x, w, bias, o, &part, y);
         }
-        with_lowering(patch * part.cols(), |cols| {
-            im2col(x, &part, cols);
-            gemm_ops(
-                o,
-                patch,
-                part.cols(),
-                &RowMajor { data: w, ld: patch },
-                &RowMajor { data: cols, ld: part.cols() },
-                &mut NchwScatterBias { out: y, o, plane, bias },
-            );
-        });
+    });
+}
+
+/// [`forward`]'s lowered route for the `geom.n` images of `x` on the
+/// calling thread: the images lowered into its [`with_lowering`] buffer
+/// and multiplied, the bias add and the NCHW scatter in the epilogue.
+/// Every element of `y` is written, each the FMA chain over the patch the
+/// direct route runs too.
+#[inline]
+pub fn forward_lowered(x: &[f32], w: &[f32], bias: &[f32], o: usize, geom: &ConvGeom, y: &mut [f32]) {
+    let (patch, plane) = (geom.patch_len(), geom.oh() * geom.ow());
+    with_lowering(patch * geom.cols(), |cols| {
+        im2col(x, geom, cols);
+        gemm_ops(
+            o,
+            patch,
+            geom.cols(),
+            &RowMajor { data: w, ld: patch },
+            &RowMajor { data: cols, ld: geom.cols() },
+            &mut NchwScatterBias { out: y, o, plane, bias },
+        );
     });
 }
 
@@ -582,19 +594,18 @@ const PANEL_ELEMS: usize = 16 * 1024;
 /// gradient. Every element of `gx` is written.
 ///
 /// Split by images ([`par::split`]), like the forward product. A bank of
-/// at most 16 filters runs direct ([`is_direct`]): each patch-gradient
-/// value is its FMA chain over `o`, added straight into its pixel in
-/// `col2im`'s order, with no patch gradient stored; the FLOP counter is
-/// credited the product's `2·O·patch·N·OH·OW`. For a wider bank, within a
-/// thread's images the patch gradient `Wᵀ · g` is produced a panel of
-/// whole images at a time — the columns of as many consecutive images as
-/// `PANEL_ELEMS` holds, one at least — into the thread's
-/// [`with_lowering`] buffer, and scattered into those images' pixels
-/// before the next panel overwrites it. An input pixel only ever receives
-/// addends from its own image, tap by tap, so the sums are those of one
-/// whole-matrix [`col2im`], bit for bit. The deep layers' small planes
-/// (the offset-table regime of `col2im`, where the whole matrix is a few
-/// panels' worth anyway) go in one piece.
+/// at most 16 filters on the AVX-512 tier runs direct ([`is_direct`]):
+/// each patch-gradient value is its FMA chain over `o`, added straight
+/// into its pixel in `col2im`'s order, with no patch gradient stored; the
+/// FLOP counter is credited the product's `2·O·patch·N·OH·OW`. Any other
+/// lowers ([`input_grad_lowered`]): within a thread's images the patch
+/// gradient is produced a panel of whole images at a time — the columns
+/// of as many consecutive images as `PANEL_ELEMS` holds, one at least —
+/// and scattered into those images' pixels. An input pixel only ever
+/// receives addends from its own image, tap by tap, so the sums are those
+/// of one whole-matrix [`col2im`], bit for bit. The deep layers' small
+/// planes (the offset-table regime of `col2im`, where the whole matrix is
+/// a few panels' worth anyway) go in one piece.
 #[inline]
 pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32]) {
     let (patch, plane, pixels) = (geom.patch_len(), geom.oh() * geom.ow(), geom.c * geom.h * geom.w);
@@ -604,35 +615,47 @@ pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32
     let flops = 2 * (o * patch * geom.cols()) as u64;
     let direct = is_direct(o, geom);
     par::split(geom.n, flops, gx, |images, gx| {
-        let n = images.len();
+        let part = ConvGeom { n: images.len(), ..*geom };
         let g = &g[images.start * o * plane..images.end * o * plane];
         if direct {
-            let part = ConvGeom { n, ..*geom };
             crate::flops::add(2 * (o * patch * part.cols()) as u64);
-            return direct::input_grad(w, g, o, &part, gx);
+            direct::input_grad(w, g, o, &part, gx);
+        } else {
+            input_grad_lowered(w, g, o, &part, gx);
         }
-        let panel = match plane {
-            0..=SMALL_PLANE => n,
-            _ => PANEL_ELEMS / (patch * plane).max(1),
+    });
+}
+
+/// [`input_grad`]'s lowered route for the `geom.n` images of `g` on the
+/// calling thread: the patch gradient `Wᵀ · g` made a panel of whole
+/// images at a time in its [`with_lowering`] buffer and scattered
+/// (`col2im`) into those images' pixels before the next panel overwrites
+/// it. Every element of `gx` is written, with the sums of one
+/// whole-matrix [`col2im`] — those the direct route adds too.
+#[inline]
+pub fn input_grad_lowered(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32]) {
+    let (patch, plane, pixels, n) = (geom.patch_len(), geom.oh() * geom.ow(), geom.c * geom.h * geom.w, geom.n);
+    let panel = match plane {
+        0..=SMALL_PLANE => n,
+        _ => PANEL_ELEMS / (patch * plane).max(1),
+    }
+    .clamp(1, n);
+    with_lowering(patch * panel * plane, |dcols| {
+        for first in (0..n).step_by(panel) {
+            let part = ConvGeom { n: panel.min(n - first), ..*geom };
+            let ncols = part.cols();
+            let dcols = &mut dcols[..patch * ncols];
+            // dcols[p, col] = Σ_o W[o, p] g[o, col] over these images' columns.
+            gemm_ops(
+                patch,
+                o,
+                ncols,
+                &ColMajor { data: w, ld: patch },
+                &NchwGather { data: &g[first * o * plane..][..o * ncols], o, plane },
+                &mut Store { c: dcols, ldc: ncols },
+            );
+            col2im(dcols, &part, &mut gx[first * pixels..][..part.n * pixels]);
         }
-        .clamp(1, n);
-        with_lowering(patch * panel * plane, |dcols| {
-            for first in (0..n).step_by(panel) {
-                let part = ConvGeom { n: panel.min(n - first), ..*geom };
-                let ncols = part.cols();
-                let dcols = &mut dcols[..patch * ncols];
-                // dcols[p, col] = Σ_o W[o, p] g[o, col] over these images' columns.
-                gemm_ops(
-                    patch,
-                    o,
-                    ncols,
-                    &ColMajor { data: w, ld: patch },
-                    &NchwGather { data: &g[first * o * plane..][..o * ncols], o, plane },
-                    &mut Store { c: dcols, ldc: ncols },
-                );
-                col2im(dcols, &part, &mut gx[first * pixels..][..part.n * pixels]);
-            }
-        });
     });
 }
 

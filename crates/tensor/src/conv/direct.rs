@@ -15,7 +15,7 @@
 //!   in `col2im`'s order (`ky`, then `kx`, descending); where a tap lands
 //!   outside the input there is no add.
 //!
-//! Two tiers. The AVX-512 kernels ([`crate::simd::conv_direct_forward`],
+//! The AVX-512 kernels ([`crate::simd::conv_direct_forward`],
 //! [`crate::simd::conv_direct_input_grad`]) run vectors of 16 lanes —
 //! output positions for the forward, input pixels for the input gradient
 //! — with the chains of several filters (forward) or input channels
@@ -29,11 +29,11 @@
 //! stride-1 shift of the output gradient, and a vector's finished sums
 //! are scattered to their pixels. The tap tables (an offset and a mask,
 //! or 16 indices, per tap) live on the stack: nothing is allocated or
-//! copied. Every other tier runs one portable loop nest over the same
-//! chains ([`crate::gemm`]'s `fma`), without vectors.
+//! copied. Only the AVX-512 tier runs direct: on AVX2 and scalar hosts
+//! (and under [`crate::simd::ScalarGuard`]) a narrow bank stays on the
+//! lowered route, whose GEMM tiles run the same chains.
 
 use super::ConvGeom;
-use crate::gemm::fma;
 use crate::simd::{self, Isa, LaneTap};
 
 /// Widest filter bank the direct route takes: the GEMM's own bound for
@@ -47,16 +47,17 @@ const MAX_TAPS: usize = 49;
 /// Positions per vector of the AVX-512 kernels.
 const LANES: usize = 16;
 
-/// Whether `o` filters over `geom` take the direct route — from the
-/// geometry alone.
+/// Whether `o` filters over `geom` take the direct route: on the
+/// AVX-512 tier, from the geometry alone.
 pub(super) fn takes(o: usize, geom: &ConvGeom) -> bool {
-    (1..=MAX_OUT).contains(&o)
+    simd::isa() == Isa::Avx512
+        && (1..=MAX_OUT).contains(&o)
         && geom.kh * geom.kw <= MAX_TAPS
         && geom.h * geom.w <= i32::MAX as usize
 }
 
 /// `y = W ⋆ x + b` for the `geom.n` images of `x` into `y` (`[N, O, OH,
-/// OW]`), every element written.
+/// OW]`), every element written. Only where [`takes`] holds.
 pub(super) fn forward(
     x: &[f32],
     w: &[f32],
@@ -75,101 +76,18 @@ pub(super) fn forward(
             _ => forward_avx512::<16, 1>(x, w, bias, o, geom, y),
         };
     }
-    forward_portable(x, w, bias, o, geom, y);
+    unreachable!("the direct route runs on the AVX-512 tier only");
 }
 
 /// `gx = Wᵀ ⋆ g` for the `geom.n` images of `g` (`[N, O, OH, OW]`) into
-/// `gx` (`[N, C, H, W]`), every element written.
+/// `gx` (`[N, C, H, W]`), every element written. Only where [`takes`]
+/// holds.
 pub(super) fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd::isa() == Isa::Avx512 {
         return input_grad_avx512(w, g, o, geom, gx);
     }
-    input_grad_portable(w, g, o, geom, gx);
-}
-
-/// The portable forward: each output plane accumulated in place, tap by
-/// tap in chain order, over the row runs `im2col` would copy.
-fn forward_portable(x: &[f32], w: &[f32], bias: &[f32], o: usize, geom: &ConvGeom, y: &mut [f32]) {
-    let (oh, ow, hw, s) = (geom.oh(), geom.ow(), geom.h * geom.w, geom.stride);
-    let patch = geom.patch_len();
-    for (n, image) in y.chunks_exact_mut(o * oh * ow).enumerate() {
-        for ((out, filter), &b) in
-            image.chunks_exact_mut(oh * ow).zip(w.chunks_exact(patch)).zip(bias)
-        {
-            out.fill(0.0);
-            for c in 0..geom.c {
-                let src = &x[(n * geom.c + c) * hw..][..hw];
-                for ky in 0..geom.kh {
-                    let rows = geom.tap_span(ky, geom.h, oh);
-                    for kx in 0..geom.kw {
-                        let cols = geom.tap_span(kx, geom.w, ow);
-                        let wv = filter[geom.patch_row(c, ky, kx)];
-                        for (oy, run) in out.chunks_exact_mut(ow).enumerate() {
-                            if !(rows.lo..rows.hi).contains(&oy) {
-                                for a in run {
-                                    *a = fma(wv, 0.0, *a);
-                                }
-                                continue;
-                            }
-                            let row = &src[(rows.first + (oy - rows.lo) * s) * geom.w..][..geom.w];
-                            let (left, rest) = run.split_at_mut(cols.lo);
-                            let (inside, right) = rest.split_at_mut(cols.hi - cols.lo);
-                            for a in left.iter_mut().chain(right) {
-                                *a = fma(wv, 0.0, *a);
-                            }
-                            for (t, a) in inside.iter_mut().enumerate() {
-                                *a = fma(wv, row[cols.first + t * s], *a);
-                            }
-                        }
-                    }
-                }
-            }
-            for a in out {
-                *a += b;
-            }
-        }
-    }
-}
-
-/// The portable input gradient: each input plane zeroed and added into
-/// tap by tap in `col2im`'s order, a row run of patch-gradient values at
-/// a time.
-fn input_grad_portable(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32]) {
-    let (oh, ow, hw, s) = (geom.oh(), geom.ow(), geom.h * geom.w, geom.stride);
-    let patch = geom.patch_len();
-    for (n, image) in gx.chunks_exact_mut(geom.c * hw).enumerate() {
-        let g = &g[n * o * oh * ow..][..o * oh * ow];
-        for (c, dst) in image.chunks_exact_mut(hw).enumerate() {
-            dst.fill(0.0);
-            for ky in (0..geom.kh).rev() {
-                let rows = geom.tap_span(ky, geom.h, oh);
-                for kx in (0..geom.kw).rev() {
-                    let cols = geom.tap_span(kx, geom.w, ow);
-                    let p = geom.patch_row(c, ky, kx);
-                    for oy in rows.lo..rows.hi {
-                        let row = &mut dst[(rows.first + (oy - rows.lo) * s) * geom.w..][..geom.w];
-                        for start in (cols.lo..cols.hi).step_by(LANES) {
-                            let len = LANES.min(cols.hi - start);
-                            let mut d = [0.0f32; LANES];
-                            for (plane, filter) in
-                                g.chunks_exact(oh * ow).zip(w.chunks_exact(patch))
-                            {
-                                let gs = &plane[oy * ow + start..][..len];
-                                for (dv, &gv) in d.iter_mut().zip(gs) {
-                                    *dv = fma(filter[p], gv, *dv);
-                                }
-                            }
-                            let first = cols.first + (start - cols.lo) * s;
-                            for (t, &dv) in d[..len].iter().enumerate() {
-                                row[first + t * s] += dv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    unreachable!("the direct route runs on the AVX-512 tier only");
 }
 
 /// The vectors covering a `rows × cols` grid of positions, as (row,

@@ -4,8 +4,8 @@
 //! The training loop of every model in this workspace reduces to a handful
 //! of matrix products (forward activations, weight gradients, input
 //! gradients, im2col-lowered convolutions — all but a narrow one's
-//! forward and input gradient, which run direct). This module implements
-//! them with one engine:
+//! forward and input gradient on AVX-512, which run direct). This
+//! module implements them with one engine:
 //!
 //! * **Panel packing** — operand tiles are copied into contiguous,
 //!   register-block-ordered panels once per macro-tile, so the inner loop
@@ -26,9 +26,9 @@
 //!   batch of at most 16), a column-major B along its columns (the patch
 //!   matrix under an `O ≤ 16` convolution's weight gradient, a dense
 //!   layer's weights under a training batch's forward), 16×16 blocks
-//!   transposed in registers on their way into the FMAs. The forward
-//!   product and input gradient of an `O ≤ 16` convolution do not come
-//!   here at all: they run direct ([`crate::conv::forward`]).
+//!   transposed in registers on their way into the FMAs. On that tier the
+//!   forward product and input gradient of an `O ≤ 16` convolution do
+//!   not come here at all: they run direct ([`crate::conv::forward`]).
 //! * **One chain per element** — whatever the tier and the route, an
 //!   output element is `Σ_kk a(i, kk) · b(kk, j)` accumulated by fused
 //!   multiply-adds over `kk` ascending from zero, with the whole of `k`
@@ -776,7 +776,7 @@ fn align64_offset(p: *const f32) -> usize {
 /// one. Without the gate, `mul_add` on non-FMA targets becomes a libm
 /// call — orders of magnitude slower than mul+add.
 #[inline(always)]
-pub(crate) fn fma(a: f32, b: f32, c: f32) -> f32 {
+fn fma(a: f32, b: f32, c: f32) -> f32 {
     #[cfg(target_feature = "fma")]
     {
         a.mul_add(b, c)

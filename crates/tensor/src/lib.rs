@@ -28,8 +28,8 @@
 //!    first GEMM call and can be capped with `KEMF_SIMD=avx2|scalar`:
 //!
 //!    * f32: AVX-512F 8×32 tile → AVX2+FMA 6×16 tile → portable scalar
-//!      8×8 tile; a narrow convolution's direct route: AVX-512F kernels →
-//!      one portable loop nest — every tier the same bits.
+//!      8×8 tile; a narrow convolution's direct route on AVX-512F, the
+//!      lowered route elsewhere — every tier the same bits.
 //!    * int8: AVX-512 VNNI `vpdpbusd` kernel → portable scalar loop, both
 //!      over the same k-quad interleaved panel and bit-identical (exact
 //!      i32 accumulation).
