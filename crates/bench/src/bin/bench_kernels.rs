@@ -35,13 +35,17 @@
 
 use kemf_bench::report::{results_dir, Table};
 use kemf_nn::codec;
+use kemf_nn::layer::{Layer, Mode};
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
+use kemf_nn::norm::BatchNorm2d;
 use kemf_tensor::conv::{
-    col2im, forward, forward_lowered, im2col, input_grad, input_grad_lowered, is_direct, weight_grad, ConvGeom,
+    col2im, forward, forward_lowered, im2col, input_grad, input_grad_lowered, is_direct, weight_grad,
+    weight_grad_lowered, ConvGeom,
 };
 use kemf_tensor::matmul::matmul_into;
 use kemf_tensor::rng::seeded_rng;
+use kemf_tensor::workspace::Workspace;
 use kemf_tensor::{par, simd, Tensor};
 use std::hint::black_box;
 use std::sync::Mutex;
@@ -375,7 +379,18 @@ fn main() {
     ];
     let mut backward = Table::new(
         "Convolution layer products (GFLOP/s)",
-        &["layer", "o,patch,cols", "route", "forward", "lowered", "weight grad", "input grad", "lowered", "split/inline"],
+        &[
+            "layer",
+            "o,patch,cols",
+            "route",
+            "forward",
+            "lowered",
+            "weight grad",
+            "lowered",
+            "input grad",
+            "lowered",
+            "split/inline",
+        ],
     );
     let mut backward_rows = Vec::new();
     for (name, g, o) in layers {
@@ -404,10 +419,12 @@ fn main() {
         };
         let inline = par::fork_join(vec![()], |()| results()).remove(0);
         let lowered = {
-            let (mut y, mut gx) = (vec![0.0f32; grad.numel()], vec![0.0f32; x.numel()]);
+            let mut y = vec![0.0f32; grad.numel()];
+            let (mut dw, mut gx) = (vec![0.0f32; o * patch], vec![0.0f32; x.numel()]);
             lowered_forward(x.data(), w.data(), bias.data(), o, &g, &mut y);
+            weight_grad_lowered(grad.data(), o, x.data(), &g, &mut dw);
             lowered_input_grad(w.data(), grad.data(), o, &g, &mut gx);
-            [bits(&y), split[1].clone(), bits(&gx)]
+            [bits(&y), bits(&dw), bits(&gx)]
         };
         for (product, i) in [("forward output", 0), ("weight gradient", 1), ("input gradient", 2)] {
             assert!(split[i] == scalar[i], "{name}: native and scalar kernel tiers disagree on the {product}");
@@ -432,22 +449,26 @@ fn main() {
         let flops = 2.0 * (o * patch * ncols) as f64;
         let iters = if smoke { 2 } else { 20usize.max((2e8 / flops) as usize) };
         let gflops = |secs: f64| flops / secs / 1e9;
-        let lowered = |forward: bool| {
+        let lowered = |which: [bool; 3]| {
             let mut guard = buffers.lock().expect("no product panics");
-            let (y, _, gx) = &mut *guard;
-            if forward {
+            let (y, dw, gx) = &mut *guard;
+            if which[0] {
                 lowered_forward(x.data(), w.data(), bias.data(), o, &g, y);
-            } else {
+            }
+            if which[1] {
+                weight_grad_lowered(grad.data(), o, black_box(x.data()), &g, dw);
+            }
+            if which[2] {
                 lowered_input_grad(w.data(), grad.data(), o, &g, gx);
             }
         };
-        let (forward_s, lowered_forward_s) =
-            time_interleaved(|| products([true, false, false]), || lowered(true), iters);
-        let weight_grad_gflops = gflops(time_per_call(|| products([false, true, false]), iters));
-        let (input_grad_s, lowered_input_grad_s) =
-            time_interleaved(|| products([false, false, true]), || lowered(false), iters);
-        let (forward_gflops, lowered_forward_gflops) = (gflops(forward_s), gflops(lowered_forward_s));
-        let (input_grad_gflops, lowered_input_grad_gflops) = (gflops(input_grad_s), gflops(lowered_input_grad_s));
+        let interleaved = |which: [bool; 3]| {
+            let (routed_s, lowered_s) = time_interleaved(|| products(which), || lowered(which), iters);
+            (gflops(routed_s), gflops(lowered_s))
+        };
+        let (forward_gflops, lowered_forward_gflops) = interleaved([true, false, false]);
+        let (weight_grad_gflops, lowered_weight_grad_gflops) = interleaved([false, true, false]);
+        let (input_grad_gflops, lowered_input_grad_gflops) = interleaved([false, false, true]);
         let route = if is_direct(o, &g) { "direct" } else { "lowered" };
         let (split_s, inline_s) = time_interleaved(
             || products([true; 3]),
@@ -464,6 +485,7 @@ fn main() {
             format!("{forward_gflops:.1}"),
             format!("{lowered_forward_gflops:.1}"),
             format!("{weight_grad_gflops:.1}"),
+            format!("{lowered_weight_grad_gflops:.1}"),
             format!("{input_grad_gflops:.1}"),
             format!("{lowered_input_grad_gflops:.1}"),
             format!("{split_speedup:.2}x"),
@@ -474,6 +496,7 @@ fn main() {
              \"route\": \"{route}\", \"forward_gflops\": {forward_gflops:.3}, \
              \"lowered_forward_gflops\": {lowered_forward_gflops:.3}, \
              \"weight_grad_gflops\": {weight_grad_gflops:.3}, \
+             \"lowered_weight_grad_gflops\": {lowered_weight_grad_gflops:.3}, \
              \"input_grad_gflops\": {input_grad_gflops:.3}, \
              \"lowered_input_grad_gflops\": {lowered_input_grad_gflops:.3}, \
              \"layer_split_speedup\": {split_speedup:.3}}}",
@@ -481,6 +504,79 @@ fn main() {
         ));
     }
     println!("{}", backward.render());
+
+    // Batch norm's training forward + backward at the layers the
+    // end-to-end benchmark's ResNet-20 (width 4) and VGG-11 (width 8)
+    // normalize at batch 16, through `BatchNorm2d` as a model runs it
+    // (split by channels, then by images, over the width): ns per element
+    // on the native tier — the per-channel sums four channels to a vector —
+    // and on the scalar tier — the plain loop, a channel at a time — timed
+    // interleaved, beside a plain copy of the same bytes as the ceiling.
+    // Both tiers must agree on every output bit.
+    let norms = [
+        ("resnet20_stage1", 4, 16),
+        ("resnet20_stage2", 8, 8),
+        ("resnet20_stage3", 16, 4),
+        ("vgg11_conv1", 8, 16),
+        ("vgg11_conv2", 16, 8),
+        ("vgg11_conv4", 32, 4),
+        ("vgg11_conv6", 64, 2),
+        ("vgg11_conv8", 64, 1),
+    ];
+    let mut norm_table = Table::new(
+        "Batch norm, training forward + backward (ns per element)",
+        &["layer", "c,hw", "native", "scalar", "speedup", "copy"],
+    );
+    let mut norm_rows = Vec::new();
+    for (name, c, hw) in norms {
+        let x = Tensor::randn(&[16, c, hw, hw], 1.0, &mut rng);
+        let grad = Tensor::randn(&[16, c, hw, hw], 1.0, &mut rng);
+        let layer = Mutex::new((BatchNorm2d::new(c), Workspace::new()));
+        let pass = |keep: bool| {
+            let mut guard = layer.lock().expect("no pass panics");
+            let (bn, ws) = &mut *guard;
+            let y = bn.forward(black_box(&x), Mode::Train, ws);
+            let gx = bn.backward(black_box(&grad), ws);
+            let out = keep.then(|| [y.data(), gx.data()].map(|v| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>()));
+            ws.recycle_tensor(y);
+            ws.recycle_tensor(gx);
+            out
+        };
+        let scalar_pass = |keep: bool| {
+            let _guard = simd::ScalarGuard::new();
+            pass(keep)
+        };
+        assert!(pass(true) == scalar_pass(true), "{name}: native and scalar kernel tiers disagree on batch norm");
+        let elems = x.numel() as f64;
+        let iters = if smoke { 2 } else { 200 };
+        let (native_s, scalar_s) = time_interleaved(
+            || {
+                black_box(pass(false));
+            },
+            || {
+                black_box(scalar_pass(false));
+            },
+            iters,
+        );
+        let mut copy = vec![0.0f32; x.numel()];
+        let copy_s = time_per_call(|| black_box(&mut copy).copy_from_slice(black_box(x.data())), iters);
+        let (native_ns, scalar_ns, copy_ns) = (1e9 * native_s / elems, 1e9 * scalar_s / elems, 1e9 * copy_s / elems);
+        norm_table.row(&[
+            name.into(),
+            format!("{c},{hw}"),
+            format!("{native_ns:.3}"),
+            format!("{scalar_ns:.3}"),
+            format!("{:.2}x", scalar_ns / native_ns),
+            format!("{copy_ns:.3}"),
+        ]);
+        norm_rows.push(format!(
+            "    {{\"layer\": \"{name}\", \"batch\": 16, \"channels\": {c}, \"hw\": {hw}, \
+             \"ns_per_element\": {native_ns:.4}, \"scalar_ns_per_element\": {scalar_ns:.4}, \
+             \"copy_ns_per_element\": {copy_ns:.4}, \"copy_gbps\": {:.3}}}",
+            4.0 * elems / copy_s / 1e9
+        ));
+    }
+    println!("{}", norm_table.render());
 
     // A model at a transmitted state — what every client, teacher,
     // student and evaluation is built as: `Model::new` + `set_state`
@@ -532,7 +628,7 @@ fn main() {
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
          \"cpu_features\": [{}],\n  \"threads\": {},\n  \"shapes\": [\n{}\n  ],\n  \
          \"conv_lowering\": [\n{}\n  ],\n  \"crc32\": [\n{}\n  ],\n  \"par_handoff\": [\n{}\n  ],\n  \
-         \"conv_backward\": [\n{}\n  ],\n  \"model_build\": [\n{}\n  ]\n}}\n",
+         \"conv_backward\": [\n{}\n  ],\n  \"batch_norm\": [\n{}\n  ],\n  \"model_build\": [\n{}\n  ]\n}}\n",
         cpu_features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         kemf_fl::engine::init_thread_pool(),
         json_rows.join(",\n"),
@@ -540,6 +636,7 @@ fn main() {
         crc_row,
         handoff_row,
         backward_rows.join(",\n"),
+        norm_rows.join(",\n"),
         build_rows.join(",\n"),
     );
     let path = results_dir().join("BENCH_kernels.json");

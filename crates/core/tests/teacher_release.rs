@@ -4,7 +4,9 @@
 //! logits exist, not parked until the ensemble is dropped. A byte-counting
 //! allocator watches the teacher pass of the benchmark's FedKEMF fusion
 //! (four ResNet-20 members, a 48-image pool): one member's pass peaks
-//! under 3 MB (a training forward's caches made it 9.5 MB); afterwards the
+//! under 1 MB where the convolutions run direct, and under that plus the
+//! patch matrices and GEMM panels of the geometry where they lower (a
+//! training forward's caches made it 9.5 MB); afterwards the
 //! process may hold no more than it did before, and at no moment more
 //! than one member's pass per thread of the compute width on top of that
 //! (members run one per share of `par::fork_join`), and the logits the
@@ -23,6 +25,7 @@ use kemf_core::distill::{distill_ensemble, DistillConfig};
 use kemf_data::synth::{SynthConfig, SynthTask};
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
+use kemf_tensor::conv::{self, ConvGeom};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -85,10 +88,25 @@ fn the_teacher_pass_leaves_nothing_behind_and_holds_one_member_per_thread() {
     drop(logits);
     let returned = with_logits - LIVE.load(Ordering::Relaxed);
     assert!(returned <= stage1 + 1024, "a member's logits held {} KB, more than one stage-1 activation", returned >> 10);
-    // The pass holds about 850 KB where the stem runs direct and 2.6 MB
-    // where it lowers: the counter sees it.
+    // The pass holds its activations, about 850 KB: all it holds where the
+    // convolutions run direct. Where they lower (the AVX2 and scalar
+    // tiers) it also holds the largest patch matrix, stage 1's — 4
+    // channels of 3×3 taps by the 48·16·16 output positions — cut into
+    // one share per thread of the width, and each of those threads keeps
+    // GEMM B panels, 256 columns by a patch's rows, at every depth it met
+    // (27, 36, 72, 144 rows): less than twice stage 3's.
+    let width = kemf_fl::engine::init_thread_pool();
+    let stage1_geom = ConvGeom { n: 48, c: 4, h: 16, w: 16, kh: 3, kw: 3, stride: 1, pad: 1 };
+    let lowering = match conv::is_direct(4, &stage1_geom) {
+        true => 0,
+        false => (stage1_geom.patch_len() * stage1_geom.cols() + width * 2 * 256 * 16 * 9) * 4,
+    };
     assert!(one_member > 768 << 10, "a 48-image ResNet-20 pass holds its activations, got {one_member} B");
-    assert!(one_member <= 3 << 20, "one member's pass peaked at {} KB: something cached for a backward", one_member >> 10);
+    assert!(
+        one_member <= (1 << 20) + lowering,
+        "one member's pass peaked at {} KB: something cached for a backward",
+        one_member >> 10
+    );
 
     // A surviving model, warm lowering buffers (the pass above ran at this
     // shape): what it holds above its pre-pass bytes is its pool and the
@@ -126,7 +144,6 @@ fn the_teacher_pass_leaves_nothing_behind_and_holds_one_member_per_thread() {
     );
     // The members done so far hold their logits until the ensemble is
     // formed.
-    let width = kemf_fl::engine::init_thread_pool();
     assert!(
         peak <= before + width * one_member + teachers.len() * stage1 + slack,
         "the teacher pass peaked {} KB above its start; one member's pass is {} KB, {width} run at once, \

@@ -11,13 +11,17 @@
 //! batch mean and variance with the running-statistics update forward,
 //! `Σ g` and `Σ g·x̂` with the `γ`/`β` gradients backward — split by
 //! *channels*: a channel's f64 sums run over its images and pixels in
-//! the one order they always had, on one thread. The element-wise
+//! the one order they always had, on one thread
+//! ([`kemf_tensor::ops::channel_sums`]: on the vector tiers the chains of
+//! four channels share a vector, in a fixed lane order, each with a
+//! separate multiply and add — the plain loop's bits). The element-wise
 //! normalization (`x̂`, `y`; the input gradient) then splits by *images*,
 //! each element the expression it always was. Inference is the second
 //! step alone.
 
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
+use kemf_tensor::ops::{channel_sums, CHANNEL_LANES};
 use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -75,6 +79,7 @@ impl Layer for BatchNorm2d {
         let (momentum, eps) = (self.momentum, self.eps);
 
         if mode.batch_stats() {
+            let group = sum_group(c);
             let mut x_hat = mode.caches().then(|| ws.take_tensor_unzeroed(x.dims()));
             let mut inv_stds = ws.take_unzeroed(c);
             let mut means = ws.take_unzeroed(c);
@@ -82,24 +87,18 @@ impl Layer for BatchNorm2d {
             // over its images and pixels in order, on one thread.
             let running = (self.running_mean.data_mut(), self.running_var.data_mut());
             let stats = (&mut means[..], &mut inv_stds[..], running);
-            par::split(c, work, stats, |chans, (means, inv_stds, (running_mean, running_var))| {
-                for (k, ch) in chans.enumerate() {
-                    let mut sum = 0.0f64;
-                    let mut sq = 0.0f64;
-                    for ni in 0..n {
-                        let base = (ni * c + ch) * plane;
-                        for &v in &src[base..base + plane] {
-                            sum += v as f64;
-                            sq += (v as f64) * (v as f64);
-                        }
-                    }
+            par::split(c / group, work, stats, |groups, (means, inv_stds, (running_mean, running_var))| {
+                let chans = groups.start * group..groups.end * group;
+                let first = chans.start;
+                channel_sums(src, None, c, plane, chans, |ch, sum, sq| {
+                    let k = ch - first;
                     let mean = (sum / count as f64) as f32;
                     let var = ((sq / count as f64) - (sum / count as f64).powi(2)).max(0.0) as f32;
                     means[k] = mean;
                     inv_stds[k] = 1.0 / (var + eps).sqrt();
                     running_mean[k] = (1.0 - momentum) * running_mean[k] + momentum * mean;
                     running_var[k] = (1.0 - momentum) * running_var[k] + momentum * var;
-                }
+                });
             });
             // Normalize, split by images; `x̂` is kept only for backward.
             // Both arms write `y` as `γ·x̂ + β` from the same `x̂`.
@@ -161,21 +160,20 @@ impl Layer for BatchNorm2d {
         let mut coefs = ws.take_unzeroed(3 * c);
         let gamma = self.gamma.value.data();
         let sums = (self.gamma.grad.data_mut(), self.beta.grad.data_mut(), &mut coefs[..]);
-        par::split(c, work, sums, |chans, (gamma_grad, beta_grad, coefs)| {
-            for ((k, ch), coef) in chans.enumerate().zip(coefs.chunks_exact_mut(3)) {
-                let mut sum_g = 0.0f64;
-                let mut sum_gxh = 0.0f64;
-                for ni in 0..n {
-                    let base = (ni * c + ch) * plane;
-                    for i in base..base + plane {
-                        sum_g += go[i] as f64;
-                        sum_gxh += (go[i] as f64) * (xh[i] as f64);
-                    }
-                }
+        let group = sum_group(c);
+        par::split(c / group, work, sums, |groups, (gamma_grad, beta_grad, coefs)| {
+            let chans = groups.start * group..groups.end * group;
+            let first = chans.start;
+            channel_sums(go, Some(xh), c, plane, chans, |ch, sum_g, sum_gxh| {
+                let k = ch - first;
                 gamma_grad[k] += sum_gxh as f32;
                 beta_grad[k] += sum_g as f32;
-                coef.copy_from_slice(&[gamma[ch] * inv_stds[ch], sum_g as f32 / count, sum_gxh as f32 / count]);
-            }
+                coefs[3 * k..][..3].copy_from_slice(&[
+                    gamma[ch] * inv_stds[ch],
+                    sum_g as f32 / count,
+                    sum_gxh as f32 / count,
+                ]);
+            });
         });
         // The input gradient, split by images.
         par::split(n, work, gx.data_mut(), |images, gx| {
@@ -220,6 +218,18 @@ impl Layer for BatchNorm2d {
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
+    }
+}
+
+/// The channels a split of the per-channel sums cuts between: whole
+/// vectors of [`CHANNEL_LANES`] where `c` divides into them — a share of
+/// fewer channels would run a vector as long as the whole's — single
+/// channels otherwise.
+fn sum_group(c: usize) -> usize {
+    if c.is_multiple_of(CHANNEL_LANES) {
+        CHANNEL_LANES
+    } else {
+        1
     }
 }
 

@@ -33,14 +33,16 @@
 //! | | otherwise | lowered ([`forward_lowered`]): `W · cols`, the patch matrix packed by row copies |
 //! | [`input_grad`] (by images) | `O ≤ 16`, AVX-512 | direct: a chain per patch-gradient value, added into its pixel |
 //! | | otherwise | lowered ([`input_grad_lowered`]): `col2im(Wᵀ · g)`, a panel of whole images at a time |
-//! | [`weight_grad`] (by input channels) | any | lowered: `g · colsᵀ`, the patch matrix read in place along its columns for `O ≤ 16` on AVX-512 |
+//! | [`weight_grad`] (by input channels) | `O ≤ 16`, AVX-512 | direct: an FMA chain per `(filter, channel, tap)` over the output positions, `(kx, c)` pairs in the lanes, from a channels-last copy of the input |
+//! | | otherwise | lowered ([`weight_grad_lowered`]): `g · colsᵀ`, a share's rows of the patch matrix |
 //!
 //! [`is_direct`] says which (the direct route also wants at most 7×7
 //! taps; AVX2 and scalar hosts always lower). The direct route (the
 //! `direct` submodule) runs the lowered route's chains element for
 //! element: the bits depend on neither the route nor the tier nor the
 //! width. Each thread lowers what a lowered product needs itself; the
-//! int8 forward (`kemf_nn`'s `Precision::Int8`) lowers too.
+//! int8 forward (`kemf_nn`'s `Precision::Int8`) lowers too. A training
+//! step of the narrow banks on AVX-512 lowers nothing at all.
 //!
 //! The patch matrix itself is the largest temporary of a convolutional
 //! step — `KH·KW` times the layer's input — and it is needed only while
@@ -65,6 +67,9 @@ thread_local! {
     static LOWERING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// This thread's weight-gradient chains; see [`weight_grad`].
     static CHAINS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's copies of a direct weight gradient's operands; see
+    /// [`weight_grad`].
+    static STAGING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` on the first `len` elements of this thread's lowering buffer.
@@ -103,17 +108,28 @@ fn with_grown<R>(buffer: &'static LocalKey<RefCell<Vec<f32>>>, len: usize, f: im
 /// calling thread's buffers only.
 pub fn release_lowering() {
     par::each_thread(|| {
-        for buffer in [&LOWERING, &CHAINS] {
+        for buffer in [&LOWERING, &CHAINS, &STAGING] {
             buffer.with(|cell| *cell.borrow_mut() = Vec::new());
         }
     });
 }
 
-/// Whether [`forward`] and [`input_grad`] run `o` filters over `geom`
-/// directly from the NCHW tensors rather than through the patch matrix:
-/// banks of at most 16 filters (of at most 7×7 taps), on the AVX-512
-/// tier. Decided by the geometry and the calling thread's tier (which
-/// [`par`] hands to its helpers); [`weight_grad`] always lowers.
+/// Elements the lowering buffers hold: this thread's and, called outside
+/// a share, every [`par`] helper's — what [`release_lowering`] frees.
+pub fn lowering_held() -> usize {
+    let held = std::sync::atomic::AtomicUsize::new(0);
+    par::each_thread(|| {
+        let len = LOWERING.with(|cell| cell.borrow().len());
+        held.fetch_add(len, std::sync::atomic::Ordering::Relaxed);
+    });
+    held.into_inner()
+}
+
+/// Whether [`forward`], [`weight_grad`] and [`input_grad`] run `o`
+/// filters over `geom` directly from the NCHW tensors rather than through
+/// the patch matrix: banks of at most 16 filters (of at most 7×7 taps), on
+/// the AVX-512 tier. Decided by the geometry and the calling thread's tier
+/// (which [`par`] hands to its helpers).
 pub fn is_direct(o: usize, geom: &ConvGeom) -> bool {
     direct::takes(o, geom)
 }
@@ -521,36 +537,72 @@ pub fn forward_lowered(x: &[f32], w: &[f32], bias: &[f32], o: usize, geom: &Conv
 
 /// Weight gradient of a convolution, accumulated in place: `dw[o, p] +=
 /// Σ_col g[o, col] · cols[p, col]` with `g` the `[N, O, OH, OW]` output
-/// gradient and `cols` the patch matrix of `x`, which is lowered here.
+/// gradient and `cols` the patch matrix of `x`. Each `dw` element receives
+/// one finished FMA chain over `col` ascending from `+0.0`, whatever the
+/// route, the tier and the width.
 ///
-/// Split by input channels ([`par::split`]): a thread lowers only its
-/// channels' rows of the patch matrix (`im2col_channels`) and reduces
-/// only those, storing each finished chain into its channels' `[O,
+/// A bank of at most 16 filters on the AVX-512 tier runs direct
+/// ([`is_direct`]): lanes hold `(kx, channel)` pairs and registers the tap
+/// rows `ky` of several filters, each lane one chain over the output
+/// positions, read from a zero-padded channels-last copy of `x` in the
+/// thread's staging buffer and from `g` where it lies — no patch matrix;
+/// the FLOP counter is credited the `2·O·patch·N·OH·OW` of the product.
+/// Any other lowers ([`weight_grad_lowered`]).
+///
+/// Split by input channels ([`par::split`]): a thread works only its
+/// channels' chains, storing each finished one into its channels' `[O,
 /// KH·KW]` blocks of the calling thread's chain buffer (channel-major, so
-/// the layout does not depend on where the cuts fell); the chains are
-/// then added to `dw` once, as the accumulating epilogue of the inline
-/// product — which runs when the split does not cut — adds them. The
-/// `N·OH·OW` chain of an element is never cut.
-///
-/// Neither operand is reordered. `g` is read through [`NchwGather`] and
-/// is the one that is packed (it is `patch` times the smaller); the patch
-/// rows are the column-major B of the product and, for `O ≤ 16` on the
-/// widest tier, are read where they lie by the transposing kernel
-/// ([`crate::simd::microkernel_f32_bt`]) — wider filter banks pack them
-/// through the block transpose. Each `dw` element receives one finished
-/// FMA chain over `col` ascending, whatever the route.
+/// the layout does not depend on where the cuts fell); the chains are then
+/// added to `dw` once, as the inline product — which runs when the split
+/// does not cut — adds each. The `N·OH·OW` chain of an element is never
+/// cut.
 // (Inlined so that the engine is instantiated for these operands in the
 // calling crate, next to the layer's forward product.)
 #[inline]
 pub fn weight_grad(g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: &mut [f32]) {
+    weight_grad_on(is_direct(o, geom), g, o, x, geom, dw);
+}
+
+/// [`weight_grad`] on the lowered route whatever the bank, split over the
+/// width the same way: a thread lowers only its channels' rows of the
+/// patch matrix (`im2col_channels`) into its [`with_lowering`] buffer and
+/// reduces those. `g` is read through [`NchwGather`] and is the one that
+/// is packed (it is `patch` times the smaller); the patch rows are the
+/// column-major B of the product and, for `O ≤ 16` on the widest tier, are
+/// read where they lie by the transposing kernel
+/// ([`crate::simd::microkernel_f32_bt`]) — wider filter banks pack them
+/// through the block transpose. The same bits as the direct route.
+#[inline]
+pub fn weight_grad_lowered(g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: &mut [f32]) {
+    weight_grad_on(false, g, o, x, geom, dw);
+}
+
+#[inline]
+fn weight_grad_on(direct: bool, g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: &mut [f32]) {
     let (patch, ncols, plane, taps) = (geom.patch_len(), geom.cols(), geom.oh() * geom.ow(), geom.kh * geom.kw);
     assert_eq!(g.len(), o * ncols, "output gradient size mismatch");
     assert_eq!(dw.len(), o * patch, "weight gradient size mismatch");
     let flops = 2 * (o * patch * ncols) as u64;
+    // The direct route cuts no channels where they fill one vector's row
+    // of taps: a share would run as many vectors as the whole.
+    let unit = if direct && !direct::weight_grad_cuts(geom) { geom.c.max(1) } else { 1 };
     with_grown(&CHAINS, o * patch, |chains| {
         let outs = (Whole(Some(&mut *dw)), &mut chains[..]);
-        let shares = par::split(geom.c, flops, outs, |chans, (whole, blocks)| {
+        let shares = par::split(geom.c / unit, flops, outs, |units, (whole, blocks)| {
+            let chans = units.start * unit..units.end * unit;
             let rows = chans.len() * taps;
+            if direct {
+                crate::flops::add(2 * (o * rows * ncols) as u64);
+                let (first, staging) = (chans.start, direct::weight_grad_staging(geom, chans.len()));
+                return with_grown(&STAGING, staging, |staging| match whole.0 {
+                    Some(dw) => direct::weight_grad(g, o, x, geom, chans, staging, |f, c, t, v| {
+                        dw[f * patch + (first + c) * taps + t] += v;
+                    }),
+                    None => direct::weight_grad(g, o, x, geom, chans, staging, |f, c, t, v| {
+                        blocks[(c * o + f) * taps + t] = v;
+                    }),
+                });
+            }
             with_lowering(rows * ncols, |cols| {
                 im2col_channels(x, geom, chans, cols);
                 let (a, b) = (NchwGather { data: g, o, plane }, ColMajor { data: cols, ld: ncols });

@@ -1,9 +1,9 @@
-//! The direct route of a narrow convolution: the forward product and the
-//! input gradient of a filter bank of at most [`MAX_OUT`] outputs,
-//! computed from the NCHW tensors where they lie — no patch matrix, no
-//! patch-gradient panel, no `col2im`.
+//! The direct route of a narrow convolution: the forward product, the
+//! input gradient and the weight gradient of a filter bank of at most
+//! [`MAX_OUT`] outputs, computed from the NCHW tensors — no patch matrix,
+//! no patch-gradient panel, no `col2im`.
 //!
-//! Both products keep the lowered route's chains, element for element:
+//! All three keep the lowered route's chains, element for element:
 //!
 //! * **Forward** — an output is one FMA chain over the patch `p = (c, ky,
 //!   kx)` ascending from `+0.0`, the bias added after. A tap that lands in
@@ -14,6 +14,10 @@
 //!   filters `o` ascending from `+0.0`, added into a `+0.0`-filled pixel
 //!   in `col2im`'s order (`ky`, then `kx`, descending); where a tap lands
 //!   outside the input there is no add.
+//! * **Weight gradient** — an element `dw[f, c, ky, kx]` is one FMA chain
+//!   over the output positions `col = (n, oy, ox)` ascending from `+0.0`,
+//!   added into `dw` once; a tap that lands in the padding is multiplied
+//!   by `0.0`.
 //!
 //! The AVX-512 kernels ([`crate::simd::conv_direct_forward`],
 //! [`crate::simd::conv_direct_input_grad`]) run vectors of 16 lanes —
@@ -29,12 +33,24 @@
 //! stride-1 shift of the output gradient, and a vector's finished sums
 //! are scattered to their pixels. The tap tables (an offset and a mask,
 //! or 16 indices, per tap) live on the stack: nothing is allocated or
-//! copied. Only the AVX-512 tier runs direct: on AVX2 and scalar hosts
-//! (and under [`crate::simd::ScalarGuard`]) a narrow bank stays on the
-//! lowered route, whose GEMM tiles run the same chains.
+//! copied.
+//!
+//! The weight gradient's chain runs along the positions, so its vectors
+//! run across chains instead ([`crate::simd::conv_direct_weight_grad`]):
+//! the lanes hold `(kx, c)` pairs — one row of taps of one position, a run
+//! of a channels-last copy of the input in a zero frame (made per call,
+//! in the thread's staging buffer, a fraction of the patch matrix) — and
+//! the registers hold the rows `ky` of several filters; each position is
+//! a load per row and a broadcast of the output gradient, read where it
+//! lies, per filter.
+//!
+//! Only the AVX-512 tier runs direct: on AVX2 and scalar hosts (and under
+//! [`crate::simd::ScalarGuard`]) a narrow bank stays on the lowered route,
+//! whose GEMM tiles run the same chains.
 
 use super::ConvGeom;
 use crate::simd::{self, Isa, LaneTap};
+use std::ops::Range;
 
 /// Widest filter bank the direct route takes: the GEMM's own bound for
 /// reading B in place (`m ≤ 2·mr` on the 8-row AVX-512 tile).
@@ -378,6 +394,189 @@ fn input_grad_vectors<const SCATTER: bool>(
                             lane_mask(lanes),
                             &index,
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The channels-last grid [`weight_grad`] stages the input on: `rows ×
+/// cols` pixels of `depth` floats, pixel `(r, q)` holding the channels of
+/// input pixel `(every·r − pad, every·q − pad)` — `0.0` outside the input
+/// — read by the taps at `stride`. A 1×1 filter reads only the pixels of
+/// its output positions, so those are all it stages (`every` is the
+/// convolution's stride); any other stages the whole input in a zero frame
+/// `pad` wide, its channels rounded up to a multiple of four where a row
+/// of taps (`KW·depth` lanes) needs no more vectors for it: the channels
+/// are then laid side by side four at a time.
+struct Staged {
+    rows: usize,
+    cols: usize,
+    depth: usize,
+    every: usize,
+    stride: usize,
+}
+
+impl Staged {
+    fn of(geom: &ConvGeom, chans: usize) -> Self {
+        if geom.kh * geom.kw == 1 {
+            return Staged { rows: geom.oh(), cols: geom.ow(), depth: chans, every: geom.stride, stride: 1 };
+        }
+        let quads = chans.next_multiple_of(4);
+        let depth = match (geom.kw * quads).div_ceil(LANES) == (geom.kw * chans).div_ceil(LANES) {
+            true => quads,
+            false => chans,
+        };
+        Staged { rows: geom.h + 2 * geom.pad, cols: geom.w + 2 * geom.pad, depth, every: 1, stride: geom.stride }
+    }
+
+    /// Floats per image.
+    fn image(&self) -> usize {
+        self.rows * self.cols * self.depth
+    }
+}
+
+/// The floats [`weight_grad`] stages for `chans` input channels of
+/// `geom`: those channels of the `Staged` grid.
+pub(super) fn weight_grad_staging(geom: &ConvGeom, chans: usize) -> usize {
+    geom.n * Staged::of(geom, chans).image()
+}
+
+/// Whether cutting the input channels of `geom` saves [`weight_grad`]
+/// vectors: only where one row of taps of all of them (`KW·C` lanes) runs
+/// past one vector.
+pub(super) fn weight_grad_cuts(geom: &ConvGeom) -> bool {
+    geom.kw * geom.c > LANES
+}
+
+/// The weight-gradient chains of the `o` filters of `g` (`[N, O, OH, OW]`)
+/// over input channels `chans` of `x` (`[N, C, H, W]`): each `Σ_col g[f,
+/// col] · x(col, c, t)`, one FMA chain over `col = (n, oy, ox)` ascending
+/// from `+0.0`, handed to `emit(f, c − chans.start, t, chain)` once.
+/// `staging` holds [`weight_grad_staging`] floats. Only where [`takes`]
+/// holds.
+pub(super) fn weight_grad(
+    g: &[f32],
+    o: usize,
+    x: &[f32],
+    geom: &ConvGeom,
+    chans: Range<usize>,
+    staging: &mut [f32],
+    emit: impl FnMut(usize, usize, usize, f32),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::isa() == Isa::Avx512 {
+        return weight_grad_avx512(g, o, x, geom, chans, staging, emit);
+    }
+    let _ = (g, o, x, geom, chans, staging, emit);
+    unreachable!("the direct route runs on the AVX-512 tier only");
+}
+
+/// The AVX-512 weight gradient. Lanes hold `(kx, c)` pairs — a run of the
+/// staged grid, one row of taps of one position — and registers the runs
+/// of the filter's rows `ky` (in vectors of 16 lanes, three at a time) of
+/// four or eight filters: each position is a masked load per vector and a
+/// broadcast of `g` per filter, the output gradient read where it lies.
+#[cfg(target_arch = "x86_64")]
+fn weight_grad_avx512(
+    g: &[f32],
+    o: usize,
+    x: &[f32],
+    geom: &ConvGeom,
+    chans: Range<usize>,
+    staging: &mut [f32],
+    emit: impl FnMut(usize, usize, usize, f32),
+) {
+    let (hw, plane, cs, pad) = (geom.h * geom.w, geom.oh() * geom.ow(), chans.len(), geom.pad);
+    let staged = Staged::of(geom, cs);
+    let Staged { rows, cols, depth, every, .. } = staged;
+    assert_eq!(g.len(), geom.n * o * plane, "output gradient size mismatch");
+    assert_eq!(x.len(), geom.n * geom.c * hw, "input size mismatch");
+    assert_eq!(staging.len(), weight_grad_staging(geom, cs), "staging size mismatch");
+    // The staged grid's columns `lo..hi` lie inside the input's.
+    let (lo, hi) = (pad.div_ceil(every), (geom.w + pad).div_ceil(every).min(cols));
+    for (r, dst) in staging.chunks_exact_mut(cols * depth).enumerate() {
+        let (n, iy) = (r / rows, (r % rows * every).wrapping_sub(pad));
+        if iy >= geom.h {
+            dst.fill(0.0);
+            continue;
+        }
+        dst[..lo * depth].fill(0.0);
+        dst[hi * depth..].fill(0.0);
+        // Channels past `chans` repeat its last one: staged, never handed
+        // on.
+        let row = |k: usize| &x[((n * geom.c + chans.start + k.min(cs - 1)) * geom.h + iy) * geom.w..][..geom.w];
+        // Four channels at a time where the row is read whole.
+        let quads = if every == 1 { depth / 4 * 4 } else { 0 };
+        for k in (0..quads).step_by(4) {
+            let dst = &mut dst[lo * depth + k..][..(geom.w - 1) * depth + 4];
+            // SAFETY: each row holds W floats, and `dst` the 4 from every
+            // `ix·depth`, ix < W.
+            unsafe { simd::interleave4(std::array::from_fn(|i| row(k + i).as_ptr()), geom.w, dst.as_mut_ptr(), depth) };
+        }
+        for k in quads..depth {
+            let taps = row(k)[lo * every - pad..].iter().step_by(every);
+            for (d, &v) in dst[lo * depth + k..hi * depth].iter_mut().step_by(depth).zip(taps) {
+                *d = v;
+            }
+        }
+    }
+    let vectors = (geom.kw * depth).div_ceil(LANES);
+    match (geom.kh * vectors, o) {
+        (1 | 2, _) => weight_grad_vectors::<1, 8>(g, o, geom, &staged, cs, staging, emit),
+        (_, 1..=4) => weight_grad_vectors::<3, 4>(g, o, geom, &staged, cs, staging, emit),
+        _ => weight_grad_vectors::<3, 8>(g, o, geom, &staged, cs, staging, emit),
+    }
+}
+
+/// [`weight_grad_avx512`] over `X` vectors and `F` filters a call, for
+/// the `cs` channels of the `staged` grid.
+#[cfg(target_arch = "x86_64")]
+fn weight_grad_vectors<const X: usize, const F: usize>(
+    g: &[f32],
+    o: usize,
+    geom: &ConvGeom,
+    staged: &Staged,
+    cs: usize,
+    staging: &[f32],
+    mut emit: impl FnMut(usize, usize, usize, f32),
+) {
+    let (plane, depth, row) = (geom.oh() * geom.ow(), staged.depth, staged.cols * staged.depth);
+    let run = geom.kw * depth;
+    let vectors = run.div_ceil(LANES);
+    let reads = geom.kh * vectors;
+    // Read `r`: row `ky = r / vectors` of the taps, lanes from `16·(r %
+    // vectors)` of its run.
+    let read = |r: usize| {
+        let (ky, first) = (r / vectors, LANES * (r % vectors));
+        LaneTap { offset: (ky * row + first) as isize, mask: lane_mask(LANES.min(run - first)) }
+    };
+    let grid = (geom.n, geom.oh(), geom.ow());
+    let strides = (staged.image(), staged.stride * row, staged.stride * depth);
+    for r0 in (0..reads).step_by(X) {
+        // Reads and filters past the last repeat it; they are not handed on.
+        let taps: [LaneTap; X] = std::array::from_fn(|j| read((r0 + j).min(reads - 1)));
+        for f0 in (0..o).step_by(F) {
+            let filters = std::array::from_fn(|i| g[(f0 + i).min(o - 1) * plane..].as_ptr());
+            // SAFETY: the tier is AVX-512. Position (n, oy, ox) reads the
+            // run of row ky from pixel (n, s·oy + ky, s·ox) of the staged
+            // `[N, rows, cols, depth]` grid (s its stride), `KW·depth`
+            // floats that end inside its row (s·(OW − 1) + KW ≤ cols, and
+            // s·(OH − 1) + KH ≤ rows); from a filter's plane of image 0,
+            // `g` holds `n·O·plane + pos` for every position.
+            let sums = unsafe {
+                simd::conv_direct_weight_grad::<X, F>(staging.as_ptr(), &taps, grid, strides, filters, o * plane)
+            };
+            for (f, lanes) in (f0..o).zip(&sums) {
+                for (r, vector) in (r0..reads).zip(lanes) {
+                    let (ky, first) = (r / vectors, LANES * (r % vectors));
+                    let (mut kx, mut c) = (first / depth, first % depth);
+                    for &v in &vector[..LANES.min(run - first)] {
+                        if c < cs {
+                            emit(f, c, ky * geom.kw + kx, v);
+                        }
+                        (kx, c) = if c + 1 == depth { (kx + 1, 0) } else { (kx, c + 1) };
                     }
                 }
             }

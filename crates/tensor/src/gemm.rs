@@ -4,7 +4,7 @@
 //! The training loop of every model in this workspace reduces to a handful
 //! of matrix products (forward activations, weight gradients, input
 //! gradients, im2col-lowered convolutions — all but a narrow one's
-//! forward and input gradient on AVX-512, which run direct). This
+//! products on AVX-512, which run direct). This
 //! module implements them with one engine:
 //!
 //! * **Panel packing** — operand tiles are copied into contiguous,
@@ -23,12 +23,12 @@
 //!   the large operand would cost more than the product — and the widest
 //!   tier reads it in place ([`Operand::in_place`]): a row-major B by rows
 //!   (a dense layer's `[out, in]` weights under the input gradient of a
-//!   batch of at most 16), a column-major B along its columns (the patch
-//!   matrix under an `O ≤ 16` convolution's weight gradient, a dense
-//!   layer's weights under a training batch's forward), 16×16 blocks
-//!   transposed in registers on their way into the FMAs. On that tier the
-//!   forward product and input gradient of an `O ≤ 16` convolution do
-//!   not come here at all: they run direct ([`crate::conv::forward`]).
+//!   batch of at most 16), a column-major B along its columns (a dense
+//!   layer's weights under a training batch's forward, the patch matrix
+//!   under a narrow convolution's weight gradient on the lowered route),
+//!   16×16 blocks transposed in registers on their way into the FMAs. On
+//!   that tier none of the three products of an `O ≤ 16` convolution
+//!   comes here at all: they run direct ([`crate::conv::forward`]).
 //! * **One chain per element** — whatever the tier and the route, an
 //!   output element is `Σ_kk a(i, kk) · b(kk, j)` accumulated by fused
 //!   multiply-adds over `kk` ascending from zero, with the whole of `k`

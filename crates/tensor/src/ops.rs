@@ -1,11 +1,90 @@
 //! Row-wise operations used by losses and classifiers: softmax,
-//! log-softmax, argmax, transpose, and axis reductions.
+//! log-softmax, argmax, transpose, and axis reductions — and the
+//! per-channel sums of batch normalization ([`channel_sums`]).
 //!
 //! "Row-wise" means over the last dimension with all leading dimensions
 //! flattened, which matches the `[batch, classes]` logit layout used
 //! throughout the stack.
 
+use crate::simd::{self, Isa};
 use crate::tensor::Tensor;
+use std::ops::Range;
+
+/// Channels whose sums [`channel_sums`] runs in one vector.
+pub const CHANNEL_LANES: usize = 4;
+
+/// `each(ch, Σ a, Σ a·b)` for every channel `ch` of `chans`, in order, of
+/// `[N, C, plane]` activations `a` and `b` (`b = None`: `a` itself) with
+/// `c` channels: the sums in f64, each one chain of adds over the
+/// channel's images and pixels in storage order from `+0.0`, the product
+/// of two values a separate multiply — the bits of the plain per-channel
+/// loop on every tier.
+///
+/// Where the tier has vectors (AVX2 and up) the chains of four channels
+/// share one (`crate::simd::channel_sums`), two such groups at a time, in
+/// a fixed lane order: a channel's chain is as long and as ordered as it
+/// is alone, but four or eight advance per add instead of one. The scalar
+/// tier runs the plain loop.
+pub fn channel_sums(
+    a: &[f32],
+    b: Option<&[f32]>,
+    c: usize,
+    plane: usize,
+    chans: Range<usize>,
+    mut each: impl FnMut(usize, f64, f64),
+) {
+    let images = a.len() / (c * plane).max(1);
+    assert_eq!(a.len(), images * c * plane, "activation size mismatch");
+    assert!(b.is_none_or(|b| b.len() == a.len()), "second activation size mismatch");
+    assert!(chans.end <= c, "channels {chans:?} of {c}");
+    #[cfg(target_arch = "x86_64")]
+    if simd::isa() != Isa::Scalar && plane > 0 {
+        for c0 in chans.clone().step_by(8) {
+            let live = 8.min(chans.end - c0);
+            // Channels past `chans` repeat its last one; they are not
+            // handed on.
+            let planes = |v: &[f32]| -> [[*const f32; 4]; 2] {
+                std::array::from_fn(|i| std::array::from_fn(|k| v[(c0 + (4 * i + k).min(live - 1)) * plane..].as_ptr()))
+            };
+            let (pa, pb) = (planes(a), planes(b.unwrap_or(a)));
+            // SAFETY: the tier has AVX2, and from the plane of channel ch
+            // < c of image 0, `a` and `b` hold `plane` floats at every
+            // `n·c·plane`, n < images.
+            let groups = unsafe {
+                match (live > 4, b.is_some()) {
+                    (true, true) => simd::channel_sums::<2, true>(pa, pb, images, c * plane, plane),
+                    (true, false) => simd::channel_sums::<2, false>(pa, pb, images, c * plane, plane),
+                    // Four channels or fewer: one vector, not two.
+                    (false, true) => {
+                        let [g] = simd::channel_sums::<1, true>([pa[0]], [pb[0]], images, c * plane, plane);
+                        [g, g]
+                    }
+                    (false, false) => {
+                        let [g] = simd::channel_sums::<1, false>([pa[0]], [pb[0]], images, c * plane, plane);
+                        [g, g]
+                    }
+                }
+            };
+            for k in 0..live {
+                let (sums, dots) = &groups[k / 4];
+                each(c0 + k, sums[k % 4], dots[k % 4]);
+            }
+        }
+        return;
+    }
+    let b = b.unwrap_or(a);
+    for ch in chans {
+        let (mut sum, mut dot) = (0.0f64, 0.0f64);
+        for n in 0..images {
+            let at = (n * c + ch) * plane;
+            for (&x, &y) in a[at..at + plane].iter().zip(&b[at..at + plane]) {
+                sum += x as f64;
+                dot += (x as f64) * (y as f64);
+            }
+        }
+        each(ch, sum, dot);
+    }
+}
 
 /// Numerically-stable softmax over the last dimension.
 pub fn softmax(logits: &Tensor) -> Tensor {

@@ -23,6 +23,13 @@
 //!   lanes of positions a vector, every tap read by a masked load (or a
 //!   gather) where it lies, the chains of several filters or input
 //!   channels in registers.
+//! * [`conv_direct_weight_grad`] — the weight gradient of that route:
+//!   `(kx, c)` pairs in the lanes, rows of taps of several filters in
+//!   registers, one chain per lane over the output positions; with
+//!   [`interleave4`] laying four channel rows side by side for its
+//!   channels-last copy of the input.
+//! * [`channel_sums`] — batch normalization's per-channel f64 sums, the
+//!   chains of four channels in one AVX2 vector.
 //! * [`transpose_8x8_avx2`] — the block step of the transposing pack on
 //!   both SIMD tiers.
 //! * [`gemm_i8_block_vnni`] — the int8 compute kernel behind the
@@ -669,6 +676,173 @@ pub unsafe fn conv_direct_input_grad<const CB: usize, const V: usize, const SCAT
             }
         }
     }
+}
+
+/// The weight gradient of a direct convolution for `F` filters over `X`
+/// vectors of an input stored channels-last: lane `l` of `out[f][j]` is
+/// `Σ_col g[f][n·g_image + pos] · x(col, j, l)` over the output positions
+/// `col = (n, oy, ox)` of an `images × rows × cols` grid (`pos = oy·cols +
+/// ox`), where `x(col, j, l) = x[n·image + oy·row + ox·step +
+/// reads[j].offset + l]`, `0.0` off `reads[j].mask`.
+///
+/// Each lane is one FMA chain over `col` ascending from `+0.0`: the chain
+/// of the lowered product's `dw` element whose `(ky, kx, c)` the lane
+/// reads, with a tap that lands in the padding multiplied by the zero the
+/// caller's copy of the input holds there (so `∞·0` and `NaN·0` are still
+/// `NaN`). The `F·X` chains stay in registers across every position; a
+/// position is `X` masked loads and, per filter, one broadcast of `g` read
+/// where it lies and `X` FMAs.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available, every set lane of every
+/// read, at every position, lies inside the allocation `x` points into,
+/// and every `g[f]` holds `n·g_image + pos` for every position. Filters
+/// and reads may alias one another: the kernel only computes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn conv_direct_weight_grad<const X: usize, const F: usize>(
+    x: *const f32,
+    reads: &[LaneTap; X],
+    (images, rows, cols): (usize, usize, usize),
+    (image, row, step): (usize, usize, usize),
+    g: [*const f32; F],
+    g_image: usize,
+) -> [[[f32; 16]; X]; F] {
+    use core::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); X]; F];
+    for n in 0..images {
+        let mut at = n * g_image;
+        for oy in 0..rows {
+            let mut xp = x.add(n * image + oy * row);
+            for _ in 0..cols {
+                // SAFETY: masked-off lanes are not accessed; the set ones
+                // and every `g` read are inside the allocations by the
+                // caller contract.
+                let xv: [__m512; X] =
+                    std::array::from_fn(|j| _mm512_maskz_loadu_ps(reads[j].mask, xp.offset(reads[j].offset)));
+                for (chains, &gf) in acc.iter_mut().zip(&g) {
+                    let gb = _mm512_set1_ps(*gf.add(at));
+                    for (a, &v) in chains.iter_mut().zip(&xv) {
+                        *a = _mm512_fmadd_ps(gb, v, *a);
+                    }
+                }
+                xp = xp.add(step);
+                at += 1;
+            }
+        }
+    }
+    let mut out = [[[0.0f32; 16]; X]; F];
+    for (lanes, chains) in out.iter_mut().zip(&acc) {
+        for (l, &a) in lanes.iter_mut().zip(chains) {
+            _mm512_storeu_ps(l.as_mut_ptr(), a);
+        }
+    }
+    out
+}
+
+/// `dst[p·stride + k] = src[k][p]` for `p < len`, `k < 4`: four channel
+/// rows laid side by side, pixel by pixel — four pixels of the four rows
+/// turned in registers at a time, the last `len % 4` copied one by one.
+///
+/// # Safety
+///
+/// Every `src[k]` must hold `len` floats, and `dst` the `4` floats from
+/// every `p·stride`, `p < len`.
+#[cfg(target_arch = "x86_64")]
+pub unsafe fn interleave4(src: [*const f32; 4], len: usize, dst: *mut f32, stride: usize) {
+    use core::arch::x86_64::*;
+    let mut p = 0;
+    while p + 4 <= len {
+        let [r0, r1, r2, r3] = src.map(|q| _mm_loadu_ps(q.add(p)));
+        let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
+        let (t2, t3) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
+        let at = dst.add(p * stride);
+        _mm_storeu_ps(at, _mm_movelh_ps(t0, t1));
+        _mm_storeu_ps(at.add(stride), _mm_movehl_ps(t1, t0));
+        _mm_storeu_ps(at.add(2 * stride), _mm_movelh_ps(t2, t3));
+        _mm_storeu_ps(at.add(3 * stride), _mm_movehl_ps(t3, t2));
+        p += 4;
+    }
+    for p in p..len {
+        for (k, q) in src.iter().enumerate() {
+            *dst.add(p * stride + k) = *q.add(p);
+        }
+    }
+}
+
+/// Per-channel f64 sums of `4·G` channel planes over `images` images:
+/// lane `k` of group `i` returns `(Σ a, Σ a·b)` over channel plane
+/// `a[4i + k]` (and `b[4i + k]`, or `a`'s own when not `PAIR`), image by
+/// image `image_stride` apart, pixel by pixel — each sum one chain of f64
+/// adds in that order from `+0.0`, the product a separate f64 multiply:
+/// the plain per-channel loop's sums, with the chains of four channels in
+/// one vector.
+///
+/// Four pixels of four planes are loaded at a time and turned in
+/// registers into four pixels' vectors of four channels; a plane's last
+/// `plane % 4` pixels are set lane by lane.
+///
+/// # Safety
+///
+/// The caller must ensure AVX2 is available and every plane pointer
+/// holds `plane` floats at each `n·image_stride`, `n < images`. Planes
+/// may alias one another: the kernel only reads.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub unsafe fn channel_sums<const G: usize, const PAIR: bool>(
+    a: [[*const f32; 4]; G],
+    b: [[*const f32; 4]; G],
+    images: usize,
+    image_stride: usize,
+    plane: usize,
+) -> [([f64; 4], [f64; 4]); G] {
+    use core::arch::x86_64::*;
+    // Four pixels from `p` of four planes, as four vectors of the four
+    // channels of one pixel each.
+    let quad = |planes: &[*const f32; 4], at: usize| -> [__m256d; 4] {
+        let [r0, r1, r2, r3] = planes.map(|q| _mm_loadu_ps(q.add(at)));
+        let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
+        let (t2, t3) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
+        [_mm_movelh_ps(t0, t1), _mm_movehl_ps(t1, t0), _mm_movelh_ps(t2, t3), _mm_movehl_ps(t3, t2)]
+            .map(|v| _mm256_cvtps_pd(v))
+    };
+    let lanes = |planes: &[*const f32; 4], at: usize| {
+        _mm256_set_pd(*planes[3].add(at) as f64, *planes[2].add(at) as f64, *planes[1].add(at) as f64, *planes[0].add(at) as f64)
+    };
+    let mut sums = [(_mm256_setzero_pd(), _mm256_setzero_pd()); G];
+    for n in 0..images {
+        let shift = |planes: &[*const f32; 4]| planes.map(|q| q.add(n * image_stride));
+        let (pa, pb): ([[*const f32; 4]; G], [[*const f32; 4]; G]) =
+            (std::array::from_fn(|i| shift(&a[i])), std::array::from_fn(|i| shift(&b[i])));
+        let mut p = 0;
+        while p + 4 <= plane {
+            for ((sum, dot), (qa, qb)) in sums.iter_mut().zip(pa.iter().zip(&pb)) {
+                // SAFETY: p + 4 ≤ plane keeps the loads inside the planes.
+                let va = quad(qa, p);
+                let vb = if PAIR { quad(qb, p) } else { va };
+                for (&x, &y) in va.iter().zip(&vb) {
+                    *sum = _mm256_add_pd(*sum, x);
+                    *dot = _mm256_add_pd(*dot, _mm256_mul_pd(x, y));
+                }
+            }
+            p += 4;
+        }
+        for at in p..plane {
+            for ((sum, dot), (qa, qb)) in sums.iter_mut().zip(pa.iter().zip(&pb)) {
+                let x = lanes(qa, at);
+                let y = if PAIR { lanes(qb, at) } else { x };
+                *sum = _mm256_add_pd(*sum, x);
+                *dot = _mm256_add_pd(*dot, _mm256_mul_pd(x, y));
+            }
+        }
+    }
+    sums.map(|(sum, dot)| {
+        let (mut s, mut d) = ([0.0f64; 4], [0.0f64; 4]);
+        _mm256_storeu_pd(s.as_mut_ptr(), sum);
+        _mm256_storeu_pd(d.as_mut_ptr(), dot);
+        (s, d)
+    })
 }
 
 /// Transpose an 8×8 block given by its rows into rows `stride` apart:
