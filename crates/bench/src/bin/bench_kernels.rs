@@ -12,26 +12,28 @@
 //! convolution layer at those geometries side by side (`conv_backward`:
 //! forward, weight gradient, input gradient, all in GFLOP/s of the same
 //! `2·O·patch·N·OH·OW`, each split over the width as `Conv2d` runs it
-//! outside a share, the `route` the forward and input gradient take, and
-//! both of them again on the lowered route — the library's
-//! `conv::{forward_lowered, input_grad_lowered}` — timed interleaved with
-//! the routed calls; and the layer split against inline),
+//! outside a share, the `route` the three products take, and all three
+//! again on the lowered route — the library's `conv::{forward_lowered,
+//! weight_grad_lowered, input_grad_lowered}` — timed interleaved with the
+//! routed calls; and the layer split against inline),
 //! and what building a model at a transmitted state costs with and
 //! without the discarded initialization (`model_build`). Prints tables
 //! and writes `bench_results/BENCH_kernels.json` with all of it, the
 //! detected `cpu_features` and `threads` — the compute width
 //! `init_thread_pool` settles on. The GEMM, lowering and CRC rows run on
-//! the calling thread whatever it is.
+//! the calling thread whatever it is. `max_pool` is the 2×2 max pooling
+//! forward at the planes VGG-11 pools, ns per element beside a plain copy.
 //!
 //! `--smoke` runs every code path with a tiny time budget and skips the
 //! JSON write — a CI liveness check, not a measurement. It also demands
 //! that the CRC-32, and the forward output and both gradients of every
 //! `conv_backward` geometry, come out bit-identical on the native kernel
 //! tier and the forced scalar one, split over the width and inline, and
-//! (forward and input gradient) on the lowered route: a kernel that
-//! faults or runs its chains out of order, or a split that cuts one,
-//! fails here, on the host that has it, not in a history hash three
-//! layers up.
+//! on the lowered route — and that on AVX-512 the wide banks (over 16
+//! filters) and the 1×1 plane among them run direct, so that their rows
+//! hold direct == lowered == scalar: a kernel that faults or runs its
+//! chains out of order, or a split that cuts one, fails here, on the host
+//! that has it, not in a history hash three layers up.
 
 use kemf_bench::report::{results_dir, Table};
 use kemf_nn::codec;
@@ -39,6 +41,7 @@ use kemf_nn::layer::{Layer, Mode};
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_nn::norm::BatchNorm2d;
+use kemf_nn::pool::MaxPool2;
 use kemf_tensor::conv::{
     col2im, forward, forward_lowered, im2col, input_grad, input_grad_lowered, is_direct, weight_grad,
     weight_grad_lowered, ConvGeom,
@@ -356,12 +359,12 @@ fn main() {
     // The three products of one convolution layer, at the layers the
     // end-to-end benchmark's ResNet-20 (width 4) and VGG-11 (width 8)
     // train on 3×16×16 inputs at batch 16, through the entry points
-    // `Conv2d` calls: forward, weight gradient with its lowering,
-    // accumulated into `dw`, input gradient — each split over the
-    // process's width, all in GFLOP/s of the same `2·O·patch·N·OH·OW`.
-    // The forward and the input gradient take the `route` the geometry
-    // picks, and are timed interleaved with the same products on the
-    // lowered route (`lowered_forward`, `lowered_input_grad`). The last
+    // `Conv2d` calls: forward, weight gradient accumulated into `dw`,
+    // input gradient — each split over the process's width, all in
+    // GFLOP/s of the same `2·O·patch·N·OH·OW`. The three take the `route`
+    // the geometry picks, and are timed interleaved with the same products
+    // on the lowered route (`lowered_forward`, `weight_grad_lowered`,
+    // `lowered_input_grad`). The last
     // column is the layer's three products split against the same calls
     // inline (in a one-item `par::fork_join`), timed interleaved.
     let layers = [
@@ -373,7 +376,9 @@ fn main() {
         ("resnet20_stage3", conv(16, 4, 1), 16),
         ("vgg11_conv1", conv(3, 16, 1), 8),
         ("vgg11_conv2", conv(8, 8, 1), 16),
+        ("vgg11_conv3", conv(16, 4, 1), 32),
         ("vgg11_conv4", conv(32, 4, 1), 32),
+        ("vgg11_conv5", conv(32, 2, 1), 64),
         ("vgg11_conv6", conv(64, 2, 1), 64),
         ("vgg11_conv8", conv(64, 1, 1), 64),
     ];
@@ -426,6 +431,14 @@ fn main() {
             lowered_input_grad(w.data(), grad.data(), o, &g, &mut gx);
             [bits(&y), bits(&dw), bits(&gx)]
         };
+        // A wide bank (over 16 filters) and a 1×1 plane (images in the
+        // lanes) run direct on AVX-512, so their rows hold the direct route
+        // to the lowered one's bits there.
+        let wide_or_tiny = o > 16 || g.oh() * g.ow() == 1;
+        assert!(
+            !wide_or_tiny || simd::isa() != simd::Isa::Avx512 || is_direct(o, &g),
+            "{name}: a wide bank or a 1x1 plane lowers on AVX-512"
+        );
         for (product, i) in [("forward output", 0), ("weight gradient", 1), ("input gradient", 2)] {
             assert!(split[i] == scalar[i], "{name}: native and scalar kernel tiers disagree on the {product}");
             assert!(split[i] == inline[i], "{name}: split and inline {product} disagree");
@@ -578,6 +591,39 @@ fn main() {
     }
     println!("{}", norm_table.render());
 
+    // Max pooling's forward at the planes VGG-11 (width 8) pools at batch
+    // 16, through `MaxPool2` as a model runs it (split by planes over the
+    // width; every forward finds the argmax a training one keeps): ns per
+    // input element, beside a plain copy of the same bytes as the ceiling.
+    let pools = [("vgg11_pool1", 8, 16), ("vgg11_pool2", 16, 8), ("vgg11_pool3", 32, 4), ("vgg11_pool4", 64, 2)];
+    let mut pool_table = Table::new("Max pool 2x2, forward (ns per element)", &["layer", "c,hw", "ns", "copy"]);
+    let mut pool_rows = Vec::new();
+    for (name, c, hw) in pools {
+        let x = Tensor::randn(&[16, c, hw, hw], 1.0, &mut rng);
+        let layer = Mutex::new((MaxPool2::new(), Workspace::new()));
+        let elems = x.numel() as f64;
+        let iters = if smoke { 2 } else { 500 };
+        let pool_s = time_per_call(
+            || {
+                let mut guard = layer.lock().expect("no pass panics");
+                let (pool, ws) = &mut *guard;
+                let y = pool.forward(black_box(&x), Mode::Eval, ws);
+                ws.recycle_tensor(y);
+            },
+            iters,
+        );
+        let mut copy = vec![0.0f32; x.numel()];
+        let copy_s = time_per_call(|| black_box(&mut copy).copy_from_slice(black_box(x.data())), iters);
+        let (pool_ns, copy_ns) = (1e9 * pool_s / elems, 1e9 * copy_s / elems);
+        pool_table.row(&[name.into(), format!("{c},{hw}"), format!("{pool_ns:.3}"), format!("{copy_ns:.3}")]);
+        pool_rows.push(format!(
+            "    {{\"layer\": \"{name}\", \"batch\": 16, \"channels\": {c}, \"hw\": {hw}, \
+             \"ns_per_element\": {pool_ns:.4}, \"copy_ns_per_element\": {copy_ns:.4}, \"copy_gbps\": {:.3}}}",
+            4.0 * elems / copy_s / 1e9
+        ));
+    }
+    println!("{}", pool_table.render());
+
     // A model at a transmitted state — what every client, teacher,
     // student and evaluation is built as: `Model::new` + `set_state`
     // draws a Kaiming initialization and overwrites it, `from_state`
@@ -628,7 +674,8 @@ fn main() {
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
          \"cpu_features\": [{}],\n  \"threads\": {},\n  \"shapes\": [\n{}\n  ],\n  \
          \"conv_lowering\": [\n{}\n  ],\n  \"crc32\": [\n{}\n  ],\n  \"par_handoff\": [\n{}\n  ],\n  \
-         \"conv_backward\": [\n{}\n  ],\n  \"batch_norm\": [\n{}\n  ],\n  \"model_build\": [\n{}\n  ]\n}}\n",
+         \"conv_backward\": [\n{}\n  ],\n  \"batch_norm\": [\n{}\n  ],\n  \"max_pool\": [\n{}\n  ],\n  \
+         \"model_build\": [\n{}\n  ]\n}}\n",
         cpu_features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         kemf_fl::engine::init_thread_pool(),
         json_rows.join(",\n"),
@@ -637,6 +684,7 @@ fn main() {
         handoff_row,
         backward_rows.join(",\n"),
         norm_rows.join(",\n"),
+        pool_rows.join(",\n"),
         build_rows.join(",\n"),
     );
     let path = results_dir().join("BENCH_kernels.json");

@@ -3,64 +3,70 @@
 //!
 //! The filter bank is stored as a `[O, C·KH·KW]` matrix, so each product
 //! can be read as a GEMM over the patch matrix `cols` (`[C·KH·KW,
-//! N·OH·OW]`, row-major) and the `[N, O, OH, OW]` output gradient `g`. A
-//! product runs either on the engine in `kemf_tensor::gemm` over the
-//! lowered operands, or — for the forward product and the input gradient
-//! of a bank of at most 16 filters on AVX-512 — on the direct route,
-//! straight from the NCHW tensors (`kemf_tensor::conv::is_direct`). In
-//! every case every output element is one FMA chain over the inner
-//! index, ascending from zero — on every kernel tier and every route,
-//! which is what lets `tests/golden_histories.rs` pin one table of
-//! hashes.
+//! N·OH·OW]`, row-major) and the `[N, O, OH, OW]` output gradient `g`. On
+//! the AVX-512 tier all three run on the direct route, straight from the
+//! NCHW tensors, whatever the bank (`kemf_tensor::conv::is_direct`); on
+//! AVX2 and scalar hosts they run on the engine in `kemf_tensor::gemm`
+//! over the lowered operands. In every case every output element is one
+//! FMA chain over the inner index, ascending from zero — on every kernel
+//! tier and every route, which is what lets `tests/golden_histories.rs`
+//! pin one table of hashes.
 //!
-//! * **Forward** `y = W · cols + b` (inner index: the patch). Narrow
-//!   banks run each chain over the input where it lies, a padding tap
-//!   multiplied by `0.0` as the patch matrix's zero would be. Wider ones
-//!   pack `W` and `cols` by row copies; the bias add and the `[O,
-//!   N·OH·OW] → [N, O, OH, OW]` reorder are the epilogue
-//!   (`NchwScatterBias`).
+//! * **Forward** `y = W · cols + b` (inner index: the patch). The direct
+//!   route runs each chain over the input where it lies, a tile of at most
+//!   16 filters at a time, a padding tap multiplied by `0.0` as the patch
+//!   matrix's zero would be; where an output plane has fewer than 16
+//!   positions (VGG-11's 2×2 and 1×1 maps) the batch is staged images last
+//!   and a vector holds 16 images of one position. Lowered, `W` and `cols`
+//!   pack by row copies; the bias add and the `[O, N·OH·OW] → [N, O, OH,
+//!   OW]` reorder are the epilogue (`NchwScatterBias`).
 //! * **Weight gradient** `dW += g · colsᵀ` (inner index: the `N·OH·OW`
-//!   columns — thousands, under a handful of rows). Always lowered. `g`,
-//!   the small operand, is packed, through `NchwGather` without a reorder
-//!   copy. `cols` is the column-major B and, for `O ≤ 16`, is not packed:
-//!   the transposing kernel loads 16×16 blocks along its rows, turns them
-//!   in registers and runs the chains from there. Wider banks pack it
-//!   through an 8×8 block transpose. The finished chains are added to
-//!   `weight.grad` once ([`kemf_tensor::conv::weight_grad`]).
-//! * **Input gradient** `gx = col2im(Wᵀ · g)` (inner index: `O`). Narrow
-//!   banks run each patch-gradient value's chain from `g` where it lies
-//!   and add it straight into its pixel, in the order `col2im` would;
-//!   no patch gradient is stored. For wider ones `Wᵀ` and `g` pack by row
-//!   copies and the patch gradient — as large as `cols` — is produced a
-//!   panel of whole images at a time and scattered into those images'
-//!   pixels while the panel is in the inner caches
-//!   ([`kemf_tensor::conv::input_grad`]). The first layer of a network
-//!   inside a training step skips this product altogether
-//!   ([`Layer::backward_first`]): nothing reads the gradient of the batch.
+//!   columns). The direct route puts chains in the lanes — `(kx, c)` pairs
+//!   of a zero-framed channels-last copy of the input, or the patch columns
+//!   themselves where the output plane is under 16 positions or the filter
+//!   is 1×1 — and broadcasts `g` where it lies. Lowered, `g`, the small
+//!   operand, is packed through `NchwGather`; `cols` is the column-major B
+//!   and, for `O ≤ 16`, is read in place by the transposing kernel, wider
+//!   banks packing it through an 8×8 block transpose. Either way the
+//!   finished chains are added to `weight.grad` once
+//!   ([`kemf_tensor::conv::weight_grad`]).
+//! * **Input gradient** `gx = col2im(Wᵀ · g)` (inner index: `O`). The
+//!   direct route runs each patch-gradient value's chain from `g` where it
+//!   lies (staged images last for planes under 16 positions) and adds it
+//!   straight into its pixel, in the order `col2im` would; no patch
+//!   gradient is stored. Lowered, `Wᵀ` and `g` pack by row copies and the
+//!   patch gradient — as large as `cols` — is produced a panel of whole
+//!   images at a time and scattered into those images' pixels while the
+//!   panel is in the inner caches ([`kemf_tensor::conv::input_grad`]). The
+//!   first layer of a network inside a training step skips this product
+//!   altogether ([`Layer::backward_first`]): nothing reads the gradient of
+//!   the batch.
 //!
 //! Called outside a share — the server's student steps, evaluation —
 //! each product splits over the compute width by what it writes
 //! (`kemf_tensor::par`): the forward and the input gradient by *images*
-//! (a range of images is the convolution of that sub-batch), the weight
-//! gradient by *input channels* (a thread lowers and reduces only its
-//! channels' patch rows, its finished chains added to `weight.grad` as
-//! the inline epilogue adds them), the bias gradient by *output
+//! (a range of images is the convolution of that sub-batch) — by filters
+//! and by input channels where the direct route holds images in its
+//! lanes — the weight gradient by *input channels* (a thread stages or
+//! lowers only its channels, its finished chains added to `weight.grad`
+//! as the inline epilogue adds them) or, where the direct route's lanes
+//! hold patch columns, by *filters*, the bias gradient by *output
 //! channels*. Inside a share (a client of a cohort) they run inline on
 //! the calling thread.
 //!
 //! The patch matrix is never kept. A training forward caches a copy of
-//! its *input* (`KH·KW` times smaller) and backward lowers it again for
-//! the weight gradient — `im2col` runs at memory speed and is
-//! deterministic, so the weight gradient reads the bits forward
-//! multiplied by. Every lowered product lowers into its thread's one
-//! buffer ([`kemf_tensor::conv::with_lowering`]), and a wide input
-//! gradient's panels overwrite `cols` there once the weight gradient has
-//! been accumulated. What a model holds between forward and
-//! backward is therefore its activations, not nine times them; that is
-//! what lets two clients train side by side in the memory one used to
-//! take. The remaining temporaries (input copy, outputs, input gradient)
-//! live in the caller's [`Workspace`], so a steady-state training step
-//! allocates nothing.
+//! its *input* (`KH·KW` times smaller), and backward reads it again for
+//! the weight gradient — staged per call on the direct route, lowered
+//! again by `im2col` (deterministic, at memory speed) on the lowered one —
+//! so the weight gradient reads the bits forward multiplied by. Every
+//! lowered product lowers into its thread's one buffer
+//! ([`kemf_tensor::conv::with_lowering`]); the direct route's copies live
+//! in a staging buffer per thread beside it. What a model holds between
+//! forward and backward is therefore its activations, not nine times
+//! them; that is what lets two clients train side by side in the memory
+//! one used to take. The remaining temporaries (input copy, outputs,
+//! input gradient) live in the caller's [`Workspace`], so a steady-state
+//! training step allocates nothing.
 
 use crate::layer::{Layer, Mode, Precision};
 use crate::param::{Init, Param};
@@ -174,8 +180,8 @@ impl Layer for Conv2d {
         let mut input = mode.caches().then(|| ws.take_unzeroed(x.numel()));
         match self.precision {
             // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o],
-            // by share of images: direct for a narrow bank, else one GEMM
-            // whose epilogue scatters straight into NCHW with the bias.
+            // direct on AVX-512, else one GEMM per share of images whose
+            // epilogue scatters straight into NCHW with the bias.
             Precision::F32 => conv::forward(x.data(), w, bias, o, &geom, y.data_mut(), input.as_deref_mut()),
             // A = filter bank per-row, B = im2col matrix per-column; the
             // dequantizing epilogue reuses the fused NCHW scatter.

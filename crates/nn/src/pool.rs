@@ -3,7 +3,7 @@
 //! compute width ([`par::split`]) where they clear its floor.
 
 use crate::layer::{Layer, Mode};
-use kemf_tensor::par;
+use kemf_tensor::{ops, par};
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -32,24 +32,8 @@ impl Layer for MaxPool2 {
         let src = x.data();
         let work = x.numel() as u64 * par::ELEMENT_FLOPS;
         par::split(n * c, work, (out.data_mut(), &mut arg[..]), |planes, (dst, arg)| {
-            let (dst, arg) = (dst.chunks_exact_mut(oh * ow), arg.chunks_exact_mut(oh * ow));
-            for ((dst, arg), nc) in dst.zip(arg).zip(planes) {
-                let in_base = nc * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let i00 = in_base + (2 * oy) * w + 2 * ox;
-                        let candidates = [i00, i00 + 1, i00 + w, i00 + w + 1];
-                        let mut best = candidates[0];
-                        for &i in &candidates[1..] {
-                            if src[i] > src[best] {
-                                best = i;
-                            }
-                        }
-                        dst[oy * ow + ox] = src[best];
-                        arg[oy * ow + ox] = best;
-                    }
-                }
-            }
+            let src = &src[planes.start * h * w..planes.end * h * w];
+            ops::max_pool2(src, (h, w), planes.start * h * w, dst, arg);
         });
         if mode.caches() {
             let mut dims = ws.take_usize(4);

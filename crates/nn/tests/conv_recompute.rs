@@ -1,34 +1,41 @@
-//! `Conv2d` runs its forward product and input gradient on the direct
-//! route for banks of at most 16 filters — straight from the NCHW tensors,
-//! no patch matrix — and keeps its input, not the patch matrix, for a
-//! weight gradient that lowers it again. None of it may change a bit. The
-//! reference below is the layer as it was written while every product
-//! was lowered, it cached `cols` from forward and gave `dcols` storage of
-//! its own, spelled out over the same public kernels (`im2col`,
-//! `gemm_ops`, `col2im`). The layer must match it exactly — its output in
-//! every `Mode`, both gradients and the bias gradient — on the native tier
-//! (direct where it is AVX-512) and on the scalar tier (lowered):
+//! `Conv2d` runs all three products on the direct route on AVX-512 —
+//! straight from the NCHW tensors, no patch matrix, a tile of at most 16
+//! filters at a time, images in the lanes where an output plane has fewer
+//! than 16 positions — and keeps its input, not the patch matrix, for the
+//! weight gradient. None of it may change a bit. The reference below is
+//! the layer as it was written while every product was lowered, it cached
+//! `cols` from forward and gave `dcols` storage of its own, spelled out
+//! over the same public kernels (`im2col`, `gemm_ops`, `col2im`). The
+//! layer must match it exactly — its output in every `Mode`, both
+//! gradients and the bias gradient — on the native tier (direct where it
+//! is AVX-512) and on the scalar tier (lowered):
 //!
 //! * on every convolution geometry of the benchmark's ResNet-20 and
 //!   VGG-11 (3×16×16 inputs, batch 16) — stride 2, 1×1 shortcut kernels
 //!   and 1×1 output planes included — and the 2-layer CNN's 5×5 layers;
 //! * on planes no multiple of 16 or 8 lanes, with one and three images and
 //!   filter banks and inputs of 1 to 16 channels;
-//! * with a `+∞` weight, a `NaN` weight or a `NaN` output gradient, where
-//!   `0·∞` in a padding tap and the order of the adds decide the bits.
+//! * on wide banks — 16, 32 and 64 input channels by 17, 24, 32 and 64
+//!   filters, over one tile and across its edge — on 1×1, 2×2, 3×3, 4×4
+//!   and 5×7 planes, 3×3 (padding 1) and 1×1 stride-2 kernels, and 1, 3,
+//!   16, 17 and 32 images (partial and several vectors of images), split
+//!   over the width and inline;
+//! * with a `±∞` weight, a `NaN` weight or a `NaN` output gradient, where
+//!   `0·∞` in a padding tap and the order of the adds decide the bits —
+//!   on narrow banks, and on wide ones at a tile's first filter over
+//!   planes whose taps land in the padding from every position (1×1).
 //!
 //! The weight gradient is held on its own as well, through
-//! `kemf_tensor::conv::weight_grad` — direct for banks of at most 16
-//! filters on AVX-512 — against the lowered route
-//! (`conv::weight_grad_lowered`) and the patch-matrix product, split and
-//! inline: on 1, 3 and 5 input channels and banks of 1, 3, 12 and 16
-//! filters, 3×3, 5×5 (padding 2) and 1×1 stride-2 kernels, accumulated
-//! into a `dw` that already holds values, and with `NaN` or `±∞` in the
-//! output gradient where its taps land in the padding.
+//! `kemf_tensor::conv::weight_grad` — direct on AVX-512 — against the
+//! lowered route (`conv::weight_grad_lowered`) and the patch-matrix
+//! product, split and inline: on 1, 3 and 5 input channels and banks of 1,
+//! 3, 12 and 16 filters, 3×3, 5×5 (padding 2) and 1×1 stride-2 kernels,
+//! accumulated into a `dw` that already holds values, and with `NaN` or
+//! `±∞` in the output gradient where its taps land in the padding.
 //!
-//! On AVX-512 a training step of ResNet-20, -32 or -44 runs every product
-//! of every convolution direct: it never lowers, so the lowering buffers
-//! stay empty.
+//! On AVX-512 a training step of ResNet-20, -32 or -44, VGG-11 or the
+//! 2-layer CNN runs every product of every convolution direct: it never
+//! lowers, so the lowering buffers stay empty.
 //!
 //! A last test holds the FLOP counter to the products a pass replaces.
 //! The counter is process-wide, so the tests of this file take turns.
@@ -364,8 +371,106 @@ fn weight_gradients_of_narrow_banks_are_bit_identical_to_the_patch_matrix_produc
     weight_gradients_match_the_patch_matrix("scalar");
 }
 
+/// Input channels and filter banks wider than one 16-filter tile, and
+/// the planes of the wide layers: under a vector of positions (1×1, 2×2,
+/// 3×3 — images in the lanes) and over one (4×4, 5×7).
+const WIDE_CHANNELS: [usize; 3] = [16, 32, 64];
+const WIDE_BANKS: [usize; 4] = [17, 24, 32, 64];
+const WIDE_PLANES: [(usize, usize); 5] = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 7)];
+/// Batches under, at and past one and two vectors of images.
+const WIDE_BATCHES: [usize; 5] = [1, 3, 16, 17, 32];
+
+/// The layer's four results split over the width and inline (one share)
+/// against the patch-matrix reference.
+fn split_and_inline_match_reference(conv: &mut Conv2d, geom: &ConvGeom, x: &Tensor, g: &Tensor, what: &str) {
+    let want = cached_cols_pass(conv, geom, g.dims()[1], x, g);
+    let split = layer_pass(conv, x, g, &mut Workspace::new());
+    let conv = std::sync::Mutex::new(conv);
+    let inline = kemf_tensor::par::fork_join(vec![()], |()| {
+        layer_pass(&mut conv.lock().expect("one pass at a time"), x, g, &mut Workspace::new())
+    })
+    .remove(0);
+    for (name, ((a, b), c)) in ["y", "gx", "dW", "db"].iter().zip(split.iter().zip(&inline).zip(&want)) {
+        assert!(a == c, "{what}: split {name} differs");
+        assert!(b == c, "{what}: inline {name} differs");
+    }
+}
+
+fn wide_banks_match_the_patch_matrix(tier: &str) {
+    let mut rng = seeded_rng(59);
+    let mut case = 0;
+    for c in WIDE_CHANNELS {
+        for o in WIDE_BANKS {
+            for (h, w) in WIDE_PLANES {
+                for (k, stride, pad) in [(3, 1, 1), (1, 2, 0)] {
+                    // Every batch meets every plane and kernel as the
+                    // banks go round.
+                    let n = WIDE_BATCHES[case % WIDE_BATCHES.len()];
+                    case += 1;
+                    let layout = (c, o, k, stride, pad, h, w);
+                    let (mut conv, geom) = layer(&layout, n, 61);
+                    let x = Tensor::randn(&[n, c, h, w], 1.0, &mut rng);
+                    let g = Tensor::randn(&[n, o, geom.oh(), geom.ow()], 1.0, &mut rng);
+                    split_and_inline_match_reference(&mut conv, &geom, &x, &g, &format!("{tier} {layout:?} n{n}"));
+                }
+            }
+        }
+    }
+}
+
 #[test]
-fn resnet_training_steps_never_lower_on_avx512() {
+fn wide_banks_and_small_planes_are_bit_identical_to_the_patch_matrix() {
+    let _serial = serial();
+    wide_banks_match_the_patch_matrix("native");
+    let _scalar = ScalarGuard::new();
+    wide_banks_match_the_patch_matrix("scalar");
+}
+
+fn wide_special_values_match_the_patch_matrix(tier: &str) {
+    let mut rng = seeded_rng(67);
+    for (c, o, (h, w), n) in [(16, 17, (1, 1), 3), (32, 24, (2, 2), 17), (16, 32, (3, 3), 16), (64, 64, (1, 1), 32)] {
+        for (value, in_weight) in
+            [(f32::INFINITY, true), (f32::NEG_INFINITY, true), (f32::NAN, true), (f32::NAN, false)]
+        {
+            let layout = (c, o, 3, 1, 1, h, w);
+            let (mut conv, geom) = layer(&layout, n, 71);
+            let x = Tensor::randn(&[n, c, h, w], 1.0, &mut rng);
+            let mut g = Tensor::randn(&[n, o, geom.oh(), geom.ow()], 1.0, &mut rng);
+            if in_weight {
+                // The top-left tap of a middle channel of filters 0, 16
+                // (the first of the second tile) and the last: it lands in
+                // the padding from every position of a 1×1 plane and the
+                // top and left ones of the others, where the lowered
+                // product multiplies it by 0.
+                let (patch, tap) = (geom.patch_len(), c / 2 * 9);
+                conv.visit_params_mut(&mut |p| {
+                    if p.value.dims().len() == 2 {
+                        for f in [0, 16, o - 1] {
+                            p.value.data_mut()[f * patch + tap] = value;
+                        }
+                    }
+                });
+            } else {
+                // An output of filter 16 in the last image.
+                let at = ((n - 1) * o + 16) * geom.oh() * geom.ow();
+                g.data_mut()[at] = value;
+            }
+            let what = format!("{tier} {layout:?} n{n} {value} in the {}", if in_weight { "weights" } else { "gradient" });
+            split_and_inline_match_reference(&mut conv, &geom, &x, &g, &what);
+        }
+    }
+}
+
+#[test]
+fn infinite_and_nan_padding_taps_of_wide_banks_are_bit_identical_to_the_patch_matrix() {
+    let _serial = serial();
+    wide_special_values_match_the_patch_matrix("native");
+    let _scalar = ScalarGuard::new();
+    wide_special_values_match_the_patch_matrix("scalar");
+}
+
+#[test]
+fn training_steps_never_lower_on_avx512() {
     let _serial = serial();
     if simd::isa() != Isa::Avx512 {
         return;
@@ -374,7 +479,7 @@ fn resnet_training_steps_never_lower_on_avx512() {
     let x = Tensor::randn(&[16, 3, 16, 16], 1.0, &mut rng);
     let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
     conv::release_lowering();
-    for arch in [Arch::ResNet20, Arch::ResNet32, Arch::ResNet44] {
+    for arch in [Arch::ResNet20, Arch::ResNet32, Arch::ResNet44, Arch::Vgg11, Arch::Cnn2] {
         let mut model = Model::new(ModelSpec::scaled(arch, 3, 16, 10, 3));
         let mut opt = Sgd::new(SgdConfig::default());
         // Split over the width, as the server steps a student, and inline,

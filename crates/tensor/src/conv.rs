@@ -1,5 +1,5 @@
-//! Convolution: lowering (`im2col` / `col2im`), the direct route of
-//! narrow filter banks, and the three products of a layer.
+//! Convolution: lowering (`im2col` / `col2im`), the direct route, and the
+//! three products of a layer.
 //!
 //! A convolution of an `[N, C, H, W]` input with `[O, C, KH, KW]` filters
 //! (stride `s`, zero padding `p`) can be computed by unrolling every input
@@ -24,25 +24,28 @@
 //! from the geometry alone.
 //!
 //! The three products of a convolution live here as well, each on the
-//! route its shape wants and each split over the compute width
-//! ([`crate::par::split`]) by what it writes:
+//! route its shape and the tier want and each split over the compute
+//! width ([`crate::par::split`]) by what it writes:
 //!
-//! | product | filter bank | route |
+//! | product | geometry (AVX-512) | route |
 //! |---|---|---|
-//! | [`forward`] (by images) | `O ≤ 16`, AVX-512 | direct: an FMA chain per output over the input where it lies |
-//! | | otherwise | lowered ([`forward_lowered`]): `W · cols`, the patch matrix packed by row copies |
-//! | [`input_grad`] (by images) | `O ≤ 16`, AVX-512 | direct: a chain per patch-gradient value, added into its pixel |
-//! | | otherwise | lowered ([`input_grad_lowered`]): `col2im(Wᵀ · g)`, a panel of whole images at a time |
-//! | [`weight_grad`] (by input channels) | `O ≤ 16`, AVX-512 | direct: an FMA chain per `(filter, channel, tap)` over the output positions, `(kx, c)` pairs in the lanes, from a channels-last copy of the input |
-//! | | otherwise | lowered ([`weight_grad_lowered`]): `g · colsᵀ`, a share's rows of the patch matrix |
+//! | [`forward`] | `OH·OW ≥ 16` | direct, by images: an FMA chain per output over the input where it lies, positions in the lanes, tiles of 4–16 filters |
+//! | | `OH·OW < 16` | direct, by filters: the batch staged images last once, 16 images in the lanes |
+//! | [`input_grad`] | `OH·OW ≥ 16` | direct, by images: a chain per patch-gradient value, added into its pixel, pixels in the lanes |
+//! | | `OH·OW < 16` | direct, by input channels: the output gradient staged images last once, 16 images in the lanes |
+//! | [`weight_grad`] | `OH·OW ≥ 16`, `KH·KW > 1` | direct, by input channels: an FMA chain per `(filter, channel, tap)` over the output positions, `(kx, c)` pairs in the lanes, from a channels-last copy of the input in a zero frame |
+//! | | `OH·OW < 16` or a 1×1 filter | direct, by filters: the same chains, the patch columns of the output positions in the lanes |
 //!
-//! [`is_direct`] says which (the direct route also wants at most 7×7
-//! taps; AVX2 and scalar hosts always lower). The direct route (the
-//! `direct` submodule) runs the lowered route's chains element for
-//! element: the bits depend on neither the route nor the tier nor the
-//! width. Each thread lowers what a lowered product needs itself; the
-//! int8 forward (`kemf_nn`'s `Precision::Int8`) lowers too. A training
-//! step of the narrow banks on AVX-512 lowers nothing at all.
+//! On AVX2 and scalar hosts every product lowers ([`forward_lowered`]:
+//! `W · cols`; [`weight_grad_lowered`]: `g · colsᵀ`, a share's rows of the
+//! patch matrix; [`input_grad_lowered`]: `col2im(Wᵀ · g)`, a panel of
+//! whole images at a time). [`is_direct`] says which (the direct route
+//! also wants at most 7×7 taps). The direct route (the `direct`
+//! submodule) runs the lowered route's chains element for element: the
+//! bits depend on neither the route nor the tier nor the width. Each
+//! thread lowers what a lowered product needs itself; the int8 forward
+//! (`kemf_nn`'s `Precision::Int8`) lowers too. A training step on AVX-512
+//! lowers nothing at all.
 //!
 //! The patch matrix itself is the largest temporary of a convolutional
 //! step — `KH·KW` times the layer's input — and it is needed only while
@@ -127,9 +130,11 @@ pub fn lowering_held() -> usize {
 
 /// Whether [`forward`], [`weight_grad`] and [`input_grad`] run `o`
 /// filters over `geom` directly from the NCHW tensors rather than through
-/// the patch matrix: banks of at most 16 filters (of at most 7×7 taps), on
-/// the AVX-512 tier. Decided by the geometry and the calling thread's tier
-/// (which [`par`] hands to its helpers).
+/// the patch matrix: any bank of filters of at most 7×7 taps, on the
+/// AVX-512 tier — tiles of at most 16 filters, positions in the lanes
+/// where an output plane fills a vector and images where it does not.
+/// Decided by the geometry and the calling thread's tier (which [`par`]
+/// hands to its helpers).
 pub fn is_direct(o: usize, geom: &ConvGeom) -> bool {
     direct::takes(o, geom)
 }
@@ -472,17 +477,20 @@ impl JoinMask {
 /// of `keep` (a copy of `x`, for a training forward's backward) when
 /// given.
 ///
-/// A bank of at most 16 filters on the AVX-512 tier runs direct
-/// ([`is_direct`]): each output is the FMA chain over the patch the
-/// product would run, read from `x` where it lies. Any other lowers
-/// ([`forward_lowered`]). Either way the FLOP counter is credited the
-/// `2·O·patch·N·OH·OW` of the product.
+/// On the AVX-512 tier it runs direct ([`is_direct`]): each output is the
+/// FMA chain over the patch the product would run, read from `x` where it
+/// lies, tile of filters by tile. Elsewhere it lowers ([`forward_lowered`]).
+/// Either way the FLOP counter is credited the `2·O·patch·N·OH·OW` of the
+/// product.
 ///
 /// Split by images ([`par::split`]): a range of images is exactly the
 /// convolution of that sub-batch, so each thread writes its contiguous
 /// slice of `y` — every element the same FMA chain over the patch as
 /// inline — and copies its images into `keep`, where they are already in
-/// its cache.
+/// its cache. Where the direct route holds images in its lanes (an output
+/// plane under 16 positions) the calling thread stages the batch once, in
+/// its staging buffer, and the split cuts the filters instead, so no
+/// share holds a part of a vector of images.
 #[inline]
 pub fn forward(
     x: &[f32],
@@ -499,6 +507,14 @@ pub fn forward(
     assert!(keep.as_ref().is_none_or(|k| k.len() == x.len()), "input copy size mismatch");
     let flops = 2 * (o * patch * geom.cols()) as u64;
     let direct = is_direct(o, geom);
+    if direct && direct::images_in_lanes(geom) {
+        if let Some(keep) = keep {
+            keep.copy_from_slice(x);
+        }
+        return with_grown(&STAGING, direct::staging_len(o, geom), |staging| {
+            direct::forward_images(x, w, bias, o, geom, y, staging);
+        });
+    }
     par::split(geom.n, flops, (y, keep), |images, (y, keep)| {
         let part = ConvGeom { n: images.len(), ..*geom };
         let x = &x[images.start * pixels..images.end * pixels];
@@ -506,7 +522,6 @@ pub fn forward(
             keep.copy_from_slice(x);
         }
         if direct {
-            crate::flops::add(2 * (o * patch * part.cols()) as u64);
             direct::forward(x, w, bias, o, &part, y);
         } else {
             forward_lowered(x, w, bias, o, &part, y);
@@ -541,21 +556,26 @@ pub fn forward_lowered(x: &[f32], w: &[f32], bias: &[f32], o: usize, geom: &Conv
 /// one finished FMA chain over `col` ascending from `+0.0`, whatever the
 /// route, the tier and the width.
 ///
-/// A bank of at most 16 filters on the AVX-512 tier runs direct
-/// ([`is_direct`]): lanes hold `(kx, channel)` pairs and registers the tap
-/// rows `ky` of several filters, each lane one chain over the output
-/// positions, read from a zero-padded channels-last copy of `x` in the
-/// thread's staging buffer and from `g` where it lies — no patch matrix;
-/// the FLOP counter is credited the `2·O·patch·N·OH·OW` of the product.
-/// Any other lowers ([`weight_grad_lowered`]).
+/// On the AVX-512 tier it runs direct ([`is_direct`]): each lane one
+/// chain over the output positions, read from a channels-last copy of `x`
+/// in the thread's staging buffer — `(kx, channel)` pairs of a zero frame,
+/// or, for an output plane under 16 positions or a 1×1 filter, the patch
+/// columns of the output positions — and from `g` where it lies, the
+/// registers holding several filters; no patch matrix. Each share credits
+/// the FLOP counter its part of the `2·O·patch·N·OH·OW` of the product.
+/// Elsewhere it lowers ([`weight_grad_lowered`]).
 ///
 /// Split by input channels ([`par::split`]): a thread works only its
 /// channels' chains, storing each finished one into its channels' `[O,
 /// KH·KW]` blocks of the calling thread's chain buffer (channel-major, so
 /// the layout does not depend on where the cuts fell); the chains are then
 /// added to `dw` once, as the inline product — which runs when the split
-/// does not cut — adds each. The `N·OH·OW` chain of an element is never
-/// cut.
+/// does not cut — adds each. Where the direct route's lanes hold the patch
+/// columns, a filter's chains are a whole row of `dw`: the split cuts the
+/// filters instead, each thread adding its rows straight in. The direct
+/// route does not cut channels that fill no more than one vector's row of
+/// taps (a share would run as many vectors as the whole). The `N·OH·OW`
+/// chain of an element is never cut.
 // (Inlined so that the engine is instantiated for these operands in the
 // calling crate, next to the layer's forward product.)
 #[inline]
@@ -563,8 +583,8 @@ pub fn weight_grad(g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: &mut [f3
     weight_grad_on(is_direct(o, geom), g, o, x, geom, dw);
 }
 
-/// [`weight_grad`] on the lowered route whatever the bank, split over the
-/// width the same way: a thread lowers only its channels' rows of the
+/// [`weight_grad`] on the lowered route whatever the geometry, split over
+/// the width by input channels: a thread lowers only its channels' rows of the
 /// patch matrix (`im2col_channels`) into its [`with_lowering`] buffer and
 /// reduces those. `g` is read through [`NchwGather`] and is the one that
 /// is packed (it is `patch` times the smaller); the patch rows are the
@@ -583,24 +603,32 @@ fn weight_grad_on(direct: bool, g: &[f32], o: usize, x: &[f32], geom: &ConvGeom,
     assert_eq!(g.len(), o * ncols, "output gradient size mismatch");
     assert_eq!(dw.len(), o * patch, "weight gradient size mismatch");
     let flops = 2 * (o * patch * ncols) as u64;
-    // The direct route cuts no channels where they fill one vector's row
-    // of taps: a share would run as many vectors as the whole.
-    let unit = if direct && !direct::weight_grad_cuts(geom) { geom.c.max(1) } else { 1 };
+    let cut = if direct { direct::weight_grad_split(geom) } else { direct::WeightGradSplit::Channels };
+    if cut == direct::WeightGradSplit::Filters {
+        // A share's chains are whole rows of `dw`: added straight in.
+        par::split(o, flops, dw, |filters, dw| {
+            let (c, staging) = (geom.c, direct::weight_grad_staging(filters.len(), geom, geom.c));
+            with_grown(&STAGING, staging, |staging| {
+                direct::weight_grad(g, o, filters, x, geom, 0..c, staging, dw, (patch, taps), true);
+            });
+        });
+        return;
+    }
+    // Cut by channels, or not at all.
+    let unit = if cut == direct::WeightGradSplit::Whole { geom.c.max(1) } else { 1 };
     with_grown(&CHAINS, o * patch, |chains| {
         let outs = (Whole(Some(&mut *dw)), &mut chains[..]);
         let shares = par::split(geom.c / unit, flops, outs, |units, (whole, blocks)| {
             let chans = units.start * unit..units.end * unit;
             let rows = chans.len() * taps;
             if direct {
-                crate::flops::add(2 * (o * rows * ncols) as u64);
-                let (first, staging) = (chans.start, direct::weight_grad_staging(geom, chans.len()));
+                let staging = direct::weight_grad_staging(o, geom, chans.len());
                 return with_grown(&STAGING, staging, |staging| match whole.0 {
-                    Some(dw) => direct::weight_grad(g, o, x, geom, chans, staging, |f, c, t, v| {
-                        dw[f * patch + (first + c) * taps + t] += v;
-                    }),
-                    None => direct::weight_grad(g, o, x, geom, chans, staging, |f, c, t, v| {
-                        blocks[(c * o + f) * taps + t] = v;
-                    }),
+                    Some(dw) => {
+                        let dw = &mut dw[chans.start * taps..];
+                        direct::weight_grad(g, o, 0..o, x, geom, chans, staging, dw, (patch, taps), true);
+                    }
+                    None => direct::weight_grad(g, o, 0..o, x, geom, chans, staging, blocks, (taps, o * taps), false),
                 });
             }
             with_lowering(rows * ncols, |cols| {
@@ -645,12 +673,14 @@ const PANEL_ELEMS: usize = 16 * 1024;
 /// `[O, patch]` filter matrix and `g` the `[N, O, OH, OW]` output
 /// gradient. Every element of `gx` is written.
 ///
-/// Split by images ([`par::split`]), like the forward product. A bank of
-/// at most 16 filters on the AVX-512 tier runs direct ([`is_direct`]):
-/// each patch-gradient value is its FMA chain over `o`, added straight
-/// into its pixel in `col2im`'s order, with no patch gradient stored; the
-/// FLOP counter is credited the product's `2·O·patch·N·OH·OW`. Any other
-/// lowers ([`input_grad_lowered`]): within a thread's images the patch
+/// Split by images ([`par::split`]), like the forward product — by input
+/// channels where the direct route holds images in its lanes, the output
+/// gradient staged once by the calling thread. On the AVX-512 tier it runs
+/// direct ([`is_direct`]): each patch-gradient value is its FMA chain over
+/// `o`, added straight into its pixel in `col2im`'s order, with no patch
+/// gradient stored; the FLOP counter is credited the product's
+/// `2·O·patch·N·OH·OW`. Elsewhere it lowers ([`input_grad_lowered`]):
+/// within a thread's images the patch
 /// gradient is produced a panel of whole images at a time — the columns
 /// of as many consecutive images as `PANEL_ELEMS` holds, one at least —
 /// and scattered into those images' pixels. An input pixel only ever
@@ -666,11 +696,15 @@ pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32
     assert_eq!(gx.len(), geom.n * pixels, "input gradient size mismatch");
     let flops = 2 * (o * patch * geom.cols()) as u64;
     let direct = is_direct(o, geom);
+    if direct && direct::images_in_lanes(geom) {
+        return with_grown(&STAGING, direct::staging_len(o, geom), |staging| {
+            direct::input_grad_images(w, g, o, geom, gx, staging);
+        });
+    }
     par::split(geom.n, flops, gx, |images, gx| {
         let part = ConvGeom { n: images.len(), ..*geom };
         let g = &g[images.start * o * plane..images.end * o * plane];
         if direct {
-            crate::flops::add(2 * (o * patch * part.cols()) as u64);
             direct::input_grad(w, g, o, &part, gx);
         } else {
             input_grad_lowered(w, g, o, &part, gx);

@@ -1,6 +1,7 @@
 //! Row-wise operations used by losses and classifiers: softmax,
 //! log-softmax, argmax, transpose, and axis reductions — and the
-//! per-channel sums of batch normalization ([`channel_sums`]).
+//! per-channel sums of batch normalization ([`channel_sums`]) and the
+//! window maxima of 2×2 max pooling ([`max_pool2`]).
 //!
 //! "Row-wise" means over the last dimension with all leading dimensions
 //! flattened, which matches the `[batch, classes]` logit layout used
@@ -83,6 +84,51 @@ pub fn channel_sums(
             }
         }
         each(ch, sum, dot);
+    }
+}
+
+/// 2×2 max pooling with stride 2 of the whole `h × w` planes of `src`:
+/// each window's maximum into `dst` (`[planes, h/2, w/2]`, odd edges
+/// dropped) and its flat index in `src`, plus `base`, into `arg`.
+///
+/// A window's candidates are taken top-left, top-right, bottom-left,
+/// bottom-right, and a later one replaces the best so far only where it
+/// compares strictly greater: a tie keeps the first, a `NaN` never
+/// replaces, and a `NaN` first candidate stays. Each window carries its
+/// best value and offset and selects, with no branch on the data. On the
+/// AVX-512 tier, where the output windows of 16 consecutive outputs lie
+/// in a fixed pattern (even `h`, and `w/2` a divisor or a multiple of 16),
+/// the windows of 16 outputs are compared a vector at a time
+/// ([`simd::max_pool2`]), with the same rule.
+pub fn max_pool2(src: &[f32], (h, w): (usize, usize), base: usize, dst: &mut [f32], arg: &mut [usize]) {
+    let (oh, ow) = (h / 2, w / 2);
+    let planes = src.len() / (h * w).max(1);
+    assert_eq!(src.len(), planes * h * w, "input size mismatch");
+    assert!(dst.len() == planes * oh * ow && arg.len() == dst.len(), "output size mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if simd::isa() == Isa::Avx512 && h % 2 == 0 && ow > 0 && (16 % ow == 0 || ow % 16 == 0) && src.len() <= i32::MAX as usize {
+        // SAFETY: the tier is AVX-512; output k's window starts at
+        // 2w·(k / ow) + 2·(k % ow) (input row 2·(k / ow): h is even), and
+        // its four candidates lie inside `src`; `dst` and `arg` hold an
+        // element per output.
+        unsafe { simd::max_pool2(src.as_ptr(), w, ow, dst.len(), base, dst.as_mut_ptr(), arg.as_mut_ptr()) };
+        return;
+    }
+    let outs = dst.chunks_exact_mut(oh * ow).zip(arg.chunks_exact_mut(oh * ow));
+    for (p, (plane, (dst, arg))) in src.chunks_exact(h * w).zip(outs).enumerate() {
+        for (oy, (dst, arg)) in dst.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow)).enumerate() {
+            let (top, bottom) = (&plane[2 * oy * w..][..2 * ow], &plane[(2 * oy + 1) * w..][..2 * ow]);
+            let first = base + p * h * w;
+            for (ox, (d, a)) in dst.iter_mut().zip(arg.iter_mut()).enumerate() {
+                let candidates = [(top[2 * ox + 1], 1), (bottom[2 * ox], w), (bottom[2 * ox + 1], w + 1)];
+                let (best, at) = candidates.into_iter().fold((top[2 * ox], 0), |(best, at), (v, offset)| {
+                    let greater = v > best;
+                    (if greater { v } else { best }, if greater { offset } else { at })
+                });
+                *d = best;
+                *a = first + 2 * oy * w + 2 * ox + at;
+            }
+        }
     }
 }
 

@@ -19,15 +19,18 @@
 //! * [`microkernel_f32_6x16`] — the AVX2+FMA 6×16 tile (12 YMM
 //!   accumulators) used when 512-bit vectors are unavailable.
 //! * [`conv_direct_forward`] and [`conv_direct_input_grad`] — the direct
-//!   route of a convolution of at most 16 filters (`crate::conv`): 16
-//!   lanes of positions a vector, every tap read by a masked load (or a
-//!   gather) where it lies, the chains of several filters or input
-//!   channels in registers.
-//! * [`conv_direct_weight_grad`] — the weight gradient of that route:
-//!   `(kx, c)` pairs in the lanes, rows of taps of several filters in
-//!   registers, one chain per lane over the output positions; with
-//!   [`interleave4`] laying four channel rows side by side for its
-//!   channels-last copy of the input.
+//!   route of a convolution (`crate::conv`), a tile of at most 16 filters
+//!   a call: 16 lanes of positions (or, on planes under 16 positions, of
+//!   images staged images last by [`transpose16`]) a vector, every tap read
+//!   by a masked load (or a gather) where it lies, the chains of several
+//!   filters or input channels in registers.
+//! * [`conv_direct_weight_grad`] — the weight gradient of that route: a
+//!   run of a channels-last copy of the input in the lanes (`(kx, c)`
+//!   pairs, or patch columns), several filters in registers, one chain per
+//!   lane over the output positions; with [`interleave4`] laying four
+//!   channel rows side by side for the copy and [`gather_row`] handing the
+//!   chains on.
+//! * [`max_pool2`] — 2×2 max pooling, 16 windows a vector.
 //! * [`channel_sums`] — batch normalization's per-channel f64 sums, the
 //!   chains of four channels in one AVX2 vector.
 //! * [`transpose_8x8_avx2`] — the block step of the transposing pack on
@@ -739,6 +742,94 @@ pub unsafe fn conv_direct_weight_grad<const X: usize, const F: usize>(
         }
     }
     out
+}
+
+/// 2×2 max pooling of `outs` windows, 16 at a time: output `k`'s window
+/// starts at `i = 2w·(k / ow) + 2·(k % ow)` of `src`, its candidates `i`,
+/// `i + 1`, `i + w`, `i + w + 1` taken in that order, a later one replacing
+/// the best only where it compares greater (ordered: a `NaN` on either
+/// side compares false). The maximum goes to `dst[k]` and its index, plus
+/// `base`, to `arg[k]`.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available, `ow` divides 16 or 16
+/// divides `ow` (so the windows of 16 outputs from a multiple of 16 lie in
+/// one pattern), every window's candidates lie inside the allocation
+/// `src` points into at offsets below `i32::MAX`, and `dst` and `arg` hold
+/// `outs` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn max_pool2(src: *const f32, w: usize, ow: usize, outs: usize, base: usize, dst: *mut f32, arg: *mut usize) {
+    use core::arch::x86_64::*;
+    let start = |k: usize| 2 * w * (k / ow) + 2 * (k % ow);
+    let pattern: [i32; 16] = std::array::from_fn(|l| (start(l) - start(0)) as i32);
+    let pattern = _mm512_loadu_si512(pattern.as_ptr().cast());
+    let offsets = [1, w, w + 1].map(|o| (src.add(o), _mm512_set1_epi32(o as i32)));
+    let base = _mm512_set1_epi64(base as i64);
+    for k in (0..outs).step_by(16) {
+        let mask = (((1u32 << (outs - k).min(16)) - 1) & 0xffff) as u16;
+        let at = _mm512_add_epi32(pattern, _mm512_set1_epi32(start(k) as i32));
+        // SAFETY: masked-off lanes are not accessed; the others read their
+        // window's candidates, inside `src` by the caller contract.
+        let mut best = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, at, src);
+        let mut offset = _mm512_setzero_si512();
+        for &(from, o) in &offsets {
+            let v = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, at, from);
+            let greater = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, best);
+            best = _mm512_mask_mov_ps(best, greater, v);
+            offset = _mm512_mask_mov_epi32(offset, greater, o);
+        }
+        _mm512_mask_storeu_ps(dst.add(k), mask, best);
+        let index = _mm512_add_epi32(at, offset);
+        let (lo, hi) = (_mm512_castsi512_si256(index), _mm512_extracti64x4_epi64::<1>(index));
+        for (half, part) in [lo, hi].into_iter().enumerate() {
+            let wide = _mm512_add_epi64(_mm512_cvtepu32_epi64(part), base);
+            _mm512_mask_storeu_epi64(arg.add(k + 8 * half).cast(), (mask >> (8 * half)) as u8, wide);
+        }
+    }
+}
+
+/// `dst[c][r] = src[r][c]` for `r < rows`, `c < cols`: a block of up to
+/// 16×16 floats turned in registers (`transpose_16x16`).
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available, every `src[r]`, `r <
+/// rows`, holds `cols` floats and every `dst[c]`, `c < cols`, `rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn transpose16(src: &[*const f32; 16], rows: usize, cols: usize, dst: &[*mut f32; 16]) {
+    use core::arch::x86_64::*;
+    let (load, store) = (((1u32 << cols) - 1) as u16, ((1u32 << rows) - 1) as u16);
+    // SAFETY: masked-off lanes are not accessed.
+    let block = std::array::from_fn(|r| match r < rows {
+        true => _mm512_maskz_loadu_ps(load, src[r]),
+        false => _mm512_setzero_ps(),
+    });
+    for (c, v) in transpose_16x16(block).into_iter().enumerate().take(cols) {
+        _mm512_mask_storeu_ps(dst[c], store, v);
+    }
+}
+
+/// `dst[i] = src[index[i]]`, or `dst[i] += src[index[i]]` when `add`, for
+/// the lanes `i` of `mask`: a row of finished chains gathered from where a
+/// kernel's lanes left them.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available, and that `src +
+/// index[i]` and `dst + i` are inside their allocations for every lane `i`
+/// of `mask`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn gather_row(src: *const f32, index: &[i32; 16], mask: u16, dst: *mut f32, add: bool) {
+    use core::arch::x86_64::*;
+    let at = _mm512_loadu_si512(index.as_ptr().cast());
+    // SAFETY: masked-off lanes are not accessed.
+    let v = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, at, src);
+    let v = if add { _mm512_add_ps(_mm512_maskz_loadu_ps(mask, dst), v) } else { v };
+    _mm512_mask_storeu_ps(dst, mask, v);
 }
 
 /// `dst[p·stride + k] = src[k][p]` for `p < len`, `k < 4`: four channel

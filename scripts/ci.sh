@@ -11,25 +11,28 @@ cargo test -q --workspace
 # in-process, resumed == straight) must match the same tables with every
 # client trained and every server-side product run on the calling thread,
 # and with two clients in flight and the server's products split in two;
-# a split layer pass must be its inline pass bit for bit; and the direct
-# route of a convolution, which splits by images, must give the lowered
-# route's bits and FLOP credit at any width — width 3 included, which
-# cuts uneven shares (of 4 and 8 channels, say). The compute width is
-# settled once per process, so it takes a run per width.
+# a split layer pass must be its inline pass bit for bit; the direct route
+# of a convolution, which splits by images, filters or input channels,
+# must give the lowered route's bits and FLOP credit at any width — width
+# 3 included, which cuts uneven shares (of 4 and 8 channels, say); and max
+# pooling, split by planes, must pick the branching loop's maxima. The
+# compute width is settled once per process, so it takes a run per width.
 for width in 1 2 3; do
     KEMF_THREADS=$width cargo test -q --test golden_histories --test golden_bytes \
         --test async_rounds --test resume --test fault_matrix --test transport \
         --test population
-    KEMF_THREADS=$width cargo test -q -p kemf-nn --test split --test conv_recompute --test batch_norm
+    KEMF_THREADS=$width cargo test -q -p kemf-nn --test split --test conv_recompute --test batch_norm --test pool
 done
 
-# Nor do kernel tiers: the AVX-512 host runs the direct convolution route
-# and interleaved batch-norm sums, and the AVX2 and scalar tiers must keep
+# Nor do kernel tiers: the AVX-512 host runs the direct convolution route,
+# interleaved batch-norm sums and vector max pooling, and the AVX2 and
+# scalar tiers must keep
 # the same pinned bits, memory bounds and allocation audit. The tier is
 # settled once per process too.
 for tier in avx2 scalar; do
     KEMF_SIMD=$tier cargo test -q --test golden_histories --test golden_bytes
-    KEMF_SIMD=$tier cargo test -q -p kemf-nn --test split --test conv_recompute --test alloc --test batch_norm
+    KEMF_SIMD=$tier cargo test -q -p kemf-nn --test split --test conv_recompute --test alloc --test batch_norm \
+        --test pool
     KEMF_SIMD=$tier cargo test -q -p kemf-core --test teacher_release
 done
 
