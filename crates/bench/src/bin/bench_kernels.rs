@@ -5,17 +5,16 @@
 //! GB/s at the geometries the end-to-end benchmark trains, beside a plain
 //! copy of the same bytes), the socket path's CRC-32 over one
 //! `avg_mlp_socket` payload on the native and the scalar tier (`crc32`,
-//! GB/s beside a plain copy), what handing a share to a `par` helper
-//! costs (`par_handoff`: µs per empty split round trip, spinning and
-//! parked helper, beside a `thread::scope` spawn + join — the row
-//! `par::SPLIT_FLOOR` is derived from), the three products of a
-//! convolution layer at those geometries side by side (`conv_backward`:
-//! forward, weight gradient, input gradient, all in GFLOP/s of the same
-//! `2·O·patch·N·OH·OW`, each split over the width as `Conv2d` runs it
-//! outside a share, the `route` the three products take, and all three
-//! again on the lowered route — the library's `conv::{forward_lowered,
-//! weight_grad_lowered, input_grad_lowered}` — timed interleaved with the
-//! routed calls; and the layer split against inline),
+//! GB/s beside a plain copy), what handing an item to a `par` helper
+//! costs (`par_handoff`: µs per two-item `par::fork_join` round trip of
+//! empty items, spinning and parked helper, beside a `thread::scope`
+//! spawn + join), the three products of a convolution layer at those
+//! geometries side by side (`conv_backward`: forward, weight gradient,
+//! input gradient, all in GFLOP/s of the same `2·O·patch·N·OH·OW`, each
+//! on the calling thread as `Conv2d` runs it, the `route` the three
+//! products take, and all three again on the lowered route — the
+//! library's `conv::{forward_lowered, weight_grad_lowered,
+//! input_grad_lowered}` — timed interleaved with the routed calls),
 //! and what building a model at a transmitted state costs with and
 //! without the discarded initialization (`model_build`). Prints tables
 //! and writes `bench_results/BENCH_kernels.json` with all of it, the
@@ -28,12 +27,11 @@
 //! JSON write — a CI liveness check, not a measurement. It also demands
 //! that the CRC-32, and the forward output and both gradients of every
 //! `conv_backward` geometry, come out bit-identical on the native kernel
-//! tier and the forced scalar one, split over the width and inline, and
-//! on the lowered route — and that on AVX-512 the wide banks (over 16
-//! filters) and the 1×1 plane among them run direct, so that their rows
-//! hold direct == lowered == scalar: a kernel that faults or runs its
-//! chains out of order, or a split that cuts one, fails here, on the host
-//! that has it, not in a history hash three layers up.
+//! tier and the forced scalar one, and on the lowered route — and that on
+//! AVX-512 the wide banks (over 16 filters) and the 1×1 plane among them
+//! run direct, so that their rows hold direct == lowered == scalar: a
+//! kernel that faults or runs its chains out of order fails here, on the
+//! host that has it, not in a history hash three layers up.
 
 use kemf_bench::report::{results_dir, Table};
 use kemf_nn::codec;
@@ -134,27 +132,6 @@ fn time_interleaved(mut a: impl FnMut(), mut b: impl FnMut(), iters: usize) -> (
         }
     }
     (best_a, best_b)
-}
-
-/// The forward product on the lowered route, split by images over the
-/// width as [`forward`] splits it: each share runs
-/// [`forward_lowered`], the route of a bank too wide to go direct.
-fn lowered_forward(x: &[f32], w: &[f32], bias: &[f32], o: usize, g: &ConvGeom, y: &mut [f32]) {
-    let pixels = g.c * g.h * g.w;
-    par::split(g.n, 2 * (o * g.patch_len() * g.cols()) as u64, y, |images, y| {
-        let part = ConvGeom { n: images.len(), ..*g };
-        forward_lowered(&x[images.start * pixels..images.end * pixels], w, bias, o, &part, y);
-    });
-}
-
-/// The input gradient on the lowered route, split by images as
-/// [`input_grad`] splits it: each share runs [`input_grad_lowered`].
-fn lowered_input_grad(w: &[f32], grad: &[f32], o: usize, g: &ConvGeom, gx: &mut [f32]) {
-    let len = o * g.oh() * g.ow();
-    par::split(g.n, 2 * (o * g.patch_len() * g.cols()) as u64, gx, |images, gx| {
-        let part = ConvGeom { n: images.len(), ..*g };
-        input_grad_lowered(w, &grad[images.start * len..images.end * len], o, &part, gx);
-    });
 }
 
 fn main() {
@@ -308,24 +285,24 @@ fn main() {
         payload.len()
     );
 
-    // What a split pays to hand a share to a helper and take it back: µs
-    // per empty two-way `par::split` round trip, with the helper spinning
-    // (the next product of a training step) and parked (after a pause
-    // longer than `par::SPIN`), beside a `thread::scope` spawn + join of
-    // one thread — what a per-call fork-join would pay. `par::SPLIT_FLOOR`
-    // is derived from the spinning column. At width 1 a split runs inline.
-    let empty_split = || {
-        black_box(par::split(2, u64::MAX, (), |_, ()| {}));
+    // What a fork-join pays to hand an item to a helper and take it back:
+    // µs per two-item `par::fork_join` round trip of empty items, with the
+    // helper spinning (the call right after another) and parked (after a
+    // pause longer than `par::SPIN`), beside a `thread::scope` spawn + join
+    // of one thread — what a fork-join without parked helpers would pay.
+    // At width 1 both items run inline.
+    let empty_fork_join = || {
+        black_box(par::fork_join(vec![(), ()], |()| ()));
     };
     let handoffs = if smoke { 100 } else { 100_000 };
-    let spinning_us = 1e6 * time_per_call(empty_split, handoffs);
+    let spinning_us = 1e6 * time_per_call(empty_fork_join, handoffs);
     let parks = if smoke { 3 } else { 200 };
     let parked_us = 1e6
         * (0..parks)
             .map(|_| {
                 std::thread::sleep(par::SPIN * 4);
                 let t0 = Instant::now();
-                empty_split();
+                empty_fork_join();
                 t0.elapsed().as_secs_f64()
             })
             .sum::<f64>()
@@ -340,8 +317,8 @@ fn main() {
             handoffs / 100,
         );
     let mut handoff = Table::new(
-        "Split handoff (µs per round trip)",
-        &["width", "split, spinning", "split, parked", "scope spawn+join"],
+        "Fork-join handoff (µs per round trip)",
+        &["width", "fork_join, spinning", "fork_join, parked", "scope spawn+join"],
     );
     handoff.row(&[
         par::width().to_string(),
@@ -351,7 +328,7 @@ fn main() {
     ]);
     println!("{}", handoff.render());
     let handoff_row = format!(
-        "    {{\"width\": {}, \"split_spinning_us\": {spinning_us:.3}, \"split_parked_us\": {parked_us:.3}, \
+        "    {{\"width\": {}, \"fork_join_spinning_us\": {spinning_us:.3}, \"fork_join_parked_us\": {parked_us:.3}, \
          \"scope_spawn_join_us\": {scope_us:.3}}}",
         par::width()
     );
@@ -360,13 +337,10 @@ fn main() {
     // end-to-end benchmark's ResNet-20 (width 4) and VGG-11 (width 8)
     // train on 3×16×16 inputs at batch 16, through the entry points
     // `Conv2d` calls: forward, weight gradient accumulated into `dw`,
-    // input gradient — each split over the process's width, all in
-    // GFLOP/s of the same `2·O·patch·N·OH·OW`. The three take the `route`
-    // the geometry picks, and are timed interleaved with the same products
-    // on the lowered route (`lowered_forward`, `weight_grad_lowered`,
-    // `lowered_input_grad`). The last
-    // column is the layer's three products split against the same calls
-    // inline (in a one-item `par::fork_join`), timed interleaved.
+    // input gradient — all in GFLOP/s of the same `2·O·patch·N·OH·OW`. The
+    // three take the `route` the geometry picks, and are timed interleaved
+    // with the same products on the lowered route (`forward_lowered`,
+    // `weight_grad_lowered`, `input_grad_lowered`).
     let layers = [
         ("resnet20_stem", conv(3, 16, 1), 4),
         ("resnet20_stage1", conv(4, 16, 1), 4),
@@ -394,7 +368,6 @@ fn main() {
             "lowered",
             "input grad",
             "lowered",
-            "split/inline",
         ],
     );
     let mut backward_rows = Vec::new();
@@ -405,9 +378,8 @@ fn main() {
         let bias = Tensor::randn(&[o], 1.0, &mut rng);
         let grad = Tensor::randn(&[g.n, o, g.oh(), g.ow()], 1.0, &mut rng);
 
-        // The forward output and both gradients split, split on the scalar
-        // tier, and inline (one share), and the forward output and input
-        // gradient on the lowered route: the same bits.
+        // The forward output and both gradients on the native tier, on the
+        // scalar tier and on the lowered route: the same bits.
         let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let results = || {
             let mut y = vec![0.0f32; grad.numel()];
@@ -417,18 +389,17 @@ fn main() {
             input_grad(w.data(), grad.data(), o, &g, &mut gx);
             [bits(&y), bits(&dw), bits(&gx)]
         };
-        let split = results();
+        let native = results();
         let scalar = {
             let _guard = simd::ScalarGuard::new();
             results()
         };
-        let inline = par::fork_join(vec![()], |()| results()).remove(0);
         let lowered = {
             let mut y = vec![0.0f32; grad.numel()];
             let (mut dw, mut gx) = (vec![0.0f32; o * patch], vec![0.0f32; x.numel()]);
-            lowered_forward(x.data(), w.data(), bias.data(), o, &g, &mut y);
+            forward_lowered(x.data(), w.data(), bias.data(), o, &g, &mut y);
             weight_grad_lowered(grad.data(), o, x.data(), &g, &mut dw);
-            lowered_input_grad(w.data(), grad.data(), o, &g, &mut gx);
+            input_grad_lowered(w.data(), grad.data(), o, &g, &mut gx);
             [bits(&y), bits(&dw), bits(&gx)]
         };
         // A wide bank (over 16 filters) and a 1×1 plane (images in the
@@ -440,9 +411,8 @@ fn main() {
             "{name}: a wide bank or a 1x1 plane lowers on AVX-512"
         );
         for (product, i) in [("forward output", 0), ("weight gradient", 1), ("input gradient", 2)] {
-            assert!(split[i] == scalar[i], "{name}: native and scalar kernel tiers disagree on the {product}");
-            assert!(split[i] == inline[i], "{name}: split and inline {product} disagree");
-            assert!(split[i] == lowered[i], "{name}: the {product} differs from the lowered route's");
+            assert!(native[i] == scalar[i], "{name}: native and scalar kernel tiers disagree on the {product}");
+            assert!(native[i] == lowered[i], "{name}: the {product} differs from the lowered route's");
         }
 
         let buffers = Mutex::new((vec![0.0f32; grad.numel()], vec![0.0f32; o * patch], vec![0.0f32; x.numel()]));
@@ -466,13 +436,13 @@ fn main() {
             let mut guard = buffers.lock().expect("no product panics");
             let (y, dw, gx) = &mut *guard;
             if which[0] {
-                lowered_forward(x.data(), w.data(), bias.data(), o, &g, y);
+                forward_lowered(x.data(), w.data(), bias.data(), o, &g, y);
             }
             if which[1] {
                 weight_grad_lowered(grad.data(), o, black_box(x.data()), &g, dw);
             }
             if which[2] {
-                lowered_input_grad(w.data(), grad.data(), o, &g, gx);
+                input_grad_lowered(w.data(), grad.data(), o, &g, gx);
             }
         };
         let interleaved = |which: [bool; 3]| {
@@ -483,14 +453,6 @@ fn main() {
         let (weight_grad_gflops, lowered_weight_grad_gflops) = interleaved([false, true, false]);
         let (input_grad_gflops, lowered_input_grad_gflops) = interleaved([false, false, true]);
         let route = if is_direct(o, &g) { "direct" } else { "lowered" };
-        let (split_s, inline_s) = time_interleaved(
-            || products([true; 3]),
-            || {
-                par::fork_join(vec![()], |()| products([true; 3]));
-            },
-            iters,
-        );
-        let split_speedup = inline_s / split_s;
         backward.row(&[
             name.into(),
             format!("{o},{patch},{ncols}"),
@@ -501,7 +463,6 @@ fn main() {
             format!("{lowered_weight_grad_gflops:.1}"),
             format!("{input_grad_gflops:.1}"),
             format!("{lowered_input_grad_gflops:.1}"),
-            format!("{split_speedup:.2}x"),
         ]);
         backward_rows.push(format!(
             "    {{\"layer\": \"{name}\", \"batch\": {}, \"in_channels\": {}, \"hw\": {}, \
@@ -511,8 +472,7 @@ fn main() {
              \"weight_grad_gflops\": {weight_grad_gflops:.3}, \
              \"lowered_weight_grad_gflops\": {lowered_weight_grad_gflops:.3}, \
              \"input_grad_gflops\": {input_grad_gflops:.3}, \
-             \"lowered_input_grad_gflops\": {lowered_input_grad_gflops:.3}, \
-             \"layer_split_speedup\": {split_speedup:.3}}}",
+             \"lowered_input_grad_gflops\": {lowered_input_grad_gflops:.3}}}",
             g.n, g.c, g.h, g.stride
         ));
     }
@@ -520,8 +480,8 @@ fn main() {
 
     // Batch norm's training forward + backward at the layers the
     // end-to-end benchmark's ResNet-20 (width 4) and VGG-11 (width 8)
-    // normalize at batch 16, through `BatchNorm2d` as a model runs it
-    // (split by channels, then by images, over the width): ns per element
+    // normalize at batch 16, through `BatchNorm2d` as a model runs it:
+    // ns per element
     // on the native tier — the per-channel sums four channels to a vector —
     // and on the scalar tier — the plain loop, a channel at a time — timed
     // interleaved, beside a plain copy of the same bytes as the ceiling.
@@ -592,8 +552,8 @@ fn main() {
     println!("{}", norm_table.render());
 
     // Max pooling's forward at the planes VGG-11 (width 8) pools at batch
-    // 16, through `MaxPool2` as a model runs it (split by planes over the
-    // width; every forward finds the argmax a training one keeps): ns per
+    // 16, through `MaxPool2` as a model runs it (every forward finds the
+    // argmax a training one keeps): ns per
     // input element, beside a plain copy of the same bytes as the ceiling.
     let pools = [("vgg11_pool1", 8, 16), ("vgg11_pool2", 16, 8), ("vgg11_pool3", 32, 4), ("vgg11_pool4", 64, 2)];
     let mut pool_table = Table::new("Max pool 2x2, forward (ns per element)", &["layer", "c,hw", "ns", "copy"]);

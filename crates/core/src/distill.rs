@@ -76,8 +76,7 @@ pub fn distill_ensemble(
     seed: u64,
 ) -> DistillOutcome {
     assert!(!teachers.is_empty(), "distillation needs at least one teacher");
-    let n = pool.dims()[0];
-    assert!(n > 0, "empty distillation pool");
+    assert!(pool.dims()[0] > 0, "empty distillation pool");
     // Pre-compute ensemble targets once: teachers are frozen during
     // server distillation. Teacher logits use batch statistics
     // (`Mode::BatchStats`: a training forward's logits and running-stat
@@ -92,8 +91,7 @@ pub fn distill_ensemble(
     // at any width). Each member's workspace pool and its thread's
     // lowering buffer go the moment its logits exist, so they do not
     // stay resident into the next cohort's local updates. The student's
-    // steps below run outside any share, so their products split over
-    // the width.
+    // steps below run on the calling thread.
     let member_logits: Vec<Tensor> =
         fork_join(teachers.iter_mut().collect(), |t: &mut Model| {
             let z = t.predict_batch_stats(pool);
@@ -102,7 +100,24 @@ pub fn distill_ensemble(
         });
     let ensembled = ensemble_logits(&member_logits, cfg.strategy);
     let targets = soften(&ensembled, cfg.temperature);
+    distill_to_targets(student, pool, &targets, cfg, seed)
+}
 
+/// Step `student` toward the softened `targets` on `images` for
+/// `cfg.epochs` epochs, each a seeded shuffle cut into `cfg.batch`-row
+/// batches and one KL step per batch, the gradient clipped at
+/// `cfg.clip_norm` (0 disables). The one student loop of the distilling
+/// algorithms: FedKEMF's and FedDF's server step, FedMD's digestion, and
+/// FedGEMS's in both directions. Making the targets (and so
+/// `cfg.strategy`) is the caller's business.
+pub(crate) fn distill_to_targets(
+    student: &mut Model,
+    images: &Tensor,
+    targets: &Tensor,
+    cfg: &DistillConfig,
+    seed: u64,
+) -> DistillOutcome {
+    let n = images.dims()[0];
     let mut opt = Sgd::new(cfg.sgd);
     let mut rng = seeded_rng(seed);
     let mut out = DistillOutcome::default();
@@ -112,10 +127,10 @@ pub fn distill_ensemble(
         let mut loss_sum = 0.0f64;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch) {
-            let images = pool.gather_rows(chunk);
+            let x = images.gather_rows(chunk);
             let target = targets.gather_rows(chunk);
             let loss = student.train_step(
-                &images,
+                &x,
                 &mut opt,
                 |logits, ws| kl_to_target_ws(logits, &target, cfg.temperature, ws),
                 |net| {

@@ -23,7 +23,8 @@
 //! model's accuracy.
 
 use crate::client_models::ClientModels;
-use crate::fedmd::digest;
+use crate::distill::distill_to_targets;
+use crate::fedmd::digestion;
 use kemf_fl::client_store::SpillConfig;
 use kemf_fl::cohort;
 use kemf_fl::config::ConfigError;
@@ -230,15 +231,9 @@ impl FedGems {
         let mut server = Model::from_state(self.server_spec, &self.server)
             .expect("the server state has the server spec's layout");
         let seed = child_seed(ctx.cfg.seed, 0x4745_4D53 ^ (((round as u64) << 1) | 1));
-        digest(
-            &mut server,
-            &self.public,
-            &targets,
-            self.cfg.server_epochs,
-            self.cfg.temperature,
-            SgdConfig { lr: self.cfg.distill_lr, ..ctx.cfg.local_cfg().sgd },
-            seed,
-        );
+        let sgd = SgdConfig { lr: self.cfg.distill_lr, ..ctx.cfg.local_cfg().sgd };
+        let digest = digestion(self.cfg.server_epochs, self.cfg.temperature, sgd);
+        distill_to_targets(&mut server, &self.public, &targets, &digest, seed);
         self.server = server.state();
         self.server_trained = true;
     }
@@ -304,7 +299,8 @@ impl FedAlgorithm for FedGems {
                     child_seed(ctx.cfg.seed, 0x4745_4D53 ^ ((wave as u64) << 16 | k as u64));
                 let digest_steps = broadcast.as_ref().map_or(0, |targets| {
                     let sgd = SgdConfig { lr: cfg.distill_lr, ..local.sgd };
-                    digest(&mut model, public, targets, cfg.digest_epochs, cfg.temperature, sgd, seed)
+                    let digest = digestion(cfg.digest_epochs, cfg.temperature, sgd);
+                    distill_to_targets(&mut model, public, targets, &digest, seed).steps
                 });
                 let out = local_train(&mut model, &ctx.client_shard(k), &local, seed ^ 7, None);
                 let logits = model.predict_batch_stats(public);

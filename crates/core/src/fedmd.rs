@@ -16,6 +16,7 @@
 //! client-model accuracy.
 
 use crate::client_models::{mean_accuracy, ClientModels};
+use crate::distill::{distill_to_targets, DistillConfig};
 use kemf_data::dataset::Dataset;
 use kemf_fl::client_store::SpillConfig;
 use kemf_fl::cohort;
@@ -28,13 +29,12 @@ use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_tensor_dims, AlgorithmState, RestoreError, TensorBlob};
 use kemf_fl::trace::{Phase, RoundScope};
 use kemf_nn::codec::Writer;
-use kemf_nn::loss::{kl_to_target_ws, soften};
+use kemf_nn::loss::soften;
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
-use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
-use kemf_tensor::rng::{child_seed, seeded_rng};
+use kemf_nn::optim::SgdConfig;
+use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
-use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
 /// FedMD hyper-parameters.
@@ -106,42 +106,12 @@ impl FedMd {
     }
 }
 
-/// Distill `model` toward softened `targets` on `images` for `epochs`
-/// (seeded shuffle, 32-sample chunks, gradient clipping at 5.0) — the
-/// digestion loop of FedMD, which FedGEMS runs in both directions.
-/// `sgd.lr` is the distillation rate, not the supervised one. Returns
-/// the number of steps taken.
-pub(crate) fn digest(
-    model: &mut Model,
-    images: &Tensor,
-    targets: &Tensor,
-    epochs: usize,
-    temperature: f32,
-    sgd: SgdConfig,
-    seed: u64,
-) -> usize {
-    let n = images.dims()[0];
-    let mut opt = Sgd::new(sgd);
-    let mut rng = seeded_rng(seed);
-    let mut steps = 0;
-    for _ in 0..epochs {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        for chunk in order.chunks(32) {
-            let x = images.gather_rows(chunk);
-            let t = targets.gather_rows(chunk);
-            model.train_step(
-                &x,
-                &mut opt,
-                |logits, ws| kl_to_target_ws(logits, &t, temperature, ws),
-                |net| {
-                    clip_grad_norm(net, 5.0);
-                },
-            );
-            steps += 1;
-        }
-    }
-    steps
+/// FedMD's digestion, which FedGEMS runs in both directions, as a run of
+/// the student loop ([`distill_to_targets`]): `epochs` over the public set
+/// in 32-sample batches at `temperature`, the gradient clipped at 5.0.
+/// `sgd.lr` is the distillation rate, not the supervised one.
+pub(crate) fn digestion(epochs: usize, temperature: f32, sgd: SgdConfig) -> DistillConfig {
+    DistillConfig { epochs, batch: 32, sgd, temperature, clip_norm: 5.0, ..DistillConfig::default() }
 }
 
 impl FedAlgorithm for FedMd {
@@ -191,7 +161,8 @@ impl FedAlgorithm for FedMd {
                 let seed = child_seed(ctx.cfg.seed, 0x3D ^ ((wave as u64) << 16 | k as u64));
                 let digest_steps = consensus_targets.as_ref().map_or(0, |targets| {
                     let sgd = SgdConfig { lr: cfg.digest_lr, ..local.sgd };
-                    digest(&mut model, public, targets, cfg.digest_epochs, cfg.temperature, sgd, seed)
+                    let digest = digestion(cfg.digest_epochs, cfg.temperature, sgd);
+                    distill_to_targets(&mut model, public, targets, &digest, seed).steps
                 });
                 // Revisit private data, then publish logits on the public
                 // set (batch statistics: local models take few steps per
@@ -308,25 +279,6 @@ mod tests {
             ..Default::default()
         };
         (FlContext::new(cfg, &train, test), task)
-    }
-
-    #[test]
-    fn digest_stops_missing_the_pool_after_the_first_step() {
-        // 32 public samples are one chunk, so every step sees the same
-        // shapes; after the first, logits, loss gradient and input
-        // gradient must all come back out of the model's pool.
-        let public = SynthTask::new(SynthConfig::mnist_like(85)).generate_unlabeled(32, 3);
-        let mut model = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 1));
-        let targets = soften(&model.predict(&public), 2.0);
-        let sgd = SgdConfig { lr: 0.02, momentum: 0.9, weight_decay: 0.0 };
-        let misses = |m: &mut Model| {
-            let ws = m.ws_mut();
-            ws.fresh_allocations() + ws.fresh_usize_allocations() + ws.fresh_i8_allocations()
-        };
-        assert_eq!(digest(&mut model, &public, &targets, 1, 2.0, sgd, 4), 1);
-        let warm = misses(&mut model);
-        assert_eq!(digest(&mut model, &public, &targets, 4, 2.0, sgd, 5), 4);
-        assert_eq!(misses(&mut model), warm, "pool misses after the first step");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! `distill_ensemble` runs the pooled step (`Model::train_step`) on the
-//! student: once the first step has warmed its workspace, further epochs
-//! over same-shaped batches must not miss the pool again. (`digest`, the
-//! FedMD/FedGEMS loop, is crate-private; its twin of this test sits in
-//! `fedmd.rs`, and `local_train`'s in `crates/fl/tests/step_pool.rs`.)
+//! The student loop runs the pooled step (`Model::train_step`): once the
+//! first step has warmed its workspace, further epochs over same-shaped
+//! batches must not miss the pool again. `distill_ensemble` reaches the
+//! loop here; FedMD's and FedGEMS's digestion run the same crate-private
+//! function. (`local_train`'s twin of this test is in
+//! `crates/fl/tests/step_pool.rs`.)
 
 use kemf_core::distill::{distill_ensemble, DistillConfig};
 use kemf_data::synth::{SynthConfig, SynthTask};

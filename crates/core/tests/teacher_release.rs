@@ -16,8 +16,8 @@
 //! workspace pool and the logits it handed out, and nothing else.
 //!
 //! A last leg evaluates a model on 64 images outside any share — the
-//! server's evaluation, whose products split over the compute width — and
-//! releases its scratch: the `par` helpers' lowering buffers must go too.
+//! server's evaluation — and releases its scratch: the lowering buffers
+//! of this thread and of the `par` helpers must go too.
 //!
 //! This file holds exactly one test: the counters are process-global.
 
@@ -91,10 +91,10 @@ fn the_teacher_pass_leaves_nothing_behind_and_holds_one_member_per_thread() {
     // The pass holds its activations, about 850 KB: all it holds where the
     // convolutions run direct. Where they lower (the AVX2 and scalar
     // tiers) it also holds the largest patch matrix, stage 1's — 4
-    // channels of 3×3 taps by the 48·16·16 output positions — cut into
-    // one share per thread of the width, and each of those threads keeps
-    // GEMM B panels, 256 columns by a patch's rows, at every depth it met
-    // (27, 36, 72, 144 rows): less than twice stage 3's.
+    // channels of 3×3 taps by the 48·16·16 output positions — and GEMM B
+    // panels, 256 columns by a patch's rows, at every depth it met (27,
+    // 36, 72, 144 rows): less than twice stage 3's, counted here for every
+    // thread of the width.
     let width = kemf_fl::engine::init_thread_pool();
     let stage1_geom = ConvGeom { n: 48, c: 4, h: 16, w: 16, kh: 3, kw: 3, stride: 1, pad: 1 };
     let lowering = match conv::is_direct(4, &stage1_geom) {
@@ -153,9 +153,8 @@ fn the_teacher_pass_leaves_nothing_behind_and_holds_one_member_per_thread() {
         stage1 >> 10
     );
 
-    // A server-side evaluation runs outside any share, so its products
-    // split over the width and every helper lowers a share of the batch
-    // into a buffer of its own. `release_scratch` must reach those too.
+    // A server-side evaluation runs outside any share, on this thread;
+    // `release_scratch` frees its lowering buffer and every helper's.
     let test = SynthTask::new(SynthConfig::cifar_like(1)).generate(64, 4);
     let before = LIVE.load(Ordering::Relaxed);
     let mut server = Model::new(spec(6));

@@ -17,11 +17,10 @@
 //! state and owns its model, workspace and RNG stream, so what it
 //! computes does not depend on which thread ran it or on what ran beside
 //! it: histories are bit-identical at every width (`scripts/ci.sh` runs
-//! the pinned-hash suites at `KEMF_THREADS=1` and `=2`). A client is a
-//! share, so its layers — which split their products over the width when
-//! called outside one (the server's student and evaluation) — run on its
-//! own thread: at most `width` models, workspaces and lowering buffers
-//! are live at a time, and the width is never oversubscribed. At width 1
+//! the pinned-hash suites at `KEMF_THREADS=1`, `=2` and `=3`). A client
+//! is a share, and everything it calls runs on its own thread: at most
+//! `width` models, workspaces and lowering buffers are live at a time,
+//! and the width is never oversubscribed. At width 1
 //! nothing is started. The server-side teacher pass (`kemf_core::distill`),
 //! whose ensemble members are as independent as clients, uses the same
 //! function.

@@ -475,9 +475,9 @@ pub fn sample_clients(n_clients: usize, count: usize, rng: &mut StdRng) -> Vec<u
 /// Settle the process's compute width exactly once and return it:
 /// `KEMF_THREADS`, or one per available core when unset or `0` — the
 /// registry is [`kemf_tensor::par::width`]. It is the number of threads
-/// [`crate::cohort::train_cohort`] trains a chunk's clients on, and that
-/// the server-side products (the student's distillation steps,
-/// evaluation) split over; at 1 everything runs on the calling thread.
+/// [`crate::cohort::train_cohort`] trains a chunk's clients on (and the
+/// teacher pass its members); a layer pass always runs on the thread that
+/// calls it. At 1 everything runs on the calling thread.
 /// Histories do not depend on it. Nothing is spawned or allocated here.
 /// Safe to call from multiple entry points; only the first call
 /// configures.

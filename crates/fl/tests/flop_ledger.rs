@@ -1,8 +1,6 @@
 //! The GEMM FLOP counter under the cohort driver's fork-join: a cohort
 //! trained on two threads must credit exactly the FLOPs the same clients
-//! credit one after another on the calling thread (where, outside a
-//! share, their layers split each product over the two threads). The
-//! counter is one process-wide atomic and phase spans report its deltas,
+//! credit one after another on the calling thread. The counter is one process-wide atomic and phase spans report its deltas,
 //! so a lost update would show up as a trace that disagrees with the
 //! model's analytic FLOP table.
 //!

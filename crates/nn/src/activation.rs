@@ -1,11 +1,8 @@
 //! Activation layers. ReLU is the only nonlinearity the FedKEMF model zoo
 //! needs; it caches a 0/1 mask in a `Mode::Train` forward for backward. The
 //! mask and all outputs are pooled through the caller's [`Workspace`].
-//! Both passes split by element ranges over the compute width
-//! ([`par::split`]) where they clear its floor.
 
 use crate::layer::{Layer, Mode};
-use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -25,38 +22,31 @@ impl ReLU {
 
 impl Layer for ReLU {
     fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
-        let (len, xd) = (x.numel(), x.data());
-        let work = len as u64 * par::ELEMENT_FLOPS;
+        let xd = x.data();
         let mut y = ws.take_tensor_unzeroed(x.dims());
         if mode.caches() {
-            let mut mask = ws.take_unzeroed(len);
-            par::split(len, work, (y.data_mut(), &mut mask[..]), |r, (y, mask)| {
-                for ((yv, mv), &xv) in y.iter_mut().zip(mask).zip(&xd[r]) {
-                    *yv = xv.max(0.0);
-                    *mv = if xv > 0.0 { 1.0 } else { 0.0 };
-                }
-            });
+            let mut mask = ws.take_unzeroed(xd.len());
+            for ((yv, mv), &xv) in y.data_mut().iter_mut().zip(&mut mask).zip(xd) {
+                *yv = xv.max(0.0);
+                *mv = if xv > 0.0 { 1.0 } else { 0.0 };
+            }
             self.mask = Some(mask);
         } else {
-            par::split(len, work, y.data_mut(), |r, y| {
-                for (yv, &xv) in y.iter_mut().zip(&xd[r]) {
-                    *yv = xv.max(0.0);
-                }
-            });
+            for (yv, &xv) in y.data_mut().iter_mut().zip(xd) {
+                *yv = xv.max(0.0);
+            }
         }
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mask = self.mask.take().expect("ReLU::backward without forward(train)");
-        let (len, go) = (grad_out.numel(), grad_out.data());
-        assert_eq!(mask.len(), len, "ReLU mask/grad size mismatch");
+        let go = grad_out.data();
+        assert_eq!(mask.len(), go.len(), "ReLU mask/grad size mismatch");
         let mut g = ws.take_tensor_unzeroed(grad_out.dims());
-        par::split(len, len as u64 * par::ELEMENT_FLOPS, g.data_mut(), |r, g| {
-            for ((gv, &go), &m) in g.iter_mut().zip(&go[r.clone()]).zip(&mask[r]) {
-                *gv = go * m;
-            }
-        });
+        for ((gv, &go), &m) in g.data_mut().iter_mut().zip(go).zip(&mask) {
+            *gv = go * m;
+        }
         ws.recycle(mask);
         g
     }

@@ -42,17 +42,8 @@
 //!   altogether ([`Layer::backward_first`]): nothing reads the gradient of
 //!   the batch.
 //!
-//! Called outside a share — the server's student steps, evaluation —
-//! each product splits over the compute width by what it writes
-//! (`kemf_tensor::par`): the forward and the input gradient by *images*
-//! (a range of images is the convolution of that sub-batch) — by filters
-//! and by input channels where the direct route holds images in its
-//! lanes — the weight gradient by *input channels* (a thread stages or
-//! lowers only its channels, its finished chains added to `weight.grad`
-//! as the inline epilogue adds them) or, where the direct route's lanes
-//! hold patch columns, by *filters*, the bias gradient by *output
-//! channels*. Inside a share (a client of a cohort) they run inline on
-//! the calling thread.
+//! Every product runs whole on the calling thread — a client's, in a
+//! cohort, or the server's for its student steps and evaluations.
 //!
 //! The patch matrix is never kept. A training forward caches a copy of
 //! its *input* (`KH·KW` times smaller), and backward reads it again for
@@ -72,7 +63,6 @@ use crate::layer::{Layer, Mode, Precision};
 use crate::param::{Init, Param};
 use kemf_tensor::conv::{self, im2col, input_grad, weight_grad, with_lowering, ConvGeom};
 use kemf_tensor::gemm::NchwScatterBias;
-use kemf_tensor::par;
 use kemf_tensor::quant;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
@@ -136,15 +126,13 @@ impl Conv2d {
         let g = grad_out.data();
         assert_eq!(g.len(), geom.n * o * plane, "Conv2d grad_out size mismatch");
 
-        // db[o] += Σ_col g[o, col], image by image, split by channels.
-        par::split(o, g.len() as u64 * par::ELEMENT_FLOPS, self.bias.grad.data_mut(), |chans, db| {
-            for ni in 0..geom.n {
-                for (oi, dbo) in chans.clone().zip(db.iter_mut()) {
-                    let row = &g[(ni * o + oi) * plane..(ni * o + oi + 1) * plane];
-                    *dbo += row.iter().sum::<f32>();
-                }
+        // db[o] += Σ_col g[o, col], image by image.
+        let db = self.bias.grad.data_mut();
+        for image in g.chunks_exact(o * plane) {
+            for (dbo, row) in db.iter_mut().zip(image.chunks_exact(plane)) {
+                *dbo += row.iter().sum::<f32>();
             }
-        });
+        }
         // dW[o, p] += Σ_col g[o, col] cols[p, col], the input lowered
         // again rather than its patch matrix kept since forward: the same
         // bits, `KH·KW` times less held.
@@ -180,8 +168,8 @@ impl Layer for Conv2d {
         let mut input = mode.caches().then(|| ws.take_unzeroed(x.numel()));
         match self.precision {
             // y[n, o, oy, ox] = Σ_p W[o, p] cols[p, (n·oh+oy)·ow+ox] + b[o],
-            // direct on AVX-512, else one GEMM per share of images whose
-            // epilogue scatters straight into NCHW with the bias.
+            // direct on AVX-512, else one GEMM whose epilogue scatters
+            // straight into NCHW with the bias.
             Precision::F32 => conv::forward(x.data(), w, bias, o, &geom, y.data_mut(), input.as_deref_mut()),
             // A = filter bank per-row, B = im2col matrix per-column; the
             // dequantizing epilogue reuses the fused NCHW scatter.

@@ -6,26 +6,22 @@
 //! same without the cache. Outputs and the cache live in the caller's
 //! [`Workspace`], so a steady-state step allocates nothing.
 //!
-//! Each pass is split over the compute width ([`par::split`]) in two
-//! steps, each partitioning what it writes. The per-channel reductions —
+//! Each training pass runs in two steps. The per-channel reductions —
 //! batch mean and variance with the running-statistics update forward,
-//! `Σ g` and `Σ g·x̂` with the `γ`/`β` gradients backward — split by
-//! *channels*: a channel's f64 sums run over its images and pixels in
-//! the one order they always had, on one thread
-//! ([`kemf_tensor::ops::channel_sums`]: on the vector tiers the chains of
-//! four channels share a vector, in a fixed lane order, each with a
-//! separate multiply and add — the plain loop's bits). The element-wise
-//! normalization (`x̂`, `y`; the input gradient) then splits by *images*,
-//! each element the expression it always was. Inference is the second
-//! step alone.
+//! `Σ g` and `Σ g·x̂` with the `γ`/`β` gradients backward — run a
+//! channel's f64 sums over its images and pixels in the one order they
+//! always had ([`kemf_tensor::ops::channel_sums`]: on the vector tiers the
+//! chains of four channels share a vector, in a fixed lane order, each
+//! with a separate multiply and add — the plain loop's bits). The
+//! element-wise normalization (`x̂`, `y`; the input gradient) then
+//! computes each element as the expression it always was. Inference is
+//! the second step alone.
 
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
-use kemf_tensor::ops::{channel_sums, CHANNEL_LANES};
-use kemf_tensor::par;
+use kemf_tensor::ops::channel_sums;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
-use std::ops::Range;
 
 /// Per-channel batch normalization.
 pub struct BatchNorm2d {
@@ -72,40 +68,32 @@ impl Layer for BatchNorm2d {
         assert_eq!(c, self.channels, "BatchNorm2d expected {} channels, got {c}", self.channels);
         let plane = h * w;
         let count = (n * plane) as f32;
-        let work = x.numel() as u64 * par::ELEMENT_FLOPS;
         let mut y = ws.take_tensor_unzeroed(x.dims());
         let src = x.data();
         let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         let (momentum, eps) = (self.momentum, self.eps);
 
         if mode.batch_stats() {
-            let group = sum_group(c);
             let mut x_hat = mode.caches().then(|| ws.take_tensor_unzeroed(x.dims()));
             let mut inv_stds = ws.take_unzeroed(c);
             let mut means = ws.take_unzeroed(c);
-            // Batch statistics, split by channels: a channel's f64 sums run
-            // over its images and pixels in order, on one thread.
-            let running = (self.running_mean.data_mut(), self.running_var.data_mut());
-            let stats = (&mut means[..], &mut inv_stds[..], running);
-            par::split(c / group, work, stats, |groups, (means, inv_stds, (running_mean, running_var))| {
-                let chans = groups.start * group..groups.end * group;
-                let first = chans.start;
-                channel_sums(src, None, c, plane, chans, |ch, sum, sq| {
-                    let k = ch - first;
-                    let mean = (sum / count as f64) as f32;
-                    let var = ((sq / count as f64) - (sum / count as f64).powi(2)).max(0.0) as f32;
-                    means[k] = mean;
-                    inv_stds[k] = 1.0 / (var + eps).sqrt();
-                    running_mean[k] = (1.0 - momentum) * running_mean[k] + momentum * mean;
-                    running_var[k] = (1.0 - momentum) * running_var[k] + momentum * var;
-                });
+            // Batch statistics: a channel's f64 sums run over its images
+            // and pixels in order.
+            let (running_mean, running_var) = (self.running_mean.data_mut(), self.running_var.data_mut());
+            channel_sums(src, None, c, plane, |ch, sum, sq| {
+                let mean = (sum / count as f64) as f32;
+                let var = ((sq / count as f64) - (sum / count as f64).powi(2)).max(0.0) as f32;
+                means[ch] = mean;
+                inv_stds[ch] = 1.0 / (var + eps).sqrt();
+                running_mean[ch] = (1.0 - momentum) * running_mean[ch] + momentum * mean;
+                running_var[ch] = (1.0 - momentum) * running_var[ch] + momentum * var;
             });
-            // Normalize, split by images; `x̂` is kept only for backward.
-            // Both arms write `y` as `γ·x̂ + β` from the same `x̂`.
+            // Normalize; `x̂` is kept only for backward. Both arms write `y`
+            // as `γ·x̂ + β` from the same `x̂`.
             match &mut x_hat {
-                Some(x_hat) => par::split(n, work, (x_hat.data_mut(), y.data_mut()), |images, (x_hat, y)| {
-                    let rows = x_hat.chunks_exact_mut(plane).zip(y.chunks_exact_mut(plane));
-                    for ((xh, yv), (src, ch)) in rows.zip(planes(src, images, c, plane)) {
+                Some(x_hat) => {
+                    let rows = x_hat.data_mut().chunks_exact_mut(plane).zip(y.data_mut().chunks_exact_mut(plane));
+                    for ((xh, yv), (src, ch)) in rows.zip(planes(src, c, plane)) {
                         let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
                         for ((&sv, xv), yv) in src.iter().zip(xh).zip(yv) {
                             let xh = (sv - mean) * inv_std;
@@ -113,17 +101,17 @@ impl Layer for BatchNorm2d {
                             *yv = g * xh + b;
                         }
                     }
-                }),
-                None => par::split(n, work, y.data_mut(), |images, y| {
-                    for (yv, (src, ch)) in y.chunks_exact_mut(plane).zip(planes(src, images, c, plane)) {
+                }
+                None => {
+                    for (yv, (src, ch)) in y.data_mut().chunks_exact_mut(plane).zip(planes(src, c, plane)) {
                         let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
                         for (&sv, yv) in src.iter().zip(yv) {
                             let xh = (sv - mean) * inv_std;
                             *yv = g * xh + b;
                         }
                     }
-                }),
-            };
+                }
+            }
             ws.recycle(means);
             match x_hat {
                 Some(x_hat) => self.cache = Some((x_hat, inv_stds)),
@@ -131,16 +119,14 @@ impl Layer for BatchNorm2d {
             }
         } else {
             let (running_mean, running_var) = (self.running_mean.data(), self.running_var.data());
-            par::split(n, work, y.data_mut(), |images, y| {
-                for (yv, (src, ch)) in y.chunks_exact_mut(plane).zip(planes(src, images, c, plane)) {
-                    let mean = running_mean[ch];
-                    let inv_std = 1.0 / (running_var[ch] + eps).sqrt();
-                    let (g, b) = (gamma[ch], beta[ch]);
-                    for (&sv, yv) in src.iter().zip(yv) {
-                        *yv = g * (sv - mean) * inv_std + b;
-                    }
+            for (yv, (src, ch)) in y.data_mut().chunks_exact_mut(plane).zip(planes(src, c, plane)) {
+                let mean = running_mean[ch];
+                let inv_std = 1.0 / (running_var[ch] + eps).sqrt();
+                let (g, b) = (gamma[ch], beta[ch]);
+                for (&sv, yv) in src.iter().zip(yv) {
+                    *yv = g * (sv - mean) * inv_std + b;
                 }
-            });
+            }
         }
         y
     }
@@ -151,41 +137,31 @@ impl Layer for BatchNorm2d {
         let (n, c, h, w) = x_hat.shape().as_nchw();
         let plane = h * w;
         let count = (n * plane) as f32;
-        let work = x_hat.numel() as u64 * par::ELEMENT_FLOPS;
         let mut gx = ws.take_tensor_unzeroed(x_hat.dims());
         let go = grad_out.data();
         let xh = x_hat.data();
-        // Channel-wise sums and the coefficients they give, split by
-        // channels: per channel `[γ·inv_std, mean(g), mean(g·x̂)]`.
+        // Channel-wise sums and the coefficients they give: per channel
+        // `[γ·inv_std, mean(g), mean(g·x̂)]`.
         let mut coefs = ws.take_unzeroed(3 * c);
         let gamma = self.gamma.value.data();
-        let sums = (self.gamma.grad.data_mut(), self.beta.grad.data_mut(), &mut coefs[..]);
-        let group = sum_group(c);
-        par::split(c / group, work, sums, |groups, (gamma_grad, beta_grad, coefs)| {
-            let chans = groups.start * group..groups.end * group;
-            let first = chans.start;
-            channel_sums(go, Some(xh), c, plane, chans, |ch, sum_g, sum_gxh| {
-                let k = ch - first;
-                gamma_grad[k] += sum_gxh as f32;
-                beta_grad[k] += sum_g as f32;
-                coefs[3 * k..][..3].copy_from_slice(&[
-                    gamma[ch] * inv_stds[ch],
-                    sum_g as f32 / count,
-                    sum_gxh as f32 / count,
-                ]);
-            });
+        let (gamma_grad, beta_grad) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
+        channel_sums(go, Some(xh), c, plane, |ch, sum_g, sum_gxh| {
+            gamma_grad[ch] += sum_gxh as f32;
+            beta_grad[ch] += sum_g as f32;
+            coefs[3 * ch..][..3].copy_from_slice(&[
+                gamma[ch] * inv_stds[ch],
+                sum_g as f32 / count,
+                sum_gxh as f32 / count,
+            ]);
         });
-        // The input gradient, split by images.
-        par::split(n, work, gx.data_mut(), |images, gx| {
-            let first = images.start * c * plane;
-            for (ch_plane, gx) in gx.chunks_exact_mut(plane).enumerate() {
-                let (base, ch) = (first + ch_plane * plane, ch_plane % c);
-                let [scale, mean_g, mean_gxh] = [coefs[3 * ch], coefs[3 * ch + 1], coefs[3 * ch + 2]];
-                for ((g, &go), &xh) in gx.iter_mut().zip(&go[base..base + plane]).zip(&xh[base..base + plane]) {
-                    *g = scale * (go - mean_g - xh * mean_gxh);
-                }
+        // The input gradient.
+        for (ch_plane, gx) in gx.data_mut().chunks_exact_mut(plane).enumerate() {
+            let (base, ch) = (ch_plane * plane, ch_plane % c);
+            let [scale, mean_g, mean_gxh] = [coefs[3 * ch], coefs[3 * ch + 1], coefs[3 * ch + 2]];
+            for ((g, &go), &xh) in gx.iter_mut().zip(&go[base..base + plane]).zip(&xh[base..base + plane]) {
+                *g = scale * (go - mean_g - xh * mean_gxh);
             }
-        });
+        }
         ws.recycle(coefs);
         ws.recycle_tensor(x_hat);
         ws.recycle(inv_stds);
@@ -221,22 +197,10 @@ impl Layer for BatchNorm2d {
     }
 }
 
-/// The channels a split of the per-channel sums cuts between: whole
-/// vectors of [`CHANNEL_LANES`] where `c` divides into them — a share of
-/// fewer channels would run a vector as long as the whole's — single
-/// channels otherwise.
-fn sum_group(c: usize) -> usize {
-    if c.is_multiple_of(CHANNEL_LANES) {
-        CHANNEL_LANES
-    } else {
-        1
-    }
-}
-
-/// The `(plane, channel)` pairs of `images`, in storage order: image by
+/// The `(plane, channel)` pairs of `src`, in storage order: image by
 /// image, channel by channel.
-fn planes(src: &[f32], images: Range<usize>, c: usize, plane: usize) -> impl Iterator<Item = (&[f32], usize)> {
-    src[images.start * c * plane..images.end * c * plane].chunks_exact(plane).zip((0..c).cycle())
+fn planes(src: &[f32], c: usize, plane: usize) -> impl Iterator<Item = (&[f32], usize)> {
+    src.chunks_exact(plane).zip((0..c).cycle())
 }
 
 impl Clone for BatchNorm2d {

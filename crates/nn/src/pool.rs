@@ -1,9 +1,7 @@
 //! Pooling layers: 2×2 max pooling (stride 2) and global average pooling.
-//! Both passes of both split by `(image, channel)` planes over the
-//! compute width ([`par::split`]) where they clear its floor.
 
 use crate::layer::{Layer, Mode};
-use kemf_tensor::{ops, par};
+use kemf_tensor::ops;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -29,12 +27,7 @@ impl Layer for MaxPool2 {
         assert!(oh > 0 && ow > 0, "MaxPool2 input {h}x{w} too small");
         let mut out = ws.take_tensor_unzeroed(&[n, c, oh, ow]);
         let mut arg = ws.take_usize(n * c * oh * ow);
-        let src = x.data();
-        let work = x.numel() as u64 * par::ELEMENT_FLOPS;
-        par::split(n * c, work, (out.data_mut(), &mut arg[..]), |planes, (dst, arg)| {
-            let src = &src[planes.start * h * w..planes.end * h * w];
-            ops::max_pool2(src, (h, w), planes.start * h * w, dst, arg);
-        });
+        ops::max_pool2(x.data(), (h, w), out.data_mut(), &mut arg);
         if mode.caches() {
             let mut dims = ws.take_usize(4);
             dims.copy_from_slice(x.dims());
@@ -48,18 +41,13 @@ impl Layer for MaxPool2 {
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let (arg, dims) = self.cache.take().expect("MaxPool2::backward without forward(train)");
         let mut gx = ws.take_tensor_unzeroed(&dims);
-        // Each input pixel is in one 2×2 window: a plane's gradient comes
-        // from that plane's outputs alone.
-        let (planes, area, out_area) = (dims[0] * dims[1], dims[2] * dims[3], arg.len() / (dims[0] * dims[1]));
-        let go = grad_out.data();
-        par::split(planes, gx.numel() as u64 * par::ELEMENT_FLOPS, gx.data_mut(), |r, g| {
-            let base = r.start * area;
-            let outs = r.start * out_area..r.end * out_area;
-            g.fill(0.0);
-            for (&idx, &go) in arg[outs.clone()].iter().zip(&go[outs]) {
-                g[idx - base] += go;
-            }
-        });
+        // Each input pixel is in one 2×2 window: it takes its window's
+        // gradient where it was the argmax.
+        let g = gx.data_mut();
+        g.fill(0.0);
+        for (&idx, &go) in arg.iter().zip(grad_out.data()) {
+            g[idx] += go;
+        }
         ws.recycle_usize(arg);
         ws.recycle_usize(dims);
         gx
@@ -94,14 +82,10 @@ impl Layer for GlobalAvgPool {
         let (n, c, h, w) = x.shape().as_nchw();
         let area = (h * w) as f32;
         let mut out = ws.take_tensor_unzeroed(&[n, c]);
-        let src = x.data();
-        par::split(n * c, x.numel() as u64 * par::ELEMENT_FLOPS, out.data_mut(), |planes, dst| {
-            let src = &src[planes.start * h * w..planes.end * h * w];
-            for (d, plane) in dst.iter_mut().zip(src.chunks_exact(h * w)) {
-                let s: f32 = plane.iter().sum();
-                *d = s / area;
-            }
-        });
+        for (d, plane) in out.data_mut().iter_mut().zip(x.data().chunks_exact(h * w)) {
+            let s: f32 = plane.iter().sum();
+            *d = s / area;
+        }
         if mode.caches() {
             let mut dims = ws.take_usize(4);
             dims.copy_from_slice(x.dims());
@@ -115,12 +99,9 @@ impl Layer for GlobalAvgPool {
         let (h, w) = (dims[2], dims[3]);
         let inv_area = 1.0 / (h * w) as f32;
         let mut gx = ws.take_tensor_unzeroed(&dims);
-        let go = grad_out.data();
-        par::split(go.len(), gx.numel() as u64 * par::ELEMENT_FLOPS, gx.data_mut(), |planes, g| {
-            for (plane, &go) in g.chunks_exact_mut(h * w).zip(&go[planes]) {
-                plane.fill(go * inv_area);
-            }
-        });
+        for (plane, &go) in gx.data_mut().chunks_exact_mut(h * w).zip(grad_out.data()) {
+            plane.fill(go * inv_area);
+        }
         ws.recycle_usize(dims);
         gx
     }

@@ -6,7 +6,6 @@ use crate::conv2d::Conv2d;
 use crate::layer::{Layer, Mode};
 use crate::norm::BatchNorm2d;
 use crate::param::{Init, Param};
-use kemf_tensor::par;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
@@ -297,16 +296,12 @@ impl Layer for BasicBlock {
     }
 }
 
-/// `sum += x`, the residual join (and its gradient's), split by element
-/// ranges over the compute width where it clears the floor.
+/// `sum += x`, the residual join (and its gradient's).
 fn add_residual(sum: &mut Tensor, x: &Tensor) {
     assert_eq!(sum.dims(), x.dims(), "residual shape mismatch");
-    let x = x.data();
-    par::split(x.len(), x.len() as u64 * par::ELEMENT_FLOPS, sum.data_mut(), |r, sum| {
-        for (a, &b) in sum.iter_mut().zip(&x[r]) {
-            *a += b;
-        }
-    });
+    for (a, &b) in sum.data_mut().iter_mut().zip(x.data()) {
+        *a += b;
+    }
 }
 
 #[cfg(test)]

@@ -13,11 +13,8 @@
 //! batch-statistics pass of distillation teachers (`predict_batch_stats`,
 //! which caches nothing) and a plain `matmul_into` past one macro tile
 //! (thread-local pack pool).
-//! Every leg but the last runs on the test's thread outside any share, so
-//! at a compute width above one its layers split their products with the
-//! `par` helpers — whose pack pools and lowering buffers are warmed by the
-//! first step like the caller's, and whose allocations the global counter
-//! sees too. A last leg trains two ResNet-20s on two threads at once,
+//! Every leg but the last runs on the test's thread. A last leg trains
+//! two ResNet-20s on two threads at once,
 //! each inside a share of its own, the way the cohort driver's clients
 //! run: everything a step draws on is the model's (workspace) or the
 //! thread's (pack pool, convolution lowering buffer), so once each thread

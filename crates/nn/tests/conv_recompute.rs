@@ -18,8 +18,7 @@
 //! * on wide banks — 16, 32 and 64 input channels by 17, 24, 32 and 64
 //!   filters, over one tile and across its edge — on 1×1, 2×2, 3×3, 4×4
 //!   and 5×7 planes, 3×3 (padding 1) and 1×1 stride-2 kernels, and 1, 3,
-//!   16, 17 and 32 images (partial and several vectors of images), split
-//!   over the width and inline;
+//!   16, 17 and 32 images (partial and several vectors of images);
 //! * with a `±∞` weight, a `NaN` weight or a `NaN` output gradient, where
 //!   `0·∞` in a padding tap and the order of the adds decide the bits —
 //!   on narrow banks, and on wide ones at a tile's first filter over
@@ -28,7 +27,7 @@
 //! The weight gradient is held on its own as well, through
 //! `kemf_tensor::conv::weight_grad` — direct on AVX-512 — against the
 //! lowered route (`conv::weight_grad_lowered`) and the patch-matrix
-//! product, split and inline: on 1, 3 and 5 input channels and banks of 1,
+//! product: on 1, 3 and 5 input channels and banks of 1,
 //! 3, 12 and 16 filters, 3×3, 5×5 (padding 2) and 1×1 stride-2 kernels,
 //! accumulated into a `dw` that already holds values, and with `NaN` or
 //! `±∞` in the output gradient where its taps land in the padding.
@@ -354,8 +353,6 @@ fn weight_gradients_match_the_patch_matrix(tier: &str) {
                         };
                         assert!(product(false) == want, "{what}: the routed weight gradient differs");
                         assert!(product(true) == want, "{what}: the lowered weight gradient differs");
-                        let inline = kemf_tensor::par::fork_join(vec![()], |()| product(false)).remove(0);
-                        assert!(inline == want, "{what}: the inline weight gradient differs");
                     }
                 }
             }
@@ -380,22 +377,6 @@ const WIDE_PLANES: [(usize, usize); 5] = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 7)
 /// Batches under, at and past one and two vectors of images.
 const WIDE_BATCHES: [usize; 5] = [1, 3, 16, 17, 32];
 
-/// The layer's four results split over the width and inline (one share)
-/// against the patch-matrix reference.
-fn split_and_inline_match_reference(conv: &mut Conv2d, geom: &ConvGeom, x: &Tensor, g: &Tensor, what: &str) {
-    let want = cached_cols_pass(conv, geom, g.dims()[1], x, g);
-    let split = layer_pass(conv, x, g, &mut Workspace::new());
-    let conv = std::sync::Mutex::new(conv);
-    let inline = kemf_tensor::par::fork_join(vec![()], |()| {
-        layer_pass(&mut conv.lock().expect("one pass at a time"), x, g, &mut Workspace::new())
-    })
-    .remove(0);
-    for (name, ((a, b), c)) in ["y", "gx", "dW", "db"].iter().zip(split.iter().zip(&inline).zip(&want)) {
-        assert!(a == c, "{what}: split {name} differs");
-        assert!(b == c, "{what}: inline {name} differs");
-    }
-}
-
 fn wide_banks_match_the_patch_matrix(tier: &str) {
     let mut rng = seeded_rng(59);
     let mut case = 0;
@@ -411,7 +392,8 @@ fn wide_banks_match_the_patch_matrix(tier: &str) {
                     let (mut conv, geom) = layer(&layout, n, 61);
                     let x = Tensor::randn(&[n, c, h, w], 1.0, &mut rng);
                     let g = Tensor::randn(&[n, o, geom.oh(), geom.ow()], 1.0, &mut rng);
-                    split_and_inline_match_reference(&mut conv, &geom, &x, &g, &format!("{tier} {layout:?} n{n}"));
+                    let what = format!("{tier} {layout:?} n{n}");
+                    matches_reference(&mut conv, &geom, &x, &g, &mut Workspace::new(), &what);
                 }
             }
         }
@@ -456,7 +438,7 @@ fn wide_special_values_match_the_patch_matrix(tier: &str) {
                 g.data_mut()[at] = value;
             }
             let what = format!("{tier} {layout:?} n{n} {value} in the {}", if in_weight { "weights" } else { "gradient" });
-            split_and_inline_match_reference(&mut conv, &geom, &x, &g, &what);
+            matches_reference(&mut conv, &geom, &x, &g, &mut Workspace::new(), &what);
         }
     }
 }
@@ -482,16 +464,8 @@ fn training_steps_never_lower_on_avx512() {
     for arch in [Arch::ResNet20, Arch::ResNet32, Arch::ResNet44, Arch::Vgg11, Arch::Cnn2] {
         let mut model = Model::new(ModelSpec::scaled(arch, 3, 16, 10, 3));
         let mut opt = Sgd::new(SgdConfig::default());
-        // Split over the width, as the server steps a student, and inline,
-        // as a client of a cohort steps.
         model.train_batch(&x, &labels, &mut opt);
-        let model = std::sync::Mutex::new((model, opt));
-        kemf_tensor::par::fork_join(vec![()], |()| {
-            let (model, opt) = &mut *model.lock().expect("one step at a time");
-            model.train_batch(&x, &labels, opt);
-            assert_eq!(conv::lowering_held(), 0, "{arch:?}: an inline training step lowered");
-        });
-        assert_eq!(conv::lowering_held(), 0, "{arch:?}: a split training step lowered");
+        assert_eq!(conv::lowering_held(), 0, "{arch:?}: a training step lowered");
     }
 }
 

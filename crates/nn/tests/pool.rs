@@ -8,7 +8,7 @@
 //! `NaN` never replaces and a `NaN` first candidate stays. The layer must
 //! match it exactly — the pooled values and, through a backward that sends
 //! a distinct gradient from every output, the argmax — natively and under
-//! `ScalarGuard`, split over the width and inline:
+//! `ScalarGuard`:
 //!
 //! * on 2×2, 3×3, 5×7 and 16×16 planes (odd edges dropped) of 1, 3 and 16
 //!   images — and on 4×6 and 4×64, whose rows of 3 and of 32 windows
@@ -22,7 +22,7 @@ use kemf_nn::pool::MaxPool2;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::simd::ScalarGuard;
 use kemf_tensor::workspace::Workspace;
-use kemf_tensor::{par, Tensor};
+use kemf_tensor::Tensor;
 use rand::Rng;
 
 const PLANES: [(usize, usize); 6] = [(2, 2), (3, 3), (5, 7), (16, 16), (4, 6), (4, 64)];
@@ -102,9 +102,7 @@ fn every_plane_matches_the_branching_loop(tier: &str) {
             let go: Vec<f32> = (1..=y.len()).map(|k| k as f32).collect();
             let want = (bits(&y), bits(&reference_backward(x.numel(), &arg, &go)));
             let what = format!("{tier} {h}x{w} n{n}");
-            assert!(layer_pass(&x, &mut ws) == want, "{what}: split differs from the branching loop");
-            let inline = par::fork_join(vec![()], |()| layer_pass(&x, &mut Workspace::new())).remove(0);
-            assert!(inline == want, "{what}: inline differs from the branching loop");
+            assert!(layer_pass(&x, &mut ws) == want, "{what}: differs from the branching loop");
         }
     }
 }

@@ -24,43 +24,40 @@
 //! from the geometry alone.
 //!
 //! The three products of a convolution live here as well, each on the
-//! route its shape and the tier want and each split over the compute
-//! width ([`crate::par::split`]) by what it writes:
+//! route its shape and the tier want, each run whole on the calling
+//! thread:
 //!
 //! | product | geometry (AVX-512) | route |
 //! |---|---|---|
-//! | [`forward`] | `OH·OW ≥ 16` | direct, by images: an FMA chain per output over the input where it lies, positions in the lanes, tiles of 4–16 filters |
-//! | | `OH·OW < 16` | direct, by filters: the batch staged images last once, 16 images in the lanes |
-//! | [`input_grad`] | `OH·OW ≥ 16` | direct, by images: a chain per patch-gradient value, added into its pixel, pixels in the lanes |
-//! | | `OH·OW < 16` | direct, by input channels: the output gradient staged images last once, 16 images in the lanes |
-//! | [`weight_grad`] | `OH·OW ≥ 16`, `KH·KW > 1` | direct, by input channels: an FMA chain per `(filter, channel, tap)` over the output positions, `(kx, c)` pairs in the lanes, from a channels-last copy of the input in a zero frame |
-//! | | `OH·OW < 16` or a 1×1 filter | direct, by filters: the same chains, the patch columns of the output positions in the lanes |
+//! | [`forward`] | `OH·OW ≥ 16` | direct: an FMA chain per output over the input where it lies, positions in the lanes, tiles of 4–16 filters |
+//! | | `OH·OW < 16` | direct: the batch staged images last once, 16 images in the lanes |
+//! | [`input_grad`] | `OH·OW ≥ 16` | direct: a chain per patch-gradient value, added into its pixel, pixels in the lanes |
+//! | | `OH·OW < 16` | direct: the output gradient staged images last once, 16 images in the lanes |
+//! | [`weight_grad`] | `OH·OW ≥ 16`, `KH·KW > 1` | direct: an FMA chain per `(filter, channel, tap)` over the output positions, `(kx, c)` pairs in the lanes, from a channels-last copy of the input in a zero frame |
+//! | | `OH·OW < 16` or a 1×1 filter | direct: the same chains, the patch columns of the output positions in the lanes |
 //!
 //! On AVX2 and scalar hosts every product lowers ([`forward_lowered`]:
-//! `W · cols`; [`weight_grad_lowered`]: `g · colsᵀ`, a share's rows of the
-//! patch matrix; [`input_grad_lowered`]: `col2im(Wᵀ · g)`, a panel of
-//! whole images at a time). [`is_direct`] says which (the direct route
-//! also wants at most 7×7 taps). The direct route (the `direct`
-//! submodule) runs the lowered route's chains element for element: the
-//! bits depend on neither the route nor the tier nor the width. Each
-//! thread lowers what a lowered product needs itself; the int8 forward
-//! (`kemf_nn`'s `Precision::Int8`) lowers too. A training step on AVX-512
-//! lowers nothing at all.
+//! `W · cols`; [`weight_grad_lowered`]: `g · colsᵀ`;
+//! [`input_grad_lowered`]: `col2im(Wᵀ · g)`, a panel of whole images at a
+//! time). [`is_direct`] says which (the direct route also wants at most
+//! 7×7 taps). The direct route (the `direct` submodule) runs the lowered
+//! route's chains element for element: the bits depend on neither the
+//! route nor the tier. The int8 forward (`kemf_nn`'s `Precision::Int8`)
+//! lowers too. A training step on AVX-512 lowers nothing at all.
 //!
 //! The patch matrix itself is the largest temporary of a convolutional
 //! step — `KH·KW` times the layer's input — and it is needed only while
 //! one layer's products run. [`with_lowering`] therefore lends each
-//! thread (the caller's and every helper a split runs on) a single buffer
-//! for it, apart from any model's
+//! thread (a cohort trains its clients on several) a single buffer for
+//! it, apart from any model's
 //! [`crate::workspace::Workspace`]: a best-fit pool that was handed a
 //! freed patch matrix would give it to the next activation request and
 //! keep one per layer alive after all.
 
-use crate::gemm::{gemm_ops, Accumulate, ColMajor, NchwGather, NchwScatter, NchwScatterBias, RowMajor, Store};
+use crate::gemm::{gemm_ops, Accumulate, ColMajor, NchwGather, NchwScatterBias, RowMajor, Store};
 use crate::par;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
-use std::ops::Range;
 use std::thread::LocalKey;
 
 mod direct;
@@ -68,10 +65,8 @@ mod direct;
 thread_local! {
     /// This thread's patch-matrix buffer; see [`with_lowering`].
     static LOWERING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// This thread's weight-gradient chains; see [`weight_grad`].
-    static CHAINS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// This thread's copies of a direct weight gradient's operands; see
-    /// [`weight_grad`].
+    /// This thread's images-last and channels-last copies of the direct
+    /// route's operands; see [`forward`] and [`weight_grad`].
     static STAGING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -102,16 +97,16 @@ fn with_grown<R>(buffer: &'static LocalKey<RefCell<Vec<f32>>>, len: usize, f: im
     })
 }
 
-/// Free the lowering buffer (and weight-gradient chains) of this thread
-/// and, called outside a share, of every [`par`] helper — the threads a
-/// split pass lowered on. For a long-lived thread that has just finished
+/// Free the lowering and staging buffers of this thread and, called
+/// outside a share, of every [`par`] helper — the threads a cohort's
+/// clients or the teacher pass ran on. For a long-lived thread that has just finished
 /// a pass at an unusually large batch (server-side evaluation, a
 /// teacher's logit pass) and goes back to smaller ones. Inside a share (a
 /// client of a cohort, a teacher of the teacher pass) it frees the
 /// calling thread's buffers only.
 pub fn release_lowering() {
     par::each_thread(|| {
-        for buffer in [&LOWERING, &CHAINS, &STAGING] {
+        for buffer in [&LOWERING, &STAGING] {
             buffer.with(|cell| *cell.borrow_mut() = Vec::new());
         }
     });
@@ -289,24 +284,16 @@ const OUTSIDE: usize = usize::MAX;
 /// (`[patch_len, cols]` flattened, column index = `(n, oy, ox)`). Every
 /// element of `cols` is written.
 pub fn im2col(input: &[f32], geom: &ConvGeom, cols: &mut [f32]) {
-    im2col_channels(input, geom, 0..geom.c, cols);
-}
-
-/// The rows of the patch matrix that channels `chans` own — rows
-/// `chans.start·KH·KW .. chans.end·KH·KW` of [`im2col`]'s, the same bits —
-/// into `cols` (`[chans.len()·KH·KW, cols]`).
-fn im2col_channels(input: &[f32], geom: &ConvGeom, chans: Range<usize>, cols: &mut [f32]) {
     geom.check();
     let (ow, plane, ncols) = (geom.ow(), geom.oh() * geom.ow(), geom.cols());
     let (w, hw, s) = (geom.w, geom.h * geom.w, geom.stride);
     assert_eq!(input.len(), geom.n * geom.c * hw, "input size mismatch");
-    assert!(chans.end <= geom.c, "channels {chans:?} of {}", geom.c);
-    assert_eq!(cols.len(), chans.len() * geom.kh * geom.kw * ncols, "cols size mismatch");
+    assert_eq!(cols.len(), geom.patch_len() * ncols, "cols size mismatch");
     for ky in 0..geom.kh {
         for kx in 0..geom.kw {
             let tap = geom.tap(ky, kx);
-            for c in chans.clone() {
-                let row = &mut cols[geom.patch_row(c - chans.start, ky, kx) * ncols..][..ncols];
+            for c in 0..geom.c {
+                let row = &mut cols[geom.patch_row(c, ky, kx) * ncols..][..ncols];
                 match &tap {
                     Tap::Padding => row.fill(0.0),
                     Tap::Gather { offsets, images, .. } => {
@@ -483,14 +470,9 @@ impl JoinMask {
 /// Either way the FLOP counter is credited the `2·O·patch·N·OH·OW` of the
 /// product.
 ///
-/// Split by images ([`par::split`]): a range of images is exactly the
-/// convolution of that sub-batch, so each thread writes its contiguous
-/// slice of `y` — every element the same FMA chain over the patch as
-/// inline — and copies its images into `keep`, where they are already in
-/// its cache. Where the direct route holds images in its lanes (an output
-/// plane under 16 positions) the calling thread stages the batch once, in
-/// its staging buffer, and the split cuts the filters instead, so no
-/// share holds a part of a vector of images.
+/// Where the direct route holds images in its lanes (an output plane
+/// under 16 positions) it stages the batch in the thread's staging buffer
+/// first.
 #[inline]
 pub fn forward(
     x: &[f32],
@@ -501,32 +483,20 @@ pub fn forward(
     y: &mut [f32],
     keep: Option<&mut [f32]>,
 ) {
-    let (patch, plane, pixels) = (geom.patch_len(), geom.oh() * geom.ow(), geom.c * geom.h * geom.w);
+    let (patch, plane) = (geom.patch_len(), geom.oh() * geom.ow());
     assert_eq!(w.len(), o * patch, "filter size mismatch");
     assert_eq!(y.len(), geom.n * o * plane, "output size mismatch");
     assert!(keep.as_ref().is_none_or(|k| k.len() == x.len()), "input copy size mismatch");
-    let flops = 2 * (o * patch * geom.cols()) as u64;
-    let direct = is_direct(o, geom);
-    if direct && direct::images_in_lanes(geom) {
-        if let Some(keep) = keep {
-            keep.copy_from_slice(x);
-        }
-        return with_grown(&STAGING, direct::staging_len(o, geom), |staging| {
-            direct::forward_images(x, w, bias, o, geom, y, staging);
-        });
+    if let Some(keep) = keep {
+        keep.copy_from_slice(x);
     }
-    par::split(geom.n, flops, (y, keep), |images, (y, keep)| {
-        let part = ConvGeom { n: images.len(), ..*geom };
-        let x = &x[images.start * pixels..images.end * pixels];
-        if let Some(keep) = keep {
-            keep.copy_from_slice(x);
-        }
-        if direct {
-            direct::forward(x, w, bias, o, &part, y);
-        } else {
-            forward_lowered(x, w, bias, o, &part, y);
-        }
-    });
+    match (is_direct(o, geom), direct::images_in_lanes(geom)) {
+        (true, true) => with_grown(&STAGING, direct::staging_len(o, geom), |staging| {
+            direct::forward_images(x, w, bias, o, geom, y, staging);
+        }),
+        (true, false) => direct::forward(x, w, bias, o, geom, y),
+        (false, _) => forward_lowered(x, w, bias, o, geom, y),
+    }
 }
 
 /// [`forward`]'s lowered route for the `geom.n` images of `x` on the
@@ -554,28 +524,16 @@ pub fn forward_lowered(x: &[f32], w: &[f32], bias: &[f32], o: usize, geom: &Conv
 /// Σ_col g[o, col] · cols[p, col]` with `g` the `[N, O, OH, OW]` output
 /// gradient and `cols` the patch matrix of `x`. Each `dw` element receives
 /// one finished FMA chain over `col` ascending from `+0.0`, whatever the
-/// route, the tier and the width.
+/// route and the tier.
 ///
 /// On the AVX-512 tier it runs direct ([`is_direct`]): each lane one
 /// chain over the output positions, read from a channels-last copy of `x`
 /// in the thread's staging buffer — `(kx, channel)` pairs of a zero frame,
 /// or, for an output plane under 16 positions or a 1×1 filter, the patch
 /// columns of the output positions — and from `g` where it lies, the
-/// registers holding several filters; no patch matrix. Each share credits
-/// the FLOP counter its part of the `2·O·patch·N·OH·OW` of the product.
-/// Elsewhere it lowers ([`weight_grad_lowered`]).
-///
-/// Split by input channels ([`par::split`]): a thread works only its
-/// channels' chains, storing each finished one into its channels' `[O,
-/// KH·KW]` blocks of the calling thread's chain buffer (channel-major, so
-/// the layout does not depend on where the cuts fell); the chains are then
-/// added to `dw` once, as the inline product — which runs when the split
-/// does not cut — adds each. Where the direct route's lanes hold the patch
-/// columns, a filter's chains are a whole row of `dw`: the split cuts the
-/// filters instead, each thread adding its rows straight in. The direct
-/// route does not cut channels that fill no more than one vector's row of
-/// taps (a share would run as many vectors as the whole). The `N·OH·OW`
-/// chain of an element is never cut.
+/// registers holding several filters; no patch matrix. It credits the
+/// FLOP counter the `2·O·patch·N·OH·OW` of the product. Elsewhere it
+/// lowers ([`weight_grad_lowered`]).
 // (Inlined so that the engine is instantiated for these operands in the
 // calling crate, next to the layer's forward product.)
 #[inline]
@@ -583,15 +541,14 @@ pub fn weight_grad(g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: &mut [f3
     weight_grad_on(is_direct(o, geom), g, o, x, geom, dw);
 }
 
-/// [`weight_grad`] on the lowered route whatever the geometry, split over
-/// the width by input channels: a thread lowers only its channels' rows of the
-/// patch matrix (`im2col_channels`) into its [`with_lowering`] buffer and
-/// reduces those. `g` is read through [`NchwGather`] and is the one that
-/// is packed (it is `patch` times the smaller); the patch rows are the
-/// column-major B of the product and, for `O ≤ 16` on the widest tier, are
-/// read where they lie by the transposing kernel
-/// ([`crate::simd::microkernel_f32_bt`]) — wider filter banks pack them
-/// through the block transpose. The same bits as the direct route.
+/// [`weight_grad`] on the lowered route whatever the geometry: the input
+/// lowered into the thread's [`with_lowering`] buffer and reduced. `g` is
+/// read through [`NchwGather`] and is the one that is packed (it is
+/// `patch` times the smaller); the patch rows are the column-major B of
+/// the product and, for `O ≤ 16` on the widest tier, are read where they
+/// lie by the transposing kernel ([`crate::simd::microkernel_f32_bt`]) —
+/// wider filter banks pack them through the block transpose. The same bits
+/// as the direct route.
 #[inline]
 pub fn weight_grad_lowered(g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: &mut [f32]) {
     weight_grad_on(false, g, o, x, geom, dw);
@@ -599,68 +556,19 @@ pub fn weight_grad_lowered(g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: 
 
 #[inline]
 fn weight_grad_on(direct: bool, g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, dw: &mut [f32]) {
-    let (patch, ncols, plane, taps) = (geom.patch_len(), geom.cols(), geom.oh() * geom.ow(), geom.kh * geom.kw);
+    let (patch, ncols, plane) = (geom.patch_len(), geom.cols(), geom.oh() * geom.ow());
     assert_eq!(g.len(), o * ncols, "output gradient size mismatch");
     assert_eq!(dw.len(), o * patch, "weight gradient size mismatch");
-    let flops = 2 * (o * patch * ncols) as u64;
-    let cut = if direct { direct::weight_grad_split(geom) } else { direct::WeightGradSplit::Channels };
-    if cut == direct::WeightGradSplit::Filters {
-        // A share's chains are whole rows of `dw`: added straight in.
-        par::split(o, flops, dw, |filters, dw| {
-            let (c, staging) = (geom.c, direct::weight_grad_staging(filters.len(), geom, geom.c));
-            with_grown(&STAGING, staging, |staging| {
-                direct::weight_grad(g, o, filters, x, geom, 0..c, staging, dw, (patch, taps), true);
-            });
+    if direct {
+        return with_grown(&STAGING, direct::weight_grad_staging(o, geom), |staging| {
+            direct::weight_grad(g, o, x, geom, staging, dw);
         });
-        return;
     }
-    // Cut by channels, or not at all.
-    let unit = if cut == direct::WeightGradSplit::Whole { geom.c.max(1) } else { 1 };
-    with_grown(&CHAINS, o * patch, |chains| {
-        let outs = (Whole(Some(&mut *dw)), &mut chains[..]);
-        let shares = par::split(geom.c / unit, flops, outs, |units, (whole, blocks)| {
-            let chans = units.start * unit..units.end * unit;
-            let rows = chans.len() * taps;
-            if direct {
-                let staging = direct::weight_grad_staging(o, geom, chans.len());
-                return with_grown(&STAGING, staging, |staging| match whole.0 {
-                    Some(dw) => {
-                        let dw = &mut dw[chans.start * taps..];
-                        direct::weight_grad(g, o, 0..o, x, geom, chans, staging, dw, (patch, taps), true);
-                    }
-                    None => direct::weight_grad(g, o, 0..o, x, geom, chans, staging, blocks, (taps, o * taps), false),
-                });
-            }
-            with_lowering(rows * ncols, |cols| {
-                im2col_channels(x, geom, chans, cols);
-                let (a, b) = (NchwGather { data: g, o, plane }, ColMajor { data: cols, ld: ncols });
-                match whole.0 {
-                    Some(dw) => gemm_ops(o, ncols, rows, &a, &b, &mut Accumulate { c: dw, ldc: patch }),
-                    None => gemm_ops(o, ncols, rows, &a, &b, &mut NchwScatter { out: blocks, o, plane: taps }),
-                }
-            });
-        });
-        if shares > 1 {
-            for (c, block) in chains.chunks_exact(o * taps).enumerate() {
-                for (dw_row, chain) in dw.chunks_exact_mut(patch).zip(block.chunks_exact(taps)) {
-                    for (d, &v) in dw_row[c * taps..][..taps].iter_mut().zip(chain) {
-                        *d += v;
-                    }
-                }
-            }
-        }
+    with_lowering(patch * ncols, |cols| {
+        im2col(x, geom, cols);
+        let (a, b) = (NchwGather { data: g, o, plane }, ColMajor { data: cols, ld: ncols });
+        gemm_ops(o, ncols, patch, &a, &b, &mut Accumulate { c: dw, ldc: patch });
     });
-}
-
-/// An output only a split that runs in one share may write: the share
-/// gets it whole, the parts of a cut one get nothing. The weight gradient
-/// accumulates straight into `dw` when it runs inline.
-struct Whole<'a>(Option<&'a mut [f32]>);
-
-impl par::Share for Whole<'_> {
-    fn cut(self, _head: usize, _len: usize) -> (Self, Self) {
-        (Whole(None), Whole(None))
-    }
 }
 
 /// Most elements of the patch-gradient panel [`input_grad`] works in
@@ -673,15 +581,12 @@ const PANEL_ELEMS: usize = 16 * 1024;
 /// `[O, patch]` filter matrix and `g` the `[N, O, OH, OW]` output
 /// gradient. Every element of `gx` is written.
 ///
-/// Split by images ([`par::split`]), like the forward product — by input
-/// channels where the direct route holds images in its lanes, the output
-/// gradient staged once by the calling thread. On the AVX-512 tier it runs
-/// direct ([`is_direct`]): each patch-gradient value is its FMA chain over
+/// On the AVX-512 tier it runs direct ([`is_direct`]): each patch-gradient value is its FMA chain over
 /// `o`, added straight into its pixel in `col2im`'s order, with no patch
 /// gradient stored; the FLOP counter is credited the product's
-/// `2·O·patch·N·OH·OW`. Elsewhere it lowers ([`input_grad_lowered`]):
-/// within a thread's images the patch
-/// gradient is produced a panel of whole images at a time — the columns
+/// `2·O·patch·N·OH·OW` — where it holds images in its lanes, from the
+/// output gradient staged in the thread's staging buffer. Elsewhere it
+/// lowers ([`input_grad_lowered`]): the patch gradient is produced a panel of whole images at a time — the columns
 /// of as many consecutive images as `PANEL_ELEMS` holds, one at least —
 /// and scattered into those images' pixels. An input pixel only ever
 /// receives addends from its own image, tap by tap, so the sums are those
@@ -694,26 +599,16 @@ pub fn input_grad(w: &[f32], g: &[f32], o: usize, geom: &ConvGeom, gx: &mut [f32
     assert_eq!(w.len(), o * patch, "filter size mismatch");
     assert_eq!(g.len(), geom.n * o * plane, "output gradient size mismatch");
     assert_eq!(gx.len(), geom.n * pixels, "input gradient size mismatch");
-    let flops = 2 * (o * patch * geom.cols()) as u64;
-    let direct = is_direct(o, geom);
-    if direct && direct::images_in_lanes(geom) {
-        return with_grown(&STAGING, direct::staging_len(o, geom), |staging| {
+    match (is_direct(o, geom), direct::images_in_lanes(geom)) {
+        (true, true) => with_grown(&STAGING, direct::staging_len(o, geom), |staging| {
             direct::input_grad_images(w, g, o, geom, gx, staging);
-        });
+        }),
+        (true, false) => direct::input_grad(w, g, o, geom, gx),
+        (false, _) => input_grad_lowered(w, g, o, geom, gx),
     }
-    par::split(geom.n, flops, gx, |images, gx| {
-        let part = ConvGeom { n: images.len(), ..*geom };
-        let g = &g[images.start * o * plane..images.end * o * plane];
-        if direct {
-            direct::input_grad(w, g, o, &part, gx);
-        } else {
-            input_grad_lowered(w, g, o, &part, gx);
-        }
-    });
 }
 
-/// [`input_grad`]'s lowered route for the `geom.n` images of `g` on the
-/// calling thread: the patch gradient `Wᵀ · g` made a panel of whole
+/// [`input_grad`]'s lowered route for the `geom.n` images of `g`: the patch gradient `Wᵀ · g` made a panel of whole
 /// images at a time in its [`with_lowering`] buffer and scattered
 /// (`col2im`) into those images' pixels before the next panel overwrites
 /// it. Every element of `gx` is written, with the sums of one
@@ -870,25 +765,6 @@ mod tests {
         col2im(&y, &geom, &mut xg);
         let rhs: f64 = x.iter().zip(xg.iter()).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
         assert!((lhs - rhs).abs() < 1e-3, "adjoint mismatch: {lhs} vs {rhs}");
-    }
-
-    #[test]
-    fn a_channel_range_lowers_its_rows_of_the_patch_matrix() {
-        let mut rng = seeded_rng(13);
-        for geom in [
-            ConvGeom { n: 3, c: 5, h: 6, w: 6, kh: 3, kw: 3, stride: 1, pad: 1 },
-            ConvGeom { n: 2, c: 4, h: 2, w: 2, kh: 3, kw: 3, stride: 2, pad: 1 },
-        ] {
-            let x: Vec<f32> = (0..geom.n * geom.c * geom.h * geom.w).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut whole = vec![0.0; geom.patch_len() * geom.cols()];
-            im2col(&x, &geom, &mut whole);
-            let rows = geom.kh * geom.kw * geom.cols();
-            for chans in [0..1, 1..3, 2..geom.c, 0..geom.c] {
-                let mut part = vec![f32::NAN; chans.len() * rows];
-                im2col_channels(&x, &geom, chans.clone(), &mut part);
-                assert_eq!(part, whole[chans.start * rows..chans.end * rows], "{chans:?}");
-            }
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! output's chain over `p` is the same whichever filters a call holds
 //! beside it, and a `dw` chain over `col` the same whichever lanes. So
 //! any bank is worked in *tiles* of at most 16 filters, and the bits are
-//! those of the lowered route whatever the tiles, the split or the lanes.
+//! those of the lowered route whatever the tiles or the lanes.
 //!
 //! The AVX-512 kernels ([`crate::simd::conv_direct_forward`],
 //! [`crate::simd::conv_direct_input_grad`]) run vectors of 16 lanes with
@@ -46,9 +46,7 @@
 //! input gradient, in the calling thread's staging buffer — so a tap of one
 //! position is one load of 16 images, a padding tap reading the frame's
 //! `0.0`; a partial vector of images is masked. The result is staged the
-//! same way and laid back out as NCHW. The batch is staged once, so a
-//! split cuts the filters (forward) or the input channels (input
-//! gradient), never the images in a vector.
+//! same way and laid back out as NCHW.
 //!
 //! The weight gradient's chain runs along the positions, so its vectors
 //! run across chains instead ([`crate::simd::conv_direct_weight_grad`]):
@@ -61,16 +59,13 @@
 //! positions, a 1×1 filter), the patch columns themselves, `(c, ky, kx)`
 //! in the filter's own order. The finished chains are handed on a row of
 //! taps at a time, gathered from their lanes — or, for patch columns, a
-//! filter's whole row of `dw` at once. The copy is made per call, by each
-//! share of a split: of its input channels (a frame) or, for patch
-//! columns, of all of them, the share's filters being its cut.
+//! filter's whole row of `dw` at once. The copy is made per call.
 //!
 //! Only the AVX-512 tier runs direct: on AVX2 and scalar hosts (and under
 //! [`crate::simd::ScalarGuard`]) every bank stays on the lowered route,
 //! whose GEMM tiles run the same chains.
 
 use super::ConvGeom;
-use crate::par;
 use crate::simd::{self, Isa, LaneTap};
 use std::ops::Range;
 
@@ -348,9 +343,8 @@ fn tile_rows<const OB: usize>(
 /// `y = W ⋆ x + b` like [`forward`], with images in the lanes: the batch
 /// staged images last in its zero frame, each tap a load of 16 images of
 /// one framed pixel, the output staged images last and laid back out as
-/// NCHW. Split over the filters ([`par::split`]); each share credits the
-/// FLOP counter its filters' part of the product. `staging` holds
-/// [`staging_len`] floats. Only where [`takes`] and [`images_in_lanes`]
+/// NCHW; the FLOP counter is credited the product's `2·O·patch·N·OH·OW`.
+/// `staging` holds [`staging_len`] floats. Only where [`takes`] and [`images_in_lanes`]
 /// hold.
 pub(super) fn forward_images(
     x: &[f32],
@@ -386,7 +380,7 @@ fn forward_images_avx512(
     assert_eq!(staging.len(), staging_len(o, geom), "staging size mismatch");
     let (xs, ys) = staging.split_at_mut(geom.c * framed.channel());
     framed.stage(x, (geom.c, geom.h, geom.w), geom.pad, xs);
-    let (xs, per_filter) = (&*xs, 2 * (geom.patch_len() * geom.cols()) as u64);
+    crate::flops::add(2 * (o * geom.patch_len() * geom.cols()) as u64);
     // Sixteen chains a call: as many positions as the plane has, up to
     // four, and a tile of as many filters as that leaves room for.
     let width = match out.rows * out.cols {
@@ -394,37 +388,32 @@ fn forward_images_avx512(
         2 | 3 => 8,
         _ => 4,
     };
-    par::split(o, o as u64 * per_filter, &mut *ys, |filters, ys| {
-        crate::flops::add(filters.len() as u64 * per_filter);
-        let first = filters.start;
-        for tile in tiles(filters, width) {
-            match width {
-                4 => forward_images_tile::<4, 4>(xs, w, bias, tile, first, geom, ys),
-                8 => forward_images_tile::<8, 2>(xs, w, bias, tile, first, geom, ys),
-                _ => forward_images_tile::<16, 1>(xs, w, bias, tile, first, geom, ys),
-            }
+    for tile in tiles(0..o, width) {
+        match width {
+            4 => forward_images_tile::<4, 4>(xs, w, bias, tile, geom, ys),
+            8 => forward_images_tile::<8, 2>(xs, w, bias, tile, geom, ys),
+            _ => forward_images_tile::<16, 1>(xs, w, bias, tile, geom, ys),
         }
-    });
+    }
     out.unstage(ys, o, y);
 }
 
 /// [`forward_images`] for the filters `tile`, `OB` (4, 8 or 16) over `V`
-/// output positions a call, into `ys` from filter `first` on: the lanes of
-/// a vector are 16 images of one position.
+/// output positions a call, into the staged output `ys`: the lanes of a
+/// vector are 16 images of one position.
 #[cfg(target_arch = "x86_64")]
 fn forward_images_tile<const OB: usize, const V: usize>(
     xs: &[f32],
     w: &[f32],
     bias: &[f32],
     tile: Range<usize>,
-    first: usize,
     geom: &ConvGeom,
     ys: &mut [f32],
 ) {
     let (framed, out) = (ImagesLast::framed(geom), ImagesLast::output(geom));
     let (plane, taps, depth, s) = (out.rows * out.cols, geom.kh * geom.kw, framed.depth, geom.stride);
     let (rows, biases) = tile_rows::<OB>(w, bias, geom.patch_len(), &tile);
-    assert!(ys.len() >= (tile.end - first) * out.channel(), "filters {tile:?} outside the staged output");
+    assert!(ys.len() >= tile.end * out.channel(), "filters {tile:?} outside the staged output");
     for n0 in (0..geom.n).step_by(LANES) {
         let store = lane_mask(LANES.min(geom.n - n0));
         // Tap (ky, kx) of the position whose framed patch starts at a pixel
@@ -445,10 +434,9 @@ fn forward_images_tile<const OB: usize, const V: usize>(
             };
             let srcs = std::array::from_fn(|v| xs[corner(v)..].as_ptr());
             let base = ys.as_mut_ptr();
-            // SAFETY: position(v) < plane, first ≤ tile.start < tile.end and
-            // n0 < depth, so the offset is inside `ys` (asserted above).
-            let outs =
-                std::array::from_fn(|v| unsafe { base.add(((tile.start - first) * plane + position(v)) * depth + n0) });
+            // SAFETY: position(v) < plane, tile.start < tile.end and n0 <
+            // depth, so the offset is inside `ys` (asserted above).
+            let outs = std::array::from_fn(|v| unsafe { base.add((tile.start * plane + position(v)) * depth + n0) });
             // SAFETY: the tier is AVX-512. Each `rows[i]` is a filter of
             // `patch = C·T` floats. From a position's framed corner (s·oy,
             // s·ox), tap (ky, kx) of channel c reads pixel (s·oy + ky, s·ox
@@ -583,9 +571,8 @@ fn input_grad_vectors<const SCATTER: bool>(
 /// (`ky`, then `kx`, descending) over [`GRAD_CHANNELS_IMAGES`] input
 /// channels a call — a tap's lanes 16 images of the one output position it
 /// takes — and the input gradient staged images last and laid back out as
-/// NCHW. Split over the input channels ([`par::split`]); each share
-/// credits the FLOP counter its channels' part of the product. `staging`
-/// holds [`staging_len`] floats. Only where [`takes`] and
+/// NCHW; the FLOP counter is credited the product's `2·O·patch·N·OH·OW`.
+/// `staging` holds [`staging_len`] floats. Only where [`takes`] and
 /// [`images_in_lanes`] hold.
 pub(super) fn input_grad_images(
     w: &[f32],
@@ -604,24 +591,21 @@ pub(super) fn input_grad_images(
         let (gxs, gs) = staging.split_at_mut(geom.c * ImagesLast::framed(geom).channel());
         let (gxs, gs) = (&mut gxs[..geom.c * input.channel()], &mut gs[..o * out.channel()]);
         out.stage(g, (o, out.rows, out.cols), 0, gs);
-        let (gs, per_channel) = (&*gs, 2 * (o * geom.kh * geom.kw * geom.cols()) as u64);
-        par::split(geom.c, geom.c as u64 * per_channel, &mut *gxs, |chans, gxs| {
-            crate::flops::add(chans.len() as u64 * per_channel);
-            input_grad_images_avx512(w, gs, o, geom, chans, gxs);
-        });
+        crate::flops::add(2 * (o * geom.patch_len() * geom.cols()) as u64);
+        input_grad_images_avx512(w, gs, o, geom, gxs);
         return input.unstage(gxs, geom.c, gx);
     }
     let _ = (w, g, o, geom, gx, staging);
     unreachable!("the direct route runs on the AVX-512 tier only");
 }
 
-/// [`input_grad_images`] for input channels `chans`, into `gxs` from the
-/// first of them on.
+/// [`input_grad_images`] on the AVX-512 tier, from the staged output
+/// gradient `gs` into the staged input gradient `gxs`.
 #[cfg(target_arch = "x86_64")]
-fn input_grad_images_avx512(w: &[f32], gs: &[f32], o: usize, geom: &ConvGeom, chans: Range<usize>, gxs: &mut [f32]) {
+fn input_grad_images_avx512(w: &[f32], gs: &[f32], o: usize, geom: &ConvGeom, gxs: &mut [f32]) {
     let (out, input) = (ImagesLast::output(geom), ImagesLast::input(geom));
     let (hw, taps, patch, s, depth) = (geom.h * geom.w, geom.kh * geom.kw, geom.patch_len(), geom.stride, out.depth);
-    assert_eq!(gxs.len(), chans.len() * input.channel(), "input gradient share mismatch");
+    assert_eq!(gxs.len(), geom.c * input.channel(), "staged input gradient size mismatch");
     let (mut table, mut cols) = ([LaneTap::default(); MAX_TAPS], [0; MAX_TAPS]);
     for (iy, ix) in (0..geom.h).flat_map(|iy| (0..geom.w).map(move |ix| (iy, ix))) {
         // The taps that reach this pixel, in `col2im`'s order: tap (ky, kx)
@@ -645,18 +629,18 @@ fn input_grad_images_avx512(w: &[f32], gs: &[f32], o: usize, geom: &ConvGeom, ch
             for tap in &mut table[..count] {
                 tap.mask = store;
             }
-            for c0 in chans.clone().step_by(GRAD_CHANNELS_IMAGES) {
-                let held = GRAD_CHANNELS_IMAGES.min(chans.end - c0);
-                // Channels past the share repeat its last one; they are not
+            for c0 in (0..geom.c).step_by(GRAD_CHANNELS_IMAGES) {
+                let held = GRAD_CHANNELS_IMAGES.min(geom.c - c0);
+                // Channels past the input repeat its last one; they are not
                 // stored.
                 let filters = std::array::from_fn(|i| w[(c0 + i.min(held - 1)) * taps..].as_ptr());
-                let at = ((c0 - chans.start) * hw + iy * geom.w + ix) * depth + n0;
+                let at = (c0 * hw + iy * geom.w + ix) * depth + n0;
                 // SAFETY: the tier is AVX-512. From `filters[i]`, a channel's
                 // first tap, `o·patch + k` stays inside `w` for o < `o`, k <
                 // T. A tap reads output position `offset / depth` < plane of
                 // every filter's staged plane, images n0.. of its `depth`.
                 // The stored lanes are those images of the pixel in channels
-                // c0.. of the share, inside `gxs` (asserted above).
+                // c0.., inside `gxs` (asserted above).
                 unsafe {
                     simd::conv_direct_input_grad::<GRAD_CHANNELS_IMAGES, 1, false>(
                         &table[..count],
@@ -705,8 +689,8 @@ struct Staged {
 }
 
 impl Staged {
-    fn of(geom: &ConvGeom, chans: usize) -> Self {
-        let (oh, ow) = (geom.oh(), geom.ow());
+    fn of(geom: &ConvGeom) -> Self {
+        let (oh, ow, chans) = (geom.oh(), geom.ow(), geom.c);
         if columns(geom) {
             let taps = geom.kh * geom.kw;
             let depth = chans * taps;
@@ -747,10 +731,10 @@ impl Staged {
         }
     }
 
-    /// Channels `chans` of the images of `x` into `grid`.
+    /// The images of `x` into `grid`.
     #[cfg(target_arch = "x86_64")]
-    fn stage(&self, x: &[f32], geom: &ConvGeom, chans: &Range<usize>, grid: &mut [f32]) {
-        let (hw, pad, cs) = (geom.h * geom.w, geom.pad, chans.len());
+    fn stage(&self, x: &[f32], geom: &ConvGeom, grid: &mut [f32]) {
+        let (hw, pad, cs) = (geom.h * geom.w, geom.pad, geom.c);
         if self.columns {
             // Tap by tap, over the output positions where it lands inside
             // the input.
@@ -758,8 +742,7 @@ impl Staged {
             let (plane, taps) = (self.rows * self.cols, geom.kh * geom.kw);
             for t in 0..taps {
                 let (y, x_) = (geom.tap_span(t / geom.kw, geom.h, self.rows), geom.tap_span(t % geom.kw, geom.w, self.cols));
-                for (n, image) in x.chunks_exact(geom.c * hw).enumerate() {
-                    let image = &image[chans.start * hw..][..cs * hw];
+                for (n, image) in x.chunks_exact(cs * hw).enumerate() {
                     for oy in y.lo..y.hi {
                         let iy = y.first + (oy - y.lo) * geom.stride;
                         for ox in x_.lo..x_.hi {
@@ -784,9 +767,9 @@ impl Staged {
             }
             dst[..pad * depth].fill(0.0);
             dst[(geom.w + pad) * depth..].fill(0.0);
-            // Channels past `chans` repeat its last one: staged, never
-            // handed on.
-            let row = |k: usize| &x[((n * geom.c + chans.start + k.min(cs - 1)) * geom.h + iy) * geom.w..][..geom.w];
+            // Channels past the last (the depth rounds up to four) repeat
+            // it: staged, never handed on.
+            let row = |k: usize| &x[((n * cs + k.min(cs - 1)) * geom.h + iy) * geom.w..][..geom.w];
             let quads = depth / 4 * 4;
             for k in (0..quads).step_by(4) {
                 let dst = &mut dst[pad * depth + k..][..(geom.w - 1) * depth + 4];
@@ -809,125 +792,80 @@ fn columns(geom: &ConvGeom) -> bool {
     geom.kh * geom.kw == 1 || images_in_lanes(geom)
 }
 
-/// Whether a split of [`weight_grad`] over the width cuts the filters
-/// rather than the input channels: where the lanes hold the patch columns,
-/// so a share's chains are whole rows of `dw`. Elsewhere it cuts the input
-/// channels where that saves vectors — where one row of taps of all of
-/// them runs past one — and does not cut at all otherwise.
-pub(super) fn weight_grad_split(geom: &ConvGeom) -> WeightGradSplit {
-    match columns(geom) {
-        true => WeightGradSplit::Filters,
-        false if Staged::of(geom, geom.c).run > LANES => WeightGradSplit::Channels,
-        false => WeightGradSplit::Whole,
-    }
-}
-
-/// What a split of [`weight_grad`] cuts; see [`weight_grad_split`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum WeightGradSplit {
-    Filters,
-    Channels,
-    Whole,
-}
-
-/// The floats [`weight_grad`] stages for `o` filters over `chans` input
-/// channels of `geom`: those channels of the `Staged` copy, and every
-/// filter's chains as the lanes hold them.
-pub(super) fn weight_grad_staging(o: usize, geom: &ConvGeom, chans: usize) -> usize {
-    let staged = Staged::of(geom, chans);
+/// The floats [`weight_grad`] stages for `o` filters over `geom`: the
+/// `Staged` copy of the input, and every filter's chains as the lanes hold
+/// them.
+pub(super) fn weight_grad_staging(o: usize, geom: &ConvGeom) -> usize {
+    let staged = Staged::of(geom);
     geom.n * staged.image() + o * staged.reads() * LANES
 }
 
-/// The weight-gradient chains of filters `filters` of the `o` of `g` (`[N,
-/// O, OH, OW]`) over input channels `chans` of `x` (`[N, C, H, W]`): each
-/// `Σ_col g[f, col] · x(col, c, t)`, one FMA chain over `col = (n, oy, ox)`
-/// ascending from `+0.0`, added into `out[(f − filters.start)·f_stride +
-/// (c − chans.start)·c_stride + t]` once (`add`) or stored there. The FLOP
-/// counter is credited the chains' part of the product. `staging` holds
-/// [`weight_grad_staging`] floats for the filters and channels. Only where
-/// [`takes`] holds.
-#[allow(clippy::too_many_arguments)] // the operands, their parts, and where the chains go
-pub(super) fn weight_grad(
-    g: &[f32],
-    o: usize,
-    filters: Range<usize>,
-    x: &[f32],
-    geom: &ConvGeom,
-    chans: Range<usize>,
-    staging: &mut [f32],
-    out: &mut [f32],
-    strides: (usize, usize),
-    add: bool,
-) {
-    let (taps, fs, cs) = (geom.kh * geom.kw, filters.len(), chans.len());
-    let staged = Staged::of(geom, cs);
+/// The weight-gradient chains of the `o` filters of `g` (`[N, O, OH, OW]`)
+/// over the input `x` (`[N, C, H, W]`): each `Σ_col g[f, col] · x(col, c,
+/// t)`, one FMA chain over `col = (n, oy, ox)` ascending from `+0.0`,
+/// added into `dw[f, c, t]` once. The FLOP counter is credited the
+/// product's `2·O·patch·N·OH·OW`. `staging` holds [`weight_grad_staging`]
+/// floats. Only where [`takes`] holds.
+pub(super) fn weight_grad(g: &[f32], o: usize, x: &[f32], geom: &ConvGeom, staging: &mut [f32], dw: &mut [f32]) {
+    let staged = Staged::of(geom);
     assert_eq!(g.len(), geom.n * o * geom.oh() * geom.ow(), "output gradient size mismatch");
     assert_eq!(x.len(), geom.n * geom.c * geom.h * geom.w, "input size mismatch");
-    assert_eq!(staging.len(), weight_grad_staging(fs, geom, cs), "staging size mismatch");
-    assert!(filters.end <= o && chans.end <= geom.c, "filters {filters:?} of {o}, channels {chans:?} of {}", geom.c);
-    assert!(out.len() >= (fs - 1) * strides.0 + (cs - 1) * strides.1 + taps, "chains outside the output");
-    crate::flops::add(2 * (fs * cs * taps * geom.cols()) as u64);
+    assert_eq!(staging.len(), weight_grad_staging(o, geom), "staging size mismatch");
+    assert_eq!(dw.len(), o * geom.patch_len(), "weight gradient size mismatch");
+    crate::flops::add(2 * (o * geom.patch_len() * geom.cols()) as u64);
     #[cfg(target_arch = "x86_64")]
     if simd::isa() == Isa::Avx512 {
         let (grid, sums) = staging.split_at_mut(geom.n * staged.image());
-        staged.stage(x, geom, &chans, grid);
-        return weight_grad_avx512(g, o, filters, geom, &staged, cs, grid, sums, out, strides, add);
+        staged.stage(x, geom, grid);
+        return weight_grad_avx512(g, o, geom, &staged, grid, sums, dw);
     }
-    let _ = (g, x, staging, out, strides, add);
+    let _ = (g, x, staging, dw);
     unreachable!("the direct route runs on the AVX-512 tier only");
 }
 
-/// [`weight_grad`] on the AVX-512 tier, from the `staged` copy of `cs`
-/// channels in `grid`. Lanes hold a run of the copy and registers the runs
-/// of a filter (in vectors of 16 lanes, up to three at a time) of four or
+/// [`weight_grad`] on the AVX-512 tier, from the `staged` copy in `grid`.
+/// Lanes hold a run of the copy and registers the runs of a filter (in vectors of 16 lanes, up to three at a time) of four or
 /// eight filters: each position is a masked load per vector and a
 /// broadcast of `g` per filter, the output gradient read where it lies.
 /// The finished vectors are kept in `sums` as the lanes hold them, then
-/// handed on a row of taps `(f, c)` at a time: a straight run where the
-/// lanes hold the patch columns, else gathered from its lanes.
+/// added into `dw` a row of taps `(f, c)` at a time: a straight run where
+/// the lanes hold the patch columns, else gathered from its lanes.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // as `weight_grad`
 fn weight_grad_avx512(
     g: &[f32],
     o: usize,
-    filters: Range<usize>,
     geom: &ConvGeom,
     staged: &Staged,
-    cs: usize,
     grid: &[f32],
     sums: &mut [f32],
-    out: &mut [f32],
-    (f_stride, c_stride): (usize, usize),
-    add: bool,
+    dw: &mut [f32],
 ) {
-    let taps = geom.kh * geom.kw;
-    match (staged.reads(), filters.len()) {
-        (1 | 2, _) => weight_grad_vectors::<1, 8>(g, o, filters, geom, staged, grid, sums),
-        (_, 1..=4) => weight_grad_vectors::<3, 4>(g, o, filters, geom, staged, grid, sums),
-        _ => weight_grad_vectors::<3, 8>(g, o, filters, geom, staged, grid, sums),
+    let (taps, patch) = (geom.kh * geom.kw, geom.patch_len());
+    match (staged.reads(), o) {
+        (1 | 2, _) => weight_grad_vectors::<1, 8>(g, o, geom, staged, grid, sums),
+        (_, 1..=4) => weight_grad_vectors::<3, 4>(g, o, geom, staged, grid, sums),
+        _ => weight_grad_vectors::<3, 8>(g, o, geom, staged, grid, sums),
     }
-    let hand = |d: &mut f32, v: f32| *d = if add { *d + v } else { v };
     let mut index = [[0; LANES]; MAX_TAPS.div_ceil(LANES)];
     for t in 0..taps {
         index[t / LANES][t % LANES] = staged.lane(0, t, geom) as i32;
     }
     let step = staged.lane(1, 0, geom);
-    for (f, chains) in sums.chunks_exact(staged.reads() * LANES).enumerate() {
-        let out = &mut out[f * f_stride..];
-        if staged.columns && c_stride == taps {
+    for (dw, chains) in dw.chunks_exact_mut(patch).zip(sums.chunks_exact(staged.reads() * LANES)) {
+        if staged.columns {
             // The filter's chains run on in `dw`'s order.
-            out[..cs * taps].iter_mut().zip(chains).for_each(|(d, &v)| hand(d, v));
+            dw.iter_mut().zip(chains).for_each(|(d, &v)| *d += v);
             continue;
         }
-        for c in 0..cs {
-            let row = &mut out[c * c_stride..][..taps];
+        for c in 0..geom.c {
+            let row = &mut dw[c * taps..][..taps];
             for (k, index) in index.iter().enumerate().take(taps.div_ceil(LANES)) {
                 // SAFETY: the tier is AVX-512. A lane's index is below
                 // `reads·16 − c·step` (every chain lies among the filter's
                 // vectors), and the row holds `taps` floats.
                 unsafe {
                     let (src, lanes) = (chains[c * step..].as_ptr(), lane_mask(LANES.min(taps - k * LANES)));
-                    simd::gather_row(src, index, lanes, row[k * LANES..].as_mut_ptr(), add);
+                    simd::gather_row(src, index, lanes, row[k * LANES..].as_mut_ptr());
                 }
             }
         }
@@ -936,12 +874,11 @@ fn weight_grad_avx512(
 
 /// [`weight_grad_avx512`]'s chains over `X` vectors and `F` filters a
 /// call, from the `staged` grid into `sums`, a filter's
-/// [`Staged::reads`] vectors after another's from `filters.start` on.
+/// [`Staged::reads`] vectors after another's.
 #[cfg(target_arch = "x86_64")]
 fn weight_grad_vectors<const X: usize, const F: usize>(
     g: &[f32],
     o: usize,
-    filters: Range<usize>,
     geom: &ConvGeom,
     staged: &Staged,
     grid: &[f32],
@@ -949,7 +886,7 @@ fn weight_grad_vectors<const X: usize, const F: usize>(
 ) {
     let (plane, depth, row, vectors) = (geom.oh() * geom.ow(), staged.depth, staged.cols * staged.depth, staged.vectors);
     let (run, reads) = (staged.run, staged.reads());
-    assert_eq!(sums.len(), filters.len() * reads * LANES, "chains size mismatch");
+    assert_eq!(sums.len(), o * reads * LANES, "chains size mismatch");
     // Read `r`: row `ky = r / vectors` of the taps, lanes from `16·(r %
     // vectors)` of its run.
     let read = |r: usize| {
@@ -961,8 +898,8 @@ fn weight_grad_vectors<const X: usize, const F: usize>(
     for r0 in (0..reads).step_by(X) {
         // Reads and filters past the last repeat it; they are not kept.
         let taps: [LaneTap; X] = std::array::from_fn(|j| read((r0 + j).min(reads - 1)));
-        for f0 in filters.clone().step_by(F) {
-            let rows = std::array::from_fn(|i| g[(f0 + i).min(filters.end - 1) * plane..].as_ptr());
+        for f0 in (0..o).step_by(F) {
+            let rows = std::array::from_fn(|i| g[(f0 + i).min(o - 1) * plane..].as_ptr());
             // SAFETY: the tier is AVX-512. Position (n, oy, ox) reads the
             // run of row ky from pixel (n, s·oy + ky, s·ox) of the staged
             // `[N, rows, cols, depth]` grid (s its stride), `run` floats
@@ -973,9 +910,9 @@ fn weight_grad_vectors<const X: usize, const F: usize>(
             let chains = unsafe {
                 simd::conv_direct_weight_grad::<X, F>(grid.as_ptr(), &taps, shape, strides, rows, o * plane)
             };
-            for (f, lanes) in (f0..filters.end).zip(&chains) {
+            for (f, lanes) in (f0..o).zip(&chains) {
                 for (r, vector) in (r0..reads).zip(lanes) {
-                    sums[((f - filters.start) * reads + r) * LANES..][..LANES].copy_from_slice(vector);
+                    sums[(f * reads + r) * LANES..][..LANES].copy_from_slice(vector);
                 }
             }
         }

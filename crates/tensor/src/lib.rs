@@ -18,11 +18,10 @@
 //!    [`workspace::Workspace`] scratch arena so steady-state training
 //!    steps perform no heap allocation.
 //!
-//!    Products and layer passes called outside a share of [`par`] split
-//!    their *outputs* (images, channels, element ranges) over the
-//!    process's compute width — the calling thread and parked helpers —
-//!    so each output element keeps its one FMA chain and every width
-//!    returns the same bits.
+//!    Products and layer passes run whole on the thread that calls them;
+//!    the process's compute width ([`par`]: the calling thread and parked
+//!    helpers) goes to independent models — a cohort's clients, an
+//!    ensemble's teachers — so every width returns the same bits.
 //!
 //!    Dispatch ([`simd`]) picks the widest tier the host supports at the
 //!    first GEMM call and can be capped with `KEMF_SIMD=avx2|scalar`:

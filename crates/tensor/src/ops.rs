@@ -9,12 +9,8 @@
 
 use crate::simd::{self, Isa};
 use crate::tensor::Tensor;
-use std::ops::Range;
 
-/// Channels whose sums [`channel_sums`] runs in one vector.
-pub const CHANNEL_LANES: usize = 4;
-
-/// `each(ch, Σ a, Σ a·b)` for every channel `ch` of `chans`, in order, of
+/// `each(ch, Σ a, Σ a·b)` for every channel `ch`, in order, of
 /// `[N, C, plane]` activations `a` and `b` (`b = None`: `a` itself) with
 /// `c` channels: the sums in f64, each one chain of adds over the
 /// channel's images and pixels in storage order from `+0.0`, the product
@@ -31,19 +27,16 @@ pub fn channel_sums(
     b: Option<&[f32]>,
     c: usize,
     plane: usize,
-    chans: Range<usize>,
     mut each: impl FnMut(usize, f64, f64),
 ) {
     let images = a.len() / (c * plane).max(1);
     assert_eq!(a.len(), images * c * plane, "activation size mismatch");
     assert!(b.is_none_or(|b| b.len() == a.len()), "second activation size mismatch");
-    assert!(chans.end <= c, "channels {chans:?} of {c}");
     #[cfg(target_arch = "x86_64")]
     if simd::isa() != Isa::Scalar && plane > 0 {
-        for c0 in chans.clone().step_by(8) {
-            let live = 8.min(chans.end - c0);
-            // Channels past `chans` repeat its last one; they are not
-            // handed on.
+        for c0 in (0..c).step_by(8) {
+            let live = 8.min(c - c0);
+            // Channels past the last repeat it; they are not handed on.
             let planes = |v: &[f32]| -> [[*const f32; 4]; 2] {
                 std::array::from_fn(|i| std::array::from_fn(|k| v[(c0 + (4 * i + k).min(live - 1)) * plane..].as_ptr()))
             };
@@ -74,7 +67,7 @@ pub fn channel_sums(
         return;
     }
     let b = b.unwrap_or(a);
-    for ch in chans {
+    for ch in 0..c {
         let (mut sum, mut dot) = (0.0f64, 0.0f64);
         for n in 0..images {
             let at = (n * c + ch) * plane;
@@ -89,7 +82,7 @@ pub fn channel_sums(
 
 /// 2×2 max pooling with stride 2 of the whole `h × w` planes of `src`:
 /// each window's maximum into `dst` (`[planes, h/2, w/2]`, odd edges
-/// dropped) and its flat index in `src`, plus `base`, into `arg`.
+/// dropped) and its flat index in `src` into `arg`.
 ///
 /// A window's candidates are taken top-left, top-right, bottom-left,
 /// bottom-right, and a later one replaces the best so far only where it
@@ -100,7 +93,7 @@ pub fn channel_sums(
 /// in a fixed pattern (even `h`, and `w/2` a divisor or a multiple of 16),
 /// the windows of 16 outputs are compared a vector at a time
 /// ([`simd::max_pool2`]), with the same rule.
-pub fn max_pool2(src: &[f32], (h, w): (usize, usize), base: usize, dst: &mut [f32], arg: &mut [usize]) {
+pub fn max_pool2(src: &[f32], (h, w): (usize, usize), dst: &mut [f32], arg: &mut [usize]) {
     let (oh, ow) = (h / 2, w / 2);
     let planes = src.len() / (h * w).max(1);
     assert_eq!(src.len(), planes * h * w, "input size mismatch");
@@ -111,14 +104,14 @@ pub fn max_pool2(src: &[f32], (h, w): (usize, usize), base: usize, dst: &mut [f3
         // 2w·(k / ow) + 2·(k % ow) (input row 2·(k / ow): h is even), and
         // its four candidates lie inside `src`; `dst` and `arg` hold an
         // element per output.
-        unsafe { simd::max_pool2(src.as_ptr(), w, ow, dst.len(), base, dst.as_mut_ptr(), arg.as_mut_ptr()) };
+        unsafe { simd::max_pool2(src.as_ptr(), w, ow, dst.len(), dst.as_mut_ptr(), arg.as_mut_ptr()) };
         return;
     }
     let outs = dst.chunks_exact_mut(oh * ow).zip(arg.chunks_exact_mut(oh * ow));
     for (p, (plane, (dst, arg))) in src.chunks_exact(h * w).zip(outs).enumerate() {
         for (oy, (dst, arg)) in dst.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow)).enumerate() {
             let (top, bottom) = (&plane[2 * oy * w..][..2 * ow], &plane[(2 * oy + 1) * w..][..2 * ow]);
-            let first = base + p * h * w;
+            let first = p * h * w;
             for (ox, (d, a)) in dst.iter_mut().zip(arg.iter_mut()).enumerate() {
                 let candidates = [(top[2 * ox + 1], 1), (bottom[2 * ox], w), (bottom[2 * ox + 1], w + 1)];
                 let (best, at) = candidates.into_iter().fold((top[2 * ox], 0), |(best, at), (v, offset)| {

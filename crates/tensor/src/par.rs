@@ -2,21 +2,17 @@
 //! compute width, run by the calling thread and `width − 1` helper
 //! threads that are started on first use and parked between jobs.
 //!
-//! Two entry points share it. [`fork_join`] maps independent items — a
-//! cohort's clients, an ensemble's teachers — in contiguous shares and
-//! returns the results in item order. [`split`] partitions the *outputs*
-//! of one product or pass — the images of a convolution, the channels of
-//! a batch norm — into contiguous unit ranges, one per thread, handing each
-//! thread the parts of the output slices that belong to its range
-//! ([`Share`]). Either way every output element is computed by exactly one
-//! thread, by the code that would compute it inline, so results do not
-//! depend on the width or on which thread ran what: an FMA chain is never
-//! cut, only the set of chains is.
+//! [`fork_join`] maps independent items — a cohort's clients, an
+//! ensemble's teachers — in contiguous shares and returns the results in
+//! item order. That is the only way the width is spent: a layer pass
+//! always runs whole on the thread that calls it, so every output element
+//! is computed by the code and on the thread that computes it at width 1,
+//! and results do not depend on the width or on which thread ran what.
 //!
 //! **The width is a budget.** A thread running a share is *inside* the
-//! region, and any `fork_join` or `split` it calls runs inline on it: a
-//! client trained inside a cohort, or a teacher inside the teacher pass,
-//! keeps its layers on its own thread, and the process never runs more
+//! region, and any `fork_join` it calls runs inline on it: a client
+//! trained inside a cohort, or a teacher inside the teacher pass, keeps
+//! its nested work on its own thread, and the process never runs more
 //! than `width` threads of compute. A call from outside the region while
 //! another thread has the helpers also runs inline. Width 1 never starts a
 //! thread.
@@ -27,11 +23,11 @@
 //! resumed on the caller with its own payload, after the join. A helper
 //! sets the caller's kernel tier ([`crate::simd::force_scalar`] is
 //! per-thread) before each job. Between jobs a helper spins for
-//! [`SPIN`] — long enough to take the next layer's product of a training
-//! step without a wake-up — and then parks, so it holds no core through
-//! anything slower (a socket broadcast, a checkpoint). Helpers live as
-//! long as the process; what they keep in thread-locals (a convolution
-//! lowering buffer, a GEMM pack pool) is reached through `each_thread`
+//! [`SPIN`] — so a fork-join that follows right after another finds it
+//! awake — and then parks, so it holds no core through anything slower
+//! (a socket broadcast, a checkpoint). Helpers live as long as the
+//! process; what they keep in thread-locals (a convolution lowering
+//! buffer, a GEMM pack pool) is reached through `each_thread`
 //! (`crate::conv::release_lowering` frees the lowering buffers).
 
 use crate::simd::{force_scalar, scalar_forced};
@@ -47,8 +43,8 @@ use std::time::{Duration, Instant};
 
 /// Settle the process's compute width exactly once and return it:
 /// `KEMF_THREADS`, or one per available core when unset or `0`. This is
-/// the only width control: [`fork_join`] and [`split`] use at most this
-/// many threads, the caller's included. Nothing is spawned here.
+/// the only width control: [`fork_join`] uses at most this many threads,
+/// the caller's included. Nothing is spawned here.
 pub fn width() -> usize {
     static WIDTH: OnceLock<usize> = OnceLock::new();
     *WIDTH.get_or_init(|| {
@@ -60,28 +56,9 @@ pub fn width() -> usize {
     })
 }
 
-/// Work below which a [`split`] runs inline, in FLOPs — and the least
-/// work each thread of a split is given.
-///
-/// Derived from `bench_kernels`' `par_handoff` row
-/// (`bench_results/BENCH_kernels.json`, 2-core AVX-512 host): an empty
-/// split costs ≈ 1 µs round trip through a spinning helper (1.08 µs in
-/// the committed run; 7.5 µs through a parked one, 28 µs for a
-/// `thread::scope` spawn + join). A share must carry at least twice the
-/// handoff to come out ahead, ≈ 2 µs of work: at the ≈ 30 GFLOP/s a
-/// training step's convolution products reach on one core, 64 KFLOP.
-pub const SPLIT_FLOOR: u64 = 64 * 1024;
-
-/// What one element of a memory-bound pass (batch norm, ReLU, a residual
-/// add, pooling) counts in [`SPLIT_FLOOR`]'s FLOPs. Those passes take
-/// ≈ 0.5 ns an element against ≈ 30 ps a FLOP of a product, so an element
-/// counts 16 and a pass splits from 8 K elements (4 K per share) up.
-pub const ELEMENT_FLOPS: u64 = 16;
-
 /// How long a helper (or a caller waiting for one) spins before it
-/// parks: longer than the gaps between the products of one training step
-/// (a step at batch 32 runs as fast at 5 µs as at 200), short against a
-/// socket broadcast or a checkpoint.
+/// parks: short against a socket broadcast or a checkpoint, which a
+/// parked helper sits through without holding a core.
 pub const SPIN: Duration = Duration::from_micros(20);
 
 thread_local! {
@@ -89,8 +66,8 @@ thread_local! {
     static IN_SHARE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True while the calling thread runs a share of [`fork_join`] or
-/// [`split`]: a nested call runs inline.
+/// True while the calling thread runs a share of [`fork_join`]: a nested
+/// call runs inline.
 fn inside_share() -> bool {
     IN_SHARE.with(Cell::get)
 }
@@ -103,11 +80,10 @@ fn as_share<R>(f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Outputs a [`split`] hands out by range: a slice of `len` equal units
-/// (`unit = slice.len() / len` elements each — an image, a channel, an
-/// element), an optional one, or a tuple of them cut at the same unit
-/// boundaries.
-pub trait Share: Send + Sized {
+/// What a share is handed beside its range: a slice of `len` equal
+/// units (`unit = slice.len() / len` elements each), nothing, or a pair of
+/// slices cut at the same unit boundaries.
+trait Share: Send + Sized {
     /// The part holding the first `head` of `len` units, and the rest.
     fn cut(self, head: usize, len: usize) -> (Self, Self);
 }
@@ -121,20 +97,8 @@ impl Share for () {
 impl<T: Send> Share for &mut [T] {
     fn cut(self, head: usize, len: usize) -> (Self, Self) {
         let unit = self.len() / len;
-        assert_eq!(unit * len, self.len(), "a split output must hold whole units");
+        assert_eq!(unit * len, self.len(), "a share must hold whole units");
         self.split_at_mut(head * unit)
-    }
-}
-
-impl<S: Share> Share for Option<S> {
-    fn cut(self, head: usize, len: usize) -> (Self, Self) {
-        match self {
-            Some(s) => {
-                let (a, b) = s.cut(head, len);
-                (Some(a), Some(b))
-            }
-            None => (None, None),
-        }
     }
 }
 
@@ -142,43 +106,6 @@ impl<A: Share, B: Share> Share for (A, B) {
     fn cut(self, head: usize, len: usize) -> (Self, Self) {
         let ((a0, a1), (b0, b1)) = (self.0.cut(head, len), self.1.cut(head, len));
         ((a0, b0), (a1, b1))
-    }
-}
-
-impl<A: Share, B: Share, C: Share> Share for (A, B, C) {
-    fn cut(self, head: usize, len: usize) -> (Self, Self) {
-        let ((a0, a1), ((b0, c0), (b1, c1))) = (self.0.cut(head, len), (self.1, self.2).cut(head, len));
-        ((a0, b0, c0), (a1, b1, c1))
-    }
-}
-
-/// `f(0..len, outs)`, its range cut into contiguous shares — one per
-/// thread, at most one per [`SPLIT_FLOOR`] of `flops` (the call's whole
-/// work) — each thread handed its range and its part of `outs`. Inline
-/// below the floor, at width 1, inside a share, and while another thread
-/// has the helpers. Returns how many shares ran.
-///
-/// `f` must compute each unit's outputs from the unit alone (its image,
-/// its channel), in the order the inline call would: then the result is
-/// the inline call's, bit for bit, at every width.
-pub fn split<S: Share>(len: usize, flops: u64, outs: S, f: impl Fn(Range<usize>, S) + Sync) -> usize {
-    split_at(width(), len, flops, outs, &f)
-}
-
-fn split_at<S: Share>(
-    width: usize,
-    len: usize,
-    flops: u64,
-    outs: S,
-    f: &(impl Fn(Range<usize>, S) + Sync),
-) -> usize {
-    let parts = width.min(len).min(usize::try_from(flops / SPLIT_FLOOR).unwrap_or(usize::MAX));
-    match (parts > 1 && !inside_share()).then(|| Team::take(parts - 1)).flatten() {
-        Some(team) => team.run(parts, len, outs, f),
-        None => {
-            f(0..len, outs);
-            1
-        }
     }
 }
 
@@ -204,9 +131,7 @@ fn fork_join_at<T: Send, R: Send>(width: usize, items: Vec<T>, f: impl Fn(T) -> 
     };
     let parts = width.min(len);
     match (parts > 1 && !inside_share()).then(|| Team::take(parts - 1)).flatten() {
-        Some(team) => {
-            team.run(parts, len, (&mut items[..], &mut out[..]), &map);
-        }
+        Some(team) => team.run(parts, len, (&mut items[..], &mut out[..]), &map),
         None => as_share(|| map(0..len, (&mut items[..], &mut out[..]))),
     }
     out.into_iter().map(|r| r.expect("every item ran")).collect()
@@ -267,7 +192,7 @@ impl Team {
     /// Cut `0..len` into `parts` contiguous shares (fewer if fewer
     /// helpers could be started), the first the caller's, run them, and
     /// resume the first panic after the join.
-    fn run<S: Share>(self, parts: usize, len: usize, outs: S, f: &(impl Fn(Range<usize>, S) + Sync)) -> usize {
+    fn run<S: Share>(self, parts: usize, len: usize, outs: S, f: &(impl Fn(Range<usize>, S) + Sync)) {
         let parts = parts.min(self.helpers.len() + 1);
         let mut cuts = Cuts { rest: Some(outs), len, parts, next: 0 };
         let mine = cuts.next().expect("at least one share");
@@ -276,11 +201,10 @@ impl Team {
         if let Some(payload) = panic {
             panic::resume_unwind(payload);
         }
-        parts
     }
 }
 
-/// The shares of a split, in order: `parts` contiguous ranges of `0..len`
+/// The shares of one call, in order: `parts` contiguous ranges of `0..len`
 /// whose sizes differ by at most one, with their parts of the outputs.
 struct Cuts<S> {
     rest: Option<S>,
@@ -357,7 +281,7 @@ struct Job {
 
 impl Helper {
     /// Start helper `index`, or `None` if the OS refuses a thread (the
-    /// split then runs on fewer).
+    /// call then runs on fewer shares).
     fn start(index: usize) -> Option<&'static Helper> {
         let helper: &'static Helper = Box::leak(Box::new(Helper {
             thread: OnceLock::new(),
@@ -491,58 +415,15 @@ mod tests {
     }
 
     #[test]
-    fn split_ranges_cover_every_unit_once_and_hand_out_their_outputs() {
-        let _serial = serial();
-        for len in [1usize, 2, 3, 7, 64] {
-            for width in [1usize, 2, 3] {
-                let mut out = vec![usize::MAX; 2 * len];
-                let mut owner = vec![None; len];
-                type Outs<'a> = (&'a mut [usize], &'a mut [Option<ThreadId>]);
-                let fill = |r: Range<usize>, (out, owner): Outs| {
-                    assert_eq!((out.len(), owner.len()), (2 * r.len(), r.len()));
-                    for (u, pair) in r.zip(out.chunks_exact_mut(2)) {
-                        pair.fill(u);
-                    }
-                    owner.fill(Some(thread::current().id()));
-                };
-                let shares = split_at(width, len, u64::MAX, (&mut out[..], &mut owner[..]), &fill);
-                assert_eq!(shares, width.min(len), "{len} @ {width}");
-                let want: Vec<usize> = (0..len).flat_map(|u| [u, u]).collect();
-                assert_eq!(out, want, "{len} @ {width}");
-                let distinct: HashSet<ThreadId> = owner.iter().map(|t| t.expect("every unit ran")).collect();
-                assert_eq!(distinct.len(), width.min(len), "{len} @ {width}");
-                assert_eq!(owner[0], Some(thread::current().id()), "the first range is the caller's");
-            }
-        }
-    }
-
-    #[test]
-    fn a_split_below_the_floor_runs_inline() {
-        let _serial = serial();
-        let mut seen = Vec::new();
-        let here = thread::current().id();
-        let seen_ref = Mutex::new(&mut seen);
-        split_at(3, 8, 2 * SPLIT_FLOOR - 1, (), &|r: Range<usize>, ()| {
-            seen_ref.lock().unwrap().push((r, thread::current().id()));
-        });
-        assert_eq!(seen, [(0..8, here)], "one floor's worth of work is one share");
-    }
-
-    #[test]
     fn a_nested_call_runs_inline_on_the_callers_thread() {
         let _serial = serial();
         let out = fork_join_at(2, vec![0usize, 1], |k| {
             let outer = thread::current().id();
             let inner = fork_join_at(2, vec![0usize, 1, 2], |_| thread::current().id());
-            let mut split_threads = vec![None; 4];
-            split_at(2, 4, u64::MAX, &mut split_threads[..], &|_, t: &mut [Option<ThreadId>]| {
-                t.fill(Some(thread::current().id()));
-            });
-            (k, outer, inner, split_threads)
+            (k, outer, inner)
         });
-        for (k, outer, inner, split_threads) in out {
+        for (k, outer, inner) in out {
             assert!(inner.iter().all(|t| *t == outer), "share {k}: nested fork_join left its thread");
-            assert!(split_threads.iter().all(|t| *t == Some(outer)), "share {k}: nested split left its thread");
         }
     }
 
@@ -553,7 +434,6 @@ mod tests {
         let here = thread::current().id();
         let threads = fork_join_at(1, (0..4).collect(), |_: usize| thread::current().id());
         assert!(threads.iter().all(|t| *t == here));
-        split_at(1, 4, u64::MAX, (), &|_, ()| assert_eq!(thread::current().id(), here));
         assert_eq!(helpers_started(), before, "width 1 must not start a helper");
     }
 
@@ -573,10 +453,10 @@ mod tests {
     fn helpers_survive_a_panicking_share_and_serve_the_next_call() {
         let _serial = serial();
         let caught = panic::catch_unwind(|| {
-            split_at(2, 2, u64::MAX, (), &|r: Range<usize>, ()| assert!(r.start == 0, "share {r:?} exploded"));
+            fork_join_at(2, vec![0, 1], |k: usize| assert!(k == 0, "item {k} exploded"));
         });
         let payload = caught.expect_err("the helper's panic reaches the caller");
-        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("share 1..2 exploded"));
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("item 1 exploded"));
         let again = fork_join_at(2, vec![1, 2], |k: i32| k * 2);
         assert_eq!(again, [2, 4]);
     }

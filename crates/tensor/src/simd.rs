@@ -748,8 +748,8 @@ pub unsafe fn conv_direct_weight_grad<const X: usize, const F: usize>(
 /// starts at `i = 2w·(k / ow) + 2·(k % ow)` of `src`, its candidates `i`,
 /// `i + 1`, `i + w`, `i + w + 1` taken in that order, a later one replacing
 /// the best only where it compares greater (ordered: a `NaN` on either
-/// side compares false). The maximum goes to `dst[k]` and its index, plus
-/// `base`, to `arg[k]`.
+/// side compares false). The maximum goes to `dst[k]` and its index to
+/// `arg[k]`.
 ///
 /// # Safety
 ///
@@ -760,13 +760,12 @@ pub unsafe fn conv_direct_weight_grad<const X: usize, const F: usize>(
 /// `outs` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub unsafe fn max_pool2(src: *const f32, w: usize, ow: usize, outs: usize, base: usize, dst: *mut f32, arg: *mut usize) {
+pub unsafe fn max_pool2(src: *const f32, w: usize, ow: usize, outs: usize, dst: *mut f32, arg: *mut usize) {
     use core::arch::x86_64::*;
     let start = |k: usize| 2 * w * (k / ow) + 2 * (k % ow);
     let pattern: [i32; 16] = std::array::from_fn(|l| (start(l) - start(0)) as i32);
     let pattern = _mm512_loadu_si512(pattern.as_ptr().cast());
     let offsets = [1, w, w + 1].map(|o| (src.add(o), _mm512_set1_epi32(o as i32)));
-    let base = _mm512_set1_epi64(base as i64);
     for k in (0..outs).step_by(16) {
         let mask = (((1u32 << (outs - k).min(16)) - 1) & 0xffff) as u16;
         let at = _mm512_add_epi32(pattern, _mm512_set1_epi32(start(k) as i32));
@@ -784,7 +783,7 @@ pub unsafe fn max_pool2(src: *const f32, w: usize, ow: usize, outs: usize, base:
         let index = _mm512_add_epi32(at, offset);
         let (lo, hi) = (_mm512_castsi512_si256(index), _mm512_extracti64x4_epi64::<1>(index));
         for (half, part) in [lo, hi].into_iter().enumerate() {
-            let wide = _mm512_add_epi64(_mm512_cvtepu32_epi64(part), base);
+            let wide = _mm512_cvtepu32_epi64(part);
             _mm512_mask_storeu_epi64(arg.add(k + 8 * half).cast(), (mask >> (8 * half)) as u8, wide);
         }
     }
@@ -812,9 +811,8 @@ pub unsafe fn transpose16(src: &[*const f32; 16], rows: usize, cols: usize, dst:
     }
 }
 
-/// `dst[i] = src[index[i]]`, or `dst[i] += src[index[i]]` when `add`, for
-/// the lanes `i` of `mask`: a row of finished chains gathered from where a
-/// kernel's lanes left them.
+/// `dst[i] += src[index[i]]` for the lanes `i` of `mask`: a row of
+/// finished chains gathered from where a kernel's lanes left them.
 ///
 /// # Safety
 ///
@@ -823,13 +821,12 @@ pub unsafe fn transpose16(src: &[*const f32; 16], rows: usize, cols: usize, dst:
 /// of `mask`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub unsafe fn gather_row(src: *const f32, index: &[i32; 16], mask: u16, dst: *mut f32, add: bool) {
+pub unsafe fn gather_row(src: *const f32, index: &[i32; 16], mask: u16, dst: *mut f32) {
     use core::arch::x86_64::*;
     let at = _mm512_loadu_si512(index.as_ptr().cast());
     // SAFETY: masked-off lanes are not accessed.
     let v = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, at, src);
-    let v = if add { _mm512_add_ps(_mm512_maskz_loadu_ps(mask, dst), v) } else { v };
-    _mm512_mask_storeu_ps(dst, mask, v);
+    _mm512_mask_storeu_ps(dst, mask, _mm512_add_ps(_mm512_maskz_loadu_ps(mask, dst), v));
 }
 
 /// `dst[p·stride + k] = src[k][p]` for `p < len`, `k < 4`: four channel

@@ -184,10 +184,7 @@ impl Workspace {
     }
 
     /// [`Workspace::take_tensor`] without the clearing pass, for a layer
-    /// that writes every element. A pass split over threads
-    /// ([`crate::par::split`]) wants this for its outputs: each thread
-    /// writes its own part, and a clearing pass on the calling thread
-    /// would first pull every part's cache lines over to it.
+    /// that writes every element.
     pub fn take_tensor_unzeroed(&mut self, dims: &[usize]) -> crate::Tensor {
         let numel: usize = dims.iter().product();
         let data = self.take_unzeroed(numel);

@@ -9,19 +9,17 @@ cargo test -q --workspace
 # Threads do not change histories: the suites whose expected values are
 # pinned constants (history hashes, golden bytes of checkpoints, socket ==
 # in-process, resumed == straight) must match the same tables with every
-# client trained and every server-side product run on the calling thread,
-# and with two clients in flight and the server's products split in two;
-# a split layer pass must be its inline pass bit for bit; the direct route
-# of a convolution, which splits by images, filters or input channels,
-# must give the lowered route's bits and FLOP credit at any width — width
-# 3 included, which cuts uneven shares (of 4 and 8 channels, say); and max
-# pooling, split by planes, must pick the branching loop's maxima. The
-# compute width is settled once per process, so it takes a run per width.
+# client trained on the calling thread, with two clients (and two
+# teachers) in flight, and with three — uneven shares of a cohort. A layer
+# pass runs whole on its calling thread at every width: a training step
+# and an evaluation start no helper, a fork-join does where the width has
+# room for one. The compute width is settled once per process, so it
+# takes a run per width.
 for width in 1 2 3; do
     KEMF_THREADS=$width cargo test -q --test golden_histories --test golden_bytes \
         --test async_rounds --test resume --test fault_matrix --test transport \
         --test population
-    KEMF_THREADS=$width cargo test -q -p kemf-nn --test split --test conv_recompute --test batch_norm --test pool
+    KEMF_THREADS=$width cargo test -q -p kemf-nn --test layer_threads
 done
 
 # Nor do kernel tiers: the AVX-512 host runs the direct convolution route,
@@ -31,8 +29,8 @@ done
 # settled once per process too.
 for tier in avx2 scalar; do
     KEMF_SIMD=$tier cargo test -q --test golden_histories --test golden_bytes
-    KEMF_SIMD=$tier cargo test -q -p kemf-nn --test split --test conv_recompute --test alloc --test batch_norm \
-        --test pool
+    KEMF_SIMD=$tier cargo test -q -p kemf-nn --test skipped_work --test conv_recompute --test alloc \
+        --test batch_norm --test pool
     KEMF_SIMD=$tier cargo test -q -p kemf-core --test teacher_release
 done
 
@@ -96,10 +94,9 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
 # only deep mutual learning, which crosses two networks' logits inside
 # one step, steps them itself. Threads are started in two places:
 # `kemf_tensor::par`, whose parked helpers run every fork-join (a
-# cohort's clients, the teacher pass) and every split product (layers
-# called outside a share), nested calls inline; and the socket
-# transport's worker pool. A hand-copied step loop, the allocating twin
-# of a pass, or a second parallel region coming back fails here.
+# cohort's clients, the teacher pass), nested calls inline; and the
+# socket transport's worker pool. A hand-copied step loop, the allocating
+# twin of a pass, or a second parallel region coming back fails here.
 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     FILENAME ~ /\/nn\/src\// && /fn (forward|backward)_ws/ {
         print FILENAME":"FNR": second spelling of a layer pass"; bad=1 }
@@ -108,6 +105,14 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     FILENAME ~ /\/(fl|core)\/src\// && FILENAME !~ /\/core\/src\/dml\.rs$/ && index($0, ".step(") {
         print FILENAME":"FNR": optimizer step outside Model::train_step"; bad=1 }
     END{exit bad}' crates/nn/src/*.rs crates/tensor/src/*.rs crates/fl/src/*.rs crates/core/src/*.rs
+
+# One parallel granularity: the compute width goes to independent models
+# (`par::fork_join` over a cohort's clients or the teachers), never to one
+# layer's outputs. The intra-layer split, its work floor and its
+# element-cost constant stay gone from every crate source, tests included.
+awk '/par::split|SPLIT_FLOOR|ELEMENT_FLOPS/ {
+        print FILENAME":"FNR": intra-layer split, its floor or its element cost"; bad=1 }
+    END{exit bad}' $(find crates/*/src -name '*.rs')
 
 # Forward modes say what they keep: outside test modules, no crate source
 # takes a `train: bool`. A pass is `kemf_nn::layer::Mode::{Eval,
@@ -181,8 +186,8 @@ CARGO_TARGET_DIR=target/bench_e2e benchmark/run.sh --smoke
 # path that faults on the CI host — that unit tests under a forced tier
 # would miss, and asserts that the forward output and both gradients of a
 # convolution come out bit-identical on the native and the scalar tier,
-# split and inline, and (forward, input gradient) on the direct and the
-# lowered route at every ResNet-20 / VGG-11 geometry: a kernel that runs
+# and on the direct and the lowered route at every ResNet-20 / VGG-11
+# geometry: a kernel that runs
 # its FMA chains out of order fails here, not in a golden hash three
 # layers up. (The property
 # suite behind it, crates/tensor/tests/props.rs, runs with the workspace
