@@ -34,17 +34,21 @@
 //! host that has it, not in a history hash three layers up.
 
 use kemf_bench::report::{results_dir, Table};
+use kemf_fl::compress::{quantize, DEFAULT_CHUNK};
+use kemf_nn::activation::ReLU;
 use kemf_nn::codec;
 use kemf_nn::layer::{Layer, Mode};
 use kemf_nn::model::Model;
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_nn::norm::BatchNorm2d;
+use kemf_nn::optim::{Sgd, SgdConfig};
 use kemf_nn::pool::MaxPool2;
 use kemf_tensor::conv::{
     col2im, forward, forward_lowered, im2col, input_grad, input_grad_lowered, is_direct, weight_grad,
     weight_grad_lowered, ConvGeom,
 };
 use kemf_tensor::matmul::matmul_into;
+use kemf_tensor::ops::row_sums;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::{par, simd, Tensor};
@@ -551,6 +555,307 @@ fn main() {
     }
     println!("{}", norm_table.render());
 
+    // Batch norm with its ReLU folded in (`BatchNorm2d::with_relu`, which
+    // rebuilds the mask from x̂) against the two layers it replaced — a
+    // plain batch norm, then a ReLU with its bit mask — at the same
+    // geometries: a training forward + backward, ns per element, timed
+    // interleaved. Both must give the same bits.
+    let mut fused_table = Table::new(
+        "Batch norm + ReLU, training forward + backward (ns per element)",
+        &["layer", "c,hw", "fused", "separate", "speedup"],
+    );
+    let mut fused_rows = Vec::new();
+    for (name, c, hw) in norms {
+        let x = Tensor::randn(&[16, c, hw, hw], 1.0, &mut rng);
+        let grad = Tensor::randn(&[16, c, hw, hw], 1.0, &mut rng);
+        let fused = Mutex::new((BatchNorm2d::with_relu(c), Workspace::new()));
+        let separate = Mutex::new((BatchNorm2d::new(c), ReLU::new(), Workspace::new()));
+        let bits = |ts: [&Tensor; 2]| ts.map(|t| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let fused_pass = |keep: bool| {
+            let mut guard = fused.lock().expect("no pass panics");
+            let (bn, ws) = &mut *guard;
+            let y = bn.forward(black_box(&x), Mode::Train, ws);
+            let gx = bn.backward(black_box(&grad), ws);
+            let out = keep.then(|| bits([&y, &gx]));
+            ws.recycle_tensor(y);
+            ws.recycle_tensor(gx);
+            out
+        };
+        let separate_pass = |keep: bool| {
+            let mut guard = separate.lock().expect("no pass panics");
+            let (bn, relu, ws) = &mut *guard;
+            let h = bn.forward(black_box(&x), Mode::Train, ws);
+            let y = relu.forward(&h, Mode::Train, ws);
+            ws.recycle_tensor(h);
+            let g = relu.backward(black_box(&grad), ws);
+            let gx = bn.backward(&g, ws);
+            ws.recycle_tensor(g);
+            let out = keep.then(|| bits([&y, &gx]));
+            ws.recycle_tensor(y);
+            ws.recycle_tensor(gx);
+            out
+        };
+        assert!(fused_pass(true) == separate_pass(true), "{name}: fused batch norm + ReLU changed a bit");
+        let elems = x.numel() as f64;
+        let iters = if smoke { 2 } else { 200 };
+        let (fused_s, separate_s) = time_interleaved(
+            || {
+                black_box(fused_pass(false));
+            },
+            || {
+                black_box(separate_pass(false));
+            },
+            iters,
+        );
+        let (fused_ns, separate_ns) = (1e9 * fused_s / elems, 1e9 * separate_s / elems);
+        fused_table.row(&[
+            name.into(),
+            format!("{c},{hw}"),
+            format!("{fused_ns:.3}"),
+            format!("{separate_ns:.3}"),
+            format!("{:.2}x", separate_ns / fused_ns),
+        ]);
+        fused_rows.push(format!(
+            "    {{\"layer\": \"{name}\", \"batch\": 16, \"channels\": {c}, \"hw\": {hw}, \
+             \"fused_ns_per_element\": {fused_ns:.4}, \"separate_ns_per_element\": {separate_ns:.4}}}"
+        ));
+    }
+    println!("{}", fused_table.render());
+
+    // The ReLU that keeps its mask as bits (after a residual join, in the
+    // classifiers): a training forward and the backward, ns per element,
+    // each timed interleaved with the f32-mask loop it replaced (kept here
+    // as the "before" side), which must give the same bits.
+    let mut relu_table = Table::new(
+        "ReLU, bit mask vs f32 mask (ns per element)",
+        &["layer", "c,hw", "fwd bits", "fwd f32", "bwd bits", "bwd f32"],
+    );
+    let mut relu_rows = Vec::new();
+    for (name, c, hw) in [("resnet20_stage1", 4, 16), ("resnet20_stage2", 8, 8), ("resnet20_stage3", 16, 4)] {
+        let x = Tensor::randn(&[16, c, hw, hw], 1.0, &mut rng);
+        let grad = Tensor::randn(&[16, c, hw, hw], 1.0, &mut rng);
+        let state = Mutex::new((ReLU::new(), Workspace::new(), vec![0.0f32; x.numel()], vec![0.0f32; x.numel()]));
+        let f32_forward = |y: &mut [f32], mask: &mut [f32]| {
+            for ((yv, mv), &xv) in y.iter_mut().zip(mask.iter_mut()).zip(black_box(x.data())) {
+                *yv = xv.max(0.0);
+                *mv = if xv > 0.0 { 1.0 } else { 0.0 };
+            }
+        };
+        let f32_backward = |g: &mut [f32], mask: &[f32]| {
+            for ((gv, &go), &m) in g.iter_mut().zip(black_box(grad.data())).zip(mask) {
+                *gv = go * m;
+            }
+        };
+        {
+            let mut guard = state.lock().expect("no pass panics");
+            let (relu, ws, out, mask) = &mut *guard;
+            let y = relu.forward(&x, Mode::Train, ws);
+            let g = relu.backward(&grad, ws);
+            f32_forward(out, mask);
+            assert!(y.data() == &out[..], "{name}: bit-mask ReLU forward changed a value");
+            f32_backward(out, mask);
+            let same = g.data().iter().zip(out.iter()).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{name}: bit-mask ReLU backward changed a bit");
+            ws.recycle_tensor(y);
+            ws.recycle_tensor(g);
+        }
+        let elems = x.numel() as f64;
+        let iters = if smoke { 2 } else { 500 };
+        let ns = |s: f64| 1e9 * s / elems;
+        let (fwd_bits, fwd_f32) = time_interleaved(
+            || {
+                let mut guard = state.lock().expect("no pass panics");
+                let (relu, ws, ..) = &mut *guard;
+                let y = relu.forward(black_box(&x), Mode::Train, ws);
+                ws.recycle_tensor(y);
+            },
+            || {
+                let mut guard = state.lock().expect("no pass panics");
+                let (_, _, out, mask) = &mut *guard;
+                f32_forward(out, mask);
+            },
+            iters,
+        );
+        // Each backward timing starts from a forward's mask; the forward
+        // is timed alone above, so it is subtracted.
+        let (both_bits, both_f32) = time_interleaved(
+            || {
+                let mut guard = state.lock().expect("no pass panics");
+                let (relu, ws, ..) = &mut *guard;
+                let y = relu.forward(black_box(&x), Mode::Train, ws);
+                let g = relu.backward(black_box(&grad), ws);
+                ws.recycle_tensor(y);
+                ws.recycle_tensor(g);
+            },
+            || {
+                let mut guard = state.lock().expect("no pass panics");
+                let (_, _, out, mask) = &mut *guard;
+                f32_forward(out, mask);
+                f32_backward(out, mask);
+            },
+            iters,
+        );
+        let [fwd_bits, fwd_f32, bwd_bits, bwd_f32] =
+            [fwd_bits, fwd_f32, (both_bits - fwd_bits).max(0.0), (both_f32 - fwd_f32).max(0.0)].map(ns);
+        relu_table.row(&[
+            name.into(),
+            format!("{c},{hw}"),
+            format!("{fwd_bits:.3}"),
+            format!("{fwd_f32:.3}"),
+            format!("{bwd_bits:.3}"),
+            format!("{bwd_f32:.3}"),
+        ]);
+        relu_rows.push(format!(
+            "    {{\"layer\": \"{name}\", \"batch\": 16, \"channels\": {c}, \"hw\": {hw}, \
+             \"forward_ns_per_element\": {fwd_bits:.4}, \"f32_mask_forward_ns_per_element\": {fwd_f32:.4}, \
+             \"backward_ns_per_element\": {bwd_bits:.4}, \"f32_mask_backward_ns_per_element\": {bwd_f32:.4}}}"
+        ));
+    }
+    println!("{}", relu_table.render());
+
+    // The SGD step (momentum 0.9, weight decay 5e-4) over a whole model's
+    // parameters, µs per step, interleaved with the four whole-tensor
+    // passes it replaced (kept here as the "before" side), which must give
+    // the same bits.
+    let mut sgd_rows = Vec::new();
+    for (name, spec) in [
+        ("vgg11", ModelSpec::scaled(Arch::Vgg11, 3, 16, 10, 1)),
+        ("mlp2048", ModelSpec { width: 2048, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 1) }),
+    ] {
+        let cfg = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 5e-4 };
+        let mut model = Model::new(spec);
+        model.net_mut().visit_params_mut(&mut |p| p.grad = Tensor::randn(p.value.dims(), 1e-2, &mut rng));
+        let mut params = Vec::new();
+        model.net().visit_params(&mut |p| params.push((p.value.clone(), Tensor::zeros(p.value.dims()), p.grad.clone())));
+        let count: usize = params.iter().map(|(w, ..)| w.numel()).sum();
+        let four_passes = |params: &mut Vec<(Tensor, Tensor, Tensor)>| {
+            for (w, v, g) in params.iter_mut() {
+                v.scale_inplace(cfg.momentum);
+                v.axpy(1.0, g);
+                v.axpy(cfg.weight_decay, w);
+                w.axpy(-cfg.lr, v);
+            }
+        };
+        let state = Mutex::new((model, Sgd::new(cfg), params));
+        {
+            let mut guard = state.lock().expect("no step panics");
+            let (model, opt, params) = &mut *guard;
+            for _ in 0..3 {
+                opt.step(model.net_mut());
+                four_passes(params);
+            }
+            let mut k = 0;
+            let mut same = true;
+            model.net().visit_params(&mut |p| {
+                same &= p.value.data().iter().zip(params[k].0.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+                k += 1;
+            });
+            assert!(same, "{name}: one-pass SGD changed a bit");
+        }
+        let iters = if smoke { 2 } else { 200 };
+        let (one_s, four_s) = time_interleaved(
+            || {
+                let mut guard = state.lock().expect("no step panics");
+                let (model, opt, _) = &mut *guard;
+                opt.step(model.net_mut());
+            },
+            || {
+                let mut guard = state.lock().expect("no step panics");
+                four_passes(&mut guard.2);
+            },
+            iters,
+        );
+        let (one_us, four_us) = (1e6 * one_s, 1e6 * four_s);
+        println!("[sgd] {name} ({count} params): one pass {one_us:.1} µs, four passes {four_us:.1} µs ({:.2}x)", four_us / one_us);
+        sgd_rows.push(format!(
+            "    {{\"model\": \"{name}\", \"params\": {count}, \"one_pass_us\": {one_us:.2}, \"four_passes_us\": {four_us:.2}}}"
+        ));
+    }
+
+    // A convolution's bias gradient, `Σ` over each (image, filter) row of
+    // the output gradient at batch 16 (`ops::row_sums`, as `Conv2d` runs
+    // it): 16 rows in the lanes of a vector on AVX-512 against the row-by-
+    // row loop of the scalar tier, µs per call. Both give the same bits.
+    let mut bias_rows = Vec::new();
+    for (name, o, hw) in [("resnet20_stage1", 4, 16), ("resnet20_stage2", 8, 8), ("resnet20_stage3", 16, 4), ("vgg11_conv8", 64, 1)] {
+        let plane = hw * hw;
+        let g: Vec<f32> = Tensor::randn(&[16, o, hw, hw], 1.0, &mut rng).data().to_vec();
+        let mut db = vec![0.0f32; o];
+        let sums = |db: &mut [f32]| {
+            let mut filter = 0;
+            row_sums(black_box(&g), plane, |sum| {
+                db[filter] += sum;
+                filter = if filter + 1 == o { 0 } else { filter + 1 };
+            })
+        };
+        let native = {
+            let mut db = vec![0.0f32; o];
+            sums(&mut db);
+            db
+        };
+        let scalar = {
+            let _guard = simd::ScalarGuard::new();
+            let mut db = vec![0.0f32; o];
+            sums(&mut db);
+            db
+        };
+        assert!(native.iter().zip(&scalar).all(|(a, b)| a.to_bits() == b.to_bits()), "{name}: bias gradient lanes changed a bit");
+        let iters = if smoke { 2 } else { 2000 };
+        let db = Mutex::new(&mut db);
+        let (native_s, scalar_s) = time_interleaved(
+            || sums(&mut db.lock().expect("no call panics")),
+            || {
+                let _guard = simd::ScalarGuard::new();
+                sums(&mut db.lock().expect("no call panics"))
+            },
+            iters,
+        );
+        let (native_us, scalar_us) = (1e6 * native_s, 1e6 * scalar_s);
+        println!("[bias] {name} [16, {o}, {hw}x{hw}]: lanes {native_us:.2} µs, loop {scalar_us:.2} µs ({:.2}x)", scalar_us / native_us);
+        bias_rows.push(format!(
+            "    {{\"layer\": \"{name}\", \"batch\": 16, \"filters\": {o}, \"hw\": {hw}, \
+             \"native_us\": {native_us:.3}, \"scalar_us\": {scalar_us:.3}}}"
+        ));
+    }
+
+    // The wire quantizer over the `avg_mlp_socket` MLP (317,450 f32, 256-
+    // value chunks), MB/s of f32 input on the native and the scalar tier:
+    // the same codes, scales and offsets.
+    let quantize_row = {
+        let weights = Model::new(ModelSpec { width: 2048, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 1) }).weights();
+        let run = || quantize(black_box(&weights), DEFAULT_CHUNK).expect("finite weights");
+        let scalar_run = || {
+            let _guard = simd::ScalarGuard::new();
+            run()
+        };
+        assert!(run() == scalar_run(), "native and scalar quantize disagree");
+        let iters = if smoke { 2 } else { 50 };
+        let (native_s, scalar_s) = time_interleaved(
+            || {
+                black_box(run());
+            },
+            || {
+                black_box(scalar_run());
+            },
+            iters,
+        );
+        let mb = 4.0 * weights.values.len() as f64 / 1e6;
+        let (native_mbps, scalar_mbps) = (mb / native_s, mb / scalar_s);
+        println!(
+            "[quantize] mlp2048 ({} params): native {native_mbps:.0} MB/s ({:.3} ms), scalar {scalar_mbps:.0} MB/s ({:.3} ms)",
+            weights.values.len(),
+            1e3 * native_s,
+            1e3 * scalar_s
+        );
+        format!(
+            "    {{\"model\": \"mlp2048\", \"params\": {}, \"native_mbps\": {native_mbps:.1}, \"scalar_mbps\": {scalar_mbps:.1}, \
+             \"native_ms\": {:.4}, \"scalar_ms\": {:.4}}}",
+            weights.values.len(),
+            1e3 * native_s,
+            1e3 * scalar_s
+        )
+    };
+
     // Max pooling's forward at the planes VGG-11 (width 8) pools at batch
     // 16, through `MaxPool2` as a model runs it (every forward finds the
     // argmax a training one keeps): ns per
@@ -634,8 +939,9 @@ fn main() {
         "{{\n  \"benchmark\": \"packed GEMM vs axpy kernel\",\n  \"unit\": \"GFLOP/s\",\n  \
          \"cpu_features\": [{}],\n  \"threads\": {},\n  \"shapes\": [\n{}\n  ],\n  \
          \"conv_lowering\": [\n{}\n  ],\n  \"crc32\": [\n{}\n  ],\n  \"par_handoff\": [\n{}\n  ],\n  \
-         \"conv_backward\": [\n{}\n  ],\n  \"batch_norm\": [\n{}\n  ],\n  \"max_pool\": [\n{}\n  ],\n  \
-         \"model_build\": [\n{}\n  ]\n}}\n",
+         \"conv_backward\": [\n{}\n  ],\n  \"batch_norm\": [\n{}\n  ],\n  \"batch_norm_relu\": [\n{}\n  ],\n  \
+         \"relu_mask\": [\n{}\n  ],\n  \"sgd_step\": [\n{}\n  ],\n  \"conv_bias_grad\": [\n{}\n  ],\n  \
+         \"quantize\": [\n{}\n  ],\n  \"max_pool\": [\n{}\n  ],\n  \"model_build\": [\n{}\n  ]\n}}\n",
         cpu_features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         kemf_fl::engine::init_thread_pool(),
         json_rows.join(",\n"),
@@ -644,6 +950,11 @@ fn main() {
         handoff_row,
         backward_rows.join(",\n"),
         norm_rows.join(",\n"),
+        fused_rows.join(",\n"),
+        relu_rows.join(",\n"),
+        sgd_rows.join(",\n"),
+        bias_rows.join(",\n"),
+        quantize_row,
         pool_rows.join(",\n"),
         build_rows.join(",\n"),
     );

@@ -21,6 +21,7 @@
 
 use kemf_nn::codec::{CodecError, Reader, Writer};
 use kemf_nn::serialize::Weights;
+use kemf_tensor::quant;
 use serde::{Deserialize, Serialize};
 
 pub use kemf_nn::layer::Precision as ComputePrecision;
@@ -114,28 +115,23 @@ pub const DEFAULT_CHUNK: usize = 256;
 /// Quantize a snapshot to int8 with per-chunk affine ranges. Rejects a
 /// zero chunk length and non-finite weights (a NaN would poison the
 /// chunk's range and decode as garbage on every peer).
+///
+/// Each chunk is [`kemf_tensor::quant::affine_chunk`]: offset `lo` and top
+/// `hi` its least and greatest value, `scale = (hi − lo).max(1e-12) /
+/// 255`, code `((v − lo) / scale).round().clamp(0, 255) − 128`. On
+/// AVX-512 it runs 16 values a vector with the same codes, scales and
+/// offsets as the scalar loop every other tier runs (`tests/quantize.rs`).
 pub fn quantize(w: &Weights, chunk: usize) -> Result<QuantizedWeights, CompressError> {
     if chunk == 0 {
         return Err(CompressError::ZeroChunk);
     }
-    if w.values.iter().any(|v| !v.is_finite()) {
+    // A fold per chunk rather than an early-exit scan: it vectorizes.
+    if w.values.chunks(chunk).any(|block| block.iter().fold(false, |bad, v| bad | !v.is_finite())) {
         return Err(CompressError::NonFinite);
     }
-    let mut codes = Vec::with_capacity(w.values.len());
-    let mut scales = Vec::new();
-    let mut offsets = Vec::new();
-    for block in w.values.chunks(chunk) {
-        let lo = block.iter().copied().fold(f32::INFINITY, f32::min);
-        let hi = block.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let range = (hi - lo).max(1e-12);
-        let scale = range / 255.0;
-        scales.push(scale);
-        offsets.push(lo);
-        for &v in block {
-            let code = ((v - lo) / scale).round().clamp(0.0, 255.0) as i32 - 128;
-            codes.push(code as i8);
-        }
-    }
+    let mut codes = vec![0i8; w.values.len()];
+    let (scales, offsets) =
+        w.values.chunks(chunk).zip(codes.chunks_mut(chunk)).map(|(block, codes)| quant::affine_chunk(block, codes)).unzip();
     Ok(QuantizedWeights { codes, scales, offsets, chunk, lens: w.lens.clone() })
 }
 

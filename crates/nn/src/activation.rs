@@ -1,16 +1,24 @@
 //! Activation layers. ReLU is the only nonlinearity the FedKEMF model zoo
-//! needs; it caches a 0/1 mask in a `Mode::Train` forward for backward. The
-//! mask and all outputs are pooled through the caller's [`Workspace`].
+//! needs. Where it follows a batch norm it is folded into it
+//! ([`crate::norm::BatchNorm2d::with_relu`]); the standalone [`ReLU`]
+//! serves the rest — the residual join, the classifier heads, the MLP and
+//! Cnn2 — and keeps its mask as bits, one per element in `usize` words
+//! from the caller's [`Workspace`], 32 times less than an f32 mask. The
+//! mask and all outputs are pooled through that workspace.
 
 use crate::layer::{Layer, Mode};
 use kemf_tensor::workspace::Workspace;
 use kemf_tensor::Tensor;
 
+/// Mask bits per `usize` word.
+const WORD: usize = usize::BITS as usize;
+
 /// Rectified linear unit, `y = max(x, 0)`.
 #[derive(Clone, Default)]
 pub struct ReLU {
-    /// 1.0 where the input was positive, 0.0 elsewhere (pooled storage).
-    mask: Option<Vec<f32>>,
+    /// Bit `i % WORD` of word `i / WORD` set where input `i` was positive
+    /// (pooled storage), kept by a `Mode::Train` forward.
+    mask: Option<Vec<usize>>,
 }
 
 impl ReLU {
@@ -18,36 +26,67 @@ impl ReLU {
     pub fn new() -> Self {
         ReLU { mask: None }
     }
+
+    /// `max(a + b, 0)`: the residual join and the ReLU after it in one
+    /// pass, the sum never stored. The same bits as adding `b` into `a`
+    /// and running [`Layer::forward`] on the result.
+    pub fn forward_sum(&mut self, a: &Tensor, b: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
+        assert_eq!(a.dims(), b.dims(), "residual shape mismatch");
+        self.pass::<true>(a, b.data(), mode, ws)
+    }
+
+    /// `y = max(a (+ b where SUM), 0)`, and its mask bits in a training
+    /// forward.
+    fn pass<const SUM: bool>(&mut self, a: &Tensor, b: &[f32], mode: Mode, ws: &mut Workspace) -> Tensor {
+        let a_data = a.data();
+        // Unused without SUM: `a` stands in so the zip runs its length.
+        let b = if SUM { b } else { a_data };
+        let mut y = ws.take_tensor_unzeroed(a.dims());
+        let value = |x: f32, s: f32| if SUM { x + s } else { x };
+        let words = y.data_mut().chunks_mut(WORD).zip(a_data.chunks(WORD).zip(b.chunks(WORD)));
+        if mode.caches() {
+            let mut mask = ws.take_usize(a_data.len().div_ceil(WORD));
+            for ((ys, (xs, ss)), word) in words.zip(&mut mask) {
+                let mut bits = 0usize;
+                for (i, (yv, (&x, &s))) in ys.iter_mut().zip(xs.iter().zip(ss)).enumerate() {
+                    let v = value(x, s);
+                    *yv = v.max(0.0);
+                    bits |= usize::from(v > 0.0) << i;
+                }
+                *word = bits;
+            }
+            if let Some(stale) = self.mask.replace(mask) {
+                ws.recycle_usize(stale);
+            }
+        } else {
+            for (ys, (xs, ss)) in words {
+                for (yv, (&x, &s)) in ys.iter_mut().zip(xs.iter().zip(ss)) {
+                    *yv = value(x, s).max(0.0);
+                }
+            }
+        }
+        y
+    }
 }
 
 impl Layer for ReLU {
     fn forward(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
-        let xd = x.data();
-        let mut y = ws.take_tensor_unzeroed(x.dims());
-        if mode.caches() {
-            let mut mask = ws.take_unzeroed(xd.len());
-            for ((yv, mv), &xv) in y.data_mut().iter_mut().zip(&mut mask).zip(xd) {
-                *yv = xv.max(0.0);
-                *mv = if xv > 0.0 { 1.0 } else { 0.0 };
-            }
-            self.mask = Some(mask);
-        } else {
-            for (yv, &xv) in y.data_mut().iter_mut().zip(xd) {
-                *yv = xv.max(0.0);
-            }
-        }
-        y
+        self.pass::<false>(x, &[], mode, ws)
     }
 
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mask = self.mask.take().expect("ReLU::backward without forward(train)");
         let go = grad_out.data();
-        assert_eq!(mask.len(), go.len(), "ReLU mask/grad size mismatch");
+        assert_eq!(mask.len(), go.len().div_ceil(WORD), "ReLU mask/grad size mismatch");
         let mut g = ws.take_tensor_unzeroed(grad_out.dims());
-        for ((gv, &go), &m) in g.data_mut().iter_mut().zip(go).zip(&mask) {
-            *gv = go * m;
+        // `go·1.0` or `go·0.0`, never a selected `+0.0`: a `−0.0`, an
+        // infinite or a NaN gradient keeps the bits an f32 mask gave it.
+        for ((gs, gos), &word) in g.data_mut().chunks_mut(WORD).zip(go.chunks(WORD)).zip(&mask) {
+            for (i, (gv, &go)) in gs.iter_mut().zip(gos).enumerate() {
+                *gv = go * ((word >> i) & 1) as f32;
+            }
         }
-        ws.recycle(mask);
+        ws.recycle_usize(mask);
         g
     }
 
@@ -159,8 +198,10 @@ mod tests {
             ws.recycle_tensor(y);
             ws.recycle_tensor(g);
         }
-        // Warm-up: y, mask, g.
-        assert_eq!(ws.fresh_allocations(), 3);
+        // Warm-up: y and g; the mask bits and both dims come from the
+        // index pool.
+        assert_eq!(ws.fresh_allocations(), 2);
+        assert_eq!(ws.fresh_usize_allocations(), 3);
     }
 
     #[test]

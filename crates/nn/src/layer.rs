@@ -22,7 +22,8 @@
 //!     `Train`'s, bit for bit — and caches nothing;
 //!   - `Train` does what `BatchStats` does and caches what `backward`
 //!     reads (a convolution's input copy, batch norm's `x̂` and
-//!     `1/σ`, ReLU masks, pooling indices and dims, `Linear`'s input).
+//!     `1/σ` — from which a folded ReLU's mask is rebuilt — the bit masks
+//!     of the other ReLUs, pooling indices and dims, `Linear`'s input).
 //! * `backward` must be called at most once per `Mode::Train` forward,
 //!   and only after one, with the gradient of the scalar loss w.r.t. the
 //!   layer's output; it returns the gradient w.r.t. the input and

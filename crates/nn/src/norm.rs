@@ -1,4 +1,5 @@
-//! Batch normalization over `[N, C, H, W]` activations (per-channel).
+//! Batch normalization over `[N, C, H, W]` activations (per-channel),
+//! optionally with the ReLU that follows it folded in.
 //!
 //! Training mode normalizes with batch statistics, keeps exponential
 //! running statistics for inference, and caches the normalized activations
@@ -16,6 +17,16 @@
 //! element-wise normalization (`x̂`, `y`; the input gradient) then
 //! computes each element as the expression it always was. Inference is
 //! the second step alone.
+//!
+//! [`BatchNorm2d::with_relu`] is batch norm followed by a ReLU, the
+//! `conv → bn → relu` of every convolution stage of the model zoo but the
+//! residual join. It writes `y = (γ·x̂ + β).max(0.0)` and keeps no mask:
+//! backward rebuilds it, `γ·x̂ + β > 0.0`, from the `x̂` it caches anyway
+//! (the forward's own f32 multiply and add, so the same bits), and
+//! multiplies the output gradient by it as the ReLU did — `go·1.0` or
+//! `go·0.0` — inside the channel sums and the input-gradient pass. The
+//! standalone ReLU's activation-sized f32 mask and its output and gradient
+//! buffers are not taken at all.
 
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
@@ -32,6 +43,8 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
     channels: usize,
+    /// Whether the ReLU that follows is folded in.
+    relu: bool,
     /// (x_hat, inv_std) cached by a `Mode::Train` forward.
     cache: Option<(Tensor, Vec<f32>)>,
 }
@@ -39,6 +52,17 @@ pub struct BatchNorm2d {
 impl BatchNorm2d {
     /// New batch-norm layer over `channels` feature maps.
     pub fn new(channels: usize) -> Self {
+        Self::build(channels, false)
+    }
+
+    /// Batch norm over `channels` feature maps with the ReLU that follows
+    /// it folded in: the layer is `BatchNorm2d::new` then `ReLU`, bit for
+    /// bit, and holds no mask between forward and backward.
+    pub fn with_relu(channels: usize) -> Self {
+        Self::build(channels, true)
+    }
+
+    fn build(channels: usize, relu: bool) -> Self {
         BatchNorm2d {
             gamma: Param::new(Tensor::ones(&[channels])),
             beta: Param::new(Tensor::zeros(&[channels])),
@@ -47,6 +71,7 @@ impl BatchNorm2d {
             momentum: 0.1,
             eps: 1e-5,
             channels,
+            relu,
             cache: None,
         }
     }
@@ -80,7 +105,7 @@ impl Layer for BatchNorm2d {
             // Batch statistics: a channel's f64 sums run over its images
             // and pixels in order.
             let (running_mean, running_var) = (self.running_mean.data_mut(), self.running_var.data_mut());
-            channel_sums(src, None, c, plane, |ch, sum, sq| {
+            channel_sums(src, None, None, c, plane, |ch, sum, sq| {
                 let mean = (sum / count as f64) as f32;
                 let var = ((sq / count as f64) - (sum / count as f64).powi(2)).max(0.0) as f32;
                 means[ch] = mean;
@@ -88,29 +113,11 @@ impl Layer for BatchNorm2d {
                 running_mean[ch] = (1.0 - momentum) * running_mean[ch] + momentum * mean;
                 running_var[ch] = (1.0 - momentum) * running_var[ch] + momentum * var;
             });
-            // Normalize; `x̂` is kept only for backward. Both arms write `y`
-            // as `γ·x̂ + β` from the same `x̂`.
-            match &mut x_hat {
-                Some(x_hat) => {
-                    let rows = x_hat.data_mut().chunks_exact_mut(plane).zip(y.data_mut().chunks_exact_mut(plane));
-                    for ((xh, yv), (src, ch)) in rows.zip(planes(src, c, plane)) {
-                        let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
-                        for ((&sv, xv), yv) in src.iter().zip(xh).zip(yv) {
-                            let xh = (sv - mean) * inv_std;
-                            *xv = xh;
-                            *yv = g * xh + b;
-                        }
-                    }
-                }
-                None => {
-                    for (yv, (src, ch)) in y.data_mut().chunks_exact_mut(plane).zip(planes(src, c, plane)) {
-                        let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
-                        for (&sv, yv) in src.iter().zip(yv) {
-                            let xh = (sv - mean) * inv_std;
-                            *yv = g * xh + b;
-                        }
-                    }
-                }
+            // Normalize; `x̂` is kept only for backward.
+            let (batch, x_hat_data) = ((&means[..], &inv_stds[..]), x_hat.as_mut().map(|t| t.data_mut()));
+            match self.relu {
+                true => normalize::<true>(src, x_hat_data, y.data_mut(), c, plane, batch, (gamma, beta)),
+                false => normalize::<false>(src, x_hat_data, y.data_mut(), c, plane, batch, (gamma, beta)),
             }
             ws.recycle(means);
             match x_hat {
@@ -118,14 +125,10 @@ impl Layer for BatchNorm2d {
                 None => ws.recycle(inv_stds),
             }
         } else {
-            let (running_mean, running_var) = (self.running_mean.data(), self.running_var.data());
-            for (yv, (src, ch)) in y.data_mut().chunks_exact_mut(plane).zip(planes(src, c, plane)) {
-                let mean = running_mean[ch];
-                let inv_std = 1.0 / (running_var[ch] + eps).sqrt();
-                let (g, b) = (gamma[ch], beta[ch]);
-                for (&sv, yv) in src.iter().zip(yv) {
-                    *yv = g * (sv - mean) * inv_std + b;
-                }
+            let running = (self.running_mean.data(), self.running_var.data());
+            match self.relu {
+                true => infer::<true>(src, y.data_mut(), c, plane, eps, running, (gamma, beta)),
+                false => infer::<false>(src, y.data_mut(), c, plane, eps, running, (gamma, beta)),
             }
         }
         y
@@ -140,12 +143,14 @@ impl Layer for BatchNorm2d {
         let mut gx = ws.take_tensor_unzeroed(x_hat.dims());
         let go = grad_out.data();
         let xh = x_hat.data();
-        // Channel-wise sums and the coefficients they give: per channel
+        // Channel-wise sums of the gradient (through the folded ReLU's
+        // mask) and the coefficients they give: per channel
         // `[γ·inv_std, mean(g), mean(g·x̂)]`.
         let mut coefs = ws.take_unzeroed(3 * c);
-        let gamma = self.gamma.value.data();
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         let (gamma_grad, beta_grad) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
-        channel_sums(go, Some(xh), c, plane, |ch, sum_g, sum_gxh| {
+        let relu = self.relu.then_some((gamma, beta));
+        channel_sums(go, Some(xh), relu, c, plane, |ch, sum_g, sum_gxh| {
             gamma_grad[ch] += sum_gxh as f32;
             beta_grad[ch] += sum_g as f32;
             coefs[3 * ch..][..3].copy_from_slice(&[
@@ -154,13 +159,9 @@ impl Layer for BatchNorm2d {
                 sum_gxh as f32 / count,
             ]);
         });
-        // The input gradient.
-        for (ch_plane, gx) in gx.data_mut().chunks_exact_mut(plane).enumerate() {
-            let (base, ch) = (ch_plane * plane, ch_plane % c);
-            let [scale, mean_g, mean_gxh] = [coefs[3 * ch], coefs[3 * ch + 1], coefs[3 * ch + 2]];
-            for ((g, &go), &xh) in gx.iter_mut().zip(&go[base..base + plane]).zip(&xh[base..base + plane]) {
-                *g = scale * (go - mean_g - xh * mean_gxh);
-            }
+        match self.relu {
+            true => input_grad::<true>(go, xh, gx.data_mut(), c, plane, &coefs, gamma, beta),
+            false => input_grad::<false>(go, xh, gx.data_mut(), c, plane, &coefs, gamma, beta),
         }
         ws.recycle(coefs);
         ws.recycle_tensor(x_hat);
@@ -197,6 +198,109 @@ impl Layer for BatchNorm2d {
     }
 }
 
+/// The output of `γ·x̂ + β`: itself, or through the folded ReLU.
+#[inline(always)]
+fn act<const RELU: bool>(v: f32) -> f32 {
+    if RELU {
+        v.max(0.0)
+    } else {
+        v
+    }
+}
+
+/// `go` through the folded ReLU's mask, rebuilt from `x̂` as forward
+/// computed `γ·x̂ + β`: `go·1.0` or `go·0.0`, as the ReLU's backward
+/// multiplied it.
+#[inline(always)]
+fn gate<const RELU: bool>(go: f32, xh: f32, g: f32, b: f32) -> f32 {
+    if RELU {
+        go * if g * xh + b > 0.0 { 1.0 } else { 0.0 }
+    } else {
+        go
+    }
+}
+
+/// `y = act(γ·x̂ + β)` with `x̂ = (x − mean)·inv_std` from the batch's
+/// mean and `1/σ`, `x̂` kept in `x_hat` where given. Both arms write `y`
+/// from the same `x̂`.
+fn normalize<const RELU: bool>(
+    src: &[f32],
+    x_hat: Option<&mut [f32]>,
+    y: &mut [f32],
+    c: usize,
+    plane: usize,
+    (means, inv_stds): (&[f32], &[f32]),
+    (gamma, beta): (&[f32], &[f32]),
+) {
+    match x_hat {
+        Some(x_hat) => {
+            let rows = x_hat.chunks_exact_mut(plane).zip(y.chunks_exact_mut(plane));
+            for ((xh, yv), (src, ch)) in rows.zip(planes(src, c, plane)) {
+                let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
+                for ((&sv, xv), yv) in src.iter().zip(xh).zip(yv) {
+                    let xh = (sv - mean) * inv_std;
+                    *xv = xh;
+                    *yv = act::<RELU>(g * xh + b);
+                }
+            }
+        }
+        None => {
+            for (yv, (src, ch)) in y.chunks_exact_mut(plane).zip(planes(src, c, plane)) {
+                let (mean, inv_std, g, b) = (means[ch], inv_stds[ch], gamma[ch], beta[ch]);
+                for (&sv, yv) in src.iter().zip(yv) {
+                    let xh = (sv - mean) * inv_std;
+                    *yv = act::<RELU>(g * xh + b);
+                }
+            }
+        }
+    }
+}
+
+/// Inference: `y = act(γ·(x − mean)·inv_std + β)` from the running mean
+/// and variance.
+fn infer<const RELU: bool>(
+    src: &[f32],
+    y: &mut [f32],
+    c: usize,
+    plane: usize,
+    eps: f32,
+    (means, vars): (&[f32], &[f32]),
+    (gamma, beta): (&[f32], &[f32]),
+) {
+    for (yv, (src, ch)) in y.chunks_exact_mut(plane).zip(planes(src, c, plane)) {
+        let mean = means[ch];
+        let inv_std = 1.0 / (vars[ch] + eps).sqrt();
+        let (g, b) = (gamma[ch], beta[ch]);
+        for (&sv, yv) in src.iter().zip(yv) {
+            *yv = act::<RELU>(g * (sv - mean) * inv_std + b);
+        }
+    }
+}
+
+/// The input gradient `scale·(g − mean(g) − x̂·mean(g·x̂))`, `g` the output
+/// gradient through the folded ReLU's mask; `coefs` holds per channel
+/// `[scale, mean(g), mean(g·x̂)]`.
+#[allow(clippy::too_many_arguments)]
+fn input_grad<const RELU: bool>(
+    go: &[f32],
+    xh: &[f32],
+    gx: &mut [f32],
+    c: usize,
+    plane: usize,
+    coefs: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+) {
+    for (ch_plane, gx) in gx.chunks_exact_mut(plane).enumerate() {
+        let (base, ch) = (ch_plane * plane, ch_plane % c);
+        let [scale, mean_g, mean_gxh] = [coefs[3 * ch], coefs[3 * ch + 1], coefs[3 * ch + 2]];
+        let (g, b) = (gamma[ch], beta[ch]);
+        for ((gv, &go), &xh) in gx.iter_mut().zip(&go[base..base + plane]).zip(&xh[base..base + plane]) {
+            *gv = scale * (gate::<RELU>(go, xh, g, b) - mean_g - xh * mean_gxh);
+        }
+    }
+}
+
 /// The `(plane, channel)` pairs of `src`, in storage order: image by
 /// image, channel by channel.
 fn planes(src: &[f32], c: usize, plane: usize) -> impl Iterator<Item = (&[f32], usize)> {
@@ -213,6 +317,7 @@ impl Clone for BatchNorm2d {
             momentum: self.momentum,
             eps: self.eps,
             channels: self.channels,
+            relu: self.relu,
             cache: None,
         }
     }

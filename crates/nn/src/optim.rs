@@ -4,6 +4,12 @@
 //! Velocity buffers are keyed by the deterministic parameter visit order
 //! of the network, so one optimizer instance must stay paired with one
 //! network (asserted by size).
+//!
+//! A step reads and writes each parameter tensor once: per element,
+//! `v ← v·μ + 1.0·g (+ wd·w)`, then `w ← w + (−lr)·v` — or, without
+//! momentum, `w ← w·(1 − lr·wd)` then `w + (−lr)·g` — each a separate f32
+//! multiply and add in the order the four whole-tensor passes (scale,
+//! axpy, axpy, axpy) it replaces ran them, so the same bits.
 
 use crate::layer::Layer;
 use kemf_tensor::Tensor;
@@ -59,7 +65,7 @@ impl Sgd {
         let mut idx = 0usize;
         // Fully in-place update (no per-step gradient staging buffers):
         // with g' = grad + wd·value and v ← μ·v + g', the weight update is
-        // value ← value − lr·v.
+        // value ← value − lr·v, one pass over each tensor.
         net.visit_params_mut(&mut |p| {
             if cfg.momentum > 0.0 {
                 let v = &mut velocity[idx];
@@ -68,17 +74,27 @@ impl Sgd {
                     p.grad.dims(),
                     "optimizer paired with a different network (param {idx})"
                 );
-                v.scale_inplace(cfg.momentum);
-                v.axpy(1.0, &p.grad);
-                if cfg.weight_decay > 0.0 {
-                    v.axpy(cfg.weight_decay, &p.value);
+                let (mu, wd, step) = (cfg.momentum, cfg.weight_decay, -cfg.lr);
+                let elems = p.value.data_mut().iter_mut().zip(v.data_mut()).zip(p.grad.data());
+                // No `+ 0.0·w` without decay: it would turn a `−0.0`
+                // velocity into `+0.0`.
+                if wd > 0.0 {
+                    for ((w, v), &g) in elems {
+                        *v = *v * mu + 1.0 * g + wd * *w;
+                        *w += step * *v;
+                    }
+                } else {
+                    for ((w, v), &g) in elems {
+                        *v = *v * mu + 1.0 * g;
+                        *w += step * *v;
+                    }
                 }
-                p.value.axpy(-cfg.lr, v);
             } else {
-                if cfg.weight_decay > 0.0 {
-                    p.value.scale_inplace(1.0 - cfg.lr * cfg.weight_decay);
+                // Without decay `decay` is exactly 1.0 and `w·1.0` is `w`.
+                let (decay, step) = (1.0 - cfg.lr * cfg.weight_decay, -cfg.lr);
+                for (w, &g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
+                    *w = *w * decay + step * g;
                 }
-                p.value.axpy(-cfg.lr, &p.grad);
             }
             idx += 1;
         });
@@ -170,6 +186,64 @@ mod tests {
         let mut after = 0.0;
         net.visit_params(&mut |p| after += p.value.sq_norm());
         assert!(after < before, "decay should shrink weights: {before} → {after}");
+    }
+
+    /// The step as four whole-tensor passes, as it was written: `v·μ`,
+    /// `+ 1.0·g`, `+ wd·w`, then `w + (−lr)·v`; without momentum
+    /// `w·(1 − lr·wd)`, then `w + (−lr)·g`.
+    fn four_passes(cfg: SgdConfig, w: &mut Tensor, v: &mut Tensor, g: &Tensor) {
+        if cfg.momentum > 0.0 {
+            v.scale_inplace(cfg.momentum);
+            v.axpy(1.0, g);
+            if cfg.weight_decay > 0.0 {
+                v.axpy(cfg.weight_decay, w);
+            }
+            w.axpy(-cfg.lr, v);
+        } else {
+            if cfg.weight_decay > 0.0 {
+                w.scale_inplace(1.0 - cfg.lr * cfg.weight_decay);
+            }
+            w.axpy(-cfg.lr, g);
+        }
+    }
+
+    #[test]
+    fn one_pass_step_is_bit_identical_to_four_passes() {
+        let mut rng = seeded_rng(31);
+        for momentum in [0.0, 0.9] {
+            for weight_decay in [0.0, 5e-4] {
+                let cfg = SgdConfig { lr: 0.05, momentum, weight_decay };
+                let mut net = Linear::new(37, 5, 32);
+                let mut opt = Sgd::new(cfg);
+                let mut want: Vec<(Tensor, Tensor)> = Vec::new();
+                net.visit_params(&mut |p| want.push((p.value.clone(), Tensor::zeros(p.value.dims()))));
+                for step in 0..4 {
+                    // Gradients with ±0 and NaN among them (a NaN from the
+                    // third step on, so the velocity carries it).
+                    net.visit_params_mut(&mut |p| {
+                        p.grad = Tensor::randn(p.value.dims(), 1.0, &mut rng);
+                        let g = p.grad.data_mut();
+                        g[0] = 0.0;
+                        g[1] = -0.0;
+                        if step >= 2 {
+                            g[2] = f32::NAN;
+                        }
+                    });
+                    let mut grads = Vec::new();
+                    net.visit_params(&mut |p| grads.push(p.grad.clone()));
+                    opt.step(&mut net);
+                    for ((w, v), g) in want.iter_mut().zip(&grads) {
+                        four_passes(cfg, w, v, g);
+                    }
+                    let mut k = 0;
+                    net.visit_params(&mut |p| {
+                        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&p.value), bits(&want[k].0), "μ {momentum}, wd {weight_decay}, step {step}, param {k}");
+                        k += 1;
+                    });
+                }
+            }
+        }
     }
 
     #[test]

@@ -139,11 +139,13 @@ impl Layer for Sequential {
 /// the classic CIFAR ResNet basic block (He et al. 2016).
 ///
 /// When `stride > 1` or channel counts differ, the shortcut is a strided
-/// 1×1 convolution + batch norm; otherwise it is the identity.
+/// 1×1 convolution + batch norm; otherwise it is the identity. The first
+/// ReLU is folded into `bn1` ([`BatchNorm2d::with_relu`]); the residual
+/// join and the ReLU after it run as one pass ([`ReLU::forward_sum`]),
+/// which keeps its mask as bits.
 pub struct BasicBlock {
     conv1: Conv2d,
     bn1: BatchNorm2d,
-    relu1: ReLU,
     conv2: Conv2d,
     bn2: BatchNorm2d,
     shortcut: Option<(Conv2d, BatchNorm2d)>,
@@ -170,8 +172,7 @@ impl BasicBlock {
         };
         BasicBlock {
             conv1: Conv2d::with_init(in_ch, out_ch, 3, stride, 1, init),
-            bn1: BatchNorm2d::new(out_ch),
-            relu1: ReLU::new(),
+            bn1: BatchNorm2d::with_relu(out_ch),
             conv2: Conv2d::with_init(out_ch, out_ch, 3, 1, 1, init.offset(1)),
             bn2: BatchNorm2d::new(out_ch),
             shortcut,
@@ -185,24 +186,22 @@ impl Layer for BasicBlock {
         let h = self.conv1.forward(x, mode, ws);
         let h2 = self.bn1.forward(&h, mode, ws);
         ws.recycle_tensor(h);
-        let h3 = self.relu1.forward(&h2, mode, ws);
+        let h3 = self.conv2.forward(&h2, mode, ws);
         ws.recycle_tensor(h2);
-        let h4 = self.conv2.forward(&h3, mode, ws);
+        let main = self.bn2.forward(&h3, mode, ws);
         ws.recycle_tensor(h3);
-        let mut sum = self.bn2.forward(&h4, mode, ws);
-        ws.recycle_tensor(h4);
-        match &mut self.shortcut {
+        let y = match &mut self.shortcut {
             Some((conv, bn)) => {
                 let s = conv.forward(x, mode, ws);
                 let s2 = bn.forward(&s, mode, ws);
                 ws.recycle_tensor(s);
-                add_residual(&mut sum, &s2);
+                let y = self.relu_out.forward_sum(&main, &s2, mode, ws);
                 ws.recycle_tensor(s2);
+                y
             }
-            None => add_residual(&mut sum, x),
-        }
-        let y = self.relu_out.forward(&sum, mode, ws);
-        ws.recycle_tensor(sum);
+            None => self.relu_out.forward_sum(&main, x, mode, ws),
+        };
+        ws.recycle_tensor(main);
         y
     }
 
@@ -212,12 +211,10 @@ impl Layer for BasicBlock {
         let g = self.bn2.backward(&g_sum, ws);
         let g2 = self.conv2.backward(&g, ws);
         ws.recycle_tensor(g);
-        let g3 = self.relu1.backward(&g2, ws);
+        let g3 = self.bn1.backward(&g2, ws);
         ws.recycle_tensor(g2);
-        let g4 = self.bn1.backward(&g3, ws);
+        let mut g_main = self.conv1.backward(&g3, ws);
         ws.recycle_tensor(g3);
-        let mut g_main = self.conv1.backward(&g4, ws);
-        ws.recycle_tensor(g4);
         // Shortcut branch.
         match &mut self.shortcut {
             Some((conv, bn)) => {
@@ -287,7 +284,6 @@ impl Layer for BasicBlock {
         Box::new(BasicBlock {
             conv1: self.conv1.clone(),
             bn1: self.bn1.clone(),
-            relu1: ReLU::new(),
             conv2: self.conv2.clone(),
             bn2: self.bn2.clone(),
             shortcut: self.shortcut.as_ref().map(|(c, b)| (c.clone(), b.clone())),
@@ -296,7 +292,7 @@ impl Layer for BasicBlock {
     }
 }
 
-/// `sum += x`, the residual join (and its gradient's).
+/// `sum += x`, the residual join of the gradient.
 fn add_residual(sum: &mut Tensor, x: &Tensor) {
     assert_eq!(sum.dims(), x.dims(), "residual shape mismatch");
     for (a, &b) in sum.data_mut().iter_mut().zip(x.data()) {

@@ -131,6 +131,7 @@ fn fresh_and_warm_workspaces_agree() {
         (Box::new(Conv2d::new(3, 8, 3, 1, 1, 1)), &image),
         (Box::new(Conv2d::new(3, 20, 3, 2, 1, 2)), &image),
         (Box::new(BatchNorm2d::new(3)), &image),
+        (Box::new(BatchNorm2d::with_relu(3)), &image),
         (Box::new(MaxPool2::new()), &image),
         (Box::new(GlobalAvgPool::new()), &image),
         (Box::new(Linear::new(64, 40, 3)), &[16, 64]),

@@ -1,7 +1,8 @@
 //! Row-wise operations used by losses and classifiers: softmax,
 //! log-softmax, argmax, transpose, and axis reductions — and the
-//! per-channel sums of batch normalization ([`channel_sums`]) and the
-//! window maxima of 2×2 max pooling ([`max_pool2`]).
+//! per-channel sums of batch normalization ([`channel_sums`]), the row
+//! sums of a convolution's bias gradient ([`row_sums`]) and the window
+//! maxima of 2×2 max pooling ([`max_pool2`]).
 //!
 //! "Row-wise" means over the last dimension with all leading dimensions
 //! flattened, which matches the `[batch, classes]` logit layout used
@@ -17,6 +18,12 @@ use crate::tensor::Tensor;
 /// of two values a separate multiply — the bits of the plain per-channel
 /// loop on every tier.
 ///
+/// `relu = Some((γ, β))` (with `b`) gates `a` by the ReLU folded into a
+/// batch norm whose `x̂` is `b`: each `a` value is multiplied in f32 by
+/// `1.0` where `γ[ch]·b + β[ch] > 0.0` (a separate multiply and add) and
+/// by `0.0` elsewhere before it is summed — the gradient that a ReLU's
+/// backward would have handed the batch norm, never stored.
+///
 /// Where the tier has vectors (AVX2 and up) the chains of four channels
 /// share one (`crate::simd::channel_sums`), two such groups at a time, in
 /// a fixed lane order: a channel's chain is as long and as ordered as it
@@ -25,6 +32,7 @@ use crate::tensor::Tensor;
 pub fn channel_sums(
     a: &[f32],
     b: Option<&[f32]>,
+    relu: Option<(&[f32], &[f32])>,
     c: usize,
     plane: usize,
     mut each: impl FnMut(usize, f64, f64),
@@ -32,31 +40,30 @@ pub fn channel_sums(
     let images = a.len() / (c * plane).max(1);
     assert_eq!(a.len(), images * c * plane, "activation size mismatch");
     assert!(b.is_none_or(|b| b.len() == a.len()), "second activation size mismatch");
+    assert!(relu.is_none_or(|(g, bt)| b.is_some() && g.len() == c && bt.len() == c), "ReLU gate needs x̂, γ and β");
     #[cfg(target_arch = "x86_64")]
     if simd::isa() != Isa::Scalar && plane > 0 {
         for c0 in (0..c).step_by(8) {
             let live = 8.min(c - c0);
             // Channels past the last repeat it; they are not handed on.
+            let channel = |i: usize, k: usize| c0 + (4 * i + k).min(live - 1);
             let planes = |v: &[f32]| -> [[*const f32; 4]; 2] {
-                std::array::from_fn(|i| std::array::from_fn(|k| v[(c0 + (4 * i + k).min(live - 1)) * plane..].as_ptr()))
+                std::array::from_fn(|i| std::array::from_fn(|k| v[channel(i, k) * plane..].as_ptr()))
             };
             let (pa, pb) = (planes(a), planes(b.unwrap_or(a)));
+            let (gamma, beta) = relu.unwrap_or((&[], &[]));
+            let gate: [[[f32; 4]; 2]; 2] = match relu {
+                Some(_) => std::array::from_fn(|i| [gamma, beta].map(|v| std::array::from_fn(|k| v[channel(i, k)]))),
+                None => [[[0.0; 4]; 2]; 2],
+            };
             // SAFETY: the tier has AVX2, and from the plane of channel ch
             // < c of image 0, `a` and `b` hold `plane` floats at every
             // `n·c·plane`, n < images.
             let groups = unsafe {
-                match (live > 4, b.is_some()) {
-                    (true, true) => simd::channel_sums::<2, true>(pa, pb, images, c * plane, plane),
-                    (true, false) => simd::channel_sums::<2, false>(pa, pb, images, c * plane, plane),
-                    // Four channels or fewer: one vector, not two.
-                    (false, true) => {
-                        let [g] = simd::channel_sums::<1, true>([pa[0]], [pb[0]], images, c * plane, plane);
-                        [g, g]
-                    }
-                    (false, false) => {
-                        let [g] = simd::channel_sums::<1, false>([pa[0]], [pb[0]], images, c * plane, plane);
-                        [g, g]
-                    }
+                match (b.is_some(), relu.is_some()) {
+                    (true, true) => groups::<true, true>(live, pa, pb, gate, images, c * plane, plane),
+                    (true, false) => groups::<true, false>(live, pa, pb, gate, images, c * plane, plane),
+                    (false, _) => groups::<false, false>(live, pa, pb, gate, images, c * plane, plane),
                 }
             };
             for k in 0..live {
@@ -72,11 +79,66 @@ pub fn channel_sums(
         for n in 0..images {
             let at = (n * c + ch) * plane;
             for (&x, &y) in a[at..at + plane].iter().zip(&b[at..at + plane]) {
+                let x = match relu {
+                    Some((gamma, beta)) => x * if gamma[ch] * y + beta[ch] > 0.0 { 1.0 } else { 0.0 },
+                    None => x,
+                };
                 sum += x as f64;
                 dot += (x as f64) * (y as f64);
             }
         }
         each(ch, sum, dot);
+    }
+}
+
+/// Up to eight channels' sums: two vectors of four, or — four channels or
+/// fewer — one, handed back twice.
+///
+/// # Safety
+///
+/// As [`simd::channel_sums`].
+#[cfg(target_arch = "x86_64")]
+unsafe fn groups<const PAIR: bool, const RELU: bool>(
+    live: usize,
+    a: [[*const f32; 4]; 2],
+    b: [[*const f32; 4]; 2],
+    gate: [[[f32; 4]; 2]; 2],
+    images: usize,
+    image_stride: usize,
+    plane: usize,
+) -> [([f64; 4], [f64; 4]); 2] {
+    if live > 4 {
+        simd::channel_sums::<2, PAIR, RELU>(a, b, gate, images, image_stride, plane)
+    } else {
+        let [g] = simd::channel_sums::<1, PAIR, RELU>([a[0]], [b[0]], [gate[0]], images, image_stride, plane);
+        [g, g]
+    }
+}
+
+/// `each(Σ row)` for every row of `src` cut into rows of `len` floats, in
+/// row order: each sum one chain of f32 adds over its row in
+/// order from `−0.0`, what `row.iter().sum::<f32>()` computes, on every
+/// tier. On AVX-512 the chains of 16 rows share a vector
+/// ([`simd::row_sums16`]); elsewhere — and for rows of one element, which
+/// the vector would only turn — the rows run one by one.
+pub fn row_sums(src: &[f32], len: usize, mut each: impl FnMut(f32)) {
+    if len == 0 {
+        return;
+    }
+    let rows = src.len() / len;
+    assert_eq!(src.len(), rows * len, "row size mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if simd::isa() == Isa::Avx512 && len > 1 {
+        for r0 in (0..rows).step_by(16) {
+            let live = 16.min(rows - r0);
+            // SAFETY: the tier is AVX-512 and rows r0..r0 + live lie in `src`.
+            let sums = unsafe { simd::row_sums16(src[r0 * len..].as_ptr(), live, len) };
+            sums[..live].iter().for_each(|&sum| each(sum));
+        }
+        return;
+    }
+    for row in src.chunks_exact(len) {
+        each(row.iter().sum::<f32>());
     }
 }
 
@@ -296,6 +358,28 @@ mod tests {
         let tt = transpose2d(&transpose2d(&t));
         assert_eq!(tt.data(), t.data());
         assert_eq!(transpose2d(&t).at(&[2, 1]), t.at(&[1, 2]));
+    }
+
+    #[test]
+    fn row_sums_are_the_plain_loop() {
+        // Row counts either side of 16, planes 1/4/16/256 (and 23, a
+        // ragged last block), one row of −0.0: each sum must be the bits
+        // of `row.iter().sum::<f32>()`, natively and on the scalar tier.
+        let mut rng = crate::rng::seeded_rng(17);
+        for rows in [1usize, 15, 16, 17, 40] {
+            for len in [1usize, 4, 16, 23, 256] {
+                let mut src: Vec<f32> = (0..rows * len).map(|_| crate::rng::sample_normal(&mut rng)).collect();
+                src[(rows / 2) * len..][..len].fill(-0.0);
+                let want: Vec<u32> = src.chunks_exact(len).map(|r| r.iter().sum::<f32>().to_bits()).collect();
+                for scalar in [false, true] {
+                    let _guard = scalar.then(simd::ScalarGuard::new);
+                    let mut got = Vec::new();
+                    row_sums(&src, len, |sum| got.push(sum.to_bits()));
+                    assert_eq!(got, want, "{rows} rows of {len}, scalar tier {scalar}");
+                }
+            }
+        }
+        assert_eq!((-0.0f32).to_bits(), [-0.0f32].iter().sum::<f32>().to_bits(), "sum starts from −0.0");
     }
 
     #[test]

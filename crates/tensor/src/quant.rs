@@ -369,6 +369,53 @@ pub fn error_bound(k: usize, max_a: f32, scale_a: f32, max_b: f32, scale_b: f32)
     k as f32 * (max_a * scale_b / 2.0 + max_b * scale_a / 2.0 + scale_a * scale_b / 4.0)
 }
 
+/// One chunk of the affine int8 wire format (`kemf_fl::compress`): its
+/// codes into `codes` and its `(scale, offset)`. The offset `lo` and the
+/// top `hi` are the chunk's least and greatest values as
+/// `fold(±∞, f32::min/max)` finds them, `scale = (hi − lo).max(1e-12) /
+/// 255`, and each code is `((v − lo) / scale).round().clamp(0, 255) − 128`.
+/// The values must be finite.
+///
+/// On AVX-512 a vector takes 16 values at a time, with the same bits:
+/// the extremes are lane-wise minima and maxima (equal values have equal
+/// bits — but for `±0`, where an extreme of zero takes the scalar fold's
+/// own pick), the division is the same IEEE division, and the rounding
+/// half away from zero is the truncation plus one step away from zero
+/// where the dropped fraction is at least one half. Elsewhere — and for a
+/// chunk whose range overflows — the scalar loop runs, the reference.
+pub fn affine_chunk(block: &[f32], codes: &mut [i8]) -> (f32, f32) {
+    assert_eq!(block.len(), codes.len(), "chunk size mismatch");
+    let (lo, hi) = affine_range(block);
+    let scale = (hi - lo).max(1e-12) / 255.0;
+    #[cfg(target_arch = "x86_64")]
+    if simd::isa() == Isa::Avx512 && scale.is_finite() {
+        // SAFETY: the tier is AVX-512, `block` and `codes` hold `len`
+        // elements each.
+        unsafe { simd::affine_codes(block.as_ptr(), block.len(), lo, scale, codes.as_mut_ptr()) };
+        return (scale, lo);
+    }
+    for (c, &v) in codes.iter_mut().zip(block) {
+        *c = (((v - lo) / scale).round().clamp(0.0, 255.0) as i32 - 128) as i8;
+    }
+    (scale, lo)
+}
+
+/// The least and the greatest value of a chunk, as the scalar folds pick
+/// them.
+fn affine_range(block: &[f32]) -> (f32, f32) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::isa() == Isa::Avx512 {
+        // SAFETY: the tier is AVX-512 and `block` holds `len` floats.
+        let (lo, hi) = unsafe { simd::min_max(block.as_ptr(), block.len()) };
+        if lo != 0.0 && hi != 0.0 {
+            return (lo, hi);
+        }
+    }
+    let lo = block.iter().copied().fold(f32::INFINITY, f32::min);
+    let hi = block.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    (lo, hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

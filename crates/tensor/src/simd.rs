@@ -32,13 +32,18 @@
 //!   chains on.
 //! * [`max_pool2`] — 2×2 max pooling, 16 windows a vector.
 //! * [`channel_sums`] — batch normalization's per-channel f64 sums, the
-//!   chains of four channels in one AVX2 vector.
+//!   chains of four channels in one AVX2 vector, the gradient gated by a
+//!   folded ReLU's rebuilt mask where asked.
+//! * [`row_sums16`] — the f32 sums of 16 rows in the lanes of a vector,
+//!   each lane one chain (a convolution's bias gradient).
 //! * [`transpose_8x8_avx2`] — the block step of the transposing pack on
 //!   both SIMD tiers.
 //! * [`gemm_i8_block_vnni`] — the int8 compute kernel behind the
 //!   quantized ensemble-inference path: `vpdpbusd` over quad-interleaved
 //!   int8 panels with i32 accumulation (AVX-512 VNNI hosts only; every
 //!   other host runs the portable loop in [`crate::quant`]).
+//! * [`min_max`] and [`affine_codes`] — a chunk of the affine int8 wire
+//!   format, 16 values a vector (`crate::quant::affine_chunk`).
 //! * [`crc32_pclmul`] — the IEEE CRC-32 by carry-less multiplication
 //!   (Gopal et al., Intel 2009: fold 4×128 bits, then 128, then a Barrett
 //!   reduction), ~15× the slice-by-8 table. Its one caller is
@@ -811,6 +816,102 @@ pub unsafe fn transpose16(src: &[*const f32; 16], rows: usize, cols: usize, dst:
     }
 }
 
+/// `Σ` of each of `rows` (at most 16) rows of `len` floats laid end to
+/// end from `src`: lane `r` is one chain of f32 adds over row `r` in order
+/// from `−0.0` — where `Iterator::sum` starts — so each lane holds that
+/// row's `row.iter().sum::<f32>()`. Sixteen columns of the sixteen rows
+/// are loaded at a time and turned in registers (`transpose_16x16`), so
+/// every add advances sixteen chains; lanes `rows..16` are unspecified.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available and `src` holds `rows ·
+/// len` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn row_sums16(src: *const f32, rows: usize, len: usize) -> [f32; 16] {
+    use core::arch::x86_64::*;
+    let mut acc = _mm512_set1_ps(-0.0);
+    let mut p = 0;
+    while p < len {
+        let cols = 16.min(len - p);
+        let load = ((1u32 << cols) - 1) as u16;
+        // SAFETY: masked-off lanes are not accessed.
+        let block = std::array::from_fn(|r| match r < rows {
+            true => _mm512_maskz_loadu_ps(load, src.add(r * len + p)),
+            false => _mm512_setzero_ps(),
+        });
+        for column in transpose_16x16(block).into_iter().take(cols) {
+            acc = _mm512_add_ps(acc, column);
+        }
+        p += cols;
+    }
+    let mut out = [0.0f32; 16];
+    _mm512_storeu_ps(out.as_mut_ptr(), acc);
+    out
+}
+
+/// The least and the greatest of `len` floats from `src` (`+∞` and `−∞`
+/// for none): lane-wise minima and maxima, then across the lanes. For
+/// finite values these are the values a scalar fold finds — but where an
+/// extreme is a zero, which of `±0` is unspecified.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available and `src` holds `len`
+/// floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn min_max(src: *const f32, len: usize) -> (f32, f32) {
+    use core::arch::x86_64::*;
+    let (mut lo, mut hi) = (_mm512_set1_ps(f32::INFINITY), _mm512_set1_ps(f32::NEG_INFINITY));
+    let mut p = 0;
+    while p < len {
+        let mask = ((1u32 << 16.min(len - p)) - 1) as u16;
+        // SAFETY: masked-off lanes are not accessed.
+        let v = _mm512_maskz_loadu_ps(mask, src.add(p));
+        lo = _mm512_mask_min_ps(lo, mask, lo, v);
+        hi = _mm512_mask_max_ps(hi, mask, hi, v);
+        p += 16;
+    }
+    (_mm512_reduce_min_ps(lo), _mm512_reduce_max_ps(hi))
+}
+
+/// `dst[i] = ((src[i] − lo) / scale).round().clamp(0.0, 255.0) as i32 −
+/// 128` for `i < len`, 16 values a vector: the same IEEE subtraction and
+/// division, `round` (half away from zero) as the truncation plus one
+/// step away from zero where the dropped fraction is at least `0.5` — the
+/// fraction `t − trunc(t)` is exact, as is the step — then the clamp and
+/// a truncating conversion of what is by then an integer.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F is available, `src` holds `len` floats
+/// and `dst` `len` bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn affine_codes(src: *const f32, len: usize, lo: f32, scale: f32, dst: *mut i8) {
+    use core::arch::x86_64::*;
+    let (vlo, vscale) = (_mm512_set1_ps(lo), _mm512_set1_ps(scale));
+    let (zero, half, one, top) = (_mm512_setzero_ps(), _mm512_set1_ps(0.5), _mm512_set1_ps(1.0), _mm512_set1_ps(255.0));
+    let sign = _mm512_set1_ps(-0.0);
+    let bias = _mm512_set1_epi32(128);
+    let mut p = 0;
+    while p < len {
+        let mask = ((1u32 << 16.min(len - p)) - 1) as u16;
+        // SAFETY: masked-off lanes are not accessed.
+        let t = _mm512_div_ps(_mm512_sub_ps(_mm512_maskz_loadu_ps(mask, src.add(p)), vlo), vscale);
+        let whole = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(t);
+        let away = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(_mm512_abs_ps(_mm512_sub_ps(t, whole)), half);
+        let step = _mm512_or_ps(one, _mm512_and_ps(t, sign));
+        let rounded = _mm512_mask_add_ps(whole, away, whole, step);
+        let clamped = _mm512_min_ps(_mm512_max_ps(rounded, zero), top);
+        let codes = _mm512_sub_epi32(_mm512_cvttps_epi32(clamped), bias);
+        _mm512_mask_cvtepi32_storeu_epi8(dst.add(p), mask, codes);
+        p += 16;
+    }
+}
+
 /// `dst[i] += src[index[i]]` for the lanes `i` of `mask`: a row of
 /// finished chains gathered from where a kernel's lanes left them.
 ///
@@ -867,6 +968,11 @@ pub unsafe fn interleave4(src: [*const f32; 4], len: usize, dst: *mut f32, strid
 /// the plain per-channel loop's sums, with the chains of four channels in
 /// one vector.
 ///
+/// With `RELU` (and `PAIR`) each `a` value is first gated by the ReLU that
+/// follows a batch norm whose `x̂` is `b`: multiplied in f32 by `1.0` where
+/// `γ·x̂ + β > 0.0` and by `0.0` elsewhere (`γ·x̂ + β` a separate f32
+/// multiply and add, `γ` and `β` lane `k` of `gate[i]`), then widened.
+///
 /// Four pixels of four planes are loaded at a time and turned in
 /// registers into four pixels' vectors of four channels; a plane's last
 /// `plane % 4` pixels are set lane by lane.
@@ -878,9 +984,10 @@ pub unsafe fn interleave4(src: [*const f32; 4], len: usize, dst: *mut f32, strid
 /// may alias one another: the kernel only reads.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn channel_sums<const G: usize, const PAIR: bool>(
+pub unsafe fn channel_sums<const G: usize, const PAIR: bool, const RELU: bool>(
     a: [[*const f32; 4]; G],
     b: [[*const f32; 4]; G],
+    gate: [[[f32; 4]; 2]; G],
     images: usize,
     image_stride: usize,
     plane: usize,
@@ -888,15 +995,29 @@ pub unsafe fn channel_sums<const G: usize, const PAIR: bool>(
     use core::arch::x86_64::*;
     // Four pixels from `p` of four planes, as four vectors of the four
     // channels of one pixel each.
-    let quad = |planes: &[*const f32; 4], at: usize| -> [__m256d; 4] {
+    let quad = |planes: &[*const f32; 4], at: usize| -> [__m128; 4] {
         let [r0, r1, r2, r3] = planes.map(|q| _mm_loadu_ps(q.add(at)));
         let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
         let (t2, t3) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
         [_mm_movelh_ps(t0, t1), _mm_movehl_ps(t1, t0), _mm_movelh_ps(t2, t3), _mm_movehl_ps(t3, t2)]
-            .map(|v| _mm256_cvtps_pd(v))
     };
     let lanes = |planes: &[*const f32; 4], at: usize| {
-        _mm256_set_pd(*planes[3].add(at) as f64, *planes[2].add(at) as f64, *planes[1].add(at) as f64, *planes[0].add(at) as f64)
+        _mm_set_ps(*planes[3].add(at), *planes[2].add(at), *planes[1].add(at), *planes[0].add(at))
+    };
+    let gates: [(__m128, __m128); G] =
+        std::array::from_fn(|i| (_mm_loadu_ps(gate[i][0].as_ptr()), _mm_loadu_ps(gate[i][1].as_ptr())));
+    let (zero, one) = (_mm_setzero_ps(), _mm_set1_ps(1.0));
+    // One pixel of four channels into the sums: `x` gated by `y` where
+    // `RELU`, both widened.
+    let add = |(sum, dot): &mut (__m256d, __m256d), x: __m128, y: __m128, (g, bt): (__m128, __m128)| {
+        let x = match RELU {
+            true => _mm_mul_ps(x, _mm_and_ps(_mm_cmpgt_ps(_mm_add_ps(_mm_mul_ps(g, y), bt), zero), one)),
+            false => x,
+        };
+        let x = _mm256_cvtps_pd(x);
+        let y = if PAIR { _mm256_cvtps_pd(y) } else { x };
+        *sum = _mm256_add_pd(*sum, x);
+        *dot = _mm256_add_pd(*dot, _mm256_mul_pd(x, y));
     };
     let mut sums = [(_mm256_setzero_pd(), _mm256_setzero_pd()); G];
     for n in 0..images {
@@ -905,23 +1026,21 @@ pub unsafe fn channel_sums<const G: usize, const PAIR: bool>(
             (std::array::from_fn(|i| shift(&a[i])), std::array::from_fn(|i| shift(&b[i])));
         let mut p = 0;
         while p + 4 <= plane {
-            for ((sum, dot), (qa, qb)) in sums.iter_mut().zip(pa.iter().zip(&pb)) {
+            for (i, acc) in sums.iter_mut().enumerate() {
                 // SAFETY: p + 4 ≤ plane keeps the loads inside the planes.
-                let va = quad(qa, p);
-                let vb = if PAIR { quad(qb, p) } else { va };
+                let va = quad(&pa[i], p);
+                let vb = if PAIR { quad(&pb[i], p) } else { va };
                 for (&x, &y) in va.iter().zip(&vb) {
-                    *sum = _mm256_add_pd(*sum, x);
-                    *dot = _mm256_add_pd(*dot, _mm256_mul_pd(x, y));
+                    add(acc, x, y, gates[i]);
                 }
             }
             p += 4;
         }
         for at in p..plane {
-            for ((sum, dot), (qa, qb)) in sums.iter_mut().zip(pa.iter().zip(&pb)) {
-                let x = lanes(qa, at);
-                let y = if PAIR { lanes(qb, at) } else { x };
-                *sum = _mm256_add_pd(*sum, x);
-                *dot = _mm256_add_pd(*dot, _mm256_mul_pd(x, y));
+            for (i, acc) in sums.iter_mut().enumerate() {
+                let x = lanes(&pa[i], at);
+                let y = if PAIR { lanes(&pb[i], at) } else { x };
+                add(acc, x, y, gates[i]);
             }
         }
     }

@@ -23,14 +23,16 @@ for width in 1 2 3; do
 done
 
 # Nor do kernel tiers: the AVX-512 host runs the direct convolution route,
-# interleaved batch-norm sums and vector max pooling, and the AVX2 and
-# scalar tiers must keep
-# the same pinned bits, memory bounds and allocation audit. The tier is
+# interleaved batch-norm sums (gated by a folded ReLU's rebuilt mask),
+# vector max pooling, bias gradients in lanes and the vector wire
+# quantizer, and the AVX2 and scalar tiers must keep the same pinned bits,
+# memory bounds, allocation audit, ReLU masks and wire codes. The tier is
 # settled once per process too.
 for tier in avx2 scalar; do
     KEMF_SIMD=$tier cargo test -q --test golden_histories --test golden_bytes
     KEMF_SIMD=$tier cargo test -q -p kemf-nn --test skipped_work --test conv_recompute --test alloc \
-        --test batch_norm --test pool
+        --test batch_norm --test pool --test relu_mask
+    KEMF_SIMD=$tier cargo test -q -p kemf-fl --test quantize
     KEMF_SIMD=$tier cargo test -q -p kemf-core --test teacher_release
 done
 
@@ -113,6 +115,17 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
 awk '/par::split|SPLIT_FLOOR|ELEMENT_FLOPS/ {
         print FILENAME":"FNR": intra-layer split, its floor or its element cost"; bad=1 }
     END{exit bad}' $(find crates/*/src -name '*.rs')
+
+# No f32 ReLU mask: a ReLU after a batch norm is folded into it
+# (`BatchNorm2d::with_relu`, which rebuilds the mask from x̂), and every
+# other ReLU keeps its mask as bits. Outside test modules, no builder
+# pushes a ReLU right after a batch norm and no mask is a `Vec<f32>`.
+awk 'FNR==1{t=0; prev=""} /#\[cfg\(test\)\]/{t=1} t{next}
+    /push\(ReLU::new\(\)\)/ && prev ~ /BatchNorm2d::new/ {
+        print FILENAME":"FNR": ReLU pushed after a batch norm, want BatchNorm2d::with_relu"; bad=1 }
+    /mask: Option<Vec<f32>>/ { print FILENAME":"FNR": f32 ReLU mask"; bad=1 }
+    { prev=$0 }
+    END{exit bad}' crates/nn/src/*.rs
 
 # Forward modes say what they keep: outside test modules, no crate source
 # takes a `train: bool`. A pass is `kemf_nn::layer::Mode::{Eval,
