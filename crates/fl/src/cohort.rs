@@ -22,8 +22,9 @@
 //! `width` models, workspaces and lowering buffers are live at a time,
 //! and the width is never oversubscribed. At width 1
 //! nothing is started. The server-side teacher pass (`kemf_core::distill`),
-//! whose ensemble members are as independent as clients, uses the same
-//! function.
+//! whose ensemble members are as independent as clients, and a socket
+//! round's worker links (`crate::transport`), each of which talks only to
+//! its own worker, use the same function.
 
 use crate::context::FlContext;
 use crate::engine::EngineError;

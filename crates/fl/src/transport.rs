@@ -32,10 +32,11 @@
 //!   body is parsed through its bounds-checked `Reader`, so a peer's
 //!   short, over-long or length-lying frame is a typed
 //!   [`TransportError::Protocol`]; the one stream-side rule of its own is
-//!   that [`read_frame`] buffers a body only as its bytes arrive. The
-//!   frame and payload functions are `pub` but `#[doc(hidden)]`: outside
-//!   this module only the byte-format tests at the workspace root
-//!   (`tests/golden_bytes.rs`, `tests/decoders.rs`) call them.
+//!   that [`read_frame`] buffers a body only as its bytes arrive, and to
+//!   its declared length exactly. The frame and payload functions are
+//!   `pub` but `#[doc(hidden)]`: outside this module only the byte-format
+//!   tests at the workspace root (`tests/golden_bytes.rs`,
+//!   `tests/decoders.rs`) call them.
 //! * **Payload bytes are checksummed, not copied.** The pinned format
 //!   puts every payload byte through CRC-32 four times per direction
 //!   (envelope build, frame write, frame read, envelope verify);
@@ -44,11 +45,25 @@
 //!   two parts of one [`write_frame`], the frame CRC chained over both,
 //!   and an upload's report is verified where it landed in its frame
 //!   body: no payload-sized buffer is copied between codec and socket.
+//!   Deterministic filler, most of a model-sized payload, is generated
+//!   as four runs side by side with the serial stream's bytes.
 //!   A body over the 256 MiB cap is refused before a byte is sent —
 //!   `write_frame` returns `InvalidInput`, and `run_round` turns such a
 //!   plan away as [`TransportError::Config`] before building anything.
 //!   Worker threads run on the caller's kernel tier, so a forced-scalar
 //!   run checksums through the table on both ends.
+//! * **Every worker link is busy at once, with the sequential bytes.** A
+//!   round's transacting clients (all but those dropped before download)
+//!   are dealt to the links in transaction order — the k-th to link
+//!   `k % workers`, so loads differ by at most one — and the links are
+//!   enacted through `kemf_tensor::par::fork_join`, each on its own
+//!   connection and in slot order, while the server builds one link's
+//!   broadcast as another's worker checks its own. A link's frames depend
+//!   only on its clients and the counters merge as u64 sums, so frames,
+//!   bytes, history and [`TransportStats`] are those of a run that enacts
+//!   the links one after another — which is what width 1 does, on the
+//!   calling thread. The round's model is quantized once, before the
+//!   fork; when several links fail, the lowest link's error is returned.
 //!
 //! Worker processes are spawned from any binary that calls
 //! [`worker_entry_if_requested`] early in `main` (or the dedicated
@@ -64,6 +79,7 @@ use crate::lifecycle::{ClientOutcome, ClientPlan, ModelView, RoundComm, RoundPla
 use kemf_nn::codec::{self, fnv1a64, CodecError, Reader, Writer, FNV_OFFSET};
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
+use kemf_tensor::par::fork_join;
 use kemf_tensor::simd::{force_scalar, scalar_forced};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -147,7 +163,8 @@ pub enum WorkerMode {
 /// Socket-transport configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SocketConfig {
-    /// Number of workers; client `i` is served by worker `i % workers`.
+    /// Number of workers; a round's k-th transacting client is served by
+    /// worker `k % workers`.
     pub workers: usize,
     /// Threads in-process or spawned worker processes.
     pub mode: WorkerMode,
@@ -305,22 +322,90 @@ impl TransportStats {
     }
 }
 
+/// The xorshift64* output multiplier.
+const FILL_MUL: u64 = 0x2545_f491_4f6c_dd1d;
+/// Runs of the filler stream generated side by side.
+const FILL_LANES: usize = 4;
+/// Fewest 8-byte words per run worth the jump to the runs' start states:
+/// building the jump takes ≈ 15 µs, what the runs save on ≈ 12 000 words.
+const FILL_MIN_RUN: usize = 4096;
+
+/// One xorshift64 step (shifts 13, 7, 17).
+fn xorshift(mut s: u64) -> u64 {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    s
+}
+
+/// A linear map on the 64-bit xorshift state: the step is linear over
+/// GF(2), so any number of steps is one such map, kept as the images of
+/// the 64 single-bit states.
+struct Jump([u64; 64]);
+
+impl Jump {
+    /// `steps` xorshift steps as one map, by repeated squaring.
+    fn new(mut steps: usize) -> Jump {
+        let mut map = Jump(std::array::from_fn(|bit| 1 << bit));
+        let mut square = Jump(std::array::from_fn(|bit| xorshift(1 << bit)));
+        while steps > 0 {
+            if steps & 1 == 1 {
+                map = square.after(&map);
+            }
+            square = square.after(&square);
+            steps >>= 1;
+        }
+        map
+    }
+
+    fn apply(&self, s: u64) -> u64 {
+        (0..64).filter(|bit| s >> bit & 1 == 1).fold(0, |acc, bit| acc ^ self.0[bit])
+    }
+
+    /// This map applied after `first`.
+    fn after(&self, first: &Jump) -> Jump {
+        Jump(std::array::from_fn(|bit| self.apply(first.0[bit])))
+    }
+}
+
 /// Fill `buf` with a deterministic xorshift64* stream.
+///
+/// Each step is a chain of six dependent operations, so a long buffer is
+/// cut into [`FILL_LANES`] runs generated side by side, each from the
+/// state the serial stream reaches at its start ([`Jump`]): the same
+/// bytes, several chains in flight.
 fn fill_deterministic(buf: &mut [u8], seed: u64) {
     let mut s = seed | 1; // xorshift state must be non-zero
-    let mut chunks = buf.chunks_exact_mut(8);
+    let mut run = buf.len() / 8 / FILL_LANES;
+    if run < FILL_MIN_RUN {
+        run = 0;
+    }
+    let (runs, tail) = buf.split_at_mut(8 * run * FILL_LANES);
+    if run > 0 {
+        let jump = Jump::new(run);
+        let mut states = [0; FILL_LANES];
+        for state in &mut states {
+            *state = s;
+            s = jump.apply(s);
+        }
+        let mut words = runs.chunks_exact_mut(8 * run).map(|r| r.chunks_exact_mut(8));
+        let mut words: [_; FILL_LANES] = std::array::from_fn(|_| words.next().expect("one run a lane"));
+        for _ in 0..run {
+            for (state, words) in states.iter_mut().zip(&mut words) {
+                *state = xorshift(*state);
+                let word = words.next().expect("run words in each run");
+                word.copy_from_slice(&state.wrapping_mul(FILL_MUL).to_le_bytes());
+            }
+        }
+    }
+    let mut chunks = tail.chunks_exact_mut(8);
     for chunk in &mut chunks {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        chunk.copy_from_slice(&s.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes());
+        s = xorshift(s);
+        chunk.copy_from_slice(&s.wrapping_mul(FILL_MUL).to_le_bytes());
     }
     let rem = chunks.into_remainder();
     if !rem.is_empty() {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        let bytes = s.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes();
+        let bytes = xorshift(s).wrapping_mul(FILL_MUL).to_le_bytes();
         rem.copy_from_slice(&bytes[..rem.len()]);
     }
 }
@@ -470,11 +555,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
     // A stream has no "bytes still unread" to hold the declared length
     // against, so the body buffer grows with the bytes that actually
     // arrive: a header announcing 256 MiB ahead of nothing allocates
-    // nothing.
+    // 4 KiB. Each step at most doubles what has arrived and the last one
+    // stops at the declared length, so a body never sits in a buffer
+    // grown to the next power of two (a 1.3 MB model frame in 2 MB).
+    let body_len = body_len as usize;
     let mut body = Vec::new();
-    r.by_ref().take(body_len as u64).read_to_end(&mut body)?;
-    if body.len() != body_len as usize {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame body cut short"));
+    while body.len() < body_len {
+        let step = (body_len - body.len()).min(body.len().max(1 << 12));
+        body.reserve_exact(step);
+        if r.by_ref().take(step as u64).read_to_end(&mut body)? < step {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame body cut short"));
+        }
     }
     let mut stored = [0u8; 4];
     r.read_exact(&mut stored)?;
@@ -725,11 +816,32 @@ enum WorkerHandle {
     Process(std::process::Child),
 }
 
+/// The server's end of one worker connection. Every exchange with that
+/// worker goes through here, and `stats` counts the frames and wire bytes
+/// it carried until [`SocketTransport`] moves them into its totals — so a
+/// round can enact each link on its own thread.
+struct Link {
+    stream: TcpStream,
+    stats: TransportStats,
+}
+
+/// One client transaction of a round, as the link it is routed to
+/// enacts it.
+struct Transaction<'a> {
+    /// The client's index in the round plan (the damage rule keys on it).
+    slot: usize,
+    client: usize,
+    outcome: ClientOutcome,
+    payload: WirePayload,
+    /// The quantized global model, for a full-view broadcast.
+    model: Option<&'a [u8]>,
+}
+
 /// The engine's end of the socket transport: owns the worker pool and
 /// enacts one [`RoundPlan`] per round as real framed traffic.
 pub struct SocketTransport {
     cfg: SocketConfig,
-    conns: Vec<TcpStream>,
+    links: Vec<Link>,
     workers: Vec<WorkerHandle>,
     stats: TransportStats,
     deadline_s: Option<f64>,
@@ -797,7 +909,7 @@ impl SocketTransport {
 
         let mut transport = SocketTransport {
             cfg: cfg.clone(),
-            conns: Vec::new(),
+            links: Vec::new(),
             workers,
             stats: TransportStats::default(),
             deadline_s,
@@ -870,7 +982,10 @@ impl SocketTransport {
                 }
             }
         }
-        self.conns = slots.into_iter().map(|s| s.expect("all slots filled")).collect();
+        self.links = slots
+            .into_iter()
+            .map(|s| Link { stream: s.expect("all slots filled"), stats: Default::default() })
+            .collect();
         Ok(())
     }
 
@@ -879,22 +994,14 @@ impl SocketTransport {
         &self.stats
     }
 
-    fn send(&mut self, worker: usize, kind: u8, parts: &[&[u8]]) -> Result<u64, TransportError> {
-        let wire = write_frame(&mut self.conns[worker], kind, parts).map_err(|e| {
-            TransportError::Io { context: "writing a frame to a worker", source: e }
-        })?;
-        self.stats.frames_sent += 1;
-        self.stats.wire_bytes += wire;
-        Ok(wire)
-    }
-
-    fn recv(&mut self, worker: usize) -> Result<(u8, Vec<u8>), TransportError> {
-        let (kind, body, wire) = read_frame(&mut self.conns[worker]).map_err(|e| {
-            TransportError::Io { context: "reading a frame from a worker", source: e }
-        })?;
-        self.stats.frames_received += 1;
-        self.stats.wire_bytes += wire;
-        Ok((kind, body))
+    /// Move the frames and wire bytes the links carried into the totals.
+    fn count_link_traffic(&mut self) {
+        for link in &mut self.links {
+            let carried = std::mem::take(&mut link.stats);
+            self.stats.frames_sent += carried.frames_sent;
+            self.stats.frames_received += carried.frames_received;
+            self.stats.wire_bytes += carried.wire_bytes;
+        }
     }
 
     /// Enact one drawn round plan as real traffic and return the
@@ -953,176 +1060,57 @@ impl SocketTransport {
             .as_ref()
             .and_then(|(_, state)| compress::quantize(&state.params, compress::DEFAULT_CHUNK).ok())
             .map(|q| q.to_wire());
-        let mut measured = RoundComm::default();
-        for (slot, (c, p)) in plan.clients.iter().zip(plans).enumerate() {
+        // The k-th client that transacts goes to link k % workers, so the
+        // links' loads differ by at most one; a client that crashed before
+        // download never contacts anyone, so nothing crosses the wire and
+        // nothing is charged.
+        let deadline_s = self.deadline_s.unwrap_or(f64::INFINITY);
+        let mut shares: Vec<(&mut Link, Vec<Transaction>)> =
+            self.links.iter_mut().map(|link| (link, Vec::new())).collect();
+        let links = shares.len();
+        let transacting = plan.clients.iter().zip(plans).enumerate().filter(|(_, (c, _))| {
+            !matches!(c.outcome, ClientOutcome::DroppedBeforeDownload)
+        });
+        for (k, (slot, (c, p))) in transacting.enumerate() {
             let model = match p.view {
                 ModelView::Full => encoded.as_deref(),
                 ModelView::Window { .. } | ModelView::Logits => None,
             };
-            self.enact_client(round, slot, c.client, c.outcome, p.payload, model, &mut measured)?;
+            shares[k % links].1.push(Transaction {
+                slot,
+                client: c.client,
+                outcome: c.outcome,
+                payload: p.payload,
+                model,
+            });
+        }
+        // Each link talks only to its own worker, so the links run at
+        // once, each enacting its clients in slot order; at width 1 they
+        // run one after another on this thread. The merge is u64 sums.
+        let enacted = fork_join(shares, |(link, transactions)| {
+            let mut measured = RoundComm::default();
+            for t in transactions {
+                link.enact(round, deadline_s, t, &mut measured)?;
+            }
+            Ok::<_, TransportError>(measured)
+        });
+        self.count_link_traffic();
+        let mut measured = RoundComm::default();
+        // When several links fail, the lowest link's error is the one
+        // returned.
+        for m in enacted {
+            let m = m?;
+            measured.down_bytes += m.down_bytes;
+            measured.up_bytes += m.up_bytes;
+            measured.wasted_up_bytes += m.wasted_up_bytes;
+            measured.down_clients += m.down_clients;
+            measured.up_clients += m.up_clients;
         }
         self.stats.rounds += 1;
         self.stats.payload_down_bytes += measured.down_bytes;
         self.stats.payload_up_bytes += measured.up_bytes;
         self.stats.payload_wasted_bytes += measured.wasted_up_bytes;
         Ok(measured)
-    }
-
-    /// One client transaction, faithful to its drawn outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn enact_client(
-        &mut self,
-        round: usize,
-        slot: usize,
-        client: usize,
-        outcome: ClientOutcome,
-        payload: WirePayload,
-        model: Option<&[u8]>,
-        measured: &mut RoundComm,
-    ) -> Result<(), TransportError> {
-        // A client that crashed before download never contacts anyone:
-        // nothing crosses the wire, nothing is charged.
-        if let ClientOutcome::DroppedBeforeDownload = outcome {
-            return Ok(());
-        }
-        let worker = client % self.conns.len();
-
-        let mut down =
-            build_payload(payload.down_bytes, filler_seed(round as u64, client as u64, DIR_DOWN), model);
-        // Enact a mid-transit drop as real damage to the broadcast:
-        // alternately a flipped byte (CRC catches it) or a truncation
-        // (length check catches it). The frame header describes what is
-        // actually sent, so the stream itself never desyncs.
-        if let ClientOutcome::DroppedAfterDownload = outcome {
-            if (round + slot).is_multiple_of(2) {
-                let idx = (round * 31 + client * 7) % down.len();
-                down[idx] ^= 0xA5;
-            } else {
-                down.truncate(down.len() / 2);
-            }
-        }
-        let delay_s = match outcome {
-            ClientOutcome::StragglerTimedOut { delay_s } => delay_s,
-            ClientOutcome::Completed { delay_s, .. } => delay_s,
-            _ => 0.0,
-        };
-        let deadline_s = self.deadline_s.unwrap_or(f64::INFINITY);
-
-        let mut head = tagged(round as u64, client as u64, 32);
-        head.f64(delay_s);
-        head.f64(deadline_s);
-        head.u64(payload.up_bytes);
-        head.u64(payload.down_bytes);
-        debug_assert_eq!(head.as_bytes().len() as u64, DOWN_HEAD);
-        self.send(worker, K_DOWN, &[head.as_bytes(), &down])?;
-        measured.down_bytes += down.len() as u64;
-        measured.down_clients += 1;
-
-        let desync = |detail: String| TransportError::Desync { round, client, detail };
-
-        match outcome {
-            ClientOutcome::DroppedBeforeDownload => unreachable!("handled above"),
-            ClientOutcome::DroppedAfterDownload => {
-                self.expect_failure(worker, round, client, ERR_DECODE, "a corrupted broadcast")?
-            }
-            ClientOutcome::StragglerTimedOut { .. } => {
-                self.expect_failure(worker, round, client, ERR_TIMED_OUT, "a timed-out straggler")?
-            }
-            ClientOutcome::UploadFailed { attempts } => {
-                // Every attempt's bytes really crossed the wire — that is
-                // exactly why the simulator charges them as wasted.
-                for k in 1..=attempts as u64 {
-                    let (body, at) = self.expect_upload(worker, round, client, k)?;
-                    measured.wasted_up_bytes += body[at..].len() as u64;
-                    let status = if k < attempts as u64 { ACK_RETRY } else { ACK_GIVE_UP };
-                    self.send_ack(worker, round, client, status)?;
-                }
-            }
-            ClientOutcome::Completed { attempts, .. } => {
-                for k in 1..=attempts as u64 {
-                    let (body, at) = self.expect_upload(worker, round, client, k)?;
-                    let report = &body[at..];
-                    if k < attempts as u64 {
-                        measured.wasted_up_bytes += report.len() as u64;
-                        self.send_ack(worker, round, client, ACK_RETRY)?;
-                    } else {
-                        // The accepted report must arrive intact: length
-                        // per the payload contract, checksum clean.
-                        validate_payload(report, payload.up_bytes).map_err(|fault| {
-                            desync(format!("accepted upload failed validation: {fault}"))
-                        })?;
-                        measured.up_bytes += report.len() as u64;
-                        measured.up_clients += 1;
-                        self.send_ack(worker, round, client, ACK_ACCEPTED)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Receive `client`'s next reply of `round`; one tagged for anyone
-    /// else is a desync.
-    fn recv_reply(
-        &mut self,
-        worker: usize,
-        round: usize,
-        client: usize,
-    ) -> Result<Reply, TransportError> {
-        let (kind, body) = self.recv(worker)?;
-        let (got_round, got_client, reply) = parse_reply(kind, body)?;
-        if (got_round, got_client) != (round, client) {
-            let detail = format!("reply tagged round {got_round} client {got_client}");
-            return Err(TransportError::Desync { round, client, detail });
-        }
-        Ok(reply)
-    }
-
-    /// Receive upload attempt `attempt`; returns the frame body and the
-    /// offset of the report payload in it.
-    fn expect_upload(
-        &mut self,
-        worker: usize,
-        round: usize,
-        client: usize,
-        attempt: u64,
-    ) -> Result<(Vec<u8>, usize), TransportError> {
-        let detail = match self.recv_reply(worker, round, client)? {
-            Reply::Upload(got, body, at) if got == attempt => return Ok((body, at)),
-            Reply::Upload(got, ..) => format!("upload tagged attempt {got}, expected attempt {attempt}"),
-            Reply::Failed(_, msg) => format!("expected upload attempt {attempt}, worker failed: {msg}"),
-        };
-        Err(TransportError::Desync { round, client, detail })
-    }
-
-    /// Receive the terminal failure report, with code `want`, that a
-    /// client planned as `planned` must send.
-    fn expect_failure(
-        &mut self,
-        worker: usize,
-        round: usize,
-        client: usize,
-        want: u8,
-        planned: &str,
-    ) -> Result<(), TransportError> {
-        let detail = match self.recv_reply(worker, round, client)? {
-            Reply::Failed(code, _) if code == want => return Ok(()),
-            Reply::Failed(code, msg) => format!("planned {planned}, worker reported code {code} ({msg})"),
-            Reply::Upload(..) => "planned a failed client, but a clean upload arrived".into(),
-        };
-        Err(TransportError::Desync { round, client, detail })
-    }
-
-    fn send_ack(
-        &mut self,
-        worker: usize,
-        round: usize,
-        client: usize,
-        status: u8,
-    ) -> Result<(), TransportError> {
-        let mut body = tagged(round as u64, client as u64, 1);
-        body.u8(status);
-        self.send(worker, K_ACK, &[body.as_bytes()]).map(|_| ())
     }
 
     /// Shut the worker pool down cleanly and return the final wire
@@ -1134,9 +1122,9 @@ impl SocketTransport {
     }
 
     fn shutdown_pool(&mut self) -> Result<(), TransportError> {
-        for worker in 0..self.conns.len() {
-            self.send(worker, K_SHUTDOWN, &[])?;
-        }
+        let sent = self.links.iter_mut().try_for_each(|link| link.send(K_SHUTDOWN, &[]));
+        self.count_link_traffic();
+        sent?;
         for handle in self.workers.drain(..) {
             match handle {
                 WorkerHandle::Thread(h) => {
@@ -1163,6 +1151,162 @@ impl SocketTransport {
     }
 }
 
+impl Link {
+    fn send(&mut self, kind: u8, parts: &[&[u8]]) -> Result<(), TransportError> {
+        let wire = write_frame(&mut self.stream, kind, parts).map_err(|e| {
+            TransportError::Io { context: "writing a frame to a worker", source: e }
+        })?;
+        self.stats.frames_sent += 1;
+        self.stats.wire_bytes += wire;
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<(u8, Vec<u8>), TransportError> {
+        let (kind, body, wire) = read_frame(&mut self.stream).map_err(|e| {
+            TransportError::Io { context: "reading a frame from a worker", source: e }
+        })?;
+        self.stats.frames_received += 1;
+        self.stats.wire_bytes += wire;
+        Ok((kind, body))
+    }
+
+    /// One client transaction, faithful to its drawn outcome.
+    fn enact(
+        &mut self,
+        round: usize,
+        deadline_s: f64,
+        t: Transaction,
+        measured: &mut RoundComm,
+    ) -> Result<(), TransportError> {
+        let Transaction { slot, client, outcome, payload, model } = t;
+        let mut down =
+            build_payload(payload.down_bytes, filler_seed(round as u64, client as u64, DIR_DOWN), model);
+        // Enact a mid-transit drop as real damage to the broadcast:
+        // alternately a flipped byte (CRC catches it) or a truncation
+        // (length check catches it). The frame header describes what is
+        // actually sent, so the stream itself never desyncs.
+        if let ClientOutcome::DroppedAfterDownload = outcome {
+            if (round + slot).is_multiple_of(2) {
+                let idx = (round * 31 + client * 7) % down.len();
+                down[idx] ^= 0xA5;
+            } else {
+                down.truncate(down.len() / 2);
+            }
+        }
+        let delay_s = match outcome {
+            ClientOutcome::StragglerTimedOut { delay_s } => delay_s,
+            ClientOutcome::Completed { delay_s, .. } => delay_s,
+            _ => 0.0,
+        };
+
+        let mut head = tagged(round as u64, client as u64, 32);
+        head.f64(delay_s);
+        head.f64(deadline_s);
+        head.u64(payload.up_bytes);
+        head.u64(payload.down_bytes);
+        debug_assert_eq!(head.as_bytes().len() as u64, DOWN_HEAD);
+        self.send(K_DOWN, &[head.as_bytes(), &down])?;
+        measured.down_bytes += down.len() as u64;
+        measured.down_clients += 1;
+        // The broadcast is on the wire: do not hold it while a
+        // model-sized upload arrives.
+        drop(down);
+
+        let desync = |detail: String| TransportError::Desync { round, client, detail };
+
+        match outcome {
+            ClientOutcome::DroppedBeforeDownload => unreachable!("never routed to a link"),
+            ClientOutcome::DroppedAfterDownload => {
+                self.expect_failure(round, client, ERR_DECODE, "a corrupted broadcast")?
+            }
+            ClientOutcome::StragglerTimedOut { .. } => {
+                self.expect_failure(round, client, ERR_TIMED_OUT, "a timed-out straggler")?
+            }
+            ClientOutcome::UploadFailed { attempts } => {
+                // Every attempt's bytes really crossed the wire — that is
+                // exactly why the simulator charges them as wasted.
+                for k in 1..=attempts as u64 {
+                    let (body, at) = self.expect_upload(round, client, k)?;
+                    measured.wasted_up_bytes += body[at..].len() as u64;
+                    let status = if k < attempts as u64 { ACK_RETRY } else { ACK_GIVE_UP };
+                    self.send_ack(round, client, status)?;
+                }
+            }
+            ClientOutcome::Completed { attempts, .. } => {
+                for k in 1..=attempts as u64 {
+                    let (body, at) = self.expect_upload(round, client, k)?;
+                    let report = &body[at..];
+                    if k < attempts as u64 {
+                        measured.wasted_up_bytes += report.len() as u64;
+                        self.send_ack(round, client, ACK_RETRY)?;
+                    } else {
+                        // The accepted report must arrive intact: length
+                        // per the payload contract, checksum clean.
+                        validate_payload(report, payload.up_bytes).map_err(|fault| {
+                            desync(format!("accepted upload failed validation: {fault}"))
+                        })?;
+                        measured.up_bytes += report.len() as u64;
+                        measured.up_clients += 1;
+                        self.send_ack(round, client, ACK_ACCEPTED)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Receive `client`'s next reply of `round`; one tagged for anyone
+    /// else is a desync.
+    fn recv_reply(&mut self, round: usize, client: usize) -> Result<Reply, TransportError> {
+        let (kind, body) = self.recv()?;
+        let (got_round, got_client, reply) = parse_reply(kind, body)?;
+        if (got_round, got_client) != (round, client) {
+            let detail = format!("reply tagged round {got_round} client {got_client}");
+            return Err(TransportError::Desync { round, client, detail });
+        }
+        Ok(reply)
+    }
+
+    /// Receive upload attempt `attempt`; returns the frame body and the
+    /// offset of the report payload in it.
+    fn expect_upload(
+        &mut self,
+        round: usize,
+        client: usize,
+        attempt: u64,
+    ) -> Result<(Vec<u8>, usize), TransportError> {
+        let detail = match self.recv_reply(round, client)? {
+            Reply::Upload(got, body, at) if got == attempt => return Ok((body, at)),
+            Reply::Upload(got, ..) => format!("upload tagged attempt {got}, expected attempt {attempt}"),
+            Reply::Failed(_, msg) => format!("expected upload attempt {attempt}, worker failed: {msg}"),
+        };
+        Err(TransportError::Desync { round, client, detail })
+    }
+
+    /// Receive the terminal failure report, with code `want`, that a
+    /// client planned as `planned` must send.
+    fn expect_failure(
+        &mut self,
+        round: usize,
+        client: usize,
+        want: u8,
+        planned: &str,
+    ) -> Result<(), TransportError> {
+        let detail = match self.recv_reply(round, client)? {
+            Reply::Failed(code, _) if code == want => return Ok(()),
+            Reply::Failed(code, msg) => format!("planned {planned}, worker reported code {code} ({msg})"),
+            Reply::Upload(..) => "planned a failed client, but a clean upload arrived".into(),
+        };
+        Err(TransportError::Desync { round, client, detail })
+    }
+
+    fn send_ack(&mut self, round: usize, client: usize, status: u8) -> Result<(), TransportError> {
+        let mut body = tagged(round as u64, client as u64, 1);
+        body.u8(status);
+        self.send(K_ACK, &[body.as_bytes()])
+    }
+}
+
 impl Drop for SocketTransport {
     fn drop(&mut self) {
         if !self.finished {
@@ -1176,7 +1320,7 @@ impl fmt::Debug for SocketTransport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SocketTransport")
             .field("cfg", &self.cfg)
-            .field("workers", &self.conns.len())
+            .field("workers", &self.links.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -1198,6 +1342,32 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(codec::crc32(0, b"123456789"), 0xCBF4_3926);
         assert_eq!(codec::crc32(0, b""), 0);
+    }
+
+    /// The side-by-side runs write the serial xorshift64* stream, on both
+    /// sides of the length where runs start and with ragged tails.
+    #[test]
+    fn filler_runs_write_the_serial_stream() {
+        let serial = |len: usize, seed: u64| {
+            let mut s = seed | 1;
+            let mut out = Vec::with_capacity(len + 8);
+            while out.len() < len {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                out.extend_from_slice(&s.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes());
+            }
+            out.truncate(len);
+            out
+        };
+        let edge = 8 * FILL_LANES * FILL_MIN_RUN;
+        for len in [0, 1, 7, 8, 9, 1000, edge - 1, edge, edge + 5, 3 * edge + 8 * 3 + 7, 1_269_795] {
+            for seed in [0, 9, filler_seed(3, 7, DIR_UP)] {
+                let mut buf = vec![0xAA; len];
+                fill_deterministic(&mut buf, seed);
+                assert!(buf == serial(len, seed), "len {len}, seed {seed:#x}");
+            }
+        }
     }
 
     #[test]
@@ -1323,6 +1493,46 @@ mod tests {
         );
         assert!(stats.framing_overhead_bytes() > 0, "framing is never free");
         assert!(stats.wire_bytes > stats.payload_total());
+    }
+
+    /// Clients dropped before download take no link, so the links carry
+    /// uneven loads; whatever the pool size, the measurement still equals
+    /// the closed form and the counters agree with it.
+    #[test]
+    fn links_routed_around_silent_clients_measure_the_simulated_bytes() {
+        let completed = |attempts, delay_s| ClientOutcome::Completed { attempts, delay_s };
+        let outcomes = [
+            ClientOutcome::DroppedBeforeDownload,
+            completed(1, 0.0),
+            ClientOutcome::UploadFailed { attempts: 3 },
+            ClientOutcome::DroppedBeforeDownload,
+            ClientOutcome::DroppedBeforeDownload,
+            completed(2, 4.0),
+            ClientOutcome::StragglerTimedOut { delay_s: 50.0 },
+            // (round 1 + slot 7) even → a flipped byte, same length.
+            ClientOutcome::DroppedAfterDownload,
+            completed(1, 0.5),
+        ];
+        let plan = RoundPlan {
+            clients: outcomes
+                .iter()
+                .enumerate()
+                .map(|(i, &outcome)| ClientRound { client: 3 * i + 1, outcome })
+                .collect(),
+            min_quorum: 1,
+        };
+        let plans = uniform(&plan, WirePayload { down_bytes: 80, up_bytes: 36 });
+        let expected = plan.comm(&plans).unwrap();
+        for workers in 1..=3 {
+            let cfg = SocketConfig::threads(workers);
+            let mut t = SocketTransport::start(&cfg, Some(30.0)).unwrap();
+            let measured = t.run_round(1, &plan, &plans, None).unwrap();
+            assert_eq!(measured, expected, "{workers} workers");
+            let stats = t.finish().unwrap();
+            assert_eq!(stats.payload_down_bytes, expected.down_bytes, "{workers} workers");
+            assert_eq!(stats.payload_up_bytes, expected.up_bytes, "{workers} workers");
+            assert_eq!(stats.payload_wasted_bytes, expected.wasted_up_bytes, "{workers} workers");
+        }
     }
 
     /// Truncated broadcasts measure fewer downlink bytes than the plan

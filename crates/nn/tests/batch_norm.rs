@@ -28,8 +28,12 @@ const PLANES: [(usize, usize); 3] = [(1, 1), (3, 3), (16, 16)];
 const EPS: f32 = 1e-5;
 const MOMENTUM: f32 = 0.1;
 
+/// Bit patterns, every NaN as one: Rust leaves the sign and payload of a
+/// NaN an operation produces unspecified, and the compiler may commute an
+/// add — so where two NaNs meet in one sum (`∞·0` and a NaN input), which
+/// one it carries on is not the program's. Every other bit stays pinned.
 fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
+    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
 }
 
 /// `(Σ a, Σ a·b)` of channel `ch`: one f64 chain each, image by image,

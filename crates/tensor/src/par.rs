@@ -3,11 +3,12 @@
 //! threads that are started on first use and parked between jobs.
 //!
 //! [`fork_join`] maps independent items — a cohort's clients, an
-//! ensemble's teachers — in contiguous shares and returns the results in
-//! item order. That is the only way the width is spent: a layer pass
-//! always runs whole on the thread that calls it, so every output element
-//! is computed by the code and on the thread that computes it at width 1,
-//! and results do not depend on the width or on which thread ran what.
+//! ensemble's teachers, a socket round's worker links — in contiguous
+//! shares and returns the results in item order. That is the only way
+//! the width is spent: a layer pass always runs whole on the thread that
+//! calls it, so every output element is computed by the code and on the
+//! thread that computes it at width 1, and results do not depend on the
+//! width or on which thread ran what.
 //!
 //! **The width is a budget.** A thread running a share is *inside* the
 //! region, and any `fork_join` it calls runs inline on it: a client
@@ -25,7 +26,7 @@
 //! per-thread) before each job. Between jobs a helper spins for
 //! [`SPIN`] — so a fork-join that follows right after another finds it
 //! awake — and then parks, so it holds no core through anything slower
-//! (a socket broadcast, a checkpoint). Helpers live as long as the
+//! (the server's fusion, a checkpoint). Helpers live as long as the
 //! process; what they keep in thread-locals (a convolution lowering
 //! buffer, a GEMM pack pool) is reached through `each_thread`
 //! (`crate::conv::release_lowering` frees the lowering buffers).
@@ -57,8 +58,9 @@ pub fn width() -> usize {
 }
 
 /// How long a helper (or a caller waiting for one) spins before it
-/// parks: short against a socket broadcast or a checkpoint, which a
-/// parked helper sits through without holding a core.
+/// parks: short against a checkpoint, which a parked helper sits
+/// through without holding a core, or a socket link's exchange, which a
+/// caller done with its own share waits out parked.
 pub const SPIN: Duration = Duration::from_micros(20);
 
 thread_local! {

@@ -13,13 +13,15 @@ cargo test -q --workspace
 # teachers) in flight, and with three — uneven shares of a cohort. A layer
 # pass runs whole on its calling thread at every width: a training step
 # and an evaluation start no helper, a fork-join does where the width has
-# room for one. The compute width is settled once per process, so it
-# takes a run per width.
+# room for one. A socket round enacts its worker links through the same
+# fork-join, so the transport's own unit tests run at every width too. The
+# compute width is settled once per process, so it takes a run per width.
 for width in 1 2 3; do
     KEMF_THREADS=$width cargo test -q --test golden_histories --test golden_bytes \
         --test async_rounds --test resume --test fault_matrix --test transport \
         --test population
     KEMF_THREADS=$width cargo test -q -p kemf-nn --test layer_threads
+    KEMF_THREADS=$width cargo test -q -p kemf-fl --lib transport::
 done
 
 # Nor do kernel tiers: the AVX-512 host runs the direct convolution route,
@@ -96,9 +98,10 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
 # only deep mutual learning, which crosses two networks' logits inside
 # one step, steps them itself. Threads are started in two places:
 # `kemf_tensor::par`, whose parked helpers run every fork-join (a
-# cohort's clients, the teacher pass), nested calls inline; and the
-# socket transport's worker pool. A hand-copied step loop, the allocating
-# twin of a pass, or a second parallel region coming back fails here.
+# cohort's clients, the teacher pass, a socket round's worker links),
+# nested calls inline; and the socket transport's worker pool. A
+# hand-copied step loop, the allocating twin of a pass, or a second
+# parallel region coming back fails here.
 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
     FILENAME ~ /\/nn\/src\// && /fn (forward|backward)_ws/ {
         print FILENAME":"FNR": second spelling of a layer pass"; bad=1 }

@@ -249,9 +249,16 @@ fn frames_and_payload_envelopes_are_byte_stable() {
         fnv1a64(&with_model),
         fnv1a64(&build_payload(64, 9, None)),
         fnv1a64(&build_payload(3, 9, None)),
+        // A model-sized filler, long enough to be generated in runs.
+        fnv1a64(&build_payload(1_269_800, 9, None)),
     ];
-    let want: [u64; 4] =
-        [0x2b0a67d7c7ca0ace, 0x16e783fab41469f6, 0x641e4bc3f5cf800a, 0xda93fa198f69195e];
+    let want: [u64; 5] = [
+        0x2b0a67d7c7ca0ace,
+        0x16e783fab41469f6,
+        0x641e4bc3f5cf800a,
+        0xda93fa198f69195e,
+        0xf05ece8a9ffd2c98,
+    ];
     assert!(got == want, "frame/envelope bytes changed; actual: {got:#018x?}");
 }
 

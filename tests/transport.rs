@@ -15,6 +15,7 @@ use fedkemf::fl::engine::{Engine, FedAlgorithm, RoundOutcome, RunOptions};
 use fedkemf::fl::metrics::History;
 use fedkemf::fl::trace::RoundScope;
 use fedkemf::fl::transport::TransportStats;
+use fedkemf::nn::codec::{fnv1a64, FNV_OFFSET};
 use fedkemf::prelude::*;
 use fedkemf::tensor::simd::ScalarGuard;
 use std::path::PathBuf;
@@ -342,4 +343,63 @@ fn worker_processes_speak_the_same_protocol_as_threads() {
     assert_eq!(t.wire_bytes, p.wire_bytes, "same frames, same bytes, either side of exec");
     assert_eq!(t.frames_sent, p.frames_sent);
     assert_eq!(t.frames_received, p.frames_received);
+}
+
+/// Concurrent links enact the sequential conversation: a fault-storm run
+/// over sockets is pinned to one hash of its history and every wire
+/// counter, whatever the compute width (`scripts/ci.sh` runs this suite at
+/// `KEMF_THREADS=1`, `=2` and `=3`). Six of eight clients are sampled per
+/// round, so after the storm's drops the links carry uneven loads. Only
+/// the pool size moves the counters: one hello and one shutdown frame per
+/// worker.
+#[test]
+fn fault_storm_over_concurrent_links_is_pinned_at_every_width() {
+    let task = SynthTask::new(SynthConfig::mnist_like(27));
+    let train = task.generate(240, 0);
+    let cfg = FlConfig {
+        n_clients: 8,
+        sample_ratio: 0.75,
+        rounds: 6,
+        batch_size: 16,
+        min_per_client: 10,
+        seed: 27,
+        ..Default::default()
+    };
+    let ctx = FlContext::new(cfg, &train, task.generate(80, 1));
+    let mut got = Vec::new();
+    for workers in [2, 3] {
+        let report = Engine::run(
+            &mut Probe,
+            &ctx,
+            RunOptions::new().faults(storm()).socket_transport(SocketConfig::threads(workers)),
+        )
+        .unwrap();
+        let stats = report.transport.expect("socket run must report wire stats");
+        assert_stats_match_history(&stats, &report.history);
+        let TransportStats {
+            rounds,
+            frames_sent,
+            frames_received,
+            payload_down_bytes,
+            payload_up_bytes,
+            payload_wasted_bytes,
+            wire_bytes,
+        } = stats;
+        let counters = [
+            rounds as u64,
+            frames_sent,
+            frames_received,
+            payload_down_bytes,
+            payload_up_bytes,
+            payload_wasted_bytes,
+            wire_bytes,
+        ];
+        let hash = counters.iter().fold(
+            fnv1a64(FNV_OFFSET, report.history.to_json().as_bytes()),
+            |h, c| fnv1a64(h, &c.to_le_bytes()),
+        );
+        got.push((workers, hash));
+    }
+    let want = [(2, 0x54b5_45d1_7820_4c5a), (3, 0x930e_1418_e901_224a)];
+    assert_eq!(got, want, "actual: {got:#018x?}");
 }
