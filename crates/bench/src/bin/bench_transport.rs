@@ -13,7 +13,10 @@
 //!
 //! Training is deliberately excluded: a zero-cost probe algorithm with a
 //! synthetic payload isolates the transport, so the numbers compare
-//! traffic machinery, not gradient descent.
+//! traffic machinery, not gradient descent. The probe stamps its first
+//! `client_plans` call (the start of round 0) and its last `evaluate`
+//! (the end of the last round), so rounds/s times the rounds alone; the
+//! worker-pool start before round 0 is reported as its own field.
 
 use kemf_bench::Args;
 use kemf_data::synth::{SynthConfig, SynthTask};
@@ -24,6 +27,7 @@ use kemf_fl::lifecycle::{ClientPlan, FaultConfig, ModelView, WirePayload};
 use kemf_fl::trace::RoundScope;
 use kemf_fl::transport::SocketConfig;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::time::Instant;
 
 /// One (transport × payload) measurement, as written to
@@ -34,16 +38,30 @@ struct TransportRecord {
     payload_down_bytes: u64,
     payload_up_bytes: u64,
     rounds: usize,
+    /// Rounds over the wall time from round 0's start to the last
+    /// round's end.
     wall_rounds_per_sec: f64,
+    /// Seconds from `Engine::run` to round 0's start: set-up, which over
+    /// sockets is mostly the worker-pool start.
+    pool_start_s: f64,
     /// Payload bytes that actually crossed the wire (socket modes only).
     wire_payload_bytes: Option<u64>,
     /// Protocol framing on top of the payload (socket modes only).
     wire_framing_bytes: Option<u64>,
 }
 
-/// Zero-cost probe: constant loss, fixed payload, no training.
+/// Zero-cost probe: constant loss, fixed payload, no training. Stamps
+/// its first `client_plans` call and its last `evaluate`.
 struct Probe {
     payload: WirePayload,
+    first_plans: Cell<Option<Instant>>,
+    last_evaluate: Option<Instant>,
+}
+
+impl Probe {
+    fn new(payload: WirePayload) -> Self {
+        Probe { payload, first_plans: Cell::new(None), last_evaluate: None }
+    }
 }
 
 impl FedAlgorithm for Probe {
@@ -51,6 +69,9 @@ impl FedAlgorithm for Probe {
         "probe".into()
     }
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
+        if self.first_plans.get().is_none() {
+            self.first_plans.set(Some(Instant::now()));
+        }
         ClientPlan::uniform(sampled, ModelView::Full, self.payload)
     }
     fn round(
@@ -63,6 +84,7 @@ impl FedAlgorithm for Probe {
         Ok(RoundOutcome { train_loss: 1.0 })
     }
     fn evaluate(&mut self, _ctx: &FlContext) -> f32 {
+        self.last_evaluate = Some(Instant::now());
         0.5
     }
 }
@@ -94,7 +116,7 @@ fn faults() -> FaultConfig {
 
 fn run_point(transport: &str, payload: WirePayload, rounds: usize, seed: u64) -> TransportRecord {
     let ctx = world(seed, rounds);
-    let mut probe = Probe { payload };
+    let mut probe = Probe::new(payload);
     let opts = RunOptions::new().faults(faults());
     let opts = match transport {
         "inproc" => opts,
@@ -103,13 +125,16 @@ fn run_point(transport: &str, payload: WirePayload, rounds: usize, seed: u64) ->
     };
     let t0 = Instant::now();
     let report = Engine::run(&mut probe, &ctx, opts).expect("run failed");
-    let wall = t0.elapsed().as_secs_f64();
+    let first = probe.first_plans.get().expect("round 0 started");
+    let last = probe.last_evaluate.expect("a round ended");
+    let wall = last.duration_since(first).as_secs_f64();
     TransportRecord {
         transport: transport.into(),
         payload_down_bytes: payload.down_bytes,
         payload_up_bytes: payload.up_bytes,
         rounds,
         wall_rounds_per_sec: rounds as f64 / wall.max(1e-9),
+        pool_start_s: first.duration_since(t0).as_secs_f64(),
         wire_payload_bytes: report.transport.as_ref().map(|s| s.payload_total()),
         wire_framing_bytes: report.transport.as_ref().map(|s| s.framing_overhead_bytes()),
     }
@@ -120,9 +145,9 @@ fn smoke() {
     // to the simulated one and the wire counters match the records.
     let ctx = world(5, 3);
     let payload = WirePayload { down_bytes: 4096, up_bytes: 1024 };
-    let mut a = Probe { payload };
+    let mut a = Probe::new(payload);
     let sim = Engine::run(&mut a, &ctx, RunOptions::new()).expect("inproc");
-    let mut b = Probe { payload };
+    let mut b = Probe::new(payload);
     let wired = Engine::run(
         &mut b,
         &ctx,
@@ -142,8 +167,10 @@ fn smoke() {
     let rec = run_point("socket", payload, 3, 5);
     assert!(rec.wire_framing_bytes.unwrap() > 0, "framing overhead must be measured");
     println!(
-        "smoke ok: byte-identity holds; wired point at {:.0} rounds/s, {} framing bytes",
+        "smoke ok: byte-identity holds; wired point at {:.0} rounds/s after a {:.1} ms pool start, \
+         {} framing bytes",
         rec.wall_rounds_per_sec,
+        rec.pool_start_s * 1e3,
         rec.wire_framing_bytes.unwrap()
     );
 }
@@ -172,11 +199,12 @@ fn main() {
         for transport in ["inproc", "socket"] {
             let rec = run_point(transport, payload, rounds, seed);
             println!(
-                "{:7} down {:>8} up {:>8}: {:>9.1} rounds/s{}",
+                "{:7} down {:>8} up {:>8}: {:>9.1} rounds/s, start {:>6.2} ms{}",
                 rec.transport,
                 rec.payload_down_bytes,
                 rec.payload_up_bytes,
                 rec.wall_rounds_per_sec,
+                rec.pool_start_s * 1e3,
                 match (rec.wire_payload_bytes, rec.wire_framing_bytes) {
                     (Some(p), Some(f)) =>
                         format!(", wire {p} payload + {f} framing"),

@@ -156,22 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn cohort_batching_is_bit_identical() {
-        // cohort_batch is a memory knob only: the streamed average and
-        // the sequential loss fold must reproduce the unbatched history
-        // bit for bit, whatever the batch size.
-        let history = |batch: Option<usize>| {
-            let mut ctx = tiny_ctx(15);
-            ctx.cfg.cohort_batch = batch;
-            let mut algo = FedAvg::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 0));
-            run(&mut algo, &ctx).records
-        };
-        let whole = history(None);
-        assert_eq!(whole, history(Some(1)));
-        assert_eq!(whole, history(Some(3)));
-    }
-
-    #[test]
     fn aggregation_moves_global_weights() {
         let ctx = tiny_ctx(14);
         let mut algo = FedAvg::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 0));

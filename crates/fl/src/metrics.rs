@@ -3,7 +3,7 @@
 //! accuracy (Fig. 5, Table 2), and training stability (Fig. 7).
 
 use crate::trace::RunTrace;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// Fairness statistics over per-client accuracies (Michieli & Ozay 2021
 /// ask whether all users are treated fairly; the multi-model experiment
@@ -43,7 +43,7 @@ pub fn fairness_summary(per_client: &[f32]) -> Option<FairnessSummary> {
 /// communication split the fault-aware executor records: downlink over
 /// the full broadcast set, uplink over accepted reports, and wasted
 /// uplink from failed upload attempts.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: usize,
@@ -51,9 +51,8 @@ pub struct RoundRecord {
     pub test_acc: f32,
     /// Mean local training loss across reporting clients. NaN when the
     /// round aborted below quorum (nobody reported, so there is no
-    /// loss). JSON has no NaN: it serializes as `null` and parses back
-    /// to NaN, instead of — as the pre-fix engine did — masquerading as
-    /// a perfect `0.0`.
+    /// loss). JSON has no NaN: it serializes as `null`, instead of — as
+    /// the pre-fix engine did — masquerading as a perfect `0.0`.
     pub train_loss: f32,
     /// Cumulative communication bytes through this round.
     pub cum_bytes: u64,
@@ -129,27 +128,6 @@ impl Serialize for History {
             entries.push(("payload_kind".to_string(), self.payload_kind.to_value()));
         }
         Value::Map(entries)
-    }
-}
-
-impl Deserialize for History {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map().ok_or_else(|| DeError::custom("expected map for History"))?;
-        Ok(History {
-            algorithm: String::from_value(serde::get_field(m, "algorithm")?)?,
-            records: Vec::from_value(serde::get_field(m, "records")?)?,
-            trace: m
-                .iter()
-                .find(|(k, _)| k == "trace")
-                .map(|(_, t)| RunTrace::from_value(t))
-                .transpose()?,
-            payload_kind: m
-                .iter()
-                .find(|(k, _)| k == "payload_kind")
-                .map(|(_, v)| String::from_value(v))
-                .transpose()?
-                .unwrap_or_default(),
-        })
     }
 }
 
@@ -253,11 +231,6 @@ impl History {
     /// Serialize to pretty JSON (plotting pipelines, checkpointing).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("history serializes")
-    }
-
-    /// Parse a history back from [`History::to_json`] output.
-    pub fn from_json(s: &str) -> Result<History, serde_json::Error> {
-        serde_json::from_str(s)
     }
 
     /// CSV rows for downstream plotting. Carries the full lifecycle
@@ -393,11 +366,7 @@ mod tests {
         let csv = h.to_csv();
         assert!(csv.lines().next().unwrap().ends_with(",quorum_met,payload"), "{csv}");
         assert!(csv.lines().nth(1).unwrap().ends_with(",true,window"), "{csv}");
-        let parsed = History::from_json(&h.to_json()).unwrap();
-        assert_eq!(parsed.payload_kind, "window");
-        // And a legacy JSON (field absent) parses to the empty kind.
-        let reparsed = History::from_json(&legacy.to_json()).unwrap();
-        assert!(reparsed.payload_kind.is_empty());
+        assert!(h.to_json().contains("\"payload_kind\": \"window\""), "{}", h.to_json());
     }
 
     #[test]
@@ -414,21 +383,10 @@ mod tests {
         let row = h.to_csv().lines().nth(1).unwrap().to_string();
         assert!(row.contains(",NaN,"), "{row}");
         assert!(row.ends_with(",false"), "{row}");
-        // JSON: null, and it round-trips back to NaN.
+        // JSON: null, never a number.
         let json = h.to_json();
         assert!(json.contains("\"train_loss\": null"), "{json}");
-        let parsed = History::from_json(&json).unwrap();
-        assert!(parsed.records[0].train_loss.is_nan());
-        assert!(!parsed.records[0].quorum_met);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let h = hist(&[0.1, 0.5, 0.7]);
-        let parsed = History::from_json(&h.to_json()).unwrap();
-        assert_eq!(parsed.algorithm, h.algorithm);
-        assert_eq!(parsed.rounds(), 3);
-        assert_eq!(parsed.accuracies(), h.accuracies());
+        assert!(json.contains("\"quorum_met\": false"), "{json}");
     }
 
     #[test]

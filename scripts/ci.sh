@@ -7,8 +7,10 @@ cargo build --release
 cargo test -q --workspace
 
 # Threads do not change histories: the suites whose expected values are
-# pinned constants (history hashes, golden bytes of checkpoints, socket ==
-# in-process, resumed == straight) must match the same tables with every
+# pinned constants (history hashes, golden bytes of checkpoints) and the
+# equivalence suite (every presentation of a run — socket or in-process,
+# sync or async, eager or spilled, traced or not, straight or resumed —
+# yields one history) must match the same tables with every
 # client trained on the calling thread, with two clients (and two
 # teachers) in flight, and with three — uneven shares of a cohort. A layer
 # pass runs whole on its calling thread at every width: a training step
@@ -18,8 +20,8 @@ cargo test -q --workspace
 # compute width is settled once per process, so it takes a run per width.
 for width in 1 2 3; do
     KEMF_THREADS=$width cargo test -q --test golden_histories --test golden_bytes \
-        --test async_rounds --test resume --test fault_matrix --test transport \
-        --test population
+        --test equivalence --test async_rounds --test resume --test fault_matrix \
+        --test transport --test population
     KEMF_THREADS=$width cargo test -q -p kemf-nn --test layer_threads
     KEMF_THREADS=$width cargo test -q -p kemf-fl --lib transport::
 done
@@ -28,10 +30,12 @@ done
 # interleaved batch-norm sums (gated by a folded ReLU's rebuilt mask),
 # vector max pooling, bias gradients in lanes and the vector wire
 # quantizer, and the AVX2 and scalar tiers must keep the same pinned bits,
-# memory bounds, allocation audit, ReLU masks and wire codes. The tier is
+# memory bounds, allocation audit, ReLU masks and wire codes, and every
+# presentation of a run its one history (so the scalar tier meets faults ×
+# async × spill, and the socket's checksums take the table). The tier is
 # settled once per process too.
 for tier in avx2 scalar; do
-    KEMF_SIMD=$tier cargo test -q --test golden_histories --test golden_bytes
+    KEMF_SIMD=$tier cargo test -q --test golden_histories --test golden_bytes --test equivalence
     KEMF_SIMD=$tier cargo test -q -p kemf-nn --test skipped_work --test conv_recompute --test alloc \
         --test batch_norm --test pool --test relu_mask
     KEMF_SIMD=$tier cargo test -q -p kemf-fl --test quantize

@@ -4,17 +4,16 @@
 //! recorded bytes always match the drawn lifecycle — downlink charged to
 //! the full broadcast set, uplink only to completed uploads.
 
+mod common;
+
+use common::{fault_modes, Probe, PROBE_PAYLOAD};
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
-use fedkemf::fl::engine::{Engine, FedAlgorithm};
+use fedkemf::fl::engine::FedAlgorithm;
 use fedkemf::fl::lifecycle::plan_round;
-use fedkemf::fl::metrics::History;
 use fedkemf::fl::lifecycle::RoundPlan;
+use fedkemf::fl::metrics::History;
 use fedkemf::prelude::*;
 use fedkemf::tensor::rng::seeded_rng;
-
-fn run(algo: &mut dyn FedAlgorithm, ctx: &FlContext) -> History {
-    Engine::run(algo, ctx, RunOptions::new()).unwrap().history
-}
 
 fn run_with_faults(algo: &mut dyn FedAlgorithm, ctx: &FlContext, faults: &FaultConfig) -> History {
     Engine::run(algo, ctx, RunOptions::new().faults(*faults)).unwrap().history
@@ -29,71 +28,10 @@ fn run_traced(
     (report.history, report.plans)
 }
 
-/// A free "algorithm" so the fault matrix can sweep many configurations
-/// without paying for training: fixed asymmetric payload, constant loss.
-struct Probe;
-
-/// The probe's fixed asymmetric per-client payload.
-const PROBE_PAYLOAD: WirePayload = WirePayload { down_bytes: 1000, up_bytes: 100 };
-
 /// Uniform plans for a drawn round, in the plan's own client order.
 fn uniform_plans(plan: &RoundPlan, payload: WirePayload) -> Vec<ClientPlan> {
     let sampled: Vec<usize> = plan.clients.iter().map(|c| c.client).collect();
     ClientPlan::uniform(&sampled, ModelView::Full, payload)
-}
-
-impl FedAlgorithm for Probe {
-    fn name(&self) -> String {
-        "probe".into()
-    }
-    fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
-        ClientPlan::uniform(sampled, ModelView::Full, PROBE_PAYLOAD)
-    }
-    fn round(
-        &mut self,
-        _round: usize,
-        _sampled: &[usize],
-        _ctx: &FlContext,
-        _scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        Ok(RoundOutcome { train_loss: 1.0 })
-    }
-    fn evaluate(&mut self, _ctx: &FlContext) -> f32 {
-        0.5
-    }
-    // The async arm: one free update per reporter, so the fault matrix
-    // sweeps buffered rounds at the same zero training cost.
-    fn train_cohort(
-        &mut self,
-        _wave: usize,
-        sampled: &[usize],
-        _ctx: &FlContext,
-        _scope: &mut RoundScope<'_>,
-    ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        Ok(sampled
-            .iter()
-            .map(|&k| PreparedUpdate {
-                client: k,
-                n_samples: 1,
-                steps: 0,
-                loss: 1.0,
-                payload: UpdatePayload::Empty,
-                commit: None,
-            })
-            .collect())
-    }
-    fn fuse(
-        &mut self,
-        _round: usize,
-        updates: Vec<(PreparedUpdate, f32)>,
-        _ctx: &FlContext,
-        _scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        if updates.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        Ok(RoundOutcome { train_loss: 1.0 })
-    }
 }
 
 fn probe_ctx(seed: u64) -> FlContext {
@@ -109,48 +47,6 @@ fn probe_ctx(seed: u64) -> FlContext {
         ..Default::default()
     };
     FlContext::new(cfg, &train, test)
-}
-
-/// The fault modes of the taxonomy, each isolated, plus the combined
-/// storm. Every entry must satisfy the lifecycle byte invariants.
-fn fault_modes() -> Vec<(&'static str, FaultConfig)> {
-    vec![
-        ("reliable", FaultConfig::reliable()),
-        (
-            "drop_before_download",
-            FaultConfig { drop_before_download: 0.4, ..Default::default() },
-        ),
-        (
-            "drop_after_download",
-            FaultConfig { drop_after_download: 0.4, ..Default::default() },
-        ),
-        (
-            "straggler_deadline",
-            FaultConfig {
-                straggler_prob: 0.6,
-                straggler_delay_s: 60.0,
-                round_deadline_s: Some(15.0),
-                ..Default::default()
-            },
-        ),
-        (
-            "upload_retry",
-            FaultConfig { upload_failure_prob: 0.5, upload_retries: 2, ..Default::default() },
-        ),
-        (
-            "combined",
-            FaultConfig {
-                drop_before_download: 0.1,
-                drop_after_download: 0.1,
-                straggler_prob: 0.3,
-                straggler_delay_s: 40.0,
-                round_deadline_s: Some(10.0),
-                upload_failure_prob: 0.3,
-                upload_retries: 1,
-                min_quorum: 2,
-            },
-        ),
-    ]
 }
 
 #[test]
@@ -312,34 +208,6 @@ fn all_algorithms_survive_combined_faults() {
     assert_eq!(run_all(), run_all(), "fault-injected runs are reproducible per seed");
 }
 
-/// With faults off, the executor is bit-identical to the plain engine:
-/// same sampling stream, same bytes, same accuracies.
-#[test]
-fn reliable_fleet_matches_faultless_engine_exactly() {
-    let mk = || {
-        let task = SynthTask::new(SynthConfig::mnist_like(95));
-        let train = task.generate(120, 0);
-        let test = task.generate(60, 1);
-        let cfg = FlConfig {
-            n_clients: 4,
-            sample_ratio: 0.75,
-            rounds: 3,
-            local_epochs: 1,
-            alpha: 1.0,
-            min_per_client: 8,
-            seed: 95,
-            ..Default::default()
-        };
-        FlContext::new(cfg, &train, test)
-    };
-    let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3);
-    let mut a = FedAvg::new(spec);
-    let ha = run(&mut a, &mk());
-    let mut b = FedAvg::new(spec);
-    let hb = run_with_faults(&mut b, &mk(), &FaultConfig::reliable());
-    assert_eq!(ha.to_json(), hb.to_json());
-}
-
 /// A round aborted on quorum failure must record `NaN` train loss — the
 /// engine used to write a fake `0.0`, indistinguishable from a perfect
 /// fit in every CSV/JSON export.
@@ -412,33 +280,6 @@ fn every_fault_mode_survives_async_rounds_with_honest_bytes() {
         assert!(report.sim_time_s.is_some(), "{name}: async reports a virtual clock");
         // Same seed, same buffered history.
         assert_eq!(report.history.to_json(), run_once().history.to_json(), "{name}");
-    }
-}
-
-/// For fault modes whose completers report with zero delay (every mode
-/// without straggler injection), a cohort-sized buffer folds each wave
-/// in its own cycle in sampled order at weight 1.0 — so the async
-/// history must equal the synchronous one even under injected faults.
-#[test]
-fn delay_free_fault_modes_are_sync_equivalent_under_a_full_buffer() {
-    for (name, faults) in fault_modes() {
-        if faults.straggler_prob > 0.0 {
-            continue; // straggler delays reorder the fold — async ≠ sync by design
-        }
-        let ctx = probe_ctx(99);
-        let sync = run_with_faults(&mut Probe, &ctx, &faults);
-        let buffer = ctx.cfg.sampled_per_round();
-        let report = Engine::run(
-            &mut Probe,
-            &ctx,
-            RunOptions::new().faults(faults).async_rounds(AsyncConfig::new(buffer)),
-        )
-        .unwrap();
-        assert_eq!(
-            report.history.to_json(),
-            sync.to_json(),
-            "{name}: delay-free faults must not break the equivalence anchor"
-        );
     }
 }
 

@@ -1,29 +1,17 @@
 //! Integration: the sharded client-state store at the population scale
-//! the paper's cross-device setting implies. Three guarantees:
-//!
-//! 1. **Spill round-trip is bit-exact** — any f32 payload (including
-//!    NaN and signed zero, by bit pattern) survives commit → reopen →
-//!    fetch, property-tested over arbitrary bit patterns.
-//! 2. **Sharded == eager** — FedKEMF with client models spilled to disk
-//!    produces a history byte-identical to the classic in-memory run at
-//!    equal seeds, for any cohort batch size.
-//! 3. **Kill-and-resume stays bit-identical in sharded mode** — the
-//!    spill directory plus the checkpoint together reconstruct exactly
-//!    the state an uninterrupted run would have had.
+//! the paper's cross-device setting implies. A spilled blob round-trips
+//! bit-exactly — any f32 payload, NaN and signed zero included, by bit
+//! pattern — through commit → reopen → fetch, and a sharded checkpoint
+//! refuses a population of another size. Sharded == eager, for any
+//! cohort batch and across a kill and resume, is a presentation
+//! `equivalence.rs` draws.
 
-use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
-use fedkemf::core::resource::uniform_specs;
-use fedkemf::fl::checkpoint::CheckpointPolicy;
+mod common;
+
+use common::{all_algorithms, temp_dir, world};
 use fedkemf::fl::engine::Engine;
 use fedkemf::prelude::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kemf_population_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -40,7 +28,7 @@ proptest! {
         values.extend([f32::NAN, f32::from_bits(0x7F80_0001), -0.0, f32::INFINITY, f32::NEG_INFINITY]);
         let dims = vec![values.len()];
         let blob = ClientBlob::new().with_tensor("payload", dims, values);
-        let dir = temp_dir("roundtrip");
+        let dir = temp_dir("population_roundtrip");
         let mut store = ClientStateStore::sharded(40, SpillConfig::new(&dir)).unwrap();
         store.begin_round(round);
         store.commit(client, blob.clone()).unwrap();
@@ -54,102 +42,14 @@ proptest! {
     }
 }
 
-fn kemf_world(seed: u64, rounds: usize, cohort_batch: Option<usize>) -> (FlContext, SynthTask) {
-    let task = SynthTask::new(SynthConfig::mnist_like(seed));
-    let train = task.generate(240, 0);
-    let test = task.generate(80, 1);
-    let cfg = FlConfig {
-        n_clients: 6,
-        sample_ratio: 0.5,
-        rounds,
-        local_epochs: 1,
-        batch_size: 16,
-        alpha: 0.5,
-        min_per_client: 10,
-        cohort_batch,
-        seed,
-        ..Default::default()
-    };
-    (FlContext::new(cfg, &train, test), task)
-}
-
-fn kemf_algo(ctx: &FlContext, task: &SynthTask, spill: Option<SpillConfig>) -> FedKemf {
-    let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
-    let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 5);
-    let mut cfg = FedKemfConfig::uniform(knowledge, clients, task.generate_unlabeled(60, 2));
-    if let Some(s) = spill {
-        cfg = cfg.with_spill(s);
-    }
-    FedKemf::new(cfg)
-}
-
-#[test]
-fn sharded_fedkemf_matches_eager_bit_for_bit() {
-    let (ctx, task) = kemf_world(91, 5, None);
-    let mut eager = kemf_algo(&ctx, &task, None);
-    let reference = Engine::run(&mut eager, &ctx, RunOptions::new()).unwrap().history;
-
-    // Same seeds, models spilled to disk — including a degenerate
-    // one-client cohort batch, which must only change memory, not math.
-    for (tag, batch) in [("full", None), ("single", Some(1))] {
-        let dir = temp_dir(&format!("sharded_{tag}"));
-        let (ctx_s, task_s) = kemf_world(91, 5, batch);
-        let mut sharded = kemf_algo(&ctx_s, &task_s, Some(SpillConfig::new(&dir)));
-        let h = Engine::run(&mut sharded, &ctx_s, RunOptions::new()).unwrap().history;
-        assert_eq!(
-            h.records, reference.records,
-            "cohort_batch {batch:?}: sharded history diverged from eager"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
-fn sharded_kill_and_resume_is_byte_identical() {
-    // Uninterrupted sharded reference over the full horizon.
-    let spill_ref = temp_dir("resume_ref");
-    let (ctx8, task) = kemf_world(92, 8, Some(2));
-    let mut straight = kemf_algo(&ctx8, &task, Some(SpillConfig::new(&spill_ref)));
-    let reference = Engine::run(&mut straight, &ctx8, RunOptions::new()).unwrap().history;
-
-    // "Crashed" run: killed after round 4's checkpoint; the spill dir
-    // keeps whatever the write-through commits left behind.
-    let spill = temp_dir("resume_spill");
-    let ckpt = temp_dir("resume_ckpt");
-    std::fs::create_dir_all(&ckpt).unwrap();
-    let (ctx4, task4) = kemf_world(92, 4, Some(2));
-    let mut partial = kemf_algo(&ctx4, &task4, Some(SpillConfig::new(&spill)));
-    let report = Engine::run(
-        &mut partial,
-        &ctx4,
-        RunOptions::new().checkpoint(CheckpointPolicy::new(&ckpt, 2)),
-    )
-    .unwrap();
-    assert!(!report.checkpoints.is_empty(), "no checkpoints written");
-
-    // Resume with a fresh instance over the SAME spill directory.
-    let mut resumed = kemf_algo(&ctx8, &task, Some(SpillConfig::new(&spill)));
-    let report =
-        Engine::run(&mut resumed, &ctx8, RunOptions::new().resume_from(&ckpt)).unwrap();
-    assert_eq!(report.resumed_from, Some(4), "wrong resume point");
-    assert_eq!(
-        report.history.to_json(),
-        reference.to_json(),
-        "sharded resume must be byte-identical to the straight sharded run"
-    );
-    for d in [&spill_ref, &spill, &ckpt] {
-        let _ = std::fs::remove_dir_all(d);
-    }
-}
-
 #[test]
 fn sharded_restore_refuses_a_mismatched_population() {
     // A sharded checkpoint records the population size; restoring it
     // into a differently-sized population must be a typed refusal.
-    let spill = temp_dir("mismatch");
-    let (ctx, task) = kemf_world(93, 2, None);
-    let mut algo = kemf_algo(&ctx, &task, Some(SpillConfig::new(&spill)));
-    let _ = Engine::run(&mut algo, &ctx, RunOptions::new()).unwrap();
+    let spill = temp_dir("population_mismatch");
+    let (ctx, task) = world(93, 2);
+    let mut algo = all_algorithms(&ctx, &task, Some(&spill)).swap_remove(6);
+    let _ = Engine::run(algo.as_mut(), &ctx, RunOptions::new()).unwrap();
     let state = algo.state().unwrap();
 
     let bigger = SynthTask::new(SynthConfig::mnist_like(93));
@@ -157,8 +57,8 @@ fn sharded_restore_refuses_a_mismatched_population() {
     let test = bigger.generate(80, 1);
     let cfg = FlConfig { n_clients: 8, min_per_client: 10, seed: 93, ..Default::default() };
     let ctx8 = FlContext::new(cfg, &train, test);
-    let spill8 = temp_dir("mismatch8");
-    let mut other = kemf_algo(&ctx8, &bigger, Some(SpillConfig::new(&spill8)));
+    let spill8 = temp_dir("population_mismatch8");
+    let mut other = all_algorithms(&ctx8, &bigger, Some(&spill8)).swap_remove(6);
     other.init(&ctx8).unwrap();
     let err = other.restore(&state).unwrap_err();
     assert!(

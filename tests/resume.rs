@@ -1,127 +1,32 @@
-//! Integration: crash-consistent checkpoint/resume. A run killed after a
-//! checkpoint and resumed toward the full horizon must produce a history
-//! that is byte-for-byte identical to an uninterrupted run — for the
-//! paper's own algorithm (FedKEMF) and for the stateful baselines
-//! (SCAFFOLD's control variates, FedNova's global model). Also covers
-//! the refusal paths (mismatched seed, mismatched algorithm, a FedKEMF
+//! Integration: crash-consistent checkpoint/resume beyond resumed ==
+//! straight (a presentation `equivalence.rs` draws for every algorithm).
+//! Covers the refusal paths (mismatched seed, mismatched algorithm, a FedKEMF
 //! checkpoint under another distillation temperature), what the run
 //! identity covers for each of the nine algorithms and what it leaves
 //! out, crash debris in the checkpoint directory, and a property test
 //! that `restore(state())` round-trips for every algorithm in the stack.
 
+mod common;
+
+use common::{all_algorithms, temp_dir, world};
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::checkpoint::{load_run, run_fingerprint, CheckpointPolicy};
 use fedkemf::fl::engine::{Engine, EngineError, FedAlgorithm, ResumeError, RunOptions};
 use fedkemf::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
-
-fn world(seed: u64, rounds: usize) -> (FlContext, SynthTask) {
-    let task = SynthTask::new(SynthConfig::mnist_like(seed));
-    let train = task.generate(240, 0);
-    let test = task.generate(80, 1);
-    let cfg = FlConfig {
-        n_clients: 4,
-        sample_ratio: 0.75,
-        rounds,
-        local_epochs: 1,
-        batch_size: 16,
-        alpha: 0.5,
-        min_per_client: 10,
-        seed,
-        ..Default::default()
-    };
-    (FlContext::new(cfg, &train, test), task)
-}
-
-/// The kill-and-resume matrix: the paper's algorithm, the two baselines
-/// that carry the most server-side state, and the two
-/// server-larger-than-client algorithms (a rolling-window MLP and a
-/// logit-fused big server whose `server_trained` flag must survive).
-fn matrix(ctx: &FlContext, task: &SynthTask) -> Vec<Box<dyn FedAlgorithm>> {
-    let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3);
-    let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
-    let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 5);
-    let wide_mlp = ModelSpec { width: 32, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 7) };
-    let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
-    vec![
-        Box::new(FedKemf::new(FedKemfConfig::uniform(
-            knowledge,
-            clients.clone(),
-            task.generate_unlabeled(60, 2),
-        ))),
-        Box::new(Scaffold::new(spec)),
-        Box::new(FedNova::new(spec)),
-        Box::new(FedRolex::new(FedRolexConfig { server_spec: wide_mlp, client_width: 8 })),
-        Box::new(FedGems::new(
-            clients,
-            big_server,
-            task.generate_unlabeled(40, 3),
-            10,
-            FedGemsConfig::default(),
-        )),
-    ]
-}
-
-/// A fresh per-test checkpoint directory under the system temp dir.
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kemf_resume_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-#[test]
-fn killed_and_resumed_runs_are_byte_identical() {
-    for idx in 0..5 {
-        // Uninterrupted reference: 8 rounds straight through.
-        let (ctx8, task) = world(41, 8);
-        let mut straight = matrix(&ctx8, &task);
-        let name = straight[idx].name();
-        let reference =
-            Engine::run(straight[idx].as_mut(), &ctx8, RunOptions::new()).unwrap().history;
-
-        // "Crashed" run: the same world with a 4-round horizon stands in
-        // for a process killed after round 4's checkpoint landed.
-        let dir = temp_dir(&format!("matrix_{idx}"));
-        let (ctx4, task4) = world(41, 4);
-        let mut partial = matrix(&ctx4, &task4);
-        let report = Engine::run(
-            partial[idx].as_mut(),
-            &ctx4,
-            RunOptions::new().checkpoint(CheckpointPolicy::new(&dir, 2)),
-        )
-        .unwrap();
-        assert!(!report.checkpoints.is_empty(), "{name}: no checkpoints written");
-
-        // Resume toward the full horizon with a fresh algorithm instance.
-        let mut resumed = matrix(&ctx8, &task);
-        let report =
-            Engine::run(resumed[idx].as_mut(), &ctx8, RunOptions::new().resume_from(&dir))
-                .unwrap();
-        assert_eq!(report.resumed_from, Some(4), "{name}: wrong resume point");
-        assert_eq!(report.history.rounds(), 8, "{name}: resume must finish the horizon");
-        assert_eq!(
-            report.history.to_json(),
-            reference.to_json(),
-            "{name}: resumed history must be byte-identical to the straight run"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
 
 #[test]
 fn crash_debris_never_corrupts_the_good_checkpoint() {
     let dir = temp_dir("debris");
     let (ctx8, task) = world(43, 8);
-    let mut straight = matrix(&ctx8, &task);
-    let reference = Engine::run(straight[0].as_mut(), &ctx8, RunOptions::new()).unwrap().history;
+    let mut straight = all_algorithms(&ctx8, &task, None);
+    let reference = Engine::run(straight[6].as_mut(), &ctx8, RunOptions::new()).unwrap().history;
 
     let (ctx4, task4) = world(43, 4);
-    let mut partial = matrix(&ctx4, &task4);
+    let mut partial = all_algorithms(&ctx4, &task4, None);
     Engine::run(
-        partial[0].as_mut(),
+        partial[6].as_mut(),
         &ctx4,
         RunOptions::new().checkpoint(CheckpointPolicy::new(&dir, 2)),
     )
@@ -144,8 +49,8 @@ fn crash_debris_never_corrupts_the_good_checkpoint() {
     assert_eq!(hostile.len(), 40);
     std::fs::write(dir.join("round_00100.ckpt"), &hostile).unwrap();
 
-    let mut resumed = matrix(&ctx8, &task);
-    let report = Engine::run(resumed[0].as_mut(), &ctx8, RunOptions::new().resume_from(&dir))
+    let mut resumed = all_algorithms(&ctx8, &task, None);
+    let report = Engine::run(resumed[6].as_mut(), &ctx8, RunOptions::new().resume_from(&dir))
         .unwrap();
     assert_eq!(report.resumed_from, Some(4));
     assert_eq!(report.history.to_json(), reference.to_json());
@@ -163,14 +68,14 @@ fn corrupt_in_flight_event_falls_back_to_the_previous_async_checkpoint() {
     let mode = || AsyncConfig::new(2).max_staleness(3).staleness_decay(0.7).network(net);
     let (ctx8, task) = world(46, 8);
     let reference =
-        Engine::run(matrix(&ctx8, &task)[2].as_mut(), &ctx8, RunOptions::new().async_rounds(mode()))
+        Engine::run(all_algorithms(&ctx8, &task, None)[2].as_mut(), &ctx8, RunOptions::new().async_rounds(mode()))
             .unwrap()
             .history;
 
     let dir = temp_dir("async_event");
     let (ctx4, task4) = world(46, 4);
     Engine::run(
-        matrix(&ctx4, &task4)[2].as_mut(),
+        all_algorithms(&ctx4, &task4, None)[2].as_mut(),
         &ctx4,
         RunOptions::new().async_rounds(mode()).checkpoint(CheckpointPolicy::new(&dir, 2)),
     )
@@ -186,7 +91,7 @@ fn corrupt_in_flight_event_falls_back_to_the_previous_async_checkpoint() {
     save_run(&newest, &dir).unwrap();
 
     let report = Engine::run(
-        matrix(&ctx8, &task)[2].as_mut(),
+        all_algorithms(&ctx8, &task, None)[2].as_mut(),
         &ctx8,
         RunOptions::new().async_rounds(mode()).resume_from(&dir),
     )
@@ -205,7 +110,7 @@ fn resume_refuses_a_tampered_cumulative_byte_count() {
     let dir = temp_dir("cum_bytes");
     let (ctx, task) = world(47, 4);
     Engine::run(
-        matrix(&ctx, &task)[2].as_mut(),
+        all_algorithms(&ctx, &task, None)[2].as_mut(),
         &ctx,
         RunOptions::new().checkpoint(CheckpointPolicy::new(&dir, 2)),
     )
@@ -216,7 +121,7 @@ fn resume_refuses_a_tampered_cumulative_byte_count() {
 
     let (ctx8, task8) = world(47, 8);
     let err = Engine::run(
-        matrix(&ctx8, &task8)[2].as_mut(),
+        all_algorithms(&ctx8, &task8, None)[2].as_mut(),
         &ctx8,
         RunOptions::new().resume_from(&dir),
     )
@@ -232,7 +137,7 @@ fn resume_refuses_a_tampered_cumulative_byte_count() {
 fn resume_refuses_a_mismatched_config_fingerprint() {
     let dir = temp_dir("fingerprint");
     let (ctx, task) = world(44, 4);
-    let mut algos = matrix(&ctx, &task);
+    let mut algos = all_algorithms(&ctx, &task, None);
     Engine::run(
         algos[2].as_mut(),
         &ctx,
@@ -245,7 +150,7 @@ fn resume_refuses_a_mismatched_config_fingerprint() {
     // divergently.
     let (mut reseeded, _) = world(44, 4);
     reseeded.cfg.seed = 999;
-    let mut fresh = matrix(&reseeded, &task);
+    let mut fresh = all_algorithms(&reseeded, &task, None);
     let err =
         Engine::run(fresh[2].as_mut(), &reseeded, RunOptions::new().resume_from(&dir)).unwrap_err();
     assert!(
@@ -287,9 +192,9 @@ fn resume_refuses_a_fedkemf_checkpoint_under_another_temperature() {
 fn resume_refuses_a_different_algorithm() {
     let dir = temp_dir("algorithm");
     let (ctx, task) = world(45, 4);
-    let mut algos = matrix(&ctx, &task);
+    let mut algos = all_algorithms(&ctx, &task, None);
     Engine::run(
-        algos[1].as_mut(), // SCAFFOLD writes the checkpoint…
+        algos[3].as_mut(), // SCAFFOLD writes the checkpoint…
         &ctx,
         RunOptions::new().checkpoint(CheckpointPolicy::new(&dir, 2)),
     )
@@ -302,38 +207,6 @@ fn resume_refuses_a_different_algorithm() {
         "expected algorithm mismatch, got: {err}"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Every algorithm in the comparison, built fresh on a tiny world; with
-/// `spill`, the four that keep per-client state spill it under there.
-fn all_algorithms(ctx: &FlContext, task: &SynthTask, spill: Option<&Path>) -> Vec<Box<dyn FedAlgorithm>> {
-    let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 3);
-    let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
-    let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 5);
-    let pool = task.generate_unlabeled(40, 2);
-    let wide_mlp = ModelSpec { width: 32, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 7) };
-    let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
-    let mut scaffold = Scaffold::new(spec);
-    let mut md = FedMd::new(clients.clone(), pool.clone(), 10, FedMdConfig::default());
-    let mut kemf = FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone());
-    let mut gems = FedGems::new(clients, big_server, pool.clone(), 10, FedGemsConfig::default());
-    if let Some(dir) = spill {
-        scaffold = scaffold.with_spill(SpillConfig::new(dir.join("scaffold")));
-        md = md.with_spill(SpillConfig::new(dir.join("md")));
-        kemf = kemf.with_spill(SpillConfig::new(dir.join("kemf")));
-        gems = gems.with_spill(SpillConfig::new(dir.join("gems")));
-    }
-    vec![
-        Box::new(FedAvg::new(spec)),
-        Box::new(FedProx::new(spec, 0.01)),
-        Box::new(FedNova::new(spec)),
-        Box::new(scaffold),
-        Box::new(FedDf::new(spec, pool)),
-        Box::new(md),
-        Box::new(FedKemf::new(kemf)),
-        Box::new(FedRolex::new(FedRolexConfig { server_spec: wide_mlp, client_width: 8 })),
-        Box::new(gems),
-    ]
 }
 
 /// `base`, then one model spec per knob `Writer::spec` encodes, each
