@@ -1,10 +1,15 @@
-//! Integration: buffered-asynchronous rounds beyond the equivalence
-//! anchors (which `equivalence.rs` checks): staleness-cap eviction under a
-//! one-slot buffer, the async knobs as part of the run identity, and one
-//! run over a fleet-wide link pinned to its clock and history.
+//! Integration: buffered-asynchronous rounds. The anchor is the
+//! equivalence theorem the scheduler is built around: with the buffer
+//! sized to the cohort and no delay, every update folds fresh in sampled
+//! order, so async and sync runs yield one history (`equivalence.rs`'s
+//! property, here over every algorithm). Beyond it: staleness-cap eviction
+//! under a one-slot buffer, kill-and-resume with updates in flight, the
+//! async knobs as part of the run identity, and one run over a fleet-wide
+//! link pinned to its clock and history.
 
 mod common;
 
+use common::equivalence::{anchor, trained, Mode, Presentation, Scenario, Transport, PLAIN};
 use common::{all_algorithms, temp_dir};
 use fedkemf::fl::checkpoint::CheckpointPolicy;
 use fedkemf::fl::engine::Engine;
@@ -17,6 +22,41 @@ fn world(seed: u64, rounds: usize) -> (FlContext, SynthTask) {
     let (mut ctx, task) = common::world(seed, rounds);
     ctx.cfg.sample_ratio = 1.0;
     (ctx, task)
+}
+
+/// A cohort-sized buffer and no delay reproduce the sync history, round
+/// plans and cohorts of every algorithm, FedKEMF's and FedMD's
+/// distillation included: folds at weight exactly 1.0 repeat the sync f32
+/// accumulation, and the clock never moves.
+#[test]
+fn full_buffer_zero_delay_matches_sync_bit_for_bit_for_every_algorithm() {
+    for algo in 0..9 {
+        let s = Scenario { sample_ratio: 1.0, ..trained(algo, 0, 101) };
+        anchor(&format!("full_buffer_{algo}"), &s, &[Presentation { mode: Mode::Async, ..PLAIN }]);
+    }
+}
+
+/// Over a uniform link a cohort-sized buffer still folds every wave in its
+/// own cycle, while the modelled transfer times advance the clock.
+#[test]
+fn uniform_network_delays_preserve_equivalence_and_advance_the_clock() {
+    let s = Scenario { sample_ratio: 1.0, ..trained(0, 0, 102) };
+    anchor("uniform_link", &s, &[Presentation { mode: Mode::AsyncLink, ..PLAIN }]);
+}
+
+/// A checkpoint taken mid-run carries the virtual clock and the in-flight
+/// queue, so a run killed after round 4 and resumed yields the straight
+/// run's history and clock bit for bit. SCAFFOLD covers deferred client
+/// commits across the cut; FedRolex and FedGEMS park Window and Logits
+/// payloads in flight.
+#[test]
+fn async_killed_and_resumed_runs_are_byte_identical() {
+    for algo in [0, 3, 7, 8] {
+        let s = Scenario { rounds: 8, sample_ratio: 1.0, buffered: true, ..trained(algo, 0, 104) };
+        let resumed =
+            Presentation { mode: Mode::Buffered, resume: Some((4, Transport::InProc)), ..PLAIN };
+        anchor(&format!("async_resume_{algo}"), &s, &[resumed]);
+    }
 }
 
 /// With a one-slot buffer and a tight staleness cap, updates queue up,

@@ -5,6 +5,8 @@
 //! depend on every number in it.
 #![allow(dead_code)] // each suite links the whole module and uses a part
 
+pub mod equivalence;
+
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::engine::FedAlgorithm;
 use fedkemf::nn::codec::Writer;

@@ -40,6 +40,12 @@
 //! nowhere, so the table cannot go stale: when an exception is mended,
 //! delete its entry.
 //!
+//! The harness (scenarios, presentations, [`present`], [`check`] and the
+//! exception table) lives in `common/equivalence.rs`, so the other suites
+//! state their named anchors (async == sync, socket == in-process, sharded
+//! == eager, resumed == straight, traced == untraced) as fixed
+//! presentations checked by the same property; this file draws the rest.
+//!
 //! **Adding an axis:** add a field to [`Presentation`], deal it from a
 //! [`Deck`] of its values in [`plan`], enact it in [`present`] (with the
 //! per-run checks it promises), and name its values in
@@ -47,14 +53,11 @@
 
 mod common;
 
-use common::{all_algorithms, fault_modes, temp_dir, world, Probe, Tap, STORE_BACKED};
-use fedkemf::fl::checkpoint::CheckpointPolicy;
-use fedkemf::prelude::*;
+use common::equivalence::*;
+use common::{fault_modes, STORE_BACKED};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The generator's seed, and how many scenarios it draws of each kind:
@@ -67,169 +70,6 @@ const PROBE_CASES: usize = 12;
 /// FedAvg, SCAFFOLD, FedRolex and FedGEMS: a plain model, client control
 /// variates, and Window and Logits payloads left in flight at a cut.
 const BUFFERED: [usize; 4] = [0, 3, 7, 8];
-
-/// The uniform link of an async presentation, and the slower one of a
-/// buffered identity.
-const LINK: NetworkModel = NetworkModel { bandwidth_bps: 1e6, latency_s: 0.05 };
-const SLOW_LINK: NetworkModel = NetworkModel { bandwidth_bps: 5e5, latency_s: 0.1 };
-
-/// What a history may depend on.
-#[derive(Clone, Copy, Debug)]
-struct Scenario {
-    /// Index into [`all_algorithms`], or `None` for the free [`Probe`].
-    algo: Option<usize>,
-    /// Index into [`fault_modes`].
-    faults: usize,
-    seed: u64,
-    rounds: usize,
-    sample_ratio: f32,
-    /// A buffered-asynchronous identity (a two-update buffer over
-    /// [`SLOW_LINK`]): updates wait in flight across cycles, so its
-    /// history is its own, and only store, trace, `cohort_batch` and
-    /// resume are drawn.
-    buffered: bool,
-}
-
-impl Scenario {
-    fn faults(&self) -> FaultConfig {
-        fault_modes()[self.faults].1
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Transport {
-    InProc,
-    Threads(usize),
-    Process,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Mode {
-    Sync,
-    /// A cohort-sized buffer: every update folds fresh, in sampled order.
-    Async,
-    /// The same over [`LINK`].
-    AsyncLink,
-    /// The scenario's own buffered identity.
-    Buffered,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Trace {
-    Off,
-    Record,
-    Sink,
-}
-
-/// How one run of a scenario is carried.
-#[derive(Clone, Copy, Debug)]
-struct Presentation {
-    transport: Transport,
-    sharded: bool,
-    mode: Mode,
-    trace: Trace,
-    cohort_batch: Option<usize>,
-    /// Kill after this round, the killed half carried by this transport,
-    /// then resume toward the horizon.
-    resume: Option<(usize, Transport)>,
-    /// Pass the fault model even when it is the reliable one, which the
-    /// engine also assumes when none is passed.
-    explicit_faults: bool,
-}
-
-/// In-process, eager, sync, untraced, unbatched, straight through.
-const PLAIN: Presentation = Presentation {
-    transport: Transport::InProc,
-    sharded: false,
-    mode: Mode::Sync,
-    trace: Trace::Off,
-    cohort_batch: None,
-    resume: None,
-    explicit_faults: true,
-};
-
-impl Presentation {
-    /// [`PLAIN`] in the scenario's own round mode, without an explicit
-    /// reliable fault model.
-    fn reference(s: &Scenario) -> Self {
-        let mode = if s.buffered { Mode::Buffered } else { Mode::Sync };
-        Presentation { mode, explicit_faults: false, ..PLAIN }
-    }
-
-    fn resume_point(&self) -> usize {
-        self.resume.map_or(0, |(r, _)| r)
-    }
-}
-
-/// Presentations whose history may differ from the rest of their
-/// scenario's: `class` is 0 where the exception does not apply, and
-/// presentations with equal nonzero classes must still agree. `witness`
-/// is a presentation that does differ from its scenario's reference; the
-/// suite runs it with the drawn ones.
-struct Exception {
-    why: &'static str,
-    class: fn(&Scenario, &Presentation) -> usize,
-    witness: (Scenario, Presentation),
-}
-
-/// A trained scenario of `algo` under fault model `faults`, three rounds,
-/// three of four clients a round.
-const fn trained(algo: usize, faults: usize, seed: u64) -> Scenario {
-    Scenario { algo: Some(algo), faults, seed, rounds: 3, sample_ratio: 0.75, buffered: false }
-}
-
-/// The known exceptions.
-const ALLOWED_TO_DIFFER: [Exception; EXCEPTIONS] = [
-    Exception {
-        why: "async where updates arrive out of sampled order (straggler delays; upload retries \
-              over a link): arrival order reorders the fold (ROADMAP item 9a)",
-        class: |s, p| {
-            let f = s.faults();
-            match p.mode {
-                Mode::Async if f.straggler_prob > 0.0 => 1,
-                Mode::AsyncLink if f.straggler_prob > 0.0 || f.upload_failure_prob > 0.0 => 2,
-                _ => 0,
-            }
-        },
-        witness: (trained(0, 3, 573), Presentation { mode: Mode::Async, ..PLAIN }),
-    },
-    Exception {
-        why: "sockets under post-download drops: a truncated broadcast bills the bytes that \
-              crossed, so a history depends on which rounds the sockets carried",
-        class: |s, p| {
-            let (cut, first) = p.resume.unwrap_or((0, Transport::InProc));
-            let socket = |t: Transport| t != Transport::InProc;
-            let rounds =
-                (0..s.rounds).filter(|&k| socket(if k < cut { first } else { p.transport }));
-            let carried: usize = rounds.map(|k| 1 << k).sum();
-            if s.faults().drop_after_download > 0.0 {
-                carried
-            } else {
-                0
-            }
-        },
-        witness: (trained(0, 2, 1), Presentation { transport: Transport::Threads(2), ..PLAIN }),
-    },
-    Exception {
-        why: "FedMD over a spilled store, resumed into a round that aborts on quorum: its \
-              evaluation reads every client's round-0 spill file, because a reopened store \
-              learns the round only when a cohort trains (a defect, ROADMAP item 22)",
-        class: |s, p| match (s.algo, p.sharded, p.resume) {
-            (Some(5), true, Some((r, _))) => r + 1,
-            _ => 0,
-        },
-        witness: (
-            trained(5, 1, 410),
-            Presentation { sharded: true, resume: Some((2, Transport::InProc)), ..PLAIN },
-        ),
-    },
-];
-const EXCEPTIONS: usize = 3;
-
-/// The classes of every exception for `p` under `s`.
-fn class(s: &Scenario, p: &Presentation) -> [usize; EXCEPTIONS] {
-    ALLOWED_TO_DIFFER.each_ref().map(|e| (e.class)(s, p))
-}
 
 /// An axis's values, dealt in shuffled rounds: every value comes up once
 /// per `values.len()` deals, in an order the seed decides.
@@ -345,200 +185,6 @@ fn plan() -> Vec<(Scenario, Vec<Presentation>)> {
     out
 }
 
-/// What one presentation of a scenario yielded.
-struct Run {
-    json: String,
-    plans: String,
-    waves: Vec<(usize, Vec<usize>, u64)>,
-    clock: Option<u64>,
-    stats: Option<TransportStats>,
-}
-
-/// `p`'s options, its final half carried by `transport`.
-fn options<'a>(
-    s: &Scenario,
-    p: &Presentation,
-    transport: Transport,
-    cohort: usize,
-) -> RunOptions<'a> {
-    let mut opts = RunOptions::new();
-    if s.faults != 0 || p.explicit_faults {
-        opts = opts.faults(s.faults());
-    }
-    opts = match p.mode {
-        Mode::Sync => opts,
-        Mode::Async => opts.async_rounds(AsyncConfig::new(cohort)),
-        Mode::AsyncLink => opts.async_rounds(AsyncConfig::new(cohort).network(LINK)),
-        Mode::Buffered => opts.async_rounds(
-            AsyncConfig::new(2).max_staleness(3).staleness_decay(0.7).network(SLOW_LINK),
-        ),
-    };
-    match transport {
-        Transport::InProc => opts,
-        Transport::Threads(n) => opts.socket_transport(SocketConfig::threads(n)),
-        Transport::Process => {
-            opts.socket_transport(SocketConfig::process(2, env!("CARGO_BIN_EXE_kemf_worker")))
-        }
-    }
-}
-
-/// Run `s` as `p` under `dir`, with the checks its presentation promises.
-fn present(s: &Scenario, p: &Presentation, dir: &Path) -> Run {
-    let (mut ctx, task) = world(s.seed, s.rounds);
-    ctx.cfg.sample_ratio = s.sample_ratio;
-    ctx.cfg.cohort_batch = p.cohort_batch;
-    let cohort = ctx.cfg.sampled_per_round();
-    let spill = p.sharded.then(|| dir.join("spill"));
-    let build = |ctx: &FlContext| {
-        Tap::new(match s.algo {
-            Some(a) => all_algorithms(ctx, &task, spill.as_deref()).swap_remove(a),
-            None => Box::new(Probe),
-        })
-    };
-    let ckpt = dir.join("ckpt");
-    let mut opts = options(s, p, p.transport, cohort);
-    if let Some((r, first)) = p.resume {
-        ctx.cfg.rounds = r;
-        let policy = CheckpointPolicy::new(&ckpt, r);
-        let killed =
-            Engine::run(&mut build(&ctx), &ctx, options(s, p, first, cohort).checkpoint(policy))
-                .unwrap_or_else(|e| panic!("{s:?}\n{p:?}: killed half: {e}"));
-        assert_eq!(killed.checkpoints.len(), 1, "{s:?}\n{p:?}: one checkpoint at the kill");
-        ctx.cfg.rounds = s.rounds;
-        opts = opts.resume_from(&ckpt);
-    }
-    let mut sink = TraceSink::new();
-    opts = match p.trace {
-        Trace::Off => opts,
-        Trace::Record => opts.record_trace(),
-        Trace::Sink => opts.sink(&mut sink),
-    };
-    let mut algo = build(&ctx);
-    let report = Engine::run(&mut algo, &ctx, opts).unwrap_or_else(|e| panic!("{s:?}\n{p:?}: {e}"));
-    let mut history = report.history;
-    let label = format!("{s:?}\n{p:?}");
-
-    let from = p.resume_point();
-    assert_eq!(report.resumed_from, p.resume.map(|(r, _)| r), "{label}: resume point");
-    assert_eq!(history.rounds(), s.rounds, "{label}: the horizon");
-    assert_eq!(report.plans.len(), s.rounds, "{label}: one plan per round, replayed ones too");
-    assert!(algo.waves.iter().all(|w| w.0 >= from), "{label}: retrained a round before the resume");
-
-    assert_eq!(history.trace.is_some(), p.trace == Trace::Record, "{label}: attached trace");
-    history.trace = None;
-    let json = history.to_json();
-    assert!(!json.contains("\"trace\""), "{label}: an untraced history names no trace");
-    if p.trace == Trace::Sink {
-        assert!(
-            sink.spans().iter().any(|sp| sp.phase == Phase::Round),
-            "{label}: the sink saw no round"
-        );
-    }
-
-    let clock = report.sim_time_s;
-    match p.mode {
-        Mode::Sync => assert_eq!(clock, None, "{label}: a sync run has no virtual clock"),
-        Mode::Async if s.faults().straggler_prob == 0.0 => {
-            assert_eq!(clock, Some(0.0), "{label}: no link and no delay, so the clock never moves")
-        }
-        Mode::Async => assert!(clock.is_some(), "{label}"),
-        Mode::AsyncLink | Mode::Buffered => {
-            assert!(clock.is_some_and(|t| t > 0.0), "{label}: transfers advance the clock")
-        }
-    }
-
-    let stats = report.transport;
-    assert_eq!(stats.is_some(), p.transport != Transport::InProc, "{label}: wire stats");
-    if let Some(stats) = stats {
-        // The socket's history is its wire measurement, over the rounds
-        // this process carried.
-        let carried = &history.records[from..];
-        let sum = |f: fn(&RoundRecord) -> u64| carried.iter().map(f).sum::<u64>();
-        assert_eq!(stats.rounds, s.rounds - from, "{label}: rounds on the wire");
-        assert_eq!(stats.payload_down_bytes, sum(|r| r.down_bytes), "{label}: downlink");
-        assert_eq!(stats.payload_up_bytes, sum(|r| r.up_bytes), "{label}: uplink");
-        assert_eq!(stats.payload_wasted_bytes, sum(|r| r.wasted_up_bytes), "{label}: waste");
-        assert!(stats.wire_bytes > stats.payload_total(), "{label}: framing is real bytes");
-    }
-    Run {
-        json,
-        plans: format!("{:?}", report.plans),
-        waves: algo.waves,
-        clock: clock.map(f64::to_bits),
-        stats,
-    }
-}
-
-/// The first line where two histories part, for the failure message.
-fn first_difference(a: &str, b: &str) -> String {
-    let (i, (x, y)) =
-        a.lines().zip(b.lines()).enumerate().find(|(_, (x, y))| x != y).unwrap_or_default();
-    format!("line {i}: {x:?} vs {y:?}")
-}
-
-/// Check the property over `s`'s presentations; returns which entries of
-/// [`ALLOWED_TO_DIFFER`] did differ from the rest of the scenario.
-fn check(index: usize, s: &Scenario, presentations: &[Presentation]) -> [bool; EXCEPTIONS] {
-    let mut classes: HashMap<[usize; EXCEPTIONS], (Presentation, Run)> = HashMap::new();
-    let mut clocks: HashMap<Mode, (Presentation, Option<u64>)> = HashMap::new();
-    let mut wires: HashMap<_, (Presentation, TransportStats)> = HashMap::new();
-    let reference = Presentation::reference(s);
-    for (j, p) in std::iter::once(&reference).chain(presentations).enumerate() {
-        let dir = temp_dir(&format!("equivalence_{index}_{j}"));
-        let run = present(s, p, &dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        if let Some((q, clock)) = clocks.get(&p.mode) {
-            assert_eq!(run.clock, *clock, "{s:?}\n{q:?}\n{p:?}: one virtual clock per mode");
-        } else {
-            clocks.insert(p.mode, (*p, run.clock));
-        }
-        let workers = match p.transport {
-            Transport::Threads(n) => n,
-            _ => 2,
-        };
-        if let Some(stats) = run.stats {
-            let (q, first) = wires.entry((workers, p.resume)).or_insert((*p, stats));
-            assert_eq!(
-                stats, *first,
-                "{s:?}\n{q:?}\n{p:?}: one set of wire counters per pool size"
-            );
-        }
-        let Some((q, first)) = classes.get(&class(s, p)) else {
-            classes.insert(class(s, p), (*p, run));
-            continue;
-        };
-        let label = format!("{s:?}\n  {q:?}\n  {p:?}");
-        assert!(
-            run.json == first.json,
-            "{label}\nhistories differ at {}",
-            first_difference(&first.json, &run.json)
-        );
-        assert!(run.plans == first.plans, "{label}\nround plans differ");
-        let cut = q.resume_point().max(p.resume_point());
-        let after = |waves: &[(usize, Vec<usize>, u64)]| {
-            waves.iter().filter(|w| w.0 >= cut).cloned().collect::<Vec<_>>()
-        };
-        assert_eq!(
-            after(&run.waves),
-            after(&first.waves),
-            "{label}\nthe algorithm was handed other cohorts"
-        );
-    }
-    // An exception differed when a class it applies to parts from the
-    // class that differs from it in that exception alone, where it does
-    // not apply.
-    let mut differed = [false; EXCEPTIONS];
-    for (c, (_, run)) in &classes {
-        for (i, bit) in differed.iter_mut().enumerate() {
-            let mut plain = *c;
-            plain[i] = 0;
-            let other = classes.get(&plain).filter(|_| c[i] != 0);
-            *bit |= other.is_some_and(|(_, other)| other.json != run.json);
-        }
-    }
-    differed
-}
-
 /// The property over the whole plan, two scenarios at a time (a scenario
 /// is a sequence of runs; the runs inside keep the process's width), then
 /// the guard that keeps the exception table honest.
@@ -552,7 +198,7 @@ fn every_presentation_of_a_scenario_yields_one_history() {
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some((s, presentations)) = plan.get(i) else { break differed };
-                for (d, e) in differed.iter_mut().zip(check(i, s, presentations)) {
+                for (d, e) in differed.iter_mut().zip(check(&i.to_string(), s, presentations)) {
                     *d |= e;
                 }
             }

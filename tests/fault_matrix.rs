@@ -2,10 +2,13 @@
 //! across every algorithm in the stack. Verifies that each fault mode ×
 //! each algorithm finishes, is deterministic per seed, and that the
 //! recorded bytes always match the drawn lifecycle — downlink charged to
-//! the full broadcast set, uplink only to completed uploads.
+//! the full broadcast set, uplink only to completed uploads — and that a
+//! reliable fleet, or a delay-free fault mode under a full buffer, yields
+//! the plain engine's history (`equivalence.rs`'s property).
 
 mod common;
 
+use common::equivalence::{anchor, trained, Mode, Presentation, Scenario, PLAIN};
 use common::{fault_modes, Probe, PROBE_PAYLOAD};
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::engine::FedAlgorithm;
@@ -208,6 +211,15 @@ fn all_algorithms_survive_combined_faults() {
     assert_eq!(run_all(), run_all(), "fault-injected runs are reproducible per seed");
 }
 
+/// With faults off, the executor is the plain engine: passing the
+/// reliable fault model keeps the sampling stream, the bytes and the
+/// accuracies bit for bit.
+#[test]
+fn reliable_fleet_matches_faultless_engine_exactly() {
+    // The reference passes no fault model; `PLAIN` passes the reliable one.
+    anchor("reliable_fleet", &trained(0, 0, 95), &[PLAIN]);
+}
+
 /// A round aborted on quorum failure must record `NaN` train loss — the
 /// engine used to write a fake `0.0`, indistinguishable from a perfect
 /// fit in every CSV/JSON export.
@@ -313,4 +325,20 @@ fn lifecycle_wall_clock_is_bounded_by_deadline() {
     // is bounded by download + deadline + upload — far below the ~500 s
     // an uncut straggler would hold it open.
     assert!(t <= 30.0 + 2.0 + 1e-9, "deadline bounds the round, got {t}");
+}
+
+/// Where completers report without delay (every fault mode without
+/// stragglers), a cohort-sized buffer folds each wave in its own cycle in
+/// sampled order at weight 1.0, so async yields the sync history even
+/// under injected faults. Straggler delays reorder the fold: that is
+/// `ALLOWED_TO_DIFFER`'s first entry.
+#[test]
+fn delay_free_fault_modes_are_sync_equivalent_under_a_full_buffer() {
+    for (faults, (name, f)) in fault_modes().into_iter().enumerate() {
+        if f.straggler_prob > 0.0 {
+            continue;
+        }
+        let s = Scenario { algo: None, rounds: 6, ..trained(0, faults, 99) };
+        anchor(&format!("delay_free_{name}"), &s, &[Presentation { mode: Mode::Async, ..PLAIN }]);
+    }
 }

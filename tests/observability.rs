@@ -2,11 +2,13 @@
 //! A traced run emits one span per phase per round with real timings and
 //! FLOP counts on the compute phases; the canonical JSONL form is
 //! deterministic per seed; and quorum-aborted rounds omit exactly the
-//! algorithm-interior phases. Traced == untraced is a presentation
-//! `equivalence.rs` draws.
+//! algorithm-interior phases. Tracing draws no randomness, so a run with
+//! a `NoopSink`, a recorded trace or an external sink yields the untraced
+//! history (`equivalence.rs`'s property).
 
 mod common;
 
+use common::equivalence::{anchor, trained, Presentation, Scenario, Trace, PLAIN};
 use common::{all_algorithms, world, Probe, Tap};
 use fedkemf::fl::engine::Engine;
 use fedkemf::fl::lifecycle::RoundPlan;
@@ -98,6 +100,17 @@ fn traced_fedkemf_run_emits_full_round_structure() {
     for name in ["local_update", "fusion", "eval", "round"] {
         assert!(table.contains(name), "summary table missing {name}:\n{table}");
     }
+}
+
+/// An untraced history names no trace; one run through an explicit
+/// `NoopSink`, one recorded (its trace stripped) and one into a
+/// `TraceSink` serialize to it bit for bit.
+#[test]
+fn noop_sink_history_is_bit_identical_to_untraced() {
+    let s = Scenario { sample_ratio: 0.5, ..trained(0, 0, 72) };
+    let traced =
+        [Trace::Noop, Trace::Record, Trace::Sink].map(|trace| Presentation { trace, ..PLAIN });
+    anchor("noop_sink", &s, &traced);
 }
 
 #[test]

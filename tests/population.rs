@@ -2,12 +2,13 @@
 //! the paper's cross-device setting implies. A spilled blob round-trips
 //! bit-exactly — any f32 payload, NaN and signed zero included, by bit
 //! pattern — through commit → reopen → fetch, and a sharded checkpoint
-//! refuses a population of another size. Sharded == eager, for any
-//! cohort batch and across a kill and resume, is a presentation
-//! `equivalence.rs` draws.
+//! refuses a population of another size, and FedKEMF over a sharded
+//! store yields the eager history, for any cohort batch and across a kill
+//! and resume (`equivalence.rs`'s property).
 
 mod common;
 
+use common::equivalence::{anchor, trained, Presentation, Scenario, Transport, PLAIN};
 use common::{all_algorithms, temp_dir, world};
 use fedkemf::fl::engine::Engine;
 use fedkemf::prelude::*;
@@ -40,6 +41,28 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(back, blob);
     }
+}
+
+/// The same seeds with the client models spilled to disk, two of four
+/// clients a round so the others skip rounds, and a degenerate one-client
+/// cohort batch: memory changes, the math does not.
+#[test]
+fn sharded_fedkemf_matches_eager_bit_for_bit() {
+    let s = Scenario { rounds: 5, sample_ratio: 0.5, ..trained(6, 0, 91) };
+    let sharded =
+        [None, Some(1)].map(|cohort_batch| Presentation { sharded: true, cohort_batch, ..PLAIN });
+    anchor("sharded_kemf", &s, &sharded);
+}
+
+/// A sharded FedKEMF killed after round 4 and resumed over the spill
+/// directory its write-through commits left behind replays the straight
+/// sharded run, and both the eager one.
+#[test]
+fn sharded_kill_and_resume_is_byte_identical() {
+    let s = Scenario { rounds: 8, ..trained(6, 0, 92) };
+    let straight = Presentation { sharded: true, cohort_batch: Some(2), ..PLAIN };
+    let resumed = Presentation { resume: Some((4, Transport::InProc)), ..straight };
+    anchor("sharded_resume", &s, &[straight, resumed]);
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Integration: crash-consistent checkpoint/resume beyond resumed ==
-//! straight (a presentation `equivalence.rs` draws for every algorithm).
+//! Integration: crash-consistent checkpoint/resume. A killed and resumed
+//! run yields the straight run's history (`equivalence.rs`'s property).
 //! Covers the refusal paths (mismatched seed, mismatched algorithm, a FedKEMF
 //! checkpoint under another distillation temperature), what the run
 //! identity covers for each of the nine algorithms and what it leaves
@@ -8,6 +8,7 @@
 
 mod common;
 
+use common::equivalence::{anchor, trained, Presentation, Scenario, Transport, PLAIN};
 use common::{all_algorithms, temp_dir, world};
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::checkpoint::{load_run, run_fingerprint, CheckpointPolicy};
@@ -15,6 +16,18 @@ use fedkemf::fl::engine::{Engine, EngineError, FedAlgorithm, ResumeError, RunOpt
 use fedkemf::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// A process killed after round 4's checkpoint landed, resumed toward an
+/// 8-round horizon by a fresh instance, finishes the horizon with the
+/// straight run's history: FedKEMF, SCAFFOLD, FedNova, FedRolex, FedGEMS.
+#[test]
+fn killed_and_resumed_runs_are_byte_identical() {
+    let resumed = Presentation { resume: Some((4, Transport::InProc)), ..PLAIN };
+    for algo in [6, 3, 2, 7, 8] {
+        let s = Scenario { rounds: 8, ..trained(algo, 0, 41) };
+        anchor(&format!("resume_{algo}"), &s, &[resumed]);
+    }
+}
 
 #[test]
 fn crash_debris_never_corrupts_the_good_checkpoint() {

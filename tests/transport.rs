@@ -4,17 +4,22 @@
 //! worker pool, and the history's byte columns are what actually crossed
 //! the wire. Covers the fault matrix over real frames (drop, straggler
 //! delay, corruption, truncation, upload retries), quorum fallback, and a
-//! fault storm over concurrent links pinned at every width. Socket ==
-//! in-process, kill-and-resume over sockets and worker processes ==
-//! worker threads are presentations `equivalence.rs` draws.
+//! fault storm over concurrent links pinned at every width. With faults
+//! off a socket run, a server killed and resumed over sockets, and a pool
+//! of worker processes yield the in-process history (`equivalence.rs`'s
+//! property).
 
 mod common;
 
-use common::{world, Probe};
+use common::equivalence::{
+    anchor, check, present, trained, Presentation, Scenario, Transport, PLAIN,
+};
+use common::{temp_dir, world, Probe};
 use fedkemf::fl::metrics::History;
 use fedkemf::fl::transport::TransportStats;
 use fedkemf::nn::codec::{fnv1a64, FNV_OFFSET};
 use fedkemf::prelude::*;
+use fedkemf::tensor::simd::ScalarGuard;
 
 /// A fault storm that exercises every enacted failure mode: pre-download
 /// drops (silence), post-download drops (corrupted/truncated broadcasts),
@@ -46,6 +51,29 @@ fn assert_stats_match_history(stats: &TransportStats, history: &History) {
         stats.wire_bytes >= stats.payload_total(),
         "framing overhead cannot be negative"
     );
+}
+
+/// With faults off, real traffic perturbs no recorded byte: FedAvg's
+/// full-view broadcasts embed its model quantized, so the wire codec runs
+/// end to end, and the socket's payload counters are the history's byte
+/// columns.
+#[test]
+fn faults_off_socket_run_is_byte_identical_to_in_process() {
+    let s = Scenario { rounds: 4, ..trained(0, 0, 21) };
+    let socket = Presentation { transport: Transport::Threads(2), ..PLAIN };
+    anchor("socket", &s, &[socket]);
+    // The forced scalar tier reaches the socket workers too, where every
+    // checksum then runs through the table instead of the carry-less
+    // fold: the same run, the same bytes.
+    let dir = temp_dir("socket_tiers");
+    let native = present(&s, &socket, &dir);
+    let scalar = {
+        let _scalar = ScalarGuard::new();
+        present(&s, &socket, &dir)
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(scalar.json == native.json, "scalar tier changed the run");
+    assert_eq!(scalar.stats, native.stats, "scalar tier changed the wire");
 }
 
 #[test]
@@ -87,6 +115,26 @@ fn fault_storm_over_sockets_keeps_the_accounting_honest() {
     assert_stats_match_history(&stats, &socket.history);
 }
 
+/// A server killed after round 4 (worker pool, sockets and all) and
+/// restarted over a fresh pool replays the federation exactly, its wire
+/// stats covering rounds 4..8 only; the same checkpoint resumes
+/// in-process to the same bytes. FedKEMF with its client models spilled
+/// to disk, killed after round 2 and resumed over sockets over the same
+/// spill directory, replays the eager in-process run.
+#[test]
+fn server_killed_mid_federation_resumes_byte_identically_over_sockets() {
+    let s = Scenario { rounds: 8, ..trained(0, 0, 23) };
+    let socket = Presentation { transport: Transport::Threads(2), ..PLAIN };
+    let killed = Some((4, Transport::Threads(2)));
+    let inproc = Presentation { transport: Transport::InProc, resume: killed, ..socket };
+    anchor("server_killed", &s, &[socket, Presentation { resume: killed, ..socket }, inproc]);
+
+    let s = Scenario { rounds: 4, ..trained(6, 0, 26) };
+    let spilled =
+        Presentation { sharded: true, resume: Some((2, Transport::Threads(2))), ..socket };
+    anchor("server_killed_kemf", &s, &[spilled]);
+}
+
 #[test]
 fn quorum_fallback_survives_the_socket_transport() {
     let (ctx, _) = world(24, 6);
@@ -110,6 +158,19 @@ fn quorum_fallback_survives_the_socket_transport() {
     );
     let stats = socket.transport.expect("socket run must report wire stats");
     assert_stats_match_history(&stats, &socket.history);
+}
+
+/// Real OS processes (the `kemf_worker` binary connecting back over TCP)
+/// serve a fault storm as worker threads do: one history and the same
+/// frames, either side of exec. Post-download drops bill the bytes that
+/// crossed, so both socket runs leave the in-process reference's class
+/// (`ALLOWED_TO_DIFFER`) and are compared with each other.
+#[test]
+fn worker_processes_speak_the_same_protocol_as_threads() {
+    let s = Scenario { algo: None, ..trained(0, 5, 25) };
+    let [processes, threads] = [Transport::Process, Transport::Threads(2)]
+        .map(|transport| Presentation { transport, ..PLAIN });
+    check("worker_processes", &s, &[processes, threads]);
 }
 
 /// Concurrent links enact the sequential conversation: a fault-storm run
