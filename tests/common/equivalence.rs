@@ -97,7 +97,7 @@ pub const PLAIN: Presentation = Presentation {
 impl Presentation {
     /// [`PLAIN`] in the scenario's own round mode, without an explicit
     /// reliable fault model.
-    fn reference(s: &Scenario) -> Self {
+    pub fn reference(s: &Scenario) -> Self {
         let mode = if s.buffered { Mode::Buffered } else { Mode::Sync };
         Presentation { mode, explicit_faults: false, ..PLAIN }
     }
@@ -107,14 +107,14 @@ impl Presentation {
     }
 }
 
-/// Presentations whose history may differ from the rest of their
-/// scenario's: `class` is 0 where the exception does not apply, and
-/// presentations with equal nonzero classes must still agree. `witness`
-/// is a presentation that does differ from its scenario's reference; the
-/// suite runs it with the drawn ones.
+/// Presentations whose history may differ from their scenario's
+/// reference: where `applies` holds, a presentation runs its own checks
+/// but is compared with nothing. `witness` is a presentation it applies
+/// to that does differ from its scenario's reference; `equivalence.rs`
+/// runs every witness and fails when one stops differing.
 pub struct Exception {
     pub why: &'static str,
-    pub class: fn(&Scenario, &Presentation) -> usize,
+    pub applies: fn(&Scenario, &Presentation) -> bool,
     pub witness: (Scenario, Presentation),
 }
 
@@ -125,56 +125,50 @@ pub const fn trained(algo: usize, faults: usize, seed: u64) -> Scenario {
 }
 
 /// The known exceptions.
-pub const ALLOWED_TO_DIFFER: [Exception; EXCEPTIONS] = [
+pub const ALLOWED_TO_DIFFER: [Exception; 3] = [
     Exception {
         why: "async where updates arrive out of sampled order (straggler delays; upload retries \
               over a link): arrival order reorders the fold (ROADMAP item 9a)",
-        class: |s, p| {
+        applies: |s, p| {
             let f = s.faults();
             match p.mode {
-                Mode::Async if f.straggler_prob > 0.0 => 1,
-                Mode::AsyncLink if f.straggler_prob > 0.0 || f.upload_failure_prob > 0.0 => 2,
-                _ => 0,
+                Mode::Async => f.straggler_prob > 0.0,
+                Mode::AsyncLink => f.straggler_prob > 0.0 || f.upload_failure_prob > 0.0,
+                Mode::Sync | Mode::Buffered => false,
             }
         },
         witness: (trained(0, 3, 573), Presentation { mode: Mode::Async, ..PLAIN }),
     },
     Exception {
         why: "sockets under post-download drops: a truncated broadcast bills the bytes that \
-              crossed, so a history depends on which rounds the sockets carried",
-        class: |s, p| {
-            let (cut, first) = p.resume.unwrap_or((0, Transport::InProc));
-            let socket = |t: Transport| t != Transport::InProc;
-            let rounds =
-                (0..s.rounds).filter(|&k| socket(if k < cut { first } else { p.transport }));
-            let carried: usize = rounds.map(|k| 1 << k).sum();
-            if s.faults().drop_after_download > 0.0 {
-                carried
-            } else {
-                0
-            }
+              crossed, not the whole payload",
+        applies: |s, p| {
+            let first = p.resume.map_or(p.transport, |(_, first)| first);
+            s.faults().drop_after_download > 0.0
+                && (p.transport != Transport::InProc || first != Transport::InProc)
         },
-        witness: (trained(0, 2, 1), Presentation { transport: Transport::Threads(2), ..PLAIN }),
+        witness: (
+            Scenario { algo: None, ..trained(0, 2, 1) },
+            Presentation { transport: Transport::Threads(2), ..PLAIN },
+        ),
     },
     Exception {
         why: "FedMD over a spilled store, resumed into a round that aborts on quorum: its \
               evaluation reads every client's round-0 spill file, because a reopened store \
               learns the round only when a cohort trains (a defect, ROADMAP item 22)",
-        class: |s, p| match (s.algo, p.sharded, p.resume) {
-            (Some(5), true, Some((r, _))) => r + 1,
-            _ => 0,
-        },
+        // Every fault model but the reliable one can leave a round short
+        // of its quorum.
+        applies: |s, p| s.algo == Some(5) && s.faults != 0 && p.sharded && p.resume.is_some(),
         witness: (
             trained(5, 1, 410),
             Presentation { sharded: true, resume: Some((2, Transport::InProc)), ..PLAIN },
         ),
     },
 ];
-pub const EXCEPTIONS: usize = 3;
 
-/// The classes of every exception for `p` under `s`.
-pub fn class(s: &Scenario, p: &Presentation) -> [usize; EXCEPTIONS] {
-    ALLOWED_TO_DIFFER.each_ref().map(|e| (e.class)(s, p))
+/// Whether an entry of [`ALLOWED_TO_DIFFER`] applies to `p` under `s`.
+pub fn exempt(s: &Scenario, p: &Presentation) -> bool {
+    ALLOWED_TO_DIFFER.iter().any(|e| (e.applies)(s, p))
 }
 
 /// What one presentation of a scenario yielded.
@@ -310,74 +304,53 @@ fn first_difference(a: &str, b: &str) -> String {
     format!("line {i}: {x:?} vs {y:?}")
 }
 
-/// Check the property over `s`'s presentations; returns which entries of
-/// [`ALLOWED_TO_DIFFER`] did differ from the rest of the scenario.
-pub fn check(tag: &str, s: &Scenario, presentations: &[Presentation]) -> [bool; EXCEPTIONS] {
-    let mut classes: HashMap<[usize; EXCEPTIONS], (Presentation, Run)> = HashMap::new();
+/// Run `s`'s reference and `presentations` and check the property: each
+/// presentation no exception applies to yields the reference's history,
+/// round plans and (from its resume point on) cohorts, and the clock of
+/// the first such run in its round mode. Returns the runs, reference
+/// first.
+pub fn check(tag: &str, s: &Scenario, presentations: &[Presentation]) -> Vec<Run> {
     let mut clocks: HashMap<Mode, (Presentation, Option<u64>)> = HashMap::new();
-    let mut wires: HashMap<_, (Presentation, TransportStats)> = HashMap::new();
     let reference = Presentation::reference(s);
+    let mut runs: Vec<Run> = Vec::new();
     for (j, p) in std::iter::once(&reference).chain(presentations).enumerate() {
         let dir = temp_dir(&format!("equivalence_{tag}_{j}"));
         let run = present(s, p, &dir);
         let _ = std::fs::remove_dir_all(&dir);
-        if let Some((q, clock)) = clocks.get(&p.mode) {
-            assert_eq!(run.clock, *clock, "{s:?}\n{q:?}\n{p:?}: one virtual clock per mode");
-        } else {
-            clocks.insert(p.mode, (*p, run.clock));
+        if exempt(s, p) {
+            runs.push(run);
+            continue;
         }
-        let workers = match p.transport {
-            Transport::Threads(n) => n,
-            _ => 2,
-        };
-        if let Some(stats) = run.stats {
-            let (q, first) = wires.entry((workers, p.resume)).or_insert((*p, stats));
+        let (q, clock) = clocks.entry(p.mode).or_insert((*p, run.clock));
+        assert_eq!(run.clock, *clock, "{s:?}\n{q:?}\n{p:?}: one virtual clock per mode");
+        if let Some(first) = runs.first() {
+            let label = format!("{s:?}\n  {reference:?}\n  {p:?}");
+            assert!(
+                run.json == first.json,
+                "{label}\nhistories differ at {}",
+                first_difference(&first.json, &run.json)
+            );
+            assert!(run.plans == first.plans, "{label}\nround plans differ");
+            let after = |waves: &[(usize, Vec<usize>, u64)]| {
+                waves.iter().filter(|w| w.0 >= p.resume_point()).cloned().collect::<Vec<_>>()
+            };
             assert_eq!(
-                stats, *first,
-                "{s:?}\n{q:?}\n{p:?}: one set of wire counters per pool size"
+                after(&run.waves),
+                after(&first.waves),
+                "{label}\nthe algorithm was handed other cohorts"
             );
         }
-        let Some((q, first)) = classes.get(&class(s, p)) else {
-            classes.insert(class(s, p), (*p, run));
-            continue;
-        };
-        let label = format!("{s:?}\n  {q:?}\n  {p:?}");
-        assert!(
-            run.json == first.json,
-            "{label}\nhistories differ at {}",
-            first_difference(&first.json, &run.json)
-        );
-        assert!(run.plans == first.plans, "{label}\nround plans differ");
-        let cut = q.resume_point().max(p.resume_point());
-        let after = |waves: &[(usize, Vec<usize>, u64)]| {
-            waves.iter().filter(|w| w.0 >= cut).cloned().collect::<Vec<_>>()
-        };
-        assert_eq!(
-            after(&run.waves),
-            after(&first.waves),
-            "{label}\nthe algorithm was handed other cohorts"
-        );
+        runs.push(run);
     }
-    // An exception differed when a class it applies to parts from the
-    // class that differs from it in that exception alone, where it does
-    // not apply.
-    let mut differed = [false; EXCEPTIONS];
-    for (c, (_, run)) in &classes {
-        for (i, bit) in differed.iter_mut().enumerate() {
-            let mut plain = *c;
-            plain[i] = 0;
-            let other = classes.get(&plain).filter(|_| c[i] != 0);
-            *bit |= other.is_some_and(|(_, other)| other.json != run.json);
-        }
-    }
-    differed
+    runs
 }
 
-/// A named anchor: `s`'s presentations, none of which any exception
-/// applies to, yield the reference's history.
-pub fn anchor(tag: &str, s: &Scenario, presentations: &[Presentation]) {
+/// A named anchor: `s`'s presentations, none of which an exception
+/// applies to, yield the reference's history. Returns the runs, reference
+/// first.
+pub fn anchor(tag: &str, s: &Scenario, presentations: &[Presentation]) -> Vec<Run> {
     for p in presentations {
-        assert_eq!(class(s, p), [0; EXCEPTIONS], "{s:?}\n{p:?}: an exception applies");
+        assert!(!exempt(s, p), "{s:?}\n{p:?}: an exception applies");
     }
-    check(tag, s, presentations);
+    check(tag, s, presentations)
 }

@@ -172,7 +172,10 @@ impl FedAlgorithm for Probe {
 
 /// Delegates every method to `inner` and notes each cohort it trained:
 /// the wave, the clients it was handed, and the local steps their updates
-/// carry.
+/// carry. `round` keeps the trait's composition of `train_cohort` and
+/// `fuse`, which none of the nine algorithms overrides, so sync rounds
+/// are noted too; `global_model` is forwarded, so a socket broadcast
+/// embeds the quantized model.
 pub struct Tap {
     pub inner: Box<dyn FedAlgorithm>,
     pub waves: Vec<(usize, Vec<usize>, u64)>,
@@ -226,5 +229,8 @@ impl FedAlgorithm for Tap {
     }
     fn restore(&mut self, state: &AlgorithmState) -> Result<(), RestoreError> {
         self.inner.restore(state)
+    }
+    fn global_model(&self) -> Option<(ModelSpec, ModelState)> {
+        self.inner.global_model()
     }
 }

@@ -11,9 +11,7 @@
 
 mod common;
 
-use common::equivalence::{
-    anchor, check, present, trained, Presentation, Scenario, Transport, PLAIN,
-};
+use common::equivalence::{anchor, present, trained, Presentation, Scenario, Transport, PLAIN};
 use common::{temp_dir, world, Probe};
 use fedkemf::fl::metrics::History;
 use fedkemf::fl::transport::TransportStats;
@@ -61,12 +59,11 @@ fn assert_stats_match_history(stats: &TransportStats, history: &History) {
 fn faults_off_socket_run_is_byte_identical_to_in_process() {
     let s = Scenario { rounds: 4, ..trained(0, 0, 21) };
     let socket = Presentation { transport: Transport::Threads(2), ..PLAIN };
-    anchor("socket", &s, &[socket]);
+    let native = anchor("socket", &s, &[socket]).swap_remove(1);
     // The forced scalar tier reaches the socket workers too, where every
     // checksum then runs through the table instead of the carry-less
     // fold: the same run, the same bytes.
     let dir = temp_dir("socket_tiers");
-    let native = present(&s, &socket, &dir);
     let scalar = {
         let _scalar = ScalarGuard::new();
         present(&s, &socket, &dir)
@@ -116,7 +113,8 @@ fn fault_storm_over_sockets_keeps_the_accounting_honest() {
 }
 
 /// A server killed after round 4 (worker pool, sockets and all) and
-/// restarted over a fresh pool replays the federation exactly, its wire
+/// restarted over a fresh pool replays the in-process federation exactly
+/// (straight socket == in-process is `faults_off_socket_…`), its wire
 /// stats covering rounds 4..8 only; the same checkpoint resumes
 /// in-process to the same bytes. FedKEMF with its client models spilled
 /// to disk, killed after round 2 and resumed over sockets over the same
@@ -124,10 +122,10 @@ fn fault_storm_over_sockets_keeps_the_accounting_honest() {
 #[test]
 fn server_killed_mid_federation_resumes_byte_identically_over_sockets() {
     let s = Scenario { rounds: 8, ..trained(0, 0, 23) };
-    let socket = Presentation { transport: Transport::Threads(2), ..PLAIN };
     let killed = Some((4, Transport::Threads(2)));
-    let inproc = Presentation { transport: Transport::InProc, resume: killed, ..socket };
-    anchor("server_killed", &s, &[socket, Presentation { resume: killed, ..socket }, inproc]);
+    let socket = Presentation { transport: Transport::Threads(2), resume: killed, ..PLAIN };
+    let inproc = Presentation { transport: Transport::InProc, ..socket };
+    anchor("server_killed", &s, &[socket, inproc]);
 
     let s = Scenario { rounds: 4, ..trained(6, 0, 26) };
     let spilled =
@@ -163,14 +161,18 @@ fn quorum_fallback_survives_the_socket_transport() {
 /// Real OS processes (the `kemf_worker` binary connecting back over TCP)
 /// serve a fault storm as worker threads do: one history and the same
 /// frames, either side of exec. Post-download drops bill the bytes that
-/// crossed, so both socket runs leave the in-process reference's class
+/// crossed, so the storm's socket runs may differ from in-process
 /// (`ALLOWED_TO_DIFFER`) and are compared with each other.
 #[test]
 fn worker_processes_speak_the_same_protocol_as_threads() {
     let s = Scenario { algo: None, ..trained(0, 5, 25) };
+    let dir = temp_dir("worker_processes");
     let [processes, threads] = [Transport::Process, Transport::Threads(2)]
-        .map(|transport| Presentation { transport, ..PLAIN });
-    check("worker_processes", &s, &[processes, threads]);
+        .map(|transport| present(&s, &Presentation { transport, ..PLAIN }, &dir));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(processes.json == threads.json, "thread and process workers enact other traffic");
+    assert!(processes.plans == threads.plans, "round plans differ");
+    assert_eq!(processes.stats, threads.stats, "same frames, same bytes, either side of exec");
 }
 
 /// Concurrent links enact the sequential conversation: a fault-storm run
