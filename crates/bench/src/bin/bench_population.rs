@@ -9,7 +9,7 @@
 //! math (bit-identical history fingerprints at equal seeds).
 //!
 //! Usage:
-//!   bench_population --smoke            # CI: small populations, asserts
+//!   bench_population --smoke            # CI: small populations, asserts, writes nothing
 //!   bench_population                    # default full sweep
 //!   bench_population --clients 1000000 --ratio 0.01 --rounds 2 --algo fedkemf
 //!
@@ -247,16 +247,15 @@ fn main() {
     println!("  RSS(2x population) / RSS(1x) = {ratio:.3}  (O(cohort) memory wants ~1)");
     println!("  fedkemf sharded == eager: {identical}");
 
-    emit(&[rec_big, rec_small, rec_eager, rec_sharded]);
-
-    if smoke {
-        assert!(
-            ratio < 1.5,
-            "peak RSS grew with population at fixed cohort: {ratio:.3}x — memory is not O(cohort)"
-        );
-        assert!(identical, "sharded FedKEMF diverged from eager at equal seeds");
-        println!("smoke assertions passed");
+    if !smoke {
+        return emit(&[rec_big, rec_small, rec_eager, rec_sharded]);
     }
+    assert!(
+        ratio < 1.5,
+        "peak RSS grew with population at fixed cohort: {ratio:.3}x — memory is not O(cohort)"
+    );
+    assert!(identical, "sharded FedKEMF diverged from eager at equal seeds");
+    println!("smoke assertions passed");
 }
 
 /// Write the records into bench_results/BENCH_population.json.

@@ -228,7 +228,7 @@ impl ClientModels {
     /// population untouched; call it after the algorithm's own checks
     /// and before the algorithm assigns any of its own fields.
     pub fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), RestoreError> {
-        self.store.check_population_marker(state)?;
+        self.store.restore(state)?;
         if self.store.is_sharded() {
             return Ok(());
         }

@@ -327,32 +327,34 @@ impl ClientStateStore {
     /// What a checkpoint carries for a sharded store: per-client state
     /// already lives in the spill directory (write-through commits), so
     /// only the population size rides along, for
-    /// [`check_population_marker`](Self::check_population_marker) to
-    /// validate on resume. A memory store writes nothing here — its owner
-    /// embeds the per-client state itself.
+    /// [`restore`](Self::restore) to validate on resume. A memory store
+    /// writes nothing here — its owner embeds the per-client state
+    /// itself.
     pub fn push_population_marker(&self, state: &mut AlgorithmState) {
         if self.is_sharded() {
             state.scalars.push((POPULATION_MARKER.into(), self.n_clients as f64));
         }
     }
 
-    /// Refuse a checkpoint whose sharded population differs from this
-    /// store's (a spill directory from another world). No-op for a
-    /// memory store.
-    pub fn check_population_marker(&self, state: &AlgorithmState) -> Result<(), RestoreError> {
-        if !self.is_sharded() {
-            return Ok(());
+    /// Reopen this store in its owner's `restore`: refuse a checkpoint
+    /// whose sharded population differs from this store's (a spill
+    /// directory from another world), and enter the round the run resumes
+    /// into, so that [`read`](Self::read) is right even if no cohort of
+    /// that round trains (a round aborted on quorum).
+    pub fn restore(&mut self, state: &AlgorithmState) -> Result<(), RestoreError> {
+        if self.is_sharded() {
+            let recorded = state.scalar(POPULATION_MARKER)?;
+            if recorded != self.n_clients as f64 {
+                return Err(RestoreError::ShapeMismatch {
+                    name: POPULATION_MARKER.into(),
+                    detail: format!(
+                        "checkpoint covers {recorded} clients, store has {}",
+                        self.n_clients
+                    ),
+                });
+            }
         }
-        let recorded = state.scalar(POPULATION_MARKER)?;
-        if recorded != self.n_clients as f64 {
-            return Err(RestoreError::ShapeMismatch {
-                name: POPULATION_MARKER.into(),
-                detail: format!(
-                    "checkpoint covers {recorded} clients, store has {}",
-                    self.n_clients
-                ),
-            });
-        }
+        self.begin_round(state.round);
         Ok(())
     }
 

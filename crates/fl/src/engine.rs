@@ -22,7 +22,7 @@ use crate::client_store::StoreError;
 use crate::comm::{checked_round_add, CostError};
 use crate::config::ConfigError;
 use crate::context::FlContext;
-use crate::lifecycle::{plan_round, ClientPlan, FaultConfig, RoundComm, RoundPlan};
+use crate::lifecycle::{self, plan_round, ClientPlan, FaultConfig, RoundComm, RoundPlan};
 use crate::metrics::{History, RoundRecord};
 use crate::scheduler::{AsyncScheduler, PreparedUpdate, RoundMode};
 use crate::state::{AlgorithmState, RestoreError};
@@ -600,7 +600,7 @@ fn run_core(
     let mut start_round = 0usize;
     let mut resumed_from = None;
     if let Some(path) = &opts.resume_from {
-        let ckpt = checkpoint::load_run(path)
+        let mut ckpt = checkpoint::load_run(path)
             .map_err(|e| EngineError::Resume(ResumeError::Load(e)))?;
         if ckpt.algorithm != algo_name {
             return Err(EngineError::Resume(ResumeError::AlgorithmMismatch {
@@ -623,6 +623,7 @@ fn run_core(
                 ),
             }));
         }
+        ckpt.state.round = ckpt.next_round;
         algo.restore(&ckpt.state)
             .map_err(|e| EngineError::Resume(ResumeError::Restore(e)))?;
         for _ in 0..ckpt.next_round {
@@ -734,7 +735,6 @@ fn run_core(
             run_async_cycle(
                 algo,
                 ctx,
-                &faults,
                 sched,
                 round,
                 &plan,
@@ -863,7 +863,6 @@ fn check_update_alignment(
 fn run_async_cycle(
     algo: &mut dyn FedAlgorithm,
     ctx: &FlContext,
-    faults: &FaultConfig,
     sched: &mut AsyncScheduler,
     cycle: usize,
     plan: &RoundPlan,
@@ -890,9 +889,7 @@ fn run_async_cycle(
         d
     });
     let folded_n = drained.folded.len();
-    // Same quorum rule as the synchronous `RoundPlan::quorum_met`, but
-    // over the updates that actually reached the fused buffer.
-    let quorum_met = folded_n >= faults.min_quorum.max(1);
+    let quorum_met = lifecycle::quorum_met(folded_n, plan.min_quorum);
     let train_loss = if quorum_met {
         algo.fuse(cycle, drained.folded, ctx, scope)?.train_loss
     } else {

@@ -268,6 +268,12 @@ impl ClientPlan {
     }
 }
 
+/// The one quorum rule: `reports` (a sync round's reporters, a buffered
+/// cycle's folded updates) reach `min_quorum`, and are at least one.
+pub fn quorum_met(reports: usize, min_quorum: usize) -> bool {
+    reports >= min_quorum.max(1)
+}
+
 /// The drawn lifecycle of every sampled client for one round.
 #[derive(Clone, Debug)]
 pub struct RoundPlan {
@@ -291,7 +297,7 @@ impl RoundPlan {
 
     /// Did enough clients report for the server to aggregate?
     pub fn quorum_met(&self) -> bool {
-        self.reporters().len() >= self.min_quorum.max(1)
+        quorum_met(self.reporters().len(), self.min_quorum)
     }
 
     /// Honest byte accounting of this plan at per-client payloads.

@@ -242,7 +242,7 @@ impl FedAlgorithm for Scaffold {
         // init() has already built the store for this context, so the
         // client count is known and enforceable here.
         let n = self.store.n_clients();
-        self.store.check_population_marker(state)?;
+        self.store.restore(state)?;
         if !self.store.is_sharded() {
             let cc = state.tensor("c_clients")?;
             check_tensor_dims("c_clients", cc, &[n, dim])?;

@@ -21,13 +21,15 @@
 //!   arrival order until [`AsyncConfig::buffer_size`] updates have been
 //!   *accepted*; events whose staleness exceeds
 //!   [`AsyncConfig::max_staleness`] are evicted and do not count
-//!   toward the buffer.
+//!   toward the buffer. The accepted updates fold in sampled order,
+//!   `(wave, idx)`: the server fuses a set, so arrival never reorders it.
 //! * **Staleness-weighted fusion.** Each accepted update carries the
 //!   weight `staleness_decay^staleness`. A fresh update (staleness 0)
 //!   gets weight exactly `1.0`, which is what makes the synchronous
 //!   history reproducible bit-for-bit: with `buffer_size == cohort`
-//!   and no injected delay every update folds fresh, `x * 1.0` is `x`
-//!   in IEEE-754, and the fold order equals the sampled order.
+//!   every wave folds fresh in its own cycle, `x * 1.0` is `x` in
+//!   IEEE-754, and the fold order is the sampled order whatever the
+//!   straggler delays or upload retries.
 //!
 //! The scheduler owns no model state. Algorithms hand it opaque
 //! [`PreparedUpdate`]s (built by `FedAlgorithm::train_cohort`) and get
@@ -66,8 +68,8 @@ pub enum RoundMode {
 #[derive(Clone, Debug, PartialEq)]
 pub struct AsyncConfig {
     /// Updates the server accepts before fusing (the FedBuff `K`).
-    /// Must be in `1..=sampled_per_round`; at the upper bound with no
-    /// injected delay, async reproduces sync bit-for-bit.
+    /// Must be in `1..=sampled_per_round`; at the upper bound every wave
+    /// folds in its own cycle and async reproduces sync bit-for-bit.
     pub buffer_size: usize,
     /// Oldest staleness (in aggregation cycles) the server still
     /// accepts; anything older is evicted unfused. `0` accepts only
@@ -297,9 +299,9 @@ pub struct PendingEvent {
     /// Aggregation cycle whose global model this client trained
     /// against; `cycle - wave` is the update's staleness at fold time.
     pub wave: usize,
-    /// Position within the wave's sampled order — the tie-breaker that
-    /// pins the fold order to the sampled order when arrival times are
-    /// equal (the synchronous-equivalence case).
+    /// Position within the wave's sampled order: with `wave`, the key
+    /// accepted updates fold by, and the queue's tie-breaker between
+    /// equal arrival times.
     pub idx: usize,
     /// Uplink bytes this client's completed upload cost, frozen from its
     /// [`ClientPlan`] at dispatch time; billed in the cycle whose drain
@@ -317,9 +319,9 @@ impl PendingEvent {
 }
 
 /// What one [`AsyncScheduler::drain`] produced.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DrainOutcome {
-    /// Accepted updates in fold order, each with its staleness weight.
+    /// Accepted updates in `(wave, idx)` order, with staleness weights.
     pub folded: Vec<(PreparedUpdate, f32)>,
     /// How many accepted updates were stale (staleness ≥ 1).
     pub stale: u64,
@@ -429,21 +431,17 @@ impl AsyncScheduler {
     }
 
     /// Pop events in arrival order until `buffer_size` updates are
-    /// accepted or the queue runs dry. The virtual clock advances to
-    /// each popped event's arrival time (monotonically — a same-time
-    /// tie cannot move it backwards). Events whose staleness at this
-    /// cycle exceeds `max_staleness` are evicted and do *not* count
-    /// toward the buffer; accepted updates carry
+    /// accepted or the queue runs dry, and return the accepted ones in
+    /// sampled order, `(wave, idx)` (a client's older wave first). The
+    /// virtual clock advances to each popped event's arrival time
+    /// (monotonically — a same-time tie cannot move it backwards). Events
+    /// whose staleness at this cycle exceeds `max_staleness` are evicted
+    /// and do *not* count toward the buffer; accepted updates carry
     /// `staleness_decay^staleness` as their fusion weight.
     pub fn drain(&mut self, cycle: usize) -> DrainOutcome {
-        let mut out = DrainOutcome {
-            folded: Vec::new(),
-            stale: 0,
-            evicted: 0,
-            folded_up_bytes: 0,
-            evicted_up_bytes: 0,
-        };
-        while out.folded.len() < self.cfg.buffer_size && !self.queue.is_empty() {
+        let mut out = DrainOutcome::default();
+        let mut accepted = Vec::new();
+        while accepted.len() < self.cfg.buffer_size && !self.queue.is_empty() {
             let ev = self.queue.remove(0);
             let t = ev.arrival_s();
             if t > self.now {
@@ -463,8 +461,10 @@ impl AsyncScheduler {
                 out.stale += 1;
             }
             out.folded_up_bytes += ev.up_bytes as u128;
-            out.folded.push((ev.update, self.cfg.staleness_weight(staleness)));
+            accepted.push((ev.wave, ev.idx, ev.update, self.cfg.staleness_weight(staleness)));
         }
+        accepted.sort_by_key(|&(wave, idx, ..)| (wave, idx));
+        out.folded = accepted.into_iter().map(|(_, _, update, w)| (update, w)).collect();
         out
     }
 
@@ -563,6 +563,42 @@ mod tests {
         assert_eq!(d.stale, 0);
         assert_eq!(d.evicted, 0);
         assert!((s.now() - 7.5).abs() < 1e-12, "clock follows the slowest pop");
+
+        let folded = |d: &DrainOutcome| d.folded.iter().map(|(u, _)| u.client).collect::<Vec<_>>();
+        // A later-sampled client arrives first; both fold, in sampled order.
+        let mut s = AsyncScheduler::new(AsyncConfig::new(2).max_staleness(8));
+        let plan = plan_of(vec![completed(4, 3.0), completed(9, 1.0)]);
+        s.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(10)), vec![
+            probe_update(4),
+            probe_update(9),
+        ]);
+        assert_eq!(folded(&s.drain(0)), vec![4, 9], "arrival order must not reorder the fold");
+
+        // A buffer smaller than the arrivals still selects the earliest.
+        let mut s = AsyncScheduler::new(AsyncConfig::new(2).max_staleness(8));
+        let plan = plan_of(vec![completed(0, 5.0), completed(1, 2.0), completed(2, 1.0)]);
+        s.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(10)), vec![
+            probe_update(0),
+            probe_update(1),
+            probe_update(2),
+        ]);
+        assert_eq!(folded(&s.drain(0)), vec![1, 2], "the two earliest, in sampled order");
+        assert!((s.now() - 2.0).abs() < 1e-12, "the clock stops at the last selected arrival");
+        assert_eq!(s.pending(), 1);
+
+        // One client from two waves in one drain: the older wave folds
+        // first, although the newer update arrives first.
+        let mut s = AsyncScheduler::new(AsyncConfig::new(2).max_staleness(8));
+        let plan = plan_of(vec![completed(3, 9.0)]);
+        s.dispatch(0, &plan, &uniform(&plan, WirePayload::symmetric(10)), vec![probe_update(3)]);
+        let mut fresh = probe_update(3);
+        fresh.steps = 6;
+        let plan = plan_of(vec![completed(3, 0.0)]);
+        s.dispatch(1, &plan, &uniform(&plan, WirePayload::symmetric(10)), vec![fresh]);
+        let d = s.drain(1);
+        let steps: Vec<usize> = d.folded.iter().map(|(u, _)| u.steps).collect();
+        assert_eq!(steps, vec![5, 6], "wave 0's update folds before wave 1's");
+        assert_eq!(d.stale, 1);
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub struct AlgorithmState {
     pub tensors: Vec<(String, TensorBlob)>,
     /// Named scalars.
     pub scalars: Vec<(String, f64)>,
+    /// The round a resumed run restores into, set by the engine from its
+    /// checkpoint's completed rounds; never written (an export leaves 0).
+    pub round: usize,
 }
 
 /// Why a state bundle cannot be restored into a live algorithm.
@@ -110,6 +113,7 @@ impl AlgorithmState {
             models: Vec::new(),
             tensors: Vec::new(),
             scalars: Vec::new(),
+            round: 0,
         }
     }
 

@@ -15,8 +15,8 @@
 //!   sampling and fault streams are byte-for-byte the streams a plain
 //!   run consumes, and checkpoint/resume replay works unchanged.
 //! * **Faults are injected at the payload layer, on real frames.** A
-//!   client planned as `DroppedAfterDownload` receives a broadcast that
-//!   was corrupted or truncated in transit; a planned upload failure has
+//!   client planned as `DroppedAfterDownload` receives a broadcast with
+//!   one byte flipped in transit; a planned upload failure has
 //!   its report corrupted before server-side validation. The frame
 //!   header stays consistent with what is actually sent, so the stream
 //!   never desyncs — the damage surfaces exactly where the simulator
@@ -25,8 +25,8 @@
 //! * **Byte counters come from the wire.** The per-round [`RoundComm`]
 //!   is accumulated from payload bytes as they cross the socket; framing
 //!   overhead is tracked separately in [`TransportStats`] so the
-//!   simulated accounting stays comparable. With faults off, measured
-//!   bytes equal `plan.comm(payload)` exactly.
+//!   simulated accounting stays comparable. Damage corrupts a payload and
+//!   never shortens one, so measured bytes equal `plan.comm(payload)`.
 //!
 //! * **Frames and their bodies are laid out by `kemf_nn::codec`.** A
 //!   body is parsed through its bounds-checked `Reader`, so a peer's
@@ -57,7 +57,7 @@
 //!   are dealt to the links in transaction order — the k-th to link
 //!   `k % workers`, so loads differ by at most one — and the links are
 //!   enacted through `kemf_tensor::par::fork_join`, each on its own
-//!   connection and in slot order, while the server builds one link's
+//!   connection and in plan order, while the server builds one link's
 //!   broadcast as another's worker checks its own. A link's frames depend
 //!   only on its clients and the counters merge as u64 sums, so frames,
 //!   bytes, history and [`TransportStats`] are those of a run that enacts
@@ -828,8 +828,6 @@ struct Link {
 /// One client transaction of a round, as the link it is routed to
 /// enacts it.
 struct Transaction<'a> {
-    /// The client's index in the round plan (the damage rule keys on it).
-    slot: usize,
     client: usize,
     outcome: ClientOutcome,
     payload: WirePayload,
@@ -1007,10 +1005,9 @@ impl SocketTransport {
     /// Enact one drawn round plan as real traffic and return the
     /// measured [`RoundComm`]. Each client's frames are sized by its
     /// own [`ClientPlan`] (`plans` aligns index-for-index with
-    /// `plan.clients`), so with faults off the measurement equals
-    /// `plan.comm(plans)` exactly; under faults, truncated broadcasts
-    /// may measure fewer downlink bytes than the simulator charges
-    /// (honesty: we count what actually crossed the wire). The quantized
+    /// `plan.clients`), and every declared byte crosses — a damaged
+    /// broadcast is corrupted, never cut short — so the measurement
+    /// equals `plan.comm(plans)` exactly, faults or not. The quantized
     /// global model is embedded only in [`ModelView::Full`] broadcasts —
     /// window and logits views carry exactly their declared bytes of
     /// CRC-protected filler, never a smuggled full model.
@@ -1068,16 +1065,17 @@ impl SocketTransport {
         let mut shares: Vec<(&mut Link, Vec<Transaction>)> =
             self.links.iter_mut().map(|link| (link, Vec::new())).collect();
         let links = shares.len();
-        let transacting = plan.clients.iter().zip(plans).enumerate().filter(|(_, (c, _))| {
-            !matches!(c.outcome, ClientOutcome::DroppedBeforeDownload)
-        });
-        for (k, (slot, (c, p))) in transacting.enumerate() {
+        let transacting = plan
+            .clients
+            .iter()
+            .zip(plans)
+            .filter(|(c, _)| !matches!(c.outcome, ClientOutcome::DroppedBeforeDownload));
+        for (k, (c, p)) in transacting.enumerate() {
             let model = match p.view {
                 ModelView::Full => encoded.as_deref(),
                 ModelView::Window { .. } | ModelView::Logits => None,
             };
             shares[k % links].1.push(Transaction {
-                slot,
                 client: c.client,
                 outcome: c.outcome,
                 payload: p.payload,
@@ -1085,7 +1083,7 @@ impl SocketTransport {
             });
         }
         // Each link talks only to its own worker, so the links run at
-        // once, each enacting its clients in slot order; at width 1 they
+        // once, each enacting its clients in plan order; at width 1 they
         // run one after another on this thread. The merge is u64 sums.
         let enacted = fork_join(shares, |(link, transactions)| {
             let mut measured = RoundComm::default();
@@ -1178,20 +1176,15 @@ impl Link {
         t: Transaction,
         measured: &mut RoundComm,
     ) -> Result<(), TransportError> {
-        let Transaction { slot, client, outcome, payload, model } = t;
+        let Transaction { client, outcome, payload, model } = t;
         let mut down =
             build_payload(payload.down_bytes, filler_seed(round as u64, client as u64, DIR_DOWN), model);
-        // Enact a mid-transit drop as real damage to the broadcast:
-        // alternately a flipped byte (CRC catches it) or a truncation
-        // (length check catches it). The frame header describes what is
-        // actually sent, so the stream itself never desyncs.
+        // Enact a mid-transit drop as real damage to the broadcast: one
+        // flipped byte, which the CRC catches. Every declared byte still
+        // crosses, so the wire measures what the plan charges.
         if let ClientOutcome::DroppedAfterDownload = outcome {
-            if (round + slot).is_multiple_of(2) {
-                let idx = (round * 31 + client * 7) % down.len();
-                down[idx] ^= 0xA5;
-            } else {
-                down.truncate(down.len() / 2);
-            }
+            let idx = (round * 31 + client * 7) % down.len();
+            down[idx] ^= 0xA5;
         }
         let delay_s = match outcome {
             ClientOutcome::StragglerTimedOut { delay_s } => delay_s,
@@ -1509,7 +1502,7 @@ mod tests {
             ClientOutcome::DroppedBeforeDownload,
             completed(2, 4.0),
             ClientOutcome::StragglerTimedOut { delay_s: 50.0 },
-            // (round 1 + slot 7) even → a flipped byte, same length.
+            // A flipped byte, same length.
             ClientOutcome::DroppedAfterDownload,
             completed(1, 0.5),
         ];
@@ -1533,28 +1526,6 @@ mod tests {
             assert_eq!(stats.payload_up_bytes, expected.up_bytes, "{workers} workers");
             assert_eq!(stats.payload_wasted_bytes, expected.wasted_up_bytes, "{workers} workers");
         }
-    }
-
-    /// Truncated broadcasts measure fewer downlink bytes than the plan
-    /// charges — the wire is honest about what was actually sent.
-    #[test]
-    fn truncated_broadcast_measures_fewer_bytes_than_charged() {
-        let payload = WirePayload { down_bytes: 100, up_bytes: 40 };
-        // (round 0 + slot 1) odd → truncation path.
-        let plan = RoundPlan {
-            clients: vec![
-                ClientRound { client: 0, outcome: ClientOutcome::Completed { attempts: 1, delay_s: 0.0 } },
-                ClientRound { client: 1, outcome: ClientOutcome::DroppedAfterDownload },
-            ],
-            min_quorum: 1,
-        };
-        let mut t = SocketTransport::start(&SocketConfig::threads(1), None).unwrap();
-        let measured = t.run_round(0, &plan, &uniform(&plan, payload), None).unwrap();
-        let charged = plan.comm(&uniform(&plan, payload)).unwrap();
-        assert_eq!(measured.down_clients, charged.down_clients);
-        assert_eq!(measured.down_bytes, charged.down_bytes - 50, "half the broadcast was cut");
-        assert_eq!(measured.up_bytes, charged.up_bytes);
-        t.finish().unwrap();
     }
 
     #[test]

@@ -217,7 +217,8 @@ cargo run --release -p kemf-bench --bin bench_kernels -- --smoke
 # Population smoke: equal 1000-client cohorts sampled from 100k- and
 # 50k-client populations must peak at the same RSS (memory is O(cohort),
 # not O(population)), and FedKEMF with client models spilled to disk
-# must be bit-identical to the eager in-memory run. Asserts internally.
+# must be bit-identical to the eager in-memory run. Asserts internally and
+# writes nothing: bench_results/ holds the full sweep's numbers.
 cargo run --release -p kemf-bench --bin bench_population -- --smoke
 
 # Async smoke: the buffered-round equivalence anchor (buffer == cohort +
@@ -240,10 +241,10 @@ grep -q '"histories_trained": 87' target/exp_smoke/experiments_manifest.json
 
 # Native-tuned build: the runtime SIMD dispatch must not conflict with
 # target-cpu=native codegen (the autovectorizer emitting wider ops around
-# the explicit kernels). Build and run the fast test suite in a separate
-# target dir so the default cache stays warm.
+# the explicit kernels). Build and run the root package's suites in a
+# separate target dir so the default cache stays warm.
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
-    cargo test -q --release
+    cargo test -q --release -p fedkemf
 
 # Smoke-run the fault-injection example: exercises the client lifecycle
 # (drops, stragglers, upload retries, quorum aborts) end to end.
@@ -251,10 +252,10 @@ cargo run --release --example unreliable_clients
 
 # Socket-transport smoke: a small federation over real localhost TCP
 # with two spawned worker processes and the fault storm on — broadcasts
-# carry the actual quantized model, drops arrive as corrupted/truncated
-# frames, and the example asserts the wire accounting matches the
-# simulator. bench_transport additionally pins faults-off byte-identity
-# between the socket and in-process runs.
+# carry the actual quantized model, drops arrive as corrupted frames, and
+# the example asserts its history is the simulator's, byte for byte.
+# bench_transport additionally pins faults-off byte-identity between the
+# socket and in-process runs.
 cargo run --release --example socket_federation
 cargo run --release -p kemf-bench --bin bench_transport -- --smoke
 

@@ -1,7 +1,7 @@
 //! Integration: buffered-asynchronous rounds. The anchor is the
 //! equivalence theorem the scheduler is built around: with the buffer
-//! sized to the cohort and no delay, every update folds fresh in sampled
-//! order, so async and sync runs yield one history (`equivalence.rs`'s
+//! sized to the cohort, every update folds fresh in sampled order
+//! whatever the delays, so async and sync runs yield one history (`equivalence.rs`'s
 //! property, here over every algorithm). Beyond it: staleness-cap eviction
 //! under a one-slot buffer, kill-and-resume with updates in flight, the
 //! async knobs as part of the run identity, and one run over a fleet-wide
@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::equivalence::{anchor, trained, Mode, Presentation, Scenario, Transport, PLAIN};
+use common::equivalence::{check, trained, Mode, Presentation, Scenario, Transport, PLAIN};
 use common::{all_algorithms, temp_dir};
 use fedkemf::fl::checkpoint::CheckpointPolicy;
 use fedkemf::fl::engine::Engine;
@@ -24,7 +24,7 @@ fn world(seed: u64, rounds: usize) -> (FlContext, SynthTask) {
     (ctx, task)
 }
 
-/// A cohort-sized buffer and no delay reproduce the sync history, round
+/// A cohort-sized buffer without delays reproduces the sync history, round
 /// plans and cohorts of every algorithm, FedKEMF's and FedMD's
 /// distillation included: folds at weight exactly 1.0 repeat the sync f32
 /// accumulation, and the clock never moves.
@@ -32,7 +32,7 @@ fn world(seed: u64, rounds: usize) -> (FlContext, SynthTask) {
 fn full_buffer_zero_delay_matches_sync_bit_for_bit_for_every_algorithm() {
     for algo in 0..9 {
         let s = Scenario { sample_ratio: 1.0, ..trained(algo, 0, 101) };
-        anchor(&format!("full_buffer_{algo}"), &s, &[Presentation { mode: Mode::Async, ..PLAIN }]);
+        check(&format!("full_buffer_{algo}"), &s, &[Presentation { mode: Mode::Async, ..PLAIN }]);
     }
 }
 
@@ -41,7 +41,7 @@ fn full_buffer_zero_delay_matches_sync_bit_for_bit_for_every_algorithm() {
 #[test]
 fn uniform_network_delays_preserve_equivalence_and_advance_the_clock() {
     let s = Scenario { sample_ratio: 1.0, ..trained(0, 0, 102) };
-    anchor("uniform_link", &s, &[Presentation { mode: Mode::AsyncLink, ..PLAIN }]);
+    check("uniform_link", &s, &[Presentation { mode: Mode::AsyncLink, ..PLAIN }]);
 }
 
 /// A checkpoint taken mid-run carries the virtual clock and the in-flight
@@ -55,7 +55,7 @@ fn async_killed_and_resumed_runs_are_byte_identical() {
         let s = Scenario { rounds: 8, sample_ratio: 1.0, buffered: true, ..trained(algo, 0, 104) };
         let resumed =
             Presentation { mode: Mode::Buffered, resume: Some((4, Transport::InProc)), ..PLAIN };
-        anchor(&format!("async_resume_{algo}"), &s, &[resumed]);
+        check(&format!("async_resume_{algo}"), &s, &[resumed]);
     }
 }
 

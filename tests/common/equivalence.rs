@@ -2,8 +2,7 @@
 //! may depend on, a [`Presentation`] says how one run of it is carried,
 //! [`present`] runs it with the checks its presentation promises, and
 //! [`check`] runs a scenario's reference and presentations and asserts
-//! that they yield one history, up to the known exceptions in
-//! [`ALLOWED_TO_DIFFER`]. `equivalence.rs` draws presentations from
+//! that they yield one history. `equivalence.rs` draws presentations from
 //! seeded decks; the named anchors in the other suites pass fixed ones.
 
 use super::{all_algorithms, fault_modes, temp_dir, world, Probe, Tap};
@@ -107,74 +106,19 @@ impl Presentation {
     }
 }
 
-/// Presentations whose history may differ from their scenario's
-/// reference: where `applies` holds, a presentation runs its own checks
-/// but is compared with nothing. `witness` is a presentation it applies
-/// to that does differ from its scenario's reference; `equivalence.rs`
-/// runs every witness and fails when one stops differing.
-pub struct Exception {
-    pub why: &'static str,
-    pub applies: fn(&Scenario, &Presentation) -> bool,
-    pub witness: (Scenario, Presentation),
-}
-
 /// A trained scenario of `algo` under fault model `faults`, three rounds,
 /// three of four clients a round.
 pub const fn trained(algo: usize, faults: usize, seed: u64) -> Scenario {
     Scenario { algo: Some(algo), faults, seed, rounds: 3, sample_ratio: 0.75, buffered: false }
 }
 
-/// The known exceptions.
-pub const ALLOWED_TO_DIFFER: [Exception; 3] = [
-    Exception {
-        why: "async where updates arrive out of sampled order (straggler delays; upload retries \
-              over a link): arrival order reorders the fold (ROADMAP item 9a)",
-        applies: |s, p| {
-            let f = s.faults();
-            match p.mode {
-                Mode::Async => f.straggler_prob > 0.0,
-                Mode::AsyncLink => f.straggler_prob > 0.0 || f.upload_failure_prob > 0.0,
-                Mode::Sync | Mode::Buffered => false,
-            }
-        },
-        witness: (trained(0, 3, 573), Presentation { mode: Mode::Async, ..PLAIN }),
-    },
-    Exception {
-        why: "sockets under post-download drops: a truncated broadcast bills the bytes that \
-              crossed, not the whole payload",
-        applies: |s, p| {
-            let first = p.resume.map_or(p.transport, |(_, first)| first);
-            s.faults().drop_after_download > 0.0
-                && (p.transport != Transport::InProc || first != Transport::InProc)
-        },
-        witness: (
-            Scenario { algo: None, ..trained(0, 2, 1) },
-            Presentation { transport: Transport::Threads(2), ..PLAIN },
-        ),
-    },
-    Exception {
-        why: "FedMD over a spilled store, resumed into a round that aborts on quorum: its \
-              evaluation reads every client's round-0 spill file, because a reopened store \
-              learns the round only when a cohort trains (a defect, ROADMAP item 22)",
-        // Every fault model but the reliable one can leave a round short
-        // of its quorum.
-        applies: |s, p| s.algo == Some(5) && s.faults != 0 && p.sharded && p.resume.is_some(),
-        witness: (
-            trained(5, 1, 410),
-            Presentation { sharded: true, resume: Some((2, Transport::InProc)), ..PLAIN },
-        ),
-    },
-];
-
-/// Whether an entry of [`ALLOWED_TO_DIFFER`] applies to `p` under `s`.
-pub fn exempt(s: &Scenario, p: &Presentation) -> bool {
-    ALLOWED_TO_DIFFER.iter().any(|e| (e.applies)(s, p))
-}
-
 /// What one presentation of a scenario yielded.
 pub struct Run {
     pub json: String,
     pub plans: String,
+    /// The cohorts trained in rounds that met their quorum. An async wave
+    /// trains at dispatch, before its cycle's quorum is known, and an
+    /// aborted cycle discards it, as a sync round that never trains.
     pub waves: Vec<(usize, Vec<usize>, u64)>,
     pub clock: Option<u64>,
     pub stats: Option<TransportStats>,
@@ -291,7 +235,7 @@ pub fn present(s: &Scenario, p: &Presentation, dir: &Path) -> Run {
     Run {
         json,
         plans: format!("{:?}", report.plans),
-        waves: algo.waves,
+        waves: algo.waves.into_iter().filter(|w| history.records[w.0].quorum_met).collect(),
         clock: clock.map(f64::to_bits),
         stats,
     }
@@ -305,10 +249,9 @@ fn first_difference(a: &str, b: &str) -> String {
 }
 
 /// Run `s`'s reference and `presentations` and check the property: each
-/// presentation no exception applies to yields the reference's history,
-/// round plans and (from its resume point on) cohorts, and the clock of
-/// the first such run in its round mode. Returns the runs, reference
-/// first.
+/// presentation yields the reference's history, round plans and (from its
+/// resume point on) cohorts, and the clock of the first run in its round
+/// mode. Returns the runs, reference first.
 pub fn check(tag: &str, s: &Scenario, presentations: &[Presentation]) -> Vec<Run> {
     let mut clocks: HashMap<Mode, (Presentation, Option<u64>)> = HashMap::new();
     let reference = Presentation::reference(s);
@@ -317,10 +260,6 @@ pub fn check(tag: &str, s: &Scenario, presentations: &[Presentation]) -> Vec<Run
         let dir = temp_dir(&format!("equivalence_{tag}_{j}"));
         let run = present(s, p, &dir);
         let _ = std::fs::remove_dir_all(&dir);
-        if exempt(s, p) {
-            runs.push(run);
-            continue;
-        }
         let (q, clock) = clocks.entry(p.mode).or_insert((*p, run.clock));
         assert_eq!(run.clock, *clock, "{s:?}\n{q:?}\n{p:?}: one virtual clock per mode");
         if let Some(first) = runs.first() {
@@ -343,14 +282,4 @@ pub fn check(tag: &str, s: &Scenario, presentations: &[Presentation]) -> Vec<Run
         runs.push(run);
     }
     runs
-}
-
-/// A named anchor: `s`'s presentations, none of which an exception
-/// applies to, yield the reference's history. Returns the runs, reference
-/// first.
-pub fn anchor(tag: &str, s: &Scenario, presentations: &[Presentation]) -> Vec<Run> {
-    for p in presentations {
-        assert!(!exempt(s, p), "{s:?}\n{p:?}: an exception applies");
-    }
-    check(tag, s, presentations)
 }

@@ -20,7 +20,8 @@
 //!
 //! The property ([`check`]): every presentation of a scenario yields its
 //! reference's `History::to_json()`, round plans and (from the resume
-//! point on) cohorts, and one virtual clock per round mode. Each run
+//! point on) the cohorts of the rounds that met quorum, and one virtual
+//! clock per round mode. Each run
 //! ([`present`]) also checks what its own presentation promises: the
 //! socket's payload counters equal the history's byte columns over the
 //! rounds it carried, an async clock reads `0.0` without a link and
@@ -32,19 +33,13 @@
 //! sync for every algorithm, socket == in-process, sharded == eager,
 //! resumed == straight, traced == untraced, worker processes == worker
 //! threads). The seeded generator
-//! here draws what they leave out: every algorithm resumed over sockets
-//! with a chunk per client and async under faults or over a spilled
-//! store, the probe under every fault model, and the axes crossed with
-//! each other. Width
+//! here draws what they leave out: every algorithm under a fault model
+//! dealt from all six, resumed over sockets with a chunk per client, and
+//! async under faults or over a spilled store, the probe under every
+//! fault model, and the axes crossed with each other. Width
 //! (`KEMF_THREADS`) and SIMD tier (`KEMF_SIMD`) are settled once per
 //! process, so `scripts/ci.sh` runs this suite at widths 1, 2 and 3 and
 //! on the AVX2 and scalar tiers.
-//!
-//! **Known exceptions** live in [`ALLOWED_TO_DIFFER`]: a presentation an
-//! entry applies to runs its own checks but is compared with nothing.
-//! Every entry names a witness, and the suite fails when a witness stops
-//! differing from its scenario's reference, so the table cannot go stale:
-//! when an exception is mended, delete its entry.
 //!
 //! **Adding an axis:** add a field to [`Presentation`], deal it from a
 //! [`Deck`] of its values in [`plan`], enact it in [`present`] (with the
@@ -54,7 +49,7 @@
 mod common;
 
 use common::equivalence::*;
-use common::{fault_modes, temp_dir, STORE_BACKED};
+use common::{fault_modes, STORE_BACKED};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -64,11 +59,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// per fault model, from a deck of the six.
 const SEED: u64 = 49;
 const PROBE_CASES: usize = 6;
-/// The fault models a trained scenario draws: those under which both a
-/// socket run and a cohort-sized async run must reproduce the in-process
-/// sync one (no faults, drops before download, upload retries). The
-/// probe's scenarios carry the other three.
-const TRAINED_FAULTS: [usize; 3] = [0, 1, 4];
 /// The buffered identities: SCAFFOLD's client control variates (spilled
 /// or not) and FedRolex's Window payloads left in flight at a cut.
 const BUFFERED: [usize; 2] = [3, 7];
@@ -98,7 +88,7 @@ impl<T: Copy> Deck<T> {
 /// presentations, every axis dealt from its own deck.
 fn plan() -> Vec<(Scenario, Vec<Presentation>)> {
     let mut rng = StdRng::seed_from_u64(SEED);
-    let mut trained_faults = Deck::new(&TRAINED_FAULTS);
+    let mut trained_faults = Deck::new(&[0, 1, 2, 3, 4, 5]);
     let mut buffered_faults = Deck::new(&[0, 1, 2, 3, 4, 5]);
     let mut probe_faults = Deck::new(&[0, 1, 2, 3, 4, 5]);
     let mut sockets = Deck::new(&[Transport::Threads(2), Transport::Threads(3)]);
@@ -116,10 +106,6 @@ fn plan() -> Vec<(Scenario, Vec<Presentation>)> {
         let s = Scenario {
             algo,
             faults: match (algo, buffered) {
-                // FedMD spilled and resumed under faults meets ROADMAP item
-                // 22's defect (the third exception); without, its spilled
-                // store must replay the eager run.
-                (Some(5), false) => 0,
                 (Some(_), false) => trained_faults.deal(&mut rng),
                 (Some(_), true) => buffered_faults.deal(&mut rng),
                 (None, _) => probe_faults.deal(&mut rng),
@@ -166,7 +152,7 @@ fn plan() -> Vec<(Scenario, Vec<Presentation>)> {
                 Mode::Sync if trained => (true, Some(1)),
                 _ => (resume.deal(&mut rng), cohort_batch.deal(&mut rng)),
             };
-            let mut p = Presentation {
+            let p = Presentation {
                 transport,
                 sharded: store_backed && (trained || sharded.deal(&mut rng)),
                 mode,
@@ -181,11 +167,6 @@ fn plan() -> Vec<(Scenario, Vec<Presentation>)> {
                 }),
                 explicit_faults: true,
             };
-            // Upload retries over a link reorder the fold (the first
-            // exception), so such a trained run takes the buffer alone.
-            if trained && exempt(&s, &p) {
-                p.mode = Mode::Async;
-            }
             presentations.push(p);
         }
         out.push((s, presentations));
@@ -210,22 +191,6 @@ fn every_presentation_of_a_scenario_yields_one_history() {
     });
 }
 
-/// Every entry of the exception table applies to its witness, and the
-/// witness still differs from its scenario's reference: when an exception
-/// is mended, its entry goes.
-#[test]
-fn every_allowed_exception_still_differs() {
-    for (i, e) in ALLOWED_TO_DIFFER.iter().enumerate() {
-        let (s, p) = &e.witness;
-        assert!((e.applies)(s, p), "the witness is outside its exception: {}", e.why);
-        let dir = temp_dir(&format!("equivalence_witness_{i}"));
-        let reference = present(s, &Presentation::reference(s), &dir);
-        let witness = present(s, p, &dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(witness.json != reference.json, "stale exception, the witness agrees: {}", e.why);
-    }
-}
-
 /// The draw reaches every value of every axis, and what the named anchors
 /// in the other suites leave out: every algorithm over sockets, resumed
 /// and a chunk per client against its in-process reference, every
@@ -235,11 +200,7 @@ fn every_allowed_exception_still_differs() {
 fn the_generator_draws_every_value_of_every_axis() {
     let plan = plan();
     let all: Vec<_> = plan.iter().flat_map(|(s, ps)| ps.iter().map(move |p| (s, p))).collect();
-    let seen = |f: &dyn Fn(&Scenario, &Presentation) -> bool| {
-        all.iter().any(|(s, p)| !exempt(s, p) && f(s, p))
-    };
-    let trained = |s: &Scenario| s.algo.is_some() && !s.buffered;
-    assert!(all.iter().all(|(s, p)| !trained(s) || !exempt(s, p)), "a trained run is unchecked");
+    let seen = |f: &dyn Fn(&Scenario, &Presentation) -> bool| all.iter().any(|(s, p)| f(s, p));
     for t in [Transport::InProc, Transport::Threads(2), Transport::Threads(3)] {
         assert!(seen(&|_, p| p.transport == t), "{t:?}");
     }
@@ -271,17 +232,10 @@ fn the_generator_draws_every_value_of_every_axis() {
         seen(&|s, p| s.faults != 0 && p.sharded && p.mode != Mode::Sync),
         "faults, async and a spilled store at once"
     );
-    assert!(
-        seen(&|s, p| s.algo == Some(5) && s.faults == 0 && p.sharded && p.resume.is_some()),
-        "FedMD spilled and resumed without the defect's aborted round"
-    );
     for faults in 0..fault_modes().len() {
+        assert!(seen(&|s, p| s.faults == faults && p.mode != Mode::Sync), "fault mode {faults}, async");
         assert!(
-            all.iter().any(|(s, p)| s.faults == faults && p.mode != Mode::Sync),
-            "fault mode {faults}, async"
-        );
-        assert!(
-            all.iter().any(|(s, p)| s.faults == faults && p.transport != Transport::InProc),
+            seen(&|s, p| s.faults == faults && p.transport != Transport::InProc),
             "fault mode {faults}, sockets"
         );
     }

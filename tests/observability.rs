@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::equivalence::{anchor, trained, Presentation, Scenario, Trace, PLAIN};
+use common::equivalence::{check, trained, Presentation, Scenario, Trace, PLAIN};
 use common::{all_algorithms, world, Probe, Tap};
 use fedkemf::fl::engine::Engine;
 use fedkemf::fl::lifecycle::RoundPlan;
@@ -109,7 +109,7 @@ fn traced_fedkemf_run_emits_full_round_structure() {
 fn noop_sink_history_is_bit_identical_to_untraced() {
     let s = Scenario { sample_ratio: 0.5, ..trained(0, 0, 72) };
     let traced = [Trace::Noop, Trace::Record].map(|trace| Presentation { trace, ..PLAIN });
-    anchor("noop_sink", &s, &traced);
+    check("noop_sink", &s, &traced);
 }
 
 #[test]

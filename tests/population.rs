@@ -4,11 +4,12 @@
 //! pattern — through commit → reopen → fetch, and a sharded checkpoint
 //! refuses a population of another size, and FedKEMF over a sharded
 //! store yields the eager history, for any cohort batch and across a kill
-//! and resume (`equivalence.rs`'s property).
+//! and resume, as FedMD does resumed into an aborted round
+//! (`equivalence.rs`'s property).
 
 mod common;
 
-use common::equivalence::{anchor, trained, Presentation, Scenario, Transport, PLAIN};
+use common::equivalence::{check, trained, Presentation, Scenario, Transport, PLAIN};
 use common::{all_algorithms, temp_dir, world};
 use fedkemf::fl::engine::Engine;
 use fedkemf::prelude::*;
@@ -51,12 +52,15 @@ fn sharded_fedkemf_matches_eager_bit_for_bit() {
     let s = Scenario { rounds: 5, sample_ratio: 0.5, ..trained(6, 0, 91) };
     let sharded =
         [None, Some(1)].map(|cohort_batch| Presentation { sharded: true, cohort_batch, ..PLAIN });
-    anchor("sharded_kemf", &s, &sharded);
+    check("sharded_kemf", &s, &sharded);
 }
 
 /// A sharded FedKEMF killed after round 4 and resumed over the spill
 /// directory its write-through commits left behind replays the eager run
-/// (straight sharded == eager is the test above).
+/// (straight sharded == eager is the test above). So does a sharded FedMD,
+/// which evaluates its clients' own models, resumed into a round that
+/// aborts on quorum: the reopened store is told the round it resumes
+/// into, so no cohort has to train for it to read the current models.
 #[test]
 fn sharded_kill_and_resume_is_byte_identical() {
     let s = Scenario { rounds: 8, ..trained(6, 0, 92) };
@@ -66,7 +70,9 @@ fn sharded_kill_and_resume_is_byte_identical() {
         resume: Some((4, Transport::InProc)),
         ..PLAIN
     };
-    anchor("sharded_resume", &s, &[resumed]);
+    check("sharded_resume", &s, &[resumed]);
+    let resumed = Presentation { sharded: true, resume: Some((2, Transport::InProc)), ..PLAIN };
+    check("sharded_resume_fedmd", &trained(5, 1, 410), &[resumed]);
 }
 
 #[test]

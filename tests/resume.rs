@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::equivalence::{anchor, trained, Presentation, Scenario, Transport, PLAIN};
+use common::equivalence::{check, trained, Presentation, Scenario, Transport, PLAIN};
 use common::{all_algorithms, temp_dir, world};
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::checkpoint::{load_run, run_fingerprint, CheckpointPolicy};
@@ -25,7 +25,7 @@ fn killed_and_resumed_runs_are_byte_identical() {
     let resumed = Presentation { resume: Some((4, Transport::InProc)), ..PLAIN };
     for algo in [6, 3, 2, 7, 8] {
         let s = Scenario { rounds: 8, ..trained(algo, 0, 41) };
-        anchor(&format!("resume_{algo}"), &s, &[resumed]);
+        check(&format!("resume_{algo}"), &s, &[resumed]);
     }
 }
 
