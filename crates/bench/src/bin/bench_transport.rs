@@ -24,6 +24,7 @@ use kemf_fl::config::FlConfig;
 use kemf_fl::context::FlContext;
 use kemf_fl::engine::{Engine, EngineError, FedAlgorithm, RoundOutcome, RunOptions};
 use kemf_fl::lifecycle::{ClientPlan, FaultConfig, ModelView, WirePayload};
+use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::trace::RoundScope;
 use kemf_fl::transport::SocketConfig;
 use serde::{Deserialize, Serialize};
@@ -74,10 +75,20 @@ impl FedAlgorithm for Probe {
         }
         ClientPlan::uniform(sampled, ModelView::Full, self.payload)
     }
-    fn round(
+    fn train_cohort(
+        &mut self,
+        _wave: usize,
+        sampled: &[usize],
+        ctx: &FlContext,
+        _scope: &mut RoundScope<'_>,
+    ) -> Result<Vec<PreparedUpdate>, EngineError> {
+        let free = |&k: &usize| PreparedUpdate::new(k, ctx, 0, 1.0, UpdatePayload::Empty);
+        Ok(sampled.iter().map(free).collect())
+    }
+    fn fuse(
         &mut self,
         _round: usize,
-        _sampled: &[usize],
+        _updates: Vec<(PreparedUpdate, f32)>,
         _ctx: &FlContext,
         _scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {

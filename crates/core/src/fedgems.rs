@@ -516,7 +516,7 @@ mod tests {
         let before = algo.server.params.values.clone();
         let mut sink = kemf_fl::trace::NoopSink;
         let mut scope = RoundScope::new(&mut sink, 0);
-        let out = algo.round(0, &[], &ctx, &mut scope).unwrap();
+        let out = algo.fuse(0, Vec::new(), &ctx, &mut scope).unwrap();
         assert!(out.train_loss.is_nan());
         assert_eq!(algo.server.params.values, before);
         assert!(!algo.server_trained, "an empty cohort must not mark the server trained");

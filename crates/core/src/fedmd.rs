@@ -326,7 +326,8 @@ mod tests {
         assert!(algo.consensus.is_none());
         let mut sink = kemf_fl::trace::NoopSink;
         let mut scope = RoundScope::new(&mut sink, 0);
-        algo.round(0, &[0, 1, 2], &ctx, &mut scope).unwrap();
+        let updates = algo.train_cohort(0, &[0, 1, 2], &ctx, &mut scope).unwrap();
+        algo.fuse(0, updates.into_iter().map(|u| (u, 1.0)).collect(), &ctx, &mut scope).unwrap();
         let c = algo.consensus.as_ref().expect("consensus after round 0");
         assert_eq!(c.dims(), &[40, 10]);
     }

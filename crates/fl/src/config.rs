@@ -24,13 +24,14 @@ pub enum ConfigError {
         /// Human-readable bound, e.g. `(0, 1]`.
         bounds: &'static str,
     },
-    /// `min_quorum` exceeds the per-round sample size: no round could
-    /// ever aggregate.
+    /// `min_quorum` exceeds the updates one cycle can fuse — the async
+    /// `buffer_size`, or the per-round sample in synchronous mode: no
+    /// round could ever aggregate.
     UnreachableQuorum {
         /// Configured quorum.
         min_quorum: usize,
-        /// Clients sampled per round.
-        sampled_per_round: usize,
+        /// Updates one cycle fuses at most.
+        buffer_size: usize,
     },
     /// An algorithm's own setup is inconsistent with the run config
     /// (e.g. a per-client spec list whose length is not the client
@@ -50,9 +51,10 @@ impl fmt::Display for ConfigError {
             ConfigError::OutOfRange { field, value, bounds } => {
                 write!(f, "{field} must be in {bounds}, got {value}")
             }
-            ConfigError::UnreachableQuorum { min_quorum, sampled_per_round } => write!(
+            ConfigError::UnreachableQuorum { min_quorum, buffer_size } => write!(
                 f,
-                "min_quorum {min_quorum} can never be met with {sampled_per_round} sampled clients per round"
+                "min_quorum {min_quorum} can never be met by a cycle that fuses at most \
+                 {buffer_size} updates (the buffer size; the per-round sample when synchronous)"
             ),
             ConfigError::AlgorithmSetup { algorithm, reason } => {
                 write!(f, "{algorithm} setup: {reason}")

@@ -7,6 +7,11 @@
 //! source, round mode, transport). Every engine stream derives from
 //! the context's `cfg.seed`.
 //!
+//! **One cycle.** Every round runs `train_cohort` → dispatch → drain →
+//! `fuse` through an [`AsyncScheduler`]. A synchronous round is the
+//! cycle whose buffer holds the whole cohort: every reporter folds at
+//! weight `1.0` in the round that trained it (Algorithm 1, then 2).
+//!
 //! **Resume is bit-exact.** All engine randomness flows through two
 //! seeded streams (client sampling and fault injection). A checkpoint
 //! stores the completed rounds' records and the algorithm's full
@@ -24,7 +29,9 @@ use crate::config::ConfigError;
 use crate::context::FlContext;
 use crate::lifecycle::{self, plan_round, ClientPlan, FaultConfig, RoundComm, RoundPlan};
 use crate::metrics::{History, RoundRecord};
-use crate::scheduler::{AsyncScheduler, PreparedUpdate, RoundMode};
+use crate::scheduler::{
+    AsyncConfig, AsyncScheduler, PreparedUpdate, RoundMode, UpdatePayload,
+};
 use crate::state::{AlgorithmState, RestoreError};
 use crate::transport::{SocketConfig, SocketTransport, TransportError, TransportMode, TransportStats};
 use crate::trace::{Counters, EventSink, NoopSink, Phase, RoundScope, TraceSink};
@@ -78,17 +85,11 @@ pub trait FedAlgorithm: Send {
     /// pre-redesign `payload × n` accounting bit for bit.
     fn client_plans(&self, round: usize, sampled: &[usize]) -> Vec<ClientPlan>;
 
-    /// One synchronous communication round over the client indices whose
-    /// full lifecycle (download → train → upload) succeeded: the paper's
-    /// Algorithm 1 ([`train_cohort`](Self::train_cohort)) followed by
-    /// Algorithm 2 ([`fuse`](Self::fuse)) over every update at weight
-    /// `1.0`. Algorithms implement that pair and inherit this
-    /// composition; only free-standing probes override `round` itself.
-    ///
-    /// A round that cannot complete — a corrupt client-state slot, a
-    /// failed spill read — returns a typed [`EngineError`] (usually
-    /// [`EngineError::State`]) and the engine surfaces it to the
-    /// caller; it must not panic the process.
+    /// Algorithm 1 ([`train_cohort`](Self::train_cohort)) then Algorithm 2
+    /// ([`fuse`](Self::fuse)) over every update at weight `1.0`, for the
+    /// clients whose lifecycle succeeded. The engine never calls it — a
+    /// synchronous round is its cycle with a cohort-sized buffer — and it
+    /// is kept only for callers that forward it.
     fn round(
         &mut self,
         round: usize,
@@ -110,29 +111,20 @@ pub trait FedAlgorithm: Send {
     /// `sampled`, in order. Implementations hand their per-client body
     /// to [`crate::cohort::train_cohort`], which owns the chunking, the
     /// fan-out and the [`Phase::LocalUpdate`] span recorded on `scope`.
-    /// A synchronous round fuses the updates at once; the buffered-
-    /// asynchronous scheduler banks them and fuses them — possibly
-    /// cycles later, staleness-weighted. Either way no model or stored
+    /// The engine queues the updates and [`fuse`](Self::fuse)s them when
+    /// its buffer drains — in the same round at a cohort-sized buffer,
+    /// possibly cycles later when it is smaller — so no model or stored
     /// client state may change here: per-client store commits ride in
-    /// [`PreparedUpdate::commit`] and are applied by [`fuse`](Self::fuse)
-    /// only for updates that actually fold in. The default rejects the
-    /// call with a typed error, for probes that override
-    /// [`round`](Self::round) alone.
+    /// [`PreparedUpdate::commit`] and apply only for updates that fold.
+    /// Failures (a corrupt client-state slot, a failed spill read) are a
+    /// typed [`EngineError`], never a panic.
     fn train_cohort(
         &mut self,
         wave: usize,
         sampled: &[usize],
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
-    ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let _ = (wave, sampled, ctx, scope);
-        Err(EngineError::Config(ConfigError::AlgorithmSetup {
-            algorithm: self.name(),
-            reason: "train_cohort/fuse are not implemented: this algorithm overrides `round` \
-                     only, so buffered-asynchronous rounds are not supported"
-                .into(),
-        }))
-    }
+    ) -> Result<Vec<PreparedUpdate>, EngineError>;
 
     /// Algorithm 2: fuse a set of prepared updates into the global
     /// model, each at its staleness weight (`1.0` means fresh), with the
@@ -146,15 +138,7 @@ pub trait FedAlgorithm: Send {
         updates: Vec<(PreparedUpdate, f32)>,
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        let _ = (round, updates, ctx, scope);
-        Err(EngineError::Config(ConfigError::AlgorithmSetup {
-            algorithm: self.name(),
-            reason: "train_cohort/fuse are not implemented: this algorithm overrides `round` \
-                     only, so buffered-asynchronous rounds are not supported"
-                .into(),
-        }))
-    }
+    ) -> Result<RoundOutcome, EngineError>;
 
     /// Evaluate the current global model on the held-out test set.
     fn evaluate(&mut self, ctx: &FlContext) -> f32;
@@ -543,19 +527,22 @@ fn run_core(
     let faults = opts.faults.unwrap_or_default();
     faults.validate().map_err(EngineError::Config)?;
     let per_round = ctx.cfg.sampled_per_round();
-    if faults.min_quorum > per_round {
-        return Err(EngineError::Config(ConfigError::UnreachableQuorum {
-            min_quorum: faults.min_quorum,
-            sampled_per_round: per_round,
-        }));
-    }
     let async_cfg = match &opts.round_mode {
         RoundMode::Sync => None,
-        RoundMode::Async(a) => {
-            a.validate(per_round).map_err(EngineError::Config)?;
-            Some(a.clone())
-        }
+        RoundMode::Async(a) => Some(a),
     };
+    // A synchronous round is the cycle whose buffer holds the cohort.
+    let sched_cfg = async_cfg
+        .cloned()
+        .unwrap_or_else(|| AsyncConfig::new(per_round).max_staleness(0).staleness_decay(1.0));
+    sched_cfg.validate(per_round).map_err(EngineError::Config)?;
+    // A cycle fuses at most one buffer; `run_cycle` also relies on this.
+    if faults.min_quorum > sched_cfg.buffer_size {
+        return Err(EngineError::Config(ConfigError::UnreachableQuorum {
+            min_quorum: faults.min_quorum,
+            buffer_size: sched_cfg.buffer_size,
+        }));
+    }
     algo.init(ctx).map_err(EngineError::Init)?;
 
     // The transport moves bytes for an already-drawn plan; it never
@@ -584,11 +571,11 @@ fn run_core(
     // Async knobs change the trajectory, so they join the run identity;
     // synchronous runs keep `run_fingerprint` as it is, and a checkpoint
     // can never resume across modes.
-    let fingerprint = match &async_cfg {
+    let fingerprint = match async_cfg {
         Some(a) => a.mix_fingerprint(fingerprint),
         None => fingerprint,
     };
-    let mut scheduler = async_cfg.map(AsyncScheduler::new);
+    let mut scheduler = AsyncScheduler::new(sched_cfg);
     let mut history = History::new(algo_name.clone());
     let mut plans = Vec::with_capacity(ctx.cfg.rounds);
     let mut rng = seeded_rng(child_seed(seed, 0x5A4D_504C)); // "SMPL"
@@ -660,11 +647,12 @@ fn run_core(
             }
         }
         // The virtual clock and in-flight event queue are part of an
-        // async run's trajectory; a checkpoint without them (or with
+        // async run's trajectory (a sync cycle ends with an empty queue
+        // and reports no clock); a checkpoint without them (or with
         // them, for a sync run) is from the other mode — unreachable
         // past the fingerprint check, but checked for defense in depth.
-        match (scheduler.as_mut(), ckpt.scheduler) {
-            (Some(s), Some(st)) => s.restore(st),
+        match (async_cfg, ckpt.scheduler) {
+            (Some(_), Some(st)) => scheduler.restore(st),
             (None, None) => {}
             (Some(_), None) => {
                 return Err(EngineError::Resume(ResumeError::Inconsistent {
@@ -731,37 +719,16 @@ fn run_core(
             c.payload_label = payload_label;
             Ok::<RoundComm, EngineError>(round_comm)
         })?;
-        let (round_comm, quorum_met, train_loss) = if let Some(sched) = scheduler.as_mut() {
-            run_async_cycle(
-                algo,
-                ctx,
-                sched,
-                round,
-                &plan,
-                &client_plans,
-                wave_comm,
-                &mut scope,
-            )?
-        } else {
-            let reporters = plan.reporters();
-            let quorum_met = plan.quorum_met();
-            // Quorum failure: the broadcast (and any stray uploads) already
-            // cost bytes, but the server discards the round — the algorithm
-            // never runs and the previous global state carries over. No
-            // clients report, so there is no training loss to record: NaN,
-            // not 0.0 (which every loss series would read as *perfect*).
-            let train_loss = if quorum_met {
-                algo.round(round, &reporters, ctx, &mut scope)?.train_loss
-            } else {
-                f32::NAN
-            };
-            scope.phase(Phase::Upload, |c| {
-                c.clients = wave_comm.up_clients;
-                c.up_bytes = wave_comm.up_bytes;
-                c.wasted_up_bytes = wave_comm.wasted_up_bytes;
-            });
-            (wave_comm, quorum_met, train_loss)
-        };
+        let (round_comm, quorum_met, train_loss) = run_cycle(
+            algo,
+            ctx,
+            &mut scheduler,
+            round,
+            &plan,
+            &client_plans,
+            wave_comm,
+            &mut scope,
+        )?;
         if let Some(label) = payload_label {
             history.payload_kind = label.to_string();
         }
@@ -806,7 +773,7 @@ fn run_core(
                     fault_check: probe(&fault_rng),
                     records: history.records.clone(),
                     state: algo.state()?,
-                    scheduler: scheduler.as_ref().map(|s| s.state()),
+                    scheduler: async_cfg.map(|_| scheduler.state()),
                 };
                 let path =
                     checkpoint::save_run(&ckpt, &policy.dir).map_err(EngineError::Checkpoint)?;
@@ -816,7 +783,7 @@ fn run_core(
             }
         }
     }
-    let sim_time_s = scheduler.as_ref().map(|s| s.now());
+    let sim_time_s = async_cfg.map(|_| scheduler.now());
     let transport = match transport.take() {
         Some(t) => Some(t.finish()?),
         None => None,
@@ -848,19 +815,25 @@ fn check_update_alignment(
     }))
 }
 
-/// One buffered-asynchronous aggregation cycle: train the wave's
-/// reporters against the current global model, dispatch their
-/// completions at simulated arrival times, drain the buffer, and fuse
-/// the accepted updates at their staleness weights.
+/// One aggregation cycle, every round's: train the wave's reporters
+/// against the current global model, dispatch their completions at
+/// simulated arrival times, drain the buffer, and fuse the accepted
+/// updates at their staleness weights.
 ///
-/// Byte accounting differs from the synchronous path only in *when*
-/// uplink is charged: downlink (and in-flight upload retries) bill with
-/// the wave that caused them, while each successful upload bills in the
-/// cycle whose fused buffer consumed it, and an eviction bills its
-/// payload as wasted. Updates still in flight when the run ends are
-/// never charged — the server never received them.
+/// A wave is trained only if the queue plus its reporters can reach
+/// quorum. Otherwise it is dispatched as training-free placeholders at
+/// the same arrival times and bytes, so the clock, evictions and byte
+/// ledger do not change; as `min_quorum <= buffer_size`, the drain
+/// empties the queue and the cycle aborts, so no placeholder reaches
+/// `fuse`. At a cohort-sized buffer the queue starts every cycle empty:
+/// an aborted synchronous round never trains.
+///
+/// Downlink (and in-flight upload retries) bill with the wave that
+/// caused them, each successful upload in the cycle whose fused buffer
+/// consumed it, and an eviction as wasted. Updates still in flight when
+/// the run ends are never charged — the server never received them.
 #[allow(clippy::too_many_arguments)]
-fn run_async_cycle(
+fn run_cycle(
     algo: &mut dyn FedAlgorithm,
     ctx: &FlContext,
     sched: &mut AsyncScheduler,
@@ -871,15 +844,18 @@ fn run_async_cycle(
     scope: &mut RoundScope<'_>,
 ) -> Result<(RoundComm, bool, f32), EngineError> {
     let reporters = plan.reporters();
-    // Eager training at dispatch: the clients that will complete this
-    // wave all saw the global model of cycle `cycle`, which is what
-    // makes `cycle - wave` the honest staleness at fold time.
-    let updates = if reporters.is_empty() {
-        Vec::new()
+    let trained = lifecycle::quorum_met(sched.pending() + reporters.len(), plan.min_quorum);
+    let updates = if trained && !reporters.is_empty() {
+        // Eager training at dispatch: the clients that will complete this
+        // wave all saw the global model of cycle `cycle`, which is what
+        // makes `cycle - wave` the honest staleness at fold time.
+        let updates = algo.train_cohort(cycle, &reporters, ctx, scope)?;
+        check_update_alignment(&algo.name(), &updates, &reporters)?;
+        updates
     } else {
-        algo.train_cohort(cycle, &reporters, ctx, scope)?
+        let empty = |&k: &usize| PreparedUpdate::new(k, ctx, 0, f32::NAN, UpdatePayload::Empty);
+        reporters.iter().map(empty).collect()
     };
-    check_update_alignment(&algo.name(), &updates, &reporters)?;
     sched.dispatch(cycle, plan, client_plans, updates);
     let drained = scope.phase(Phase::Buffer, |c| {
         let d = sched.drain(cycle);
@@ -890,12 +866,17 @@ fn run_async_cycle(
     });
     let folded_n = drained.folded.len();
     let quorum_met = lifecycle::quorum_met(folded_n, plan.min_quorum);
+    assert!(
+        trained || (!quorum_met && sched.pending() == 0),
+        "an untrained wave must abort its cycle and leave nothing queued"
+    );
+    // Quorum abort discards the buffer wholesale — deferred store
+    // commits never apply and the previous global state carries over. No
+    // update folds, so there is no training loss to record: NaN, not 0.0
+    // (which every loss series would read as *perfect*).
     let train_loss = if quorum_met {
         algo.fuse(cycle, drained.folded, ctx, scope)?.train_loss
     } else {
-        // Quorum abort discards the buffer wholesale — deferred store
-        // commits never apply, exactly like a synchronous abort where
-        // the algorithm never ran.
         f32::NAN
     };
     // Each event carries its own uplink bytes (summed in u128 by the
@@ -983,16 +964,6 @@ mod tests {
                 ModelView::Full,
                 WirePayload { down_bytes: 10, up_bytes: 5 },
             )
-        }
-        fn round(
-            &mut self,
-            _round: usize,
-            sampled: &[usize],
-            _ctx: &FlContext,
-            _scope: &mut RoundScope<'_>,
-        ) -> Result<RoundOutcome, EngineError> {
-            self.rounds_seen.push(sampled.to_vec());
-            Ok(RoundOutcome { train_loss: 1.0 })
         }
         fn train_cohort(
             &mut self,
@@ -1215,14 +1186,23 @@ mod tests {
                 })
                 .collect()
         }
-        fn round(
+        fn train_cohort(
             &mut self,
-            _round: usize,
+            _wave: usize,
             _sampled: &[usize],
             _ctx: &FlContext,
             _scope: &mut RoundScope<'_>,
+        ) -> Result<Vec<PreparedUpdate>, EngineError> {
+            panic!("misaligned plans must never reach train_cohort");
+        }
+        fn fuse(
+            &mut self,
+            _round: usize,
+            _updates: Vec<(PreparedUpdate, f32)>,
+            _ctx: &FlContext,
+            _scope: &mut RoundScope<'_>,
         ) -> Result<RoundOutcome, EngineError> {
-            Ok(RoundOutcome { train_loss: 0.0 })
+            panic!("misaligned plans must never reach fuse");
         }
         fn evaluate(&mut self, _ctx: &FlContext) -> f32 {
             0.0
@@ -1242,7 +1222,7 @@ mod tests {
     }
 
     /// A probe whose `train_cohort` returns the right updates in the
-    /// wrong order; it inherits the provided `round`.
+    /// wrong order.
     struct Reordered;
 
     impl FedAlgorithm for Reordered {
@@ -1281,8 +1261,7 @@ mod tests {
     fn engine_rejects_reordered_updates_in_both_modes() {
         // Uplink bytes are billed by position, so two swapped updates
         // would charge each client the other's payload: a typed error in
-        // release builds too, from the provided `round` and from the
-        // async cycle alike.
+        // release builds too, at a full buffer and a partial one alike.
         let ctx = tiny_ctx();
         for opts in [RunOptions::new(), RunOptions::new().async_rounds(AsyncConfig::new(3))] {
             match Engine::run(&mut Reordered, &ctx, opts) {
@@ -1303,15 +1282,13 @@ mod tests {
             Err(EngineError::Config(ConfigError::ZeroCount { field: "rounds" })) => {}
             other => panic!("expected config error, got {other:?}"),
         }
-        // An unreachable quorum in explicit faults is caught too.
+        // An unreachable quorum in explicit faults is caught too: a
+        // synchronous cycle fuses at most the 3 sampled clients.
         let ctx = tiny_ctx();
         let faults = FaultConfig { min_quorum: 100, ..Default::default() };
         match Engine::run(&mut algo, &ctx, RunOptions::new().faults(faults)) {
             Err(EngineError::Config(err @ ConfigError::UnreachableQuorum { .. })) => {
-                assert_eq!(
-                    err,
-                    ConfigError::UnreachableQuorum { min_quorum: 100, sampled_per_round: 3 }
-                );
+                assert_eq!(err, ConfigError::UnreachableQuorum { min_quorum: 100, buffer_size: 3 });
                 // The error renders both numbers, so a log line alone
                 // explains it.
                 let msg = err.to_string();
@@ -1373,6 +1350,24 @@ mod tests {
             })) => {}
             other => panic!("expected buffer-size rejection, got {:?}", other.err()),
         }
+    }
+
+    #[test]
+    fn async_mode_rejects_a_quorum_larger_than_the_buffer() {
+        // A cycle fuses at most `buffer_size` updates, so a quorum of 3
+        // over a 2-update buffer would train every wave and fuse none.
+        let ctx = tiny_ctx();
+        let mut algo = Dummy::new();
+        let faults = FaultConfig { min_quorum: 3, ..Default::default() };
+        let opts = RunOptions::new().faults(faults).async_rounds(AsyncConfig::new(2));
+        match Engine::run(&mut algo, &ctx, opts) {
+            Err(EngineError::Config(ConfigError::UnreachableQuorum {
+                min_quorum: 3,
+                buffer_size: 2,
+            })) => {}
+            other => panic!("expected a quorum rejection, got {:?}", other.err()),
+        }
+        assert!(algo.rounds_seen.is_empty(), "refused before any round ran");
     }
 
     #[test]

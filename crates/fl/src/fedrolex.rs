@@ -552,7 +552,7 @@ mod tests {
         let before = algo.global.state.params.values.clone();
         let mut sink = crate::trace::NoopSink;
         let mut scope = RoundScope::new(&mut sink, 0);
-        let out = algo.round(0, &[], &c, &mut scope).unwrap();
+        let out = algo.fuse(0, Vec::new(), &c, &mut scope).unwrap();
         assert!(out.train_loss.is_nan());
         assert_eq!(algo.global.state.params.values, before);
     }

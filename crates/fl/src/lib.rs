@@ -21,10 +21,10 @@
 //!   terms, control variates);
 //! * [`lifecycle`] — the fault-aware round execution model: per-client
 //!   download → train → upload outcomes, fault injection, and quorum;
-//! * [`scheduler`] — the discrete-event buffered-asynchronous round
-//!   scheduler (FedBuff-style): simulated arrival times, a bounded
-//!   fusion buffer, and staleness-weighted updates behind
-//!   [`scheduler::RoundMode`];
+//! * [`scheduler`] — the discrete-event round scheduler every round runs
+//!   through (FedBuff-style): simulated arrival times, a bounded fusion
+//!   buffer — the whole cohort in synchronous mode — and
+//!   staleness-weighted updates behind [`scheduler::RoundMode`];
 //! * [`comm`] / [`metrics`] — communication accounting and the derived
 //!   metrics of the paper's tables and figures;
 //! * [`trace`] — structured round-lifecycle observability: phase-timed

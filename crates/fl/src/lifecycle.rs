@@ -268,8 +268,8 @@ impl ClientPlan {
     }
 }
 
-/// The one quorum rule: `reports` (a sync round's reporters, a buffered
-/// cycle's folded updates) reach `min_quorum`, and are at least one.
+/// The one quorum rule: `reports` (a cycle's folded updates, or the most
+/// a wave's cycle could fold) reach `min_quorum`, and are at least one.
 pub fn quorum_met(reports: usize, min_quorum: usize) -> bool {
     reports >= min_quorum.max(1)
 }
@@ -293,11 +293,6 @@ impl RoundPlan {
     /// Number of clients that received the broadcast.
     pub fn broadcast_count(&self) -> usize {
         self.clients.iter().filter(|c| c.outcome.downloaded()).count()
-    }
-
-    /// Did enough clients report for the server to aggregate?
-    pub fn quorum_met(&self) -> bool {
-        quorum_met(self.reporters().len(), self.min_quorum)
     }
 
     /// Honest byte accounting of this plan at per-client payloads.
@@ -404,7 +399,7 @@ mod tests {
             .iter()
             .all(|c| c.outcome == ClientOutcome::Completed { attempts: 1, delay_s: 0.0 }));
         assert_eq!(plan.reporters(), (0..10).collect::<Vec<_>>());
-        assert!(plan.quorum_met());
+        assert!(quorum_met(plan.reporters().len(), plan.min_quorum));
         // No fault probability fires → no RNG draws: the stream is
         // untouched and two plans from one RNG agree.
         let mut rng = seeded_rng(3);
@@ -562,9 +557,12 @@ mod tests {
             ..Default::default()
         };
         let plan = plan_with(&faults, 23, 4);
-        assert!(!plan.quorum_met(), "3-of-4 quorum under 97% dropout should fail");
+        assert!(
+            !quorum_met(plan.reporters().len(), plan.min_quorum),
+            "3-of-4 quorum under 97% dropout should fail"
+        );
         let reliable = plan_with(&FaultConfig { min_quorum: 3, ..Default::default() }, 23, 4);
-        assert!(reliable.quorum_met());
+        assert!(quorum_met(reliable.reporters().len(), reliable.min_quorum));
     }
 
     #[test]

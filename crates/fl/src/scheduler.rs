@@ -1,13 +1,16 @@
-//! Discrete-event asynchronous round scheduler (FedBuff-style).
+//! Discrete-event round scheduler (FedBuff-style), which every engine
+//! round runs through.
 //!
-//! The synchronous engine trains a cohort and fuses it in the same
-//! round. Real federations do not work that way: clients finish at
-//! wildly different times, and a server that waits for the slowest
-//! straggler burns wall-clock for nothing. The buffered-asynchronous
-//! design (Nguyen et al., FedBuff) lets the server aggregate as soon
-//! as a *buffer* of updates has arrived, weighting each update down by
-//! its staleness — the number of aggregation cycles that elapsed since
-//! the contributing client last saw the global model.
+//! A synchronous round trains a cohort and fuses it in the same round.
+//! Real federations do not work that way: clients finish at wildly
+//! different times, and a server that waits for the slowest straggler
+//! burns wall-clock for nothing. The buffered-asynchronous design
+//! (Nguyen et al., FedBuff) lets the server aggregate as soon as a
+//! *buffer* of updates has arrived, weighting each update down by its
+//! staleness — the number of aggregation cycles that elapsed since the
+//! contributing client last saw the global model. The synchronous round
+//! is that design's special case: a buffer that holds the whole cohort,
+//! so the engine runs both modes as one cycle over this scheduler.
 //!
 //! This module is the simulation core of that design:
 //!
@@ -25,20 +28,19 @@
 //!   `(wave, idx)`: the server fuses a set, so arrival never reorders it.
 //! * **Staleness-weighted fusion.** Each accepted update carries the
 //!   weight `staleness_decay^staleness`. A fresh update (staleness 0)
-//!   gets weight exactly `1.0`, which is what makes the synchronous
-//!   history reproducible bit-for-bit: with `buffer_size == cohort`
-//!   every wave folds fresh in its own cycle, `x * 1.0` is `x` in
-//!   IEEE-754, and the fold order is the sampled order whatever the
-//!   straggler delays or upload retries.
+//!   gets weight exactly `1.0`: with `buffer_size == cohort` every wave
+//!   folds fresh in its own cycle, `x * 1.0` is `x` in IEEE-754, and the
+//!   fold order is the sampled order whatever the straggler delays or
+//!   upload retries — the synchronous round, which the engine runs as
+//!   exactly that buffer.
 //!
 //! The scheduler owns no model state. Algorithms hand it opaque
 //! [`PreparedUpdate`]s (built by `FedAlgorithm::train_cohort`) and get
 //! them back, weighted, from the engine's drain for
-//! `FedAlgorithm::fuse` — the same pair a synchronous round composes
-//! back to back at weight `1.0`. Client-store commits ride along in
+//! `FedAlgorithm::fuse`. Client-store commits ride along in
 //! [`PreparedUpdate::commit`] and are applied by `fuse`, so an update
 //! evicted for staleness (or discarded by a quorum abort) leaves no
-//! trace, exactly like a synchronous round that never aggregated.
+//! trace.
 
 use crate::client_store::ClientBlob;
 use crate::config::ConfigError;
@@ -53,9 +55,9 @@ use kemf_nn::serialize::ModelState;
 /// How [`crate::engine::Engine::run`] advances rounds.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum RoundMode {
-    /// Classic synchronous rounds: sample, train, fuse, repeat. The
-    /// default, and byte-identical to every run recorded before this
-    /// mode existed.
+    /// Classic synchronous rounds: sample, train, fuse, repeat — run as
+    /// the cycle whose buffer holds the whole cohort. The default, and
+    /// byte-identical to every run recorded before async mode existed.
     #[default]
     Sync,
     /// Buffered-asynchronous rounds: client completions arrive at
@@ -68,8 +70,10 @@ pub enum RoundMode {
 #[derive(Clone, Debug, PartialEq)]
 pub struct AsyncConfig {
     /// Updates the server accepts before fusing (the FedBuff `K`).
-    /// Must be in `1..=sampled_per_round`; at the upper bound every wave
-    /// folds in its own cycle and async reproduces sync bit-for-bit.
+    /// Must be in `1..=sampled_per_round`, and no smaller than the fault
+    /// model's `min_quorum` (the engine refuses a run whose cycles could
+    /// never reach it); at the upper bound every wave folds in its own
+    /// cycle and async reproduces sync bit-for-bit.
     pub buffer_size: usize,
     /// Oldest staleness (in aggregation cycles) the server still
     /// accepts; anything older is evicted unfused. `0` accepts only
@@ -362,11 +366,6 @@ impl AsyncScheduler {
         AsyncScheduler { cfg, now: 0.0, queue: Vec::new() }
     }
 
-    /// The async knobs this scheduler runs under.
-    pub fn config(&self) -> &AsyncConfig {
-        &self.cfg
-    }
-
     /// Current virtual time in seconds.
     pub fn now(&self) -> f64 {
         self.now
@@ -441,8 +440,10 @@ impl AsyncScheduler {
     pub fn drain(&mut self, cycle: usize) -> DrainOutcome {
         let mut out = DrainOutcome::default();
         let mut accepted = Vec::new();
-        while accepted.len() < self.cfg.buffer_size && !self.queue.is_empty() {
-            let ev = self.queue.remove(0);
+        // Linear in the queue: a synchronous cycle drains a whole cohort.
+        let mut queue = std::mem::take(&mut self.queue).into_iter();
+        while accepted.len() < self.cfg.buffer_size {
+            let Some(ev) = queue.next() else { break };
             let t = ev.arrival_s();
             if t > self.now {
                 self.now = t;
@@ -463,6 +464,7 @@ impl AsyncScheduler {
             out.folded_up_bytes += ev.up_bytes as u128;
             accepted.push((ev.wave, ev.idx, ev.update, self.cfg.staleness_weight(staleness)));
         }
+        self.queue = queue.collect();
         accepted.sort_by_key(|&(wave, idx, ..)| (wave, idx));
         out.folded = accepted.into_iter().map(|(_, _, update, w)| (update, w)).collect();
         out

@@ -27,20 +27,21 @@
 //! inflated by concurrent engines in the same process (parallel tests),
 //! so they are excluded from the canonical form too.
 //!
-//! **File ordering.** Spans are recorded in execution order: `sample`,
-//! `broadcast`, then the algorithm's interior `local_update` and
-//! `fusion` spans, then `upload`, `eval`, and the enclosing `round`
-//! span. The `upload` span appears after `fusion` because its byte
-//! accounting is derived from the round's pre-drawn lifecycle plan, not
-//! from a simulated clock; semantically uploads complete before server
-//! fusion begins.
+//! **File ordering.** Spans are recorded in execution order, one shape
+//! for synchronous and asynchronous rounds alike: `sample`, `broadcast`,
+//! the algorithm's `local_update`, the engine's `buffer` drain, the
+//! algorithm's `fusion`, then `upload`, `eval`, and the enclosing
+//! `round` span. The `upload` span appears after `fusion` because it
+//! bills what the drain folded (and evicted); semantically uploads
+//! complete before server fusion begins.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::time::Instant;
 
 /// A round-lifecycle phase. One span is emitted per phase per round
-/// (quorum-aborted rounds skip `local_update`/`fusion`: the algorithm
-/// never runs).
+/// (quorum-aborted rounds skip `fusion`, and `local_update` too unless
+/// evictions aborted an async cycle whose wave could still have met its
+/// quorum).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Client sampling + lifecycle fault-plan draw.
@@ -51,10 +52,11 @@ pub enum Phase {
     /// The client-side local-update fan-out (DML for FedKEMF, local SGD
     /// for the weight baselines). Real compute: nonzero wall and FLOPs.
     LocalUpdate,
-    /// Async-mode buffer drain: completed client updates are popped from
-    /// the simulated event queue into the aggregation buffer, evicting
+    /// Buffer drain: completed client updates are popped from the
+    /// simulated event queue into the aggregation buffer, evicting
     /// updates staler than the cap. Carries the staleness counters.
-    /// Never emitted by synchronous rounds.
+    /// Emitted by every round; a synchronous round's buffer holds the
+    /// whole cohort, so its counters read the reporters, none stale.
     Buffer,
     /// Server-side fusion: ensemble distillation, weight averaging, or
     /// consensus aggregation. Real compute: nonzero wall and FLOPs.
@@ -316,7 +318,8 @@ impl EventSink for TraceSink {
 
 /// The engine's per-round handle into the active sink. Created by the
 /// engine for each round and threaded through
-/// [`crate::engine::FedAlgorithm::round`], so algorithms can time their
+/// [`crate::engine::FedAlgorithm::train_cohort`] and
+/// [`crate::engine::FedAlgorithm::fuse`], so algorithms can time their
 /// interior phases (the local fan-out, server fusion) without knowing
 /// which sink — if any — is listening.
 pub struct RoundScope<'a> {

@@ -49,6 +49,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 # synchronous body again (test modules, after `#[cfg(test)]`, may).
 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /^ *fn round\(/{print FILENAME":"FNR": round override"; bad=1} END{exit bad}' \
     $(ls crates/fl/src/*.rs crates/core/src/*.rs | grep -v '/engine\.rs$')
+# ... and one round loop: every round, sync or async, is the cycle
+# `train_cohort` → dispatch → drain → `fuse`. Outside test modules the
+# engine trains a cohort in exactly one place, and no crate source calls
+# the provided `round` (a synchronous arm coming back would).
+awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1}
+    FILENAME ~ /\/fl\/src\/engine\.rs$/ && !t && index($0, "algo.train_cohort(") { n++ }
+    index($0, "algo.round(") { print FILENAME":"FNR": call into FedAlgorithm::round"; bad=1 }
+    END{ if (n != 1) { print "engine.rs calls algo.train_cohort( " n+0 " times outside tests, want 1"; bad=1 }
+         exit bad }' crates/*/src/*.rs crates/*/src/bin/*.rs
 
 # One cohort driver, one client-model population: outside test modules,
 # cohort chunking lives in cohort.rs (config.rs defines `cohort_chunk`;

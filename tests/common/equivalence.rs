@@ -116,9 +116,7 @@ pub const fn trained(algo: usize, faults: usize, seed: u64) -> Scenario {
 pub struct Run {
     pub json: String,
     pub plans: String,
-    /// The cohorts trained in rounds that met their quorum. An async wave
-    /// trains at dispatch, before its cycle's quorum is known, and an
-    /// aborted cycle discards it, as a sync round that never trains.
+    /// Every cohort the algorithm trained.
     pub waves: Vec<(usize, Vec<usize>, u64)>,
     pub clock: Option<u64>,
     pub stats: Option<TransportStats>,
@@ -235,7 +233,7 @@ pub fn present(s: &Scenario, p: &Presentation, dir: &Path) -> Run {
     Run {
         json,
         plans: format!("{:?}", report.plans),
-        waves: algo.waves.into_iter().filter(|w| history.records[w.0].quorum_met).collect(),
+        waves: algo.waves,
         clock: clock.map(f64::to_bits),
         stats,
     }

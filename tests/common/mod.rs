@@ -172,10 +172,9 @@ impl FedAlgorithm for Probe {
 
 /// Delegates every method to `inner` and notes each cohort it trained:
 /// the wave, the clients it was handed, and the local steps their updates
-/// carry. `round` keeps the trait's composition of `train_cohort` and
-/// `fuse`, which none of the nine algorithms overrides, so sync rounds
-/// are noted too; `global_model` is forwarded, so a socket broadcast
-/// embeds the quantized model.
+/// carry. The engine trains every round, sync or async, through
+/// `train_cohort`, so every cohort is noted; `global_model` is forwarded,
+/// so a socket broadcast embeds the quantized model.
 pub struct Tap {
     pub inner: Box<dyn FedAlgorithm>,
     pub waves: Vec<(usize, Vec<usize>, u64)>,

@@ -20,8 +20,8 @@
 //!
 //! The property ([`check`]): every presentation of a scenario yields its
 //! reference's `History::to_json()`, round plans and (from the resume
-//! point on) the cohorts of the rounds that met quorum, and one virtual
-//! clock per round mode. Each run
+//! point on) every cohort the algorithm trained, and one virtual clock
+//! per round mode. Each run
 //! ([`present`]) also checks what its own presentation promises: the
 //! socket's payload counters equal the history's byte columns over the
 //! rounds it carried, an async clock reads `0.0` without a link and

@@ -9,11 +9,10 @@
 mod common;
 
 use common::equivalence::{check, trained, Mode, Presentation, Scenario, PLAIN};
-use common::{fault_modes, Probe, PROBE_PAYLOAD};
+use common::{fault_modes, world, Probe, Tap, PROBE_PAYLOAD};
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::fl::engine::FedAlgorithm;
-use fedkemf::fl::lifecycle::plan_round;
-use fedkemf::fl::lifecycle::RoundPlan;
+use fedkemf::fl::lifecycle::{plan_round, quorum_met, RoundPlan};
 use fedkemf::fl::metrics::History;
 use fedkemf::prelude::*;
 use fedkemf::tensor::rng::seeded_rng;
@@ -73,7 +72,7 @@ fn every_fault_mode_finishes_with_lifecycle_consistent_bytes() {
             assert_eq!(r.down_bytes, plan.broadcast_count() as u64 * payload.down_bytes);
             assert_eq!(r.up_bytes, plan.reporters().len() as u64 * payload.up_bytes);
             assert!(r.up_clients <= r.down_clients, "{name}: uploads ⊆ downloads");
-            assert_eq!(r.quorum_met, plan.quorum_met(), "{name}");
+            assert_eq!(r.quorum_met, quorum_met(plan.reporters().len(), plan.min_quorum), "{name}");
             // Aborted rounds report NaN loss, never a fake value.
             assert_eq!(!r.quorum_met, r.train_loss.is_nan(), "{name}: NaN loss iff aborted");
         }
@@ -336,4 +335,61 @@ fn every_fault_mode_is_sync_equivalent_under_a_full_buffer() {
         let s = Scenario { algo: None, rounds: 6, ..trained(0, faults, 99) };
         check(&format!("full_buffer_{name}"), &s, &[Presentation { mode: Mode::Async, ..PLAIN }]);
     }
+}
+
+/// The one cycle's buffer law, over the probe under every fault mode and
+/// in three modes — sync, async with a cohort-sized buffer, and async
+/// with a two-update buffer. Per cycle: a wave is trained exactly when
+/// the queue plus its reporters can still reach quorum; the drain folds
+/// or evicts only what is queued; the record's uplink count is the
+/// drain's fold; and at a full buffer the drain takes the whole wave and
+/// leaves nothing queued. Summed over a run, folded + evicted never
+/// exceeds the reporters.
+#[test]
+fn every_cycle_conserves_its_buffer_under_every_fault_mode() {
+    let mut untrained = 0;
+    for (name, faults) in fault_modes() {
+        // Three clients a round, so the storm's quorum of two is missed.
+        let (ctx, _) = world(100, 12);
+        let cohort = ctx.cfg.sampled_per_round();
+        for (mode, full) in [
+            (RoundMode::Sync, true),
+            (RoundMode::Async(AsyncConfig::new(cohort)), true),
+            (RoundMode::Async(AsyncConfig::new(2)), false),
+        ] {
+            let label = format!("{name} {mode:?}");
+            let mut algo = Tap::new(Box::new(Probe));
+            let opts = RunOptions::new().faults(faults).round_mode(mode).record_trace();
+            let report = Engine::run(&mut algo, &ctx, opts).unwrap();
+            let trace = report.history.trace.as_ref().unwrap();
+            let (mut queued, mut reported, mut drained) = (0, 0, 0);
+            for (r, plan) in report.history.records.iter().zip(&report.plans) {
+                let label = format!("{label}, round {}", r.round);
+                let buffer = trace
+                    .round_spans(r.round)
+                    .into_iter()
+                    .find(|s| s.phase == Phase::Buffer)
+                    .unwrap_or_else(|| panic!("{label}: every cycle drains its buffer"))
+                    .counters;
+                let reporters = plan.reporters().len();
+                let trained = algo.waves.iter().any(|w| w.0 == r.round);
+                let reachable = quorum_met(queued + reporters, plan.min_quorum);
+                assert_eq!(trained, reporters > 0 && reachable, "{label}: trained iff reachable");
+                untrained += usize::from(reporters > 0 && !reachable);
+                let out = buffer.clients + buffer.evicted_updates as usize;
+                assert!(out <= queued + reporters, "{label}: drained what was never queued");
+                queued += reporters;
+                queued -= out;
+                assert_eq!(r.up_clients, buffer.clients, "{label}: uplink count is the fold");
+                if full {
+                    assert_eq!(out, reporters, "{label}: a full buffer drains the wave");
+                    assert_eq!(queued, 0, "{label}: a full buffer leaves nothing queued");
+                }
+                reported += reporters;
+                drained += out;
+            }
+            assert!(drained <= reported, "{label}: folded + evicted exceeds the reporters");
+        }
+    }
+    assert!(untrained > 0, "no wave missed its quorum: the rule went unexercised");
 }

@@ -1,8 +1,9 @@
-//! Integration: golden synchronous histories. Every algorithm's `round`
-//! is the engine-provided `train_cohort` → `fuse` composition, so the
+//! Integration: golden synchronous histories. The engine runs every
+//! round as one cycle — `train_cohort` → dispatch → drain → `fuse` — and
+//! a synchronous round is the cycle with a cohort-sized buffer, so the
 //! sync == async anchor in `tests/async_rounds.rs` compares that code
 //! with itself. The fingerprints below were generated from the
-//! hand-written per-algorithm `round` bodies this composition replaced
+//! hand-written per-algorithm `round` bodies this cycle replaced
 //! (commit 3a9de24) and pin the surviving path to their exact output.
 //!
 //! Runs under [`ScalarGuard`] so the constants do not depend on the

@@ -1,8 +1,8 @@
 //! Integration: the round-lifecycle observability layer end to end.
 //! A traced run emits one span per phase per round with real timings and
 //! FLOP counts on the compute phases; the canonical JSONL form is
-//! deterministic per seed; and quorum-aborted rounds omit exactly the
-//! algorithm-interior phases. Tracing draws no randomness, so a run with
+//! deterministic per seed; sync and async rounds share one span order;
+//! and quorum-aborted rounds omit exactly the algorithm-interior phases. Tracing draws no randomness, so a run with
 //! a `NoopSink`, a recorded trace or an external sink yields the untraced
 //! history (`equivalence.rs`'s property).
 
@@ -44,11 +44,13 @@ fn fedavg_world(seed: u64) -> (FlContext, Box<dyn FedAlgorithm>) {
     (ctx, algo)
 }
 
-/// The phases of one quorum-met round, in emission order.
-const FULL_ROUND: [Phase; 7] = [
+/// The phases of one quorum-met round, in emission order: sync and async
+/// rounds run one cycle, so they share it.
+const FULL_ROUND: [Phase; 8] = [
     Phase::Sample,
     Phase::Broadcast,
     Phase::LocalUpdate,
+    Phase::Buffer,
     Phase::Fusion,
     Phase::Upload,
     Phase::Eval,
@@ -130,13 +132,13 @@ fn canonical_jsonl_is_deterministic_and_round_trips() {
 }
 
 /// The weighted fold is Algorithm 2's arithmetic, so it must be billed
-/// to the Fusion span whichever engine arm drives the round — and with
+/// to the Fusion span whichever round mode sizes the buffer — and with
 /// it inside a span, the phases account for the Round span between them.
 #[test]
 fn fedavg_fusion_span_is_populated_and_phases_tile_the_round_in_both_modes() {
     for mode in [RoundMode::Sync, RoundMode::Async(AsyncConfig::new(2))] {
         let (ctx, mut algo) = fedavg_world(75);
-        let is_async = matches!(mode, RoundMode::Async(_));
+        let label = format!("{mode:?}");
         let history = Engine::run(algo.as_mut(), &ctx, RunOptions::new().round_mode(mode).record_trace())
             .unwrap()
             .history;
@@ -144,11 +146,7 @@ fn fedavg_fusion_span_is_populated_and_phases_tile_the_round_in_both_modes() {
         for round in 0..ctx.cfg.rounds {
             let spans = trace.round_spans(round);
             let phases: Vec<Phase> = spans.iter().map(|s| s.phase).collect();
-            let mut expected = FULL_ROUND.to_vec();
-            if is_async {
-                expected.insert(3, Phase::Buffer);
-            }
-            assert_eq!(phases, expected, "round {round}, async={is_async}");
+            assert_eq!(phases, FULL_ROUND, "round {round}, {label}");
 
             let by = |p: Phase| *spans.iter().find(|s| s.phase == p).unwrap();
             let fusion = by(Phase::Fusion);
@@ -174,7 +172,7 @@ fn fedavg_fusion_span_is_populated_and_phases_tile_the_round_in_both_modes() {
 }
 
 /// One cohort driver means one way of counting: whatever the algorithm,
-/// the engine arm, or the `cohort_batch`, the `LocalUpdate` span reports
+/// the round mode, or the `cohort_batch`, the `LocalUpdate` span reports
 /// exactly the reporters it was handed and the steps its updates carry.
 #[test]
 fn local_update_counters_agree_with_the_updates_for_every_algorithm() {
@@ -251,10 +249,18 @@ fn quorum_aborted_rounds_skip_algorithm_phases() {
             aborted += 1;
             assert!(r.train_loss.is_nan(), "aborted round has no loss");
             // The algorithm never ran: its interior phases are absent,
-            // the engine-owned phases still bracket the round.
+            // the engine-owned phases (the drain among them) still
+            // bracket the round.
             assert_eq!(
                 phases,
-                [Phase::Sample, Phase::Broadcast, Phase::Upload, Phase::Eval, Phase::Round],
+                [
+                    Phase::Sample,
+                    Phase::Broadcast,
+                    Phase::Buffer,
+                    Phase::Upload,
+                    Phase::Eval,
+                    Phase::Round
+                ],
                 "round {}",
                 r.round
             );
