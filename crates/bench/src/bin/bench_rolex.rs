@@ -18,7 +18,7 @@
 //!   bench_rolex             # full sweep, writes BENCH_rolex.json
 
 use kemf_bench::Args;
-use kemf_core::fedgems::{FedGems, FedGemsConfig};
+use kemf_core::fedgems::FedGems;
 use kemf_core::resource::uniform_specs;
 use kemf_data::synth::{SynthConfig, SynthTask};
 use kemf_fl::config::FlConfig;
@@ -179,7 +179,7 @@ fn smoke() {
     let specs = uniform_specs(Arch::Cnn2, 4, 1, 12, 10, 2);
     let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
     let public = task.generate_unlabeled(60, 3);
-    let mut gems = FedGems::new(specs, big_server, public, 10, FedGemsConfig::default());
+    let mut gems = FedGems::new(specs, big_server, public);
     assert!(gems.server_params() >= 2 * gems.largest_client_params());
     let hg = Engine::run(&mut gems, &ctx, RunOptions::new()).expect("fedgems run").history;
     assert!(hg.best_accuracy() > 0.1, "FedGEMS must learn, got {}", hg.best_accuracy());

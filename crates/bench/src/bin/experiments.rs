@@ -115,10 +115,10 @@ impl<'a> Memo<'a> {
             Algo::Paper(kind) => kind.build(spec, &task),
             Algo::Kemf(turn) => Box::new(FedKemf::new(fedkemf_config(spec, &task, turn))),
             Algo::FedDf => Box::new(FedDf::new(model, pool())),
-            Algo::FedMd => Box::new(FedMd::new(clients(), pool(), 10, FedMdConfig::default())),
+            Algo::FedMd => Box::new(FedMd::new(clients(), pool())),
             Algo::FedGems => {
                 let server = ModelSpec { width: model.width * 4, ..model };
-                Box::new(FedGems::new(clients(), server, pool(), 10, FedGemsConfig::default()))
+                Box::new(FedGems::new(clients(), server, pool()))
             }
         };
         // Two requests that configure the same run (an ablation's "paper"
@@ -524,13 +524,7 @@ fn ablation_ensemble(memo: &mut Memo) -> Vec<(String, Table)> {
         ("majority-vote", strategy(EnsembleStrategy::MajorityVote)),
         ("weight-average fusion", Box::new(|c| c.fusion = FusionMode::WeightAverage)),
         ("no deep mutual learning", Box::new(|c| c.mutual = false)),
-        (
-            "paper-literal KL (w=1, no warmup)",
-            Box::new(|c| {
-                c.kl_weight = 1.0;
-                c.kl_warmup_rounds = 0;
-            }),
-        ),
+        ("paper-literal KL (w=1, no warmup)", Box::new(FedKemfConfig::paper_literal)),
         ("distill T=1", temperature(1.0)),
         ("distill T=4", temperature(4.0)),
     ];

@@ -63,6 +63,35 @@ impl ClientModels {
         &self.specs
     }
 
+    /// Shape `[pool, classes]` of a client's logits on `public`, the
+    /// matrix FedMD and FedGEMS exchange (the first client's classes; all
+    /// agree once [`check_classes`](Self::check_classes) has passed).
+    pub fn logit_dims(&self, public: &Tensor) -> [usize; 2] {
+        [public.dims()[0], self.specs.first().map_or(0, |s| s.classes)]
+    }
+
+    /// Refuse a population whose specs — and `peer` (FedGEMS's server,
+    /// FedKEMF's knowledge network), if given — do not all share one class
+    /// count, or that has no specs at all.
+    pub fn check_classes(
+        &self,
+        algorithm: &str,
+        peer: Option<&ModelSpec>,
+    ) -> Result<(), ConfigError> {
+        let setup = |reason: String| ConfigError::AlgorithmSetup { algorithm: algorithm.into(), reason };
+        let Some(first) = self.specs.first() else {
+            return Err(setup("need at least one client spec".into()));
+        };
+        let classes = first.classes;
+        match self.specs.iter().chain(peer).find(|s| s.classes != classes) {
+            Some(s) => Err(setup(format!(
+                "every model must predict the same classes: {classes} and {}",
+                s.classes
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Population size (0 until [`init`](Self::init)).
     pub fn n_clients(&self) -> usize {
         self.store.n_clients()

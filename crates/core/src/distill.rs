@@ -13,32 +13,33 @@ use kemf_tensor::Tensor;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
+/// Mini-batch of every student loop ([`distill_to_targets`]).
+const BATCH: usize = 32;
+
+/// Gradient-norm clip of every student step (DESIGN.md, deviation 1:
+/// the standard distillation guard against early KL spikes).
+const CLIP_NORM: f32 = 5.0;
+
 /// Server distillation hyper-parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct DistillConfig {
     /// Distillation epochs over the public pool.
     pub epochs: usize,
-    /// Mini-batch size.
-    pub batch: usize,
     /// Optimizer for the global knowledge network.
     pub sgd: SgdConfig,
     /// Softening temperature for ensemble targets.
     pub temperature: f32,
     /// Ensemble strategy producing the targets.
     pub strategy: EnsembleStrategy,
-    /// Gradient-norm clip for the student (0 disables).
-    pub clip_norm: f32,
 }
 
 impl Default for DistillConfig {
     fn default() -> Self {
         DistillConfig {
             epochs: 2,
-            batch: 32,
             sgd: SgdConfig { lr: 0.02, momentum: 0.9, weight_decay: 0.0 },
             temperature: 2.0,
             strategy: EnsembleStrategy::MaxLogits,
-            clip_norm: 5.0,
         }
     }
 }
@@ -47,10 +48,10 @@ impl DistillConfig {
     /// Append every knob to a run identity
     /// ([`kemf_fl::engine::FedAlgorithm::identity`]).
     pub(crate) fn identity(&self, w: &mut Writer) {
-        let DistillConfig { epochs, batch, sgd, temperature, strategy, clip_norm } = *self;
+        let DistillConfig { epochs, sgd, temperature, strategy } = *self;
         let SgdConfig { lr, momentum, weight_decay } = sgd;
-        [epochs, batch].into_iter().for_each(|v| w.usize(v));
-        [lr, momentum, weight_decay, temperature, clip_norm].into_iter().for_each(|v| w.f32(v));
+        w.usize(epochs);
+        [lr, momentum, weight_decay, temperature].into_iter().for_each(|v| w.f32(v));
         w.u8(strategy as u8);
     }
 }
@@ -104,12 +105,12 @@ pub fn distill_ensemble(
 }
 
 /// Step `student` toward the softened `targets` on `images` for
-/// `cfg.epochs` epochs, each a seeded shuffle cut into `cfg.batch`-row
+/// `cfg.epochs` epochs, each a seeded shuffle cut into [`BATCH`]-row
 /// batches and one KL step per batch, the gradient clipped at
-/// `cfg.clip_norm` (0 disables). The one student loop of the distilling
-/// algorithms: FedKEMF's and FedDF's server step, FedMD's digestion, and
-/// FedGEMS's in both directions. Making the targets (and so
-/// `cfg.strategy`) is the caller's business.
+/// [`CLIP_NORM`]. The one student loop of the distilling algorithms:
+/// FedKEMF's and FedDF's server step, FedMD's digestion, and FedGEMS's in
+/// both directions. Making the targets (and so `cfg.strategy`) is the
+/// caller's business.
 pub(crate) fn distill_to_targets(
     student: &mut Model,
     images: &Tensor,
@@ -126,7 +127,7 @@ pub(crate) fn distill_to_targets(
         order.shuffle(&mut rng);
         let mut loss_sum = 0.0f64;
         let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch) {
+        for chunk in order.chunks(BATCH) {
             let x = images.gather_rows(chunk);
             let target = targets.gather_rows(chunk);
             let loss = student.train_step(
@@ -134,9 +135,7 @@ pub(crate) fn distill_to_targets(
                 &mut opt,
                 |logits, ws| kl_to_target_ws(logits, &target, cfg.temperature, ws),
                 |net| {
-                    if cfg.clip_norm > 0.0 {
-                        clip_grad_norm(net, cfg.clip_norm);
-                    }
+                    clip_grad_norm(net, CLIP_NORM);
                 },
             );
             loss_sum += loss as f64;

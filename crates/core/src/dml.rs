@@ -26,6 +26,15 @@ use kemf_nn::optim::{Sgd, SgdConfig};
 use kemf_tensor::rng::seeded_rng;
 use serde::{Deserialize, Serialize};
 
+/// Softening temperature of the mutual targets: 1, Eqs. 1–3 of the paper
+/// have none.
+const TEMPERATURE: f32 = 1.0;
+
+/// Global gradient-norm clip applied to both networks each step
+/// (DESIGN.md, deviation 1). Stabilizes the mutual-KL gradients, whose
+/// early spikes would otherwise make weight-average fusion collapse.
+const CLIP_NORM: f32 = 5.0;
+
 /// Deep-mutual-learning hyper-parameters for one local update.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct DmlConfig {
@@ -37,18 +46,12 @@ pub struct DmlConfig {
     pub sgd: SgdConfig,
     /// Weight of the mutual KL term (1.0 in the paper).
     pub kl_weight: f32,
-    /// Softening temperature for the mutual targets (1.0 in the paper).
-    pub temperature: f32,
-    /// Global gradient-norm clip applied to both networks each step
-    /// (0 disables). Stabilizes the mutual-KL gradients, whose early
-    /// spikes would otherwise make weight-average fusion collapse.
-    pub clip_norm: f32,
 }
 
 impl DmlConfig {
     /// Paper-faithful defaults around a given optimizer setting.
     pub fn new(epochs: usize, batch: usize, sgd: SgdConfig) -> Self {
-        DmlConfig { epochs, batch, sgd, kl_weight: 1.0, temperature: 1.0, clip_norm: 5.0 }
+        DmlConfig { epochs, batch, sgd, kl_weight: 1.0 }
     }
 }
 
@@ -83,17 +86,17 @@ pub fn dml_step(
     let z_local = local.forward(images, Mode::Train);
     let z_know = knowledge.forward(images, Mode::Train);
     // Mutual targets are the peer's softened predictions, detached.
-    let t_from_know = soften_ws(&z_know, cfg.temperature, local.ws_mut());
-    let t_from_local = soften_ws(&z_local, cfg.temperature, knowledge.ws_mut());
+    let t_from_know = soften_ws(&z_know, TEMPERATURE, local.ws_mut());
+    let t_from_local = soften_ws(&z_local, TEMPERATURE, knowledge.ws_mut());
     // Local model: CE + KL(knowledge ‖ local).
     let (ce_l, mut g_local) = cross_entropy_ws(&z_local, labels, local.ws_mut());
-    let (kl_l, g_kl_l) = kl_to_target_ws(&z_local, &t_from_know, cfg.temperature, local.ws_mut());
+    let (kl_l, g_kl_l) = kl_to_target_ws(&z_local, &t_from_know, TEMPERATURE, local.ws_mut());
     g_local.axpy(cfg.kl_weight, &g_kl_l);
     local.recycle(g_kl_l);
     local.recycle(t_from_know);
     // Knowledge network: CE + KL(local ‖ knowledge).
     let (ce_k, mut g_know) = cross_entropy_ws(&z_know, labels, knowledge.ws_mut());
-    let (kl_k, g_kl_k) = kl_to_target_ws(&z_know, &t_from_local, cfg.temperature, knowledge.ws_mut());
+    let (kl_k, g_kl_k) = kl_to_target_ws(&z_know, &t_from_local, TEMPERATURE, knowledge.ws_mut());
     g_know.axpy(cfg.kl_weight, &g_kl_k);
     knowledge.recycle(g_kl_k);
     knowledge.recycle(t_from_local);
@@ -104,10 +107,8 @@ pub fn dml_step(
     local.recycle(g_local);
     knowledge.backward_params(&g_know);
     knowledge.recycle(g_know);
-    if cfg.clip_norm > 0.0 {
-        let _ = kemf_nn::optim::clip_grad_norm(local.net_mut(), cfg.clip_norm);
-        let _ = kemf_nn::optim::clip_grad_norm(knowledge.net_mut(), cfg.clip_norm);
-    }
+    let _ = kemf_nn::optim::clip_grad_norm(local.net_mut(), CLIP_NORM);
+    let _ = kemf_nn::optim::clip_grad_norm(knowledge.net_mut(), CLIP_NORM);
     opt_local.step(local.net_mut());
     opt_knowledge.step(knowledge.net_mut());
     DmlBatchLoss { ce_local: ce_l, ce_knowledge: ce_k, kl_local: kl_l, kl_knowledge: kl_k }

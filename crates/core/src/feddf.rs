@@ -22,19 +22,18 @@ use kemf_nn::serialize::ModelState;
 use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
 
-/// The FedDF baseline.
+/// The FedDF baseline. Its server distils at [`DistillConfig::default`],
+/// FedKEMF's default.
 pub struct FedDf {
     global: GlobalModel,
     /// Server-side unlabeled pool.
     pool: Tensor,
-    /// Server distillation settings.
-    pub distill: DistillConfig,
 }
 
 impl FedDf {
     /// New FedDF server.
     pub fn new(spec: ModelSpec, pool: Tensor) -> Self {
-        FedDf { global: GlobalModel::new(spec), pool, distill: DistillConfig::default() }
+        FedDf { global: GlobalModel::new(spec), pool }
     }
 }
 
@@ -46,7 +45,6 @@ impl FedAlgorithm for FedDf {
     fn identity(&self, w: &mut Writer) {
         w.string(&self.name());
         w.spec(&self.global.spec);
-        self.distill.identity(w);
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
@@ -104,7 +102,7 @@ impl FedAlgorithm for FedDf {
                 &sample_counts,
                 &weights,
                 &self.pool,
-                &self.distill,
+                &DistillConfig::default(),
                 child_seed(ctx.cfg.seed, 0xDF ^ round as u64),
             );
             c.steps = out.steps as u64;

@@ -9,7 +9,7 @@
 //!    arbitrary-architecture model), revisits its private shard, and
 //!    uploads its logits on the pool;
 //! 3. the server **selectively fuses** the client logits per sample:
-//!    only confident candidates (max softmax ≥ a threshold) vote; a
+//!    only confident candidates (max softmax ≥ 0.4) vote; a
 //!    weighted majority picks the consensus class; the fused target is
 //!    the weighted mean of the candidates that agree with it; samples
 //!    with no confident, agreeing candidate fall back to the server's
@@ -24,7 +24,7 @@
 
 use crate::client_models::ClientModels;
 use crate::distill::distill_to_targets;
-use crate::fedmd::digestion;
+use crate::fedmd::{digestion, DIGEST_TEMPERATURE};
 use kemf_fl::client_store::SpillConfig;
 use kemf_fl::cohort;
 use kemf_fl::config::ConfigError;
@@ -39,44 +39,22 @@ use kemf_nn::codec::Writer;
 use kemf_nn::loss::soften;
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
-use kemf_nn::optim::SgdConfig;
 use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
-/// FedGEMS hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct FedGemsConfig {
-    /// Epochs each client distills the server's broadcast logits.
-    pub digest_epochs: usize,
-    /// Epochs the server distills the fused targets.
-    pub server_epochs: usize,
-    /// Distillation temperature (both directions).
-    pub temperature: f32,
-    /// Distillation learning rate (both directions).
-    pub distill_lr: f32,
-    /// Minimum max-softmax probability a client prediction needs to
-    /// vote in the selective fusion. Samples where no client clears it
-    /// keep the server's own prediction.
-    pub confidence_threshold: f32,
-}
+/// Minimum max-softmax probability a client prediction needs to vote in
+/// the selective fusion; samples where no client clears it keep the
+/// server's own prediction. This reproduction's gate (DESIGN.md,
+/// deviation 15(b)), in place of Cheng et al.'s entropy weighting.
+const CONFIDENCE_THRESHOLD: f32 = 0.4;
 
-impl Default for FedGemsConfig {
-    fn default() -> Self {
-        FedGemsConfig {
-            digest_epochs: 1,
-            server_epochs: 1,
-            temperature: 2.0,
-            distill_lr: 0.02,
-            confidence_threshold: 0.4,
-        }
-    }
-}
+/// Epochs each client digests the server's broadcast logits, and the
+/// server distills the fused targets, per round.
+const DIGEST_EPOCHS: usize = 1;
 
 /// The FedGEMS algorithm: a large server model fed by selective
 /// client-logit fusion.
 pub struct FedGems {
-    cfg: FedGemsConfig,
     /// The big server model's architecture.
     server_spec: ModelSpec,
     /// Server model weights (never communicated).
@@ -88,9 +66,8 @@ pub struct FedGems {
     /// of an untrained (freshly initialized) server.
     server_trained: bool,
     /// Per-client local models (architectures may differ per client;
-    /// all smaller than the server).
+    /// all smaller than the server, all with the server's classes).
     clients: ClientModels,
-    classes: usize,
 }
 
 /// Max softmax probability of one logit row (confidence of the
@@ -108,28 +85,75 @@ fn row_confidence(row: &[f32]) -> (usize, f32) {
     (arg, 1.0 / denom)
 }
 
+/// Selective knowledge fusion (the algorithm's core): per public sample,
+/// client predictions at least `threshold` confident vote at their fusion
+/// coefficient; the fused target is the coefficient-weighted mean of the
+/// candidates agreeing with the winning class, falling back to the
+/// server's own logits where nobody qualifies. Returns the fused
+/// `[pool, classes]` targets and how many samples kept the server's
+/// prediction.
+fn selective_fuse(
+    server_logits: &Tensor,
+    members: &[(Tensor, f32)],
+    threshold: f32,
+) -> (Tensor, usize) {
+    let (pool, k) = (server_logits.dims()[0], server_logits.dims()[1]);
+    let mut fused = vec![0.0f32; pool * k];
+    let mut fallbacks = 0usize;
+    let server_rows = server_logits.data();
+    for i in 0..pool {
+        let mut votes = vec![0.0f32; k];
+        let mut confident: Vec<(usize, &[f32], f32)> = Vec::new();
+        for (logits, coeff) in members {
+            let row = &logits.data()[i * k..(i + 1) * k];
+            let (arg, conf) = row_confidence(row);
+            if conf >= threshold {
+                votes[arg] += coeff;
+                confident.push((arg, row, *coeff));
+            }
+        }
+        // Deterministic argmax: strict > keeps the lowest class on a
+        // tie, independent of member order.
+        let consensus = votes
+            .iter()
+            .enumerate()
+            .fold((0usize, 0.0f32), |best, (c, &v)| if v > best.1 { (c, v) } else { best });
+        let out = &mut fused[i * k..(i + 1) * k];
+        if consensus.1 > 0.0 {
+            let mut total = 0.0f32;
+            for (arg, row, coeff) in &confident {
+                if *arg == consensus.0 {
+                    for (o, &v) in out.iter_mut().zip(row.iter()) {
+                        *o += coeff * v;
+                    }
+                    total += coeff;
+                }
+            }
+            for o in out.iter_mut() {
+                *o /= total;
+            }
+        } else {
+            out.copy_from_slice(&server_rows[i * k..(i + 1) * k]);
+            fallbacks += 1;
+        }
+    }
+    (Tensor::from_vec(fused, &[pool, k]), fallbacks)
+}
+
 impl FedGems {
     /// New FedGEMS population: per-client specs, the (larger) server
-    /// spec, and the public pool whose logits cross the wire.
-    pub fn new(
-        client_specs: Vec<ModelSpec>,
-        server_spec: ModelSpec,
-        public: Tensor,
-        classes: usize,
-        cfg: FedGemsConfig,
-    ) -> Self {
-        assert!(!client_specs.is_empty(), "need at least one client spec");
+    /// spec, and the public pool whose logits cross the wire. Every spec
+    /// must have the same classes; `init` refuses them otherwise.
+    pub fn new(client_specs: Vec<ModelSpec>, server_spec: ModelSpec, public: Tensor) -> Self {
         let eval_model = Model::new(server_spec);
         let server = eval_model.state();
         FedGems {
-            cfg,
             server_spec,
             server,
             eval_model,
             public,
             server_trained: false,
             clients: ClientModels::new(client_specs, None),
-            classes,
         }
     }
 
@@ -142,7 +166,8 @@ impl FedGems {
 
     /// Per-direction payload: the logit matrix on the public set.
     pub fn payload_bytes(&self) -> u64 {
-        (self.public.dims()[0] * self.classes * 4) as u64
+        let [pool, classes] = self.clients.logit_dims(&self.public);
+        (pool * classes * 4) as u64
     }
 
     /// Server parameter count (for the ≥2×-any-client headline).
@@ -166,73 +191,16 @@ impl FedGems {
         self.eval_model.predict_batch_stats(&self.public)
     }
 
-    /// Selective knowledge fusion (the algorithm's core): per public
-    /// sample, confident client predictions vote at their fusion
-    /// coefficient; the fused target is the coefficient-weighted mean
-    /// of the candidates agreeing with the winning class, falling back
-    /// to the server's own logits where nobody qualifies. Returns the
-    /// fused `[pool, classes]` targets and how many samples kept the
-    /// server's prediction.
-    fn selective_fuse(
-        &self,
-        server_logits: &Tensor,
-        members: &[(Tensor, f32)],
-    ) -> (Tensor, usize) {
-        let pool = self.public.dims()[0];
-        let k = self.classes;
-        let mut fused = vec![0.0f32; pool * k];
-        let mut fallbacks = 0usize;
-        let server_rows = server_logits.data();
-        for i in 0..pool {
-            let mut votes = vec![0.0f32; k];
-            let mut confident: Vec<(usize, &[f32], f32)> = Vec::new();
-            for (logits, coeff) in members {
-                let row = &logits.data()[i * k..(i + 1) * k];
-                let (arg, conf) = row_confidence(row);
-                if conf >= self.cfg.confidence_threshold {
-                    votes[arg] += coeff;
-                    confident.push((arg, row, *coeff));
-                }
-            }
-            // Deterministic argmax: strict > keeps the lowest class on a
-            // tie, independent of member order.
-            let consensus = votes
-                .iter()
-                .enumerate()
-                .fold((0usize, 0.0f32), |best, (c, &v)| if v > best.1 { (c, v) } else { best });
-            let out = &mut fused[i * k..(i + 1) * k];
-            if consensus.1 > 0.0 {
-                let mut total = 0.0f32;
-                for (arg, row, coeff) in &confident {
-                    if *arg == consensus.0 {
-                        for (o, &v) in out.iter_mut().zip(row.iter()) {
-                            *o += coeff * v;
-                        }
-                        total += coeff;
-                    }
-                }
-                for o in out.iter_mut() {
-                    *o /= total;
-                }
-            } else {
-                out.copy_from_slice(&server_rows[i * k..(i + 1) * k]);
-                fallbacks += 1;
-            }
-        }
-        (Tensor::from_vec(fused, &[pool, k]), fallbacks)
-    }
-
     /// Fuse the collected client logits into the server model: selective
     /// fusion, then server self-distillation toward the fused targets.
     fn fuse_into_server(&mut self, round: usize, ctx: &FlContext, members: &[(Tensor, f32)]) {
         let server_logits = self.server_logits();
-        let (fused, _fallbacks) = self.selective_fuse(&server_logits, members);
-        let targets = soften(&fused, self.cfg.temperature);
+        let (fused, _fallbacks) = selective_fuse(&server_logits, members, CONFIDENCE_THRESHOLD);
+        let targets = soften(&fused, DIGEST_TEMPERATURE);
         let mut server = Model::from_state(self.server_spec, &self.server)
             .expect("the server state has the server spec's layout");
         let seed = child_seed(ctx.cfg.seed, 0x4745_4D53 ^ (((round as u64) << 1) | 1));
-        let sgd = SgdConfig { lr: self.cfg.distill_lr, ..ctx.cfg.local_cfg().sgd };
-        let digest = digestion(self.cfg.server_epochs, self.cfg.temperature, sgd);
+        let digest = digestion(DIGEST_EPOCHS, ctx.cfg.local_cfg().sgd);
         distill_to_targets(&mut server, &self.public, &targets, &digest, seed);
         self.server = server.state();
         self.server_trained = true;
@@ -245,26 +213,14 @@ impl FedAlgorithm for FedGems {
     }
 
     fn identity(&self, w: &mut Writer) {
-        let FedGemsConfig { digest_epochs, server_epochs, temperature, distill_lr,
-            confidence_threshold } = self.cfg;
         w.string(&self.name());
         w.spec(&self.server_spec);
         w.usize(self.clients.specs().len());
         self.clients.specs().iter().for_each(|s| w.spec(s));
-        [self.classes, digest_epochs, server_epochs].into_iter().for_each(|v| w.usize(v));
-        [temperature, distill_lr, confidence_threshold].into_iter().for_each(|v| w.f32(v));
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
-        if !(0.0..=1.0).contains(&self.cfg.confidence_threshold) {
-            return Err(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "confidence_threshold {} is not a probability",
-                    self.cfg.confidence_threshold
-                ),
-            });
-        }
+        self.clients.check_classes(&self.name(), Some(&self.server_spec))?;
         self.clients.init(&self.name(), ctx)
     }
 
@@ -286,8 +242,8 @@ impl FedAlgorithm for FedGems {
         // A never-fused server is noise — clients skip digesting it.
         let broadcast = self
             .server_trained
-            .then(|| soften(&self.server_logits(), self.cfg.temperature));
-        let (cfg, public) = (self.cfg, &self.public);
+            .then(|| soften(&self.server_logits(), DIGEST_TEMPERATURE));
+        let public = &self.public;
         let clients = &mut self.clients;
         cohort::train_cohort(
             sampled,
@@ -298,8 +254,7 @@ impl FedAlgorithm for FedGems {
                 let seed =
                     child_seed(ctx.cfg.seed, 0x4745_4D53 ^ ((wave as u64) << 16 | k as u64));
                 let digest_steps = broadcast.as_ref().map_or(0, |targets| {
-                    let sgd = SgdConfig { lr: cfg.distill_lr, ..local.sgd };
-                    let digest = digestion(cfg.digest_epochs, cfg.temperature, sgd);
+                    let digest = digestion(DIGEST_EPOCHS, local.sgd);
                     distill_to_targets(&mut model, public, targets, &digest, seed).steps
                 });
                 let out = local_train(&mut model, &ctx.client_shard(k), &local, seed ^ 7, None);
@@ -325,7 +280,7 @@ impl FedAlgorithm for FedGems {
         if updates.is_empty() {
             return Ok(RoundOutcome { train_loss: f32::NAN });
         }
-        let dims = [self.public.dims()[0], self.classes];
+        let dims = self.clients.logit_dims(&self.public);
         let (members, train_loss) =
             self.clients.unpack_logits(&self.name(), dims, updates, |w, n| w * n as f32)?;
         scope.phase(Phase::Fusion, |c| {
@@ -411,7 +366,7 @@ mod tests {
         let (ctx, task) = world(91, 4);
         let specs = uniform_specs(Arch::Cnn2, 4, 1, 12, 10, 2);
         let public = task.generate_unlabeled(100, 3);
-        let mut algo = FedGems::new(specs, server_spec(), public, 10, FedGemsConfig::default());
+        let mut algo = FedGems::new(specs, server_spec(), public);
         assert!(
             algo.server_params() >= 2 * algo.largest_client_params(),
             "server {} vs largest client {}",
@@ -428,7 +383,7 @@ mod tests {
         let (ctx, task) = world(92, 3);
         let specs = uniform_specs(Arch::Cnn2, 3, 1, 12, 10, 2);
         let public = task.generate_unlabeled(50, 3);
-        let mut algo = FedGems::new(specs, server_spec(), public, 10, FedGemsConfig::default());
+        let mut algo = FedGems::new(specs, server_spec(), public);
         assert_eq!(algo.payload_bytes(), 50 * 10 * 4);
         let server_bytes = 4 * algo.server_params() as u64;
         assert!(algo.payload_bytes() < server_bytes, "logits ≪ server model");
@@ -442,7 +397,7 @@ mod tests {
         let tiers = assign_tiers(6, 1);
         let specs = heterogeneous_specs(&tiers, 1, 12, 10, 2);
         let public = task.generate_unlabeled(80, 3);
-        let mut algo = FedGems::new(specs, server_spec(), public, 10, FedGemsConfig::default());
+        let mut algo = FedGems::new(specs, server_spec(), public);
         let h = run(&mut algo, &ctx);
         assert!(h.accuracies().iter().all(|a| a.is_finite()));
     }
@@ -452,20 +407,14 @@ mod tests {
         let (ctx, task) = world(94, 2);
         let specs = uniform_specs(Arch::Cnn2, 2, 1, 12, 10, 2);
         let public = task.generate_unlabeled(4, 3);
-        let mut algo = FedGems::new(
-            specs,
-            server_spec(),
-            public,
-            10,
-            FedGemsConfig { confidence_threshold: 1.0, ..Default::default() },
-        );
+        let mut algo = FedGems::new(specs, server_spec(), public);
         algo.init(&ctx).unwrap();
         // Uniform logits have confidence 1/classes < 1.0: every sample
         // must keep the server's own prediction.
         let members =
             vec![(Tensor::from_vec(vec![0.0; 4 * 10], &[4, 10]), 60.0)];
         let server_logits = algo.server_logits();
-        let (fused, fallbacks) = algo.selective_fuse(&server_logits, &members);
+        let (fused, fallbacks) = selective_fuse(&server_logits, &members, 1.0);
         assert_eq!(fallbacks, 4);
         assert_eq!(fused.data(), server_logits.data());
     }
@@ -475,13 +424,7 @@ mod tests {
         let (ctx, task) = world(95, 2);
         let specs = uniform_specs(Arch::Cnn2, 2, 1, 12, 10, 2);
         let public = task.generate_unlabeled(1, 3);
-        let mut algo = FedGems::new(
-            specs,
-            server_spec(),
-            public,
-            10,
-            FedGemsConfig { confidence_threshold: 0.5, ..Default::default() },
-        );
+        let mut algo = FedGems::new(specs, server_spec(), public);
         algo.init(&ctx).unwrap();
         // Two confident voters for class 0 (combined weight 3) beat one
         // confident voter for class 1 (weight 2); the fused row is the
@@ -498,7 +441,7 @@ mod tests {
             (Tensor::from_vec(c, &[1, 10]), 2.0),
         ];
         let server_logits = algo.server_logits();
-        let (fused, fallbacks) = algo.selective_fuse(&server_logits, &members);
+        let (fused, fallbacks) = selective_fuse(&server_logits, &members, 0.5);
         assert_eq!(fallbacks, 0);
         let row = fused.data();
         // (1·10 + 2·20) / 3 = 50/3 in class 0; the class-1 voter is excluded.
@@ -506,12 +449,40 @@ mod tests {
         assert_eq!(row[1], 0.0, "disagreeing voter leaked in: {row:?}");
     }
 
+    /// `Engine::run`'s error for a FedGEMS population it must refuse.
+    fn refusal(clients: Vec<ModelSpec>, server: ModelSpec) -> String {
+        let (ctx, task) = world(99, 2);
+        let mut algo = FedGems::new(clients, server, task.generate_unlabeled(4, 3));
+        let err = Engine::run(&mut algo, &ctx, RunOptions::new()).unwrap_err();
+        assert!(matches!(err, EngineError::Init(ConfigError::AlgorithmSetup { .. })), "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn init_refuses_client_specs_with_mixed_classes() {
+        let specs = uniform_specs(Arch::Cnn2, 2, 1, 12, 10, 2);
+        let mixed = vec![specs[0], ModelSpec { classes: 11, ..specs[1] }];
+        assert!(refusal(mixed, server_spec()).contains("10 and 11"));
+    }
+
+    #[test]
+    fn init_refuses_a_server_spec_with_other_classes() {
+        let specs = uniform_specs(Arch::Cnn2, 2, 1, 12, 10, 2);
+        let server = ModelSpec { classes: 11, ..server_spec() };
+        assert!(refusal(specs, server).contains("10 and 11"));
+    }
+
+    #[test]
+    fn an_empty_spec_list_is_refused_at_init() {
+        assert!(refusal(Vec::new(), server_spec()).contains("at least one client spec"));
+    }
+
     #[test]
     fn empty_cohort_leaves_the_server_untouched() {
         let (ctx, task) = world(98, 2);
         let specs = uniform_specs(Arch::Cnn2, 2, 1, 12, 10, 2);
         let public = task.generate_unlabeled(20, 3);
-        let mut algo = FedGems::new(specs, server_spec(), public, 10, FedGemsConfig::default());
+        let mut algo = FedGems::new(specs, server_spec(), public);
         algo.init(&ctx).unwrap();
         let before = algo.server.params.values.clone();
         let mut sink = kemf_fl::trace::NoopSink;
@@ -527,11 +498,10 @@ mod tests {
         let (ctx, task) = world(96, 3);
         let specs = uniform_specs(Arch::Cnn2, 3, 1, 12, 10, 2);
         let public = task.generate_unlabeled(40, 3);
-        let mut algo =
-            FedGems::new(specs.clone(), server_spec(), public.clone(), 10, FedGemsConfig::default());
+        let mut algo = FedGems::new(specs.clone(), server_spec(), public.clone());
         let _ = run(&mut algo, &ctx);
         let snap = algo.state().unwrap();
-        let mut fresh = FedGems::new(specs, server_spec(), public, 10, FedGemsConfig::default());
+        let mut fresh = FedGems::new(specs, server_spec(), public);
         fresh.init(&ctx).unwrap();
         fresh.restore(&snap).unwrap();
         assert!(fresh.server_trained);
@@ -544,8 +514,7 @@ mod tests {
             let (ctx, task) = world(97, 3);
             let specs = uniform_specs(Arch::Cnn2, 3, 1, 12, 10, 2);
             let public = task.generate_unlabeled(40, 3);
-            let mut algo =
-                FedGems::new(specs, server_spec(), public, 10, FedGemsConfig::default());
+            let mut algo = FedGems::new(specs, server_spec(), public);
             run(&mut algo, &ctx).accuracies()
         };
         assert_eq!(run_once(), run_once());

@@ -48,8 +48,6 @@ pub struct FedKemfConfig {
     pub fusion: FusionMode,
     /// Weight of the mutual KL term in DML (1.0 = the paper).
     pub kl_weight: f32,
-    /// Mutual-target temperature in DML (1.0 = the paper).
-    pub dml_temperature: f32,
     /// Ablation switch: `false` decouples the networks (each trains on
     /// plain cross-entropy; no knowledge extraction).
     pub mutual: bool,
@@ -78,7 +76,6 @@ impl FedKemfConfig {
             // lets noisy early local models drag the knowledge network.
             // `paper_literal()` restores Algorithm 1 exactly.
             kl_weight: 0.3,
-            dml_temperature: 1.0,
             mutual: true,
             kl_warmup_rounds: 10,
             spill: None,
@@ -94,10 +91,9 @@ impl FedKemfConfig {
 
     /// Paper-literal Algorithm 1 weighting: mutual KL weight 1.0 from
     /// round 0 (no warm-up).
-    pub fn paper_literal(mut self) -> Self {
+    pub fn paper_literal(&mut self) {
         self.kl_weight = 1.0;
         self.kl_warmup_rounds = 0;
-        self
     }
 }
 
@@ -166,7 +162,7 @@ impl FedAlgorithm for FedKemf {
     fn identity(&self, w: &mut Writer) {
         // Data and the spill directory stay out of the identity.
         let FedKemfConfig { knowledge_spec, client_specs, public_pool: _, distill, fusion,
-            kl_weight, dml_temperature, mutual, kl_warmup_rounds, spill: _ } = &self.cfg;
+            kl_weight, mutual, kl_warmup_rounds, spill: _ } = &self.cfg;
         w.string(&self.name());
         w.spec(knowledge_spec);
         w.usize(client_specs.len());
@@ -174,12 +170,13 @@ impl FedAlgorithm for FedKemf {
         distill.identity(w);
         w.u8(*fusion as u8);
         w.f32(*kl_weight);
-        w.f32(*dml_temperature);
         w.u8(*mutual as u8);
         w.usize(*kl_warmup_rounds);
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
+        // DML pairs each local model's logits with the knowledge network's.
+        self.clients.check_classes(&self.name(), Some(&self.cfg.knowledge_spec))?;
         self.clients.init(&self.name(), ctx)
     }
 
@@ -203,12 +200,8 @@ impl FedAlgorithm for FedKemf {
         };
         let plain = ctx.cfg.local_cfg();
         let dml_cfg = DmlConfig {
-            epochs: plain.epochs,
-            batch: plain.batch,
-            sgd: plain.sgd,
             kl_weight: self.cfg.kl_weight * ramp,
-            temperature: self.cfg.dml_temperature,
-            clip_norm: 5.0,
+            ..DmlConfig::new(plain.epochs, plain.batch, plain.sgd)
         };
         let (global, knowledge_spec, mutual) =
             (&self.global_knowledge, self.cfg.knowledge_spec, self.cfg.mutual);
@@ -431,6 +424,16 @@ mod tests {
         let mut algo = FedKemf::new(cfg);
         let h = run(&mut algo, &ctx);
         assert!(h.accuracies().iter().all(|a| a.is_finite()));
+    }
+
+    #[test]
+    fn init_refuses_clients_with_other_classes_than_the_knowledge_network() {
+        let (ctx, task) = mk(67, 2);
+        let specs = uniform_specs(Arch::Cnn2, 2, 1, 12, 11, 2);
+        let cfg = FedKemfConfig::uniform(knowledge_spec(), specs, task.generate_unlabeled(8, 5));
+        let err = Engine::run(&mut FedKemf::new(cfg), &ctx, RunOptions::new()).unwrap_err();
+        assert!(matches!(err, EngineError::Init(ConfigError::AlgorithmSetup { .. })), "{err}");
+        assert!(err.to_string().contains("11 and 10"), "{err}");
     }
 
     #[test]

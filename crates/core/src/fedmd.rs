@@ -35,48 +35,38 @@ use kemf_nn::models::ModelSpec;
 use kemf_nn::optim::SgdConfig;
 use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
-/// FedMD hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct FedMdConfig {
-    /// Epochs of consensus digestion per round.
-    pub digest_epochs: usize,
-    /// Digestion temperature.
-    pub temperature: f32,
-    /// Digestion learning rate.
-    pub digest_lr: f32,
-}
+// FedMD's settings, which every run in EXPERIMENTS.md uses; FedGEMS
+// digests at the same temperature and rate (DESIGN.md, deviation 15).
 
-impl Default for FedMdConfig {
-    fn default() -> Self {
-        FedMdConfig { digest_epochs: 1, temperature: 2.0, digest_lr: 0.02 }
-    }
-}
+/// Epochs of consensus digestion per round.
+const DIGEST_EPOCHS: usize = 1;
+
+/// Temperature of the softened consensus (FedGEMS: of its broadcast and
+/// fused targets), the server distillation's default.
+pub(crate) const DIGEST_TEMPERATURE: f32 = 2.0;
+
+/// Digestion learning rate, the server distillation's default; the
+/// revisit trains at the run's own rate.
+const DIGEST_LR: f32 = 0.02;
 
 /// The FedMD baseline (heterogeneous-capable).
 pub struct FedMd {
-    cfg: FedMdConfig,
     /// Public reference set whose logits are communicated.
     public: Tensor,
     /// Current consensus logits `[pool, classes]` (None before round 0).
     consensus: Option<Tensor>,
-    /// Per-client local models (architectures may differ per client).
+    /// Per-client local models (architectures may differ per client, the
+    /// class count may not).
     clients: ClientModels,
-    classes: usize,
 }
 
 impl FedMd {
-    /// New FedMD population over a public reference set.
-    pub fn new(client_specs: Vec<ModelSpec>, public: Tensor, classes: usize, cfg: FedMdConfig) -> Self {
-        assert!(!client_specs.is_empty(), "need at least one client spec");
-        FedMd {
-            cfg,
-            public,
-            consensus: None,
-            clients: ClientModels::new(client_specs, None),
-            classes,
-        }
+    /// New FedMD population over a public reference set. The specs must
+    /// share one class count, the width of the exchanged logits; `init`
+    /// refuses them otherwise.
+    pub fn new(client_specs: Vec<ModelSpec>, public: Tensor) -> Self {
+        FedMd { public, consensus: None, clients: ClientModels::new(client_specs, None) }
     }
 
     /// Spill per-client local models to `spill.dir` instead of holding
@@ -88,7 +78,8 @@ impl FedMd {
 
     /// Per-direction payload: the logit matrix on the public set.
     pub fn payload_bytes(&self) -> u64 {
-        (self.public.dims()[0] * self.classes * 4) as u64
+        let [pool, classes] = self.clients.logit_dims(&self.public);
+        (pool * classes * 4) as u64
     }
 
     /// Mean per-client accuracy of the local models on `tests`. A count
@@ -108,10 +99,11 @@ impl FedMd {
 
 /// FedMD's digestion, which FedGEMS runs in both directions, as a run of
 /// the student loop ([`distill_to_targets`]): `epochs` over the public set
-/// in 32-sample batches at `temperature`, the gradient clipped at 5.0.
-/// `sgd.lr` is the distillation rate, not the supervised one.
-pub(crate) fn digestion(epochs: usize, temperature: f32, sgd: SgdConfig) -> DistillConfig {
-    DistillConfig { epochs, batch: 32, sgd, temperature, clip_norm: 5.0, ..DistillConfig::default() }
+/// at [`DIGEST_TEMPERATURE`] and [`DIGEST_LR`], with the rest of `local`'s
+/// optimizer.
+pub(crate) fn digestion(epochs: usize, local: SgdConfig) -> DistillConfig {
+    let sgd = SgdConfig { lr: DIGEST_LR, ..local };
+    DistillConfig { epochs, sgd, temperature: DIGEST_TEMPERATURE, ..DistillConfig::default() }
 }
 
 impl FedAlgorithm for FedMd {
@@ -120,15 +112,13 @@ impl FedAlgorithm for FedMd {
     }
 
     fn identity(&self, w: &mut Writer) {
-        let FedMdConfig { digest_epochs, temperature, digest_lr } = self.cfg;
         w.string(&self.name());
         w.usize(self.clients.specs().len());
         self.clients.specs().iter().for_each(|s| w.spec(s));
-        [self.classes, digest_epochs].into_iter().for_each(|v| w.usize(v));
-        [temperature, digest_lr].into_iter().for_each(|v| w.f32(v));
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
+        self.clients.check_classes(&self.name(), None)?;
         self.clients.init(&self.name(), ctx)
     }
 
@@ -149,8 +139,8 @@ impl FedAlgorithm for FedMd {
         // Clients digest the consensus that was current when they were
         // dispatched — a stale worker keeps learning from the snapshot it
         // downloaded, exactly as a real device would.
-        let consensus_targets = self.consensus.as_ref().map(|c| soften(c, self.cfg.temperature));
-        let (cfg, public) = (self.cfg, &self.public);
+        let consensus_targets = self.consensus.as_ref().map(|c| soften(c, DIGEST_TEMPERATURE));
+        let public = &self.public;
         let clients = &mut self.clients;
         cohort::train_cohort(
             sampled,
@@ -160,8 +150,7 @@ impl FedAlgorithm for FedMd {
             |k, mut model: Model| {
                 let seed = child_seed(ctx.cfg.seed, 0x3D ^ ((wave as u64) << 16 | k as u64));
                 let digest_steps = consensus_targets.as_ref().map_or(0, |targets| {
-                    let sgd = SgdConfig { lr: cfg.digest_lr, ..local.sgd };
-                    let digest = digestion(cfg.digest_epochs, cfg.temperature, sgd);
+                    let digest = digestion(DIGEST_EPOCHS, local.sgd);
                     distill_to_targets(&mut model, public, targets, &digest, seed).steps
                 });
                 // Revisit private data, then publish logits on the public
@@ -190,7 +179,7 @@ impl FedAlgorithm for FedMd {
         if updates.is_empty() {
             return Ok(RoundOutcome { train_loss: f32::NAN });
         }
-        let dims = [self.public.dims()[0], self.classes];
+        let dims = self.clients.logit_dims(&self.public);
         let (members, train_loss) =
             self.clients.unpack_logits(&self.name(), dims, updates, |w, _| w)?;
         scope.phase(Phase::Fusion, |c| {
@@ -237,7 +226,7 @@ impl FedAlgorithm for FedMd {
         state.expect_header(&self.name(), 1)?;
         let consensus = match state.opt_tensor("consensus") {
             Some(blob) => {
-                let dims = [self.public.dims()[0], self.classes];
+                let dims = self.clients.logit_dims(&self.public);
                 check_tensor_dims("consensus", blob, &dims)?;
                 Some(Tensor::from_vec(blob.values.clone(), &dims))
             }
@@ -286,7 +275,7 @@ mod tests {
         let (ctx, task) = world(81, 4);
         let specs = uniform_specs(Arch::Cnn2, 4, 1, 12, 10, 2);
         let public = task.generate_unlabeled(100, 3);
-        let mut algo = FedMd::new(specs, public, 10, FedMdConfig::default());
+        let mut algo = FedMd::new(specs, public);
         let h = run(&mut algo, &ctx);
         assert!(h.best_accuracy() > 0.3, "got {}", h.best_accuracy());
     }
@@ -297,7 +286,7 @@ mod tests {
         let tiers = assign_tiers(6, 1);
         let specs = heterogeneous_specs(&tiers, 1, 12, 10, 2);
         let public = task.generate_unlabeled(80, 3);
-        let mut algo = FedMd::new(specs, public, 10, FedMdConfig::default());
+        let mut algo = FedMd::new(specs, public);
         let h = run(&mut algo, &ctx);
         assert!(h.accuracies().iter().all(|a| a.is_finite()));
         assert!(h.best_accuracy() > 0.15);
@@ -308,7 +297,7 @@ mod tests {
         let (ctx, task) = world(83, 3);
         let specs = uniform_specs(Arch::ResNet32, 3, 1, 12, 10, 2);
         let public = task.generate_unlabeled(50, 3);
-        let mut algo = FedMd::new(specs, public, 10, FedMdConfig::default());
+        let mut algo = FedMd::new(specs, public);
         assert_eq!(algo.payload_bytes(), 50 * 10 * 4);
         let model_bytes = Model::new(ModelSpec::scaled(Arch::ResNet32, 1, 12, 10, 0)).state_bytes() as u64;
         assert!(algo.payload_bytes() < model_bytes / 4, "logits ≪ model weights");
@@ -316,12 +305,33 @@ mod tests {
         assert_eq!(h.total_bytes(), 6 * 3 * 2 * algo.payload_bytes());
     }
 
+    /// `Engine::run`'s error for a FedMD population it must refuse.
+    fn refusal(clients: Vec<ModelSpec>) -> String {
+        let (ctx, task) = world(85, 2);
+        let mut algo = FedMd::new(clients, task.generate_unlabeled(4, 3));
+        let err = Engine::run(&mut algo, &ctx, RunOptions::new()).unwrap_err();
+        assert!(matches!(err, EngineError::Init(ConfigError::AlgorithmSetup { .. })), "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn init_refuses_client_specs_with_mixed_classes() {
+        let specs = uniform_specs(Arch::Cnn2, 2, 1, 12, 10, 2);
+        let mixed = vec![specs[0], ModelSpec { classes: 11, ..specs[1] }];
+        assert!(refusal(mixed).contains("10 and 11"));
+    }
+
+    #[test]
+    fn an_empty_spec_list_is_refused_at_init() {
+        assert!(refusal(Vec::new()).contains("at least one client spec"));
+    }
+
     #[test]
     fn consensus_builds_after_first_round() {
         let (ctx, task) = world(84, 3);
         let specs = uniform_specs(Arch::Cnn2, 3, 1, 12, 10, 2);
         let public = task.generate_unlabeled(40, 3);
-        let mut algo = FedMd::new(specs, public, 10, FedMdConfig::default());
+        let mut algo = FedMd::new(specs, public);
         algo.init(&ctx).unwrap();
         assert!(algo.consensus.is_none());
         let mut sink = kemf_fl::trace::NoopSink;

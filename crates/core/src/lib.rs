@@ -60,9 +60,9 @@ pub mod prelude {
         ensemble_forward, ensemble_forward_with_precision, ensemble_logits, EnsembleStrategy,
     };
     pub use crate::feddf::FedDf;
-    pub use crate::fedgems::{FedGems, FedGemsConfig};
+    pub use crate::fedgems::FedGems;
     pub use crate::fedkemf::{FedKemf, FedKemfConfig};
-    pub use crate::fedmd::{FedMd, FedMdConfig};
+    pub use crate::fedmd::FedMd;
     pub use crate::fusion::{weight_average_fusion_weighted, FusionMode};
     pub use crate::resource::{assign_tiers, heterogeneous_specs, uniform_specs, ResourceTier};
 }

@@ -120,14 +120,11 @@ fn checkpoint_sections_keep_their_names_and_order_in_both_modes() {
             specs(),
             task.generate_unlabeled(40, 2),
         );
-        let mut fedmd =
-            FedMd::new(specs(), task.generate_unlabeled(40, 3), 10, FedMdConfig::default());
+        let mut fedmd = FedMd::new(specs(), task.generate_unlabeled(40, 3));
         let mut gems = FedGems::new(
             specs(),
             ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) },
             task.generate_unlabeled(40, 3),
-            10,
-            FedGemsConfig::default(),
         );
         if sharded {
             kemf_cfg = kemf_cfg.with_spill(spill("kemf"));
@@ -184,8 +181,7 @@ fn fedmd_evaluate_reports_nan_when_a_spilled_model_is_gone() {
     let (ctx, task) = world(7);
     let dir = temp_dir("fedmd_nan");
     let mut algo =
-        FedMd::new(specs(), task.generate_unlabeled(40, 3), 10, FedMdConfig::default())
-            .with_spill(SpillConfig::new(&dir));
+        FedMd::new(specs(), task.generate_unlabeled(40, 3)).with_spill(SpillConfig::new(&dir));
     let history = Engine::run(&mut algo, &ctx, RunOptions::new()).unwrap().history;
     assert!(history.accuracies().iter().all(|a| a.is_finite()));
     assert!(algo.evaluate(&ctx).is_finite());

@@ -22,7 +22,7 @@ fn distillation_stops_missing_the_pool_after_the_first_step() {
     let spec = |seed| ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, seed);
     let mut teachers = vec![Model::new(spec(1)), Model::new(spec(2))];
     let mut student = Model::new(spec(3));
-    let cfg = |epochs| DistillConfig { epochs, batch: 32, ..Default::default() };
+    let cfg = |epochs| DistillConfig { epochs, ..Default::default() };
     assert_eq!(distill_ensemble(&mut student, &mut teachers, &pool, &cfg(1), 5).steps, 1);
     let warm = pool_misses(&mut student);
     assert!(warm > 0, "the first step draws its buffers fresh");

@@ -95,6 +95,10 @@ pub struct RunCheckpoint {
     pub scheduler: Option<SchedulerState>,
 }
 
+/// Checkpoint files the engine keeps, pruning the oldest: with two, one
+/// good checkpoint always survives a crash mid-write of the next.
+const KEEP_CHECKPOINTS: usize = 2;
+
 /// When and where the engine writes checkpoints.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
@@ -103,23 +107,13 @@ pub struct CheckpointPolicy {
     /// Checkpoint after every `every` completed rounds (and always after
     /// the final round). Clamped to at least 1.
     pub every: usize,
-    /// Keep at most this many checkpoint files, pruning the oldest;
-    /// `0` keeps them all.
-    pub keep: usize,
 }
 
 impl CheckpointPolicy {
     /// Checkpoint into `dir` every `every` rounds, keeping the last two
-    /// files (one good checkpoint always survives a crash mid-write of
-    /// the next).
+    /// files.
     pub fn new(dir: impl Into<PathBuf>, every: usize) -> Self {
-        CheckpointPolicy { dir: dir.into(), every: every.max(1), keep: 2 }
-    }
-
-    /// Keep at most `keep` checkpoint files (builder style; 0 = all).
-    pub fn keep(mut self, keep: usize) -> Self {
-        self.keep = keep;
-        self
+        CheckpointPolicy { dir: dir.into(), every: every.max(1) }
     }
 }
 
@@ -492,14 +486,10 @@ pub fn latest_checkpoint(dir: &Path) -> io::Result<Option<PathBuf>> {
     Ok(checkpoint_rounds(dir)?.last().map(|&r| checkpoint_file(dir, r)))
 }
 
-/// Delete all but the newest `keep` checkpoints in `dir` (`keep == 0`
-/// keeps everything).
-pub fn prune_checkpoints(dir: &Path, keep: usize) -> io::Result<()> {
-    if keep == 0 {
-        return Ok(());
-    }
+/// Delete all but the newest two checkpoints in `dir`.
+pub fn prune_checkpoints(dir: &Path) -> io::Result<()> {
     let rounds = checkpoint_rounds(dir)?;
-    for &r in rounds.iter().rev().skip(keep) {
+    for &r in rounds.iter().rev().skip(KEEP_CHECKPOINTS) {
         std::fs::remove_file(checkpoint_file(dir, r))?;
     }
     Ok(())
@@ -737,10 +727,8 @@ mod tests {
         for r in [1, 2, 3, 4] {
             save_run(&sample_ckpt(r), &dir).unwrap();
         }
-        prune_checkpoints(&dir, 2).unwrap();
+        prune_checkpoints(&dir).unwrap();
         assert_eq!(checkpoint_rounds(&dir).unwrap(), vec![3, 4]);
-        prune_checkpoints(&dir, 0).unwrap();
-        assert_eq!(checkpoint_rounds(&dir).unwrap(), vec![3, 4], "keep=0 keeps all");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

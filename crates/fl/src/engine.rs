@@ -29,11 +29,9 @@ use crate::config::ConfigError;
 use crate::context::FlContext;
 use crate::lifecycle::{self, plan_round, ClientPlan, FaultConfig, RoundComm, RoundPlan};
 use crate::metrics::{History, RoundRecord};
-use crate::scheduler::{
-    AsyncConfig, AsyncScheduler, PreparedUpdate, RoundMode, UpdatePayload,
-};
+use crate::scheduler::{AsyncConfig, AsyncScheduler, PreparedUpdate, UpdatePayload};
 use crate::state::{AlgorithmState, RestoreError};
-use crate::transport::{SocketConfig, SocketTransport, TransportError, TransportMode, TransportStats};
+use crate::transport::{SocketConfig, SocketTransport, TransportError, TransportStats};
 use crate::trace::{Counters, EventSink, NoopSink, Phase, RoundScope, TraceSink};
 use kemf_tensor::rng::{child_seed, seeded_rng};
 use rand::rngs::StdRng;
@@ -202,13 +200,14 @@ pub struct RunOptions<'a> {
     /// Resume from this checkpoint file — or checkpoint *directory*, in
     /// which case the newest loadable checkpoint wins.
     pub resume_from: Option<PathBuf>,
-    /// How rounds advance: classic synchronous rounds (the default) or
-    /// buffered-asynchronous cycles with staleness-weighted fusion.
-    pub round_mode: RoundMode,
-    /// How traffic travels: simulated in-process (the default,
-    /// bit-identical to every earlier release) or real framed bytes over
-    /// localhost sockets to a worker pool (see [`crate::transport`]).
-    pub transport: TransportMode,
+    /// Buffered-asynchronous cycles with staleness-weighted fusion;
+    /// `None` runs classic synchronous rounds, the cycle whose buffer
+    /// holds the whole cohort.
+    pub async_rounds: Option<AsyncConfig>,
+    /// Real framed bytes over localhost sockets to a worker pool (see
+    /// [`crate::transport`]); `None` simulates the traffic in-process,
+    /// with the same history.
+    pub socket: Option<SocketConfig>,
 }
 
 impl<'a> RunOptions<'a> {
@@ -248,28 +247,16 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Select how rounds advance (see [`RoundMode`]).
-    pub fn round_mode(mut self, mode: RoundMode) -> Self {
-        self.round_mode = mode;
+    /// Run buffered-asynchronous cycles under `cfg`.
+    pub fn async_rounds(mut self, cfg: AsyncConfig) -> Self {
+        self.async_rounds = Some(cfg);
         self
     }
 
-    /// Shorthand for [`RoundMode::Async`].
-    pub fn async_rounds(mut self, cfg: crate::scheduler::AsyncConfig) -> Self {
-        self.round_mode = RoundMode::Async(cfg);
-        self
-    }
-
-    /// Select how traffic travels (see [`TransportMode`]).
-    pub fn transport(mut self, mode: TransportMode) -> Self {
-        self.transport = mode;
-        self
-    }
-
-    /// Shorthand for [`TransportMode::Socket`]: run every round's
-    /// traffic as real framed bytes over localhost sockets.
+    /// Run every round's traffic as real framed bytes over localhost
+    /// sockets.
     pub fn socket_transport(mut self, cfg: SocketConfig) -> Self {
-        self.transport = TransportMode::Socket(cfg);
+        self.socket = Some(cfg);
         self
     }
 }
@@ -527,10 +514,7 @@ fn run_core(
     let faults = opts.faults.unwrap_or_default();
     faults.validate().map_err(EngineError::Config)?;
     let per_round = ctx.cfg.sampled_per_round();
-    let async_cfg = match &opts.round_mode {
-        RoundMode::Sync => None,
-        RoundMode::Async(a) => Some(a),
-    };
+    let async_cfg = opts.async_rounds.as_ref();
     // A synchronous round is the cycle whose buffer holds the cohort.
     let sched_cfg = async_cfg
         .cloned()
@@ -550,20 +534,17 @@ fn run_core(
     // and a checkpoint written over sockets resumes in-process (and
     // vice versa). Async cycles interleave arrivals across waves, which
     // the strictly round-scoped wire protocol cannot express.
-    let socket_cfg = match &opts.transport {
-        TransportMode::InProc => None,
-        TransportMode::Socket(s) => {
-            s.validate()?;
-            if async_cfg.is_some() {
-                return Err(EngineError::Transport(TransportError::Config {
-                    reason: "buffered-asynchronous rounds are not supported over the socket \
-                             transport; use RoundMode::Sync or TransportMode::InProc"
-                        .into(),
-                }));
-            }
-            Some(s)
+    let socket_cfg = opts.socket.as_ref();
+    if let Some(s) = socket_cfg {
+        s.validate()?;
+        if async_cfg.is_some() {
+            return Err(EngineError::Transport(TransportError::Config {
+                reason: "buffered-asynchronous rounds are not supported over the socket \
+                         transport; run synchronous rounds or the in-process transport"
+                    .into(),
+            }));
         }
-    };
+    }
 
     let algo_name = algo.name();
     let seed = ctx.cfg.seed;
@@ -778,8 +759,7 @@ fn run_core(
                 let path =
                     checkpoint::save_run(&ckpt, &policy.dir).map_err(EngineError::Checkpoint)?;
                 checkpoints.push(path);
-                checkpoint::prune_checkpoints(&policy.dir, policy.keep)
-                    .map_err(EngineError::Checkpoint)?;
+                checkpoint::prune_checkpoints(&policy.dir).map_err(EngineError::Checkpoint)?;
             }
         }
     }

@@ -3,6 +3,7 @@
 //! client drift under heterogeneous data.
 
 use crate::cohort;
+use crate::config::ConfigError;
 use crate::context::FlContext;
 use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
@@ -24,8 +25,8 @@ pub struct FedProx {
 
 impl FedProx {
     /// New FedProx server; the paper's benchmark default is μ = 0.01–0.1.
+    /// `init` refuses a μ that is negative or NaN.
     pub fn new(spec: ModelSpec, mu: f32) -> Self {
-        assert!(mu >= 0.0, "mu must be non-negative");
         FedProx { global: GlobalModel::new(spec), mu }
     }
 }
@@ -39,6 +40,16 @@ impl FedAlgorithm for FedProx {
         w.string(&self.name());
         w.spec(&self.global.spec);
         w.f32(self.mu);
+    }
+
+    fn init(&mut self, _ctx: &FlContext) -> Result<(), ConfigError> {
+        if !(0.0..).contains(&self.mu) {
+            return Err(ConfigError::AlgorithmSetup {
+                algorithm: self.name(),
+                reason: format!("mu {} is not a non-negative number", self.mu),
+            });
+        }
+        Ok(())
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
@@ -152,6 +163,24 @@ mod tests {
         let mut avg = FedAvg::new(spec);
         let ha = run(&mut avg, &c);
         assert_eq!(hp.accuracies(), ha.accuracies(), "μ=0 FedProx must equal FedAvg");
+    }
+
+    /// `Engine::run`'s error for a FedProx at `mu`.
+    fn refusal(mu: f32) -> EngineError {
+        let mut algo = FedProx::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 0), mu);
+        let err = Engine::run(&mut algo, &ctx(24, 1.0), RunOptions::new()).unwrap_err();
+        assert!(matches!(err, EngineError::Init(ConfigError::AlgorithmSetup { .. })), "{err}");
+        err
+    }
+
+    #[test]
+    fn init_refuses_a_negative_mu() {
+        assert!(refusal(-0.1).to_string().contains("mu -0.1"));
+    }
+
+    #[test]
+    fn init_refuses_a_nan_mu() {
+        assert!(refusal(f32::NAN).to_string().contains("mu NaN"));
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub struct FedRolexConfig {
 /// Rolling-window sub-model training over a wide MLP server.
 pub struct FedRolex {
     global: GlobalModel,
+    client_width: usize,
     cycle: usize,
 }
 
@@ -104,15 +105,11 @@ impl MlpLayout {
 }
 
 impl FedRolex {
-    /// New FedRolex server. Panics on a non-MLP architecture or a zero
-    /// client width; prefer catching those at configuration time.
+    /// New FedRolex server. `init` refuses a non-MLP architecture and a
+    /// client width outside `1..=H`.
     pub fn new(cfg: FedRolexConfig) -> Self {
-        assert_eq!(cfg.server_spec.arch, Arch::Mlp1, "FedRolex requires Arch::Mlp1");
-        assert!(cfg.client_width >= 1, "client_width must be at least 1");
-        let h = cfg.server_spec.width;
-        assert!(cfg.client_width <= h, "client_width {} exceeds server width {h}", cfg.client_width);
-        let cycle = h.div_ceil(cfg.client_width);
-        FedRolex { global: GlobalModel::new(cfg.server_spec), cycle }
+        let cycle = cfg.server_spec.width.div_ceil(cfg.client_width.max(1));
+        FedRolex { global: GlobalModel::new(cfg.server_spec), client_width: cfg.client_width, cycle }
     }
 
     /// Number of disjoint windows covering the server model.
@@ -210,13 +207,17 @@ impl FedAlgorithm for FedRolex {
     }
 
     fn init(&mut self, _ctx: &FlContext) -> Result<(), ConfigError> {
-        if self.global.spec.classes == 0 {
-            return Err(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: "server model must have at least one class".into(),
-            });
-        }
-        Ok(())
+        let (spec, l) = (self.global.spec, self.client_width);
+        let reason = if spec.arch != Arch::Mlp1 {
+            format!("the server model must be Mlp1, not {:?}", spec.arch)
+        } else if !(1..=spec.width).contains(&l) {
+            format!("client_width {l} is outside 1..={} (the server width)", spec.width)
+        } else if spec.classes == 0 {
+            "server model must have at least one class".into()
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError::AlgorithmSetup { algorithm: self.name(), reason })
     }
 
     fn client_plans(&self, round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
@@ -604,5 +605,29 @@ mod tests {
         };
         let err = algo.fuse(0, vec![(misshapen, 1.0)], &c, &mut scope).unwrap_err();
         assert!(err.to_string().contains("expected"), "{err}");
+    }
+
+    /// `Engine::run`'s error for a FedRolex it must refuse.
+    fn refusal(server_spec: ModelSpec, client_width: usize) -> String {
+        let mut algo = FedRolex::new(FedRolexConfig { server_spec, client_width });
+        let err = Engine::run(&mut algo, &ctx(45, 1), RunOptions::new()).unwrap_err();
+        assert!(matches!(err, EngineError::Init(ConfigError::AlgorithmSetup { .. })), "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn init_refuses_a_server_that_is_not_an_mlp() {
+        let cnn = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 7);
+        assert!(refusal(cnn, 1).contains("must be Mlp1"));
+    }
+
+    #[test]
+    fn init_refuses_a_zero_client_width() {
+        assert!(refusal(server_spec(32), 0).contains("client_width 0"));
+    }
+
+    #[test]
+    fn init_refuses_a_client_wider_than_the_server() {
+        assert!(refusal(server_spec(32), 33).contains("client_width 33"));
     }
 }

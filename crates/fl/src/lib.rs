@@ -24,14 +24,14 @@
 //! * [`scheduler`] — the discrete-event round scheduler every round runs
 //!   through (FedBuff-style): simulated arrival times, a bounded fusion
 //!   buffer — the whole cohort in synchronous mode — and
-//!   staleness-weighted updates behind [`scheduler::RoundMode`];
+//!   staleness-weighted updates behind [`scheduler::AsyncConfig`];
 //! * [`comm`] / [`metrics`] — communication accounting and the derived
 //!   metrics of the paper's tables and figures;
 //! * [`trace`] — structured round-lifecycle observability: phase-timed
 //!   spans with step/batch/FLOP/byte counters behind an [`trace::EventSink`];
 //! * [`transport`] — the real-socket federation path: framed localhost
 //!   TCP traffic to a worker pool behind
-//!   [`transport::TransportMode::Socket`], with fault injection enacted
+//!   [`transport::SocketConfig`], with fault injection enacted
 //!   on real frames and byte counters measured at the wire;
 //! * [`fedavg`], [`fedprox`], [`fednova`], [`scaffold`] — the baselines;
 //! * [`fedrolex`] — rolling-window sub-model training: a server model
@@ -98,13 +98,13 @@ pub mod prelude {
     pub use crate::metrics::{fairness_summary, FairnessSummary, History, RoundRecord};
     pub use crate::network::NetworkModel;
     pub use crate::scaffold::Scaffold;
-    pub use crate::scheduler::{AsyncConfig, PreparedUpdate, RoundMode, UpdatePayload};
+    pub use crate::scheduler::{AsyncConfig, PreparedUpdate, UpdatePayload};
     pub use crate::state::{AlgorithmState, RestoreError, TensorBlob};
     pub use crate::trace::{
         Counters, EventSink, NoopSink, Phase, PhaseSummary, RoundScope, RunTrace, Span, TraceSink,
     };
     pub use crate::transport::{
         worker_entry_if_requested, worker_main_from_env, SocketConfig, TransportError,
-        TransportMode, TransportStats, WorkerMode,
+        TransportStats, WorkerMode,
     };
 }

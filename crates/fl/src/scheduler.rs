@@ -52,20 +52,6 @@ use crate::state::TensorBlob;
 use kemf_nn::codec::{fnv1a64, Writer};
 use kemf_nn::serialize::ModelState;
 
-/// How [`crate::engine::Engine::run`] advances rounds.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum RoundMode {
-    /// Classic synchronous rounds: sample, train, fuse, repeat — run as
-    /// the cycle whose buffer holds the whole cohort. The default, and
-    /// byte-identical to every run recorded before async mode existed.
-    #[default]
-    Sync,
-    /// Buffered-asynchronous rounds: client completions arrive at
-    /// simulated timestamps and the server fuses a staleness-weighted
-    /// buffer per cycle.
-    Async(AsyncConfig),
-}
-
 /// Knobs of the buffered-asynchronous mode.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AsyncConfig {

@@ -4,9 +4,9 @@
 //! corrupted payloads — can instead travel over localhost TCP between the
 //! engine (acting as the federation server) and a pool of client workers
 //! (threads in this process or separate worker processes). The engine
-//! selects the path through [`TransportMode`] on
-//! [`crate::engine::RunOptions`]; `InProc` keeps today's closed-form
-//! accounting, `Socket` replaces it with bytes measured at the socket.
+//! selects the path through [`crate::engine::RunOptions::socket`]: `None`
+//! keeps the closed-form accounting, a [`SocketConfig`] replaces it with
+//! bytes measured at the socket.
 //!
 //! Design rules that keep socket runs bit-identical to in-process runs:
 //!
@@ -134,17 +134,6 @@ const DIR_UP: u8 = 1;
 /// receiver to notice; below this size nothing protects the content, so
 /// the transport refuses to run rather than silently accept corruption.
 pub const MIN_WIRE_PAYLOAD: u64 = 5;
-
-/// How traffic travels between the engine and its clients.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum TransportMode {
-    /// Simulated in-process traffic with closed-form byte accounting
-    /// (today's behavior, bit-identical to previous releases).
-    #[default]
-    InProc,
-    /// Real framed traffic over localhost TCP to a worker pool.
-    Socket(SocketConfig),
-}
 
 /// Where the client workers live.
 #[derive(Clone, Debug, PartialEq)]

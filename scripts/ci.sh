@@ -180,12 +180,18 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
 # Knobs only tests set stay gone: outside test modules, no crate source
 # names the async arrival window, per-client link mixes, Nesterov
 # momentum, the socket time scale (a constant beside the sleep cap) or the
-# fused bias + ReLU epilogue. And no Rust file calls into the vendored
-# `rayon`: `kemf_tensor::par::width` settles the width on its own.
+# fused bias + ReLU epilogue; nor FedMD's and FedGEMS's config types, the
+# DML temperature or the checkpoint `keep` setter (constants now), nor
+# the round- and transport-mode enums (`RunOptions` holds an
+# `Option<AsyncConfig>` and an `Option<SocketConfig>`). And no Rust file
+# calls into the vendored `rayon`: `kemf_tensor::par::width` settles the
+# width on its own.
 awk 'FNR==1{t=0} /rayon::/ { print FILENAME":"FNR": call into the vendored rayon"; bad=1 }
     /#\[cfg\(test\)\]/{t=1} t || FILENAME !~ /^crates\/[^\/]+\/src\//{next}
     /aggregate_after|NetworkProfiles|nesterov|time_scale|TIME_SCALE|BiasColRelu/ {
         print FILENAME":"FNR": deleted async window, link mix, Nesterov, time scale or epilogue"; bad=1 }
+    /FedMdConfig|FedGemsConfig|dml_temperature|RoundMode|TransportMode|fn keep\(/ {
+        print FILENAME":"FNR": deleted algorithm or checkpoint knob, or run-mode enum"; bad=1 }
     END{exit bad}' $(find crates src tests examples benchmark/src -name '*.rs')
 
 # One run identity: outside test modules, no crate source or example

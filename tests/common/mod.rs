@@ -47,9 +47,9 @@ pub fn all_algorithms(
     let wide_mlp = ModelSpec { width: 32, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 7) };
     let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
     let mut scaffold = Scaffold::new(spec);
-    let mut md = FedMd::new(clients.clone(), pool.clone(), 10, FedMdConfig::default());
+    let mut md = FedMd::new(clients.clone(), pool.clone());
     let mut kemf = FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone());
-    let mut gems = FedGems::new(clients, big_server, pool.clone(), 10, FedGemsConfig::default());
+    let mut gems = FedGems::new(clients, big_server, pool.clone());
     if let Some(dir) = spill {
         scaffold = scaffold.with_spill(SpillConfig::new(dir.join("scaffold")));
         md = md.with_spill(SpillConfig::new(dir.join("md")));

@@ -167,12 +167,7 @@ fn all_algorithms_survive_combined_faults() {
             Box::new(FedNova::new(spec)),
             Box::new(Scaffold::new(spec)),
             Box::new(FedDf::new(spec, task.generate_unlabeled(40, 2))),
-            Box::new(FedMd::new(
-                clients.clone(),
-                task.generate_unlabeled(40, 2),
-                10,
-                FedMdConfig::default(),
-            )),
+            Box::new(FedMd::new(clients.clone(), task.generate_unlabeled(40, 2))),
             Box::new(FedKemf::new(FedKemfConfig::uniform(
                 knowledge,
                 clients,
@@ -353,13 +348,14 @@ fn every_cycle_conserves_its_buffer_under_every_fault_mode() {
         let (ctx, _) = world(100, 12);
         let cohort = ctx.cfg.sampled_per_round();
         for (mode, full) in [
-            (RoundMode::Sync, true),
-            (RoundMode::Async(AsyncConfig::new(cohort)), true),
-            (RoundMode::Async(AsyncConfig::new(2)), false),
+            (None, true),
+            (Some(AsyncConfig::new(cohort)), true),
+            (Some(AsyncConfig::new(2)), false),
         ] {
             let label = format!("{name} {mode:?}");
             let mut algo = Tap::new(Box::new(Probe));
-            let opts = RunOptions::new().faults(faults).round_mode(mode).record_trace();
+            let opts = RunOptions { async_rounds: mode, ..RunOptions::new() };
+            let opts = opts.faults(faults).record_trace();
             let report = Engine::run(&mut algo, &ctx, opts).unwrap();
             let trace = report.history.trace.as_ref().unwrap();
             let (mut queued, mut reported, mut drained) = (0, 0, 0);

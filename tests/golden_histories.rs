@@ -77,7 +77,7 @@ fn all_algorithms(
     let wide_mlp = ModelSpec { width: 32, ..ModelSpec::scaled(Arch::Mlp1, 1, 12, 10, 7) };
     let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
     let mut scaffold = Scaffold::new(spec);
-    let mut fedmd = FedMd::new(clients.clone(), pool.clone(), 10, FedMdConfig::default());
+    let mut fedmd = FedMd::new(clients.clone(), pool.clone());
     let mut kemf_cfg = FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone());
     if let Some(dir) = spill {
         scaffold = scaffold.with_spill(SpillConfig::new(dir.join("scaffold")));
@@ -93,7 +93,7 @@ fn all_algorithms(
         Box::new(fedmd),
         Box::new(FedKemf::new(kemf_cfg)),
         Box::new(FedRolex::new(FedRolexConfig { server_spec: wide_mlp, client_width: 8 })),
-        Box::new(FedGems::new(clients, big_server, pool, 10, FedGemsConfig::default())),
+        Box::new(FedGems::new(clients, big_server, pool)),
     ]
 }
 

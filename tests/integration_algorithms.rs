@@ -45,7 +45,7 @@ fn algorithms(ctx: &FlContext, task: &SynthTask) -> Vec<Box<dyn FedAlgorithm>> {
         Box::new(Scaffold::new(spec)),
         Box::new(FedKemf::new(FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone()))),
         Box::new(FedRolex::new(FedRolexConfig { server_spec: wide_mlp, client_width: 8 })),
-        Box::new(FedGems::new(clients, big_server, pool, 10, FedGemsConfig::default())),
+        Box::new(FedGems::new(clients, big_server, pool)),
     ]
 }
 
@@ -151,7 +151,7 @@ fn server_larger_than_client_algorithms_never_ship_the_full_server() {
     let clients = uniform_specs(Arch::Cnn2, ctx.cfg.n_clients, 1, 12, 10, 5);
     let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
     let pool = task.generate_unlabeled(100, 2);
-    let mut gems = FedGems::new(clients, big_server, pool, 10, FedGemsConfig::default());
+    let mut gems = FedGems::new(clients, big_server, pool);
     let hg = run(&mut gems, &ctx);
     assert!(gems.server_params() >= 2 * gems.largest_client_params());
     assert_eq!(

@@ -136,12 +136,11 @@ fn canonical_jsonl_is_deterministic_and_round_trips() {
 /// it inside a span, the phases account for the Round span between them.
 #[test]
 fn fedavg_fusion_span_is_populated_and_phases_tile_the_round_in_both_modes() {
-    for mode in [RoundMode::Sync, RoundMode::Async(AsyncConfig::new(2))] {
+    for mode in [None, Some(AsyncConfig::new(2))] {
         let (ctx, mut algo) = fedavg_world(75);
         let label = format!("{mode:?}");
-        let history = Engine::run(algo.as_mut(), &ctx, RunOptions::new().round_mode(mode).record_trace())
-            .unwrap()
-            .history;
+        let opts = RunOptions { async_rounds: mode, ..RunOptions::new() }.record_trace();
+        let history = Engine::run(algo.as_mut(), &ctx, opts).unwrap().history;
         let trace = history.trace.as_ref().unwrap();
         for round in 0..ctx.cfg.rounds {
             let spans = trace.round_spans(round);
@@ -180,7 +179,7 @@ fn local_update_counters_agree_with_the_updates_for_every_algorithm() {
     let train = task.generate(160, 0);
     let test = task.generate(40, 1);
     for cohort_batch in [None, Some(2)] {
-        for mode in [RoundMode::Sync, RoundMode::Async(AsyncConfig::new(3))] {
+        for mode in [None, Some(AsyncConfig::new(3))] {
             let cfg = FlConfig {
                 n_clients: 4,
                 sample_ratio: 1.0,
@@ -197,7 +196,8 @@ fn local_update_counters_agree_with_the_updates_for_every_algorithm() {
             for inner in all_algorithms(&ctx, &task, None) {
                 let mut algo = Tap::new(inner);
                 let label = format!("{} {mode:?} cohort_batch={cohort_batch:?}", algo.name());
-                let opts = RunOptions::new().round_mode(mode.clone()).record_trace();
+                let opts = RunOptions { async_rounds: mode.clone(), ..RunOptions::new() };
+                let opts = opts.record_trace();
                 let history = Engine::run(&mut algo, &ctx, opts).unwrap().history;
                 let trace = history.trace.as_ref().unwrap();
                 assert_eq!(algo.waves.len(), ctx.cfg.rounds, "{label}: one cohort per round");

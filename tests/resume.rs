@@ -243,13 +243,11 @@ fn distill_knobs() -> Vec<DistillConfig> {
     vec![
         d,
         DistillConfig { epochs: d.epochs + 1, ..d },
-        DistillConfig { batch: d.batch + 1, ..d },
         DistillConfig { sgd: SgdConfig { lr: 0.03, ..d.sgd }, ..d },
         DistillConfig { sgd: SgdConfig { momentum: 0.5, ..d.sgd }, ..d },
         DistillConfig { sgd: SgdConfig { weight_decay: 1e-3, ..d.sgd }, ..d },
         DistillConfig { temperature: 4.0, ..d },
         DistillConfig { strategy: EnsembleStrategy::AvgLogits, ..d },
-        DistillConfig { clip_norm: 1.0, ..d },
     ]
 }
 
@@ -274,15 +272,7 @@ fn knob_variants(ctx: &FlContext, task: &SynthTask) -> Vec<Vec<Box<dyn FedAlgori
     let pool = task.generate_unlabeled(40, 2);
     let weights = |build: fn(ModelSpec) -> Algo| spec_knobs(spec).into_iter().map(build).collect();
     let prox = spec_knobs(spec).into_iter().map(|s| (s, 0.01)).chain([(spec, 0.1)]);
-    let df = spec_knobs(spec).into_iter().map(|s| (s, DistillConfig::default()));
-    let df = df.chain(distill_knobs().into_iter().skip(1).map(|d| (spec, d)));
-    let md = FedMdConfig::default();
-    let md_knobs = client_knobs(ctx).into_iter().map(|c| (c, 10, md)).chain([
-        (clients.clone(), 11, md),
-        (clients.clone(), 10, FedMdConfig { digest_epochs: 2, ..md }),
-        (clients.clone(), 10, FedMdConfig { temperature: 3.0, ..md }),
-        (clients.clone(), 10, FedMdConfig { digest_lr: 0.05, ..md }),
-    ]);
+
     let knowledge = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 99);
     let kemf = FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone());
     let mut kemf_knobs = vec![kemf.clone()];
@@ -298,7 +288,6 @@ fn knob_variants(ctx: &FlContext, task: &SynthTask) -> Vec<Vec<Box<dyn FedAlgori
     kemf_knobs.extend([
         FedKemfConfig { fusion: FusionMode::WeightAverage, ..kemf.clone() },
         FedKemfConfig { kl_weight: 0.5, ..kemf.clone() },
-        FedKemfConfig { dml_temperature: 2.0, ..kemf.clone() },
         FedKemfConfig { mutual: false, ..kemf.clone() },
         FedKemfConfig { kl_warmup_rounds: 3, ..kemf.clone() },
     ]);
@@ -307,35 +296,19 @@ fn knob_variants(ctx: &FlContext, task: &SynthTask) -> Vec<Vec<Box<dyn FedAlgori
     let rolex = rolex.map(|server_spec| FedRolexConfig { server_spec, client_width: 8 });
     let rolex = rolex.chain([FedRolexConfig { server_spec: wide_mlp, client_width: 5 }]);
     let big_server = ModelSpec { width: 8, ..ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 900) };
-    let gems = FedGemsConfig::default();
-    let gems_knobs = spec_knobs(big_server).into_iter().map(|s| (clients.clone(), s, 10, gems));
-    let gems_knobs = gems_knobs
-        .chain(client_knobs(ctx).into_iter().skip(1).map(|c| (c, big_server, 10, gems)))
-        .chain([
-            (clients.clone(), big_server, 11, gems),
-            (clients.clone(), big_server, 10, FedGemsConfig { digest_epochs: 2, ..gems }),
-            (clients.clone(), big_server, 10, FedGemsConfig { server_epochs: 2, ..gems }),
-            (clients.clone(), big_server, 10, FedGemsConfig { temperature: 3.0, ..gems }),
-            (clients.clone(), big_server, 10, FedGemsConfig { distill_lr: 0.05, ..gems }),
-            (clients.clone(), big_server, 10, FedGemsConfig { confidence_threshold: 0.6, ..gems }),
-        ]);
+    let gems_knobs = spec_knobs(big_server).into_iter().map(|s| (clients.clone(), s));
+    let gems_knobs =
+        gems_knobs.chain(client_knobs(ctx).into_iter().skip(1).map(|c| (c, big_server)));
     vec![
         weights(|s| Box::new(FedAvg::new(s))),
         prox.map(|(s, mu)| Box::new(FedProx::new(s, mu)) as Algo).collect(),
         weights(|s| Box::new(FedNova::new(s))),
         weights(|s| Box::new(Scaffold::new(s))),
-        df.map(|(s, distill)| {
-            let mut algo = FedDf::new(s, pool.clone());
-            algo.distill = distill;
-            Box::new(algo) as Algo
-        })
-        .collect(),
-        md_knobs.map(|(c, k, cfg)| Box::new(FedMd::new(c, pool.clone(), k, cfg)) as Algo).collect(),
+        spec_knobs(spec).into_iter().map(|s| Box::new(FedDf::new(s, pool.clone())) as Algo).collect(),
+        client_knobs(ctx).into_iter().map(|c| Box::new(FedMd::new(c, pool.clone())) as Algo).collect(),
         kemf_knobs.into_iter().map(|c| Box::new(FedKemf::new(c)) as Algo).collect(),
         rolex.map(|c| Box::new(FedRolex::new(c)) as Algo).collect(),
-        gems_knobs
-            .map(|(c, s, k, cfg)| Box::new(FedGems::new(c, s, pool.clone(), k, cfg)) as Algo)
-            .collect(),
+        gems_knobs.map(|(c, s)| Box::new(FedGems::new(c, s, pool.clone())) as Algo).collect(),
     ]
 }
 

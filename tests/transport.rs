@@ -1,5 +1,5 @@
 //! Integration: the real-socket federation transport. The engine's
-//! byte accounting is no longer hypothetical — in `TransportMode::Socket`
+//! byte accounting is no longer hypothetical — over `socket_transport`
 //! every round's plan is enacted as framed bytes over localhost TCP to a
 //! worker pool, and the history's byte columns are what actually crossed
 //! the wire. Covers the fault matrix over real frames (drop, straggler
