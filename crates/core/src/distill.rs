@@ -11,7 +11,6 @@ use kemf_tensor::par::fork_join;
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::Tensor;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Mini-batch of every student loop ([`distill_to_targets`]).
 const BATCH: usize = 32;
@@ -21,7 +20,7 @@ const BATCH: usize = 32;
 const CLIP_NORM: f32 = 5.0;
 
 /// Server distillation hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DistillConfig {
     /// Distillation epochs over the public pool.
     pub epochs: usize,
@@ -90,9 +89,10 @@ pub fn distill_ensemble(
     // one per share of `par::fork_join` (each member's layers on its own
     // thread) and their logits come back in member order (the same bits
     // at any width). Each member's workspace pool and its thread's
-    // lowering buffer go the moment its logits exist, so they do not
-    // stay resident into the next cohort's local updates. The student's
-    // steps below run on the calling thread.
+    // lowering buffer are freed the moment its logits exist, so they do
+    // not add to the peak of the next cohort's local updates, which reuse
+    // the freed pages from the arena. The student's steps below run on
+    // the calling thread.
     let member_logits: Vec<Tensor> =
         fork_join(teachers.iter_mut().collect(), |t: &mut Model| {
             let z = t.predict_batch_stats(pool);

@@ -24,7 +24,6 @@ use kemf_nn::loss::{cross_entropy_ws, kl_to_target_ws, soften_ws};
 use kemf_nn::model::Model;
 use kemf_nn::optim::{Sgd, SgdConfig};
 use kemf_tensor::rng::seeded_rng;
-use serde::{Deserialize, Serialize};
 
 /// Softening temperature of the mutual targets: 1, Eqs. 1–3 of the paper
 /// have none.
@@ -36,7 +35,7 @@ const TEMPERATURE: f32 = 1.0;
 const CLIP_NORM: f32 = 5.0;
 
 /// Deep-mutual-learning hyper-parameters for one local update.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DmlConfig {
     /// Local epochs `E`.
     pub epochs: usize,

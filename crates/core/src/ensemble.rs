@@ -6,7 +6,6 @@ use kemf_fl::compress::ComputePrecision;
 use kemf_nn::model::Model;
 use kemf_tensor::ops::{argmax_rows, elementwise_max, elementwise_mean};
 use kemf_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Standardize each row (zero mean, unit variance over classes). Applied
 /// to every member before logit ensembling so that a single
@@ -30,7 +29,7 @@ pub fn standardize_rows(logits: &Tensor) -> Tensor {
 }
 
 /// How the server combines the client knowledge networks' outputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EnsembleStrategy {
     /// Element-wise maximum of the logit vectors (Eq. 5; the paper's
     /// choice — "the max logits get the best results in practice").

@@ -10,10 +10,9 @@ use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
 use kemf_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Server fusion method for the uploaded knowledge networks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FusionMode {
     /// Ensemble the knowledge networks and distill into the global one
     /// (Algorithm 2 — the paper's main method).

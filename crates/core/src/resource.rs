@@ -5,10 +5,9 @@
 use kemf_nn::models::{Arch, ModelSpec};
 use kemf_tensor::rng::{child_seed, seeded_rng};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Compute-capability tier of an edge device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ResourceTier {
     /// Constrained devices (phones, sensors) → smallest model.
     Low,

@@ -32,7 +32,7 @@ use crate::metrics::{History, RoundRecord};
 use crate::scheduler::{AsyncConfig, AsyncScheduler, PreparedUpdate, UpdatePayload};
 use crate::state::{AlgorithmState, RestoreError};
 use crate::transport::{SocketConfig, SocketTransport, TransportError, TransportStats};
-use crate::trace::{Counters, EventSink, NoopSink, Phase, RoundScope, TraceSink};
+use crate::trace::{self, Counters, EventSink, NoopSink, Phase, RoundScope, TraceSink};
 use kemf_tensor::rng::{child_seed, seeded_rng};
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -662,7 +662,7 @@ fn run_core(
     let mut checkpoints = Vec::new();
     for round in start_round..ctx.cfg.rounds {
         let mut scope = RoundScope::new(&mut *sink, round);
-        let round_t0 = scope.enabled().then(Instant::now);
+        let round_t0 = scope.enabled().then(|| (Instant::now(), trace::minor_faults()));
         let (sampled, plan) = scope.phase(Phase::Sample, |c| {
             let sampled = sample_clients(ctx.cfg.n_clients, per_round, &mut rng);
             let plan = plan_round(&sampled, &faults, &mut fault_rng);
@@ -726,7 +726,7 @@ fn run_core(
             up_clients: round_comm.up_clients,
             quorum_met,
         });
-        if let Some(t0) = round_t0 {
+        if let Some((t0, faults0)) = round_t0 {
             scope.record_raw(
                 Phase::Round,
                 t0.elapsed().as_secs_f64(),
@@ -737,6 +737,7 @@ fn run_core(
                     wasted_up_bytes: round_comm.wasted_up_bytes,
                     quorum_met,
                     payload_label,
+                    minor_faults: trace::faults_since(faults0),
                     ..Default::default()
                 },
             );

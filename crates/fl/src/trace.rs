@@ -6,7 +6,8 @@
 //! per phase with wall-clock timing plus counters: SGD steps, batch
 //! visits, GEMM FLOPs (from the [`kemf_tensor::flops`] accounting hook),
 //! per-phase bytes (reusing the lifecycle plan's honest
-//! [`crate::lifecycle::RoundComm`] accounting), and quorum outcomes.
+//! [`crate::lifecycle::RoundComm`] accounting), quorum outcomes, and the
+//! process's minor page faults (where `/proc/self/stat` can be read).
 //!
 //! Two sinks ship with the engine:
 //!
@@ -25,7 +26,8 @@
 //! Wall times vary run to run by nature; FLOP deltas are exact for a
 //! lone engine but, being read from a process-global counter, can be
 //! inflated by concurrent engines in the same process (parallel tests),
-//! so they are excluded from the canonical form too.
+//! so they are excluded from the canonical form too, and so are minor
+//! faults, which depend on the allocator and the kernel as well.
 //!
 //! **File ordering.** Spans are recorded in execution order, one shape
 //! for synchronous and asynchronous rounds alike: `sample`, `broadcast`,
@@ -163,6 +165,12 @@ pub struct Counters {
     /// field is omitted rather than null so old traces stay
     /// byte-identical.
     pub payload_label: Option<&'static str>,
+    /// Minor page faults the whole process took during the span (filled
+    /// automatically by [`RoundScope::phase`] and on the `round` span):
+    /// pages first touched, or touched again after the allocator handed
+    /// them back. `None` where `/proc/self/stat` cannot be read and on
+    /// traces recorded before the counter, whose JSONL omits it.
+    pub minor_faults: Option<u64>,
 }
 
 impl Counters {
@@ -207,6 +215,9 @@ impl Serialize for Span {
         if let Some(label) = c.payload_label {
             entries.push(("payload".to_string(), Value::Str(label.to_string())));
         }
+        if let Some(faults) = c.minor_faults {
+            entries.push(("minor_faults".to_string(), faults.to_value()));
+        }
         Value::Map(entries)
     }
 }
@@ -239,6 +250,11 @@ impl Deserialize for Span {
                 }
             },
         };
+        // So does the fault counter (absent → None).
+        let minor_faults = match m.iter().find(|(k, _)| k == "minor_faults") {
+            None => None,
+            Some((_, v)) => Some(u64::from_value(v)?),
+        };
         Ok(Span {
             round: usize::from_value(field("round")?)?,
             phase: Phase::from_value(field("phase")?)?,
@@ -255,6 +271,7 @@ impl Deserialize for Span {
                 evicted_updates: opt_u64("evicted_updates")?,
                 quorum_met: bool::from_value(field("quorum_met")?)?,
                 payload_label,
+                minor_faults,
             },
         })
     }
@@ -346,20 +363,22 @@ impl<'a> RoundScope<'a> {
         self.enabled
     }
 
-    /// Run `f` as one phase: times it, measures its GEMM FLOP delta, and
-    /// records a span carrying whatever counters `f` filled in. With a
-    /// disabled sink this is exactly `f(&mut scratch)` — no clock reads,
-    /// no atomics, no allocation.
+    /// Run `f` as one phase: times it, measures its GEMM FLOP and minor
+    /// fault deltas, and records a span carrying whatever counters `f`
+    /// filled in. With a disabled sink this is exactly `f(&mut scratch)` —
+    /// no clock reads, no atomics, no allocation, no `/proc` read.
     pub fn phase<T>(&mut self, phase: Phase, f: impl FnOnce(&mut Counters) -> T) -> T {
         let mut counters = Counters::quorum_default();
         if !self.enabled {
             return f(&mut counters);
         }
+        let faults_before = minor_faults();
         let flops_before = kemf_tensor::flops::total();
         let t0 = Instant::now();
         let out = f(&mut counters);
         let wall_s = t0.elapsed().as_secs_f64();
         counters.flops += kemf_tensor::flops::total() - flops_before;
+        counters.minor_faults = faults_since(faults_before);
         self.sink.record(Span { round: self.round, phase, wall_s, counters });
         out
     }
@@ -371,6 +390,37 @@ impl<'a> RoundScope<'a> {
             self.sink.record(Span { round: self.round, phase, wall_s, counters });
         }
     }
+}
+
+/// The minor page faults the process has taken so far: field 10 of
+/// `/proc/self/stat`, summed over every thread, live or exited. The file
+/// is opened once and re-read in place, so a reading is one `pread` into
+/// a stack buffer. `None` where there is no such file.
+#[cfg(unix)]
+pub(crate) fn minor_faults() -> Option<u64> {
+    use std::fs::File;
+    use std::os::unix::fs::FileExt;
+    use std::sync::OnceLock;
+    static STAT: OnceLock<Option<File>> = OnceLock::new();
+    let file = STAT.get_or_init(|| File::open("/proc/self/stat").ok()).as_ref()?;
+    let mut buf = [0u8; 1024];
+    let len = file.read_at(&mut buf, 0).ok()?;
+    let text = std::str::from_utf8(&buf[..len]).ok()?;
+    // `pid (comm) state ...`: the command name may hold spaces and
+    // parentheses, so count fields from the last `)`; field 3 (`state`)
+    // is the first after it.
+    let rest = &text[text.rfind(')')? + 1..];
+    rest.split_whitespace().nth(10 - 3)?.parse().ok()
+}
+
+#[cfg(not(unix))]
+pub(crate) fn minor_faults() -> Option<u64> {
+    None
+}
+
+/// The faults taken since a [`minor_faults`] reading.
+pub(crate) fn faults_since(before: Option<u64>) -> Option<u64> {
+    Some(minor_faults()?.saturating_sub(before?))
 }
 
 /// A full recorded run: every span of every round, in emission order.
@@ -404,8 +454,8 @@ impl RunTrace {
 
     /// JSONL with the nondeterministic fields (`wall_s`, and `flops`,
     /// which a process-global counter can inflate across concurrent
-    /// engines) zeroed. Two same-seed runs produce identical canonical
-    /// JSONL — the golden-test form.
+    /// engines) zeroed and `minor_faults` left out. Two same-seed runs
+    /// produce identical canonical JSONL — the golden-test form.
     pub fn canonical_jsonl(&self) -> String {
         let canon = RunTrace {
             spans: self
@@ -415,6 +465,7 @@ impl RunTrace {
                     let mut c = *s;
                     c.wall_s = 0.0;
                     c.counters.flops = 0;
+                    c.counters.minor_faults = None;
                     c
                 })
                 .collect(),
@@ -450,6 +501,9 @@ impl RunTrace {
                     sum.bytes += s.counters.down_bytes
                         + s.counters.up_bytes
                         + s.counters.wasted_up_bytes;
+                    if let Some(faults) = s.counters.minor_faults {
+                        *sum.minor_faults.get_or_insert(0) += faults;
+                    }
                 }
                 (sum.spans > 0).then_some(sum)
             })
@@ -465,8 +519,9 @@ impl RunTrace {
             .iter()
             .find(|s| s.phase == Phase::Round)
             .map_or(0.0, |s| s.wall_s);
-        let header = ["phase", "spans", "wall_s", "wall%", "steps", "batches", "gflops", "bytes"];
-        let mut rows: Vec<[String; 8]> = Vec::with_capacity(summaries.len());
+        let header =
+            ["phase", "spans", "wall_s", "wall%", "steps", "batches", "gflops", "bytes", "faults"];
+        let mut rows: Vec<[String; 9]> = Vec::with_capacity(summaries.len());
         for s in &summaries {
             let share = if total_wall > 0.0 && s.phase != Phase::Round {
                 format!("{:.1}%", 100.0 * s.wall_s / total_wall)
@@ -482,6 +537,7 @@ impl RunTrace {
                 s.batches.to_string(),
                 format!("{:.3}", s.flops as f64 / 1e9),
                 s.bytes.to_string(),
+                s.minor_faults.map_or_else(|| "-".into(), |f| f.to_string()),
             ]);
         }
         let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -528,6 +584,9 @@ pub struct PhaseSummary {
     pub flops: u64,
     /// Total bytes (down + accepted up + wasted up).
     pub bytes: u64,
+    /// Total minor page faults over the spans that carry the counter;
+    /// `None` if none does.
+    pub minor_faults: Option<u64>,
 }
 
 impl Default for PhaseSummary {
@@ -540,6 +599,7 @@ impl Default for PhaseSummary {
             batches: 0,
             flops: 0,
             bytes: 0,
+            minor_faults: None,
         }
     }
 }
@@ -603,6 +663,44 @@ mod tests {
         let parsed = RunTrace::from_jsonl(&line).unwrap();
         assert_eq!(parsed, labeled);
         assert!(RunTrace::from_jsonl(&line.replace("window", "telepathy")).is_err());
+    }
+
+    #[test]
+    fn minor_faults_are_omitted_when_absent_and_roundtrip_when_set() {
+        let uncounted = RunTrace { spans: vec![span(0, Phase::Fusion, 0.0, 0)] };
+        assert!(!uncounted.to_jsonl().contains("minor_faults"), "{}", uncounted.to_jsonl());
+        let mut spans = vec![span(0, Phase::Fusion, 0.0, 0), span(1, Phase::Fusion, 0.0, 0)];
+        spans[0].counters.minor_faults = Some(1700);
+        spans[1].counters.minor_faults = Some(3);
+        let counted = RunTrace { spans };
+        let text = counted.to_jsonl();
+        assert!(text.contains("\"minor_faults\":1700"), "{text}");
+        assert_eq!(RunTrace::from_jsonl(&text).unwrap(), counted);
+        assert!(!counted.canonical_jsonl().contains("minor_faults"));
+        let fusion = counted.phase_summary()[0];
+        assert_eq!(fusion.minor_faults, Some(1703));
+        assert_eq!(uncounted.phase_summary()[0].minor_faults, None);
+        assert!(counted.summary_table().contains("1703"), "{}", counted.summary_table());
+    }
+
+    #[test]
+    fn a_traced_phase_reads_the_process_fault_counter() {
+        let mut sink = TraceSink::new();
+        let mut scope = RoundScope::new(&mut sink, 0);
+        // Touch fresh pages inside the phase: a count that reads at all
+        // reads at least the pages first written here. 36 MiB is above
+        // any mmap threshold glibc accepts, so the buffer is a fresh
+        // mapping whatever the heap already holds.
+        let pages = scope.phase(Phase::LocalUpdate, |_| {
+            let v = std::hint::black_box(vec![1u8; 36 << 20]);
+            v.iter().step_by(4096).count() as u64
+        });
+        let faults = sink.spans()[0].counters.minor_faults;
+        if std::path::Path::new("/proc/self/stat").exists() {
+            assert!(faults.is_some_and(|f| f >= pages / 2), "{faults:?} faults for {pages} pages");
+        } else {
+            assert_eq!(faults, None);
+        }
     }
 
     #[test]

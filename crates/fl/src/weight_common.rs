@@ -7,8 +7,11 @@
 //! Nothing here keeps a `Model` between calls. The server holds the
 //! global *state*; a client's model lives for its `train` closure on
 //! whichever thread the cohort driver runs it, and the evaluation model
-//! for one `evaluate` — so what is resident during a round's local
-//! updates is the state plus one training client per thread.
+//! for one `evaluate` — so what is live during a round's local updates
+//! is the state plus one training client per thread. What these models
+//! free goes back to the allocator's arena, which keeps it for the next
+//! phase to reuse (`kemf_tensor::par::heap_kept`): the frees bound the
+//! process's peak, not what it holds between rounds.
 
 use crate::context::FlContext;
 use crate::engine::{EngineError, RoundOutcome};
@@ -40,9 +43,11 @@ impl GlobalModel {
     }
 
     /// Test accuracy of the current global state, on a model that lives
-    /// for this call only: a resident evaluation model pins its parameters
-    /// and the workspace of one `eval_batch`-sized pass — more than a
-    /// training client holds — through every round's local updates.
+    /// for this call only: a kept evaluation model would pin its
+    /// parameters and the workspace of one `eval_batch`-sized pass — more
+    /// than a training client holds — on top of every round's local
+    /// updates. Freed, those pages go back to the arena, where the next
+    /// round's client models reuse them.
     pub fn evaluate(&mut self, ctx: &FlContext) -> f32 {
         let mut model = Model::from_state(self.spec, &self.state)
             .expect("the global state has its own spec's layout");

@@ -204,9 +204,11 @@ impl Model {
     /// buffers: its workspace pool, any backward cache a training forward
     /// left, and the calling thread's convolution lowering buffer (every
     /// helper's, called outside a share). Tensors the model has handed
-    /// out stay valid. The next pass warms the pools again, so this
-    /// belongs after the last pass of a kind (a teacher's logits, a
-    /// server-side evaluation), not between training steps.
+    /// out stay valid. The freed memory stays in the allocator's arena
+    /// for whatever runs next to reuse, so this lowers the peak rather
+    /// than what the process holds. The next pass warms the pools again,
+    /// so this belongs after the last pass of a kind (a teacher's logits,
+    /// a server-side evaluation), not between training steps.
     pub fn release_scratch(&mut self) {
         // A clone is exactly that: same parameters, empty caches and pool.
         *self = self.clone();

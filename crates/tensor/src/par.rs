@@ -30,6 +30,11 @@
 //! process; what they keep in thread-locals (a convolution lowering
 //! buffer, a GEMM pack pool) is reached through `each_thread`
 //! (`crate::conv::release_lowering` frees the lowering buffers).
+//!
+//! **Once per process.** The first call to [`width`] (through
+//! `init_thread_pool`, an engine run or the first fork-join) also settles
+//! the heap policy ([`heap_kept`]): on glibc, freed memory stays in the
+//! arena for the next round instead of going back to the kernel.
 
 use crate::simd::{force_scalar, scalar_forced};
 use std::any::Any;
@@ -45,16 +50,71 @@ use std::time::{Duration, Instant};
 /// Settle the process's compute width exactly once and return it:
 /// `KEMF_THREADS`, or one per available core when unset or `0`. This is
 /// the only width control: [`fork_join`] uses at most this many threads,
-/// the caller's included. Nothing is spawned here.
+/// the caller's included. Nothing is spawned here. The same one-time
+/// initialisation settles the heap policy ([`heap_kept`]).
 pub fn width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        std::env::var("KEMF_THREADS")
+    settled().width
+}
+
+/// Whether the allocator keeps what the process frees: true once glibc
+/// accepted both thresholds of the heap policy, false where there is no
+/// glibc to tell (or it refused a value and kept its defaults). Settles
+/// the width too.
+pub fn heap_kept() -> bool {
+    settled().heap_kept
+}
+
+/// What the process settles once, before its first fork-join.
+struct Settled {
+    width: usize,
+    heap_kept: bool,
+}
+
+fn settled() -> &'static Settled {
+    static SETTLED: OnceLock<Settled> = OnceLock::new();
+    SETTLED.get_or_init(|| Settled {
+        width: std::env::var("KEMF_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
-            .unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+            .unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1)),
+        heap_kept: keep_heap(),
     })
+}
+
+/// The heap policy: freed memory stays in glibc's arena, so a round's
+/// model-sized buffers (the client model rebuilt per round, its optimizer
+/// velocity, the upload states, the evaluation model) are taken from
+/// pages the previous round already touched instead of being unmapped or
+/// trimmed and faulted back in. Both thresholds are fixed because setting
+/// either one turns off glibc's dynamic adjustment of the other: the mmap
+/// threshold goes to 32 MiB (the ceiling glibc's own dynamic threshold
+/// climbs to on 64-bit hosts, and the most some glibc versions accept),
+/// so no model buffer is its own mapping, and the trim threshold to
+/// 1 GiB, so the top of the heap is not handed back between rounds. Only
+/// where the allocator takes its pages changes, never what is computed;
+/// the cost is a peak RSS that holds the largest round's frees.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn keep_heap() -> bool {
+    use std::ffi::c_int;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    const M_TRIM_THRESHOLD: c_int = -1;
+    const M_MMAP_THRESHOLD: c_int = -3;
+    // glibc returns 1 when it takes a value and 0 when it refuses it.
+    // SAFETY: `mallopt` takes two integers and only adjusts the
+    // allocator's parameters under its own lock; both parameter numbers
+    // are glibc's `malloc.h` constants, and no pointer is passed.
+    let set = |param, value| unsafe { mallopt(param, value) } == 1;
+    // Both calls are made even if the first is refused.
+    set(M_MMAP_THRESHOLD, 32 << 20) & set(M_TRIM_THRESHOLD, 1 << 30)
+}
+
+/// No glibc: the platform allocator keeps its own policy.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn keep_heap() -> bool {
+    false
 }
 
 /// How long a helper (or a caller waiting for one) spins before it

@@ -132,6 +132,22 @@ awk '/par::split|SPLIT_FLOOR|ELEMENT_FLOPS/ {
         print FILENAME":"FNR": intra-layer split, its floor or its element cost"; bad=1 }
     END{exit bad}' $(find crates/*/src -name '*.rs')
 
+# One heap policy: glibc's malloc thresholds are set at one site, the
+# once-per-process initialisation in `kemf_tensor::par` (one `extern`
+# declaration, one call), and no code or script tunes the allocator
+# through the environment variables glibc reads instead.
+awk 'FILENAME ~ /^crates\/[^\/]+\/src\// {
+        if (index($0, "fn mallopt(")) decl++
+        else if (index($0, "mallopt(")) { call++; where = where " " FILENAME":"FNR }
+    }
+    /GLIBC_TUNABLE[S]|MALLOC_[A-Z_]+_/ {
+        print FILENAME":"FNR": allocator tuned through the environment"; bad=1 }
+    END{ if (decl != 1 || call != 1) {
+             print "mallopt declared " decl+0 " and called " call+0 " times under crates/*/src, want 1 and 1:" where
+             bad=1 }
+         exit bad }' $(find crates src tests examples benchmark/src -name '*.rs') \
+    scripts/*.sh benchmark/run.sh run_experiments.sh
+
 # No f32 ReLU mask: a ReLU after a batch norm is folded into it
 # (`BatchNorm2d::with_relu`, which rebuilds the mask from x̂), and every
 # other ReLU keeps its mask as bits. Outside test modules, no builder

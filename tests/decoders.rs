@@ -246,7 +246,7 @@ fn scratch(tag: &str) -> PathBuf {
 // ---- the text decoder -------------------------------------------------------
 
 /// Two rounds with every phase and every optional field: a labelled
-/// payload, the async staleness counters, a failed quorum.
+/// payload, the async staleness counters, minor faults, a failed quorum.
 fn trace() -> RunTrace {
     let spans = (0..2)
         .flat_map(|round| {
@@ -266,6 +266,7 @@ fn trace() -> RunTrace {
                     evicted_updates: i as u64 % 2,
                     quorum_met: round == 0,
                     payload_label: [None, Some("weights"), Some("logits")][i % 3],
+                    minor_faults: [None, Some(1700 * i as u64)][i % 2],
                 },
             })
         })

@@ -83,6 +83,11 @@ fn traced_fedkemf_run_emits_full_round_structure() {
         assert!(by(Phase::Broadcast).counters.down_bytes > 0);
         assert!(by(Phase::Upload).counters.up_bytes > 0);
 
+        // Every span, the enclosing round's included, carries the
+        // process's minor-fault delta wherever `/proc` can be read.
+        let counted = std::path::Path::new("/proc/self/stat").exists();
+        assert!(spans.iter().all(|s| s.counters.minor_faults.is_some() == counted), "{spans:?}");
+
         // The enclosing round span bounds its interior phases.
         let round_span = by(Phase::Round);
         assert!(round_span.counters.quorum_met);
