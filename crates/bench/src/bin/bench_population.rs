@@ -15,8 +15,10 @@
 //!
 //! Each scenario runs in a *child process* (`VmHWM` is monotonic per
 //! process, so in-process scenarios would shadow each other); the parent
-//! collects the records into `bench_results/BENCH_population.json`.
+//! collects the records into `BENCH_population.json` in the results
+//! directory (`KEMF_RESULTS_DIR`, default `bench_results/`).
 
+use kemf_bench::report::write_json;
 use kemf_bench::Args;
 use kemf_core::fedkemf::{FedKemf, FedKemfConfig};
 use kemf_core::resource::uniform_specs;
@@ -33,7 +35,7 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 /// One scenario's measurement, as written to BENCH_population.json.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 struct PopRecord {
     name: String,
     algo: String,
@@ -185,8 +187,7 @@ fn main() {
         ]
         .into_iter()
         .collect();
-        let rec = run_scenario(&flags);
-        emit(&[rec]);
+        write_json("BENCH_population.json", &[run_scenario(&flags)]);
         return;
     }
 
@@ -248,7 +249,8 @@ fn main() {
     println!("  fedkemf sharded == eager: {identical}");
 
     if !smoke {
-        return emit(&[rec_big, rec_small, rec_eager, rec_sharded]);
+        write_json("BENCH_population.json", &[rec_big, rec_small, rec_eager, rec_sharded]);
+        return;
     }
     assert!(
         ratio < 1.5,
@@ -256,13 +258,4 @@ fn main() {
     );
     assert!(identical, "sharded FedKEMF diverged from eager at equal seeds");
     println!("smoke assertions passed");
-}
-
-/// Write the records into bench_results/BENCH_population.json.
-fn emit(records: &[PopRecord]) {
-    let json = serde_json::to_string_pretty(&records.to_vec()).expect("records serialize");
-    let _ = std::fs::create_dir_all("bench_results");
-    let path = "bench_results/BENCH_population.json";
-    std::fs::write(path, json).expect("write benchmark json");
-    println!("wrote {path}");
 }

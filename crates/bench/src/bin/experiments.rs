@@ -7,6 +7,9 @@
 //! it and hands the same history to every later asker: Fig. 5 and Fig. 6
 //! read Fig. 4's curves, Table 1 reads Table 2's runs, and the ablations
 //! and `hetero_baselines` reuse Fig. 4's ResNet-20 FedKEMF / FedAvg runs.
+//! A run's [`Regime`] (fault model and round mode) is part of what was
+//! trained: the paper's artefacts run a reliable synchronous fleet, and
+//! `async_vs_sync` the same spec under stragglers, sync and buffered.
 //!
 //! `--only fig4,table1,…` selects artefacts (default: all, in paper
 //! order). `--clients --rounds --ratio --spc --alpha --seed` override the
@@ -40,8 +43,8 @@ const FLAGS: [&str; 20] = [
 /// A reducer asks the memo for histories and builds `(csv slug, table)`s.
 type Reducer = fn(&mut Memo) -> Vec<(String, Table)>;
 
-/// Every artefact, in paper order.
-const ARTEFACTS: [(&str, Reducer); 10] = [
+/// Every artefact, in paper order, then the system's own comparisons.
+const ARTEFACTS: [(&str, Reducer); 12] = [
     ("fig4", fig4),
     ("fig5", fig5),
     ("fig6", fig6),
@@ -52,6 +55,8 @@ const ARTEFACTS: [(&str, Reducer); 10] = [
     ("ablation_ensemble", ablation_ensemble),
     ("ablation_knet_size", ablation_knet_size),
     ("hetero_baselines", hetero_baselines),
+    ("async_vs_sync", async_vs_sync),
+    ("fedrolex_vs_fedavg", fedrolex_vs_fedavg),
 ];
 
 /// The four model/task configurations of Fig. 4–6: CSV slug and row label.
@@ -77,12 +82,34 @@ enum Algo<'a> {
     FedMd,
     /// Its server is four times the clients' width.
     FedGems,
+    /// `spec.arch` (an MLP) at hidden width `H`, shipped whole by FedAvg
+    /// or, with `Some(L)`, by FedRolex as rolling windows of `L` units.
+    Wide(usize, Option<usize>),
 }
 
-/// The in-process memo `(run key, rounds) → History`.
+/// How a run's fleet behaves and when its server fuses. The default, a
+/// reliable synchronous fleet, is every paper artefact's.
+#[derive(Clone, Default)]
+struct Regime {
+    faults: FaultConfig,
+    async_rounds: Option<AsyncConfig>,
+}
+
+/// What the memo keeps of a trained run.
+struct Run {
+    history: Rc<History>,
+    /// Each round's lifecycle plan.
+    plans: Vec<RoundPlan>,
+    /// What client 0 moves in round 0.
+    payload: WirePayload,
+    /// The async scheduler's final virtual clock; `None` for sync runs.
+    sim_time_s: Option<f64>,
+}
+
+/// The in-process memo `(run key, rounds) → Run`.
 struct Memo<'a> {
     args: &'a Args,
-    runs: HashMap<(Vec<u8>, usize), Rc<History>>,
+    runs: HashMap<(Vec<u8>, usize), Rc<Run>>,
     requested: usize,
     trained: usize,
 }
@@ -93,18 +120,34 @@ impl<'a> Memo<'a> {
     }
 
     /// The driver's one call of [`kemf_bench::train`].
-    fn train(&mut self, algo: &mut dyn FedAlgorithm, ctx: &FlContext, run: &str) -> History {
+    fn train(
+        &mut self,
+        algo: &mut dyn FedAlgorithm,
+        ctx: &FlContext,
+        run: &str,
+        regime: &Regime,
+    ) -> RunReport {
         self.requested += 1;
         self.trained += 1;
-        let h = train(algo, ctx, self.args, run);
+        let mut opts = RunOptions::new().faults(regime.faults);
+        if let Some(a) = &regime.async_rounds {
+            opts = opts.async_rounds(a.clone());
+        }
+        let report = train(algo, ctx, self.args, run, opts);
+        let h = &report.history;
         let (n, acc, rounds) = (self.trained, h.final_accuracy(), h.rounds());
         println!("[run {n:>3}] {run}: {acc:.3} after {rounds} rounds");
-        h
+        report
     }
 
-    /// The history of `algo` on `spec`, trained now if no reducer asked
-    /// for it before.
+    /// The history of `algo` on `spec` in a reliable synchronous fleet.
     fn history(&mut self, spec: &ExperimentSpec, algo: Algo) -> Rc<History> {
+        self.run(spec, algo, &Regime::default()).history.clone()
+    }
+
+    /// The run of `algo` on `spec` under `regime`, trained now if no
+    /// reducer asked for it before.
+    fn run(&mut self, spec: &ExperimentSpec, algo: Algo, regime: &Regime) -> Rc<Run> {
         let (ctx, task) = spec.build_ctx();
         let (ch, hw) = spec.workload.shape();
         let model = ModelSpec::scaled(spec.arch, ch, hw, 10, child_seed(spec.seed, 0x90D));
@@ -120,32 +163,72 @@ impl<'a> Memo<'a> {
                 let server = ModelSpec { width: model.width * 4, ..model };
                 Box::new(FedGems::new(clients(), server, pool()))
             }
+            Algo::Wide(width, window) => {
+                let server_spec = ModelSpec { width, ..model };
+                match window {
+                    Some(client_width) => {
+                        Box::new(FedRolex::new(FedRolexConfig { server_spec, client_width }))
+                    }
+                    None => Box::new(FedAvg::new(server_spec)),
+                }
+            }
         };
         // Two requests that configure the same run (an ablation's "paper"
         // row and Fig. 4's FedKEMF) share it. The round budget stays out of
-        // the file name so that a resumed run may extend it.
-        let key = run_key(spec, &ctx, algo.as_ref());
-        let run = run_id(spec, algo.as_ref(), &key);
-        let key = (key, spec.rounds);
-        if let Some(h) = self.runs.get(&key) {
-            self.requested += 1;
-            return h.clone();
+        // the file name so that a resumed run may extend it, unless the run
+        // stops short of the invocation's horizon: a prefix of a longer run
+        // must neither resume from nor overwrite that run's files.
+        let key = run_key(spec, &ctx, regime, algo.as_ref());
+        let mut id = run_id(spec, algo.as_ref(), &key);
+        if spec.rounds < spec_for(spec.workload, spec.arch, self.args).rounds {
+            id += &format!("_r{}", spec.rounds);
         }
-        let h = Rc::new(self.train(algo.as_mut(), &ctx, &run));
-        self.runs.insert(key, h.clone());
-        h
+        let key = (key, spec.rounds);
+        if let Some(run) = self.runs.get(&key) {
+            self.requested += 1;
+            return run.clone();
+        }
+        let report = self.train(algo.as_mut(), &ctx, &id, regime);
+        let run = Rc::new(Run {
+            history: Rc::new(report.history),
+            plans: report.plans,
+            payload: algo.client_plans(0, &[0])[0].payload,
+            sim_time_s: report.sim_time_s,
+        });
+        self.runs.insert(key, run.clone());
+        run
     }
 }
 
 /// What a run is, knobs included: the spec fields `FlConfig` lacks (the
 /// task, the samples per client), then the run identity a checkpoint
-/// fingerprints ([`run_identity`]) — config without rounds, the reliable
-/// fault model every run here uses, the algorithm's encoded knobs.
-fn run_key(spec: &ExperimentSpec, ctx: &FlContext, algo: &dyn FedAlgorithm) -> Vec<u8> {
+/// fingerprints ([`run_identity`]) — config without rounds, the fault
+/// model, the algorithm's encoded knobs — and, for an async run, the
+/// async knobs an async checkpoint mixes in, in that order. A reliable
+/// sync run's key is its identity alone.
+fn run_key(
+    spec: &ExperimentSpec,
+    ctx: &FlContext,
+    regime: &Regime,
+    algo: &dyn FedAlgorithm,
+) -> Vec<u8> {
     let mut w = Writer::new();
     w.u8(spec.workload as u8);
     w.usize(spec.samples_per_client);
-    run_identity(&mut w, &ctx.cfg, &FaultConfig::default(), algo);
+    run_identity(&mut w, &ctx.cfg, &regime.faults, algo);
+    if let Some(a) = &regime.async_rounds {
+        w.usize(a.buffer_size);
+        w.usize(a.max_staleness);
+        w.f32(a.staleness_decay);
+        match a.network {
+            None => w.u8(0),
+            Some(net) => {
+                w.u8(1);
+                w.f64(net.bandwidth_bps);
+                w.f64(net.latency_s);
+            }
+        }
+    }
     w.into_bytes()
 }
 
@@ -431,8 +514,9 @@ fn table3(memo: &mut Memo) -> Vec<(String, Table)> {
     let global_test = task.generate(spec.test_samples(), 1);
     let ctx = FlContext::with_shards(cfg, &full, &train_shards, global_test);
     let mut run = |algo: &mut dyn FedAlgorithm| {
-        let id = run_id(&spec, algo, &run_key(&spec, &ctx, algo));
-        memo.train(algo, &ctx, &id);
+        let reliable = Regime::default();
+        let id = run_id(&spec, algo, &run_key(&spec, &ctx, &reliable, algo));
+        memo.train(algo, &ctx, &id, &reliable);
     };
     let mut table = Table::new(
         "Table 3 — multi-model federated learning (average local accuracy)",
@@ -601,6 +685,105 @@ fn hetero_baselines(memo: &mut Memo) -> Vec<(String, Table)> {
         ]);
     }
     vec![("hetero_baselines".into(), table)]
+}
+
+/// The straggler regime of `async_vs_sync`: 60 % of a cohort is delayed
+/// 120 s, and a synchronous round stops waiting after 30 s.
+fn stragglers() -> FaultConfig {
+    FaultConfig {
+        straggler_prob: 0.6,
+        straggler_delay_s: 120.0,
+        round_deadline_s: Some(30.0),
+        ..Default::default()
+    }
+}
+
+/// FedAvg and FedKEMF on the 2-CNN/MNIST spec under [`stragglers`] and a
+/// 4G link, synchronous and buffered-async (the server fuses the first 3
+/// reports, or the whole cohort when it is smaller, and moves on): the
+/// simulated seconds to [`target_accuracy`] of sync FedAvg's best, and at
+/// the horizon. The sync clock prices each round's lifecycle plan (the
+/// slowest reporter, the deadline at most); the async clock is the
+/// scheduler's own, read from the run truncated at the round that reached
+/// the target — a bit-exact prefix of the full run, and a memo entry of
+/// its own.
+fn async_vs_sync(memo: &mut Memo) -> Vec<(String, Table)> {
+    let spec = spec_for(Workload::MnistLike, Arch::Cnn2, memo.args);
+    let net = NetworkModel::cellular_4g();
+    let deadline = stragglers().round_deadline_s;
+    let buffer = spec.build_ctx().0.cfg.sampled_per_round().min(3);
+    let sync = Regime { faults: stragglers(), async_rounds: None };
+    let buffered = AsyncConfig::new(buffer).max_staleness(4).staleness_decay(0.7).network(net);
+    let buffered = Regime { async_rounds: Some(buffered), ..sync.clone() };
+    let mut table = Table::new(
+        "Extension — sync vs buffered-async rounds under stragglers",
+        &[
+            "algorithm",
+            "mode",
+            "best_acc",
+            "target",
+            "rounds_to_target",
+            "sim_s_to_target",
+            "sim_s",
+        ],
+    );
+    let mut runs = Vec::new();
+    for kind in [AlgoKind::FedAvg, AlgoKind::FedKemf] {
+        for (mode, regime) in [("sync", &sync), ("async", &buffered)] {
+            runs.push((kind, mode, regime, memo.run(&spec, Algo::Paper(kind), regime)));
+        }
+    }
+    let target = target_accuracy(&runs[0].3.history, memo.args);
+    for (kind, mode, regime, run) in runs {
+        // Simulated seconds at the end of round `n`.
+        let mut clock = |n: usize| match regime.async_rounds {
+            None => run.plans[..n]
+                .iter()
+                .map(|p| net.lifecycle_round_time(p, run.payload, deadline))
+                .sum::<f64>(),
+            Some(_) => {
+                let prefix = ExperimentSpec { rounds: n, ..spec };
+                memo.run(&prefix, Algo::Paper(kind), regime).sim_time_s.expect("async clock")
+            }
+        };
+        let reached = run.history.rounds_to_target(target);
+        table.row(&[
+            kind.display().into(),
+            mode.into(),
+            fmt_pct(run.history.best_accuracy()),
+            fmt_pct(target),
+            reached.map_or(format!(">{}", spec.rounds), |r| r.to_string()),
+            reached.map_or("n/a".into(), |n| format!("{:.1}", clock(n))),
+            format!("{:.1}", clock(spec.rounds)),
+        ]);
+    }
+    vec![("async_vs_sync".into(), table)]
+}
+
+/// FedRolex against FedAvg on one wide MLP of hidden width `H` on the
+/// MNIST-like task: FedAvg ships the whole server to every client each
+/// round, FedRolex one rolling window of `L` hidden units, so no client
+/// hosts more than `L/H` of it. Downlink per client is round 0's.
+fn fedrolex_vs_fedavg(memo: &mut Memo) -> Vec<(String, Table)> {
+    let spec = spec_for(Workload::MnistLike, Arch::Mlp1, memo.args);
+    let mut table = Table::new(
+        "Extension — FedRolex windows vs FedAvg on one wide server",
+        &["algorithm", "H", "L", "payload", "best acc", "down B/client/round", "total down B"],
+    );
+    for (h, window) in [(32, Some(8)), (32, None), (64, Some(16)), (64, Some(8)), (64, None)] {
+        let run = memo.history(&spec, Algo::Wide(h, window));
+        let first = &run.records[0];
+        table.row(&[
+            run.algorithm.clone(),
+            h.to_string(),
+            window.unwrap_or(h).to_string(),
+            run.payload_kind.clone(),
+            fmt_pct(run.best_accuracy()),
+            (first.down_bytes / first.down_clients.max(1) as u64).to_string(),
+            run.records.iter().map(|r| r.down_bytes).sum::<u64>().to_string(),
+        ]);
+    }
+    vec![("fedrolex_vs_fedavg".into(), table)]
 }
 
 /// Wall seconds of one artefact's reducer, training included.
@@ -776,6 +959,64 @@ mod tests {
         }
         // With the scales collapsed, the cells differ by model only.
         assert_eq!((memo.requested, memo.trained), (25 + 35, 15));
+    }
+
+    #[test]
+    fn fedrolex_rows_ship_windows_under_half_of_fedavgs_downlink() {
+        let tables = fedrolex_vs_fedavg(&mut Memo::new(&tiny(&[])));
+        let rows = rows(&tables[0].1);
+        let fedavg_down = |h: &str| {
+            let row = rows.iter().find(|r| r[0] == "FedAvg" && r[1] == h).expect("a FedAvg row");
+            row[5].parse::<u64>().unwrap()
+        };
+        for r in &rows {
+            let down: u64 = r[5].parse().unwrap();
+            match r[0].as_str() {
+                "FedRolex" => {
+                    assert_eq!(r[3], "window", "{r:?}");
+                    assert!(2 * down < fedavg_down(&r[1]), "{r:?}");
+                }
+                _ => assert_eq!((r[0].as_str(), r[3].as_str()), ("FedAvg", "weights"), "{r:?}"),
+            }
+        }
+        assert_eq!(rows.iter().filter(|r| r[0] == "FedRolex").count(), 3);
+    }
+
+    #[test]
+    fn async_rows_report_a_clock() {
+        let dir = std::env::temp_dir().join(format!("kemf_exp_async_{}", std::process::id()));
+        let args = tiny(&["--trace", dir.to_str().unwrap()]);
+        let mut memo = Memo::new(&args);
+        let tables = async_vs_sync(&mut memo);
+        let traces = std::fs::read_dir(&dir).expect("trace dir").count();
+        let _ = std::fs::remove_dir_all(&dir);
+        let rows = rows(&tables[0].1);
+        assert_eq!(rows.iter().filter(|r| r[1] == "async").count(), 2);
+        for r in rows.iter().filter(|r| r[1] == "async") {
+            assert!(r[6].parse::<f64>().unwrap() > 0.0, "{r:?}");
+        }
+        // A run truncated at the target is a file of its own.
+        assert!(memo.trained > 4, "no async run reached the target");
+        assert_eq!(traces, memo.trained, "one JSONL per trained run");
+    }
+
+    #[test]
+    fn a_run_is_trained_once_per_regime() {
+        let args = tiny(&[]);
+        let mut memo = Memo::new(&args);
+        let spec = spec_for(Workload::MnistLike, Arch::Cnn2, &args);
+        let fedavg = Algo::Paper(AlgoKind::FedAvg);
+        let stragglers = Regime { faults: stragglers(), async_rounds: None };
+        let reliable = memo.history(&spec, fedavg);
+        let delayed = memo.run(&spec, fedavg, &stragglers);
+        // A stragglers run and a reliable one are two entries ...
+        assert_eq!((memo.requested, memo.trained, memo.runs.len()), (2, 2, 2));
+        assert_ne!(reliable.to_json(), delayed.history.to_json());
+        // ... and asking for either again trains nothing.
+        let again = memo.run(&spec, fedavg, &stragglers);
+        memo.history(&spec, fedavg);
+        assert_eq!((memo.requested, memo.trained, memo.runs.len()), (4, 2, 2));
+        assert!(Rc::ptr_eq(&delayed, &again));
     }
 
     #[test]

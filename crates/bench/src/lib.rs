@@ -19,14 +19,16 @@
 //! | `ablation_ensemble` | Ensemble-strategy, fusion, DML and temperature ablations | `ablation_ensemble.csv` |
 //! | `ablation_knet_size` | Knowledge-network width vs accuracy vs payload | `ablation_knet_size.csv` |
 //! | `hetero_baselines` | FedKEMF vs FedDF / FedMD / FedGEMS | `hetero_baselines.csv` |
+//! | `async_vs_sync` | Sync vs buffered-async simulated time under stragglers | `async_vs_sync.csv` |
+//! | `fedrolex_vs_fedavg` | FedRolex windows vs FedAvg on one wide MLP server | `fedrolex_vs_fedavg.csv` |
 //!
 //! `--clients N --rounds R --ratio F --spc S --alpha A --seed X` override
 //! the scale (defaults finish in minutes on two cores); `--trace <dir>` or
 //! `--checkpoint-dir <dir>` observe every run of the invocation (see
 //! [`train`]); an unknown flag is an error. The `bench_*` binaries measure
-//! the system itself. Criterion benches (`cargo bench -p kemf-bench`)
-//! exercise the kernels, one local update, one aggregation round, and
-//! miniature versions of each experiment.
+//! the system itself (kernels, population memory, transport) and write
+//! `BENCH_<name>.json` through [`report::write_json`]; `--smoke` runs
+//! their CI check and writes nothing.
 
 pub mod args;
 pub mod report;

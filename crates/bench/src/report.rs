@@ -1,7 +1,9 @@
 //! Table/figure output helpers: aligned console tables mirroring the
-//! paper's rows, CSV files under `bench_results/` for plotting, and the
-//! markdown rendering EXPERIMENTS.md's measured blocks are generated from.
+//! paper's rows, CSV and JSON files under `bench_results/` for plotting,
+//! and the markdown rendering EXPERIMENTS.md's measured blocks are
+//! generated from.
 
+use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
 
@@ -94,6 +96,16 @@ pub fn results_dir() -> PathBuf {
     path
 }
 
+/// Write `records` as pretty JSON to `<results dir>/<file>`: the one way a
+/// `bench_*` binary records its sweep.
+pub fn write_json<T: Serialize>(file: &str, records: &[T]) {
+    let path = results_dir().join(file);
+    let json = serde_json::to_string_pretty(&records.iter().collect::<Vec<_>>())
+        .expect("records serialize");
+    fs::write(&path, json).unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
 /// Format a byte count the way the paper's tables do.
 pub fn fmt_bytes(bytes: f64) -> String {
     kemf_nn::serialize::format_bytes(bytes)
@@ -135,6 +147,18 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(&["only-one".into()]);
+    }
+
+    #[test]
+    fn json_goes_to_the_results_dir() {
+        // The only test of this library that reads the variable.
+        let dir = std::env::temp_dir().join(format!("kemf_results_{}", std::process::id()));
+        std::env::set_var("KEMF_RESULTS_DIR", &dir);
+        write_json("BENCH_demo.json", &[1, 2]);
+        std::env::remove_var("KEMF_RESULTS_DIR");
+        let written = fs::read_to_string(dir.join("BENCH_demo.json"));
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(written.expect("JSON under KEMF_RESULTS_DIR"), "[\n  1,\n  2\n]");
     }
 
     #[test]

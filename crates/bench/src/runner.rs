@@ -220,8 +220,9 @@ pub fn fedkemf_config(
 }
 
 /// Train `algo` on `ctx` to its round budget: the one `Engine::run` every
-/// table and figure goes through. The flags choose how the run is
-/// observed, never what it computes:
+/// table and figure goes through. `opts` says what the run computes
+/// beyond `algo` and `ctx` (its fault model and round mode); the flags
+/// choose how it is observed, never what it computes:
 ///
 /// * `--trace <dir>` records the run through a
 ///   [`kemf_fl::trace::TraceSink`] and writes its round-lifecycle JSONL to
@@ -234,12 +235,17 @@ pub fn fedkemf_config(
 ///
 /// The two are mutually exclusive. `run` names this run's files, so it
 /// must differ between any two runs of one invocation.
-pub fn train(algo: &mut dyn FedAlgorithm, ctx: &FlContext, args: &Args, run: &str) -> History {
+pub fn train(
+    algo: &mut dyn FedAlgorithm,
+    ctx: &FlContext,
+    args: &Args,
+    run: &str,
+    mut opts: RunOptions,
+) -> RunReport {
     assert!(
         !(args.has("trace") && args.has("checkpoint-dir")),
         "--trace and --checkpoint-dir are mutually exclusive"
     );
-    let mut opts = RunOptions::new();
     if args.has("trace") {
         opts = opts.record_trace();
     }
@@ -252,15 +258,15 @@ pub fn train(algo: &mut dyn FedAlgorithm, ctx: &FlContext, args: &Args, run: &st
             opts = opts.resume_from(&dir);
         }
     }
-    let mut history = Engine::run(algo, ctx, opts).expect("experiment run failed").history;
-    if let Some(trace) = history.trace.take() {
+    let mut report = Engine::run(algo, ctx, opts).expect("experiment run failed");
+    if let Some(trace) = report.history.trace.take() {
         let dir = args.get_str("trace", "");
         std::fs::create_dir_all(&dir).expect("trace dir");
         let path = format!("{dir}/{run}.jsonl");
         std::fs::write(&path, trace.to_jsonl()).expect("trace written");
         println!("[trace] {} spans -> {path}", trace.spans.len());
     }
-    history
+    report
 }
 
 #[cfg(test)]
@@ -309,7 +315,7 @@ mod tests {
     fn run(kind: AlgoKind, spec: &ExperimentSpec, flags: &[&str]) -> History {
         let (ctx, task) = spec.build_ctx();
         let args = Args::from_iter(flags.iter().map(|f| f.to_string()));
-        train(kind.build(spec, &task).as_mut(), &ctx, &args, "run")
+        train(kind.build(spec, &task).as_mut(), &ctx, &args, "run", RunOptions::new()).history
     }
 
     #[test]

@@ -222,6 +222,17 @@ awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} t{next}
         print FILENAME":"FNR": serde_json in the run fingerprint"; bad=1 }
     END{exit bad}' crates/*/src/*.rs crates/*/src/bin/*.rs examples/*.rs
 
+# Every committed sweep comes from a bin CI smokes: each
+# bench_results/BENCH_<x>.json has crates/bench/src/bin/bench_<x>.rs and a
+# `--bin bench_<x> -- --smoke` leg below. A sweep whose bin is gone, or
+# that no leg runs, fails here: regenerate it, or delete it with its bin.
+for json in bench_results/BENCH_*.json; do
+    bin=bench_$(basename "$json" .json | sed 's/^BENCH_//')
+    test -f "crates/bench/src/bin/$bin.rs" || { echo "$json: no crates/bench/src/bin/$bin.rs"; exit 1; }
+    grep -Eq "^cargo run .*--bin $bin -- --smoke\$" scripts/ci.sh \
+        || { echo "$json: no '--bin $bin -- --smoke' leg in scripts/ci.sh"; exit 1; }
+done
+
 # The frozen benchmark package links the library's public API; build it
 # here so a broken signature fails in CI, not in the bench pipeline, and
 # run its smoke pass (2+2 rounds per workload, writes no files) so its own
@@ -252,23 +263,18 @@ cargo run --release -p kemf-bench --bin bench_kernels -- --smoke
 # writes nothing: bench_results/ holds the full sweep's numbers.
 cargo run --release -p kemf-bench --bin bench_population -- --smoke
 
-# Async smoke: the buffered-round equivalence anchor (buffer == cohort +
-# zero delay reproduces the synchronous history bit-for-bit) plus one
-# genuinely buffered straggler run that must advance the virtual clock.
-# Asserts internally.
-cargo run --release -p kemf-bench --bin bench_async -- --smoke
-
 # Experiments smoke: the one driver must write, byte for byte, the CSVs
 # the ten per-artefact binaries it replaced wrote at the same flags
 # (crates/bench/golden holds their output at the last commit that had
-# them), and must train each distinct run once: of the 156 histories the
-# artefacts ask for at the default grid, 87 are distinct.
+# them) and the async-vs-sync and FedRolex-vs-FedAvg tables as first
+# written, and must train each distinct run once: of the 169 histories the
+# artefacts ask for at the default grid, 98 are distinct.
 rm -rf target/exp_smoke
 KEMF_RESULTS_DIR=target/exp_smoke cargo run --release -p kemf-bench --bin experiments -- \
     --rounds 2 --spc 24 --seed 7
 diff -r -x experiments_manifest.json crates/bench/golden target/exp_smoke
-grep -q '"histories_requested": 156' target/exp_smoke/experiments_manifest.json
-grep -q '"histories_trained": 87' target/exp_smoke/experiments_manifest.json
+grep -q '"histories_requested": 169' target/exp_smoke/experiments_manifest.json
+grep -q '"histories_trained": 98' target/exp_smoke/experiments_manifest.json
 
 # Native-tuned build: the runtime SIMD dispatch must not conflict with
 # target-cpu=native codegen (the autovectorizer emitting wider ops around
@@ -285,17 +291,10 @@ cargo run --release --example unreliable_clients
 # with two spawned worker processes and the fault storm on — broadcasts
 # carry the actual quantized model, drops arrive as corrupted frames, and
 # the example asserts its history is the simulator's, byte for byte.
-# bench_transport additionally pins faults-off byte-identity between the
-# socket and in-process runs.
+# bench_transport runs one wired sweep point under faults and checks that
+# its framing is measured.
 cargo run --release --example socket_federation
 cargo run --release -p kemf-bench --bin bench_transport -- --smoke
-
-# Server-larger-than-client smoke: FedRolex's windowed per-client
-# downlink must be well under the full wide-MLP model at nonzero
-# accuracy, one FedRolex federation must run over real localhost TCP
-# byte-identically to the simulator, and FedGEMS must learn through a
-# ≥2× server while billing logit-sized payloads. Asserts internally.
-cargo run --release -p kemf-bench --bin bench_rolex -- --smoke
 
 # Trace smoke: a recorded run must export round-lifecycle JSONL with one
 # span per phase. The example itself asserts the export round-trips and
